@@ -12,7 +12,7 @@
 use crate::calibration::Calibration;
 use crate::platform::{all_topics, CPU_TOPICS, GPU_TOPICS, THETA, VENTI};
 use hetflow_fabric::{
-    ChaosTargets, EndpointSpec, Fabric, FnXExecutor, HtexEndpoint, HtexExecutor, Knob,
+    ChaosTargets, Dispatcher, EndpointSpec, Fabric, FnXExecutor, HtexEndpoint, HtexExecutor, Knob,
     ReliabilityLayer, TaskResult, WorkerPool, WorkerPoolConfig,
 };
 use hetflow_steer::{ClientQueues, QueueConfig, TaskServer};
@@ -153,6 +153,19 @@ pub struct Deployment {
     pub config: WorkflowConfig,
 }
 
+/// The handles a deployment keeps of either executor: the type-erased
+/// fabric, its pools in endpoint order, the reliability layer and the
+/// chaos targets.
+fn handles<T: 'static>(
+    exec: Dispatcher<T>,
+) -> (Rc<dyn Fabric>, Vec<WorkerPool>, ReliabilityLayer, ChaosTargets)
+where
+    Dispatcher<T>: Fabric,
+{
+    let (pools, health, chaos) = (exec.pools().to_vec(), exec.health(), exec.chaos_targets());
+    (Rc::new(exec), pools, health, chaos)
+}
+
 /// Builds and wires a complete deployment on `sim`.
 pub fn deploy(
     sim: &Sim,
@@ -251,11 +264,9 @@ pub fn deploy(
 
     // --- Fabric ------------------------------------------------------------
     let (results_tx, results_rx): (_, Receiver<TaskResult>) = channel();
-    type Wired =
-        (Rc<dyn Fabric>, WorkerPool, WorkerPool, Vec<WorkerPool>, ReliabilityLayer, ChaosTargets);
-    let (fabric, cpu_pool, gpu_pool, failover_pools, health, mut chaos): Wired = match config {
+    let (fabric, pools, health, mut chaos) = match config {
         WorkflowConfig::Parsl | WorkflowConfig::ParslRedis => {
-            let exec = HtexExecutor::with_reliability(
+            handles(HtexExecutor::with_reliability(
                 sim,
                 cal.htex.clone(),
                 vec![
@@ -274,10 +285,7 @@ pub fn deploy(
                 rng.substream(5),
                 tracer.clone(),
                 spec.reliability.clone(),
-            );
-            let pools = exec.pools().to_vec();
-            let (health, chaos) = (exec.health(), exec.chaos_targets());
-            (Rc::new(exec), pools[0].clone(), pools[1].clone(), Vec::new(), health, chaos)
+            ))
         }
         WorkflowConfig::FnXGlobus => {
             let mut endpoints = vec![
@@ -310,7 +318,7 @@ pub fn deploy(
                         .unwrap_or_else(hetflow_fabric::Connectivity::always_on),
                 });
             }
-            let exec = FnXExecutor::with_reliability(
+            handles(FnXExecutor::with_reliability(
                 sim,
                 cal.fnx.clone(),
                 endpoints,
@@ -318,19 +326,12 @@ pub fn deploy(
                 rng.substream(5),
                 tracer.clone(),
                 spec.reliability.clone(),
-            );
-            let pools = exec.pools().to_vec();
-            let (health, chaos) = (exec.health(), exec.chaos_targets());
-            (
-                Rc::new(exec),
-                pools[0].clone(),
-                pools[1].clone(),
-                pools[2..].to_vec(),
-                health,
-                chaos,
-            )
+            ))
         }
     };
+    // Endpoints register CPU, GPU, then any failover CPU sites.
+    let (cpu_pool, gpu_pool, failover_pools) =
+        (pools[0].clone(), pools[1].clone(), pools[2..].to_vec());
 
     // --- Task server + thinker queues -----------------------------------
     // Chaos task storms submit straight through the fabric handle —

@@ -13,22 +13,17 @@
 //! aggregate (pickle passes + ZMQ copies), calibrated so a 3 MB payload
 //! costs ~hundreds of ms end-to-end (Fig. 7b) while multi-GB inference
 //! payloads remain feasible, merely slow (Fig. 6).
+//!
+//! This file is the interchange *transport*; routing, reliability and
+//! overload handling are the shared [`crate::Dispatcher`] core.
 
-use crate::fabric::Fabric;
-use crate::health::{ReliabilityLayer, ReliabilityPolicies, TimeoutVerdict, Verdict};
-use crate::reliability::chaos::ChaosTargets;
-use crate::reliability::overload::{AdmissionConfig, AdmissionController, BackpressureGate};
-use crate::reliability::{Knob, RetryPolicies};
-use crate::task::{Arg, TaskError, TaskOutcome, TaskResult, TaskSpec, WorkerReport};
-use crate::worker::{WorkerPool, WorkerPoolConfig};
-use hetflow_sim::{
-    channel, trace_kinds as kinds, Dist, Offered, OverflowPolicy, Sender, Sim, SimRng, Symbol,
-    SymbolMap, Tracer,
-};
-use std::cell::{Cell, RefCell};
-use std::future::Future;
-use std::pin::Pin;
-use std::rc::Rc;
+use crate::dispatch::{Dispatcher, Net, Transport};
+use crate::health::ReliabilityPolicies;
+use crate::task::TaskResult;
+use crate::worker::WorkerPoolConfig;
+use hetflow_sim::time::secs;
+use hetflow_sim::{Dist, Sender, Sim, SimRng, Tracer};
+use std::time::Duration;
 
 /// Link from the interchange to one resource's manager.
 #[derive(Clone, Debug)]
@@ -80,44 +75,16 @@ pub struct HtexEndpoint {
     pub link: LinkParams,
 }
 
-struct Inner {
-    sim: Sim,
+/// The interchange transport: one direct link per manager; no cloud
+/// service, no payload cap and no connection state.
+pub struct HtexTransport {
+    net: Net,
     params: HtexParams,
-    /// Pre-interned `"htex/ep{i}"` trace actors, one per endpoint.
-    actors: Vec<Symbol>,
-    rng: RefCell<SimRng>,
-    health: ReliabilityLayer,
-    pools: Vec<WorkerPool>,
     links: Vec<LinkParams>,
-    retries: Vec<RetryPolicies>,
-    /// Per-endpoint link-degradation dials (chaos-engine targets).
-    brownout: Vec<Knob>,
-    /// Per-endpoint pool-queue bound and overflow policy (0 = unbounded).
-    bounds: Vec<(usize, OverflowPolicy)>,
-    /// Token-bucket/in-flight admission, consulted before the breaker
-    /// layer; only topics with an enabled config appear in the map.
-    admission: AdmissionController,
-    admission_cfgs: SymbolMap<AdmissionConfig>,
-    /// Per-topic depth watermark gate; empty when no topic configures
-    /// backpressure.
-    gate: BackpressureGate,
-    /// Primary endpoint per routed topic (attribution for tasks shed
-    /// before an endpoint is picked).
-    primary: SymbolMap<usize>,
-    results: Sender<TaskResult>,
-    tracer: Tracer,
-    submitted: Cell<u64>,
-    returned: Cell<u64>,
-    timed_out: Cell<u64>,
-    shed: Cell<u64>,
-    link_bytes: Cell<u64>,
 }
 
 /// The HTEX executor.
-#[derive(Clone)]
-pub struct HtexExecutor {
-    inner: Rc<Inner>,
-}
+pub type HtexExecutor = Dispatcher<HtexTransport>;
 
 impl HtexExecutor {
     /// Builds the executor, spawning one pool per endpoint. Reliability
@@ -130,22 +97,13 @@ impl HtexExecutor {
         rng: SimRng,
         tracer: Tracer,
     ) -> HtexExecutor {
-        Self::with_reliability(
-            sim,
-            params,
-            endpoints,
-            results,
-            rng,
-            tracer,
-            ReliabilityPolicies::default(),
-        )
+        let policies = ReliabilityPolicies::default();
+        Self::with_reliability(sim, params, endpoints, results, rng, tracer, policies)
     }
 
-    /// Builds the executor with an active [`ReliabilityLayer`],
-    /// mirroring [`crate::faas::FnXExecutor::with_reliability`]: a topic
-    /// registered on several endpoints fails over (first registration is
-    /// primary), breakers steer dispatches away from unhealthy managers,
-    /// and hedged/rerouted copies deliver exactly once.
+    /// Builds the executor with an active [`crate::ReliabilityLayer`];
+    /// failover, breakers, hedges and reroutes behave exactly as under
+    /// [`crate::FnXExecutor::with_reliability`] — it is the same code.
     pub fn with_reliability(
         sim: &Sim,
         params: HtexParams,
@@ -155,413 +113,53 @@ impl HtexExecutor {
         tracer: Tracer,
         policies: ReliabilityPolicies,
     ) -> HtexExecutor {
-        let mut route: SymbolMap<Vec<usize>> = SymbolMap::new();
-        let mut primary: SymbolMap<usize> = SymbolMap::new();
-        let mut pools = Vec::new();
-        let mut links = Vec::new();
-        let mut retries = Vec::new();
-        let mut brownout = Vec::new();
-        let mut bounds = Vec::new();
-        let mut pool_streams = Vec::new();
-        for (i, ep) in endpoints.into_iter().enumerate() {
-            for topic in &ep.topics {
-                let sym = Symbol::intern(topic);
-                let targets = route.get_or_insert_with(sym, Vec::new);
-                if targets.is_empty() {
-                    primary.insert(sym, i);
-                }
-                targets.push(i);
-            }
-            let (pool_res_tx, pool_res_rx) = channel::<TaskResult>();
-            retries.push(ep.pool.retry.clone());
-            bounds.push((ep.pool.queue_capacity, ep.pool.overflow));
-            let pool = WorkerPool::spawn(
-                sim,
-                ep.pool,
-                pool_res_tx,
-                &rng.substream(i as u64),
-                tracer.clone(),
-            );
-            pools.push(pool);
-            links.push(ep.link);
-            brownout.push(Knob::new(1.0));
-            pool_streams.push(pool_res_rx);
-        }
-        // Overload protection mirrors the FnX fabric: admission configs
-        // and backpressure watermarks come off the policies; all-zero
-        // configs register nothing.
-        let admission = AdmissionController::new(sim);
-        let mut admission_cfgs: SymbolMap<AdmissionConfig> = SymbolMap::new();
-        let gate = BackpressureGate::new(sim, tracer.clone(), "htex");
-        for topic in primary.keys() {
-            let policy = policies.policy_for(topic);
-            if policy.admission.enabled() {
-                admission_cfgs.insert(topic, policy.admission.clone());
-            }
-            gate.register(topic, &policy.backpressure);
-        }
-        // HTEX managers have direct links (no Connectivity), so the
-        // layer spawns no heartbeat watchers; breakers are fed by task
-        // outcomes and timeouts only.
-        let health = ReliabilityLayer::new(sim, tracer.clone(), "htex", policies, route, &[]);
-        let actors =
-            (0..pools.len()).map(|i| Symbol::intern(&format!("htex/ep{i}"))).collect();
-        let inner = Rc::new(Inner {
-            sim: sim.clone(),
-            params,
-            actors,
-            rng: RefCell::new(rng.substream(u64::MAX)),
-            health,
-            pools,
-            links,
-            retries,
-            brownout,
-            bounds,
-            admission,
-            admission_cfgs,
-            gate,
-            primary,
-            results,
-            tracer,
-            submitted: Cell::new(0),
-            returned: Cell::new(0),
-            timed_out: Cell::new(0),
-            shed: Cell::new(0),
-            link_bytes: Cell::new(0),
-        });
-        for (i, rx) in pool_streams.into_iter().enumerate() {
-            let inner2 = Rc::clone(&inner);
-            sim.spawn_detached(async move {
-                while let Some(result) = rx.recv().await {
-                    let inner3 = Rc::clone(&inner2);
-                    inner2.sim.spawn_detached(async move {
-                        HtexExecutor::return_result(inner3, result, i).await;
-                    });
-                }
-            });
-        }
-        HtexExecutor { inner }
-    }
-
-    /// Endpoint worker pools (for utilization metrics).
-    pub fn pools(&self) -> &[WorkerPool] {
-        &self.inner.pools
-    }
-
-    /// The reliability layer (breaker state, hedge/reroute counters).
-    pub fn health(&self) -> ReliabilityLayer {
-        self.inner.health.clone()
-    }
-
-    /// The chaos-engine handles of this deployment. HTEX has no
-    /// endpoint connectivity and no cloud service, so only pool and
-    /// link dials are exposed; the storm target is wired by the
-    /// deployment layer, which owns the `Rc<dyn Fabric>` handle.
-    pub fn chaos_targets(&self) -> ChaosTargets {
-        ChaosTargets {
-            connectivity: Vec::new(),
-            pace: self.inner.pools.iter().map(WorkerPool::pace_knob).collect(),
-            crash: self.inner.pools.iter().map(WorkerPool::crash_knob).collect(),
-            brownout: self.inner.brownout.clone(),
-            cloud: None,
-            storm: None,
-        }
-    }
-
-    /// Tasks submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.inner.submitted.get()
-    }
-
-    /// Results returned so far.
-    pub fn returned(&self) -> u64 {
-        self.inner.returned.get()
-    }
-
-    /// Payload bytes moved over interchange links (both directions).
-    pub fn link_bytes(&self) -> u64 {
-        self.inner.link_bytes.get()
-    }
-
-    /// Tasks failed by the delivery deadline (`RetryPolicy::timeout`).
-    pub fn timed_out(&self) -> u64 {
-        self.inner.timed_out.get()
-    }
-
-    /// Tasks dropped by overload protection (admission refusals plus
-    /// queue-overflow evictions) — each still delivered a terminal
-    /// [`TaskOutcome::Shed`] result.
-    pub fn shed(&self) -> u64 {
-        self.inner.shed.get()
-    }
-
-    /// The admission controller (in-flight/rejection counters).
-    pub fn admission(&self) -> &AdmissionController {
-        &self.inner.admission
-    }
-
-    /// Balances the overload accounting when a task reaches its one
-    /// terminal outcome: the topic's in-fabric depth drops (possibly
-    /// reopening the backpressure gate) and its admission slot frees.
-    fn release(inner: &Inner, topic: Symbol) {
-        inner.gate.on_exit(topic);
-        inner.admission.on_done(topic);
-    }
-
-    /// Delivers the terminal [`TaskOutcome::Shed`] result for a task
-    /// dropped by overload protection. `load` is the queue depth or
-    /// in-flight count observed at the shed decision (the trace value).
-    fn shed_result(inner: &Inner, spec: TaskSpec, endpoint: usize, hedges: u32, reroutes: u32, load: f64) {
-        let now = inner.sim.now();
-        let actor = inner.actors[endpoint];
-        inner.tracer.emit(now, actor, kinds::TASK_SHED, spec.id, load);
-        let mut timing = spec.timing;
-        timing.server_result_received = Some(now);
-        inner.shed.set(inner.shed.get() + 1);
-        inner.returned.set(inner.returned.get() + 1);
-        let result = TaskResult {
-            id: spec.id,
-            topic: spec.topic,
-            output: Arg::empty(),
-            input_bytes: spec.args.iter().map(Arg::data_bytes).sum(),
-            report: WorkerReport { hedges, reroutes, ..WorkerReport::default() },
-            timing,
-            site: inner.pools[endpoint].site(),
-            worker: actor,
-            outcome: TaskOutcome::Shed,
-        };
-        let _ = inner.results.send_now(result); // hetlint: allow(r15) — teardown-tolerant: the campaign driver may have dropped the results receiver
-    }
-
-    fn link_cost(inner: &Inner, endpoint: usize, bytes: u64) -> std::time::Duration {
-        let link = &inner.links[endpoint];
-        let lat = link.latency.sample(&mut inner.rng.borrow_mut());
-        let cost = hetflow_sim::time::secs(lat + bytes as f64 / link.bandwidth);
-        // Chaos brownout dial: degraded links move bytes slower.
-        let f = inner.brownout[endpoint].get();
-        if f != 1.0 {
-            cost.mul_f64(f.max(0.0))
-        } else {
-            cost
-        }
-    }
-
-    /// Races the link transfer against the topic's
-    /// `RetryPolicy::timeout`, mirroring the FnX fabric: an undeliverable
-    /// task fails with `TaskError::Timeout` through the result channel.
-    async fn deliver(inner: Rc<Inner>, task: TaskSpec, endpoint: usize) {
-        let deadline = inner.retries[endpoint].policy_for(task.topic).timeout;
-        let Some(deadline) = deadline else {
-            Self::deliver_inner(inner, task, endpoint).await;
-            return;
-        };
-        let id = task.id;
-        let topic = task.topic;
-        let mut timing = task.timing;
-        let input_bytes = task.args.iter().map(Arg::data_bytes).sum();
-        let attempt = Box::pin(Self::deliver_inner(Rc::clone(&inner), task, endpoint));
-        if inner.sim.timeout(deadline, attempt).await.is_err() {
-            match inner.health.on_timeout(endpoint, id, topic) {
-                TimeoutVerdict::Reroute { spec, to } => {
-                    let inner2 = Rc::clone(&inner);
-                    // Boxed to break the deliver → deliver type cycle.
-                    let redo: Pin<Box<dyn Future<Output = ()>>> =
-                        Box::pin(Self::deliver(inner2, *spec, to));
-                    inner.sim.spawn_detached(redo);
-                }
-                TimeoutVerdict::Suppress => {}
-                TimeoutVerdict::Fail => {
-                    let now = inner.sim.now();
-                    let actor = inner.actors[endpoint];
-                    inner.tracer.emit(now, actor, kinds::TASK_TIMEOUT, id, deadline.as_secs_f64());
-                    Self::release(&inner, topic);
-                    timing.server_result_received = Some(now);
-                    inner.timed_out.set(inner.timed_out.get() + 1);
-                    inner.returned.set(inner.returned.get() + 1);
-                    let result = TaskResult {
-                        id,
-                        topic,
-                        output: Arg::empty(),
-                        input_bytes,
-                        report: WorkerReport::default(),
-                        timing,
-                        site: inner.pools[endpoint].site(),
-                        worker: actor,
-                        outcome: TaskOutcome::Failed(TaskError::Timeout { after: deadline }),
-                    };
-                    let _ = inner.results.send_now(result); // hetlint: allow(r15) — teardown-tolerant: the campaign driver may have dropped the results receiver
-                }
-            }
-        }
-    }
-
-    async fn deliver_inner(inner: Rc<Inner>, task: TaskSpec, endpoint: usize) {
-        let bytes = task.wire_bytes();
-        let cost = Self::link_cost(&inner, endpoint, bytes);
-        inner.sim.sleep(cost).await;
-        inner.link_bytes.set(inner.link_bytes.get() + bytes);
-        let (capacity, overflow) = inner.bounds[endpoint];
-        match inner.pools[endpoint].tasks.offer(task, capacity, overflow, |t| u64::from(t.priority))
-        {
-            Offered::Accepted => {}
-            Offered::Closed(_) => {} // experiment torn down
-            Offered::Displaced(victim) => {
-                // A shed copy is a failure for arbitration purposes: if
-                // a hedge/reroute sibling is still live the loss is
-                // silent; otherwise the Shed outcome is the task's one
-                // terminal result.
-                let topic = victim.topic;
-                match inner.health.on_result(endpoint, victim.id, topic, true, 0.0) {
-                    Verdict::Deliver { hedges, reroutes } => {
-                        Self::shed_result(&inner, victim, endpoint, hedges, reroutes, capacity as f64);
-                        Self::release(&inner, topic);
-                    }
-                    Verdict::Suppress => {}
-                }
-            }
-        }
-    }
-
-    async fn return_result(inner: Rc<Inner>, mut result: TaskResult, endpoint: usize) {
-        let bytes = result.wire_bytes();
-        let cost = Self::link_cost(&inner, endpoint, bytes);
-        inner.sim.sleep(cost).await;
-        let hop = inner.params.submit_hop.sample_secs(&mut inner.rng.borrow_mut());
-        inner.sim.sleep(hop).await;
-        inner.link_bytes.set(inner.link_bytes.get() + bytes);
-        // Exactly-once arbitration, after the full return path: the
-        // first surviving copy wins, losers are cancelled as waste.
-        let waste = result.report.compute_time.as_secs_f64()
-            + result.report.wasted_time.as_secs_f64();
-        match inner.health.on_result(
-            endpoint,
-            result.id,
-            result.topic,
-            result.is_failed(),
-            waste,
-        ) {
-            Verdict::Deliver { hedges, reroutes } => {
-                Self::release(&inner, result.topic);
-                result.report.hedges = hedges;
-                result.report.reroutes = reroutes;
-                result.timing.server_result_received = Some(inner.sim.now());
-                inner.returned.set(inner.returned.get() + 1);
-                let _ = inner.results.send_now(result); // hetlint: allow(r15) — teardown-tolerant: the campaign driver may have dropped the results receiver
-            }
-            Verdict::Suppress => {}
-        }
+        let (links, endpoints) =
+            endpoints.into_iter().map(|ep| (ep.link, (ep.pool, ep.topics))).unzip();
+        let wire = |net| HtexTransport { net, params, links };
+        Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
     }
 }
 
-impl Fabric for HtexExecutor {
-    fn submit(&self, mut task: TaskSpec) -> Pin<Box<dyn Future<Output = ()> + '_>> {
-        Box::pin(async move {
-            let inner = &self.inner;
-            task.timing.dispatched = Some(inner.sim.now());
-            // Admission control: a refused submission still pays the
-            // interchange hop (the refusal happens after the client's
-            // call) and resolves to a terminal Shed outcome; it never
-            // reaches the breaker layer, so nothing to unwind.
-            if let Some(cfg) = inner.admission_cfgs.get(task.topic) {
-                if !inner.admission.try_admit(task.topic, cfg) {
-                    let hop = inner.params.submit_hop.sample_secs(&mut inner.rng.borrow_mut());
-                    inner.sim.sleep(hop).await;
-                    inner.submitted.set(inner.submitted.get() + 1);
-                    let ep = inner.primary.get(task.topic).copied().unwrap_or(0);
-                    let load = inner.admission.in_flight(task.topic) as f64;
-                    Self::shed_result(inner, task, ep, 0, 0, load);
-                    return;
-                }
-            }
-            inner.gate.on_enter(task.topic);
-            // Register the dispatch with the reliability layer, which
-            // picks the endpoint (breaker-aware when configured).
-            let endpoint = inner
-                .health
-                .admit(&task)
-                // hetlint: allow(r5) — unrouted topic is a deployment wiring bug, not a runtime fault
-                .unwrap_or_else(|| panic!("no endpoint registered for topic {}", task.topic));
-            // The client pays the hop to the interchange plus the
-            // interchange's serialization pass over the payload.
-            let bytes = task.wire_bytes();
-            let hop = inner.params.submit_hop.sample(&mut inner.rng.borrow_mut());
-            let ser = bytes as f64 / inner.params.interchange_bw;
-            inner.sim.sleep(hetflow_sim::time::secs(hop + ser)).await;
-            inner.submitted.set(inner.submitted.get() + 1);
-            let id = task.id;
-            let topic = task.topic;
-            let input_bytes = task.args.iter().map(Arg::data_bytes).sum();
-            let timing = task.timing;
-            // Hedge watchdog (see the FnX fabric for the rationale).
-            if let Some(delay) = inner.health.hedge_delay(topic) {
-                let inner2 = Rc::clone(inner);
-                inner.sim.spawn_detached(async move {
-                    loop {
-                        inner2.sim.sleep(delay).await;
-                        let Some((spec, to)) = inner2.health.try_hedge(id, topic) else {
-                            break;
-                        };
-                        let inner3 = Rc::clone(&inner2);
-                        inner2.sim.spawn_detached(async move {
-                            HtexExecutor::deliver(inner3, spec, to).await;
-                        });
-                    }
-                });
-            }
-            // Deadline watchdog: hard round-trip backstop.
-            if let Some(dl) = inner.health.deadline(topic) {
-                let inner2 = Rc::clone(inner);
-                inner.sim.spawn_detached(async move {
-                    inner2.sim.sleep(dl).await;
-                    if inner2.health.expire(id) {
-                        let now = inner2.sim.now();
-                        let actor = inner2.actors[endpoint];
-                        inner2.tracer.emit(now, actor, kinds::TASK_TIMEOUT, id, dl.as_secs_f64());
-                        Self::release(&inner2, topic);
-                        let mut timing = timing;
-                        timing.server_result_received = Some(now);
-                        inner2.timed_out.set(inner2.timed_out.get() + 1);
-                        inner2.returned.set(inner2.returned.get() + 1);
-                        let result = TaskResult {
-                            id,
-                            topic,
-                            output: Arg::empty(),
-                            input_bytes,
-                            report: WorkerReport::default(),
-                            timing,
-                            site: inner2.pools[endpoint].site(),
-                            worker: actor,
-                            outcome: TaskOutcome::Failed(TaskError::Timeout { after: dl }),
-                        };
-                        let _ = inner2.results.send_now(result);
-                    }
-                });
-            }
-            let inner2 = Rc::clone(inner);
-            inner.sim.spawn_detached(async move {
-                HtexExecutor::deliver(inner2, task, endpoint).await;
-            });
-        })
+impl HtexTransport {
+    /// One message of `bytes` over the endpoint's link; a browned-out
+    /// link (chaos dial) moves bytes slower.
+    fn link_cost(&self, endpoint: usize, bytes: u64) -> Duration {
+        let link = &self.links[endpoint];
+        let lat = link.latency.sample(&mut self.net.rng.borrow_mut());
+        self.net.brownout[endpoint].scale(secs(lat + bytes as f64 / link.bandwidth))
+    }
+}
+
+impl Transport for HtexTransport {
+    const LABEL: &'static str = "htex";
+
+    /// The client pays the hop to the interchange plus the
+    /// interchange's serialization pass over the payload (a refused
+    /// call has none: the hop alone).
+    fn submit_cost(&self, bytes: u64) -> Duration {
+        let hop = self.params.submit_hop.sample(&mut self.net.rng.borrow_mut());
+        secs(hop + bytes as f64 / self.params.interchange_bw)
     }
 
-    fn label(&self) -> &'static str {
-        "htex"
+    async fn outbound(&self, endpoint: usize, bytes: u64) {
+        self.net.sim.sleep(self.link_cost(endpoint, bytes)).await;
     }
 
-    fn backpressure(&self) -> Option<BackpressureGate> {
-        if self.inner.gate.is_empty() {
-            None
-        } else {
-            Some(self.inner.gate.clone())
-        }
+    async fn inbound(&self, endpoint: usize, bytes: u64) {
+        self.net.sim.sleep(self.link_cost(endpoint, bytes)).await;
+        let hop = self.params.submit_hop.sample_secs(&mut self.net.rng.borrow_mut());
+        self.net.sim.sleep(hop).await;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::Fabric;
+    use crate::task::TaskSpec;
+    use hetflow_sim::{channel, Receiver};
     use hetflow_store::SiteId;
-    use hetflow_sim::Receiver;
+    use std::rc::Rc;
 
     fn fixed_link(bw: f64) -> LinkParams {
         LinkParams { latency: Dist::Constant(0.005), bandwidth: bw }

@@ -1,20 +1,34 @@
 //! # hetflow-fabric — compute fabrics
 //!
 //! Two ways of getting a [`task::TaskSpec`] onto a remote worker and its
-//! result back (§IV-B, §V-B of the paper):
+//! result back (§IV-B, §V-B of the paper), built as **one dispatch core
+//! over two transports**:
 //!
-//! * [`FnXExecutor`] — the cloud-managed federated FaaS (FuncX model):
-//!   submissions travel through a cloud service with tiered payload
-//!   storage (fast KV ≤ 20 kB, object store above, hard 10 MB cap) and
-//!   outbound-only endpoint connections. No open ports at the resources.
-//! * [`HtexExecutor`] — the direct-connection baseline (Parsl HTEX
-//!   model): an interchange forwards tasks over direct TCP links, which
-//!   requires ports/tunnels but moves payloads at link bandwidth.
+//! * [`Dispatcher`] — the core. Routes topics to endpoints, feeds the
+//!   [`worker::WorkerPool`]s, and owns every reliability and overload
+//!   arm: breakers, failover, hedges, reroutes, deadlines
+//!   ([`ReliabilityLayer`]), bounded pool queues with shedding,
+//!   admission control and backpressure, and the exactly-one terminal
+//!   result per task. It is generic over a crate-private `Transport`
+//!   and never asks which one it has.
+//! * [`FnXExecutor`] = the core over the cloud transport ([`faas`], the
+//!   FuncX model): submissions travel through a cloud service with
+//!   tiered payload storage (fast KV ≤ 20 kB, object store above, hard
+//!   10 MB cap) and outbound-only endpoint connections that hold tasks
+//!   and results while offline. No open ports at the resources.
+//! * [`HtexExecutor`] = the core over the interchange transport
+//!   ([`htex`], the Parsl HTEX model): tasks cross direct TCP links,
+//!   which requires ports/tunnels but moves payloads at link bandwidth.
 //!
-//! Both feed [`worker::WorkerPool`]s that resolve proxied inputs, run
-//! the (real) compute closure for its declared virtual duration, apply
-//! the result proxy policy, and return a [`task::TaskResult`] stamped
-//! with the full life-cycle timing the paper's figures decompose.
+//! A transport decides the fabric's label, whether a payload is
+//! admissible, what the client pays to submit, how a task travels out
+//! and a result back, and which connectivity and cloud dials exist —
+//! nothing else (DESIGN.md §9 has the table).
+//!
+//! Worker pools resolve proxied inputs, run the (real) compute closure
+//! for its declared virtual duration, apply the result proxy policy,
+//! and return a [`task::TaskResult`] stamped with the full life-cycle
+//! timing the paper's figures decompose.
 //!
 //! ```
 //! use hetflow_fabric::{EndpointSpec, Fabric, FnXExecutor, FnXParams,
@@ -43,6 +57,7 @@
 //! assert_eq!(results_rx.drain_now().len(), 1);
 //! ```
 
+mod dispatch;
 pub mod fabric;
 pub mod faas;
 pub mod health;
@@ -53,6 +68,7 @@ pub mod ser;
 pub mod task;
 pub mod worker;
 
+pub use dispatch::Dispatcher;
 pub use fabric::Fabric;
 pub use faas::{EndpointSpec, FnXExecutor, FnXParams};
 pub use health::{

@@ -43,6 +43,18 @@ impl Knob {
     pub fn set(&self, value: f64) {
         self.0.set(value);
     }
+
+    /// Scales a delay by the knob (negative values clamp to zero),
+    /// skipping the multiply when the knob is neutral so an untouched
+    /// knob leaves the delay bit-identical.
+    pub fn scale(&self, d: Duration) -> Duration {
+        let f = self.get();
+        if f != 1.0 {
+            d.mul_f64(f.max(0.0))
+        } else {
+            d
+        }
+    }
 }
 
 impl std::fmt::Debug for Knob {

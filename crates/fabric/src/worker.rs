@@ -309,12 +309,8 @@ fn spawn_worker(
                     }
                 }
                 if failed.is_none() {
-                    let mut compute = work.compute_time;
                     // Chaos pace knob: straggling workers run slow.
-                    let pace = config.pace.get();
-                    if pace != 1.0 {
-                        compute = compute.mul_f64(pace.max(0.0));
-                    }
+                    let compute = config.pace.scale(work.compute_time);
                     // Chaos crash knob: the worker dies mid-task, loses
                     // half the compute, and re-runs once.
                     let crash_p = config.crash.get();

@@ -3,12 +3,12 @@
 //! only differ on *when*).
 
 use hetflow_fabric::{
-    Arg, BreakerConfig, ChaosAction, ChaosSpec, EndpointSpec, Fabric, FnXExecutor, FnXParams,
-    HtexEndpoint, HtexExecutor, HtexParams, LinkParams, ReliabilityPolicies, ReliabilityPolicy,
-    TaskSpec, TaskWork, WorkerPoolConfig,
+    AdmissionConfig, Arg, BreakerConfig, ChaosAction, ChaosSpec, ChaosTargets, EndpointSpec,
+    Fabric, FnXExecutor, FnXParams, HedgeConfig, HtexEndpoint, HtexExecutor, HtexParams,
+    LinkParams, ReliabilityPolicies, ReliabilityPolicy, TaskSpec, TaskWork, WorkerPoolConfig,
 };
 use hetflow_store::SiteId;
-use hetflow_sim::{channel, Dist, Receiver, Sim, SimRng, SimTime, Tracer};
+use hetflow_sim::{channel, Dist, OverflowPolicy, Receiver, Sim, SimRng, SimTime, Tracer};
 use proptest::prelude::*;
 use std::rc::Rc;
 use std::time::Duration;
@@ -150,6 +150,147 @@ proptest! {
             prop_assert!(pair[0].1 <= pair[1].0, "overlap: {pair:?}");
         }
     }
+}
+
+// --- FnX-vs-HTEX differential ------------------------------------------------
+
+/// `(id, outcome kind, site, hedges, reroutes)` of one terminal result.
+type Outcome = (u64, &'static str, SiteId, u32, u32);
+
+/// Runs the scripted mix below through one executor whose transport
+/// costs nothing — every latency `Constant(0)`, every bandwidth infinite
+/// — and returns the sorted outcomes. What is left is the dispatch core,
+/// which must not care which transport it was built over.
+fn run_free_transport(fnx: bool) -> Vec<Outcome> {
+    const ZERO: Dist = Dist::Constant(0.0);
+    let sim = Sim::new();
+    let (res_tx, res_rx): (_, Receiver<hetflow_fabric::TaskResult>) = channel();
+    // Endpoint 0 serves everything but `bounded`; endpoint 1 is the
+    // `hedged` failover; endpoint 2 is `bounded`'s one worker behind a
+    // two-slot queue that sheds its lowest-priority entry.
+    let mut bounded = WorkerPoolConfig::bare(SiteId(2), "c", 1);
+    bounded.queue_capacity = 2;
+    bounded.overflow = OverflowPolicy::ShedLowestPriority;
+    let endpoints: [(WorkerPoolConfig, Vec<&'static str>); 3] = [
+        (WorkerPoolConfig::bare(SiteId(0), "a", 2), vec!["plain", "capped", "hedged"]),
+        (WorkerPoolConfig::bare(SiteId(1), "b", 1), vec!["hedged"]),
+        (bounded, vec!["bounded"]),
+    ];
+    let policies = ReliabilityPolicies::default()
+        .with_topic(
+            "capped",
+            ReliabilityPolicy {
+                admission: AdmissionConfig { max_in_flight: 2, ..Default::default() },
+                ..Default::default()
+            },
+        )
+        .with_topic(
+            "hedged",
+            ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3, max_hedges: 1 },
+                ..Default::default()
+            },
+        );
+    let (rng, tracer) = (SimRng::from_seed(11), Tracer::disabled());
+    let (fabric, chaos): (Rc<dyn Fabric>, ChaosTargets) = if fnx {
+        let params = FnXParams {
+            https_latency: ZERO,
+            small_store_op: ZERO,
+            small_store_bw: f64::INFINITY,
+            large_store_op: ZERO,
+            large_store_bw: f64::INFINITY,
+            forward_latency: ZERO,
+            result_latency: ZERO,
+            ..FnXParams::default()
+        };
+        let eps = endpoints.into_iter().map(|(p, t)| EndpointSpec::reliable(p, t)).collect();
+        let exec = FnXExecutor::with_reliability(&sim, params, eps, res_tx, rng, tracer, policies);
+        let chaos = exec.chaos_targets();
+        (Rc::new(exec), chaos)
+    } else {
+        let params = HtexParams { submit_hop: ZERO, interchange_bw: f64::INFINITY };
+        let link = LinkParams { latency: ZERO, bandwidth: f64::INFINITY };
+        let eps = endpoints
+            .into_iter()
+            .map(|(pool, topics)| HtexEndpoint { pool, topics, link: link.clone() })
+            .collect();
+        let exec = HtexExecutor::with_reliability(&sim, params, eps, res_tx, rng, tracer, policies);
+        let chaos = exec.chaos_targets();
+        (Rc::new(exec), chaos)
+    };
+    let sim2 = sim.clone();
+    sim.spawn(async move {
+        let task = |id: u64, topic: &'static str, secs: u64, priority: u8| {
+            let work: hetflow_fabric::TaskFn =
+                Rc::new(move |_| TaskWork::new((), 100, Duration::from_secs(secs)));
+            TaskSpec::new(id, topic, Arg::inline((), 1_000), work).with_priority(priority)
+        };
+        // Submissions are 1 ms apart so that no two decisions share an
+        // instant: the transports differ in how many zero-length hops a
+        // task makes, and same-instant order is not part of the contract.
+        let tick = Duration::from_millis(1);
+        let (normal, low) = (TaskSpec::PRIORITY_NORMAL, TaskSpec::PRIORITY_LOW);
+        // Plain tasks.
+        for id in 0..4 {
+            fabric.submit(task(id, "plain", 1 + id, normal)).await;
+            sim2.sleep(tick).await;
+        }
+        // Six arrivals at a busy one-worker pool with a two-slot queue:
+        // three are displaced, low priority first.
+        for id in 10..16 {
+            let priority = if id % 2 == 0 { low } else { normal };
+            fabric.submit(task(id, "bounded", 5, priority)).await;
+            sim2.sleep(tick).await;
+        }
+        // Five submissions under an in-flight cap of two: three refused;
+        // once the two are done, one more is admitted.
+        for id in 20..25 {
+            fabric.submit(task(id, "capped", 5, normal)).await;
+            sim2.sleep(tick).await;
+        }
+        sim2.sleep(Duration::from_secs(30)).await;
+        fabric.submit(task(25, "capped", 5, normal)).await;
+        // Warm the hedge estimate, straggle pool 0, submit the task the
+        // hedge rescues on endpoint 1.
+        for id in 30..33 {
+            fabric.submit(task(id, "hedged", 10, normal)).await;
+            sim2.sleep(tick).await;
+        }
+        sim2.sleep(Duration::from_secs(60)).await;
+        chaos.pace[0].set(50.0);
+        fabric.submit(task(33, "hedged", 10, normal)).await;
+    });
+    sim.run();
+    let mut outcomes: Vec<Outcome> = res_rx
+        .drain_now()
+        .iter()
+        .map(|r| {
+            let kind = if r.is_shed() {
+                "shed"
+            } else if r.is_failed() {
+                "failed"
+            } else {
+                "ok"
+            };
+            (r.id, kind, r.site, r.report.hedges, r.report.reroutes)
+        })
+        .collect();
+    outcomes.sort();
+    outcomes
+}
+
+/// Two fabrics that differ only in transit cost are the same fabric
+/// when transit is free: the same script yields the same multiset of
+/// outcomes from both executors.
+#[test]
+fn free_transports_yield_identical_outcomes() {
+    let (fnx, htex) = (run_free_transport(true), run_free_transport(false));
+    assert_eq!(fnx, htex, "FnX (left) and HTEX (right) disagree");
+    // The script really entered the arms it is meant to compare.
+    let count = |kind: &str| fnx.iter().filter(|o| o.1 == kind).count();
+    assert_eq!(fnx.len(), 20, "one terminal outcome per submitted id: {fnx:?}");
+    assert_eq!((count("shed"), count("failed")), (6, 0), "3 displaced + 3 refused: {fnx:?}");
+    assert!(fnx.contains(&(33, "ok", SiteId(1), 1, 0)), "the hedge won on endpoint 1: {fnx:?}");
 }
 
 // --- Chaos-engine invariants -----------------------------------------------

@@ -2,15 +2,13 @@
 //!
 //! Small, allocation-light helpers: racing a future against a deadline
 //! ([`Sim::timeout`]), racing two futures ([`select2`]), awaiting many
-//! ([`join_all`]), periodic ticks ([`Interval`]), and a reusable
-//! [`Barrier`]. All operate purely in virtual time.
+//! ([`join_all`]) and periodic ticks ([`Interval`]). All operate purely
+//! in virtual time.
 
 use crate::executor::{Sim, Sleep};
-use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
-use std::task::{Poll, Waker};
+use std::task::Poll;
 use std::time::Duration;
 
 /// Outcome of [`select2`].
@@ -112,78 +110,11 @@ impl Interval {
     }
 }
 
-struct BarrierState {
-    needed: usize,
-    arrived: usize,
-    generation: u64,
-    wakers: Vec<Waker>,
-}
-
-/// A reusable barrier for `n` tasks.
-#[derive(Clone)]
-pub struct Barrier {
-    state: Rc<RefCell<BarrierState>>,
-}
-
-/// Returned by [`Barrier::wait`]; exactly one waiter per generation is
-/// the leader.
-#[derive(Debug, PartialEq, Eq)]
-pub struct BarrierWaitResult {
-    /// True for the task that completed the barrier.
-    pub is_leader: bool,
-}
-
-impl Barrier {
-    /// Creates a barrier for `n` tasks (n ≥ 1).
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1);
-        Barrier {
-            state: Rc::new(RefCell::new(BarrierState {
-                needed: n,
-                arrived: 0,
-                generation: 0,
-                wakers: Vec::new(),
-            })),
-        }
-    }
-
-    /// Waits for all `n` tasks to arrive; the last arrival releases
-    /// everyone and is the leader.
-    pub async fn wait(&self) -> BarrierWaitResult {
-        let my_gen;
-        {
-            let mut s = self.state.borrow_mut();
-            my_gen = s.generation;
-            s.arrived += 1;
-            if s.arrived == s.needed {
-                s.arrived = 0;
-                s.generation += 1;
-                for w in s.wakers.drain(..) {
-                    w.wake();
-                }
-                return BarrierWaitResult { is_leader: true };
-            }
-        }
-        std::future::poll_fn(|cx| {
-            let mut s = self.state.borrow_mut();
-            if s.generation > my_gen {
-                Poll::Ready(())
-            } else {
-                s.wakers.push(cx.waker().clone());
-                Poll::Pending
-            }
-        })
-        .await;
-        BarrierWaitResult { is_leader: false }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::secs;
     use crate::SimTime;
-    use std::cell::Cell;
 
     #[test]
     fn select2_prefers_earlier() {
@@ -303,54 +234,5 @@ mod tests {
             s.now()
         });
         assert_eq!(sim.block_on(h), SimTime::from_secs(20));
-    }
-
-    #[test]
-    fn barrier_releases_all_at_once() {
-        let sim = Sim::new();
-        let barrier = Barrier::new(3);
-        let leaders = Rc::new(Cell::new(0));
-        let releases = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..3u64 {
-            let b = barrier.clone();
-            let s = sim.clone();
-            let leaders = Rc::clone(&leaders);
-            let releases = Rc::clone(&releases);
-            sim.spawn(async move {
-                s.sleep(secs(i as f64)).await;
-                let r = b.wait().await;
-                if r.is_leader {
-                    leaders.set(leaders.get() + 1);
-                }
-                releases.borrow_mut().push(s.now());
-            });
-        }
-        sim.run();
-        assert_eq!(leaders.get(), 1);
-        let releases = releases.borrow();
-        assert_eq!(releases.len(), 3);
-        assert!(releases.iter().all(|&t| t == SimTime::from_secs(2)));
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        let sim = Sim::new();
-        let barrier = Barrier::new(2);
-        let s = sim.clone();
-        let b1 = barrier.clone();
-        let h = sim.spawn(async move {
-            b1.wait().await;
-            b1.wait().await;
-            s.now()
-        });
-        let s2 = sim.clone();
-        let b2 = barrier;
-        sim.spawn(async move {
-            s2.sleep(secs(1.0)).await;
-            b2.wait().await;
-            s2.sleep(secs(1.0)).await;
-            b2.wait().await;
-        });
-        assert_eq!(sim.block_on(h), SimTime::from_secs(2));
     }
 }

@@ -50,7 +50,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{Arena, ArenaId};
-pub use combinators::{join_all, select2, Barrier, Either, Elapsed, Interval};
+pub use combinators::{join_all, select2, Either, Elapsed, Interval};
 pub use channel::{
     bounded, channel, oneshot, Offered, OneshotReceiver, OneshotSender, OverflowPolicy, Receiver,
     Sender, TrySendError,

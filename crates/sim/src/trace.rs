@@ -10,8 +10,7 @@
 
 use crate::intern::Symbol;
 use crate::time::SimTime;
-use std::cell::{RefCell, RefMut};
-use std::collections::VecDeque;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 /// Canonical event kinds emitted by the fabrics and the steering layer.
@@ -121,38 +120,28 @@ pub struct TraceEvent {
     pub value: f64,
 }
 
-/// What an enabled tracer keeps in memory, beyond the streaming digest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Retain {
-    /// Nothing — digest and count only. The fast path for perf runs
-    /// and digest-invariance sweeps.
-    Nothing,
-    /// The most recent `n` events, for tests that inspect the tail of
-    /// a long run without paying for the whole log.
-    Ring(usize),
-    /// Every event, for figure harnesses that replay the full trace.
-    All,
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 struct TracerState {
-    events: VecDeque<TraceEvent>,
+    events: Vec<TraceEvent>,
     enabled: bool,
-    retain: Retain,
+    /// Whether an enabled tracer keeps its events (for figure harnesses
+    /// that replay the trace) or only the digest and count (the fast
+    /// path for perf runs and digest-invariance sweeps).
+    retain: bool,
     /// FNV-1a fold over every event ever emitted, updated at emit time.
     digest: u64,
-    /// Events ever emitted (ring eviction does not decrement).
+    /// Events ever emitted.
     emitted: usize,
 }
 
 impl Default for TracerState {
     fn default() -> Self {
         TracerState {
-            events: VecDeque::new(),
+            events: Vec::new(),
             enabled: false,
-            retain: Retain::All,
+            retain: true,
             digest: FNV_OFFSET,
             emitted: 0,
         }
@@ -197,11 +186,7 @@ impl Tracer {
     /// digest).
     pub fn enabled() -> Self {
         let t = Tracer::default();
-        {
-            let mut s = t.state.borrow_mut();
-            s.enabled = true;
-            s.retain = Retain::All;
-        }
+        t.state.borrow_mut().enabled = true;
         t
     }
 
@@ -211,26 +196,8 @@ impl Tracer {
     /// run length — the right mode for perf baselines and digest
     /// sweeps.
     pub fn digest_only() -> Self {
-        let t = Tracer::default();
-        {
-            let mut s = t.state.borrow_mut();
-            s.enabled = true;
-            s.retain = Retain::Nothing;
-        }
-        t
-    }
-
-    /// Creates a tracer that keeps only the most recent `capacity`
-    /// events (the digest still covers all of them). For tests that
-    /// assert on the tail of a long run.
-    pub fn with_ring(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be >= 1");
-        let t = Tracer::default();
-        {
-            let mut s = t.state.borrow_mut();
-            s.enabled = true;
-            s.retain = Retain::Ring(capacity);
-        }
+        let t = Tracer::enabled();
+        t.state.borrow_mut().retain = false;
         t
     }
 
@@ -264,19 +231,12 @@ impl Tracer {
         let e = TraceEvent { t, actor: actor.into(), kind, entity, value };
         s.fold_event(&e);
         s.emitted += 1;
-        match s.retain {
-            Retain::Nothing => {}
-            Retain::Ring(cap) => {
-                if s.events.len() == cap {
-                    s.events.pop_front();
-                }
-                s.events.push_back(e);
-            }
-            Retain::All => s.events.push_back(e),
+        if s.retain {
+            s.events.push(e);
         }
     }
 
-    /// Number of events ever emitted (ring eviction does not lower it).
+    /// Number of events ever emitted (retained or not).
     pub fn len(&self) -> usize {
         self.state.borrow().emitted
     }
@@ -290,10 +250,9 @@ impl Tracer {
     ///
     /// This borrows the tracer's buffer instead of cloning it — do not
     /// hold the guard across an `emit` (same rule as any `RefCell`
-    /// borrow). In ring mode this is the retained tail; in digest-only
-    /// mode it is empty.
-    pub fn events(&self) -> RefMut<'_, [TraceEvent]> {
-        RefMut::map(self.state.borrow_mut(), |s| s.events.make_contiguous())
+    /// borrow). In digest-only mode it is empty.
+    pub fn events(&self) -> Ref<'_, [TraceEvent]> {
+        Ref::map(self.state.borrow(), |s| s.events.as_slice())
     }
 
     /// Snapshot filtered by event kind. Events are `Copy`, so this
@@ -430,23 +389,6 @@ mod tests {
         assert_eq!(lean.digest(), full.digest());
         assert_eq!(lean.len(), 50);
         assert!(lean.events().is_empty(), "digest-only retains no events");
-    }
-
-    #[test]
-    fn ring_mode_keeps_the_tail_and_the_full_digest() {
-        let full = Tracer::enabled();
-        let ring = Tracer::with_ring(4);
-        for i in 0..10u64 {
-            full.emit(SimTime::from_millis(i), "w", "start", i, 0.0);
-            ring.emit(SimTime::from_millis(i), "w", "start", i, 0.0);
-        }
-        assert_eq!(ring.len(), 10, "len counts everything emitted");
-        let tail = ring.events();
-        assert_eq!(tail.len(), 4);
-        assert_eq!(tail[0].entity, 6, "oldest retained is n-4");
-        assert_eq!(tail[3].entity, 9);
-        drop(tail);
-        assert_eq!(ring.digest(), full.digest(), "digest covers evicted events");
     }
 
     #[test]
