@@ -13,7 +13,7 @@
 //! data and instructions.
 
 use crate::degradation::{DegradationPolicy, DegradationState};
-use hetflow_chem::MoleculeLibrary;
+use hetflow_chem::{MoleculeLibrary, N_FEATURES};
 use hetflow_core::calibration::tasks as cal;
 use hetflow_core::{Deployment, UtilizationReport};
 use hetflow_fabric::{TaskFn, TaskWork};
@@ -314,7 +314,8 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                     break;
                 }
                 let round_started = sim2.now();
-                let database = state.database.borrow().clone();
+                // One copy per round, shared by every closure and payload.
+                let database = Rc::new(state.database.borrow().clone());
                 if database.len() < 8 {
                     state.training_active.set(false);
                     continue;
@@ -327,13 +328,12 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                     let duration = cal::moldesign_train_duration().sample(&mut rng);
                     let compute = train_task(
                         Rc::clone(&state.lib),
-                        database.clone(),
+                        Rc::clone(&database),
                         rng.substream(1000 + member as u64),
                         duration,
                     );
-                    queues
-                        .submit("train", vec![Payload::new(database.clone(), train_payload(&database))], compute)
-                        .await;
+                    let payload = Payload::shared(database.clone(), train_payload(&database));
+                    queues.submit("train", vec![payload], compute).await;
                 }
                 // The molecule batch is shared by every inference task
                 // of the round: proxy it once so later tasks hit the
@@ -448,7 +448,7 @@ fn simulate_task(lib: Rc<MoleculeLibrary>, id: usize, duration: f64) -> TaskFn {
 
 fn train_task(
     lib: Rc<MoleculeLibrary>,
-    database: Vec<(usize, f64)>,
+    database: Rc<Vec<(usize, f64)>>,
     member_rng: SimRng,
     duration: f64,
 ) -> TaskFn {
@@ -456,8 +456,8 @@ fn train_task(
     Rc::new(move |_ctx| {
         let mut member_rng = member_rng.borrow_mut();
         let bag = bag_indices(database.len(), DEFAULT_BAG_FRACTION, &mut member_rng);
-        let inputs: Vec<Vec<f64>> =
-            bag.iter().map(|&i| lib.features(database[i].0).to_vec()).collect();
+        let inputs: Vec<[f64; N_FEATURES]> =
+            bag.iter().map(|&i| lib.features(database[i].0)).collect();
         let targets: Vec<f64> = bag.iter().map(|&i| database[i].1).collect();
         let model = RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut member_rng)
             .expect("surrogate fit failed");
@@ -467,8 +467,10 @@ fn train_task(
 
 fn infer_task(lib: Rc<MoleculeLibrary>, model: Rc<RffRidge>, duration: f64) -> TaskFn {
     Rc::new(move |_ctx| {
-        let scores: Vec<f64> =
-            (0..lib.len()).map(|i| model.predict(&lib.features(i))).collect();
+        // Features are computed as the kernel asks for them (no
+        // library-sized table) and scored straight into the output.
+        let mut scores = vec![0.0; lib.len()];
+        model.predict_batch(|i| lib.features(i), &mut scores);
         TaskWork::new(scores, cal::MOLDESIGN_INFER_OUT_BYTES, hetflow_sim::time::secs(duration))
     })
 }
@@ -580,6 +582,27 @@ mod tests {
             (o.found, o.simulations, o.end)
         };
         assert_eq!(go(), go());
+    }
+
+    #[test]
+    fn infer_round_scores_equal_per_molecule_predict() {
+        // One round as the ML agent runs it — a train task, then an
+        // infer task on its model — with a library that is not a
+        // multiple of the kernel's row block. The batch entry point
+        // must agree bit for bit with `predict`.
+        let lib = Rc::new(MoleculeLibrary::generate(135, 21));
+        let database: Vec<(usize, f64)> = (0..40).map(|i| (i * 3, lib.true_ip(i * 3))).collect();
+        let mut rng = SimRng::from_seed(4);
+        let mut ctx =
+            hetflow_fabric::TaskCtx { inputs: &[], rng: &mut rng, site: hetflow_store::SiteId(0) };
+        let train = train_task(Rc::clone(&lib), Rc::new(database), SimRng::from_seed(5), 1.0);
+        let model = train(&mut ctx).output.downcast::<RffRidge>().expect("a model");
+        let infer = infer_task(Rc::clone(&lib), Rc::clone(&model), 1.0);
+        let scores = infer(&mut ctx).output.downcast::<Vec<f64>>().expect("a score vector");
+        assert_eq!(scores.len(), lib.len());
+        for (i, s) in scores.iter().enumerate() {
+            assert_eq!(s.to_bits(), model.predict(&lib.features(i)).to_bits(), "molecule {i}");
+        }
     }
 
     #[test]

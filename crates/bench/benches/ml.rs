@@ -34,6 +34,17 @@ fn bench_surrogate(c: &mut Criterion) {
             acc
         });
     });
+    // The batch entry an `infer` task uses, at the campaign's library
+    // size (features precomputed, so this times the kernel alone).
+    let lib = MoleculeLibrary::generate(10_000, 1);
+    let rows: Vec<_> = (0..lib.len()).map(|i| lib.features(i)).collect();
+    let mut scores = vec![0.0; rows.len()];
+    c.bench_function("ml/rff_predict_batch_10k", |b| {
+        b.iter(|| {
+            model.predict_batch(|i| rows[i], &mut scores);
+            scores[0]
+        });
+    });
 }
 
 fn bench_ensemble_parallelism(c: &mut Criterion) {

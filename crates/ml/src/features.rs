@@ -5,16 +5,32 @@
 //! regression this gives a closed-form-trainable nonlinear surrogate —
 //! our stand-in for the paper's MPNN/SchNet models, chosen because it
 //! learns the synthetic targets well and trains deterministically.
+//!
+//! Everything runs through one kernel, `RandomFourierFeatures::tile`:
+//! `W` is stored transposed (`d_in × D`, `D` zero-padded to a multiple of
+//! `TILE`) so the projection runs lane-wise across features with its
+//! accumulators in registers, and cosine and scale are one vectorized
+//! pass over a stack tile. Each feature still sums `k = 0..d_in` in order
+//! from `-0.0` (as `Iterator::sum` does), so a value never depends on
+//! tiling or on which rows share a block.
 
+use crate::cosine::scaled_cos_in_place;
 use crate::linalg::Matrix;
 use hetflow_sim::SimRng;
+
+/// Features per kernel tile.
+pub(crate) const TILE: usize = 64;
+/// Projection accumulators held in registers at once.
+const LANES: usize = 8;
 
 /// A fixed random feature map.
 #[derive(Clone, Debug)]
 pub struct RandomFourierFeatures {
-    /// `D x d_in` projection.
-    w: Matrix,
-    /// Phase offsets, length `D`.
+    d_in: usize,
+    d_out: usize,
+    /// `Wᵀ`: `d_in` rows of `b.len()` (padded `D`) projection weights.
+    wt: Vec<f64>,
+    /// Phase offsets, zero-padded to a multiple of `TILE`.
     b: Vec<f64>,
     scale: f64,
 }
@@ -24,47 +40,96 @@ impl RandomFourierFeatures {
     /// lengthscale `lengthscale`.
     pub fn sample(d_in: usize, d_out: usize, lengthscale: f64, rng: &mut SimRng) -> Self {
         assert!(d_in > 0 && d_out > 0 && lengthscale > 0.0);
-        let mut w = Matrix::zeros(d_out, d_in);
+        let padded = d_out.next_multiple_of(TILE);
+        let mut wt = vec![0.0; d_in * padded];
         for i in 0..d_out {
-            for j in 0..d_in {
-                w[(i, j)] = rng.standard_normal() / lengthscale;
+            for k in 0..d_in {
+                wt[k * padded + i] = rng.standard_normal() / lengthscale;
             }
         }
-        let b: Vec<f64> = (0..d_out).map(|_| rng.uniform(0.0, std::f64::consts::TAU)).collect();
+        let mut b = vec![0.0; padded];
+        b[..d_out].fill_with(|| rng.uniform(0.0, std::f64::consts::TAU));
         let scale = (2.0 / d_out as f64).sqrt();
-        RandomFourierFeatures { w, b, scale }
+        RandomFourierFeatures { d_in, d_out, wt, b, scale }
     }
 
-    /// Input dimension.
-    pub fn d_in(&self) -> usize {
-        self.w.cols()
-    }
-
-    /// Output (feature) dimension.
-    pub fn d_out(&self) -> usize {
-        self.w.rows()
+    /// The kernel: features `j..j + TILE` of `M` inputs into `z`
+    /// (lanes at or past `d_out` are padding; callers skip them).
+    pub(crate) fn tile<const M: usize>(&self, xs: [&[f64]; M], j: usize, z: &mut [[f64; TILE]; M]) {
+        let padded = self.b.len();
+        for (x, out) in xs.iter().zip(z.iter_mut()) {
+            assert_eq!(x.len(), self.d_in, "feature dim mismatch");
+            for jc in (j..j + TILE).step_by(LANES) {
+                let mut acc = [-0.0; LANES];
+                for (k, &xk) in x.iter().enumerate() {
+                    let w = &self.wt[k * padded + jc..][..LANES];
+                    for l in 0..LANES {
+                        acc[l] += w[l] * xk;
+                    }
+                }
+                for l in 0..LANES {
+                    out[jc - j + l] = acc[l] + self.b[jc + l];
+                }
+            }
+            scaled_cos_in_place(out, self.scale);
+        }
     }
 
     /// Maps one input vector.
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.d_in(), "feature dim mismatch");
-        let proj = self.w.matvec(x);
-        proj.iter()
-            .zip(&self.b)
-            .map(|(p, b)| self.scale * (p + b).cos())
-            .collect()
+        self.transform_batch(&[x]).row(0).to_vec()
     }
 
     /// Maps a batch into a design matrix (`n × D`).
-    pub fn transform_batch(&self, xs: &[Vec<f64>]) -> Matrix {
-        let rows: Vec<Vec<f64>> = xs.iter().map(|x| self.transform(x)).collect();
-        Matrix::from_rows(&rows)
+    pub fn transform_batch(&self, xs: &[impl AsRef<[f64]>]) -> Matrix {
+        let mut out = Matrix::zeros(xs.len(), self.d_out);
+        let mut tile = [[0.0; TILE]];
+        for (i, x) in xs.iter().enumerate() {
+            for (t, z) in out.row_mut(i).chunks_mut(TILE).enumerate() {
+                self.tile([x.as_ref()], t * TILE, &mut tile);
+                z.copy_from_slice(&tile[0][..z.len()]);
+            }
+        }
+        out
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cosine::cos_portable;
+
+    /// What the kernel must equal bit for bit: per feature, an in-order
+    /// `Iterator::sum` projection over the unpadded column of `Wᵀ`, then
+    /// `scale · cos(p + b)`.
+    pub(crate) fn naive_transform(f: &RandomFourierFeatures, x: &[f64]) -> Vec<f64> {
+        let padded = f.b.len();
+        (0..f.d_out)
+            .map(|i| {
+                let p: f64 = (0..f.d_in).map(|k| f.wt[k * padded + i] * x[k]).sum();
+                f.scale * cos_portable(p + f.b[i])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sampling_order_is_row_major_over_w_then_phases() {
+        // The transposed, padded layout must consume the RNG exactly as
+        // the old D × d_in row-major fill did.
+        let (d_in, d_out) = (3, 70);
+        let f = RandomFourierFeatures::sample(d_in, d_out, 2.0, &mut SimRng::from_seed(6));
+        let mut rng = SimRng::from_seed(6);
+        for i in 0..d_out {
+            for k in 0..d_in {
+                assert_eq!(f.wt[k * f.b.len() + i], rng.standard_normal() / 2.0);
+            }
+        }
+        for i in 0..d_out {
+            assert_eq!(f.b[i], rng.uniform(0.0, std::f64::consts::TAU));
+        }
+        assert_eq!(f.b.len(), 128);
+        assert!(f.b[d_out..].iter().all(|&v| v == 0.0));
+    }
 
     #[test]
     fn deterministic_for_seed() {

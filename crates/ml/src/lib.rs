@@ -7,14 +7,16 @@
 //! active learning, and train deterministically:
 //!
 //! * [`RffRidge`] — random-Fourier-feature ridge regression, the
-//!   molecule-property surrogate (closed-form training).
+//!   molecule-property surrogate (closed-form training); fit and scoring
+//!   share one allocation-free kernel ([`features`]) and a libm-free cosine.
 //! * [`Mlp`] — a small SGD-trained network, used in ablations.
 //! * [`PairPotential`] — a linear pair potential fit jointly on energies
 //!   and forces; its analytic gradient is exact, so MD sampling can run
 //!   on the learned surface (the §III-B sampling tasks).
 //! * [`Ensemble`] — bagged ensembles with scoped-thread-parallel training
 //!   and mean/std prediction for UCB acquisition ([`rank`]).
-//! * [`linalg`] — the dense matrix/Cholesky kernel behind the solvers.
+//! * [`linalg`] — the dense matrix/Cholesky kernel behind the solvers
+//!   (row-walking, operation order fixed per element).
 //!
 //! ```
 //! use hetflow_chem::MoleculeLibrary;
@@ -37,6 +39,7 @@
 // Index loops are the clearest form for the numeric kernels here.
 #![allow(clippy::needless_range_loop)]
 
+mod cosine;
 pub mod ensemble;
 pub mod features;
 pub mod linalg;

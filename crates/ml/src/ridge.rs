@@ -80,14 +80,14 @@ impl Ridge {
             .collect()
     }
 
-    /// Predicts the first output (convenience for scalar models).
-    pub fn predict_scalar(&self, x: &[f64]) -> f64 {
-        self.predict(x)[0]
-    }
-
     /// The raw weight matrix (`d × k`).
     pub fn weights(&self) -> &Matrix {
         &self.weights
+    }
+
+    /// Per-output intercepts (length `k`).
+    pub fn intercepts(&self) -> &[f64] {
+        &self.intercepts
     }
 }
 
@@ -109,7 +109,7 @@ mod tests {
             .collect();
         let x = Matrix::from_rows(&rows);
         let model = Ridge::fit(&x, &y, 1e-6).unwrap();
-        let pred = model.predict_scalar(&[1.0, 1.0, 1.0]);
+        let pred = model.predict(&[1.0, 1.0, 1.0])[0];
         let expect = 2.0 - 1.0 + 0.5 + 3.0;
         assert!((pred - expect).abs() < 1e-3, "pred {pred}");
     }
@@ -148,7 +148,7 @@ mod tests {
         let y: Vec<f64> = rows.iter().map(|r| 100.0 + r[0]).collect();
         let x = Matrix::from_rows(&rows);
         let model = Ridge::fit(&x, &y, 1e-6).unwrap();
-        assert!((model.predict_scalar(&[0.0]) - 100.0).abs() < 0.1);
+        assert!((model.predict(&[0.0])[0] - 100.0).abs() < 0.1);
     }
 
     #[test]
@@ -158,6 +158,6 @@ mod tests {
         let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let x = Matrix::from_rows(&rows);
         let model = Ridge::fit(&x, &y, 1e-4).unwrap();
-        assert!((model.predict_scalar(&[5.0, 5.0]) - 5.0).abs() < 0.1);
+        assert!((model.predict(&[5.0, 5.0])[0] - 5.0).abs() < 0.1);
     }
 }

@@ -6,10 +6,14 @@
 //! active-learning campaign with repeated retraining is cheap to
 //! simulate while the *learning dynamics* stay real.
 
-use crate::features::RandomFourierFeatures;
+use crate::features::{RandomFourierFeatures, TILE};
 use crate::linalg::LinalgError;
 use crate::ridge::Ridge;
 use hetflow_sim::SimRng;
+
+/// Inputs scored together: interleaving their independent in-order
+/// `Σ zᵢ·wᵢ` chains hides each chain's add latency.
+const BLOCK: usize = 4;
 
 /// Hyperparameters of the RFF-ridge surrogate.
 #[derive(Clone, Copy, Debug)]
@@ -32,42 +36,135 @@ impl Default for SurrogateParams {
 #[derive(Clone, Debug)]
 pub struct RffRidge {
     rff: RandomFourierFeatures,
-    model: Ridge,
+    /// Ridge weights, one per random feature.
+    weights: Vec<f64>,
+    intercept: f64,
 }
 
 impl RffRidge {
     /// Fits on `(inputs, targets)`; the feature map is drawn from `rng`
     /// (so ensemble members differ in both data subset and features).
     pub fn fit(
-        inputs: &[Vec<f64>],
+        inputs: &[impl AsRef<[f64]>],
         targets: &[f64],
         params: SurrogateParams,
         rng: &mut SimRng,
     ) -> Result<RffRidge, LinalgError> {
         assert_eq!(inputs.len(), targets.len());
         assert!(!inputs.is_empty(), "cannot fit on empty data");
-        let d_in = inputs[0].len();
+        let d_in = inputs[0].as_ref().len();
         let rff = RandomFourierFeatures::sample(d_in, params.n_features, params.lengthscale, rng);
-        let x = rff.transform_batch(inputs);
-        let model = Ridge::fit(&x, targets, params.lambda)?;
-        Ok(RffRidge { rff, model })
+        let model = Ridge::fit(&rff.transform_batch(inputs), targets, params.lambda)?;
+        let weights = (0..params.n_features).map(|i| model.weights()[(i, 0)]).collect();
+        Ok(RffRidge { rff, weights, intercept: model.intercepts()[0] })
     }
 
     /// Predicts the property of one input.
     pub fn predict(&self, input: &[f64]) -> f64 {
-        self.model.predict_scalar(&self.rff.transform(input))
+        self.score([input])[0]
     }
 
-    /// Predicts a batch.
-    pub fn predict_batch(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        inputs.iter().map(|x| self.predict(x)).collect()
+    /// Predicts `out.len()` inputs into `out`, `row(i)` supplying the
+    /// `i`-th (a slice element, or features computed on the fly).
+    pub fn predict_batch<R: AsRef<[f64]>>(&self, row: impl Fn(usize) -> R, out: &mut [f64]) {
+        let mut blocks = out.chunks_exact_mut(BLOCK);
+        let mut i = 0;
+        for out in &mut blocks {
+            let rows: [R; BLOCK] = std::array::from_fn(|m| row(i + m));
+            out.copy_from_slice(&self.score::<BLOCK>(std::array::from_fn(|m| rows[m].as_ref())));
+            i += BLOCK;
+        }
+        for (m, out) in blocks.into_remainder().iter_mut().enumerate() {
+            *out = self.score([row(i + m).as_ref()])[0];
+        }
+    }
+
+    /// Feature tiles folded into running ridge sums; per input exactly
+    /// `Ridge::predict`: `i` ascending from `-0.0`, then the intercept.
+    fn score<const M: usize>(&self, xs: [&[f64]; M]) -> [f64; M] {
+        let mut tile = [[0.0; TILE]; M];
+        let mut sums = [-0.0; M];
+        for (t, weights) in self.weights.chunks(TILE).enumerate() {
+            self.rff.tile(xs, t * TILE, &mut tile);
+            for (j, w) in weights.iter().enumerate() {
+                for m in 0..M {
+                    sums[m] += tile[m][j] * w;
+                }
+            }
+        }
+        sums.map(|sum| self.intercept + sum)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::tests::naive_transform;
     use hetflow_chem::MoleculeLibrary;
+    use proptest::prelude::*;
+
+    /// The reference prediction: naive features, then `Ridge::predict`'s
+    /// in-order `Iterator::sum` dot and `intercept + sum`.
+    fn naive(model: &RffRidge, x: &[f64]) -> (Vec<f64>, f64) {
+        let z = naive_transform(&model.rff, x);
+        let dot: f64 = (0..z.len()).map(|i| z[i] * model.weights[i]).sum();
+        (z, model.intercept + dot)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn every_entry_point_is_bit_identical_to_the_naive_reference(
+            seed in 0u64..1000,
+            n in 0usize..14,
+            d_in in 1usize..20,
+            d_out in 1usize..200,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let draw = |rng: &mut SimRng| -> Vec<f64> {
+                (0..d_in).map(|_| 2.0 * rng.standard_normal()).collect()
+            };
+            let train: Vec<Vec<f64>> = (0..d_out.min(24) + 2).map(|_| draw(&mut rng)).collect();
+            let targets: Vec<f64> = train.iter().map(|x| x[0].sin() + x.len() as f64).collect();
+            let params = SurrogateParams { n_features: d_out, lengthscale: 1.5, lambda: 1e-3 };
+            let model = RffRidge::fit(&train, &targets, params, &mut rng).unwrap();
+            let xs: Vec<Vec<f64>> = (0..n).map(|_| draw(&mut rng)).collect();
+            let mut batch = vec![f64::NAN; n];
+            model.predict_batch(|i| &xs[i], &mut batch);
+            let z_batch = model.rff.transform_batch(&xs);
+            prop_assert_eq!((z_batch.rows(), z_batch.cols()), (n, d_out));
+            for (i, x) in xs.iter().enumerate() {
+                let (z, y) = naive(&model, x);
+                prop_assert_eq!(batch[i].to_bits(), y.to_bits(), "predict_batch row {}", i);
+                prop_assert_eq!(model.predict(x).to_bits(), y.to_bits(), "predict row {}", i);
+                prop_assert_eq!(bits(z_batch.row(i)), bits(&z), "transform_batch row {}", i);
+                prop_assert_eq!(bits(&model.rff.transform(x)), bits(&z), "transform row {}", i);
+            }
+        }
+    }
+
+    #[test]
+    fn fit_trains_on_the_features_predict_sees() {
+        // Ridge::predict on transform(x) — the pre-kernel composition —
+        // must equal the fused path, so training and inference agree.
+        let lib = MoleculeLibrary::generate(300, 3);
+        let rows: Vec<_> = (0..200).map(|i| lib.features(i)).collect();
+        let targets: Vec<f64> = (0..200).map(|i| lib.true_ip(i)).collect();
+        let params = SurrogateParams::default();
+        let model = RffRidge::fit(&rows, &targets, params, &mut SimRng::from_seed(9)).unwrap();
+        let mut rng = SimRng::from_seed(9);
+        let rff =
+            RandomFourierFeatures::sample(12, params.n_features, params.lengthscale, &mut rng);
+        let ridge = Ridge::fit(&rff.transform_batch(&rows), &targets, params.lambda).unwrap();
+        for i in 200..300 {
+            let x = lib.features(i);
+            let composed = ridge.predict(&rff.transform(&x))[0];
+            assert_eq!(model.predict(&x).to_bits(), composed.to_bits());
+        }
+    }
 
     #[test]
     fn learns_the_synthetic_ip_function() {
@@ -137,6 +234,7 @@ mod tests {
     #[should_panic(expected = "empty data")]
     fn empty_fit_panics() {
         let mut rng = SimRng::from_seed(1);
-        let _ = RffRidge::fit(&[], &[], SurrogateParams::default(), &mut rng);
+        let none: [Vec<f64>; 0] = [];
+        let _ = RffRidge::fit(&none, &[], SurrogateParams::default(), &mut rng);
     }
 }
