@@ -13,6 +13,9 @@
 //!   drawn alternately from the two pools.
 //! * **train** (GPU): refit the ensemble on cheap pre-training labels
 //!   plus all reference data after every `retrain_every` new results.
+//!   Training data is held as [`DesignBlock`]s — the pre-training set
+//!   featurized once per campaign, each reference result once on
+//!   arrival — so a refit bags references and only scales and solves.
 //!
 //! A balancing agent shifts CPU workers between simulation and sampling
 //! to hold the audit pool near a target size, as in the paper.
@@ -26,8 +29,8 @@ use hetflow_core::Deployment;
 use hetflow_fabric::{TaskFn, TaskWork};
 use hetflow_chem::force_rmsd;
 use hetflow_ml::{
-    bag_indices, Ensemble, LabelledStructure, PairPotParams, PairPotential, RadialBasis,
-    DEFAULT_BAG_FRACTION,
+    bag_indices, DesignBlock, Ensemble, LabelledStructure, PairPotParams, PairPotential,
+    RadialBasis, DEFAULT_BAG_FRACTION,
 };
 use hetflow_steer::{Payload, ResourceCounter, TaskRecord, Thinker};
 use hetflow_sim::{Sim, SimRng, SimTime};
@@ -151,14 +154,15 @@ pub fn ensemble_force_rmsd(ensemble: &Ensemble<PairPotential>, test: &[Structure
 }
 
 struct State {
-    /// Cheap pre-training data (energy-only, approximate level).
-    pretrain: Rc<Vec<LabelledStructure>>,
-    /// Accumulated reference-level data.
-    reference_data: RefCell<Vec<LabelledStructure>>,
+    /// Cheap pre-training data, featurized once per campaign.
+    pretrain: Rc<Vec<DesignBlock>>,
+    /// Accumulated reference-level data, each result featurized when it
+    /// arrives and shared with every later round's snapshot.
+    reference_data: RefCell<Vec<Rc<DesignBlock>>>,
     /// Audit pool: last frames of recent trajectories.
     audit: RefCell<VecDeque<Structure>>,
     /// Uncertainty pool: structures ranked by ensemble variance.
-    uncertain: RefCell<Vec<Structure>>,
+    uncertain: RefCell<VecDeque<Structure>>,
     /// Recently sampled structures awaiting uncertainty scoring.
     fresh_samples: RefCell<Vec<Structure>>,
     /// Current ensemble (updated after each training round).
@@ -178,39 +182,51 @@ struct State {
     params: FinetuneParams,
 }
 
+/// The pre-training data as design blocks, built once per campaign:
+/// cheap approximate-level energies, plus a few approximate force labels
+/// that fix the force gauge.
+fn pretraining_blocks(params: &FinetuneParams) -> Vec<DesignBlock> {
+    let approx = MorsePes::approx();
+    let basis = RadialBasis::default_for_clusters();
+    let block = |s: &Structure, with_forces| {
+        DesignBlock::new(&LabelledStructure::from_model(s, &approx, with_forces), &basis)
+    };
+    let mut blocks: Vec<DesignBlock> = pretraining_set(params.pretrain_structures, params.seed)
+        .iter()
+        .map(|s| block(s, false))
+        .collect();
+    blocks.extend(pretraining_set(6, params.seed ^ 0xF0).iter().map(|s| block(s, true)));
+    blocks
+}
+
 /// Trains the initial ensemble (pre-training data plus a handful of
 /// approximate-level force seeds) — what exists before fine-tuning.
 pub fn initial_ensemble(params: &FinetuneParams) -> Ensemble<PairPotential> {
-    let approx = MorsePes::approx();
-    let mut pre: Vec<LabelledStructure> = pretraining_set(params.pretrain_structures, params.seed)
-        .iter()
-        .map(|s| LabelledStructure::from_model(s, &approx, false))
-        .collect();
-    // A few approximate force labels fix the force gauge.
-    for (i, s) in pretraining_set(6, params.seed ^ 0xF0).iter().enumerate() {
-        let _ = i;
-        pre.push(LabelledStructure::from_model(s, &approx, true));
-    }
-    let pre = Rc::new(pre);
+    initial_ensemble_on(&pretraining_blocks(params), params)
+}
+
+fn initial_ensemble_on(
+    pretrain: &[DesignBlock],
+    params: &FinetuneParams,
+) -> Ensemble<PairPotential> {
     let rng = SimRng::stream(params.seed, "initial-ensemble");
     Ensemble::fit(params.ensemble_size, &rng, |_i, mut member_rng| {
-        fit_member(&pre, &[], &mut member_rng)
+        fit_member(pretrain, &[], &mut member_rng)
     })
 }
 
 fn fit_member(
-    pretrain: &[LabelledStructure],
-    reference: &[LabelledStructure],
+    pretrain: &[DesignBlock],
+    reference: &[Rc<DesignBlock>],
     rng: &mut SimRng,
 ) -> PairPotential {
-    let mut data: Vec<LabelledStructure> = Vec::new();
     let bag = bag_indices(pretrain.len(), DEFAULT_BAG_FRACTION, rng);
-    data.extend(bag.into_iter().map(|i| pretrain[i].clone()));
+    let mut data: Vec<&DesignBlock> = bag.into_iter().map(|i| &pretrain[i]).collect();
     if !reference.is_empty() {
-        let bag = bag_indices(reference.len(), DEFAULT_BAG_FRACTION.min(1.0), rng);
-        data.extend(bag.into_iter().map(|i| reference[i].clone()));
+        let bag = bag_indices(reference.len(), DEFAULT_BAG_FRACTION, rng);
+        data.extend(bag.into_iter().map(|i| &*reference[i]));
     }
-    PairPotential::fit(
+    PairPotential::fit_blocks(
         &data,
         RadialBasis::default_for_clusters(),
         // Up-weight the scarce reference forces so fine-tuning bites.
@@ -221,23 +237,12 @@ fn fit_member(
 
 /// Runs the fine-tuning campaign on a deployment.
 pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> FinetuneOutcome {
-    let approx = MorsePes::approx();
     let rng = SimRng::stream(params.seed, "finetune");
     let queues = deployment.queues.clone();
     let thinker = Thinker::new(sim);
 
-    let pretrain: Rc<Vec<LabelledStructure>> = Rc::new({
-        let mut pre: Vec<LabelledStructure> = pretraining_set(params.pretrain_structures, params.seed)
-            .iter()
-            .map(|s| LabelledStructure::from_model(s, &approx, false))
-            .collect();
-        for s in pretraining_set(6, params.seed ^ 0xF0).iter() {
-            pre.push(LabelledStructure::from_model(s, &approx, true));
-        }
-        pre
-    });
-
-    let initial = Rc::new(initial_ensemble(&params));
+    let pretrain = Rc::new(pretraining_blocks(&params));
+    let initial = Rc::new(initial_ensemble_on(&pretrain, &params));
     let test = test_set(params.seed);
     let initial_rmsd = ensemble_force_rmsd(&initial, &test);
 
@@ -257,7 +262,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         pretrain,
         reference_data: RefCell::new(Vec::new()),
         audit: RefCell::new(seed_structures),
-        uncertain: RefCell::new(Vec::new()),
+        uncertain: RefCell::new(VecDeque::new()),
         fresh_samples: RefCell::new(Vec::new()),
         ensemble: RefCell::new(initial),
         since_retrain: Cell::new(0),
@@ -330,10 +335,10 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                     let pick = task_no as usize % audit.len().max(1);
                     audit.get(pick).cloned().unwrap_or_else(|| solvated_methane(task_no))
                 };
-                let model = state.ensemble.borrow().members()[0].clone();
+                let ensemble = Rc::clone(&state.ensemble.borrow());
                 let duration = cal::finetune_sample_duration().sample(&mut rng);
                 let md_rng = rng.substream(5000 + task_no);
-                let compute = sample_task(start, model, steps, duration, md_rng);
+                let compute = sample_task(start, ensemble, steps, duration, md_rng);
                 task_no += 1;
                 queues
                     .submit("sample", vec![Payload::new((), cal::FINETUNE_SAMPLE_BYTES)], compute)
@@ -451,9 +456,8 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                     vars.push(var);
                 }
                 let order = hetflow_ml::rank_by_uncertainty(&vars, m);
-                let ranked: Vec<Structure> =
+                *state.uncertain.borrow_mut() =
                     order.into_iter().map(|i| batch[i].clone()).collect();
-                *state.uncertain.borrow_mut() = ranked;
                 state.inference_active.set(false);
             }
         });
@@ -480,12 +484,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 let structure = if use_audit {
                     state.audit.borrow_mut().pop_front()
                 } else {
-                    let mut unc = state.uncertain.borrow_mut();
-                    if unc.is_empty() {
-                        None
-                    } else {
-                        Some(unc.remove(0))
-                    }
+                    state.uncertain.borrow_mut().pop_front()
                 };
                 let structure = structure
                     .or_else(|| state.audit.borrow_mut().pop_front())
@@ -505,6 +504,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         let queues = queues.clone();
         let counter = counter.clone();
         let retrain = retrain.clone();
+        let basis = RadialBasis::default_for_clusters();
         thinker.agent("simulation-receiver", async move {
             loop {
                 let Some(done) = queues.get_result("simulate").await else { break };
@@ -520,7 +520,10 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 }
                 state.degradation.note_ok();
                 let labelled = resolved.value::<LabelledStructure>();
-                state.reference_data.borrow_mut().push((*labelled).clone());
+                state
+                    .reference_data
+                    .borrow_mut()
+                    .push(Rc::new(DesignBlock::new(&labelled, &basis)));
                 state.new_count.set(state.new_count.get() + 1);
                 state.since_retrain.set(state.since_retrain.get() + 1);
                 if state.since_retrain.get() >= state.params.retrain_every
@@ -636,7 +639,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
 
 fn sample_task(
     start: Structure,
-    model: PairPotential,
+    ensemble: Rc<Ensemble<PairPotential>>,
     steps: usize,
     duration: f64,
     md_rng: SimRng,
@@ -645,7 +648,7 @@ fn sample_task(
     Rc::new(move |_ctx| {
         let mut md_rng = md_rng.borrow_mut();
         let traj = run_md(
-            &model,
+            &ensemble.members()[0],
             &start,
             MdParams {
                 dt: 0.005,
@@ -669,8 +672,8 @@ fn simulate_task(structure: Structure, duration: f64) -> TaskFn {
 }
 
 fn train_task(
-    pretrain: Rc<Vec<LabelledStructure>>,
-    reference: Rc<Vec<LabelledStructure>>,
+    pretrain: Rc<Vec<DesignBlock>>,
+    reference: Rc<Vec<Rc<DesignBlock>>>,
     member_rng: SimRng,
     duration: f64,
 ) -> TaskFn {
@@ -754,6 +757,26 @@ mod tests {
             (o.new_structures, o.training_rounds, o.end, o.final_force_rmsd.to_bits())
         };
         assert_eq!(go(), go());
+    }
+
+    #[test]
+    fn quick_campaign_outcomes_pinned_to_per_fit_featurization() {
+        // Values from the commit before design blocks were cached, when
+        // every fit re-evaluated the basis for every bagged structure:
+        // caching and the one-`exp` kernel must not move a bit.
+        let pins = [
+            (WorkflowConfig::Parsl, 2_108_461_698_753, 0x3FC5_E155_F910_D494),
+            (WorkflowConfig::ParslRedis, 2_108_512_551_220, 0x3FC5_E155_F910_D494),
+            (WorkflowConfig::FnXGlobus, 2_112_497_755_186, 0x3FC6_75EF_11FC_5761),
+        ];
+        for (config, end_ns, rmsd_bits) in pins {
+            let sim = Sim::new();
+            let d = deploy(&sim, config, &quick_spec(), Tracer::disabled());
+            let o = run(&sim, &d, quick_params());
+            let got =
+                (o.new_structures, o.training_rounds, o.end.as_nanos(), o.final_force_rmsd.to_bits());
+            assert_eq!(got, (20, 4, end_ns, rmsd_bits), "{config:?}");
+        }
     }
 
     #[test]

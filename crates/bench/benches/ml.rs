@@ -8,7 +8,7 @@ use hetflow_chem::{
     pretraining_set, run_md, solvated_methane, EnergyModel, MdParams, MoleculeLibrary, MorsePes,
 };
 use hetflow_ml::{
-    Ensemble, LabelledStructure, PairPotParams, PairPotential, RadialBasis, RffRidge,
+    DesignBlock, Ensemble, LabelledStructure, PairPotParams, PairPotential, RadialBasis, RffRidge,
     SurrogateParams,
 };
 use hetflow_sim::SimRng;
@@ -72,6 +72,16 @@ fn bench_pairpot(c: &mut Criterion) {
         b.iter(|| {
             PairPotential::fit(&data, RadialBasis::default_for_clusters(), PairPotParams::default())
                 .unwrap()
+        });
+    });
+    // The same fit when the design blocks already exist — what a
+    // campaign's refits pay after the first.
+    let basis = RadialBasis::default_for_clusters();
+    let blocks: Vec<DesignBlock> = data.iter().map(|ls| DesignBlock::new(ls, &basis)).collect();
+    let blocks: Vec<&DesignBlock> = blocks.iter().collect();
+    c.bench_function("ml/pairpot_fit_cached_blocks", |b| {
+        b.iter(|| {
+            PairPotential::fit_blocks(&blocks, basis.clone(), PairPotParams::default()).unwrap()
         });
     });
 }

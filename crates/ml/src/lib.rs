@@ -56,7 +56,7 @@ pub use features::RandomFourierFeatures;
 pub use linalg::{Cholesky, LinalgError, Matrix};
 pub use metrics::{mae, r2, rmse};
 pub use mlp::{Mlp, MlpParams};
-pub use pairpot::{LabelledStructure, PairPotParams, PairPotential, RadialBasis};
+pub use pairpot::{DesignBlock, LabelledStructure, PairPotParams, PairPotential, RadialBasis};
 pub use rank::{rank_by_uncertainty, top_k, ucb};
 pub use ridge::Ridge;
 pub use surrogate::{RffRidge, SurrogateParams};

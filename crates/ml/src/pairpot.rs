@@ -10,6 +10,19 @@
 //! the exact analytic gradient `F = -∇E` — so a single ridge solve fits
 //! energies and forces *jointly* and the fitted surface is physically
 //! consistent (forces integrate to the energy).
+//!
+//! **Featurize once.** Nearly all of a fit is `exp`: every design row
+//! is a sum of Gaussians over a structure's pairs. Those rows depend on
+//! the structure and the basis only — not on the fit weights, not on
+//! which other structures are in the bag — so a [`DesignBlock`] holds
+//! them *unweighted* and [`PairPotential::fit_blocks`] (the one fit
+//! core) only scales, stacks and solves. A campaign that refits on
+//! mostly unchanged data builds each block once and bags references.
+//! [`RadialBasis::gaussian`] is the one place the basis is evaluated:
+//! `φ_k` and `φ'_k` come from a single `exp`, for blocks and for
+//! [`EnergyModel::energy_forces`] alike. Each accumulator still sees
+//! its terms in pair-then-`k` order, so results are bit-identical to
+//! evaluating rows afresh per fit and values/derivatives in two passes.
 
 use crate::linalg::{LinalgError, Matrix};
 use crate::ridge::Ridge;
@@ -43,20 +56,12 @@ impl RadialBasis {
         self.centers.len()
     }
 
-    /// `φ_k(r)` for all k.
-    fn values(&self, r: f64, out: &mut [f64]) {
-        for (o, &c) in out.iter_mut().zip(&self.centers) {
-            let d = r - c;
-            *o = (-d * d * self.inv_two_w2).exp();
-        }
-    }
-
-    /// `dφ_k/dr` for all k.
-    fn derivs(&self, r: f64, out: &mut [f64]) {
-        for (o, &c) in out.iter_mut().zip(&self.centers) {
-            let d = r - c;
-            *o = -(d / (self.width * self.width)) * (-d * d * self.inv_two_w2).exp();
-        }
+    /// `(φ(r), dφ/dr)` of the Gaussian centred at `c`, from one `exp`.
+    #[inline]
+    fn gaussian(&self, r: f64, c: f64) -> (f64, f64) {
+        let d = r - c;
+        let phi = (-d * d * self.inv_two_w2).exp();
+        (phi, -(d / (self.width * self.width)) * phi)
     }
 }
 
@@ -84,6 +89,56 @@ impl LabelledStructure {
     }
 }
 
+/// The unweighted design rows and targets one labelled structure
+/// contributes to a fit in a given basis: the energy row `Σ_pairs
+/// φ_k(r)`, then — when force labels are present — one row per atom and
+/// axis, `F_{iα} = -Σ_j φ'_k(r_ij) (x_iα - x_jα)/r_ij`.
+#[derive(Clone, Debug)]
+pub struct DesignBlock {
+    dim: usize,
+    /// `targets.len() × dim`, row-major; row 0 is the energy row.
+    rows: Vec<f64>,
+    targets: Vec<f64>,
+}
+
+impl DesignBlock {
+    /// Evaluates `basis` over the pairs of `ls.structure`.
+    pub fn new(ls: &LabelledStructure, basis: &RadialBasis) -> Self {
+        let k = basis.dim();
+        let n = ls.structure.n_atoms();
+        let forces = ls.forces.as_deref().unwrap_or_default();
+        assert!(forces.is_empty() || forces.len() == n, "one force label per atom");
+        let n_rows = 1 + 3 * forces.len();
+        let mut rows = vec![0.0; n_rows * k];
+        let (erow, frows) = rows.split_at_mut(k);
+        let mut phi = vec![0.0; k];
+        let mut dphi = vec![0.0; k];
+        for (i, j, dvec, r) in ls.structure.pairs() {
+            for ((p, dp), &c) in phi.iter_mut().zip(&mut dphi).zip(&basis.centers) {
+                (*p, *dp) = basis.gaussian(r, c);
+            }
+            for (e, p) in erow.iter_mut().zip(&phi) {
+                *e += p;
+            }
+            if frows.is_empty() {
+                continue;
+            }
+            for alpha in 0..3 {
+                let u = dvec[alpha] / r;
+                for (kk, dp) in dphi.iter().enumerate() {
+                    let contrib = -dp * u;
+                    frows[(i * 3 + alpha) * k + kk] += contrib;
+                    frows[(j * 3 + alpha) * k + kk] -= contrib;
+                }
+            }
+        }
+        let mut targets = Vec::with_capacity(n_rows);
+        targets.push(ls.energy);
+        targets.extend(forces.iter().flatten());
+        DesignBlock { dim: k, rows, targets }
+    }
+}
+
 /// Fit weights for the joint energy+force objective.
 #[derive(Clone, Copy, Debug)]
 pub struct PairPotParams {
@@ -105,88 +160,71 @@ impl Default for PairPotParams {
 #[derive(Clone, Debug)]
 pub struct PairPotential {
     basis: RadialBasis,
-    model: Ridge,
+    weights: Vec<f64>,
 }
 
 impl PairPotential {
     /// Fits on labelled structures (energies always; forces where
-    /// present) with the given weights.
+    /// present) with the given weights: featurizes each, then
+    /// [`PairPotential::fit_blocks`].
     pub fn fit(
         data: &[LabelledStructure],
         basis: RadialBasis,
         params: PairPotParams,
     ) -> Result<PairPotential, LinalgError> {
-        assert!(!data.is_empty(), "cannot fit on empty data");
+        let blocks: Vec<DesignBlock> = data.iter().map(|ls| DesignBlock::new(ls, &basis)).collect();
+        let blocks: Vec<&DesignBlock> = blocks.iter().collect();
+        PairPotential::fit_blocks(&blocks, basis, params)
+    }
+
+    /// Fits on design blocks built in `basis` (a block may appear in any
+    /// number of fits): scales energy rows by `√energy_weight` and force
+    /// rows by `√force_weight`, stacks them in the order given and
+    /// solves the ridge system.
+    pub fn fit_blocks(
+        blocks: &[&DesignBlock],
+        basis: RadialBasis,
+        params: PairPotParams,
+    ) -> Result<PairPotential, LinalgError> {
+        assert!(!blocks.is_empty(), "cannot fit on empty data");
         let k = basis.dim();
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut targets: Vec<f64> = Vec::new();
-        let mut phi = vec![0.0; k];
+        let n_rows: usize = blocks.iter().map(|b| b.targets.len()).sum();
+        let mut x = Vec::with_capacity(n_rows * k);
+        let mut y = Vec::with_capacity(n_rows);
         let ew = params.energy_weight.sqrt();
         let fw = params.force_weight.sqrt();
-        for ls in data {
-            // Energy row: Σ_pairs φ_k(r).
-            let mut erow = vec![0.0; k];
-            for (_, _, _, r) in ls.structure.pairs() {
-                basis.values(r, &mut phi);
-                for (e, p) in erow.iter_mut().zip(&phi) {
-                    *e += p;
-                }
-            }
-            rows.push(erow.iter().map(|v| v * ew).collect());
-            targets.push(ls.energy * ew);
-
-            // Force rows: F_{iα} = -Σ_j φ'_k(r_ij) (x_iα - x_jα)/r_ij.
-            if let Some(forces) = &ls.forces {
-                let n = ls.structure.n_atoms();
-                let mut frows = vec![vec![0.0; k]; n * 3];
-                for (i, j, dvec, r) in ls.structure.pairs() {
-                    basis.derivs(r, &mut phi);
-                    for alpha in 0..3 {
-                        let u = dvec[alpha] / r;
-                        for (kk, dp) in phi.iter().enumerate() {
-                            let contrib = -dp * u;
-                            frows[i * 3 + alpha][kk] += contrib;
-                            frows[j * 3 + alpha][kk] -= contrib;
-                        }
-                    }
-                }
-                for (i, f) in forces.iter().enumerate() {
-                    for alpha in 0..3 {
-                        rows.push(frows[i * 3 + alpha].iter().map(|v| v * fw).collect());
-                        targets.push(f[alpha] * fw);
-                    }
-                }
-            }
+        for b in blocks {
+            assert_eq!(b.dim, k, "block/basis dimension mismatch");
+            let (erow, frows) = b.rows.split_at(k);
+            x.extend(erow.iter().map(|v| v * ew));
+            x.extend(frows.iter().map(|v| v * fw));
+            y.push(b.targets[0] * ew);
+            y.extend(b.targets[1..].iter().map(|t| t * fw));
         }
-        let x = Matrix::from_rows(&rows);
+        let x = Matrix::from_vec(n_rows, k, x);
         // No intercept: forces fix the gauge; an energy offset would be
         // unidentifiable from forces alone.
-        let y = Matrix::from_vec(targets.len(), 1, targets);
+        let y = Matrix::from_vec(n_rows, 1, y);
         let model = Ridge::fit_multi(&x, &y, params.lambda, false)?;
-        Ok(PairPotential { basis, model })
+        let weights = (0..k).map(|i| model.weights()[(i, 0)]).collect();
+        Ok(PairPotential { basis, weights })
     }
 
     /// Weight vector (basis coefficients).
-    pub fn weights(&self) -> Vec<f64> {
-        (0..self.basis.dim()).map(|i| self.model.weights()[(i, 0)]).collect()
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
     }
 }
 
 impl EnergyModel for PairPotential {
     fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
-        let k = self.basis.dim();
-        let w = self.weights();
-        let mut phi = vec![0.0; k];
         let mut energy = 0.0;
         let mut forces = vec![[0.0; 3]; s.n_atoms()];
         for (i, j, dvec, r) in s.pairs() {
-            self.basis.values(r, &mut phi);
             let mut de = 0.0;
-            for (p, wk) in phi.iter().zip(&w) {
+            for (&c, wk) in self.basis.centers.iter().zip(&self.weights) {
+                let (p, dp) = self.basis.gaussian(r, c);
                 energy += p * wk;
-            }
-            self.basis.derivs(r, &mut phi);
-            for (dp, wk) in phi.iter().zip(&w) {
                 de += dp * wk;
             }
             let scale = -de / r;
@@ -197,12 +235,198 @@ impl EnergyModel for PairPotential {
         }
         (energy, forces)
     }
+
+    fn energy(&self, s: &Structure) -> f64 {
+        let mut energy = 0.0;
+        for (_, _, _, r) in s.pairs() {
+            for (&c, wk) in self.basis.centers.iter().zip(&self.weights) {
+                energy += self.basis.gaussian(r, c).0 * wk;
+            }
+        }
+        energy
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetflow_chem::{force_rmsd, numerical_forces, pretraining_set, MorsePes};
+    use hetflow_chem::{
+        force_rmsd, jittered_cluster, numerical_forces, pretraining_set, MorsePes,
+    };
+    use hetflow_sim::SimRng;
+    use proptest::prelude::*;
+
+    /// The design-matrix builder and the two-pass energy/force kernel
+    /// as they stood when every fit and every call evaluated the basis
+    /// for itself (`values` and `derivs` each with their own `exp`):
+    /// what blocks and the one-`exp` kernel must match bit for bit.
+    mod reference {
+        use super::*;
+
+        fn values(b: &RadialBasis, r: f64, out: &mut [f64]) {
+            for (o, &c) in out.iter_mut().zip(&b.centers) {
+                let d = r - c;
+                *o = (-d * d * b.inv_two_w2).exp();
+            }
+        }
+
+        fn derivs(b: &RadialBasis, r: f64, out: &mut [f64]) {
+            for (o, &c) in out.iter_mut().zip(&b.centers) {
+                let d = r - c;
+                *o = -(d / (b.width * b.width)) * (-d * d * b.inv_two_w2).exp();
+            }
+        }
+
+        pub fn design(
+            data: &[LabelledStructure],
+            basis: &RadialBasis,
+            params: PairPotParams,
+        ) -> (Matrix, Matrix) {
+            let k = basis.dim();
+            let mut rows: Vec<Vec<f64>> = Vec::new();
+            let mut targets: Vec<f64> = Vec::new();
+            let mut phi = vec![0.0; k];
+            let ew = params.energy_weight.sqrt();
+            let fw = params.force_weight.sqrt();
+            for ls in data {
+                let mut erow = vec![0.0; k];
+                for (_, _, _, r) in ls.structure.pairs() {
+                    values(basis, r, &mut phi);
+                    for (e, p) in erow.iter_mut().zip(&phi) {
+                        *e += p;
+                    }
+                }
+                rows.push(erow.iter().map(|v| v * ew).collect());
+                targets.push(ls.energy * ew);
+                if let Some(forces) = &ls.forces {
+                    let n = ls.structure.n_atoms();
+                    let mut frows = vec![vec![0.0; k]; n * 3];
+                    for (i, j, dvec, r) in ls.structure.pairs() {
+                        derivs(basis, r, &mut phi);
+                        for alpha in 0..3 {
+                            let u = dvec[alpha] / r;
+                            for (kk, dp) in phi.iter().enumerate() {
+                                let contrib = -dp * u;
+                                frows[i * 3 + alpha][kk] += contrib;
+                                frows[j * 3 + alpha][kk] -= contrib;
+                            }
+                        }
+                    }
+                    for (i, f) in forces.iter().enumerate() {
+                        for alpha in 0..3 {
+                            rows.push(frows[i * 3 + alpha].iter().map(|v| v * fw).collect());
+                            targets.push(f[alpha] * fw);
+                        }
+                    }
+                }
+            }
+            let y = Matrix::from_vec(targets.len(), 1, targets);
+            (Matrix::from_rows(&rows), y)
+        }
+
+        pub fn energy_forces(m: &PairPotential, s: &Structure) -> (f64, Vec<Vec3>) {
+            let mut phi = vec![0.0; m.basis.dim()];
+            let mut energy = 0.0;
+            let mut forces = vec![[0.0; 3]; s.n_atoms()];
+            for (i, j, dvec, r) in s.pairs() {
+                values(&m.basis, r, &mut phi);
+                let mut de = 0.0;
+                for (p, wk) in phi.iter().zip(&m.weights) {
+                    energy += p * wk;
+                }
+                derivs(&m.basis, r, &mut phi);
+                for (dp, wk) in phi.iter().zip(&m.weights) {
+                    de += dp * wk;
+                }
+                let scale = -de / r;
+                for alpha in 0..3 {
+                    forces[i][alpha] += scale * dvec[alpha];
+                    forces[j][alpha] -= scale * dvec[alpha];
+                }
+            }
+            (energy, forces)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `n` clusters of 2–8 atoms, each with force labels or without.
+    fn mixed_data(n: usize, rng: &mut SimRng) -> Vec<LabelledStructure> {
+        let pes = MorsePes::approx();
+        (0..n)
+            .map(|_| {
+                let s = jittered_cluster(2 + rng.below(7), 1.12, 0.45, rng);
+                LabelledStructure::from_model(&s, &pes, rng.below(2) == 0)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn fits_over_cached_blocks_bit_identical_to_per_fit_row_builder(
+            seed in 0u64..500,
+            n in 1usize..12,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let basis = RadialBasis::default_for_clusters();
+            let data = mixed_data(n, &mut rng);
+            let blocks: Vec<DesignBlock> =
+                data.iter().map(|ls| DesignBlock::new(ls, &basis)).collect();
+            // Successive fits draw their bags (repeats allowed) from the
+            // same blocks, each with its own weights.
+            for _ in 0..3 {
+                let bag: Vec<usize> = (0..1 + rng.below(n)).map(|_| rng.below(n)).collect();
+                let params = PairPotParams {
+                    lambda: [1e-6, 1e-3][rng.below(2)],
+                    energy_weight: 0.05 + 10.0 * rng.unit(),
+                    force_weight: 0.05 + 10.0 * rng.unit(),
+                };
+                let bagged: Vec<LabelledStructure> =
+                    bag.iter().map(|&i| data[i].clone()).collect();
+                let (x, y) = reference::design(&bagged, &basis, params);
+                let want = Ridge::fit_multi(&x, &y, params.lambda, false)
+                    .map(|m| (0..basis.dim()).map(|i| m.weights()[(i, 0)].to_bits()).collect());
+                let refs: Vec<&DesignBlock> = bag.iter().map(|&i| &blocks[i]).collect();
+                let cached = PairPotential::fit_blocks(&refs, basis.clone(), params)
+                    .map(|m| bits(m.weights()));
+                prop_assert_eq!(&cached, &want);
+                let fresh = PairPotential::fit(&bagged, basis.clone(), params)
+                    .map(|m| bits(m.weights()));
+                prop_assert_eq!(&fresh, &want);
+            }
+        }
+
+        #[test]
+        fn one_exp_kernel_bit_identical_to_two_pass_reference(
+            seed in 0u64..500,
+            atoms in 2usize..20,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let basis = RadialBasis::default_for_clusters();
+            let weights = (0..basis.dim()).map(|_| rng.standard_normal()).collect();
+            let model = PairPotential { basis, weights };
+            let s = jittered_cluster(atoms, 1.12, 0.45, &mut rng);
+            let (e, f) = model.energy_forces(&s);
+            let (e_ref, f_ref) = reference::energy_forces(&model, &s);
+            prop_assert_eq!(e.to_bits(), e_ref.to_bits());
+            prop_assert_eq!(bits(f.as_flattened()), bits(f_ref.as_flattened()));
+            prop_assert_eq!(model.energy(&s).to_bits(), e.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "block/basis dimension mismatch")]
+    fn block_from_another_basis_panics() {
+        let data = labelled(1, 9, &MorsePes::approx(), true);
+        let block = DesignBlock::new(&data[0], &RadialBasis::new(8, 0.6, 3.2, 0.18));
+        let _ = PairPotential::fit_blocks(
+            &[&block],
+            RadialBasis::default_for_clusters(),
+            PairPotParams::default(),
+        );
+    }
 
     fn labelled(n: usize, seed: u64, model: &MorsePes, with_forces: bool) -> Vec<LabelledStructure> {
         pretraining_set(n, seed)

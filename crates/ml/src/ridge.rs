@@ -41,21 +41,27 @@ impl Ridge {
         } else {
             (vec![0.0; d], vec![0.0; k])
         };
-        let mut xc = x.clone();
-        let mut yc = y.clone();
-        for r in 0..n {
-            for c in 0..d {
-                xc[(r, c)] -= x_means[c];
+        // Uncentred, the means are zero and `v - 0.0` is `v` bit for
+        // bit, so that branch borrows the inputs instead of copying them.
+        let centered = center.then(|| {
+            let mut xc = x.clone();
+            let mut yc = y.clone();
+            for r in 0..n {
+                for c in 0..d {
+                    xc[(r, c)] -= x_means[c];
+                }
+                for c in 0..k {
+                    yc[(r, c)] -= y_means[c];
+                }
             }
-            for c in 0..k {
-                yc[(r, c)] -= y_means[c];
-            }
-        }
+            (xc, yc)
+        });
+        let (xc, yc) = centered.as_ref().map_or((x, y), |(xc, yc)| (xc, yc));
         let mut gram = xc.gram();
         // A touch of jitter keeps the factorization stable even at
         // lambda = 0 with collinear features.
         gram.add_diag(lambda.max(1e-10));
-        let xty = xc.t_matmul(&yc);
+        let xty = xc.t_matmul(yc);
         let weights = gram.cholesky()?.solve_matrix(&xty);
         // intercept_c = ȳ_c − w_c · x̄
         let intercepts: Vec<f64> = (0..k)
@@ -149,6 +155,33 @@ mod tests {
         let x = Matrix::from_rows(&rows);
         let model = Ridge::fit(&x, &y, 1e-6).unwrap();
         assert!((model.predict(&[0.0])[0] - 100.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn uncentred_fit_is_the_normal_equations_on_the_inputs_as_given() {
+        // The uncentred branch borrows `x`/`y`; the weights must equal
+        // the bits of solving (XᵀX + λI) W = XᵀY directly — signed
+        // zeros in the data included.
+        let mut rng = SimRng::from_seed(4);
+        let mut rows: Vec<Vec<f64>> = (0..40)
+            .map(|_| (0..5).map(|_| rng.standard_normal()).collect())
+            .collect();
+        rows[3][1] = -0.0;
+        rows[7][4] = 0.0;
+        let y_rows: Vec<Vec<f64>> =
+            rows.iter().map(|r| vec![r[0] - r[2], 0.5 * r[4] + 1.0]).collect();
+        let x = Matrix::from_rows(&rows);
+        let y = Matrix::from_rows(&y_rows);
+        let model = Ridge::fit_multi(&x, &y, 1e-3, false).unwrap();
+        let mut gram = x.gram();
+        gram.add_diag(1e-3);
+        let want = gram.cholesky().unwrap().solve_matrix(&x.t_matmul(&y));
+        for d in 0..5 {
+            for c in 0..2 {
+                assert_eq!(model.weights()[(d, c)].to_bits(), want[(d, c)].to_bits());
+            }
+        }
+        assert_eq!(model.intercepts(), [0.0, 0.0]);
     }
 
     #[test]
