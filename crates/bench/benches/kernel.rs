@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetflow_sim::{channel, time::secs, Semaphore, Sim};
 
-fn bench_timer_wheel(c: &mut Criterion) {
+fn bench_timer_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel/timers");
     for &n in &[1_000usize, 10_000] {
         g.bench_with_input(BenchmarkId::new("sleepers", n), &n, |b, &n| {
@@ -72,6 +72,6 @@ fn bench_semaphore_handoff(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_timer_wheel, bench_channel_pingpong, bench_semaphore_handoff
+    targets = bench_timer_store, bench_channel_pingpong, bench_semaphore_handoff
 }
 criterion_main!(benches);

@@ -285,10 +285,7 @@ impl<T: Transport> Dispatcher<T> {
             let inner2 = Rc::clone(&inner);
             sim.spawn_detached(async move {
                 while let Some(result) = rx.recv().await {
-                    let inner3 = Rc::clone(&inner2);
-                    inner2.sim.spawn_detached(async move {
-                        Self::return_result(inner3, result, i).await;
-                    });
+                    inner2.sim.spawn_detached(Self::return_result(Rc::clone(&inner2), result, i));
                 }
             });
         }
@@ -404,10 +401,7 @@ impl<T: Transport> Fabric for Dispatcher<T> {
                         let Some((spec, to)) = inner2.health.try_hedge(id, topic) else {
                             break;
                         };
-                        let inner3 = Rc::clone(&inner2);
-                        inner2.sim.spawn_detached(async move {
-                            Self::deliver(inner3, spec, to).await;
-                        });
+                        inner2.sim.spawn_detached(Self::deliver(Rc::clone(&inner2), spec, to));
                     }
                 });
             }
@@ -423,10 +417,7 @@ impl<T: Transport> Fabric for Dispatcher<T> {
                     }
                 });
             }
-            let inner2 = Rc::clone(inner);
-            inner.sim.spawn_detached(async move {
-                Self::deliver(inner2, task, endpoint).await;
-            });
+            inner.sim.spawn_detached(Self::deliver(Rc::clone(inner), task, endpoint));
         })
     }
 

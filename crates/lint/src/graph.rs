@@ -13,7 +13,10 @@
 //! - a method call `.submit(..)` links to every impl method named
 //!   `submit` anywhere — except a stoplist of names so ubiquitous on
 //!   std types (`clone`, `len`, `push`, …) that linking them would
-//!   drown the graph in noise;
+//!   drown the graph in noise, and except when the receiver is a typed
+//!   parameter (`key.id()` under `key: Symbol`) and the workspace has
+//!   an `impl Symbol` with that method: the declared type then picks
+//!   the candidates, as rustc's own lookup would;
 //! - an `.await` point links to every `poll` method in the workspace:
 //!   suspending hands control to the executor, which may resume any
 //!   future, so taint must survive the hop.
@@ -198,10 +201,16 @@ pub fn build(files: &[LintedFile]) -> CallGraph {
                     if METHOD_STOPLIST.contains(&name.as_str()) {
                         continue;
                     }
-                    for &m in by_name.get(name.as_str()).map_or(&[][..], Vec::as_slice) {
-                        let target = &files[graph.nodes[m].file].items.fns[graph.nodes[m].item];
-                        if target.impl_type.is_some() {
-                            targets.push(m);
+                    let impl_type_of = |m: usize| graph.item(files, m).impl_type.as_deref();
+                    let named = by_name.get(name.as_str()).map_or(&[][..], Vec::as_slice);
+                    targets.extend(named.iter().copied().filter(|&m| impl_type_of(m).is_some()));
+                    // The receiver's declared type decides, when the
+                    // workspace implements the method on that type; a
+                    // foreign type, alias, trait object or deref'd
+                    // wrapper finds nothing and keeps every candidate.
+                    if let Some(ty) = call.recv_type.as_deref() {
+                        if targets.iter().any(|&m| impl_type_of(m) == Some(ty)) {
+                            targets.retain(|&m| impl_type_of(m) == Some(ty));
                         }
                     }
                 }

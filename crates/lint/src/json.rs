@@ -292,50 +292,6 @@ impl Value {
     }
 }
 
-/// Renders a [`Value`] back to compact JSON. Integers print without a
-/// fractional part, so documents built from counts and line numbers
-/// round-trip bit-identically — the property the analysis cache's
-/// equality tests rely on.
-pub fn render(v: &Value) -> String {
-    let mut out = String::new();
-    render_into(v, &mut out);
-    out
-}
-
-fn render_into(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => {
-            out.push_str(&format!("{}", *n as i64));
-        }
-        Value::Num(n) => out.push_str(&format!("{n}")),
-        Value::Str(s) => out.push_str(&escape(s)),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_into(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(members) => {
-            out.push('{');
-            for (i, (key, value)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&escape(key));
-                out.push(':');
-                render_into(value, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser { chars: text.chars().collect(), pos: 0 };
@@ -540,7 +496,7 @@ mod tests {
     #[test]
     fn every_control_char_escapes_and_round_trips() {
         // U+0000..=U+001F must all be escaped (raw control bytes are
-        // invalid JSON) and survive a full render → parse cycle.
+        // invalid JSON) and survive an escape → parse cycle.
         let all_controls: String = (0u32..=0x1f).map(|c| char::from_u32(c).unwrap()).collect();
         let escaped = escape(&all_controls);
         let inner = &escaped[1..escaped.len() - 1];
@@ -548,26 +504,7 @@ mod tests {
             inner.chars().all(|c| c as u32 >= 0x20),
             "escaped form must contain no raw control characters: {inner:?}"
         );
-        let doc = Value::Obj(vec![("s".to_string(), Value::Str(all_controls.clone()))]);
-        let back = parse(&render(&doc)).unwrap();
+        let back = parse(&format!("{{\"s\": {escaped}}}")).unwrap();
         assert_eq!(back.get("s").and_then(Value::as_str), Some(all_controls.as_str()));
-    }
-
-    #[test]
-    fn render_round_trips_nested_values() {
-        let doc = Value::Obj(vec![
-            ("n".to_string(), Value::Num(42.0)),
-            ("f".to_string(), Value::Num(2.5)),
-            ("b".to_string(), Value::Bool(true)),
-            ("z".to_string(), Value::Null),
-            (
-                "a".to_string(),
-                Value::Arr(vec![Value::Str("x\ny".to_string()), Value::Num(0.0)]),
-            ),
-        ]);
-        let text = render(&doc);
-        assert_eq!(parse(&text).unwrap(), doc);
-        // Integers render without a fractional part.
-        assert!(text.contains("\"n\":42"), "got {text}");
     }
 }

@@ -43,7 +43,6 @@
 //! every suppression is counted in the report. R9 itself cannot be
 //! suppressed.
 
-pub mod cache;
 pub mod cfg;
 pub mod dataflow;
 pub mod graph;
@@ -122,31 +121,6 @@ pub fn rule_range() -> String {
 }
 
 impl RuleId {
-    /// The rule for a canonical key (inverse of [`RuleId::key`]); used
-    /// by the analysis cache to deserialize violations.
-    pub fn from_key(key: &str) -> Option<RuleId> {
-        const ALL: &[RuleId] = &[
-            RuleId::R1,
-            RuleId::R2,
-            RuleId::R3,
-            RuleId::R4,
-            RuleId::R5,
-            RuleId::R6,
-            RuleId::R7,
-            RuleId::R8,
-            RuleId::R9,
-            RuleId::R10,
-            RuleId::R11,
-            RuleId::R12,
-            RuleId::R13,
-            RuleId::R14,
-            RuleId::R15,
-            RuleId::R16,
-            RuleId::BadAllow,
-        ];
-        ALL.iter().copied().find(|r| r.key() == key)
-    }
-
     /// The canonical lowercase key used in `allow(..)` annotations.
     pub fn key(self) -> &'static str {
         match self {
@@ -400,17 +374,6 @@ pub struct FileReport {
     pub unwrap_sites: Vec<usize>,
 }
 
-impl FileReport {
-    /// True when the per-file pass produced nothing at all — the state
-    /// a freshly deserialized cache entry must reproduce exactly.
-    pub fn is_empty(&self) -> bool {
-        self.violations.is_empty()
-            && self.suppressed.is_empty()
-            && self.bad_allows.is_empty()
-            && self.unwrap_sites.is_empty()
-    }
-}
-
 /// One file after the per-file pass, carrying everything the
 /// workspace-wide phase needs.
 #[derive(Debug)]
@@ -421,8 +384,7 @@ pub struct LintedFile {
     pub report: FileReport,
     /// The suppression table (annotations plus per-line code/comment
     /// maps) — everything the cross-file phase needs to resolve
-    /// `allow(..)` coverage, without retaining the token stream. Kept
-    /// token-free so a cached entry can reconstruct it.
+    /// `allow(..)` coverage, without retaining the token stream.
     pub suppr: scan::SupprIndex,
     /// Seed-stream derivation sites (R7 raw material).
     pub stream_uses: Vec<rules::StreamUse>,
@@ -558,7 +520,7 @@ impl Report {
 /// fixture tests can exercise the workspace-wide rules on synthetic
 /// trees.
 pub fn lint_set(inputs: &[(FileContext, String)], budgets: &ratchet::Ratchet) -> Report {
-    lint_set_full(inputs, budgets).0
+    lint_set_all(inputs, budgets).report
 }
 
 /// Everything one workspace pass produces: the report, the call graph
@@ -573,16 +535,6 @@ pub struct WorkspaceOutput {
     pub dataflow: dataflow::Doc,
 }
 
-/// As [`lint_set`], also returning the workspace call graph (for
-/// `hetlint --callgraph` and the graph-artifact CI step).
-pub fn lint_set_full(
-    inputs: &[(FileContext, String)],
-    budgets: &ratchet::Ratchet,
-) -> (Report, graph::CallGraph) {
-    let out = lint_set_all(inputs, budgets);
-    (out.report, out.graph)
-}
-
 /// The full workspace pass: per-file rules over each file, the
 /// cross-file phase (R7–R9), the interprocedural rules (R10–R13), the
 /// dataflow rules (R14–R16), and ratchet accounting.
@@ -590,20 +542,10 @@ pub fn lint_set_all(
     inputs: &[(FileContext, String)],
     budgets: &ratchet::Ratchet,
 ) -> WorkspaceOutput {
-    let files: Vec<LintedFile> = inputs
+    let mut files: Vec<LintedFile> = inputs
         .iter()
         .map(|(ctx, source)| lint_file(ctx, source))
         .collect();
-    finish_workspace(files, budgets)
-}
-
-/// The cross-file tail of a workspace pass: runs R7–R16 over files that
-/// have already been through the per-file pass (fresh or from the
-/// cache) and assembles the aggregate report.
-pub fn finish_workspace(
-    mut files: Vec<LintedFile>,
-    budgets: &ratchet::Ratchet,
-) -> WorkspaceOutput {
     let outcome = workspace::cross_check(&mut files, budgets);
 
     let mut report = Report { files_scanned: files.len(), ..Report::default() };
@@ -718,33 +660,14 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// and lints every classified source file (per-file and workspace-wide
 /// phases).
 pub fn run(root: &Path) -> std::io::Result<Report> {
-    run_full(root).map(|(report, _)| report)
+    run_all(root).map(|out| out.report)
 }
 
-/// As [`run`], also returning the workspace call graph.
-pub fn run_full(root: &Path) -> std::io::Result<(Report, graph::CallGraph)> {
-    run_all(root).map(|out| (out.report, out.graph))
-}
-
-/// The full filesystem entry point: walks the workspace, loads the
-/// ratchet, and runs every phase, returning the report, call graph,
-/// and dataflow document. No cache — see [`run_all_cached`].
+/// As [`run`], also returning the call graph and dataflow document.
 pub fn run_all(root: &Path) -> std::io::Result<WorkspaceOutput> {
-    run_all_cached(root, None).map(|(out, _)| out)
-}
-
-/// As [`run_all`], with the per-file pass served through the incremental
-/// cache when `cache_dir` is given. The cross-file phases (R7–R16)
-/// always run fresh; only lexing, per-file rules, and CFG construction
-/// are cached. Returns hit/miss counts alongside the output.
-pub fn run_all_cached(
-    root: &Path,
-    cache_dir: Option<&Path>,
-) -> std::io::Result<(WorkspaceOutput, cache::CacheStats)> {
     let budgets = ratchet::load(root)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    let mut stats = cache::CacheStats::default();
-    let mut files: Vec<LintedFile> = Vec::new();
+    let mut inputs: Vec<(FileContext, String)> = Vec::new();
     for path in collect_sources(root)? {
         let rel = path
             .strip_prefix(root)
@@ -752,16 +675,9 @@ pub fn run_all_cached(
             .to_string_lossy()
             .replace('\\', "/");
         let Some(ctx) = classify(&rel) else { continue };
-        let source = std::fs::read_to_string(&path)?;
-        files.push(match cache_dir {
-            Some(dir) => cache::lint_file_cached(dir, &ctx, &source, &mut stats),
-            None => {
-                stats.misses += 1;
-                lint_file(&ctx, &source)
-            }
-        });
+        inputs.push((ctx, std::fs::read_to_string(&path)?));
     }
-    Ok((finish_workspace(files, &budgets), stats))
+    Ok(lint_set_all(&inputs, &budgets))
 }
 
 #[cfg(test)]

@@ -5,17 +5,12 @@
 //! DESIGN.md "Determinism rules" for the rule catalogue and the
 //! `hetlint: allow(<rule>) — <reason>` suppression syntax.
 //!
-//! The per-file pass runs through the incremental cache under
-//! `target/hetlint-cache/` by default; the cross-file phases (R7–R16)
-//! always run fresh.
-//!
 //! Options:
 //! - `--format text|json` — report format (default text)
 //! - `--callgraph` — emit the workspace call graph instead of the
 //!   report (JSON under `--format json`, a summary under text)
 //! - `--dataflow` — emit the converged dataflow document (per-function
 //!   summaries plus every R14–R16 finding) instead of the report
-//! - `--no-cache` — lint every file from source, bypassing the cache
 //! - `--explain <rule>` — print the long-form description of one rule
 //!   (any key in the rule range, `bad-allow`, or an `allow(..)` alias)
 //!   and exit
@@ -29,7 +24,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hetflow_lint::{cache, graph, json, rule_range, Report, RuleId, RULE_KEYS};
+use hetflow_lint::{graph, json, rule_range, Report, RuleId, RULE_KEYS};
 
 enum Format {
     Text,
@@ -38,8 +33,8 @@ enum Format {
 
 fn usage() {
     eprintln!(
-        "usage: hetlint [--format text|json] [--callgraph] [--dataflow] [--no-cache] \
-         [--explain <rule>] [workspace-root]"
+        "usage: hetlint [--format text|json] [--callgraph] [--dataflow] [--explain <rule>] \
+         [workspace-root]"
     );
 }
 
@@ -47,7 +42,6 @@ fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut callgraph = false;
     let mut dataflow = false;
-    let mut use_cache = true;
     let mut explain: Option<String> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -65,7 +59,6 @@ fn main() -> ExitCode {
             "--format=text" => format = Format::Text,
             "--callgraph" => callgraph = true,
             "--dataflow" => dataflow = true,
-            "--no-cache" => use_cache = false,
             "--explain" => match args.next() {
                 Some(rule) => explain = Some(rule),
                 None => {
@@ -110,8 +103,7 @@ fn main() -> ExitCode {
         };
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
-    let cache_dir = use_cache.then(|| cache::default_dir(&root));
-    let (out, stats) = match hetflow_lint::run_all_cached(&root, cache_dir.as_deref()) {
+    let out = match hetflow_lint::run_all(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("hetlint: {e}");
@@ -133,7 +125,7 @@ fn main() -> ExitCode {
     }
     match format {
         Format::Json => println!("{}", json::report_to_json(&out.report)),
-        Format::Text => print_report(&out.report, use_cache.then_some(stats)),
+        Format::Text => print_report(&out.report),
     }
     if out.report.clean() {
         ExitCode::SUCCESS
@@ -158,7 +150,7 @@ fn print_graph(graph: &graph::CallGraph) {
     }
 }
 
-fn print_report(report: &Report, stats: Option<cache::CacheStats>) {
+fn print_report(report: &Report) {
     let rules = [
         RuleId::R1,
         RuleId::R2,
@@ -240,14 +232,6 @@ fn print_report(report: &Report, stats: Option<cache::CacheStats>) {
         report.suppressed.len(),
         report.bad_allows.len()
     );
-    if let Some(stats) = stats {
-        println!(
-            "hetlint: cache {} hits, {} misses ({})",
-            stats.hits,
-            stats.misses,
-            cache::fingerprint()
-        );
-    }
     if report.clean() {
         println!("hetlint: determinism contract holds");
     }

@@ -41,6 +41,10 @@ pub enum Callee {
 pub struct CallSite {
     /// The syntactic target.
     pub callee: Callee,
+    /// For a method call whose receiver is a typed parameter of the
+    /// enclosing fn (`key.id()` under `key: Symbol`): the declared
+    /// type's name. `None` for every other receiver.
+    pub recv_type: Option<String>,
     /// 1-based line of the call.
     pub line: usize,
 }
@@ -146,6 +150,12 @@ pub struct FnItem {
     /// Parameter names in declaration order (`self` included when the
     /// item is a method) — the index space for dataflow summaries.
     pub params: Vec<String>,
+    /// Declared type name of each parameter, parallel to `params`:
+    /// the last path segment before any generics, through references
+    /// (`key: &mut sim::Symbol` → `Symbol`). `None` for `self`,
+    /// `impl`/`dyn` types, non-path types, and parameters the body
+    /// rebinds (`let key = …` shadows the declaration).
+    pub param_types: Vec<Option<String>>,
     /// The body's control-flow graph (statements, branch/loop/match
     /// edges, early-return edges) — the substrate for R14–R16.
     pub cfg: Cfg,
@@ -233,7 +243,7 @@ enum Scope {
 enum Pending {
     Mod(String),
     Impl(String),
-    Fn { name: String, is_async: bool, line: usize, params: Vec<String> },
+    Fn { name: String, is_async: bool, line: usize, params: Vec<(String, Option<String>)> },
 }
 
 /// Parses one prepared file into items. Tokens at or past the
@@ -260,7 +270,10 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
             i += 2;
             continue;
         }
-        if t.id(i, "impl") {
+        // `impl` opens a block only at item position: inside a pending fn
+        // header it is an `impl Trait` parameter or return type, and the
+        // next `{` is still that fn's body.
+        if t.id(i, "impl") && !matches!(pending, Some(Pending::Fn { .. })) {
             let (ty, next) = impl_type_name(t, i);
             pending = Some(Pending::Impl(ty));
             i = next;
@@ -272,7 +285,7 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
                 name: t.text(i + 1).to_string(),
                 is_async,
                 line: t.line(i),
-                params: param_names(t, i + 2),
+                params: params_of(t, i + 2),
             });
             // Signature parameters contribute R12 bindings; collect them
             // into the not-yet-created item via a side record below.
@@ -463,12 +476,11 @@ fn impl_type_name(t: T<'_>, i: usize) -> (String, usize) {
     (ty, j)
 }
 
-/// Builds an empty `FnItem` with its qualified name from the current
-/// scope stack.
-/// Parameter names from a fn signature, scanning from just after the
-/// fn's name token: `self` (however qualified) plus every
-/// `name: Type` pair at parenthesis depth 1.
-fn param_names(t: T<'_>, mut i: usize) -> Vec<String> {
+/// Parameters of a fn signature, scanning from just after the fn's name
+/// token: `self` (however qualified) plus every `name: Type` pair at
+/// parenthesis depth 1, each with its declared type name when the type
+/// is a plain path (see [`FnItem::param_types`]).
+fn params_of(t: T<'_>, mut i: usize) -> Vec<(String, Option<String>)> {
     // Skip a generic parameter list between the name and the `(`.
     if t.p(i, "<") {
         let mut depth = 1i32;
@@ -482,7 +494,7 @@ fn param_names(t: T<'_>, mut i: usize) -> Vec<String> {
             i += 1;
         }
     }
-    let mut params = Vec::new();
+    let mut params: Vec<(String, Option<String>)> = Vec::new();
     if !t.p(i, "(") {
         return params;
     }
@@ -497,10 +509,10 @@ fn param_names(t: T<'_>, mut i: usize) -> Vec<String> {
             }
         } else if depth == 1 && t.is_id(i) {
             let text = t.text(i);
-            if text == "self" && !t.p(i + 1, ":") && !params.iter().any(|p| p == "self") {
-                params.push("self".to_string());
+            if text == "self" && !t.p(i + 1, ":") && !params.iter().any(|(p, _)| p == "self") {
+                params.push(("self".to_string(), None));
             } else if t.p(i + 1, ":") && text != "mut" && text != "ref" && text != "_" {
-                params.push(text.to_string());
+                params.push((text.to_string(), type_name_at(t, i + 2)));
             }
         }
         i += 1;
@@ -508,13 +520,32 @@ fn param_names(t: T<'_>, mut i: usize) -> Vec<String> {
     params
 }
 
+/// The name of the path type starting at `i`: through `&`, lifetimes and
+/// `mut`, the last `::` segment before generics. `None` when the type
+/// is not a plain path (`impl Trait`, `dyn Trait`, tuples, slices, fn
+/// pointers).
+fn type_name_at(t: T<'_>, mut i: usize) -> Option<String> {
+    while t.p(i, "&") || t.kind(i) == Some(TokKind::Lifetime) || t.id(i, "mut") {
+        i += 1;
+    }
+    if !t.is_id(i) || t.id(i, "impl") || t.id(i, "dyn") || t.id(i, "fn") {
+        return None;
+    }
+    while t.p(i + 1, "::") && t.is_id(i + 2) {
+        i += 2;
+    }
+    Some(t.text(i).to_string())
+}
+
+/// Builds an empty `FnItem` with its qualified name from the current
+/// scope stack.
 fn new_fn_item(
     ctx: &FileContext,
     scopes: &[Scope],
     name: &str,
     is_async: bool,
     line: usize,
-    params: Vec<String>,
+    params: Vec<(String, Option<String>)>,
 ) -> FnItem {
     let mut parts = module_path_of(ctx);
     let mut impl_type = None;
@@ -529,6 +560,7 @@ fn new_fn_item(
         parts.push(ty.clone());
     }
     parts.push(name.to_string());
+    let (params, param_types) = params.into_iter().unzip();
     FnItem {
         name: name.to_string(),
         qname: parts.join("::"),
@@ -537,6 +569,7 @@ fn new_fn_item(
         has_await: false,
         line,
         params,
+        param_types,
         cfg: Cfg::default(),
         calls: Vec::new(),
         sinks: Vec::new(),
@@ -559,6 +592,15 @@ fn scan_site(
 ) -> usize {
     let line = t.line(i);
 
+    // `let [mut] name` over a parameter's name shadows its declared type.
+    if t.id(i, "let") {
+        let name_at = if t.id(i + 1, "mut") { i + 2 } else { i + 1 };
+        if let Some(k) = item.params.iter().position(|p| t.id(name_at, p)) {
+            item.param_types[k] = None;
+        }
+        return 1;
+    }
+
     // `.await` / method calls / `.unwrap()` / `.expect(`.
     if t.p(i, ".") && t.is_id(i + 1) {
         let name = t.text(i + 1);
@@ -568,8 +610,18 @@ fn scan_site(
         }
         if t.p(i + 2, "(") {
             let m_line = t.line(i + 1);
+            // A receiver that is a bare parameter name (not a field or
+            // path tail) carries the parameter's declared type.
+            let before = i.wrapping_sub(2);
+            let bare_recv = i >= 1 && !t.p(before, ".") && !t.p(before, "::");
+            let recv_type = item
+                .params
+                .iter()
+                .position(|p| bare_recv && t.id(i - 1, p))
+                .and_then(|k| item.param_types[k].clone());
             item.calls.push(CallSite {
                 callee: Callee::Method(name.to_string()),
+                recv_type,
                 line: m_line,
             });
             if name == "unwrap" && t.p(i + 3, ")") {
@@ -605,7 +657,8 @@ fn scan_site(
         && (t.p(i + 2, "(") || t.p(i + 2, "[") || t.p(i + 2, "{"))
     {
         let name = t.text(i);
-        item.calls.push(CallSite { callee: Callee::Macro(name.to_string()), line });
+        let callee = Callee::Macro(name.to_string());
+        item.calls.push(CallSite { callee, recv_type: None, line });
         if name == "panic" {
             item.panics.push(PanicSite {
                 what: "panic!".into(),
@@ -648,7 +701,7 @@ fn scan_site(
                 item.sinks.push(SinkSite { what, line });
             }
         }
-        item.calls.push(CallSite { callee: Callee::Path(segs), line });
+        item.calls.push(CallSite { callee: Callee::Path(segs), recv_type: None, line });
         return 2;
     }
 
@@ -869,6 +922,22 @@ mod tests {
         let src = "impl<'a, T: Clone> Future for SendFuture<'a, T> { fn poll(&mut self) {} }\n";
         let p = parse(src);
         assert_eq!(p.fns[0].qname, "sim::x::SendFuture::poll");
+    }
+
+    #[test]
+    fn impl_trait_in_a_signature_keeps_the_fn_and_its_impl_block() {
+        let src = "impl S {\n  fn a(&self, f: impl Fn()) { one(); }\n  \
+                   fn b(&self) -> impl Iterator<Item = u8> + '_ { two() }\n}\n\
+                   impl T { fn c(key: &'a mut sim::Symbol, n: Vec<u8>, g: &dyn Tr) { key.id(); } }\n";
+        let p = parse(src);
+        let qnames: Vec<&str> = p.fns.iter().map(|f| f.qname.as_str()).collect();
+        assert_eq!(qnames, ["sim::x::S::a", "sim::x::S::b", "sim::x::T::c"]);
+        assert_eq!(p.fns[0].calls[0].callee, Callee::Path(vec!["one".into()]));
+        assert_eq!(p.fns[0].param_types, [None, None], "`self` and `impl Fn()` have no type name");
+        assert_eq!(p.fns[1].calls[0].callee, Callee::Path(vec!["two".into()]));
+        let c = &p.fns[2];
+        assert_eq!(c.param_types, [Some("Symbol".to_string()), Some("Vec".to_string()), None]);
+        assert_eq!(c.calls[0].recv_type.as_deref(), Some("Symbol"));
     }
 
     #[test]

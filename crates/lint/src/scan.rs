@@ -22,11 +22,10 @@ pub struct Suppression {
 }
 
 /// The suppression table of one file, decoupled from the token stream
-/// so the cross-file phases — and the incremental analysis cache — can
-/// resolve `allow(..)` coverage without retaining (or re-lexing) the
-/// source. Holds the annotations plus the two per-line facts the
-/// coverage walk needs: whether a line carries code, and whether it
-/// carries comment text.
+/// so the cross-file phases can resolve `allow(..)` coverage without
+/// retaining (or re-lexing) the source. Holds the annotations plus the
+/// two per-line facts the coverage walk needs: whether a line carries
+/// code, and whether it carries comment text.
 #[derive(Clone, Debug, Default)]
 pub struct SupprIndex {
     /// All suppressions found in comments, in line order.

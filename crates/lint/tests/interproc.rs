@@ -6,7 +6,10 @@
 //! exist at the set level: a lone `println!` is legal until the call
 //! graph proves a simulation entry point reaches it.
 
-use hetflow_lint::{lint_set, lint_set_full, ratchet, FileContext, FileKind, Report, RuleId, Violation};
+use hetflow_lint::graph::CallGraph;
+use hetflow_lint::{
+    lint_set, lint_set_all, ratchet, FileContext, FileKind, Report, RuleId, Violation,
+};
 
 fn inputs(files: Vec<(&str, &str, &str)>) -> Vec<(FileContext, String)> {
     files
@@ -232,7 +235,7 @@ fn set_r13_within_budget_notes_over_budget_fires() {
 fn set_callgraph_json_round_trips() {
     use hetflow_lint::json;
     let budgets = ratchet::parse("store = 9\nreachable-panics = 1\n").unwrap();
-    let (_report, graph) = lint_set_full(&inputs(cross_crate_set()), &budgets);
+    let graph = lint_set_all(&inputs(cross_crate_set()), &budgets).graph;
     let doc = json::graph_to_json(&graph);
     let v = json::parse(&doc).expect("graph serializer output must parse");
     assert_eq!(v.get("tool").and_then(json::Value::as_str), Some("hetlint-callgraph"));
@@ -247,4 +250,61 @@ fn set_callgraph_json_round_trips() {
     let edges = v.get("edges").and_then(json::Value::as_arr).expect("edges array");
     let n_edges: usize = graph.edges.iter().map(Vec::len).sum();
     assert_eq!(edges.len(), n_edges, "one [from, to] pair per edge");
+}
+
+// ---- call-graph shape: `impl Trait` signatures, typed receivers ----------
+
+fn impl_sig_set() -> Vec<(&'static str, &'static str, &'static str)> {
+    vec![
+        ("fabric", "crates/fabric/src/relay.rs", include_str!("fixtures/impl_sig_param.rs")),
+        ("store", "crates/store/src/table.rs", include_str!("fixtures/impl_sig_return.rs")),
+        ("sim", "crates/sim/src/symbols.rs", include_str!("fixtures/typed_recv_sim.rs")),
+        ("steer", "crates/steer/src/done.rs", include_str!("fixtures/typed_recv_steer.rs")),
+    ]
+}
+
+fn graph_of(files: Vec<(&str, &str, &str)>) -> CallGraph {
+    lint_set_all(&inputs(files), &ratchet::parse("").expect("empty ratchet")).graph
+}
+
+/// Callee qnames of `qname`, which must be a node.
+fn callees<'a>(g: &'a CallGraph, qname: &str) -> Vec<&'a str> {
+    let n = g
+        .nodes
+        .iter()
+        .position(|n| n.qname == qname)
+        .unwrap_or_else(|| panic!("`{qname}` is not a call-graph node"));
+    g.edges[n].iter().map(|&m| g.nodes[m].qname.as_str()).collect()
+}
+
+#[test]
+fn impl_trait_parameter_fn_is_a_node_with_its_callees() {
+    let g = graph_of(impl_sig_set());
+    assert_eq!(callees(&g, "fabric::relay::Relay::submit"), ["fabric::relay::Relay::on_result"]);
+    assert_eq!(callees(&g, "fabric::relay::Relay::on_result"), ["sim::symbols::slot_of"]);
+}
+
+#[test]
+fn impl_trait_return_fn_is_a_node_with_its_callees() {
+    let g = graph_of(impl_sig_set());
+    // `keep` is passed by name, not called: the only call in the body
+    // is the `rows` method, which no fixture type implements.
+    assert!(callees(&g, "store::table::pending").is_empty());
+    // The header did not swallow the items after it.
+    assert_eq!(callees(&g, "store::table::keep"), ["store::table::audit"]);
+}
+
+#[test]
+fn typed_parameter_receiver_resolves_to_its_declared_type_only() {
+    let g = graph_of(impl_sig_set());
+    assert_eq!(callees(&g, "sim::symbols::slot_of"), ["sim::symbols::Symbol::id"]);
+    let both = ["sim::symbols::Symbol::id", "steer::done::Done::id"];
+    assert_eq!(callees(&g, "sim::symbols::slot_of_any"), both, "no declared type: every `id`");
+    assert_eq!(callees(&g, "sim::symbols::slot_of_rebound"), both, "shadowed parameter");
+    // End to end: dispatch reaches `slot_of` through the `impl`-signature
+    // method, and the unwrap in another crate's `Done::id` is not on
+    // that path.
+    let report = lint(impl_sig_set(), "steer = 1\n");
+    assert_eq!(report.reachable_panics, Some((0, 0)), "{:?}", report.violations);
+    assert!(report.clean(), "{:?}", report.violations);
 }

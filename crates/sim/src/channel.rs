@@ -3,13 +3,11 @@
 //! [`channel`] gives a multi-producer/multi-consumer FIFO — the workhorse
 //! for task queues, result queues, and worker pools. It is unbounded by
 //! construction, but callers choose the capacity contract per send:
-//! [`Sender::send`] awaits room on a [`bounded`] channel, [`Sender::try_send`]
-//! refuses instead of waiting, and [`Sender::offer`] enforces a caller-side
-//! capacity with a deterministic [`OverflowPolicy`] (reject the arrival, shed
-//! the oldest queued item, or shed the lowest-priority one) — the primitive
-//! behind the fabric's overload protection. [`oneshot`] carries a single
-//! reply, used for request/response exchanges such as a worker returning a
-//! task result.
+//! [`Sender::send`] awaits room on a [`bounded`] channel,
+//! [`Sender::send_now`] never waits, and [`Sender::offer`] enforces a
+//! caller-side capacity with a deterministic [`OverflowPolicy`] (reject
+//! the arrival, shed the oldest queued item, or shed the lowest-priority
+//! one) — the primitive behind the fabric's overload protection.
 //!
 //! Channels transport values instantaneously in virtual time; latency is
 //! modelled explicitly by the sender (sleep, then send), which keeps cost
@@ -44,25 +42,6 @@ pub struct SendError<T>(pub T);
 /// Error returned by bounded sends that would block forever.
 #[derive(Debug, PartialEq, Eq)]
 pub struct ClosedError;
-
-/// Error returned by [`Sender::try_send`]: the value is handed back so the
-/// caller can account for it (shed counters, retry queues).
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
-    /// The channel is at capacity; the arrival was refused.
-    Full(T),
-    /// Every receiver is gone.
-    Closed(T),
-}
-
-impl<T> TrySendError<T> {
-    /// Recovers the value that was not sent.
-    pub fn into_inner(self) -> T {
-        match self {
-            TrySendError::Full(v) | TrySendError::Closed(v) => v,
-        }
-    }
-}
 
 /// What to do when an [`Sender::offer`] arrives at a full queue. All three
 /// policies are deterministic functions of queue contents — no RNG — so
@@ -211,7 +190,14 @@ struct ChanState<T> {
     capacity: Option<usize>,
     senders: usize,
     receivers: usize,
-    total_sent: u64,
+}
+
+impl<T> ChanState<T> {
+    /// Queues `value` at the back and wakes the longest-waiting receiver.
+    fn push(&mut self, value: T) {
+        self.queue.push_back(value);
+        self.recv_wakers.wake_one();
+    }
 }
 
 /// Sending half of a channel. Clonable.
@@ -229,7 +215,7 @@ pub struct Receiver<T> {
 /// [`Sender::send_now`] succeeds while a receiver exists. Callers that
 /// need bounded behavior use [`bounded`] (senders await room) or keep the
 /// channel unbounded and police depth at the send site with
-/// [`Sender::offer`] / [`Sender::try_send`].
+/// [`Sender::offer`].
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     with_capacity(None)
 }
@@ -249,7 +235,6 @@ fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         capacity,
         senders: 1,
         receivers: 1,
-        total_sent: 0,
     }));
     (Sender { state: Rc::clone(&state) }, Receiver { state })
 }
@@ -292,42 +277,20 @@ impl<T> Drop for Receiver<T> {
 impl<T> Sender<T> {
     /// Sends without blocking and without respecting capacity: it
     /// succeeds whenever a receiver exists, even past a [`bounded`]
-    /// channel's limit. Use [`Sender::send`] to await room,
-    /// [`Sender::try_send`] to refuse instead of overflowing, or
+    /// channel's limit. Use [`Sender::send`] to await room or
     /// [`Sender::offer`] for policy-driven shedding.
     pub fn send_now(&self, value: T) -> Result<(), SendError<T>> {
         let mut s = self.state.borrow_mut();
         if s.receivers == 0 {
             return Err(SendError(value));
         }
-        s.queue.push_back(value);
-        s.total_sent += 1;
-        s.recv_wakers.wake_one();
+        s.push(value);
         Ok(())
     }
 
     /// Sends, awaiting capacity on bounded channels.
     pub fn send(&self, value: T) -> SendFuture<'_, T> {
         SendFuture { sender: self, value: Some(value), slot: None }
-    }
-
-    /// Sends only if the channel has room: on a [`bounded`] channel at
-    /// capacity the arrival is refused with [`TrySendError::Full`]
-    /// instead of queueing (contrast [`Sender::send_now`], which always
-    /// overflows). On an unbounded channel this is `send_now` with the
-    /// error repackaged.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut s = self.state.borrow_mut();
-        if s.receivers == 0 {
-            return Err(TrySendError::Closed(value));
-        }
-        if s.capacity.is_some_and(|c| s.queue.len() >= c) {
-            return Err(TrySendError::Full(value));
-        }
-        s.queue.push_back(value);
-        s.total_sent += 1;
-        s.recv_wakers.wake_one();
-        Ok(())
     }
 
     /// Offers `value` against a caller-side `capacity` (0 = unbounded),
@@ -351,28 +314,12 @@ impl<T> Sender<T> {
             return Offered::Closed(value);
         }
         if capacity == 0 || s.queue.len() < capacity {
-            s.queue.push_back(value);
-            s.total_sent += 1;
-            s.recv_wakers.wake_one();
+            s.push(value);
             return Offered::Accepted;
         }
-        match policy {
-            OverflowPolicy::Reject => Offered::Displaced(value),
-            OverflowPolicy::ShedOldest => match s.queue.pop_front() {
-                Some(victim) => {
-                    s.queue.push_back(value);
-                    s.total_sent += 1;
-                    Offered::Displaced(victim)
-                }
-                // Unreachable (a full queue is non-empty), but landing
-                // the value keeps the no-panic dispatch contract.
-                None => {
-                    s.queue.push_back(value);
-                    s.total_sent += 1;
-                    s.recv_wakers.wake_one();
-                    Offered::Accepted
-                }
-            },
+        let victim = match policy {
+            OverflowPolicy::Reject => return Offered::Displaced(value),
+            OverflowPolicy::ShedOldest => s.queue.pop_front(),
             OverflowPolicy::ShedLowestPriority => {
                 let mut min: Option<(usize, u64)> = None;
                 for (i, item) in s.queue.iter().enumerate() {
@@ -381,28 +328,25 @@ impl<T> Sender<T> {
                         min = Some((i, p));
                     }
                 }
-                let Some((idx, lowest)) = min else {
-                    s.queue.push_back(value);
-                    s.total_sent += 1;
-                    s.recv_wakers.wake_one();
-                    return Offered::Accepted;
-                };
-                if priority(&value) < lowest {
-                    return Offered::Displaced(value);
-                }
-                match s.queue.remove(idx) {
-                    Some(victim) => {
-                        s.queue.push_back(value);
-                        s.total_sent += 1;
-                        Offered::Displaced(victim)
+                match min {
+                    Some((_, lowest)) if priority(&value) < lowest => {
+                        return Offered::Displaced(value)
                     }
-                    None => {
-                        s.queue.push_back(value);
-                        s.total_sent += 1;
-                        s.recv_wakers.wake_one();
-                        Offered::Accepted
-                    }
+                    Some((idx, _)) => s.queue.remove(idx),
+                    None => None,
                 }
+            }
+        };
+        match victim {
+            Some(victim) => {
+                s.queue.push_back(value);
+                Offered::Displaced(victim)
+            }
+            // Unreachable (a full queue of `capacity >= 1` is non-empty),
+            // but landing the value keeps the no-panic dispatch contract.
+            None => {
+                s.push(value);
+                Offered::Accepted
             }
         }
     }
@@ -420,11 +364,6 @@ impl<T> Sender<T> {
     /// True when no receiver remains.
     pub fn is_closed(&self) -> bool {
         self.state.borrow().receivers == 0
-    }
-
-    /// Total items ever sent on this channel.
-    pub fn total_sent(&self) -> u64 {
-        self.state.borrow().total_sent
     }
 }
 
@@ -562,80 +501,6 @@ impl<T> Drop for RecvFuture<'_, T> {
                 s.recv_wakers.wake_one();
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Oneshot
-// ---------------------------------------------------------------------------
-
-struct OneshotState<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
-    sender_alive: bool,
-}
-
-/// Sending half of a oneshot channel.
-pub struct OneshotSender<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// Receiving half of a oneshot channel; a future resolving to
-/// `Ok(value)` or `Err(Dropped)` if the sender vanished.
-pub struct OneshotReceiver<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// The oneshot sender was dropped without sending.
-#[derive(Debug, PartialEq, Eq)]
-pub struct Dropped;
-
-/// Creates a single-value channel.
-pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let state = Rc::new(RefCell::new(OneshotState {
-        value: None,
-        waker: None,
-        sender_alive: true,
-    }));
-    (OneshotSender { state: Rc::clone(&state) }, OneshotReceiver { state })
-}
-
-impl<T> OneshotSender<T> {
-    /// Delivers the value, waking the receiver.
-    pub fn send(self, value: T) {
-        let mut s = self.state.borrow_mut();
-        s.value = Some(value);
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Drop for OneshotSender<T> {
-    fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.sender_alive = false;
-        if let Some(w) = s.waker.take() {
-            w.wake();
-        }
-    }
-}
-
-impl<T> Future for OneshotReceiver<T> {
-    type Output = Result<T, Dropped>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut s = self.state.borrow_mut();
-        if let Some(v) = s.value.take() {
-            return Poll::Ready(Ok(v));
-        }
-        if !s.sender_alive {
-            return Poll::Ready(Err(Dropped));
-        }
-        match &mut s.waker {
-            Some(w) if w.will_wake(cx.waker()) => {}
-            w => *w = Some(cx.waker().clone()),
-        }
-        Poll::Pending
     }
 }
 
@@ -802,7 +667,6 @@ mod tests {
         assert_eq!(rx.try_recv(), Some(1));
         assert_eq!(rx.drain_now(), vec![2, 3]);
         assert!(rx.is_empty());
-        assert_eq!(tx.total_sent(), 3);
     }
 
     /// Regression (formerly a module-doc caveat): a `recv()` future
@@ -929,19 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn try_send_respects_capacity() {
-        let (tx, rx) = bounded::<u32>(2);
-        assert_eq!(tx.try_send(1), Ok(()));
-        assert_eq!(tx.try_send(2), Ok(()));
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(tx.try_send(4), Ok(()));
-        drop(rx);
-        assert_eq!(tx.try_send(5), Err(TrySendError::Closed(5)));
-        assert_eq!(TrySendError::Full(7u32).into_inner(), 7);
-    }
-
-    #[test]
     fn offer_zero_capacity_is_unbounded() {
         let (tx, rx) = channel::<u32>();
         for i in 0..100 {
@@ -1004,38 +855,5 @@ mod tests {
             assert_eq!(tx.offer(11, 4, OverflowPolicy::ShedOldest, |_| 0), Offered::Accepted);
         });
         assert_eq!(sim.block_on(waiter), Some(11));
-    }
-
-    #[test]
-    fn oneshot_roundtrip() {
-        let sim = Sim::new();
-        let (tx, rx) = oneshot::<u64>();
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.sleep(secs(5.0)).await;
-            tx.send(99);
-        });
-        let h = sim.spawn(rx);
-        assert_eq!(sim.block_on(h), Ok(99));
-    }
-
-    #[test]
-    fn oneshot_dropped_sender() {
-        let sim = Sim::new();
-        let (tx, rx) = oneshot::<u64>();
-        sim.spawn(async move {
-            drop(tx);
-        });
-        let h = sim.spawn(rx);
-        assert_eq!(sim.block_on(h), Err(Dropped));
-    }
-
-    #[test]
-    fn oneshot_send_before_recv() {
-        let sim = Sim::new();
-        let (tx, rx) = oneshot::<&str>();
-        tx.send("early");
-        let h = sim.spawn(rx);
-        assert_eq!(sim.block_on(h), Ok("early"));
     }
 }

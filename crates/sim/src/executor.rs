@@ -9,30 +9,37 @@
 //!
 //! ## Timer store
 //!
-//! Timers live in a hierarchical calendar queue ([`TimerWheel`]): 11
-//! levels of 64 slots, level `L` spanning `64^L` ns per slot, with an
-//! occupancy bitmap per level. Insert and cancel are O(1); finding the
-//! next timer scans 11 bitmaps and cascades at most a handful of buckets.
-//! Firing order is *exactly* the old binary-heap order — the global
-//! lexicographic minimum of `(deadline, tie, registration seq)` — which
-//! the property test below checks against a heap reference under random
-//! insert/cancel/advance scripts. Two details keep the wheel honest:
+//! Pending timers live in one indexed binary min-heap ([`TimerHeap`])
+//! keyed by `(deadline, tie, registration seq)`; `seq` is unique, so the
+//! firing order is the global lexicographic minimum by construction.
+//! Each timer also owns a generation-checked slab slot that records its
+//! current heap position, so a dropped [`Sleep`] removes its entry at
+//! once (`swap_remove` + one sift) and the pop path never meets a
+//! tombstone. The property tests below check the store against a plain
+//! `BinaryHeap` reference under random insert/cancel/pop/peek scripts,
+//! and its own invariants after every step.
 //!
-//! * **Eager cancellation.** A dropped [`Sleep`] removes its entry from
-//!   its bucket immediately (the slab records which bucket), so the pop
-//!   path never wades through tombstones.
-//! * **Backlog heap.** Peeking the next deadline cascades buckets and
-//!   advances the wheel cursor up to the minimum pending deadline; if
-//!   [`Sim::run_until`] then truncates the clock *below* the cursor, a
-//!   subsequently registered near-term timer would land behind the
-//!   cursor. Those (rare) entries go to a small binary heap that is
-//!   merged by `(deadline, tie, seq)` at pop time.
+//! A heap is enough because the store is shallow. Peak pending timers,
+//! one rep of each hetbench workload at seed 7:
+//!
+//! | workload            | peak pending | registrations/task | cancelled while pending |
+//! |---------------------|-------------:|-------------------:|------------------------:|
+//! | `ctrl_fnx`          |           11 |               16.0 |                       0 |
+//! | `data_htex`         |           14 |               17.0 |                       0 |
+//! | either campaign     |           26 |                  — |                       0 |
+//! | `overload_fnx`      |        1 168 |                  — |                   1.9 % |
+//!
+//! That is a tree of depth ≤ 4 (≤ 11 under overload). Three fancier
+//! stores were measured against it over interleaved hetbench pairs and
+//! rejected (DESIGN.md §10 has every count): an 11-level hierarchical
+//! calendar queue (twice the lines for the same order; lost `ctrl_fnx`
+//! 10 of 10), a tombstoning `BinaryHeap` (lost `overload_fnx` 9 of 10,
+//! ≈ −15 %), and a `BTreeMap` with exact removal (`overload_fnx`
+//! `allocs_per_task` +18 % from node churn).
 
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -72,6 +79,16 @@ const READY_CAP: usize = 1024;
 /// digests pin — is preserved across the spill: once anything has
 /// spilled, *all* pushes go to the overflow until the consumer drains
 /// it empty, so no late ring entry can overtake an earlier spilled one.
+///
+/// The ring is kept on evidence, not by default: ISSUE 16 probed a plain
+/// `Mutex<VecDeque<TaskId>>` drained by one batch swap per `drain_ready`
+/// (FIFO-identical, fingerprints equal, 85 fewer lines) and it lost 8 of
+/// 10 interleaved `ctrl_fnx` pairs on `tasks_per_host_s`, median −10 %;
+/// rerun for the PR it lost 7 of 10, median −4 % (EXPERIMENTS.md).
+/// The `Arc::strong_count == 2` waker reuse in `spawn_boxed` stays for
+/// the same kind of reason: it is what keeps `spawn_detached` at zero
+/// allocations beyond the boxed future, and hetbench gates
+/// `allocs_per_task` at 0.15.
 ///
 /// Slots store `id + 1` so 0 can mean "empty"; ids cannot reach
 /// `u64::MAX` because the slab index half is bounded by live memory.
@@ -203,15 +220,8 @@ struct TaskSlab {
 }
 
 // ---------------------------------------------------------------------
-// Timer wheel
+// Timer store
 // ---------------------------------------------------------------------
-
-const LEVEL_BITS: usize = 6;
-const SLOTS: usize = 1 << LEVEL_BITS; // 64
-/// 11 levels × 6 bits = 66 bits ≥ the 64-bit nanosecond clock, so the
-/// wheel covers the entire representable time range with no overflow
-/// bucket.
-const LEVELS: usize = 11;
 
 /// Handle to a registered timer: slab index + generation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -220,13 +230,11 @@ struct TimerHandle {
     gen: u32,
 }
 
-/// Where a live timer currently sits.
-#[derive(Clone, Copy, Debug)]
+/// Where a timer's slab slot currently stands.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Loc {
-    /// In `buckets[level * SLOTS + slot]`.
-    Wheel { level: u8, slot: u8 },
-    /// In the behind-cursor backlog heap (removed lazily via gen check).
-    Backlog,
+    /// Pending, at `heap[pos]`.
+    Heap(u32),
     /// Popped and woken; the slab slot lingers until the `Sleep` drops.
     Fired,
     /// On the free list.
@@ -239,234 +247,113 @@ struct TimerSlot {
     waker: Option<Waker>,
 }
 
+/// Firing-order key `(deadline, tie, registration seq)`. `tie` is zero in
+/// normal operation (so `seq` — registration order — decides among equal
+/// deadlines) and a seeded random draw in [`Sim::with_tie_shuffle`] mode,
+/// which perturbs the firing order of exactly the timers whose order the
+/// determinism contract says must not matter. `seq` is unique, so the
+/// order is total.
+type TimerKey = (u64, u64, u64);
+
 #[derive(Clone, Copy)]
-struct WheelEntry {
-    at: u64,
-    /// Tie-break among equal deadlines. Zero in normal operation (so
-    /// `seq` — registration order — decides); a seeded random draw in
-    /// [`Sim::set_tie_shuffle`] mode, which perturbs the firing order of
-    /// exactly the timers whose order the determinism contract says must
-    /// not matter.
-    tie: u64,
-    seq: u64,
+struct HeapEntry {
+    key: TimerKey,
     idx: u32,
 }
 
-/// Backlog key: `(at, tie, seq, idx, gen)` — ordered exactly like the
-/// old binary-heap key so merged pops keep the seed tree's firing order.
-type BacklogKey = (u64, u64, u64, u32, u32);
-
-/// What [`TimerWheel::pop`] fired.
-struct Fired {
-    at: u64,
-    #[cfg_attr(not(test), allow(dead_code))]
-    tie: u64,
-    #[cfg_attr(not(test), allow(dead_code))]
-    seq: u64,
-    waker: Option<Waker>,
-}
-
-struct TimerWheel {
+/// Indexed binary min-heap of pending timers over a generation-checked
+/// slab. Invariant: `slab[heap[p].idx].loc == Loc::Heap(p)` for every
+/// `p`, which is what lets [`TimerHeap::release`] remove a pending timer
+/// from the middle of the heap without searching for it.
+#[derive(Default)]
+struct TimerHeap {
+    heap: Vec<HeapEntry>,
     slab: Vec<TimerSlot>,
     free: Vec<u32>,
-    /// Wheel cursor: every wheel-resident entry has `at >= elapsed`, and
-    /// `elapsed` never exceeds the minimum pending deadline.
-    elapsed: u64,
-    occ: [u64; LEVELS],
-    buckets: Vec<Vec<WheelEntry>>,
-    backlog: BinaryHeap<Reverse<BacklogKey>>,
 }
 
-impl Default for TimerWheel {
-    fn default() -> Self {
-        TimerWheel {
-            slab: Vec::new(),
-            free: Vec::new(),
-            elapsed: 0,
-            occ: [0; LEVELS],
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            backlog: BinaryHeap::new(),
-        }
-    }
-}
-
-/// The level whose slot granularity separates `at` from `elapsed`: the
-/// highest 6-bit group where they differ (0 when equal).
-#[inline]
-fn level_for(elapsed: u64, at: u64) -> usize {
-    let masked = (elapsed ^ at) | (SLOTS as u64 - 1);
-    ((63 - masked.leading_zeros()) as usize) / LEVEL_BITS
-}
-
-impl TimerWheel {
+impl TimerHeap {
     fn register(&mut self, at: u64, tie: u64, seq: u64) -> TimerHandle {
-        let idx = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                let i = self.slab.len() as u32;
-                self.slab.push(TimerSlot { gen: 0, loc: Loc::Free, waker: None });
-                i
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(TimerSlot { gen: 0, loc: Loc::Free, waker: None });
+            (self.slab.len() - 1) as u32
+        });
+        let pos = self.heap.len();
+        self.heap.push(HeapEntry { key: (at, tie, seq), idx });
+        self.sift_up(pos);
+        TimerHandle { idx, gen: self.slab[idx as usize].gen }
+    }
+
+    /// Writes `e` at `heap[pos]` and records the position in its slab
+    /// slot — the only way an entry ever lands in the heap.
+    fn put(&mut self, pos: usize, e: HeapEntry) {
+        self.heap[pos] = e;
+        self.slab[e.idx as usize].loc = Loc::Heap(pos as u32);
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let e = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.heap[parent].key <= e.key {
+                break;
             }
-        };
-        let gen = self.slab[idx as usize].gen;
-        if at < self.elapsed {
-            // Behind the cursor (peek cascaded past the clock, then the
-            // clock was truncated): heap it, merge at pop time.
-            self.backlog.push(Reverse((at, tie, seq, idx, gen)));
-            self.slab[idx as usize].loc = Loc::Backlog;
-        } else {
-            self.place(WheelEntry { at, tie, seq, idx });
+            self.put(pos, self.heap[parent]);
+            pos = parent;
         }
-        TimerHandle { idx, gen }
+        self.put(pos, e);
     }
 
-    /// Inserts a wheel entry at its level/slot and records the location
-    /// in the slab (for eager cancellation).
-    fn place(&mut self, e: WheelEntry) {
-        debug_assert!(e.at >= self.elapsed);
-        let l = level_for(self.elapsed, e.at);
-        let s = ((e.at >> (LEVEL_BITS * l)) & (SLOTS as u64 - 1)) as usize;
-        self.buckets[l * SLOTS + s].push(e);
-        self.occ[l] |= 1u64 << s;
-        self.slab[e.idx as usize].loc = Loc::Wheel { level: l as u8, slot: s as u8 };
-    }
-
-    /// First instant covered by slot `s` of level `l`, relative to the
-    /// cursor's position on the coarser levels.
-    #[inline]
-    fn slot_start(&self, l: usize, s: usize) -> u64 {
-        let high_shift = LEVEL_BITS * (l + 1);
-        let high = if high_shift >= 64 {
-            0
-        } else {
-            (self.elapsed >> high_shift) << high_shift
-        };
-        high | ((s as u64) << (LEVEL_BITS * l))
-    }
-
-    /// Cascades until the minimum pending wheel entry sits in a level-0
-    /// bucket; returns that bucket's index (level-0 buckets hold entries
-    /// of a single deadline). Advances `elapsed` to the minimum pending
-    /// deadline as a side effect. `None` when the wheel is empty.
-    fn settle_min(&mut self) -> Option<usize> {
+    fn sift_down(&mut self, mut pos: usize) {
+        let (e, n) = (self.heap[pos], self.heap.len());
         loop {
-            let mut best: Option<(usize, usize, u64)> = None;
-            for l in 0..LEVELS {
-                if self.occ[l] == 0 {
-                    continue;
-                }
-                let cur = ((self.elapsed >> (LEVEL_BITS * l)) & (SLOTS as u64 - 1)) as u32;
-                let masked = self.occ[l] & (!0u64 << cur);
-                debug_assert_ne!(masked, 0, "wheel entry behind cursor at level {l}");
-                let bits = if masked != 0 { masked } else { self.occ[l] };
-                let s = bits.trailing_zeros() as usize;
-                let start = self.slot_start(l, s);
-                let better = match best {
-                    None => true,
-                    // On equal starts prefer the coarser level: its
-                    // entries may tie with the fine bucket and must be
-                    // cascaded down before the minimum can be read.
-                    Some((bl, _, bstart)) => start < bstart || (start == bstart && l > bl),
-                };
-                if better {
-                    best = Some((l, s, start));
-                }
+            let mut child = 2 * pos + 1;
+            if child + 1 < n && self.heap[child + 1].key < self.heap[child].key {
+                child += 1;
             }
-            let (l, s, start) = best?;
-            self.elapsed = self.elapsed.max(start);
-            if l == 0 {
-                return Some(s);
+            if child >= n || e.key <= self.heap[child].key {
+                break;
             }
-            // Cascade: with the cursor advanced to the slot start, every
-            // entry here now agrees with `elapsed` on all groups >= l and
-            // re-places at a strictly lower level.
-            self.occ[l] &= !(1u64 << s);
-            let mut moved = std::mem::take(&mut self.buckets[l * SLOTS + s]);
-            for e in moved.drain(..) {
-                debug_assert!(level_for(self.elapsed, e.at) < l);
-                self.place(e);
-            }
-            // Hand the drained allocation back so the bucket keeps its
-            // capacity across cascades.
-            self.buckets[l * SLOTS + s] = moved;
+            self.put(pos, self.heap[child]);
+            pos = child;
         }
+        self.put(pos, e);
     }
 
-    /// Minimum live backlog key, discarding stale (released) entries.
-    fn backlog_peek(&mut self) -> Option<(u64, u64, u64, u32)> {
-        while let Some(&Reverse((at, tie, seq, idx, gen))) = self.backlog.peek() {
-            if self.slab[idx as usize].gen == gen {
-                debug_assert!(matches!(self.slab[idx as usize].loc, Loc::Backlog));
-                return Some((at, tie, seq, idx));
+    /// Removes `heap[pos]`: the last entry takes its place and sifts
+    /// whichever way restores the heap property.
+    fn remove(&mut self, pos: usize) -> HeapEntry {
+        let e = self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            if pos > 0 && self.heap[pos].key < self.heap[(pos - 1) / 2].key {
+                self.sift_up(pos);
+            } else {
+                self.sift_down(pos);
             }
-            self.backlog.pop();
         }
-        None
+        e
     }
 
     /// Earliest pending deadline, or `None`.
-    fn peek(&mut self) -> Option<u64> {
-        let wheel = self.settle_min().map(|s| self.buckets[s][0].at);
-        let backlog = self.backlog_peek().map(|(at, ..)| at);
-        match (wheel, backlog) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    fn peek(&self) -> Option<u64> {
+        self.heap.first().map(|e| e.key.0)
     }
 
-    /// Fires the globally minimum `(at, tie, seq)` pending timer.
-    fn pop(&mut self) -> Option<Fired> {
-        let wheel = self.settle_min().map(|s| {
-            let b = &self.buckets[s];
-            let mut mi = 0;
-            for i in 1..b.len() {
-                if (b[i].tie, b[i].seq) < (b[mi].tie, b[mi].seq) {
-                    mi = i;
-                }
-            }
-            (s, mi)
-        });
-        let backlog = self.backlog_peek();
-        match (wheel, backlog) {
-            (None, None) => None,
-            (Some((s, mi)), None) => Some(self.pop_wheel(s, mi)),
-            (None, Some((at, _, _, idx))) => Some(self.pop_backlog(at, idx)),
-            (Some((s, mi)), Some((bat, btie, bseq, bidx))) => {
-                let e = self.buckets[s][mi];
-                if (e.at, e.tie, e.seq) <= (bat, btie, bseq) {
-                    Some(self.pop_wheel(s, mi))
-                } else {
-                    Some(self.pop_backlog(bat, bidx))
-                }
-            }
+    /// Fires the globally minimum pending timer: its key and its waker.
+    fn pop(&mut self) -> Option<(TimerKey, Option<Waker>)> {
+        if self.heap.is_empty() {
+            return None;
         }
-    }
-
-    fn pop_wheel(&mut self, s: usize, mi: usize) -> Fired {
-        let e = self.buckets[s].swap_remove(mi);
-        if self.buckets[s].is_empty() {
-            self.occ[0] &= !(1u64 << s);
-        }
-        self.elapsed = e.at;
-        let slot = &mut self.slab[e.idx as usize];
-        slot.loc = Loc::Fired;
-        Fired { at: e.at, tie: e.tie, seq: e.seq, waker: slot.waker.take() }
-    }
-
-    fn pop_backlog(&mut self, at: u64, idx: u32) -> Fired {
-        let (tie, seq) = match self.backlog.pop() {
-            Some(Reverse((_, tie, seq, _, _))) => (tie, seq),
-            None => (0, 0), // unreachable: caller just peeked it
-        };
+        let HeapEntry { key, idx } = self.remove(0);
         let slot = &mut self.slab[idx as usize];
         slot.loc = Loc::Fired;
-        Fired { at, tie, seq, waker: slot.waker.take() }
+        Some((key, slot.waker.take()))
     }
 
     /// True once the timer has fired (the owning `Sleep` may then resolve).
     fn is_fired(&self, h: TimerHandle) -> bool {
         let slot = &self.slab[h.idx as usize];
-        slot.gen == h.gen && matches!(slot.loc, Loc::Fired)
+        slot.gen == h.gen && slot.loc == Loc::Fired
     }
 
     fn set_waker(&mut self, h: TimerHandle, w: Waker) {
@@ -476,26 +363,15 @@ impl TimerWheel {
         }
     }
 
-    /// Releases a handle: cancels the timer if still pending (eagerly
-    /// removing wheel entries) and frees the slab slot.
+    /// Releases a handle: cancels the timer if still pending (removing
+    /// its heap entry at once) and frees the slab slot.
     fn release(&mut self, h: TimerHandle) {
-        let Some(slot) = self.slab.get_mut(h.idx as usize) else { return };
+        let Some(slot) = self.slab.get(h.idx as usize) else { return };
         if slot.gen != h.gen {
             return;
         }
-        let loc = slot.loc;
-        match loc {
-            Loc::Wheel { level, slot: s } => {
-                let b = &mut self.buckets[level as usize * SLOTS + s as usize];
-                if let Some(pos) = b.iter().position(|e| e.idx == h.idx) {
-                    b.swap_remove(pos);
-                }
-                if b.is_empty() {
-                    self.occ[level as usize] &= !(1u64 << s);
-                }
-            }
-            // Backlog keys are discarded lazily via the gen check.
-            Loc::Backlog | Loc::Fired | Loc::Free => {}
+        if let Loc::Heap(pos) = slot.loc {
+            self.remove(pos as usize);
         }
         let slot = &mut self.slab[h.idx as usize];
         slot.gen = slot.gen.wrapping_add(1);
@@ -508,7 +384,7 @@ impl TimerWheel {
 struct Core {
     now: Cell<SimTime>,
     next_timer_seq: Cell<u64>,
-    timers: RefCell<TimerWheel>,
+    timers: RefCell<TimerHeap>,
     ready: Arc<ReadyQueue>,
     tasks: RefCell<TaskSlab>,
     /// Spawned-but-unfinished tasks (futures out being polled included).
@@ -554,7 +430,7 @@ impl Sim {
             core: Rc::new(Core {
                 now: Cell::new(SimTime::ZERO),
                 next_timer_seq: Cell::new(0),
-                timers: RefCell::new(TimerWheel::default()),
+                timers: RefCell::new(TimerHeap::default()),
                 ready: Arc::new(ReadyQueue::default()),
                 tasks: RefCell::new(TaskSlab::default()),
                 live_tasks: Cell::new(0),
@@ -565,8 +441,8 @@ impl Sim {
         }
     }
 
-    /// Enables schedule-perturbation mode: timers registered from now on
-    /// get a seeded random tie-break that decides firing order among
+    /// Creates a simulation in schedule-perturbation mode: every timer
+    /// gets a seeded random tie-break that decides firing order among
     /// *equal* deadlines (unequal deadlines still fire in time order).
     ///
     /// The determinism contract promises that nothing observable depends
@@ -580,15 +456,9 @@ impl Sim {
     /// The shuffle stream is internal to the executor and consumes no
     /// draws from any workload stream, so enabling it never perturbs
     /// workload randomness.
-    pub fn set_tie_shuffle(&self, seed: u64) {
-        *self.core.tie_shuffle.borrow_mut() =
-            Some(SimRng::stream(seed, "executor-tie-shuffle"));
-    }
-
-    /// Creates a simulation with tie-shuffle mode enabled from t=0.
     pub fn with_tie_shuffle(seed: u64) -> Self {
         let sim = Sim::new();
-        sim.set_tie_shuffle(seed);
+        *sim.core.tie_shuffle.borrow_mut() = Some(SimRng::stream(seed, "executor-tie-shuffle"));
         sim
     }
 
@@ -699,9 +569,9 @@ impl Sim {
         YieldNow { sim: self.clone(), polled: false }
     }
 
-    /// Registers a timer and arms its waker in a single pass over the
-    /// wheel — the sleep hot path calls this once per await instead of
-    /// borrowing the timer store twice.
+    /// Registers a timer and arms its waker under one borrow of the
+    /// timer store — the sleep hot path calls this once per await instead
+    /// of borrowing the store twice.
     fn register_timer_with(&self, at: SimTime, waker: Waker) -> TimerHandle {
         let seq = self.core.next_timer_seq.get();
         self.core.next_timer_seq.set(seq + 1);
@@ -762,12 +632,12 @@ impl Sim {
     /// Returns false when no live timer remains.
     fn fire_next_timer(&self) -> bool {
         let fired = self.core.timers.borrow_mut().pop();
-        let Some(f) = fired else { return false };
-        let at = SimTime::from_nanos(f.at);
+        let Some(((at, ..), waker)) = fired else { return false };
+        let at = SimTime::from_nanos(at);
         debug_assert!(at >= self.core.now.get(), "time went backwards");
         self.core.now.set(at);
         self.core.timer_fires.set(self.core.timer_fires.get() + 1);
-        if let Some(w) = f.waker {
+        if let Some(w) = waker {
             w.wake();
         }
         true
@@ -775,7 +645,7 @@ impl Sim {
 
     /// Peeks at the deadline of the earliest live timer.
     fn next_deadline(&self) -> Option<SimTime> {
-        self.core.timers.borrow_mut().peek().map(SimTime::from_nanos)
+        self.core.timers.borrow().peek().map(SimTime::from_nanos)
     }
 
     /// Runs until no task is runnable and no timer is pending
@@ -806,11 +676,6 @@ impl Sim {
             self.core.now.set(deadline);
         }
         self.report()
-    }
-
-    /// Runs for `d` of virtual time from the current instant.
-    pub fn run_for(&self, d: Duration) -> RunReport {
-        self.run_until(self.now() + d)
     }
 
     /// Drives the simulation until `handle` completes, then returns its
@@ -923,7 +788,7 @@ impl Drop for Sleep {
     fn drop(&mut self) {
         // Eagerly cancel so an abandoned sleep (e.g. the losing arm of a
         // select) neither fires a stale waker nor advances the clock —
-        // and its wheel entry is removed rather than left as a tombstone.
+        // and its heap entry is removed rather than left as a tombstone.
         if let Some(h) = self.handle.take() {
             self.sim.core.timers.borrow_mut().release(h);
         }
@@ -955,6 +820,8 @@ mod tests {
     use super::*;
     use crate::time::secs;
     use std::cell::RefCell as StdRefCell;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn empty_sim_quiesces_at_zero() {
@@ -1113,14 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn run_for_is_relative() {
-        let sim = Sim::new();
-        sim.run_for(secs(2.0));
-        sim.run_for(secs(3.0));
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
     fn yield_now_lets_peers_run_at_same_instant() {
         let sim = Sim::new();
         let log: Rc<StdRefCell<Vec<&str>>> = Rc::default();
@@ -1255,11 +1114,11 @@ mod tests {
     }
 
     #[test]
-    fn short_sleep_after_truncated_run_lands_behind_cursor() {
-        // run_until peeks the far timer (cascading the wheel cursor up to
-        // its deadline), then truncates the clock below the cursor. The
-        // short sleep registered afterwards must take the backlog path
-        // and still fire first, in order.
+    fn short_sleep_after_truncated_run_fires_before_the_far_timer() {
+        // run_until peeks the far timer, then leaves the clock at its own
+        // deadline, well short of it. Sleeps registered afterwards have
+        // earlier deadlines than a timer the store has already looked
+        // at, and must still fire first, in order.
         let sim = Sim::new();
         let s = sim.clone();
         sim.spawn(async move {
@@ -1300,11 +1159,12 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Property test: the wheel fires in exactly the order a binary-heap
-    // reference does, under random insert/cancel/pop/peek scripts.
+    // Property tests: the store fires in exactly the order a plain
+    // `BinaryHeap` reference does under random insert/cancel/pop/peek
+    // scripts, and keeps its own invariants after every step.
     // -----------------------------------------------------------------
 
-    /// The old timer store, reduced to its essence: a min-heap of
+    /// Reference timer store, reduced to its essence: a min-heap of
     /// `(at, tie, seq)` with lazy cancellation.
     #[derive(Default)]
     struct HeapRef {
@@ -1339,88 +1199,177 @@ mod tests {
         }
     }
 
-    fn wheel_matches_heap_script(seed: u64, shuffled_ties: bool) {
+    impl TimerHeap {
+        /// The store's structural invariants: every heap entry's slab
+        /// slot points back at it, every parent fires before its
+        /// children, and the free list is exactly the `Loc::Free` slots.
+        fn check(&self) {
+            for (p, e) in self.heap.iter().enumerate() {
+                let loc = self.slab[e.idx as usize].loc;
+                assert_eq!(loc, Loc::Heap(p as u32), "back-pointer of heap[{p}]");
+                if p > 0 {
+                    assert!(self.heap[(p - 1) / 2].key < e.key, "heap property at {p}");
+                }
+            }
+            let pending = self.slab.iter().filter(|s| matches!(s.loc, Loc::Heap(_))).count();
+            assert_eq!(pending, self.heap.len(), "a slab slot claims a heap entry that is gone");
+            let mut free = self.free.clone();
+            free.sort_unstable();
+            let is_free = |i: &u32| self.slab[*i as usize].loc == Loc::Free;
+            let marked: Vec<u32> = (0..self.slab.len() as u32).filter(is_free).collect();
+            assert_eq!(free, marked, "free list and Loc::Free disagree");
+        }
+
+        /// The quiescence law: nothing pending and every slab slot free.
+        fn assert_quiescent(&self) {
+            self.check();
+            assert!(self.heap.is_empty(), "{} timers still pending", self.heap.len());
+            assert_eq!(self.free.len(), self.slab.len(), "a slab slot outlived its Sleep");
+        }
+    }
+
+    /// Drives the store and the reference through one random script.
+    /// `percent` = cumulative thresholds out of 100 for insert / cancel /
+    /// pop (the rest peek); below `floor` live timers every step inserts;
+    /// `deadline` draws an absolute deadline. Returns the peak depth.
+    fn store_matches_reference_script(
+        seed: u64,
+        shuffled_ties: bool,
+        steps: usize,
+        floor: usize,
+        percent: [u64; 3],
+        mut deadline: impl FnMut(&mut SimRng, u64) -> u64,
+    ) -> usize {
         let mut rng = SimRng::from_seed(seed);
-        let mut wheel = TimerWheel::default();
+        let mut store = TimerHeap::default();
         let mut reference = HeapRef::default();
         // seq -> handle, for cancels and post-pop release.
         let mut live: Vec<(u64, TimerHandle)> = Vec::new();
         let mut now = 0u64;
         let mut seq = 0u64;
-        for _ in 0..4000 {
-            match rng.next_u64() % 100 {
-                0..=54 => {
-                    // Insert with deltas spread across every wheel level.
-                    let span = rng.next_u64() % 38;
-                    let delta = 1 + (rng.next_u64() % (1u64 << span));
-                    let at = now.saturating_add(delta);
-                    let tie = if shuffled_ties { rng.next_u64() } else { 0 };
-                    let h = wheel.register(at, tie, seq);
-                    reference.insert(at, tie, seq);
-                    live.push((seq, h));
-                    seq += 1;
+        let mut peak = 0;
+        for _ in 0..steps {
+            let roll = rng.next_u64() % 100;
+            if roll < percent[0] || live.len() < floor {
+                let at = deadline(&mut rng, now);
+                let tie = if shuffled_ties { rng.next_u64() } else { 0 };
+                let h = store.register(at, tie, seq);
+                reference.insert(at, tie, seq);
+                live.push((seq, h));
+                seq += 1;
+                peak = peak.max(store.heap.len());
+            } else if roll < percent[1] {
+                if !live.is_empty() {
+                    let i = (rng.next_u64() % live.len() as u64) as usize;
+                    let (s, h) = live.swap_remove(i);
+                    store.release(h);
+                    reference.cancel(s);
                 }
-                55..=69 => {
-                    if !live.is_empty() {
-                        let i = (rng.next_u64() % live.len() as u64) as usize;
-                        let (s, h) = live.swap_remove(i);
-                        wheel.release(h);
-                        reference.cancel(s);
+            } else if roll < percent[2] {
+                let got = store.pop().map(|(key, _)| key);
+                let want = reference.pop();
+                assert_eq!(got, want, "pop diverged (seed {seed})");
+                if let Some((at, _, s)) = got {
+                    now = at;
+                    // The fired Sleep resolves and releases on its next
+                    // poll; until then its slot must read as fired.
+                    if let Some(i) = live.iter().position(|&(ls, _)| ls == s) {
+                        let (_, h) = live.swap_remove(i);
+                        assert!(store.is_fired(h));
+                        store.release(h);
+                        assert!(!store.is_fired(h), "released handle is stale");
                     }
                 }
-                70..=89 => {
-                    let got = wheel.pop().map(|f| (f.at, f.tie, f.seq));
-                    let want = reference.pop();
-                    assert_eq!(got, want, "pop diverged (seed {seed})");
-                    if let Some((_, _, s)) = got {
-                        now = got.map(|(at, ..)| at).unwrap_or(now);
-                        if let Some(i) = live.iter().position(|&(ls, _)| ls == s) {
-                            let (_, h) = live.swap_remove(i);
-                            wheel.release(h); // the Sleep dropping post-fire
-                        }
-                    }
-                }
-                _ => {
-                    assert_eq!(wheel.peek(), reference.peek(), "peek diverged (seed {seed})");
-                }
+            } else {
+                assert_eq!(store.peek(), reference.peek(), "peek diverged (seed {seed})");
             }
+            store.check();
         }
         // Drain what's left: order must match to the end.
         loop {
-            let got = wheel.pop().map(|f| (f.at, f.tie, f.seq));
+            let got = store.pop().map(|(key, _)| key);
             let want = reference.pop();
             assert_eq!(got, want, "drain diverged (seed {seed})");
+            store.check();
             if got.is_none() {
                 break;
             }
         }
+        for (_, h) in live {
+            store.release(h);
+        }
+        store.assert_quiescent();
+        peak
+    }
+
+    /// Deltas spread from 1 ns to 2^37 ns so scripts mix near and far
+    /// deadlines.
+    fn spread_deadline(rng: &mut SimRng, now: u64) -> u64 {
+        let span = rng.next_u64() % 38;
+        now.saturating_add(1 + (rng.next_u64() % (1u64 << span)))
     }
 
     #[test]
-    fn wheel_pops_in_heap_order_fifo_ties() {
+    fn store_pops_in_reference_order_fifo_ties() {
         for seed in [1u64, 2, 3, 42, 2026] {
-            wheel_matches_heap_script(seed, false);
+            store_matches_reference_script(seed, false, 4000, 0, [55, 70, 90], spread_deadline);
         }
     }
 
     #[test]
-    fn wheel_pops_in_heap_order_shuffled_ties() {
+    fn store_pops_in_reference_order_shuffled_ties() {
         for seed in [5u64, 6, 7, 99, 517] {
-            wheel_matches_heap_script(seed, true);
+            store_matches_reference_script(seed, true, 4000, 0, [55, 70, 90], spread_deadline);
+        }
+    }
+
+    /// `overload_fnx`-shaped traffic, harsher: the store is held at a
+    /// thousand live timers or more, 40 % of steps release one from the
+    /// middle of the heap, and deadlines collide (16 distinct instants
+    /// ahead of `now`) so random ties decide most of the order.
+    #[test]
+    fn deep_store_with_mid_heap_releases_and_colliding_deadlines() {
+        for seed in [11u64, 12, 13] {
+            let colliding = |rng: &mut SimRng, now: u64| now + 1_000 * (1 + rng.next_u64() % 16);
+            let peak =
+                store_matches_reference_script(seed, true, 8_000, 1_000, [45, 85, 97], colliding);
+            assert!(peak > 1_000, "script too shallow to mean anything: peak {peak}");
         }
     }
 
     #[test]
-    fn wheel_handles_extreme_deadlines() {
-        let mut wheel = TimerWheel::default();
-        let far = wheel.register(u64::MAX, 0, 0);
-        let near = wheel.register(1, 0, 1);
-        assert_eq!(wheel.peek(), Some(1));
-        let f = wheel.pop().map(|f| f.at);
+    fn quiescent_sim_leaves_the_timer_store_empty() {
+        // Fired, cancelled-while-pending and never-polled sleeps all hand
+        // their slots back by the time the run is quiescent.
+        let sim = Sim::new();
+        for i in 0..50u64 {
+            let s = sim.clone();
+            sim.spawn(async move {
+                let lost = Box::pin(s.sleep(secs(100.0 + i as f64)));
+                let won = Box::pin(s.sleep(secs(1.0 + (i % 7) as f64)));
+                crate::combinators::select2(won, lost).await;
+                drop(s.sleep(secs(5.0)));
+                s.sleep(secs(0.5)).await;
+            });
+        }
+        let r = sim.run();
+        assert_eq!(r.pending_tasks, 0);
+        assert_eq!(r.end, SimTime::from_millis(7500), "cancelled sleeps never advance the clock");
+        sim.core.timers.borrow().assert_quiescent();
+    }
+
+    #[test]
+    fn store_handles_extreme_deadlines() {
+        let mut store = TimerHeap::default();
+        let far = store.register(u64::MAX, 0, 0);
+        let near = store.register(1, 0, 1);
+        assert_eq!(store.peek(), Some(1));
+        let f = store.pop().map(|((at, ..), _)| at);
         assert_eq!(f, Some(1));
-        wheel.release(near);
-        assert_eq!(wheel.pop().map(|f| f.at), Some(u64::MAX));
-        wheel.release(far);
-        assert_eq!(wheel.pop().map(|f| f.at), None);
+        store.release(near);
+        assert_eq!(store.pop().map(|((at, ..), _)| at), Some(u64::MAX));
+        store.release(far);
+        assert_eq!(store.pop().map(|((at, ..), _)| at), None);
+        store.assert_quiescent();
     }
 }

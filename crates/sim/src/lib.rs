@@ -8,8 +8,8 @@
 //! * [`Sim`] — a single-threaded async executor over virtual time.
 //!   Actors are ordinary `async` tasks; awaiting [`Sim::sleep`] advances
 //!   the clock deterministically.
-//! * [`channel`]/[`bounded`]/[`oneshot`] — FIFO message channels between
-//!   actors (task queues, result queues, request/reply).
+//! * [`channel`]/[`bounded`] — FIFO message channels between actors
+//!   (task queues, result queues, worker pools).
 //! * [`Event`] and [`Semaphore`] — the coordination primitives the
 //!   steering agents and resource models are built from.
 //! * [`SimRng`] and [`Dist`] — named deterministic random streams and the
@@ -18,7 +18,7 @@
 //!   containers for regenerating the paper's figures.
 //!
 //! Determinism: runs are bit-reproducible for a given master seed. Tasks
-//! wake in FIFO order, timers fire in `(deadline, registration)` order,
+//! wake in FIFO order, timers fire in `(deadline, tie, registration)` order,
 //! and all randomness flows through named [`SimRng`] streams.
 //!
 //! ```
@@ -51,10 +51,7 @@ pub mod trace;
 
 pub use arena::{Arena, ArenaId};
 pub use combinators::{join_all, select2, Either, Elapsed, Interval};
-pub use channel::{
-    bounded, channel, oneshot, Offered, OneshotReceiver, OneshotSender, OverflowPolicy, Receiver,
-    Sender, TrySendError,
-};
+pub use channel::{bounded, channel, Offered, OverflowPolicy, Receiver, Sender};
 pub use dist::Dist;
 pub use executor::{JoinHandle, RunReport, Sim};
 pub use intern::Symbol;
