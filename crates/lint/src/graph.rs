@@ -74,11 +74,6 @@ pub struct CallGraph {
     /// Forward adjacency: `edges[n]` is sorted and deduplicated.
     /// Includes the await → poll over-approximation edges.
     pub edges: Vec<Vec<usize>>,
-    /// Per-call resolution: `call_targets[n]` holds
-    /// `(call index within the item, target node)` pairs, so rules that
-    /// care about *where* in a body a call happens (lock spans) can map
-    /// a call site back to its resolved targets.
-    pub call_targets: Vec<Vec<(usize, usize)>>,
 }
 
 impl CallGraph {
@@ -188,10 +183,9 @@ pub fn build(files: &[LintedFile]) -> CallGraph {
     });
 
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); graph.nodes.len()];
-    let mut call_targets: Vec<Vec<(usize, usize)>> = vec![Vec::new(); graph.nodes.len()];
     for (n, node) in graph.nodes.iter().enumerate() {
         let item = &files[node.file].items.fns[node.item];
-        for (ci, call) in item.calls.iter().enumerate() {
+        for call in &item.calls {
             let mut targets: Vec<usize> = Vec::new();
             match &call.callee {
                 Callee::Path(segs) => {
@@ -216,10 +210,7 @@ pub fn build(files: &[LintedFile]) -> CallGraph {
                 }
                 Callee::Macro(_) => {}
             }
-            for &m in &targets {
-                edges[n].push(m);
-                call_targets[n].push((ci, m));
-            }
+            edges[n].extend_from_slice(&targets);
         }
         if item.has_await {
             edges[n].extend_from_slice(&polls);
@@ -230,7 +221,6 @@ pub fn build(files: &[LintedFile]) -> CallGraph {
         row.dedup();
     }
     graph.edges = edges;
-    graph.call_targets = call_targets;
     graph
 }
 

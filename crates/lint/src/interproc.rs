@@ -14,9 +14,8 @@
 //!   sink-exempt. Every violation prints the concrete witness call
 //!   chain.
 //! - **R11 lock-discipline** — two locks must never be acquired in
-//!   inverted orders in different functions. (Guards held across
-//!   blocking calls moved to R16, which decides them on real CFG paths
-//!   in [`crate::dataflow`] instead of token spans.)
+//!   inverted orders in different functions. (A guard held across an
+//!   `.await` is `clippy::await_holding_lock`'s, denied workspace-wide.)
 //! - **R12 rng-provenance** — a `SimRng` handle must not be stored in a
 //!   thread-crossing container type (`Arc`, `Mutex`, channel endpoints)
 //!   or passed through a channel send. Streams are derived by name and
@@ -150,8 +149,7 @@ fn r10_sim_purity(files: &mut [LintedFile], g: &CallGraph) {
     }
 }
 
-/// R11 — inverted lock orders across functions. (Guard-across-blocking
-/// moved to R16, which runs a CFG path search in `crate::dataflow`.)
+/// R11 — inverted lock orders across functions.
 fn r11_lock_discipline(files: &mut [LintedFile], g: &CallGraph) {
     let mut hits: Vec<(usize, usize, String)> = Vec::new();
     // (first target, second target, file, line) for order comparison.
@@ -356,9 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn r11_no_longer_flags_guard_across_blocking() {
-        // Guard-across-blocking is R16's job now (CFG path search in
-        // `dataflow`); R11 must stay silent on it.
+    fn r11_is_silent_on_a_guard_across_a_blocking_call() {
+        // R11 is lock-order only; a guard across an `.await` is
+        // clippy::await_holding_lock's.
         let mut files = set(&[(
             "sim",
             "crates/sim/src/ex.rs",

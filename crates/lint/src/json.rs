@@ -6,7 +6,6 @@
 //! JSON reader used by the round-trip tests and available to any gate
 //! that wants to consume the report without string matching.
 
-use crate::dataflow;
 use crate::graph::CallGraph;
 use crate::{Report, Violation};
 
@@ -64,7 +63,7 @@ pub fn report_to_json(report: &Report) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"tool\": \"hetlint\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
     out.push_str(&format!("  \"clean\": {},\n", report.clean()));
     out.push_str(&format!(
@@ -99,19 +98,13 @@ pub fn report_to_json(report: &Report) -> String {
             rows.join(",\n")
         ));
     }
-    for (key, row) in [
-        ("reachable_panics", report.reachable_panics),
-        ("nondet_taint", report.nondet_taint),
-        ("discarded_effects", report.discarded_effects),
-    ] {
-        match row {
-            Some((count, budget)) => out.push_str(&format!(
-                "  \"{key}\": {{ \"count\": {count}, \"budget\": {budget}, \
-                 \"over\": {} }},\n",
-                count > budget
-            )),
-            None => out.push_str(&format!("  \"{key}\": null,\n")),
-        }
+    match report.reachable_panics {
+        Some((count, budget)) => out.push_str(&format!(
+            "  \"reachable_panics\": {{ \"count\": {count}, \"budget\": {budget}, \
+             \"over\": {} }},\n",
+            count > budget
+        )),
+        None => out.push_str("  \"reachable_panics\": null,\n"),
     }
     if report.notes.is_empty() {
         out.push_str("  \"notes\": []\n");
@@ -166,68 +159,6 @@ pub fn graph_to_json(graph: &CallGraph) -> String {
         out.push_str("  \"edges\": []\n");
     } else {
         out.push_str(&format!("  \"edges\": [\n    {}\n  ]\n", pairs.join(",\n    ")));
-    }
-    out.push('}');
-    out
-}
-
-/// Serializes the converged dataflow document for
-/// `hetlint --dataflow`: per-function summaries (return taint,
-/// parameter flows, blocking) and every R14–R16 finding, suppressed
-/// included. The document round-trips through [`parse`].
-pub fn dataflow_to_json(doc: &dataflow::Doc) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"tool\": \"hetlint-dataflow\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
-    if doc.fns.is_empty() {
-        out.push_str("  \"functions\": [],\n");
-    } else {
-        let rows: Vec<String> = doc
-            .fns
-            .iter()
-            .map(|f| {
-                let returns = f
-                    .returns_taint
-                    .as_deref()
-                    .map_or("null".to_string(), escape);
-                let sinks: Vec<String> =
-                    f.param_sinks.iter().map(|s| escape(s)).collect();
-                format!(
-                    "    {{ \"qname\": {}, \"path\": {}, \"line\": {}, \"blocks\": {}, \
-                     \"returns_taint\": {returns}, \"param_to_return\": {}, \
-                     \"param_sinks\": [{}], \"may_block\": {} }}",
-                    escape(&f.qname),
-                    escape(&f.path),
-                    f.line,
-                    f.blocks,
-                    f.param_to_return,
-                    sinks.join(", "),
-                    f.may_block
-                )
-            })
-            .collect();
-        out.push_str(&format!("  \"functions\": [\n{}\n  ],\n", rows.join(",\n")));
-    }
-    if doc.findings.is_empty() {
-        out.push_str("  \"findings\": []\n");
-    } else {
-        let rows: Vec<String> = doc
-            .findings
-            .iter()
-            .map(|f| {
-                format!(
-                    "    {{ \"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \
-                     \"suppressed\": {} }}",
-                    escape(&f.rule),
-                    escape(&f.path),
-                    f.line,
-                    escape(&f.message),
-                    f.suppressed
-                )
-            })
-            .collect();
-        out.push_str(&format!("  \"findings\": [\n{}\n  ]\n", rows.join(",\n")));
     }
     out.push('}');
     out

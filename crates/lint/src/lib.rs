@@ -4,12 +4,17 @@
 //! seed must yield the same trace on any machine. That property is easy
 //! to break with one stray wall-clock read or hash-order iteration, and
 //! such regressions are invisible until an expensive campaign diverges.
-//! hetlint lexes every Rust source in the workspace into a real token
-//! stream (comments and string literals can never trigger rules) and
-//! enforces the determinism contract as machine-checked rules:
+//! hetlint is three layers, each consuming only the one below: a lexer
+//! ([`lexer`]: a real token stream, so comments and string literals can
+//! never trigger rules), an item parser ([`parser`]: fn items with
+//! their calls, sinks, locks and panic sites), and a workspace call
+//! graph ([`graph`]). The rules, by the layer they need:
+//!
+//! Per file, on tokens ([`rules`]):
 //!
 //! - **R1** no `std::time::{Instant, SystemTime}` / `thread::sleep` in
-//!   sim-driven crates — virtual time only. Aliased imports
+//!   sim-driven crates or the crates they call into (`ml`, `chem`) —
+//!   virtual time only. Aliased imports
 //!   (`use std::time::Instant as T`) are tracked.
 //! - **R2** no ambient entropy (`thread_rng`, `from_entropy`, `OsRng`)
 //!   outside `sim::rng` — named seeded streams only.
@@ -25,9 +30,11 @@
 //!   may abort, and each needs a reasoned allow.
 //! - **R6** float ordering must be total — `f64::total_cmp` or an
 //!   `Ord`-delegating wrapper, never ad-hoc `.partial_cmp().unwrap()`.
+//! - **R15** no `let _ = …` on a fabric effect (`submit`, `deliver`,
+//!   the `send` family) in sim-driven library code — a discarded
+//!   delivery failure is a silently lost task.
 //!
-//! After the per-file pass, a workspace-wide phase sees every file at
-//! once:
+//! Across files, on the per-file extracts ([`workspace`]):
 //!
 //! - **R7** duplicate `SimRng` stream-name literals across distinct
 //!   derivation sites — identical names mean identical sequences
@@ -38,13 +45,23 @@
 //! - **R9** stale `hetlint: allow(..)` annotations that no longer cover
 //!   any hit — they must be removed, not left to silently re-arm.
 //!
+//! Over the call graph ([`interproc`]):
+//!
+//! - **R10** no ambient I/O reachable from a simulation entry point.
+//! - **R11** no two locks acquired in inverted orders.
+//! - **R12** no `SimRng` crossing a thread or channel boundary.
+//! - **R13** a ratcheted count of panic sites reachable from fabric
+//!   dispatch.
+//!
+//! Rule ids are stable: R14 and R16 were retired (their bugs are
+//! stopped by R1/R3/R10 at the source and by
+//! `clippy::await_holding_lock`) and their numbers are not reused.
+//!
 //! Violations are suppressed in place with
 //! `// hetlint: allow(<rule>) — <reason>`; the reason is mandatory and
 //! every suppression is counted in the report. R9 itself cannot be
 //! suppressed.
 
-pub mod cfg;
-pub mod dataflow;
 pub mod graph;
 pub mod interproc;
 pub mod json;
@@ -62,6 +79,11 @@ use std::path::{Path, PathBuf};
 /// (`hetflow`) re-exports and drives them, so it is held to the same
 /// contract.
 pub const SIM_DRIVEN: &[&str] = &["sim", "store", "fabric", "steer", "core", "apps", "hetflow"];
+
+/// The non-driver crates sim-driven code calls into: a wall-clock read
+/// there reaches the trace through a return value, so R1 covers them
+/// too.
+pub const SIM_CALLEES: &[&str] = &["ml", "chem"];
 
 /// The rule that produced a violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -92,33 +114,18 @@ pub enum RuleId {
     R12,
     /// Panic site reachable from fabric dispatch, over the ratchet.
     R13,
-    /// Nondeterministic value flowing into a trace/seed/intern sink.
-    R14,
     /// Discarded `Result` of a fabric effect.
     R15,
-    /// Lock guard live across an `.await` or blocking call, on a CFG
-    /// path.
-    R16,
     /// Malformed suppression (missing reason).
     BadAllow,
 }
 
-/// Canonical keys of every numbered rule, in order — the single source
-/// for `--explain` listings and "valid rules" error text.
+/// Canonical keys of every live numbered rule, in order — the single
+/// source for "valid rules" error text. Retired ids (r14, r16) leave
+/// gaps; they are not reused.
 pub const RULE_KEYS: &[&str] = &[
-    "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12", "r13", "r14",
-    "r15", "r16",
+    "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12", "r13", "r15",
 ];
-
-/// The human-readable rule range (`R1..R16`), derived from
-/// [`RULE_KEYS`] so help text can never drift from the rule set.
-pub fn rule_range() -> String {
-    format!(
-        "R{}..R{}",
-        RULE_KEYS.first().map_or("?", |k| &k[1..]),
-        RULE_KEYS.last().map_or("?", |k| &k[1..])
-    )
-}
 
 impl RuleId {
     /// The canonical lowercase key used in `allow(..)` annotations.
@@ -137,9 +144,7 @@ impl RuleId {
             RuleId::R11 => "r11",
             RuleId::R12 => "r12",
             RuleId::R13 => "r13",
-            RuleId::R14 => "r14",
             RuleId::R15 => "r15",
-            RuleId::R16 => "r16",
             RuleId::BadAllow => "bad-allow",
         }
     }
@@ -160,9 +165,7 @@ impl RuleId {
             RuleId::R11 => "R11 lock-discipline: locks must be acquired in one global order",
             RuleId::R12 => "R12 rng-provenance: SimRng must not cross thread/channel boundaries",
             RuleId::R13 => "R13 panic-reach: panics reachable from fabric dispatch are ratcheted",
-            RuleId::R14 => "R14 nondet-taint: nondeterministic values must not reach trace/seed sinks",
             RuleId::R15 => "R15 discarded-effects: fabric-effect Results must not be discarded",
-            RuleId::R16 => "R16 lock-across-await: no guard live on a path to a suspension point",
             RuleId::BadAllow => "suppressions must carry a reason",
         }
     }
@@ -175,10 +178,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
     let key = scan::normalize_rule(rule);
     Some(match key.as_str() {
         "r1" => {
-            "R1 virtual-time — sim-driven crates must not read the wall clock \
-             (std::time::Instant, SystemTime, thread::sleep). The simulation owns time; \
-             a wall-clock read makes runs machine-dependent and breaks bit-reproducibility. \
-             Aliased imports are tracked. Fix: take time from the Sim handle."
+            "R1 virtual-time — sim-driven crates, and the ml and chem crates they call \
+             into, must not read the wall clock (std::time::Instant, SystemTime, \
+             thread::sleep). The simulation owns time; a wall-clock read makes runs \
+             machine-dependent and breaks bit-reproducibility. Aliased imports are \
+             tracked. Fix: take time from the Sim handle."
         }
         "r2" => {
             "R2 seeded-rng — no ambient entropy (thread_rng, from_entropy, OsRng) outside \
@@ -234,8 +238,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "r11" => {
             "R11 lock-discipline — two locks must never be acquired in inverted orders in \
-             different functions; pick one global order. (Guards held across blocking \
-             calls are R16's job, now decided on real CFG paths rather than token spans.)"
+             different functions; pick one global order. (A guard held across an \
+             `.await` is clippy::await_holding_lock's job, denied workspace-wide.)"
         }
         "r12" => {
             "R12 rng-provenance — a SimRng handle must not be stored in a thread-crossing \
@@ -251,32 +255,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              kills the whole campaign, not one task. Sites under a reasoned allow(r5) are \
              exempt; the same annotation serves both rules."
         }
-        "r14" => {
-            "R14 nondet-taint — a value derived from ambient nondeterminism (wall-clock \
-             reads, HashMap/HashSet iteration order, thread ids, env::var, {:p} pointer \
-             formatting) must not flow into Tracer::emit, the digest fold, SimRng seeds \
-             or stream names, or Symbol interning. The dataflow engine follows the value \
-             through bindings, branches, and calls; every message prints the hop chain. \
-             Sites are counted against the `r14` key in hetlint.ratchet. Fix: derive the \
-             value from virtual time, sorted iteration, or named streams; annotate truly \
-             diagnostic flows with `hetlint: allow(r14) — <why>`."
-        }
         "r15" => {
             "R15 discarded-effects — `let _ = …` on a fabric effect (submit, deliver, \
-             send_now, try_send, send) silently drops a delivery failure: the campaign \
-             continues with a lost message and no trace of why. Flow-sensitive; the \
-             message carries the entry-to-statement path. Counted against the `r15` key \
-             in hetlint.ratchet. Teardown-tolerant discards take a reasoned \
-             `hetlint: allow(r15) — <why>`."
-        }
-        "r16" => {
-            "R16 lock-across-await — a Mutex guard must not be live on any CFG path from \
-             its acquisition to an `.await` point, a blocking call (Condvar::wait, \
-             synchronous channel send/recv, joins, thread::scope), or a call into a \
-             function that can block transitively. Path-sensitive: a branch that drops \
-             the guard before suspending is clean, and every violation prints the \
-             concrete witness path through the function. Channel operations immediately \
-             .awaited are virtual-time suspensions and only count as the await itself."
+             deliver_inner, send, send_now, try_send) in sim-driven library code silently \
+             drops a delivery failure: the campaign continues with a lost message and no \
+             trace of why. A token rule, so it sees inside async blocks and closures. \
+             Handle or propagate the error; a discard whose receiver may legitimately be \
+             gone takes a reasoned `hetlint: allow(r15) — <why>`."
         }
         "bad-allow" => {
             "bad-allow — every suppression needs a reason: \
@@ -321,8 +306,8 @@ impl FileContext {
         }
     }
 
-    /// True when the file's crate must obey the virtual-time and
-    /// hash-order rules.
+    /// True when the file's crate must obey the virtual-time,
+    /// hash-order and discarded-effects rules.
     pub fn sim_driven(&self) -> bool {
         SIM_DRIVEN.contains(&self.crate_name.as_str())
     }
@@ -403,9 +388,10 @@ pub struct LintedFile {
 /// Runs the per-file pass over one source text.
 pub fn lint_file(ctx: &FileContext, source: &str) -> LintedFile {
     let prepared = scan::prepare(source);
+    let items = parser::parse_items(ctx, &prepared);
     let mut report = FileReport::default();
     let mut matched_allows: Vec<(String, usize)> = Vec::new();
-    for v in rules::check_file(ctx, &prepared) {
+    for v in rules::check_file(ctx, &prepared, &items.fns) {
         match &v.suppression {
             Some(s) if !s.reason.is_empty() => {
                 matched_allows.push((v.rule.key().to_string(), s.line));
@@ -454,7 +440,6 @@ pub fn lint_file(ctx: &FileContext, source: &str) -> LintedFile {
     let stream_uses = rules::stream_uses(ctx, &prepared);
     let emit_sites = rules::emit_sites(ctx, &prepared);
     let registry = rules::registry_entries(ctx, &prepared);
-    let items = parser::parse_items(ctx, &prepared);
     LintedFile {
         ctx: ctx.clone(),
         report,
@@ -489,12 +474,6 @@ pub struct Report {
     /// fabric dispatch (R13); `None` when the interprocedural phase
     /// did not run.
     pub reachable_panics: Option<(usize, usize)>,
-    /// `(count, budget)` of un-allowed nondeterminism-taint flows
-    /// (R14); `None` when the dataflow phase did not run.
-    pub nondet_taint: Option<(usize, usize)>,
-    /// `(count, budget)` of un-allowed discarded fabric effects (R15);
-    /// `None` when the dataflow phase did not run.
-    pub discarded_effects: Option<(usize, usize)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Informational findings that do not fail the run (e.g. ratchet
@@ -509,8 +488,6 @@ impl Report {
             && self.bad_allows.is_empty()
             && self.unwrap_rows.iter().all(|(_, count, budget)| count <= budget)
             && self.reachable_panics.is_none_or(|(count, budget)| count <= budget)
-            && self.nondet_taint.is_none_or(|(count, budget)| count <= budget)
-            && self.discarded_effects.is_none_or(|(count, budget)| count <= budget)
     }
 }
 
@@ -523,21 +500,19 @@ pub fn lint_set(inputs: &[(FileContext, String)], budgets: &ratchet::Ratchet) ->
     lint_set_all(inputs, budgets).report
 }
 
-/// Everything one workspace pass produces: the report, the call graph
-/// (`--callgraph`), and the dataflow document (`--dataflow`).
+/// Everything one workspace pass produces: the report and the call
+/// graph (`--callgraph`).
 #[derive(Debug, Default)]
 pub struct WorkspaceOutput {
     /// The aggregate report.
     pub report: Report,
     /// The workspace call graph.
     pub graph: graph::CallGraph,
-    /// Converged dataflow summaries and R14–R16 findings.
-    pub dataflow: dataflow::Doc,
 }
 
 /// The full workspace pass: per-file rules over each file, the
-/// cross-file phase (R7–R9), the interprocedural rules (R10–R13), the
-/// dataflow rules (R14–R16), and ratchet accounting.
+/// cross-file phase (R7–R9), the interprocedural rules (R10–R13), and
+/// ratchet accounting.
 pub fn lint_set_all(
     inputs: &[(FileContext, String)],
     budgets: &ratchet::Ratchet,
@@ -549,11 +524,8 @@ pub fn lint_set_all(
     let outcome = workspace::cross_check(&mut files, budgets);
 
     let mut report = Report { files_scanned: files.len(), ..Report::default() };
-    report.reachable_panics = Some(outcome.interproc.reachable_panics);
-    report.nondet_taint = Some(outcome.dataflow.nondet_taint);
-    report.discarded_effects = Some(outcome.dataflow.discarded_effects);
-    report.notes.extend(outcome.interproc.notes);
-    report.notes.extend(outcome.dataflow.notes);
+    report.reachable_panics = Some(outcome.reachable_panics);
+    report.notes.extend(outcome.notes);
     let mut counts: Vec<(String, usize)> = Vec::new();
     for f in files {
         report.violations.extend(f.report.violations);
@@ -591,11 +563,7 @@ pub fn lint_set_all(
         }
         report.unwrap_rows.push((name, count, budget));
     }
-    WorkspaceOutput {
-        report,
-        graph: outcome.interproc.graph,
-        dataflow: outcome.dataflow.doc,
-    }
+    WorkspaceOutput { report, graph: outcome.graph }
 }
 
 /// Classifies a workspace-relative path into a [`FileContext`]; `None`
@@ -663,7 +631,7 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
     run_all(root).map(|out| out.report)
 }
 
-/// As [`run`], also returning the call graph and dataflow document.
+/// As [`run`], also returning the call graph.
 pub fn run_all(root: &Path) -> std::io::Result<WorkspaceOutput> {
     let budgets = ratchet::load(root)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;

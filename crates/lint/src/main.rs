@@ -9,11 +9,8 @@
 //! - `--format text|json` — report format (default text)
 //! - `--callgraph` — emit the workspace call graph instead of the
 //!   report (JSON under `--format json`, a summary under text)
-//! - `--dataflow` — emit the converged dataflow document (per-function
-//!   summaries plus every R14–R16 finding) instead of the report
 //! - `--explain <rule>` — print the long-form description of one rule
-//!   (any key in the rule range, `bad-allow`, or an `allow(..)` alias)
-//!   and exit
+//!   (any live rule key, `bad-allow`, or an `allow(..)` alias) and exit
 //!
 //! Exit codes are stable for CI:
 //! - `0` — contract holds (no violations, budgets respected)
@@ -24,7 +21,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hetflow_lint::{graph, json, rule_range, Report, RuleId, RULE_KEYS};
+use hetflow_lint::{graph, json, Report, RuleId, RULE_KEYS};
 
 enum Format {
     Text,
@@ -33,15 +30,13 @@ enum Format {
 
 fn usage() {
     eprintln!(
-        "usage: hetlint [--format text|json] [--callgraph] [--dataflow] [--explain <rule>] \
-         [workspace-root]"
+        "usage: hetlint [--format text|json] [--callgraph] [--explain <rule>] [workspace-root]"
     );
 }
 
 fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut callgraph = false;
-    let mut dataflow = false;
     let mut explain: Option<String> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -58,7 +53,6 @@ fn main() -> ExitCode {
             "--format=json" => format = Format::Json,
             "--format=text" => format = Format::Text,
             "--callgraph" => callgraph = true,
-            "--dataflow" => dataflow = true,
             "--explain" => match args.next() {
                 Some(rule) => explain = Some(rule),
                 None => {
@@ -94,9 +88,8 @@ fn main() -> ExitCode {
             }
             None => {
                 eprintln!(
-                    "hetlint: unknown rule `{rule}` (valid: {}, bad-allow — i.e. {})",
-                    RULE_KEYS.join(", "),
-                    rule_range()
+                    "hetlint: unknown rule `{rule}` (valid: {}, bad-allow)",
+                    RULE_KEYS.join(", ")
                 );
                 ExitCode::from(2)
             }
@@ -114,12 +107,6 @@ fn main() -> ExitCode {
         match format {
             Format::Json => println!("{}", json::graph_to_json(&out.graph)),
             Format::Text => print_graph(&out.graph),
-        }
-        return ExitCode::SUCCESS;
-    }
-    if dataflow {
-        match format {
-            Format::Json | Format::Text => println!("{}", json::dataflow_to_json(&out.dataflow)),
         }
         return ExitCode::SUCCESS;
     }
@@ -164,9 +151,7 @@ fn print_report(report: &Report) {
         RuleId::R11,
         RuleId::R12,
         RuleId::R13,
-        RuleId::R14,
         RuleId::R15,
-        RuleId::R16,
         RuleId::BadAllow,
     ];
     for rule in rules {
@@ -199,22 +184,15 @@ fn print_report(report: &Report) {
             }
         }
     }
-    for (rule, label, row) in [
-        (RuleId::R13, "reachable panic sites", report.reachable_panics),
-        (RuleId::R14, "nondeterminism-taint flows", report.nondet_taint),
-        (RuleId::R15, "discarded fabric effects", report.discarded_effects),
-    ] {
-        if let Some((count, budget)) = row {
-            println!("{}", rule.title());
-            if count > budget {
-                println!(
-                    "  {count}/{budget} OVER BUDGET; see the {} violations above for \
-                     the witness chains",
-                    rule.key()
-                );
-            } else {
-                println!("  {label}: {count}/{budget}");
-            }
+    if let Some((count, budget)) = report.reachable_panics {
+        println!("{}", RuleId::R13.title());
+        if count > budget {
+            println!(
+                "  {count}/{budget} OVER BUDGET; see the r13 violations above for the \
+                 witness chains"
+            );
+        } else {
+            println!("  reachable panic sites: {count}/{budget}");
         }
     }
     for note in &report.notes {

@@ -5,8 +5,8 @@
 //! `mod` nesting, `impl` blocks, `fn` items with their bodies — and,
 //! inside each body, the raw material the interprocedural rules consume:
 //! call expressions (path calls, method calls, macro invocations),
-//! banned-sink uses, lock acquisitions, potentially-blocking calls,
-//! panic sites, `.await` points, and `SimRng` bindings.
+//! banned-sink uses, lock acquisitions and guard drops, panic sites,
+//! `.await` points, and `SimRng` bindings.
 //!
 //! It is deliberately not a full Rust parser. It tracks exactly the
 //! grammar needed to attribute a token to the innermost enclosing
@@ -19,8 +19,8 @@
 //! Only tokens before the file's `#[cfg(test)]` boundary are parsed:
 //! test modules may print, panic, and juggle RNGs freely.
 
-use crate::cfg::{self, Cfg};
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::TokKind;
+use crate::rules::Toks;
 use crate::scan::Prepared;
 use crate::FileContext;
 
@@ -75,27 +75,15 @@ pub struct LockSite {
     pub line: usize,
 }
 
-/// A call that can block the calling OS thread (R11 raw material):
-/// `Condvar::wait`, synchronous channel send/recv, thread/scope joins.
-#[derive(Clone, Debug)]
-pub struct BlockingSite {
-    /// The blocking operation's name (`wait`, `recv`, `join`, `scope`).
-    pub what: String,
-    /// Token index (for ordering against lock acquisitions).
-    pub tok: usize,
-    /// 1-based line.
-    pub line: usize,
-}
-
-/// A `drop(<guard>)` call, releasing a named lock guard early.
+/// A `drop(<guard>)` call, releasing a named lock guard early (R11 raw
+/// material: it ends the span in which a second lock forms an order
+/// pair).
 #[derive(Clone, Debug)]
 pub struct DropSite {
     /// The dropped binding.
     pub name: String,
-    /// Token index.
+    /// Token index (for ordering against lock acquisitions).
     pub tok: usize,
-    /// 1-based line.
-    pub line: usize,
 }
 
 /// One `.unwrap()` / `.expect(` / `panic!(` site (R13 raw material).
@@ -148,7 +136,7 @@ pub struct FnItem {
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Parameter names in declaration order (`self` included when the
-    /// item is a method) — the index space for dataflow summaries.
+    /// item is a method).
     pub params: Vec<String>,
     /// Declared type name of each parameter, parallel to `params`:
     /// the last path segment before any generics, through references
@@ -156,17 +144,12 @@ pub struct FnItem {
     /// `impl`/`dyn` types, non-path types, and parameters the body
     /// rebinds (`let key = …` shadows the declaration).
     pub param_types: Vec<Option<String>>,
-    /// The body's control-flow graph (statements, branch/loop/match
-    /// edges, early-return edges) — the substrate for R14–R16.
-    pub cfg: Cfg,
     /// Every call expression in the body, in source order.
     pub calls: Vec<CallSite>,
     /// Banned-sink uses in the body.
     pub sinks: Vec<SinkSite>,
     /// Lock acquisitions in the body.
     pub locks: Vec<LockSite>,
-    /// Potentially thread-blocking calls in the body.
-    pub blocking: Vec<BlockingSite>,
     /// Early guard releases (`drop(guard)`).
     pub drops: Vec<DropSite>,
     /// Panic/unwrap/expect sites in the body.
@@ -198,11 +181,6 @@ const THREAD_CROSSING: &[&str] = &["Arc", "Mutex", "RwLock", "Sender", "Receiver
 /// Output/ambient-I/O macros banned on sim-tainted paths (R10).
 const SINK_MACROS: &[&str] = &["println", "eprintln", "print", "eprint", "dbg"];
 
-/// Blocking method names (R11). Channel operations immediately
-/// `.await`ed are virtual-time suspensions, not thread blocks, and are
-/// excluded at the detection site.
-const BLOCKING_METHODS: &[&str] = &["wait", "wait_timeout", "recv", "recv_timeout", "join"];
-
 /// The module path a file contributes: crate name, then the source
 /// path's components with `lib.rs` / `main.rs` / `mod.rs` / `bin/`
 /// elided (`crates/apps/src/moldesign.rs` → `["apps", "moldesign"]`).
@@ -230,10 +208,8 @@ enum Scope {
     Mod(String),
     /// An `impl … {` block for the named type.
     Impl(String),
-    /// A `fn` body; the index points into `ParsedFile::fns`, and
-    /// `open` is the token index of the body's `{` so the CFG can be
-    /// built over the exact body span when the scope closes.
-    Fn { idx: usize, open: usize },
+    /// A `fn` body; the index points into `ParsedFile::fns`.
+    Fn(usize),
     /// Any other `{ … }` group.
     Block,
 }
@@ -254,8 +230,7 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
         .iter()
         .position(|t| t.line >= prepared.test_boundary)
         .unwrap_or(toks.len());
-    let toks = &toks[..end];
-    let t = T(toks);
+    let t = Toks(&toks[..end]);
     let mut out = ParsedFile::default();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending: Option<Pending> = None;
@@ -295,7 +270,7 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
         if t.p(i, ";") {
             // A `;` at item level cancels a pending header (trait fn
             // declaration); inside a body it is just a statement end.
-            if !matches!(scopes.last(), Some(Scope::Fn { .. })) {
+            if !matches!(scopes.last(), Some(Scope::Fn(_))) {
                 pending = None;
             }
             i += 1;
@@ -308,7 +283,7 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
                 Some(Pending::Fn { name, is_async, line, params }) => {
                     let item = new_fn_item(ctx, &scopes, &name, is_async, line, params);
                     out.fns.push(item);
-                    Scope::Fn { idx: out.fns.len() - 1, open: i }
+                    Scope::Fn(out.fns.len() - 1)
                 }
                 None => Scope::Block,
             };
@@ -317,16 +292,14 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
             continue;
         }
         if t.p(i, "}") {
-            if let Some(Scope::Fn { idx, open }) = scopes.pop() {
-                out.fns[idx].cfg = cfg::build(toks, open + 1, i);
-            }
+            scopes.pop();
             i += 1;
             continue;
         }
 
         // Body-level detections, attributed to the innermost fn.
         let fn_idx = scopes.iter().rev().find_map(|s| match s {
-            Scope::Fn { idx, .. } => Some(*idx),
+            Scope::Fn(idx) => Some(*idx),
             _ => None,
         });
         if let Some(idx) = fn_idx {
@@ -335,14 +308,6 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
             continue;
         }
         i += 1;
-    }
-
-    // A fn body cut off by the test boundary still gets a CFG over
-    // whatever tokens survived.
-    while let Some(scope) = scopes.pop() {
-        if let Scope::Fn { idx, open } = scope {
-            out.fns[idx].cfg = cfg::build(toks, open + 1, toks.len());
-        }
     }
 
     // File-level R12: SimRng inside thread-crossing containers. The rng
@@ -356,40 +321,9 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
     out
 }
 
-/// Thin token-cursor helpers, mirroring `rules::Toks`.
-#[derive(Clone, Copy)]
-struct T<'a>(&'a [Tok]);
-
-impl<'a> T<'a> {
-    fn len(self) -> usize {
-        self.0.len()
-    }
-    fn kind(self, i: usize) -> Option<TokKind> {
-        self.0.get(i).map(|t| t.kind)
-    }
-    fn text(self, i: usize) -> &'a str {
-        match self.0.get(i) {
-            Some(t) => t.text.as_str(),
-            None => "",
-        }
-    }
-    fn line(self, i: usize) -> usize {
-        self.0.get(i).map(|t| t.line).unwrap_or(0)
-    }
-    fn id(self, i: usize, s: &str) -> bool {
-        self.0.get(i).is_some_and(|t| t.kind == TokKind::Ident && t.text == s)
-    }
-    fn is_id(self, i: usize) -> bool {
-        self.kind(i) == Some(TokKind::Ident)
-    }
-    fn p(self, i: usize, s: &str) -> bool {
-        self.0.get(i).is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
-    }
-}
-
 /// True when the `fn` at `i` is an `async fn`: an `async` qualifier
 /// within the preceding qualifier run (`pub const async unsafe …`).
-fn looks_async(t: T<'_>, i: usize) -> bool {
+fn looks_async(t: Toks<'_>, i: usize) -> bool {
     let mut k = i;
     let mut steps = 0;
     while k > 0 && steps < 8 {
@@ -417,7 +351,7 @@ fn looks_async(t: T<'_>, i: usize) -> bool {
 /// Extracts the implemented type's name from an `impl` header starting
 /// at `i`; returns the name and the index to resume scanning at (just
 /// before the body `{`). For `impl Trait for Type` the type wins.
-fn impl_type_name(t: T<'_>, i: usize) -> (String, usize) {
+fn impl_type_name(t: Toks<'_>, i: usize) -> (String, usize) {
     let mut j = i + 1;
     // Skip the generic parameter list.
     if t.p(j, "<") {
@@ -480,7 +414,7 @@ fn impl_type_name(t: T<'_>, i: usize) -> (String, usize) {
 /// token: `self` (however qualified) plus every `name: Type` pair at
 /// parenthesis depth 1, each with its declared type name when the type
 /// is a plain path (see [`FnItem::param_types`]).
-fn params_of(t: T<'_>, mut i: usize) -> Vec<(String, Option<String>)> {
+fn params_of(t: Toks<'_>, mut i: usize) -> Vec<(String, Option<String>)> {
     // Skip a generic parameter list between the name and the `(`.
     if t.p(i, "<") {
         let mut depth = 1i32;
@@ -524,7 +458,7 @@ fn params_of(t: T<'_>, mut i: usize) -> Vec<(String, Option<String>)> {
 /// `mut`, the last `::` segment before generics. `None` when the type
 /// is not a plain path (`impl Trait`, `dyn Trait`, tuples, slices, fn
 /// pointers).
-fn type_name_at(t: T<'_>, mut i: usize) -> Option<String> {
+fn type_name_at(t: Toks<'_>, mut i: usize) -> Option<String> {
     while t.p(i, "&") || t.kind(i) == Some(TokKind::Lifetime) || t.id(i, "mut") {
         i += 1;
     }
@@ -570,11 +504,9 @@ fn new_fn_item(
         line,
         params,
         param_types,
-        cfg: Cfg::default(),
         calls: Vec::new(),
         sinks: Vec::new(),
         locks: Vec::new(),
-        blocking: Vec::new(),
         drops: Vec::new(),
         panics: Vec::new(),
         rng_sends: Vec::new(),
@@ -586,7 +518,7 @@ fn new_fn_item(
 fn scan_site(
     ctx: &FileContext,
     prepared: &Prepared,
-    t: T<'_>,
+    t: Toks<'_>,
     i: usize,
     item: &mut FnItem,
 ) -> usize {
@@ -643,8 +575,6 @@ fn scan_site(
                     tok: i,
                     line: m_line,
                 });
-            } else if BLOCKING_METHODS.contains(&name) && !awaited_after_call(t, i + 2) {
-                item.blocking.push(BlockingSite { what: name.to_string(), tok: i, line: m_line });
             }
             return 2;
         }
@@ -689,12 +619,7 @@ fn scan_site(
         }
         // `drop(guard)` releases a named guard early.
         if segs.len() == 1 && name == "drop" && t.is_id(i + 2) && t.p(i + 3, ")") {
-            item.drops.push(DropSite { name: t.text(i + 2).to_string(), tok: i, line });
-        }
-        // `thread::scope(` / `std::thread::scope(` blocks until every
-        // spawned thread joins.
-        if name == "scope" && segs.iter().any(|s| s == "thread") {
-            item.blocking.push(BlockingSite { what: "scope".into(), tok: i, line });
+            item.drops.push(DropSite { name: t.text(i + 2).to_string(), tok: i });
         }
         if let Some(what) = sink_path(&segs) {
             if !ctx.is_trace_module() {
@@ -708,29 +633,9 @@ fn scan_site(
     1
 }
 
-/// True when the call whose argument list opens at `open` (`(` token)
-/// is immediately `.await`ed — a virtual-time suspension, not an OS
-/// block.
-fn awaited_after_call(t: T<'_>, open: usize) -> bool {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < t.len() {
-        if t.p(j, "(") {
-            depth += 1;
-        } else if t.p(j, ")") {
-            depth -= 1;
-            if depth == 0 {
-                return t.p(j + 1, ".") && t.id(j + 2, "await");
-            }
-        }
-        j += 1;
-    }
-    false
-}
-
 /// Best-effort name of a method call's receiver: the `a.b.c` identifier
 /// chain ending just before the dot at `dot`.
-fn receiver_chain(t: T<'_>, dot: usize) -> String {
+pub(crate) fn receiver_chain(t: Toks<'_>, dot: usize) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut k = dot;
     while k >= 1 {
@@ -748,7 +653,7 @@ fn receiver_chain(t: T<'_>, dot: usize) -> String {
 
 /// The binding name when the statement around a `.lock()` at `dot` is
 /// `let <name> = …`; `None` for temporaries.
-fn guard_binding(t: T<'_>, dot: usize) -> Option<String> {
+fn guard_binding(t: Toks<'_>, dot: usize) -> Option<String> {
     let mut k = dot;
     let mut guard = 0;
     while k > 0 && guard < 48 {
@@ -792,7 +697,7 @@ fn sink_path(segs: &[String]) -> Option<String> {
 
 /// File-level R12 scan: a `SimRng` mentioned inside the generic
 /// arguments of a thread-crossing container.
-fn collect_type_escapes(t: T<'_>, out: &mut Vec<RngTypeEscape>) {
+fn collect_type_escapes(t: Toks<'_>, out: &mut Vec<RngTypeEscape>) {
     let mut i = 0;
     while i + 1 < t.len() {
         if t.is_id(i) && THREAD_CROSSING.contains(&t.text(i)) && t.p(i + 1, "<") {
@@ -821,7 +726,7 @@ fn collect_type_escapes(t: T<'_>, out: &mut Vec<RngTypeEscape>) {
 /// channel `send`/`send_now` whose argument is such a binding. Owned
 /// substreams moved into scoped-thread closures (`ml::ensemble`'s
 /// sanctioned pattern) involve no channel and stay legal.
-fn collect_rng_sends(t: T<'_>, fns: &mut [FnItem]) {
+fn collect_rng_sends(t: Toks<'_>, fns: &mut [FnItem]) {
     // Re-derive each fn's token span from its recorded sites; simpler:
     // one linear pass tracking bindings globally is wrong across fns,
     // so walk per fn using call lines as the span. Instead, track
@@ -979,7 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn locks_guards_and_blocking_collected() {
+    fn locks_guards_and_drops_collected() {
         let src = "fn f() { let g = self.state.lock(); cv.wait(g); drop(g); q.lock().push(1); }\n";
         let p = parse(src);
         let f = &p.fns[0];
@@ -987,15 +892,7 @@ mod tests {
         assert_eq!(f.locks[0].guard.as_deref(), Some("g"));
         assert_eq!(f.locks[0].target, "self.state");
         assert_eq!(f.locks[1].guard, None);
-        assert_eq!(f.blocking.len(), 1);
         assert_eq!(f.drops.len(), 1);
-    }
-
-    #[test]
-    fn awaited_channel_ops_are_not_blocking() {
-        let src = "async fn f() { rx.recv().await; tx.send(x).await; }\n";
-        let p = parse(src);
-        assert!(p.fns[0].blocking.is_empty());
     }
 
     #[test]

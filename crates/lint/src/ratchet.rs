@@ -18,12 +18,6 @@ pub const RATCHET_FILE: &str = "hetlint.ratchet";
 /// two ratchets travel and review together.
 pub const REACHABLE_PANICS_KEY: &str = "reachable-panics";
 
-/// Reserved ratchet key: the R14 budget for nondeterminism-taint flows.
-pub const NONDET_TAINT_KEY: &str = "r14";
-
-/// Reserved ratchet key: the R15 budget for discarded fabric effects.
-pub const DISCARDED_EFFECTS_KEY: &str = "r15";
-
 /// Parsed budgets, in file order.
 #[derive(Clone, Debug, Default)]
 pub struct Ratchet {
@@ -32,10 +26,6 @@ pub struct Ratchet {
     pub budgets: Vec<(String, usize)>,
     /// The R13 `reachable-panics` budget; 0 when the file has no entry.
     pub reachable_panics: usize,
-    /// The R14 `r14` budget; 0 when the file has no entry.
-    pub nondet_taint: usize,
-    /// The R15 `r15` budget; 0 when the file has no entry.
-    pub discarded_effects: usize,
 }
 
 impl Ratchet {
@@ -54,8 +44,6 @@ impl Ratchet {
 pub fn parse(text: &str) -> Result<Ratchet, String> {
     let mut budgets: Vec<(String, usize)> = Vec::new();
     let mut reachable_panics: Option<usize> = None;
-    let mut nondet_taint: Option<usize> = None;
-    let mut discarded_effects: Option<usize> = None;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -83,17 +71,11 @@ pub fn parse(text: &str) -> Result<Ratchet, String> {
                 "{RATCHET_FILE}:{line_no}: budget `{value}` is not a non-negative integer"
             ));
         };
-        let reserved = match name {
-            REACHABLE_PANICS_KEY => Some(&mut reachable_panics),
-            NONDET_TAINT_KEY => Some(&mut nondet_taint),
-            DISCARDED_EFFECTS_KEY => Some(&mut discarded_effects),
-            _ => None,
-        };
-        if let Some(slot) = reserved {
-            if slot.is_some() {
+        if name == REACHABLE_PANICS_KEY {
+            if reachable_panics.is_some() {
                 return Err(format!("{RATCHET_FILE}:{line_no}: duplicate `{name}` entry"));
             }
-            *slot = Some(budget);
+            reachable_panics = Some(budget);
             continue;
         }
         if budgets.iter().any(|(n, _)| n == name) {
@@ -103,12 +85,7 @@ pub fn parse(text: &str) -> Result<Ratchet, String> {
         }
         budgets.push((name.to_string(), budget));
     }
-    Ok(Ratchet {
-        budgets,
-        reachable_panics: reachable_panics.unwrap_or(0),
-        nondet_taint: nondet_taint.unwrap_or(0),
-        discarded_effects: discarded_effects.unwrap_or(0),
-    })
+    Ok(Ratchet { budgets, reachable_panics: reachable_panics.unwrap_or(0) })
 }
 
 /// Loads and parses the ratchet file at the workspace root.
@@ -156,19 +133,5 @@ mod tests {
         let bare = parse("sim = 1\n").unwrap();
         assert_eq!(bare.reachable_panics, 0);
         assert!(parse("reachable-panics = 1\nreachable-panics = 2\n").is_err());
-    }
-
-    #[test]
-    fn r14_and_r15_are_reserved_keys_not_crates() {
-        let r = parse("sim = 1\nr14 = 2\nr15 = 3\n").unwrap();
-        assert_eq!(r.nondet_taint, 2);
-        assert_eq!(r.discarded_effects, 3);
-        assert_eq!(r.budget_for("r14"), None);
-        assert_eq!(r.budget_for("r15"), None);
-        let bare = parse("sim = 1\n").unwrap();
-        assert_eq!(bare.nondet_taint, 0);
-        assert_eq!(bare.discarded_effects, 0);
-        assert!(parse("r14 = 1\nr14 = 2\n").is_err());
-        assert!(parse("r15 = 1\nr15 = 2\n").is_err());
     }
 }

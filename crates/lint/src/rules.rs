@@ -1,4 +1,4 @@
-//! The hetlint per-file rule set (R1–R6) plus the raw-material
+//! The hetlint per-file rule set (R1–R6, R15) plus the raw-material
 //! extractors feeding the workspace-wide rules (R7, R8).
 //!
 //! Every rule enforces one clause of the determinism contract
@@ -12,55 +12,64 @@
 //! occurrence.
 
 use crate::lexer::{Tok, TokKind};
+use crate::parser::{receiver_chain, FnItem};
 use crate::scan::Prepared;
-use crate::{FileContext, FileKind, RuleId, Violation};
+use crate::{FileContext, FileKind, RuleId, Violation, SIM_CALLEES};
 
-/// Token-stream query helpers shared by every rule.
+/// Token-stream query helpers shared by every rule and the item
+/// parser.
 #[derive(Clone, Copy)]
-struct Toks<'a>(&'a [Tok]);
+pub(crate) struct Toks<'a>(pub(crate) &'a [Tok]);
 
 impl<'a> Toks<'a> {
-    fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         self.0.len()
     }
 
-    fn kind(self, i: usize) -> Option<TokKind> {
+    pub(crate) fn kind(self, i: usize) -> Option<TokKind> {
         self.0.get(i).map(|t| t.kind)
     }
 
-    fn text(self, i: usize) -> &'a str {
+    pub(crate) fn text(self, i: usize) -> &'a str {
         match self.0.get(i) {
             Some(t) => t.text.as_str(),
             None => "",
         }
     }
 
-    fn line(self, i: usize) -> usize {
+    pub(crate) fn line(self, i: usize) -> usize {
         self.0.get(i).map(|t| t.line).unwrap_or(0)
     }
 
     /// Token `i` is the identifier `s`.
-    fn id(self, i: usize, s: &str) -> bool {
+    pub(crate) fn id(self, i: usize, s: &str) -> bool {
         self.0.get(i).is_some_and(|t| t.kind == TokKind::Ident && t.text == s)
     }
 
     /// Token `i` is any identifier.
-    fn is_id(self, i: usize) -> bool {
+    pub(crate) fn is_id(self, i: usize) -> bool {
         self.kind(i) == Some(TokKind::Ident)
     }
 
     /// Token `i` is the punctuation `s`.
-    fn p(self, i: usize, s: &str) -> bool {
+    pub(crate) fn p(self, i: usize, s: &str) -> bool {
         self.0.get(i).is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
     }
 }
 
-/// Runs every applicable per-file rule over one prepared file.
-pub fn check_file(ctx: &FileContext, prepared: &Prepared) -> Vec<Violation> {
+/// Runs every applicable per-file rule over one prepared file. `fns`
+/// are the file's parsed fn items, used only to name the enclosing
+/// function in R15 messages.
+pub fn check_file(ctx: &FileContext, prepared: &Prepared, fns: &[FnItem]) -> Vec<Violation> {
     let mut out = Vec::new();
-    if ctx.sim_driven() {
+    if ctx.sim_driven() || SIM_CALLEES.contains(&ctx.crate_name.as_str()) {
         r1_virtual_time(ctx, prepared, &mut out);
+    }
+    if ctx.sim_driven() {
         r3_hash_iteration(ctx, prepared, &mut out);
+        if ctx.kind == FileKind::LibSrc {
+            r15_discarded_effects(ctx, prepared, fns, &mut out);
+        }
     }
     if !ctx.is_rng_module() {
         r2_entropy(ctx, prepared, &mut out);
@@ -117,8 +126,9 @@ fn collect_aliases(t: Toks<'_>, banned: &[&str]) -> Vec<(String, String)> {
     aliases
 }
 
-/// R1 — wall-clock and real sleeps are banned in sim-driven crates:
-/// virtual time (`Sim::now`, `Sim::sleep`) is the only clock.
+/// R1 — wall-clock and real sleeps are banned in sim-driven crates and
+/// the crates they call into: virtual time (`Sim::now`, `Sim::sleep`)
+/// is the only clock.
 fn r1_virtual_time(ctx: &FileContext, prepared: &Prepared, out: &mut Vec<Violation>) {
     const BANNED: &[&str] = &["Instant", "SystemTime"];
     let t = Toks(&prepared.lex.tokens);
@@ -585,6 +595,83 @@ fn r6_float_order(ctx: &FileContext, prepared: &Prepared, out: &mut Vec<Violatio
         }
         i += 1;
     }
+}
+
+/// Fabric-effect calls whose `Result` must not be discarded (R15).
+const EFFECT_CALLS: &[&str] =
+    &["submit", "deliver", "deliver_inner", "send", "send_now", "try_send"];
+
+/// R15 — a `let _ = …;` statement whose initializer calls a fabric
+/// effect drops a delivery failure on the floor: the campaign runs on
+/// one message short with no trace of why. Pre-test library code of
+/// sim-driven crates only. Being a token rule it finds the statement
+/// wherever it sits — `async move { … }` blocks and closures, the shape
+/// of every actor in this tree, included.
+fn r15_discarded_effects(
+    ctx: &FileContext,
+    prepared: &Prepared,
+    fns: &[FnItem],
+    out: &mut Vec<Violation>,
+) {
+    let t = Toks(&prepared.lex.tokens);
+    for i in 0..t.len() {
+        let line = t.line(i);
+        if line >= prepared.test_boundary {
+            break;
+        }
+        let discard = t.id(i, "let") && t.id(i + 1, "_") && (t.p(i + 2, "=") || t.p(i + 2, ":"));
+        if !discard {
+            continue;
+        }
+        let Some(what) = first_effect_call(t, i + 3) else { continue };
+        let owner = fns
+            .iter()
+            .rev()
+            .find(|f| f.line <= line)
+            .map_or("<unparsed fn>", |f| f.qname.as_str());
+        push(
+            out,
+            ctx,
+            prepared,
+            RuleId::R15,
+            line,
+            format!(
+                "`{owner}` discards the Result of `{what}` at line {line}; a dropped \
+                 fabric effect is a silent message loss — handle or propagate the \
+                 error, or annotate with `hetlint: allow(r15) — <why>`"
+            ),
+        );
+    }
+}
+
+/// The first [`EFFECT_CALLS`] call in the statement starting at `j`
+/// (through its depth-0 `;`), rendered `recv.chain.name()` for a method
+/// call and `name()` for a path call.
+fn first_effect_call(t: Toks<'_>, mut j: usize) -> Option<String> {
+    let mut depth = 0i32;
+    while j < t.len() {
+        if t.p(j, "(") || t.p(j, "[") || t.p(j, "{") {
+            depth += 1;
+        } else if t.p(j, ")") || t.p(j, "]") || t.p(j, "}") {
+            depth -= 1;
+            if depth < 0 {
+                return None;
+            }
+        } else if depth == 0 && t.p(j, ";") {
+            return None;
+        } else if t.is_id(j) && EFFECT_CALLS.contains(&t.text(j)) && t.p(j + 1, "(") {
+            let name = t.text(j);
+            let is_method = j > 0 && t.p(j - 1, ".");
+            let recv = if is_method { receiver_chain(t, j - 1) } else { String::new() };
+            return Some(if recv.is_empty() {
+                format!("{name}()")
+            } else {
+                format!("{recv}.{name}()")
+            });
+        }
+        j += 1;
+    }
+    None
 }
 
 /// R5 raw material: `.unwrap()` / `.expect(` / `panic!(` sites in

@@ -138,7 +138,7 @@ fn collect_suppressions(comment: &str, line: usize, out: &mut Vec<Suppression>) 
     }
 }
 
-/// Maps rule aliases to canonical keys (`r1`..`r9`).
+/// Maps rule aliases to canonical keys (`r1`, `r2`, …).
 pub fn normalize_rule(raw: &str) -> String {
     let key = raw.trim().to_ascii_lowercase();
     match key.as_str() {
@@ -155,9 +155,7 @@ pub fn normalize_rule(raw: &str) -> String {
         "lock-discipline" | "locks" => "r11".into(),
         "rng-provenance" | "rng-escape" => "r12".into(),
         "panic-reach" | "reachable-panics" => "r13".into(),
-        "nondet-taint" | "taint" => "r14".into(),
         "discarded-effects" | "dropped-result" => "r15".into(),
-        "lock-across-await" | "guard-span" => "r16".into(),
         _ => key,
     }
 }

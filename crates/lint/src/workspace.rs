@@ -17,35 +17,23 @@
 //!   stale exemption; left in place it would silently re-arm if the
 //!   code around it regresses, so it must be removed.
 
-use crate::dataflow;
 use crate::interproc;
 use crate::ratchet::Ratchet;
 use crate::rules::EmitKindRef;
 use crate::scan;
 use crate::{LintedFile, RuleId, Violation};
 
-/// What the full cross-file phase hands back: the interprocedural
-/// outcome (R13 accounting, call graph) and the dataflow outcome
-/// (R14/R15 accounting, the `--dataflow` document).
-#[derive(Debug, Default)]
-pub struct CrossOutcome {
-    /// R10–R13 results.
-    pub interproc: interproc::Outcome,
-    /// R14–R16 results.
-    pub dataflow: dataflow::Outcome,
-}
-
-/// Runs the cross-file rules, appending hits to each file's report.
-/// Order matters: R9 must run last so it sees which suppressions R7,
-/// R8, the interprocedural rules (R10–R13), and the dataflow rules
-/// (R14–R16) consumed.
-pub fn cross_check(files: &mut [LintedFile], budgets: &Ratchet) -> CrossOutcome {
+/// Runs the cross-file rules, appending hits to each file's report,
+/// and hands back the interprocedural outcome (R13 accounting, call
+/// graph). Order matters: R9 must run last so it sees which
+/// suppressions R7, R8 and the interprocedural rules (R10–R13)
+/// consumed.
+pub fn cross_check(files: &mut [LintedFile], budgets: &Ratchet) -> interproc::Outcome {
     r7_stream_collisions(files);
     r8_trace_registry(files);
-    let interproc = interproc::check(files, budgets);
-    let dataflow = dataflow::check(files, budgets, &interproc.graph);
+    let outcome = interproc::check(files, budgets);
     r9_stale_allows(files);
-    CrossOutcome { interproc, dataflow }
+    outcome
 }
 
 /// Routes one cross-file hit through the owning file's suppressions.
@@ -191,10 +179,8 @@ fn r8_trace_registry(files: &mut [LintedFile]) {
 
 /// Rules a suppression can legitimately target; `allow(<anything else>)`
 /// is a doc placeholder or typo and R9 leaves it to the bad-allow check.
-const SUPPRESSIBLE: &[&str] = &[
-    "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r10", "r11", "r12", "r13", "r14", "r15",
-    "r16",
-];
+const SUPPRESSIBLE: &[&str] =
+    &["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r10", "r11", "r12", "r13", "r15"];
 
 /// R9 — reasoned suppressions that covered nothing this run. Not itself
 /// suppressible: the fix is deleting a line, never annotating it.

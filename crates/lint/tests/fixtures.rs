@@ -27,6 +27,17 @@ fn rules_of(report: &hetflow_lint::FileReport) -> Vec<RuleId> {
     report.violations.iter().map(|v| v.rule).collect()
 }
 
+/// The `(rule, line)` verdicts of a report, in report order.
+fn hits_of(report: &hetflow_lint::FileReport) -> Vec<(RuleId, usize)> {
+    report.violations.iter().map(|v| (v.rule, v.line)).collect()
+}
+
+/// Lints a fixture as fabric library code (R15's home turf).
+fn lint_fabric(source: &str) -> hetflow_lint::FileReport {
+    let ctx = FileContext::new("fabric", FileKind::LibSrc, "crates/fabric/src/relay.rs");
+    lint_source(&ctx, source)
+}
+
 #[test]
 fn r1_bad_flags_every_wall_clock_read() {
     let report = lint_sim(include_str!("fixtures/r1_bad.rs"));
@@ -40,6 +51,28 @@ fn r1_bad_flags_every_wall_clock_read() {
 fn r1_good_is_clean_despite_comments_and_strings() {
     let report = lint_sim(include_str!("fixtures/r1_good.rs"));
     assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+#[test]
+fn r1_covers_the_crates_sim_driven_code_calls_into() {
+    // A wall-clock read in `ml` or `chem` reaches the trace through a
+    // return value; drivers (`bench`) time themselves by design.
+    let src = "fn f() -> f64 {\n    Instant::now().elapsed().as_secs_f64()\n}\n";
+    for krate in ["ml", "chem"] {
+        let rel = format!("crates/{krate}/src/fixture.rs");
+        let report = lint_source(&FileContext::new(krate, FileKind::LibSrc, &rel), src);
+        assert_eq!(hits_of(&report), [(RuleId::R1, 2)], "{krate}: {:?}", report.violations);
+    }
+    let ctx = FileContext::new("bench", FileKind::LibSrc, "crates/bench/src/fixture.rs");
+    assert!(lint_source(&ctx, src).violations.is_empty());
+}
+
+#[test]
+fn wall_clock_and_hash_order_flows_are_stopped_on_their_source_lines() {
+    // R1 and R3 fire where the nondeterministic values are born, so
+    // the flows into the sinks on lines 7 and 13 never get to exist.
+    let report = lint_sim(include_str!("fixtures/r14_bad.rs"));
+    assert_eq!(hits_of(&report), [(RuleId::R1, 5), (RuleId::R3, 12)], "{:?}", report.violations);
 }
 
 #[test]
@@ -128,6 +161,68 @@ fn r6_bad_flags_ad_hoc_partial_cmp_calls() {
 fn r6_good_blesses_delegating_definitions_and_total_cmp() {
     let report = lint_sim(include_str!("fixtures/r6_good.rs"));
     assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+#[test]
+fn r15_bad_discard_is_reported_at_the_let() {
+    let report = lint_fabric(include_str!("fixtures/r15_bad.rs"));
+    assert_eq!(hits_of(&report), [(RuleId::R15, 6)], "{:?}", report.violations);
+    assert!(
+        report.violations[0].message.starts_with(
+            "`fabric::relay::relay` discards the Result of `inner.tasks.send_now()` at line 6; "
+        ),
+        "{}",
+        report.violations[0].message
+    );
+}
+
+#[test]
+fn r15_good_propagated_and_non_effect_discard_are_clean() {
+    let report = lint_fabric(include_str!("fixtures/r15_good.rs"));
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+#[test]
+fn r15_sees_inside_async_blocks_and_closures() {
+    // `async move` blocks and closure bodies are where this tree's
+    // actors live; a rule that stopped at fn level would see line 5 only.
+    let report = lint_fabric(include_str!("fixtures/r15_nested_bad.rs"));
+    assert_eq!(
+        hits_of(&report),
+        [(RuleId::R15, 5), (RuleId::R15, 10), (RuleId::R15, 16)],
+        "{:?}",
+        report.violations
+    );
+    assert!(report.violations[1].message.contains("`fabric::relay::in_async_block`"));
+}
+
+#[test]
+fn r15_honours_same_line_and_line_above_allows() {
+    let src = "fn teardown(a: Tx, b: Tx) {\n    \
+               let _ = a.send_now(1); // hetlint: allow(r15) — peer may be gone at teardown\n    \
+               // hetlint: allow(r15) — peer may be gone at teardown\n    \
+               let _ = b.send_now(2);\n    \
+               let _ = a.send_now(3);\n}\n";
+    let report = lint_fabric(src);
+    assert_eq!(hits_of(&report), [(RuleId::R15, 5)], "{:?}", report.violations);
+    let suppressed: Vec<usize> = report.suppressed.iter().map(|v| v.line).collect();
+    assert_eq!(suppressed, [2, 4]);
+    assert!(report.bad_allows.is_empty());
+}
+
+#[test]
+fn r15_polices_pre_test_library_code_of_sim_driven_crates_only() {
+    let src = "fn f(tx: Tx) {}\n#[cfg(test)]\nmod tests {\n    fn g(tx: Tx) {\n        \
+               let _ = tx.send_now(1);\n    }\n}\n";
+    assert!(lint_fabric(src).violations.is_empty(), "test modules may discard freely");
+    let bad = include_str!("fixtures/r15_bad.rs");
+    for krate in ["bench", "ml"] {
+        let rel = format!("crates/{krate}/src/fixture.rs");
+        let report = lint_source(&FileContext::new(krate, FileKind::LibSrc, &rel), bad);
+        assert!(report.violations.is_empty(), "{krate}: {:?}", report.violations);
+    }
+    let ctx = FileContext::new("fabric", FileKind::Test, "crates/fabric/tests/relay.rs");
+    assert!(lint_source(&ctx, bad).violations.is_empty(), "integration tests too");
 }
 
 #[test]

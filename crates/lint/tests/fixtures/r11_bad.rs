@@ -1,5 +1,5 @@
-//! R11 bad: a guard held across a Condvar wait, a guard held across a
-//! transitively-blocking call, and a lock-order inversion.
+//! R11 bad: a lock-order inversion (`forward` / `backward`). The guards
+//! `Pool` holds across blocking waits are not R11's and stay unflagged.
 
 struct Pool;
 

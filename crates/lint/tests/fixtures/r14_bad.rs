@@ -1,5 +1,5 @@
-//! R14 bad: a wall-clock read and hash-iteration order each flow
-//! through one binding into a trace/seed sink.
+//! A wall-clock read and hash-iteration order each flow into a
+//! trace/seed sink: R1 and R3 stop both on the source line.
 
 fn stamp(tracer: &Tracer) {
     let t = SystemTime::now();

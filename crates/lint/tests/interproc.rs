@@ -62,16 +62,15 @@ fn r10_good_tracer_and_unreachable_console_are_clean() {
 // ---- R11 lock discipline ------------------------------------------------
 
 #[test]
-fn r11_bad_inverted_orders_flagged_guard_across_migrated_to_r16() {
+fn r11_bad_inverted_orders_flagged_on_both_sides() {
     let report = lint(
         vec![("sim", "crates/sim/src/locks.rs", include_str!("fixtures/r11_bad.rs"))],
         "",
     );
-    // R11 now owns only the lock-order inversion; the guards held
-    // across blocking calls in the same fixture are R16's, decided on
-    // CFG paths instead of token spans.
+    // R11 owns only the lock-order inversion; the guards the same
+    // fixture holds across blocking calls are not its business.
+    assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
     let r11 = rule_hits(&report, RuleId::R11);
-    assert_eq!(r11.len(), 2, "{r11:?}");
     assert!(
         r11.iter().any(|v| v.line == 25
             && v.message.contains("`reg` then `shard` here")
@@ -83,20 +82,6 @@ fn r11_bad_inverted_orders_flagged_guard_across_migrated_to_r16() {
             && v.message.contains("`shard` then `reg` here")
             && v.message.contains("crates/sim/src/locks.rs:25")),
         "backward side of the inversion: {r11:?}"
-    );
-    let r16 = rule_hits(&report, RuleId::R16);
-    assert_eq!(r16.len(), 2, "{r16:?}");
-    assert!(
-        r16.iter().any(|v| v.line == 9
-            && v.message.contains("blocking `wait`")
-            && v.message.contains("witness path: line 8 -> line 9")),
-        "guard across Condvar::wait with witness: {r16:?}"
-    );
-    assert!(
-        r16.iter().any(|v| v.line == 14
-            && v.message.contains("sim::locks::Pool::drain_backlog")
-            && v.message.contains("transitively")),
-        "guard across a transitively-blocking callee: {r16:?}"
     );
 }
 

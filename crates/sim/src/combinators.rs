@@ -1,11 +1,10 @@
 //! Future combinators for simulated actors.
 //!
 //! Small, allocation-light helpers: racing a future against a deadline
-//! ([`Sim::timeout`]), racing two futures ([`select2`]), awaiting many
-//! ([`join_all`]) and periodic ticks ([`Interval`]). All operate purely
-//! in virtual time.
+//! ([`Sim::timeout`]), racing two futures ([`select2`]) and awaiting
+//! many ([`join_all`]). All operate purely in virtual time.
 
-use crate::executor::{Sim, Sleep};
+use crate::executor::Sim;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::Poll;
@@ -58,12 +57,6 @@ impl Sim {
             Either::Right(()) => Err(Elapsed),
         }
     }
-
-    /// A periodic ticker with the first tick after one period.
-    pub fn interval(&self, period: Duration) -> Interval {
-        assert!(period > Duration::ZERO, "interval period must be positive");
-        Interval { sim: self.clone(), period, sleep: None }
-    }
 }
 
 /// Awaits all futures, returning outputs in input order.
@@ -92,22 +85,6 @@ pub async fn join_all<F: Future + Unpin>(futs: Vec<F>) -> Vec<F::Output> {
         }
     })
     .await
-}
-
-/// Periodic ticker created by [`Sim::interval`].
-pub struct Interval {
-    sim: Sim,
-    period: Duration,
-    sleep: Option<Sleep>,
-}
-
-impl Interval {
-    /// Awaits the next tick.
-    pub async fn tick(&mut self) {
-        let sleep = self.sleep.take().unwrap_or_else(|| self.sim.sleep(self.period));
-        sleep.await;
-        self.sleep = Some(self.sim.sleep(self.period));
-    }
 }
 
 #[cfg(test)]
@@ -198,41 +175,5 @@ mod tests {
             join_all(empty).await
         });
         assert_eq!(sim.block_on(h), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn interval_ticks_regularly() {
-        let sim = Sim::new();
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            let mut iv = s.interval(secs(10.0));
-            let mut stamps = Vec::new();
-            for _ in 0..3 {
-                iv.tick().await;
-                stamps.push(s.now());
-            }
-            stamps
-        });
-        assert_eq!(
-            sim.block_on(h),
-            vec![SimTime::from_secs(10), SimTime::from_secs(20), SimTime::from_secs(30)]
-        );
-    }
-
-    #[test]
-    fn interval_unaffected_by_work_between_ticks() {
-        // Ticks are scheduled from the previous deadline, not from when
-        // tick() is called, so slow work does not accumulate drift
-        // (unless it exceeds the period).
-        let sim = Sim::new();
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            let mut iv = s.interval(secs(10.0));
-            iv.tick().await;
-            s.sleep(secs(3.0)).await; // work
-            iv.tick().await;
-            s.now()
-        });
-        assert_eq!(sim.block_on(h), SimTime::from_secs(20));
     }
 }

@@ -50,7 +50,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{Arena, ArenaId};
-pub use combinators::{join_all, select2, Either, Elapsed, Interval};
+pub use combinators::{join_all, select2, Either, Elapsed};
 pub use channel::{bounded, channel, Offered, OverflowPolicy, Receiver, Sender};
 pub use dist::Dist;
 pub use executor::{JoinHandle, RunReport, Sim};

@@ -28,11 +28,6 @@ impl Samples {
         self.values.push(v);
     }
 
-    /// Records a duration in seconds.
-    pub fn record_secs(&mut self, d: std::time::Duration) {
-        self.record(d.as_secs_f64());
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -136,14 +131,6 @@ impl Samples {
         } else {
             self.values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         }
-    }
-
-    /// Fraction of samples strictly below `threshold`.
-    pub fn fraction_below(&self, threshold: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().filter(|&&v| v < threshold).count() as f64 / self.values.len() as f64
     }
 
     /// Read-only view of the raw samples.
@@ -394,15 +381,6 @@ mod tests {
         // Debug builds assert; release builds fall back to the median
         // instead of silently returning the minimum.
         assert_eq!(s.quantile(f64::NAN), 2.0);
-    }
-
-    #[test]
-    fn fraction_below_counts() {
-        let mut s = Samples::new();
-        for v in [0.05, 0.09, 0.2, 0.5] {
-            s.record(v);
-        }
-        assert!((s.fraction_below(0.1) - 0.5).abs() < 1e-12);
     }
 
     #[test]

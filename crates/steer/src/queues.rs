@@ -238,6 +238,11 @@ impl ClientQueues {
         let sim2 = sim.clone();
         sim.spawn_detached(async move {
             sim2.sleep(transit).await;
+            // The receiver's owner, the submission-forwarding actor,
+            // loops until every sender is dropped — this clone included —
+            // so `Err` needs that actor gone: a `Sim` being torn down,
+            // with no thinker left to wait on `outstanding`.
+            // hetlint: allow(r15) — the receiver outlives every sender; Err only at Sim teardown
             let _ = submit_tx.send_now(task);
         });
         id
@@ -463,6 +468,10 @@ impl TaskServer {
                 while let Some((mut result, deliver_at)) = drx.recv().await {
                     sim2.sleep_until(deliver_at).await;
                     result.timing.thinker_notified = Some(sim2.now());
+                    // The receiver lives in the thinker's `ClientQueues`; once
+                    // every handle is dropped (campaign over, results still
+                    // in flight) nobody is left to deliver to.
+                    // hetlint: allow(r15) — the thinker may have dropped every ClientQueues handle
                     let _ = tx.send_now(result);
                 }
             });
@@ -525,6 +534,10 @@ impl TaskServer {
                     let transit =
                         hetflow_sim::time::secs(lat + wire as f64 / config.queue_bandwidth);
                     let deliver_at = sim2.now() + transit;
+                    // The receiver's owner, the per-topic delivery actor,
+                    // loops until `deliver_tx` — owned by this actor — is
+                    // dropped, so `Err` needs it gone: `Sim` teardown.
+                    // hetlint: allow(r15) — the receiver outlives this sender; Err only at Sim teardown
                     let _ = dtx.send_now((result, deliver_at));
                 }
             });

@@ -95,9 +95,8 @@ impl StoreRegistry {
         let stop = Rc::new(std::cell::Cell::new(false));
         let stop2 = Rc::clone(&stop);
         sim.spawn(async move {
-            let mut interval = sim2.interval(every);
             loop {
-                interval.tick().await;
+                sim2.sleep(every).await;
                 if stop2.get() {
                     break;
                 }

@@ -110,9 +110,8 @@ fn main() {
         let thinker2 = Rc::clone(&thinker);
         let s = sim.clone();
         thinker.agent("monitor", async move {
-            let mut ticker = s.interval(Duration::from_secs(60));
             loop {
-                ticker.tick().await;
+                s.sleep(Duration::from_secs(60)).await;
                 if thinker2.is_done() {
                     break;
                 }
