@@ -23,9 +23,10 @@
 
 use crate::reliability::Connectivity;
 use crate::task::{TaskId, TaskSpec};
-use hetflow_sim::{trace_kinds as kinds, Samples, Sim, SimTime, Symbol, SymbolMap, Tracer};
+use hetflow_sim::{trace_kinds as kinds, Sim, SimTime, Symbol, SymbolMap, Tracer};
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -204,6 +205,8 @@ enum Gate {
 }
 
 struct EndpointHealth {
+    /// Pre-interned `"<label>/health/ep<i>"` trace actor.
+    actor: Symbol,
     gate: RefCell<Gate>,
     /// Consecutive failures since the last success.
     consecutive: Cell<u32>,
@@ -213,11 +216,90 @@ struct EndpointHealth {
 }
 
 impl EndpointHealth {
-    fn new() -> Self {
+    fn new(actor: Symbol) -> Self {
         EndpointHealth {
+            actor,
             gate: RefCell::new(Gate::Closed),
             consecutive: Cell::new(0),
             generation: Cell::new(0),
+        }
+    }
+}
+
+/// A round trip ordered by [`f64::total_cmp`], so it can sit in a heap.
+struct Rtt(f64);
+
+impl Ord for Rtt {
+    fn cmp(&self, other: &Rtt) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Rtt {
+    fn partial_cmp(&self, other: &Rtt) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Rtt {
+    fn eq(&self, other: &Rtt) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Rtt {}
+
+/// Exact running `q`-quantile of every value recorded so far: the bits
+/// that sorting the whole stream and interpolating at `pos = q·(n−1)`
+/// gives, at O(log n) per record and O(1) per read. `lower` is a
+/// max-heap of the `floor(pos) + 1` smallest values, so its top is
+/// `sorted[floor(pos)]`; `upper` is a min-heap of the rest, so its top
+/// is `sorted[floor(pos) + 1]`. `q` never changes, so the split only
+/// moves up, by at most one value per record.
+struct RunningQuantile {
+    /// In `[0, 1]`.
+    q: f64,
+    lower: BinaryHeap<Rtt>,
+    upper: BinaryHeap<Reverse<Rtt>>,
+}
+
+impl RunningQuantile {
+    fn new(q: f64) -> Self {
+        RunningQuantile { q, lower: BinaryHeap::new(), upper: BinaryHeap::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.lower.len() + self.upper.len()
+    }
+
+    fn record(&mut self, v: f64) {
+        // `len()` is the new `n − 1`.
+        let keep = (self.q * self.len() as f64).floor() as usize + 1;
+        match self.lower.peek() {
+            Some(top) if Rtt(v) > *top => self.upper.push(Reverse(Rtt(v))),
+            _ => self.lower.push(Rtt(v)),
+        }
+        if self.lower.len() > keep {
+            if let Some(top) = self.lower.pop() {
+                self.upper.push(Reverse(top));
+            }
+        } else if self.lower.len() < keep {
+            if let Some(Reverse(top)) = self.upper.pop() {
+                self.lower.push(top);
+            }
+        }
+        debug_assert_eq!(self.lower.len(), keep);
+    }
+
+    /// Linear interpolation between the two order statistics around
+    /// `pos`; 0 when empty.
+    fn quantile(&self) -> f64 {
+        let Some(&Rtt(lo)) = self.lower.peek() else { return 0.0 };
+        let pos = self.q * (self.len() - 1) as f64;
+        let frac = pos - pos.floor();
+        match self.upper.peek() {
+            Some(&Reverse(Rtt(hi))) if frac > 0.0 => lo * (1.0 - frac) + hi * frac,
+            _ => lo,
         }
     }
 }
@@ -278,8 +360,6 @@ pub enum TimeoutVerdict {
 struct LayerInner {
     sim: Sim,
     tracer: Tracer,
-    /// Fabric label for trace actors (`"fnx"` / `"htex"`).
-    label: &'static str,
     /// Pre-interned `"<label>/health"` trace actor.
     actor: Symbol,
     policies: ReliabilityPolicies,
@@ -289,8 +369,10 @@ struct LayerInner {
     route: SymbolMap<Vec<usize>>,
     endpoints: Vec<EndpointHealth>,
     inflight: RefCell<BTreeMap<TaskId, Inflight>>,
-    /// Per-topic round-trip latency samples feeding hedge delays.
-    rtt: RefCell<SymbolMap<Samples>>,
+    /// Successful round trips of each topic whose policy hedges,
+    /// tracked at that topic's `hedge.quantile`: the hedge delay's
+    /// only input, so nothing is kept for a topic that never hedges.
+    rtt: RefCell<SymbolMap<RunningQuantile>>,
     /// Seconds burned by cancelled losing copies.
     wasted: Cell<f64>,
     cancelled: Cell<u64>,
@@ -328,12 +410,13 @@ impl ReliabilityLayer {
         connectivity: &[Connectivity],
     ) -> Self {
         let n = route.values().flat_map(|c| c.iter()).fold(0, |m, &e| m.max(e + 1));
-        let endpoints = (0..n.max(connectivity.len())).map(|_| EndpointHealth::new()).collect();
+        let endpoints = (0..n.max(connectivity.len()))
+            .map(|ep| EndpointHealth::new(Symbol::intern(&format!("{label}/health/ep{ep}"))))
+            .collect();
         let layer = ReliabilityLayer {
             inner: Rc::new(LayerInner {
                 sim: sim.clone(),
                 tracer,
-                label,
                 actor: Symbol::intern(&format!("{label}/health")),
                 policies,
                 route,
@@ -400,7 +483,7 @@ impl ReliabilityLayer {
         let policy = self.policy(task.topic);
         let candidates = self.inner.route.get(task.topic)?;
         let endpoint = if policy.breaker.enabled() {
-            self.pick(task.id, candidates)
+            self.pick(task.id, candidates, None)
         } else {
             candidates.first().copied()?
         };
@@ -419,11 +502,15 @@ impl ReliabilityLayer {
         Some(endpoint)
     }
 
-    /// Breaker-aware endpoint choice. Open gates past their cool-down
-    /// lazily transition to half-open and admit the task as the probe.
-    fn pick(&self, id: TaskId, candidates: &[usize]) -> usize {
+    /// Breaker-aware endpoint choice among the candidates other than
+    /// `skip`. Open gates past their cool-down lazily transition to
+    /// half-open and admit the task as the probe. With every gate shut
+    /// the first of them is chosen anyway (availability over purity);
+    /// with no candidate but `skip`, the primary.
+    fn pick(&self, id: TaskId, candidates: &[usize], skip: Option<usize>) -> usize {
         let now = self.inner.sim.now();
-        for &ep in candidates {
+        let mut others = candidates.iter().copied().filter(|&ep| Some(ep) != skip);
+        for ep in others.clone() {
             let Some(health) = self.inner.endpoints.get(ep) else { continue };
             let mut gate = health.gate.borrow_mut();
             match &mut *gate {
@@ -441,7 +528,7 @@ impl ReliabilityLayer {
                 }
             }
         }
-        candidates.first().copied().unwrap_or(0)
+        others.next().or(candidates.first().copied()).unwrap_or(0)
     }
 
     /// The hedge watchdog delay for `topic`: the configured round-trip
@@ -455,11 +542,11 @@ impl ReliabilityLayer {
             return None;
         }
         let rtt = self.inner.rtt.borrow();
-        let samples = rtt.get(topic)?;
-        if samples.len() < hedge.min_samples() {
+        let seen = rtt.get(topic)?;
+        if seen.len() < hedge.min_samples() {
             return None;
         }
-        let q = samples.quantile(hedge.quantile.clamp(0.0, 1.0));
+        let q = seen.quantile();
         let factor = if hedge.factor > 0.0 { hedge.factor } else { 1.0 };
         let delay = (q * factor).max(0.0);
         Some(hetflow_sim::time::secs(delay))
@@ -495,7 +582,7 @@ impl ReliabilityLayer {
         entry.live += 1;
         let copy = entry.hedges;
         drop(reg);
-        let to = self.pick_other(id, candidates, None);
+        let to = self.pick(id, candidates, candidates.first().copied());
         self.inner.hedged.set(self.inner.hedged.get() + 1);
         self.inner.tracer.emit(
             self.inner.sim.now(),
@@ -505,19 +592,6 @@ impl ReliabilityLayer {
             copy as f64,
         );
         Some((spec, to))
-    }
-
-    /// Breaker-aware choice preferring any candidate other than
-    /// `avoid` (when given) or the primary.
-    fn pick_other(&self, id: TaskId, candidates: &[usize], avoid: Option<usize>) -> usize {
-        let skip = avoid.or_else(|| candidates.first().copied());
-        let others: Vec<usize> =
-            candidates.iter().copied().filter(|&e| Some(e) != skip).collect();
-        if others.is_empty() {
-            candidates.first().copied().unwrap_or(0)
-        } else {
-            self.pick(id, &others)
-        }
     }
 
     /// Arbitrates a result arriving from `endpoint` just before it
@@ -537,7 +611,8 @@ impl ReliabilityLayer {
     ) -> Verdict {
         let topic = topic.into();
         let now = self.inner.sim.now();
-        let cfg = &self.policy(topic).breaker;
+        let policy = self.policy(topic);
+        let cfg = &policy.breaker;
         let mut reg = self.inner.inflight.borrow_mut();
         let Some(entry) = reg.get_mut(&id) else {
             // Untracked (direct pool use in tests): pass through.
@@ -569,11 +644,13 @@ impl ReliabilityLayer {
             reg.remove(&id);
         }
         drop(reg);
-        if !failed {
+        if !failed && policy.hedge.enabled() {
             self.inner
                 .rtt
                 .borrow_mut()
-                .get_or_insert_with(topic, Samples::default)
+                .get_or_insert_with(topic, || {
+                    RunningQuantile::new(policy.hedge.quantile.clamp(0.0, 1.0))
+                })
                 .record(rtt);
         }
         self.observe(endpoint, cfg, !failed && !slow, id);
@@ -610,7 +687,7 @@ impl ReliabilityLayer {
             drop(reg);
             self.observe(endpoint, &policy.breaker, false, id);
             if let Some(spec) = spec {
-                let to = self.pick_other(id, candidates, Some(endpoint));
+                let to = self.pick(id, candidates, Some(endpoint));
                 self.inner.rerouted.set(self.inner.rerouted.get() + 1);
                 self.inner.tracer.emit(
                     self.inner.sim.now(),
@@ -740,19 +817,13 @@ impl ReliabilityLayer {
     }
 
     fn announce_open(&self, endpoint: usize) {
-        let generation = match self.inner.endpoints.get(endpoint) {
-            Some(h) => {
-                let g = h.generation.get() + 1;
-                h.generation.set(g);
-                h.consecutive.set(0);
-                g
-            }
-            None => return,
-        };
-        let actor = format!("{}/health/ep{endpoint}", self.inner.label);
+        let Some(health) = self.inner.endpoints.get(endpoint) else { return };
+        let generation = health.generation.get() + 1;
+        health.generation.set(generation);
+        health.consecutive.set(0);
         self.inner.tracer.emit(
             self.inner.sim.now(),
-            &actor,
+            health.actor,
             kinds::BREAKER_OPENED,
             endpoint as u64,
             generation as f64,
@@ -761,15 +832,13 @@ impl ReliabilityLayer {
     }
 
     fn announce_closed(&self, endpoint: usize) {
-        let generation =
-            self.inner.endpoints.get(endpoint).map(|h| h.generation.get()).unwrap_or(0);
-        let actor = format!("{}/health/ep{endpoint}", self.inner.label);
+        let Some(health) = self.inner.endpoints.get(endpoint) else { return };
         self.inner.tracer.emit(
             self.inner.sim.now(),
-            &actor,
+            health.actor,
             kinds::BREAKER_CLOSED,
             endpoint as u64,
-            generation as f64,
+            health.generation.get() as f64,
         );
         self.notify(endpoint, false);
     }
@@ -834,12 +903,15 @@ impl ReliabilityLayer {
 mod tests {
     use super::*;
     use crate::task::TaskSpec;
-    use hetflow_sim::{Sim, SimTime};
+    use hetflow_sim::{Samples, Sim, SimRng, SimTime};
+    use proptest::prelude::*;
 
     fn layer_with(policies: ReliabilityPolicies, n_endpoints: usize) -> (Sim, ReliabilityLayer) {
         let sim = Sim::new();
         let mut route = SymbolMap::new();
-        route.insert(Symbol::intern("noop"), (0..n_endpoints).collect::<Vec<_>>());
+        for topic in ["noop", "simulate", "train"] {
+            route.insert(Symbol::intern(topic), (0..n_endpoints).collect::<Vec<_>>());
+        }
         let layer = ReliabilityLayer::new(
             &sim,
             Tracer::enabled(),
@@ -1062,6 +1134,179 @@ mod tests {
         let delay = sim.block_on(h);
         // Every round trip took 10 s; median 10 × factor 2 = 20 s.
         assert_eq!(delay, Some(Duration::from_secs(20)));
+    }
+
+    #[test]
+    fn reissue_choice_falls_back_to_first_other_then_primary() {
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: 0.9, ..Default::default() },
+                max_reroutes: 2,
+                ..breaker_policy(1).default
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let (_sim, layer) = layer_with(policies.clone(), 3);
+        layer.admit(&TaskSpec::noop(1, 100));
+        layer.trip(2);
+        assert_eq!(layer.try_hedge(1, "noop").map(|(_, to)| to), Some(1), "first open gate");
+        layer.trip(0);
+        layer.trip(1);
+        // Every gate shut: the first candidate that is not the skipped one.
+        assert_eq!(reroute_target(layer.on_timeout(1, 1, "noop")), Some(0));
+        assert_eq!(reroute_target(layer.on_timeout(0, 1, "noop")), Some(1));
+        // No other endpoint registered: the copy re-queues at the primary.
+        let (_sim, solo) = layer_with(policies, 1);
+        solo.admit(&TaskSpec::noop(2, 100));
+        assert_eq!(solo.try_hedge(2, "noop").map(|(_, to)| to), Some(0));
+        assert_eq!(reroute_target(solo.on_timeout(0, 2, "noop")), Some(0));
+    }
+
+    fn reroute_target(verdict: TimeoutVerdict) -> Option<usize> {
+        match verdict {
+            TimeoutVerdict::Reroute { to, .. } => Some(to),
+            _ => None,
+        }
+    }
+
+    /// A 53-bit uniform in `[0, 1)`.
+    fn unit(raw: u64) -> f64 {
+        (raw >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// One stream value per draw: small integers, exact ties, both
+    /// zeros and a few negatives (the cases where a partial order and
+    /// `total_cmp` disagree), or a uniform in `[0, 50)`.
+    fn stream_value(raw: u64, small_only: bool) -> f64 {
+        match raw % 4 {
+            0 => ((raw >> 2) % 6) as f64,
+            1 => -(((raw >> 2) % 3) as f64),
+            _ if small_only => ((raw >> 2) % 4) as f64 * 0.5,
+            _ => unit(raw) * 50.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn running_quantile_matches_samples_bit_for_bit_after_every_record(
+            raw in prop::collection::vec(any::<u64>(), 1..=300),
+            q_pick in 0u8..6,
+            q_raw in any::<u64>(),
+            small_only in any::<bool>(),
+        ) {
+            let q = match q_pick {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 0.5,
+                3 => 0.95,
+                _ => unit(q_raw),
+            };
+            let mut reference = Samples::new();
+            let mut running = RunningQuantile::new(q);
+            for (i, &r) in raw.iter().enumerate() {
+                let v = stream_value(r, small_only);
+                reference.record(v);
+                running.record(v);
+                prop_assert_eq!(running.len(), i + 1);
+                prop_assert_eq!(running.lower.len(), (q * i as f64).floor() as usize + 1);
+                if let (Some(lo), Some(Reverse(hi))) = (running.lower.peek(), running.upper.peek()) {
+                    prop_assert!(lo <= hi, "max(lower) {} > min(upper) {}", lo.0, hi.0);
+                }
+                prop_assert_eq!(
+                    running.quantile().to_bits(),
+                    reference.quantile(q).to_bits(),
+                    "q {} after {} records (last {}): running {} vs sorted {}",
+                    q, i + 1, v, running.quantile(), reference.quantile(q)
+                );
+            }
+        }
+    }
+
+    fn hedging(quantile: f64, factor: f64) -> ReliabilityPolicy {
+        ReliabilityPolicy {
+            hedge: HedgeConfig { quantile, factor, min_samples: 1, ..Default::default() },
+            ..Default::default()
+        }
+    }
+
+    fn task_on(topic: &str, id: TaskId) -> TaskSpec {
+        TaskSpec { topic: Symbol::intern(topic), ..TaskSpec::noop(id, 100) }
+    }
+
+    /// The delay `hedge_delay` must return for `seen` at `(q, factor)`
+    /// with `min_samples: 1`, through the sort-on-read reference.
+    fn reference_delay(seen: &Samples, q: f64, factor: f64) -> Option<Duration> {
+        let delay = (seen.quantile(q) * factor).max(0.0);
+        (!seen.is_empty()).then(|| hetflow_sim::time::secs(delay))
+    }
+
+    /// Runs `rounds` round trips of random length, alternating over
+    /// `topics`, and hands each one's recorded duration to `each`.
+    fn drive(
+        sim: &Sim,
+        layer: &ReliabilityLayer,
+        topics: &'static [&'static str],
+        rounds: u64,
+        mut each: impl FnMut(&'static str, f64) + 'static,
+    ) {
+        let (s, l) = (sim.clone(), layer.clone());
+        let h = sim.spawn(async move {
+            let mut rng = SimRng::from_seed(11);
+            for id in 0..rounds {
+                let topic = topics[id as usize % topics.len()];
+                l.admit(&task_on(topic, id));
+                let sent = s.now();
+                s.sleep(Duration::from_micros(1 + rng.below(5_000_000) as u64)).await;
+                l.on_result(0, id, topic, false, 0.0);
+                each(topic, (s.now() - sent).as_secs_f64());
+            }
+        });
+        sim.block_on(h);
+    }
+
+    #[test]
+    fn each_hedging_topic_tracks_its_own_quantile_and_others_track_nothing() {
+        let policies = ReliabilityPolicies::default()
+            .with_topic("simulate", hedging(0.95, 1.5))
+            .with_topic("noop", hedging(0.5, 0.0));
+        let (sim, layer) = layer_with(policies, 1);
+        let reference = Rc::new(RefCell::new((Samples::new(), Samples::new())));
+        let (l, r) = (layer.clone(), Rc::clone(&reference));
+        drive(&sim, &layer, &["simulate", "noop", "train"], 600, move |topic, rtt| {
+            let mut r = r.borrow_mut();
+            match topic {
+                "simulate" => r.0.record(rtt),
+                "noop" => r.1.record(rtt),
+                _ => {}
+            }
+            assert_eq!(l.hedge_delay("simulate"), reference_delay(&r.0, 0.95, 1.5));
+            assert_eq!(l.hedge_delay("noop"), reference_delay(&r.1, 0.5, 1.0));
+            assert_eq!(l.hedge_delay("train"), None);
+        });
+        assert_eq!(reference.borrow().0.len(), 200);
+        let rtt = layer.inner.rtt.borrow();
+        assert_eq!(rtt.len(), 2, "no tracker for the topic that never hedges");
+        assert!(!rtt.contains_key(Symbol::intern("train")));
+    }
+
+    /// 200 000 armed round trips, each reading the hedge delay: a read
+    /// that is linear (or worse) in the history makes this quadratic —
+    /// tens of minutes with a sort per read — and cannot pass tier-1.
+    #[test]
+    fn hedge_delay_stays_cheap_over_200k_round_trips() {
+        let policies = ReliabilityPolicies::default().with_topic("noop", hedging(0.95, 1.5));
+        let (sim, layer) = layer_with(policies, 1);
+        let reference = Rc::new(RefCell::new(Samples::new()));
+        let (l, r) = (layer.clone(), Rc::clone(&reference));
+        drive(&sim, &layer, &["noop"], 200_000, move |_, rtt| {
+            r.borrow_mut().record(rtt);
+            assert!(l.hedge_delay("noop").is_some());
+        });
+        let reference = reference.borrow();
+        assert_eq!(reference.len(), 200_000);
+        assert_eq!(layer.hedge_delay("noop"), reference_delay(&reference, 0.95, 1.5));
     }
 
     #[test]

@@ -8,8 +8,13 @@ use crate::time::SimTime;
 
 /// A bag of scalar samples with order statistics.
 ///
-/// Stores raw values; quantiles sort a copy on demand, which is cheap at
-/// the sample counts used here (≤ a few hundred thousand per figure cell).
+/// Stores raw values. Every [`quantile`](Samples::quantile) /
+/// [`quantiles`](Samples::quantiles) / [`median`](Samples::median) call
+/// clones the values and sorts the copy — O(n) bytes allocated and
+/// O(n log n) time *per call* — so it belongs on report paths, which
+/// read a finished run once, and never on a per-task path, where the
+/// cost grows with every task already seen (a running order statistic,
+/// as `fabric::health` keeps for the hedge delay, is the per-task tool).
 #[derive(Clone, Debug, Default)]
 pub struct Samples {
     values: Vec<f64>,
