@@ -34,7 +34,7 @@ use hetflow_ml::{
 };
 use hetflow_steer::{Payload, ResourceCounter, TaskRecord, Thinker};
 use hetflow_sim::{Sim, SimRng, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -136,26 +136,34 @@ pub fn test_set(seed: u64) -> Vec<Structure> {
 pub fn ensemble_force_rmsd(ensemble: &Ensemble<PairPotential>, test: &[Structure]) -> f64 {
     let reference = MorsePes::reference();
     let mut acc = 0.0;
-    for s in test {
+    let mut mean = Vec::new();
+    PairPotential::energy_forces_many(ensemble.members(), test, |s, _energies, forces| {
         let (_, truth) = reference.energy_forces(s);
-        // Mean force over members.
-        let mut mean = vec![[0.0f64; 3]; s.n_atoms()];
-        for m in ensemble.members() {
-            let (_, f) = m.energy_forces(s);
-            for (acc_f, f) in mean.iter_mut().zip(&f) {
+        // Mean force over members, member by member.
+        mean.clear();
+        mean.resize(s.n_atoms(), [0.0f64; 3]);
+        for f in forces.chunks_exact(mean.len()) {
+            for (acc_f, f) in mean.iter_mut().zip(f) {
                 for k in 0..3 {
                     acc_f[k] += f[k] / ensemble.len() as f64;
                 }
             }
         }
         acc += force_rmsd(&truth, &mean);
-    }
+    });
     acc / test.len() as f64
 }
 
+/// The campaign's one basis — every fit gets a clone, so an ensemble's
+/// members can share its evaluation — and the cheap pre-training data
+/// featurized in it, both built once per campaign.
+struct Pretraining {
+    basis: RadialBasis,
+    blocks: Vec<DesignBlock>,
+}
+
 struct State {
-    /// Cheap pre-training data, featurized once per campaign.
-    pretrain: Rc<Vec<DesignBlock>>,
+    pretrain: Rc<Pretraining>,
     /// Accumulated reference-level data, each result featurized when it
     /// arrives and shared with every later round's snapshot.
     reference_data: RefCell<Vec<Rc<DesignBlock>>>,
@@ -182,10 +190,9 @@ struct State {
     params: FinetuneParams,
 }
 
-/// The pre-training data as design blocks, built once per campaign:
-/// cheap approximate-level energies, plus a few approximate force labels
-/// that fix the force gauge.
-fn pretraining_blocks(params: &FinetuneParams) -> Vec<DesignBlock> {
+/// The pre-training data as design blocks: cheap approximate-level
+/// energies, plus a few approximate force labels that fix the force gauge.
+fn pretraining_blocks(params: &FinetuneParams) -> Pretraining {
     let approx = MorsePes::approx();
     let basis = RadialBasis::default_for_clusters();
     let block = |s: &Structure, with_forces| {
@@ -196,7 +203,7 @@ fn pretraining_blocks(params: &FinetuneParams) -> Vec<DesignBlock> {
         .map(|s| block(s, false))
         .collect();
     blocks.extend(pretraining_set(6, params.seed ^ 0xF0).iter().map(|s| block(s, true)));
-    blocks
+    Pretraining { basis, blocks }
 }
 
 /// Trains the initial ensemble (pre-training data plus a handful of
@@ -205,10 +212,7 @@ pub fn initial_ensemble(params: &FinetuneParams) -> Ensemble<PairPotential> {
     initial_ensemble_on(&pretraining_blocks(params), params)
 }
 
-fn initial_ensemble_on(
-    pretrain: &[DesignBlock],
-    params: &FinetuneParams,
-) -> Ensemble<PairPotential> {
+fn initial_ensemble_on(pretrain: &Pretraining, params: &FinetuneParams) -> Ensemble<PairPotential> {
     let rng = SimRng::stream(params.seed, "initial-ensemble");
     Ensemble::fit(params.ensemble_size, &rng, |_i, mut member_rng| {
         fit_member(pretrain, &[], &mut member_rng)
@@ -216,19 +220,19 @@ fn initial_ensemble_on(
 }
 
 fn fit_member(
-    pretrain: &[DesignBlock],
+    pretrain: &Pretraining,
     reference: &[Rc<DesignBlock>],
     rng: &mut SimRng,
 ) -> PairPotential {
-    let bag = bag_indices(pretrain.len(), DEFAULT_BAG_FRACTION, rng);
-    let mut data: Vec<&DesignBlock> = bag.into_iter().map(|i| &pretrain[i]).collect();
+    let bag = bag_indices(pretrain.blocks.len(), DEFAULT_BAG_FRACTION, rng);
+    let mut data: Vec<&DesignBlock> = bag.into_iter().map(|i| &pretrain.blocks[i]).collect();
     if !reference.is_empty() {
         let bag = bag_indices(reference.len(), DEFAULT_BAG_FRACTION, rng);
         data.extend(bag.into_iter().map(|i| &*reference[i]));
     }
     PairPotential::fit_blocks(
         &data,
-        RadialBasis::default_for_clusters(),
+        pretrain.basis.clone(),
         // Up-weight the scarce reference forces so fine-tuning bites.
         PairPotParams { force_weight: 8.0, ..Default::default() },
     )
@@ -414,10 +418,14 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 let batch = Rc::new(batch);
                 let ensemble = Rc::clone(&state.ensemble.borrow());
                 let n = ensemble.len();
+                let round = Rc::new(InferRound {
+                    batch: Rc::clone(&batch),
+                    ensemble,
+                    scores: OnceCell::new(),
+                });
                 for member in 0..n {
                     let duration = cal::finetune_infer_duration().sample(&mut rng);
-                    let compute =
-                        infer_task(Rc::clone(&batch), Rc::clone(&ensemble), member, duration);
+                    let compute = infer_task(Rc::clone(&round), member, duration);
                     queues
                         .submit(
                             "infer",
@@ -504,7 +512,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         let queues = queues.clone();
         let counter = counter.clone();
         let retrain = retrain.clone();
-        let basis = RadialBasis::default_for_clusters();
         thinker.agent("simulation-receiver", async move {
             loop {
                 let Some(done) = queues.get_result("simulate").await else { break };
@@ -523,7 +530,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 state
                     .reference_data
                     .borrow_mut()
-                    .push(Rc::new(DesignBlock::new(&labelled, &basis)));
+                    .push(Rc::new(DesignBlock::new(&labelled, &state.pretrain.basis)));
                 state.new_count.set(state.new_count.get() + 1);
                 state.since_retrain.set(state.since_retrain.get() + 1);
                 if state.since_retrain.get() >= state.params.retrain_every
@@ -672,7 +679,7 @@ fn simulate_task(structure: Structure, duration: f64) -> TaskFn {
 }
 
 fn train_task(
-    pretrain: Rc<Vec<DesignBlock>>,
+    pretrain: Rc<Pretraining>,
     reference: Rc<Vec<Rc<DesignBlock>>>,
     member_rng: SimRng,
     duration: f64,
@@ -684,15 +691,22 @@ fn train_task(
     })
 }
 
-fn infer_task(
+/// What one inference round's tasks share: whichever runs first scores
+/// the batch with every member, from one basis evaluation per pair, and
+/// each task returns its own member's energies. Dropped with the
+/// round's last task.
+struct InferRound {
     batch: Rc<Vec<Structure>>,
     ensemble: Rc<Ensemble<PairPotential>>,
-    member: usize,
-    duration: f64,
-) -> TaskFn {
+    scores: OnceCell<Vec<Vec<f64>>>,
+}
+
+fn infer_task(round: Rc<InferRound>, member: usize, duration: f64) -> TaskFn {
     Rc::new(move |_ctx| {
-        let model = &ensemble.members()[member];
-        let energies: Vec<f64> = batch.iter().map(|s| model.energy(s)).collect();
+        let scores = round
+            .scores
+            .get_or_init(|| PairPotential::energies_many(round.ensemble.members(), &round.batch));
+        let energies = scores[member].clone();
         TaskWork::new(energies, cal::FINETUNE_INFER_BYTES, hetflow_sim::time::secs(duration))
     })
 }
@@ -776,6 +790,44 @@ mod tests {
             let got =
                 (o.new_structures, o.training_rounds, o.end.as_nanos(), o.final_force_rmsd.to_bits());
             assert_eq!(got, (20, 4, end_ns, rmsd_bits), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn infer_round_scores_equal_per_member_energy_in_any_task_order() {
+        // One round's eight tasks as the scorer builds them, run the way
+        // a fabric might: task 5 twice (a retry), task 2 never (lost).
+        let params = FinetuneParams { pretrain_structures: 40, ..Default::default() };
+        let ensemble = Rc::new(initial_ensemble(&params));
+        let batch: Rc<Vec<Structure>> =
+            Rc::new((0..5).map(solvated_methane).chain(pretraining_set(4, 9)).collect());
+        let mut rng = SimRng::from_seed(4);
+        let mut ctx =
+            hetflow_fabric::TaskCtx { inputs: &[], rng: &mut rng, site: hetflow_store::SiteId(0) };
+        let orders: [[usize; 8]; 3] =
+            [[0, 1, 3, 4, 5, 5, 6, 7], [7, 6, 5, 4, 3, 5, 1, 0], [4, 0, 5, 7, 1, 5, 6, 3]];
+        for order in orders {
+            let round = Rc::new(InferRound {
+                batch: Rc::clone(&batch),
+                ensemble: Rc::clone(&ensemble),
+                scores: OnceCell::new(),
+            });
+            let tasks: Vec<TaskFn> =
+                (0..8).map(|member| infer_task(Rc::clone(&round), member, 1.0)).collect();
+            assert!(round.scores.get().is_none(), "building a round scores nothing");
+            let mut table = None;
+            for member in order {
+                let got = tasks[member](&mut ctx).output.downcast::<Vec<f64>>().expect("energies");
+                let got: Vec<u64> = got.iter().map(|e| e.to_bits()).collect();
+                let model = &ensemble.members()[member];
+                let want: Vec<u64> = batch.iter().map(|s| model.energy(s).to_bits()).collect();
+                assert_eq!(got, want, "member {member}");
+                // The all-member pass ran in the first task and never
+                // again: every later task reads that same table.
+                let scores = round.scores.get().expect("the first task run scores every member");
+                assert_eq!(scores.len(), 8);
+                assert_eq!(*table.get_or_insert(scores.as_ptr()), scores.as_ptr());
+            }
         }
     }
 

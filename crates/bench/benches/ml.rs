@@ -4,12 +4,13 @@
 //! closures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hetflow_apps::{ensemble_force_rmsd, initial_ensemble, test_set, FinetuneParams};
 use hetflow_chem::{
     pretraining_set, run_md, solvated_methane, EnergyModel, MdParams, MoleculeLibrary, MorsePes,
 };
 use hetflow_ml::{
-    DesignBlock, Ensemble, LabelledStructure, PairPotParams, PairPotential, RadialBasis, RffRidge,
-    SurrogateParams,
+    DesignBlock, Ensemble, LabelledStructure, Matrix, PairPotParams, PairPotential, RadialBasis,
+    RffRidge, SurrogateParams,
 };
 use hetflow_sim::SimRng;
 
@@ -86,6 +87,29 @@ fn bench_pairpot(c: &mut Criterion) {
     });
 }
 
+/// The normal equations' `XᵀX` at the two shapes the campaigns solve:
+/// a late fine-tuning refit (2 700 stacked rows, 24 basis functions) and
+/// an RFF-ridge fit (256 molecules, 384 features).
+fn bench_gram(c: &mut Criterion) {
+    let mut rng = SimRng::from_seed(7);
+    for (rows, cols) in [(2700, 24), (256, 384)] {
+        let data = (0..rows * cols).map(|_| rng.standard_normal()).collect();
+        let x = Matrix::from_vec(rows, cols, data);
+        c.bench_function(format!("ml/gram_{rows}x{cols}"), |b| b.iter(|| x.gram()));
+    }
+}
+
+/// Fig. 7a's metric as a campaign computes it: eight members' forces
+/// on the 48 test structures against the reference surface.
+fn bench_ensemble_force_rmsd(c: &mut Criterion) {
+    let params = FinetuneParams::default();
+    let ensemble = initial_ensemble(&params);
+    let test = test_set(params.seed);
+    c.bench_function("ml/ensemble_force_rmsd_8x48", |b| {
+        b.iter(|| ensemble_force_rmsd(&ensemble, &test));
+    });
+}
+
 fn bench_forces_and_md(c: &mut Criterion) {
     let s = solvated_methane(1);
     let pes = MorsePes::reference();
@@ -112,6 +136,7 @@ fn bench_forces_and_md(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_surrogate, bench_ensemble_parallelism, bench_pairpot, bench_forces_and_md
+    targets = bench_surrogate, bench_ensemble_parallelism, bench_pairpot, bench_gram,
+        bench_ensemble_force_rmsd, bench_forces_and_md
 }
 criterion_main!(benches);

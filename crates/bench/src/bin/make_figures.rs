@@ -1,11 +1,16 @@
-//! Runs every figure regenerator in paper order. Equivalent to:
+//! Runs every figure regenerator in paper order, stopping at the first
+//! that fails. Equivalent to:
 //!
 //! ```sh
 //! for f in fig1_utilization fig3_noop_overheads fig4_backend_sweep \
-//!          fig5_notification fig6_moldesign fig7_finetune latency_report; do
-//!   cargo run --release -p hetflow-bench --bin $f
+//!          fig5_notification latency_report fig6_moldesign fig7_finetune \
+//!          advisor_report ablation_backlog ablation_threshold \
+//!          ablation_steering; do
+//!   cargo run --release -p hetflow-bench --bin $f || break
 //! done
 //! ```
+//!
+//! Its stdout is what `figures_output.txt` holds; CI byte-diffs the two.
 
 use std::process::Command;
 

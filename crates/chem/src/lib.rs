@@ -15,8 +15,6 @@
 //!   works, as in §III-B.
 //! * [`run_md`] — velocity-Verlet dynamics on any [`EnergyModel`]
 //!   (physical surfaces or ML surrogates) for the sampling tasks.
-//! * [`RadialDescriptor`] — permutation/translation-invariant structure
-//!   fingerprints.
 //!
 //! ```
 //! use hetflow_chem::{run_md, solvated_methane, EnergyModel, MdParams, MorsePes};
@@ -34,17 +32,13 @@
 // Index loops are the clearest form for the numeric kernels here.
 #![allow(clippy::needless_range_loop)]
 
-pub mod analysis;
 pub mod clusters;
-pub mod descriptors;
 pub mod md;
 pub mod molecules;
 pub mod pes;
 pub mod threebody;
 
-pub use analysis::{dimer_curve, dimer_minimum, ensemble_distance, pair_histogram};
 pub use clusters::{jittered_cluster, pretraining_set, solvated_methane, Structure, Vec3};
-pub use descriptors::RadialDescriptor;
 pub use md::{kinetic_energy, run_md, thermal_velocities, MdParams, Trajectory};
 pub use molecules::{MoleculeLibrary, N_FEATURES};
 pub use pes::{force_rmsd, numerical_forces, EnergyModel, MorsePes, MorseTerm};

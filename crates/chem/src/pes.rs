@@ -46,6 +46,14 @@ impl MorseTerm {
         let x = (-self.a * (r - self.r0)).exp();
         2.0 * self.d * (1.0 - x) * self.a * x
     }
+
+    /// `(energy(r), denergy(r))`, bit for bit, from one `exp`.
+    #[inline]
+    fn energy_denergy(&self, r: f64) -> (f64, f64) {
+        let x = (-self.a * (r - self.r0)).exp();
+        let e = 1.0 - x;
+        (self.d * e * e - self.d, 2.0 * self.d * e * self.a * x)
+    }
 }
 
 /// A pair potential: a sum of Morse terms over all atom pairs, with a
@@ -102,8 +110,9 @@ impl EnergyModel for MorsePes {
             let mut e_pair = 0.0;
             let mut de = 0.0;
             for t in &self.terms {
-                e_pair += t.energy(r);
-                de += t.denergy(r);
+                let (e_t, de_t) = t.energy_denergy(r);
+                e_pair += e_t;
+                de += de_t;
             }
             // Shifted-force correction: continuous E and dE/dr at rc.
             energy += e_pair - self.e_cut - (r - self.cutoff) * self.de_cut;
@@ -165,6 +174,50 @@ mod tests {
         assert!(t.denergy(1.12).abs() < 1e-12);
         assert!(t.energy(1.0) > t.energy(1.12));
         assert!(t.energy(1.3) > t.energy(1.12));
+    }
+
+    #[test]
+    fn one_exp_pair_bit_identical_to_energy_and_denergy() {
+        for t in MorsePes::reference().terms {
+            for step in 0..=4000 {
+                let r = 0.3 + 0.001 * step as f64;
+                let (e, de) = t.energy_denergy(r);
+                assert_eq!(e.to_bits(), t.energy(r).to_bits(), "energy at r = {r}");
+                assert_eq!(de.to_bits(), t.denergy(r).to_bits(), "denergy at r = {r}");
+            }
+        }
+    }
+
+    /// `MorsePes::energy_forces` as it stood when each term was asked
+    /// for its energy and its slope separately, one `exp` apiece.
+    fn two_exp_energy_forces(pes: &MorsePes, s: &Structure) -> (f64, Vec<Vec3>) {
+        let mut energy = 0.0;
+        let mut forces = vec![[0.0; 3]; s.n_atoms()];
+        for (i, j, dvec, r) in s.pairs().filter(|p| p.3 <= pes.cutoff) {
+            let e_pair: f64 = pes.terms.iter().fold(0.0, |acc, t| acc + t.energy(r));
+            let de = pes.terms.iter().fold(0.0, |acc, t| acc + t.denergy(r)) - pes.de_cut;
+            energy += e_pair - pes.e_cut - (r - pes.cutoff) * pes.de_cut;
+            let scale = -de / r;
+            for k in 0..3 {
+                forces[i][k] += scale * dvec[k];
+                forces[j][k] -= scale * dvec[k];
+            }
+        }
+        (energy, forces)
+    }
+
+    #[test]
+    fn energy_forces_bit_identical_to_two_exp_terms() {
+        for pes in [MorsePes::approx(), MorsePes::reference()] {
+            for seed in 0..20 {
+                let s = solvated_methane(seed);
+                let (e, f) = pes.energy_forces(&s);
+                let (e_ref, f_ref) = two_exp_energy_forces(&pes, &s);
+                assert_eq!(e.to_bits(), e_ref.to_bits(), "seed {seed}");
+                let bits = |f: &[Vec3]| f.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&f), bits(&f_ref), "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! * [`RffRidge`] — random-Fourier-feature ridge regression, the
 //!   molecule-property surrogate (closed-form training); fit and scoring
 //!   share one allocation-free kernel ([`features`]) and a libm-free cosine.
-//! * [`Mlp`] — a small SGD-trained network, used in ablations.
 //! * [`PairPotential`] — a linear pair potential fit jointly on energies
 //!   and forces; its analytic gradient is exact, so MD sampling can run
 //!   on the learned surface (the §III-B sampling tasks).
@@ -44,7 +43,6 @@ pub mod ensemble;
 pub mod features;
 pub mod linalg;
 pub mod metrics;
-pub mod mlp;
 pub mod pairpot;
 pub mod rank;
 pub mod ridge;
@@ -54,8 +52,7 @@ pub mod tune;
 pub use ensemble::{bag_indices, Ensemble, MeanStd, DEFAULT_BAG_FRACTION};
 pub use features::RandomFourierFeatures;
 pub use linalg::{Cholesky, LinalgError, Matrix};
-pub use metrics::{mae, r2, rmse};
-pub use mlp::{Mlp, MlpParams};
+pub use metrics::{r2, rmse};
 pub use pairpot::{DesignBlock, LabelledStructure, PairPotParams, PairPotential, RadialBasis};
 pub use rank::{rank_by_uncertainty, top_k, ucb};
 pub use ridge::Ridge;

@@ -84,21 +84,8 @@ impl Matrix {
 
     /// `selfᵀ * self` (the Gram matrix), exploiting symmetry.
     pub fn gram(&self) -> Matrix {
-        let d = self.cols;
-        let mut g = Matrix::zeros(d, d);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..d {
-                let a = row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in i..d {
-                    g[(i, j)] += a * row[j];
-                }
-            }
-        }
-        for i in 0..d {
+        let mut g = self.t_accumulate(self, true);
+        for i in 0..self.cols {
             for j in 0..i {
                 g[(i, j)] = g[(j, i)];
             }
@@ -109,19 +96,46 @@ impl Matrix {
     /// `selfᵀ * other`.
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
+        if other.cols != 1 {
+            return self.t_accumulate(other, false);
+        }
+        // `Xᵀy`: the output is one contiguous column, walked alongside
+        // each design row rather than sliced per element.
+        let mut out = Matrix::zeros(self.cols, 1);
+        for (r, &y) in other.data.iter().enumerate() {
+            for (o, &a) in out.data.iter_mut().zip(self.row(r)) {
+                if a != 0.0 {
+                    *o += a * y;
+                }
+            }
+        }
+        out
+    }
+
+    /// `out.row(i)[from..] += Σ_r self[(r, i)] · b.row(r)[from..]`, with
+    /// `from = i` when only the upper triangle is wanted (`gram`) and 0
+    /// otherwise: four rows `r` per pass over each output row, then the
+    /// `rows % 4` left over one at a time.
+    fn t_accumulate(&self, b: &Matrix, upper_only: bool) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, b.cols);
+        let quads = self.rows - self.rows % 4;
+        for r in (0..quads).step_by(4) {
+            let a_rows: [&[f64]; 4] = std::array::from_fn(|q| self.row(r + q));
+            let b_rows: [&[f64]; 4] = std::array::from_fn(|q| b.row(r + q));
             for i in 0..self.cols {
-                let a = a_row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
+                let from = if upper_only { i } else { 0 };
+                add_scaled_rows(
+                    &mut out.row_mut(i)[from..],
+                    a_rows.map(|row| row[i]),
+                    b_rows.map(|row| &row[from..]),
+                );
+            }
+        }
+        for r in quads..self.rows {
+            let (a_row, b_row) = (self.row(r), b.row(r));
+            for i in 0..self.cols {
+                let from = if upper_only { i } else { 0 };
+                add_scaled_row(&mut out.row_mut(i)[from..], a_row[i], &b_row[from..]);
             }
         }
         out
@@ -171,6 +185,35 @@ impl Matrix {
             }
         }
         Ok(Cholesky { u })
+    }
+}
+
+/// `out[j] += a · b[j]`; a zero `a` leaves `out` untouched, bits included.
+#[inline]
+fn add_scaled_row(out: &mut [f64], a: f64, b: &[f64]) {
+    if a != 0.0 {
+        for (o, b) in out.iter_mut().zip(b) {
+            *o += a * b;
+        }
+    }
+}
+
+/// [`add_scaled_row`] for four rows in one pass over `out`: each element
+/// adds its products in row order, unfused and unreassociated, so the
+/// result is that of four single passes. A zero coefficient sends the
+/// quad down those, which keeps its skip exact.
+#[inline]
+fn add_scaled_rows(out: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
+    if a.contains(&0.0) {
+        for (a, b) in a.into_iter().zip(b) {
+            add_scaled_row(out, a, b);
+        }
+        return;
+    }
+    let n = out.len();
+    let [b0, b1, b2, b3] = b.map(|row| &row[..n]);
+    for j in 0..n {
+        out[j] = (((out[j] + a[0] * b0[j]) + a[1] * b1[j]) + a[2] * b2[j]) + a[3] * b3[j];
     }
 }
 
@@ -332,7 +375,58 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `gram` and `t_matmul` as they stood when they indexed one output
+    /// element per multiply: rows ascending, a zero coefficient skipped.
+    fn reference_t_matmul(a: &Matrix, b: &Matrix, upper_only: bool) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for r in 0..a.rows() {
+            for i in 0..a.cols() {
+                if a[(r, i)] == 0.0 {
+                    continue;
+                }
+                for j in if upper_only { i } else { 0 }..b.cols() {
+                    out[(i, j)] += a[(r, i)] * b[(r, j)];
+                    if upper_only {
+                        out[(j, i)] = out[(i, j)];
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Standard normals with exact `0.0` and `-0.0` sprinkled in, and a
+    /// rare infinity — the one operand under which adding a skipped
+    /// `0 · b` would show (as a NaN).
+    fn sprinkled(rows: usize, cols: usize, rng: &mut hetflow_sim::SimRng) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        for v in &mut m.data {
+            *v = match rng.below(40) {
+                0..=3 => 0.0,
+                4..=6 => -0.0,
+                7 => f64::INFINITY,
+                _ => rng.standard_normal(),
+            };
+        }
+        m
+    }
+
     proptest! {
+        #[test]
+        fn gram_and_t_matmul_bit_identical_to_naive_triple_loop(
+            seed in 0u64..2000,
+            rows in 0usize..=40,
+            cols in 1usize..=30,
+            rhs in 1usize..=3,
+        ) {
+            let mut rng = hetflow_sim::SimRng::from_seed(seed);
+            let x = sprinkled(rows, cols, &mut rng);
+            let y = sprinkled(rows, rhs, &mut rng);
+            let (gram, xty) = (reference_t_matmul(&x, &x, true), reference_t_matmul(&x, &y, false));
+            prop_assert_eq!(bits(&x.gram().data), bits(&gram.data));
+            prop_assert_eq!(bits(&x.t_matmul(&y).data), bits(&xty.data));
+        }
+
         #[test]
         fn cholesky_and_solves_bit_identical_to_left_looking_reference(
             seed in 0u64..400,

@@ -8,13 +8,6 @@ pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
     (se / pred.len() as f64).sqrt()
 }
 
-/// Mean absolute error.
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len());
-    assert!(!pred.is_empty());
-    pred.iter().zip(truth).map(|(p, t)| (p - t).abs()).sum::<f64>() / pred.len() as f64
-}
-
 /// Coefficient of determination R². 1 is perfect; 0 matches the mean
 /// baseline; negative is worse than the mean.
 pub fn r2(pred: &[f64], truth: &[f64]) -> f64 {
@@ -42,7 +35,6 @@ mod tests {
     fn perfect_prediction() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(rmse(&y, &y), 0.0);
-        assert_eq!(mae(&y, &y), 0.0);
         assert_eq!(r2(&y, &y), 1.0);
     }
 
@@ -51,7 +43,6 @@ mod tests {
         let p = [1.0, 2.0];
         let t = [0.0, 4.0];
         assert!((rmse(&p, &t) - (2.5f64).sqrt()).abs() < 1e-12);
-        assert!((mae(&p, &t) - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::ridge::Ridge;
 use hetflow_chem::{EnergyModel, Structure, Vec3};
 
 /// Gaussian radial basis on pair distances.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RadialBasis {
     centers: Vec<f64>,
     inv_two_w2: f64,
@@ -213,6 +213,89 @@ impl PairPotential {
     /// Weight vector (basis coefficients).
     pub fn weights(&self) -> &[f64] {
         &self.weights
+    }
+
+    /// The basis all of `members` evaluate, if it is one and the same.
+    fn shared_basis(members: &[PairPotential]) -> Option<&RadialBasis> {
+        let basis = &members.first()?.basis;
+        members.iter().all(|m| m.basis == *basis).then_some(basis)
+    }
+
+    /// Every member's energy and forces on each structure, handed to
+    /// `visit(structure, energies, forces)` with `forces[m * n_atoms + i]`
+    /// the force of member `m` on atom `i`. Members sharing a basis (an
+    /// ensemble's do) share one basis evaluation per pair; each then runs
+    /// the loop body of [`EnergyModel::energy_forces`] on it, so every
+    /// value is bit-identical to calling that per member — which is what
+    /// a mixed-basis slice falls back to.
+    pub fn energy_forces_many(
+        members: &[PairPotential],
+        structures: &[Structure],
+        mut visit: impl FnMut(&Structure, &[f64], &[Vec3]),
+    ) {
+        let Some(basis) = PairPotential::shared_basis(members) else {
+            for s in structures {
+                let (energies, forces): (Vec<f64>, Vec<Vec<Vec3>>) =
+                    members.iter().map(|m| m.energy_forces(s)).unzip();
+                visit(s, &energies, &forces.concat());
+            }
+            return;
+        };
+        let (mut phi, mut dphi) = (vec![0.0; basis.dim()], vec![0.0; basis.dim()]);
+        let mut energies = vec![0.0; members.len()];
+        let mut forces: Vec<Vec3> = Vec::new();
+        for s in structures {
+            let n = s.n_atoms();
+            energies.fill(0.0);
+            forces.clear();
+            forces.resize(members.len() * n, [0.0; 3]);
+            for (i, j, dvec, r) in s.pairs() {
+                for ((p, dp), &c) in phi.iter_mut().zip(&mut dphi).zip(&basis.centers) {
+                    (*p, *dp) = basis.gaussian(r, c);
+                }
+                for (m, model) in members.iter().enumerate() {
+                    let (mut energy, mut de) = (energies[m], 0.0);
+                    for ((p, dp), wk) in phi.iter().zip(&dphi).zip(&model.weights) {
+                        energy += p * wk;
+                        de += dp * wk;
+                    }
+                    energies[m] = energy;
+                    let scale = -de / r;
+                    let f = &mut forces[m * n..][..n];
+                    for alpha in 0..3 {
+                        f[i][alpha] += scale * dvec[alpha];
+                        f[j][alpha] -= scale * dvec[alpha];
+                    }
+                }
+            }
+            visit(s, &energies, &forces);
+        }
+    }
+
+    /// `out[m][b]`, member `m`'s energy of `batch[b]`: the energy-only
+    /// sibling of [`PairPotential::energy_forces_many`], bit-identical to
+    /// [`EnergyModel::energy`] per member and structure.
+    pub fn energies_many(members: &[PairPotential], batch: &[Structure]) -> Vec<Vec<f64>> {
+        let Some(basis) = PairPotential::shared_basis(members) else {
+            return members.iter().map(|m| batch.iter().map(|s| m.energy(s)).collect()).collect();
+        };
+        let mut phi = vec![0.0; basis.dim()];
+        let mut out = vec![vec![0.0; batch.len()]; members.len()];
+        for (b, s) in batch.iter().enumerate() {
+            for (_, _, _, r) in s.pairs() {
+                for (p, &c) in phi.iter_mut().zip(&basis.centers) {
+                    *p = basis.gaussian(r, c).0;
+                }
+                for (model, energies) in members.iter().zip(&mut out) {
+                    let mut energy = energies[b];
+                    for (p, wk) in phi.iter().zip(&model.weights) {
+                        energy += p * wk;
+                    }
+                    energies[b] = energy;
+                }
+            }
+        }
+        out
     }
 }
 
@@ -413,6 +496,69 @@ mod tests {
             prop_assert_eq!(e.to_bits(), e_ref.to_bits());
             prop_assert_eq!(bits(f.as_flattened()), bits(f_ref.as_flattened()));
             prop_assert_eq!(model.energy(&s).to_bits(), e.to_bits());
+        }
+    }
+
+    /// What the many-member kernels must return, from the per-member
+    /// calls they replace.
+    fn per_member(members: &[PairPotential], batch: &[Structure]) -> Vec<(Vec<u64>, Vec<u64>)> {
+        batch
+            .iter()
+            .map(|s| {
+                let ef: Vec<_> = members.iter().map(|m| m.energy_forces(s)).collect();
+                for (m, (e, _)) in members.iter().zip(&ef) {
+                    assert_eq!(m.energy(s).to_bits(), e.to_bits());
+                }
+                let energies: Vec<f64> = ef.iter().map(|(e, _)| *e).collect();
+                let forces: Vec<Vec3> = ef.into_iter().flat_map(|(_, f)| f).collect();
+                (bits(&energies), bits(forces.as_flattened()))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn many_member_kernels_bit_identical_to_per_member_calls(
+            seed in 0u64..2000,
+            n_members in 1usize..=8,
+            n_structures in 1usize..4,
+            mixed in 0usize..4,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let mut members: Vec<PairPotential> = (0..n_members)
+                .map(|_| {
+                    let basis = RadialBasis::default_for_clusters();
+                    let weights = (0..basis.dim()).map(|_| rng.standard_normal()).collect();
+                    PairPotential { basis, weights }
+                })
+                .collect();
+            if mixed == 0 {
+                // One member on another basis: no table serves them all.
+                let basis = RadialBasis::new(9, 0.5, 3.0, 0.25);
+                let weights = (0..basis.dim()).map(|_| rng.standard_normal()).collect();
+                let at = rng.below(n_members);
+                members[at] = PairPotential { basis, weights };
+            }
+            let shared = PairPotential::shared_basis(&members).is_some();
+            prop_assert_eq!(shared, mixed != 0 || n_members == 1);
+            // Sizes vary within a batch, so the flat buffers get reused
+            // both larger and smaller than they last were.
+            let batch: Vec<Structure> = (0..n_structures)
+                .map(|_| jittered_cluster(2 + rng.below(11), 1.12, 0.45, &mut rng))
+                .collect();
+            let want = per_member(&members, &batch);
+            let mut got = Vec::new();
+            PairPotential::energy_forces_many(&members, &batch, |s, energies, forces| {
+                assert_eq!(forces.len(), members.len() * s.n_atoms());
+                got.push((bits(energies), bits(forces.as_flattened())));
+            });
+            prop_assert_eq!(&got, &want);
+            let energies = PairPotential::energies_many(&members, &batch);
+            prop_assert_eq!(energies.len(), members.len());
+            for (b, (want_e, _)) in want.iter().enumerate() {
+                let got_e: Vec<f64> = energies.iter().map(|of_member| of_member[b]).collect();
+                prop_assert_eq!(&bits(&got_e), want_e);
+            }
         }
     }
 
