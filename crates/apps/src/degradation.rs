@@ -4,7 +4,7 @@
 //! or the reliability layer opens a breaker on the endpoint the tasks
 //! run on — finishing *some* science per unit time beats finishing
 //! none at full fidelity. A [`DegradationPolicy`] turns that judgement
-//! into a small deterministic state machine ([`DegradationState`]):
+//! into a small deterministic state machine (`DegradationState`):
 //!
 //! * after `trigger_after` consecutive shed results (or any breaker
 //!   opening), the campaign enters **degraded mode**: molecular design
@@ -40,12 +40,12 @@ pub struct DegradationPolicy {
 
 impl DegradationPolicy {
     /// True when the policy can ever degrade.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.trigger_after > 0
     }
 
     /// Successes required before fidelity is restored.
-    pub fn restore_threshold(&self) -> usize {
+    pub(crate) fn restore_threshold(&self) -> usize {
         if self.restore_after > 0 {
             self.restore_after
         } else {
@@ -61,7 +61,7 @@ impl DegradationPolicy {
 /// [`is_degraded`](DegradationState::is_degraded) and
 /// [`ensemble_size`](DegradationState::ensemble_size) when choosing
 /// task fidelity.
-pub struct DegradationState {
+pub(crate) struct DegradationState {
     sim: Sim,
     tracer: Tracer,
     actor: Symbol,
@@ -92,11 +92,6 @@ impl DegradationState {
             degraded: Cell::new(false),
             generation: Cell::new(0),
         })
-    }
-
-    /// The policy this tracker runs.
-    pub fn policy(&self) -> DegradationPolicy {
-        self.policy
     }
 
     /// True while the campaign should run at reduced fidelity.

@@ -16,12 +16,10 @@
 
 pub mod degradation;
 pub mod finetune;
-pub mod matrix;
 pub mod moldesign;
 
-pub use degradation::{DegradationPolicy, DegradationState};
+pub use degradation::DegradationPolicy;
 pub use finetune::{
     ensemble_force_rmsd, initial_ensemble, test_set, FinetuneOutcome, FinetuneParams,
 };
-pub use matrix::{finetune_matrix, moldesign_matrix, ranges_overlap, FinetuneCell, MolDesignCell};
 pub use moldesign::{MolDesignOutcome, MolDesignParams, SteeringMode};

@@ -71,7 +71,9 @@ fn ablation_transfer_batching(c: &mut Criterion) {
                     })
                     .collect();
                 let h = sim.spawn(async move {
-                    hetflow_sim::join_all(waiters).await;
+                    for w in waiters {
+                        w.await;
+                    }
                 });
                 sim.block_on(h);
                 (sim.now().as_secs_f64(), svc.transfer_jobs())

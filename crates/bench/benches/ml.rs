@@ -48,7 +48,7 @@ fn bench_surrogate(c: &mut Criterion) {
     });
 }
 
-fn bench_ensemble_parallelism(c: &mut Criterion) {
+fn bench_ensemble_fit(c: &mut Criterion) {
     let lib = MoleculeLibrary::generate(2000, 3);
     let inputs: Vec<Vec<f64>> = (0..600).map(|i| lib.features(i).to_vec()).collect();
     let targets: Vec<f64> = (0..600).map(|i| lib.true_ip(i)).collect();
@@ -59,7 +59,6 @@ fn bench_ensemble_parallelism(c: &mut Criterion) {
     g.sample_size(10);
     let rng = SimRng::from_seed(4);
     g.bench_function("sequential", |b| b.iter(|| Ensemble::fit(8, &rng, train)));
-    g.bench_function("parallel", |b| b.iter(|| Ensemble::fit_parallel(8, &rng, train)));
     g.finish();
 }
 
@@ -136,7 +135,7 @@ fn bench_forces_and_md(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_surrogate, bench_ensemble_parallelism, bench_pairpot, bench_gram,
+    targets = bench_surrogate, bench_ensemble_fit, bench_pairpot, bench_gram,
         bench_ensemble_force_rmsd, bench_forces_and_md
 }
 criterion_main!(benches);

@@ -33,7 +33,7 @@ fn main() {
         let mut found = Samples::new();
         let mut makespans = Samples::new();
         let mut idles = Samples::new();
-        let mut curves = Vec::new();
+        let mut outcomes = Vec::new();
         for seed in SEEDS {
             let sim = Sim::new();
             let spec = DeploymentSpec { seed, ..Default::default() };
@@ -43,7 +43,7 @@ fn main() {
             found.record(outcome.found as f64);
             makespans.extend_from(&outcome.ml_makespans);
             idles.extend_from(&outcome.cpu_idle);
-            curves.push(outcome.found_curve);
+            outcomes.push(outcome);
         }
 
         // (a) found-vs-node-time curve, averaged over seeds, printed on
@@ -57,14 +57,8 @@ fn main() {
         print!("  found :");
         for h in 1..=6 {
             let t = (h * 3600) as f64;
-            let mean: f64 = curves
-                .iter()
-                .map(|c| {
-                    c.iter().take_while(|&&(x, _)| x <= t).last().map(|&(_, f)| f).unwrap_or(0)
-                        as f64
-                })
-                .sum::<f64>()
-                / curves.len() as f64;
+            let mean: f64 = outcomes.iter().map(|o| o.found_at(t) as f64).sum::<f64>()
+                / outcomes.len() as f64;
             print!(" {mean:>6.1}");
         }
         println!("\n");

@@ -142,7 +142,6 @@ fn run_point(multiplier: f64, horizon_secs: f64) -> SweepPoint {
         local_hop: cal.worker_hop.clone(),
         failure: None,
         retry: hetflow_fabric::RetryPolicies::default(),
-        start_delays: Vec::new(),
         pace: hetflow_fabric::Knob::new(1.0),
         crash: hetflow_fabric::Knob::new(0.0),
         queue_capacity: QUEUE_CAPACITY,

@@ -7,7 +7,7 @@
 //! and pin single backends, which the production configurations never
 //! do.
 
-use hetflow_core::platform::{RCC, THETA, VENTI};
+use hetflow_core::platform::{RCC, THETA};
 use hetflow_core::Calibration;
 use hetflow_fabric::{
     EndpointSpec, Fabric, FnXExecutor, HtexEndpoint, HtexExecutor, TaskWork, WorkerPoolConfig,
@@ -144,7 +144,6 @@ impl NoopPipeline {
             local_hop: cal.worker_hop.clone(),
             failure: None,
             retry: hetflow_fabric::RetryPolicies::default(),
-            start_delays: Vec::new(),
             pace: hetflow_fabric::Knob::new(1.0),
             crash: hetflow_fabric::Knob::new(0.0),
             queue_capacity: 0,
@@ -256,9 +255,6 @@ pub fn size_label(bytes: u64) -> String {
         format!("{}kB", bytes / 1_000)
     }
 }
-
-/// The Venti site, re-exported for bin targets.
-pub const GPU_SITE: SiteId = VENTI;
 
 #[cfg(test)]
 mod tests {

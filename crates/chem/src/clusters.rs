@@ -19,7 +19,7 @@ pub struct Structure {
 
 impl Structure {
     /// Builds a structure from positions.
-    pub fn new(positions: Vec<Vec3>) -> Self {
+    pub(crate) fn new(positions: Vec<Vec3>) -> Self {
         assert!(positions.len() >= 2, "a cluster needs at least two atoms");
         Structure { positions }
     }
@@ -54,18 +54,6 @@ impl Structure {
     /// Minimum interatomic distance.
     pub fn min_distance(&self) -> f64 {
         self.pairs().map(|(_, _, _, r)| r).fold(f64::INFINITY, f64::min)
-    }
-
-    /// Centroid of the cluster.
-    pub fn centroid(&self) -> Vec3 {
-        let n = self.n_atoms() as f64;
-        let mut c = [0.0; 3];
-        for p in &self.positions {
-            c[0] += p[0] / n;
-            c[1] += p[1] / n;
-            c[2] += p[2] / n;
-        }
-        c
     }
 
     /// Root-mean-square displacement from another structure with the
@@ -176,12 +164,6 @@ mod tests {
             p[0] += 0.5;
         }
         assert!((s.rmsd_to(&moved) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn centroid_of_symmetric_pair() {
-        let s = Structure::new(vec![[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]);
-        assert_eq!(s.centroid(), [1.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -36,10 +36,8 @@ pub mod clusters;
 pub mod md;
 pub mod molecules;
 pub mod pes;
-pub mod threebody;
 
 pub use clusters::{jittered_cluster, pretraining_set, solvated_methane, Structure, Vec3};
-pub use md::{kinetic_energy, run_md, thermal_velocities, MdParams, Trajectory};
+pub use md::{run_md, MdParams, Trajectory};
 pub use molecules::{MoleculeLibrary, N_FEATURES};
 pub use pes::{force_rmsd, numerical_forces, EnergyModel, MorsePes, MorseTerm};
-pub use threebody::{harder_reference, AxilrodTeller, CompositePes};

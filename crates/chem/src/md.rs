@@ -57,7 +57,7 @@ impl Default for MdParams {
 
 /// Draws Maxwell–Boltzmann velocities at `temp` and removes the net
 /// momentum so the cluster does not drift.
-pub fn thermal_velocities(n_atoms: usize, temp: f64, rng: &mut SimRng) -> Vec<Vec3> {
+pub(crate) fn thermal_velocities(n_atoms: usize, temp: f64, rng: &mut SimRng) -> Vec<Vec3> {
     let sigma = temp.max(0.0).sqrt();
     let mut v: Vec<Vec3> = (0..n_atoms)
         .map(|_| {
@@ -79,7 +79,7 @@ pub fn thermal_velocities(n_atoms: usize, temp: f64, rng: &mut SimRng) -> Vec<Ve
 }
 
 /// Kinetic energy of a velocity set (unit masses).
-pub fn kinetic_energy(v: &[Vec3]) -> f64 {
+pub(crate) fn kinetic_energy(v: &[Vec3]) -> f64 {
     0.5 * v.iter().map(|vi| vi[0] * vi[0] + vi[1] * vi[1] + vi[2] * vi[2]).sum::<f64>()
 }
 

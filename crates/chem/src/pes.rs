@@ -36,13 +36,13 @@ pub struct MorseTerm {
 
 impl MorseTerm {
     /// Energy at separation `r`.
-    pub fn energy(&self, r: f64) -> f64 {
+    pub(crate) fn energy(&self, r: f64) -> f64 {
         let e = 1.0 - (-self.a * (r - self.r0)).exp();
         self.d * e * e - self.d
     }
 
     /// dE/dr at separation `r`.
-    pub fn denergy(&self, r: f64) -> f64 {
+    pub(crate) fn denergy(&self, r: f64) -> f64 {
         let x = (-self.a * (r - self.r0)).exp();
         2.0 * self.d * (1.0 - x) * self.a * x
     }
@@ -73,7 +73,7 @@ pub struct MorsePes {
 
 impl MorsePes {
     /// Builds a surface from Morse terms.
-    pub fn new(terms: Vec<MorseTerm>, cutoff: f64) -> Self {
+    pub(crate) fn new(terms: Vec<MorseTerm>, cutoff: f64) -> Self {
         assert!(!terms.is_empty());
         let e_cut = terms.iter().map(|t| t.energy(cutoff)).sum();
         let de_cut = terms.iter().map(|t| t.denergy(cutoff)).sum();

@@ -81,38 +81,6 @@ impl Default for Calibration {
 }
 
 impl Calibration {
-    /// Variant with every stochastic model replaced by its median —
-    /// useful for tests that assert exact component sums.
-    pub fn deterministic() -> Self {
-        fn flatten(d: &Dist) -> Dist {
-            match d {
-                Dist::LogNormal { median, .. } => Dist::Constant(*median),
-                Dist::Normal { mean, .. } => Dist::Constant(*mean),
-                Dist::Uniform { lo, hi } => Dist::Constant(0.5 * (lo + hi)),
-                other => other.clone(),
-            }
-        }
-        let mut c = Calibration::default();
-        c.fnx.https_latency = flatten(&c.fnx.https_latency);
-        c.fnx.small_store_op = flatten(&c.fnx.small_store_op);
-        c.fnx.large_store_op = flatten(&c.fnx.large_store_op);
-        c.fnx.forward_latency = flatten(&c.fnx.forward_latency);
-        c.fnx.result_latency = flatten(&c.fnx.result_latency);
-        c.htex.submit_hop = flatten(&c.htex.submit_hop);
-        c.link_theta.latency = flatten(&c.link_theta.latency);
-        c.link_venti.latency = flatten(&c.link_venti.latency);
-        c.globus.request_latency = flatten(&c.globus.request_latency);
-        c.globus.service_time = flatten(&c.globus.service_time);
-        c.fs_theta.op_latency = flatten(&c.fs_theta.op_latency);
-        c.fs_venti.op_latency = flatten(&c.fs_venti.op_latency);
-        c.redis.local_latency = flatten(&c.redis.local_latency);
-        c.redis.remote_latency = flatten(&c.redis.remote_latency);
-        c.queue_latency = flatten(&c.queue_latency);
-        c.ser.per_op = flatten(&c.ser.per_op);
-        c.worker_hop = flatten(&c.worker_hop);
-        c
-    }
-
     /// The shared-FS parameters for a given site (Fig. 4 runs put the
     /// thinker at RCC; any other site gets its own FS view).
     pub fn fs_for(&self, site: SiteId) -> FsParams {
@@ -163,8 +131,6 @@ pub mod tasks {
     pub fn moldesign_infer_duration() -> Dist {
         Dist::LogNormal { median: 900.0, sigma: 0.1 }
     }
-    /// Inference input payload (weights + molecule batch).
-    pub const MOLDESIGN_INFER_IN_BYTES: u64 = 2_100 * MB;
     /// The molecule-batch share of the inference input — identical for
     /// every model of a round, so it is proxied once and shared.
     pub const MOLDESIGN_INFER_BATCH_BYTES: u64 = 2_000 * MB;
@@ -222,16 +188,6 @@ mod tests {
         assert!(c.redis.connected.contains(VENTI), "tunnel to Venti");
         assert!(c.fs_theta.members.contains(THETA));
         assert!(!c.fs_theta.members.contains(VENTI), "Venti has no Theta FS");
-    }
-
-    #[test]
-    fn deterministic_variant_has_no_spread() {
-        let c = Calibration::deterministic();
-        let mut rng = hetflow_sim::SimRng::from_seed(1);
-        let a = c.fnx.https_latency.sample(&mut rng);
-        let b = c.fnx.https_latency.sample(&mut rng);
-        assert_eq!(a, b);
-        assert!(matches!(c.globus.service_time, Dist::Constant(_)));
     }
 
     #[test]

@@ -240,7 +240,6 @@ pub fn deploy(
         local_hop: cal.worker_hop.clone(),
         failure: spec.failure.clone(),
         retry: spec.retry.clone(),
-        start_delays: Vec::new(),
         pace: Knob::new(1.0),
         crash: Knob::new(0.0),
         queue_capacity: spec.cpu_queue_capacity,
@@ -255,7 +254,6 @@ pub fn deploy(
         local_hop: cal.worker_hop.clone(),
         failure: spec.failure.clone(),
         retry: spec.retry.clone(),
-        start_delays: Vec::new(),
         pace: Knob::new(1.0),
         crash: Knob::new(0.0),
         queue_capacity: spec.gpu_queue_capacity,

@@ -29,7 +29,7 @@ pub const VENTI: SiteId = SiteId(1);
 pub const RCC: SiteId = SiteId(2);
 
 /// Human-readable site name.
-pub fn site_name(site: SiteId) -> &'static str {
+pub(crate) fn site_name(site: SiteId) -> &'static str {
     match site {
         THETA => "theta",
         VENTI => "venti",
@@ -41,13 +41,13 @@ pub fn site_name(site: SiteId) -> &'static str {
 /// The task topics used across both applications plus the synthetic
 /// no-op workload. Routing: CPU topics run on Theta KNL workers, GPU
 /// topics on Venti.
-pub const CPU_TOPICS: &[&str] = &["simulate", "sample", "noop"];
+pub(crate) const CPU_TOPICS: &[&str] = &["simulate", "sample", "noop"];
 
 /// Topics routed to the GPU pool.
-pub const GPU_TOPICS: &[&str] = &["train", "infer"];
+pub(crate) const GPU_TOPICS: &[&str] = &["train", "infer"];
 
 /// All topics, CPU first.
-pub fn all_topics() -> Vec<&'static str> {
+pub(crate) fn all_topics() -> Vec<&'static str> {
     CPU_TOPICS.iter().chain(GPU_TOPICS).copied().collect()
 }
 

@@ -68,7 +68,7 @@ pub struct BreakerConfig {
 
 impl BreakerConfig {
     /// True when circuit breaking is enabled for this topic.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.failure_threshold > 0
     }
 
@@ -103,7 +103,7 @@ pub struct HedgeConfig {
 
 impl HedgeConfig {
     /// True when hedged dispatch is enabled for this topic.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.quantile > 0.0
     }
 
@@ -179,7 +179,7 @@ impl ReliabilityPolicies {
     }
 
     /// The policy governing `topic`.
-    pub fn policy_for(&self, topic: impl Into<Symbol>) -> &ReliabilityPolicy {
+    pub(crate) fn policy_for(&self, topic: impl Into<Symbol>) -> &ReliabilityPolicy {
         self.per_topic.get(topic.into()).unwrap_or(&self.default)
     }
 }
@@ -401,7 +401,7 @@ impl ReliabilityLayer {
     /// default policy sets `offline_grace`: if the connection stays
     /// offline past the grace period, the endpoint's breaker trips
     /// without waiting for task failures.
-    pub fn new(
+    pub(crate) fn new(
         sim: &Sim,
         tracer: Tracer,
         label: &'static str,
@@ -468,18 +468,13 @@ impl ReliabilityLayer {
         self.inner.policies.policy_for(topic)
     }
 
-    /// Candidate endpoints for `topic`, primary first.
-    pub fn candidates(&self, topic: impl Into<Symbol>) -> Option<&[usize]> {
-        self.inner.route.get(topic.into()).map(|v| v.as_slice())
-    }
-
     /// Registers a dispatch and picks the endpoint: the first
     /// candidate whose breaker admits the task, falling back to the
     /// primary when every gate is shut (availability over purity).
     /// Returns `None` for an unrouted topic. With breaking disabled
     /// for the topic this is exactly the PR-2 primary-only routing and
     /// touches no breaker state.
-    pub fn admit(&self, task: &TaskSpec) -> Option<usize> {
+    pub(crate) fn admit(&self, task: &TaskSpec) -> Option<usize> {
         let policy = self.policy(task.topic);
         let candidates = self.inner.route.get(task.topic)?;
         let endpoint = if policy.breaker.enabled() {
@@ -535,7 +530,7 @@ impl ReliabilityLayer {
     /// quantile times the factor, once enough round trips have been
     /// observed. `None` while hedging is disabled or the estimate is
     /// not yet trustworthy.
-    pub fn hedge_delay(&self, topic: impl Into<Symbol>) -> Option<Duration> {
+    pub(crate) fn hedge_delay(&self, topic: impl Into<Symbol>) -> Option<Duration> {
         let topic = topic.into();
         let hedge = &self.policy(topic).hedge;
         if !hedge.enabled() {
@@ -553,7 +548,7 @@ impl ReliabilityLayer {
     }
 
     /// The hard round-trip deadline for `topic`, if configured.
-    pub fn deadline(&self, topic: impl Into<Symbol>) -> Option<Duration> {
+    pub(crate) fn deadline(&self, topic: impl Into<Symbol>) -> Option<Duration> {
         let d = self.policy(topic.into()).deadline;
         if d.is_zero() {
             None
@@ -568,7 +563,7 @@ impl ReliabilityLayer {
     /// a straggling or dead endpoint is actually bypassed; with a
     /// single endpoint the copy re-queues there (still rescuing tasks
     /// stuck behind a crash). Emits `task_hedged`.
-    pub fn try_hedge(&self, id: TaskId, topic: impl Into<Symbol>) -> Option<(TaskSpec, usize)> {
+    pub(crate) fn try_hedge(&self, id: TaskId, topic: impl Into<Symbol>) -> Option<(TaskSpec, usize)> {
         let topic = topic.into();
         let max = self.policy(topic).hedge.max_hedges();
         let candidates = self.inner.route.get(topic)?;
@@ -601,7 +596,7 @@ impl ReliabilityLayer {
     /// burned time (`waste_secs`) is accounted as hedging waste.
     /// Successes/failures also feed the endpoint's breaker, including
     /// the tail-latency SLO check.
-    pub fn on_result(
+    pub(crate) fn on_result(
         &self,
         endpoint: usize,
         id: TaskId,
@@ -662,7 +657,7 @@ impl ReliabilityLayer {
     /// `task_rerouted`), suppress when a sibling copy is still live or
     /// the task already resolved, and fail otherwise. The timeout
     /// always counts as a failure signal for the endpoint's breaker.
-    pub fn on_timeout(&self, endpoint: usize, id: TaskId, topic: impl Into<Symbol>) -> TimeoutVerdict {
+    pub(crate) fn on_timeout(&self, endpoint: usize, id: TaskId, topic: impl Into<Symbol>) -> TimeoutVerdict {
         let topic = topic.into();
         let policy = self.policy(topic);
         let candidates: &[usize] =
@@ -716,7 +711,7 @@ impl ReliabilityLayer {
     /// `true` when the task was still unresolved — the caller must
     /// then deliver a synthesized timeout failure; in-flight copies
     /// are cancelled as they surface.
-    pub fn expire(&self, id: TaskId) -> bool {
+    pub(crate) fn expire(&self, id: TaskId) -> bool {
         let mut reg = self.inner.inflight.borrow_mut();
         let Some(entry) = reg.get_mut(&id) else { return false };
         if entry.done {
@@ -802,7 +797,7 @@ impl ReliabilityLayer {
 
     /// Force-opens an endpoint's breaker (heartbeat watchers; tests).
     /// Uses the default policy's cool-down.
-    pub fn trip(&self, endpoint: usize) {
+    pub(crate) fn trip(&self, endpoint: usize) {
         let Some(health) = self.inner.endpoints.get(endpoint) else { return };
         let open_for = self.inner.policies.default.breaker.open_for();
         let was_open = {

@@ -62,7 +62,6 @@ pub mod fabric;
 pub mod faas;
 pub mod health;
 pub mod htex;
-pub mod provision;
 pub mod reliability;
 pub mod ser;
 pub mod task;
@@ -75,7 +74,6 @@ pub use health::{
     BreakerConfig, HedgeConfig, ReliabilityLayer, ReliabilityPolicies, ReliabilityPolicy,
 };
 pub use htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
-pub use provision::{ProvisionReport, ProvisionSpec, Provisioner};
 pub use reliability::chaos::{ChaosAction, ChaosSpec, ChaosTargets, STORM_ID_BASE};
 pub use reliability::overload::{
     AdmissionConfig, AdmissionController, BackpressureConfig, BackpressureGate,
@@ -84,6 +82,6 @@ pub use reliability::{Connectivity, FailureModel, Knob, RetryPolicies, RetryPoli
 pub use ser::SerModel;
 pub use task::{
     Arg, Args, TaskCtx, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming,
-    TaskWork, WorkerReport, TASK_ENVELOPE_BYTES,
+    TaskWork, WorkerReport,
 };
 pub use worker::{WorkerPool, WorkerPoolConfig};

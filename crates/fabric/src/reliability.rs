@@ -35,7 +35,7 @@ impl Knob {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         self.0.get()
     }
 
@@ -47,7 +47,7 @@ impl Knob {
     /// Scales a delay by the knob (negative values clamp to zero),
     /// skipping the multiply when the knob is neutral so an untouched
     /// knob leaves the delay bit-identical.
-    pub fn scale(&self, d: Duration) -> Duration {
+    pub(crate) fn scale(&self, d: Duration) -> Duration {
         let f = self.get();
         if f != 1.0 {
             d.mul_f64(f.max(0.0))
@@ -121,32 +121,8 @@ impl Connectivity {
         conn
     }
 
-    /// A connection whose up/down periods are drawn from distributions:
-    /// starting online, it stays up for a draw of `up`, goes down for a
-    /// draw of `down`, and repeats until the schedule passes `until`.
-    /// The whole outage schedule is precomputed from `rng` up front, so
-    /// the resulting connection is exactly as deterministic and
-    /// digest-stable as a hand-written [`Connectivity::scheduled`] one.
-    pub fn random(sim: &Sim, rng: &mut SimRng, up: &Dist, down: &Dist, until: SimTime) -> Self {
-        let mut outages = Vec::new();
-        let mut t = SimTime::ZERO;
-        while t < until {
-            // Clamp each period to a strictly positive length so the
-            // schedule always advances and windows stay disjoint.
-            let up_for = up.sample(rng).max(1e-9);
-            let down_for = down.sample(rng).max(1e-9);
-            let start = t + hetflow_sim::time::secs(up_for);
-            if start >= until {
-                break;
-            }
-            outages.push((start, hetflow_sim::time::secs(down_for)));
-            t = start + hetflow_sim::time::secs(down_for);
-        }
-        Connectivity::scheduled(sim, outages)
-    }
-
     /// Current state.
-    pub fn is_online(&self) -> bool {
+    pub(crate) fn is_online(&self) -> bool {
         self.state.online.get()
     }
 
@@ -156,7 +132,7 @@ impl Connectivity {
     }
 
     /// Resolves once the connection is online (immediately if it is).
-    pub async fn wait_online(&self) {
+    pub(crate) async fn wait_online(&self) {
         while !self.state.online.get() {
             self.state.changed.wait_next().await;
         }
@@ -166,12 +142,12 @@ impl Connectivity {
     /// online→offline). Used by heartbeat watchers, which must be
     /// event-driven: a watcher parked here pends on the event and never
     /// blocks simulation quiescence.
-    pub async fn wait_change(&self) {
+    pub(crate) async fn wait_change(&self) {
         self.state.changed.wait_next().await;
     }
 
     /// Manually set the state (for tests and interactive scenarios).
-    pub fn set_online(&self, online: bool) {
+    pub(crate) fn set_online(&self, online: bool) {
         if self.state.online.get() != online {
             if !online {
                 self.state.outages_seen.set(self.state.outages_seen.get() + 1);
@@ -205,18 +181,13 @@ pub struct FailureModel {
 }
 
 impl FailureModel {
-    /// A model that never fails (useful default).
-    pub fn none() -> Option<FailureModel> {
-        None
-    }
-
     /// Draws whether the next attempt fails.
-    pub fn attempt_fails(&self, rng: &mut SimRng) -> bool {
+    pub(crate) fn attempt_fails(&self, rng: &mut SimRng) -> bool {
         rng.chance(self.prob)
     }
 
     /// Time wasted by a failed attempt on a task of `compute` length.
-    pub fn wasted(&self, compute: Duration, rng: &mut SimRng) -> Duration {
+    pub(crate) fn wasted(&self, compute: Duration, rng: &mut SimRng) -> Duration {
         let frac = rng.unit() * self.waste_fraction.clamp(0.0, 1.0);
         let waste = compute.mul_f64(frac);
         waste + self.restart_delay.sample_secs(rng)
@@ -258,7 +229,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The attempt cap in effect given the pool's failure model.
-    pub fn effective_max_attempts(&self, fm: &FailureModel) -> u32 {
+    pub(crate) fn effective_max_attempts(&self, fm: &FailureModel) -> u32 {
         if self.max_attempts > 0 {
             self.max_attempts
         } else {
@@ -289,7 +260,7 @@ impl RetryPolicies {
     }
 
     /// The policy governing `topic`.
-    pub fn policy_for(&self, topic: impl Into<Symbol>) -> &RetryPolicy {
+    pub(crate) fn policy_for(&self, topic: impl Into<Symbol>) -> &RetryPolicy {
         self.per_topic.get(topic.into()).unwrap_or(&self.default)
     }
 }
@@ -405,46 +376,6 @@ mod tests {
         k2.set(2.5);
         assert_eq!(k.get(), 2.5);
         assert_eq!(format!("{k:?}"), "Knob(2.5)");
-    }
-
-    #[test]
-    fn random_connectivity_is_deterministic_and_finite() {
-        let schedule = |seed: u64| {
-            let sim = Sim::new();
-            let mut rng = SimRng::from_seed(seed);
-            let conn = Connectivity::random(
-                &sim,
-                &mut rng,
-                &Dist::Uniform { lo: 5.0, hi: 20.0 },
-                &Dist::Uniform { lo: 1.0, hi: 10.0 },
-                SimTime::from_secs(500),
-            );
-            let r = sim.run();
-            assert_eq!(r.pending_tasks, 0, "schedule actor must terminate");
-            (conn.outages_seen(), sim.now())
-        };
-        let (outages, end) = schedule(7);
-        assert!(outages > 5, "500s of 5-30s cycles must produce outages, got {outages}");
-        assert_eq!((outages, end), schedule(7), "same seed, same schedule");
-        assert_ne!(schedule(7).1, schedule(8).1, "different seeds should diverge");
-    }
-
-    #[test]
-    fn random_connectivity_ends_online_before_horizon_plus_down() {
-        let sim = Sim::new();
-        let mut rng = SimRng::from_seed(3);
-        let conn = Connectivity::random(
-            &sim,
-            &mut rng,
-            &Dist::Constant(10.0),
-            &Dist::Constant(5.0),
-            SimTime::from_secs(100),
-        );
-        sim.run();
-        assert!(conn.is_online(), "schedule always returns online after the last outage");
-        // up 10 / down 5 cycles until a start >= 100: starts at 10, 25,
-        // 40, 55, 70, 85 — six outages.
-        assert_eq!(conn.outages_seen(), 6);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct AdmissionConfig {
 
 impl AdmissionConfig {
     /// True when any admission mechanism is configured.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.rate > 0.0 || self.max_in_flight > 0
     }
 
@@ -71,7 +71,7 @@ pub struct BackpressureConfig {
 
 impl BackpressureConfig {
     /// True when the gate is configured.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.high > 0
     }
 
@@ -87,7 +87,7 @@ struct TopicAdmission {
 }
 
 /// Per-topic token buckets and in-flight caps, consulted by the fabrics
-/// before [`crate::ReliabilityLayer::admit`]. Refills are computed
+/// before `crate::ReliabilityLayer::admit`. Refills are computed
 /// lazily from elapsed virtual time — no timer actors, no RNG draws —
 /// so the controller is exactly as deterministic as the clock.
 pub struct AdmissionController {
@@ -99,7 +99,7 @@ pub struct AdmissionController {
 impl AdmissionController {
     /// A controller with no per-topic state yet; buckets materialize on
     /// first use of an enabled config.
-    pub fn new(sim: &Sim) -> Self {
+    pub(crate) fn new(sim: &Sim) -> Self {
         AdmissionController {
             sim: sim.clone(),
             topics: RefCell::new(SymbolMap::new()),
@@ -126,7 +126,7 @@ impl AdmissionController {
     /// capped); the caller must balance every capped admission with
     /// [`AdmissionController::on_done`]. A disabled config admits
     /// unconditionally and touches no state.
-    pub fn try_admit(&self, topic: Symbol, cfg: &AdmissionConfig) -> bool {
+    pub(crate) fn try_admit(&self, topic: Symbol, cfg: &AdmissionConfig) -> bool {
         if !cfg.enabled() {
             return true;
         }
@@ -155,14 +155,14 @@ impl AdmissionController {
 
     /// Releases the in-flight slot taken by an admitted task of
     /// `topic`. No-op for topics that never had a capped admission.
-    pub fn on_done(&self, topic: Symbol) {
+    pub(crate) fn on_done(&self, topic: Symbol) {
         if let Some(st) = self.topics.borrow().get(topic) {
             st.in_flight.set(st.in_flight.get().saturating_sub(1));
         }
     }
 
     /// Tasks of `topic` currently between admission and release.
-    pub fn in_flight(&self, topic: Symbol) -> usize {
+    pub(crate) fn in_flight(&self, topic: Symbol) -> usize {
         self.topics.borrow().get(topic).map_or(0, |st| st.in_flight.get())
     }
 
@@ -194,8 +194,8 @@ struct GateInner {
 
 /// Per-topic high/low watermark gate over in-fabric task depth.
 ///
-/// The fabric calls [`BackpressureGate::on_enter`] when a submission is
-/// accepted and [`BackpressureGate::on_exit`] when its terminal result
+/// The fabric calls `BackpressureGate::on_enter` when a submission is
+/// accepted and `BackpressureGate::on_exit` when its terminal result
 /// is forwarded; steering clients await
 /// [`BackpressureGate::acquire`] before submitting. Clones share state.
 #[derive(Clone)]
@@ -205,7 +205,7 @@ pub struct BackpressureGate {
 
 impl BackpressureGate {
     /// An empty gate attributed to `actor` in the trace.
-    pub fn new(sim: &Sim, tracer: Tracer, actor: impl Into<Symbol>) -> Self {
+    pub(crate) fn new(sim: &Sim, tracer: Tracer, actor: impl Into<Symbol>) -> Self {
         BackpressureGate {
             inner: Rc::new(GateInner {
                 sim: sim.clone(),
@@ -219,7 +219,7 @@ impl BackpressureGate {
 
     /// Registers `topic` with its watermarks. A disabled config (high
     /// watermark 0) registers nothing, so the topic stays gate-free.
-    pub fn register(&self, topic: impl Into<Symbol>, cfg: &BackpressureConfig) {
+    pub(crate) fn register(&self, topic: impl Into<Symbol>, cfg: &BackpressureConfig) {
         if !cfg.enabled() {
             return;
         }
@@ -256,7 +256,7 @@ impl BackpressureGate {
 
     /// Records a submission entering the fabric; closes the gate at the
     /// high watermark and emits `backpressure_on`.
-    pub fn on_enter(&self, topic: Symbol) {
+    pub(crate) fn on_enter(&self, topic: Symbol) {
         let Some(g) = self.gate(topic) else { return };
         let depth = g.depth.get() + 1;
         g.depth.set(depth);
@@ -276,7 +276,7 @@ impl BackpressureGate {
 
     /// Records a terminal result leaving the fabric; reopens the gate
     /// at the low watermark and emits `backpressure_off`.
-    pub fn on_exit(&self, topic: Symbol) {
+    pub(crate) fn on_exit(&self, topic: Symbol) {
         let Some(g) = self.gate(topic) else { return };
         let depth = g.depth.get().saturating_sub(1);
         g.depth.set(depth);
@@ -295,7 +295,7 @@ impl BackpressureGate {
 
     /// True when no topic has watermarks registered — the gate can be
     /// skipped entirely.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.inner.topics.borrow().is_empty()
     }
 

@@ -28,7 +28,7 @@ impl SerModel {
     }
 
     /// A zero-cost model (useful in unit tests).
-    pub fn free() -> Self {
+    pub(crate) fn free() -> Self {
         SerModel { per_op: Dist::Constant(0.0), throughput: f64::INFINITY }
     }
 

@@ -113,7 +113,7 @@ impl TaskOutcome {
 
 /// Fixed wire overhead of a task envelope (serialized function body,
 /// metadata, headers) in bytes.
-pub const TASK_ENVELOPE_BYTES: u64 = 1_000;
+pub(crate) const TASK_ENVELOPE_BYTES: u64 = 1_000;
 
 /// One task argument.
 #[derive(Clone)]
@@ -149,7 +149,7 @@ impl Arg {
     }
 
     /// Bytes this argument adds to the task envelope.
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         match self {
             Arg::Inline { bytes, .. } => *bytes,
             Arg::Proxied(p) => p.wire_size(),
@@ -174,7 +174,7 @@ impl Arg {
 /// lists.
 ///
 /// Almost every task in the workloads carries zero to two arguments;
-/// up to [`Args::INLINE`] of them live directly in the spec, so
+/// up to `Args::INLINE` of them live directly in the spec, so
 /// building, cloning (the hedge/reroute path re-issues a clone per
 /// speculative dispatch) and dropping a typical task touches no heap
 /// `Vec` at all. Longer lists spill into a `Vec` transparently.
@@ -187,7 +187,7 @@ pub struct Args {
 
 impl Args {
     /// Arguments stored without heap allocation.
-    pub const INLINE: usize = 4;
+    pub(crate) const INLINE: usize = 4;
 
     /// An empty argument list.
     pub fn new() -> Self {
@@ -206,17 +206,12 @@ impl Args {
     }
 
     /// Number of arguments.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         usize::from(self.inline_len) + self.spill.len()
     }
 
-    /// True when no arguments are present.
-    pub fn is_empty(&self) -> bool {
-        self.inline_len == 0 && self.spill.is_empty()
-    }
-
     /// The `i`-th argument, if present.
-    pub fn get(&self, i: usize) -> Option<&Arg> {
+    pub(crate) fn get(&self, i: usize) -> Option<&Arg> {
         if i < usize::from(self.inline_len) {
             self.inline[i].as_ref()
         } else {
@@ -225,7 +220,7 @@ impl Args {
     }
 
     /// Arguments in order.
-    pub fn iter(&self) -> ArgsIter<'_> {
+    pub(crate) fn iter(&self) -> ArgsIter<'_> {
         ArgsIter { args: self, at: 0 }
     }
 }
@@ -467,7 +462,7 @@ pub struct TaskSpec {
     pub id: TaskId,
     /// Task type, e.g. `"simulate"`, `"train"`, `"infer"`, `"sample"`.
     pub topic: Symbol,
-    /// Input arguments (inline up to [`Args::INLINE`]).
+    /// Input arguments (inline up to `Args::INLINE`).
     pub args: Args,
     /// The compute closure.
     pub compute: TaskFn,
@@ -626,7 +621,6 @@ mod tests {
     #[test]
     fn args_inline_and_spill_preserve_order() {
         let mut args = Args::new();
-        assert!(args.is_empty());
         for i in 0..6u64 {
             args.push(Arg::inline(i, i * 10));
         }

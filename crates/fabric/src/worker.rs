@@ -42,10 +42,6 @@ pub struct WorkerPoolConfig {
     /// Per-topic retry/backoff policies (attempt caps override the
     /// failure model's; backoff delays re-execution).
     pub retry: RetryPolicies,
-    /// Per-worker start delays (batch-scheduler ramp-up, from
-    /// [`crate::provision::ProvisionSpec::worker_delays`]). Empty = all
-    /// workers online at t=0. Indexed modulo its length.
-    pub start_delays: Vec<std::time::Duration>,
     /// Compute-pace multiplier, shared with the chaos engine: a task's
     /// compute time is scaled by the knob's value at task start (1.0 =
     /// nominal; > 1 models straggling workers). Read lazily, skipped
@@ -78,7 +74,6 @@ impl WorkerPoolConfig {
             local_hop: Dist::Constant(0.0),
             failure: None,
             retry: RetryPolicies::default(),
-            start_delays: Vec::new(),
             pace: Knob::new(1.0),
             crash: Knob::new(0.0),
             queue_capacity: 0,
@@ -100,7 +95,6 @@ pub struct WorkerPool {
     /// Where to enqueue tasks for this pool.
     pub tasks: Sender<TaskSpec>,
     shared: Rc<PoolShared>,
-    label: String,
     site: SiteId,
     workers: usize,
     pace: Knob,
@@ -110,7 +104,7 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawns `config.workers` worker actors consuming from a fresh
     /// queue; completed tasks go to `results`.
-    pub fn spawn(
+    pub(crate) fn spawn(
         sim: &Sim,
         config: WorkerPoolConfig,
         results: Sender<TaskResult>,
@@ -142,19 +136,13 @@ impl WorkerPool {
             shared,
             pace: config.pace.clone(),
             crash: config.crash.clone(),
-            label: config.label,
             site: config.site,
             workers: config.workers,
         }
     }
 
-    /// Pool label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Site the pool runs on.
-    pub fn site(&self) -> SiteId {
+    pub(crate) fn site(&self) -> SiteId {
         self.site
     }
 
@@ -187,12 +175,12 @@ impl WorkerPool {
     }
 
     /// The pool's compute-pace dial (chaos-engine target).
-    pub fn pace_knob(&self) -> Knob {
+    pub(crate) fn pace_knob(&self) -> Knob {
         self.pace.clone()
     }
 
     /// The pool's mid-task crash-probability dial (chaos-engine target).
-    pub fn crash_knob(&self) -> Knob {
+    pub(crate) fn crash_knob(&self) -> Knob {
         self.crash.clone()
     }
 }
@@ -213,10 +201,6 @@ fn spawn_worker(
     // the copyable handle instead of cloning a String per event.
     let name = Symbol::intern(&format!("{}/{}", config.label, index));
     sim.clone().spawn(async move {
-        if !config.start_delays.is_empty() {
-            let delay = config.start_delays[index % config.start_delays.len()];
-            sim.sleep(delay).await;
-        }
         let mut last_finish: Option<hetflow_sim::SimTime> = None;
         // Resolved-input buffer, reused across tasks: the compute
         // closure borrows it through `TaskCtx`, so steady state runs
@@ -557,37 +541,6 @@ mod tests {
         assert!(results[1].output.is_proxied());
         assert_eq!(results[1].output.wire_bytes(), hetflow_store::PROXY_WIRE_BYTES);
         assert_eq!(store.object_count(), 1);
-    }
-
-    #[test]
-    fn start_delays_stagger_worker_onset() {
-        let sim = Sim::new();
-        let (res_tx, _res_rx) = channel();
-        let mut config = WorkerPoolConfig::bare(SITE, "w", 2);
-        config.start_delays =
-            vec![Duration::from_secs(0), Duration::from_secs(100)];
-        let pool =
-            WorkerPool::spawn(&sim, config, res_tx, &SimRng::from_seed(1), Tracer::disabled());
-        for i in 0..2 {
-            pool.tasks
-                .send_now(TaskSpec::new(
-                    i,
-                    "t",
-                    vec![],
-                    Rc::new(|_| TaskWork::new((), 0, Duration::from_secs(10))),
-                ))
-                .unwrap();
-        }
-        sim.run();
-        // Worker 0 (online at t=0) runs both tasks back-to-back and
-        // finishes at t=20; worker 1 only comes online at t=100 (which
-        // is when the sim quiesces, its start timer being the last
-        // event) and finds nothing to do.
-        assert_eq!(pool.completed(), 2);
-        let busy = pool.busy_gauge();
-        let last_activity = busy.series().points().last().unwrap().0;
-        assert_eq!(last_activity, SimTime::from_secs(20));
-        assert_eq!(sim.now(), SimTime::from_secs(100));
     }
 
     #[test]

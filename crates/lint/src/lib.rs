@@ -21,8 +21,8 @@
 //! - **R3** no order-leaking iteration over `HashMap`/`HashSet` in
 //!   sim-driven crates — keyed lookup is fine, iteration is not.
 //!   Chains are followed across any number of lines.
-//! - **R4** no OS-thread spawns outside `ml` — whose scoped,
-//!   member-seeded fan-out is the sanctioned escape hatch.
+//! - **R4** no OS-thread spawns — concurrency is `Sim::spawn` over
+//!   virtual time, in every crate.
 //! - **R5** an `unwrap()`/`expect()`/`panic!()` budget per library
 //!   crate, read from the checked-in `hetlint.ratchet` file — a ratchet
 //!   that may go down but not up. Runtime faults must travel the typed
@@ -94,7 +94,7 @@ pub enum RuleId {
     R2,
     /// Order-leaking hash-container iteration.
     R3,
-    /// OS-thread spawn outside `ml`.
+    /// OS-thread spawn.
     R4,
     /// Unwrap budget exceeded.
     R5,
@@ -155,7 +155,7 @@ impl RuleId {
             RuleId::R1 => "R1 virtual-time: no wall clock in sim-driven crates",
             RuleId::R2 => "R2 seeded-rng: no ambient entropy outside sim::rng",
             RuleId::R3 => "R3 hash-order: no HashMap/HashSet iteration in sim-driven crates",
-            RuleId::R4 => "R4 threads: no OS-thread spawn outside ml",
+            RuleId::R4 => "R4 threads: no OS-thread spawn; use Sim::spawn",
             RuleId::R5 => "R5 unwrap-budget: unwrap()/expect()/panic!() ratchet per library crate",
             RuleId::R6 => "R6 total-order: float ordering must be total",
             RuleId::R7 => "R7 seed-streams: stream-name literals must be workspace-unique",
@@ -197,10 +197,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              BTreeMap, or collect-and-sort before iterating."
         }
         "r4" => {
-            "R4 threads — no OS-thread spawns outside the ml crate. The simulation is \
-             single-threaded over virtual time by design; ml's scoped, member-seeded \
-             ensemble fan-out is the one sanctioned escape because its result is \
-             bit-identical to the sequential path."
+            "R4 threads — no OS-thread spawns (`thread::spawn`, `thread::Builder`, \
+             `thread::scope`) in any crate. The simulation is single-threaded over virtual \
+             time by design: a thread observes the host's scheduling order. Fix: \
+             `Sim::spawn` (virtual concurrency)."
         }
         "r5" => {
             "R5 unwrap-budget — unwrap()/expect()/panic!() sites in pre-test library code \

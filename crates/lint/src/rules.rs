@@ -74,9 +74,7 @@ pub fn check_file(ctx: &FileContext, prepared: &Prepared, fns: &[FnItem]) -> Vec
     if !ctx.is_rng_module() {
         r2_entropy(ctx, prepared, &mut out);
     }
-    if ctx.crate_name != "ml" {
-        r4_thread_spawn(ctx, prepared, &mut out);
-    }
+    r4_thread_spawn(ctx, prepared, &mut out);
     r6_float_order(ctx, prepared, &mut out);
     out
 }
@@ -545,9 +543,8 @@ fn comma_index_before(t: Toks<'_>, open: usize, target: usize) -> Option<usize> 
     Some(idx)
 }
 
-/// R4 — OS threads are banned outside `ml`: detached threads observe
-/// real scheduling order. `ml`'s scoped, member-seeded fan-out is the
-/// one sanctioned escape hatch.
+/// R4 — OS threads are banned: a thread observes real scheduling
+/// order, which virtual time must never see.
 fn r4_thread_spawn(ctx: &FileContext, prepared: &Prepared, out: &mut Vec<Violation>) {
     let t = Toks(&prepared.lex.tokens);
     let mut i = 0;
@@ -562,8 +559,7 @@ fn r4_thread_spawn(ctx: &FileContext, prepared: &Prepared, out: &mut Vec<Violati
                 prepared,
                 RuleId::R4,
                 t.line(i),
-                "OS thread spawn outside ml; use Sim::spawn (virtual concurrency) or move the \
-                 parallelism into ml with member-derived seeds"
+                "OS thread spawn in a sim-driven crate; use Sim::spawn (virtual concurrency)"
                     .into(),
             );
         }

@@ -130,10 +130,10 @@ fn r4_good_sim_spawn_is_clean() {
 }
 
 #[test]
-fn r4_exempts_the_ml_crate() {
+fn r4_applies_to_ml() {
     let ctx = FileContext::new("ml", FileKind::LibSrc, "crates/ml/src/fixture.rs");
     let report = lint_source(&ctx, include_str!("fixtures/r4_bad.rs"));
-    assert!(report.violations.is_empty(), "{:?}", report.violations);
+    assert_eq!(rules_of(&report), vec![RuleId::R4], "{:?}", report.violations);
 }
 
 #[test]

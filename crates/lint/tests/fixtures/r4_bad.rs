@@ -1,4 +1,4 @@
-//! R4 failing fixture: OS threads outside ml.
+//! R4 failing fixture: OS threads.
 
 fn fan_out(jobs: Vec<Job>) {
     for job in jobs {

@@ -1,14 +1,11 @@
-//! Bagged ensembles with parallel training.
+//! Bagged ensembles.
 //!
 //! Both paper applications train "an ensemble of 8 models where each is
 //! trained on a different, randomly-selected subset of the training
 //! data" (§III-A, §III-B) and use the spread of predictions as the
-//! uncertainty signal for active learning. Members are independent, so
-//! training fans out across scoped OS threads — the one place in the
-//! codebase where real parallelism (not virtual time) buys wall clock,
-//! and the one sanctioned escape from `hetlint` rule R4: every thread
-//! receives a member-derived seeded stream, so the result is
-//! bit-identical to the sequential path.
+//! uncertainty signal for active learning. Every member receives a
+//! member-derived seeded stream, so a fit is a pure function of the
+//! ensemble's RNG and the member index.
 
 use hetflow_sim::SimRng;
 
@@ -19,15 +16,6 @@ pub const DEFAULT_BAG_FRACTION: f64 = 0.8;
 #[derive(Clone, Debug)]
 pub struct Ensemble<M> {
     members: Vec<M>,
-}
-
-/// Mean and standard deviation of member predictions for one input.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MeanStd {
-    /// Ensemble mean.
-    pub mean: f64,
-    /// Ensemble standard deviation (population).
-    pub std: f64,
 }
 
 impl<M> Ensemble<M> {
@@ -62,47 +50,6 @@ impl<M> Ensemble<M> {
             .collect();
         Ensemble { members }
     }
-
-    /// Trains members in parallel across OS threads. `train` must be
-    /// `Sync` (it is called concurrently) and deterministic given the
-    /// member index + RNG — results are bit-identical to [`Ensemble::fit`].
-    pub fn fit_parallel(
-        n_members: usize,
-        rng: &SimRng,
-        train: impl Fn(usize, SimRng) -> M + Sync,
-    ) -> Self
-    where
-        M: Send,
-    {
-        assert!(n_members > 0);
-        let mut slots: Vec<Option<M>> = (0..n_members).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let member_rng = rng.substream(i as u64);
-                let train = &train;
-                scope.spawn(move || {
-                    *slot = Some(train(i, member_rng));
-                });
-            }
-        });
-        // `thread::scope` re-raises any child panic, so reaching this
-        // line means every spawned closure ran its `*slot = Some(..)`;
-        // the length check turns a (impossible) hole into a loud error
-        // instead of a silent truncation.
-        let members: Vec<M> = slots.into_iter().flatten().collect();
-        assert_eq!(members.len(), n_members, "a training thread left its slot empty");
-        Ensemble { members }
-    }
-
-    /// Applies a scalar prediction function across members and returns
-    /// mean and std for one input.
-    pub fn predict_with(&self, predict: impl Fn(&M) -> f64) -> MeanStd {
-        let preds: Vec<f64> = self.members.iter().map(predict).collect();
-        let n = preds.len() as f64;
-        let mean = preds.iter().sum::<f64>() / n;
-        let var = preds.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / n;
-        MeanStd { mean, std: var.sqrt() }
-    }
 }
 
 /// Draws a bagging subset: `ceil(fraction * n)` distinct indices.
@@ -131,22 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let lib = MoleculeLibrary::generate(1000, 21);
-        let rng = SimRng::from_seed(9);
-        let seq = Ensemble::fit(4, &rng, |i, r| train_member(&lib, 400, i, r));
-        let par = Ensemble::fit_parallel(4, &rng, |i, r| train_member(&lib, 400, i, r));
-        let x = lib.features(999).to_vec();
-        let a = seq.predict_with(|m| m.predict(&x));
-        let b = par.predict_with(|m| m.predict(&x));
-        assert_eq!(a, b, "parallel training must be bit-deterministic");
-    }
-
-    #[test]
     fn members_differ() {
         let lib = MoleculeLibrary::generate(1000, 22);
         let rng = SimRng::from_seed(10);
-        let ens = Ensemble::fit_parallel(8, &rng, |i, r| train_member(&lib, 300, i, r));
+        let ens = Ensemble::fit(8, &rng, |i, r| train_member(&lib, 300, i, r));
         let x = lib.features(900).to_vec();
         let preds: Vec<f64> = ens.members().iter().map(|m| m.predict(&x)).collect();
         let distinct = preds
@@ -154,40 +89,6 @@ mod tests {
             .filter(|&&p| (p - preds[0]).abs() > 1e-9)
             .count();
         assert!(distinct >= 1, "bagged members must not be identical");
-    }
-
-    #[test]
-    fn uncertainty_shrinks_near_training_data() {
-        // Ensemble std should be larger far from the training set — the
-        // property active learning exploits.
-        let lib = MoleculeLibrary::generate(4000, 23);
-        let rng = SimRng::from_seed(11);
-        let n_train = 400;
-        let ens = Ensemble::fit_parallel(8, &rng, |i, r| train_member(&lib, n_train, i, r));
-        // Mean std on trained molecules vs on unseen ones.
-        let avg_std = |ids: std::ops::Range<usize>| {
-            let n = ids.len() as f64;
-            ids.map(|i| {
-                let x = lib.features(i).to_vec();
-                ens.predict_with(|m| m.predict(&x)).std
-            })
-            .sum::<f64>()
-                / n
-        };
-        let seen = avg_std(0..200);
-        let unseen = avg_std(3000..3200);
-        assert!(
-            unseen > seen,
-            "uncertainty must be higher off-distribution: seen {seen:.4}, unseen {unseen:.4}"
-        );
-    }
-
-    #[test]
-    fn mean_std_math() {
-        let ens = Ensemble::from_members(vec![1.0f64, 2.0, 3.0]);
-        let ms = ens.predict_with(|&m| m);
-        assert!((ms.mean - 2.0).abs() < 1e-12);
-        assert!((ms.std - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]

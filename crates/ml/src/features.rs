@@ -38,7 +38,7 @@ pub struct RandomFourierFeatures {
 impl RandomFourierFeatures {
     /// Samples a feature map: `d_in` inputs → `d_out` features, RBF
     /// lengthscale `lengthscale`.
-    pub fn sample(d_in: usize, d_out: usize, lengthscale: f64, rng: &mut SimRng) -> Self {
+    pub(crate) fn sample(d_in: usize, d_out: usize, lengthscale: f64, rng: &mut SimRng) -> Self {
         assert!(d_in > 0 && d_out > 0 && lengthscale > 0.0);
         let padded = d_out.next_multiple_of(TILE);
         let mut wt = vec![0.0; d_in * padded];
@@ -81,7 +81,7 @@ impl RandomFourierFeatures {
     }
 
     /// Maps a batch into a design matrix (`n × D`).
-    pub fn transform_batch(&self, xs: &[impl AsRef<[f64]>]) -> Matrix {
+    pub(crate) fn transform_batch(&self, xs: &[impl AsRef<[f64]>]) -> Matrix {
         let mut out = Matrix::zeros(xs.len(), self.d_out);
         let mut tile = [[0.0; TILE]];
         for (i, x) in xs.iter().enumerate() {

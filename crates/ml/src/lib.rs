@@ -12,27 +12,34 @@
 //! * [`PairPotential`] — a linear pair potential fit jointly on energies
 //!   and forces; its analytic gradient is exact, so MD sampling can run
 //!   on the learned surface (the §III-B sampling tasks).
-//! * [`Ensemble`] — bagged ensembles with scoped-thread-parallel training
-//!   and mean/std prediction for UCB acquisition ([`rank`]).
+//! * [`Ensemble`] — bagged ensembles; the spread of member predictions
+//!   is the uncertainty the campaigns rank by ([`rank`]).
 //! * [`linalg`] — the dense matrix/Cholesky kernel behind the solvers
 //!   (row-walking, operation order fixed per element).
 //!
 //! ```
 //! use hetflow_chem::MoleculeLibrary;
-//! use hetflow_ml::{Ensemble, RffRidge, SurrogateParams, ucb};
+//! use hetflow_ml::{
+//!     bag_indices, top_k, Ensemble, RffRidge, SurrogateParams, DEFAULT_BAG_FRACTION,
+//! };
 //! use hetflow_sim::SimRng;
 //!
 //! let lib = MoleculeLibrary::generate(500, 1);
-//! let inputs: Vec<Vec<f64>> = (0..200).map(|i| lib.features(i).to_vec()).collect();
-//! let targets: Vec<f64> = (0..200).map(|i| lib.true_ip(i)).collect();
 //! let rng = SimRng::from_seed(2);
-//! let ensemble = Ensemble::fit_parallel(4, &rng, |_, mut r| {
+//! let ensemble = Ensemble::fit(4, &rng, |_, mut r| {
+//!     let bag = bag_indices(200, DEFAULT_BAG_FRACTION, &mut r);
+//!     let inputs: Vec<_> = bag.iter().map(|&i| lib.features(i)).collect();
+//!     let targets: Vec<f64> = bag.iter().map(|&i| lib.true_ip(i)).collect();
 //!     RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut r).unwrap()
 //! });
-//! let x = lib.features(499).to_vec();
-//! let ms = ensemble.predict_with(|m| m.predict(&x));
-//! let score = ucb(ms, 1.0);
-//! assert!(score.is_finite());
+//! let mut mean = vec![0.0; lib.len()];
+//! let mut scores = vec![0.0; lib.len()];
+//! for member in ensemble.members() {
+//!     member.predict_batch(|i| lib.features(i), &mut scores);
+//!     mean.iter_mut().zip(&scores).for_each(|(m, s)| *m += s / ensemble.len() as f64);
+//! }
+//! let best = top_k(&mean, 10);
+//! assert!(best.len() == 10 && mean[best[0]] >= mean[best[9]]);
 //! ```
 
 // Index loops are the clearest form for the numeric kernels here.
@@ -42,19 +49,15 @@ mod cosine;
 pub mod ensemble;
 pub mod features;
 pub mod linalg;
-pub mod metrics;
 pub mod pairpot;
 pub mod rank;
 pub mod ridge;
 pub mod surrogate;
-pub mod tune;
 
-pub use ensemble::{bag_indices, Ensemble, MeanStd, DEFAULT_BAG_FRACTION};
+pub use ensemble::{bag_indices, Ensemble, DEFAULT_BAG_FRACTION};
 pub use features::RandomFourierFeatures;
 pub use linalg::{Cholesky, LinalgError, Matrix};
-pub use metrics::{r2, rmse};
 pub use pairpot::{DesignBlock, LabelledStructure, PairPotParams, PairPotential, RadialBasis};
-pub use rank::{rank_by_uncertainty, top_k, ucb};
+pub use rank::{rank_by_uncertainty, top_k};
 pub use ridge::Ridge;
 pub use surrogate::{RffRidge, SurrogateParams};
-pub use tune::{cv_rmse, grid_search, kfold_indices, GridSearchResult, StandardScaler};

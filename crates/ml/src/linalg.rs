@@ -40,7 +40,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// An all-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
@@ -63,22 +63,22 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// A row as a slice.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutable row access.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
@@ -94,7 +94,7 @@ impl Matrix {
     }
 
     /// `selfᵀ * other`.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         if other.cols != 1 {
             return self.t_accumulate(other, false);
@@ -142,7 +142,7 @@ impl Matrix {
     }
 
     /// Adds `lambda` to the diagonal (ridge regularization).
-    pub fn add_diag(&mut self, lambda: f64) {
+    pub(crate) fn add_diag(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
         for i in 0..n {
             self[(i, i)] += lambda;
@@ -155,7 +155,7 @@ impl Matrix {
     /// contiguous axpy. Each element still loses its products in
     /// ascending `k`, so the factor is bit-identical to the left-looking
     /// dot-product form.
-    pub fn cholesky(&self) -> Result<Cholesky, LinalgError> {
+    pub(crate) fn cholesky(&self) -> Result<Cholesky, LinalgError> {
         if self.rows != self.cols {
             return Err(LinalgError::ShapeMismatch);
         }
@@ -241,7 +241,7 @@ pub struct Cholesky {
 
 impl Cholesky {
     /// Solves `A x = b` in place (`x` holds `b` on entry), `A = L Lᵀ`.
-    pub fn solve_in_place(&self, x: &mut [f64]) {
+    pub(crate) fn solve_in_place(&self, x: &mut [f64]) {
         let n = self.u.rows();
         assert_eq!(x.len(), n);
         // Forward, L y = b, as axpys (per entry: k ascending, like a dot).
@@ -265,7 +265,7 @@ impl Cholesky {
     }
 
     /// Solves `A X = B` column by column through one scratch column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
+    pub(crate) fn solve_matrix(&self, b: &Matrix) -> Matrix {
         let n = self.u.rows();
         assert_eq!(b.rows(), n);
         let mut out = Matrix::zeros(n, b.cols());

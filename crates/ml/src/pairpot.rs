@@ -18,7 +18,7 @@
 //! them *unweighted* and [`PairPotential::fit_blocks`] (the one fit
 //! core) only scales, stacks and solves. A campaign that refits on
 //! mostly unchanged data builds each block once and bags references.
-//! [`RadialBasis::gaussian`] is the one place the basis is evaluated:
+//! `RadialBasis::gaussian` is the one place the basis is evaluated:
 //! `φ_k` and `φ'_k` come from a single `exp`, for blocks and for
 //! [`EnergyModel::energy_forces`] alike. Each accumulator still sees
 //! its terms in pair-then-`k` order, so results are bit-identical to
@@ -38,7 +38,7 @@ pub struct RadialBasis {
 
 impl RadialBasis {
     /// `k` centers uniformly on `[r_min, r_max]`, width `width`.
-    pub fn new(k: usize, r_min: f64, r_max: f64, width: f64) -> Self {
+    pub(crate) fn new(k: usize, r_min: f64, r_max: f64, width: f64) -> Self {
         assert!(k >= 2 && r_max > r_min && width > 0.0);
         let centers = (0..k)
             .map(|i| r_min + (r_max - r_min) * i as f64 / (k - 1) as f64)
@@ -52,7 +52,7 @@ impl RadialBasis {
     }
 
     /// Basis size.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.centers.len()
     }
 
@@ -709,47 +709,6 @@ mod tests {
             var += (truth - mean_e).powi(2);
         }
         assert!(se < 0.3 * var, "energy fit must beat the mean baseline: {se} vs {var}");
-    }
-
-    #[test]
-    fn three_body_reference_leaves_error_floor() {
-        // Ablation: against a pair-only reference the pair basis fits
-        // almost exactly; against the pair+three-body "harder" reference
-        // (hetflow-chem's Axilrod–Teller extension) an irreducible
-        // residual remains — the realistic surrogate regime.
-        use hetflow_chem::harder_reference;
-        let pair_ref = MorsePes::reference();
-        let hard_ref = harder_reference();
-        let train = pretraining_set(60, 31);
-        let test = pretraining_set(10, 131);
-        let err_against = |model: &dyn hetflow_chem::EnergyModel| {
-            let data: Vec<LabelledStructure> = train
-                .iter()
-                .map(|s| {
-                    let (e, f) = model.energy_forces(s);
-                    LabelledStructure { structure: s.clone(), energy: e, forces: Some(f) }
-                })
-                .collect();
-            let fitted = PairPotential::fit(
-                &data,
-                RadialBasis::default_for_clusters(),
-                PairPotParams::default(),
-            )
-            .unwrap();
-            let mut acc = 0.0;
-            for s in &test {
-                let (_, truth) = model.energy_forces(s);
-                let (_, pred) = fitted.energy_forces(s);
-                acc += force_rmsd(&truth, &pred);
-            }
-            acc / test.len() as f64
-        };
-        let easy = err_against(&pair_ref);
-        let hard = err_against(&hard_ref);
-        assert!(
-            hard > 1.5 * easy,
-            "three-body reference must leave a model-form floor: {easy:.4} vs {hard:.4}"
-        );
     }
 
     #[test]

@@ -4,13 +4,6 @@
 //! Confidence Bound (UCB) of the predictions, which is the sum of the
 //! mean and standard deviations of the model predictions" (§III-A).
 
-use crate::ensemble::MeanStd;
-
-/// UCB acquisition score: `mean + kappa * std`.
-pub fn ucb(ms: MeanStd, kappa: f64) -> f64 {
-    ms.mean + kappa * ms.std
-}
-
 /// Returns the indices of the `k` highest-scoring entries, best first.
 ///
 /// Uses a partial selection: O(n) average to find the cut, then sorts
@@ -39,14 +32,6 @@ pub fn rank_by_uncertainty(stds: &[f64], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ucb_combines_mean_and_std() {
-        let ms = MeanStd { mean: 10.0, std: 2.0 };
-        assert_eq!(ucb(ms, 0.0), 10.0);
-        assert_eq!(ucb(ms, 1.0), 12.0);
-        assert_eq!(ucb(ms, 2.5), 15.0);
-    }
 
     #[test]
     fn top_k_orders_best_first() {

@@ -12,14 +12,14 @@ pub struct Ridge {
 
 impl Ridge {
     /// Fits `X w = y` with L2 penalty `lambda` and a fitted intercept.
-    pub fn fit(x: &Matrix, y: &[f64], lambda: f64) -> Result<Ridge, LinalgError> {
+    pub(crate) fn fit(x: &Matrix, y: &[f64], lambda: f64) -> Result<Ridge, LinalgError> {
         let y_mat = Matrix::from_vec(y.len(), 1, y.to_vec());
         Ridge::fit_multi(x, &y_mat, lambda, true)
     }
 
     /// Fits a multi-output model; `y` is `n × k`. When `center` is set,
     /// per-output intercepts absorb the means.
-    pub fn fit_multi(
+    pub(crate) fn fit_multi(
         x: &Matrix,
         y: &Matrix,
         lambda: f64,
@@ -87,12 +87,12 @@ impl Ridge {
     }
 
     /// The raw weight matrix (`d × k`).
-    pub fn weights(&self) -> &Matrix {
+    pub(crate) fn weights(&self) -> &Matrix {
         &self.weights
     }
 
     /// Per-output intercepts (length `k`).
-    pub fn intercepts(&self) -> &[f64] {
+    pub(crate) fn intercepts(&self) -> &[f64] {
         &self.intercepts
     }
 }

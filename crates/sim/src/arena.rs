@@ -75,11 +75,6 @@ impl<T> Arena<T> {
         Self::default()
     }
 
-    /// Creates an arena with room for `cap` values before growing.
-    pub fn with_capacity(cap: usize) -> Self {
-        Arena { slots: Vec::with_capacity(cap), free: Vec::new(), len: 0 }
-    }
-
     /// Live values.
     pub fn len(&self) -> usize {
         self.len
@@ -150,18 +145,6 @@ impl<T> Arena<T> {
             let v = s.value.as_ref()?;
             Some((ArenaId { index: i as u32, generation: s.generation }, v))
         })
-    }
-
-    /// Removes every value. Generations advance on occupied slots so
-    /// all outstanding handles go stale.
-    pub fn clear(&mut self) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.value.take().is_some() {
-                slot.generation = slot.generation.wrapping_add(1);
-                self.free.push(i as u32);
-            }
-        }
-        self.len = 0;
     }
 }
 
@@ -244,19 +227,5 @@ mod tests {
         a.remove(x);
         let vals: Vec<&str> = a.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, ["y", "z"]);
-    }
-
-    #[test]
-    fn clear_stales_all_handles() {
-        let mut a = Arena::new();
-        let x = a.insert(1);
-        let y = a.insert(2);
-        a.clear();
-        assert!(a.is_empty());
-        assert_eq!(a.get(x), None);
-        assert_eq!(a.get(y), None);
-        let z = a.insert(3);
-        assert_eq!(a.get(z), Some(&3));
-        assert_eq!(a.len(), 1);
     }
 }

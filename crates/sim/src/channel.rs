@@ -14,7 +14,7 @@
 //! models visible at the call site rather than hidden in plumbing.
 //!
 //! Waiting is allocation-free on the steady state: each pending
-//! `recv()`/`send()` future owns one reusable slot in a [`WakerPool`]
+//! `recv()`/`send()` future owns one reusable slot in a `WakerPool`
 //! rather than pushing a cloned [`Waker`] into a queue on every poll.
 //! Re-polls refresh the slot in place (`will_wake` skips the clone), a
 //! released slot keeps its waker so the next future of the same task
@@ -350,21 +350,6 @@ impl<T> Sender<T> {
             }
         }
     }
-
-    /// Number of items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when no receiver remains.
-    pub fn is_closed(&self) -> bool {
-        self.state.borrow().receivers == 0
-    }
 }
 
 /// Future returned by [`Sender::send`].
@@ -425,16 +410,6 @@ impl<T> Receiver<T> {
     /// and all senders are gone.
     pub fn recv(&self) -> RecvFuture<'_, T> {
         RecvFuture { receiver: self, slot: None }
-    }
-
-    /// Takes an item if one is queued.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut s = self.state.borrow_mut();
-        let v = s.queue.pop_front();
-        if v.is_some() {
-            s.send_wakers.wake_one();
-        }
-        v
     }
 
     /// Drains everything currently queued.
@@ -578,7 +553,6 @@ mod tests {
         let (tx, rx) = channel::<u32>();
         drop(rx);
         assert_eq!(tx.send_now(9), Err(SendError(9)));
-        assert!(tx.is_closed());
     }
 
     #[test]
@@ -658,14 +632,12 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_and_drain() {
+    fn drain_now_takes_everything_queued() {
         let (tx, rx) = channel::<u32>();
-        assert_eq!(rx.try_recv(), None);
         tx.send_now(1).unwrap();
         tx.send_now(2).unwrap();
         tx.send_now(3).unwrap();
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.drain_now(), vec![2, 3]);
+        assert_eq!(rx.drain_now(), vec![1, 2, 3]);
         assert!(rx.is_empty());
     }
 
@@ -781,7 +753,7 @@ mod tests {
             s.sleep(secs(1.0)).await;
             // Free capacity (waking the quitter), then retire the
             // quitter before it can use it.
-            assert_eq!(rx.try_recv(), Some(0));
+            assert_eq!(rx.drain_now(), vec![0]);
             ev.set();
             // Patient's send lands; drain it so the channel closes clean.
             s.sleep(secs(1.0)).await;

@@ -1,8 +1,8 @@
 //! Future combinators for simulated actors.
 //!
 //! Small, allocation-light helpers: racing a future against a deadline
-//! ([`Sim::timeout`]), racing two futures ([`select2`]) and awaiting
-//! many ([`join_all`]). All operate purely in virtual time.
+//! ([`Sim::timeout`]) and racing two futures (`select2`). Both operate
+//! purely in virtual time.
 
 use crate::executor::Sim;
 use std::future::Future;
@@ -12,7 +12,7 @@ use std::time::Duration;
 
 /// Outcome of [`select2`].
 #[derive(Debug, PartialEq, Eq)]
-pub enum Either<A, B> {
+pub(crate) enum Either<A, B> {
     /// The first future finished first.
     Left(A),
     /// The second future finished first.
@@ -23,7 +23,7 @@ pub enum Either<A, B> {
 ///
 /// Polling order is deterministic: `a` is polled before `b` at every
 /// step, so simultaneous readiness resolves to `Left`.
-pub async fn select2<A, B>(a: A, b: B) -> Either<A::Output, B::Output>
+pub(crate) async fn select2<A, B>(a: A, b: B) -> Either<A::Output, B::Output>
 where
     A: Future + Unpin,
     B: Future + Unpin,
@@ -57,34 +57,6 @@ impl Sim {
             Either::Right(()) => Err(Elapsed),
         }
     }
-}
-
-/// Awaits all futures, returning outputs in input order.
-pub async fn join_all<F: Future + Unpin>(futs: Vec<F>) -> Vec<F::Output> {
-    let mut slots: Vec<Option<F::Output>> = futs.iter().map(|_| None).collect();
-    let mut futs: Vec<Option<F>> = futs.into_iter().map(Some).collect();
-    std::future::poll_fn(move |cx| {
-        let mut pending = false;
-        for (slot, fut) in slots.iter_mut().zip(futs.iter_mut()) {
-            if let Some(f) = fut {
-                match Pin::new(f).poll(cx) {
-                    Poll::Ready(v) => {
-                        *slot = Some(v);
-                        *fut = None;
-                    }
-                    Poll::Pending => pending = true,
-                }
-            }
-        }
-        if pending {
-            Poll::Pending
-        } else {
-            // hetlint: allow(r5) — every slot was filled on the branch that cleared
-            // `pending`; an empty slot here is join_all corrupting its own state.
-            Poll::Ready(slots.iter_mut().map(|s| s.take().expect("filled")).collect())
-        }
-    })
-    .await
 }
 
 #[cfg(test)]
@@ -145,35 +117,5 @@ mod tests {
         // The abandoned sleep must not drag the clock to t=100.
         let r = sim.run();
         assert_eq!(r.end, SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn join_all_waits_for_slowest_in_parallel() {
-        let sim = Sim::new();
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            let handles: Vec<_> = (1..=4u64)
-                .map(|i| {
-                    let s2 = s.clone();
-                    s.spawn(async move {
-                        s2.sleep(secs(i as f64)).await;
-                        i * 10
-                    })
-                })
-                .collect();
-            join_all(handles).await
-        });
-        assert_eq!(sim.block_on(h), vec![10, 20, 30, 40]);
-        assert_eq!(sim.now(), SimTime::from_secs(4), "parallel, not additive");
-    }
-
-    #[test]
-    fn join_all_empty() {
-        let sim = Sim::new();
-        let h = sim.spawn(async move {
-            let empty: Vec<crate::JoinHandle<u32>> = Vec::new();
-            join_all(empty).await
-        });
-        assert_eq!(sim.block_on(h), Vec::<u32>::new());
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! ## Timer store
 //!
-//! Pending timers live in one indexed binary min-heap ([`TimerHeap`])
+//! Pending timers live in one indexed binary min-heap (`TimerHeap`)
 //! keyed by `(deadline, tie, registration seq)`; `seq` is unique, so the
 //! firing order is the global lexicographic minimum by construction.
 //! Each timer also owns a generation-checked slab slot that records its
@@ -727,7 +727,7 @@ pub struct JoinHandle<T> {
 
 impl<T> JoinHandle<T> {
     /// Takes the output if the task has finished.
-    pub fn try_take(&self) -> Option<T> {
+    pub(crate) fn try_take(&self) -> Option<T> {
         self.state.borrow_mut().result.take()
     }
 

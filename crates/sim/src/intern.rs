@@ -75,13 +75,8 @@ impl Symbol {
     /// [`Symbol::as_str`] bytes, which are independent of interning
     /// order).
     #[inline]
-    pub fn id(self) -> u32 {
+    pub(crate) fn id(self) -> u32 {
         self.id
-    }
-
-    /// True when the interned string is empty.
-    pub fn is_empty(self) -> bool {
-        self.name.is_empty()
     }
 }
 
@@ -237,7 +232,7 @@ mod tests {
 
     #[test]
     fn default_is_empty() {
-        assert!(Symbol::default().is_empty());
+        assert!(Symbol::default().as_str().is_empty());
         assert_eq!(Symbol::default(), "");
     }
 

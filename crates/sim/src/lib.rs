@@ -8,7 +8,7 @@
 //! * [`Sim`] — a single-threaded async executor over virtual time.
 //!   Actors are ordinary `async` tasks; awaiting [`Sim::sleep`] advances
 //!   the clock deterministically.
-//! * [`channel`]/[`bounded`] — FIFO message channels between actors
+//! * [`channel()`]/[`bounded`] — FIFO message channels between actors
 //!   (task queues, result queues, worker pools).
 //! * [`Event`] and [`Semaphore`] — the coordination primitives the
 //!   steering agents and resource models are built from.
@@ -50,7 +50,7 @@ pub mod time;
 pub mod trace;
 
 pub use arena::{Arena, ArenaId};
-pub use combinators::{join_all, select2, Either, Elapsed};
+pub use combinators::Elapsed;
 pub use channel::{bounded, channel, Offered, OverflowPolicy, Receiver, Sender};
 pub use dist::Dist;
 pub use executor::{JoinHandle, RunReport, Sim};

@@ -53,7 +53,7 @@ impl Samples {
     }
 
     /// Population standard deviation; 0 when fewer than 2 samples.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         if self.values.len() < 2 {
             return 0.0;
         }
@@ -138,11 +138,6 @@ impl Samples {
         }
     }
 
-    /// Read-only view of the raw samples.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Merges another sample set into this one.
     pub fn extend_from(&mut self, other: &Samples) {
         self.values.extend_from_slice(&other.values);
@@ -156,11 +151,6 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Appends a point; time must be non-decreasing.
     pub fn push(&mut self, t: SimTime, v: f64) {
         if let Some(&(last, _)) = self.points.last() {
@@ -172,16 +162,6 @@ impl TimeSeries {
     /// The recorded points.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Value at time `t` under step (sample-and-hold) interpolation;
@@ -401,7 +381,7 @@ mod tests {
 
     #[test]
     fn series_step_lookup() {
-        let mut ts = TimeSeries::new();
+        let mut ts = TimeSeries::default();
         ts.push(SimTime::from_secs(1), 10.0);
         ts.push(SimTime::from_secs(5), 20.0);
         assert_eq!(ts.value_at(SimTime::ZERO, -1.0), -1.0);
@@ -413,14 +393,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "time order")]
     fn series_rejects_time_regression() {
-        let mut ts = TimeSeries::new();
+        let mut ts = TimeSeries::default();
         ts.push(SimTime::from_secs(5), 1.0);
         ts.push(SimTime::from_secs(1), 2.0);
     }
 
     #[test]
     fn series_resample_grid() {
-        let mut ts = TimeSeries::new();
+        let mut ts = TimeSeries::default();
         ts.push(SimTime::from_secs(0), 0.0);
         ts.push(SimTime::from_secs(10), 100.0);
         let grid = ts.resample(SimTime::from_secs(10), 3, 0.0);

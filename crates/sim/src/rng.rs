@@ -77,14 +77,9 @@ impl SimRng {
         SimRng::from_seed(splitmix64(self.seed ^ splitmix64(index)))
     }
 
-    /// The 64-bit seed this stream was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Next raw 64-bit draw (xoshiro256++ step).
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let s = &mut self.state;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
@@ -95,20 +90,6 @@ impl SimRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-
-    /// Next raw 32-bit draw (upper half of a 64-bit step).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -276,18 +257,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fill_bytes_is_deterministic() {
-        let mut a = SimRng::from_seed(23);
-        let mut b = SimRng::from_seed(23);
-        let mut buf_a = [0u8; 13];
-        let mut buf_b = [0u8; 13];
-        a.fill_bytes(&mut buf_a);
-        b.fill_bytes(&mut buf_b);
-        assert_eq!(buf_a, buf_b);
-        assert!(buf_a.iter().any(|&x| x != 0));
     }
 
     #[test]

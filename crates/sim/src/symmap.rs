@@ -65,12 +65,6 @@ impl<T> SymbolMap<T> {
         self.slots.get(key.id() as usize)?.as_ref()
     }
 
-    /// O(1): mutable access to the value for `key`.
-    #[inline]
-    pub fn get_mut(&mut self, key: Symbol) -> Option<&mut T> {
-        self.slots.get_mut(key.id() as usize)?.as_mut()
-    }
-
     /// True when `key` has a value.
     #[inline]
     pub fn contains_key(&self, key: Symbol) -> bool {
@@ -137,28 +131,6 @@ impl<T> SymbolMap<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> + '_ {
         self.iter().map(|(_, v)| v)
     }
-
-    /// Applies `f` to every value, in resolved-string key order.
-    ///
-    /// Stands in for a `values_mut` iterator without handing out
-    /// overlapping borrows (the map stays `unsafe`-free like the rest
-    /// of the workspace).
-    pub fn for_each_value_mut(&mut self, mut f: impl FnMut(Symbol, &mut T)) {
-        for at in 0..self.order.len() {
-            let k = self.order[at];
-            let v = self.slots[k.id() as usize]
-                .as_mut()
-                // hetlint: allow(r5) — insert/remove keep order and slots in lockstep
-                .expect("order list only holds populated keys");
-            f(k, v);
-        }
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.order.clear();
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for SymbolMap<T> {
@@ -203,7 +175,7 @@ mod tests {
         assert_eq!(m.insert(a, 3), Some(1));
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(a), Some(&3));
-        assert_eq!(m.get_mut(b).map(|v| std::mem::replace(v, 9)), Some(2));
+        assert_eq!(m.insert(b, 9), Some(2));
         assert_eq!(m.remove(b), Some(9));
         assert_eq!(m.remove(b), None);
         assert_eq!(m.len(), 1);
@@ -243,22 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_value_mut_visits_in_order_once_each() {
-        let names = ["symmap-m3", "symmap-m1", "symmap-m2"];
-        let mut m = SymbolMap::new();
-        for n in names {
-            m.insert(Symbol::intern(n), 0u32);
-        }
-        let mut i = 0u32;
-        m.for_each_value_mut(|_, v| {
-            *v = i + 10;
-            i += 1;
-        });
-        let got: Vec<(&str, u32)> = m.iter().map(|(k, &v)| (k.as_str(), v)).collect();
-        assert_eq!(got, [("symmap-m1", 10), ("symmap-m2", 11), ("symmap-m3", 12)]);
-    }
-
-    #[test]
     fn from_iterator_and_eq() {
         let a = Symbol::intern("symmap-fi-a");
         let b = Symbol::intern("symmap-fi-b");
@@ -266,15 +222,5 @@ mod tests {
         let n: SymbolMap<u32> = [(a, 1), (b, 2)].into_iter().collect();
         assert_eq!(m, n);
         assert_eq!(format!("{m:?}"), "{\"symmap-fi-a\": 1, \"symmap-fi-b\": 2}");
-    }
-
-    #[test]
-    fn clear_resets() {
-        let k = Symbol::intern("symmap-clear");
-        let mut m = SymbolMap::new();
-        m.insert(k, 5);
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.get(k), None);
     }
 }

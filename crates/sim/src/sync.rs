@@ -211,12 +211,6 @@ impl Semaphore {
         self.state.borrow().permits
     }
 
-    /// Tasks currently queued for permits.
-    pub fn waiting(&self) -> usize {
-        let s = self.state.borrow();
-        s.waiters.iter().filter(|w| !w.cancelled.get()).count()
-    }
-
     fn release(&self, count: usize) {
         let mut s = self.state.borrow_mut();
         s.permits += count;
@@ -231,16 +225,6 @@ pub struct Permit {
 }
 
 impl Permit {
-    /// Number of permits held.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Releases without waiting for scope end.
-    pub fn release(self) {
-        drop(self);
-    }
-
     /// Forgets the permit without releasing — models a worker that is
     /// permanently retired.
     pub fn forget(mut self) {
@@ -465,7 +449,6 @@ mod tests {
         let sem2 = sem.clone();
         let h = sim.spawn(async move {
             let p = sem2.acquire_many(3).await;
-            assert_eq!(p.count(), 3);
             assert_eq!(sem2.available(), 1);
             s.sleep(secs(1.0)).await;
             drop(p);

@@ -21,16 +21,11 @@ impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
     /// The largest representable instant.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Builds an instant from nanoseconds since t=0.
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
-    }
-
-    /// Builds an instant from microseconds since t=0.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimTime(micros * 1_000)
     }
 
     /// Builds an instant from milliseconds since t=0.
@@ -46,7 +41,7 @@ impl SimTime {
     /// Builds an instant from fractional seconds since t=0.
     ///
     /// Negative and non-finite inputs clamp to zero; overly large inputs
-    /// clamp to [`SimTime::MAX`].
+    /// clamp to `SimTime::MAX`.
     pub fn from_secs_f64(secs: f64) -> Self {
         if secs.is_nan() || secs <= 0.0 {
             return SimTime::ZERO;
@@ -76,7 +71,7 @@ impl SimTime {
     }
 
     /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: Duration) -> SimTime {
+    pub(crate) fn saturating_add(self, d: Duration) -> SimTime {
         let nanos = d.as_nanos();
         if nanos >= u128::from(u64::MAX - self.0) {
             SimTime::MAX
@@ -130,11 +125,6 @@ pub fn secs(s: f64) -> Duration {
     }
 }
 
-/// Converts fractional milliseconds to a [`Duration`].
-pub fn millis(ms: f64) -> Duration {
-    secs(ms / 1e3)
-}
-
 /// Converts fractional microseconds to a [`Duration`].
 pub fn micros(us: f64) -> Duration {
     secs(us / 1e6)
@@ -148,7 +138,6 @@ mod tests {
     fn construction_roundtrips() {
         assert_eq!(SimTime::from_secs(3).as_nanos(), 3_000_000_000);
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimTime::from_nanos(3).as_nanos(), 3);
     }
 
@@ -197,7 +186,6 @@ mod tests {
     #[test]
     fn helper_conversions() {
         assert_eq!(secs(0.001), Duration::from_millis(1));
-        assert_eq!(millis(1.5), Duration::from_micros(1500));
         assert_eq!(micros(2.0), Duration::from_nanos(2000));
         assert_eq!(secs(-5.0), Duration::ZERO);
         assert_eq!(secs(f64::NAN), Duration::ZERO);

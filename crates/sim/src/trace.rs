@@ -206,11 +206,6 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// True when events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.state.borrow().enabled
-    }
-
     /// Records an event (no-op when disabled).
     ///
     /// `actor` takes anything convertible to a [`Symbol`]; hot paths
@@ -267,14 +262,6 @@ impl Tracer {
             .collect()
     }
 
-    /// Clears the recorded events and restarts the digest fold.
-    pub fn clear(&self) {
-        let mut s = self.state.borrow_mut();
-        s.events.clear();
-        s.digest = FNV_OFFSET;
-        s.emitted = 0;
-    }
-
     /// FNV-1a digest of the full event stream, in emission order.
     ///
     /// Folds every field of every event — time, actor, kind, entity,
@@ -297,7 +284,6 @@ mod tests {
         let t = Tracer::disabled();
         t.emit(SimTime::ZERO, "a", "x", 1, 0.0);
         assert!(t.is_empty());
-        assert!(!t.is_enabled());
     }
 
     #[test]
@@ -406,21 +392,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_digest_and_count() {
-        let t = Tracer::enabled();
-        t.emit(SimTime::ZERO, "a", "x", 1, 0.0);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.digest(), Tracer::enabled().digest(), "digest restarts");
-    }
-
-    #[test]
     fn clones_share_state() {
         let t = Tracer::enabled();
         let t2 = t.clone();
         t2.emit(SimTime::ZERO, "a", "x", 1, 0.0);
         assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t2.is_empty());
     }
 }

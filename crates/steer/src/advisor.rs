@@ -22,10 +22,10 @@ use hetflow_sim::Samples;
 use std::collections::BTreeMap;
 
 /// The §V-F size breakpoints.
-pub const INLINE_BELOW: u64 = 10_000;
+pub(crate) const INLINE_BELOW: u64 = 10_000;
 /// Above this, direct stores stop being clearly better than a transfer
 /// service.
-pub const DIRECT_STORE_BELOW: u64 = 100_000_000;
+pub(crate) const DIRECT_STORE_BELOW: u64 = 100_000_000;
 
 /// Recommended data path for one task topic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +101,7 @@ impl Advisor {
     }
 
     /// The raw rule: payload size × port feasibility → path.
-    pub fn choose(payload_bytes: u64, direct_connection_feasible: bool) -> PathChoice {
+    pub(crate) fn choose(payload_bytes: u64, direct_connection_feasible: bool) -> PathChoice {
         if payload_bytes < INLINE_BELOW {
             PathChoice::Inline
         } else if direct_connection_feasible && payload_bytes < DIRECT_STORE_BELOW {

@@ -46,7 +46,7 @@ impl TaskRecord {
     }
 
     /// True when overload protection shed the task before it ran.
-    pub fn is_shed(&self) -> bool {
+    pub(crate) fn is_shed(&self) -> bool {
         self.outcome.is_shed()
     }
 }

@@ -121,26 +121,6 @@ pub struct ClientQueues {
 }
 
 impl ClientQueues {
-    /// Declared wire size of `payloads` after auto-proxying under
-    /// `topic`'s rule (useful for tests and capacity checks).
-    pub fn wire_bytes_after_policy(&self, topic: &str, payloads: &[Payload]) -> u64 {
-        let policy = &self.shared.config.policy;
-        hetflow_fabric::TASK_ENVELOPE_BYTES
-            + payloads
-                .iter()
-                .map(|p| match &p.inner {
-                    PayloadInner::Proxied(proxy) => proxy.wire_size(),
-                    PayloadInner::Value { bytes, .. } => {
-                        if policy.decide(topic, *bytes).is_some() {
-                            hetflow_store::PROXY_WIRE_BYTES
-                        } else {
-                            *bytes
-                        }
-                    }
-                })
-                .sum::<u64>()
-    }
-
     /// The store the policy would proxy `topic` payloads into, if any —
     /// the handle applications use to proxy objects manually and share
     /// them across a batch of tasks.
@@ -281,11 +261,6 @@ impl ClientQueues {
         self.shared.records.borrow().clone()
     }
 
-    /// Number of finished-task records.
-    pub fn record_count(&self) -> usize {
-        self.shared.records.borrow().len()
-    }
-
     fn queue_transit(&self, bytes: u64) -> Duration {
         let c = &self.shared.config;
         let lat = c.queue_latency.sample(&mut self.shared.rng.borrow_mut());
@@ -307,9 +282,8 @@ impl ClientQueues {
 
 /// A result delivered to the thinker, data possibly still remote.
 ///
-/// Inspect [`timing`](CompletedTask::timing) cheaply (decisions that
-/// don't need the data, §V-D2), or call [`resolve`](CompletedTask::resolve)
-/// to obtain the value, paying any outstanding transfer wait.
+/// Call [`resolve`](CompletedTask::resolve) to obtain the value, paying
+/// any outstanding transfer wait.
 pub struct CompletedTask {
     result: Option<TaskResult>,
     queues: ClientQueues,
@@ -324,33 +298,6 @@ impl CompletedTask {
     /// Task id.
     pub fn id(&self) -> TaskId {
         self.inner().id
-    }
-
-    /// Task topic.
-    pub fn topic(&self) -> &str {
-        self.inner().topic.as_str()
-    }
-
-    /// Life-cycle stamps so far.
-    pub fn timing(&self) -> hetflow_fabric::TaskTiming {
-        self.inner().timing
-    }
-
-    /// True when the task failed (no need to resolve to find out —
-    /// §V-D2-style cheap inspection).
-    pub fn is_failed(&self) -> bool {
-        self.inner().is_failed()
-    }
-
-    /// True when overload protection shed the task before it ran (cheap
-    /// inspection, like [`CompletedTask::is_failed`]).
-    pub fn is_shed(&self) -> bool {
-        self.inner().is_shed()
-    }
-
-    /// How the task ended.
-    pub fn outcome(&self) -> TaskOutcome {
-        self.inner().outcome.clone()
     }
 
     /// Resolves the result data at the thinker's site, finishing the
@@ -634,7 +581,7 @@ mod tests {
         assert!(t.thinker_notified.is_some());
         assert!(t.result_ready.is_some());
         assert!(t.lifetime().unwrap() > Duration::ZERO);
-        assert_eq!(queues.record_count(), 1);
+        assert_eq!(queues.records().len(), 1);
     }
 
     #[test]
@@ -655,40 +602,6 @@ mod tests {
             *resolved.value::<f64>()
         });
         assert_eq!(sim.block_on(h), 6.0);
-    }
-
-    #[test]
-    fn auto_proxy_shrinks_wire_size() {
-        let sim = Sim::new();
-        let store = fs_store(&sim);
-        let (sim, queues) = {
-            drop(sim);
-            pipeline(ProxyPolicy::disabled())
-        };
-        // Rebuild a policy bound to a store on the *same* sim as the
-        // pipeline for the wire-size check (no async needed).
-        let store2 = Store::new(
-            sim.clone(),
-            "fs2",
-            Backend::Fs(FsParams {
-                members: SiteSet::of(&[LOGIN]),
-                op_latency: Dist::Constant(0.001),
-                write_bandwidth: 1e9,
-                read_bandwidth: 1e9,
-            }),
-            SimRng::from_seed(12),
-        );
-        let q_noproxy = queues.wire_bytes_after_policy("noop", &[Payload::new((), MB)]);
-        assert_eq!(q_noproxy, hetflow_fabric::TASK_ENVELOPE_BYTES + MB);
-        let policy = ProxyPolicy::uniform(store2, 10 * KB);
-        let with = ClientQueues {
-            shared: Rc::clone(&queues.shared),
-        };
-        // Manually exercise the policy math.
-        let _ = with;
-        let proxied = policy.decide("noop", MB).is_some();
-        assert!(proxied);
-        drop(store);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl ResourceCounter {
         self.pool(pool).sem.acquire().await
     }
 
-    /// Takes a slot only if immediately available.
-    pub fn try_acquire(&self, pool: &str) -> Option<Permit> {
-        self.pool(pool).sem.try_acquire()
-    }
-
     /// Slots currently free in `pool`.
     pub fn available(&self, pool: &str) -> usize {
         self.pool(pool).sem.available()
@@ -77,11 +72,6 @@ impl ResourceCounter {
     /// Total slots ever registered/moved into `pool`.
     pub fn registered(&self, pool: &str) -> usize {
         self.pool(pool).registered.get()
-    }
-
-    /// Tasks currently waiting on `pool`.
-    pub fn waiting(&self, pool: &str) -> usize {
-        self.pool(pool).sem.waiting()
     }
 
     /// Flags `pool` as (not) degraded. Wired to the fabric's breaker
@@ -205,18 +195,5 @@ mod tests {
         assert!(rc.is_degraded("simulate"));
         rc.set_degraded("simulate", false);
         assert!(!rc.is_degraded("simulate"));
-    }
-
-    #[test]
-    fn try_acquire_does_not_block() {
-        let sim = Sim::new();
-        let rc = ResourceCounter::new();
-        rc.register("gpu", 1);
-        let p = rc.try_acquire("gpu");
-        assert!(p.is_some());
-        assert!(rc.try_acquire("gpu").is_none());
-        drop(p);
-        assert!(rc.try_acquire("gpu").is_some());
-        drop(sim);
     }
 }

@@ -40,21 +40,6 @@ impl Thinker {
         self.agents.borrow_mut().push((name.into(), handle));
     }
 
-    /// Number of registered agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.borrow().len()
-    }
-
-    /// Names of agents that have finished.
-    pub fn finished_agents(&self) -> Vec<String> {
-        self.agents
-            .borrow()
-            .iter()
-            .filter(|(_, h)| h.is_finished())
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
     /// Signals completion to every agent.
     pub fn finish(&self) {
         self.done.set();
@@ -63,11 +48,6 @@ impl Thinker {
     /// True once [`Thinker::finish`] was called.
     pub fn is_done(&self) -> bool {
         self.done.is_set()
-    }
-
-    /// The simulation handle.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
     }
 }
 
@@ -90,11 +70,9 @@ mod tests {
         thinker.agent("waiter", async move {
             t3.done.wait().await;
         });
-        assert_eq!(thinker.agent_count(), 2);
         let r = sim.run();
         assert_eq!(r.pending_tasks, 0);
         assert!(thinker.is_done());
-        assert_eq!(thinker.finished_agents().len(), 2);
     }
 
     #[test]

@@ -89,20 +89,13 @@ pub struct TransferTicket {
 }
 
 impl TransferTicket {
-    /// A ticket that is already complete (e.g. data already resident).
-    pub fn completed() -> Self {
-        let done = Event::new();
-        done.set();
-        TransferTicket { done }
-    }
-
     /// Awaits transfer completion.
     pub async fn wait(&self) {
         self.done.wait().await;
     }
 
     /// True once the data has landed.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done.is_set()
     }
 }
@@ -341,17 +334,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(svc.transfer_jobs(), 2, "different routes batch separately");
-    }
-
-    #[test]
-    fn completed_ticket_resolves_immediately() {
-        let (sim, _svc) = setup(fixed_params());
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            TransferTicket::completed().wait().await;
-            s.now().as_secs_f64()
-        });
-        assert_eq!(sim.block_on(h), 0.0);
     }
 
     #[test]

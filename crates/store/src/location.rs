@@ -41,7 +41,7 @@ pub struct SiteSet(u64);
 
 impl SiteSet {
     /// The empty set.
-    pub const EMPTY: SiteSet = SiteSet(0);
+    pub(crate) const EMPTY: SiteSet = SiteSet(0);
 
     /// Builds a set from site ids.
     pub fn of(sites: &[SiteId]) -> Self {
@@ -53,14 +53,9 @@ impl SiteSet {
     }
 
     /// Adds a site.
-    pub fn insert(&mut self, site: SiteId) {
+    pub(crate) fn insert(&mut self, site: SiteId) {
         assert!(site.0 < 64, "SiteSet supports at most 64 sites");
         self.0 |= 1 << site.0;
-    }
-
-    /// Removes a site.
-    pub fn remove(&mut self, site: SiteId) {
-        self.0 &= !(1 << site.0);
     }
 
     /// Membership test.
@@ -79,7 +74,7 @@ impl SiteSet {
     }
 
     /// Iterates over member sites in index order.
-    pub fn iter(self) -> impl Iterator<Item = SiteId> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = SiteId> {
         (0..64u16).filter(move |&i| self.0 & (1 << i) != 0).map(SiteId)
     }
 }
@@ -107,8 +102,6 @@ pub mod bytes {
     pub const KB: u64 = 1_000;
     /// One megabyte (10⁶ bytes).
     pub const MB: u64 = 1_000_000;
-    /// One gigabyte (10⁹ bytes).
-    pub const GB: u64 = 1_000_000_000;
 }
 
 #[cfg(test)]
@@ -116,7 +109,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_insert_contains_remove() {
+    fn set_insert_contains() {
         let mut s = SiteSet::EMPTY;
         assert!(s.is_empty());
         s.insert(SiteId(3));
@@ -125,9 +118,6 @@ mod tests {
         assert!(s.contains(SiteId(10)));
         assert!(!s.contains(SiteId(4)));
         assert_eq!(s.len(), 2);
-        s.remove(SiteId(3));
-        assert!(!s.contains(SiteId(3)));
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -153,6 +143,5 @@ mod tests {
     #[test]
     fn byte_constants() {
         assert_eq!(bytes::KB * 1000, bytes::MB);
-        assert_eq!(bytes::MB * 1000, bytes::GB);
     }
 }

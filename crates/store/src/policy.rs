@@ -42,12 +42,6 @@ impl ProxyPolicy {
         self
     }
 
-    /// Sets/replaces the default rule.
-    pub fn with_default(mut self, store: Store, threshold: u64) -> Self {
-        self.default = Some(TopicRule { store, threshold });
-        self
-    }
-
     /// The rule applying to `topic`, if any.
     pub fn rule_for(&self, topic: &str) -> Option<&TopicRule> {
         self.rules.get(topic).or(self.default.as_ref())
@@ -59,11 +53,6 @@ impl ProxyPolicy {
         self.rule_for(topic)
             .filter(|r| size >= r.threshold)
             .map(|r| &r.store)
-    }
-
-    /// True when no rule exists at all.
-    pub fn is_disabled(&self) -> bool {
-        self.rules.is_empty() && self.default.is_none()
     }
 }
 
@@ -91,7 +80,6 @@ mod tests {
     #[test]
     fn disabled_policy_never_proxies() {
         let p = ProxyPolicy::disabled();
-        assert!(p.is_disabled());
         assert!(p.decide("simulate", u64::MAX).is_none());
     }
 

@@ -34,7 +34,7 @@ impl UntypedProxy {
     }
 
     /// The object key within its store.
-    pub fn key(&self) -> u64 {
+    pub(crate) fn key(&self) -> u64 {
         self.key
     }
 
@@ -48,23 +48,18 @@ impl UntypedProxy {
         PROXY_WIRE_BYTES
     }
 
-    /// The store holding the target.
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-
     /// Resolves the target at consumer site `at`.
     pub async fn resolve(&self, at: SiteId) -> Result<Resolved<dyn Any>, StoreError> {
         self.store.get_raw(self.key, at).await
     }
 
     /// Evicts the target from the store (the proxy becomes dangling).
-    pub fn evict(&self) -> bool {
+    pub(crate) fn evict(&self) -> bool {
         self.store.evict(self.key)
     }
 
     /// Adds a type to the proxy. The type is checked at resolve time.
-    pub fn typed<T: 'static>(self) -> Proxy<T> {
+    pub(crate) fn typed<T: 'static>(self) -> Proxy<T> {
         Proxy { inner: self, _pd: PhantomData }
     }
 }
@@ -103,11 +98,6 @@ impl<T: 'static> Proxy<T> {
             .downcast::<T>()
             .map_err(|_| StoreError::TypeMismatch(self.inner.key()))?;
         Ok(TypedResolved { value, wait: raw.wait, was_local: raw.was_local })
-    }
-
-    /// Declared wire size of the target object.
-    pub fn target_size(&self) -> u64 {
-        self.inner.target_size()
     }
 
     /// Drops type information.
@@ -209,7 +199,7 @@ mod tests {
         let store = fs_store(&sim);
         let h = sim.spawn(async move {
             let p = Proxy::create(&store, (), 100 * MB, SITE).await.unwrap();
-            (p.untyped().wire_size(), p.target_size())
+            (p.untyped().wire_size(), p.untyped().target_size())
         });
         let (wire, target) = sim.block_on(h);
         assert_eq!(wire, PROXY_WIRE_BYTES);

@@ -55,25 +55,10 @@ impl StoreRegistry {
         inner.insert(name, RegisteredStore { store, policy });
     }
 
-    /// Looks up a store by name.
-    pub fn get(&self, name: impl Into<Symbol>) -> Option<Store> {
-        self.inner.borrow().get(name.into()).map(|r| r.store.clone())
-    }
-
-    /// The policy registered for `name`.
-    pub fn policy(&self, name: impl Into<Symbol>) -> Option<EvictionPolicy> {
-        self.inner.borrow().get(name.into()).map(|r| r.policy)
-    }
-
-    /// Registered store names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.inner.borrow().keys().map(|s| s.as_str().to_owned()).collect()
-    }
-
     /// Sweeps every store with a [`EvictionPolicy::MaxAge`] policy,
     /// evicting objects stored before `now − max_age`. Returns the
     /// number of evictions.
-    pub fn sweep(&self, now: SimTime) -> usize {
+    pub(crate) fn sweep(&self, now: SimTime) -> usize {
         let mut evicted = 0;
         for r in self.inner.borrow().values() {
             if let EvictionPolicy::MaxAge(age) = r.policy {
@@ -146,18 +131,6 @@ mod tests {
             }),
             SimRng::from_seed(1),
         )
-    }
-
-    #[test]
-    fn register_and_lookup() {
-        let sim = Sim::new();
-        let reg = StoreRegistry::new();
-        reg.register(fs_store(&sim, "alpha"), EvictionPolicy::Manual);
-        reg.register(fs_store(&sim, "beta"), EvictionPolicy::AfterResolves(1));
-        assert_eq!(reg.names(), vec!["alpha".to_owned(), "beta".to_owned()]);
-        assert!(reg.get("alpha").is_some());
-        assert!(reg.get("gamma").is_none());
-        assert_eq!(reg.policy("beta"), Some(EvictionPolicy::AfterResolves(1)));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub enum EvictionPolicy {
     /// inputs, which should not accumulate for the campaign's length).
     AfterResolves(u32),
     /// Evict objects older than the given age; enforced by
-    /// [`Store::evict_older_than`] and the registry sweeper.
+    /// `Store::evict_older_than` and the registry sweeper.
     MaxAge(std::time::Duration),
 }
 
@@ -82,7 +82,7 @@ pub struct RedisParams {
 
 impl RedisParams {
     /// Defaults calibrated to Fig. 4: sub-millisecond ops on a fast LAN.
-    pub fn intra_site(host: SiteId) -> Self {
+    pub(crate) fn intra_site(host: SiteId) -> Self {
         RedisParams {
             host,
             connected: SiteSet::of(&[host]),
@@ -163,7 +163,7 @@ pub enum Backend {
 
 impl Backend {
     /// Short label used in error messages and reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Backend::Redis(_) => "redis",
             Backend::Fs(_) => "fs",
@@ -265,23 +265,18 @@ impl Store {
     }
 
     /// The store's name (used in traces and reports).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.inner.name
     }
 
     /// The backend's label.
-    pub fn backend_label(&self) -> &'static str {
+    pub(crate) fn backend_label(&self) -> &'static str {
         self.inner.backend.label()
     }
 
     /// Sets the automatic eviction policy.
     pub fn set_eviction(&self, policy: EvictionPolicy) {
         self.inner.eviction.set(policy);
-    }
-
-    /// The current eviction policy.
-    pub fn eviction(&self) -> EvictionPolicy {
-        self.inner.eviction.get()
     }
 
     /// Stores `value` with declared wire size `size`, produced at `from`.
@@ -452,7 +447,7 @@ impl Store {
 
     /// Evicts every object stored strictly before `cutoff`; returns the
     /// count (used by age-based lifetime policies).
-    pub fn evict_older_than(&self, cutoff: hetflow_sim::SimTime) -> usize {
+    pub(crate) fn evict_older_than(&self, cutoff: hetflow_sim::SimTime) -> usize {
         let mut objects = self.inner.objects.borrow_mut();
         let old: Vec<ArenaId> = objects
             .iter()
@@ -468,7 +463,7 @@ impl Store {
     }
 
     /// Removes an object, freeing its (simulated) memory.
-    pub fn evict(&self, key: u64) -> bool {
+    pub(crate) fn evict(&self, key: u64) -> bool {
         let removed = self.inner.objects.borrow_mut().remove(ArenaId::from_bits(key)).is_some();
         if removed {
             self.inner.stats.borrow_mut().evictions += 1;
@@ -479,11 +474,6 @@ impl Store {
     /// True while the key is stored.
     pub fn contains(&self, key: u64) -> bool {
         self.inner.objects.borrow().contains(ArenaId::from_bits(key))
-    }
-
-    /// Declared size of a stored object.
-    pub fn size_of(&self, key: u64) -> Option<u64> {
-        self.inner.objects.borrow().get(ArenaId::from_bits(key)).map(|e| e.size)
     }
 
     /// Sum of declared sizes of all resident objects.
