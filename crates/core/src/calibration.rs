@@ -55,7 +55,7 @@ impl Default for Calibration {
             htex: HtexParams::default(),
             link_theta: LinkParams {
                 // Login node to KNL aggregation switch.
-                latency: Dist::LogNormal { median: 0.004, sigma: 0.3 },
+                latency: Dist::log_normal(0.004, 0.3),
                 bandwidth: 4.0e7,
             },
             link_venti: LinkParams {
@@ -64,17 +64,17 @@ impl Default for Calibration {
                 // so a 3 MB sampling payload costs ~hundreds of ms
                 // (Fig. 7b: 820 ms total overhead) while the multi-GB
                 // inference batches stay feasible, merely slow (Fig. 6).
-                latency: Dist::LogNormal { median: 0.012, sigma: 0.3 },
+                latency: Dist::log_normal(0.012, 0.3),
                 bandwidth: 2.5e7,
             },
             globus: GlobusParams::default(),
             fs_theta: FsParams::shared(&[THETA]),
             fs_venti: FsParams::shared(&[VENTI]),
             redis: RedisParams::with_tunnel(THETA, &[VENTI]),
-            queue_latency: Dist::LogNormal { median: 0.0005, sigma: 0.3 },
+            queue_latency: Dist::log_normal(0.0005, 0.3),
             queue_bandwidth: 5.0e7,
             ser: SerModel::python_pickle(),
-            worker_hop: Dist::LogNormal { median: 0.002, sigma: 0.3 },
+            worker_hop: Dist::log_normal(0.002, 0.3),
             proxy_threshold: 10_000,
         }
     }
@@ -105,7 +105,7 @@ pub mod tasks {
 
     /// Molecular design: tight-binding IP simulation (~60 s CPU, 1 MB).
     pub fn moldesign_simulate_duration() -> Dist {
-        Dist::LogNormal { median: 60.0, sigma: 0.25 }
+        Dist::log_normal(60.0, 0.25)
     }
     /// Simulation result payload.
     pub const MOLDESIGN_SIM_BYTES: u64 = MB;
@@ -116,12 +116,12 @@ pub mod tasks {
     /// degraded mode. Cost-only model: the observable is unchanged,
     /// only the node-seconds per answer shrink.
     pub fn moldesign_simulate_fast_duration() -> Dist {
-        Dist::LogNormal { median: 1.5, sigma: 0.25 }
+        Dist::log_normal(1.5, 0.25)
     }
 
     /// Molecular design: MPNN training (340 s GPU, 10 MB).
     pub fn moldesign_train_duration() -> Dist {
-        Dist::LogNormal { median: 340.0, sigma: 0.15 }
+        Dist::log_normal(340.0, 0.15)
     }
     /// Model payload per training task.
     pub const MOLDESIGN_TRAIN_BYTES: u64 = 10 * MB;
@@ -129,7 +129,7 @@ pub mod tasks {
     /// Molecular design: full-library inference (900 s GPU per model,
     /// 2.4 GB moved per task: weights + inputs + outputs).
     pub fn moldesign_infer_duration() -> Dist {
-        Dist::LogNormal { median: 900.0, sigma: 0.1 }
+        Dist::log_normal(900.0, 0.1)
     }
     /// The molecule-batch share of the inference input — identical for
     /// every model of a round, so it is proxied once and shared.
@@ -141,14 +141,14 @@ pub mod tasks {
 
     /// Fine-tuning: DFT cluster calculation (~360 s CPU, 20 kB).
     pub fn finetune_simulate_duration() -> Dist {
-        Dist::LogNormal { median: 360.0, sigma: 0.3 }
+        Dist::log_normal(360.0, 0.3)
     }
     /// DFT result payload.
     pub const FINETUNE_SIM_BYTES: u64 = 20 * KB;
 
     /// Fine-tuning: SchNet training (~4 min GPU, 21 MB).
     pub fn finetune_train_duration() -> Dist {
-        Dist::LogNormal { median: 240.0, sigma: 0.2 }
+        Dist::log_normal(240.0, 0.2)
     }
     /// Training payload.
     pub const FINETUNE_TRAIN_BYTES: u64 = 21 * MB;
@@ -156,7 +156,7 @@ pub mod tasks {
     /// Fine-tuning: inference on a batch of 100 structures (3.2 s GPU,
     /// 3 MB).
     pub fn finetune_infer_duration() -> Dist {
-        Dist::LogNormal { median: 3.2, sigma: 0.2 }
+        Dist::log_normal(3.2, 0.2)
     }
     /// Inference payload.
     pub const FINETUNE_INFER_BYTES: u64 = 3 * MB;

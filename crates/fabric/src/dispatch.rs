@@ -15,18 +15,17 @@ use crate::health::{ReliabilityLayer, ReliabilityPolicies, TimeoutVerdict, Verdi
 use crate::reliability::chaos::ChaosTargets;
 use crate::reliability::overload::{AdmissionConfig, AdmissionController, BackpressureGate};
 use crate::reliability::{Connectivity, Knob, RetryPolicies};
-use crate::task::{
-    Arg, TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming, WorkerReport,
-};
+use crate::task::{TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming, WorkerReport};
 use crate::worker::{WorkerPool, WorkerPoolConfig};
 use hetflow_sim::{
-    channel, trace_kinds as kinds, Offered, OverflowPolicy, Sender, Sim, SimRng, Symbol, SymbolMap,
-    Tracer,
+    channel, trace_kinds as kinds, Offered, OverflowPolicy, Sender, Sim, SimRng, Sleep, Symbol,
+    SymbolMap, Tracer,
 };
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 use std::time::Duration;
 
 /// What every transport works with besides its own parameters: the
@@ -76,7 +75,7 @@ struct Stub {
 
 impl Stub {
     fn of(task: &TaskSpec) -> Stub {
-        let input_bytes = task.args.iter().map(Arg::data_bytes).sum();
+        let input_bytes = task.input_bytes();
         Stub { id: task.id, topic: task.topic, input_bytes, timing: task.timing }
     }
 }
@@ -122,14 +121,23 @@ impl<T> Inner<T> {
         let _ = self.results.send_now(result); // hetlint: allow(r15) — teardown-tolerant: the campaign driver may have dropped the results receiver
     }
 
-    /// Finishes a task that has no worker result, attributed to `endpoint`.
-    fn abandon(&self, endpoint: usize, stub: Stub, report: WorkerReport, outcome: TaskOutcome) {
-        let Stub { id, topic, input_bytes, mut timing } = stub;
-        timing.server_result_received = Some(self.sim.now());
-        let (site, worker) = (self.pools[endpoint].site(), self.actors[endpoint]);
-        let output = Arg::empty();
-        let result =
-            TaskResult { id, topic, output, input_bytes, report, timing, site, worker, outcome };
+    /// Finishes a task no worker will, in the task's own envelope (its
+    /// output stays the empty placeholder), attributed to `endpoint`.
+    fn abandon(
+        &self,
+        endpoint: usize,
+        task: TaskSpec,
+        input_bytes: u64,
+        report: WorkerReport,
+        outcome: TaskOutcome,
+    ) {
+        let mut result = task.into_result();
+        result.input_bytes = input_bytes;
+        result.report = report;
+        result.timing.server_result_received = Some(self.sim.now());
+        result.site = self.pools[endpoint].site();
+        result.worker = self.actors[endpoint];
+        result.outcome = outcome;
         self.finish(result);
     }
 
@@ -141,19 +149,23 @@ impl<T> Inner<T> {
     fn shed_result(&self, spec: TaskSpec, endpoint: usize, hedges: u32, reroutes: u32, load: f64) {
         self.tracer.emit(self.sim.now(), self.actors[endpoint], kinds::TASK_SHED, spec.id, load);
         let report = WorkerReport { hedges, reroutes, ..WorkerReport::default() };
-        self.abandon(endpoint, Stub::of(&spec), report, TaskOutcome::Shed);
+        let input_bytes = spec.input_bytes();
+        self.abandon(endpoint, spec, input_bytes, report, TaskOutcome::Shed);
     }
 
     /// Fails a task with [`TaskError::Timeout`] once nothing can still
     /// deliver it: its delivery timed out with no reroute left, or the
-    /// round-trip deadline expired.
+    /// round-trip deadline expired. The task's envelope is wherever its
+    /// copies are stuck, so the result is minted in a fresh one — the
+    /// only terminal outcome that allocates.
     fn timeout_result(&self, endpoint: usize, stub: Stub, after: Duration) {
         let actor = self.actors[endpoint];
         self.tracer.emit(self.sim.now(), actor, kinds::TASK_TIMEOUT, stub.id, after.as_secs_f64());
         self.release(stub.topic);
         self.timed_out.set(self.timed_out.get() + 1);
         let outcome = TaskOutcome::Failed(TaskError::Timeout { after });
-        self.abandon(endpoint, stub, WorkerReport::default(), outcome);
+        let task = TaskSpec::stand_in(stub.id, stub.topic, stub.timing);
+        self.abandon(endpoint, task, stub.input_bytes, WorkerReport::default(), outcome);
     }
 }
 
@@ -310,7 +322,7 @@ impl<T: Transport> Dispatcher<T> {
                     let inner2 = Rc::clone(&inner);
                     // Boxed to break the deliver → deliver type cycle.
                     let redo: Pin<Box<dyn Future<Output = ()>>> =
-                        Box::pin(Self::deliver(inner2, *spec, to));
+                        Box::pin(Self::deliver(inner2, spec, to));
                     inner.sim.spawn_detached(redo);
                 }
                 TimeoutVerdict::Suppress => {}
@@ -359,66 +371,120 @@ impl<T: Transport> Dispatcher<T> {
     }
 }
 
-impl<T: Transport> Fabric for Dispatcher<T> {
-    fn submit(&self, mut task: TaskSpec) -> Pin<Box<dyn Future<Output = ()> + '_>> {
-        Box::pin(async move {
-            let inner = &self.inner;
-            let bytes = task.wire_bytes();
-            inner.transport.admit_payload(bytes, task.topic);
-            task.timing.dispatched = Some(inner.sim.now());
-            // Admission control: a refused submission still pays the
-            // client's call (for an empty payload) and resolves to Shed;
-            // it never reaches the breaker layer, so nothing to unwind.
-            if let Some((cfg, primary)) = inner.admission_cfgs.get(task.topic) {
-                if !inner.admission.try_admit(task.topic, cfg) {
-                    inner.sim.sleep(inner.transport.submit_cost(0)).await;
-                    inner.submitted.set(inner.submitted.get() + 1);
-                    let load = inner.admission.in_flight(task.topic) as f64;
-                    inner.shed_result(task, *primary, 0, 0, load);
-                    return;
+/// Where the synchronous half of a submission left its task.
+enum Routed {
+    /// Refused by admission control; the `Shed` goes to the topic's
+    /// primary endpoint.
+    Refused { primary: usize },
+    /// Registered with the reliability layer and bound for `endpoint`.
+    To { endpoint: usize },
+}
+
+/// What a [`Submit`] runs once the client's call is paid for. A trait
+/// object because [`Fabric`] is one (`Rc<dyn Fabric>`), so `Submit`
+/// cannot name the transport.
+trait AfterCost {
+    fn after_cost(&self, task: TaskSpec, routed: Routed);
+}
+
+/// The future [`Fabric::submit`] returns: the client-side submit cost as
+/// one [`Sleep`], then the hand-off to the detached delivery. Named and
+/// unboxed — everything a submission decides (payload check, `dispatched`
+/// stamp, admission, routing, the cost draw) has already run inside
+/// `submit`, so what is left to await needs no allocation. That is the
+/// allocation the task's envelope took.
+#[must_use = "a submission is only paid for, and handed off, by awaiting it"]
+pub struct Submit<'a> {
+    sleep: Sleep,
+    then: Option<(&'a dyn AfterCost, TaskSpec, Routed)>,
+}
+
+const _: () = assert!(std::mem::size_of::<Submit<'_>>() <= 96);
+
+impl Future for Submit<'_> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if Pin::new(&mut self.sleep).poll(cx).is_pending() {
+            return Poll::Pending;
+        }
+        if let Some((core, task, routed)) = self.then.take() {
+            core.after_cost(task, routed);
+        }
+        Poll::Ready(())
+    }
+}
+
+impl<T: Transport> AfterCost for Dispatcher<T> {
+    fn after_cost(&self, task: TaskSpec, routed: Routed) {
+        let inner = &self.inner;
+        inner.submitted.set(inner.submitted.get() + 1);
+        let endpoint = match routed {
+            Routed::Refused { primary } => {
+                let load = inner.admission.in_flight(task.topic) as f64;
+                inner.shed_result(task, primary, 0, 0, load);
+                return;
+            }
+            Routed::To { endpoint } => endpoint,
+        };
+        let (id, topic) = (task.id, task.topic);
+        // Hedge watchdog: after the topic's quantile-based delay,
+        // re-issue a straggler elsewhere (first result wins).
+        if let Some(delay) = inner.health.hedge_delay(topic) {
+            let inner2 = Rc::clone(inner);
+            inner.sim.spawn_detached(async move {
+                loop {
+                    inner2.sim.sleep(delay).await;
+                    let Some((spec, to)) = inner2.health.try_hedge(id, topic) else {
+                        break;
+                    };
+                    inner2.sim.spawn_detached(Self::deliver(Rc::clone(&inner2), spec, to));
                 }
+            });
+        }
+        // Deadline watchdog, the round-trip backstop: a task with no
+        // terminal outcome by then fails here; copies still in
+        // flight are cancelled as they surface.
+        if let Some(dl) = inner.health.deadline(topic) {
+            let (inner2, stub) = (Rc::clone(inner), Stub::of(&task));
+            inner.sim.spawn_detached(async move {
+                inner2.sim.sleep(dl).await;
+                if inner2.health.expire(id) {
+                    inner2.timeout_result(endpoint, stub, dl);
+                }
+            });
+        }
+        inner.sim.spawn_detached(Self::deliver(Rc::clone(inner), task, endpoint));
+    }
+}
+
+impl<T: Transport> Fabric for Dispatcher<T> {
+    fn submit(&self, mut task: TaskSpec) -> Submit<'_> {
+        let inner = &self.inner;
+        let bytes = task.wire_bytes();
+        inner.transport.admit_payload(bytes, task.topic);
+        task.timing.dispatched = Some(inner.sim.now());
+        // Admission control: a refused submission still pays the
+        // client's call (for an empty payload) and resolves to Shed;
+        // it never reaches the breaker layer, so nothing to unwind.
+        let (cost, routed) = match inner.admission_cfgs.get(task.topic) {
+            Some((cfg, primary)) if !inner.admission.try_admit(task.topic, cfg) => {
+                (inner.transport.submit_cost(0), Routed::Refused { primary: *primary })
             }
-            inner.gate.on_enter(task.topic);
-            // The reliability layer registers the dispatch and picks
-            // the endpoint (breaker-aware when configured, else primary).
-            let endpoint = inner
-                .health
-                .admit(&task)
-                // hetlint: allow(r5) — unrouted topic is a deployment wiring bug, not a runtime fault
-                .unwrap_or_else(|| panic!("no endpoint registered for topic {}", task.topic));
-            // The client pays the submit cost; the rest runs detached.
-            inner.sim.sleep(inner.transport.submit_cost(bytes)).await;
-            inner.submitted.set(inner.submitted.get() + 1);
-            let stub = Stub::of(&task);
-            // Hedge watchdog: after the topic's quantile-based delay,
-            // re-issue a straggler elsewhere (first result wins).
-            if let Some(delay) = inner.health.hedge_delay(stub.topic) {
-                let inner2 = Rc::clone(inner);
-                let (id, topic) = (stub.id, stub.topic);
-                inner.sim.spawn_detached(async move {
-                    loop {
-                        inner2.sim.sleep(delay).await;
-                        let Some((spec, to)) = inner2.health.try_hedge(id, topic) else {
-                            break;
-                        };
-                        inner2.sim.spawn_detached(Self::deliver(Rc::clone(&inner2), spec, to));
-                    }
-                });
+            _ => {
+                inner.gate.on_enter(task.topic);
+                // The reliability layer registers the dispatch and picks
+                // the endpoint (breaker-aware when configured, else primary).
+                let endpoint = inner
+                    .health
+                    .admit(&task)
+                    // hetlint: allow(r5) — unrouted topic is a deployment wiring bug, not a runtime fault
+                    .unwrap_or_else(|| panic!("no endpoint registered for topic {}", task.topic));
+                (inner.transport.submit_cost(bytes), Routed::To { endpoint })
             }
-            // Deadline watchdog, the round-trip backstop: a task with no
-            // terminal outcome by then fails here; copies still in
-            // flight are cancelled as they surface.
-            if let Some(dl) = inner.health.deadline(stub.topic) {
-                let inner2 = Rc::clone(inner);
-                inner.sim.spawn_detached(async move {
-                    inner2.sim.sleep(dl).await;
-                    if inner2.health.expire(stub.id) {
-                        inner2.timeout_result(endpoint, stub, dl);
-                    }
-                });
-            }
-            inner.sim.spawn_detached(Self::deliver(Rc::clone(inner), task, endpoint));
-        })
+        };
+        // The client pays the submit cost; the rest runs detached.
+        let core: &dyn AfterCost = self;
+        Submit { sleep: inner.sim.sleep(cost), then: Some((core, task, routed)) }
     }
 
     fn label(&self) -> &'static str {
@@ -440,8 +506,8 @@ mod tests {
     use crate::health::{HedgeConfig, ReliabilityPolicy};
     use crate::htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
     use crate::reliability::RetryPolicy;
-    use crate::task::TaskWork;
-    use hetflow_sim::{Dist, Receiver};
+    use crate::task::{Arg, TaskWork};
+    use hetflow_sim::{Dist, Receiver, SimTime};
     use hetflow_store::SiteId;
 
     #[derive(Clone, Copy, Debug)]
@@ -495,7 +561,7 @@ mod tests {
         health: ReliabilityLayer,
         chaos: ChaosTargets,
         /// `(submitted, returned, timed_out)`.
-        counts: Box<dyn Fn() -> (u64, u64, u64)>,
+        counts: Rc<dyn Fn() -> (u64, u64, u64)>,
     }
 
     impl Rig {
@@ -567,7 +633,7 @@ mod tests {
         ) -> Rig {
             let (health, chaos) = (exec.health(), exec.chaos_targets());
             let e = exec.clone();
-            let counts = Box::new(move || (e.submitted(), e.returned(), e.timed_out()));
+            let counts = Rc::new(move || (e.submitted(), e.returned(), e.timed_out()));
             Rig { sim, fabric: Rc::new(exec), results, tracer, health, chaos, counts }
         }
 
@@ -685,9 +751,14 @@ mod tests {
             let admission = AdmissionConfig { max_in_flight: 3, ..Default::default() };
             let policy = ReliabilityPolicy { admission, ..Default::default() };
             let rig = Rig::new(kind, vec![ep], policy);
+            let victim_dispatched = Rc::new(Cell::new(None));
+            let stamp = Rc::clone(&victim_dispatched);
             let (_, results) = rig.run(|sim, f| async move {
                 f.submit(work(0, 0, 10)).await;
-                f.submit(work(1, 0, 10).with_priority(TaskSpec::PRIORITY_LOW)).await;
+                let mut victim = work(1, 777, 10).with_priority(TaskSpec::PRIORITY_LOW);
+                victim.timing.created = Some(SimTime::from_nanos(5));
+                stamp.set(Some(sim.now()));
+                f.submit(victim).await;
                 f.submit(work(2, 0, 10)).await;
                 sim.sleep(Duration::from_secs(15)).await; // task 0 done, task 2 running
                 f.submit(work(3, 0, 10)).await;
@@ -696,6 +767,17 @@ mod tests {
             let shed: Vec<TaskId> = results.iter().filter(|r| r.is_shed()).map(|r| r.id).collect();
             assert_eq!(shed, [1], "{kind:?}: only the displaced victim is shed");
             assert!(results[1].timing.worker_started.is_none(), "{kind:?}");
+            // The Shed is the victim's own envelope, finished in place:
+            // its stamps and sizes, not the displacing arrival's.
+            let victim = &results[1];
+            assert_eq!(victim.timing.created, Some(SimTime::from_nanos(5)), "{kind:?}");
+            assert_eq!(victim.timing.dispatched, victim_dispatched.get(), "{kind:?}");
+            assert!(
+                victim.timing.server_result_received >= results[2].timing.dispatched,
+                "{kind:?}: shed when task 2 arrived"
+            );
+            assert_eq!((victim.input_bytes, victim.wire_bytes()), (777, 1_000), "{kind:?}");
+            assert_eq!(victim.report.attempts, 0, "{kind:?}: no worker touched it");
             assert!(results.iter().all(|r| !r.is_failed()), "{kind:?}");
             let traced = rig.tracer.events_of_kind(kinds::TASK_SHED);
             assert_eq!(traced.len(), 1, "{kind:?}");
@@ -745,6 +827,52 @@ mod tests {
             assert_eq!(traced.len(), 2, "{kind:?}");
             assert_eq!(traced[0].value, 1.0, "{kind:?}: the in-flight count at the refusal");
             assert_eq!((rig.counts)(), (4, 4, 0), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn refused_submission_pays_first_then_counts_and_sheds_on_the_load_it_finds() {
+        // `submit` decides the refusal in the call, but what follows the
+        // client's sleep stays after it: `submitted`, the in-flight read
+        // and the Shed. Task 0's result frees its slot in the middle of
+        // task 1's refusal, so the load the Shed reports is 0, not the 1
+        // that refused it.
+        for kind in BOTH {
+            let admission = AdmissionConfig { max_in_flight: 1, ..Default::default() };
+            let policy = ReliabilityPolicy { admission, ..Default::default() };
+            // Dry run: the instant task 0's result is back at the server.
+            let rig = Rig::new(kind, vec![Ep::new(0, false)], policy.clone());
+            let (_, results) = rig.run(|_, f| async move { f.submit(work(0, 0, 1)).await });
+            let back = results[0].timing.server_result_received.expect("task 0 completes");
+
+            let half = hetflow_sim::time::secs(kind.refusal_cost() / 2.0);
+            let start = SimTime::from_nanos(back.as_nanos() - half.as_nanos() as u64);
+            let rig = Rig::new(kind, vec![Ep::new(0, false)], policy);
+            let counts = Rc::clone(&rig.counts);
+            let mid_sleep = Rc::new(Cell::new((0, 0, 0)));
+            let (probe, paid) = (Rc::clone(&mid_sleep), Rc::new(Cell::new(None)));
+            let paid2 = Rc::clone(&paid);
+            let (_, results) = rig.run(|sim, f| async move {
+                f.submit(work(0, 0, 1)).await;
+                let sim2 = sim.clone();
+                sim.spawn_detached(async move {
+                    sim2.sleep_until(start + half / 2).await;
+                    probe.set(counts());
+                });
+                sim.sleep_until(start).await;
+                f.submit(work(1, 0, 1)).await;
+                paid2.set(Some(sim.now()));
+            });
+            assert_eq!(paid.get(), Some(start + half + half), "{kind:?}: the refusal cost only");
+            assert_eq!(mid_sleep.get(), (1, 0, 0), "{kind:?}: nothing counted or minted mid-sleep");
+            assert_eq!(ids(&results), [0, 1], "{kind:?}");
+            assert!(results[1].is_shed() && !results[0].is_failed(), "{kind:?}");
+            assert_eq!(results[1].timing.dispatched, Some(start), "{kind:?}: stamped in the call");
+            assert_eq!(results[1].timing.server_result_received, paid.get(), "{kind:?}");
+            let traced = rig.tracer.events_of_kind(kinds::TASK_SHED);
+            assert_eq!(traced.len(), 1, "{kind:?}");
+            assert_eq!(traced[0].value, 0.0, "{kind:?}: in-flight read after the sleep");
+            assert_eq!((rig.counts)(), (2, 2, 0), "{kind:?}");
         }
     }
 }

@@ -51,15 +51,15 @@ pub struct FnXParams {
 impl Default for FnXParams {
     fn default() -> Self {
         FnXParams {
-            https_latency: Dist::LogNormal { median: 0.09, sigma: 0.35 },
-            small_store_op: Dist::LogNormal { median: 0.04, sigma: 0.3 },
+            https_latency: Dist::log_normal(0.09, 0.35),
+            small_store_op: Dist::log_normal(0.04, 0.3),
             small_store_bw: 4.0e4,
-            large_store_op: Dist::LogNormal { median: 0.2, sigma: 0.3 },
+            large_store_op: Dist::log_normal(0.2, 0.3),
             large_store_bw: 8.0e5,
             small_threshold: 20_000,
             payload_cap: 10_000_000,
-            forward_latency: Dist::LogNormal { median: 0.05, sigma: 0.3 },
-            result_latency: Dist::LogNormal { median: 0.06, sigma: 0.3 },
+            forward_latency: Dist::log_normal(0.05, 0.3),
+            result_latency: Dist::log_normal(0.06, 0.3),
         }
     }
 }

@@ -1,8 +1,7 @@
 //! The common fabric interface.
 
+use crate::dispatch::Submit;
 use crate::task::TaskSpec;
-use std::future::Future;
-use std::pin::Pin;
 
 /// A compute fabric: something that accepts task submissions and
 /// eventually delivers [`crate::task::TaskResult`]s on the result
@@ -13,8 +12,10 @@ use std::pin::Pin;
 /// interchange hop + payload serialization for HTEX); the task then
 /// travels and executes asynchronously.
 pub trait Fabric {
-    /// Submits a task; awaiting pays the client-side dispatch cost.
-    fn submit(&self, task: TaskSpec) -> Pin<Box<dyn Future<Output = ()> + '_>>;
+    /// Submits a task: admission and routing are decided in the call,
+    /// awaiting the returned [`Submit`] pays the client-side dispatch
+    /// cost and hands the task off.
+    fn submit(&self, task: TaskSpec) -> Submit<'_>;
 
     /// Short fabric label used in reports (`"fnx"`, `"htex"`).
     fn label(&self) -> &'static str;

@@ -22,7 +22,7 @@
 //! convention).
 
 use crate::reliability::Connectivity;
-use crate::task::{TaskId, TaskSpec};
+use crate::task::{Request, TaskId, TaskSpec};
 use hetflow_sim::{trace_kinds as kinds, Sim, SimTime, Symbol, SymbolMap, Tracer};
 use std::cell::{Cell, RefCell};
 use std::cmp::{Ordering, Reverse};
@@ -307,9 +307,10 @@ impl RunningQuantile {
 /// One tracked task: how many copies are in flight and whether a
 /// terminal outcome has already been delivered.
 struct Inflight {
-    /// Retained spec for hedge/reroute re-issue (`None` when the
-    /// topic's policy never re-issues).
-    spec: Option<TaskSpec>,
+    /// The task's request, retained inline for hedge/reroute re-issue
+    /// (`None` when the topic's policy never re-issues). A copy gets an
+    /// envelope of its own only when it is actually issued.
+    spec: Option<Request>,
     /// Copies currently somewhere between dispatch and result.
     live: u32,
     /// Speculative copies issued so far.
@@ -345,7 +346,7 @@ pub enum TimeoutVerdict {
     /// Re-dispatch the task to endpoint `to`.
     Reroute {
         /// A fresh copy of the task to deliver.
-        spec: Box<TaskSpec>,
+        spec: TaskSpec,
         /// The endpoint chosen for the re-dispatch.
         to: usize,
     },
@@ -482,7 +483,7 @@ impl ReliabilityLayer {
         } else {
             candidates.first().copied()?
         };
-        let spec = if policy.needs_copy() { Some(task.clone()) } else { None };
+        let spec = if policy.needs_copy() { Some(Request::clone(task)) } else { None };
         self.inner.inflight.borrow_mut().insert(
             task.id,
             Inflight {
@@ -572,7 +573,7 @@ impl ReliabilityLayer {
         if entry.done || entry.hedges >= max {
             return None;
         }
-        let spec = entry.spec.clone()?;
+        let spec = TaskSpec::from(entry.spec.clone()?);
         entry.hedges += 1;
         entry.live += 1;
         let copy = entry.hedges;
@@ -678,7 +679,7 @@ impl ReliabilityLayer {
             entry.reroutes += 1;
             entry.live += 1;
             let n = entry.reroutes;
-            let spec = entry.spec.clone();
+            let spec = entry.spec.clone().map(TaskSpec::from);
             drop(reg);
             self.observe(endpoint, &policy.breaker, false, id);
             if let Some(spec) = spec {
@@ -691,7 +692,7 @@ impl ReliabilityLayer {
                     id,
                     n as f64,
                 );
-                return TimeoutVerdict::Reroute { spec: Box::new(spec), to };
+                return TimeoutVerdict::Reroute { spec, to };
             }
             return TimeoutVerdict::Fail;
         }
@@ -1227,7 +1228,9 @@ mod tests {
     }
 
     fn task_on(topic: &str, id: TaskId) -> TaskSpec {
-        TaskSpec { topic: Symbol::intern(topic), ..TaskSpec::noop(id, 100) }
+        let mut task = TaskSpec::noop(id, 100);
+        task.topic = Symbol::intern(topic);
+        task
     }
 
     /// The delay `hedge_delay` must return for `seen` at `(q, factor)`
@@ -1348,6 +1351,50 @@ mod tests {
             "a result surfacing after expiry is cancelled"
         );
         assert_eq!(layer.cancelled(), 1);
+    }
+
+    #[test]
+    fn hedged_and_rerouted_copies_equal_the_original() {
+        // The registry retains the request as it stood at `admit`; every
+        // copy it issues is that request in an envelope of its own.
+        let policy = ReliabilityPolicy { max_reroutes: 1, ..hedging(0.5, 1.0) };
+        let policies = ReliabilityPolicies { default: policy, per_topic: SymbolMap::new() };
+        let (_sim, layer) = layer_with(policies, 2);
+        let args = vec![crate::task::Arg::inline((), 1_200), crate::task::Arg::inline((), 34)];
+        let compute: crate::task::TaskFn = Rc::new(|_| crate::task::TaskWork::noop());
+        let mut original = TaskSpec::new(7, "simulate", args, compute).with_priority(42);
+        original.ser_time = Duration::from_millis(3);
+        original.timing.created = Some(SimTime::from_secs(1));
+        original.timing.submitted = Some(SimTime::from_secs(2));
+        original.timing.server_received = Some(SimTime::from_secs(3));
+        original.timing.dispatched = Some(SimTime::from_secs(4));
+        assert_eq!(layer.admit(&original), Some(0));
+        // Stamps after `admit` belong to the original's own journey.
+        original.timing.worker_started = Some(SimTime::from_secs(5));
+
+        let same = |copy: &TaskSpec, what: &str| {
+            assert_eq!((copy.id, copy.topic, copy.priority), (7, original.topic, 42), "{what}");
+            assert_eq!(copy.ser_time, original.ser_time, "{what}");
+            assert_eq!((copy.wire_bytes(), copy.input_bytes()), (2_234, 1_234), "{what}");
+            assert!(Rc::ptr_eq(&copy.compute, &original.compute), "{what}: one closure");
+            let (c, o) = (copy.timing, original.timing);
+            assert_eq!(
+                (c.created, c.submitted, c.server_received, c.dispatched),
+                (o.created, o.submitted, o.server_received, o.dispatched),
+                "{what}"
+            );
+            assert!(c.worker_started.is_none() && copy.failed.is_none(), "{what}");
+        };
+        let (hedged, to) = layer.try_hedge(7, "simulate").expect("under its hedge budget");
+        assert_eq!(to, 1, "a hedge bypasses the primary");
+        same(&hedged, "hedged copy");
+        match layer.on_timeout(1, 7, "simulate") {
+            TimeoutVerdict::Reroute { spec, to } => {
+                assert_eq!(to, 0, "a reroute leaves the endpoint that timed out");
+                same(&spec, "rerouted copy");
+            }
+            other => panic!("expected a reroute, got {other:?}"),
+        }
     }
 
     #[test]

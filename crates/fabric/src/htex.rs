@@ -38,12 +38,12 @@ pub struct LinkParams {
 impl LinkParams {
     /// A fast intra-facility link.
     pub fn local() -> Self {
-        LinkParams { latency: Dist::LogNormal { median: 0.004, sigma: 0.3 }, bandwidth: 4.0e7 }
+        LinkParams { latency: Dist::log_normal(0.004, 0.3), bandwidth: 4.0e7 }
     }
 
     /// A cross-site tunnel (still a direct connection, higher latency).
     pub fn tunnel() -> Self {
-        LinkParams { latency: Dist::LogNormal { median: 0.012, sigma: 0.3 }, bandwidth: 2.5e7 }
+        LinkParams { latency: Dist::log_normal(0.012, 0.3), bandwidth: 2.5e7 }
     }
 }
 
@@ -59,7 +59,7 @@ pub struct HtexParams {
 impl Default for HtexParams {
     fn default() -> Self {
         HtexParams {
-            submit_hop: Dist::LogNormal { median: 0.002, sigma: 0.3 },
+            submit_hop: Dist::log_normal(0.002, 0.3),
             interchange_bw: 1.0e8,
         }
     }

@@ -67,7 +67,7 @@ pub mod ser;
 pub mod task;
 pub mod worker;
 
-pub use dispatch::Dispatcher;
+pub use dispatch::{Dispatcher, Submit};
 pub use fabric::Fabric;
 pub use faas::{EndpointSpec, FnXExecutor, FnXParams};
 pub use health::{

@@ -22,7 +22,7 @@ impl SerModel {
     /// ~0.3 ms fixed + ~120 MB/s streaming.
     pub fn python_pickle() -> Self {
         SerModel {
-            per_op: Dist::LogNormal { median: 0.0003, sigma: 0.3 },
+            per_op: Dist::log_normal(0.0003, 0.3),
             throughput: 1.2e8,
         }
     }

@@ -10,10 +10,22 @@
 //! decomposes: creation → server → dispatch → worker start → inputs
 //! resolved → compute done → result received → result data ready
 //! (§V-C1, §V-D).
+//!
+//! ## One envelope per task
+//!
+//! A task is one heap allocation from [`TaskSpec::new`] until the
+//! thinker has copied its [`TaskResult`] into a record. [`TaskSpec`] and
+//! [`TaskResult`] are pointer-sized owning handles to that envelope, so
+//! every channel, queue and spawned future on the way moves eight bytes,
+//! and whoever finishes the task (a worker, or the fabric when it sheds
+//! it) writes the result fields into the same allocation and passes the
+//! same pointer on. Fields are reached through `Deref`:
+//! `task.timing.created = …`, `result.report.hedges`.
 
 use hetflow_store::{SiteId, UntypedProxy};
 use hetflow_sim::{SimRng, SimTime, Symbol};
 use std::any::Any;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -451,35 +463,101 @@ impl TaskTiming {
     }
 }
 
-/// A task ready for submission.
-///
-/// Cloning is cheap (the compute closure is an `Rc`) and exists for the
-/// reliability layer: a hedged or rerouted dispatch re-issues a clone of
-/// the original spec.
-#[derive(Clone)]
-pub struct TaskSpec {
-    /// Unique id.
-    pub id: TaskId,
-    /// Task type, e.g. `"simulate"`, `"train"`, `"infer"`, `"sample"`.
-    pub topic: Symbol,
-    /// Input arguments (inline up to `Args::INLINE`).
-    pub args: Args,
-    /// The compute closure.
-    pub compute: TaskFn,
-    /// Accumulated serialization time so far (thinker/server side).
-    pub ser_time: Duration,
-    /// Life-cycle stamps.
-    pub timing: TaskTiming,
-    /// Set when the task was poisoned before reaching a worker (e.g. a
-    /// submit-side proxy put failed). The worker short-circuits: no
-    /// resolve, no compute — the error rides the normal result path.
-    pub failed: Option<TaskError>,
-    /// Shedding priority: higher keeps its queue slot longer under
-    /// [`hetflow_sim::OverflowPolicy::ShedLowestPriority`]. Campaign
-    /// tasks default to [`TaskSpec::PRIORITY_NORMAL`]; background storm
-    /// traffic runs at [`TaskSpec::PRIORITY_LOW`] so overload sheds it
-    /// first.
-    pub priority: u8,
+/// The two record types behind the handles. `pub` because they are the
+/// handles' `Deref` targets, in a private module because nothing outside
+/// this file has a reason to name them: callers hold a `TaskSpec` or a
+/// `TaskResult` and read fields through it.
+mod envelope {
+    use super::{Arg, Args, TaskError, TaskFn, TaskId, TaskOutcome, TaskTiming, WorkerReport};
+    use hetflow_sim::Symbol;
+    use hetflow_store::SiteId;
+    use std::ops::{Deref, DerefMut};
+    use std::time::Duration;
+
+    /// What a task *is*: the fields of a `TaskSpec`, reached through its
+    /// `Deref` (`task.topic`, `task.timing.created = …`). Also exactly what
+    /// the reliability layer retains of a task it may have to re-issue.
+    #[derive(Clone)]
+    pub struct Request {
+        /// Unique id.
+        pub id: TaskId,
+        /// Task type, e.g. `"simulate"`, `"train"`, `"infer"`, `"sample"`.
+        pub topic: Symbol,
+        /// Input arguments (inline up to `Args::INLINE`).
+        pub args: Args,
+        /// The compute closure.
+        pub compute: TaskFn,
+        /// Accumulated serialization time so far (thinker/server side).
+        pub ser_time: Duration,
+        /// Life-cycle stamps; the result's continue them.
+        pub timing: TaskTiming,
+        /// Set when the task was poisoned before reaching a worker (e.g. a
+        /// submit-side proxy put failed). The worker short-circuits: no
+        /// resolve, no compute — the error rides the normal result path.
+        pub failed: Option<TaskError>,
+        /// Shedding priority: higher keeps its queue slot longer under
+        /// [`hetflow_sim::OverflowPolicy::ShedLowestPriority`]. Campaign
+        /// tasks default to `TaskSpec::PRIORITY_NORMAL`; background storm
+        /// traffic runs at `TaskSpec::PRIORITY_LOW` so overload sheds it
+        /// first.
+        pub priority: u8,
+    }
+
+    /// The one heap record behind a `TaskSpec` and the `TaskResult` it
+    /// becomes: the request, plus the result fields its finisher fills in.
+    /// `id`, `topic` and `timing` of a result are the request's own, reached
+    /// through this type's `Deref`.
+    pub struct Envelope {
+        pub(super) request: Request,
+        /// The output (inline or proxied, per the result policy).
+        pub output: Arg,
+        /// Total input data size (bytes of underlying data, not wire size).
+        pub input_bytes: u64,
+        /// Worker-side observations.
+        pub report: WorkerReport,
+        /// Which site executed the task.
+        pub site: SiteId,
+        /// Worker label, e.g. `"theta/3"`.
+        pub worker: Symbol,
+        /// Whether the task succeeded or failed. Failed results carry a
+        /// zero-byte placeholder output.
+        pub outcome: TaskOutcome,
+    }
+
+    impl Deref for Envelope {
+        type Target = Request;
+        fn deref(&self) -> &Request {
+            &self.request
+        }
+    }
+
+    impl DerefMut for Envelope {
+        fn deref_mut(&mut self) -> &mut Request {
+            &mut self.request
+        }
+    }
+}
+
+use envelope::Envelope;
+pub(crate) use envelope::Request;
+
+/// A task ready for submission: the owning, pointer-sized handle to its
+/// envelope. [`TaskSpec::new`] makes the task's one allocation; there is
+/// no `Clone` — the reliability layer re-issues a task from the
+/// request it retained, which allocates the copy's own envelope.
+pub struct TaskSpec(Box<Envelope>);
+
+impl Deref for TaskSpec {
+    type Target = Request;
+    fn deref(&self) -> &Request {
+        &self.0.request
+    }
+}
+
+impl DerefMut for TaskSpec {
+    fn deref_mut(&mut self) -> &mut Request {
+        &mut self.0.request
+    }
 }
 
 impl std::fmt::Debug for TaskSpec {
@@ -493,6 +571,31 @@ impl std::fmt::Debug for TaskSpec {
     }
 }
 
+thread_local! {
+    /// One no-op closure per thread: every [`TaskSpec::noop`] shares it,
+    /// and so does the envelope the fabric mints for a timed-out task.
+    static NOOP_FN: TaskFn = Rc::new(|_ctx| TaskWork::noop());
+}
+
+impl From<Request> for TaskSpec {
+    /// Boxes `request` into a fresh envelope with a blank result half:
+    /// whoever finishes the task writes it. `site` and `worker` mean
+    /// nothing until then (the worker label starts as the topic, the one
+    /// symbol at hand that costs the interner nothing).
+    fn from(request: Request) -> TaskSpec {
+        let worker = request.topic;
+        TaskSpec(Box::new(Envelope {
+            request,
+            output: Arg::empty(),
+            input_bytes: 0,
+            report: WorkerReport::default(),
+            site: SiteId(0),
+            worker,
+            outcome: TaskOutcome::Success,
+        }))
+    }
+}
+
 impl TaskSpec {
     /// Default shedding priority of campaign tasks.
     pub const PRIORITY_NORMAL: u8 = 100;
@@ -500,14 +603,16 @@ impl TaskSpec {
     /// first thing a full queue sheds.
     pub const PRIORITY_LOW: u8 = 0;
 
-    /// Creates a task with the given topic, args and closure.
+    /// Creates a task with the given topic, args and closure — and its
+    /// envelope, the one allocation the task costs on its way through
+    /// the fabric.
     pub fn new(
         id: TaskId,
         topic: impl Into<Symbol>,
         args: impl Into<Args>,
         compute: TaskFn,
     ) -> Self {
-        TaskSpec {
+        TaskSpec::from(Request {
             id,
             topic: topic.into(),
             args: args.into(),
@@ -516,7 +621,7 @@ impl TaskSpec {
             timing: TaskTiming::default(),
             failed: None,
             priority: Self::PRIORITY_NORMAL,
-        }
+        })
     }
 
     /// Builder: sets the shedding priority.
@@ -528,16 +633,13 @@ impl TaskSpec {
     /// A no-op task with one inline payload of `bytes` — the synthetic
     /// workload of §V-C.
     ///
-    /// Issue-path allocation count: zero. The payload value, the
-    /// compute closure, and the interned topic are each created once
-    /// per thread and shared by every no-op issued after (the old code
-    /// built a dead `vec![0u8; 0]`, a fresh `Rc` payload, and a fresh
-    /// `Rc` closure per call — per-task garbage on the benchmark's
-    /// hottest path).
+    /// Issue-path allocation count: one, the envelope. The payload
+    /// value, the compute closure, and the interned topic are each
+    /// created once per thread and shared by every no-op issued after.
+    /// The envelope pays for itself downstream: `Fabric::submit` returns
+    /// the named [`crate::Submit`] instead of a boxed future, so a task
+    /// still costs the allocator what it did when it travelled by value.
     pub fn noop(id: TaskId, bytes: u64) -> Self {
-        thread_local! {
-            static NOOP_FN: TaskFn = Rc::new(|_ctx| TaskWork::noop());
-        }
         static NOOP_TOPIC: std::sync::OnceLock<Symbol> = std::sync::OnceLock::new();
         let topic = *NOOP_TOPIC.get_or_init(|| Symbol::intern("noop"));
         TaskSpec::new(
@@ -548,33 +650,49 @@ impl TaskSpec {
         )
     }
 
+    /// An argument-less stand-in for a task the fabric no longer holds
+    /// (it timed out in transit): enough envelope to carry the terminal
+    /// result.
+    pub(crate) fn stand_in(id: TaskId, topic: Symbol, timing: TaskTiming) -> Self {
+        let mut task = TaskSpec::new(id, topic, Args::new(), NOOP_FN.with(Rc::clone));
+        task.timing = timing;
+        task
+    }
+
     /// Total wire size of the serialized task envelope.
     pub fn wire_bytes(&self) -> u64 {
         TASK_ENVELOPE_BYTES + self.args.iter().map(Arg::wire_bytes).sum::<u64>()
     }
+
+    /// Total size of the underlying input data (not wire size).
+    pub(crate) fn input_bytes(&self) -> u64 {
+        self.args.iter().map(Arg::data_bytes).sum()
+    }
+
+    /// The same envelope as a result: the finisher fills the result
+    /// fields in through the returned handle.
+    pub(crate) fn into_result(self) -> TaskResult {
+        TaskResult(self.0)
+    }
 }
 
-/// A completed task returning to the thinker.
-pub struct TaskResult {
-    /// Task id.
-    pub id: TaskId,
-    /// Task topic.
-    pub topic: Symbol,
-    /// The output (inline or proxied, per the result policy).
-    pub output: Arg,
-    /// Total input data size (bytes of underlying data, not wire size).
-    pub input_bytes: u64,
-    /// Worker-side observations.
-    pub report: WorkerReport,
-    /// Life-cycle stamps (continued from the spec's).
-    pub timing: TaskTiming,
-    /// Which site executed the task.
-    pub site: SiteId,
-    /// Worker label, e.g. `"theta/3"`.
-    pub worker: Symbol,
-    /// Whether the task succeeded or failed. Failed results carry a
-    /// zero-byte placeholder output.
-    pub outcome: TaskOutcome,
+/// A completed task returning to the thinker: the envelope its
+/// [`TaskSpec`] allocated, finished in place. Result fields (`output`,
+/// `report`, `site`, …) and the request's (`id`, `topic`, `timing`) are
+/// both reached through `Deref`.
+pub struct TaskResult(Box<Envelope>);
+
+impl Deref for TaskResult {
+    type Target = Envelope;
+    fn deref(&self) -> &Envelope {
+        &self.0
+    }
+}
+
+impl DerefMut for TaskResult {
+    fn deref_mut(&mut self) -> &mut Envelope {
+        &mut self.0
+    }
 }
 
 impl std::fmt::Debug for TaskResult {
@@ -604,6 +722,10 @@ impl TaskResult {
         self.outcome.is_shed()
     }
 }
+
+// The point of the envelope: what crosses a channel is a pointer.
+const _: () = assert!(std::mem::size_of::<TaskSpec>() == std::mem::size_of::<usize>());
+const _: () = assert!(std::mem::size_of::<TaskResult>() == std::mem::size_of::<usize>());
 
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)] // timing fixtures read best as sequential stamps

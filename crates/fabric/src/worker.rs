@@ -355,21 +355,18 @@ fn spawn_worker(
             shared.busy.borrow_mut().dec(finished);
             last_finish = Some(finished);
 
-            let input_bytes = task.args.iter().map(Arg::data_bytes).sum();
-            let outcome = match failed {
+            // Finish the task in its own envelope: the result that goes
+            // back is the allocation that came in.
+            let input_bytes = task.input_bytes();
+            let mut result = task.into_result();
+            result.output = output;
+            result.input_bytes = input_bytes;
+            result.report = report;
+            result.site = config.site;
+            result.worker = name;
+            result.outcome = match failed {
                 None => TaskOutcome::Success,
                 Some(err) => TaskOutcome::Failed(err),
-            };
-            let result = TaskResult {
-                id: task.id,
-                topic: task.topic,
-                output,
-                input_bytes,
-                report,
-                timing: task.timing,
-                site: config.site,
-                worker: name,
-                outcome,
             };
             if results.send_now(result).is_err() {
                 break; // experiment torn down

@@ -37,12 +37,16 @@ pub enum Dist {
     },
     /// Log-normal parameterized by its *median* and the σ of the
     /// underlying normal — the natural way to express "typically 500 ms,
-    /// occasionally seconds" service latencies.
+    /// occasionally seconds" service latencies. Build it with
+    /// [`Dist::log_normal`], which fills `mu`.
     LogNormal {
         /// Median of the distribution (= e^μ).
         median: f64,
         /// σ of the underlying normal.
         sigma: f64,
+        /// μ of the underlying normal, `median.ln()`: stored so a draw
+        /// does not recompute it.
+        mu: f64,
     },
     /// Pareto (Lomax-style heavy tail) with minimum `scale` and shape
     /// `alpha`; models rare multi-second stragglers.
@@ -62,6 +66,11 @@ pub enum Dist {
 }
 
 impl Dist {
+    /// A [`Dist::LogNormal`] with the given median and σ.
+    pub fn log_normal(median: f64, sigma: f64) -> Dist {
+        Dist::LogNormal { median, sigma, mu: median.ln() }
+    }
+
     /// Draws one sample.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         let x = match self {
@@ -73,9 +82,7 @@ impl Dist {
                 -mean * u.ln()
             }
             Dist::Normal { mean, sd } => mean + sd * rng.standard_normal(),
-            Dist::LogNormal { median, sigma } => {
-                (median.ln() + sigma * rng.standard_normal()).exp()
-            }
+            Dist::LogNormal { sigma, mu, .. } => (mu + sigma * rng.standard_normal()).exp(),
             Dist::Pareto { scale, alpha } => {
                 let u = 1.0 - rng.unit();
                 scale / u.powf(1.0 / alpha)
@@ -138,12 +145,29 @@ mod tests {
 
     #[test]
     fn lognormal_median() {
-        let d = Dist::LogNormal { median: 0.5, sigma: 0.4 };
+        let d = Dist::log_normal(0.5, 0.4);
         let mut rng = SimRng::from_seed(6);
         let mut v: Vec<f64> = (0..10_001).map(|_| d.sample(&mut rng)).collect();
         v.sort_by(f64::total_cmp);
         let median = v[5000];
         assert!((median - 0.5).abs() < 0.02, "median {median}");
+    }
+
+    #[test]
+    fn lognormal_draws_keep_their_bits_with_mu_stored() {
+        // The stored μ is the same `f64` the old per-draw `median.ln()`
+        // produced, so every draw is bit-identical to the old formula
+        // evaluated on a twin stream.
+        let pairs = [(0.0005, 0.3), (0.09, 0.35), (1.9, 0.45), (340.0, 0.15), (1.0, 0.0)];
+        for (seed, (median, sigma)) in (60..).zip(pairs) {
+            let d = Dist::log_normal(median, sigma);
+            let mut rng = SimRng::from_seed(seed);
+            let mut twin = SimRng::from_seed(seed);
+            for _ in 0..1000 {
+                let want = (median.ln() + sigma * twin.standard_normal()).exp().max(0.0);
+                assert_eq!(d.sample(&mut rng).to_bits(), want.to_bits(), "({median}, {sigma})");
+            }
+        }
     }
 
     #[test]

@@ -90,6 +90,10 @@ const READY_CAP: usize = 1024;
 /// allocations beyond the boxed future, and hetbench gates
 /// `allocs_per_task` at 0.15.
 ///
+/// Two producers push: a [`TaskWaker`] (channels, events, join handles —
+/// whatever cloned `cx.waker()`), and `fire_next_timer`, which pushes the
+/// id a [`Sleep`] registered without going through a `Waker` at all.
+///
 /// Slots store `id + 1` so 0 can mean "empty"; ids cannot reach
 /// `u64::MAX` because the slab index half is bounded by live memory.
 struct ReadyQueue {
@@ -198,14 +202,19 @@ impl Wake for TaskWaker {
     }
 }
 
-/// One task slot: the future (taken out while being polled) plus a
-/// cached waker. The waker is allocated once per task at spawn; every
-/// `cx.waker().clone()` a future performs is then just an `Arc` refcount
-/// bump instead of a fresh allocation per poll.
+/// One task slot: the future plus the task's one `Waker`, allocated at
+/// spawn. Both are moved out for the duration of a poll and moved back
+/// after it — the poll borrows the slot's own waker, so it costs no
+/// refcount traffic; only a future that keeps `cx.waker()` (a channel, an
+/// event, a join handle) clones it, and that is a refcount bump, not an
+/// allocation. A [`Sleep`] keeps nothing: it registers the task's id.
 struct TaskSlot {
     gen: u32,
     fut: Option<LocalFuture>,
-    waker: Waker,
+    /// `None` only while the task is being polled; back in place before
+    /// the slot can reach the free list, so the strong-count test in
+    /// `spawn_boxed` always sees it.
+    waker: Option<Waker>,
     /// The same allocation `waker` wraps, kept so slot reuse can rewrite
     /// the packed id in place instead of allocating a fresh `Arc` — but
     /// only when no outstanding clone could misdirect a stale wake (see
@@ -241,10 +250,27 @@ enum Loc {
     Free,
 }
 
+/// Whom a timer wakes when it fires.
+#[derive(Default)]
+enum Wakeup {
+    /// Nobody: a free slot, or a fired one whose wake-up was handed out.
+    #[default]
+    Nobody,
+    /// The task of this executor that polled the [`Sleep`], by id. Firing
+    /// pushes the id onto the ready ring — the position `Waker::wake`
+    /// would have given it — and holds no reference, so a sleeping task
+    /// leaves its waker's strong count alone. An id whose task is gone is
+    /// dropped by `drain_ready`'s generation check like any stale wake.
+    Task(TaskId),
+    /// A waker this executor did not hand to the poll (a `Sleep` driven
+    /// by hand, or from inside another executor's task).
+    Foreign(Waker),
+}
+
 struct TimerSlot {
     gen: u32,
     loc: Loc,
-    waker: Option<Waker>,
+    wake: Wakeup,
 }
 
 /// Firing-order key `(deadline, tie, registration seq)`. `tie` is zero in
@@ -275,7 +301,7 @@ struct TimerHeap {
 impl TimerHeap {
     fn register(&mut self, at: u64, tie: u64, seq: u64) -> TimerHandle {
         let idx = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(TimerSlot { gen: 0, loc: Loc::Free, waker: None });
+            self.slab.push(TimerSlot { gen: 0, loc: Loc::Free, wake: Wakeup::Nobody });
             (self.slab.len() - 1) as u32
         });
         let pos = self.heap.len();
@@ -339,15 +365,15 @@ impl TimerHeap {
         self.heap.first().map(|e| e.key.0)
     }
 
-    /// Fires the globally minimum pending timer: its key and its waker.
-    fn pop(&mut self) -> Option<(TimerKey, Option<Waker>)> {
+    /// Fires the globally minimum pending timer: its key and whom to wake.
+    fn pop(&mut self) -> Option<(TimerKey, Wakeup)> {
         if self.heap.is_empty() {
             return None;
         }
         let HeapEntry { key, idx } = self.remove(0);
         let slot = &mut self.slab[idx as usize];
         slot.loc = Loc::Fired;
-        Some((key, slot.waker.take()))
+        Some((key, std::mem::take(&mut slot.wake)))
     }
 
     /// True once the timer has fired (the owning `Sleep` may then resolve).
@@ -356,10 +382,21 @@ impl TimerHeap {
         slot.gen == h.gen && slot.loc == Loc::Fired
     }
 
-    fn set_waker(&mut self, h: TimerHandle, w: Waker) {
+    /// Points a pending timer at whoever polls its `Sleep` now: `polled`
+    /// when that is a task of this executor, else `waker`. Called at
+    /// registration and at every later poll that finds the timer still
+    /// pending; a registration that already names the poller stands as
+    /// it is — the losing arm of a `timeout` race is re-polled at every
+    /// wake of its task, and nothing about it has changed.
+    fn arm(&mut self, h: TimerHandle, polled: Option<TaskId>, waker: &Waker) {
         let slot = &mut self.slab[h.idx as usize];
-        if slot.gen == h.gen {
-            slot.waker = Some(w);
+        if slot.gen != h.gen {
+            return;
+        }
+        match (polled, &slot.wake) {
+            (Some(id), _) => slot.wake = Wakeup::Task(id),
+            (None, Wakeup::Foreign(w)) if w.will_wake(waker) => {}
+            (None, _) => slot.wake = Wakeup::Foreign(waker.clone()),
         }
     }
 
@@ -376,7 +413,7 @@ impl TimerHeap {
         let slot = &mut self.slab[h.idx as usize];
         slot.gen = slot.gen.wrapping_add(1);
         slot.loc = Loc::Free;
-        slot.waker = None;
+        slot.wake = Wakeup::Nobody;
         self.free.push(h.idx);
     }
 }
@@ -389,6 +426,10 @@ struct Core {
     tasks: RefCell<TaskSlab>,
     /// Spawned-but-unfinished tasks (futures out being polled included).
     live_tasks: Cell<usize>,
+    /// The task being polled right now and the data pointer of the waker
+    /// its poll was given: how a [`Sleep`] tells "my own task is polling
+    /// me" (register the id) from any other waker (keep a clone).
+    polling: Cell<Option<(TaskId, *const ())>>,
     polls: Cell<u64>,
     timer_fires: Cell<u64>,
     tie_shuffle: RefCell<Option<SimRng>>,
@@ -434,6 +475,7 @@ impl Sim {
                 ready: Arc::new(ReadyQueue::default()),
                 tasks: RefCell::new(TaskSlab::default()),
                 live_tasks: Cell::new(0),
+                polling: Cell::new(None),
                 polls: Cell::new(0),
                 timer_fires: Cell::new(0),
                 tie_shuffle: RefCell::new(None),
@@ -522,7 +564,7 @@ impl Sim {
                             id: AtomicU64::new(id),
                             ready: Arc::clone(&self.core.ready),
                         });
-                        slot.waker = Waker::from(Arc::clone(&arc));
+                        slot.waker = Some(Waker::from(Arc::clone(&arc)));
                         slot.waker_arc = arc;
                     }
                     id
@@ -537,7 +579,7 @@ impl Sim {
                     tasks.slots.push(TaskSlot {
                         gen: 0,
                         fut: Some(wrapped),
-                        waker: Waker::from(Arc::clone(&arc)),
+                        waker: Some(Waker::from(Arc::clone(&arc))),
                         waker_arc: arc,
                     });
                     id
@@ -569,10 +611,17 @@ impl Sim {
         YieldNow { sim: self.clone(), polled: false }
     }
 
-    /// Registers a timer and arms its waker under one borrow of the
-    /// timer store — the sleep hot path calls this once per await instead
-    /// of borrowing the store twice.
-    fn register_timer_with(&self, at: SimTime, waker: Waker) -> TimerHandle {
+    /// The id of the task being polled, if `cx` carries that task's own
+    /// waker. `select2`/`timeout` hand their `cx` down unchanged, so every
+    /// sleep in an actor's future tree answers `Some`.
+    fn polled_task(&self, cx: &Context<'_>) -> Option<TaskId> {
+        let (id, data) = self.core.polling.get()?;
+        (cx.waker().data() == data).then_some(id)
+    }
+
+    /// Registers a timer and arms it for whoever is polling through `cx`,
+    /// under one borrow of the timer store.
+    fn register_timer(&self, at: SimTime, cx: &Context<'_>) -> TimerHandle {
         let seq = self.core.next_timer_seq.get();
         self.core.next_timer_seq.set(seq + 1);
         let tie = match self.core.tie_shuffle.borrow_mut().as_mut() {
@@ -581,7 +630,7 @@ impl Sim {
         };
         let mut timers = self.core.timers.borrow_mut();
         let h = timers.register(at.as_nanos(), tie, seq);
-        timers.set_waker(h, waker);
+        timers.arm(h, self.polled_task(cx), cx.waker());
         h
     }
 
@@ -591,9 +640,9 @@ impl Sim {
         let mut polls = 0;
         while let Some(id) = self.core.ready.pop() {
             let (idx, gen) = unpack_task(id);
-            // Take the future out of its slot while polling so the slab
-            // is free for re-entrant spawns; clone the cached waker (an
-            // Arc refcount bump, not an allocation).
+            // Move the future and the slot's waker out while polling, so
+            // the slab is free for re-entrant spawns and the poll borrows
+            // the waker instead of cloning it.
             let (mut fut, waker) = {
                 let mut tasks = self.core.tasks.borrow_mut();
                 let Some(slot) = tasks.slots.get_mut(idx as usize) else {
@@ -602,28 +651,31 @@ impl Sim {
                 if slot.gen != gen {
                     continue; // completed task woken again: spurious, ignore
                 }
-                let Some(fut) = slot.fut.take() else {
+                let (Some(fut), Some(waker)) = (slot.fut.take(), slot.waker.take()) else {
                     continue; // woken while already being polled
                 };
-                (fut, slot.waker.clone())
+                (fut, waker)
             };
             let mut cx = Context::from_waker(&waker);
             polls += 1;
             self.core.polls.set(self.core.polls.get() + 1);
-            if fut.as_mut().poll(&mut cx).is_pending() {
-                let mut tasks = self.core.tasks.borrow_mut();
-                tasks.slots[idx as usize].fut = Some(fut);
-            } else {
-                {
-                    let mut tasks = self.core.tasks.borrow_mut();
-                    let slot = &mut tasks.slots[idx as usize];
-                    slot.gen = slot.gen.wrapping_add(1);
-                    tasks.free.push(idx);
-                }
-                self.core.live_tasks.set(self.core.live_tasks.get() - 1);
-                // `fut` drops here, after the slab borrow is released:
-                // destructors (e.g. `Sleep::drop`) may re-enter the core.
+            // Restored, not cleared: a task may drive this `Sim` itself.
+            let outer = self.core.polling.replace(Some((id, waker.data())));
+            let pending = fut.as_mut().poll(&mut cx).is_pending();
+            self.core.polling.set(outer);
+            let mut tasks = self.core.tasks.borrow_mut();
+            let slot = &mut tasks.slots[idx as usize];
+            slot.waker = Some(waker);
+            if pending {
+                slot.fut = Some(fut);
+                continue;
             }
+            slot.gen = slot.gen.wrapping_add(1);
+            tasks.free.push(idx);
+            drop(tasks);
+            self.core.live_tasks.set(self.core.live_tasks.get() - 1);
+            // `fut` drops here, after the slab borrow is released:
+            // destructors (e.g. `Sleep::drop`) may re-enter the core.
         }
         polls
     }
@@ -632,13 +684,15 @@ impl Sim {
     /// Returns false when no live timer remains.
     fn fire_next_timer(&self) -> bool {
         let fired = self.core.timers.borrow_mut().pop();
-        let Some(((at, ..), waker)) = fired else { return false };
+        let Some(((at, ..), wake)) = fired else { return false };
         let at = SimTime::from_nanos(at);
         debug_assert!(at >= self.core.now.get(), "time went backwards");
         self.core.now.set(at);
         self.core.timer_fires.set(self.core.timer_fires.get() + 1);
-        if let Some(w) = waker {
-            w.wake();
+        match wake {
+            Wakeup::Task(id) => self.core.ready.push(id),
+            Wakeup::Foreign(w) => w.wake(),
+            Wakeup::Nobody => {}
         }
         true
     }
@@ -771,14 +825,14 @@ impl Future for Sleep {
                 self.handle = None;
                 Poll::Ready(())
             } else {
-                timers.set_waker(h, cx.waker().clone());
+                timers.arm(h, self.sim.polled_task(cx), cx.waker());
                 Poll::Pending
             };
         }
         if self.deadline <= self.sim.now() {
             return Poll::Ready(());
         }
-        let h = self.sim.register_timer_with(self.deadline, cx.waker().clone());
+        let h = self.sim.register_timer(self.deadline, cx);
         self.handle = Some(h);
         Poll::Pending
     }
@@ -1228,10 +1282,22 @@ mod tests {
         }
     }
 
+    /// A waker that counts its wakes — the kind the executor did not make.
+    #[derive(Default)]
+    struct CountingWake(AtomicUsize);
+
+    impl Wake for CountingWake {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Drives the store and the reference through one random script.
     /// `percent` = cumulative thresholds out of 100 for insert / cancel /
     /// pop (the rest peek); below `floor` live timers every step inserts;
-    /// `deadline` draws an absolute deadline. Returns the peak depth.
+    /// `deadline` draws an absolute deadline. Each timer is armed, at
+    /// random, with a task id (its own `seq`) or a counting waker, and a
+    /// pop must hand back exactly what was armed. Returns the peak depth.
     fn store_matches_reference_script(
         seed: u64,
         shuffled_ties: bool,
@@ -1243,6 +1309,21 @@ mod tests {
         let mut rng = SimRng::from_seed(seed);
         let mut store = TimerHeap::default();
         let mut reference = HeapRef::default();
+        let foreign = Arc::new(CountingWake::default());
+        let foreign_waker = Waker::from(Arc::clone(&foreign));
+        // Indexed by `seq`: was the timer armed with the foreign waker?
+        let mut armed_foreign: Vec<bool> = Vec::new();
+        let mut foreign_fired = 0;
+        // What the store says to wake for the timer `seq` it just fired.
+        let mut check_wake = |wake: Wakeup, seq: u64, armed_foreign: &[bool]| match wake {
+            Wakeup::Task(id) => assert_eq!(id, seq, "woke another timer's task"),
+            Wakeup::Foreign(w) => {
+                assert!(armed_foreign[seq as usize], "timer {seq} was armed with an id");
+                w.wake();
+                foreign_fired += 1;
+            }
+            Wakeup::Nobody => panic!("timer {seq} fired with nobody to wake"),
+        };
         // seq -> handle, for cancels and post-pop release.
         let mut live: Vec<(u64, TimerHandle)> = Vec::new();
         let mut now = 0u64;
@@ -1253,7 +1334,9 @@ mod tests {
             if roll < percent[0] || live.len() < floor {
                 let at = deadline(&mut rng, now);
                 let tie = if shuffled_ties { rng.next_u64() } else { 0 };
+                armed_foreign.push(rng.next_u64() & 1 == 1);
                 let h = store.register(at, tie, seq);
+                store.arm(h, (!armed_foreign[seq as usize]).then_some(seq), &foreign_waker);
                 reference.insert(at, tie, seq);
                 live.push((seq, h));
                 seq += 1;
@@ -1266,10 +1349,12 @@ mod tests {
                     reference.cancel(s);
                 }
             } else if roll < percent[2] {
-                let got = store.pop().map(|(key, _)| key);
+                let fired = store.pop();
+                let got = fired.as_ref().map(|(key, _)| *key);
                 let want = reference.pop();
                 assert_eq!(got, want, "pop diverged (seed {seed})");
-                if let Some((at, _, s)) = got {
+                if let Some(((at, _, s), wake)) = fired {
+                    check_wake(wake, s, &armed_foreign);
                     now = at;
                     // The fired Sleep resolves and releases on its next
                     // poll; until then its slot must read as fired.
@@ -1287,18 +1372,20 @@ mod tests {
         }
         // Drain what's left: order must match to the end.
         loop {
-            let got = store.pop().map(|(key, _)| key);
+            let fired = store.pop();
+            let got = fired.as_ref().map(|(key, _)| *key);
             let want = reference.pop();
             assert_eq!(got, want, "drain diverged (seed {seed})");
             store.check();
-            if got.is_none() {
-                break;
-            }
+            let Some(((_, _, s), wake)) = fired else { break };
+            check_wake(wake, s, &armed_foreign);
         }
         for (_, h) in live {
             store.release(h);
         }
         store.assert_quiescent();
+        assert_eq!(foreign.0.load(Ordering::Relaxed), foreign_fired, "a foreign wake was lost");
+        assert_eq!(Arc::strong_count(&foreign), 2, "the store kept a waker past its timer");
         peak
     }
 
@@ -1356,6 +1443,109 @@ mod tests {
         assert_eq!(r.pending_tasks, 0);
         assert_eq!(r.end, SimTime::from_millis(7500), "cancelled sleeps never advance the clock");
         sim.core.timers.borrow().assert_quiescent();
+    }
+
+    /// Polls `fut` once with `waker`, outside any executor.
+    fn poll_by_hand<F: Future + Unpin>(fut: &mut F, waker: &Waker) -> Poll<F::Output> {
+        Pin::new(fut).poll(&mut Context::from_waker(waker))
+    }
+
+    #[test]
+    fn sleep_under_a_foreign_waker_fires_through_the_waker_arm() {
+        let sim = Sim::new();
+        let count = Arc::new(CountingWake::default());
+        let waker = Waker::from(Arc::clone(&count));
+        let mut nap = sim.sleep(secs(2.0));
+        assert!(poll_by_hand(&mut nap, &waker).is_pending());
+        assert_eq!(Arc::strong_count(&count), 3, "the timer holds a clone of the foreign waker");
+        // Re-polled before it fires: the registration already names
+        // this waker, so it is not cloned again.
+        assert!(poll_by_hand(&mut nap, &waker).is_pending());
+        assert_eq!(Arc::strong_count(&count), 3);
+        let r = sim.run();
+        assert_eq!((r.end, r.timer_fires), (SimTime::from_secs(2), 1));
+        assert_eq!(count.0.load(Ordering::Relaxed), 1, "woken exactly once, through the waker");
+        assert!(poll_by_hand(&mut nap, &waker).is_ready());
+        sim.core.timers.borrow().assert_quiescent();
+    }
+
+    #[test]
+    fn sleep_started_in_one_task_and_finished_in_another_wakes_the_second() {
+        let sim = Sim::new();
+        let (tx, rx) = crate::channel::channel::<Sleep>();
+        let s = sim.clone();
+        sim.spawn_detached(async move {
+            let mut nap = s.sleep(secs(5.0));
+            // First poll here: the timer is armed with this task's id.
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut nap).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            assert!(tx.send_now(nap).is_ok());
+        });
+        let s = sim.clone();
+        let woke_at = sim.spawn(async move {
+            rx.recv().await.expect("the first task sent its sleep").await;
+            s.now()
+        });
+        let r = sim.run();
+        assert_eq!(r.pending_tasks, 0, "the second task was never woken");
+        assert_eq!(sim.block_on(woke_at), SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn timer_naming_a_finished_task_wakes_nobody() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn_detached(async move {
+            let mut nap = s.sleep(secs(5.0));
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut nap).poll(cx).is_pending());
+                Poll::Ready(())
+            })
+            .await;
+            // Leaks the timer with this task's id in it; the task ends.
+            std::mem::forget(nap);
+        });
+        sim.run_until(SimTime::from_secs(1));
+        // The freed slot's next tenant: same index, next generation.
+        let polls = Rc::new(Cell::new(0u32));
+        let (s, p) = (sim.clone(), Rc::clone(&polls));
+        sim.spawn_detached(async move {
+            let mut nap = s.sleep(secs(9.0));
+            std::future::poll_fn(|cx| {
+                p.set(p.get() + 1);
+                Pin::new(&mut nap).poll(cx)
+            })
+            .await;
+        });
+        assert_eq!(sim.core.tasks.borrow().slots.len(), 1, "the slot was recycled");
+        let r = sim.run();
+        assert_eq!((r.end, r.timer_fires, r.pending_tasks), (SimTime::from_secs(10), 2, 0));
+        assert_eq!(polls.get(), 2, "the stale timer at t=5 did not poll the new tenant");
+    }
+
+    #[test]
+    fn detached_spawns_in_a_loop_reuse_one_waker_allocation() {
+        // hetbench's `sim.spawn_detached.allocs_per_op` 1.000: the boxed
+        // future is the only allocation, because a task that slept left
+        // no clone of its waker behind.
+        let sim = Sim::new();
+        let mut first = None;
+        for i in 0..100u64 {
+            let s = sim.clone();
+            sim.spawn_detached(async move {
+                s.sleep(secs(1.0)).await;
+                s.timeout(secs(2.0), s.sleep(secs(1.0 + (i % 3) as f64))).await.ok();
+            });
+            sim.run();
+            let tasks = sim.core.tasks.borrow();
+            assert_eq!(tasks.slots.len(), 1);
+            let at = Arc::as_ptr(&tasks.slots[0].waker_arc);
+            assert_eq!(*first.get_or_insert(at), at, "spawn {i} allocated a fresh TaskWaker");
+            assert_eq!(Arc::strong_count(&tasks.slots[0].waker_arc), 2);
+        }
     }
 
     #[test]

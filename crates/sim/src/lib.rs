@@ -53,7 +53,7 @@ pub use arena::{Arena, ArenaId};
 pub use combinators::Elapsed;
 pub use channel::{bounded, channel, Offered, OverflowPolicy, Receiver, Sender};
 pub use dist::Dist;
-pub use executor::{JoinHandle, RunReport, Sim};
+pub use executor::{JoinHandle, RunReport, Sim, Sleep};
 pub use intern::Symbol;
 pub use symmap::SymbolMap;
 pub use metrics::{Gauge, Samples, TimeSeries};

@@ -87,7 +87,7 @@ impl QueueConfig {
     pub fn login_node(thinker_site: SiteId, policy: ProxyPolicy) -> Self {
         QueueConfig {
             thinker_site,
-            queue_latency: Dist::LogNormal { median: 0.0005, sigma: 0.3 },
+            queue_latency: Dist::log_normal(0.0005, 0.3),
             queue_bandwidth: 5.0e7,
             ser: SerModel::python_pickle(),
             policy,

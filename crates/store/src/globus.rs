@@ -43,8 +43,8 @@ pub struct GlobusParams {
 impl Default for GlobusParams {
     fn default() -> Self {
         GlobusParams {
-            request_latency: Dist::LogNormal { median: 0.45, sigma: 0.35 },
-            service_time: Dist::LogNormal { median: 1.9, sigma: 0.45 },
+            request_latency: Dist::log_normal(0.45, 0.35),
+            service_time: Dist::log_normal(1.9, 0.45),
             bandwidth: 1.0e9,
             concurrent_per_user: 3,
             batch_window: None,

@@ -86,8 +86,8 @@ impl RedisParams {
         RedisParams {
             host,
             connected: SiteSet::of(&[host]),
-            local_latency: Dist::LogNormal { median: 0.0004, sigma: 0.3 },
-            remote_latency: Dist::LogNormal { median: 0.002, sigma: 0.3 },
+            local_latency: Dist::log_normal(0.0004, 0.3),
+            remote_latency: Dist::log_normal(0.002, 0.3),
             // Effective client throughputs (Python redis client chunking),
             // calibrated so Fig. 4's large-object behaviour holds: Redis
             // and the file system become comparable near 100 MB.
@@ -127,7 +127,7 @@ impl FsParams {
     pub fn shared(members: &[SiteId]) -> Self {
         FsParams {
             members: SiteSet::of(members),
-            op_latency: Dist::LogNormal { median: 0.005, sigma: 0.4 },
+            op_latency: Dist::log_normal(0.005, 0.4),
             write_bandwidth: 1.2e8,
             read_bandwidth: 1.5e8,
         }

@@ -80,7 +80,7 @@ fn main() {
         tasks: 8_000,
         interval: Dist::Constant(0.02),
         bytes: 64,
-        work: Dist::LogNormal { median: 8.0, sigma: 0.2 },
+        work: Dist::log_normal(8.0, 0.2),
     }])
     .install(&sim, 7, &deployment.chaos);
 

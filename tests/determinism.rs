@@ -330,7 +330,7 @@ fn storm_digest(seed: u64) -> (u64, usize, usize, u64) {
         tasks: 2_000,
         interval: Dist::Constant(0.05),
         bytes: 64,
-        work: Dist::LogNormal { median: 6.0, sigma: 0.2 },
+        work: Dist::log_normal(6.0, 0.2),
     }])
     .install(&sim, seed, &d.chaos);
     let o = moldesign::run(
