@@ -4,7 +4,11 @@
 //! platform- and version-dependent, and a call cannot be vectorized.
 //! [`cos_portable`] is multiplies, adds and bit operations only — the
 //! same bits on every IEEE-754 target, within 2 ulp of 1.0 of libm — and
-//! branch-free in range, so a loop over it vectorizes at baseline SSE2.
+//! branch-free in range, so a loop over it vectorizes: two lanes in the
+//! baseline SSE2 clone, four in the AVX2 clone that `crate::dispatch`
+//! runs when the CPU has it. The clones return the same bits: no FMA
+//! feature, no `mul_add`, and every lane evaluates its own argument's
+//! sequence of operations.
 
 /// Below this magnitude the reduction is exact: `PIO2_1`/`PIO2_2` carry
 /// 33 significant bits, so `n * PIO2_x` is exact while `|n| < 2^20`, and
@@ -61,7 +65,7 @@ pub(crate) fn cos_portable(x: f64) -> f64 {
 
 /// `a ← scale · cos(a)` over a tile. One cold check keeps the hot loop
 /// branch-free; a lane's value is the same on either side of it.
-#[inline]
+#[inline(always)]
 pub(crate) fn scaled_cos_in_place(args: &mut [f64], scale: f64) {
     if args.iter().fold(true, |ok, a| ok & (a.abs() < EXACT_BELOW)) {
         args.iter_mut().for_each(|a| *a = scale * cos_in_range(*a));

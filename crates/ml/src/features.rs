@@ -8,20 +8,27 @@
 //!
 //! Everything runs through one kernel, `RandomFourierFeatures::tile`:
 //! `W` is stored transposed (`d_in × D`, `D` zero-padded to a multiple of
-//! `TILE`) so the projection runs lane-wise across features with its
-//! accumulators in registers, and cosine and scale are one vectorized
-//! pass over a stack tile. Each feature still sums `k = 0..d_in` in order
-//! from `-0.0` (as `Iterator::sum` does), so a value never depends on
-//! tiling or on which rows share a block.
+//! `TILE`) so the projection runs lane-wise across features, a block of
+//! up to `BLOCK` inputs at once with all their accumulators in registers,
+//! and cosine and scale are one vectorized pass over a stack tile. Each
+//! feature still sums `k = 0..d_in` in order from `-0.0` (as
+//! `Iterator::sum` does), so a value never depends on tiling or on which
+//! rows share a block. The entry points run their bodies through the
+//! crate's `dispatch`, so the kernel also has an AVX2 clone.
 
 use crate::cosine::scaled_cos_in_place;
+use crate::dispatch::dispatch;
 use crate::linalg::Matrix;
 use hetflow_sim::SimRng;
 
 /// Features per kernel tile.
 pub(crate) const TILE: usize = 64;
-/// Projection accumulators held in registers at once.
+/// Features per projection lane group: one load of `Wᵀ` per `k` feeds
+/// this many accumulators of every input in the block.
 const LANES: usize = 8;
+/// Inputs featurized (and scored) together: a block's `BLOCK × LANES`
+/// independent in-order chains hide each chain's add latency.
+pub(crate) const BLOCK: usize = 4;
 
 /// A fixed random feature map.
 #[derive(Clone, Debug)]
@@ -53,26 +60,43 @@ impl RandomFourierFeatures {
         RandomFourierFeatures { d_in, d_out, wt, b, scale }
     }
 
-    /// The kernel: features `j..j + TILE` of `M` inputs into `z`
-    /// (lanes at or past `d_out` are padding; callers skip them).
+    /// Panics unless `x` has the map's input dimension. The kernel's
+    /// callers check each row once, not once per tile.
+    #[inline(always)]
+    pub(crate) fn check_input(&self, x: &[f64]) {
+        assert_eq!(x.len(), self.d_in, "feature dim mismatch");
+    }
+
+    /// The kernel: features `j..j + TILE` of `M` checked inputs into `z`
+    /// (lanes at or past `d_out` are padding; callers skip them). For each
+    /// lane group the whole block accumulates over `k` together, so one
+    /// load of `Wᵀ` serves all `M` inputs and the `M × LANES` chains
+    /// overlap; each chain is still its own feature's `k`-ascending sum.
+    #[inline(always)]
     pub(crate) fn tile<const M: usize>(&self, xs: [&[f64]; M], j: usize, z: &mut [[f64; TILE]; M]) {
         let padded = self.b.len();
-        for (x, out) in xs.iter().zip(z.iter_mut()) {
-            assert_eq!(x.len(), self.d_in, "feature dim mismatch");
-            for jc in (j..j + TILE).step_by(LANES) {
-                let mut acc = [-0.0; LANES];
-                for (k, &xk) in x.iter().enumerate() {
-                    let w = &self.wt[k * padded + jc..][..LANES];
+        // Every `xs[m]` is `d_in` long as far as LLVM knows: no bounds
+        // check per `k`.
+        let xs = xs.map(|x| &x[..self.d_in]);
+        for jc in (j..j + TILE).step_by(LANES) {
+            let mut acc = [[-0.0; LANES]; M];
+            for k in 0..self.d_in {
+                let w = &self.wt[k * padded + jc..][..LANES];
+                for m in 0..M {
+                    let xk = xs[m][k];
                     for l in 0..LANES {
-                        acc[l] += w[l] * xk;
+                        acc[m][l] += w[l] * xk;
                     }
                 }
+            }
+            let b = &self.b[jc..][..LANES];
+            for m in 0..M {
                 for l in 0..LANES {
-                    out[jc - j + l] = acc[l] + self.b[jc + l];
+                    z[m][jc - j + l] = acc[m][l] + b[l];
                 }
             }
-            scaled_cos_in_place(out, self.scale);
         }
+        scaled_cos_in_place(z.as_flattened_mut(), self.scale);
     }
 
     /// Maps one input vector.
@@ -82,15 +106,41 @@ impl RandomFourierFeatures {
 
     /// Maps a batch into a design matrix (`n × D`).
     pub(crate) fn transform_batch(&self, xs: &[impl AsRef<[f64]>]) -> Matrix {
+        dispatch(
+            #[inline(always)]
+            || self.transform_batch_body(xs),
+        )
+    }
+
+    /// [`RandomFourierFeatures::transform_batch`] undispatched: rows in
+    /// blocks of `BLOCK`, the `n % BLOCK` left over one at a time.
+    #[inline(always)]
+    pub(crate) fn transform_batch_body(&self, xs: &[impl AsRef<[f64]>]) -> Matrix {
         let mut out = Matrix::zeros(xs.len(), self.d_out);
-        let mut tile = [[0.0; TILE]];
-        for (i, x) in xs.iter().enumerate() {
-            for (t, z) in out.row_mut(i).chunks_mut(TILE).enumerate() {
-                self.tile([x.as_ref()], t * TILE, &mut tile);
-                z.copy_from_slice(&tile[0][..z.len()]);
-            }
+        let mut blocks = xs.chunks_exact(BLOCK);
+        for (b, block) in (&mut blocks).enumerate() {
+            let rows: [&[f64]; BLOCK] = std::array::from_fn(|m| block[m].as_ref());
+            self.featurize(rows, &mut out, b * BLOCK);
+        }
+        let first = xs.len() - blocks.remainder().len();
+        for (m, x) in blocks.remainder().iter().enumerate() {
+            self.featurize([x.as_ref()], &mut out, first + m);
         }
         out
+    }
+
+    /// Features of `xs` into rows `first..first + M` of `out`.
+    #[inline(always)]
+    fn featurize<const M: usize>(&self, xs: [&[f64]; M], out: &mut Matrix, first: usize) {
+        xs.iter().for_each(|x| self.check_input(x));
+        let mut tile = [[0.0; TILE]; M];
+        for j in (0..self.d_out).step_by(TILE) {
+            self.tile(xs, j, &mut tile);
+            let len = TILE.min(self.d_out - j);
+            for (m, z) in tile.iter().enumerate() {
+                out.row_mut(first + m)[j..][..len].copy_from_slice(&z[..len]);
+            }
+        }
     }
 }
 

@@ -5,7 +5,9 @@
 //! the feature dimension. No external BLAS (the build stays
 //! dependency-free), so loop shape matters: at d = 384 a factorization
 //! over strided dependent chains costs 2.4× one over contiguous axpys.
-//! The kernels here walk rows and keep each element's operation order.
+//! The kernels here walk rows and keep each element's operation order,
+//! and are `#[inline(always)]` so that `Ridge::fit_multi`'s AVX2 clone
+//! contains them rather than calls into their baseline copies.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -83,6 +85,7 @@ impl Matrix {
     }
 
     /// `selfᵀ * self` (the Gram matrix), exploiting symmetry.
+    #[inline(always)]
     pub fn gram(&self) -> Matrix {
         let mut g = self.t_accumulate(self, true);
         for i in 0..self.cols {
@@ -94,6 +97,7 @@ impl Matrix {
     }
 
     /// `selfᵀ * other`.
+    #[inline(always)]
     pub(crate) fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         if other.cols != 1 {
@@ -116,6 +120,7 @@ impl Matrix {
     /// `from = i` when only the upper triangle is wanted (`gram`) and 0
     /// otherwise: four rows `r` per pass over each output row, then the
     /// `rows % 4` left over one at a time.
+    #[inline(always)]
     fn t_accumulate(&self, b: &Matrix, upper_only: bool) -> Matrix {
         let mut out = Matrix::zeros(self.cols, b.cols);
         let quads = self.rows - self.rows % 4;
@@ -142,6 +147,7 @@ impl Matrix {
     }
 
     /// Adds `lambda` to the diagonal (ridge regularization).
+    #[inline(always)]
     pub(crate) fn add_diag(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
         for i in 0..n {
@@ -155,6 +161,7 @@ impl Matrix {
     /// contiguous axpy. Each element still loses its products in
     /// ascending `k`, so the factor is bit-identical to the left-looking
     /// dot-product form.
+    #[inline(always)]
     pub(crate) fn cholesky(&self) -> Result<Cholesky, LinalgError> {
         if self.rows != self.cols {
             return Err(LinalgError::ShapeMismatch);
@@ -189,7 +196,7 @@ impl Matrix {
 }
 
 /// `out[j] += a · b[j]`; a zero `a` leaves `out` untouched, bits included.
-#[inline]
+#[inline(always)]
 fn add_scaled_row(out: &mut [f64], a: f64, b: &[f64]) {
     if a != 0.0 {
         for (o, b) in out.iter_mut().zip(b) {
@@ -202,7 +209,7 @@ fn add_scaled_row(out: &mut [f64], a: f64, b: &[f64]) {
 /// adds its products in row order, unfused and unreassociated, so the
 /// result is that of four single passes. A zero coefficient sends the
 /// quad down those, which keeps its skip exact.
-#[inline]
+#[inline(always)]
 fn add_scaled_rows(out: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
     if a.contains(&0.0) {
         for (a, b) in a.into_iter().zip(b) {
@@ -241,6 +248,7 @@ pub struct Cholesky {
 
 impl Cholesky {
     /// Solves `A x = b` in place (`x` holds `b` on entry), `A = L Lᵀ`.
+    #[inline(always)]
     pub(crate) fn solve_in_place(&self, x: &mut [f64]) {
         let n = self.u.rows();
         assert_eq!(x.len(), n);
@@ -265,6 +273,7 @@ impl Cholesky {
     }
 
     /// Solves `A X = B` column by column through one scratch column.
+    #[inline(always)]
     pub(crate) fn solve_matrix(&self, b: &Matrix) -> Matrix {
         let n = self.u.rows();
         assert_eq!(b.rows(), n);

@@ -1,5 +1,6 @@
 //! Ridge regression (single- and multi-output) via normal equations.
 
+use crate::dispatch::dispatch;
 use crate::linalg::{LinalgError, Matrix};
 
 /// A fitted linear model `y = W x (+ intercept)`.
@@ -20,6 +21,20 @@ impl Ridge {
     /// Fits a multi-output model; `y` is `n × k`. When `center` is set,
     /// per-output intercepts absorb the means.
     pub(crate) fn fit_multi(
+        x: &Matrix,
+        y: &Matrix,
+        lambda: f64,
+        center: bool,
+    ) -> Result<Ridge, LinalgError> {
+        dispatch(
+            #[inline(always)]
+            || Ridge::fit_multi_body(x, y, lambda, center),
+        )
+    }
+
+    /// [`Ridge::fit_multi`] undispatched.
+    #[inline(always)]
+    pub(crate) fn fit_multi_body(
         x: &Matrix,
         y: &Matrix,
         lambda: f64,

@@ -6,14 +6,11 @@
 //! active-learning campaign with repeated retraining is cheap to
 //! simulate while the *learning dynamics* stay real.
 
-use crate::features::{RandomFourierFeatures, TILE};
+use crate::dispatch::dispatch;
+use crate::features::{RandomFourierFeatures, BLOCK, TILE};
 use crate::linalg::LinalgError;
 use crate::ridge::Ridge;
 use hetflow_sim::SimRng;
-
-/// Inputs scored together: interleaving their independent in-order
-/// `Σ zᵢ·wᵢ` chains hides each chain's add latency.
-const BLOCK: usize = 4;
 
 /// Hyperparameters of the RFF-ridge surrogate.
 #[derive(Clone, Copy, Debug)]
@@ -61,12 +58,30 @@ impl RffRidge {
 
     /// Predicts the property of one input.
     pub fn predict(&self, input: &[f64]) -> f64 {
-        self.score([input])[0]
+        dispatch(
+            #[inline(always)]
+            || self.score([input])[0],
+        )
     }
 
     /// Predicts `out.len()` inputs into `out`, `row(i)` supplying the
     /// `i`-th (a slice element, or features computed on the fly).
     pub fn predict_batch<R: AsRef<[f64]>>(&self, row: impl Fn(usize) -> R, out: &mut [f64]) {
+        dispatch(
+            #[inline(always)]
+            || self.predict_batch_body(row, out),
+        )
+    }
+
+    /// [`RffRidge::predict_batch`] undispatched: inputs scored in blocks
+    /// of `BLOCK` (interleaving their independent in-order `Σ zᵢ·wᵢ`
+    /// chains hides each chain's add latency), the rest one at a time.
+    #[inline(always)]
+    pub(crate) fn predict_batch_body<R: AsRef<[f64]>>(
+        &self,
+        row: impl Fn(usize) -> R,
+        out: &mut [f64],
+    ) {
         let mut blocks = out.chunks_exact_mut(BLOCK);
         let mut i = 0;
         for out in &mut blocks {
@@ -81,7 +96,9 @@ impl RffRidge {
 
     /// Feature tiles folded into running ridge sums; per input exactly
     /// `Ridge::predict`: `i` ascending from `-0.0`, then the intercept.
-    fn score<const M: usize>(&self, xs: [&[f64]; M]) -> [f64; M] {
+    #[inline(always)]
+    pub(crate) fn score<const M: usize>(&self, xs: [&[f64]; M]) -> [f64; M] {
+        xs.iter().for_each(|x| self.rff.check_input(x));
         let mut tile = [[0.0; TILE]; M];
         let mut sums = [-0.0; M];
         for (t, weights) in self.weights.chunks(TILE).enumerate() {
@@ -142,6 +159,38 @@ mod tests {
                 prop_assert_eq!(model.predict(x).to_bits(), y.to_bits(), "predict row {}", i);
                 prop_assert_eq!(bits(z_batch.row(i)), bits(&z), "transform_batch row {}", i);
                 prop_assert_eq!(bits(&model.rff.transform(x)), bits(&z), "transform row {}", i);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn a_row_s_bits_do_not_depend_on_its_block_mates(
+            seed in 0u64..1000,
+            d_in in 1usize..=16,
+            d_out in 1usize..200,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            // One mate in four is far out, so its block takes the cosine's
+            // cold path; the row under test must not notice.
+            let draw = |rng: &mut SimRng| -> Vec<f64> {
+                let scale = if rng.below(4) == 0 { 1e7 } else { 2.0 };
+                (0..d_in).map(|_| scale * rng.standard_normal()).collect()
+            };
+            let train: Vec<Vec<f64>> = (0..16).map(|_| draw(&mut rng)).collect();
+            let targets: Vec<f64> = train.iter().map(|x| x[0].tanh()).collect();
+            let params = SurrogateParams { n_features: d_out, lengthscale: 1.5, lambda: 1e-3 };
+            let model = RffRidge::fit(&train, &targets, params, &mut rng).unwrap();
+            let x: Vec<f64> = (0..d_in).map(|_| 2.0 * rng.standard_normal()).collect();
+            let (z, y) = (bits(&model.rff.transform(&x)), model.predict(&x).to_bits());
+            for at in [0, BLOCK - 1] {
+                let mut block: Vec<Vec<f64>> = (0..BLOCK).map(|_| draw(&mut rng)).collect();
+                block[at] = x.clone();
+                let mut scores = [f64::NAN; BLOCK];
+                model.predict_batch(|i| &block[i], &mut scores);
+                prop_assert_eq!(scores[at].to_bits(), y, "score at {}", at);
+                let features = model.rff.transform_batch(&block);
+                prop_assert_eq!(&bits(features.row(at)), &z, "features at {}", at);
             }
         }
     }

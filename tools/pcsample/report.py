@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Symbolise pcsample dumps: report.py [--split SYMBOL] pcsample.*.out
+"""Symbolise pcsample dumps: report.py [--split SYMBOL | --inline SYMBOL] pcsample.*.out
 
 Prints samples per symbol (top 40) and per object, most first, summed
 over every dump given. Symbols come from `nm -C` (static and dynamic
@@ -8,8 +8,12 @@ or below it in its mapping. `--split SYMBOL` adds, for that symbol's
 samples, a histogram by 64-byte offset — how one path of a hand-written
 memmove is told from another — and the callers, read from the word the
 sampler found at the top of the stack (right for a frameless leaf, which
-libc's mem* routines are; meaningless for anything else)."""
-import bisect, collections, os, subprocess, sys
+libc's mem* routines are; meaningless for anything else). `--inline
+SYMBOL` adds, for that symbol's samples, the innermost frame inside the
+repository (function and `crates/…:line`) from the line tables, with one
+`addr2line -a -f -i -C` call per object over the unique PCs — how the
+kernels inlined into one clone are told apart."""
+import bisect, collections, os, re, subprocess, sys
 
 def symbols(path):
     syms = set()
@@ -40,10 +44,18 @@ class Dump:
         # Load bias of an object = where its offset-0 page sits (PIE and .so).
         self.bias = {p: lo for lo, _, off, p in self.maps if off == 0}
 
-    def lookup(self, pc):
+    def locate(self, pc):
+        """(object path, address in that object) of a PC; the address is
+        None when the object cannot be read."""
         path = next((p for lo, hi, _, p in self.maps if lo <= pc < hi), None)
-        obj = os.path.basename(path or "unmapped")
         if path not in self.bias or not os.path.exists(path):
+            return path, None
+        return path, pc - self.bias[path]
+
+    def lookup(self, pc):
+        path, addr = self.locate(pc)
+        obj = os.path.basename(path or "unmapped")
+        if addr is None:
             return obj, f"[{obj}]", 0
         bias = self.bias[path]
         if path not in Dump.tables:
@@ -51,8 +63,36 @@ class Dump:
                       if any(lo <= a < hi and p == path for lo, hi, _, p in self.maps)]
             Dump.tables[path] = sorted(symbols(path) + inside)
         table = Dump.tables[path]
-        i = bisect.bisect_right(table, (pc - bias, "\xff")) - 1
-        return (obj, table[i][1], pc - bias - table[i][0]) if i >= 0 else (obj, f"[{obj}]", 0)
+        i = bisect.bisect_right(table, (addr, "\xff")) - 1
+        return (obj, table[i][1], addr - table[i][0]) if i >= 0 else (obj, f"[{obj}]", 0)
+
+REPO_FILE = re.compile(r"(?:^|/)(crates/[^ ]*:\d+)")
+
+def innermost_repo_frames(addrs):
+    """{(path, addr): "function (crates/…:line)"}: per address, the first
+    frame of `addr2line -i` (innermost first) whose file is in the repository."""
+    frames = {}
+    by_path = collections.defaultdict(set)
+    for path, addr in addrs:
+        by_path[path].add(addr)
+    for path, unique in by_path.items():
+        unique = sorted(unique)
+        out = subprocess.run(["addr2line", "-a", "-f", "-i", "-C", "-e", path,
+                              *(f"{a:#x}" for a in unique)],
+                             capture_output=True, text=True).stdout.splitlines()
+        groups, i = [], 0
+        while i < len(out):
+            if re.fullmatch(r"0x[0-9a-f]+", out[i]):
+                groups.append([])
+            else:
+                groups[-1].append((out[i], out[i + 1]))
+                i += 1
+            i += 1
+        for addr, group in zip(unique, groups):
+            where = ((fn, REPO_FILE.search(loc)) for fn, loc in group)
+            frames[path, addr] = next((f"{fn} ({m.group(1)})" for fn, m in where if m),
+                                      "[no repository frame]")
+    return frames
 
 def table(title, counter, total, limit=None, key=str):
     print(f"\n{title}:")
@@ -60,10 +100,12 @@ def table(title, counter, total, limit=None, key=str):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {key(name)}")
 
 def main():
-    args, split = sys.argv[1:], None
+    args, split, inline = sys.argv[1:], None, None
     if args[:1] == ["--split"]:
         split, args = args[1], args[2:]
-    hits, objects, offsets, callers = (collections.Counter() for _ in range(4))
+    elif args[:1] == ["--inline"]:
+        inline, args = args[1], args[2:]
+    hits, objects, offsets, callers, inlined = (collections.Counter() for _ in range(5))
     for dump in map(Dump, args):
         for pc, top in dump.samples:
             obj, name, off = dump.lookup(pc)
@@ -72,6 +114,8 @@ def main():
             if split and split in name:
                 offsets[off // 64 * 64] += 1
                 callers[dump.lookup(top)[1]] += 1
+            if inline and inline in name:
+                inlined[dump.locate(pc)] += 1
     total = sum(hits.values())
     print(f"{total} samples from {len(args)} dumps")
     table("by symbol", hits, total, 40)
@@ -80,6 +124,15 @@ def main():
         table(f"{split} by offset", collections.Counter(dict(sorted(offsets.items()))), total,
               key=lambda off: f"+{off:#x}")
         table(f"{split} by caller", callers, total, 15)
+    if inline:
+        frames = innermost_repo_frames(a for a in inlined if a[1] is not None)
+        lines, functions = collections.Counter(), collections.Counter()
+        for a, n in inlined.items():
+            frame = frames.get(a, "[unmapped]")
+            lines[frame] += n
+            functions[frame.split(" (crates/")[0]] += n
+        table(f"{inline} by innermost repository function", functions, total, 20)
+        table(f"{inline} by innermost repository line", lines, total, 40)
 
 if __name__ == "__main__":
     main()
