@@ -299,7 +299,7 @@ impl std::ops::Index<usize> for Args {
 }
 
 /// What the worker observed while resolving inputs and computing.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerReport {
     /// Time spent resolving proxied inputs.
     pub resolve_wait: Duration,
@@ -381,7 +381,7 @@ pub type TaskFn = Rc<dyn Fn(&mut TaskCtx<'_>) -> TaskWork>;
 
 /// Life-cycle stamps of one task. `None` means the stage has not
 /// happened (or does not exist on that fabric).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TaskTiming {
     /// Thinker created the task.
     pub created: Option<SimTime>,

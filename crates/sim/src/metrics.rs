@@ -9,12 +9,13 @@ use crate::time::SimTime;
 /// A bag of scalar samples with order statistics.
 ///
 /// Stores raw values. Every [`quantile`](Samples::quantile) /
-/// [`quantiles`](Samples::quantiles) / [`median`](Samples::median) call
-/// clones the values and sorts the copy — O(n) bytes allocated and
-/// O(n log n) time *per call* — so it belongs on report paths, which
-/// read a finished run once, and never on a per-task path, where the
-/// cost grows with every task already seen (a running order statistic,
-/// as `fabric::health` keeps for the hedge delay, is the per-task tool).
+/// [`median`](Samples::median) call clones the values and selects in
+/// the copy, and every [`quantiles`](Samples::quantiles) call clones
+/// and sorts it once — O(n) bytes allocated and O(n) or O(n log n)
+/// time *per call* — so they belong on report paths, which read a
+/// finished run once, and never on a per-task path, where the cost
+/// grows with every task already seen (a running order statistic, as
+/// `fabric::health` keeps for the hedge delay, is the per-task tool).
 #[derive(Clone, Debug, Default)]
 pub struct Samples {
     values: Vec<f64>,
@@ -73,8 +74,27 @@ impl Samples {
 
     /// Quantile by linear interpolation between order statistics;
     /// `q` in `[0, 1]`. Returns 0 when empty.
+    ///
+    /// Selects the two order statistics instead of sorting. Both this
+    /// and [`quantiles`](Samples::quantiles) order by `f64::total_cmp`,
+    /// under which the k-th element is unique, so the two agree to the
+    /// bit.
     pub fn quantile(&self, q: f64) -> f64 {
-        self.quantiles(&[q])[0]
+        if self.values.is_empty() {
+            return 0.0;
+        }
+        let (lo, hi, frac) = rank(q, self.values.len());
+        let mut values = self.values.clone();
+        let (_, &mut at_lo, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+        if lo == hi {
+            return at_lo;
+        }
+        // `hi == lo + 1`: the least value above rank `lo`.
+        above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .map_or(at_lo, |at_hi| lerp(at_lo, at_hi, frac))
     }
 
     /// Several quantiles at once, sorting the samples a single time —
@@ -99,17 +119,12 @@ impl Samples {
             "non-finite sample slipped past record()"
         );
         qs.iter()
-            .map(|q| {
-                debug_assert!(!q.is_nan(), "quantile q must be a number");
-                let q = if q.is_nan() { 0.5 } else { q.clamp(0.0, 1.0) };
-                let pos = q * (sorted.len() - 1) as f64;
-                let lo = pos.floor() as usize;
-                let hi = pos.ceil() as usize;
+            .map(|&q| {
+                let (lo, hi, frac) = rank(q, sorted.len());
                 if lo == hi {
                     sorted[lo]
                 } else {
-                    let frac = pos - lo as f64;
-                    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+                    lerp(sorted[lo], sorted[hi], frac)
                 }
             })
             .collect()
@@ -142,6 +157,22 @@ impl Samples {
     pub fn extend_from(&mut self, other: &Samples) {
         self.values.extend_from_slice(&other.values);
     }
+}
+
+/// Where quantile `q` falls among `n > 0` order statistics: the ranks
+/// either side of it and the weight of the upper one. `q` is clamped to
+/// `[0, 1]`; a NaN `q` reads as the median (see
+/// [`Samples::quantiles`]).
+fn rank(q: f64, n: usize) -> (usize, usize, f64) {
+    debug_assert!(!q.is_nan(), "quantile q must be a number");
+    let q = if q.is_nan() { 0.5 } else { q.clamp(0.0, 1.0) };
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+fn lerp(at_lo: f64, at_hi: f64, frac: f64) -> f64 {
+    at_lo * (1.0 - frac) + at_hi * frac
 }
 
 /// A `(time, value)` series, e.g. cumulative bytes transferred (Fig. 1).

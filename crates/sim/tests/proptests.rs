@@ -5,7 +5,9 @@
 //! semaphores never over-grant, and execution is deterministic under
 //! arbitrary task/timer interleavings.
 
-use hetflow_sim::{bounded, channel, time::secs, Semaphore, Sim, SimTime, Symbol, SymbolMap};
+use hetflow_sim::{
+    bounded, channel, time::secs, Samples, Semaphore, Sim, SimTime, Symbol, SymbolMap,
+};
 use proptest::prelude::*;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -173,6 +175,30 @@ proptest! {
         prop_assert_eq!(keys, want_keys);
         for (name, &v) in &tree {
             prop_assert_eq!(dense.get(Symbol::intern(name)), Some(&v));
+        }
+    }
+
+    /// `quantile` selects where `quantiles` sorts: for any sample set,
+    /// duplicates and both zeros included, the two agree to the bit.
+    #[test]
+    fn quantile_selection_matches_sort(
+        picks in prop::collection::vec((0u8..10, any::<u32>()), 1..201),
+        raw_q in any::<u32>(),
+    ) {
+        let mut s = Samples::new();
+        for (kind, v) in picks {
+            s.record(match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::MAX,
+                3 => -f64::MAX,
+                4 => f64::MIN_POSITIVE,
+                5 | 6 => f64::from(v % 8) - 4.0,
+                _ => f64::from(v) * 1e-3 - 2e6,
+            });
+        }
+        for q in [0.0, 0.5, 0.95, 1.0, f64::from(raw_q) / f64::from(u32::MAX)] {
+            prop_assert_eq!(s.quantile(q).to_bits(), s.quantiles(&[q])[0].to_bits(), "q = {}", q);
         }
     }
 

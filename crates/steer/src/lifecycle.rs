@@ -1,18 +1,19 @@
 //! Finished-task records and latency decomposition.
 //!
-//! Every resolved task leaves a [`TaskRecord`]; [`Breakdown`] aggregates
-//! the per-component statistics the paper's figures report (Fig. 3/4:
+//! Every resolved task leaves a [`TaskRecord`], which the thinker keeps
+//! in a compact `RecordLog`; [`Breakdown`] aggregates the
+//! per-component statistics the paper's figures report (Fig. 3/4:
 //! component medians/means; Fig. 5: notification + data wait; Fig. 7b:
 //! per-topic overheads).
 
-use hetflow_fabric::{TaskOutcome, TaskTiming, WorkerReport};
+use hetflow_fabric::{TaskError, TaskOutcome, TaskTiming, WorkerReport};
 use hetflow_store::SiteId;
-use hetflow_sim::{Samples, Symbol};
+use hetflow_sim::{Samples, SimTime, Symbol, SymbolMap};
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// The complete life-cycle record of one finished task.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TaskRecord {
     /// Task id.
     pub id: u64,
@@ -48,6 +49,298 @@ impl TaskRecord {
     /// True when overload protection shed the task before it ran.
     pub(crate) fn is_shed(&self) -> bool {
         self.outcome.is_shed()
+    }
+}
+
+/// Every finished-task record of a run, as a byte log.
+///
+/// A thinker keeps one record per task for the whole run, so the record
+/// list is what grows with task count. A `TaskRecord` is 392 bytes; the
+/// log spends ~80 per record and decodes to exactly the records pushed,
+/// for every value their types allow. Each record is a run of LEB128
+/// varints, in this order:
+///
+/// * `id`, as a zigzag delta from the previous record's id;
+/// * `topic` and `worker`, as indexes into the log's symbol table;
+/// * `site`;
+/// * a flag byte: bit 0 is `data_was_local`, bits 1–3 the outcome
+///   (`SUCCESS` … `SIDE_ERROR`). `Timeout { after }` is followed by the
+///   duration and `ExhaustedRetries { attempts }` by the count; the two
+///   `String`-carrying errors go to a side list, in record order;
+/// * an 11-bit mask of the `TaskTiming` stamps present, then each
+///   present stamp as a zigzag delta from the previous one written —
+///   zigzag because hedges and reroutes do not keep stamps monotone;
+/// * the five `Duration`s, each as `(secs, subsec_nanos)`;
+/// * the five `u32` counters, `input_bytes` and `output_bytes`.
+pub(crate) struct RecordLog {
+    bytes: Vec<u8>,
+    /// `topic` and `worker` symbols in first-seen order, and each one's
+    /// place in it.
+    symbols: Vec<Symbol>,
+    index: SymbolMap<u32>,
+    /// The `ResolveFailed` and `PutFailed` errors, in record order.
+    errors: Vec<TaskError>,
+    len: usize,
+    /// The last id and the last stamp written: the bases of the next
+    /// deltas.
+    last_id: u64,
+    last_stamp: u64,
+}
+
+impl RecordLog {
+    /// Flag-byte values: `LOCAL` is or-ed onto one outcome tag.
+    const LOCAL: u8 = 1;
+    const SUCCESS: u8 = 0;
+    const SHED: u8 = 2;
+    const TIMEOUT: u8 = 4;
+    const EXHAUSTED: u8 = 6;
+    const SIDE_ERROR: u8 = 8;
+
+    /// An empty log. The 4 KiB it reserves holds ~50 records, so a
+    /// campaign's few hundred grow it only two or three times.
+    pub(crate) fn new() -> Self {
+        RecordLog {
+            bytes: Vec::with_capacity(4096),
+            symbols: Vec::new(),
+            index: SymbolMap::new(),
+            errors: Vec::new(),
+            len: 0,
+            last_id: 0,
+            last_stamp: 0,
+        }
+    }
+
+    /// Appends `r`.
+    pub(crate) fn push(&mut self, r: &TaskRecord) {
+        self.put_varint(zigzag(r.id.wrapping_sub(self.last_id)));
+        self.last_id = r.id;
+        let topic = self.symbol_index(r.topic);
+        self.put_varint(topic);
+        let worker = self.symbol_index(r.worker);
+        self.put_varint(worker);
+        self.put_varint(u64::from(r.site.0));
+
+        let local = if r.data_was_local { Self::LOCAL } else { 0 };
+        match &r.outcome {
+            TaskOutcome::Success => self.bytes.push(Self::SUCCESS | local),
+            TaskOutcome::Shed => self.bytes.push(Self::SHED | local),
+            TaskOutcome::Failed(TaskError::Timeout { after }) => {
+                self.bytes.push(Self::TIMEOUT | local);
+                self.put_duration(*after);
+            }
+            TaskOutcome::Failed(TaskError::ExhaustedRetries { attempts }) => {
+                self.bytes.push(Self::EXHAUSTED | local);
+                self.put_varint(u64::from(*attempts));
+            }
+            TaskOutcome::Failed(e) => {
+                self.bytes.push(Self::SIDE_ERROR | local);
+                self.errors.push(e.clone());
+            }
+        }
+
+        let stamps = stamps(&r.timing);
+        let mask = stamps.iter().enumerate().fold(0, |m, (i, s)| m | (u64::from(s.is_some()) << i));
+        self.put_varint(mask);
+        for t in stamps.into_iter().flatten() {
+            self.put_varint(zigzag(t.as_nanos().wrapping_sub(self.last_stamp)));
+            self.last_stamp = t.as_nanos();
+        }
+
+        let w = &r.report;
+        for d in [w.resolve_wait, w.compute_time, w.ser_time, w.wasted_time, r.thinker_data_wait] {
+            self.put_duration(d);
+        }
+        for n in [w.local_inputs, w.remote_inputs, w.attempts, w.hedges, w.reroutes] {
+            self.put_varint(u64::from(n));
+        }
+        self.put_varint(r.input_bytes);
+        self.put_varint(r.output_bytes);
+        self.len += 1;
+    }
+
+    /// Every record pushed, in push order.
+    pub(crate) fn to_vec(&self) -> Vec<TaskRecord> {
+        let mut r = Reader { bytes: &self.bytes, at: 0 };
+        let (mut id, mut stamp, mut side) = (0u64, 0u64, 0);
+        let mut out = Vec::with_capacity(self.len);
+        for _ in 0..self.len {
+            id = id.wrapping_add(unzigzag(r.read_varint()));
+            let topic = self.symbols[r.read_varint() as usize];
+            let worker = self.symbols[r.read_varint() as usize];
+            let site = SiteId(r.read_varint() as u16);
+
+            let flags = r.read_byte();
+            let outcome = match flags & !Self::LOCAL {
+                Self::SUCCESS => TaskOutcome::Success,
+                Self::SHED => TaskOutcome::Shed,
+                Self::TIMEOUT => {
+                    TaskOutcome::Failed(TaskError::Timeout { after: r.read_duration() })
+                }
+                Self::EXHAUSTED => TaskOutcome::Failed(TaskError::ExhaustedRetries {
+                    attempts: r.read_varint() as u32,
+                }),
+                _ => {
+                    let e = self.errors[side].clone();
+                    side += 1;
+                    TaskOutcome::Failed(e)
+                }
+            };
+
+            let mask = r.read_varint();
+            let mut stamps = [None; STAMPS];
+            for (i, s) in stamps.iter_mut().enumerate() {
+                if (mask >> i) & 1 == 1 {
+                    stamp = stamp.wrapping_add(unzigzag(r.read_varint()));
+                    *s = Some(SimTime::from_nanos(stamp));
+                }
+            }
+
+            let [resolve_wait, compute_time, ser_time, wasted_time, thinker_data_wait] =
+                [(); 5].map(|()| r.read_duration());
+            let [local_inputs, remote_inputs, attempts, hedges, reroutes] =
+                [(); 5].map(|()| r.read_varint() as u32);
+            let input_bytes = r.read_varint();
+            let output_bytes = r.read_varint();
+            out.push(TaskRecord {
+                id,
+                topic,
+                timing: timing(stamps),
+                report: WorkerReport {
+                    resolve_wait,
+                    compute_time,
+                    ser_time,
+                    local_inputs,
+                    remote_inputs,
+                    attempts,
+                    wasted_time,
+                    hedges,
+                    reroutes,
+                },
+                input_bytes,
+                output_bytes,
+                thinker_data_wait,
+                data_was_local: flags & Self::LOCAL != 0,
+                site,
+                worker,
+                outcome,
+            });
+        }
+        out
+    }
+
+    /// `s`'s place in the symbol table, adding it on first sight.
+    fn symbol_index(&mut self, s: Symbol) -> u64 {
+        let next = self.symbols.len() as u32;
+        let at = *self.index.get_or_insert_with(s, || next);
+        if at == next {
+            self.symbols.push(s);
+        }
+        u64::from(at)
+    }
+
+    fn put_duration(&mut self, d: Duration) {
+        self.put_varint(d.as_secs());
+        self.put_varint(u64::from(d.subsec_nanos()));
+    }
+
+    fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.bytes.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.bytes.push(v as u8);
+    }
+}
+
+/// A decoding cursor over a [`RecordLog`]'s bytes.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Reader<'_> {
+    fn read_byte(&mut self) -> u8 {
+        self.at += 1;
+        self.bytes[self.at - 1]
+    }
+
+    fn read_varint(&mut self) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = self.read_byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    fn read_duration(&mut self) -> Duration {
+        let secs = self.read_varint();
+        Duration::new(secs, self.read_varint() as u32)
+    }
+}
+
+/// A wrapping difference, read as signed, mapped so that small
+/// magnitudes of either sign encode short.
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// The number of `TaskTiming` stamps.
+const STAMPS: usize = 11;
+
+/// `t`'s stamps in life-cycle order.
+fn stamps(t: &TaskTiming) -> [Option<SimTime>; STAMPS] {
+    [
+        t.created,
+        t.submitted,
+        t.server_received,
+        t.dispatched,
+        t.worker_started,
+        t.inputs_resolved,
+        t.compute_finished,
+        t.result_dispatched,
+        t.server_result_received,
+        t.thinker_notified,
+        t.result_ready,
+    ]
+}
+
+/// The inverse of [`stamps`].
+fn timing(s: [Option<SimTime>; STAMPS]) -> TaskTiming {
+    let [
+        created,
+        submitted,
+        server_received,
+        dispatched,
+        worker_started,
+        inputs_resolved,
+        compute_finished,
+        result_dispatched,
+        server_result_received,
+        thinker_notified,
+        result_ready,
+    ] = s;
+    TaskTiming {
+        created,
+        submitted,
+        server_received,
+        dispatched,
+        worker_started,
+        inputs_resolved,
+        compute_finished,
+        result_dispatched,
+        server_result_received,
+        thinker_notified,
+        result_ready,
     }
 }
 
@@ -304,6 +597,131 @@ mod tests {
         assert_eq!(b.count, 2);
         assert_eq!(b.failed, 0);
         assert_eq!(b.shed, 1);
+    }
+
+    /// Field values for [`arbitrary_record`], biased towards the
+    /// extremes: zero and maximal values, backwards ids and stamps.
+    struct Draws(u64);
+
+    impl Draws {
+        fn raw(&mut self) -> u64 {
+            self.0 = hetflow_sim::rng::splitmix64(self.0);
+            self.0
+        }
+
+        fn int(&mut self) -> u64 {
+            let d = self.raw();
+            match d % 5 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => d >> 40,
+                3 => d % 1_000,
+                _ => d,
+            }
+        }
+
+        fn small(&mut self) -> u32 {
+            self.int() as u32
+        }
+
+        fn dur(&mut self) -> Duration {
+            match self.raw() % 3 {
+                0 => Duration::ZERO,
+                1 => Duration::MAX,
+                _ => Duration::new(self.int(), self.small() % 1_000_000_000),
+            }
+        }
+
+        /// One of 300 names: more than a one-byte varint can index.
+        fn symbol(&mut self) -> Symbol {
+            Symbol::intern(&format!("record-log/{}", self.raw() % 300))
+        }
+    }
+
+    /// A record whose every field is drawn: any mix of stamps present,
+    /// all four errors and `Shed`.
+    fn arbitrary_record(d: &mut Draws) -> TaskRecord {
+        let mask = d.raw();
+        let mut stamps = [None; STAMPS];
+        for (i, s) in stamps.iter_mut().enumerate() {
+            if (mask >> i) & 1 == 1 {
+                *s = Some(SimTime::from_nanos(d.int()));
+            }
+        }
+        let outcome = match d.raw() % 6 {
+            0 => TaskOutcome::Success,
+            1 => TaskOutcome::Shed,
+            2 => TaskOutcome::Failed(TaskError::Timeout { after: d.dur() }),
+            3 => TaskOutcome::Failed(TaskError::ExhaustedRetries { attempts: d.small() }),
+            4 => TaskOutcome::Failed(TaskError::ResolveFailed(format!("gone {}", d.raw()))),
+            _ => TaskOutcome::Failed(TaskError::PutFailed(String::new())),
+        };
+        TaskRecord {
+            id: d.int(),
+            topic: d.symbol(),
+            timing: timing(stamps),
+            report: WorkerReport {
+                resolve_wait: d.dur(),
+                compute_time: d.dur(),
+                ser_time: d.dur(),
+                local_inputs: d.small(),
+                remote_inputs: d.small(),
+                attempts: d.small(),
+                wasted_time: d.dur(),
+                hedges: d.small(),
+                reroutes: d.small(),
+            },
+            input_bytes: d.int(),
+            output_bytes: d.int(),
+            thinker_data_wait: d.dur(),
+            data_was_local: d.raw() & 1 == 1,
+            site: SiteId(d.raw() as u16),
+            worker: d.symbol(),
+            outcome,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn record_log_round_trips(seed in proptest::prelude::any::<u64>(), n in 1usize..300) {
+            let mut d = Draws(seed);
+            let records: Vec<TaskRecord> = (0..n).map(|_| arbitrary_record(&mut d)).collect();
+            let mut log = RecordLog::new();
+            for r in &records {
+                log.push(r);
+            }
+            proptest::prop_assert_eq!(log.to_vec(), records);
+        }
+    }
+
+    #[test]
+    fn record_log_round_trips_extremes_and_stays_small() {
+        let mut max = record("a", 0);
+        max.id = u64::MAX;
+        max.timing = timing([Some(SimTime::from_nanos(u64::MAX)); STAMPS]);
+        max.report.compute_time = Duration::MAX;
+        max.report.attempts = u32::MAX;
+        max.input_bytes = u64::MAX;
+        max.site = SiteId(u16::MAX);
+        let mut empty = record("b", 1);
+        empty.timing = TaskTiming::default();
+        let records: Vec<TaskRecord> =
+            (0..100).map(|i| record("a", i)).chain([max, empty]).collect();
+        let mut log = RecordLog::new();
+        for r in &records {
+            log.push(r);
+        }
+        assert_eq!(log.to_vec(), records);
+        assert_eq!(RecordLog::new().to_vec(), Vec::new());
+        // A typical record, eleven stamps milliseconds apart, costs ~81
+        // bytes of the 392 it takes as a struct.
+        let mut typical = RecordLog::new();
+        for r in &records[..100] {
+            typical.push(r);
+        }
+        assert!(typical.bytes.len() <= 100 * 96, "{} B", typical.bytes.len());
     }
 
     #[test]

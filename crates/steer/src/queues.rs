@@ -11,7 +11,7 @@
 //! becomes size-independent, which is the mechanism behind the Fig. 3
 //! improvements.
 
-use crate::lifecycle::TaskRecord;
+use crate::lifecycle::{RecordLog, TaskRecord};
 use hetflow_fabric::{
     Arg, BackpressureGate, Fabric, SerModel, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult,
     TaskSpec,
@@ -102,7 +102,7 @@ struct Shared {
     next_id: Cell<TaskId>,
     submit_tx: Sender<TaskSpec>,
     topic_rx: SymbolMap<Receiver<TaskResult>>,
-    records: RefCell<Vec<TaskRecord>>,
+    records: RefCell<RecordLog>,
     tracer: Tracer,
     /// Pre-interned `"thinker"` trace actor — `submit`/`get_result`
     /// must not take the interner lock per task.
@@ -256,9 +256,13 @@ impl ClientQueues {
         self.shared.outstanding.get()
     }
 
-    /// Snapshot of all finished-task records.
+    /// Every finished-task record so far, in resolve order.
+    ///
+    /// The thinker keeps its records as a compact byte log, so this
+    /// decodes and allocates the whole history on every call: call it
+    /// once per run (or per report), not per task.
     pub fn records(&self) -> Vec<TaskRecord> {
-        self.shared.records.borrow().clone()
+        self.shared.records.borrow().to_vec()
     }
 
     fn queue_transit(&self, bytes: u64) -> Duration {
@@ -267,7 +271,7 @@ impl ClientQueues {
         hetflow_sim::time::secs(lat + bytes as f64 / c.queue_bandwidth)
     }
 
-    fn push_record(&self, record: TaskRecord) {
+    fn push_record(&self, record: &TaskRecord) {
         self.shared.records.borrow_mut().push(record);
     }
 
@@ -334,9 +338,9 @@ impl CompletedTask {
             data_was_local: was_local,
             site: result.site,
             worker: result.worker,
-            outcome: result.outcome.clone(),
+            outcome: std::mem::take(&mut result.outcome),
         };
-        queues.push_record(record.clone());
+        queues.push_record(&record);
         ResolvedTask { value, record }
     }
 }
@@ -431,7 +435,7 @@ impl TaskServer {
             next_id: Cell::new(0),
             submit_tx,
             topic_rx,
-            records: RefCell::new(Vec::new()),
+            records: RefCell::new(RecordLog::new()),
             tracer: tracer.clone(),
             actor: Symbol::intern("thinker"),
             outstanding: Cell::new(0),

@@ -528,3 +528,72 @@ fn failed_attempts_extend_task_lifetimes() {
     }));
     assert!(flaky > reliable + Duration::from_secs(10), "{flaky:?} vs {reliable:?}");
 }
+
+#[test]
+fn record_log_returns_every_resolved_record_in_order() {
+    // The thinker keeps its records as an encoded log; under failure
+    // injection, queue shedding, hedging and a deadline, `records()` must
+    // decode to exactly the records `resolve` handed the thinker, in the
+    // order it saw them.
+    use hetflow::fabric::HedgeConfig;
+    use hetflow::sim::OverflowPolicy;
+
+    const WAVES: u32 = 5;
+    const PER_WAVE: u32 = 12;
+    let sim = Sim::new();
+    let spec = DeploymentSpec {
+        cpu_workers: 2,
+        gpu_workers: 1,
+        cpu_failover_sites: 1,
+        cpu_queue_capacity: 6,
+        overflow: OverflowPolicy::ShedOldest,
+        failure: Some(FailureModel {
+            prob: 0.5,
+            waste_fraction: 0.5,
+            restart_delay: Dist::Constant(1.0),
+            max_attempts: 2,
+        }),
+        reliability: ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: 0.5, min_samples: 4, ..Default::default() },
+                deadline: Duration::from_secs(900),
+                ..Default::default()
+            },
+            per_topic: Default::default(),
+        },
+        ..Default::default()
+    };
+    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
+    // The primary pool runs slow for a while, so late tasks get hedged.
+    ChaosSpec::new(vec![ChaosAction::Straggle {
+        pool: 0,
+        at: SimTime::from_secs(60),
+        duration: Duration::from_secs(600),
+        factor: 6.0,
+    }])
+    .install(&sim, 5, &d.chaos);
+    let q = d.queues.clone();
+    let h = sim.spawn(async move {
+        let mut resolved = Vec::new();
+        for wave in 0..WAVES {
+            for i in 0..PER_WAVE {
+                q.submit(
+                    "simulate",
+                    vec![Payload::new(wave * PER_WAVE + i, 1000)],
+                    Rc::new(|_| TaskWork::new((), 100, Duration::from_secs(10))),
+                )
+                .await;
+            }
+            for _ in 0..PER_WAVE {
+                resolved.push(q.get_result("simulate").await.unwrap().resolve().await.record);
+            }
+        }
+        resolved
+    });
+    let resolved = sim.block_on(h);
+    assert_eq!(resolved.len(), (WAVES * PER_WAVE) as usize);
+    assert!(resolved.iter().any(|r| r.is_failed()), "failure injection must fail some tasks");
+    assert!(resolved.iter().any(|r| r.outcome.is_shed()), "the queue bound must shed some tasks");
+    assert!(resolved.iter().any(|r| r.report.hedges > 0), "the straggling pool must be hedged");
+    assert_eq!(d.queues.records(), resolved);
+}
