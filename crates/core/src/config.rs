@@ -151,6 +151,18 @@ pub struct Deployment {
     pub tracer: Tracer,
     /// Which configuration was deployed.
     pub config: WorkflowConfig,
+    /// The simulation the deployment's actors run on.
+    sim: Sim,
+}
+
+/// Dropping a deployment ends its simulation: every actor still parked
+/// on it is dropped ([`Sim::teardown`]), and with them the cycle through
+/// the `Sim` that would otherwise keep the stores, queues and payloads
+/// alive. Drop the deployment when the run is over, not before.
+impl Drop for Deployment {
+    fn drop(&mut self) {
+        self.sim.teardown();
+    }
 }
 
 /// The handles a deployment keeps of either executor: the type-erased
@@ -363,6 +375,7 @@ pub fn deploy(
         failover_pools,
         tracer,
         config,
+        sim: sim.clone(),
     }
 }
 

@@ -156,6 +156,13 @@ impl ReadyQueue {
         self.spilled.store(true, Ordering::Release);
     }
 
+    /// Empties the queue, returning the overflow's memory.
+    fn clear(&self) {
+        while self.pop().is_some() {}
+        *self.overflow.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
+            std::collections::VecDeque::new();
+    }
+
     fn pop(&self) -> Option<TaskId> {
         let head = self.head.load(Ordering::Relaxed);
         if head != self.tail.load(Ordering::Acquire) {
@@ -226,6 +233,10 @@ struct TaskSlot {
 struct TaskSlab {
     slots: Vec<TaskSlot>,
     free: Vec<u32>,
+    /// Generation a new slot starts at: zero, or after a
+    /// [`Sim::teardown`] one past every generation the dropped slab
+    /// issued, so a wake-up that outlived it never names a new task.
+    first_gen: u32,
 }
 
 // ---------------------------------------------------------------------
@@ -570,14 +581,14 @@ impl Sim {
                     id
                 }
                 None => {
-                    let idx = tasks.slots.len() as u32;
-                    let id = pack_task(idx, 0);
+                    let (idx, gen) = (tasks.slots.len() as u32, tasks.first_gen);
+                    let id = pack_task(idx, gen);
                     let arc = Arc::new(TaskWaker {
                         id: AtomicU64::new(id),
                         ready: Arc::clone(&self.core.ready),
                     });
                     tasks.slots.push(TaskSlot {
-                        gen: 0,
+                        gen,
                         fut: Some(wrapped),
                         waker: Some(Waker::from(Arc::clone(&arc))),
                         waker_arc: arc,
@@ -754,6 +765,45 @@ impl Sim {
                 );
             }
         }
+    }
+
+    /// Drops every task this simulation holds — the futures of actors
+    /// still parked on a channel, an event or a timer, with everything
+    /// they captured — and, once no timer handle is left outside them,
+    /// the timer store. The clock and the counters stay as they are;
+    /// the `Sim` stays usable, with no task and no pending timer.
+    ///
+    /// Parked actors hold `Sim` clones and the `Sim` holds their
+    /// futures: that cycle is what keeps a finished simulation's stores,
+    /// channels and payloads alive after its last outside handle is
+    /// gone. `hetflow_core::Deployment` calls this when it is dropped.
+    /// A no-op while a task is being polled.
+    pub fn teardown(&self) {
+        let core = &self.core;
+        if core.polling.get().is_some() {
+            return;
+        }
+        let tasks = {
+            let mut tasks = core.tasks.borrow_mut();
+            let first_gen = match tasks.slots.iter().map(|s| s.gen).max() {
+                Some(gen) => gen.wrapping_add(1),
+                None => tasks.first_gen,
+            };
+            std::mem::replace(&mut *tasks, TaskSlab { first_gen, ..TaskSlab::default() })
+        };
+        core.ready.clear();
+        core.live_tasks.set(0);
+        // Outside every borrow: the futures' destructors re-enter the
+        // core (a `Sleep` releases its timer, a closed channel wakes its
+        // peer, a destructor may even spawn).
+        drop(tasks);
+        // A `Sleep` kept outside the tasks still holds its slot; then
+        // the store stays, so that handle never meets a stranger.
+        let mut timers = core.timers.borrow_mut();
+        let unheld = timers.free.len() == timers.slab.len();
+        let freed = unheld.then(|| std::mem::take(&mut *timers));
+        drop(timers);
+        drop(freed);
     }
 
     fn report(&self) -> RunReport {
@@ -1561,5 +1611,67 @@ mod tests {
         store.release(far);
         assert_eq!(store.pop().map(|((at, ..), _)| at), None);
         store.assert_quiescent();
+    }
+
+    #[test]
+    fn teardown_frees_parked_actors_and_leaves_the_sim_usable() {
+        let sim = Sim::new();
+        let marker = Rc::new(());
+        // Two actors parked on each other's channels, each holding the
+        // `Sim`: a cycle nothing but teardown breaks.
+        let (tx_a, rx_a) = crate::channel::channel::<()>();
+        let (tx_b, rx_b) = crate::channel::channel::<()>();
+        for (rx, tx) in [(rx_a, tx_b), (rx_b, tx_a)] {
+            let (s, m) = (sim.clone(), Rc::clone(&marker));
+            sim.spawn_detached(async move {
+                let _keep = (s, m, tx);
+                rx.recv().await;
+            });
+        }
+        let s = sim.clone();
+        sim.spawn_detached(async move { s.sleep(secs(50.0)).await });
+        let r = sim.run_until(SimTime::from_secs(10));
+        assert_eq!(r.pending_tasks, 3);
+        let stale = pack_task(0, 0);
+        sim.teardown();
+        assert_eq!(Rc::strong_count(&marker), 1, "the parked actors' captures were dropped");
+        sim.core.timers.borrow().assert_quiescent();
+        assert!(sim.core.timers.borrow().slab.is_empty(), "the timer store was given back");
+        // Still a working simulation, at the same instant, with nothing
+        // left to do; a wake-up naming a dropped task polls nobody.
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            s.sleep(secs(1.0)).await;
+            s.now()
+        });
+        sim.core.ready.push(stale);
+        assert_eq!(sim.block_on(h), SimTime::from_secs(11));
+        let r = sim.run();
+        assert_eq!((r.end, r.pending_tasks), (SimTime::from_secs(11), 0));
+    }
+
+    #[test]
+    fn teardown_inside_a_poll_is_a_no_op() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            s.teardown();
+            s.sleep(secs(1.0)).await;
+            s.now()
+        });
+        assert_eq!(sim.block_on(h), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn teardown_keeps_the_timer_store_while_an_outside_sleep_holds_a_slot() {
+        let sim = Sim::new();
+        let count = Arc::new(CountingWake::default());
+        let waker = Waker::from(Arc::clone(&count));
+        let mut nap = sim.sleep(secs(2.0));
+        assert!(poll_by_hand(&mut nap, &waker).is_pending());
+        sim.teardown();
+        let r = sim.run();
+        assert_eq!((r.end, count.0.load(Ordering::Relaxed)), (SimTime::from_secs(2), 1));
+        assert!(poll_by_hand(&mut nap, &waker).is_ready());
     }
 }

@@ -36,7 +36,6 @@
 //! assert_eq!(sim.now().as_secs_f64(), 1.0);
 //! ```
 
-pub mod arena;
 pub mod channel;
 pub mod combinators;
 pub mod dist;
@@ -49,7 +48,6 @@ pub mod sync;
 pub mod time;
 pub mod trace;
 
-pub use arena::{Arena, ArenaId};
 pub use combinators::Elapsed;
 pub use channel::{bounded, channel, Offered, OverflowPolicy, Receiver, Sender};
 pub use dist::Dist;

@@ -8,7 +8,7 @@
 
 use crate::globus::{GlobusService, TransferTicket};
 use crate::location::{SiteId, SiteSet};
-use hetflow_sim::{Arena, ArenaId, Dist, Samples, Sim, SimRng};
+use hetflow_sim::{Dist, Samples, Sim, SimRng, SimTime};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -172,17 +172,104 @@ impl Backend {
     }
 }
 
-struct ObjectEntry {
-    value: Rc<dyn Any>,
+/// One object-table slot. A live slot holds `Some(value)`; a free one
+/// holds `None` (the `Rc`'s niche is the free tag) and keeps only its
+/// generation. 48 bytes: `data_htex` keeps 240 k of them.
+struct Slot {
+    value: Option<Rc<dyn Any>>,
     size: u64,
     /// When the object was stored (for age-based eviction).
-    stored_at: hetflow_sim::SimTime,
-    /// Successful resolves so far (for count-based eviction).
-    resolves: u32,
+    stored_at: SimTime,
     /// Sites where the bytes are resident.
     resident: SiteSet,
-    /// In-flight replication per destination site.
-    transfers: BTreeMap<SiteId, TransferTicket>,
+    /// Successful resolves so far (for count-based eviction).
+    resolves: u32,
+    /// Bumped on every remove, so a key issued for an earlier tenant
+    /// of the slot misses instead of reading the current one.
+    generation: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 48);
+
+/// The stored objects: a slot table with free-list reuse and
+/// generation-checked keys. A key packs `generation << 32 | index`, so
+/// put/evict churn recycles slots and a stale key never aliases the
+/// object that reused its slot. It also keeps the sum of live sizes,
+/// so [`Store::resident_bytes`] is O(1).
+#[derive(Default)]
+struct ObjectTable {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    live: usize,
+    resident_bytes: u64,
+}
+
+impl ObjectTable {
+    fn insert(
+        &mut self,
+        value: Rc<dyn Any>,
+        size: u64,
+        stored_at: SimTime,
+        resident: SiteSet,
+    ) -> u64 {
+        self.live += 1;
+        self.resident_bytes += size;
+        let tenant = |generation| Slot {
+            value: Some(value),
+            size,
+            stored_at,
+            resident,
+            resolves: 0,
+            generation,
+        };
+        let index = match self.free.pop() {
+            Some(index) => {
+                let slot = &mut self.slots[index as usize];
+                *slot = tenant(slot.generation);
+                index
+            }
+            None => {
+                // hetlint: allow(r5) — 2^32 live objects exceeds any simulated campaign by orders of magnitude
+                let index = u32::try_from(self.slots.len()).expect("table capped at u32 slots");
+                self.slots.push(tenant(0));
+                index
+            }
+        };
+        (u64::from(self.slots[index as usize].generation) << 32) | u64::from(index)
+    }
+
+    /// The live slot behind `key`, unless `key` is stale or was never
+    /// issued.
+    fn get(&self, key: u64) -> Option<&Slot> {
+        let slot = self.slots.get(key as u32 as usize)?;
+        (slot.generation == (key >> 32) as u32 && slot.value.is_some()).then_some(slot)
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut Slot> {
+        let slot = self.slots.get_mut(key as u32 as usize)?;
+        (slot.generation == (key >> 32) as u32 && slot.value.is_some()).then_some(slot)
+    }
+
+    /// Frees the slot behind `key`; its generation advances, so `key`
+    /// (and any copy of it) goes permanently stale.
+    fn remove(&mut self, key: u64) -> bool {
+        let Some(slot) = self.get_mut(key) else { return false };
+        slot.value = None;
+        slot.generation = slot.generation.wrapping_add(1);
+        let size = slot.size;
+        self.free.push(key as u32);
+        self.live -= 1;
+        self.resident_bytes -= size;
+        true
+    }
+
+    /// Keys of the live objects stored before `cutoff`, in slot order.
+    fn stored_before(&self, cutoff: SimTime) -> Vec<u64> {
+        let live = self.slots.iter().enumerate().filter(|(_, s)| s.value.is_some());
+        live.filter(|(_, s)| s.stored_at < cutoff)
+            .map(|(i, s)| (u64::from(s.generation) << 32) | i as u64)
+            .collect()
+    }
 }
 
 /// Aggregate store statistics.
@@ -210,11 +297,12 @@ struct Inner {
     backend: Backend,
     eviction: Cell<EvictionPolicy>,
     rng: RefCell<SimRng>,
-    /// Slot arena of stored objects. Public keys are packed
-    /// [`ArenaId`] bits, so put/evict churn recycles slots instead of
-    /// rebalancing a tree, and a stale key can never read a later
-    /// object that reused its slot.
-    objects: RefCell<Arena<ObjectEntry>>,
+    objects: RefCell<ObjectTable>,
+    /// In-flight Globus replication, keyed by `(object key, destination
+    /// site)`. Almost every object has none, so the tickets live here
+    /// rather than in its slot; one is dropped when its site becomes
+    /// resident, and all of an object's when the object is removed.
+    tickets: RefCell<BTreeMap<(u64, SiteId), TransferTicket>>,
     stats: RefCell<StoreStats>,
     resolve_waits: RefCell<Samples>,
 }
@@ -257,7 +345,8 @@ impl Store {
                 backend,
                 eviction: Cell::new(EvictionPolicy::Manual),
                 rng: RefCell::new(rng),
-                objects: RefCell::new(Arena::new()),
+                objects: RefCell::new(ObjectTable::default()),
+                tickets: RefCell::new(BTreeMap::new()),
                 stats: RefCell::new(StoreStats::default()),
                 resolve_waits: RefCell::new(Samples::new()),
             }),
@@ -292,7 +381,7 @@ impl Store {
     ) -> Result<u64, StoreError> {
         let inner = &self.inner;
         let mut resident = SiteSet::EMPTY;
-        let mut transfers = BTreeMap::new();
+        let mut transfers = Vec::new();
         match &inner.backend {
             Backend::Redis(p) => {
                 if !p.connected.contains(from) {
@@ -333,22 +422,15 @@ impl Store {
                         continue;
                     }
                     let ticket = g.service.initiate(size, from, dst).await;
-                    transfers.insert(dst, ticket);
+                    transfers.push((dst, ticket));
                 }
             }
         }
-        let key = inner
-            .objects
-            .borrow_mut()
-            .insert(ObjectEntry {
-                value,
-                size,
-                stored_at: inner.sim.now(),
-                resolves: 0,
-                resident,
-                transfers,
-            })
-            .to_bits();
+        let key = inner.objects.borrow_mut().insert(value, size, inner.sim.now(), resident);
+        if !transfers.is_empty() {
+            let tickets = transfers.into_iter().map(|(dst, ticket)| ((key, dst), ticket));
+            inner.tickets.borrow_mut().extend(tickets);
+        }
         let mut stats = inner.stats.borrow_mut();
         stats.puts += 1;
         stats.bytes_put += size;
@@ -359,13 +441,12 @@ impl Store {
     /// costs; returns the value, the wait, and whether it was local.
     pub async fn get_raw(&self, key: u64, at: SiteId) -> Result<Resolved<dyn Any>, StoreError> {
         let inner = &self.inner;
-        let id = ArenaId::from_bits(key);
         let start = inner.sim.now();
         // Snapshot what we need without holding the borrow across awaits.
-        let (size, resident, ticket) = {
+        let (size, resident) = {
             let objects = inner.objects.borrow();
-            let entry = objects.get(id).ok_or(StoreError::Missing(key))?;
-            (entry.size, entry.resident, entry.transfers.get(&at).cloned())
+            let slot = objects.get(key).ok_or(StoreError::Missing(key))?;
+            (slot.size, slot.resident)
         };
 
         let mut was_local = true;
@@ -389,13 +470,14 @@ impl Store {
             Backend::Globus(g) => {
                 if !resident.contains(at) {
                     // Wait for the push initiated at put time.
-                    let Some(ticket) = ticket else {
+                    let Some(ticket) = inner.tickets.borrow().get(&(key, at)).cloned() else {
                         return Err(StoreError::Unreachable { site: at, store: "globus" });
                     };
                     was_local = ticket.is_done();
                     ticket.wait().await;
-                    if let Some(entry) = inner.objects.borrow_mut().get_mut(id) {
-                        entry.resident.insert(at);
+                    if let Some(slot) = inner.objects.borrow_mut().get_mut(key) {
+                        slot.resident.insert(at);
+                        inner.tickets.borrow_mut().remove(&(key, at));
                     }
                 }
                 let fs = if g.dst_fs.members.contains(at) { &g.dst_fs } else { &g.src_fs };
@@ -405,21 +487,21 @@ impl Store {
             }
         }
 
-        let value = {
+        let (value, spent) = {
             let mut objects = inner.objects.borrow_mut();
-            let entry = objects.get_mut(id).ok_or(StoreError::Missing(key))?;
-            entry.resolves += 1;
-            let value = Rc::clone(&entry.value);
-            // Count-based lifetime: one-shot data leaves the store as
-            // soon as its last consumer has it.
-            if let EvictionPolicy::AfterResolves(n) = inner.eviction.get() {
-                if entry.resolves >= n {
-                    objects.remove(id);
-                    inner.stats.borrow_mut().evictions += 1;
-                }
-            }
-            value
+            let slot = objects.get_mut(key).ok_or(StoreError::Missing(key))?;
+            slot.resolves += 1;
+            let spent = match inner.eviction.get() {
+                EvictionPolicy::AfterResolves(n) => slot.resolves >= n,
+                _ => false,
+            };
+            (slot.value.clone().ok_or(StoreError::Missing(key))?, spent)
         };
+        // Count-based lifetime: one-shot data leaves the store as soon
+        // as its last consumer has it.
+        if spent {
+            self.evict(key);
+        }
         let wait = inner.sim.now() - start;
         {
             let mut stats = inner.stats.borrow_mut();
@@ -447,43 +529,45 @@ impl Store {
 
     /// Evicts every object stored strictly before `cutoff`; returns the
     /// count (used by age-based lifetime policies).
-    pub(crate) fn evict_older_than(&self, cutoff: hetflow_sim::SimTime) -> usize {
-        let mut objects = self.inner.objects.borrow_mut();
-        let old: Vec<ArenaId> = objects
-            .iter()
-            .filter(|(_, e)| e.stored_at < cutoff)
-            .map(|(id, _)| id)
-            .collect();
-        let evicted = old.len();
-        for id in old {
-            objects.remove(id);
+    pub(crate) fn evict_older_than(&self, cutoff: SimTime) -> usize {
+        let old = self.inner.objects.borrow().stored_before(cutoff);
+        for &key in &old {
+            self.evict(key);
         }
-        self.inner.stats.borrow_mut().evictions += evicted as u64;
-        evicted
+        old.len()
     }
 
-    /// Removes an object, freeing its (simulated) memory.
+    /// Removes an object, freeing its (simulated) memory. Every removal
+    /// path comes here: it frees the slot, drops the object's tickets
+    /// (one range, never a scan) and counts the eviction.
     pub(crate) fn evict(&self, key: u64) -> bool {
-        let removed = self.inner.objects.borrow_mut().remove(ArenaId::from_bits(key)).is_some();
-        if removed {
-            self.inner.stats.borrow_mut().evictions += 1;
+        let inner = &self.inner;
+        if !inner.objects.borrow_mut().remove(key) {
+            return false;
         }
-        removed
+        let mut tickets = inner.tickets.borrow_mut();
+        let of_key = (key, SiteId(0))..=(key, SiteId(u16::MAX));
+        while let Some((&k, _)) = tickets.range(of_key.clone()).next() {
+            tickets.remove(&k);
+        }
+        drop(tickets);
+        inner.stats.borrow_mut().evictions += 1;
+        true
     }
 
     /// True while the key is stored.
     pub fn contains(&self, key: u64) -> bool {
-        self.inner.objects.borrow().contains(ArenaId::from_bits(key))
+        self.inner.objects.borrow().get(key).is_some()
     }
 
     /// Sum of declared sizes of all resident objects.
     pub fn resident_bytes(&self) -> u64 {
-        self.inner.objects.borrow().iter().map(|(_, e)| e.size).sum()
+        self.inner.objects.borrow().resident_bytes
     }
 
     /// Number of stored objects.
     pub fn object_count(&self) -> usize {
-        self.inner.objects.borrow().len()
+        self.inner.objects.borrow().live
     }
 
     /// Lifetime statistics snapshot.
@@ -746,5 +830,155 @@ mod tests {
         assert_eq!(st.bytes_get, 5 * KB);
         assert_eq!(store.resolve_waits().len(), 3);
         assert_eq!(store.object_count(), 2);
+    }
+
+    // ---------------------------------------------------------------
+    // The object table keeps the guarantees of a generation-checked
+    // slot arena: stale keys miss, freed slots are reused first, and a
+    // first-generation key is its slot index.
+    // ---------------------------------------------------------------
+
+    fn put(table: &mut ObjectTable, size: u64) -> u64 {
+        table.insert(Rc::new(size), size, SimTime::ZERO, SiteSet::EMPTY)
+    }
+
+    #[test]
+    fn table_insert_get_remove_roundtrip() {
+        let mut t = ObjectTable::default();
+        let (x, y) = (put(&mut t, 1), put(&mut t, 2));
+        assert_eq!((t.live, t.resident_bytes), (2, 3));
+        assert_eq!(t.get(x).map(|s| s.size), Some(1));
+        assert_eq!(t.get(y).map(|s| s.size), Some(2));
+        assert!(t.remove(x));
+        assert!(!t.remove(x), "double remove misses");
+        assert_eq!((t.live, t.resident_bytes), (1, 2));
+        assert!(t.get(x).is_none());
+        assert!(t.get(y).is_some());
+    }
+
+    #[test]
+    fn stale_key_never_aliases_a_reused_slot() {
+        let mut t = ObjectTable::default();
+        let first = put(&mut t, 1);
+        t.remove(first);
+        let second = put(&mut t, 2);
+        assert_eq!(second as u32, first as u32, "the slot was reused");
+        assert!(t.get(first).is_none());
+        assert!(t.get_mut(first).is_none());
+        assert!(!t.remove(first));
+        assert_eq!(t.get(second).map(|s| s.size), Some(2));
+    }
+
+    #[test]
+    fn free_list_is_reused_before_the_table_grows() {
+        let mut t = ObjectTable::default();
+        let keys: Vec<u64> = (0..4).map(|i| put(&mut t, i)).collect();
+        for &k in &keys {
+            t.remove(k);
+        }
+        assert_eq!((t.live, t.resident_bytes), (0, 0));
+        for i in 0..4 {
+            let k = put(&mut t, i + 10);
+            assert!((k as u32) < 4, "reused a freed slot, got {k:#x}");
+        }
+        assert_eq!((t.live, t.slots.len()), (4, 4));
+    }
+
+    #[test]
+    fn first_generation_keys_are_slot_indices() {
+        let mut t = ObjectTable::default();
+        assert_eq!(put(&mut t, 0), 0);
+        let k = put(&mut t, 7);
+        assert_eq!(k, 1);
+        t.remove(k);
+        let k2 = put(&mut t, 8);
+        assert_eq!(k2, (1 << 32) | 1, "generation << 32 | index");
+        assert!(t.get(k).is_none());
+    }
+
+    #[test]
+    fn age_sweep_evicts_in_slot_order() {
+        let mut t = ObjectTable::default();
+        let x = put(&mut t, 1);
+        let y = put(&mut t, 2);
+        t.insert(Rc::new(()), 3, SimTime::from_secs(9), SiteSet::EMPTY);
+        t.remove(x);
+        assert_eq!(t.stored_before(SimTime::from_secs(1)), [y]);
+    }
+
+    #[test]
+    fn globus_tickets_leave_with_residency_and_with_the_object() {
+        let sim = Sim::new();
+        let store = Store::new(sim.clone(), "g", globus_backend(&sim), SimRng::from_seed(7));
+        let s = store.clone();
+        let h = sim.spawn(async move {
+            let a = s.put_raw(Rc::new(1u8), MB, THETA).await.unwrap();
+            let b = s.put_raw(Rc::new(2u8), MB, THETA).await.unwrap();
+            assert_eq!(s.inner.tickets.borrow().len(), 2, "one push per object");
+            s.get_raw(a, VENTI).await.unwrap();
+            assert!(!s.inner.tickets.borrow().contains_key(&(a, VENTI)), "resident now");
+            assert!(s.evict(b));
+            assert!(s.inner.tickets.borrow().is_empty(), "removed with its object");
+        });
+        sim.block_on(h);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Under every eviction policy, after every step of a random
+        /// put/get/evict/sweep script, the running total equals the sum
+        /// of live sizes and `object_count` the number of live slots.
+        #[test]
+        fn resident_bytes_is_the_sum_of_live_sizes(
+            script in prop::collection::vec(any::<u64>(), 1..=60),
+            policy_pick in 0u8..3,
+        ) {
+            let policy = match policy_pick {
+                0 => EvictionPolicy::Manual,
+                1 => EvictionPolicy::AfterResolves(2),
+                _ => EvictionPolicy::MaxAge(std::time::Duration::from_secs(1)),
+            };
+            let (sim, store) = sim_store(Backend::Fs(fixed_fs(&[THETA])));
+            store.set_eviction(policy);
+            let (s, clock) = (store.clone(), sim.clone());
+            let h = sim.spawn(async move {
+                let mut keys: Vec<u64> = Vec::new();
+                for op in script {
+                    let key = keys.get((op >> 8) as usize % keys.len().max(1)).copied();
+                    match (op % 4, key) {
+                        (0, _) => {
+                            let size = (op >> 4) % (4 * MB);
+                            keys.push(s.put_raw(Rc::new(op), size, THETA).await.unwrap());
+                        }
+                        (1, Some(k)) => drop(s.get_raw(k, THETA).await),
+                        (2, Some(k)) => {
+                            s.evict(k);
+                        }
+                        (3, _) => {
+                            clock.sleep(hetflow_sim::time::secs(0.4)).await;
+                            let second_ago = clock.now().as_nanos().saturating_sub(1_000_000_000);
+                            s.evict_older_than(SimTime::from_nanos(second_ago));
+                        }
+                        _ => {}
+                    }
+                    let table = s.inner.objects.borrow();
+                    let live = table.slots.iter().filter(|x| x.value.is_some());
+                    let (count, bytes) = live.fold((0, 0), |(c, b), x| (c + 1, b + x.size));
+                    if (s.object_count(), s.resident_bytes()) != (count, bytes) {
+                        return Err(format!(
+                            "ledger {} objects {} B, table {count} objects {bytes} B",
+                            s.object_count(),
+                            s.resident_bytes()
+                        ));
+                    }
+                }
+                Ok(())
+            });
+            let verdict = sim.block_on(h);
+            prop_assert!(verdict.is_ok(), "{:?} under {:?}", verdict, policy);
+        }
     }
 }

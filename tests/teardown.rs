@@ -1,0 +1,70 @@
+//! A dropped deployment gives back what its simulation took.
+//!
+//! Builds, runs and drops a sequence of `ParslRedis` sims that proxy
+//! every payload (`proxy_threshold: Some(0)`), all in one process. Each
+//! sim's stores keep every object (`EvictionPolicy::Manual`), so the
+//! shared input value is referenced from the store until the sim is
+//! gone; it must be freed after every drop, and resident memory must not
+//! grow from one sim to the next.
+
+use hetflow::prelude::*;
+use std::any::Any;
+use std::rc::Rc;
+
+const SIMS: usize = 6;
+const TASKS_PER_LANE: usize = 5_000;
+const WINDOW: usize = 16;
+
+/// Runs one data-plane sim to quiescence on `marker` as every task's
+/// input, then drops it. Returns how many references the run held.
+fn run_and_drop(marker: &Rc<dyn Any>, seed: u64) -> usize {
+    let sim = Sim::new();
+    let spec = DeploymentSpec { seed, proxy_threshold: Some(0), ..Default::default() };
+    let d = deploy(&sim, WorkflowConfig::ParslRedis, &spec, Tracer::disabled());
+    for topic in ["simulate", "train"] {
+        let (q, value) = (d.queues.clone(), Rc::clone(marker));
+        sim.spawn_detached(async move {
+            let compute: TaskFn =
+                Rc::new(|_ctx| TaskWork::new((), 1_000_000, std::time::Duration::ZERO));
+            let (mut sent, mut got) = (0, 0);
+            while got < TASKS_PER_LANE {
+                while sent < TASKS_PER_LANE && sent - got < WINDOW {
+                    let input = [Payload::shared(Rc::clone(&value), 1_000_000)];
+                    q.submit(topic, input, Rc::clone(&compute)).await;
+                    sent += 1;
+                }
+                let Some(done) = q.get_result(topic).await else { return };
+                done.resolve().await;
+                got += 1;
+            }
+        });
+    }
+    sim.run();
+    let stored = [&d.local_store, &d.remote_store].map(|s| s.as_ref().map(|s| s.object_count()));
+    // An input and a result per task, in the store its topic uses.
+    assert_eq!(stored, [Some(2 * TASKS_PER_LANE); 2], "every object stays stored until the drop");
+    Rc::strong_count(marker)
+}
+
+/// Resident set size in kB, where procfs exists.
+fn vm_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn dropped_sims_free_their_stored_objects_and_memory() {
+    let marker: Rc<dyn Any> = Rc::new([0u8; 64]);
+    let mut rss = Vec::new();
+    for seed in 0..SIMS as u64 {
+        let held = run_and_drop(&marker, seed);
+        assert!(held > 1, "sim {seed}: the store never held the marker");
+        assert_eq!(Rc::strong_count(&marker), 1, "sim {seed}: a stored value outlived its sim");
+        rss.extend(vm_rss_kb());
+    }
+    if let (Some(first), Some(last)) = (rss.first(), rss.last()) {
+        let per_sim_kb = last.saturating_sub(*first) / (SIMS as u64 - 1);
+        assert!(per_sim_kb < 1024, "resident memory grew {per_sim_kb} kB per dropped sim: {rss:?}");
+    }
+}
