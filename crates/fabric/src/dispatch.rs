@@ -4,11 +4,11 @@
 //! pool and its one terminal result back that does *not* depend on how
 //! bytes travel: topic routing, worker pools and their queue bounds,
 //! admission and backpressure accounting, the [`ReliabilityLayer`]
-//! wiring (breakers, hedges, reroutes, deadlines), the delivery-timeout
-//! arm, the return-path actors and the counters. What does is a
-//! [`Transport`]: FnX's cloud ([`crate::faas`]) and HTEX's interchange
-//! links ([`crate::htex`]) each implement it once, and the core never
-//! asks which one it is serving.
+//! wiring (breakers, hedges, reroutes), the per-topic deadline actors,
+//! the delivery-timeout arm, the return-path actors and the counters.
+//! What does is a [`Transport`]: FnX's cloud ([`crate::faas`]) and
+//! HTEX's interchange links ([`crate::htex`]) each implement it once,
+//! and the core never asks which one it is serving.
 
 use crate::fabric::Fabric;
 use crate::health::{ReliabilityLayer, ReliabilityPolicies, TimeoutVerdict, Verdict};
@@ -18,8 +18,8 @@ use crate::reliability::{Connectivity, Knob, RetryPolicies};
 use crate::task::{TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming, WorkerReport};
 use crate::worker::{WorkerPool, WorkerPoolConfig};
 use hetflow_sim::{
-    channel, trace_kinds as kinds, Offered, OverflowPolicy, Sender, Sim, SimRng, Sleep, Symbol,
-    SymbolMap, Tracer,
+    channel, trace_kinds as kinds, Offered, OverflowPolicy, Receiver, Sender, Sim, SimRng, SimTime,
+    Sleep, Symbol, SymbolMap, Tracer,
 };
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -80,6 +80,10 @@ impl Stub {
     }
 }
 
+/// A task's round-trip deadline as its topic's deadline actor queues it:
+/// when it falls due, the endpoint the task went to, and its stub.
+type Due = (SimTime, usize, Stub);
+
 struct Inner<T> {
     sim: Sim,
     transport: T,
@@ -97,6 +101,9 @@ struct Inner<T> {
     admission_cfgs: SymbolMap<(AdmissionConfig, usize)>,
     /// Per-topic depth watermark gate; empty when none is configured.
     gate: BackpressureGate,
+    /// Per-topic round-trip deadline and its deadline actor's queue;
+    /// only topics with a deadline are in the map.
+    deadlines: SymbolMap<(Duration, Sender<Due>)>,
     /// Chaos-engine handles: clones of the pools' and transport's dials.
     chaos: ChaosTargets,
     results: Sender<TaskResult>,
@@ -247,18 +254,24 @@ impl<T: Transport> Dispatcher<T> {
         let brownout: Vec<Knob> = pools.iter().map(|_| Knob::new(1.0)).collect();
         let rng = RefCell::new(rng.substream(u64::MAX));
         let transport = wire(Net { sim: sim.clone(), rng, brownout: brownout.clone() });
-        // Admission configs and backpressure watermarks are read off
-        // the policies before the layer takes them; all-zero configs
-        // register nothing.
+        // Admission configs, backpressure watermarks and deadlines are
+        // read off the policies before the layer takes them; all-zero
+        // configs register nothing.
         let admission = AdmissionController::new(sim);
         let mut admission_cfgs = SymbolMap::new();
         let gate = BackpressureGate::new(sim, tracer.clone(), T::LABEL);
+        let (mut deadlines, mut due_queues) = (SymbolMap::new(), Vec::new());
         for (topic, targets) in route.iter() {
             let policy = policies.policy_for(topic);
             if policy.admission.enabled() {
                 admission_cfgs.insert(topic, (policy.admission.clone(), targets[0]));
             }
             gate.register(topic, &policy.backpressure);
+            if !policy.deadline.is_zero() {
+                let (tx, rx) = channel();
+                deadlines.insert(topic, (policy.deadline, tx));
+                due_queues.push((policy.deadline, rx));
+            }
         }
         // Without connectivity (direct links) no heartbeat watchers:
         // breakers are fed by task outcomes and timeouts only.
@@ -285,6 +298,7 @@ impl<T: Transport> Dispatcher<T> {
             admission,
             admission_cfgs,
             gate,
+            deadlines,
             chaos,
             results,
             tracer,
@@ -301,32 +315,55 @@ impl<T: Transport> Dispatcher<T> {
                 }
             });
         }
+        // One deadline actor per topic that has a deadline.
+        for (dl, dues) in due_queues {
+            sim.spawn_detached(Self::expire_overdue(Rc::clone(&inner), dl, dues));
+        }
         Dispatcher { inner }
     }
 
-    /// Races the delivery against the topic's `RetryPolicy::timeout`.
-    /// A task stuck in transit past it (e.g. behind an endpoint outage)
-    /// goes to the reliability layer, which reroutes it to another
-    /// endpoint (within the topic's `max_reroutes` budget) or fails it
-    /// with `TaskError::Timeout` on the normal result channel.
-    async fn deliver(inner: Rc<Inner<T>>, task: TaskSpec, endpoint: usize) {
-        let Some(deadline) = inner.retries[endpoint].policy_for(task.topic).timeout else {
-            Self::deliver_inner(inner, task, endpoint).await;
-            return;
-        };
+    /// A topic's deadline actor, the round-trip backstop: a task with no
+    /// terminal outcome `dl` after its dispatch fails here, and copies
+    /// still in flight are cancelled as they surface. `dl` is fixed per
+    /// topic and `after_cost` runs in clock order, so the dues arrive
+    /// sorted and the channel is the whole schedule. Every entry gets its
+    /// own wake, a finished task's included, so the run's timer fires
+    /// and its end time are those of one watchdog per task.
+    async fn expire_overdue(inner: Rc<Inner<T>>, dl: Duration, dues: Receiver<Due>) {
+        while let Some((due, endpoint, stub)) = dues.recv().await {
+            inner.sim.sleep_until(due).await;
+            if inner.health.expire(stub.id) {
+                inner.timeout_result(endpoint, stub, dl);
+            }
+        }
+    }
+
+    /// Spawns a task's delivery to `endpoint`: the bare leg, or the leg
+    /// raced against the topic's delivery timeout there. A plain `fn`,
+    /// so a reroute can spawn a delivery from inside one.
+    fn spawn_delivery(inner: &Rc<Inner<T>>, task: TaskSpec, endpoint: usize) {
+        let leg = Rc::clone(inner);
+        match inner.retries[endpoint].policy_for(task.topic).timeout {
+            None => inner.sim.spawn_detached(Self::deliver_inner(leg, task, endpoint)),
+            Some(after) => {
+                inner.sim.spawn_detached(Self::deliver_timed(leg, task, endpoint, after));
+            }
+        }
+    }
+
+    /// Races the delivery against the topic's `RetryPolicy::timeout`,
+    /// `after`. A task stuck in transit past it (e.g. behind an endpoint
+    /// outage) goes to the reliability layer, which reroutes it to
+    /// another endpoint (within the topic's `max_reroutes` budget) or
+    /// fails it with `TaskError::Timeout` on the normal result channel.
+    async fn deliver_timed(inner: Rc<Inner<T>>, task: TaskSpec, endpoint: usize, after: Duration) {
         let stub = Stub::of(&task);
-        let attempt = Box::pin(Self::deliver_inner(Rc::clone(&inner), task, endpoint));
-        if inner.sim.timeout(deadline, attempt).await.is_err() {
+        let attempt = Self::deliver_inner(Rc::clone(&inner), task, endpoint);
+        if inner.sim.timeout(after, attempt).await.is_err() {
             match inner.health.on_timeout(endpoint, stub.id, stub.topic) {
-                TimeoutVerdict::Reroute { spec, to } => {
-                    let inner2 = Rc::clone(&inner);
-                    // Boxed to break the deliver → deliver type cycle.
-                    let redo: Pin<Box<dyn Future<Output = ()>>> =
-                        Box::pin(Self::deliver(inner2, spec, to));
-                    inner.sim.spawn_detached(redo);
-                }
+                TimeoutVerdict::Reroute { spec, to } => Self::spawn_delivery(&inner, spec, to),
                 TimeoutVerdict::Suppress => {}
-                TimeoutVerdict::Fail => inner.timeout_result(endpoint, stub, deadline),
+                TimeoutVerdict::Fail => inner.timeout_result(endpoint, stub, after),
             }
         }
     }
@@ -428,7 +465,9 @@ impl<T: Transport> AfterCost for Dispatcher<T> {
         };
         let (id, topic) = (task.id, task.topic);
         // Hedge watchdog: after the topic's quantile-based delay,
-        // re-issue a straggler elsewhere (first result wins).
+        // re-issue a straggler elsewhere (first result wins). One per
+        // task: the delay moves with the quantile, so its dues are not
+        // monotone and cannot share a FIFO like the deadline's.
         if let Some(delay) = inner.health.hedge_delay(topic) {
             let inner2 = Rc::clone(inner);
             inner.sim.spawn_detached(async move {
@@ -437,23 +476,21 @@ impl<T: Transport> AfterCost for Dispatcher<T> {
                     let Some((spec, to)) = inner2.health.try_hedge(id, topic) else {
                         break;
                     };
-                    inner2.sim.spawn_detached(Self::deliver(Rc::clone(&inner2), spec, to));
+                    Self::spawn_delivery(&inner2, spec, to);
                 }
             });
         }
-        // Deadline watchdog, the round-trip backstop: a task with no
-        // terminal outcome by then fails here; copies still in
-        // flight are cancelled as they surface.
-        if let Some(dl) = inner.health.deadline(topic) {
-            let (inner2, stub) = (Rc::clone(inner), Stub::of(&task));
-            inner.sim.spawn_detached(async move {
-                inner2.sim.sleep(dl).await;
-                if inner2.health.expire(id) {
-                    inner2.timeout_result(endpoint, stub, dl);
-                }
-            });
+        // The round-trip deadline goes to the topic's deadline actor.
+        if let Some((dl, dues)) = inner.deadlines.get(topic) {
+            let due = (inner.sim.now() + *dl, endpoint, Stub::of(&task));
+            if dues.send_now(due).is_err() {
+                // The actor goes only when `Sim::teardown` drops every
+                // actor, pools and return paths included: nothing is
+                // left that could deliver the task.
+                return;
+            }
         }
-        inner.sim.spawn_detached(Self::deliver(Rc::clone(inner), task, endpoint));
+        Self::spawn_delivery(inner, task, endpoint);
     }
 }
 
@@ -530,17 +567,26 @@ mod tests {
         }
     }
 
-    /// One single-worker endpoint of a rig. A `stalled` endpoint never
-    /// gets a task through: FnX's connection is offline, HTEX's link
-    /// takes (virtual) decades.
+    /// One endpoint of a rig, by default a single worker serving `unit`.
+    /// A `stalled` endpoint never gets a task through: FnX's connection
+    /// is offline, HTEX's link takes (virtual) decades.
     struct Ep {
         pool: WorkerPoolConfig,
         stalled: bool,
+        topics: Vec<&'static str>,
     }
 
     impl Ep {
         fn new(site: u16, stalled: bool) -> Ep {
-            Ep { pool: WorkerPoolConfig::bare(SiteId(site), format!("ep{site}"), 1), stalled }
+            let pool = WorkerPoolConfig::bare(SiteId(site), format!("ep{site}"), 1);
+            Ep { pool, stalled, topics: vec!["unit"] }
+        }
+
+        /// An endpoint with no worker, serving `topics`: every task gets
+        /// through and then sits in the queue, with no timer pending.
+        fn unstaffed(site: u16, topics: Vec<&'static str>) -> Ep {
+            let pool = WorkerPoolConfig::bare(SiteId(site), format!("ep{site}"), 0);
+            Ep { pool, stalled: false, topics }
         }
 
         /// Fails `unit` deliveries that take more than 30 s.
@@ -566,11 +612,15 @@ mod tests {
 
     impl Rig {
         fn new(kind: Kind, eps: Vec<Ep>, default: ReliabilityPolicy) -> Rig {
+            let policies = ReliabilityPolicies { default, per_topic: SymbolMap::new() };
+            Rig::with_policies(kind, eps, policies)
+        }
+
+        fn with_policies(kind: Kind, eps: Vec<Ep>, policies: ReliabilityPolicies) -> Rig {
             let sim = Sim::new();
             let (tx, results) = channel();
             let tracer = Tracer::enabled();
             let rng = SimRng::from_seed(5);
-            let policies = ReliabilityPolicies { default, per_topic: SymbolMap::new() };
             match kind {
                 Kind::FnX => {
                     let params = FnXParams {
@@ -586,7 +636,7 @@ mod tests {
                         .map(|ep| {
                             let connectivity = Connectivity::always_on();
                             connectivity.set_online(!ep.stalled);
-                            EndpointSpec { pool: ep.pool, topics: vec!["unit"], connectivity }
+                            EndpointSpec { pool: ep.pool, topics: ep.topics, connectivity }
                         })
                         .collect();
                     let exec = FnXExecutor::with_reliability(
@@ -608,7 +658,7 @@ mod tests {
                         .map(|ep| {
                             let latency = Dist::Constant(if ep.stalled { 1.0e9 } else { 0.005 });
                             let link = LinkParams { latency, bandwidth: 4.0e7 };
-                            HtexEndpoint { pool: ep.pool, topics: vec!["unit"], link }
+                            HtexEndpoint { pool: ep.pool, topics: ep.topics, link }
                         })
                         .collect();
                     let exec = HtexExecutor::with_reliability(
@@ -657,9 +707,14 @@ mod tests {
 
     /// A `unit` task carrying `bytes` that computes for `secs`.
     fn work(id: TaskId, bytes: u64, secs: u64) -> TaskSpec {
+        work_on("unit", id, bytes, secs)
+    }
+
+    /// A `topic` task carrying `bytes` that computes for `secs`.
+    fn work_on(topic: &'static str, id: TaskId, bytes: u64, secs: u64) -> TaskSpec {
         let compute: crate::task::TaskFn =
             Rc::new(move |_| TaskWork::new((), 0, Duration::from_secs(secs)));
-        TaskSpec::new(id, "unit", Arg::inline((), bytes), compute)
+        TaskSpec::new(id, topic, Arg::inline((), bytes), compute)
     }
 
     fn ids(results: &[TaskResult]) -> Vec<TaskId> {
@@ -705,6 +760,61 @@ mod tests {
             assert_eq!(rig.events(kinds::TASK_TIMEOUT), 0, "{kind:?}");
             assert_eq!((rig.counts)(), (1, 1, 0), "{kind:?}");
             assert_eq!(rig.health.rerouted(), 1, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn deadlines_expire_each_stuck_task_once_in_dispatch_order_per_topic() {
+        // `unit` (20 s) and `bulk` (35 s) tasks go interleaved to an
+        // endpoint with no worker; two `quick` tasks (20 s) complete on
+        // the other endpoint, handed off last. Each stuck task fails at
+        // its own hand-off (the end of its submit call) + deadline. The
+        // second quick task has long finished when its entry comes up
+        // behind the first's, yet its deadline still wakes: it, not the
+        // last expiry, ends the run.
+        let (unit, bulk) = (Duration::from_secs(20), Duration::from_secs(35));
+        for kind in BOTH {
+            let default = ReliabilityPolicy { deadline: unit, ..Default::default() };
+            let slow = ReliabilityPolicy { deadline: bulk, ..Default::default() };
+            let policies = ReliabilityPolicies { default, per_topic: SymbolMap::new() }
+                .with_topic("bulk", slow);
+            let quick = Ep { topics: vec!["quick"], ..Ep::new(1, false) };
+            let eps = vec![Ep::unstaffed(0, vec!["unit", "bulk"]), quick];
+            let rig = Rig::with_policies(kind, eps, policies);
+            let handed = Rc::new(RefCell::new(Vec::new()));
+            let log = Rc::clone(&handed);
+            let (end, results) = rig.run(|sim, f| async move {
+                for id in 0..6 {
+                    if id == 4 {
+                        sim.sleep(Duration::from_secs(30)).await;
+                    }
+                    let topic = ["unit", "bulk", "unit", "bulk", "quick", "quick"][id as usize];
+                    f.submit(work_on(topic, id, 1_000, 1)).await;
+                    log.borrow_mut().push(sim.now());
+                }
+            });
+            let handed = handed.borrow();
+            assert_eq!(ids(&results), [0, 1, 2, 3, 4, 5], "{kind:?}: one terminal outcome per id");
+            let mut want = Vec::new();
+            for (stuck, dl) in [([0, 2], unit), ([1, 3], bulk)] {
+                for id in stuck {
+                    let r = &results[id];
+                    let after = Some(&TaskError::Timeout { after: dl });
+                    assert_eq!(r.outcome.error(), after, "{kind:?}: task {id}");
+                    assert_eq!(r.timing.server_result_received, Some(handed[id] + dl), "{kind:?}");
+                    want.push((handed[id] + dl, r.id, dl.as_secs_f64()));
+                }
+            }
+            let traced: Vec<_> = rig
+                .tracer
+                .events_of_kind(kinds::TASK_TIMEOUT)
+                .iter()
+                .map(|e| (e.t, e.entity, e.value))
+                .collect();
+            assert_eq!(traced, want, "{kind:?}: one timeout each, in dispatch order per topic");
+            assert!(results[4..].iter().all(|r| !r.is_failed()), "{kind:?}: finished, no timeout");
+            assert_eq!((rig.counts)(), (6, 6, 4), "{kind:?}");
+            assert_eq!(end, (handed[5] + unit).as_secs_f64(), "{kind:?}: the last deadline");
         }
     }
 

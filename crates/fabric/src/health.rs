@@ -451,15 +451,11 @@ impl ReliabilityLayer {
         self.inner.sim.spawn(async move {
             loop {
                 conn.wait_change().await;
-                if !conn.is_online() {
-                    let back = Box::pin(conn.wait_online());
-                    if sim.timeout(grace, back).await.is_err() {
-                        layer.trip(endpoint);
-                        // Stay parked until the endpoint actually
-                        // returns; the half-open probe cycle handles
-                        // recovery from here.
-                        conn.wait_online().await;
-                    }
+                if !conn.is_online() && sim.timeout(grace, conn.wait_online()).await.is_err() {
+                    layer.trip(endpoint);
+                    // Stay parked until the endpoint actually returns;
+                    // the half-open probe cycle handles recovery from here.
+                    conn.wait_online().await;
                 }
             }
         });
@@ -546,16 +542,6 @@ impl ReliabilityLayer {
         let factor = if hedge.factor > 0.0 { hedge.factor } else { 1.0 };
         let delay = (q * factor).max(0.0);
         Some(hetflow_sim::time::secs(delay))
-    }
-
-    /// The hard round-trip deadline for `topic`, if configured.
-    pub(crate) fn deadline(&self, topic: impl Into<Symbol>) -> Option<Duration> {
-        let d = self.policy(topic.into()).deadline;
-        if d.is_zero() {
-            None
-        } else {
-            Some(d)
-        }
     }
 
     /// Attempts to issue a speculative copy of task `id`: succeeds when

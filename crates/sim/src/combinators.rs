@@ -47,12 +47,10 @@ where
 pub struct Elapsed;
 
 impl Sim {
-    /// Limits `fut` to `d` of virtual time.
-    pub async fn timeout<F>(&self, d: Duration, fut: F) -> Result<F::Output, Elapsed>
-    where
-        F: Future + Unpin,
-    {
-        match select2(fut, self.sleep(d)).await {
+    /// Limits `fut` to `d` of virtual time. `fut` is pinned inside the
+    /// returned future, so any future will do and no caller boxes one.
+    pub async fn timeout<F: Future>(&self, d: Duration, fut: F) -> Result<F::Output, Elapsed> {
+        match select2(std::pin::pin!(fut), self.sleep(d)).await {
             Either::Left(v) => Ok(v),
             Either::Right(()) => Err(Elapsed),
         }
@@ -93,29 +91,40 @@ mod tests {
         assert_eq!(sim.block_on(h), Either::Left(()));
     }
 
+    /// Races `work` seconds of sleep against `limit`, once as a bare
+    /// `Sleep` and once inside an `async` block — `!Unpin`, passed by
+    /// value. Returns each run's outcome and end time.
+    fn race(work: f64, limit: f64) -> [(Result<(), Elapsed>, SimTime); 2] {
+        [false, true].map(|in_block| {
+            let sim = Sim::new();
+            let s = sim.clone();
+            let h = sim.spawn(async move {
+                if in_block {
+                    let s2 = s.clone();
+                    s.timeout(secs(limit), async move { s2.sleep(secs(work)).await }).await
+                } else {
+                    s.timeout(secs(limit), s.sleep(secs(work))).await
+                }
+            });
+            let out = sim.block_on(h);
+            (out, sim.run().end)
+        })
+    }
+
     #[test]
     fn timeout_passes_fast_futures() {
-        let sim = Sim::new();
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            let work = s.sleep(secs(1.0));
-            s.timeout(secs(5.0), work).await
-        });
-        assert_eq!(sim.block_on(h), Ok(()));
-        assert_eq!(sim.now(), SimTime::from_secs(1));
+        for (out, end) in race(1.0, 5.0) {
+            assert_eq!(out, Ok(()));
+            assert_eq!(end, SimTime::from_secs(1));
+        }
     }
 
     #[test]
     fn timeout_cuts_slow_futures() {
-        let sim = Sim::new();
-        let s = sim.clone();
-        let h = sim.spawn(async move {
-            let work = s.sleep(secs(100.0));
-            s.timeout(secs(5.0), work).await
-        });
-        assert_eq!(sim.block_on(h), Err(Elapsed));
-        // The abandoned sleep must not drag the clock to t=100.
-        let r = sim.run();
-        assert_eq!(r.end, SimTime::from_secs(5));
+        for (out, end) in race(100.0, 5.0) {
+            assert_eq!(out, Err(Elapsed));
+            // The abandoned sleep must not drag the clock to t=100.
+            assert_eq!(end, SimTime::from_secs(5));
+        }
     }
 }

@@ -27,10 +27,13 @@
 //! | `ctrl_fnx`          |           11 |               16.0 |                       0 |
 //! | `data_htex`         |           14 |               17.0 |                       0 |
 //! | either campaign     |           26 |                  — |                       0 |
-//! | `overload_fnx`      |        1 168 |                  — |                   1.9 % |
+//! | `overload_fnx`      |          133 |                  — |                   1.9 % |
 //!
-//! That is a tree of depth ≤ 4 (≤ 11 under overload). Three fancier
-//! stores were measured against it over interleaved hetbench pairs and
+//! That is a tree of depth ≤ 4 (≤ 8 under overload). `overload_fnx`'s
+//! 1 168 of the earlier table were its 120 s round-trip watchdogs, one
+//! per task; the fabric keeps a topic's deadlines in one actor's FIFO,
+//! with one timer pending at a time. Three fancier stores were measured
+//! against the heap at that depth over interleaved hetbench pairs and
 //! rejected (DESIGN.md §10 has every count): an 11-level hierarchical
 //! calendar queue (twice the lines for the same order; lost `ctrl_fnx`
 //! 10 of 10), a tombstoning `BinaryHeap` (lost `overload_fnx` 9 of 10,

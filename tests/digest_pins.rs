@@ -1,4 +1,5 @@
-//! Pinned trace digests: both fabrics × 3 seeds.
+//! Pinned trace digests: both fabrics × 3 seeds, plus two armed-path
+//! scenarios.
 //!
 //! The kernel fast-path work (interned actor names, streaming digest
 //! fold, calendar-queue timers) is only legal if it is invisible to the
@@ -6,9 +7,15 @@
 //! every future kernel change must reproduce them bit-for-bit. A
 //! mismatch here means the digest byte recipe, the RNG stream
 //! derivation, or the timer firing order drifted.
+//!
+//! The six default configs set no deadline, hedge, reroute or delivery
+//! timeout, so two more pins cover those arms, each with the virtual end
+//! time beside the digest, and each checks that the arms it names fire.
 
 use hetflow::apps::moldesign;
+use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec, HedgeConfig};
 use hetflow::prelude::*;
+use hetflow::sim::trace_kinds;
 use std::time::Duration;
 
 /// Small traced moldesign campaign; returns (digest, event count).
@@ -57,4 +64,144 @@ fn digests_match_seed_tree_pins() {
              derivation, or timer firing order changed"
         );
     }
+}
+
+/// What an armed-path pin records of a run: the trace digest, the event
+/// count, the virtual end time in nanoseconds (the last pending timer —
+/// often a deadline — sets it), and the tracer for the arm checks.
+struct Armed {
+    digest: u64,
+    events: usize,
+    end_ns: u64,
+    tracer: Tracer,
+}
+
+impl Armed {
+    fn run(config: WorkflowConfig, spec: DeploymentSpec, chaos: ChaosSpec) -> Armed {
+        let sim = Sim::new();
+        let tracer = Tracer::enabled();
+        let d = deploy(&sim, config, &spec, tracer.clone());
+        chaos.install(&sim, 99, &d.chaos);
+        let o = moldesign::run(
+            &sim,
+            &d,
+            MolDesignParams {
+                library_size: 400,
+                budget: Duration::from_secs(2400),
+                ensemble_size: 2,
+                retrain_after: 8,
+                seed: 7,
+                ..Default::default()
+            },
+        );
+        let end_ns = o.end.as_nanos();
+        Armed { digest: tracer.digest(), events: tracer.len(), end_ns, tracer }
+    }
+
+    /// Asserts that `kind` fired at least once, with `value` when given.
+    fn fired(&self, scenario: &str, kind: &str, value: Option<f64>) {
+        let hits = self.tracer.events_of_kind(kind);
+        assert!(
+            hits.iter().any(|e| value.is_none_or(|v| e.value == v)),
+            "{scenario}: no {kind} event{} — the pin no longer covers that arm",
+            value.map_or(String::new(), |v| format!(" with value {v}"))
+        );
+    }
+
+    fn assert_pinned(&self, scenario: &str, pin: (u64, usize, u64)) {
+        let got = (self.digest, self.events, self.end_ns);
+        assert_eq!(
+            got,
+            pin,
+            "{scenario} drifted from its pin (got 0x{:016x}/{} events/end {} ns): \
+             a deadline, hedge, reroute or delivery-timeout arm changed what it \
+             emits or when",
+            got.0,
+            got.1,
+            got.2
+        );
+    }
+}
+
+/// `tests/robustness.rs`'s site-loss scenario: the primary CPU site dies
+/// at 300 s, the offline watcher opens its breaker, deliveries stuck
+/// behind it time out after 120 s and reroute to the standby site, and a
+/// 1 200 s round-trip deadline backstops results stranded on the dead
+/// return path.
+fn site_loss() -> Armed {
+    let spec = DeploymentSpec {
+        cpu_workers: 4,
+        gpu_workers: 2,
+        cpu_failover_sites: 1,
+        reliability: ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                breaker: BreakerConfig {
+                    failure_threshold: 2,
+                    open_for: Duration::from_secs(3600),
+                    close_after: 1,
+                    offline_grace: Duration::from_secs(30),
+                    latency_slo: Duration::ZERO,
+                },
+                max_reroutes: 1,
+                deadline: Duration::from_secs(1200),
+                ..Default::default()
+            },
+            per_topic: Default::default(),
+        },
+        retry: RetryPolicies::default().with_topic(
+            "simulate",
+            RetryPolicy { timeout: Some(Duration::from_secs(120)), ..RetryPolicy::default() },
+        ),
+        ..Default::default()
+    };
+    let kill = ChaosAction::Kill { endpoint: 0, at: SimTime::from_secs(300) };
+    Armed::run(WorkflowConfig::FnXGlobus, spec, ChaosSpec::new(vec![kill]))
+}
+
+/// Hedged dispatch over HTEX links: the primary CPU pool straggles 6×
+/// from 60 s to 660 s, so late tasks are re-issued on the standby site,
+/// under a 900 s round-trip deadline.
+fn hedged() -> Armed {
+    let spec = DeploymentSpec {
+        cpu_workers: 4,
+        gpu_workers: 2,
+        cpu_failover_sites: 1,
+        reliability: ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: 0.5, min_samples: 4, ..Default::default() },
+                deadline: Duration::from_secs(900),
+                ..Default::default()
+            },
+            per_topic: Default::default(),
+        },
+        ..Default::default()
+    };
+    let straggle = ChaosAction::Straggle {
+        pool: 0,
+        at: SimTime::from_secs(60),
+        duration: Duration::from_secs(600),
+        factor: 6.0,
+    };
+    Armed::run(WorkflowConfig::ParslRedis, spec, ChaosSpec::new(vec![straggle]))
+}
+
+/// `(digest, event count, end ns)` of the two armed scenarios, captured
+/// from the tree whose deadline backstop was one watchdog actor per task.
+const SITE_LOSS_PIN: (u64, usize, u64) = (0x7feaccd2cb99ee75, 233, 2_988_279_099_099);
+const HEDGED_PIN: (u64, usize, u64) = (0x4f1c8618e4697077, 248, 2_298_356_682_537);
+
+#[test]
+fn site_loss_matches_its_armed_path_pin() {
+    let run = site_loss();
+    run.fired("site loss", trace_kinds::TASK_TIMEOUT, Some(1200.0));
+    run.fired("site loss", trace_kinds::TASK_REROUTED, None);
+    run.assert_pinned("site loss", SITE_LOSS_PIN);
+}
+
+#[test]
+fn hedged_run_matches_its_armed_path_pin() {
+    let run = hedged();
+    run.fired("hedged", trace_kinds::TASK_HEDGED, None);
+    run.fired("hedged", trace_kinds::TASK_CANCELLED, None);
+    run.assert_pinned("hedged", HEDGED_PIN);
 }
