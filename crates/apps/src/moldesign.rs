@@ -21,7 +21,6 @@ use hetflow_ml::{bag_indices, top_k, RffRidge, SurrogateParams, DEFAULT_BAG_FRAC
 use hetflow_steer::{Payload, TaskRecord, Thinker};
 use hetflow_sim::{Samples, Sim, SimRng, SimTime};
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -131,12 +130,20 @@ impl MolDesignOutcome {
     }
 }
 
+/// A set of molecule ids.
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership only (`insert`/`contains`), never iterated, so hash order cannot \
+              reach the trace"
+)]
+type IdSet = std::collections::HashSet<usize>;
+
 struct State {
     lib: Rc<MoleculeLibrary>,
     /// Ranked candidate queue (best last, for O(1) pop).
     queue: RefCell<Vec<usize>>,
     /// Simulated or in-flight molecule ids.
-    dispatched: RefCell<HashSet<usize>>,
+    dispatched: RefCell<IdSet>,
     /// Completed (id, ip) pairs — the training database.
     database: RefCell<Vec<(usize, f64)>>,
     /// Results since the last retrain trigger.
@@ -182,7 +189,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
     let state = Rc::new(State {
         lib: Rc::clone(&lib),
         queue: RefCell::new(initial),
-        dispatched: RefCell::new(HashSet::new()),
+        dispatched: RefCell::new(IdSet::new()),
         database: RefCell::new(Vec::new()),
         since_retrain: Cell::new(0),
         training_active: Cell::new(false),
@@ -342,6 +349,12 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                 // weights payload stays per-task.
                 let shared_batch = match queues.store_for("infer") {
                     Some(store) => {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "every deployment wires the infer store to the thinker's \
+                                      site, so `Unreachable` here is a wiring bug, not a \
+                                      runtime fault"
+                        )]
                         let key = store
                             .put_raw(
                                 Rc::new(()),
@@ -459,6 +472,12 @@ fn train_task(
         let inputs: Vec<[f64; N_FEATURES]> =
             bag.iter().map(|&i| lib.features(database[i].0)).collect();
         let targets: Vec<f64> = bag.iter().map(|&i| database[i].1).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "the ridge term keeps the normal matrix positive definite, so the fit \
+                      fails only on non-finite training data: an invariant violation, not a \
+                      runtime fault"
+        )]
         let model = RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut member_rng)
             .expect("surrogate fit failed");
         TaskWork::new(model, cal::MOLDESIGN_TRAIN_BYTES, hetflow_sim::time::secs(duration))

@@ -3,6 +3,11 @@
 //! the experiment inside the bench body and asserting the expected
 //! direction; criterion records the (wall-time) cost of evaluating it.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "a bench aborts on a setup failure; R5 covers library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetflow_bench::{NoopPipeline, StoreKind};
 use hetflow_core::platform::THETA;

@@ -2,6 +2,11 @@
 //! round-trips, semaphore handoff. These bound how large a campaign the
 //! simulator can execute per wall-second.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "a bench aborts on a setup failure; R5 covers library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetflow_sim::{channel, time::secs, Semaphore, Sim};
 

@@ -3,6 +3,11 @@
 //! stepping — the real computations the campaigns run inside task
 //! closures.
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "a bench aborts on a setup failure; R5 covers library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetflow_apps::{ensemble_force_rmsd, initial_ensemble, test_set, FinetuneParams};
 use hetflow_chem::{

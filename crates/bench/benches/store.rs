@@ -3,6 +3,11 @@
 //! simulator itself — wall time here is simulator overhead, the virtual
 //! costs are asserted in the fig4 binary).
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "a bench aborts on a setup failure; R5 covers library code only"
+)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetflow_core::platform::{THETA, VENTI};
 use hetflow_core::Calibration;

@@ -83,6 +83,10 @@ fn main() {
     }
 
     println!("\n--- shape checks vs paper ---");
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the loop above pushes one `summary` row per `WorkflowConfig::all()`"
+    )]
     let get = |c: WorkflowConfig| summary.iter().find(|(cc, ..)| *cc == c).unwrap();
     let (_, f_fnx, m_fnx, i_fnx) = get(WorkflowConfig::FnXGlobus);
     let (_, f_red, m_red, i_red) = get(WorkflowConfig::ParslRedis);

@@ -88,6 +88,10 @@ fn main() {
     }
 
     println!("\n--- shape checks vs paper ---");
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the loop above pushes one `rows` entry per `WorkflowConfig::all()`"
+    )]
     let get = |c: WorkflowConfig| rows.iter().find(|r| r.config == c).unwrap();
     let fnx = get(WorkflowConfig::FnXGlobus);
     let redis = get(WorkflowConfig::ParslRedis);

@@ -41,9 +41,12 @@ fn main() {
     };
     for bin in bins {
         println!("\n################ {bin} ################\n");
+        #[expect(
+            clippy::panic,
+            reason = "CLI driver: a figure binary that cannot launch must abort loudly"
+        )]
         let status = Command::new(dir.join(bin))
             .status()
-            // hetlint: allow(r5) — CLI driver: a figure binary that cannot launch must abort loudly
             .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
         assert!(status.success(), "{bin} failed");
     }

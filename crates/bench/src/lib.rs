@@ -213,6 +213,11 @@ impl NoopPipeline {
                 .await;
                 // Sequential, as in the paper's synthetic experiment: one
                 // task in flight at a time isolates per-task costs.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`q` keeps the result channel open for the whole loop, so the \
+                              submitted task's result always arrives"
+                )]
                 let done = q.get_result(topic).await.expect("result");
                 done.resolve().await;
             }

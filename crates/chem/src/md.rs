@@ -23,6 +23,11 @@ pub struct Trajectory {
 
 impl Trajectory {
     /// The last frame.
+    #[expect(
+        clippy::expect_used,
+        reason = "`run_md` always records the starting frame; an empty trajectory is a \
+                  construction bug, not a runtime fault"
+    )]
     pub fn last(&self) -> &Structure {
         self.frames.last().expect("trajectory has at least one frame")
     }

@@ -125,7 +125,11 @@ impl<T> Inner<T> {
     /// (delivered, shed, timed out) leaves the fabric through here.
     fn finish(&self, result: TaskResult) {
         self.returned.set(self.returned.get() + 1);
-        let _ = self.results.send_now(result); // hetlint: allow(r15) — teardown-tolerant: the campaign driver may have dropped the results receiver
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "teardown-tolerant: the campaign driver may have dropped the results receiver"
+        )]
+        let _ = self.results.send_now(result);
     }
 
     /// Finishes a task no worker will, in the task's own envelope (its
@@ -511,10 +515,13 @@ impl<T: Transport> Fabric for Dispatcher<T> {
                 inner.gate.on_enter(task.topic);
                 // The reliability layer registers the dispatch and picks
                 // the endpoint (breaker-aware when configured, else primary).
+                #[expect(
+                    clippy::panic,
+                    reason = "unrouted topic is a deployment wiring bug, not a runtime fault"
+                )]
                 let endpoint = inner
                     .health
                     .admit(&task)
-                    // hetlint: allow(r5) — unrouted topic is a deployment wiring bug, not a runtime fault
                     .unwrap_or_else(|| panic!("no endpoint registered for topic {}", task.topic));
                 (inner.transport.submit_cost(bytes), Routed::To { endpoint })
             }

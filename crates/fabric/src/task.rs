@@ -291,9 +291,9 @@ impl<'a> IntoIterator for &'a Args {
 
 impl std::ops::Index<usize> for Args {
     type Output = Arg;
+    #[expect(clippy::panic, reason = "out-of-bounds argument index is a task wiring bug")]
     fn index(&self, i: usize) -> &Arg {
         self.get(i)
-            // hetlint: allow(r5) — out-of-bounds argument index is a task wiring bug
             .unwrap_or_else(|| panic!("argument index {i} out of bounds (len {})", self.len()))
     }
 }
@@ -339,10 +339,10 @@ pub struct TaskCtx<'a> {
 impl TaskCtx<'_> {
     /// Downcasts input `i` to `T`, panicking with a useful message on
     /// type mismatch (a task wiring bug, not a runtime condition).
+    #[expect(clippy::panic, reason = "type mismatch is a task wiring bug, not a runtime fault")]
     pub fn input<T: 'static>(&self, i: usize) -> Rc<T> {
         Rc::clone(&self.inputs[i])
             .downcast::<T>()
-            // hetlint: allow(r5) — type mismatch is a task wiring bug, not a runtime fault
             .unwrap_or_else(|_| panic!("task input {i} has unexpected type"))
     }
 }

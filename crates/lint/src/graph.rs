@@ -13,10 +13,11 @@
 //! - a method call `.submit(..)` links to every impl method named
 //!   `submit` anywhere — except a stoplist of names so ubiquitous on
 //!   std types (`clone`, `len`, `push`, …) that linking them would
-//!   drown the graph in noise, and except when the receiver is a typed
-//!   parameter (`key.id()` under `key: Symbol`) and the workspace has
-//!   an `impl Symbol` with that method: the declared type then picks
-//!   the candidates, as rustc's own lookup would;
+//!   drown the graph in noise, and except when the receiver's type is
+//!   known — a typed parameter (`key.id()` under `key: Symbol`) or a
+//!   bare `self` inside `impl Symbol` — and the workspace has an
+//!   `impl Symbol` with that method: the type then picks the
+//!   candidates, as rustc's own lookup would;
 //! - an `.await` point links to every `poll` method in the workspace:
 //!   suspending hands control to the executor, which may resume any
 //!   future, so taint must survive the hop.

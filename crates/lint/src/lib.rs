@@ -1,38 +1,23 @@
 //! hetlint: the hetflow determinism & invariant static-analysis pass.
 //!
 //! The repo's central validity claim is bit-reproducibility: the same
-//! seed must yield the same trace on any machine. That property is easy
-//! to break with one stray wall-clock read or hash-order iteration, and
-//! such regressions are invisible until an expensive campaign diverges.
-//! hetlint is three layers, each consuming only the one below: a lexer
-//! ([`lexer`]: a real token stream, so comments and string literals can
-//! never trigger rules), an item parser ([`parser`]: fn items with
-//! their calls, sinks, locks and panic sites), and a workspace call
-//! graph ([`graph`]). The rules, by the layer they need:
+//! seed must yield the same trace on any machine. The clauses a compiler
+//! can see on one token — no wall clock, no ambient entropy, no hash
+//! containers, no OS threads, no unreasoned unwrap or panic, no
+//! discarded fabric effect — are clippy's (the root `clippy.toml` and
+//! `[workspace.lints.clippy]`; DESIGN.md §7 maps them). hetlint keeps the
+//! clauses that need a workspace view. It is three layers, each consuming
+//! only the one below: a lexer ([`lexer`]: a real token stream, so
+//! comments and string literals can never trigger rules), an item parser
+//! ([`parser`]: fn items with their calls, sinks and locks), and a
+//! workspace call graph ([`graph`]). The rules, by the layer they need:
 //!
 //! Per file, on tokens ([`rules`]):
 //!
-//! - **R1** no `std::time::{Instant, SystemTime}` / `thread::sleep` in
-//!   sim-driven crates or the crates they call into (`ml`, `chem`) —
-//!   virtual time only. Aliased imports
-//!   (`use std::time::Instant as T`) are tracked.
-//! - **R2** no ambient entropy (`thread_rng`, `from_entropy`, `OsRng`)
-//!   outside `sim::rng` — named seeded streams only.
-//! - **R3** no order-leaking iteration over `HashMap`/`HashSet` in
-//!   sim-driven crates — keyed lookup is fine, iteration is not.
-//!   Chains are followed across any number of lines.
-//! - **R4** no OS-thread spawns — concurrency is `Sim::spawn` over
-//!   virtual time, in every crate.
-//! - **R5** an `unwrap()`/`expect()`/`panic!()` budget per library
-//!   crate, read from the checked-in `hetlint.ratchet` file — a ratchet
-//!   that may go down but not up. Runtime faults must travel the typed
-//!   failure path (`TaskOutcome::Failed`); only invariant violations
-//!   may abort, and each needs a reasoned allow.
 //! - **R6** float ordering must be total — `f64::total_cmp` or an
 //!   `Ord`-delegating wrapper, never ad-hoc `.partial_cmp().unwrap()`.
-//! - **R15** no `let _ = …` on a fabric effect (`submit`, `deliver`,
-//!   the `send` family) in sim-driven library code — a discarded
-//!   delivery failure is a silently lost task.
+//!   (clippy's `disallowed-methods` cannot take this one: it also fires
+//!   inside `#[derive(PartialOrd)]` expansions.)
 //!
 //! Across files, on the per-file extracts ([`workspace`]):
 //!
@@ -50,12 +35,10 @@
 //! - **R10** no ambient I/O reachable from a simulation entry point.
 //! - **R11** no two locks acquired in inverted orders.
 //! - **R12** no `SimRng` crossing a thread or channel boundary.
-//! - **R13** a ratcheted count of panic sites reachable from fabric
-//!   dispatch.
 //!
-//! Rule ids are stable: R14 and R16 were retired (their bugs are
-//! stopped by R1/R3/R10 at the source and by
-//! `clippy::await_holding_lock`) and their numbers are not reused.
+//! Rule ids are stable and retired ids are not reused: R1–R5, R13 and
+//! R15 became clippy configuration; R14 and R16 are stopped by those
+//! lints, R10 and `clippy::await_holding_lock`.
 //!
 //! Violations are suppressed in place with
 //! `// hetlint: allow(<rule>) — <reason>`; the reason is mandatory and
@@ -64,10 +47,8 @@
 
 pub mod graph;
 pub mod interproc;
-pub mod json;
 pub mod lexer;
 pub mod parser;
-pub mod ratchet;
 pub mod rules;
 pub mod scan;
 pub mod workspace;
@@ -80,24 +61,9 @@ use std::path::{Path, PathBuf};
 /// contract.
 pub const SIM_DRIVEN: &[&str] = &["sim", "store", "fabric", "steer", "core", "apps", "hetflow"];
 
-/// The non-driver crates sim-driven code calls into: a wall-clock read
-/// there reaches the trace through a return value, so R1 covers them
-/// too.
-pub const SIM_CALLEES: &[&str] = &["ml", "chem"];
-
 /// The rule that produced a violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    /// Wall-clock time in a sim-driven crate.
-    R1,
-    /// Ambient entropy outside `sim::rng`.
-    R2,
-    /// Order-leaking hash-container iteration.
-    R3,
-    /// OS-thread spawn.
-    R4,
-    /// Unwrap budget exceeded.
-    R5,
     /// Non-total float ordering.
     R6,
     /// Duplicate seed-stream name across distinct sites.
@@ -112,30 +78,22 @@ pub enum RuleId {
     R11,
     /// `SimRng` crossing a thread or channel boundary.
     R12,
-    /// Panic site reachable from fabric dispatch, over the ratchet.
-    R13,
-    /// Discarded `Result` of a fabric effect.
-    R15,
     /// Malformed suppression (missing reason).
     BadAllow,
 }
 
 /// Canonical keys of every live numbered rule, in order — the single
-/// source for "valid rules" error text. Retired ids (r14, r16) leave
-/// gaps; they are not reused.
-pub const RULE_KEYS: &[&str] = &[
-    "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r12", "r13", "r15",
-];
+/// source for "valid rules" error text.
+pub const RULE_KEYS: &[&str] = &["r6", "r7", "r8", "r9", "r10", "r11", "r12"];
+
+/// Keys of retired rules. Their ids are not reused, and an `allow(..)`
+/// naming one covers nothing, so R9 reports it.
+pub const RETIRED_KEYS: &[&str] = &["r1", "r2", "r3", "r4", "r5", "r13", "r14", "r15", "r16"];
 
 impl RuleId {
     /// The canonical lowercase key used in `allow(..)` annotations.
     pub fn key(self) -> &'static str {
         match self {
-            RuleId::R1 => "r1",
-            RuleId::R2 => "r2",
-            RuleId::R3 => "r3",
-            RuleId::R4 => "r4",
-            RuleId::R5 => "r5",
             RuleId::R6 => "r6",
             RuleId::R7 => "r7",
             RuleId::R8 => "r8",
@@ -143,8 +101,6 @@ impl RuleId {
             RuleId::R10 => "r10",
             RuleId::R11 => "r11",
             RuleId::R12 => "r12",
-            RuleId::R13 => "r13",
-            RuleId::R15 => "r15",
             RuleId::BadAllow => "bad-allow",
         }
     }
@@ -152,11 +108,6 @@ impl RuleId {
     /// A one-line description for report headers.
     pub fn title(self) -> &'static str {
         match self {
-            RuleId::R1 => "R1 virtual-time: no wall clock in sim-driven crates",
-            RuleId::R2 => "R2 seeded-rng: no ambient entropy outside sim::rng",
-            RuleId::R3 => "R3 hash-order: no HashMap/HashSet iteration in sim-driven crates",
-            RuleId::R4 => "R4 threads: no OS-thread spawn; use Sim::spawn",
-            RuleId::R5 => "R5 unwrap-budget: unwrap()/expect()/panic!() ratchet per library crate",
             RuleId::R6 => "R6 total-order: float ordering must be total",
             RuleId::R7 => "R7 seed-streams: stream-name literals must be workspace-unique",
             RuleId::R8 => "R8 trace-kinds: emitted kinds and the registry must agree",
@@ -164,50 +115,17 @@ impl RuleId {
             RuleId::R10 => "R10 sim-purity: no ambient I/O reachable from simulation entry points",
             RuleId::R11 => "R11 lock-discipline: locks must be acquired in one global order",
             RuleId::R12 => "R12 rng-provenance: SimRng must not cross thread/channel boundaries",
-            RuleId::R13 => "R13 panic-reach: panics reachable from fabric dispatch are ratcheted",
-            RuleId::R15 => "R15 discarded-effects: fabric-effect Results must not be discarded",
             RuleId::BadAllow => "suppressions must carry a reason",
         }
     }
 }
 
 /// A long-form explanation of one rule, for `hetlint --explain <rule>`.
-/// Accepts canonical keys and the same aliases as `allow(..)`; `None`
-/// for unknown rules.
+/// Accepts canonical keys, the same aliases as `allow(..)`, and the
+/// retired keys that moved to clippy; `None` for unknown rules.
 pub fn explain(rule: &str) -> Option<&'static str> {
     let key = scan::normalize_rule(rule);
     Some(match key.as_str() {
-        "r1" => {
-            "R1 virtual-time — sim-driven crates, and the ml and chem crates they call \
-             into, must not read the wall clock (std::time::Instant, SystemTime, \
-             thread::sleep). The simulation owns time; a wall-clock read makes runs \
-             machine-dependent and breaks bit-reproducibility. Aliased imports are \
-             tracked. Fix: take time from the Sim handle."
-        }
-        "r2" => {
-            "R2 seeded-rng — no ambient entropy (thread_rng, from_entropy, OsRng) outside \
-             crates/sim/src/rng.rs. All randomness derives from the campaign master seed \
-             through named streams (SimRng::stream) and substreams, so every draw is \
-             attributable and replayable."
-        }
-        "r3" => {
-            "R3 hash-order — no iteration over HashMap/HashSet in sim-driven crates. \
-             Iteration order varies across runs and platforms, leaking nondeterminism into \
-             anything order-sensitive (schedulers, traces). Keyed lookup is fine. Fix: \
-             BTreeMap, or collect-and-sort before iterating."
-        }
-        "r4" => {
-            "R4 threads — no OS-thread spawns (`thread::spawn`, `thread::Builder`, \
-             `thread::scope`) in any crate. The simulation is single-threaded over virtual \
-             time by design: a thread observes the host's scheduling order. Fix: \
-             `Sim::spawn` (virtual concurrency)."
-        }
-        "r5" => {
-            "R5 unwrap-budget — unwrap()/expect()/panic!() sites in pre-test library code \
-             are counted per crate against the checked-in hetlint.ratchet. Budgets only go \
-             down. Runtime faults must take the typed task-failure path; only invariant \
-             violations may abort, each under a reasoned `hetlint: allow(r5) — <why>`."
-        }
         "r6" => {
             "R6 total-order — float comparisons feeding sorts or heaps must be total: \
              f64::total_cmp or an Ord-delegating wrapper, never .partial_cmp().unwrap(). \
@@ -248,20 +166,13 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              across a thread boundary destroys substream provenance. Send a seed or \
              stream name and derive on the receiving side."
         }
-        "r13" => {
-            "R13 panic-reach — every unwrap()/expect()/panic!() site transitively \
-             reachable from fabric dispatch (submit/deliver) is counted against the \
-             `reachable-panics` budget in hetlint.ratchet. A panic on the dispatch path \
-             kills the whole campaign, not one task. Sites under a reasoned allow(r5) are \
-             exempt; the same annotation serves both rules."
-        }
-        "r15" => {
-            "R15 discarded-effects — `let _ = …` on a fabric effect (submit, deliver, \
-             deliver_inner, send, send_now, try_send) in sim-driven library code silently \
-             drops a delivery failure: the campaign continues with a lost message and no \
-             trace of why. A token rule, so it sees inside async blocks and closures. \
-             Handle or propagate the error; a discard whose receiver may legitimately be \
-             gone takes a reasoned `hetlint: allow(r15) — <why>`."
+        retired if RETIRED_KEYS.contains(&retired) => {
+            "retired — this clause is clippy's now: the root clippy.toml \
+             (disallowed-methods, disallowed-types) and [workspace.lints.clippy] \
+             (unwrap_used, expect_used, panic, let_underscore_must_use, \
+             await_holding_lock). A justified \
+             exception is `#[expect(clippy::<lint>, reason = \"…\")]`; DESIGN.md §7 maps \
+             each retired id to its lint."
         }
         "bad-allow" => {
             "bad-allow — every suppression needs a reason: \
@@ -274,7 +185,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
 /// What part of a crate a file belongs to; drives which rules apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
-    /// `src/` library (and `src/bin/`) code — all rules, R5 included.
+    /// `src/` library (and `src/bin/`) code — the only kind the call
+    /// graph and the R7/R8 extractors read.
     LibSrc,
     /// Integration tests under `tests/`.
     Test,
@@ -306,8 +218,8 @@ impl FileContext {
         }
     }
 
-    /// True when the file's crate must obey the virtual-time,
-    /// hash-order and discarded-effects rules.
+    /// True when the file's crate feeds the trace, so its async and
+    /// spawning fns are R10 simulation entry points.
     pub fn sim_driven(&self) -> bool {
         SIM_DRIVEN.contains(&self.crate_name.as_str())
     }
@@ -354,9 +266,6 @@ pub struct FileReport {
     pub suppressed: Vec<Violation>,
     /// Suppressions with an empty reason (each is itself a violation).
     pub bad_allows: Vec<Violation>,
-    /// Lines of pre-test `unwrap()`/`expect(`/`panic!(` sites that no
-    /// allow covers (R5 raw material).
-    pub unwrap_sites: Vec<usize>,
 }
 
 /// One file after the per-file pass, carrying everything the
@@ -380,8 +289,8 @@ pub struct LintedFile {
     /// `(rule key, annotation line)` pairs for every suppression that
     /// covered a hit — R9 flags the reasoned ones left over.
     pub matched_allows: Vec<(String, usize)>,
-    /// Item-level parse: fn items with calls/sinks/locks/panics, plus
-    /// file-level R12 escapes (raw material for R10–R13).
+    /// Item-level parse: fn items with calls/sinks/locks, plus
+    /// file-level R12 escapes (raw material for R10–R12).
     pub items: parser::ParsedFile,
 }
 
@@ -391,35 +300,19 @@ pub fn lint_file(ctx: &FileContext, source: &str) -> LintedFile {
     let items = parser::parse_items(ctx, &prepared);
     let mut report = FileReport::default();
     let mut matched_allows: Vec<(String, usize)> = Vec::new();
-    for v in rules::check_file(ctx, &prepared, &items.fns) {
+    for v in rules::check_file(ctx, &prepared) {
         match &v.suppression {
-            Some(s) if !s.reason.is_empty() => {
-                matched_allows.push((v.rule.key().to_string(), s.line));
-                report.suppressed.push(v);
-            }
             Some(s) => {
                 matched_allows.push((v.rule.key().to_string(), s.line));
-                let line = s.line;
-                report.bad_allows.push(Violation {
-                    rule: RuleId::BadAllow,
-                    path: ctx.rel_path.clone(),
-                    line,
-                    message: format!(
-                        "allow({}) without a reason; write `hetlint: allow({}) — <why>`",
-                        v.rule.key(),
-                        v.rule.key()
-                    ),
-                    suppression: None,
-                });
                 report.suppressed.push(v);
             }
             None => report.violations.push(v),
         }
     }
-    // Reason-less suppressions are flagged even when nothing fired under
-    // them — a stale or typo'd allow must not linger silently.
+    // A reason-less suppression is flagged whether or not anything fired
+    // under it — a stale or typo'd allow must not linger silently.
     for s in &prepared.suppr.suppressions {
-        if s.reason.is_empty() && !report.bad_allows.iter().any(|b| b.line == s.line) {
+        if s.reason.is_empty() {
             report.bad_allows.push(Violation {
                 rule: RuleId::BadAllow,
                 path: ctx.rel_path.clone(),
@@ -431,11 +324,6 @@ pub fn lint_file(ctx: &FileContext, source: &str) -> LintedFile {
                 suppression: None,
             });
         }
-    }
-    let r5 = rules::count_unwraps(ctx, &prepared);
-    report.unwrap_sites = r5.sites;
-    for line in r5.used_allow_lines {
-        matched_allows.push(("r5".to_string(), line));
     }
     let stream_uses = rules::stream_uses(ctx, &prepared);
     let emit_sites = rules::emit_sites(ctx, &prepared);
@@ -468,36 +356,23 @@ pub struct Report {
     pub suppressed: Vec<Violation>,
     /// Reason-less allows.
     pub bad_allows: Vec<Violation>,
-    /// Per-crate `(crate, count, budget)` rows for R5.
-    pub unwrap_rows: Vec<(String, usize, usize)>,
-    /// `(count, budget)` of un-allowed panic sites reachable from
-    /// fabric dispatch (R13); `None` when the interprocedural phase
-    /// did not run.
-    pub reachable_panics: Option<(usize, usize)>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Informational findings that do not fail the run (e.g. ratchet
-    /// slack — a budget that could be lowered).
-    pub notes: Vec<String>,
 }
 
 impl Report {
     /// True when the workspace passes the determinism contract.
     pub fn clean(&self) -> bool {
-        self.violations.is_empty()
-            && self.bad_allows.is_empty()
-            && self.unwrap_rows.iter().all(|(_, count, budget)| count <= budget)
-            && self.reachable_panics.is_none_or(|(count, budget)| count <= budget)
+        self.violations.is_empty() && self.bad_allows.is_empty()
     }
 }
 
 /// Lints a set of sources as one workspace: the per-file pass over each
-/// file, then the cross-file phase (R7–R9), then R5 accounting against
-/// the given ratchet. This is [`run`] without the filesystem walk, so
-/// fixture tests can exercise the workspace-wide rules on synthetic
-/// trees.
-pub fn lint_set(inputs: &[(FileContext, String)], budgets: &ratchet::Ratchet) -> Report {
-    lint_set_all(inputs, budgets).report
+/// file, then the cross-file and interprocedural phases (R7–R12). This
+/// is [`run`] without the filesystem walk, so fixture tests can
+/// exercise the workspace-wide rules on synthetic trees.
+pub fn lint_set(inputs: &[(FileContext, String)]) -> Report {
+    lint_set_all(inputs).report
 }
 
 /// Everything one workspace pass produces: the report and the call
@@ -510,60 +385,20 @@ pub struct WorkspaceOutput {
     pub graph: graph::CallGraph,
 }
 
-/// The full workspace pass: per-file rules over each file, the
-/// cross-file phase (R7–R9), the interprocedural rules (R10–R13), and
-/// ratchet accounting.
-pub fn lint_set_all(
-    inputs: &[(FileContext, String)],
-    budgets: &ratchet::Ratchet,
-) -> WorkspaceOutput {
+/// As [`lint_set`], also returning the call graph.
+pub fn lint_set_all(inputs: &[(FileContext, String)]) -> WorkspaceOutput {
     let mut files: Vec<LintedFile> = inputs
         .iter()
         .map(|(ctx, source)| lint_file(ctx, source))
         .collect();
-    let outcome = workspace::cross_check(&mut files, budgets);
-
+    let graph = workspace::cross_check(&mut files);
     let mut report = Report { files_scanned: files.len(), ..Report::default() };
-    report.reachable_panics = Some(outcome.reachable_panics);
-    report.notes.extend(outcome.notes);
-    let mut counts: Vec<(String, usize)> = Vec::new();
     for f in files {
         report.violations.extend(f.report.violations);
         report.suppressed.extend(f.report.suppressed);
         report.bad_allows.extend(f.report.bad_allows);
-        if !f.report.unwrap_sites.is_empty() {
-            match counts.iter_mut().find(|(name, _)| *name == f.ctx.crate_name) {
-                Some((_, n)) => *n += f.report.unwrap_sites.len(),
-                None => counts.push((f.ctx.crate_name.clone(), f.report.unwrap_sites.len())),
-            }
-        }
     }
-    // Rows cover the union of ratcheted crates and crates with sites, so
-    // both "over budget" and "slack" are visible.
-    let mut row_names: Vec<String> =
-        budgets.budgets.iter().map(|(name, _)| name.clone()).collect();
-    for (name, _) in &counts {
-        if !row_names.iter().any(|n| n == name) {
-            row_names.push(name.clone());
-        }
-    }
-    row_names.sort();
-    for name in row_names {
-        let count = counts
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, c)| *c)
-            .unwrap_or(0);
-        let budget = budgets.budget_for(&name).unwrap_or(0);
-        if count < budget {
-            report.notes.push(format!(
-                "R5 slack: crate `{name}` uses {count}/{budget} — the ratchet can be \
-                 lowered to {count}"
-            ));
-        }
-        report.unwrap_rows.push((name, count, budget));
-    }
-    WorkspaceOutput { report, graph: outcome.graph }
+    WorkspaceOutput { report, graph }
 }
 
 /// Classifies a workspace-relative path into a [`FileContext`]; `None`
@@ -624,17 +459,14 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(found)
 }
 
-/// Walks the workspace at `root`, loads and verifies the ratchet file,
-/// and lints every classified source file (per-file and workspace-wide
-/// phases).
+/// Walks the workspace at `root` and lints every classified source file
+/// (per-file and workspace-wide phases).
 pub fn run(root: &Path) -> std::io::Result<Report> {
     run_all(root).map(|out| out.report)
 }
 
 /// As [`run`], also returning the call graph.
 pub fn run_all(root: &Path) -> std::io::Result<WorkspaceOutput> {
-    let budgets = ratchet::load(root)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     let mut inputs: Vec<(FileContext, String)> = Vec::new();
     for path in collect_sources(root)? {
         let rel = path
@@ -645,7 +477,7 @@ pub fn run_all(root: &Path) -> std::io::Result<WorkspaceOutput> {
         let Some(ctx) = classify(&rel) else { continue };
         inputs.push((ctx, std::fs::read_to_string(&path)?));
     }
-    Ok(lint_set_all(&inputs, &budgets))
+    Ok(lint_set_all(&inputs))
 }
 
 #[cfg(test)]
@@ -683,26 +515,29 @@ mod tests {
     }
 
     #[test]
-    fn rng_module_is_exempt_from_r2() {
-        let ctx = classify("crates/sim/src/rng.rs").unwrap();
-        assert!(ctx.is_rng_module());
-        let report = lint_source(&ctx, "let x = OsRng;\n");
-        assert!(report.violations.is_empty());
+    fn rng_module_is_exempt_from_r12_escapes() {
+        let src = "struct S { r: Arc<SimRng> }\n";
+        let rng = classify("crates/sim/src/rng.rs").unwrap();
+        assert!(rng.is_rng_module());
+        assert!(lint_file(&rng, src).items.rng_type_escapes.is_empty());
+        let other = classify("crates/sim/src/executor.rs").unwrap();
+        assert_eq!(lint_file(&other, src).items.rng_type_escapes.len(), 1);
     }
 
     #[test]
-    fn ml_crate_not_sim_driven_but_r2_applies() {
+    fn ml_crate_not_sim_driven_but_r6_applies() {
         let ctx = classify("crates/ml/src/ensemble.rs").unwrap();
         assert!(!ctx.sim_driven());
-        let report = lint_source(&ctx, "let r = thread_rng();\n");
+        let report = lint_source(&ctx, "v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n");
         assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, RuleId::R2);
+        assert_eq!(report.violations[0].rule, RuleId::R6);
     }
 
     #[test]
     fn reasoned_allow_suppresses_and_is_counted() {
         let ctx = classify("crates/steer/src/policy.rs").unwrap();
-        let src = "use std::time::Instant; // hetlint: allow(r1) — doc example only\n";
+        let src = "v.sort_by(|a, b| a.partial_cmp(b).unwrap()); \
+                   // hetlint: allow(r6) — NaN-free by construction\n";
         let report = lint_source(&ctx, src);
         assert!(report.violations.is_empty());
         assert_eq!(report.suppressed.len(), 1);
@@ -712,32 +547,10 @@ mod tests {
     #[test]
     fn reasonless_allow_is_flagged() {
         let ctx = classify("crates/steer/src/policy.rs").unwrap();
-        let src = "use std::time::Instant; // hetlint: allow(r1)\n";
+        let src = "v.sort_by(|a, b| a.partial_cmp(b).unwrap()); // hetlint: allow(r6)\n";
         let report = lint_source(&ctx, src);
         assert!(report.violations.is_empty());
         assert_eq!(report.bad_allows.len(), 1);
         assert_eq!(report.bad_allows[0].rule, RuleId::BadAllow);
-    }
-
-    #[test]
-    fn unwrap_sites_stop_at_test_module() {
-        let ctx = classify("crates/store/src/store.rs").unwrap();
-        let src = "fn f() { x.unwrap(); y.expect(\"msg\"); }\n#[cfg(test)]\nmod tests { fn g() { z.unwrap(); } }\n";
-        let report = lint_source(&ctx, src);
-        assert_eq!(report.unwrap_sites.len(), 2);
-    }
-
-    #[test]
-    fn lint_set_accounts_budgets_and_slack() {
-        let ctx = classify("crates/store/src/store.rs").unwrap();
-        let inputs = vec![(ctx, "fn f() { x.unwrap(); }\n".to_string())];
-        let budgets = ratchet::parse("store = 2\n").unwrap();
-        let report = lint_set(&inputs, &budgets);
-        assert!(report.clean());
-        assert_eq!(report.unwrap_rows, vec![("store".to_string(), 1, 2)]);
-        assert_eq!(report.notes.len(), 1);
-        let tight = ratchet::parse("store = 0\n").unwrap();
-        let report2 = lint_set(&inputs, &tight);
-        assert!(!report2.clean());
     }
 }

@@ -5,8 +5,8 @@
 //! `mod` nesting, `impl` blocks, `fn` items with their bodies — and,
 //! inside each body, the raw material the interprocedural rules consume:
 //! call expressions (path calls, method calls, macro invocations),
-//! banned-sink uses, lock acquisitions and guard drops, panic sites,
-//! `.await` points, and `SimRng` bindings.
+//! banned-sink uses, lock acquisitions and guard drops, `.await`
+//! points, and `SimRng` bindings.
 //!
 //! It is deliberately not a full Rust parser. It tracks exactly the
 //! grammar needed to attribute a token to the innermost enclosing
@@ -43,7 +43,8 @@ pub struct CallSite {
     pub callee: Callee,
     /// For a method call whose receiver is a typed parameter of the
     /// enclosing fn (`key.id()` under `key: Symbol`): the declared
-    /// type's name. `None` for every other receiver.
+    /// type's name; for a bare `self` receiver: the enclosing impl's
+    /// type. `None` for every other receiver.
     pub recv_type: Option<String>,
     /// 1-based line of the call.
     pub line: usize,
@@ -84,18 +85,6 @@ pub struct DropSite {
     pub name: String,
     /// Token index (for ordering against lock acquisitions).
     pub tok: usize,
-}
-
-/// One `.unwrap()` / `.expect(` / `panic!(` site (R13 raw material).
-#[derive(Clone, Debug)]
-pub struct PanicSite {
-    /// Which form appeared (`unwrap`, `expect`, `panic!`).
-    pub what: String,
-    /// 1-based line.
-    pub line: usize,
-    /// True when an `allow(r5)` annotation covers the site — the same
-    /// annotation exempts it from both the R5 count and R13.
-    pub allowed: bool,
 }
 
 /// A `SimRng` value handed to a channel send (R12 raw material).
@@ -152,8 +141,6 @@ pub struct FnItem {
     pub locks: Vec<LockSite>,
     /// Early guard releases (`drop(guard)`).
     pub drops: Vec<DropSite>,
-    /// Panic/unwrap/expect sites in the body.
-    pub panics: Vec<PanicSite>,
     /// `SimRng` values passed into channel sends.
     pub rng_sends: Vec<RngSendSite>,
 }
@@ -303,7 +290,7 @@ pub fn parse_items(ctx: &FileContext, prepared: &Prepared) -> ParsedFile {
             _ => None,
         });
         if let Some(idx) = fn_idx {
-            let adv = scan_site(ctx, prepared, t, i, &mut out.fns[idx]);
+            let adv = scan_site(ctx, t, i, &mut out.fns[idx]);
             i += adv;
             continue;
         }
@@ -508,20 +495,13 @@ fn new_fn_item(
         sinks: Vec::new(),
         locks: Vec::new(),
         drops: Vec::new(),
-        panics: Vec::new(),
         rng_sends: Vec::new(),
     }
 }
 
 /// Examines one token position inside a fn body, appending any site it
 /// anchors to `item`. Returns how many tokens to advance (≥ 1).
-fn scan_site(
-    ctx: &FileContext,
-    prepared: &Prepared,
-    t: Toks<'_>,
-    i: usize,
-    item: &mut FnItem,
-) -> usize {
+fn scan_site(ctx: &FileContext, t: Toks<'_>, i: usize, item: &mut FnItem) -> usize {
     let line = t.line(i);
 
     // `let [mut] name` over a parameter's name shadows its declared type.
@@ -533,7 +513,7 @@ fn scan_site(
         return 1;
     }
 
-    // `.await` / method calls / `.unwrap()` / `.expect(`.
+    // `.await` / method calls.
     if t.p(i, ".") && t.is_id(i + 1) {
         let name = t.text(i + 1);
         if name == "await" {
@@ -543,32 +523,24 @@ fn scan_site(
         if t.p(i + 2, "(") {
             let m_line = t.line(i + 1);
             // A receiver that is a bare parameter name (not a field or
-            // path tail) carries the parameter's declared type.
+            // path tail) carries the parameter's declared type; a bare
+            // `self` is the enclosing impl's type.
             let before = i.wrapping_sub(2);
             let bare_recv = i >= 1 && !t.p(before, ".") && !t.p(before, "::");
-            let recv_type = item
-                .params
-                .iter()
-                .position(|p| bare_recv && t.id(i - 1, p))
-                .and_then(|k| item.param_types[k].clone());
+            let recv_type = if bare_recv && t.id(i - 1, "self") {
+                item.impl_type.clone()
+            } else {
+                item.params
+                    .iter()
+                    .position(|p| bare_recv && t.id(i - 1, p))
+                    .and_then(|k| item.param_types[k].clone())
+            };
             item.calls.push(CallSite {
                 callee: Callee::Method(name.to_string()),
                 recv_type,
                 line: m_line,
             });
-            if name == "unwrap" && t.p(i + 3, ")") {
-                item.panics.push(PanicSite {
-                    what: "unwrap".into(),
-                    line: m_line,
-                    allowed: crate::scan::is_suppressed(&prepared.suppr, "r5", m_line),
-                });
-            } else if name == "expect" {
-                item.panics.push(PanicSite {
-                    what: "expect".into(),
-                    line: m_line,
-                    allowed: crate::scan::is_suppressed(&prepared.suppr, "r5", m_line),
-                });
-            } else if name == "lock" {
+            if name == "lock" {
                 item.locks.push(LockSite {
                     target: receiver_chain(t, i),
                     guard: guard_binding(t, i),
@@ -589,13 +561,6 @@ fn scan_site(
         let name = t.text(i);
         let callee = Callee::Macro(name.to_string());
         item.calls.push(CallSite { callee, recv_type: None, line });
-        if name == "panic" {
-            item.panics.push(PanicSite {
-                what: "panic!".into(),
-                line,
-                allowed: crate::scan::is_suppressed(&prepared.suppr, "r5", line),
-            });
-        }
         if SINK_MACROS.contains(&name) && !ctx.is_trace_module() {
             item.sinks.push(SinkSite { what: format!("{name}!"), line });
         }
@@ -635,7 +600,7 @@ fn scan_site(
 
 /// Best-effort name of a method call's receiver: the `a.b.c` identifier
 /// chain ending just before the dot at `dot`.
-pub(crate) fn receiver_chain(t: Toks<'_>, dot: usize) -> String {
+fn receiver_chain(t: Toks<'_>, dot: usize) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut k = dot;
     while k >= 1 {
@@ -893,16 +858,6 @@ mod tests {
         assert_eq!(f.locks[0].target, "self.state");
         assert_eq!(f.locks[1].guard, None);
         assert_eq!(f.drops.len(), 1);
-    }
-
-    #[test]
-    fn panic_sites_and_allows() {
-        let src = "fn f() {\n  x.unwrap();\n  // hetlint: allow(r5) — invariant\n  y.expect(\"y\");\n}\n";
-        let p = parse(src);
-        let f = &p.fns[0];
-        assert_eq!(f.panics.len(), 2);
-        assert!(!f.panics[0].allowed);
-        assert!(f.panics[1].allowed);
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub struct Prepared {
     pub suppr: SupprIndex,
     /// 1-based line of the file's first `#[cfg(test)]` attribute;
     /// `usize::MAX` when the file has no test module. Lines at or past
-    /// the boundary are exempt from R5/R7/R8 accounting (the workspace
-    /// convention is a single trailing test module per file).
+    /// the boundary are exempt from R7/R8 accounting and the call graph
+    /// (the workspace convention is a single trailing test module per
+    /// file).
     pub test_boundary: usize,
 }
 
@@ -138,15 +139,10 @@ fn collect_suppressions(comment: &str, line: usize, out: &mut Vec<Suppression>) 
     }
 }
 
-/// Maps rule aliases to canonical keys (`r1`, `r2`, …).
+/// Maps rule aliases to canonical keys (`r6`, `r7`, …).
 pub fn normalize_rule(raw: &str) -> String {
     let key = raw.trim().to_ascii_lowercase();
     match key.as_str() {
-        "wall-clock" | "virtual-time" => "r1".into(),
-        "entropy" | "seeded-rng" => "r2".into(),
-        "hash-iteration" | "hash-order" => "r3".into(),
-        "thread-spawn" | "threads" => "r4".into(),
-        "unwrap" | "unwrap-budget" => "r5".into(),
         "float-ord" | "total-order" => "r6".into(),
         "stream-collision" | "seed-streams" => "r7".into(),
         "trace-registry" | "trace-kinds" => "r8".into(),
@@ -154,20 +150,13 @@ pub fn normalize_rule(raw: &str) -> String {
         "sim-purity" | "purity-taint" => "r10".into(),
         "lock-discipline" | "locks" => "r11".into(),
         "rng-provenance" | "rng-escape" => "r12".into(),
-        "panic-reach" | "reachable-panics" => "r13".into(),
-        "discarded-effects" | "dropped-result" => "r15".into(),
         _ => key,
     }
 }
 
-/// True when `line_no` (1-based) is covered by a suppression for `rule`:
-/// either an annotation on the line itself or one on an immediately
-/// preceding comment-only line.
-pub fn is_suppressed(suppr: &SupprIndex, rule: &str, line_no: usize) -> bool {
-    find_suppression(suppr, rule, line_no).is_some()
-}
-
-/// As [`is_suppressed`], returning the matching annotation.
+/// The suppression for `rule` covering `line_no` (1-based): an
+/// annotation on the line itself or on an immediately preceding
+/// comment-only line.
 pub fn find_suppression<'p>(
     suppr: &'p SupprIndex,
     rule: &str,
@@ -204,61 +193,65 @@ pub fn find_suppression<'p>(
 mod tests {
     use super::*;
 
+    fn is_suppressed(suppr: &SupprIndex, rule: &str, line_no: usize) -> bool {
+        find_suppression(suppr, rule, line_no).is_some()
+    }
+
     #[test]
     fn parses_suppression_with_reason() {
-        let p = prepare("map.iter(); // hetlint: allow(r3) — sorted below\n");
+        let p = prepare("a.partial_cmp(b); // hetlint: allow(r6) — NaN-free\n");
         assert_eq!(p.suppr.suppressions.len(), 1);
-        assert_eq!(p.suppr.suppressions[0].rule, "r3");
-        assert_eq!(p.suppr.suppressions[0].reason, "sorted below");
-        assert!(is_suppressed(&p.suppr, "r3", 1));
-        assert!(!is_suppressed(&p.suppr, "r1", 1));
+        assert_eq!(p.suppr.suppressions[0].rule, "r6");
+        assert_eq!(p.suppr.suppressions[0].reason, "NaN-free");
+        assert!(is_suppressed(&p.suppr, "r6", 1));
+        assert!(!is_suppressed(&p.suppr, "r10", 1));
     }
 
     #[test]
     fn suppression_on_preceding_comment_line() {
-        let src = "// hetlint: allow(r4) — bounded by scope\nthread::spawn(f);\n";
+        let src = "// hetlint: allow(r10) — operator console\nprintln!(f);\n";
         let p = prepare(src);
-        assert!(is_suppressed(&p.suppr, "r4", 2));
+        assert!(is_suppressed(&p.suppr, "r10", 2));
     }
 
     #[test]
     fn suppression_does_not_leak_past_code() {
-        let src = "// hetlint: allow(r4) — first only\nthread::spawn(f);\nthread::spawn(g);\n";
+        let src = "// hetlint: allow(r10) — first only\nprintln!(f);\nprintln!(g);\n";
         let p = prepare(src);
-        assert!(is_suppressed(&p.suppr, "r4", 2));
-        assert!(!is_suppressed(&p.suppr, "r4", 3));
+        assert!(is_suppressed(&p.suppr, "r10", 2));
+        assert!(!is_suppressed(&p.suppr, "r10", 3));
     }
 
     #[test]
     fn blank_line_ends_the_attached_comment_block() {
-        let src = "// hetlint: allow(r4) — detached\n\nthread::spawn(f);\n";
+        let src = "// hetlint: allow(r10) — detached\n\nprintln!(f);\n";
         let p = prepare(src);
-        assert!(!is_suppressed(&p.suppr, "r4", 3));
+        assert!(!is_suppressed(&p.suppr, "r10", 3));
     }
 
     #[test]
     fn suppression_inside_string_does_not_suppress() {
-        let src = "let s = \"// hetlint: allow(r1) — nope\";\n";
+        let src = "let s = \"// hetlint: allow(r6) — nope\";\n";
         let p = prepare(src);
         assert!(p.suppr.suppressions.is_empty());
     }
 
     #[test]
     fn backticked_mention_is_documentation_not_annotation() {
-        let src = "// see `hetlint: allow(r5)` for the syntax\nx.unwrap();\n";
+        let src = "// see `hetlint: allow(r6)` for the syntax\nx.partial_cmp(y);\n";
         let p = prepare(src);
         assert!(p.suppr.suppressions.is_empty());
         // But a genuine annotation after an even number of ticks parses.
-        let src2 = "// `ratchet` note — hetlint: allow(r5) — invariant abort\nx.unwrap();\n";
+        let src2 = "// `total_cmp` note — hetlint: allow(r6) — NaN-free\nx.partial_cmp(y);\n";
         let p2 = prepare(src2);
         assert_eq!(p2.suppr.suppressions.len(), 1);
     }
 
     #[test]
     fn rule_aliases_normalize() {
-        assert_eq!(normalize_rule("Hash-Iteration"), "r3");
-        assert_eq!(normalize_rule("R5"), "r5");
-        assert_eq!(normalize_rule("entropy"), "r2");
+        assert_eq!(normalize_rule("Float-Ord"), "r6");
+        assert_eq!(normalize_rule("R10"), "r10");
+        assert_eq!(normalize_rule("rng-escape"), "r12");
         assert_eq!(normalize_rule("stream-collision"), "r7");
         assert_eq!(normalize_rule("trace-registry"), "r8");
         assert_eq!(normalize_rule("stale-allow"), "r9");

@@ -15,29 +15,31 @@
 //!   silent digest drift waiting to happen.
 //! - **R9** — a `hetlint: allow(..)` that no longer covers any hit is a
 //!   stale exemption; left in place it would silently re-arm if the
-//!   code around it regresses, so it must be removed.
+//!   code around it regresses, so it must be removed. An allow naming a
+//!   retired rule (one clippy enforces now) covers nothing by
+//!   construction.
 
+use crate::graph::CallGraph;
 use crate::interproc;
-use crate::ratchet::Ratchet;
 use crate::rules::EmitKindRef;
 use crate::scan;
-use crate::{LintedFile, RuleId, Violation};
+use crate::{LintedFile, RuleId, Violation, RETIRED_KEYS, RULE_KEYS};
 
 /// Runs the cross-file rules, appending hits to each file's report,
-/// and hands back the interprocedural outcome (R13 accounting, call
-/// graph). Order matters: R9 must run last so it sees which
-/// suppressions R7, R8 and the interprocedural rules (R10–R13)
-/// consumed.
-pub fn cross_check(files: &mut [LintedFile], budgets: &Ratchet) -> interproc::Outcome {
+/// and hands back the call graph. Order matters: R9 must run last so
+/// it sees which suppressions R7, R8 and the interprocedural rules
+/// (R10–R12) consumed.
+pub fn cross_check(files: &mut [LintedFile]) -> CallGraph {
     r7_stream_collisions(files);
     r8_trace_registry(files);
-    let outcome = interproc::check(files, budgets);
+    let graph = interproc::check(files);
     r9_stale_allows(files);
-    outcome
+    graph
 }
 
-/// Routes one cross-file hit through the owning file's suppressions.
-fn push_hit(file: &mut LintedFile, rule: RuleId, line: usize, message: String) {
+/// Routes one cross-file or interprocedural hit through the owning
+/// file's suppressions.
+pub(crate) fn push_hit(file: &mut LintedFile, rule: RuleId, line: usize, message: String) {
     let found = scan::find_suppression(&file.suppr, rule.key(), line).cloned();
     match found {
         Some(s) => {
@@ -177,12 +179,9 @@ fn r8_trace_registry(files: &mut [LintedFile]) {
     }
 }
 
-/// Rules a suppression can legitimately target; `allow(<anything else>)`
-/// is a doc placeholder or typo and R9 leaves it to the bad-allow check.
-const SUPPRESSIBLE: &[&str] =
-    &["r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r10", "r11", "r12", "r13", "r15"];
-
-/// R9 — reasoned suppressions that covered nothing this run. Not itself
+/// R9 — reasoned suppressions of a live or retired rule that covered
+/// nothing this run; `allow(<anything else>)` is a doc placeholder or
+/// typo and R9 leaves it to the bad-allow check. Not itself
 /// suppressible: the fix is deleting a line, never annotating it.
 fn r9_stale_allows(files: &mut [LintedFile]) {
     for f in files.iter_mut() {
@@ -190,7 +189,8 @@ fn r9_stale_allows(files: &mut [LintedFile]) {
             if s.reason.is_empty() {
                 continue; // already reported as a bad allow
             }
-            if !SUPPRESSIBLE.contains(&s.rule.as_str()) {
+            let retired = RETIRED_KEYS.contains(&s.rule.as_str());
+            if !retired && (s.rule == "r9" || !RULE_KEYS.contains(&s.rule.as_str())) {
                 continue;
             }
             let matched = f
@@ -202,11 +202,19 @@ fn r9_stale_allows(files: &mut [LintedFile]) {
                     rule: RuleId::R9,
                     path: f.ctx.rel_path.clone(),
                     line: s.line,
-                    message: format!(
-                        "stale suppression: allow({}) no longer matches any violation; \
-                         remove the annotation so the ratchet stays honest",
-                        s.rule
-                    ),
+                    message: if retired {
+                        format!(
+                            "stale suppression: allow({}) names a retired rule, now a clippy \
+                             lint; write `#[expect(clippy::<lint>, reason = \"…\")]` instead",
+                            s.rule
+                        )
+                    } else {
+                        format!(
+                            "stale suppression: allow({}) no longer matches any violation; \
+                             remove the annotation",
+                            s.rule
+                        )
+                    },
                     suppression: None,
                 });
             }

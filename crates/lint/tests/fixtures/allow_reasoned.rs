@@ -1,7 +1,6 @@
 //! Suppression fixture: a reasoned allow covers the next code line.
 
-fn timed() {
-    // hetlint: allow(r1) — host-side profiling harness, not sim state
-    let t0 = Instant::now();
-    let _ = t0;
+fn rank(scores: &mut Vec<f64>) {
+    // hetlint: allow(r6) — scores are filtered NaN-free two lines up
+    scores.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }

@@ -1,6 +1,5 @@
 //! Suppression fixture: an allow with no reason is itself a violation.
 
-fn timed() {
-    let t0 = Instant::now(); // hetlint: allow(r1)
-    let _ = t0;
+fn rank(scores: &mut Vec<f64>) {
+    scores.sort_by(|a, b| a.partial_cmp(b).unwrap()); // hetlint: allow(r6)
 }

@@ -2,13 +2,13 @@
 //! text-matching scanner, and none of it is real code the rules should
 //! see. A correct lint run reports NOTHING for this file.
 
-/* Nested block comments: /* thread_rng() inside, still a comment:
-   Instant::now(); map.iter(); */ thread::spawn(|| {}); */
+/* Nested block comments: /* a.partial_cmp(b) inside, still a comment:
+   println!("x"); rng.stream("dup"); */ Arc<SimRng>; */
 
 pub fn raw_strings() -> (&'static str, &'static [u8]) {
-    // Raw string: the banned names are data, not code.
-    let doc = r#"call thread_rng() or SystemTime::now(), then "quote" it"#;
-    let bytes = b"OsRng is just bytes here";
+    // Raw string: the rule triggers are data, not code.
+    let doc = r#"call a.partial_cmp(b) or println!("x"), then "quote" it"#;
+    let bytes = b"Mutex<SimRng> is just bytes here";
     let _ = doc;
     (r"also \ no escapes", bytes)
 }
@@ -25,7 +25,7 @@ pub fn lifetimes_vs_chars<'a>(s: &'a str) -> (char, char, &'a str) {
 pub fn suppression_in_string() -> &'static str {
     // The annotation text lives inside a string literal: it must NOT
     // suppress anything (and must not register as a suppression).
-    "// hetlint: allow(r1) — not a real annotation"
+    "// hetlint: allow(r6) — not a real annotation"
 }
 
 pub fn numbers() -> f64 {

@@ -567,7 +567,7 @@ mod tests {
     fn block_from_another_basis_panics() {
         let data = labelled(1, 9, &MorsePes::approx(), true);
         let block = DesignBlock::new(&data[0], &RadialBasis::new(8, 0.6, 3.2, 0.18));
-        let _ = PairPotential::fit_blocks(
+        let _fit = PairPotential::fit_blocks(
             &[&block],
             RadialBasis::default_for_clusters(),
             PairPotParams::default(),
@@ -714,7 +714,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty data")]
     fn empty_fit_panics() {
-        let _ = PairPotential::fit(
+        let _fit = PairPotential::fit(
             &[],
             RadialBasis::default_for_clusters(),
             PairPotParams::default(),

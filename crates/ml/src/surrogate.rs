@@ -284,6 +284,6 @@ mod tests {
     fn empty_fit_panics() {
         let mut rng = SimRng::from_seed(1);
         let none: [Vec<f64>; 0] = [];
-        let _ = RffRidge::fit(&none, &[], SurrogateParams::default(), &mut rng);
+        let _fit = RffRidge::fit(&none, &[], SurrogateParams::default(), &mut rng);
     }
 }

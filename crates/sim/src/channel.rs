@@ -381,8 +381,11 @@ impl<T> Future for SendFuture<'_, T> {
             s.send_wakers.release(h);
         }
         drop(s);
-        // hetlint: allow(r5) — poll-after-Ready violates the Future contract; the value
-        // was moved out when the send completed, so there is nothing sane to return.
+        #[expect(
+            clippy::expect_used,
+            reason = "poll-after-Ready violates the Future contract; the value was moved out \
+                      when the send completed, so there is nothing sane to return"
+        )]
         let value = self.value.take().expect("SendFuture polled after completion");
         // Receiver count was checked above; send_now cannot fail here.
         self.sender.send_now(value).map_err(|_| ClosedError)?;

@@ -749,6 +749,10 @@ impl Sim {
     /// Drives the simulation until `handle` completes, then returns its
     /// output. Panics if the simulation goes quiescent first (the awaited
     /// task would then never finish).
+    #[expect(
+        clippy::panic,
+        reason = "executor deadlock detection must abort: the sim itself is wedged"
+    )]
     pub fn block_on<T: 'static>(&self, handle: JoinHandle<T>) -> T {
         loop {
             if let Some(v) = handle.try_take() {
@@ -759,7 +763,6 @@ impl Sim {
                 return v;
             }
             if !self.fire_next_timer() {
-                // hetlint: allow(r5) — executor deadlock detection must abort: the sim itself is wedged
                 panic!(
                     "simulation quiescent at {} with awaited task incomplete \
                      ({} tasks leaked)",
@@ -1276,7 +1279,7 @@ mod tests {
     #[derive(Default)]
     struct HeapRef {
         heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-        cancelled: std::collections::HashSet<u64>,
+        cancelled: std::collections::BTreeSet<u64>,
     }
 
     impl HeapRef {

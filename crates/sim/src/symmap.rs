@@ -101,22 +101,23 @@ impl<T> SymbolMap<T> {
 
     /// Returns the value for `key`, inserting `default()` first when
     /// absent.
+    #[expect(clippy::expect_used, reason = "the branch above just inserted the slot")]
     pub fn get_or_insert_with(&mut self, key: Symbol, default: impl FnOnce() -> T) -> &mut T {
         if !self.contains_key(key) {
             self.insert(key, default());
         }
-        self.slots[key.id() as usize]
-            .as_mut()
-            // hetlint: allow(r5) — the branch above just inserted the slot
-            .expect("slot populated just above")
+        self.slots[key.id() as usize].as_mut().expect("slot populated just above")
     }
 
     /// Key/value pairs in resolved-string order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &T)> + '_ {
         self.order.iter().map(|&k| {
+            #[expect(
+                clippy::expect_used,
+                reason = "insert/remove keep order and slots in lockstep"
+            )]
             let v = self.slots[k.id() as usize]
                 .as_ref()
-                // hetlint: allow(r5) — insert/remove keep order and slots in lockstep
                 .expect("order list only holds populated keys");
             (k, v)
         })

@@ -149,8 +149,11 @@ impl SemState {
             }
             if self.permits >= front.count {
                 self.permits -= front.count;
-                // hetlint: allow(r5) — the loop condition just matched `front()`, so the
-                // queue cannot be empty; a None here is semaphore bookkeeping corruption.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop condition just matched `front()`, so the queue cannot be \
+                              empty; a None here is semaphore bookkeeping corruption"
+                )]
                 let w = self.waiters.pop_front().expect("front exists");
                 w.granted.set(true);
                 let waker = w.waker.borrow_mut().take();

@@ -5,6 +5,11 @@
 //! semaphores never over-grant, and execution is deterministic under
 //! arbitrary task/timer interleavings.
 
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "a test actor may outlive the receiver it feeds; R15 covers library code only"
+)]
+
 use hetflow_sim::{
     bounded, channel, time::secs, Samples, Semaphore, Sim, SimTime, Symbol, SymbolMap,
 };

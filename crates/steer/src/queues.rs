@@ -222,7 +222,10 @@ impl ClientQueues {
             // loops until every sender is dropped — this clone included —
             // so `Err` needs that actor gone: a `Sim` being torn down,
             // with no thinker left to wait on `outstanding`.
-            // hetlint: allow(r15) — the receiver outlives every sender; Err only at Sim teardown
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the receiver outlives every sender; Err only at Sim teardown"
+            )]
             let _ = submit_tx.send_now(task);
         });
         id
@@ -233,10 +236,13 @@ impl ClientQueues {
     pub async fn get_result(&self, topic: impl Into<Symbol>) -> Option<CompletedTask> {
         let topic: Symbol = topic.into();
         let shared = &self.shared;
+        #[expect(
+            clippy::panic,
+            reason = "unregistered topic is a deployment wiring bug, not a runtime fault"
+        )]
         let rx = shared
             .topic_rx
             .get(topic)
-            // hetlint: allow(r5) — unregistered topic is a deployment wiring bug, not a runtime fault
             .unwrap_or_else(|| panic!("topic {topic} was not registered"));
         let mut result = rx.recv().await?;
         // Thinker-side deserialization of the envelope — part of the
@@ -295,6 +301,11 @@ pub struct CompletedTask {
 
 impl CompletedTask {
     /// The underlying result; present until `resolve` consumes it.
+    #[expect(
+        clippy::expect_used,
+        reason = "only `resolve` empties the slot, and it consumes self, so no later call \
+                  can see it empty"
+    )]
     fn inner(&self) -> &TaskResult {
         self.result.as_ref().expect("not yet resolved")
     }
@@ -310,8 +321,11 @@ impl CompletedTask {
     /// unreachable proxied output degrades the record to failed instead
     /// of panicking.
     pub async fn resolve(mut self) -> ResolvedTask {
-        // hetlint: allow(r5) — resolve() consumes self, so the slot can
-        // only be empty if the struct was corrupted; nothing to degrade to.
+        #[expect(
+            clippy::expect_used,
+            reason = "resolve() consumes self, so the slot can only be empty if the struct \
+                      was corrupted; nothing to degrade to"
+        )]
         let mut result = self.result.take().expect("resolve called twice");
         let queues = &self.queues;
         let sim = queues.sim().clone();
@@ -372,10 +386,13 @@ impl ResolvedTask {
     /// Downcasts the output value. Check [`ResolvedTask::is_failed`]
     /// and [`ResolvedTask::is_shed`] first: failed and shed tasks carry
     /// a `()` placeholder, not a `T`.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: callers check is_failed() before value()"
+    )]
     pub fn value<T: 'static>(&self) -> Rc<T> {
         Rc::clone(&self.value)
             .downcast::<T>()
-            // hetlint: allow(r5) — documented contract: callers check is_failed() before value()
             .unwrap_or_else(|_| panic!("task output has unexpected type"))
     }
 }
@@ -422,7 +439,10 @@ impl TaskServer {
                     // The receiver lives in the thinker's `ClientQueues`; once
                     // every handle is dropped (campaign over, results still
                     // in flight) nobody is left to deliver to.
-                    // hetlint: allow(r15) — the thinker may have dropped every ClientQueues handle
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "the thinker may have dropped every ClientQueues handle"
+                    )]
                     let _ = tx.send_now(result);
                 }
             });
@@ -475,8 +495,11 @@ impl TaskServer {
                     let se = config.ser.cost(&mut rng, wire);
                     result.report.ser_time += de + se;
                     sim2.sleep(de + se).await;
+                    #[expect(
+                        clippy::panic,
+                        reason = "unregistered topic is a deployment wiring bug"
+                    )]
                     let Some(dtx) = deliver_tx.get(result.topic) else {
-                        // hetlint: allow(r5) — unregistered topic is a deployment wiring bug
                         panic!("result for unregistered topic {}", result.topic);
                     };
                     // Queue transit back to the thinker; the per-topic
@@ -488,7 +511,10 @@ impl TaskServer {
                     // The receiver's owner, the per-topic delivery actor,
                     // loops until `deliver_tx` — owned by this actor — is
                     // dropped, so `Err` needs it gone: `Sim` teardown.
-                    // hetlint: allow(r15) — the receiver outlives this sender; Err only at Sim teardown
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "the receiver outlives this sender; Err only at Sim teardown"
+                    )]
                     let _ = dtx.send_now((result, deliver_at));
                 }
             });

@@ -49,12 +49,15 @@ impl ResourceCounter {
         );
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "unknown pool name is a configuration bug, not a runtime fault"
+    )]
     fn pool(&self, name: &str) -> Rc<PoolSlots> {
         Rc::clone(
             self.pools
                 .borrow()
                 .get(name)
-                // hetlint: allow(r5) — unknown pool name is a configuration bug, not a runtime fault
                 .unwrap_or_else(|| panic!("unknown resource pool {name}")),
         )
     }

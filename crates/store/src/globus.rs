@@ -156,9 +156,12 @@ impl GlobusService {
                         this.inner.sim.sleep(window).await;
                         let batch = {
                             let mut routes = this.inner.routes.borrow_mut();
-                            // hetlint: allow(r5) — the dispatcher is spawned only
-                            // after this route entry is inserted, and entries are
-                            // never removed; a miss is bookkeeping corruption.
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "the dispatcher is spawned only after this route entry \
+                                          is inserted, and entries are never removed; a miss is \
+                                          bookkeeping corruption"
+                            )]
                             let route = routes.get_mut(&(src, dst)).expect("route exists");
                             route.dispatcher_active = false;
                             std::mem::take(&mut route.pending)

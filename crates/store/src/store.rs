@@ -229,7 +229,10 @@ impl ObjectTable {
                 index
             }
             None => {
-                // hetlint: allow(r5) — 2^32 live objects exceeds any simulated campaign by orders of magnitude
+                #[expect(
+                    clippy::expect_used,
+                    reason = "2^32 live objects exceeds any simulated campaign by orders of magnitude"
+                )]
                 let index = u32::try_from(self.slots.len()).expect("table capped at u32 slots");
                 self.slots.push(tenant(0));
                 index

@@ -22,6 +22,11 @@
 //! `TaskError::ExhaustedRetries`. Either way the steering loop keeps
 //! running on whatever did finish.
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts on a setup failure; R5 covers library code only"
+)]
+
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_fabric::{
     BreakerConfig, ChaosAction, ChaosSpec, Connectivity, FailureModel, ReliabilityPolicies,

@@ -12,6 +12,11 @@
 //! cargo run --release --example custom_steering
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "an example aborts on a setup failure; R5 covers library code only"
+)]
+
 use hetflow::prelude::*;
 use hetflow::steer::{Advisor, ResourceCounter};
 use hetflow_core::platform::THETA;

@@ -6,6 +6,11 @@
 //! cargo run --release --example data_lifecycle
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    reason = "an example aborts on a setup failure; R5 covers library code only"
+)]
+
 use hetflow::sim::{time::secs, Sim, SimRng};
 use hetflow::store::{
     Backend, EvictionPolicy, FsParams, Proxy, SiteId, Store, StoreRegistry,

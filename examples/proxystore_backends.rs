@@ -6,6 +6,11 @@
 //! cargo run --release --example proxystore_backends
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts on a setup failure; R5 covers library code only"
+)]
+
 use hetflow_core::platform::{THETA, VENTI};
 use hetflow_core::Calibration;
 use hetflow_store::{Backend, GlobusBackend, GlobusService, Proxy, Store};

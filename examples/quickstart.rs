@@ -5,6 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(
+    clippy::expect_used,
+    reason = "an example aborts on a setup failure; R5 covers library code only"
+)]
+
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_fabric::TaskWork;
 use hetflow_steer::{Breakdown, Payload};

@@ -370,7 +370,7 @@ fn tie_shuffle_leaves_trace_digest_invariant() {
     // bit of the trace, for either fabric. A divergence here means some
     // actor smuggled an ordering dependency between logically
     // independent same-instant events — a race the static rules
-    // (R1–R13) cannot see.
+    // (clippy's and hetlint's) cannot see.
     for config in [WorkflowConfig::FnXGlobus, WorkflowConfig::ParslRedis] {
         let (baseline, n) = shuffled_traced_digest(config, 1234, None);
         assert!(n > 0, "traced campaign emitted no events");

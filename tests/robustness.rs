@@ -395,7 +395,7 @@ fn task_storms_conserve_every_submission() {
     // outcome: submitted == completed + failed + shed, no id twice.
     use hetflow::fabric::{AdmissionConfig, STORM_ID_BASE};
     use hetflow::sim::{Dist, OverflowPolicy, SimRng};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     const CAMPAIGN_TASKS: u64 = 30;
     let policies =
@@ -458,7 +458,7 @@ fn task_storms_conserve_every_submission() {
                 )
                 .await;
             }
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             let (mut completed, mut shed, mut failed) = (0u64, 0u64, 0u64);
             for i in 0..CAMPAIGN_TASKS + storm_total {
                 let topic = if i < CAMPAIGN_TASKS { "simulate" } else { "noop" };
