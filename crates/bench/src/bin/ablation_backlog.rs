@@ -6,6 +6,8 @@
 //! measure the idle gap between simulation tasks and the implied CPU
 //! utilization.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::moldesign::{self, MolDesignParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_sim::{Sim, Tracer};

@@ -3,6 +3,8 @@
 //! candidates; with steering disabled, the same budget is spent on a
 //! random queue and the discovery rate collapses to the base rate.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::moldesign::{self, MolDesignParams, SteeringMode};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_sim::{Sim, Tracer};

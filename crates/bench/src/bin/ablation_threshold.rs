@@ -7,6 +7,8 @@
 //! The paper's 10 kB recommendation should sit at or near the sweet
 //! spot.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::finetune::{self, FinetuneParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_steer::Breakdown;

@@ -2,6 +2,8 @@
 //! the fine-tuning application and let the advisor propose a data path
 //! per task type.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::finetune::{self, FinetuneParams};
 use hetflow_core::platform::THETA;
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};

@@ -9,6 +9,8 @@
 //! (tens of GB to the GPU resource) than surrogate fine-tuning, whose
 //! GPU activity is sporadic.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::finetune::{self, FinetuneParams};
 use hetflow_apps::moldesign::{self, MolDesignParams};
 use hetflow_core::platform::{THETA, VENTI};

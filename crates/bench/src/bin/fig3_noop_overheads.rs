@@ -8,6 +8,8 @@
 //! the lifetime; proxying cuts it 2–3× at 10 kB and up to 10× at 1 MB;
 //! thinker→server shows similar gains for larger objects.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_bench::{print_breakdown_header, print_breakdown_row, size_label, NoopPipeline, StoreKind};
 
 fn main() {

@@ -8,6 +8,8 @@
 //! independent of input size up to 100 MB; Globus competitive with the
 //! direct options beyond ~10 MB.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_bench::{print_breakdown_header, print_breakdown_row, size_label, NoopPipeline, StoreKind};
 use hetflow_steer::BreakdownRow;
 use std::collections::BTreeMap;

@@ -11,6 +11,8 @@
 //! Globus transfer; data waits exceed 1 s only for cross-resource
 //! results (1–5 s Globus transfers).
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::moldesign::{self, MolDesignParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_steer::Breakdown;

@@ -9,6 +9,8 @@
 //! statistically indistinguishable molecule counts (145.0 vs 140.3, run
 //! spread 129–149).
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::moldesign::{self, MolDesignParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_sim::{Samples, Sim, Tracer};

@@ -11,6 +11,8 @@
 //! 3 MB sampling vs 20 ms for 20 kB simulation); proxied overheads are
 //! size-independent.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::finetune::{self, FinetuneParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_steer::Breakdown;

@@ -16,6 +16,12 @@
 //! Run with `--no-prefetch` to ablate ProxyStore's ahead-of-time
 //! transfer (transfers then start at resolve time, not put time).
 
+#![allow(
+    clippy::print_stdout,
+    clippy::disallowed_methods,
+    reason = "R10 binds libraries, not drivers"
+)]
+
 use hetflow_apps::moldesign::{self, MolDesignParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_steer::Breakdown;

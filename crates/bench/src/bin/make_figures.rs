@@ -12,6 +12,8 @@
 //!
 //! Its stdout is what `figures_output.txt` holds; CI byte-diffs the two.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R10 binds libraries, not drivers")]
+
 use std::process::Command;
 
 fn main() {

@@ -22,12 +22,18 @@
 //! peak and its p99 queue wait must stay under `P99_BOUND_SECS` — an
 //! unprotected queue would grow without bound instead.
 //!
-//! Wall-clock use is legal here (hetlint R1 scopes to sim-driven
-//! crates; bench is a driver), but this binary never needs it: every
-//! reported number is virtual-time-derived and deterministic, so the
-//! artifact is byte-stable across machines.
+//! The binary reads no wall clock: every reported number is
+//! virtual-time-derived and deterministic, so the artifact is
+//! byte-stable across machines.
 //!
 //! Usage: `overload_sweep [output.json]`.
+
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods,
+    reason = "R10 binds libraries, not drivers"
+)]
 
 use hetflow_core::platform::THETA;
 use hetflow_core::Calibration;

@@ -228,6 +228,7 @@ impl NoopPipeline {
 }
 
 /// Prints a breakdown row in the format shared by fig3/fig4.
+#[expect(clippy::print_stdout, reason = "R10: a figure printer, outside any simulation")]
 pub fn print_breakdown_header() {
     println!(
         "{:<10} {:<9} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11}",
@@ -236,6 +237,7 @@ pub fn print_breakdown_header() {
 }
 
 /// One formatted row.
+#[expect(clippy::print_stdout, reason = "R10: a figure printer, outside any simulation")]
 pub fn print_breakdown_row(backend: &str, size_label: &str, row: &hetflow_steer::BreakdownRow) {
     println!(
         "{:<10} {:<9} {:>9.1} {:>11.1} {:>11.1} {:>11.1} {:>11.1} {:>11.1}",

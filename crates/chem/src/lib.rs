@@ -29,8 +29,7 @@
 //! assert!(energy < 0.0 && forces.len() == start.n_atoms());
 //! ```
 
-// Index loops are the clearest form for the numeric kernels here.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "index loops are clearest for numeric kernels")]
 
 pub mod clusters;
 pub mod md;

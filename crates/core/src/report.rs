@@ -85,6 +85,7 @@ impl UtilizationReport {
     }
 
     /// Prints the Fig. 1-style series on a uniform grid of `n` points.
+    #[expect(clippy::print_stdout, reason = "R10: a figure printer, outside any simulation")]
     pub fn print_series(&self, n: usize) {
         println!("# t_seconds site running cumulative_GB");
         for (&site, gauge) in &self.running {
@@ -100,7 +101,7 @@ impl UtilizationReport {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // timing fixtures read best as sequential stamps
+#[allow(clippy::field_reassign_with_default, reason = "timing fixtures read as sequential stamps")]
 mod tests {
     use super::*;
     use crate::platform::VENTI;

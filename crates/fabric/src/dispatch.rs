@@ -230,8 +230,6 @@ impl<T: Transport> Dispatcher<T> {
     /// Builds the executor over the transport `wire` makes of its
     /// [`Net`], with one worker pool and return-path actor per `(pool,
     /// topics)` endpoint; a topic's first endpoint is its primary.
-    // `W`, not `impl FnOnce`: hetlint's item parser drops a fn whose
-    // signature contains `impl`, and this one must stay in the call graph.
     pub(crate) fn build<W: FnOnce(Net) -> T>(
         sim: &Sim,
         wire: W,
@@ -551,7 +549,7 @@ mod tests {
     use crate::htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
     use crate::reliability::RetryPolicy;
     use crate::task::{Arg, TaskWork};
-    use hetflow_sim::{Dist, Receiver, SimTime};
+    use hetflow_sim::{Dist, Receiver, SimTime, TraceKind};
     use hetflow_store::SiteId;
 
     #[derive(Clone, Copy, Debug)]
@@ -707,7 +705,7 @@ mod tests {
             (end, results)
         }
 
-        fn events(&self, kind: &'static str) -> usize {
+        fn events(&self, kind: TraceKind) -> usize {
             self.tracer.events_of_kind(kind).len()
         }
     }

@@ -728,7 +728,7 @@ const _: () = assert!(std::mem::size_of::<TaskSpec>() == std::mem::size_of::<usi
 const _: () = assert!(std::mem::size_of::<TaskResult>() == std::mem::size_of::<usize>());
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // timing fixtures read best as sequential stamps
+#[allow(clippy::field_reassign_with_default, reason = "timing fixtures read as sequential stamps")]
 mod tests {
     use super::*;
 

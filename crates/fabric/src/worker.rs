@@ -185,7 +185,7 @@ impl WorkerPool {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one worker's wiring, passed once at spawn")]
 fn spawn_worker(
     sim: &Sim,
     config: WorkerPoolConfig,

@@ -82,7 +82,7 @@ mod tests {
     const TWO_ULP: f64 = 2.0 * f64::EPSILON;
 
     #[test]
-    #[allow(clippy::excessive_precision, clippy::approx_constant)]
+    #[allow(clippy::excessive_precision, clippy::approx_constant, reason = "fdlibm's own digits")]
     fn constants_are_fdlibm_s_published_values() {
         // A second, independent spelling of every constant: fdlibm's
         // decimal literals must parse to exactly the bit patterns above.

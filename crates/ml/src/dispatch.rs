@@ -27,7 +27,7 @@ pub(crate) fn dispatch<R>(body: impl FnOnce() -> R) -> R {
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: `avx2` needs nothing but AVX2, which the CPU was just
         // reported (`is_x86_feature_detected!`) to support.
-        #[allow(unsafe_code)]
+        #[allow(unsafe_code, reason = "the workspace's one unsafe block; see SAFETY above")]
         return unsafe { avx2(body) };
     }
     body()

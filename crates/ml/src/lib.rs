@@ -44,8 +44,7 @@
 //! assert!(best.len() == 10 && mean[best[0]] >= mean[best[9]]);
 //! ```
 
-// Index loops are the clearest form for the numeric kernels here.
-#![allow(clippy::needless_range_loop)]
+#![allow(clippy::needless_range_loop, reason = "index loops are clearest for numeric kernels")]
 
 mod cosine;
 mod dispatch;

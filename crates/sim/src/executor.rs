@@ -47,7 +47,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
@@ -99,6 +99,7 @@ const READY_CAP: usize = 1024;
 ///
 /// Slots store `id + 1` so 0 can mean "empty"; ids cannot reach
 /// `u64::MAX` because the slab index half is bounded by live memory.
+#[expect(clippy::disallowed_types, reason = "R11: wakers are Send; no fn also holds the interner")]
 struct ReadyQueue {
     ring: Box<[AtomicU64]>,
     /// Consumer cursor. Only `pop` (executor thread) advances it.
@@ -109,9 +110,10 @@ struct ReadyQueue {
     /// True while `overflow` holds entries; forces pushes to the
     /// overflow so FIFO order survives the spill.
     spilled: AtomicBool,
-    overflow: Mutex<std::collections::VecDeque<TaskId>>,
+    overflow: std::sync::Mutex<std::collections::VecDeque<TaskId>>,
 }
 
+#[expect(clippy::disallowed_types, reason = "R11: builds the overflow ring's lock")]
 impl Default for ReadyQueue {
     fn default() -> Self {
         ReadyQueue {
@@ -119,7 +121,7 @@ impl Default for ReadyQueue {
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
             spilled: AtomicBool::new(false),
-            overflow: Mutex::new(std::collections::VecDeque::new()),
+            overflow: std::sync::Mutex::new(std::collections::VecDeque::new()),
         }
     }
 }

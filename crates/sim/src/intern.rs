@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// A `Copy` handle to an interned string.
 ///
@@ -38,9 +38,10 @@ struct Interner {
     map: BTreeMap<&'static str, Symbol>,
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| Mutex::new(Interner { map: BTreeMap::new() }))
+#[expect(clippy::disallowed_types, reason = "R11: no fn also holds the executor's overflow ring")]
+fn interner() -> &'static std::sync::Mutex<Interner> {
+    static INTERNER: OnceLock<std::sync::Mutex<Interner>> = OnceLock::new();
+    INTERNER.get_or_init(|| std::sync::Mutex::new(Interner { map: BTreeMap::new() }))
 }
 
 impl Symbol {

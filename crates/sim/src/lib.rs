@@ -58,4 +58,4 @@ pub use metrics::{Gauge, Samples, TimeSeries};
 pub use rng::SimRng;
 pub use sync::{Event, Permit, Semaphore};
 pub use time::SimTime;
-pub use trace::{kinds as trace_kinds, TraceEvent, Tracer};
+pub use trace::{kinds as trace_kinds, Kind as TraceKind, TraceEvent, Tracer};

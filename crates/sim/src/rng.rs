@@ -7,8 +7,8 @@
 //! The generator is a self-contained xoshiro256++ (no external crates, no
 //! platform entropy): given the same seed it yields the same sequence on
 //! every build and host, which is the property the whole determinism
-//! contract — and `hetlint` rule R2 — rests on. This module is the single
-//! sanctioned source of randomness in the workspace.
+//! contract rests on. This module is the single sanctioned source of
+//! randomness in the workspace.
 
 /// Mixes a 64-bit value with the SplitMix64 finalizer.
 ///
@@ -37,10 +37,21 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// An xoshiro256++ generator that remembers how it was derived, which
 /// makes traces and failures easier to attribute.
+///
+/// A stream never leaves the thread that derived it (R12): `SimRng` is
+/// not `Send`, so a thread that needs randomness takes the seed and
+/// derives its own stream.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<hetflow_sim::SimRng>();
+/// ```
 #[derive(Clone, Debug)]
 pub struct SimRng {
     state: [u64; 4],
     seed: u64,
+    /// Zero-sized; makes the type `!Send` and `!Sync`.
+    _thread_bound: std::marker::PhantomData<*const ()>,
 }
 
 impl SimRng {
@@ -55,7 +66,7 @@ impl SimRng {
             s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
             *slot = splitmix64(s);
         }
-        SimRng { state, seed }
+        SimRng { state, seed, _thread_bound: std::marker::PhantomData }
     }
 
     /// Derives the stream named `name` from `master` deterministically.

@@ -13,75 +13,98 @@ use crate::time::SimTime;
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
+/// A registered trace-event kind.
+///
+/// The field is private, so only this module makes one: every kind a
+/// tracer sees is a [`kinds`] constant (R8). An ad-hoc kind does not
+/// compile, whether built by hand or passed as a string:
+///
+/// ```compile_fail
+/// let adhoc = hetflow_sim::TraceKind("adhoc");
+/// ```
+///
+/// ```compile_fail
+/// use hetflow_sim::{SimTime, Tracer};
+/// Tracer::enabled().emit(SimTime::ZERO, "actor", "adhoc", 0, 0.0);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Kind(&'static str);
+
+impl Kind {
+    /// The kind's name, e.g. `"task_started"`: what the digest folds.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
 /// Canonical event kinds emitted by the fabrics and the steering layer.
 ///
-/// Using these constants (rather than ad-hoc string literals) keeps
-/// producers and trace consumers in sync; the failure-path kinds
-/// (`TASK_RETRY`, `TASK_FAILED`, `TASK_TIMEOUT`) are part of the
-/// graceful-degradation contract: a fault emits a trace event and a
-/// record, never a panic.
+/// These constants are the only [`Kind`]s, which keeps producers and
+/// trace consumers in sync; the failure-path kinds (`TASK_RETRY`,
+/// `TASK_FAILED`, `TASK_TIMEOUT`) are part of the graceful-degradation
+/// contract: a fault emits a trace event and a record, never a panic.
 pub mod kinds {
+    use super::Kind;
+
     /// Thinker created a task.
-    pub const TASK_CREATED: &str = "task_created";
+    pub const TASK_CREATED: Kind = Kind("task_created");
     /// Worker began executing a task.
-    pub const TASK_STARTED: &str = "task_started";
+    pub const TASK_STARTED: Kind = Kind("task_started");
     /// A failed attempt; value = the attempt number about to run.
-    pub const TASK_RETRY: &str = "task_retry";
+    pub const TASK_RETRY: Kind = Kind("task_retry");
     /// Worker finished a task successfully.
-    pub const TASK_FINISHED: &str = "task_finished";
+    pub const TASK_FINISHED: Kind = Kind("task_finished");
     /// Task failed terminally on the worker (exhausted retries,
     /// resolve/put error); travels the result path as a failed record.
-    pub const TASK_FAILED: &str = "task_failed";
+    pub const TASK_FAILED: Kind = Kind("task_failed");
     /// Task missed its delivery deadline (e.g. stuck behind an
     /// endpoint outage) and was failed by the fabric.
-    pub const TASK_TIMEOUT: &str = "task_timeout";
+    pub const TASK_TIMEOUT: Kind = Kind("task_timeout");
     /// Thinker received a result envelope.
-    pub const RESULT_RECEIVED: &str = "result_received";
+    pub const RESULT_RECEIVED: Kind = Kind("result_received");
     /// An endpoint's circuit breaker tripped open: dispatches steer
     /// away until the cool-down elapses. Value = trip generation.
-    pub const BREAKER_OPENED: &str = "breaker_opened";
+    pub const BREAKER_OPENED: Kind = Kind("breaker_opened");
     /// A half-open probe succeeded and the breaker closed again.
     /// Value = trip generation being retired.
-    pub const BREAKER_CLOSED: &str = "breaker_closed";
+    pub const BREAKER_CLOSED: Kind = Kind("breaker_closed");
     /// A straggling task was re-issued speculatively to another
     /// endpoint; first result wins. Value = the hedge copy number.
-    pub const TASK_HEDGED: &str = "task_hedged";
+    pub const TASK_HEDGED: Kind = Kind("task_hedged");
     /// A duplicate (hedged/rerouted) task copy lost the race and was
     /// cancelled; its time is accounted as waste, never as a second
     /// terminal outcome. Value = seconds the loser burned.
-    pub const TASK_CANCELLED: &str = "task_cancelled";
+    pub const TASK_CANCELLED: Kind = Kind("task_cancelled");
     /// A task whose delivery timed out was re-dispatched to a
     /// different endpoint instead of failing. Value = reroute count.
-    pub const TASK_REROUTED: &str = "task_rerouted";
+    pub const TASK_REROUTED: Kind = Kind("task_rerouted");
     /// A task was shed by overload protection — displaced from a full
     /// bounded queue or refused by the admission controller — and
     /// delivered as a `TaskOutcome::Shed` record. Value = the queue
     /// depth (or in-flight count) at the moment of shedding.
-    pub const TASK_SHED: &str = "task_shed";
+    pub const TASK_SHED: Kind = Kind("task_shed");
     /// A topic's queue depth crossed its high watermark: the submission
     /// gate closed and steer agents now await a permit. Entity = the
     /// topic's registration index, value = the depth that tripped it.
-    pub const BACKPRESSURE_ON: &str = "backpressure_on";
+    pub const BACKPRESSURE_ON: Kind = Kind("backpressure_on");
     /// The depth drained to the low watermark and the gate reopened.
     /// Entity = the topic's registration index, value = the depth.
-    pub const BACKPRESSURE_OFF: &str = "backpressure_off";
+    pub const BACKPRESSURE_OFF: Kind = Kind("backpressure_off");
     /// Sustained overload (or open breakers) made an application drop
     /// to a cheaper fidelity tier (TTM-like oracle, smaller ensemble).
     /// Value = the degradation generation.
-    pub const FIDELITY_DEGRADED: &str = "fidelity_degraded";
+    pub const FIDELITY_DEGRADED: Kind = Kind("fidelity_degraded");
     /// Pressure cleared and full fidelity resumed. Value = the
     /// generation being retired.
-    pub const FIDELITY_RESTORED: &str = "fidelity_restored";
+    pub const FIDELITY_RESTORED: Kind = Kind("fidelity_restored");
 
     /// Every registered kind, in declaration order.
     ///
-    /// hetlint (rule R8) cross-checks this module against every
-    /// `emit(..)` site in the workspace — a kind emitted but not
-    /// declared here, or declared here but never emitted, fails the
-    /// static-analysis gate. The slice lets consumers (lifecycle
-    /// accounting, figure harnesses) enumerate the registry without
-    /// hand-maintained lists.
-    pub const ALL: &[&str] = &[
+    /// The root test `every_registered_kind_is_emitted` checks that the
+    /// pinned, chaos, storm and overload runs emit exactly these. The
+    /// slice lets consumers (lifecycle accounting, figure harnesses)
+    /// enumerate the registry without hand-maintained lists.
+    pub const ALL: &[Kind] = &[
         TASK_CREATED,
         TASK_STARTED,
         TASK_RETRY,
@@ -112,8 +135,8 @@ pub struct TraceEvent {
     pub t: SimTime,
     /// The emitting component, e.g. `"worker/theta/3"`.
     pub actor: Symbol,
-    /// Event kind, e.g. `"task_started"`.
-    pub kind: &'static str,
+    /// Event kind, e.g. [`kinds::TASK_STARTED`].
+    pub kind: Kind,
     /// Entity id the event concerns (task id, transfer id, …).
     pub entity: u64,
     /// Optional numeric payload (bytes, durations in seconds, …).
@@ -168,7 +191,7 @@ impl TracerState {
         self.fold_bytes(&e.t.as_nanos().to_le_bytes());
         self.fold_bytes(e.actor.as_str().as_bytes());
         self.fold_bytes(&[0xff]); // field separator: actor is variable-length
-        self.fold_bytes(e.kind.as_bytes());
+        self.fold_bytes(e.kind.as_str().as_bytes());
         self.fold_bytes(&[0xff]);
         self.fold_bytes(&e.entity.to_le_bytes());
         self.fold_bytes(&e.value.to_bits().to_le_bytes());
@@ -211,14 +234,7 @@ impl Tracer {
     /// `actor` takes anything convertible to a [`Symbol`]; hot paths
     /// pass a pre-interned `Symbol` (zero work), occasional emitters
     /// can still pass `&str`.
-    pub fn emit(
-        &self,
-        t: SimTime,
-        actor: impl Into<Symbol>,
-        kind: &'static str,
-        entity: u64,
-        value: f64,
-    ) {
+    pub fn emit(&self, t: SimTime, actor: impl Into<Symbol>, kind: Kind, entity: u64, value: f64) {
         let mut s = self.state.borrow_mut();
         if !s.enabled {
             return;
@@ -252,7 +268,7 @@ impl Tracer {
 
     /// Snapshot filtered by event kind. Events are `Copy`, so this
     /// allocates one `Vec` of plain values and nothing per event.
-    pub fn events_of_kind(&self, kind: &str) -> Vec<TraceEvent> {
+    pub fn events_of_kind(&self, kind: Kind) -> Vec<TraceEvent> {
         self.state
             .borrow()
             .events
@@ -282,25 +298,25 @@ mod tests {
     #[test]
     fn disabled_tracer_drops() {
         let t = Tracer::disabled();
-        t.emit(SimTime::ZERO, "a", "x", 1, 0.0);
+        t.emit(SimTime::ZERO, "a", Kind("x"), 1, 0.0);
         assert!(t.is_empty());
     }
 
     #[test]
     fn enabled_tracer_records_in_order() {
         let t = Tracer::enabled();
-        t.emit(SimTime::from_secs(1), "a", "start", 1, 0.0);
-        t.emit(SimTime::from_secs(2), "a", "stop", 1, 5.0);
+        t.emit(SimTime::from_secs(1), "a", Kind("start"), 1, 0.0);
+        t.emit(SimTime::from_secs(2), "a", Kind("stop"), 1, 5.0);
         let ev = t.events();
         assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].kind, "start");
+        assert_eq!(ev[0].kind, Kind("start"));
         assert_eq!(ev[1].value, 5.0);
     }
 
     #[test]
     fn events_returns_a_borrow_not_a_copy() {
         let t = Tracer::enabled();
-        t.emit(SimTime::ZERO, "a", "x", 1, 0.0);
+        t.emit(SimTime::ZERO, "a", Kind("x"), 1, 0.0);
         let first = t.events().as_ptr();
         let second = t.events().as_ptr();
         assert_eq!(first, second, "same underlying buffer, no clone");
@@ -309,31 +325,31 @@ mod tests {
     #[test]
     fn filter_by_kind() {
         let t = Tracer::enabled();
-        t.emit(SimTime::ZERO, "a", "start", 1, 0.0);
-        t.emit(SimTime::ZERO, "b", "stop", 1, 0.0);
-        t.emit(SimTime::ZERO, "c", "start", 2, 0.0);
-        assert_eq!(t.events_of_kind("start").len(), 2);
-        assert_eq!(t.events_of_kind("stop").len(), 1);
-        assert_eq!(t.events_of_kind("nope").len(), 0);
+        t.emit(SimTime::ZERO, "a", Kind("start"), 1, 0.0);
+        t.emit(SimTime::ZERO, "b", Kind("stop"), 1, 0.0);
+        t.emit(SimTime::ZERO, "c", Kind("start"), 2, 0.0);
+        assert_eq!(t.events_of_kind(Kind("start")).len(), 2);
+        assert_eq!(t.events_of_kind(Kind("stop")).len(), 1);
+        assert_eq!(t.events_of_kind(Kind("nope")).len(), 0);
     }
 
     #[test]
     fn digest_is_order_and_content_sensitive() {
         let a = Tracer::enabled();
-        a.emit(SimTime::from_secs(1), "w", "start", 1, 0.5);
-        a.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
+        a.emit(SimTime::from_secs(1), "w", Kind("start"), 1, 0.5);
+        a.emit(SimTime::from_secs(2), "w", Kind("stop"), 1, 0.0);
         let b = Tracer::enabled();
-        b.emit(SimTime::from_secs(1), "w", "start", 1, 0.5);
-        b.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
+        b.emit(SimTime::from_secs(1), "w", Kind("start"), 1, 0.5);
+        b.emit(SimTime::from_secs(2), "w", Kind("stop"), 1, 0.0);
         assert_eq!(a.digest(), b.digest());
         let c = Tracer::enabled();
-        c.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
-        c.emit(SimTime::from_secs(1), "w", "start", 1, 0.5);
+        c.emit(SimTime::from_secs(2), "w", Kind("stop"), 1, 0.0);
+        c.emit(SimTime::from_secs(1), "w", Kind("start"), 1, 0.5);
         assert_ne!(a.digest(), c.digest(), "order must matter");
         // Variable-length actor/kind fields must not alias.
         let d = Tracer::enabled();
-        d.emit(SimTime::from_secs(1), "ws", "tart", 1, 0.5);
-        d.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
+        d.emit(SimTime::from_secs(1), "ws", Kind("tart"), 1, 0.5);
+        d.emit(SimTime::from_secs(2), "w", Kind("stop"), 1, 0.0);
         assert_ne!(a.digest(), d.digest(), "field boundaries must matter");
     }
 
@@ -342,9 +358,9 @@ mod tests {
         // The streaming fold must agree with the reference definition:
         // an explicit FNV-1a pass over the retained events.
         let t = Tracer::enabled();
-        t.emit(SimTime::from_secs(1), "w/1", "start", 7, 0.25);
-        t.emit(SimTime::from_millis(1500), "w/2", "stop", 7, -1.5);
-        t.emit(SimTime::from_secs(2), "thinker", "start", 8, 0.0);
+        t.emit(SimTime::from_secs(1), "w/1", Kind("start"), 7, 0.25);
+        t.emit(SimTime::from_millis(1500), "w/2", Kind("stop"), 7, -1.5);
+        t.emit(SimTime::from_secs(2), "thinker", Kind("start"), 8, 0.0);
         let mut h: u64 = FNV_OFFSET;
         let mut fold = |bytes: &[u8]| {
             for &b in bytes {
@@ -356,7 +372,7 @@ mod tests {
             fold(&e.t.as_nanos().to_le_bytes());
             fold(e.actor.as_str().as_bytes());
             fold(&[0xff]);
-            fold(e.kind.as_bytes());
+            fold(e.kind.as_str().as_bytes());
             fold(&[0xff]);
             fold(&e.entity.to_le_bytes());
             fold(&e.value.to_bits().to_le_bytes());
@@ -369,8 +385,8 @@ mod tests {
         let full = Tracer::enabled();
         let lean = Tracer::digest_only();
         for i in 0..50u64 {
-            full.emit(SimTime::from_millis(i), "w", "start", i, 0.1);
-            lean.emit(SimTime::from_millis(i), "w", "start", i, 0.1);
+            full.emit(SimTime::from_millis(i), "w", Kind("start"), i, 0.1);
+            lean.emit(SimTime::from_millis(i), "w", Kind("start"), i, 0.1);
         }
         assert_eq!(lean.digest(), full.digest());
         assert_eq!(lean.len(), 50);
@@ -380,13 +396,14 @@ mod tests {
     #[test]
     fn kind_registry_is_unique_and_well_formed() {
         for (i, a) in kinds::ALL.iter().enumerate() {
+            let a = a.as_str();
             assert!(!a.is_empty());
             assert!(
                 a.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
                 "kind {a:?} must be snake_case"
             );
             for b in kinds::ALL.iter().skip(i + 1) {
-                assert_ne!(a, b, "duplicate registered kind");
+                assert_ne!(a, b.as_str(), "duplicate registered kind");
             }
         }
     }
@@ -395,7 +412,7 @@ mod tests {
     fn clones_share_state() {
         let t = Tracer::enabled();
         let t2 = t.clone();
-        t2.emit(SimTime::ZERO, "a", "x", 1, 0.0);
+        t2.emit(SimTime::ZERO, "a", Kind("x"), 1, 0.0);
         assert_eq!(t.len(), 1);
     }
 }

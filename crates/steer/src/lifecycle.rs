@@ -487,7 +487,7 @@ pub struct BreakdownRow {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)] // timing fixtures read best as sequential stamps
+#[allow(clippy::field_reassign_with_default, reason = "timing fixtures read as sequential stamps")]
 mod tests {
     use super::*;
     use hetflow_sim::SimTime;

@@ -10,8 +10,23 @@
 use std::fmt;
 
 /// Identifier of a site. Values are indices into the platform topology.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SiteId(pub u16);
+
+// By hand, as `SimTime`'s: a derived `PartialOrd` calls `partial_cmp` (R6).
+impl Ord for SiteId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for SiteId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl SiteId {
     /// The raw index.

@@ -22,6 +22,7 @@
 //! `TaskError::ExhaustedRetries`. Either way the steering loop keeps
 //! running on whatever did finish.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
 #![allow(
     clippy::expect_used,
     reason = "an example aborts on a setup failure; R5 covers library code only"

@@ -12,6 +12,7 @@
 //! cargo run --release --example custom_steering
 //! ```
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
 #![allow(
     clippy::unwrap_used,
     reason = "an example aborts on a setup failure; R5 covers library code only"

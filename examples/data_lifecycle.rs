@@ -6,6 +6,7 @@
 //! cargo run --release --example data_lifecycle
 //! ```
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
 #![allow(
     clippy::unwrap_used,
     reason = "an example aborts on a setup failure; R5 covers library code only"

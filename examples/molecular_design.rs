@@ -5,6 +5,8 @@
 //! cargo run --release --example molecular_design
 //! ```
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::moldesign::{self, MolDesignParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_sim::{Sim, Tracer};

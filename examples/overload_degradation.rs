@@ -16,6 +16,8 @@
 //! its `Breakdown` — visible, accounted-for overload instead of an
 //! unbounded queue — while still producing science.
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::moldesign::{self, MolDesignParams};
 use hetflow_apps::DegradationPolicy;
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};

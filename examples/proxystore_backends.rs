@@ -6,6 +6,7 @@
 //! cargo run --release --example proxystore_backends
 //! ```
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
 #![allow(
     clippy::expect_used,
     reason = "an example aborts on a setup failure; R5 covers library code only"

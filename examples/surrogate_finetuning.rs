@@ -7,6 +7,8 @@
 //! cargo run --release --example surrogate_finetuning
 //! ```
 
+#![allow(clippy::print_stdout, reason = "R10 binds libraries, not drivers")]
+
 use hetflow_apps::finetune::{self, FinetuneParams};
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_steer::Breakdown;

@@ -9,6 +9,13 @@
 //! hetflow compare   [--seed N]          # both apps, all three configs
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::disallowed_methods,
+    reason = "R10 binds libraries, not drivers"
+)]
+
 use hetflow::apps::{finetune, moldesign};
 use hetflow::prelude::*;
 use hetflow::steer::Breakdown;

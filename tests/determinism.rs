@@ -91,7 +91,7 @@ fn record_timings_reproducible_across_runs() {
 /// Runs a small moldesign campaign with tracing on and returns the
 /// trace digest plus the event count, under the given fabric config.
 fn traced_digest(config: WorkflowConfig, seed: u64) -> (u64, usize) {
-    shuffled_traced_digest(config, seed, None)
+    shuffled_traced_digest(config, seed, None, &Tracer::enabled())
 }
 
 /// Like [`traced_digest`], optionally enabling the executor's
@@ -100,12 +100,16 @@ fn traced_digest(config: WorkflowConfig, seed: u64) -> (u64, usize) {
 /// no observable output may depend on that order, so the digest must
 /// be invariant across shuffle seeds — this helper is the probe the
 /// invariance tests below are built on.
-fn shuffled_traced_digest(config: WorkflowConfig, seed: u64, shuffle: Option<u64>) -> (u64, usize) {
+fn shuffled_traced_digest(
+    config: WorkflowConfig,
+    seed: u64,
+    shuffle: Option<u64>,
+    tracer: &Tracer,
+) -> (u64, usize) {
     let sim = match shuffle {
         Some(s) => Sim::with_tie_shuffle(s),
         None => Sim::new(),
     };
-    let tracer = Tracer::enabled();
     let spec = DeploymentSpec { cpu_workers: 4, gpu_workers: 2, seed, ..Default::default() };
     let d = deploy(&sim, config, &spec, tracer.clone());
     let _ = moldesign::run(
@@ -145,12 +149,11 @@ fn trace_digest_reproducible_parsl_redis() {
 /// worker failure injection, a scheduled endpoint outage, and a
 /// per-topic retry policy with backoff and a delivery deadline. The
 /// failure paths must be exactly as deterministic as the happy path.
-fn chaos_traced_digest(seed: u64) -> (u64, usize, usize) {
+fn chaos_traced_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize) {
     use hetflow::fabric::{Connectivity, FailureModel};
     use hetflow::sim::Dist;
 
     let sim = Sim::new();
-    let tracer = Tracer::enabled();
     let spec = DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
@@ -193,8 +196,8 @@ fn chaos_traced_digest(seed: u64) -> (u64, usize, usize) {
 
 #[test]
 fn trace_digest_reproducible_with_failure_injection() {
-    let (d1, n1, f1) = chaos_traced_digest(1234);
-    let (d2, n2, f2) = chaos_traced_digest(1234);
+    let (d1, n1, f1) = chaos_traced_digest(1234, &Tracer::enabled());
+    let (d2, n2, f2) = chaos_traced_digest(1234, &Tracer::enabled());
     assert!(n1 > 0, "traced campaign emitted no events");
     assert!(f1 > 0, "chaos campaign should produce failed tasks");
     assert_eq!(f1, f2, "failure counts diverged between same-seed runs");
@@ -210,12 +213,11 @@ fn trace_digest_reproducible_with_failure_injection() {
 /// endpoint flap, a worker straggler window, a crash storm, and a cloud
 /// degradation, with the breaker/failover/hedging layer active. The
 /// whole reliability stack must replay bit-identically.
-fn chaos_engine_digest(seed: u64) -> (u64, usize) {
+fn chaos_engine_digest(seed: u64, tracer: &Tracer) -> (u64, usize) {
     use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec};
     use hetflow::sim::Dist;
 
     let sim = Sim::new();
-    let tracer = Tracer::enabled();
     let spec = DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
@@ -287,8 +289,8 @@ fn chaos_engine_digest(seed: u64) -> (u64, usize) {
 
 #[test]
 fn trace_digest_reproducible_under_chaos_engine() {
-    let (d1, n1) = chaos_engine_digest(1234);
-    let (d2, n2) = chaos_engine_digest(1234);
+    let (d1, n1) = chaos_engine_digest(1234, &Tracer::enabled());
+    let (d2, n2) = chaos_engine_digest(1234, &Tracer::enabled());
     assert!(n1 > 0, "traced campaign emitted no events");
     assert_eq!(n1, n2, "event counts diverged between same-seed chaos runs");
     assert_eq!(d1, d2, "chaos-engine trace digests diverged between same-seed runs");
@@ -302,13 +304,12 @@ fn trace_digest_reproducible_under_chaos_engine() {
 /// fidelity degradation — under a scripted task storm. Shedding,
 /// backpressure, and fidelity transitions all fold into the digest, so
 /// the overload machinery must replay bit-identically.
-fn storm_digest(seed: u64) -> (u64, usize, usize, u64) {
+fn storm_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize, u64) {
     use hetflow::apps::DegradationPolicy;
     use hetflow::fabric::{AdmissionConfig, ChaosAction, ChaosSpec};
     use hetflow::sim::{Dist, OverflowPolicy};
 
     let sim = Sim::new();
-    let tracer = Tracer::enabled();
     let spec = DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
@@ -351,8 +352,8 @@ fn storm_digest(seed: u64) -> (u64, usize, usize, u64) {
 
 #[test]
 fn trace_digest_reproducible_under_task_storm() {
-    let a = storm_digest(1234);
-    let b = storm_digest(1234);
+    let a = storm_digest(1234, &Tracer::enabled());
+    let b = storm_digest(1234, &Tracer::enabled());
     assert!(a.1 > 0, "traced campaign emitted no events");
     assert!(a.2 > 0, "the storm must shed campaign tasks");
     assert!(a.3 >= 1, "sustained shedding must degrade fidelity");
@@ -370,12 +371,13 @@ fn tie_shuffle_leaves_trace_digest_invariant() {
     // bit of the trace, for either fabric. A divergence here means some
     // actor smuggled an ordering dependency between logically
     // independent same-instant events — a race the static rules
-    // (clippy's and hetlint's) cannot see.
+    // (clippy's and the compiler's) cannot see.
     for config in [WorkflowConfig::FnXGlobus, WorkflowConfig::ParslRedis] {
-        let (baseline, n) = shuffled_traced_digest(config, 1234, None);
+        let (baseline, n) = shuffled_traced_digest(config, 1234, None, &Tracer::enabled());
         assert!(n > 0, "traced campaign emitted no events");
         for shuffle_seed in [1u64, 2, 3] {
-            let (shuffled, m) = shuffled_traced_digest(config, 1234, Some(shuffle_seed));
+            let (shuffled, m) =
+                shuffled_traced_digest(config, 1234, Some(shuffle_seed), &Tracer::enabled());
             assert_eq!(
                 (shuffled, m),
                 (baseline, n),
@@ -393,4 +395,65 @@ fn trace_digest_distinguishes_fabrics_and_seeds() {
     assert_ne!(fnx, parsl, "different fabrics should produce different traces");
     let (fnx_other, _) = traced_digest(WorkflowConfig::FnXGlobus, 4321);
     assert_ne!(fnx, fnx_other, "different seeds should produce different traces");
+}
+
+/// The shape of `tests/digest_pins.rs`'s armed scenarios: a campaign
+/// with a standby CPU site and a 120 s delivery timeout, under `policy`
+/// and one scripted `fault`.
+fn armed_run(policy: ReliabilityPolicy, fault: hetflow::fabric::ChaosAction, tracer: &Tracer) {
+    let sim = Sim::new();
+    let spec = DeploymentSpec {
+        cpu_workers: 4,
+        gpu_workers: 2,
+        cpu_failover_sites: 1,
+        reliability: ReliabilityPolicies { default: policy, per_topic: Default::default() },
+        retry: RetryPolicies::default().with_topic(
+            "simulate",
+            RetryPolicy { timeout: Some(Duration::from_secs(120)), ..RetryPolicy::default() },
+        ),
+        ..Default::default()
+    };
+    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, tracer.clone());
+    hetflow::fabric::ChaosSpec::new(vec![fault]).install(&sim, 99, &d.chaos);
+    let params = MolDesignParams {
+        library_size: 400,
+        budget: Duration::from_secs(2400),
+        ensemble_size: 2,
+        retrain_after: 8,
+        seed: 7,
+        ..Default::default()
+    };
+    let _ = moldesign::run(&sim, &d, params);
+}
+
+/// The other half of the sealed trace-kind registry (R8): every
+/// registered kind is emitted somewhere, so none is dead.
+#[test]
+fn every_registered_kind_is_emitted() {
+    use hetflow::fabric::{BackpressureConfig, ChaosAction, HedgeConfig};
+    use hetflow::sim::trace_kinds;
+    use std::collections::BTreeSet;
+    let secs = Duration::from_secs;
+
+    let tracer = Tracer::enabled();
+    shuffled_traced_digest(WorkflowConfig::ParslRedis, 1234, None, &tracer);
+    chaos_traced_digest(1234, &tracer);
+    chaos_engine_digest(1234, &tracer);
+    storm_digest(1234, &tracer);
+    // Deliveries stuck behind a dead endpoint reroute, and time out.
+    let reroute = ReliabilityPolicy { max_reroutes: 1, deadline: secs(1200), ..Default::default() };
+    let kill = ChaosAction::Kill { endpoint: 0, at: SimTime::from_secs(300) };
+    armed_run(reroute, kill, &tracer);
+    // A straggling pool is hedged, under backpressure watermarks.
+    let hedge = ReliabilityPolicy {
+        hedge: HedgeConfig { quantile: 0.5, min_samples: 4, ..Default::default() },
+        backpressure: BackpressureConfig { high: 3, low: 1 },
+        ..Default::default()
+    };
+    let at = SimTime::from_secs(60);
+    let straggle = ChaosAction::Straggle { pool: 0, at, duration: secs(600), factor: 6.0 };
+    armed_run(hedge, straggle, &tracer);
+    let emitted: BTreeSet<&str> = tracer.events().iter().map(|e| e.kind.as_str()).collect();
+    let registered: BTreeSet<&str> = trace_kinds::ALL.iter().map(|k| k.as_str()).collect();
+    assert_eq!(emitted, registered, "emitted (left) vs registered (right) trace kinds");
 }

@@ -15,7 +15,7 @@
 use hetflow::apps::moldesign;
 use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec, HedgeConfig};
 use hetflow::prelude::*;
-use hetflow::sim::trace_kinds;
+use hetflow::sim::{trace_kinds, TraceKind};
 use std::time::Duration;
 
 /// Small traced moldesign campaign; returns (digest, event count).
@@ -99,11 +99,12 @@ impl Armed {
     }
 
     /// Asserts that `kind` fired at least once, with `value` when given.
-    fn fired(&self, scenario: &str, kind: &str, value: Option<f64>) {
+    fn fired(&self, scenario: &str, kind: TraceKind, value: Option<f64>) {
         let hits = self.tracer.events_of_kind(kind);
         assert!(
             hits.iter().any(|e| value.is_none_or(|v| e.value == v)),
-            "{scenario}: no {kind} event{} — the pin no longer covers that arm",
+            "{scenario}: no {} event{} — the pin no longer covers that arm",
+            kind.as_str(),
             value.map_or(String::new(), |v| format!(" with value {v}"))
         );
     }

@@ -3,6 +3,7 @@
 //! system-level claims end to end.
 
 use hetflow::prelude::*;
+use hetflow::sim::trace_kinds;
 use hetflow::steer::Payload as SteerPayload;
 use std::rc::Rc;
 use std::time::Duration;
@@ -173,7 +174,7 @@ fn tracer_sees_worker_activity() {
         }
     });
     sim.run();
-    assert_eq!(tracer.events_of_kind("task_started").len(), 3);
-    assert_eq!(tracer.events_of_kind("task_finished").len(), 3);
-    assert_eq!(tracer.events_of_kind("task_created").len(), 3);
+    assert_eq!(tracer.events_of_kind(trace_kinds::TASK_STARTED).len(), 3);
+    assert_eq!(tracer.events_of_kind(trace_kinds::TASK_FINISHED).len(), 3);
+    assert_eq!(tracer.events_of_kind(trace_kinds::TASK_CREATED).len(), 3);
 }

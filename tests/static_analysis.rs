@@ -1,78 +1,87 @@
-//! Tier-1 gate: the hetlint half of the determinism contract must hold
-//! for every source file in the workspace.
-//!
-//! This is the same pass `cargo run -p hetflow-lint` performs, embedded
-//! as an integration test so ad-hoc float ordering (R6), a seed-stream
-//! name collision (R7), trace-kind registry drift (R8), a stale
-//! suppression (R9), or any interprocedural finding — ambient I/O
-//! reachable from the simulation (R10), inverted lock orders (R11), a
-//! SimRng crossing a thread boundary (R12) — fails `cargo test`
-//! directly. The per-token clauses (wall clock, entropy, hash order,
-//! threads, unwraps, discarded effects) are clippy's: `cargo clippy
-//! --workspace --all-targets -- -D warnings`. See DESIGN.md §7 for the
-//! clause → enforcer table and the
-//! `// hetlint: allow(<rule>) — <reason>` suppression syntax.
+//! The two clauses of the determinism contract (DESIGN.md §7) that no
+//! compiler check carries: seed-stream names are unique (R7), and the
+//! clippy contract crate denies what the workspace denies.
 
-use std::path::Path;
+#![allow(clippy::disallowed_methods, reason = "these tests read the workspace's own sources")]
 
-#[test]
-fn workspace_obeys_determinism_contract() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = hetflow_lint::run(root).expect("workspace walk failed");
-    assert!(report.files_scanned > 50, "walk found too few files: {}", report.files_scanned);
-    let mut failures = String::new();
-    for v in report.violations.iter().chain(&report.bad_allows) {
-        failures.push_str(&format!("  {v}\n"));
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() && !path.ends_with("target") {
+            rust_files(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
     }
-    assert!(report.clean(), "hetlint violations (see DESIGN.md §7):\n{failures}");
+    Ok(())
 }
 
+/// R7: two `SimRng::stream(_, "name")` sites with one name draw the same
+/// sequence. Scans the non-comment lines of `crates/*/src` up to each
+/// file's `#[cfg(test)]`.
 #[test]
-fn suppressions_all_carry_reasons() {
-    // `clean()` already folds bad allows in; this test documents the
-    // invariant separately so a reason-less allow names itself.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = hetflow_lint::run(root).expect("workspace walk failed");
-    let bad: Vec<String> = report.bad_allows.iter().map(|v| v.to_string()).collect();
-    assert!(bad.is_empty(), "reason-less hetlint allows:\n{}", bad.join("\n"));
-}
-
-#[test]
-fn trace_kind_registry_is_parsed_from_the_real_module() {
-    // R8 silently skips when no registry is in scope, so this pins the
-    // extraction against the real crates/sim/src/trace.rs: if the
-    // declaration shape ever drifts from `const NAME: &str = "kind";`,
-    // this fails rather than R8 going quiet.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let path = root.join("crates/sim/src/trace.rs");
-    let source = std::fs::read_to_string(&path).expect("read trace.rs");
-    let ctx = hetflow_lint::classify("crates/sim/src/trace.rs").expect("classify trace.rs");
-    assert!(ctx.is_trace_module());
-    let linted = hetflow_lint::lint_file(&ctx, &source);
-    assert!(
-        linted.registry.len() >= 7,
-        "trace-kind registry extraction broke: found {:?}",
-        linted.registry
-    );
-}
-
-#[test]
-fn callgraph_of_real_workspace_spans_the_dispatch_path() {
-    // The graph R10–R12 run over (`hetlint --callgraph`) must span the
-    // workspace, hold only valid edges, and contain the dispatch entry
-    // R10 anchors on.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let graph = hetflow_lint::run_all(root).expect("workspace walk failed").graph;
-    assert!(graph.nodes.len() > 300, "graph too small: {} nodes", graph.nodes.len());
-    assert_eq!(graph.edges.len(), graph.nodes.len(), "one adjacency row per node");
-    for (from, row) in graph.edges.iter().enumerate() {
-        assert!(row.iter().all(|&to| to < graph.nodes.len()), "dangling edge from {from}");
+fn seed_stream_names_are_unique() {
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root().join("crates")).expect("crates/ reads") {
+        let src = krate.expect("crate entry reads").path().join("src");
+        rust_files(&src, &mut files).expect("crate sources read");
     }
-    assert!(
-        graph
-            .nodes
-            .iter()
-            .any(|n| n.qname.ends_with("fabric::dispatch::Dispatcher::submit")),
-        "fabric dispatch nodes missing from the call graph"
-    );
+    files.sort();
+    let mut sites: BTreeMap<String, String> = BTreeMap::new();
+    let mut clashes = Vec::new();
+    for file in &files {
+        let text = fs::read_to_string(file).expect("source file reads");
+        let code = text.lines().take_while(|l| l.trim() != "#[cfg(test)]");
+        for (n, line) in code.enumerate().filter(|(_, l)| !l.trim_start().starts_with("//")) {
+            for call in line.split("SimRng::stream(").skip(1) {
+                let literal =
+                    call.split_once(',').and_then(|(_, arg)| arg.trim_start().strip_prefix('"'));
+                let Some((name, _)) = literal.and_then(|s| s.split_once('"')) else {
+                    continue;
+                };
+                let site =
+                    format!("{}:{}", file.strip_prefix(root()).unwrap_or(file).display(), n + 1);
+                if let Some(first) = sites.insert(name.to_string(), site.clone()) {
+                    clashes.push(format!("{name:?} at {first} and {site}"));
+                }
+            }
+        }
+    }
+    assert!(clashes.is_empty(), "seed-stream names reused:\n{}", clashes.join("\n"));
+    // The text match found every site it found when it was written; a
+    // reformatted call it no longer sees fails here, not silently.
+    assert!(sites.len() >= 11, "only {} stream-name sites found: {sites:?}", sites.len());
+}
+
+/// The `name = "level"` lines of one TOML table.
+fn toml_table(text: &str, header: &str) -> Vec<String> {
+    let body = text.split(header).nth(1).unwrap_or("");
+    let body = body.split("\n[").next().unwrap_or("");
+    body.lines()
+        .map(str::trim)
+        .filter(|l| l.contains('=') && !l.starts_with('#'))
+        .map(String::from)
+        .collect()
+}
+
+#[test]
+fn clippy_fixture_crate_denies_what_the_workspace_denies() {
+    // An `#[expect]` is fulfilled whatever level Cargo.toml sets, so the
+    // contract crate proves clippy.toml but not the deny table: this pins
+    // its seven denies in both manifests.
+    let read = |p: &str| fs::read_to_string(root().join(p)).expect("manifest reads");
+    let workspace = toml_table(&read("Cargo.toml"), "[workspace.lints.clippy]");
+    let fixture = toml_table(&read("tests/clippy_contract/Cargo.toml"), "[lints.clippy]");
+    for line in &fixture {
+        assert!(workspace.contains(line), "workspace lints lack `{line}`: {workspace:?}");
+    }
+    assert!(fixture.len() >= 7, "the contract crate's deny table shrank: {fixture:?}");
 }

@@ -7,6 +7,8 @@
 //! gone; it must be freed after every drop, and resident memory must not
 //! grow from one sim to the next.
 
+#![allow(clippy::disallowed_methods, reason = "the test reads its own resident set from procfs")]
+
 use hetflow::prelude::*;
 use std::any::Any;
 use std::rc::Rc;
