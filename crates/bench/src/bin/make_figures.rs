@@ -1,56 +1,26 @@
-//! Runs every figure regenerator in paper order, stopping at the first
-//! that fails. Equivalent to:
-//!
-//! ```sh
-//! for f in fig1_utilization fig3_noop_overheads fig4_backend_sweep \
-//!          fig5_notification latency_report fig6_moldesign fig7_finetune \
-//!          advisor_report ablation_backlog ablation_threshold \
-//!          ablation_steering; do
-//!   cargo run --release -p hetflow-bench --bin $f || break
-//! done
-//! ```
+//! Regenerates every figure in paper order, in this process, and checks
+//! each one's shape verdict after printing its section, so a failed
+//! claim aborts (exit 101) with everything before it on stdout.
 //!
 //! Its stdout is what `figures_output.txt` holds; CI byte-diffs the two.
 
-#![allow(clippy::print_stdout, clippy::print_stderr, reason = "R10 binds libraries, not drivers")]
+#![allow(
+    clippy::print_stdout,
+    clippy::panic,
+    reason = "a driver: it prints the transcript and aborts on a failed shape claim"
+)]
 
-use std::process::Command;
+use hetflow_bench::figures;
 
 fn main() {
-    let bins = [
-        "fig1_utilization",
-        "fig3_noop_overheads",
-        "fig4_backend_sweep",
-        "fig5_notification",
-        "latency_report",
-        "fig6_moldesign",
-        "fig7_finetune",
-        "advisor_report",
-        "ablation_backlog",
-        "ablation_threshold",
-        "ablation_steering",
-    ];
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot locate the figure binaries: current_exe failed: {e}");
-            std::process::exit(2);
+    for (name, figure) in figures::ALL {
+        println!("\n################ {name} ################\n");
+        let mut text = String::new();
+        let verdict = figure(&mut text);
+        print!("{text}");
+        if let Err(claim) = verdict {
+            panic!("{name} failed its shape check: {claim}");
         }
-    };
-    let Some(dir) = exe.parent().map(std::path::Path::to_path_buf) else {
-        eprintln!("cannot locate the figure binaries: {} has no parent", exe.display());
-        std::process::exit(2);
-    };
-    for bin in bins {
-        println!("\n################ {bin} ################\n");
-        #[expect(
-            clippy::panic,
-            reason = "CLI driver: a figure binary that cannot launch must abort loudly"
-        )]
-        let status = Command::new(dir.join(bin))
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        assert!(status.success(), "{bin} failed");
     }
     println!("\nall figures regenerated");
 }

@@ -1,11 +1,13 @@
 //! # hetflow-bench — experiment harnesses
 //!
-//! Shared wiring for the figure-regeneration binaries (`src/bin/fig*`)
-//! and the criterion microbenches (`benches/`). The builders here are
-//! deliberately more flexible than [`hetflow_core::deploy`]: the
-//! synthetic experiments of §V-C place the thinker at different sites
-//! and pin single backends, which the production configurations never
-//! do.
+//! The paper's figures as [`figures`], which `make_figures` runs in
+//! paper order, and the synthetic no-op pipeline they and hetbench
+//! share. The builders here are deliberately more flexible than
+//! [`hetflow_core::deploy`]: the synthetic experiments of §V-C place the
+//! thinker at different sites and pin single backends, which the
+//! production configurations never do.
+
+pub mod figures;
 
 use hetflow_core::platform::{RCC, THETA};
 use hetflow_core::Calibration;
@@ -227,42 +229,6 @@ impl NoopPipeline {
     }
 }
 
-/// Prints a breakdown row in the format shared by fig3/fig4.
-#[expect(clippy::print_stdout, reason = "R10: a figure printer, outside any simulation")]
-pub fn print_breakdown_header() {
-    println!(
-        "{:<10} {:<9} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11}",
-        "backend", "size", "t->s(ms)", "serial(ms)", "s->w(ms)", "worker(ms)", "w->s(ms)", "life(ms)"
-    );
-}
-
-/// One formatted row.
-#[expect(clippy::print_stdout, reason = "R10: a figure printer, outside any simulation")]
-pub fn print_breakdown_row(backend: &str, size_label: &str, row: &hetflow_steer::BreakdownRow) {
-    println!(
-        "{:<10} {:<9} {:>9.1} {:>11.1} {:>11.1} {:>11.1} {:>11.1} {:>11.1}",
-        backend,
-        size_label,
-        row.thinker_to_server_ms,
-        row.serialization_ms,
-        row.server_to_worker_ms,
-        row.time_on_worker_ms,
-        row.worker_to_server_ms,
-        row.lifetime_ms
-    );
-}
-
-/// Human size label.
-pub fn size_label(bytes: u64) -> String {
-    if bytes >= 1_000_000_000 {
-        format!("{}GB", bytes / 1_000_000_000)
-    } else if bytes >= 1_000_000 {
-        format!("{}MB", bytes / 1_000_000)
-    } else {
-        format!("{}kB", bytes / 1_000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,12 +256,5 @@ mod tests {
         assert_eq!(b.count, 5);
         // Worker time includes waiting for the Globus transfer: seconds.
         assert!(b.time_on_worker.mean() > 0.5, "{}", b.time_on_worker.mean());
-    }
-
-    #[test]
-    fn size_labels() {
-        assert_eq!(size_label(10_000), "10kB");
-        assert_eq!(size_label(1_000_000), "1MB");
-        assert_eq!(size_label(2_000_000_000), "2GB");
     }
 }

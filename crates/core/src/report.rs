@@ -84,19 +84,20 @@ impl UtilizationReport {
             .unwrap_or(0.0)
     }
 
-    /// Prints the Fig. 1-style series on a uniform grid of `n` points.
-    #[expect(clippy::print_stdout, reason = "R10: a figure printer, outside any simulation")]
-    pub fn print_series(&self, n: usize) {
-        println!("# t_seconds site running cumulative_GB");
+    /// Formats the Fig. 1-style series on a uniform grid of `n` points,
+    /// one line per point.
+    pub fn series_text(&self, n: usize) -> String {
+        let mut text = String::from("# t_seconds site running cumulative_GB\n");
         for (&site, gauge) in &self.running {
             let bytes = self.cumulative_bytes.get(&site);
             for (t, running) in gauge.series().resample(self.end, n, 0.0) {
                 let gb = bytes
                     .map(|b| b.value_at(SimTime::from_secs_f64(t), 0.0) / 1e9)
                     .unwrap_or(0.0);
-                println!("{t:10.1} {:>7} {running:6.1} {gb:10.3}", site_name(site));
+                text.push_str(&format!("{t:10.1} {:>7} {running:6.1} {gb:10.3}\n", site_name(site)));
             }
         }
+        text
     }
 }
 

@@ -152,7 +152,7 @@ fn cmd_finetune(opts: &Opts) {
 }
 
 fn cmd_noop(opts: &Opts) {
-    use hetflow_bench_shim::*;
+    use hetflow_bench::{FabricKind, NoopPipeline, StoreKind};
     let fabric = match opts.get("fabric").unwrap_or("fnx") {
         "fnx" => FabricKind::FnX,
         "htex" => FabricKind::Htex,
@@ -230,11 +230,4 @@ fn cmd_compare(opts: &Opts) {
             b.overhead.median()
         );
     }
-}
-
-/// The no-op pipeline lives in `hetflow-bench`; a thin local copy of the
-/// needed pieces keeps the CLI independent of the bench crate's dev-only
-/// dependencies.
-mod hetflow_bench_shim {
-    pub use hetflow_bench::{FabricKind, NoopPipeline, StoreKind};
 }

@@ -2,6 +2,7 @@
 //! asserted as invariants so calibration drift is caught by CI rather
 //! than by eyeballing figure output.
 
+use hetflow_bench::figures::{overload_point, GOODPUT_FLOOR, P99_BOUND_SECS};
 use hetflow_bench::{NoopPipeline, StoreKind};
 
 /// Fig. 3: proxying cuts server→worker communication 2–3× at 10 kB.
@@ -13,13 +14,16 @@ fn fig3_speedup_10kb_in_band() {
     assert!((1.8..4.5).contains(&ratio), "10kB server->worker speedup {ratio:.2} (paper: 2-3x)");
 }
 
-/// Fig. 3: proxying cuts server→worker communication ~10× at 1 MB.
+/// Fig. 3: proxying cuts server→worker communication ~10× at 1 MB, and
+/// the whole task lifetime more than 3× (pass-by-reference on/off).
 #[test]
 fn fig3_speedup_1mb_in_band() {
     let no_proxy = NoopPipeline::fig3(StoreKind::None).run(1_000_000, 30);
     let redis = NoopPipeline::fig3(StoreKind::Redis).run(1_000_000, 30);
     let ratio = no_proxy.server_to_worker.median() / redis.server_to_worker.median();
     assert!((6.0..16.0).contains(&ratio), "1MB server->worker speedup {ratio:.1} (paper: ~10x)");
+    let lifetime = no_proxy.lifetime.median() / redis.lifetime.median();
+    assert!(lifetime > 3.0, "proxying must win at 1MB: lifetime {lifetime:.1}x");
 }
 
 /// Fig. 3: server→worker communication dominates the no-op lifetime on
@@ -71,20 +75,24 @@ fn fig4_globus_size_independent() {
 
 /// §V-F recommendation: below ~10 kB, proxying through a store costs
 /// more worker time than inlining (the threshold exists for a reason).
+/// At 2 kB the round trip at least doubles it; at 5 kB, inline under a
+/// 10 kB threshold still beats forced proxying.
 #[test]
 fn small_messages_hurt_by_proxying() {
-    let mut inline = NoopPipeline::fig3(StoreKind::Fs);
-    inline.threshold = 10_000;
-    let inline_b = inline.run(2_000, 20);
-    let mut forced = NoopPipeline::fig3(StoreKind::Fs);
-    forced.threshold = 0;
-    let forced_b = forced.run(2_000, 20);
-    assert!(
-        forced_b.time_on_worker.median() > 2.0 * inline_b.time_on_worker.median(),
-        "forced proxying of 2kB must cost: {} vs {}",
-        forced_b.time_on_worker.median(),
-        inline_b.time_on_worker.median()
-    );
+    for (size, factor) in [(2_000, 2.0), (5_000, 1.0)] {
+        let mut inline = NoopPipeline::fig3(StoreKind::Fs);
+        inline.threshold = 10_000;
+        let inline_b = inline.run(size, 20);
+        let mut forced = NoopPipeline::fig3(StoreKind::Fs);
+        forced.threshold = 0;
+        let forced_b = forced.run(size, 20);
+        assert!(
+            forced_b.time_on_worker.median() > factor * inline_b.time_on_worker.median(),
+            "forced proxying of {size} B must cost: {} vs {}",
+            forced_b.time_on_worker.median(),
+            inline_b.time_on_worker.median()
+        );
+    }
 }
 
 /// The FaaS dispatch cost (client-visible submit latency) is ~100 ms —
@@ -99,4 +107,31 @@ fn fnx_dispatch_cost_near_100ms() {
     // median server→worker lower bound instead.
     let s2w = b.server_to_worker.median();
     assert!(s2w > 0.15 && s2w < 0.8, "FaaS path ~hundreds of ms: {s2w}");
+}
+
+/// Overload knee: below saturation the protection stack sheds nothing
+/// and queue waits stay sub-second.
+#[test]
+fn overload_underload_sheds_nothing() {
+    let p = overload_point(0.5, 60.0);
+    assert_eq!(p.shed, 0, "no shedding below saturation");
+    assert_eq!(p.failed, 0);
+    assert_eq!(p.completed, p.submitted);
+    assert!(p.p99_queue_wait_secs < 1.0, "p99 {}", p.p99_queue_wait_secs);
+}
+
+/// Overload knee: at 2× saturation the stack sheds, yet goodput holds
+/// and the p99 queue wait stays bounded.
+#[test]
+fn overload_2x_keeps_goodput_and_bounded_p99() {
+    let under = overload_point(0.75, 60.0);
+    let over = overload_point(2.0, 60.0);
+    assert!(over.shed > 0, "2x saturation must shed");
+    assert!(
+        over.goodput_per_sec >= GOODPUT_FLOOR * under.goodput_per_sec,
+        "goodput collapsed: {:.2} vs {:.2}",
+        over.goodput_per_sec,
+        under.goodput_per_sec
+    );
+    assert!(over.p99_queue_wait_secs <= P99_BOUND_SECS, "p99 unbounded: {}", over.p99_queue_wait_secs);
 }
