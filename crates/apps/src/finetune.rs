@@ -20,7 +20,6 @@
 //! A balancing agent shifts CPU workers between simulation and sampling
 //! to hold the audit pool near a target size, as in the paper.
 
-use crate::degradation::{DegradationPolicy, DegradationState};
 use hetflow_chem::{
     pretraining_set, run_md, solvated_methane, EnergyModel, MdParams, MorsePes, Structure,
 };
@@ -64,9 +63,6 @@ pub struct FinetuneParams {
     pub md_steps_end: usize,
     /// Campaign seed.
     pub seed: u64,
-    /// Overload response: when to shrink the training ensemble.
-    /// Disabled by default.
-    pub degradation: DegradationPolicy,
 }
 
 impl Default for FinetuneParams {
@@ -81,7 +77,6 @@ impl Default for FinetuneParams {
             md_steps_start: 20,
             md_steps_end: 1000,
             seed: 11,
-            degradation: DegradationPolicy::default(),
         }
     }
 }
@@ -102,8 +97,6 @@ pub struct FinetuneOutcome {
     pub sampling_tasks: usize,
     /// Tasks (of any topic) overload protection shed before they ran.
     pub shed: usize,
-    /// Times the campaign entered degraded fidelity.
-    pub degradations: u64,
     /// All finished-task records (Fig. 7b overheads, Fig. 1 traces).
     pub records: Vec<TaskRecord>,
     /// Virtual end time.
@@ -185,8 +178,6 @@ struct State {
     alternate: Cell<bool>,
     /// Shed tasks observed (any topic).
     shed: Cell<usize>,
-    /// Fidelity tracker: the trainer consults it per round.
-    degradation: Rc<DegradationState>,
     params: FinetuneParams,
 }
 
@@ -260,13 +251,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         .map(|i| solvated_methane(params.seed ^ (200 + i as u64)))
         .collect();
 
-    let degradation =
-        DegradationState::new(sim, deployment.tracer.clone(), "finetune", params.degradation);
-    if params.degradation.enabled() {
-        let d = Rc::clone(&degradation);
-        deployment.health.on_breaker_change(move |_endpoint, open| d.on_breaker(open));
-    }
-
     let state = Rc::new(State {
         pretrain,
         reference_data: RefCell::new(Vec::new()),
@@ -282,7 +266,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         new_count: Cell::new(0),
         alternate: Cell::new(false),
         shed: Cell::new(0),
-        degradation,
         params: params.clone(),
     });
 
@@ -369,7 +352,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 counter.release("sample", 1);
                 if resolved.is_shed() {
                     state.shed.set(state.shed.get() + 1);
-                    state.degradation.note_shed();
                     continue;
                 }
                 if resolved.is_failed() {
@@ -445,7 +427,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                     let resolved = done.resolve().await;
                     if resolved.is_shed() {
                         state.shed.set(state.shed.get() + 1);
-                        state.degradation.note_shed();
                         continue;
                     }
                     if resolved.is_failed() {
@@ -524,13 +505,11 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 counter.release("simulate", 1);
                 if resolved.is_shed() {
                     state.shed.set(state.shed.get() + 1);
-                    state.degradation.note_shed();
                     continue;
                 }
                 if resolved.is_failed() {
                     continue; // no label produced: the structure is lost
                 }
-                state.degradation.note_ok();
                 let labelled = resolved.value::<LabelledStructure>();
                 state
                     .reference_data
@@ -564,9 +543,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                     break;
                 }
                 let reference = Rc::new(state.reference_data.borrow().clone());
-                // Degraded mode: a half-size ensemble refit keeps the
-                // campaign learning at a fraction of the GPU bill.
-                let n = state.degradation.ensemble_size(state.params.ensemble_size);
+                let n = state.params.ensemble_size;
                 for member in 0..n {
                     let duration = cal::finetune_train_duration().sample(&mut rng);
                     let member_rng = rng.substream(9000 + member as u64);
@@ -586,7 +563,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                     let resolved = done.resolve().await;
                     if resolved.is_shed() {
                         state.shed.set(state.shed.get() + 1);
-                        state.degradation.note_shed();
                         continue;
                     }
                     if resolved.is_failed() {
@@ -643,7 +619,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         training_rounds: state.rounds.get(),
         sampling_tasks: state.samples_done.get(),
         shed: state.shed.get(),
-        degradations: state.degradation.degradations(),
         records: queues.records(),
         end: sim.now(),
     }

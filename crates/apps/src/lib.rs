@@ -14,11 +14,9 @@
 //! science outcomes (Figs. 6a, 7a) reflect how fast each workflow
 //! configuration actually moves data.
 
-pub mod degradation;
 pub mod finetune;
 pub mod moldesign;
 
-pub use degradation::DegradationPolicy;
 pub use finetune::{
     ensemble_force_rmsd, initial_ensemble, test_set, FinetuneOutcome, FinetuneParams,
 };

@@ -12,7 +12,6 @@
 //! Fig. 6a *emerge* from how quickly each workflow configuration moves
 //! data and instructions.
 
-use crate::degradation::{DegradationPolicy, DegradationState};
 use hetflow_chem::{MoleculeLibrary, N_FEATURES};
 use hetflow_core::calibration::tasks as cal;
 use hetflow_core::{Deployment, UtilizationReport};
@@ -62,9 +61,6 @@ pub struct MolDesignParams {
     pub seed: u64,
     /// Steering policy (ablation hook).
     pub steering: SteeringMode,
-    /// Overload response: when to swap the DFT-like oracle for the
-    /// TTM-like fast estimate. Disabled by default.
-    pub degradation: DegradationPolicy,
 }
 
 impl Default for MolDesignParams {
@@ -79,7 +75,6 @@ impl Default for MolDesignParams {
             backlog: 0,
             seed: 7,
             steering: SteeringMode::ActiveLearning,
-            degradation: DegradationPolicy::default(),
         }
     }
 }
@@ -95,8 +90,6 @@ pub struct MolDesignOutcome {
     pub failed: usize,
     /// Tasks (of any topic) overload protection shed before they ran.
     pub shed: usize,
-    /// Times the campaign entered degraded fidelity.
-    pub degradations: u64,
     /// `(cumulative simulation node-seconds, molecules found)` curve —
     /// the Fig. 6a series.
     pub found_curve: Vec<(f64, usize)>,
@@ -160,8 +153,6 @@ struct State {
     shed: Cell<usize>,
     found_curve: RefCell<Vec<(f64, usize)>>,
     ml_makespans: RefCell<Samples>,
-    /// Fidelity tracker: the dispatcher consults it per simulation.
-    degradation: Rc<DegradationState>,
     params: MolDesignParams,
 }
 
@@ -178,14 +169,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
     let mut shuffle_rng = rng.substream(0);
     shuffle_rng.shuffle(&mut initial);
 
-    let degradation =
-        DegradationState::new(sim, deployment.tracer.clone(), "moldesign", params.degradation);
-    if params.degradation.enabled() {
-        // Breakers opening on any endpoint are overload pressure too.
-        let d = Rc::clone(&degradation);
-        deployment.health.on_breaker_change(move |_endpoint, open| d.on_breaker(open));
-    }
-
     let state = Rc::new(State {
         lib: Rc::clone(&lib),
         queue: RefCell::new(initial),
@@ -199,7 +182,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         shed: Cell::new(0),
         found_curve: RefCell::new(vec![(0.0, 0)]),
         ml_makespans: RefCell::new(Samples::new()),
-        degradation,
         params: params.clone(),
     });
 
@@ -238,13 +220,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                     break;
                 };
                 state.dispatched.borrow_mut().insert(id);
-                // Fidelity swap: while degraded, the oracle is the
-                // TTM-like fast estimate instead of the DFT-like call.
-                let duration = if state.degradation.is_degraded() {
-                    cal::moldesign_simulate_fast_duration().sample(&mut rng)
-                } else {
-                    cal::moldesign_simulate_duration().sample(&mut rng)
-                };
+                let duration = cal::moldesign_simulate_duration().sample(&mut rng);
                 let compute = simulate_task(Rc::clone(&state.lib), id, duration);
                 queues
                     .submit(
@@ -270,9 +246,8 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                 slots.add_permits(1);
                 if resolved.is_shed() {
                     // Overload protection dropped the task before it
-                    // ran: feed the degradation tracker and move on.
+                    // ran: count it and move on.
                     state.shed.set(state.shed.get() + 1);
-                    state.degradation.note_shed();
                     continue;
                 }
                 if resolved.is_failed() {
@@ -281,7 +256,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                     state.failed.set(state.failed.get() + 1);
                     continue;
                 }
-                state.degradation.note_ok();
                 let (id, ip, node_secs) = *resolved.value::<(usize, f64, f64)>();
                 state.node_time.set(state.node_time.get() + node_secs);
                 state.database.borrow_mut().push((id, ip));
@@ -381,7 +355,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                     let resolved = done.resolve().await;
                     if resolved.is_shed() {
                         state.shed.set(state.shed.get() + 1);
-                        state.degradation.note_shed();
                         continue;
                     }
                     if resolved.is_failed() {
@@ -408,7 +381,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                     let resolved = done.resolve().await;
                     if resolved.is_shed() {
                         state.shed.set(state.shed.get() + 1);
-                        state.degradation.note_shed();
                         continue;
                     }
                     if resolved.is_failed() {
@@ -438,7 +410,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         simulations: state.database.borrow().len(),
         failed: state.failed.get(),
         shed: state.shed.get(),
-        degradations: state.degradation.degradations(),
         found_curve: state.found_curve.borrow().clone(),
         ml_makespans: state.ml_makespans.borrow().clone(),
         cpu_idle: deployment.cpu_pool.idle_gaps(),
@@ -631,7 +602,6 @@ mod tests {
             simulations: 5,
             failed: 0,
             shed: 0,
-            degradations: 0,
             found_curve: vec![(0.0, 0), (100.0, 1), (200.0, 3)],
             ml_makespans: Samples::new(),
             cpu_idle: Samples::new(),

@@ -110,15 +110,6 @@ pub mod tasks {
     /// Simulation result payload.
     pub const MOLDESIGN_SIM_BYTES: u64 = MB;
 
-    /// Molecular design, degraded fidelity: a TTM-like classical IP
-    /// estimate (~1.5 s CPU) — the cheap substitute overload protection
-    /// swaps in for the tight-binding call while the campaign runs in
-    /// degraded mode. Cost-only model: the observable is unchanged,
-    /// only the node-seconds per answer shrink.
-    pub fn moldesign_simulate_fast_duration() -> Dist {
-        Dist::log_normal(1.5, 0.25)
-    }
-
     /// Molecular design: MPNN training (340 s GPU, 10 MB).
     pub fn moldesign_train_duration() -> Dist {
         Dist::log_normal(340.0, 0.15)

@@ -145,9 +145,8 @@ pub struct Deployment {
     pub chaos: ChaosTargets,
     /// Failover CPU pools (`cpu_failover_sites` of them), in order.
     pub failover_pools: Vec<WorkerPool>,
-    /// The tracer the deployment was wired with — application-level
-    /// policies (e.g. fidelity degradation) emit through the same
-    /// stream so their events fold into the digest.
+    /// The tracer the deployment was wired with: every fabric, pool and
+    /// steering actor emits into it, so its digest covers the whole run.
     pub tracer: Tracer,
     /// Which configuration was deployed.
     pub config: WorkflowConfig,

@@ -3,9 +3,9 @@
 //! A [`Dispatcher`] owns everything about getting a task to a worker
 //! pool and its one terminal result back that does *not* depend on how
 //! bytes travel: topic routing, worker pools and their queue bounds,
-//! admission and backpressure accounting, the [`ReliabilityLayer`]
-//! wiring (breakers, hedges, reroutes), the per-topic deadline actors,
-//! the delivery-timeout arm, the return-path actors and the counters.
+//! admission accounting, the [`ReliabilityLayer`] wiring (breakers,
+//! hedges, reroutes), the per-topic deadline actors, the delivery-timeout
+//! arm, the return-path actors and the counters.
 //! What does is a [`Transport`]: FnX's cloud ([`crate::faas`]) and
 //! HTEX's interchange links ([`crate::htex`]) each implement it once,
 //! and the core never asks which one it is serving.
@@ -13,7 +13,7 @@
 use crate::fabric::Fabric;
 use crate::health::{ReliabilityLayer, ReliabilityPolicies, TimeoutVerdict, Verdict};
 use crate::reliability::chaos::ChaosTargets;
-use crate::reliability::overload::{AdmissionConfig, AdmissionController, BackpressureGate};
+use crate::reliability::overload::AdmissionController;
 use crate::reliability::{Connectivity, Knob, RetryPolicies};
 use crate::task::{TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming, WorkerReport};
 use crate::worker::{WorkerPool, WorkerPoolConfig};
@@ -94,13 +94,8 @@ struct Inner<T> {
     retries: Vec<RetryPolicies>,
     /// Per-endpoint pool-queue bound and overflow policy (0 = unbounded).
     bounds: Vec<(usize, OverflowPolicy)>,
-    /// Token-bucket/in-flight admission, consulted before the breaker
-    /// layer. Only topics with an enabled config are in the map (beside
-    /// their primary endpoint, which refused tasks are attributed to).
+    /// Token-bucket/in-flight admission, consulted before the breakers.
     admission: AdmissionController,
-    admission_cfgs: SymbolMap<(AdmissionConfig, usize)>,
-    /// Per-topic depth watermark gate; empty when none is configured.
-    gate: BackpressureGate,
     /// Per-topic round-trip deadline and its deadline actor's queue;
     /// only topics with a deadline are in the map.
     deadlines: SymbolMap<(Duration, Sender<Due>)>,
@@ -115,9 +110,8 @@ struct Inner<T> {
 
 impl<T> Inner<T> {
     /// Balances the overload accounting at a task's one terminal outcome:
-    /// its in-fabric depth (maybe reopening the gate) and admission slot.
+    /// its admission slot.
     fn release(&self, topic: Symbol) {
-        self.gate.on_exit(topic);
         self.admission.on_done(topic);
     }
 
@@ -211,16 +205,19 @@ impl<T> Dispatcher<T> {
     }
 
     /// Tasks submitted so far.
+    #[cfg(test)]
     pub fn submitted(&self) -> u64 {
         self.inner.submitted.get()
     }
 
     /// Results returned so far (every terminal outcome counts).
+    #[cfg(test)]
     pub fn returned(&self) -> u64 {
         self.inner.returned.get()
     }
 
     /// Tasks failed by a delivery timeout or the round-trip deadline.
+    #[cfg(test)]
     pub fn timed_out(&self) -> u64 {
         self.inner.timed_out.get()
     }
@@ -256,19 +253,18 @@ impl<T: Transport> Dispatcher<T> {
         let brownout: Vec<Knob> = pools.iter().map(|_| Knob::new(1.0)).collect();
         let rng = RefCell::new(rng.substream(u64::MAX));
         let transport = wire(Net { sim: sim.clone(), rng, brownout: brownout.clone() });
-        // Admission configs, backpressure watermarks and deadlines are
-        // read off the policies before the layer takes them; all-zero
-        // configs register nothing.
-        let admission = AdmissionController::new(sim);
-        let mut admission_cfgs = SymbolMap::new();
-        let gate = BackpressureGate::new(sim, tracer.clone(), T::LABEL);
+        // Admission configs and deadlines are read off the policies
+        // before the layer takes them; all-zero configs register nothing.
+        // A topic's refusals are attributed to its primary endpoint.
+        let admission = AdmissionController::new(
+            sim,
+            route.iter().map(|(topic, targets)| {
+                (topic, policies.policy_for(topic).admission.clone(), targets[0])
+            }),
+        );
         let (mut deadlines, mut due_queues) = (SymbolMap::new(), Vec::new());
-        for (topic, targets) in route.iter() {
+        for (topic, _) in route.iter() {
             let policy = policies.policy_for(topic);
-            if policy.admission.enabled() {
-                admission_cfgs.insert(topic, (policy.admission.clone(), targets[0]));
-            }
-            gate.register(topic, &policy.backpressure);
             if !policy.deadline.is_zero() {
                 let (tx, rx) = channel();
                 deadlines.insert(topic, (policy.deadline, tx));
@@ -298,8 +294,6 @@ impl<T: Transport> Dispatcher<T> {
             retries,
             bounds,
             admission,
-            admission_cfgs,
-            gate,
             deadlines,
             chaos,
             results,
@@ -505,12 +499,9 @@ impl<T: Transport> Fabric for Dispatcher<T> {
         // Admission control: a refused submission still pays the
         // client's call (for an empty payload) and resolves to Shed;
         // it never reaches the breaker layer, so nothing to unwind.
-        let (cost, routed) = match inner.admission_cfgs.get(task.topic) {
-            Some((cfg, primary)) if !inner.admission.try_admit(task.topic, cfg) => {
-                (inner.transport.submit_cost(0), Routed::Refused { primary: *primary })
-            }
-            _ => {
-                inner.gate.on_enter(task.topic);
+        let (cost, routed) = match inner.admission.try_admit(task.topic) {
+            Err(primary) => (inner.transport.submit_cost(0), Routed::Refused { primary }),
+            Ok(()) => {
                 // The reliability layer registers the dispatch and picks
                 // the endpoint (breaker-aware when configured, else primary).
                 #[expect(
@@ -532,10 +523,6 @@ impl<T: Transport> Fabric for Dispatcher<T> {
     fn label(&self) -> &'static str {
         T::LABEL
     }
-
-    fn backpressure(&self) -> Option<BackpressureGate> {
-        (!self.inner.gate.is_empty()).then(|| self.inner.gate.clone())
-    }
 }
 
 #[cfg(test)]
@@ -547,6 +534,7 @@ mod tests {
     use crate::faas::{EndpointSpec, FnXExecutor, FnXParams};
     use crate::health::{HedgeConfig, ReliabilityPolicy};
     use crate::htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
+    use crate::reliability::overload::AdmissionConfig;
     use crate::reliability::RetryPolicy;
     use crate::task::{Arg, TaskWork};
     use hetflow_sim::{Dist, Receiver, SimTime, TraceKind};

@@ -19,12 +19,4 @@ pub trait Fabric {
 
     /// Short fabric label used in reports (`"fnx"`, `"htex"`).
     fn label(&self) -> &'static str;
-
-    /// The fabric's backpressure gate, when any topic has watermarks
-    /// configured ([`crate::AdmissionConfig`]'s sibling
-    /// `BackpressureConfig`). `None` — the default — means submissions
-    /// are never gated and upstream clients skip the acquire entirely.
-    fn backpressure(&self) -> Option<crate::reliability::overload::BackpressureGate> {
-        None
-    }
 }

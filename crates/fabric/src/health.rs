@@ -141,9 +141,6 @@ pub struct ReliabilityPolicy {
     /// Admission control (token-bucket rate + in-flight cap) applied
     /// before the task enters the fabric. All-zero disables it.
     pub admission: crate::reliability::overload::AdmissionConfig,
-    /// Backpressure watermarks on in-fabric depth for this topic. A
-    /// zero high watermark disables the gate.
-    pub backpressure: crate::reliability::overload::BackpressureConfig,
 }
 
 impl ReliabilityPolicy {
@@ -861,6 +858,7 @@ impl ReliabilityLayer {
     }
 
     /// Seconds burned by cancelled losing copies.
+    #[cfg(test)]
     pub fn wasted_secs(&self) -> f64 {
         self.inner.wasted.get()
     }

@@ -42,6 +42,7 @@ impl LinkParams {
     }
 
     /// A cross-site tunnel (still a direct connection, higher latency).
+    #[cfg(test)]
     pub fn tunnel() -> Self {
         LinkParams { latency: Dist::log_normal(0.012, 0.3), bandwidth: 2.5e7 }
     }

@@ -8,8 +8,7 @@
 //!   [`worker::WorkerPool`]s, and owns every reliability and overload
 //!   arm: breakers, failover, hedges, reroutes, deadlines
 //!   ([`ReliabilityLayer`]), bounded pool queues with shedding,
-//!   admission control and backpressure, and the exactly-one terminal
-//!   result per task. It is generic over a crate-private `Transport`
+//!   admission control, and the exactly-one terminal result per task. It is generic over a crate-private `Transport`
 //!   and never asks which one it has.
 //! * [`FnXExecutor`] = the core over the cloud transport ([`faas`], the
 //!   FuncX model): submissions travel through a cloud service with
@@ -75,9 +74,7 @@ pub use health::{
 };
 pub use htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
 pub use reliability::chaos::{ChaosAction, ChaosSpec, ChaosTargets, STORM_ID_BASE};
-pub use reliability::overload::{
-    AdmissionConfig, AdmissionController, BackpressureConfig, BackpressureGate,
-};
+pub use reliability::overload::AdmissionConfig;
 pub use reliability::{Connectivity, FailureModel, Knob, RetryPolicies, RetryPolicy};
 pub use ser::SerModel;
 pub use task::{

@@ -177,6 +177,7 @@ impl Arg {
     }
 
     /// True for proxied arguments.
+    #[cfg(test)]
     pub fn is_proxied(&self) -> bool {
         matches!(self, Arg::Proxied(_))
     }

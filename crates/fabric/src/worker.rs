@@ -152,12 +152,14 @@ impl WorkerPool {
     }
 
     /// Tasks completed so far.
+    #[cfg(test)]
     pub fn completed(&self) -> u64 {
         self.shared.completed.get()
     }
 
     /// Tasks that ended in a terminal failure (still delivered as
-    /// results, not counted in [`WorkerPool::completed`]).
+    /// results, not counted in `completed`).
+    #[cfg(test)]
     pub fn failed(&self) -> u64 {
         self.shared.failed.get()
     }

@@ -102,12 +102,11 @@ impl Samples {
     /// calls when printing percentile error bars. Each `q` is clamped
     /// to `[0, 1]`; all results are 0 when empty.
     ///
-    /// A NaN `q` is a caller bug (reliability hedging derives its cut
-    /// points from config arithmetic): it trips a debug assertion, and
-    /// in release builds falls back to the median rather than silently
-    /// returning the minimum (NaN survives `clamp` and floors to index
-    /// 0). Samples themselves are guaranteed finite by
-    /// [`record`](Samples::record).
+    /// A NaN `q` is a caller bug (a cut point computed from bad config
+    /// arithmetic): it trips a debug assertion, and in release builds
+    /// falls back to the median rather than silently returning the
+    /// minimum (NaN survives `clamp` and floors to index 0). Samples
+    /// themselves are guaranteed finite by [`record`](Samples::record).
     pub fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
         if self.values.is_empty() {
             return vec![0.0; qs.len()];

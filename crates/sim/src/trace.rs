@@ -83,20 +83,6 @@ pub mod kinds {
     /// delivered as a `TaskOutcome::Shed` record. Value = the queue
     /// depth (or in-flight count) at the moment of shedding.
     pub const TASK_SHED: Kind = Kind("task_shed");
-    /// A topic's queue depth crossed its high watermark: the submission
-    /// gate closed and steer agents now await a permit. Entity = the
-    /// topic's registration index, value = the depth that tripped it.
-    pub const BACKPRESSURE_ON: Kind = Kind("backpressure_on");
-    /// The depth drained to the low watermark and the gate reopened.
-    /// Entity = the topic's registration index, value = the depth.
-    pub const BACKPRESSURE_OFF: Kind = Kind("backpressure_off");
-    /// Sustained overload (or open breakers) made an application drop
-    /// to a cheaper fidelity tier (TTM-like oracle, smaller ensemble).
-    /// Value = the degradation generation.
-    pub const FIDELITY_DEGRADED: Kind = Kind("fidelity_degraded");
-    /// Pressure cleared and full fidelity resumed. Value = the
-    /// generation being retired.
-    pub const FIDELITY_RESTORED: Kind = Kind("fidelity_restored");
 
     /// Every registered kind, in declaration order.
     ///
@@ -118,10 +104,6 @@ pub mod kinds {
         TASK_CANCELLED,
         TASK_REROUTED,
         TASK_SHED,
-        BACKPRESSURE_ON,
-        BACKPRESSURE_OFF,
-        FIDELITY_DEGRADED,
-        FIDELITY_RESTORED,
     ];
 }
 

@@ -13,8 +13,7 @@
 
 use crate::lifecycle::{RecordLog, TaskRecord};
 use hetflow_fabric::{
-    Arg, BackpressureGate, Fabric, SerModel, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult,
-    TaskSpec,
+    Arg, Fabric, SerModel, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult, TaskSpec,
 };
 use hetflow_store::{ProxyPolicy, SiteId, UntypedProxy};
 use hetflow_sim::{
@@ -108,10 +107,6 @@ struct Shared {
     /// must not take the interner lock per task.
     actor: Symbol,
     outstanding: Cell<i64>,
-    /// The fabric's backpressure gate, when any topic has watermarks
-    /// configured. `None` (the default deployment) keeps `submit` on
-    /// its original await-free admission path.
-    gate: Option<BackpressureGate>,
 }
 
 /// The thinker-side handle: submit tasks, await results.
@@ -150,13 +145,6 @@ impl ClientQueues {
         let topic: Symbol = topic.into();
         let shared = &self.shared;
         let sim = &shared.sim;
-        // Backpressure: when the fabric's gate is closed for this topic
-        // the agent parks here — before the task exists — so overload
-        // never builds an unbounded backlog of stamped tasks. With no
-        // gate (or the topic unregistered / open) this is await-free.
-        if let Some(gate) = &shared.gate {
-            gate.acquire(topic).await;
-        }
         let id = shared.next_id.get();
         shared.next_id.set(id + 1);
         let created = sim.now();
@@ -459,7 +447,6 @@ impl TaskServer {
             tracer: tracer.clone(),
             actor: Symbol::intern("thinker"),
             outstanding: Cell::new(0),
-            gate: fabric.backpressure(),
         });
 
         // Submission-forwarding actor: deserialize, re-serialize, submit.

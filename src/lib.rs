@@ -22,8 +22,9 @@
 //! * [`apps`] — the two applications: molecular design and surrogate
 //!   fine-tuning.
 //!
-//! See `examples/quickstart.rs` for a guided tour and
-//! `crates/bench/src/bin/` for the figure regenerators.
+//! See `examples/quickstart.rs` for a guided tour; the paper's figures
+//! are regenerated by `hetflow_bench::figures`, run in paper order by
+//! the `make_figures` binary.
 
 pub use hetflow_apps as apps;
 pub use hetflow_chem as chem;

@@ -300,12 +300,10 @@ fn trace_digest_reproducible_under_chaos_engine() {
 }
 
 /// A moldesign campaign with the whole overload-protection stack on —
-/// bounded CPU queue, admission control on the storm topic, graceful
-/// fidelity degradation — under a scripted task storm. Shedding,
-/// backpressure, and fidelity transitions all fold into the digest, so
-/// the overload machinery must replay bit-identically.
-fn storm_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize, u64) {
-    use hetflow::apps::DegradationPolicy;
+/// bounded CPU queue and admission control on the storm topic — under a
+/// scripted task storm. Sheds fold into the digest, so the overload
+/// machinery must replay bit-identically.
+fn storm_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize) {
     use hetflow::fabric::{AdmissionConfig, ChaosAction, ChaosSpec};
     use hetflow::sim::{Dist, OverflowPolicy};
 
@@ -343,11 +341,10 @@ fn storm_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize, u64) {
             ensemble_size: 2,
             retrain_after: 8,
             seed,
-            degradation: DegradationPolicy { trigger_after: 2, restore_after: 3 },
             ..Default::default()
         },
     );
-    (tracer.digest(), tracer.len(), o.shed, o.degradations)
+    (tracer.digest(), tracer.len(), o.shed)
 }
 
 #[test]
@@ -356,7 +353,6 @@ fn trace_digest_reproducible_under_task_storm() {
     let b = storm_digest(1234, &Tracer::enabled());
     assert!(a.1 > 0, "traced campaign emitted no events");
     assert!(a.2 > 0, "the storm must shed campaign tasks");
-    assert!(a.3 >= 1, "sustained shedding must degrade fidelity");
     assert_eq!(a, b, "overload-protection trace diverged between same-seed runs");
     // The storm must actually perturb the run relative to the clean
     // campaign of the same seed.
@@ -430,7 +426,7 @@ fn armed_run(policy: ReliabilityPolicy, fault: hetflow::fabric::ChaosAction, tra
 /// registered kind is emitted somewhere, so none is dead.
 #[test]
 fn every_registered_kind_is_emitted() {
-    use hetflow::fabric::{BackpressureConfig, ChaosAction, HedgeConfig};
+    use hetflow::fabric::{ChaosAction, HedgeConfig};
     use hetflow::sim::trace_kinds;
     use std::collections::BTreeSet;
     let secs = Duration::from_secs;
@@ -444,10 +440,9 @@ fn every_registered_kind_is_emitted() {
     let reroute = ReliabilityPolicy { max_reroutes: 1, deadline: secs(1200), ..Default::default() };
     let kill = ChaosAction::Kill { endpoint: 0, at: SimTime::from_secs(300) };
     armed_run(reroute, kill, &tracer);
-    // A straggling pool is hedged, under backpressure watermarks.
+    // A straggling pool is hedged.
     let hedge = ReliabilityPolicy {
         hedge: HedgeConfig { quantile: 0.5, min_samples: 4, ..Default::default() },
-        backpressure: BackpressureConfig { high: 3, low: 1 },
         ..Default::default()
     };
     let at = SimTime::from_secs(60);

@@ -13,16 +13,26 @@
 //! time beside the digest, and each checks that the arms it names fire.
 
 use hetflow::apps::moldesign;
-use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec, HedgeConfig};
+use hetflow::fabric::{AdmissionConfig, BreakerConfig, ChaosAction, ChaosSpec, HedgeConfig};
 use hetflow::prelude::*;
 use hetflow::sim::{trace_kinds, TraceKind};
 use std::time::Duration;
 
 /// Small traced moldesign campaign; returns (digest, event count).
 fn pinned_digest(config: WorkflowConfig, seed: u64) -> (u64, usize) {
+    pinned_digest_under(config, seed, ReliabilityPolicies::default())
+}
+
+/// [`pinned_digest`]'s campaign under `reliability`.
+fn pinned_digest_under(
+    config: WorkflowConfig,
+    seed: u64,
+    reliability: ReliabilityPolicies,
+) -> (u64, usize) {
     let sim = Sim::new();
     let tracer = Tracer::enabled();
-    let spec = DeploymentSpec { cpu_workers: 4, gpu_workers: 2, seed, ..Default::default() };
+    let spec =
+        DeploymentSpec { cpu_workers: 4, gpu_workers: 2, seed, reliability, ..Default::default() };
     let d = deploy(&sim, config, &spec, tracer.clone());
     let _ = moldesign::run(
         &sim,
@@ -62,6 +72,23 @@ fn digests_match_seed_tree_pins() {
             "({config:?}, seed {seed}) drifted from the pinned seed-tree digest \
              (got 0x{d:016x}/{n} events): the digest recipe, RNG stream \
              derivation, or timer firing order changed"
+        );
+    }
+}
+
+/// Admission configured on every topic but never binding is the feature
+/// absent: it draws, awaits and emits nothing, so the pinned run keeps
+/// its digest and event count.
+#[test]
+fn admission_that_never_binds_leaves_the_pinned_run_unchanged() {
+    let admission = AdmissionConfig { rate: 1e9, burst: 1e9, max_in_flight: 1 << 30 };
+    let default = ReliabilityPolicy { admission, ..Default::default() };
+    for config in [WorkflowConfig::FnXGlobus, WorkflowConfig::ParslRedis] {
+        let idle = ReliabilityPolicies { default: default.clone(), per_topic: Default::default() };
+        assert_eq!(
+            pinned_digest_under(config, 7, idle),
+            pinned_digest(config, 7),
+            "{config:?}: admission that never refuses changed the trace"
         );
     }
 }
