@@ -4,8 +4,8 @@
 //! pool and its one terminal result back that does *not* depend on how
 //! bytes travel: topic routing, worker pools and their queue bounds,
 //! admission accounting, the [`ReliabilityLayer`] wiring (breakers,
-//! hedges, reroutes), the per-topic deadline actors, the delivery-timeout
-//! arm, the return-path actors and the counters.
+//! hedges, reroutes), the hedge actor, the per-topic deadline actors, the
+//! delivery-timeout arm, the return-path actors and the counters.
 //! What does is a [`Transport`]: FnX's cloud ([`crate::faas`]) and
 //! HTEX's interchange links ([`crate::htex`]) each implement it once,
 //! and the core never asks which one it is serving.
@@ -99,6 +99,8 @@ struct Inner<T> {
     /// Per-topic round-trip deadline and its deadline actor's queue;
     /// only topics with a deadline are in the map.
     deadlines: SymbolMap<(Duration, Sender<Due>)>,
+    /// The hedge actor's checks `(task, topic, delay)`, if a topic hedges.
+    hedges: Sender<(TaskId, Symbol, Duration)>,
     /// Chaos-engine handles: clones of the pools' and transport's dials.
     chaos: ChaosTargets,
     results: Sender<TaskResult>,
@@ -109,12 +111,6 @@ struct Inner<T> {
 }
 
 impl<T> Inner<T> {
-    /// Balances the overload accounting at a task's one terminal outcome:
-    /// its admission slot.
-    fn release(&self, topic: Symbol) {
-        self.admission.on_done(topic);
-    }
-
     /// Hands a task's one terminal result to the client: every outcome
     /// (delivered, shed, timed out) leaves the fabric through here.
     fn finish(&self, result: TaskResult) {
@@ -150,7 +146,7 @@ impl<T> Inner<T> {
     /// dropped by overload protection. `load` is the queue depth or
     /// in-flight count at the shed decision (the trace value). The
     /// caller balances the accounting: a victim displaced from a queue
-    /// is `release`d afterwards, a task refused admission never entered.
+    /// frees its admission slot afterwards, a refused one never took one.
     fn shed_result(&self, spec: TaskSpec, endpoint: usize, hedges: u32, reroutes: u32, load: f64) {
         self.tracer.emit(self.sim.now(), self.actors[endpoint], kinds::TASK_SHED, spec.id, load);
         let report = WorkerReport { hedges, reroutes, ..WorkerReport::default() };
@@ -166,7 +162,7 @@ impl<T> Inner<T> {
     fn timeout_result(&self, endpoint: usize, stub: Stub, after: Duration) {
         let actor = self.actors[endpoint];
         self.tracer.emit(self.sim.now(), actor, kinds::TASK_TIMEOUT, stub.id, after.as_secs_f64());
-        self.release(stub.topic);
+        self.admission.on_done(stub.topic);
         self.timed_out.set(self.timed_out.get() + 1);
         let outcome = TaskOutcome::Failed(TaskError::Timeout { after });
         let task = TaskSpec::stand_in(stub.id, stub.topic, stub.timing);
@@ -262,6 +258,8 @@ impl<T: Transport> Dispatcher<T> {
                 (topic, policies.policy_for(topic).admission.clone(), targets[0])
             }),
         );
+        let hedging = route.iter().any(|(topic, _)| policies.policy_for(topic).hedge.enabled());
+        let (hedges, checks) = channel();
         let (mut deadlines, mut due_queues) = (SymbolMap::new(), Vec::new());
         for (topic, _) in route.iter() {
             let policy = policies.policy_for(topic);
@@ -295,6 +293,7 @@ impl<T: Transport> Dispatcher<T> {
             bounds,
             admission,
             deadlines,
+            hedges,
             chaos,
             results,
             tracer,
@@ -315,7 +314,21 @@ impl<T: Transport> Dispatcher<T> {
         for (dl, dues) in due_queues {
             sim.spawn_detached(Self::expire_overdue(Rc::clone(&inner), dl, dues));
         }
+        if hedging {
+            sim.spawn_detached(Self::hedge_stragglers(Rc::clone(&inner), checks));
+        }
         Dispatcher { inner }
+    }
+
+    /// The hedge actor. A check, its own `send_at`, is due when its task's
+    /// hedge delay runs out; a straggler under budget gets a copy elsewhere
+    /// (first result wins) and is checked again after the same delay.
+    async fn hedge_stragglers(inner: Rc<Inner<T>>, checks: Receiver<(TaskId, Symbol, Duration)>) {
+        while let Some((id, topic, delay)) = checks.recv().await {
+            let Some((spec, to)) = inner.health.try_hedge(id, topic) else { continue };
+            Self::spawn_delivery(&inner, spec, to);
+            inner.hedges.send_at(&inner.sim, inner.sim.now() + delay, (id, topic, delay));
+        }
     }
 
     /// A topic's deadline actor, the round-trip backstop: a task with no
@@ -380,7 +393,7 @@ impl<T: Transport> Dispatcher<T> {
                 inner.health.on_result(endpoint, victim.id, topic, true, 0.0)
             {
                 inner.shed_result(victim, endpoint, hedges, reroutes, capacity as f64);
-                inner.release(topic);
+                inner.admission.on_done(topic);
             }
         }
     }
@@ -395,7 +408,7 @@ impl<T: Transport> Dispatcher<T> {
         if let Verdict::Deliver { hedges, reroutes } =
             inner.health.on_result(endpoint, result.id, result.topic, result.is_failed(), waste)
         {
-            inner.release(result.topic);
+            inner.admission.on_done(result.topic);
             result.report.hedges = hedges;
             result.report.reroutes = reroutes;
             result.timing.server_result_received = Some(inner.sim.now());
@@ -459,30 +472,16 @@ impl<T: Transport> AfterCost for Dispatcher<T> {
             }
             Routed::To { endpoint } => endpoint,
         };
-        let (id, topic) = (task.id, task.topic);
-        // Hedge watchdog: after the topic's quantile-based delay,
-        // re-issue a straggler elsewhere (first result wins). One per
-        // task: the delay moves with the quantile, so its dues are not
-        // monotone and cannot share a FIFO like the deadline's.
+        let topic = task.topic;
         if let Some(delay) = inner.health.hedge_delay(topic) {
-            let inner2 = Rc::clone(inner);
-            inner.sim.spawn_detached(async move {
-                loop {
-                    inner2.sim.sleep(delay).await;
-                    let Some((spec, to)) = inner2.health.try_hedge(id, topic) else {
-                        break;
-                    };
-                    Self::spawn_delivery(&inner2, spec, to);
-                }
-            });
+            inner.hedges.send_at(&inner.sim, inner.sim.now() + delay, (task.id, topic, delay));
         }
         // The round-trip deadline goes to the topic's deadline actor.
         if let Some((dl, dues)) = inner.deadlines.get(topic) {
             let due = (inner.sim.now() + *dl, endpoint, Stub::of(&task));
             if dues.send_now(due).is_err() {
-                // The actor goes only when `Sim::teardown` drops every
-                // actor, pools and return paths included: nothing is
-                // left that could deliver the task.
+                // Only `Sim::teardown` drops the actor, with the pools and
+                // return paths: nothing is left that could deliver the task.
                 return;
             }
         }
@@ -814,7 +813,7 @@ mod tests {
     #[test]
     fn hedged_dispatch_rescues_straggler_exactly_once() {
         // Warm the round-trip estimate with fast tasks, then make
-        // endpoint 0's pool a straggler: the hedge watchdog re-issues
+        // endpoint 0's pool a straggler: the hedge actor re-issues
         // the slow task on endpoint 1, whose copy wins; the straggling
         // copy is cancelled when it finally surfaces.
         for kind in BOTH {

@@ -520,7 +520,7 @@ impl ReliabilityLayer {
         others.next().or(candidates.first().copied()).unwrap_or(0)
     }
 
-    /// The hedge watchdog delay for `topic`: the configured round-trip
+    /// The hedge check delay for `topic`: the configured round-trip
     /// quantile times the factor, once enough round trips have been
     /// observed. `None` while hedging is disabled or the estimate is
     /// not yet trustworthy.

@@ -10,8 +10,12 @@
 //! one) — the primitive behind the fabric's overload protection.
 //!
 //! Channels transport values instantaneously in virtual time; latency is
-//! modelled explicitly by the sender (sleep, then send), which keeps cost
-//! models visible at the call site rather than hidden in plumbing.
+//! modelled explicitly by the sender, which keeps cost models visible at
+//! the call site rather than hidden in plumbing. [`Sender::send_at`] is
+//! the discrete-event *event-scheduling* form of "sleep, then send": the
+//! value is parked in the channel and one timer entry releases it at its
+//! instant — no actor, no poll. An actor that really waits on something
+//! still sleeps and sends.
 //!
 //! Waiting is allocation-free on the steady state: each pending
 //! `recv()`/`send()` future owns one reusable slot in a `WakerPool`
@@ -28,6 +32,8 @@
 //! stranded. (Earlier revisions documented this as a caveat; it is now
 //! a tested guarantee.)
 
+use crate::executor::{Parked, Sim};
+use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
@@ -188,8 +194,15 @@ struct ChanState<T> {
     recv_wakers: WakerPool,
     send_wakers: WakerPool,
     capacity: Option<usize>,
+    /// Live `Sender`s plus values parked by `send_at`: a receiver sees
+    /// `None` only once nothing can still arrive.
     senders: usize,
     receivers: usize,
+    /// Values `send_at` parked until their instant, by slot.
+    parked: Vec<Option<T>>,
+    free_parked: Vec<u32>,
+    /// Instant and tie-break of the latest parked send.
+    last_parked: Option<(SimTime, u64)>,
 }
 
 impl<T> ChanState<T> {
@@ -197,6 +210,45 @@ impl<T> ChanState<T> {
     fn push(&mut self, value: T) {
         self.queue.push_back(value);
         self.recv_wakers.wake_one();
+    }
+
+    /// One sender fewer; the last one gone wakes every receiver to see
+    /// the channel closed.
+    fn drop_sender(&mut self) {
+        self.senders -= 1;
+        if self.senders == 0 {
+            self.recv_wakers.wake_all();
+        }
+    }
+
+    /// Takes the value out of parked `slot`, which stops counting as a
+    /// sender once the caller has dealt with the value.
+    fn unpark(&mut self, slot: u32) -> Option<T> {
+        self.free_parked.push(slot);
+        self.parked[slot as usize].take()
+    }
+}
+
+impl<T> Parked for RefCell<ChanState<T>> {
+    fn release(&self, slot: u32) {
+        let mut s = self.borrow_mut();
+        let mut value = s.unpark(slot);
+        if s.receivers > 0 {
+            if let Some(v) = value.take() {
+                s.push(v);
+            }
+        }
+        s.drop_sender();
+        drop(s);
+        drop(value);
+    }
+
+    fn cancel(&self, slot: u32) {
+        let mut s = self.borrow_mut();
+        let value = s.unpark(slot);
+        s.drop_sender();
+        drop(s);
+        drop(value);
     }
 }
 
@@ -235,6 +287,9 @@ fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         capacity,
         senders: 1,
         receivers: 1,
+        parked: Vec::new(),
+        free_parked: Vec::new(),
+        last_parked: None,
     }));
     (Sender { state: Rc::clone(&state) }, Receiver { state })
 }
@@ -248,11 +303,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut s = self.state.borrow_mut();
-        s.senders -= 1;
-        if s.senders == 0 {
-            s.recv_wakers.wake_all();
-        }
+        self.state.borrow_mut().drop_sender();
     }
 }
 
@@ -286,6 +337,51 @@ impl<T> Sender<T> {
         }
         s.push(value);
         Ok(())
+    }
+
+    /// Delivers `value` at the instant `at`, as a task that slept until
+    /// `at` and then called [`Sender::send_now`] would — without the
+    /// task: the value is parked in the channel and one timer entry of
+    /// `sim` queues it and wakes one receiver when it fires. `at <= now`
+    /// is exactly `send_now`.
+    ///
+    /// A parked value counts as a sender, so receivers see the channel
+    /// open until it lands. If every receiver is gone by then (or
+    /// already is), the value is dropped. Parked sends for the instant of
+    /// the previous one land behind it even under
+    /// [`Sim::with_tie_shuffle`], so sends at non-decreasing instants
+    /// arrive in call order. [`Sim::teardown`] drops what is still
+    /// parked.
+    pub fn send_at(&self, sim: &Sim, at: SimTime, value: T)
+    where
+        T: 'static,
+    {
+        let mut s = self.state.borrow_mut();
+        if s.receivers == 0 {
+            drop(s);
+            drop(value);
+            return;
+        }
+        if at <= sim.now() {
+            s.push(value);
+            return;
+        }
+        let slot = match s.free_parked.pop() {
+            Some(slot) => {
+                s.parked[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                s.parked.push(Some(value));
+                (s.parked.len() - 1) as u32
+            }
+        };
+        s.senders += 1;
+        let tie = s.last_parked.and_then(|(last, tie)| (last == at).then_some(tie));
+        drop(s);
+        let chan: Rc<dyn Parked> = self.state.clone();
+        let tie = sim.register_release(at, tie, chan, slot);
+        self.state.borrow_mut().last_parked = Some((at, tie));
     }
 
     /// Sends, awaiting capacity on bounded channels.
@@ -816,6 +912,143 @@ mod tests {
         let (tx, rx) = channel::<u32>();
         drop(rx);
         assert_eq!(tx.offer(9, 1, OverflowPolicy::ShedOldest, |_| 0), Offered::Closed(9));
+    }
+
+    #[test]
+    fn a_parked_send_keeps_the_channel_open_until_it_lands() {
+        let sim = Sim::new();
+        let (tx, rx) = channel::<u32>();
+        tx.send_at(&sim, SimTime::from_secs(5), 1);
+        drop(tx);
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let first = (rx.recv().await, s.now());
+            (first, rx.recv().await, s.now())
+        });
+        let r = sim.run();
+        assert_eq!(r.timer_fires, 1);
+        let closed_at = SimTime::from_secs(5);
+        assert_eq!(sim.block_on(h), ((Some(1), closed_at), None, closed_at));
+    }
+
+    #[test]
+    fn send_at_now_or_earlier_is_send_now() {
+        let sim = Sim::new();
+        let (tx, rx) = channel::<u32>();
+        sim.run_until(SimTime::from_secs(3));
+        tx.send_at(&sim, SimTime::from_secs(1), 1);
+        tx.send_at(&sim, SimTime::from_secs(3), 2);
+        assert_eq!(rx.drain_now(), vec![1, 2], "queued in the call");
+        assert_eq!(sim.run().timer_fires, 0, "no timer registered");
+        drop(rx);
+        tx.send_at(&sim, SimTime::from_secs(1), 3);
+        assert_eq!(tx.send_now(4), Err(SendError(4)));
+    }
+
+    #[test]
+    fn a_parked_value_with_no_receiver_left_is_dropped_at_the_fire() {
+        let sim = Sim::new();
+        let (tx, rx) = channel::<Rc<()>>();
+        let value = Rc::new(());
+        tx.send_at(&sim, SimTime::from_secs(2), Rc::clone(&value));
+        drop(rx);
+        assert_eq!(Rc::strong_count(&value), 2, "parked until its instant");
+        let r = sim.run();
+        assert_eq!((r.end, r.timer_fires), (SimTime::from_secs(2), 1));
+        assert_eq!(Rc::strong_count(&value), 1, "dropped at the fire");
+    }
+
+    #[test]
+    fn parked_sends_for_one_instant_land_in_call_order_under_tie_shuffle() {
+        for seed in [1u64, 2, 3] {
+            let sim = Sim::with_tie_shuffle(seed);
+            let (tx, rx) = channel::<u32>();
+            for i in 0..32 {
+                tx.send_at(&sim, SimTime::from_secs(1), i);
+                // A stranger's timer at the same instant between them.
+                let s = sim.clone();
+                sim.spawn_detached(async move { s.sleep_until(SimTime::from_secs(1)).await });
+            }
+            sim.run();
+            assert_eq!(rx.drain_now(), (0..32).collect::<Vec<_>>(), "shuffle seed {seed}");
+        }
+    }
+
+    /// A receiver's log entry: who got what (or `None`, closed), and when.
+    type Logged = (usize, Option<u32>, SimTime);
+
+    /// Plays `script` — `(driver instant in ms, send offset in ms)`
+    /// pairs — against `receivers` receivers that log every `recv` and
+    /// yield `value % 3` times after each. A send goes at `max(0,
+    /// instant + offset)`, through `send_at` or through one spawned
+    /// `sleep_until(at); send_now` relay per send.
+    fn play(script: &[(u64, i64)], receivers: usize, relay: bool) -> Vec<Logged> {
+        let sim = Sim::new();
+        let (tx, rx) = channel::<u32>();
+        let log: Rc<StdRefCell<Vec<Logged>>> = Rc::default();
+        for r in 0..receivers {
+            let (rx, log, s) = (rx.clone(), Rc::clone(&log), sim.clone());
+            sim.spawn_detached(async move {
+                loop {
+                    let got = rx.recv().await;
+                    log.borrow_mut().push((r, got, s.now()));
+                    let Some(v) = got else { return };
+                    for _ in 0..v % 3 {
+                        s.yield_now().await;
+                    }
+                }
+            });
+        }
+        drop(rx);
+        let (s, script) = (sim.clone(), script.to_vec());
+        sim.spawn_detached(async move {
+            for (i, &(t, offset)) in script.iter().enumerate() {
+                s.sleep_until(SimTime::from_millis(t)).await;
+                let at = SimTime::from_millis(t.saturating_add_signed(offset));
+                if relay {
+                    let (s2, tx) = (s.clone(), tx.clone());
+                    s.spawn_detached(async move {
+                        s2.sleep_until(at).await;
+                        let _sent = tx.send_now(i as u32).is_ok();
+                    });
+                } else {
+                    tx.send_at(&s, at, i as u32);
+                }
+            }
+        });
+        let r = sim.run();
+        assert_eq!(r.pending_tasks, 0, "every receiver saw the channel close");
+        let log = log.borrow().clone();
+        log
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `send_at` delivers exactly what a relay per send delivers:
+        /// the same values, to the same receivers, at the same instants,
+        /// in the same order, closure included. Driver instants are
+        /// multiples of 10 ms and future sends avoid them: a relay draws
+        /// its timer's tie at its first poll, so a relay due at the
+        /// driver's next wake would order differently against it — the
+        /// one documented difference.
+        #[test]
+        fn send_at_matches_a_relay_per_send(
+            steps in proptest::prelude::prop::collection::vec((0u64..8, 0i64..41), 1..40),
+            receivers in 1usize..4,
+        ) {
+            let mut t = 0;
+            let script: Vec<(u64, i64)> = steps
+                .iter()
+                .map(|&(gap, off)| {
+                    t += 10 * gap;
+                    let off = off - 15; // -15..=25 ms: past, now and future
+                    (t, if off > 0 && off % 10 == 0 { off + 1 } else { off })
+                })
+                .collect();
+            let relayed = play(&script, receivers, true);
+            proptest::prop_assert_eq!(play(&script, receivers, false), relayed);
+        }
     }
 
     /// An accepted offer wakes a waiting receiver exactly like send_now.

@@ -6,6 +6,9 @@
 //! wall time; the run loop polls all runnable tasks, then jumps the clock
 //! to the next timer. Execution is deterministic: tasks are polled in FIFO
 //! wake order and timers fire in `(deadline, registration order)` order.
+//! A timer wakes a task by id, a foreign [`Waker`], or — for
+//! [`crate::channel::Sender::send_at`] — releases a parked value into
+//! its channel, with no task in between.
 //!
 //! ## Timer store
 //!
@@ -20,7 +23,9 @@
 //! and its own invariants after every step.
 //!
 //! A heap is enough because the store is shallow. Peak pending timers,
-//! one rep of each hetbench workload at seed 7:
+//! one rep of each hetbench workload at seed 7 (`send_at` releases
+//! included: each replaced a relay's sleep one for one, so no column
+//! moved when they did):
 //!
 //! | workload            | peak pending | registrations/task | cancelled while pending |
 //! |---------------------|-------------:|-------------------:|------------------------:|
@@ -68,49 +73,46 @@ fn unpack_task(id: TaskId) -> (u32, u32) {
 
 /// Ready-ring capacity. Must be a power of two. 1024 runnable tasks at
 /// one instant covers every current workload; bursts beyond it spill to
-/// the overflow deque and merely pay the old lock cost.
+/// the overflow deque and merely pay the lock cost.
 const READY_CAP: usize = 1024;
 
 /// FIFO queue of runnable task ids, shared with wakers.
 ///
-/// `Waker` must be `Send + Sync` by type even though this executor never
-/// leaves its thread, so the wake path cannot use a `RefCell`. An
-/// uncontended `Mutex` push+pop cycle costs ~40 ns on the hot path
-/// (~25 cycles per simulated task), so the common path is a bounded
-/// atomic MPSC ring instead (~17 ns per cycle); a mutexed deque absorbs
-/// bursts that outrun the ring. Global FIFO order — the order the trace
-/// digests pin — is preserved across the spill: once anything has
-/// spilled, *all* pushes go to the overflow until the consumer drains
-/// it empty, so no late ring entry can overtake an earlier spilled one.
+/// Single-producer, single-consumer, one thread: no crate starts a
+/// thread (`std::thread::{spawn, scope}` are `disallowed-methods`) and
+/// `Sim` is `!Send`, so every wake — a [`TaskWaker`], or
+/// `fire_next_timer` pushing the id a [`Sleep`] registered — runs on the
+/// thread that built the `Sim`, the one that pops. Debug builds check
+/// that on every push. `Waker` must still be `Send + Sync` by type, so
+/// the cursors are atomics, but every access is `Relaxed`: with one
+/// thread, program order already puts a push's slot store before its
+/// `tail` store and a pop's slot load before its `head` store, and no
+/// other thread reads either. A mutexed deque absorbs bursts that
+/// outrun the ring. Global FIFO order — the order the trace digests
+/// pin — is preserved across the spill: once anything has spilled,
+/// *all* pushes go to the overflow until the consumer drains it empty,
+/// so no late ring entry can overtake an earlier spilled one.
 ///
-/// The ring is kept on evidence, not by default: ISSUE 16 probed a plain
-/// `Mutex<VecDeque<TaskId>>` drained by one batch swap per `drain_ready`
-/// (FIFO-identical, fingerprints equal, 85 fewer lines) and it lost 8 of
-/// 10 interleaved `ctrl_fnx` pairs on `tasks_per_host_s`, median −10 %;
-/// rerun for the PR it lost 7 of 10, median −4 % (EXPERIMENTS.md).
-/// The `Arc::strong_count == 2` waker reuse in `spawn_boxed` stays for
-/// the same kind of reason: it is what keeps `spawn_detached` at zero
-/// allocations beyond the boxed future, and hetbench gates
-/// `allocs_per_task` at 0.15.
-///
-/// Two producers push: a [`TaskWaker`] (channels, events, join handles —
-/// whatever cloned `cx.waker()`), and `fire_next_timer`, which pushes the
-/// id a [`Sleep`] registered without going through a `Waker` at all.
-///
-/// Slots store `id + 1` so 0 can mean "empty"; ids cannot reach
-/// `u64::MAX` because the slab index half is bounded by live memory.
+/// The ring is kept on evidence, not by default: ISSUE 16's plain
+/// `Mutex<VecDeque<TaskId>>` lost 8 of 10 interleaved `ctrl_fnx` pairs
+/// (DESIGN.md §10). The `Arc::strong_count == 2` waker reuse in
+/// `spawn_boxed` stays for the same kind of reason: it is what keeps
+/// `spawn_detached` at zero allocations beyond the boxed future, and
+/// hetbench gates `allocs_per_task` at 0.15.
 #[expect(clippy::disallowed_types, reason = "R11: wakers are Send; no fn also holds the interner")]
 struct ReadyQueue {
     ring: Box<[AtomicU64]>,
-    /// Consumer cursor. Only `pop` (executor thread) advances it.
+    /// Consumer cursor: only `pop` moves it.
     head: AtomicUsize,
-    /// Producer cursor. Advanced by CAS so a full ring is never
-    /// over-reserved.
+    /// Producer cursor: only `push` moves it.
     tail: AtomicUsize,
     /// True while `overflow` holds entries; forces pushes to the
     /// overflow so FIFO order survives the spill.
     spilled: AtomicBool,
     overflow: std::sync::Mutex<std::collections::VecDeque<TaskId>>,
+    /// The thread that built the `Sim`: the only one that may push.
+    #[cfg(debug_assertions)]
+    owner: std::thread::ThreadId,
 }
 
 #[expect(clippy::disallowed_types, reason = "R11: builds the overflow ring's lock")]
@@ -122,32 +124,26 @@ impl Default for ReadyQueue {
             tail: AtomicUsize::new(0),
             spilled: AtomicBool::new(false),
             overflow: std::sync::Mutex::new(std::collections::VecDeque::new()),
+            #[cfg(debug_assertions)]
+            owner: std::thread::current().id(),
         }
     }
 }
 
 impl ReadyQueue {
     fn push(&self, id: TaskId) {
-        if !self.spilled.load(Ordering::Acquire) {
-            let mut tail = self.tail.load(Ordering::Relaxed);
-            loop {
-                let head = self.head.load(Ordering::Acquire);
-                if tail.wrapping_sub(head) >= READY_CAP {
-                    break; // ring full: spill
-                }
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        self.ring[tail & (READY_CAP - 1)]
-                            .store(id.wrapping_add(1), Ordering::Release);
-                        return;
-                    }
-                    Err(t) => tail = t,
-                }
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            std::thread::current().id(),
+            self.owner,
+            "a wake ran off the thread that built the Sim: the ready ring is single-producer"
+        );
+        if !self.spilled.load(Ordering::Relaxed) {
+            let tail = self.tail.load(Ordering::Relaxed);
+            if tail.wrapping_sub(self.head.load(Ordering::Relaxed)) < READY_CAP {
+                self.ring[tail & (READY_CAP - 1)].store(id, Ordering::Relaxed);
+                self.tail.store(tail.wrapping_add(1), Ordering::Relaxed);
+                return;
             }
         }
         // A poisoned lock is harmless here: the deque holds plain task
@@ -158,7 +154,7 @@ impl ReadyQueue {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         ov.push_back(id);
-        self.spilled.store(true, Ordering::Release);
+        self.spilled.store(true, Ordering::Relaxed);
     }
 
     /// Empties the queue, returning the overflow's memory.
@@ -170,27 +166,19 @@ impl ReadyQueue {
 
     fn pop(&self) -> Option<TaskId> {
         let head = self.head.load(Ordering::Relaxed);
-        if head != self.tail.load(Ordering::Acquire) {
-            let slot = &self.ring[head & (READY_CAP - 1)];
-            loop {
-                let v = slot.swap(0, Ordering::AcqRel);
-                if v != 0 {
-                    self.head.store(head.wrapping_add(1), Ordering::Release);
-                    return Some(v.wrapping_sub(1));
-                }
-                // A producer reserved this slot but has not published
-                // yet; its store is at most an instruction away.
-                std::hint::spin_loop();
-            }
+        if head != self.tail.load(Ordering::Relaxed) {
+            let id = self.ring[head & (READY_CAP - 1)].load(Ordering::Relaxed);
+            self.head.store(head.wrapping_add(1), Ordering::Relaxed);
+            return Some(id);
         }
-        if self.spilled.load(Ordering::Acquire) {
+        if self.spilled.load(Ordering::Relaxed) {
             let mut ov = self
                 .overflow
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             let v = ov.pop_front();
             if ov.is_empty() {
-                self.spilled.store(false, Ordering::Release);
+                self.spilled.store(false, Ordering::Relaxed);
             }
             return v;
         }
@@ -281,6 +269,20 @@ enum Wakeup {
     /// A waker this executor did not hand to the poll (a `Sleep` driven
     /// by hand, or from inside another executor's task).
     Foreign(Waker),
+    /// A value [`crate::channel::Sender::send_at`] parked in a channel,
+    /// by slot: firing releases it into the channel's queue. No `Sleep`
+    /// owns this timer, so its slab slot is freed as it fires.
+    Release(Rc<dyn Parked>, u32),
+}
+
+/// A channel holding values parked by `send_at`, seen by the timer store
+/// without its item type.
+pub(crate) trait Parked {
+    /// The timer fired: queue the value in `slot` and wake one receiver,
+    /// or drop it if every receiver is gone.
+    fn release(&self, slot: u32);
+    /// [`Sim::teardown`]: drop the value in `slot` undelivered.
+    fn cancel(&self, slot: u32);
 }
 
 struct TimerSlot {
@@ -324,6 +326,13 @@ impl TimerHeap {
         self.heap.push(HeapEntry { key: (at, tie, seq), idx });
         self.sift_up(pos);
         TimerHandle { idx, gen: self.slab[idx as usize].gen }
+    }
+
+    /// Registers a timer that releases a parked value: nobody holds its
+    /// handle, and `pop` frees it.
+    fn register_release(&mut self, key: TimerKey, chan: Rc<dyn Parked>, slot: u32) {
+        let h = self.register(key.0, key.1, key.2);
+        self.slab[h.idx as usize].wake = Wakeup::Release(chan, slot);
     }
 
     /// Writes `e` at `heap[pos]` and records the position in its slab
@@ -388,8 +397,31 @@ impl TimerHeap {
         }
         let HeapEntry { key, idx } = self.remove(0);
         let slot = &mut self.slab[idx as usize];
-        slot.loc = Loc::Fired;
-        Some((key, std::mem::take(&mut slot.wake)))
+        let wake = std::mem::take(&mut slot.wake);
+        if let Wakeup::Release(..) = wake {
+            self.free_slot(idx);
+        } else {
+            slot.loc = Loc::Fired;
+        }
+        Some((key, wake))
+    }
+
+    /// Cancels every pending release and hands back what each would
+    /// have released, for [`Sim::teardown`] to drop outside this borrow.
+    fn cancel_releases(&mut self) -> Vec<(Rc<dyn Parked>, u32)> {
+        let mut parked = Vec::new();
+        for idx in 0..self.slab.len() as u32 {
+            let slot = &mut self.slab[idx as usize];
+            match std::mem::take(&mut slot.wake) {
+                Wakeup::Release(chan, parked_slot) => {
+                    parked.push((chan, parked_slot));
+                    let gen = slot.gen;
+                    self.release(TimerHandle { idx, gen });
+                }
+                other => slot.wake = other,
+            }
+        }
+        parked
     }
 
     /// True once the timer has fired (the owning `Sleep` may then resolve).
@@ -426,11 +458,15 @@ impl TimerHeap {
         if let Loc::Heap(pos) = slot.loc {
             self.remove(pos as usize);
         }
-        let slot = &mut self.slab[h.idx as usize];
+        self.free_slot(h.idx);
+    }
+
+    fn free_slot(&mut self, idx: u32) {
+        let slot = &mut self.slab[idx as usize];
         slot.gen = slot.gen.wrapping_add(1);
         slot.loc = Loc::Free;
         slot.wake = Wakeup::Nobody;
-        self.free.push(h.idx);
+        self.free.push(idx);
     }
 }
 
@@ -547,9 +583,10 @@ impl Sim {
     }
 
     /// Spawns a fire-and-forget task: no [`JoinHandle`], so nothing is
-    /// allocated beyond the boxed future itself. The per-task actors the
-    /// fabrics launch (delivery legs, result returns, watchdogs) never
-    /// join their children — this is their hot path.
+    /// allocated beyond the boxed future itself. The per-task legs the
+    /// fabrics launch (deliveries, result returns) are never joined —
+    /// this is their hot path. A leg that would only sleep and then
+    /// send is a [`crate::channel::Sender::send_at`], not a task.
     pub fn spawn_detached<F>(&self, fut: F)
     where
         F: Future<Output = ()> + 'static,
@@ -635,19 +672,41 @@ impl Sim {
         (cx.waker().data() == data).then_some(id)
     }
 
+    /// The firing-order key of a timer registered now for `at`: the next
+    /// `seq`, and `tie` if given, else a fresh draw (zero without a tie
+    /// shuffle).
+    fn timer_key(&self, at: SimTime, tie: Option<u64>) -> TimerKey {
+        let seq = self.core.next_timer_seq.get();
+        self.core.next_timer_seq.set(seq + 1);
+        let tie = tie.unwrap_or_else(|| match self.core.tie_shuffle.borrow_mut().as_mut() {
+            Some(rng) => rng.next_u64(),
+            None => 0,
+        });
+        (at.as_nanos(), tie, seq)
+    }
+
     /// Registers a timer and arms it for whoever is polling through `cx`,
     /// under one borrow of the timer store.
     fn register_timer(&self, at: SimTime, cx: &Context<'_>) -> TimerHandle {
-        let seq = self.core.next_timer_seq.get();
-        self.core.next_timer_seq.set(seq + 1);
-        let tie = match self.core.tie_shuffle.borrow_mut().as_mut() {
-            Some(rng) => rng.next_u64(),
-            None => 0,
-        };
+        let (at, tie, seq) = self.timer_key(at, None);
         let mut timers = self.core.timers.borrow_mut();
-        let h = timers.register(at.as_nanos(), tie, seq);
+        let h = timers.register(at, tie, seq);
         timers.arm(h, self.polled_task(cx), cx.waker());
         h
+    }
+
+    /// Registers the timer that releases `slot` of `chan` at `at`, under
+    /// `tie` if given. Returns the tie it used.
+    pub(crate) fn register_release(
+        &self,
+        at: SimTime,
+        tie: Option<u64>,
+        chan: Rc<dyn Parked>,
+        slot: u32,
+    ) -> u64 {
+        let key = self.timer_key(at, tie);
+        self.core.timers.borrow_mut().register_release(key, chan, slot);
+        key.1
     }
 
     /// Polls every runnable task until none is runnable at the current
@@ -708,6 +767,7 @@ impl Sim {
         match wake {
             Wakeup::Task(id) => self.core.ready.push(id),
             Wakeup::Foreign(w) => w.wake(),
+            Wakeup::Release(chan, slot) => chan.release(slot),
             Wakeup::Nobody => {}
         }
         true
@@ -777,15 +837,17 @@ impl Sim {
 
     /// Drops every task this simulation holds — the futures of actors
     /// still parked on a channel, an event or a timer, with everything
-    /// they captured — and, once no timer handle is left outside them,
-    /// the timer store. The clock and the counters stay as they are;
-    /// the `Sim` stays usable, with no task and no pending timer.
+    /// they captured — and every value a `send_at` still has in flight,
+    /// and, once no timer handle is left outside them, the timer store.
+    /// The clock and the counters stay as they are; the `Sim` stays
+    /// usable, with no task and no pending timer.
     ///
     /// Parked actors hold `Sim` clones and the `Sim` holds their
-    /// futures: that cycle is what keeps a finished simulation's stores,
-    /// channels and payloads alive after its last outside handle is
-    /// gone. `hetflow_core::Deployment` calls this when it is dropped.
-    /// A no-op while a task is being polled.
+    /// futures, as it holds the channels of in-flight sends and through
+    /// them their values: those cycles are what keep a finished
+    /// simulation's stores, channels and payloads alive after its last
+    /// outside handle is gone. `hetflow_core::Deployment` calls this
+    /// when it is dropped. A no-op while a task is being polled.
     pub fn teardown(&self) {
         let core = &self.core;
         if core.polling.get().is_some() {
@@ -805,6 +867,12 @@ impl Sim {
         // core (a `Sleep` releases its timer, a closed channel wakes its
         // peer, a destructor may even spawn).
         drop(tasks);
+        // Undelivered sends: cancelled in the store, their values dropped
+        // outside its borrow (a value's destructor may re-enter it).
+        let parked = core.timers.borrow_mut().cancel_releases();
+        for (chan, slot) in parked {
+            chan.cancel(slot);
+        }
         // A `Sleep` kept outside the tasks still holds its slot; then
         // the store stays, so that handle never meets a stranger.
         let mut timers = core.timers.borrow_mut();
@@ -1380,7 +1448,7 @@ mod tests {
                 w.wake();
                 foreign_fired += 1;
             }
-            Wakeup::Nobody => panic!("timer {seq} fired with nobody to wake"),
+            Wakeup::Nobody | Wakeup::Release(..) => panic!("timer {seq} fired with nobody to wake"),
         };
         // seq -> handle, for cancels and post-pop release.
         let mut live: Vec<(u64, TimerHandle)> = Vec::new();
@@ -1638,8 +1706,16 @@ mod tests {
         }
         let s = sim.clone();
         sim.spawn_detached(async move { s.sleep(secs(50.0)).await });
+        // Sends still in flight, into a channel read by a parked actor:
+        // timer store → channel → value → `Sim`, the cycle a send adds.
+        let (tx, rx) = crate::channel::channel::<(Sim, Rc<()>)>();
+        sim.spawn_detached(async move { while rx.recv().await.is_some() {} });
+        for at in [20, 30] {
+            tx.send_at(&sim, SimTime::from_secs(at), (sim.clone(), Rc::clone(&marker)));
+        }
+        drop(tx);
         let r = sim.run_until(SimTime::from_secs(10));
-        assert_eq!(r.pending_tasks, 3);
+        assert_eq!(r.pending_tasks, 4);
         let stale = pack_task(0, 0);
         sim.teardown();
         assert_eq!(Rc::strong_count(&marker), 1, "the parked actors' captures were dropped");
@@ -1656,6 +1732,44 @@ mod tests {
         assert_eq!(sim.block_on(h), SimTime::from_secs(11));
         let r = sim.run();
         assert_eq!((r.end, r.pending_tasks), (SimTime::from_secs(11), 0));
+    }
+
+    /// 3 000 waiters woken at one instant: 1 024 fit the ready ring, the
+    /// rest spill. They poll in wake order, and a wake made while the
+    /// spill is non-empty polls after every spilled id.
+    #[test]
+    fn a_burst_past_the_ready_ring_spills_and_keeps_wake_order() {
+        const WAITERS: usize = 3_000;
+        let sim = Sim::new();
+        let (burst, late) = (crate::sync::Event::new(), crate::sync::Event::new());
+        let log: Rc<StdRefCell<Vec<usize>>> = Rc::default();
+        let spilled_at_first_poll = Rc::new(Cell::new(false));
+        // Parked first, woken last: by waiter 0, from the ring, while
+        // the other 1 976 are still in the overflow.
+        let (l, ev) = (Rc::clone(&log), late.clone());
+        sim.spawn_detached(async move {
+            ev.wait().await;
+            l.borrow_mut().push(WAITERS);
+        });
+        for i in 0..WAITERS {
+            let (l, ev, late) = (Rc::clone(&log), burst.clone(), late.clone());
+            let (s, spilled) = (sim.clone(), Rc::clone(&spilled_at_first_poll));
+            sim.spawn_detached(async move {
+                ev.wait().await;
+                if i == 0 {
+                    spilled.set(s.core.ready.spilled.load(Ordering::Relaxed));
+                    late.set();
+                }
+                l.borrow_mut().push(i);
+            });
+        }
+        sim.run();
+        burst.set();
+        let r = sim.run();
+        assert!(spilled_at_first_poll.get(), "the burst never reached the overflow");
+        assert_eq!(r.pending_tasks, 0);
+        assert_eq!(*log.borrow(), (0..=WAITERS).collect::<Vec<_>>());
+        assert!(!sim.core.ready.spilled.load(Ordering::Relaxed), "drained back to the ring");
     }
 
     #[test]

@@ -17,7 +17,8 @@ use hetflow_fabric::{
 };
 use hetflow_store::{ProxyPolicy, SiteId, UntypedProxy};
 use hetflow_sim::{
-    channel, trace_kinds as kinds, Dist, Receiver, Sender, Sim, SimRng, Symbol, SymbolMap, Tracer,
+    channel, trace_kinds as kinds, Dist, Receiver, Sender, Sim, SimRng, SimTime, Symbol, SymbolMap,
+    Tracer,
 };
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -200,22 +201,8 @@ impl ClientQueues {
         shared.outstanding.set(shared.outstanding.get() + 1);
 
         // Queue transit happens off the agent's back.
-        let wire = task.wire_bytes();
-        let transit = self.queue_transit(wire);
-        let submit_tx = shared.submit_tx.clone();
-        let sim2 = sim.clone();
-        sim.spawn_detached(async move {
-            sim2.sleep(transit).await;
-            // The receiver's owner, the submission-forwarding actor,
-            // loops until every sender is dropped — this clone included —
-            // so `Err` needs that actor gone: a `Sim` being torn down,
-            // with no thinker left to wait on `outstanding`.
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "the receiver outlives every sender; Err only at Sim teardown"
-            )]
-            let _ = submit_tx.send_now(task);
-        });
+        let transit = self.queue_transit(task.wire_bytes());
+        shared.submit_tx.send_at(sim, sim.now() + transit, task);
         id
     }
 
@@ -404,36 +391,16 @@ impl TaskServer {
         tracer: Tracer,
     ) -> ClientQueues {
         let (submit_tx, submit_rx) = channel::<TaskSpec>();
-        let mut deliver_tx: SymbolMap<Sender<(TaskResult, hetflow_sim::SimTime)>> =
-            SymbolMap::new();
+        // Per topic: the result queue's sending half and the instant its
+        // latest result lands. The modeled Redis result queue is FIFO
+        // per topic, so a result whose transit would land it before its
+        // predecessor lands with it: `max(now + transit, last)`.
+        let mut deliver: SymbolMap<(Sender<TaskResult>, Cell<SimTime>)> = SymbolMap::new();
         let mut topic_rx: SymbolMap<Receiver<TaskResult>> = SymbolMap::new();
         for &topic in topics {
             let (tx, rx) = channel::<TaskResult>();
             topic_rx.insert(Symbol::intern(topic), rx);
-            // Per-topic delivery actor: the modeled Redis result queue is
-            // FIFO per topic, so one long-lived actor draining deliveries
-            // in order replaces a spawned task per result. Sequential
-            // draining makes delivery times monotone by construction — a
-            // result whose transit would land it before its predecessor
-            // is released the instant the predecessor goes out, exactly
-            // the `max(deliver_at, last)` the per-result tasks computed.
-            let (dtx, drx) = channel::<(TaskResult, hetflow_sim::SimTime)>();
-            deliver_tx.insert(Symbol::intern(topic), dtx);
-            let sim2 = sim.clone();
-            sim.spawn_detached(async move {
-                while let Some((mut result, deliver_at)) = drx.recv().await {
-                    sim2.sleep_until(deliver_at).await;
-                    result.timing.thinker_notified = Some(sim2.now());
-                    // The receiver lives in the thinker's `ClientQueues`; once
-                    // every handle is dropped (campaign over, results still
-                    // in flight) nobody is left to deliver to.
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "the thinker may have dropped every ClientQueues handle"
-                    )]
-                    let _ = tx.send_now(result);
-                }
-            });
+            deliver.insert(Symbol::intern(topic), (tx, Cell::new(SimTime::ZERO)));
         }
 
         let shared = Rc::new(Shared {
@@ -486,23 +453,17 @@ impl TaskServer {
                         clippy::panic,
                         reason = "unregistered topic is a deployment wiring bug"
                     )]
-                    let Some(dtx) = deliver_tx.get(result.topic) else {
+                    let Some((tx, last)) = deliver.get(result.topic) else {
                         panic!("result for unregistered topic {}", result.topic);
                     };
-                    // Queue transit back to the thinker; the per-topic
-                    // delivery actor holds the result until then.
+                    // Queue transit back to the thinker, in topic order.
                     let lat = config.queue_latency.sample(&mut rng);
                     let transit =
                         hetflow_sim::time::secs(lat + wire as f64 / config.queue_bandwidth);
-                    let deliver_at = sim2.now() + transit;
-                    // The receiver's owner, the per-topic delivery actor,
-                    // loops until `deliver_tx` — owned by this actor — is
-                    // dropped, so `Err` needs it gone: `Sim` teardown.
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "the receiver outlives this sender; Err only at Sim teardown"
-                    )]
-                    let _ = dtx.send_now((result, deliver_at));
+                    let at = (sim2.now() + transit).max(last.get());
+                    last.set(at);
+                    result.timing.thinker_notified = Some(at);
+                    tx.send_at(&sim2, at, result);
                 }
             });
         }

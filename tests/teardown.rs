@@ -70,3 +70,48 @@ fn dropped_sims_free_their_stored_objects_and_memory() {
         assert!(per_sim_kb < 1024, "resident memory grew {per_sim_kb} kB per dropped sim: {rss:?}");
     }
 }
+
+/// Cuts control-plane runs short while tasks are parked in queue
+/// transit — a 2 s hop each way keeps most of them there — and drops the
+/// deployment. Every result carries its input back, so a parked result
+/// holds the marker as a parked submission does.
+#[test]
+fn a_deployment_dropped_mid_run_frees_its_sends_in_flight() {
+    let marker: Rc<dyn Any> = Rc::new([0u8; 64]);
+    for cut_ms in [3_500, 5_000, 7_250] {
+        let sim = Sim::new();
+        let mut spec = DeploymentSpec { seed: 3, ..Default::default() };
+        spec.calibration.queue_latency = hetflow::sim::Dist::Constant(2.0);
+        let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
+        let (q, value) = (d.queues.clone(), Rc::clone(&marker));
+        sim.spawn_detached(async move {
+            let compute: TaskFn = Rc::new(|ctx| {
+                TaskWork::new(ctx.input::<[u8; 64]>(0), 1_000, std::time::Duration::ZERO)
+            });
+            let submit = || {
+                let input = [Payload::shared(Rc::clone(&value), 1_000)];
+                q.submit("simulate", input, Rc::clone(&compute))
+            };
+            for _ in 0..WINDOW {
+                submit().await;
+            }
+            while let Some(done) = q.get_result("simulate").await {
+                done.resolve().await;
+                submit().await;
+            }
+        });
+        let at_cut = sim.run_until(SimTime::from_millis(cut_ms));
+        assert!(d.queues.outstanding() > 0, "cut at {cut_ms} ms: nothing in flight");
+        assert!(Rc::strong_count(&marker) > 1, "cut at {cut_ms} ms: no task holds the marker");
+        drop(d);
+        assert_eq!(Rc::strong_count(&marker), 1, "cut at {cut_ms} ms: a send outlived its sim");
+        // Nothing left to fire: the parked sends' timer entries went with
+        // their values, so the store was freed rather than kept.
+        let after = sim.run();
+        assert_eq!(
+            (after.end, after.timer_fires, after.pending_tasks),
+            (at_cut.end, at_cut.timer_fires, 0),
+            "cut at {cut_ms} ms"
+        );
+    }
+}
