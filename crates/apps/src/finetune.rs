@@ -276,19 +276,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
     counter.register("simulate", sim_share);
     counter.register("sample", cpu.saturating_sub(sim_share).max(1));
 
-    // Breaker → allocator: while the primary CPU endpoint's circuit is
-    // open its slots cannot make progress, so flag both CPU pools
-    // degraded and let the balancer hold still until it closes again.
-    {
-        let counter = counter.clone();
-        deployment.health.on_breaker_change(move |endpoint, open| {
-            if endpoint == 0 {
-                counter.set_degraded("simulate", open);
-                counter.set_degraded("sample", open);
-            }
-        });
-    }
-
     let retrain = hetflow_sim::Event::new();
     let score = hetflow_sim::Event::new();
 
@@ -594,12 +581,6 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 }
                 let audit_len = state.audit.borrow().len();
                 let target = state.params.audit_target;
-                // Hold still while the backing endpoint is circuit-
-                // broken: shuffling slots into a degraded pool just
-                // queues work behind a dead endpoint.
-                if counter.is_degraded("simulate") || counter.is_degraded("sample") {
-                    continue;
-                }
                 if audit_len < target / 2 && counter.available("simulate") > 0 {
                     counter.reallocate("simulate", "sample", 1).await;
                 } else if audit_len > 2 * target && counter.available("sample") > 0 {

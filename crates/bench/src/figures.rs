@@ -891,8 +891,6 @@ pub fn overload_point(multiplier: f64, horizon_secs: f64) -> OverloadPoint {
         local_hop: cal.worker_hop.clone(),
         failure: None,
         retry: hetflow_fabric::RetryPolicies::default(),
-        pace: hetflow_fabric::Knob::new(1.0),
-        crash: hetflow_fabric::Knob::new(0.0),
         queue_capacity: OVERLOAD_QUEUE,
         overflow: OverflowPolicy::ShedLowestPriority,
     };

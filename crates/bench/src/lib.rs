@@ -146,8 +146,6 @@ impl NoopPipeline {
             local_hop: cal.worker_hop.clone(),
             failure: None,
             retry: hetflow_fabric::RetryPolicies::default(),
-            pace: hetflow_fabric::Knob::new(1.0),
-            crash: hetflow_fabric::Knob::new(0.0),
             queue_capacity: 0,
             overflow: hetflow_sim::OverflowPolicy::default(),
         };

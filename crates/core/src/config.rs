@@ -12,7 +12,7 @@
 use crate::calibration::Calibration;
 use crate::platform::{all_topics, CPU_TOPICS, GPU_TOPICS, THETA, VENTI};
 use hetflow_fabric::{
-    ChaosTargets, Dispatcher, EndpointSpec, Fabric, FnXExecutor, HtexEndpoint, HtexExecutor, Knob,
+    ChaosTargets, Dispatcher, EndpointSpec, Fabric, FnXExecutor, HtexEndpoint, HtexExecutor,
     ReliabilityLayer, TaskResult, WorkerPool, WorkerPoolConfig,
 };
 use hetflow_steer::{ClientQueues, QueueConfig, TaskServer};
@@ -76,10 +76,9 @@ pub struct DeploymentSpec {
     /// and delivery stalls are handled.
     pub retry: hetflow_fabric::RetryPolicies,
     /// CPU endpoint connectivity (FnX configuration only; HTEX has no
-    /// store-and-forward tier, so outages there stall the link).
+    /// store-and-forward tier, so outages there stall the link). The
+    /// GPU and failover endpoints are always connected.
     pub cpu_connectivity: hetflow_fabric::Connectivity,
-    /// GPU endpoint connectivity.
-    pub gpu_connectivity: hetflow_fabric::Connectivity,
     /// Per-topic circuit-breaker / hedging / failover policies. The
     /// all-zero default disables every mechanism (PR-2 behavior).
     pub reliability: hetflow_fabric::ReliabilityPolicies,
@@ -87,17 +86,13 @@ pub struct DeploymentSpec {
     /// primary Theta endpoint (FnX configuration only). Each gets a
     /// small pool (`cpu_workers` slots) labelled `theta-f{i}`.
     pub cpu_failover_sites: usize,
-    /// Connectivity for the failover endpoints, matched by index;
-    /// missing entries default to always-on.
-    pub failover_connectivity: Vec<hetflow_fabric::Connectivity>,
     /// Bound on the Theta pool's pending-task queue, enforced at
     /// delivery time with [`DeploymentSpec::overflow`]. `0` keeps the
-    /// queue unbounded (the zero-value defer).
+    /// queue unbounded (the zero-value defer). The Venti queue is
+    /// always unbounded.
     pub cpu_queue_capacity: usize,
-    /// Bound on the Venti pool's pending-task queue. `0` = unbounded.
-    pub gpu_queue_capacity: usize,
-    /// What a delivery does when it finds a bounded pool queue full.
-    /// Irrelevant while both capacities are `0`.
+    /// What a delivery does when it finds the Theta queue full.
+    /// Irrelevant while `cpu_queue_capacity` is `0`.
     pub overflow: hetflow_sim::OverflowPolicy,
 }
 
@@ -112,12 +107,9 @@ impl Default for DeploymentSpec {
             failure: None,
             retry: hetflow_fabric::RetryPolicies::default(),
             cpu_connectivity: hetflow_fabric::Connectivity::always_on(),
-            gpu_connectivity: hetflow_fabric::Connectivity::always_on(),
             reliability: hetflow_fabric::ReliabilityPolicies::default(),
             cpu_failover_sites: 0,
-            failover_connectivity: Vec::new(),
             cpu_queue_capacity: 0,
-            gpu_queue_capacity: 0,
             overflow: hetflow_sim::OverflowPolicy::default(),
         }
     }
@@ -137,8 +129,8 @@ pub struct Deployment {
     pub remote_store: Option<Store>,
     /// The Globus transfer service, in the FnX+Globus configuration.
     pub globus: Option<GlobusService>,
-    /// The fabric's reliability layer: breaker state, hedge/reroute
-    /// counters, and breaker-transition observers.
+    /// The fabric's reliability layer: breaker state and hedge/reroute
+    /// counters.
     pub health: ReliabilityLayer,
     /// Chaos-engine dials for every endpoint/pool in this deployment —
     /// hand these to [`hetflow_fabric::ChaosSpec::install`].
@@ -251,8 +243,6 @@ pub fn deploy(
         local_hop: cal.worker_hop.clone(),
         failure: spec.failure.clone(),
         retry: spec.retry.clone(),
-        pace: Knob::new(1.0),
-        crash: Knob::new(0.0),
         queue_capacity: spec.cpu_queue_capacity,
         overflow: spec.overflow,
     };
@@ -260,15 +250,8 @@ pub fn deploy(
         site: VENTI,
         label: "venti".into(),
         workers: spec.gpu_workers,
-        result_policy: policy.clone(),
-        ser: cal.ser.clone(),
-        local_hop: cal.worker_hop.clone(),
-        failure: spec.failure.clone(),
-        retry: spec.retry.clone(),
-        pace: Knob::new(1.0),
-        crash: Knob::new(0.0),
-        queue_capacity: spec.gpu_queue_capacity,
-        overflow: spec.overflow,
+        queue_capacity: 0,
+        ..cpu_pool_config.clone()
     };
 
     // --- Fabric ------------------------------------------------------------
@@ -303,29 +286,15 @@ pub fn deploy(
                     topics: CPU_TOPICS.to_vec(),
                     connectivity: spec.cpu_connectivity.clone(),
                 },
-                EndpointSpec {
-                    pool: gpu_pool_config,
-                    topics: GPU_TOPICS.to_vec(),
-                    connectivity: spec.gpu_connectivity.clone(),
-                },
+                EndpointSpec::reliable(gpu_pool_config, GPU_TOPICS.to_vec()),
             ];
             // Failover CPU endpoints: registered after the primary, so
             // the reliability layer only routes to them when the
             // primary's breaker is open (or a reroute/hedge fires).
             for i in 0..spec.cpu_failover_sites {
-                let mut pool = cpu_pool_config.clone();
-                pool.label = format!("theta-f{i}");
-                pool.pace = Knob::new(1.0);
-                pool.crash = Knob::new(0.0);
-                endpoints.push(EndpointSpec {
-                    pool,
-                    topics: CPU_TOPICS.to_vec(),
-                    connectivity: spec
-                        .failover_connectivity
-                        .get(i)
-                        .cloned()
-                        .unwrap_or_else(hetflow_fabric::Connectivity::always_on),
-                });
+                let label = format!("theta-f{i}");
+                let pool = WorkerPoolConfig { label, ..cpu_pool_config.clone() };
+                endpoints.push(EndpointSpec::reliable(pool, CPU_TOPICS.to_vec()));
             }
             handles(FnXExecutor::with_reliability(
                 sim,

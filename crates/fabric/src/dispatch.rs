@@ -14,7 +14,7 @@ use crate::fabric::Fabric;
 use crate::health::{ReliabilityLayer, ReliabilityPolicies, TimeoutVerdict, Verdict};
 use crate::reliability::chaos::ChaosTargets;
 use crate::reliability::overload::AdmissionController;
-use crate::reliability::{Connectivity, Knob, RetryPolicies};
+use crate::reliability::{Connectivity, RetryPolicies};
 use crate::task::{TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming, WorkerReport};
 use crate::worker::{WorkerPool, WorkerPoolConfig};
 use hetflow_sim::{
@@ -29,12 +29,11 @@ use std::task::{Context, Poll};
 use std::time::Duration;
 
 /// What every transport works with besides its own parameters: the
-/// clock, the fabric's one transit-cost RNG stream, and the per-endpoint
-/// link-brownout dials. The core makes it, the transport owns it.
+/// clock and the fabric's one transit-cost RNG stream. The core makes
+/// it, the transport owns it.
 pub struct Net {
     pub sim: Sim,
     pub rng: RefCell<SimRng>,
-    pub brownout: Vec<Knob>,
 }
 
 /// How bytes travel between the task server and an endpoint — the only
@@ -56,10 +55,6 @@ pub trait Transport: 'static {
     /// Per-endpoint connection handles; none when links are direct.
     fn connectivity(&self) -> &[Connectivity] {
         &[]
-    }
-    /// The cloud-service degradation dial, when there is a cloud.
-    fn cloud(&self) -> Option<&Knob> {
-        None
     }
 }
 
@@ -101,7 +96,7 @@ struct Inner<T> {
     deadlines: SymbolMap<(Duration, Sender<Due>)>,
     /// The hedge actor's checks `(task, topic, delay)`, if a topic hedges.
     hedges: Sender<(TaskId, Symbol, Duration)>,
-    /// Chaos-engine handles: clones of the pools' and transport's dials.
+    /// Chaos-engine handles: the transport's connections, the pools' dials.
     chaos: ChaosTargets,
     results: Sender<TaskResult>,
     tracer: Tracer,
@@ -193,9 +188,9 @@ impl<T> Dispatcher<T> {
         self.inner.health.clone()
     }
 
-    /// The chaos-engine handles: pool pace/crash dials, link brownout
-    /// dials, and the transport's connectivity and cloud dial, if any. The
-    /// storm target stays `None`: the deployment owns the `Rc<dyn Fabric>`.
+    /// The chaos-engine handles: the pools' pace dials and the
+    /// transport's connectivity, if any. The storm target stays `None`:
+    /// the deployment owns the `Rc<dyn Fabric>`.
     pub fn chaos_targets(&self) -> ChaosTargets {
         self.inner.chaos.clone()
     }
@@ -246,9 +241,8 @@ impl<T: Transport> Dispatcher<T> {
             pools.push(WorkerPool::spawn(sim, pool, pool_res_tx, &pool_rng, tracer.clone()));
             pool_streams.push(pool_res_rx);
         }
-        let brownout: Vec<Knob> = pools.iter().map(|_| Knob::new(1.0)).collect();
         let rng = RefCell::new(rng.substream(u64::MAX));
-        let transport = wire(Net { sim: sim.clone(), rng, brownout: brownout.clone() });
+        let transport = wire(Net { sim: sim.clone(), rng });
         // Admission configs and deadlines are read off the policies
         // before the layer takes them; all-zero configs register nothing.
         // A topic's refusals are attributed to its primary endpoint.
@@ -278,9 +272,6 @@ impl<T: Transport> Dispatcher<T> {
         let chaos = ChaosTargets {
             connectivity: conns.to_vec(),
             pace: pools.iter().map(WorkerPool::pace_knob).collect(),
-            crash: pools.iter().map(WorkerPool::crash_knob).collect(),
-            brownout,
-            cloud: transport.cloud().cloned(),
             storm: None,
         };
         let inner = Rc::new(Inner {
@@ -817,7 +808,7 @@ mod tests {
         // the slow task on endpoint 1, whose copy wins; the straggling
         // copy is cancelled when it finally surfaces.
         for kind in BOTH {
-            let hedge = HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3, max_hedges: 1 };
+            let hedge = HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3 };
             let policy = ReliabilityPolicy { hedge, ..Default::default() };
             let rig = Rig::new(kind, vec![Ep::new(0, false), Ep::new(1, false)], policy);
             let pace = rig.chaos.pace[0].clone();

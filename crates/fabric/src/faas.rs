@@ -18,7 +18,7 @@
 
 use crate::dispatch::{Dispatcher, Net, Transport};
 use crate::health::ReliabilityPolicies;
-use crate::reliability::{Connectivity, Knob};
+use crate::reliability::Connectivity;
 use crate::task::TaskResult;
 use crate::worker::WorkerPoolConfig;
 use hetflow_sim::{Dist, Sender, Sim, SimRng, Symbol, Tracer};
@@ -83,13 +83,12 @@ impl EndpointSpec {
     }
 }
 
-/// The cloud transport: tiered payload storage, outbound-only endpoint
-/// connections, and a degradation dial on the service's own operations.
+/// The cloud transport: tiered payload storage and outbound-only
+/// endpoint connections.
 pub struct FnXTransport {
     net: Net,
     params: FnXParams,
     connectivity: Vec<Connectivity>,
-    cloud: Knob,
 }
 
 /// The FnX executor: routes tasks through the cloud to endpoints.
@@ -128,7 +127,7 @@ impl FnXExecutor {
     ) -> FnXExecutor {
         let (connectivity, endpoints) =
             endpoints.into_iter().map(|ep| (ep.connectivity, (ep.pool, ep.topics))).unzip();
-        let wire = |net| FnXTransport { net, params, connectivity, cloud: Knob::new(1.0) };
+        let wire = |net| FnXTransport { net, params, connectivity };
         Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
     }
 }
@@ -166,16 +165,15 @@ impl Transport for FnXTransport {
 
     /// Cloud stores the payload, forwards the invocation, endpoint
     /// fetches the payload. While the endpoint is offline the cloud
-    /// simply holds the task (§IV-A3). The cloud knob degrades every
-    /// step, the endpoint's brownout knob the two that cross its link.
+    /// simply holds the task (§IV-A3).
     async fn outbound(&self, endpoint: usize, bytes: u64) {
         let put = self.store_op(bytes);
-        self.net.sim.sleep(self.cloud.scale(put)).await;
+        self.net.sim.sleep(put).await;
         self.connectivity[endpoint].wait_online().await;
         let fwd = self.params.forward_latency.sample_secs(&mut self.net.rng.borrow_mut());
-        self.net.sim.sleep(self.net.brownout[endpoint].scale(self.cloud.scale(fwd))).await;
+        self.net.sim.sleep(fwd).await;
         let get = self.store_op(bytes);
-        self.net.sim.sleep(self.net.brownout[endpoint].scale(self.cloud.scale(get))).await;
+        self.net.sim.sleep(get).await;
     }
 
     /// The endpoint buffers the result while offline, then uploads; the
@@ -183,19 +181,15 @@ impl Transport for FnXTransport {
     async fn inbound(&self, endpoint: usize, bytes: u64) {
         self.connectivity[endpoint].wait_online().await;
         let put = self.store_op(bytes);
-        self.net.sim.sleep(self.net.brownout[endpoint].scale(self.cloud.scale(put))).await;
+        self.net.sim.sleep(put).await;
         let lat = self.params.result_latency.sample_secs(&mut self.net.rng.borrow_mut());
-        self.net.sim.sleep(self.cloud.scale(lat)).await;
+        self.net.sim.sleep(lat).await;
         let get = self.store_op(bytes);
-        self.net.sim.sleep(self.cloud.scale(get)).await;
+        self.net.sim.sleep(get).await;
     }
 
     fn connectivity(&self) -> &[Connectivity] {
         &self.connectivity
-    }
-
-    fn cloud(&self) -> Option<&Knob> {
-        Some(&self.cloud)
     }
 }
 

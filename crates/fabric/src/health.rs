@@ -39,6 +39,8 @@ const DEFAULT_CLOSE_AFTER: u32 = 1;
 /// Hedge-delay sample floor when the policy leaves `min_samples` at
 /// zero.
 const DEFAULT_MIN_SAMPLES: usize = 8;
+/// Speculative copies issued per task at most.
+const MAX_HEDGES: u32 = 1;
 
 /// Per-topic circuit-breaker tuning. Zero values defer, matching
 /// [`crate::reliability::RetryPolicy`]: the all-zero default disables
@@ -97,8 +99,6 @@ pub struct HedgeConfig {
     /// Observed round trips required before the quantile estimate is
     /// trusted. `0` defers to 8.
     pub min_samples: usize,
-    /// Maximum speculative copies issued per task. `0` defers to 1.
-    pub max_hedges: u32,
 }
 
 impl HedgeConfig {
@@ -113,10 +113,6 @@ impl HedgeConfig {
         } else {
             self.min_samples
         }
-    }
-
-    fn max_hedges(&self) -> u32 {
-        self.max_hedges.max(1)
     }
 }
 
@@ -376,13 +372,7 @@ struct LayerInner {
     cancelled: Cell<u64>,
     hedged: Cell<u64>,
     rerouted: Cell<u64>,
-    /// Observers of breaker transitions (`endpoint`, `open`): lets the
-    /// steering layer's resource allocator see breaker state.
-    observers: RefCell<Vec<BreakerObserver>>,
 }
-
-/// Callback invoked on every breaker transition: `(endpoint index, now open)`.
-type BreakerObserver = Box<dyn Fn(usize, bool)>;
 
 /// The active reliability layer shared by both fabrics: breaker-aware
 /// routing, hedged dispatch, timeout rerouting, and exactly-once
@@ -425,7 +415,6 @@ impl ReliabilityLayer {
                 cancelled: Cell::new(0),
                 hedged: Cell::new(0),
                 rerouted: Cell::new(0),
-                observers: RefCell::new(Vec::new()),
             }),
         };
         let grace = layer.inner.policies.default.breaker.offline_grace;
@@ -542,18 +531,16 @@ impl ReliabilityLayer {
     }
 
     /// Attempts to issue a speculative copy of task `id`: succeeds when
-    /// the task is still unresolved and under its hedge budget. The
+    /// the task is still unresolved and has no copy yet. The
     /// copy prefers an endpoint other than the candidates' primary so
     /// a straggling or dead endpoint is actually bypassed; with a
     /// single endpoint the copy re-queues there (still rescuing tasks
     /// stuck behind a crash). Emits `task_hedged`.
     pub(crate) fn try_hedge(&self, id: TaskId, topic: impl Into<Symbol>) -> Option<(TaskSpec, usize)> {
-        let topic = topic.into();
-        let max = self.policy(topic).hedge.max_hedges();
-        let candidates = self.inner.route.get(topic)?;
+        let candidates = self.inner.route.get(topic.into())?;
         let mut reg = self.inner.inflight.borrow_mut();
         let entry = reg.get_mut(&id)?;
-        if entry.done || entry.hedges >= max {
+        if entry.done || entry.hedges >= MAX_HEDGES {
             return None;
         }
         let spec = TaskSpec::from(entry.spec.clone()?);
@@ -807,7 +794,6 @@ impl ReliabilityLayer {
             endpoint as u64,
             generation as f64,
         );
-        self.notify(endpoint, true);
     }
 
     fn announce_closed(&self, endpoint: usize) {
@@ -819,28 +805,6 @@ impl ReliabilityLayer {
             endpoint as u64,
             health.generation.get() as f64,
         );
-        self.notify(endpoint, false);
-    }
-
-    fn notify(&self, endpoint: usize, open: bool) {
-        // Take the observer list out for the duration of the calls so
-        // an observer that re-enters the layer cannot hit a borrow
-        // conflict.
-        let observers = std::mem::take(&mut *self.inner.observers.borrow_mut());
-        for f in &observers {
-            f(endpoint, open);
-        }
-        let mut slot = self.inner.observers.borrow_mut();
-        let mut merged = observers;
-        merged.append(&mut slot);
-        *slot = merged;
-    }
-
-    /// Registers an observer of breaker transitions: called with
-    /// `(endpoint, open)` at every open/close. This is how the
-    /// steering layer's resource allocator sees breaker state.
-    pub fn on_breaker_change(&self, f: impl Fn(usize, bool) + 'static) {
-        self.inner.observers.borrow_mut().push(Box::new(f));
     }
 
     /// True while `endpoint`'s breaker is open (cool-down running).
@@ -1089,12 +1053,7 @@ mod tests {
     fn hedge_delay_needs_samples_then_tracks_quantile() {
         let policies = ReliabilityPolicies {
             default: ReliabilityPolicy {
-                hedge: HedgeConfig {
-                    quantile: 0.5,
-                    factor: 2.0,
-                    min_samples: 3,
-                    ..Default::default()
-                },
+                hedge: HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3 },
                 ..Default::default()
             },
             per_topic: SymbolMap::new(),
@@ -1206,7 +1165,7 @@ mod tests {
 
     fn hedging(quantile: f64, factor: f64) -> ReliabilityPolicy {
         ReliabilityPolicy {
-            hedge: HedgeConfig { quantile, factor, min_samples: 1, ..Default::default() },
+            hedge: HedgeConfig { quantile, factor, min_samples: 1 },
             ..Default::default()
         }
     }
@@ -1476,17 +1435,5 @@ mod tests {
         );
         sim.run();
         assert!(!layer.breaker_open(0), "a 3 s blip inside a 10 s grace is forgiven");
-    }
-
-    #[test]
-    fn breaker_observers_see_transitions() {
-        let (_sim, layer) = layer_with(breaker_policy(1), 2);
-        let seen: Rc<RefCell<Vec<(usize, bool)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
-        layer.on_breaker_change(move |ep, open| sink.borrow_mut().push((ep, open)));
-        layer.admit(&TaskSpec::noop(0, 100));
-        layer.on_result(0, 0, "noop", true, 0.0);
-        layer.trip(1);
-        assert_eq!(&*seen.borrow(), &[(0, true), (1, true)]);
     }
 }

@@ -122,12 +122,11 @@ impl HtexExecutor {
 }
 
 impl HtexTransport {
-    /// One message of `bytes` over the endpoint's link; a browned-out
-    /// link (chaos dial) moves bytes slower.
+    /// One message of `bytes` over the endpoint's link.
     fn link_cost(&self, endpoint: usize, bytes: u64) -> Duration {
         let link = &self.links[endpoint];
         let lat = link.latency.sample(&mut self.net.rng.borrow_mut());
-        self.net.brownout[endpoint].scale(secs(lat + bytes as f64 / link.bandwidth))
+        secs(lat + bytes as f64 / link.bandwidth)
     }
 }
 

@@ -21,7 +21,7 @@
 //!
 //! A transport decides the fabric's label, whether a payload is
 //! admissible, what the client pays to submit, how a task travels out
-//! and a result back, and which connectivity and cloud dials exist —
+//! and a result back, and which connections exist —
 //! nothing else (DESIGN.md §9 has the table).
 //!
 //! Worker pools resolve proxied inputs, run the (real) compute closure

@@ -18,19 +18,17 @@ pub mod chaos;
 pub mod overload;
 
 /// A shared, mutable scalar dial: the hook through which the chaos
-/// engine (and interactive scenarios) degrade a running component —
-/// worker pace factors, link brownout multipliers, cloud-service
-/// slowdowns. Cloning shares the underlying cell, so the component
-/// holding one end and the chaos actor holding the other observe the
-/// same value. Components read knobs lazily and skip the multiply when
-/// the value is exactly neutral, so an untouched knob changes neither
-/// timing nor RNG streams.
+/// engine slows a running worker pool (its pace factor). Cloning shares
+/// the underlying cell, so the pool holding one end and the chaos actor
+/// holding the other observe the same value. The pool reads its knob
+/// lazily and skips the multiply when the value is exactly neutral, so
+/// an untouched knob changes neither timing nor RNG streams.
 #[derive(Clone)]
 pub struct Knob(Rc<Cell<f64>>);
 
 impl Knob {
     /// A knob at `value`.
-    pub fn new(value: f64) -> Self {
+    pub(crate) fn new(value: f64) -> Self {
         Knob(Rc::new(Cell::new(value)))
     }
 

@@ -1,13 +1,12 @@
 //! Deterministic chaos-injection engine.
 //!
 //! A [`ChaosSpec`] is a declarative fault script — endpoint flaps, a
-//! permanent site kill, link brownouts, straggler slowdowns, worker
-//! crash storms, cloud-service degradation, task storms — that
+//! permanent site kill, straggler slowdowns, task storms — that
 //! [`ChaosSpec::install`] compiles into scheduled actors against a
-//! deployment's [`ChaosTargets`]: the [`Connectivity`] handles and
-//! degradation [`Knob`]s the fabrics already consult, plus an optional
-//! fabric handle for overload (task-storm) injection. Every random
-//! choice is drawn from a named [`SimRng`] stream with one substream
+//! deployment's [`ChaosTargets`]: the [`Connectivity`] handles and pace
+//! [`Knob`]s the fabric already consults, plus an optional fabric
+//! handle for overload (task-storm) injection. Every random choice is
+//! drawn from the `"chaos"` [`SimRng`] stream with one substream
 //! per action, so a chaos run is replayable (same seed →
 //! byte-identical trace digest) and editing one action never perturbs
 //! the draws of another.
@@ -33,21 +32,14 @@ use std::time::Duration;
 pub const STORM_ID_BASE: u64 = 1 << 48;
 
 /// The handles a chaos script acts on, harvested from a deployment:
-/// one [`Connectivity`] per endpoint, pace/crash [`Knob`]s per worker
-/// pool, a brownout [`Knob`] per endpoint link, and optionally the
-/// cloud-service degradation knob.
+/// one [`Connectivity`] per endpoint and one pace [`Knob`] per worker
+/// pool.
 #[derive(Clone, Default)]
 pub struct ChaosTargets {
     /// Per-endpoint connection handles (flaps, kills).
     pub connectivity: Vec<Connectivity>,
     /// Per-pool compute-pace multipliers (1.0 = nominal).
     pub pace: Vec<Knob>,
-    /// Per-pool mid-task crash probabilities (0.0 = never).
-    pub crash: Vec<Knob>,
-    /// Per-endpoint link latency/bandwidth multipliers (1.0 = nominal).
-    pub brownout: Vec<Knob>,
-    /// Cloud-service round-trip multiplier, when the fabric has one.
-    pub cloud: Option<Knob>,
     /// Fabric handle [`ChaosAction::TaskStorm`] submits through; storms
     /// are skipped when absent, so existing scripts are unaffected.
     pub storm: Option<Rc<dyn Fabric>>,
@@ -60,9 +52,6 @@ impl std::fmt::Debug for ChaosTargets {
         f.debug_struct("ChaosTargets")
             .field("connectivity", &self.connectivity)
             .field("pace", &self.pace)
-            .field("crash", &self.crash)
-            .field("brownout", &self.brownout)
-            .field("cloud", &self.cloud)
             .field("storm", &self.storm.as_ref().map(|fab| fab.label()))
             .finish()
     }
@@ -94,18 +83,6 @@ pub enum ChaosAction {
         /// When the site is lost.
         at: SimTime,
     },
-    /// The endpoint's link degrades: transfer costs multiply by
-    /// `factor` for `duration`, then recover.
-    Brownout {
-        /// Endpoint index into [`ChaosTargets::brownout`].
-        endpoint: usize,
-        /// When the brownout begins.
-        at: SimTime,
-        /// How long it lasts.
-        duration: Duration,
-        /// Latency/bandwidth multiplier while degraded (> 1 is slower).
-        factor: f64,
-    },
     /// The pool's workers slow down: compute times multiply by `factor`
     /// for `duration`, then recover — the straggler scenario.
     Straggle {
@@ -116,28 +93,6 @@ pub enum ChaosAction {
         /// How long it lasts.
         duration: Duration,
         /// Compute-time multiplier while degraded (> 1 is slower).
-        factor: f64,
-    },
-    /// The pool's workers crash mid-task with probability `prob` per
-    /// task for `duration`, then recover.
-    CrashStorm {
-        /// Pool index into [`ChaosTargets::crash`].
-        pool: usize,
-        /// When the storm begins.
-        at: SimTime,
-        /// How long it lasts.
-        duration: Duration,
-        /// Per-task mid-run crash probability while the storm lasts.
-        prob: f64,
-    },
-    /// The cloud service itself degrades: every cloud round trip
-    /// multiplies by `factor` for `duration`, then recovers.
-    Degrade {
-        /// When the degradation begins.
-        at: SimTime,
-        /// How long it lasts.
-        duration: Duration,
-        /// Cloud round-trip multiplier while degraded (> 1 is slower).
         factor: f64,
     },
     /// A flood of expendable background tasks — the overload scenario.
@@ -162,32 +117,32 @@ pub enum ChaosAction {
     },
 }
 
-/// A declarative, replayable chaos script: a named RNG stream plus the
-/// list of scripted faults.
+/// Name of the `SimRng` stream driving every random draw of a chaos
+/// script — independent of the deployment's own streams, so installing
+/// chaos never shifts workload randomness.
+const STREAM: &str = "chaos";
+
+/// A declarative, replayable chaos script: the list of scripted faults.
 #[derive(Clone, Debug)]
 pub struct ChaosSpec {
-    /// Name of the `SimRng` stream driving every random draw in this
-    /// script — independent of the deployment's own streams, so
-    /// installing chaos never shifts workload randomness.
-    pub stream: String,
     /// The scripted faults, installed in order.
     pub actions: Vec<ChaosAction>,
 }
 
 impl ChaosSpec {
-    /// A script with the conventional stream name.
+    /// A script of `actions`.
     pub fn new(actions: Vec<ChaosAction>) -> Self {
-        ChaosSpec { stream: "chaos".to_owned(), actions }
+        ChaosSpec { actions }
     }
 
     /// Compiles the script: spawns one finite actor per action on
     /// `sim`, acting on `targets`. Randomness comes from
-    /// `SimRng::stream(seed, &self.stream)` with one substream per
-    /// action index, so same `(seed, spec)` pairs replay exactly and
+    /// `SimRng::stream(seed, "chaos")` with one substream per action
+    /// index, so same `(seed, spec)` pairs replay exactly and
     /// per-action edits are isolated. Actions referencing an
     /// out-of-range endpoint or pool are skipped.
     pub fn install(&self, sim: &Sim, seed: u64, targets: &ChaosTargets) {
-        let rng = SimRng::stream(seed, &self.stream);
+        let rng = SimRng::stream(seed, STREAM);
         for (i, action) in self.actions.iter().enumerate() {
             let action_rng = rng.substream(i as u64);
             install_action(sim, action.clone(), i as u64, action_rng, targets);
@@ -226,21 +181,15 @@ fn install_action(
                 conn.set_online(false);
             });
         }
-        ChaosAction::Brownout { endpoint, at, duration, factor } => {
-            let Some(knob) = targets.brownout.get(endpoint).cloned() else { return };
-            dial(sim, knob, at, duration, factor, 1.0);
-        }
         ChaosAction::Straggle { pool, at, duration, factor } => {
             let Some(knob) = targets.pace.get(pool).cloned() else { return };
-            dial(sim, knob, at, duration, factor, 1.0);
-        }
-        ChaosAction::CrashStorm { pool, at, duration, prob } => {
-            let Some(knob) = targets.crash.get(pool).cloned() else { return };
-            dial(sim, knob, at, duration, prob, 0.0);
-        }
-        ChaosAction::Degrade { at, duration, factor } => {
-            let Some(knob) = targets.cloud.clone() else { return };
-            dial(sim, knob, at, duration, factor, 1.0);
+            let s = sim.clone();
+            sim.spawn(async move {
+                s.sleep_until(at).await;
+                knob.set(factor);
+                s.sleep(duration).await;
+                knob.set(1.0);
+            });
         }
         ChaosAction::TaskStorm { at, tasks, interval, bytes, work } => {
             let Some(fabric) = targets.storm.clone() else { return };
@@ -277,17 +226,6 @@ fn storm_task(id: u64, bytes: u64, burn: f64) -> TaskSpec {
         }),
     )
     .with_priority(TaskSpec::PRIORITY_LOW)
-}
-
-/// Turns a knob to `value` at `at`, back to `neutral` after `duration`.
-fn dial(sim: &Sim, knob: Knob, at: SimTime, duration: Duration, value: f64, neutral: f64) {
-    let s = sim.clone();
-    sim.spawn(async move {
-        s.sleep_until(at).await;
-        knob.set(value);
-        s.sleep(duration).await;
-        knob.set(neutral);
-    });
 }
 
 #[cfg(test)]
@@ -340,55 +278,25 @@ mod tests {
     #[test]
     fn knob_actions_degrade_then_recover() {
         let sim = Sim::new();
-        let targets = ChaosTargets {
-            pace: vec![Knob::new(1.0)],
-            crash: vec![Knob::new(0.0)],
-            brownout: vec![Knob::new(1.0)],
-            cloud: Some(Knob::new(1.0)),
-            ..Default::default()
-        };
-        let spec = ChaosSpec::new(vec![
-            ChaosAction::Straggle {
-                pool: 0,
-                at: secs(10),
-                duration: Duration::from_secs(20),
-                factor: 4.0,
-            },
-            ChaosAction::CrashStorm {
-                pool: 0,
-                at: secs(10),
-                duration: Duration::from_secs(20),
-                prob: 0.5,
-            },
-            ChaosAction::Brownout {
-                endpoint: 0,
-                at: secs(10),
-                duration: Duration::from_secs(20),
-                factor: 8.0,
-            },
-            ChaosAction::Degrade { at: secs(10), duration: Duration::from_secs(20), factor: 3.0 },
-        ]);
+        let targets = ChaosTargets { pace: vec![Knob::new(1.0)], ..Default::default() };
+        let spec = ChaosSpec::new(vec![ChaosAction::Straggle {
+            pool: 0,
+            at: secs(10),
+            duration: Duration::from_secs(20),
+            factor: 4.0,
+        }]);
         spec.install(&sim, 9, &targets);
         let observed = {
             let s = sim.clone();
             let t = targets.clone();
             sim.spawn(async move {
                 s.sleep_until(secs(15)).await;
-                (
-                    t.pace[0].get(),
-                    t.crash[0].get(),
-                    t.brownout[0].get(),
-                    t.cloud.as_ref().map(|k| k.get()),
-                )
+                t.pace[0].get()
             })
         };
-        let mid = sim.block_on(observed);
-        assert_eq!(mid, (4.0, 0.5, 8.0, Some(3.0)), "mid-window values");
+        assert_eq!(sim.block_on(observed), 4.0, "mid-window value");
         sim.run();
         assert_eq!(targets.pace[0].get(), 1.0, "pace recovers to neutral");
-        assert_eq!(targets.crash[0].get(), 0.0, "crash storm ends");
-        assert_eq!(targets.brownout[0].get(), 1.0, "brownout lifts");
-        assert_eq!(targets.cloud.as_ref().map(|k| k.get()), Some(1.0), "cloud recovers");
     }
 
     #[test]
@@ -403,7 +311,6 @@ mod tests {
                 duration: Duration::from_secs(1),
                 factor: 2.0,
             },
-            ChaosAction::Degrade { at: secs(1), duration: Duration::from_secs(1), factor: 2.0 },
             ChaosAction::TaskStorm {
                 at: secs(1),
                 tasks: 100,

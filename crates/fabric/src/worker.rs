@@ -42,16 +42,6 @@ pub struct WorkerPoolConfig {
     /// Per-topic retry/backoff policies (attempt caps override the
     /// failure model's; backoff delays re-execution).
     pub retry: RetryPolicies,
-    /// Compute-pace multiplier, shared with the chaos engine: a task's
-    /// compute time is scaled by the knob's value at task start (1.0 =
-    /// nominal; > 1 models straggling workers). Read lazily, skipped
-    /// when neutral, so an untouched knob changes nothing.
-    pub pace: Knob,
-    /// Mid-task crash probability, shared with the chaos engine: while
-    /// nonzero, each task additionally crashes partway through compute
-    /// with this probability, wasting half the compute before the
-    /// (single) re-run. Draws no randomness while zero.
-    pub crash: Knob,
     /// Bound on the pool's pending-task queue, enforced by the fabrics
     /// at delivery time via [`hetflow_sim::Sender::offer`]. `0` keeps
     /// the queue unbounded (the zero-value defer).
@@ -74,8 +64,6 @@ impl WorkerPoolConfig {
             local_hop: Dist::Constant(0.0),
             failure: None,
             retry: RetryPolicies::default(),
-            pace: Knob::new(1.0),
-            crash: Knob::new(0.0),
             queue_capacity: 0,
             overflow: hetflow_sim::OverflowPolicy::default(),
         }
@@ -83,6 +71,10 @@ impl WorkerPoolConfig {
 }
 
 struct PoolShared {
+    /// Compute-pace multiplier, shared with the chaos engine: a task's
+    /// compute time is scaled by the knob's value at task start (1.0 =
+    /// nominal; > 1 models straggling workers). Each pool has its own.
+    pace: Knob,
     idle: RefCell<Samples>,
     busy: RefCell<Gauge>,
     completed: std::cell::Cell<u64>,
@@ -97,8 +89,6 @@ pub struct WorkerPool {
     shared: Rc<PoolShared>,
     site: SiteId,
     workers: usize,
-    pace: Knob,
-    crash: Knob,
 }
 
 impl WorkerPool {
@@ -113,6 +103,7 @@ impl WorkerPool {
     ) -> WorkerPool {
         let (tx, rx) = channel::<TaskSpec>();
         let shared = Rc::new(PoolShared {
+            pace: Knob::new(1.0),
             idle: RefCell::new(Samples::new()),
             busy: RefCell::new(Gauge::new()),
             completed: std::cell::Cell::new(0),
@@ -131,14 +122,7 @@ impl WorkerPool {
                 tracer.clone(),
             );
         }
-        WorkerPool {
-            tasks: tx,
-            shared,
-            pace: config.pace.clone(),
-            crash: config.crash.clone(),
-            site: config.site,
-            workers: config.workers,
-        }
+        WorkerPool { tasks: tx, shared, site: config.site, workers: config.workers }
     }
 
     /// Site the pool runs on.
@@ -178,12 +162,7 @@ impl WorkerPool {
 
     /// The pool's compute-pace dial (chaos-engine target).
     pub(crate) fn pace_knob(&self) -> Knob {
-        self.pace.clone()
-    }
-
-    /// The pool's mid-task crash-probability dial (chaos-engine target).
-    pub(crate) fn crash_knob(&self) -> Knob {
-        self.crash.clone()
+        self.shared.pace.clone()
     }
 }
 
@@ -296,17 +275,7 @@ fn spawn_worker(
                 }
                 if failed.is_none() {
                     // Chaos pace knob: straggling workers run slow.
-                    let compute = config.pace.scale(work.compute_time);
-                    // Chaos crash knob: the worker dies mid-task, loses
-                    // half the compute, and re-runs once.
-                    let crash_p = config.crash.get();
-                    if crash_p > 0.0 && rng.chance(crash_p) {
-                        let lost = compute.mul_f64(0.5);
-                        report.wasted_time += lost;
-                        sim.sleep(lost).await;
-                        attempts += 1;
-                        tracer.emit(sim.now(), name, kinds::TASK_RETRY, task.id, attempts as f64);
-                    }
+                    let compute = shared.pace.scale(work.compute_time);
                     report.compute_time = compute;
                     sim.sleep(compute).await;
                     task.timing.compute_finished = Some(sim.now());
@@ -652,38 +621,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_knob_wastes_half_then_reruns() {
-        let sim = Sim::new();
-        let (res_tx, res_rx) = channel();
-        let config = WorkerPoolConfig::bare(SITE, "w", 1);
-        let tracer = Tracer::enabled();
-        let pool = WorkerPool::spawn(&sim, config, res_tx, &SimRng::from_seed(1), tracer.clone());
-        pool.crash_knob().set(1.0); // certain crash
-        pool.tasks
-            .send_now(TaskSpec::new(
-                0,
-                "t",
-                vec![],
-                Rc::new(|_| TaskWork::new((), 0, Duration::from_secs(10))),
-            ))
-            .unwrap();
-        let r = sim.run();
-        // Half the compute wasted by the crash, then a full re-run.
-        assert_eq!(r.end, SimTime::from_secs(15));
-        let results = res_rx.drain_now();
-        assert!(!results[0].is_failed(), "a crash storm delays, not fails");
-        assert_eq!(results[0].report.wasted_time, Duration::from_secs(5));
-        assert_eq!(results[0].report.attempts, 2);
-        assert_eq!(tracer.events_of_kind(kinds::TASK_RETRY).len(), 1);
-    }
-
-    #[test]
     fn neutral_knobs_change_nothing() {
         let (sim_a, _pa, ra) = run_pool(2, 4, 3.0);
         sim_a.run();
         let (sim_b, pb, rb) = run_pool(2, 4, 3.0);
         pb.pace_knob().set(1.0); // explicitly neutral
-        pb.crash_knob().set(0.0);
         sim_b.run();
         assert_eq!(sim_a.now(), sim_b.now());
         assert_eq!(ra.drain_now().len(), rb.drain_now().len());

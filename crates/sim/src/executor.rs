@@ -912,6 +912,7 @@ impl<T> JoinHandle<T> {
     }
 
     /// True once the task has finished (and the output not yet taken).
+    #[cfg(test)]
     pub fn is_finished(&self) -> bool {
         self.state.borrow().result.is_some()
     }

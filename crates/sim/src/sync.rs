@@ -192,6 +192,7 @@ impl Semaphore {
     }
 
     /// Takes a permit only if one is immediately available.
+    #[cfg(test)]
     pub fn try_acquire(&self) -> Option<Permit> {
         let mut s = self.state.borrow_mut();
         if s.waiters.is_empty() && s.permits >= 1 {

@@ -84,6 +84,7 @@ pub struct QueueConfig {
 impl QueueConfig {
     /// Paper-deployment defaults: sub-millisecond local Redis queue,
     /// CPython pickle serialization.
+    #[cfg(test)]
     pub fn login_node(thinker_site: SiteId, policy: ProxyPolicy) -> Self {
         QueueConfig {
             thinker_site,
@@ -275,19 +276,10 @@ pub struct CompletedTask {
 }
 
 impl CompletedTask {
-    /// The underlying result; present until `resolve` consumes it.
-    #[expect(
-        clippy::expect_used,
-        reason = "only `resolve` empties the slot, and it consumes self, so no later call \
-                  can see it empty"
-    )]
-    fn inner(&self) -> &TaskResult {
-        self.result.as_ref().expect("not yet resolved")
-    }
-
-    /// Task id.
+    /// Task id, while the task is unresolved.
+    #[cfg(test)]
     pub fn id(&self) -> TaskId {
-        self.inner().id
+        self.result.as_ref().expect("not yet resolved").id
     }
 
     /// Resolves the result data at the thinker's site, finishing the

@@ -15,10 +15,6 @@ use std::rc::Rc;
 struct PoolSlots {
     sem: Semaphore,
     registered: std::cell::Cell<usize>,
-    /// Set while the fabric endpoints backing this pool are circuit-
-    /// broken; allocators consult it to steer rebalancing away from a
-    /// pool whose slots cannot currently make progress.
-    degraded: std::cell::Cell<bool>,
 }
 
 /// Named pools of worker slots.
@@ -44,7 +40,6 @@ impl ResourceCounter {
             Rc::new(PoolSlots {
                 sem: Semaphore::new(slots),
                 registered: std::cell::Cell::new(slots),
-                degraded: std::cell::Cell::new(false),
             }),
         );
     }
@@ -75,19 +70,6 @@ impl ResourceCounter {
     /// Total slots ever registered/moved into `pool`.
     pub fn registered(&self, pool: &str) -> usize {
         self.pool(pool).registered.get()
-    }
-
-    /// Flags `pool` as (not) degraded. Wired to the fabric's breaker
-    /// observers: a pool goes degraded while its backing endpoint's
-    /// circuit is open and recovers when it closes again.
-    pub fn set_degraded(&self, pool: &str, degraded: bool) {
-        self.pool(pool).degraded.set(degraded);
-    }
-
-    /// True while `pool` is flagged degraded (backing endpoint circuit-
-    /// broken). Allocators should not move slots *into* such a pool.
-    pub fn is_degraded(&self, pool: &str) -> bool {
-        self.pool(pool).degraded.get()
     }
 
     /// Returns `n` slots to `pool` without an RAII permit — used when
@@ -187,16 +169,5 @@ mod tests {
         });
         assert_eq!(sim.block_on(h), SimTime::from_secs(5));
         assert_eq!(rc.available("sample"), 1);
-    }
-
-    #[test]
-    fn degraded_flag_round_trips() {
-        let rc = ResourceCounter::new();
-        rc.register("simulate", 2);
-        assert!(!rc.is_degraded("simulate"), "pools start healthy");
-        rc.set_degraded("simulate", true);
-        assert!(rc.is_degraded("simulate"));
-        rc.set_degraded("simulate", false);
-        assert!(!rc.is_degraded("simulate"));
     }
 }

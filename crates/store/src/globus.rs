@@ -210,6 +210,7 @@ impl GlobusService {
     }
 
     /// Queue-to-completion durations of executed jobs, in seconds.
+    #[cfg(test)]
     pub fn durations(&self) -> Samples {
         self.inner.durations.borrow().clone()
     }

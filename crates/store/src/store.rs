@@ -559,6 +559,7 @@ impl Store {
     }
 
     /// True while the key is stored.
+    #[cfg(test)]
     pub fn contains(&self, key: u64) -> bool {
         self.inner.objects.borrow().get(key).is_some()
     }

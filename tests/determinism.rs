@@ -210,9 +210,9 @@ fn trace_digest_reproducible_with_failure_injection() {
 }
 
 /// A moldesign campaign under a scripted chaos-engine scenario: an
-/// endpoint flap, a worker straggler window, a crash storm, and a cloud
-/// degradation, with the breaker/failover/hedging layer active. The
-/// whole reliability stack must replay bit-identically.
+/// endpoint flap and a worker straggler window, with the
+/// breaker/failover/reroute layer active. The whole reliability stack
+/// must replay bit-identically.
 fn chaos_engine_digest(seed: u64, tracer: &Tracer) -> (u64, usize) {
     use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec};
     use hetflow::sim::Dist;
@@ -258,17 +258,6 @@ fn chaos_engine_digest(seed: u64, tracer: &Tracer) -> (u64, usize) {
             at: SimTime::from_secs(500),
             duration: Duration::from_secs(120),
             factor: 4.0,
-        },
-        ChaosAction::CrashStorm {
-            pool: 1,
-            at: SimTime::from_secs(300),
-            duration: Duration::from_secs(200),
-            prob: 0.3,
-        },
-        ChaosAction::Degrade {
-            at: SimTime::from_secs(700),
-            duration: Duration::from_secs(100),
-            factor: 3.0,
         },
     ])
     .install(&sim, seed, &d.chaos);

@@ -597,3 +597,58 @@ fn record_log_returns_every_resolved_record_in_order() {
     assert!(resolved.iter().any(|r| r.report.hedges > 0), "the straggling pool must be hedged");
     assert_eq!(d.queues.records(), resolved);
 }
+
+#[test]
+fn each_pool_owns_its_pace_dial() {
+    // A failover pool is built from a clone of the primary's config, but
+    // its pace dial is its own: straggling pool 0 leaves the failover
+    // pool at nominal pace, so a hedged copy it runs takes the nominal
+    // 10 s of compute while the primary's copy would take 40 s.
+    let sim = Sim::new();
+    let hedge = HedgeConfig { quantile: 0.5, min_samples: 4, ..Default::default() };
+    let spec = DeploymentSpec {
+        cpu_workers: 2,
+        gpu_workers: 1,
+        cpu_failover_sites: 1,
+        reliability: ReliabilityPolicies {
+            default: ReliabilityPolicy { hedge, ..Default::default() },
+            per_topic: Default::default(),
+        },
+        ..Default::default()
+    };
+    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
+    let (at, mid, duration) =
+        (SimTime::from_secs(60), SimTime::from_secs(120), Duration::from_secs(600));
+    let straggle = ChaosAction::Straggle { pool: 0, at, duration, factor: 4.0 };
+    ChaosSpec::new(vec![straggle]).install(&sim, 5, &d.chaos);
+    // Endpoints register CPU, GPU, then the failover CPU pool.
+    let (chaos, s) = (d.chaos.clone(), sim.clone());
+    let dials = sim.spawn(async move {
+        s.sleep_until(mid).await;
+        chaos.pace.iter().map(|k| format!("{k:?}")).collect::<Vec<_>>()
+    });
+    let (q, s) = (d.queues.clone(), sim.clone());
+    let h = sim.spawn(async move {
+        let mut resolved = Vec::new();
+        // Two waves warm the hedge estimate, two run inside the straggle.
+        for wave in 0..4u32 {
+            if wave == 2 {
+                s.sleep_until(mid).await;
+            }
+            for i in 0..2 {
+                let work: TaskFn = Rc::new(|_| TaskWork::new((), 100, Duration::from_secs(10)));
+                q.submit("simulate", vec![Payload::new(wave * 2 + i, 1000)], work).await;
+            }
+            for _ in 0..2 {
+                resolved.push(q.get_result("simulate").await.unwrap().resolve().await.record);
+            }
+        }
+        resolved
+    });
+    let resolved = sim.block_on(h);
+    assert_eq!(sim.block_on(dials), ["Knob(4)", "Knob(1)", "Knob(1)"], "mid-window dials");
+    let on_failover = resolved.iter().filter(|r| r.worker.as_str().starts_with("theta-f0/"));
+    let compute: Vec<Duration> = on_failover.map(|r| r.report.compute_time).collect();
+    assert!(!compute.is_empty(), "the straggling pool must be hedged onto the failover pool");
+    assert!(compute.iter().all(|&t| t == Duration::from_secs(10)), "{compute:?}");
+}
