@@ -12,7 +12,7 @@
 //! Fig. 6a *emerge* from how quickly each workflow configuration moves
 //! data and instructions.
 
-use hetflow_chem::{MoleculeLibrary, N_FEATURES};
+use hetflow_chem::MoleculeLibrary;
 use hetflow_core::calibration::tasks as cal;
 use hetflow_core::{Deployment, UtilizationReport};
 use hetflow_fabric::{TaskFn, TaskWork};
@@ -440,8 +440,7 @@ fn train_task(
     Rc::new(move |_ctx| {
         let mut member_rng = member_rng.borrow_mut();
         let bag = bag_indices(database.len(), DEFAULT_BAG_FRACTION, &mut member_rng);
-        let inputs: Vec<[f64; N_FEATURES]> =
-            bag.iter().map(|&i| lib.features(database[i].0)).collect();
+        let inputs: Vec<&[f64]> = bag.iter().map(|&i| lib.features(database[i].0)).collect();
         let targets: Vec<f64> = bag.iter().map(|&i| database[i].1).collect();
         #[expect(
             clippy::expect_used,
@@ -457,8 +456,7 @@ fn train_task(
 
 fn infer_task(lib: Rc<MoleculeLibrary>, model: Rc<RffRidge>, duration: f64) -> TaskFn {
     Rc::new(move |_ctx| {
-        // Features are computed as the kernel asks for them (no
-        // library-sized table) and scored straight into the output.
+        // The library's feature table, scored straight into the output.
         let mut scores = vec![0.0; lib.len()];
         model.predict_batch(|i| lib.features(i), &mut scores);
         TaskWork::new(scores, cal::MOLDESIGN_INFER_OUT_BYTES, hetflow_sim::time::secs(duration))
@@ -591,7 +589,7 @@ mod tests {
         let scores = infer(&mut ctx).output.downcast::<Vec<f64>>().expect("a score vector");
         assert_eq!(scores.len(), lib.len());
         for (i, s) in scores.iter().enumerate() {
-            assert_eq!(s.to_bits(), model.predict(&lib.features(i)).to_bits(), "molecule {i}");
+            assert_eq!(s.to_bits(), model.predict(lib.features(i)).to_bits(), "molecule {i}");
         }
     }
 

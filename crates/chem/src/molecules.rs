@@ -20,8 +20,9 @@ pub const N_FEATURES: usize = 12;
 
 /// A generated candidate library.
 pub struct MoleculeLibrary {
-    seed: u64,
-    n: usize,
+    /// Every molecule's feature vector, computed once by `generate`:
+    /// scoring the library reads it once per ensemble member per round.
+    features: Vec<[f64; N_FEATURES]>,
     /// Hidden weights of the ground-truth property function.
     w_lin: [f64; N_FEATURES],
     w_sin: [f64; N_FEATURES],
@@ -48,33 +49,26 @@ impl MoleculeLibrary {
             }
             w
         };
-        MoleculeLibrary { seed, n, w_lin: draw(), w_sin: draw(), w_quad: draw() }
+        let (w_lin, w_sin, w_quad) = (draw(), draw(), draw());
+        let features = (0..n).map(|id| feature_vector(seed, id)).collect();
+        MoleculeLibrary { features, w_lin, w_sin, w_quad }
     }
 
     /// Number of candidates.
     pub fn len(&self) -> usize {
-        self.n
+        self.features.len()
     }
 
     /// True when the library is empty (never: construction requires n>0).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.features.is_empty()
     }
 
-    /// Deterministic feature vector of molecule `id` (values in ~N(0,1)).
-    pub fn features(&self, id: usize) -> [f64; N_FEATURES] {
-        assert!(id < self.n, "molecule {id} out of range");
-        let mut f = [0.0; N_FEATURES];
-        let base = splitmix64(self.seed ^ fnv1a(b"molecule") ^ (id as u64));
-        for (k, v) in f.iter_mut().enumerate() {
-            // Two independent uniform draws -> one Box-Muller normal.
-            let a = splitmix64(base.wrapping_add(2 * k as u64 + 1));
-            let b = splitmix64(base.wrapping_add(2 * k as u64 + 2));
-            let u1 = 1.0 - (a as f64 / u64::MAX as f64);
-            let u2 = b as f64 / u64::MAX as f64;
-            *v = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
-        f
+    /// Deterministic feature vector of molecule `id` (values in ~N(0,1)),
+    /// `N_FEATURES` long.
+    pub fn features(&self, id: usize) -> &[f64] {
+        assert!(id < self.len(), "molecule {id} out of range");
+        &self.features[id]
     }
 
     /// Ground-truth ionization potential of molecule `id` (eV).
@@ -82,7 +76,11 @@ impl MoleculeLibrary {
     /// This is what the tight-binding simulation task "computes"; the
     /// surrogate never sees this function, only its sampled values.
     pub fn true_ip(&self, id: usize) -> f64 {
-        let x = self.features(id);
+        self.ip_of(self.features(id))
+    }
+
+    /// The hidden property function at feature vector `x`.
+    fn ip_of(&self, x: &[f64]) -> f64 {
         let norm = (N_FEATURES as f64).sqrt();
         let mut lin = 0.0;
         let mut sin_arg = 0.0;
@@ -103,13 +101,43 @@ impl MoleculeLibrary {
 
     /// Convenience: ids of all molecules whose true IP exceeds `thresh`.
     pub fn ids_above(&self, thresh: f64) -> Vec<usize> {
-        (0..self.n).filter(|&i| self.true_ip(i) > thresh).collect()
+        (0..self.len()).filter(|&i| self.true_ip(i) > thresh).collect()
     }
+}
+
+/// The closed form of molecule `id`'s features in the library of `seed`.
+fn feature_vector(seed: u64, id: usize) -> [f64; N_FEATURES] {
+    let mut f = [0.0; N_FEATURES];
+    let base = splitmix64(seed ^ fnv1a(b"molecule") ^ (id as u64));
+    for (k, v) in f.iter_mut().enumerate() {
+        // Two independent uniform draws -> one Box-Muller normal.
+        let a = splitmix64(base.wrapping_add(2 * k as u64 + 1));
+        let b = splitmix64(base.wrapping_add(2 * k as u64 + 2));
+        let u1 = 1.0 - (a as f64 / u64::MAX as f64);
+        let u2 = b as f64 / u64::MAX as f64;
+        *v = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+    }
+    f
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn the_table_is_the_closed_form(seed in 0u64..10_000, n in 1usize..=67, at in 0usize..67) {
+            let lib = MoleculeLibrary::generate(n, seed);
+            prop_assert_eq!(lib.len(), n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for id in [0, at % n, n - 1] {
+                let want = feature_vector(seed, id);
+                prop_assert_eq!(bits(lib.features(id)), bits(&want));
+                prop_assert_eq!(lib.true_ip(id).to_bits(), lib.ip_of(&want).to_bits());
+            }
+        }
+    }
 
     #[test]
     fn deterministic_features() {

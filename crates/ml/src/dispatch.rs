@@ -41,7 +41,7 @@ fn avx2<R>(body: impl FnOnce() -> R) -> R {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use crate::features::RandomFourierFeatures;
     use crate::linalg::{LinalgError, Matrix};
     use crate::ridge::Ridge;
@@ -64,7 +64,8 @@ mod tests {
 
     type FitBits = Result<(Vec<Vec<u64>>, Vec<u64>), LinalgError>;
 
-    fn fit_bits(fit: Result<Ridge, LinalgError>) -> FitBits {
+    /// A fit's weight rows and intercepts as bits, or its error.
+    pub(crate) fn fit_bits(fit: Result<Ridge, LinalgError>) -> FitBits {
         fit.map(|m| (rows(m.weights()), bits(m.intercepts())))
     }
 
@@ -111,8 +112,8 @@ mod tests {
             let y = Matrix::from_vec(n, k, (0..n * k).map(|_| rng.standard_normal()).collect());
             for center in [true, false] {
                 prop_assert_eq!(
-                    fit_bits(Ridge::fit_multi(&z, &y, 1e-3, center)),
-                    fit_bits(Ridge::fit_multi_body(&z, &y, 1e-3, center)),
+                    fit_bits(Ridge::fit_multi(z.clone(), y.clone(), 1e-3, center)),
+                    fit_bits(Ridge::fit_multi_body(z.clone(), y.clone(), 1e-3, center)),
                     "fit_multi, center {}", center
                 );
             }

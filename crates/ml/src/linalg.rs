@@ -155,23 +155,22 @@ impl Matrix {
         }
     }
 
-    /// Cholesky factorization `A = L Lᵀ` for symmetric positive-definite
-    /// `A` (its lower triangle is read). Right-looking on `U = Lᵀ`: a
-    /// finished row `k` is subtracted, scaled, from each later row — a
-    /// contiguous axpy. Each element still loses its products in
-    /// ascending `k`, so the factor is bit-identical to the left-looking
-    /// dot-product form.
+    /// Cholesky factorization `A = L Lᵀ`; consumes a symmetric
+    /// positive-definite `A` and factors it in place. Right-looking on
+    /// `U = Lᵀ`, which starts as `A`'s upper triangle (its strict lower
+    /// triangle is zeroed): a finished row `k` is subtracted, scaled,
+    /// from each later row — a contiguous axpy. Each element still loses
+    /// its products in ascending `k`, so the factor is bit-identical to
+    /// the left-looking dot-product form.
     #[inline(always)]
-    pub(crate) fn cholesky(&self) -> Result<Cholesky, LinalgError> {
+    pub(crate) fn cholesky(self) -> Result<Cholesky, LinalgError> {
         if self.rows != self.cols {
             return Err(LinalgError::ShapeMismatch);
         }
         let n = self.rows;
-        let mut u = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                u[(i, j)] = self[(j, i)];
-            }
+        let mut u = self;
+        for i in 1..n {
+            u.row_mut(i)[..i].fill(0.0);
         }
         for k in 0..n {
             let (done, rest) = u.data.split_at_mut((k + 1) * n);
@@ -293,9 +292,43 @@ impl Cholesky {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The factorization as it stood when it copied `A`'s lower triangle
+    /// into a fresh `U`: the reference the consuming one must match.
+    pub(crate) fn copying_cholesky(a: &Matrix) -> Result<Cholesky, LinalgError> {
+        if a.rows != a.cols {
+            return Err(LinalgError::ShapeMismatch);
+        }
+        let n = a.rows;
+        let mut u = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                u[(i, j)] = a[(j, i)];
+            }
+        }
+        for k in 0..n {
+            let (done, rest) = u.data.split_at_mut((k + 1) * n);
+            let pivot_row = &mut done[k * n..];
+            if pivot_row[k] <= 0.0 {
+                return Err(LinalgError::NotPositiveDefinite);
+            }
+            let pivot = pivot_row[k].sqrt();
+            pivot_row[k] = pivot;
+            for v in &mut pivot_row[k + 1..] {
+                *v /= pivot;
+            }
+            for (i, row) in (k + 1..n).zip(rest.chunks_exact_mut(n)) {
+                let f = pivot_row[i];
+                for (v, p) in row[i..].iter_mut().zip(&pivot_row[i..]) {
+                    *v -= f * p;
+                }
+            }
+        }
+        Ok(Cholesky { u })
+    }
 
     #[test]
     fn gram_matches_t_matmul() {
@@ -450,7 +483,10 @@ mod tests {
             a.add_diag(0.5);
             let mut b = Matrix::zeros(n, cols);
             b.data.iter_mut().for_each(|v| *v = rng.standard_normal());
-            let ch = a.cholesky().unwrap();
+            let ch = a.clone().cholesky().unwrap();
+            // Factoring `A`'s own buffer leaves every bit of the copying
+            // factor, the zeroed strict lower triangle included.
+            prop_assert_eq!(bits(&ch.u.data), bits(&copying_cholesky(&a).unwrap().u.data));
             let xs = ch.solve_matrix(&b);
             for c in 0..cols {
                 let col: Vec<f64> = (0..n).map(|r| b[(r, c)]).collect();
@@ -481,7 +517,7 @@ mod tests {
             a.add_diag(1.0);
             let b: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
             let mut x = b.clone();
-            a.cholesky().unwrap().solve_in_place(&mut x);
+            a.clone().cholesky().unwrap().solve_in_place(&mut x);
             let back: Vec<f64> =
                 (0..n).map(|i| a.row(i).iter().zip(&x).map(|(p, q)| p * q).sum()).collect();
             for (bb, ba) in b.iter().zip(&back) {

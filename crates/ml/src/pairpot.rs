@@ -205,7 +205,7 @@ impl PairPotential {
         // No intercept: forces fix the gauge; an energy offset would be
         // unidentifiable from forces alone.
         let y = Matrix::from_vec(n_rows, 1, y);
-        let model = Ridge::fit_multi(&x, &y, params.lambda, false)?;
+        let model = Ridge::fit_multi(x, y, params.lambda, false)?;
         let weights = (0..k).map(|i| model.weights()[(i, 0)]).collect();
         Ok(PairPotential { basis, weights })
     }
@@ -469,7 +469,7 @@ mod tests {
                 let bagged: Vec<LabelledStructure> =
                     bag.iter().map(|&i| data[i].clone()).collect();
                 let (x, y) = reference::design(&bagged, &basis, params);
-                let want = Ridge::fit_multi(&x, &y, params.lambda, false)
+                let want = Ridge::fit_multi(x, y, params.lambda, false)
                     .map(|m| (0..basis.dim()).map(|i| m.weights()[(i, 0)].to_bits()).collect());
                 let refs: Vec<&DesignBlock> = bag.iter().map(|&i| &blocks[i]).collect();
                 let cached = PairPotential::fit_blocks(&refs, basis.clone(), params)

@@ -13,30 +13,31 @@ pub struct Ridge {
 
 impl Ridge {
     /// Fits `X w = y` with L2 penalty `lambda` and a fitted intercept.
-    pub(crate) fn fit(x: &Matrix, y: &[f64], lambda: f64) -> Result<Ridge, LinalgError> {
-        let y_mat = Matrix::from_vec(y.len(), 1, y.to_vec());
-        Ridge::fit_multi(x, &y_mat, lambda, true)
+    pub(crate) fn fit(x: Matrix, y: Vec<f64>, lambda: f64) -> Result<Ridge, LinalgError> {
+        Ridge::fit_multi(x, Matrix::from_vec(y.len(), 1, y), lambda, true)
     }
 
     /// Fits a multi-output model; `y` is `n × k`. When `center` is set,
     /// per-output intercepts absorb the means.
     pub(crate) fn fit_multi(
-        x: &Matrix,
-        y: &Matrix,
+        x: Matrix,
+        y: Matrix,
         lambda: f64,
         center: bool,
     ) -> Result<Ridge, LinalgError> {
         dispatch(
             #[inline(always)]
-            || Ridge::fit_multi_body(x, y, lambda, center),
+            move || Ridge::fit_multi_body(x, y, lambda, center),
         )
     }
 
-    /// [`Ridge::fit_multi`] undispatched.
+    /// [`Ridge::fit_multi`] undispatched. Centres `x` and `y` in their
+    /// own buffers and drops `x` once the normal equations are formed, so
+    /// the factorization runs with no copy of the design matrix alive.
     #[inline(always)]
     pub(crate) fn fit_multi_body(
-        x: &Matrix,
-        y: &Matrix,
+        mut x: Matrix,
+        mut y: Matrix,
         lambda: f64,
         center: bool,
     ) -> Result<Ridge, LinalgError> {
@@ -57,26 +58,23 @@ impl Ridge {
             (vec![0.0; d], vec![0.0; k])
         };
         // Uncentred, the means are zero and `v - 0.0` is `v` bit for
-        // bit, so that branch borrows the inputs instead of copying them.
-        let centered = center.then(|| {
-            let mut xc = x.clone();
-            let mut yc = y.clone();
+        // bit, so that branch skips the pass.
+        if center {
             for r in 0..n {
-                for c in 0..d {
-                    xc[(r, c)] -= x_means[c];
+                for (v, m) in x.row_mut(r).iter_mut().zip(&x_means) {
+                    *v -= m;
                 }
-                for c in 0..k {
-                    yc[(r, c)] -= y_means[c];
+                for (v, m) in y.row_mut(r).iter_mut().zip(&y_means) {
+                    *v -= m;
                 }
             }
-            (xc, yc)
-        });
-        let (xc, yc) = centered.as_ref().map_or((x, y), |(xc, yc)| (xc, yc));
-        let mut gram = xc.gram();
+        }
+        let mut gram = x.gram();
         // A touch of jitter keeps the factorization stable even at
         // lambda = 0 with collinear features.
         gram.add_diag(lambda.max(1e-10));
-        let xty = xc.t_matmul(yc);
+        let xty = x.t_matmul(&y);
+        drop((x, y));
         let weights = gram.cholesky()?.solve_matrix(&xty);
         // intercept_c = ȳ_c − w_c · x̄
         let intercepts: Vec<f64> = (0..k)
@@ -115,7 +113,87 @@ impl Ridge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::tests::fit_bits;
+    use crate::linalg::tests::copying_cholesky;
     use hetflow_sim::SimRng;
+    use proptest::prelude::*;
+
+    /// The fit as it stood when it centred copies of borrowed inputs and
+    /// factored a copy of the Gram matrix: the in-place fit's reference.
+    fn copying_fit_multi(
+        x: &Matrix,
+        y: &Matrix,
+        lambda: f64,
+        center: bool,
+    ) -> Result<Ridge, LinalgError> {
+        let (n, d, k) = (x.rows(), x.cols(), y.cols());
+        let (x_means, y_means) = if center {
+            let xm: Vec<f64> =
+                (0..d).map(|c| (0..n).map(|r| x[(r, c)]).sum::<f64>() / n as f64).collect();
+            let ym: Vec<f64> =
+                (0..k).map(|c| (0..n).map(|r| y[(r, c)]).sum::<f64>() / n as f64).collect();
+            (xm, ym)
+        } else {
+            (vec![0.0; d], vec![0.0; k])
+        };
+        let centered = center.then(|| {
+            let mut xc = x.clone();
+            let mut yc = y.clone();
+            for r in 0..n {
+                for c in 0..d {
+                    xc[(r, c)] -= x_means[c];
+                }
+                for c in 0..k {
+                    yc[(r, c)] -= y_means[c];
+                }
+            }
+            (xc, yc)
+        });
+        let (xc, yc) = centered.as_ref().map_or((x, y), |(xc, yc)| (xc, yc));
+        let mut gram = xc.gram();
+        gram.add_diag(lambda.max(1e-10));
+        let xty = xc.t_matmul(yc);
+        let weights = copying_cholesky(&gram)?.solve_matrix(&xty);
+        let intercepts: Vec<f64> = (0..k)
+            .map(|c| y_means[c] - (0..d).map(|dd| weights[(dd, c)] * x_means[dd]).sum::<f64>())
+            .collect();
+        Ok(Ridge { weights, intercepts })
+    }
+
+    /// Standard normals with exact `0.0` and `-0.0` sprinkled in.
+    fn signed_zeros(rows: usize, cols: usize, rng: &mut SimRng) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| match rng.below(10) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.standard_normal(),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_fit_bit_identical_to_copying_fit(
+            seed in 0u64..1000,
+            n in 1usize..=40,
+            d in 1usize..=24,
+            k in 1usize..=2,
+            li in 0usize..3,
+        ) {
+            let lambda = [0.0, 1e-3, 1.0][li];
+            let mut rng = SimRng::from_seed(seed);
+            let x = signed_zeros(n, d, &mut rng);
+            let y = signed_zeros(n, k, &mut rng);
+            for center in [true, false] {
+                prop_assert_eq!(
+                    fit_bits(Ridge::fit_multi(x.clone(), y.clone(), lambda, center)),
+                    fit_bits(copying_fit_multi(&x, &y, lambda, center)),
+                    "center {}", center
+                );
+            }
+        }
+    }
 
     #[test]
     fn recovers_linear_function() {
@@ -129,7 +207,7 @@ mod tests {
             .map(|r| r.iter().zip(&true_w).map(|(a, b)| a * b).sum::<f64>() + 3.0)
             .collect();
         let x = Matrix::from_rows(&rows);
-        let model = Ridge::fit(&x, &y, 1e-6).unwrap();
+        let model = Ridge::fit(x, y, 1e-6).unwrap();
         let pred = model.predict(&[1.0, 1.0, 1.0])[0];
         let expect = 2.0 - 1.0 + 0.5 + 3.0;
         assert!((pred - expect).abs() < 1e-3, "pred {pred}");
@@ -143,8 +221,8 @@ mod tests {
             .collect();
         let y: Vec<f64> = rows.iter().map(|r| 5.0 * r[0]).collect();
         let x = Matrix::from_rows(&rows);
-        let loose = Ridge::fit(&x, &y, 1e-8).unwrap();
-        let tight = Ridge::fit(&x, &y, 100.0).unwrap();
+        let loose = Ridge::fit(x.clone(), y.clone(), 1e-8).unwrap();
+        let tight = Ridge::fit(x, y, 100.0).unwrap();
         assert!(tight.weights()[(0, 0)].abs() < loose.weights()[(0, 0)].abs());
     }
 
@@ -157,7 +235,7 @@ mod tests {
         let y_rows: Vec<Vec<f64>> = rows.iter().map(|r| vec![r[0] * 2.0, r[1] * -3.0]).collect();
         let x = Matrix::from_rows(&rows);
         let y = Matrix::from_rows(&y_rows);
-        let model = Ridge::fit_multi(&x, &y, 1e-8, true).unwrap();
+        let model = Ridge::fit_multi(x, y, 1e-8, true).unwrap();
         let p = model.predict(&[1.0, 1.0]);
         assert!((p[0] - 2.0).abs() < 1e-3);
         assert!((p[1] + 3.0).abs() < 1e-3);
@@ -168,14 +246,14 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 10.0]).collect();
         let y: Vec<f64> = rows.iter().map(|r| 100.0 + r[0]).collect();
         let x = Matrix::from_rows(&rows);
-        let model = Ridge::fit(&x, &y, 1e-6).unwrap();
+        let model = Ridge::fit(x, y, 1e-6).unwrap();
         assert!((model.predict(&[0.0])[0] - 100.0).abs() < 0.1);
     }
 
     #[test]
     fn uncentred_fit_is_the_normal_equations_on_the_inputs_as_given() {
-        // The uncentred branch borrows `x`/`y`; the weights must equal
-        // the bits of solving (XᵀX + λI) W = XᵀY directly — signed
+        // The uncentred branch leaves `x`/`y` as given; the weights must
+        // equal the bits of solving (XᵀX + λI) W = XᵀY directly — signed
         // zeros in the data included.
         let mut rng = SimRng::from_seed(4);
         let mut rows: Vec<Vec<f64>> = (0..40)
@@ -187,7 +265,7 @@ mod tests {
             rows.iter().map(|r| vec![r[0] - r[2], 0.5 * r[4] + 1.0]).collect();
         let x = Matrix::from_rows(&rows);
         let y = Matrix::from_rows(&y_rows);
-        let model = Ridge::fit_multi(&x, &y, 1e-3, false).unwrap();
+        let model = Ridge::fit_multi(x.clone(), y.clone(), 1e-3, false).unwrap();
         let mut gram = x.gram();
         gram.add_diag(1e-3);
         let want = gram.cholesky().unwrap().solve_matrix(&x.t_matmul(&y));
@@ -205,7 +283,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, i as f64]).collect();
         let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let x = Matrix::from_rows(&rows);
-        let model = Ridge::fit(&x, &y, 1e-4).unwrap();
+        let model = Ridge::fit(x, y, 1e-4).unwrap();
         assert!((model.predict(&[5.0, 5.0])[0] - 5.0).abs() < 0.1);
     }
 }

@@ -51,7 +51,7 @@ impl RffRidge {
         assert!(!inputs.is_empty(), "cannot fit on empty data");
         let d_in = inputs[0].as_ref().len();
         let rff = RandomFourierFeatures::sample(d_in, params.n_features, params.lengthscale, rng);
-        let model = Ridge::fit(&rff.transform_batch(inputs), targets, params.lambda)?;
+        let model = Ridge::fit(rff.transform_batch(inputs), targets.to_vec(), params.lambda)?;
         let weights = (0..params.n_features).map(|i| model.weights()[(i, 0)]).collect();
         Ok(RffRidge { rff, weights, intercept: model.intercepts()[0] })
     }
@@ -207,11 +207,11 @@ mod tests {
         let mut rng = SimRng::from_seed(9);
         let rff =
             RandomFourierFeatures::sample(12, params.n_features, params.lengthscale, &mut rng);
-        let ridge = Ridge::fit(&rff.transform_batch(&rows), &targets, params.lambda).unwrap();
+        let ridge = Ridge::fit(rff.transform_batch(&rows), targets, params.lambda).unwrap();
         for i in 200..300 {
             let x = lib.features(i);
-            let composed = ridge.predict(&rff.transform(&x))[0];
-            assert_eq!(model.predict(&x).to_bits(), composed.to_bits());
+            let composed = ridge.predict(&rff.transform(x))[0];
+            assert_eq!(model.predict(x).to_bits(), composed.to_bits());
         }
     }
 
@@ -235,7 +235,7 @@ mod tests {
         let mut se_mean = 0.0;
         for &i in &test_ids {
             let truth = lib.true_ip(i);
-            se_model += (model.predict(&lib.features(i)) - truth).powi(2);
+            se_model += (model.predict(lib.features(i)) - truth).powi(2);
             se_mean += (mean - truth).powi(2);
         }
         let rmse_model = (se_model / test_ids.len() as f64).sqrt();
@@ -256,7 +256,7 @@ mod tests {
             let m = RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut rng)
                 .unwrap();
             let se: f64 = (2000..2500)
-                .map(|i| (m.predict(&lib.features(i)) - lib.true_ip(i)).powi(2))
+                .map(|i| (m.predict(lib.features(i)) - lib.true_ip(i)).powi(2))
                 .sum();
             (se / 500.0).sqrt()
         };
@@ -274,7 +274,7 @@ mod tests {
             let targets: Vec<f64> = (0..50).map(|i| lib.true_ip(i)).collect();
             RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut rng)
                 .unwrap()
-                .predict(&lib.features(99))
+                .predict(lib.features(99))
         };
         assert_eq!(fit(), fit());
     }
