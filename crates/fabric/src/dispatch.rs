@@ -3,8 +3,8 @@
 //! A [`Dispatcher`] owns everything about getting a task to a worker
 //! pool and its one terminal result back that does *not* depend on how
 //! bytes travel: topic routing, worker pools and their queue bounds,
-//! admission accounting, the [`ReliabilityLayer`] wiring (breakers,
-//! hedges, reroutes), the hedge actor, the per-topic deadline actors, the
+//! the [`ReliabilityLayer`] wiring (admission, breakers, hedges,
+//! reroutes, settling), the hedge actor, the per-topic deadline actors, the
 //! delivery-timeout arm, the return-path actors and the counters.
 //! What does is a [`Transport`]: FnX's cloud ([`crate::faas`]) and
 //! HTEX's interchange links ([`crate::htex`]) each implement it once,
@@ -13,7 +13,6 @@
 use crate::fabric::Fabric;
 use crate::health::{ReliabilityLayer, ReliabilityPolicies, TimeoutVerdict, Verdict};
 use crate::reliability::chaos::ChaosTargets;
-use crate::reliability::overload::AdmissionController;
 use crate::reliability::{Connectivity, RetryPolicies};
 use crate::task::{TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming, WorkerReport};
 use crate::worker::{WorkerPool, WorkerPoolConfig};
@@ -89,8 +88,6 @@ struct Inner<T> {
     retries: Vec<RetryPolicies>,
     /// Per-endpoint pool-queue bound and overflow policy (0 = unbounded).
     bounds: Vec<(usize, OverflowPolicy)>,
-    /// Token-bucket/in-flight admission, consulted before the breakers.
-    admission: AdmissionController,
     /// Per-topic round-trip deadline and its deadline actor's queue;
     /// only topics with a deadline are in the map.
     deadlines: SymbolMap<(Duration, Sender<Due>)>,
@@ -109,6 +106,16 @@ impl<T> Inner<T> {
     /// Hands a task's one terminal result to the client: every outcome
     /// (delivered, shed, timed out) leaves the fabric through here.
     fn finish(&self, result: TaskResult) {
+        // The stamps a task carries out of the fabric never go back.
+        let t = &result.timing;
+        let head = [t.created, t.submitted, t.server_received, t.dispatched, t.worker_started];
+        let tail = [t.inputs_resolved, t.compute_finished, t.result_dispatched];
+        let mut stamps = head.into_iter().chain(tail).chain([t.server_result_received]).flatten();
+        debug_assert!(
+            stamps.try_fold(SimTime::ZERO, |last, at| (at >= last).then_some(at)).is_some(),
+            "task {} finishes with stamps out of order: {t:?}",
+            result.id
+        );
         self.returned.set(self.returned.get() + 1);
         #[expect(
             clippy::let_underscore_must_use,
@@ -139,9 +146,7 @@ impl<T> Inner<T> {
 
     /// Delivers the terminal [`TaskOutcome::Shed`] result for a task
     /// dropped by overload protection. `load` is the queue depth or
-    /// in-flight count at the shed decision (the trace value). The
-    /// caller balances the accounting: a victim displaced from a queue
-    /// frees its admission slot afterwards, a refused one never took one.
+    /// in-flight count at the shed decision (the trace value).
     fn shed_result(&self, spec: TaskSpec, endpoint: usize, hedges: u32, reroutes: u32, load: f64) {
         self.tracer.emit(self.sim.now(), self.actors[endpoint], kinds::TASK_SHED, spec.id, load);
         let report = WorkerReport { hedges, reroutes, ..WorkerReport::default() };
@@ -157,7 +162,6 @@ impl<T> Inner<T> {
     fn timeout_result(&self, endpoint: usize, stub: Stub, after: Duration) {
         let actor = self.actors[endpoint];
         self.tracer.emit(self.sim.now(), actor, kinds::TASK_TIMEOUT, stub.id, after.as_secs_f64());
-        self.admission.on_done(stub.topic);
         self.timed_out.set(self.timed_out.get() + 1);
         let outcome = TaskOutcome::Failed(TaskError::Timeout { after });
         let task = TaskSpec::stand_in(stub.id, stub.topic, stub.timing);
@@ -243,15 +247,7 @@ impl<T: Transport> Dispatcher<T> {
         }
         let rng = RefCell::new(rng.substream(u64::MAX));
         let transport = wire(Net { sim: sim.clone(), rng });
-        // Admission configs and deadlines are read off the policies
-        // before the layer takes them; all-zero configs register nothing.
-        // A topic's refusals are attributed to its primary endpoint.
-        let admission = AdmissionController::new(
-            sim,
-            route.iter().map(|(topic, targets)| {
-                (topic, policies.policy_for(topic).admission.clone(), targets[0])
-            }),
-        );
+        // Deadlines are read off the policies before the layer takes them.
         let hedging = route.iter().any(|(topic, _)| policies.policy_for(topic).hedge.enabled());
         let (hedges, checks) = channel();
         let (mut deadlines, mut due_queues) = (SymbolMap::new(), Vec::new());
@@ -282,7 +278,6 @@ impl<T: Transport> Dispatcher<T> {
             pools,
             retries,
             bounds,
-            admission,
             deadlines,
             hedges,
             chaos,
@@ -322,8 +317,8 @@ impl<T: Transport> Dispatcher<T> {
         }
     }
 
-    /// A topic's deadline actor, the round-trip backstop: a task with no
-    /// terminal outcome `dl` after its dispatch fails here, and copies
+    /// A topic's deadline actor, the round-trip backstop: a task not
+    /// settled `dl` after its dispatch fails here, and copies
     /// still in flight are cancelled as they surface. `dl` is fixed per
     /// topic and `after_cost` runs in clock order, so the dues arrive
     /// sorted and the channel is the whole schedule. Every entry gets its
@@ -332,7 +327,7 @@ impl<T: Transport> Dispatcher<T> {
     async fn expire_overdue(inner: Rc<Inner<T>>, dl: Duration, dues: Receiver<Due>) {
         while let Some((due, endpoint, stub)) = dues.recv().await {
             inner.sim.sleep_until(due).await;
-            if inner.health.expire(stub.id) {
+            if inner.health.expire(stub.id, stub.topic) {
                 inner.timeout_result(endpoint, stub, dl);
             }
         }
@@ -379,12 +374,10 @@ impl<T: Transport> Dispatcher<T> {
             // hedge/reroute sibling the loss is silent, otherwise Shed
             // is the task's one terminal result. (`Closed`, ignored,
             // means the experiment was torn down.)
-            let topic = victim.topic;
             if let Verdict::Deliver { hedges, reroutes } =
-                inner.health.on_result(endpoint, victim.id, topic, true, 0.0)
+                inner.health.on_result(endpoint, victim.id, victim.topic, true, 0.0)
             {
                 inner.shed_result(victim, endpoint, hedges, reroutes, capacity as f64);
-                inner.admission.on_done(topic);
             }
         }
     }
@@ -399,7 +392,6 @@ impl<T: Transport> Dispatcher<T> {
         if let Verdict::Deliver { hedges, reroutes } =
             inner.health.on_result(endpoint, result.id, result.topic, result.is_failed(), waste)
         {
-            inner.admission.on_done(result.topic);
             result.report.hedges = hedges;
             result.report.reroutes = reroutes;
             result.timing.server_result_received = Some(inner.sim.now());
@@ -408,20 +400,13 @@ impl<T: Transport> Dispatcher<T> {
     }
 }
 
-/// Where the synchronous half of a submission left its task.
-enum Routed {
-    /// Refused by admission control; the `Shed` goes to the topic's
-    /// primary endpoint.
-    Refused { primary: usize },
-    /// Registered with the reliability layer and bound for `endpoint`.
-    To { endpoint: usize },
-}
-
-/// What a [`Submit`] runs once the client's call is paid for. A trait
-/// object because [`Fabric`] is one (`Rc<dyn Fabric>`), so `Submit`
-/// cannot name the transport.
+/// What a [`Submit`] runs once the client's call is paid for, given
+/// what `admit` decided: `Ok(endpoint)` the task is bound for, or the
+/// `Err(primary)` endpoint its refusal's `Shed` goes to. A trait object
+/// because [`Fabric`] is one (`Rc<dyn Fabric>`), so `Submit` cannot
+/// name the transport.
 trait AfterCost {
-    fn after_cost(&self, task: TaskSpec, routed: Routed);
+    fn after_cost(&self, task: TaskSpec, admitted: Result<usize, usize>);
 }
 
 /// The future [`Fabric::submit`] returns: the client-side submit cost as
@@ -433,7 +418,7 @@ trait AfterCost {
 #[must_use = "a submission is only paid for, and handed off, by awaiting it"]
 pub struct Submit<'a> {
     sleep: Sleep,
-    then: Option<(&'a dyn AfterCost, TaskSpec, Routed)>,
+    then: Option<(&'a dyn AfterCost, TaskSpec, Result<usize, usize>)>,
 }
 
 const _: () = assert!(std::mem::size_of::<Submit<'_>>() <= 96);
@@ -444,24 +429,24 @@ impl Future for Submit<'_> {
         if Pin::new(&mut self.sleep).poll(cx).is_pending() {
             return Poll::Pending;
         }
-        if let Some((core, task, routed)) = self.then.take() {
-            core.after_cost(task, routed);
+        if let Some((core, task, admitted)) = self.then.take() {
+            core.after_cost(task, admitted);
         }
         Poll::Ready(())
     }
 }
 
 impl<T: Transport> AfterCost for Dispatcher<T> {
-    fn after_cost(&self, task: TaskSpec, routed: Routed) {
+    fn after_cost(&self, task: TaskSpec, admitted: Result<usize, usize>) {
         let inner = &self.inner;
         inner.submitted.set(inner.submitted.get() + 1);
-        let endpoint = match routed {
-            Routed::Refused { primary } => {
-                let load = inner.admission.in_flight(task.topic) as f64;
+        let endpoint = match admitted {
+            Err(primary) => {
+                let load = inner.health.in_flight(task.topic) as f64;
                 inner.shed_result(task, primary, 0, 0, load);
                 return;
             }
-            Routed::To { endpoint } => endpoint,
+            Ok(endpoint) => endpoint,
         };
         let topic = task.topic;
         if let Some(delay) = inner.health.hedge_delay(topic) {
@@ -486,28 +471,14 @@ impl<T: Transport> Fabric for Dispatcher<T> {
         let bytes = task.wire_bytes();
         inner.transport.admit_payload(bytes, task.topic);
         task.timing.dispatched = Some(inner.sim.now());
-        // Admission control: a refused submission still pays the
-        // client's call (for an empty payload) and resolves to Shed;
-        // it never reaches the breaker layer, so nothing to unwind.
-        let (cost, routed) = match inner.admission.try_admit(task.topic) {
-            Err(primary) => (inner.transport.submit_cost(0), Routed::Refused { primary }),
-            Ok(()) => {
-                // The reliability layer registers the dispatch and picks
-                // the endpoint (breaker-aware when configured, else primary).
-                #[expect(
-                    clippy::panic,
-                    reason = "unrouted topic is a deployment wiring bug, not a runtime fault"
-                )]
-                let endpoint = inner
-                    .health
-                    .admit(&task)
-                    .unwrap_or_else(|| panic!("no endpoint registered for topic {}", task.topic));
-                (inner.transport.submit_cost(bytes), Routed::To { endpoint })
-            }
-        };
+        // The reliability layer admits the task and picks its endpoint.
+        // A refused submission still pays the client's call (for an
+        // empty payload) and resolves to Shed.
+        let admitted = inner.health.admit(&task);
+        let cost = inner.transport.submit_cost(if admitted.is_ok() { bytes } else { 0 });
         // The client pays the submit cost; the rest runs detached.
         let core: &dyn AfterCost = self;
-        Submit { sleep: inner.sim.sleep(cost), then: Some((core, task, routed)) }
+        Submit { sleep: inner.sim.sleep(cost), then: Some((core, task, admitted)) }
     }
 
     fn label(&self) -> &'static str {
@@ -529,6 +500,7 @@ mod tests {
     use crate::task::{Arg, TaskWork};
     use hetflow_sim::{Dist, Receiver, SimTime, TraceKind};
     use hetflow_store::SiteId;
+    use proptest::prelude::*;
 
     #[derive(Clone, Copy, Debug)]
     enum Kind {
@@ -966,6 +938,69 @@ mod tests {
             assert_eq!(traced.len(), 1, "{kind:?}");
             assert_eq!(traced[0].value, 0.0, "{kind:?}: in-flight read after the sleep");
             assert_eq!((rig.counts)(), (2, 2, 0), "{kind:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every submitted id settles exactly once, whichever arms are
+        /// on — hedge (q 0.95), one reroute, a round-trip deadline, a
+        /// shedding queue bound, an in-flight cap — over a stalled or a
+        /// healthy primary that turns straggler halfway, on both
+        /// transports. At quiescence no task is unsettled and no
+        /// admission slot is held.
+        #[test]
+        fn every_task_settles_once_and_returns_its_admission_slot(
+            seed in any::<u64>(),
+            hedge in any::<bool>(),
+            reroute in any::<bool>(),
+            deadline in any::<bool>(),
+            shed in any::<bool>(),
+            cap in any::<bool>(),
+            stalled in any::<bool>(),
+        ) {
+            const N: TaskId = 24;
+            for kind in BOTH {
+                let ep = |site, stalled| {
+                    let mut ep = Ep::new(site, stalled).with_delivery_timeout();
+                    if shed {
+                        ep.pool.queue_capacity = 2;
+                        ep.pool.overflow = OverflowPolicy::ShedLowestPriority;
+                    }
+                    ep
+                };
+                let off = HedgeConfig::default();
+                let on = HedgeConfig { quantile: 0.95, factor: 1.0, min_samples: 3 };
+                let policy = ReliabilityPolicy {
+                    hedge: if hedge { on } else { off },
+                    max_reroutes: u32::from(reroute),
+                    deadline: Duration::from_secs(if deadline { 60 } else { 0 }),
+                    admission: AdmissionConfig {
+                        max_in_flight: if cap { 4 } else { 0 },
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                let rig = Rig::new(kind, vec![ep(0, stalled), ep(1, false)], policy);
+                let pace = rig.chaos.pace[0].clone();
+                let (_, results) = rig.run(move |sim, f| async move {
+                    let mut rng = SimRng::from_seed(seed);
+                    for id in 0..N {
+                        if id == N / 2 {
+                            pace.set(20.0);
+                        }
+                        let secs = [1, 2, 5, 40][rng.below(4)];
+                        let priority = rng.below(3) as u8;
+                        f.submit(work(id, 1_000, secs).with_priority(priority)).await;
+                        sim.sleep(Duration::from_millis(rng.below(8_000) as u64)).await;
+                    }
+                });
+                prop_assert_eq!(ids(&results), (0..N).collect::<Vec<_>>(), "{:?}", kind);
+                let (submitted, returned, _) = (rig.counts)();
+                prop_assert_eq!((submitted, returned), (N, N), "{:?}", kind);
+                prop_assert_eq!(rig.health.outstanding(), (0, 0), "{:?}: unsettled, slots held", kind);
+            }
         }
     }
 }

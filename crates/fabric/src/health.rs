@@ -12,8 +12,9 @@
 //! tasks to healthy endpoints, re-issues straggling tasks elsewhere
 //! after a quantile-based hedge delay, and re-routes delivery timeouts
 //! instead of failing them — while guaranteeing the thinker sees
-//! **exactly one** terminal outcome per task id: the first result wins
-//! and every losing copy is cancelled and accounted as waste.
+//! **exactly one** terminal outcome per task id: the first result
+//! settles the task, and every losing copy is cancelled and accounted
+//! as waste.
 //!
 //! All decisions are RNG-free functions of observed simulation events,
 //! so enabling the layer keeps same-seed runs digest-stable, and the
@@ -21,6 +22,7 @@
 //! perturbing existing traces (the `RetryPolicy` zero-defers
 //! convention).
 
+use crate::reliability::overload::AdmissionController;
 use crate::reliability::Connectivity;
 use crate::task::{Request, TaskId, TaskSpec};
 use hetflow_sim::{trace_kinds as kinds, Sim, SimTime, Symbol, SymbolMap, Tracer};
@@ -297,8 +299,8 @@ impl RunningQuantile {
     }
 }
 
-/// One tracked task: how many copies are in flight and whether a
-/// terminal outcome has already been delivered.
+/// One admitted task that has not settled yet: how many of its copies
+/// are in flight, and what re-issuing one needs.
 struct Inflight {
     /// The task's request, retained inline for hedge/reroute re-issue
     /// (`None` when the topic's policy never re-issues). A copy gets an
@@ -310,16 +312,13 @@ struct Inflight {
     hedges: u32,
     /// Timeout-driven re-dispatches so far.
     reroutes: u32,
-    /// A terminal outcome has been delivered; every later copy is
-    /// cancelled on arrival.
-    done: bool,
     /// When the task was first dispatched (round-trip baseline).
     dispatched: SimTime,
 }
 
 /// What the fabric should do with a result arriving from an endpoint.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// First terminal outcome for this id: deliver it to the thinker,
     /// stamped with how many hedges/reroutes the task needed.
     Deliver {
@@ -335,7 +334,7 @@ pub enum Verdict {
 
 /// What the fabric should do when a delivery attempt times out.
 #[derive(Debug)]
-pub enum TimeoutVerdict {
+pub(crate) enum TimeoutVerdict {
     /// Re-dispatch the task to endpoint `to`.
     Reroute {
         /// A fresh copy of the task to deliver.
@@ -362,7 +361,12 @@ struct LayerInner {
     /// tree walk.
     route: SymbolMap<Vec<usize>>,
     endpoints: Vec<EndpointHealth>,
+    /// Admitted tasks that have not settled; an entry leaves when its
+    /// task settles.
     inflight: RefCell<BTreeMap<TaskId, Inflight>>,
+    /// Token-bucket/in-flight admission: `admit` takes a slot, settling
+    /// returns it.
+    admission: AdmissionController,
     /// Successful round trips of each topic whose policy hedges,
     /// tracked at that topic's `hedge.quantile`: the hedge delay's
     /// only input, so nothing is kept for a topic that never hedges.
@@ -384,7 +388,8 @@ pub struct ReliabilityLayer {
 
 impl ReliabilityLayer {
     /// Builds the layer for `n` endpoints with the given topic routing
-    /// (primary endpoint first in each candidate list). For endpoints
+    /// (primary endpoint first in each candidate list), and each topic's
+    /// admission control from its policy. For endpoints
     /// with a [`Connectivity`], a heartbeat watcher is spawned when the
     /// default policy sets `offline_grace`: if the connection stays
     /// offline past the grace period, the endpoint's breaker trips
@@ -401,6 +406,14 @@ impl ReliabilityLayer {
         let endpoints = (0..n.max(connectivity.len()))
             .map(|ep| EndpointHealth::new(Symbol::intern(&format!("{label}/health/ep{ep}"))))
             .collect();
+        // All-zero configs register nothing. A topic's refusals are
+        // attributed to its primary endpoint.
+        let admission = AdmissionController::new(
+            sim,
+            route.iter().map(|(topic, targets)| {
+                (topic, policies.policy_for(topic).admission.clone(), targets[0])
+            }),
+        );
         let layer = ReliabilityLayer {
             inner: Rc::new(LayerInner {
                 sim: sim.clone(),
@@ -410,6 +423,7 @@ impl ReliabilityLayer {
                 route,
                 endpoints,
                 inflight: RefCell::new(BTreeMap::new()),
+                admission,
                 rtt: RefCell::new(SymbolMap::new()),
                 wasted: Cell::new(0.0),
                 cancelled: Cell::new(0),
@@ -451,33 +465,33 @@ impl ReliabilityLayer {
         self.inner.policies.policy_for(topic)
     }
 
-    /// Registers a dispatch and picks the endpoint: the first
-    /// candidate whose breaker admits the task, falling back to the
-    /// primary when every gate is shut (availability over purity).
-    /// Returns `None` for an unrouted topic. With breaking disabled
+    /// Admits a task and picks its endpoint: the first candidate whose
+    /// breaker admits the task, falling back to the primary when every
+    /// gate is shut (availability over purity). With breaking disabled
     /// for the topic this is exactly the PR-2 primary-only routing and
-    /// touches no breaker state.
-    pub(crate) fn admit(&self, task: &TaskSpec) -> Option<usize> {
+    /// touches no breaker state. An admitted task holds its registry
+    /// entry and admission slot until it settles. `Err` carries the
+    /// primary endpoint of a topic whose admission control refuses the
+    /// task; a refused task is never registered. Panics on a topic no
+    /// endpoint serves.
+    pub(crate) fn admit(&self, task: &TaskSpec) -> Result<usize, usize> {
+        self.inner.admission.try_admit(task.topic)?;
         let policy = self.policy(task.topic);
-        let candidates = self.inner.route.get(task.topic)?;
-        let endpoint = if policy.breaker.enabled() {
-            self.pick(task.id, candidates, None)
-        } else {
-            candidates.first().copied()?
+        #[expect(
+            clippy::panic,
+            reason = "unrouted topic is a deployment wiring bug, not a runtime fault"
+        )]
+        let endpoint = match self.inner.route.get(task.topic).map(Vec::as_slice) {
+            Some(candidates) if policy.breaker.enabled() => self.pick(task.id, candidates, None),
+            Some(&[primary, ..]) => primary,
+            _ => panic!("no endpoint registered for topic {}", task.topic),
         };
         let spec = if policy.needs_copy() { Some(Request::clone(task)) } else { None };
-        self.inner.inflight.borrow_mut().insert(
-            task.id,
-            Inflight {
-                spec,
-                live: 1,
-                hedges: 0,
-                reroutes: 0,
-                done: false,
-                dispatched: self.inner.sim.now(),
-            },
-        );
-        Some(endpoint)
+        let dispatched = self.inner.sim.now();
+        let entry = Inflight { spec, live: 1, hedges: 0, reroutes: 0, dispatched };
+        let unsettled = self.inner.inflight.borrow_mut().insert(task.id, entry);
+        debug_assert!(unsettled.is_none(), "task {} admitted while its id is unsettled", task.id);
+        Ok(endpoint)
     }
 
     /// Breaker-aware endpoint choice among the candidates other than
@@ -531,7 +545,7 @@ impl ReliabilityLayer {
     }
 
     /// Attempts to issue a speculative copy of task `id`: succeeds when
-    /// the task is still unresolved and has no copy yet. The
+    /// the task has not settled and has no copy yet. The
     /// copy prefers an endpoint other than the candidates' primary so
     /// a straggling or dead endpoint is actually bypassed; with a
     /// single endpoint the copy re-queues there (still rescuing tasks
@@ -540,7 +554,7 @@ impl ReliabilityLayer {
         let candidates = self.inner.route.get(topic.into())?;
         let mut reg = self.inner.inflight.borrow_mut();
         let entry = reg.get_mut(&id)?;
-        if entry.done || entry.hedges >= MAX_HEDGES {
+        if entry.hedges >= MAX_HEDGES {
             return None;
         }
         let spec = TaskSpec::from(entry.spec.clone()?);
@@ -561,12 +575,12 @@ impl ReliabilityLayer {
     }
 
     /// Arbitrates a result arriving from `endpoint` just before it
-    /// would be delivered: the first terminal outcome wins; every
-    /// later copy — and any failure while a sibling copy is still
-    /// live — is suppressed, traced as `task_cancelled`, and its
-    /// burned time (`waste_secs`) is accounted as hedging waste.
-    /// Successes/failures also feed the endpoint's breaker, including
-    /// the tail-latency SLO check.
+    /// would be delivered: the first terminal outcome settles the task
+    /// and is delivered. A copy of a settled task — and any failure
+    /// while a sibling copy is still live — is suppressed, traced as
+    /// `task_cancelled`, and its burned time (`waste_secs`) is
+    /// accounted as hedging waste. Successes/failures also feed the
+    /// endpoint's breaker, including the tail-latency SLO check.
     pub(crate) fn on_result(
         &self,
         endpoint: usize,
@@ -581,19 +595,11 @@ impl ReliabilityLayer {
         let cfg = &policy.breaker;
         let mut reg = self.inner.inflight.borrow_mut();
         let Some(entry) = reg.get_mut(&id) else {
-            // Untracked (direct pool use in tests): pass through.
-            return Verdict::Deliver { hedges: 0, reroutes: 0 };
-        };
-        entry.live = entry.live.saturating_sub(1);
-        if entry.done {
-            let gone = entry.live == 0;
-            if gone {
-                reg.remove(&id);
-            }
             drop(reg);
             self.cancel(id, waste_secs);
             return Verdict::Suppress;
-        }
+        };
+        entry.live -= 1;
         let rtt = (now - entry.dispatched).as_secs_f64();
         let slow = !cfg.latency_slo.is_zero() && rtt > cfg.latency_slo.as_secs_f64();
         if failed && entry.live > 0 {
@@ -604,12 +610,9 @@ impl ReliabilityLayer {
             self.cancel(id, waste_secs);
             return Verdict::Suppress;
         }
-        entry.done = true;
         let verdict = Verdict::Deliver { hedges: entry.hedges, reroutes: entry.reroutes };
-        if entry.live == 0 {
-            reg.remove(&id);
-        }
         drop(reg);
+        self.settle(id, topic);
         if !failed && policy.hedge.enabled() {
             self.inner
                 .rtt
@@ -626,24 +629,17 @@ impl ReliabilityLayer {
     /// Arbitrates a delivery timeout at `endpoint`: reroute to another
     /// endpoint while the topic's budget allows (tracing
     /// `task_rerouted`), suppress when a sibling copy is still live or
-    /// the task already resolved, and fail otherwise. The timeout
-    /// always counts as a failure signal for the endpoint's breaker.
+    /// the task has settled, and otherwise settle the task and fail it.
+    /// The timeout of an unsettled task counts as a failure signal for
+    /// the endpoint's breaker.
     pub(crate) fn on_timeout(&self, endpoint: usize, id: TaskId, topic: impl Into<Symbol>) -> TimeoutVerdict {
         let topic = topic.into();
         let policy = self.policy(topic);
         let candidates: &[usize] =
             self.inner.route.get(topic).map(Vec::as_slice).unwrap_or(&[]);
         let mut reg = self.inner.inflight.borrow_mut();
-        let Some(entry) = reg.get_mut(&id) else {
-            return TimeoutVerdict::Fail;
-        };
-        entry.live = entry.live.saturating_sub(1);
-        if entry.done {
-            if entry.live == 0 {
-                reg.remove(&id);
-            }
-            return TimeoutVerdict::Suppress;
-        }
+        let Some(entry) = reg.get_mut(&id) else { return TimeoutVerdict::Suppress };
+        entry.live -= 1;
         let can_reroute = entry.reroutes < policy.max_reroutes && entry.spec.is_some();
         if can_reroute {
             entry.reroutes += 1;
@@ -671,28 +667,35 @@ impl ReliabilityLayer {
             self.observe(endpoint, &policy.breaker, false, id);
             return TimeoutVerdict::Suppress;
         }
-        entry.done = true;
-        reg.remove(&id);
         drop(reg);
+        self.settle(id, topic);
         self.observe(endpoint, &policy.breaker, false, id);
         TimeoutVerdict::Fail
     }
 
-    /// Fires the hard round-trip deadline for task `id`: returns
-    /// `true` when the task was still unresolved — the caller must
-    /// then deliver a synthesized timeout failure; in-flight copies
-    /// are cancelled as they surface.
-    pub(crate) fn expire(&self, id: TaskId) -> bool {
-        let mut reg = self.inner.inflight.borrow_mut();
-        let Some(entry) = reg.get_mut(&id) else { return false };
-        if entry.done {
-            return false;
+    /// Fires the hard round-trip deadline for task `id` of `topic`:
+    /// returns `true` when the task had not settled — it settles now,
+    /// and the caller must deliver a synthesized timeout failure;
+    /// in-flight copies are cancelled as they surface.
+    pub(crate) fn expire(&self, id: TaskId, topic: impl Into<Symbol>) -> bool {
+        self.settle(id, topic.into())
+    }
+
+    /// Settles task `id` of `topic` at its first terminal outcome: its
+    /// entry leaves the registry and its admission slot is returned, so
+    /// every later copy finds no entry. `false` when it had settled.
+    fn settle(&self, id: TaskId, topic: Symbol) -> bool {
+        let settled = self.inner.inflight.borrow_mut().remove(&id).is_some();
+        if settled {
+            self.inner.admission.release(topic);
         }
-        entry.done = true;
-        if entry.live == 0 {
-            reg.remove(&id);
-        }
-        true
+        settled
+    }
+
+    /// Admitted tasks of `topic` that hold an in-flight slot; 0 where
+    /// the topic has no cap.
+    pub(crate) fn in_flight(&self, topic: Symbol) -> usize {
+        self.inner.admission.in_flight(topic)
     }
 
     /// Records a cancelled losing copy.
@@ -821,6 +824,13 @@ impl ReliabilityLayer {
         self.inner.endpoints.get(endpoint).map(|h| h.generation.get()).unwrap_or(0)
     }
 
+    /// Admitted tasks that have not settled, and the admission slots
+    /// held across every topic: both 0 at quiescence.
+    #[cfg(test)]
+    pub(crate) fn outstanding(&self) -> (usize, usize) {
+        (self.inner.inflight.borrow().len(), self.inner.admission.held())
+    }
+
     /// Seconds burned by cancelled losing copies.
     #[cfg(test)]
     pub fn wasted_secs(&self) -> f64 {
@@ -885,7 +895,7 @@ mod tests {
     fn disabled_policy_routes_to_primary_and_passes_results() {
         let (_sim, layer) = layer_with(ReliabilityPolicies::default(), 2);
         let t = TaskSpec::noop(1, 100);
-        assert_eq!(layer.admit(&t), Some(0));
+        assert_eq!(layer.admit(&t), Ok(0));
         assert_eq!(
             layer.on_result(0, 1, "noop", false, 0.0),
             Verdict::Deliver { hedges: 0, reroutes: 0 }
@@ -899,14 +909,14 @@ mod tests {
         let (_sim, layer) = layer_with(breaker_policy(3), 2);
         for id in 0..3u64 {
             let t = TaskSpec::noop(id, 100);
-            assert_eq!(layer.admit(&t), Some(0), "primary while closed");
+            assert_eq!(layer.admit(&t), Ok(0), "primary while closed");
             let v = layer.on_result(0, id, "noop", true, 1.0);
             assert_eq!(v, Verdict::Deliver { hedges: 0, reroutes: 0 });
         }
         assert!(layer.breaker_open(0), "third consecutive failure trips the breaker");
         assert_eq!(layer.breaker_generation(0), 1);
         let t = TaskSpec::noop(10, 100);
-        assert_eq!(layer.admit(&t), Some(1), "dispatch steers to the healthy endpoint");
+        assert_eq!(layer.admit(&t), Ok(1), "dispatch steers to the healthy endpoint");
     }
 
     #[test]
@@ -914,7 +924,7 @@ mod tests {
         let (_sim, layer) = layer_with(breaker_policy(3), 2);
         for id in 0..10u64 {
             let t = TaskSpec::noop(id, 100);
-            layer.admit(&t);
+            assert_eq!(layer.admit(&t), Ok(0));
             // Alternate failure/success: never 3 consecutive.
             layer.on_result(0, id, "noop", id % 2 == 0, 0.0);
         }
@@ -925,12 +935,12 @@ mod tests {
     fn half_open_probe_closes_breaker_after_cooldown() {
         let (sim, layer) = layer_with(breaker_policy(1), 2);
         let t = TaskSpec::noop(0, 100);
-        layer.admit(&t);
+        assert_eq!(layer.admit(&t), Ok(0));
         layer.on_result(0, 0, "noop", true, 0.0);
         assert!(layer.breaker_open(0));
         // Within the cool-down: dispatches steer away.
         let t = TaskSpec::noop(1, 100);
-        assert_eq!(layer.admit(&t), Some(1));
+        assert_eq!(layer.admit(&t), Ok(1));
         layer.on_result(1, 1, "noop", false, 0.0);
         // After the cool-down: the primary gets the half-open probe.
         let s = sim.clone();
@@ -944,7 +954,7 @@ mod tests {
             (ep, v)
         });
         let (ep, v) = sim.block_on(h);
-        assert_eq!(ep, Some(0), "probe goes to the recovering primary");
+        assert_eq!(ep, Ok(0), "probe goes to the recovering primary");
         assert_eq!(v, Verdict::Deliver { hedges: 0, reroutes: 0 });
         assert!(!layer.breaker_open(0), "successful probe closes the breaker");
         let opened = layer.inner.tracer.events_of_kind(kinds::BREAKER_OPENED);
@@ -957,7 +967,7 @@ mod tests {
     fn failed_probe_reopens_breaker() {
         let (sim, layer) = layer_with(breaker_policy(1), 2);
         let t = TaskSpec::noop(0, 100);
-        layer.admit(&t);
+        assert_eq!(layer.admit(&t), Ok(0));
         layer.on_result(0, 0, "noop", true, 0.0);
         let s = sim.clone();
         let l = layer.clone();
@@ -968,7 +978,7 @@ mod tests {
             l.on_result(0, 1, "noop", true, 0.0);
             ep
         });
-        assert_eq!(sim.block_on(h), Some(0));
+        assert_eq!(sim.block_on(h), Ok(0));
         assert!(layer.breaker_open(0), "failed probe re-opens");
         assert_eq!(layer.breaker_generation(0), 2);
     }
@@ -977,7 +987,7 @@ mod tests {
     fn half_open_admits_single_probe() {
         let (sim, layer) = layer_with(breaker_policy(1), 2);
         let t = TaskSpec::noop(0, 100);
-        layer.admit(&t);
+        assert_eq!(layer.admit(&t), Ok(0));
         layer.on_result(0, 0, "noop", true, 0.0);
         let s = sim.clone();
         let l = layer.clone();
@@ -988,8 +998,8 @@ mod tests {
             (a, b)
         });
         let (a, b) = sim.block_on(h);
-        assert_eq!(a, Some(0), "first dispatch is the probe");
-        assert_eq!(b, Some(1), "second dispatch steers away while the probe is out");
+        assert_eq!(a, Ok(0), "first dispatch is the probe");
+        assert_eq!(b, Ok(1), "second dispatch steers away while the probe is out");
     }
 
     #[test]
@@ -1003,7 +1013,7 @@ mod tests {
         };
         let (_sim, layer) = layer_with(policies, 2);
         let t = TaskSpec::noop(7, 100);
-        layer.admit(&t);
+        assert_eq!(layer.admit(&t), Ok(0));
         let hedge = layer.try_hedge(7, "noop");
         assert!(hedge.is_some(), "unresolved task under budget must hedge");
         let (_spec, to) = hedge.unwrap();
@@ -1036,7 +1046,7 @@ mod tests {
             per_topic: SymbolMap::new(),
         };
         let (_sim, layer) = layer_with(policies, 2);
-        layer.admit(&TaskSpec::noop(1, 100));
+        assert_eq!(layer.admit(&TaskSpec::noop(1, 100)), Ok(0));
         layer.try_hedge(1, "noop");
         assert_eq!(
             layer.on_result(0, 1, "noop", true, 2.0),
@@ -1064,7 +1074,7 @@ mod tests {
         let s = sim.clone();
         let h = sim.spawn(async move {
             for id in 0..4u64 {
-                l.admit(&TaskSpec::noop(id, 100));
+                assert_eq!(l.admit(&TaskSpec::noop(id, 100)), Ok(0));
                 s.sleep(Duration::from_secs(10)).await;
                 l.on_result(0, id, "noop", false, 0.0);
             }
@@ -1086,7 +1096,7 @@ mod tests {
             per_topic: SymbolMap::new(),
         };
         let (_sim, layer) = layer_with(policies.clone(), 3);
-        layer.admit(&TaskSpec::noop(1, 100));
+        assert_eq!(layer.admit(&TaskSpec::noop(1, 100)), Ok(0));
         layer.trip(2);
         assert_eq!(layer.try_hedge(1, "noop").map(|(_, to)| to), Some(1), "first open gate");
         layer.trip(0);
@@ -1096,7 +1106,7 @@ mod tests {
         assert_eq!(reroute_target(layer.on_timeout(0, 1, "noop")), Some(1));
         // No other endpoint registered: the copy re-queues at the primary.
         let (_sim, solo) = layer_with(policies, 1);
-        solo.admit(&TaskSpec::noop(2, 100));
+        assert_eq!(solo.admit(&TaskSpec::noop(2, 100)), Ok(0));
         assert_eq!(solo.try_hedge(2, "noop").map(|(_, to)| to), Some(0));
         assert_eq!(reroute_target(solo.on_timeout(0, 2, "noop")), Some(0));
     }
@@ -1197,7 +1207,7 @@ mod tests {
             let mut rng = SimRng::from_seed(11);
             for id in 0..rounds {
                 let topic = topics[id as usize % topics.len()];
-                l.admit(&task_on(topic, id));
+                assert_eq!(l.admit(&task_on(topic, id)), Ok(0));
                 let sent = s.now();
                 s.sleep(Duration::from_micros(1 + rng.below(5_000_000) as u64)).await;
                 l.on_result(0, id, topic, false, 0.0);
@@ -1257,7 +1267,7 @@ mod tests {
             per_topic: SymbolMap::new(),
         };
         let (_sim, layer) = layer_with(policies, 2);
-        layer.admit(&TaskSpec::noop(3, 100));
+        assert_eq!(layer.admit(&TaskSpec::noop(3, 100)), Ok(0));
         match layer.on_timeout(0, 3, "noop") {
             TimeoutVerdict::Reroute { spec, to } => {
                 assert_eq!(spec.id, 3);
@@ -1285,9 +1295,9 @@ mod tests {
             per_topic: SymbolMap::new(),
         };
         let (_sim, layer) = layer_with(policies, 1);
-        layer.admit(&TaskSpec::noop(9, 100));
-        assert!(layer.expire(9), "unresolved task expires");
-        assert!(!layer.expire(9), "second expiry is a no-op");
+        assert_eq!(layer.admit(&TaskSpec::noop(9, 100)), Ok(0));
+        assert!(layer.expire(9, "noop"), "an unsettled task expires");
+        assert!(!layer.expire(9, "noop"), "second expiry is a no-op");
         assert_eq!(
             layer.on_result(0, 9, "noop", false, 4.0),
             Verdict::Suppress,
@@ -1311,7 +1321,7 @@ mod tests {
         original.timing.submitted = Some(SimTime::from_secs(2));
         original.timing.server_received = Some(SimTime::from_secs(3));
         original.timing.dispatched = Some(SimTime::from_secs(4));
-        assert_eq!(layer.admit(&original), Some(0));
+        assert_eq!(layer.admit(&original), Ok(0));
         // Stamps after `admit` belong to the original's own journey.
         original.timing.worker_started = Some(SimTime::from_secs(5));
 
@@ -1358,7 +1368,7 @@ mod tests {
         let s = sim.clone();
         let h = sim.spawn(async move {
             for id in 0..2u64 {
-                l.admit(&TaskSpec::noop(id, 100));
+                assert_eq!(l.admit(&TaskSpec::noop(id, 100)), Ok(0));
                 s.sleep(Duration::from_secs(30)).await; // 30 s ≫ 5 s SLO
                 l.on_result(0, id, "noop", false, 0.0);
             }

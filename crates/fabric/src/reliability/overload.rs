@@ -1,7 +1,7 @@
 //! Overload protection: admission control.
 //!
-//! The dispatch core's `AdmissionController` is a per-topic token bucket
-//! plus in-flight cap consulted at submission time. A task refused
+//! The reliability layer's `AdmissionController` is a per-topic token
+//! bucket plus in-flight cap consulted at submission time. A task refused
 //! admission is shed immediately (it never reaches an endpoint queue), so
 //! the fabric spends no transit or worker time on load it cannot carry.
 //!
@@ -55,8 +55,9 @@ struct TopicAdmission {
     in_flight: Cell<usize>,
 }
 
-/// Per-topic token buckets and in-flight caps, consulted by the fabrics
-/// before `crate::ReliabilityLayer::admit`. Every bucket starts full when
+/// Per-topic token buckets and in-flight caps, owned by the
+/// `crate::ReliabilityLayer`: its `admit` consults them first, and a task
+/// that settles returns its slot. Every bucket starts full when
 /// the controller is built; refills are computed lazily from elapsed
 /// virtual time — no timer actors, no RNG draws — so the controller is
 /// exactly as deterministic as the clock.
@@ -95,7 +96,7 @@ impl AdmissionController {
 
     /// Decides whether a task of `topic` may enter the fabric. `Ok`
     /// consumes a token (and an in-flight slot when capped); the caller
-    /// must balance every admission with [`AdmissionController::on_done`].
+    /// must balance every admission with [`AdmissionController::release`].
     /// `Err` carries the topic's primary endpoint, which the refusal is
     /// attributed to.
     pub(crate) fn try_admit(&self, topic: Symbol) -> Result<(), usize> {
@@ -124,16 +125,23 @@ impl AdmissionController {
     }
 
     /// Releases the in-flight slot taken by an admitted task of `topic`.
-    /// No-op for topics without a cap.
-    pub(crate) fn on_done(&self, topic: Symbol) {
-        if let Some(st) = self.topics.get(topic) {
-            st.in_flight.set(st.in_flight.get().saturating_sub(1));
-        }
+    /// No-op for topics without a cap, which take no slot.
+    pub(crate) fn release(&self, topic: Symbol) {
+        let Some(st) = self.topics.get(topic).filter(|st| st.cfg.max_in_flight > 0) else { return };
+        let held = st.in_flight.get();
+        debug_assert!(held > 0, "released an admission slot of {topic} that no task holds");
+        st.in_flight.set(held - 1);
     }
 
     /// Tasks of `topic` currently between admission and release.
     pub(crate) fn in_flight(&self, topic: Symbol) -> usize {
         self.topics.get(topic).map_or(0, |st| st.in_flight.get())
+    }
+
+    /// In-flight slots held across every topic.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        self.topics.values().map(|st| st.in_flight.get()).sum()
     }
 
     /// Total submissions refused so far.
@@ -176,6 +184,8 @@ mod tests {
         let admitted = (0..10).filter(|_| ctl.try_admit(topic()).is_ok()).count();
         assert_eq!(admitted, 3, "burst admits the bucket depth");
         assert_eq!(ctl.rejected(), 7);
+        ctl.release(topic());
+        assert_eq!(ctl.held(), 0, "an uncapped topic takes and returns no slot");
         let s = sim.clone();
         let ctl2 = Rc::new(ctl);
         let c = Rc::clone(&ctl2);
@@ -194,7 +204,7 @@ mod tests {
         assert!(ctl.try_admit(topic()).is_ok());
         assert_eq!(ctl.try_admit(topic()), Err(0));
         assert_eq!(ctl.in_flight(topic()), 2);
-        ctl.on_done(topic());
+        ctl.release(topic());
         assert!(ctl.try_admit(topic()).is_ok());
         assert_eq!(ctl.rejected(), 1);
     }
