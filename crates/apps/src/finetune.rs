@@ -37,6 +37,9 @@ use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+/// MD steps for the first sampling tasks (paper: 20).
+const MD_STEPS_START: usize = 20;
+
 /// Campaign parameters (defaults scale the paper's 1720-pretrain /
 /// 500-new-structure run down ~8× so a full campaign simulates in
 /// seconds of wall time).
@@ -57,8 +60,6 @@ pub struct FinetuneParams {
     /// Re-populate the uncertainty pool after this many newly sampled
     /// structures (paper: 100).
     pub uncertainty_refresh: usize,
-    /// MD steps for the first sampling tasks (paper: 20).
-    pub md_steps_start: usize,
     /// MD steps for the last sampling tasks (paper: 1000).
     pub md_steps_end: usize,
     /// Campaign seed.
@@ -74,7 +75,6 @@ impl Default for FinetuneParams {
             ensemble_size: 8,
             audit_target: 8,
             uncertainty_refresh: 12,
-            md_steps_start: 20,
             md_steps_end: 1000,
             seed: 11,
         }
@@ -305,9 +305,8 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
                 let progress = (state.new_count.get() as f64
                     / state.params.target_new as f64)
                     .min(1.0);
-                let steps = (state.params.md_steps_start as f64
-                    + progress
-                        * (state.params.md_steps_end - state.params.md_steps_start) as f64)
+                let steps = (MD_STEPS_START as f64
+                    + progress * (state.params.md_steps_end - MD_STEPS_START) as f64)
                     as usize;
                 let start = {
                     let audit = state.audit.borrow();

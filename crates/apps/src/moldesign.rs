@@ -23,6 +23,13 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
+/// Success threshold: a molecule counts as found when its IP exceeds
+/// this (paper: IP > 14).
+pub const IP_THRESHOLD: f64 = 14.0;
+
+/// UCB exploration weight (paper: mean + std, i.e. κ = 1).
+const KAPPA: f64 = 1.0;
+
 /// How simulations are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SteeringMode {
@@ -47,10 +54,6 @@ pub struct MolDesignParams {
     /// New simulation results that trigger a retraining round once the
     /// previous round has finished.
     pub retrain_after: usize,
-    /// Success threshold (paper: IP > 14).
-    pub ip_threshold: f64,
-    /// UCB exploration weight (paper: mean + std, i.e. κ = 1).
-    pub kappa: f64,
     /// Extra simulations queued beyond the worker count. The paper's
     /// measured deployment used none — workers idle for the full
     /// notify→decide→dispatch loop between tasks (the Fig. 6b idle
@@ -70,8 +73,6 @@ impl Default for MolDesignParams {
             budget: cal::moldesign_budget(),
             ensemble_size: 8,
             retrain_after: 16,
-            ip_threshold: 14.0,
-            kappa: 1.0,
             backlog: 0,
             seed: 7,
             steering: SteeringMode::ActiveLearning,
@@ -259,7 +260,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                 let (id, ip, node_secs) = *resolved.value::<(usize, f64, f64)>();
                 state.node_time.set(state.node_time.get() + node_secs);
                 state.database.borrow_mut().push((id, ip));
-                if ip > state.params.ip_threshold {
+                if ip > IP_THRESHOLD {
                     state.found.set(state.found.get() + 1);
                 }
                 state
@@ -488,7 +489,7 @@ fn reorder_queue(state: &State, score_sets: &[Rc<Vec<f64>>]) {
             var += (s[i] - mean) * (s[i] - mean);
         }
         var /= n_models;
-        *u = mean + state.params.kappa * var.sqrt();
+        *u = mean + KAPPA * var.sqrt();
     }
     // Keep the top candidates, best last (queue pops from the back).
     let keep = n_lib.min(4096);
@@ -539,7 +540,7 @@ mod tests {
         let lib_seed = params.seed;
         let outcome = run(&sim, &d, params.clone());
         let lib = MoleculeLibrary::generate(params.library_size, lib_seed);
-        let base_rate = lib.ids_above(params.ip_threshold).len() as f64
+        let base_rate = lib.ids_above(IP_THRESHOLD).len() as f64
             / params.library_size as f64;
         let hit_rate = outcome.found as f64 / outcome.simulations as f64;
         assert!(

@@ -957,7 +957,6 @@ pub fn overload_point(multiplier: f64, horizon_secs: f64) -> OverloadPoint {
 
     let end_secs = sim.now().as_secs_f64();
     let t = tally.borrow();
-    debug_assert_eq!(t.total(), submitted, "conservation: every submission terminates");
     let mut waits = t.queue_waits.clone();
     waits.sort_by(|a, b| a.total_cmp(b));
     let p99 = if waits.is_empty() {
@@ -983,15 +982,26 @@ fn peak_goodput(points: &[OverloadPoint]) -> f64 {
     points.iter().map(|p| p.goodput_per_sec).fold(0.0, f64::max)
 }
 
-/// The overload knee's verdict: at 2× saturation goodput holds at least
-/// [`GOODPUT_FLOOR`] of the peak and the p99 queue wait stays within
-/// [`P99_BOUND_SECS`]; an unprotected queue would grow without bound.
+/// The overload knee's verdict: every point conserves its submissions
+/// (completed + shed + failed == submitted), and at 2× saturation
+/// goodput holds at least [`GOODPUT_FLOOR`] of the peak and the p99
+/// queue wait stays within [`P99_BOUND_SECS`]; an unprotected queue
+/// would grow without bound.
 fn knee_verdict(points: &[OverloadPoint]) -> Verdict {
     let peak = peak_goodput(points);
     let Some(p2) = points.iter().find(|p| p.multiplier == 2.0) else {
         return Err("sweep has no 2x point".into());
     };
     let mut failures = Vec::new();
+    for p in points {
+        let outcomes = p.completed + p.shed + p.failed;
+        if outcomes != p.submitted {
+            failures.push(format!(
+                "{:.2}x saturation lost submissions: {outcomes} outcomes for {} submitted",
+                p.multiplier, p.submitted
+            ));
+        }
+    }
     if p2.goodput_per_sec < GOODPUT_FLOOR * peak {
         failures.push(format!(
             "goodput at 2x saturation collapsed: {:.2}/s vs peak {:.2}/s (floor {:.0}%)",
@@ -1150,5 +1160,9 @@ mod tests {
         let failure = knee_verdict(&[good, collapsed_2x]).unwrap_err();
         assert!(failure.contains("collapsed") && failure.contains("unbounded"), "{failure}");
         assert!(knee_verdict(&[good]).is_err(), "a missing 2x point is a failure");
+
+        let leaky_half = OverloadPoint { multiplier: 0.5, completed: 99, ..good };
+        let failure = knee_verdict(&[leaky_half, good, healthy_2x]).unwrap_err();
+        assert!(failure.contains("0.50x") && failure.contains("99 outcomes"), "{failure}");
     }
 }

@@ -29,13 +29,6 @@ impl Structure {
         self.positions.len()
     }
 
-    /// Distance between atoms `i` and `j`.
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
-        let a = self.positions[i];
-        let b = self.positions[j];
-        ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt()
-    }
-
     /// Iterates over all `i < j` pairs with their separation vector and
     /// distance: `(i, j, rij_vec, rij)`.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize, Vec3, f64)> + '_ {
@@ -49,11 +42,6 @@ impl Structure {
                 (i, j, d, r)
             })
         })
-    }
-
-    /// Minimum interatomic distance.
-    pub fn min_distance(&self) -> f64 {
-        self.pairs().map(|(_, _, _, r)| r).fold(f64::INFINITY, f64::min)
     }
 
     /// Root-mean-square displacement from another structure with the
@@ -113,6 +101,20 @@ pub fn pretraining_set(n: usize, seed: u64) -> Vec<Structure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Structure {
+        /// Distance between atoms `i` and `j`.
+        fn distance(&self, i: usize, j: usize) -> f64 {
+            let a = self.positions[i];
+            let b = self.positions[j];
+            ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt()
+        }
+
+        /// Minimum interatomic distance.
+        fn min_distance(&self) -> f64 {
+            self.pairs().map(|(_, _, _, r)| r).fold(f64::INFINITY, f64::min)
+        }
+    }
 
     #[test]
     fn cluster_has_requested_atoms() {

@@ -43,9 +43,6 @@ pub struct Calibration {
     pub ser: SerModel,
     /// Manager→worker hop inside a node.
     pub worker_hop: Dist,
-    /// Default auto-proxy threshold (§V-F: transmit data between sites
-    /// directly for data larger than 10 kB).
-    pub proxy_threshold: u64,
 }
 
 impl Default for Calibration {
@@ -75,7 +72,6 @@ impl Default for Calibration {
             queue_bandwidth: 5.0e7,
             ser: SerModel::python_pickle(),
             worker_hop: Dist::log_normal(0.002, 0.3),
-            proxy_threshold: 10_000,
         }
     }
 }
@@ -175,7 +171,6 @@ mod tests {
         let c = Calibration::default();
         assert_eq!(c.fnx.small_threshold, 20_000, "FuncX ElastiCache split");
         assert_eq!(c.fnx.payload_cap, 10_000_000, "FuncX payload cap");
-        assert_eq!(c.proxy_threshold, 10_000, "§V-F recommendation");
         assert!(c.redis.connected.contains(VENTI), "tunnel to Venti");
         assert!(c.fs_theta.members.contains(THETA));
         assert!(!c.fs_theta.members.contains(VENTI), "Venti has no Theta FS");

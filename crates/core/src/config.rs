@@ -22,6 +22,10 @@ use hetflow_store::{
 use hetflow_sim::{channel, Receiver, Sim, SimRng, Tracer};
 use std::rc::Rc;
 
+/// Default auto-proxy threshold in bytes (§V-F: transmit data between
+/// sites directly for data larger than 10 kB).
+const PROXY_THRESHOLD: u64 = 10_000;
+
 /// Which workflow stack to deploy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkflowConfig {
@@ -62,9 +66,8 @@ pub struct DeploymentSpec {
     pub cpu_workers: usize,
     /// T4 GPU workers (paper: 20).
     pub gpu_workers: usize,
-    /// Auto-proxy threshold override; `None` uses the calibrated
-    /// default (10 kB). `Some(0)` proxies everything (the Fig. 3
-    /// setting).
+    /// Auto-proxy threshold override; `None` uses the default
+    /// (10 kB). `Some(0)` proxies everything (the Fig. 3 setting).
     pub proxy_threshold: Option<u64>,
     /// Cost-model constants.
     pub calibration: Calibration,
@@ -178,7 +181,7 @@ pub fn deploy(
 ) -> Deployment {
     let cal = &spec.calibration;
     let rng = SimRng::stream(spec.seed, "deployment");
-    let threshold = spec.proxy_threshold.unwrap_or(cal.proxy_threshold);
+    let threshold = spec.proxy_threshold.unwrap_or(PROXY_THRESHOLD);
 
     // --- Stores and the auto-proxy policy -------------------------------
     let mut local_store = None;

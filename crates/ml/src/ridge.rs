@@ -84,11 +84,13 @@ impl Ridge {
     }
 
     /// Number of outputs.
+    #[cfg(test)]
     pub fn n_outputs(&self) -> usize {
         self.weights.cols()
     }
 
     /// Predicts all outputs for one input.
+    #[cfg(test)]
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.weights.rows(), "feature dim mismatch");
         (0..self.n_outputs())

@@ -11,7 +11,7 @@ use std::time::Duration;
 /// A one-dimensional distribution over non-negative reals.
 ///
 /// All variants clamp samples at zero: cost models never produce negative
-/// latencies, even for `Normal` tails.
+/// latencies.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Dist {
     /// Always `value`.
@@ -22,18 +22,6 @@ pub enum Dist {
         lo: f64,
         /// Exclusive upper bound.
         hi: f64,
-    },
-    /// Exponential with the given mean.
-    Exponential {
-        /// Mean (1/λ).
-        mean: f64,
-    },
-    /// Normal truncated at zero.
-    Normal {
-        /// Mean of the untruncated normal.
-        mean: f64,
-        /// Standard deviation.
-        sd: f64,
     },
     /// Log-normal parameterized by its *median* and the σ of the
     /// underlying normal — the natural way to express "typically 500 ms,
@@ -48,21 +36,6 @@ pub enum Dist {
         /// does not recompute it.
         mu: f64,
     },
-    /// Pareto (Lomax-style heavy tail) with minimum `scale` and shape
-    /// `alpha`; models rare multi-second stragglers.
-    Pareto {
-        /// Minimum value (the distribution's support starts here).
-        scale: f64,
-        /// Tail index; smaller means heavier tail.
-        alpha: f64,
-    },
-    /// `base + inner`: a deterministic floor plus stochastic excess.
-    Shifted {
-        /// Deterministic floor added to every sample.
-        base: f64,
-        /// The stochastic excess above the floor.
-        inner: Box<Dist>,
-    },
 }
 
 impl Dist {
@@ -76,18 +49,7 @@ impl Dist {
         let x = match self {
             Dist::Constant(v) => *v,
             Dist::Uniform { lo, hi } => rng.uniform(*lo, *hi),
-            Dist::Exponential { mean } => {
-                // Inverse CDF on u in (0,1].
-                let u = 1.0 - rng.unit();
-                -mean * u.ln()
-            }
-            Dist::Normal { mean, sd } => mean + sd * rng.standard_normal(),
             Dist::LogNormal { sigma, mu, .. } => (mu + sigma * rng.standard_normal()).exp(),
-            Dist::Pareto { scale, alpha } => {
-                let u = 1.0 - rng.unit();
-                scale / u.powf(1.0 / alpha)
-            }
-            Dist::Shifted { base, inner } => base + inner.sample(rng),
         };
         x.max(0.0)
     }
@@ -129,21 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let d = Dist::Exponential { mean: 0.5 };
-        assert!((mean_of(&d, 50_000, 4) - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn normal_clamped_nonnegative() {
-        let d = Dist::Normal { mean: 0.1, sd: 1.0 };
-        let mut rng = SimRng::from_seed(5);
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 0.0);
-        }
-    }
-
-    #[test]
     fn lognormal_median() {
         let d = Dist::log_normal(0.5, 0.4);
         let mut rng = SimRng::from_seed(6);
@@ -168,23 +115,6 @@ mod tests {
                 assert_eq!(d.sample(&mut rng).to_bits(), want.to_bits(), "({median}, {sigma})");
             }
         }
-    }
-
-    #[test]
-    fn pareto_min_and_mean() {
-        let d = Dist::Pareto { scale: 1.0, alpha: 3.0 };
-        let mut rng = SimRng::from_seed(8);
-        for _ in 0..1000 {
-            assert!(d.sample(&mut rng) >= 1.0);
-        }
-        assert!((mean_of(&d, 200_000, 9) - 1.5).abs() < 0.02);
-    }
-
-    #[test]
-    fn shifted_adds_base() {
-        let d = Dist::Shifted { base: 2.0, inner: Box::new(Dist::Constant(0.5)) };
-        let mut rng = SimRng::from_seed(10);
-        assert_eq!(d.sample(&mut rng), 2.5);
     }
 
     #[test]

@@ -48,6 +48,6 @@ pub mod store;
 pub use globus::{GlobusParams, GlobusService, TransferTicket};
 pub use location::{bytes, SiteId, SiteSet};
 pub use policy::{ProxyPolicy, TopicRule};
-pub use proxy::{Proxy, TypedResolved, UntypedProxy, PROXY_WIRE_BYTES};
-pub use registry::{EvictionPolicy, StoreRegistry, SweeperHandle};
+pub use proxy::{Proxy, UntypedProxy, PROXY_WIRE_BYTES};
+pub use registry::{EvictionPolicy, StoreRegistry};
 pub use store::{Backend, FsParams, GlobusBackend, RedisParams, Resolved, Store, StoreError, StoreStats};

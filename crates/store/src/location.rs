@@ -79,11 +79,13 @@ impl SiteSet {
     }
 
     /// True when no site is in the set.
+    #[cfg(test)]
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
 
     /// Number of member sites.
+    #[cfg(test)]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }

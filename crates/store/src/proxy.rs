@@ -91,13 +91,13 @@ impl<T: 'static> Proxy<T> {
 
     /// Resolves the target at consumer site `at`, returning the value and
     /// the wait it cost.
-    pub async fn resolve(&self, at: SiteId) -> Result<TypedResolved<T>, StoreError> {
+    pub async fn resolve(&self, at: SiteId) -> Result<Resolved<T>, StoreError> {
         let raw = self.inner.resolve(at).await?;
         let value = raw
             .value
             .downcast::<T>()
             .map_err(|_| StoreError::TypeMismatch(self.inner.key()))?;
-        Ok(TypedResolved { value, wait: raw.wait, was_local: raw.was_local })
+        Ok(Resolved { value, wait: raw.wait, was_local: raw.was_local })
     }
 
     /// Drops type information.
@@ -110,26 +110,6 @@ impl<T: 'static> Proxy<T> {
         self.inner.evict()
     }
 }
-
-/// A resolved typed proxy: value plus the cost of getting it.
-pub struct TypedResolved<T> {
-    /// The target object.
-    pub value: Rc<T>,
-    /// Virtual time spent waiting inside resolve.
-    pub wait: std::time::Duration,
-    /// True when the bytes were already resident at the consumer's site.
-    pub was_local: bool,
-}
-
-impl<T> std::fmt::Debug for TypedResolved<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TypedResolved")
-            .field("wait", &self.wait)
-            .field("was_local", &self.was_local)
-            .finish_non_exhaustive()
-    }
-}
-
 
 #[cfg(test)]
 mod tests {

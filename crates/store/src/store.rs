@@ -8,7 +8,7 @@
 
 use crate::globus::{GlobusService, TransferTicket};
 use crate::location::{SiteId, SiteSet};
-use hetflow_sim::{Dist, Samples, Sim, SimRng, SimTime};
+use hetflow_sim::{Dist, Samples, Sim, SimRng};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -24,9 +24,6 @@ pub enum EvictionPolicy {
     /// Evict after this many successful resolves (1 = one-shot task
     /// inputs, which should not accumulate for the campaign's length).
     AfterResolves(u32),
-    /// Evict objects older than the given age; enforced by
-    /// `Store::evict_older_than` and the registry sweeper.
-    MaxAge(std::time::Duration),
 }
 
 /// Errors surfaced by store operations.
@@ -174,12 +171,10 @@ impl Backend {
 
 /// One object-table slot. A live slot holds `Some(value)`; a free one
 /// holds `None` (the `Rc`'s niche is the free tag) and keeps only its
-/// generation. 48 bytes: `data_htex` keeps 240 k of them.
+/// generation. 40 bytes: `data_htex` keeps 240 k of them.
 struct Slot {
     value: Option<Rc<dyn Any>>,
     size: u64,
-    /// When the object was stored (for age-based eviction).
-    stored_at: SimTime,
     /// Sites where the bytes are resident.
     resident: SiteSet,
     /// Successful resolves so far (for count-based eviction).
@@ -189,7 +184,7 @@ struct Slot {
     generation: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Slot>() <= 48);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 40);
 
 /// The stored objects: a slot table with free-list reuse and
 /// generation-checked keys. A key packs `generation << 32 | index`, so
@@ -205,19 +200,12 @@ struct ObjectTable {
 }
 
 impl ObjectTable {
-    fn insert(
-        &mut self,
-        value: Rc<dyn Any>,
-        size: u64,
-        stored_at: SimTime,
-        resident: SiteSet,
-    ) -> u64 {
+    fn insert(&mut self, value: Rc<dyn Any>, size: u64, resident: SiteSet) -> u64 {
         self.live += 1;
         self.resident_bytes += size;
         let tenant = |generation| Slot {
             value: Some(value),
             size,
-            stored_at,
             resident,
             resolves: 0,
             generation,
@@ -264,14 +252,6 @@ impl ObjectTable {
         self.live -= 1;
         self.resident_bytes -= size;
         true
-    }
-
-    /// Keys of the live objects stored before `cutoff`, in slot order.
-    fn stored_before(&self, cutoff: SimTime) -> Vec<u64> {
-        let live = self.slots.iter().enumerate().filter(|(_, s)| s.value.is_some());
-        live.filter(|(_, s)| s.stored_at < cutoff)
-            .map(|(i, s)| (u64::from(s.generation) << 32) | i as u64)
-            .collect()
     }
 }
 
@@ -429,7 +409,7 @@ impl Store {
                 }
             }
         }
-        let key = inner.objects.borrow_mut().insert(value, size, inner.sim.now(), resident);
+        let key = inner.objects.borrow_mut().insert(value, size, resident);
         if !transfers.is_empty() {
             let tickets = transfers.into_iter().map(|(dst, ticket)| ((key, dst), ticket));
             inner.tickets.borrow_mut().extend(tickets);
@@ -528,16 +508,6 @@ impl Store {
             (p.remote_latency.sample(&mut rng), p.remote_bandwidth)
         };
         hetflow_sim::time::secs(lat + size as f64 / bw)
-    }
-
-    /// Evicts every object stored strictly before `cutoff`; returns the
-    /// count (used by age-based lifetime policies).
-    pub(crate) fn evict_older_than(&self, cutoff: SimTime) -> usize {
-        let old = self.inner.objects.borrow().stored_before(cutoff);
-        for &key in &old {
-            self.evict(key);
-        }
-        old.len()
     }
 
     /// Removes an object, freeing its (simulated) memory. Every removal
@@ -843,7 +813,7 @@ mod tests {
     // ---------------------------------------------------------------
 
     fn put(table: &mut ObjectTable, size: u64) -> u64 {
-        table.insert(Rc::new(size), size, SimTime::ZERO, SiteSet::EMPTY)
+        table.insert(Rc::new(size), size, SiteSet::EMPTY)
     }
 
     #[test]
@@ -901,16 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn age_sweep_evicts_in_slot_order() {
-        let mut t = ObjectTable::default();
-        let x = put(&mut t, 1);
-        let y = put(&mut t, 2);
-        t.insert(Rc::new(()), 3, SimTime::from_secs(9), SiteSet::EMPTY);
-        t.remove(x);
-        assert_eq!(t.stored_before(SimTime::from_secs(1)), [y]);
-    }
-
-    #[test]
     fn globus_tickets_leave_with_residency_and_with_the_object() {
         let sim = Sim::new();
         let store = Store::new(sim.clone(), "g", globus_backend(&sim), SimRng::from_seed(7));
@@ -933,26 +893,23 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
         /// Under every eviction policy, after every step of a random
-        /// put/get/evict/sweep script, the running total equals the sum
+        /// put/get/evict script, the running total equals the sum
         /// of live sizes and `object_count` the number of live slots.
         #[test]
         fn resident_bytes_is_the_sum_of_live_sizes(
             script in prop::collection::vec(any::<u64>(), 1..=60),
-            policy_pick in 0u8..3,
+            by_count in any::<bool>(),
         ) {
-            let policy = match policy_pick {
-                0 => EvictionPolicy::Manual,
-                1 => EvictionPolicy::AfterResolves(2),
-                _ => EvictionPolicy::MaxAge(std::time::Duration::from_secs(1)),
-            };
+            let policy =
+                if by_count { EvictionPolicy::AfterResolves(2) } else { EvictionPolicy::Manual };
             let (sim, store) = sim_store(Backend::Fs(fixed_fs(&[THETA])));
             store.set_eviction(policy);
-            let (s, clock) = (store.clone(), sim.clone());
+            let s = store.clone();
             let h = sim.spawn(async move {
                 let mut keys: Vec<u64> = Vec::new();
                 for op in script {
                     let key = keys.get((op >> 8) as usize % keys.len().max(1)).copied();
-                    match (op % 4, key) {
+                    match (op % 3, key) {
                         (0, _) => {
                             let size = (op >> 4) % (4 * MB);
                             keys.push(s.put_raw(Rc::new(op), size, THETA).await.unwrap());
@@ -960,11 +917,6 @@ mod tests {
                         (1, Some(k)) => drop(s.get_raw(k, THETA).await),
                         (2, Some(k)) => {
                             s.evict(k);
-                        }
-                        (3, _) => {
-                            clock.sleep(hetflow_sim::time::secs(0.4)).await;
-                            let second_ago = clock.now().as_nanos().saturating_sub(1_000_000_000);
-                            s.evict_older_than(SimTime::from_nanos(second_ago));
                         }
                         _ => {}
                     }

@@ -73,7 +73,6 @@ fn passive_recovery() {
         retry: RetryPolicies::default().with_topic(
             "simulate",
             RetryPolicy {
-                max_attempts: 2,
                 timeout: Some(Duration::from_secs(300)),
                 backoff: Dist::Constant(2.0),
             },

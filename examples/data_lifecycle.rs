@@ -1,6 +1,6 @@
-//! Managing object lifetimes in the data fabric: a StoreRegistry with
-//! one-shot (evict-after-resolve) and age-limited stores, and what that
-//! does to resident memory over a burst of task traffic.
+//! Managing object lifetimes in the data fabric: a StoreRegistry with a
+//! one-shot (evict-after-resolve) store and a manually evicted one, and
+//! what that does to resident memory over a burst of task traffic.
 //!
 //! ```sh
 //! cargo run --release --example data_lifecycle
@@ -13,10 +13,7 @@
 )]
 
 use hetflow::sim::{time::secs, Sim, SimRng};
-use hetflow::store::{
-    Backend, EvictionPolicy, FsParams, Proxy, SiteId, Store, StoreRegistry,
-};
-use std::time::Duration;
+use hetflow::store::{Backend, EvictionPolicy, FsParams, Proxy, SiteId, Store, StoreRegistry};
 
 const SITE: SiteId = SiteId(0);
 
@@ -37,10 +34,10 @@ fn main() {
     let inputs = fs_store(&sim, "task-inputs", 1);
     registry.register(inputs.clone(), EvictionPolicy::AfterResolves(1));
 
-    // Model checkpoints are re-read but stale after ten minutes.
+    // Model checkpoints are re-read until the next one replaces them:
+    // their producer evicts each one by hand.
     let models = fs_store(&sim, "models", 2);
-    registry.register(models.clone(), EvictionPolicy::MaxAge(Duration::from_secs(600)));
-    let sweeper = registry.start_sweeper(&sim, Duration::from_secs(120));
+    registry.register(models.clone(), EvictionPolicy::Manual);
 
     // A campaign-shaped burst: 200 input objects consumed once, and a
     // model checkpoint replaced every 5 minutes but resolved often.
@@ -67,6 +64,10 @@ fn main() {
                     s.sleep(secs(60.0)).await;
                     p.resolve(SITE).await.unwrap();
                 }
+                // Superseded by the next generation; the last one stays.
+                if gen < 9 {
+                    assert!(p.evict());
+                }
             }
         });
     }
@@ -82,9 +83,6 @@ fn main() {
             models.resident_bytes()
         );
     }
-    // Stop the periodic sweeper so the simulation can quiesce, then
-    // drain the remaining work.
-    sweeper.stop();
     sim.run();
 
     println!("\nfinal registry state:");
@@ -97,6 +95,7 @@ fn main() {
         "\ntask-inputs: {} puts, {} evictions (one-shot policy)",
         s_in.puts, s_in.evictions
     );
-    println!("models: {} puts, {} evictions (age policy)", s_mo.puts, s_mo.evictions);
+    println!("models: {} puts, {} evictions (manual policy)", s_mo.puts, s_mo.evictions);
     assert_eq!(s_in.evictions, s_in.gets, "every consumed input was reclaimed");
+    assert_eq!(models.object_count(), 1, "only the newest checkpoint is left");
 }

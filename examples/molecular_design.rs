@@ -24,7 +24,7 @@ fn main() {
         "molecular design: {} candidates, {:.0} node-hours budget, IP > {}",
         params.library_size,
         params.budget.as_secs_f64() / 3600.0,
-        params.ip_threshold
+        moldesign::IP_THRESHOLD
     );
     println!(
         "{:<12} {:>6} {:>6} {:>9} {:>12} {:>12}",

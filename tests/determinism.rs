@@ -167,7 +167,6 @@ fn chaos_traced_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize) {
         retry: RetryPolicies::default().with_topic(
             "simulate",
             RetryPolicy {
-                max_attempts: 2,
                 timeout: Some(Duration::from_secs(300)),
                 backoff: Dist::Constant(1.0),
             },

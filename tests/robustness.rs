@@ -266,7 +266,6 @@ fn chaotic_campaign_completes_without_panic() {
         retry: RetryPolicies::default().with_topic(
             "simulate",
             RetryPolicy {
-                max_attempts: 2,
                 timeout: Some(Duration::from_secs(300)),
                 backoff: Dist::Constant(1.0),
             },
