@@ -1,18 +1,23 @@
-//! One source, two clones: the kernels run under AVX2 when the CPU has it.
+//! One source, three clones: the kernels run in the widest vector unit
+//! the CPU has.
 //!
-//! [`dispatch`] runs a body inside a `#[target_feature(enable = "avx2")]`
-//! function when the CPU reports AVX2, and plainly otherwise (and on every
-//! target that is not x86-64), so LLVM compiles each kernel twice from the
-//! same source — baseline SSE2 and AVX2 — and the CPU chooses at run time.
-//! No option, feature or build flag is involved, and the binary still runs
-//! on any x86-64.
+//! [`dispatch`] runs a body inside a `#[target_feature(enable =
+//! "avx512f")]` function when the CPU reports AVX-512F, inside an
+//! `avx2` one when it reports AVX2, and plainly otherwise (and on every
+//! target that is not x86-64), so LLVM compiles each kernel three times
+//! from the same source — baseline SSE2, AVX2 and AVX-512 — and the CPU
+//! chooses at run time. No option, feature or build flag is involved,
+//! and the binary still runs on any x86-64.
 //!
-//! **Lanes, not arithmetic.** The clone is the same sequence of IEEE-754
-//! operations in wider registers: "fma" is not enabled (so no multiply and
-//! add can be contracted), the kernels contain no `mul_add`, and no
-//! reduction is split across lanes — every vector lane carries its own
-//! output's in-order chain. Both clones therefore return the same bits,
-//! which the tests below check against the undispatched bodies.
+//! **Lanes, not arithmetic.** Each clone is the same sequence of IEEE-754
+//! operations in wider registers. `avx512f` implies `fma`, so that clone
+//! could encode a fused multiply-add, but nothing asks for one: Rust
+//! never emits a contractable float operation (`a * b + c` rounds
+//! twice), the crate contains no `mul_add`, and no reduction is split
+//! across lanes — every vector lane carries its own output's in-order
+//! chain. All clones therefore return the same bits, which the tests
+//! below check against the undispatched bodies on every arm the host
+//! supports; CI's disassembly guard checks that no clone holds an FMA.
 //!
 //! **Everything under a body is `#[inline(always)]`.** A `#[target_feature]`
 //! function only changes the code that is inlined into it; a callee LLVM
@@ -20,15 +25,64 @@
 //! degenerates into a trampoline. Each body closure and every kernel
 //! function it reaches therefore carries `#[inline(always)]`.
 
-/// Runs `body` in the AVX2 clone when the CPU has AVX2, else as is.
+/// A clone of the kernels, narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arm {
+    /// The target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// Compiled with `avx2` enabled.
+    Avx2,
+    /// Compiled with `avx512f` enabled.
+    Avx512,
+}
+
+impl Arm {
+    const ALL: [Arm; 3] = [Arm::Baseline, Arm::Avx2, Arm::Avx512];
+
+    /// Whether the CPU reports every feature this arm's clone is compiled
+    /// with: rustc's `avx512f` also enables `avx2`, `fma` and `f16c`.
+    fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::is_x86_feature_detected as has;
+        match self {
+            Arm::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => has!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Arm::Avx2 | Arm::Avx512 => false,
+        }
+    }
+}
+
+/// The widest arm the CPU supports.
+fn widest() -> Arm {
+    Arm::ALL.into_iter().rfind(|arm| arm.supported()).unwrap_or(Arm::Baseline)
+}
+
+/// Runs `body` in the widest clone the CPU supports.
 #[inline(always)]
 pub(crate) fn dispatch<R>(body: impl FnOnce() -> R) -> R {
+    run_on(widest(), body)
+}
+
+/// Runs `body` in `arm`'s clone. Panics if the CPU lacks `arm`'s features.
+#[inline(always)]
+fn run_on<R>(arm: Arm, body: impl FnOnce() -> R) -> R {
+    assert!(arm.supported(), "this CPU cannot run the {arm:?} clone");
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `avx2` needs nothing but AVX2, which the CPU was just
-        // reported (`is_x86_feature_detected!`) to support.
+    if arm != Arm::Baseline {
+        // SAFETY: a clone needs nothing but the features it is compiled
+        // with, which `Arm::supported` just found the CPU reports
+        // (`is_x86_feature_detected!`).
         #[allow(unsafe_code, reason = "the workspace's one unsafe block; see SAFETY above")]
-        return unsafe { avx2(body) };
+        return unsafe {
+            match arm {
+                Arm::Avx512 => avx512(body),
+                _ => avx2(body),
+            }
+        };
     }
     body()
 }
@@ -40,8 +94,16 @@ fn avx2<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
+/// `body`, with everything inlined into it compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
+    use super::{run_on, widest, Arm};
     use crate::features::RandomFourierFeatures;
     use crate::linalg::{LinalgError, Matrix};
     use crate::ridge::Ridge;
@@ -69,10 +131,25 @@ pub(crate) mod tests {
         fit.map(|m| (rows(m.weights()), bits(m.intercepts())))
     }
 
+    /// Every arm this host can run, narrowest first.
+    fn supported_arms() -> impl Iterator<Item = Arm> {
+        Arm::ALL.into_iter().filter(|arm| arm.supported())
+    }
+
+    #[test]
+    #[expect(clippy::print_stdout, reason = "the test log names the arms this host exercised")]
+    fn dispatch_runs_the_widest_supported_arm() {
+        let arms: Vec<Arm> = supported_arms().collect();
+        assert_eq!(arms.first(), Some(&Arm::Baseline));
+        assert_eq!(arms.last(), Some(&widest()));
+        println!("hetflow-ml dispatch: arms exercised {arms:?}, entry points run {:?}", widest());
+    }
+
     proptest! {
-        // Each entry point through the dispatcher (the AVX2 clone on a
-        // host that has it) against its body called from here, which is
-        // compiled at the baseline level.
+        // Each entry point's body run in every clone the host supports,
+        // and each entry point through the dispatcher (the widest clone),
+        // against the body called from here, which is compiled at the
+        // baseline level.
         #[test]
         fn dispatched_and_baseline_bodies_are_bit_identical(
             seed in 0u64..1000,
@@ -90,30 +167,48 @@ pub(crate) mod tests {
             let params = SurrogateParams { n_features: d_out, lengthscale: 1.5, lambda: 1e-3 };
             let model = RffRidge::fit(&train, &targets, params, &mut rng).unwrap();
             let xs: Vec<Vec<f64>> = (0..n).map(|_| draw(&mut rng)).collect();
+            let rff = RandomFourierFeatures::sample(d_in, d_out, 1.5, &mut rng);
+            let k = 1 + rng.below(3);
+            let y = Matrix::from_vec(n, k, (0..n * k).map(|_| rng.standard_normal()).collect());
 
-            let (mut clone, mut body) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-            model.predict_batch(|i| &xs[i], &mut clone);
+            let mut body = vec![f64::NAN; n];
             model.predict_batch_body(|i| &xs[i], &mut body);
-            prop_assert_eq!(bits(&clone), bits(&body), "predict_batch");
+            let z = rff.transform_batch_body(&xs);
+            let fit_body = |center| fit_bits(Ridge::fit_multi_body(z.clone(), y.clone(), 1e-3, center));
+
+            for arm in supported_arms() {
+                let mut clone = vec![f64::NAN; n];
+                run_on(arm, #[inline(always)] || model.predict_batch_body(|i| &xs[i], &mut clone));
+                prop_assert_eq!(bits(&clone), bits(&body), "predict_batch on {:?}", arm);
+                for x in &xs {
+                    let one = run_on(arm, #[inline(always)] || model.score([x])[0]);
+                    prop_assert_eq!(one.to_bits(), model.score([x])[0].to_bits(), "predict on {:?}", arm);
+                }
+                let zc = run_on(arm, #[inline(always)] || rff.transform_batch_body(&xs));
+                prop_assert_eq!(rows(&zc), rows(&z), "transform_batch on {:?}", arm);
+                for center in [true, false] {
+                    let (zc, yc) = (z.clone(), y.clone());
+                    let fit = run_on(arm, #[inline(always)] move || Ridge::fit_multi_body(zc, yc, 1e-3, center));
+                    prop_assert_eq!(fit_bits(fit), fit_body(center), "fit_multi on {:?}, center {}", arm, center);
+                }
+            }
+
+            let mut entry = vec![f64::NAN; n];
+            model.predict_batch(|i| &xs[i], &mut entry);
+            prop_assert_eq!(bits(&entry), bits(&body), "predict_batch");
             for x in &xs {
                 prop_assert_eq!(model.predict(x).to_bits(), model.score([x])[0].to_bits(), "predict");
             }
-
-            let rff = RandomFourierFeatures::sample(d_in, d_out, 1.5, &mut rng);
-            let z = rff.transform_batch_body(&xs);
             prop_assert_eq!(rows(&rff.transform_batch(&xs)), rows(&z), "transform_batch");
             for (i, x) in xs.iter().enumerate() {
                 let alone = rff.transform_batch_body(&[x]);
                 prop_assert_eq!(bits(&rff.transform(x)), bits(alone.row(0)), "transform");
                 prop_assert_eq!(bits(alone.row(0)), bits(z.row(i)), "transform row {}", i);
             }
-
-            let k = 1 + rng.below(3);
-            let y = Matrix::from_vec(n, k, (0..n * k).map(|_| rng.standard_normal()).collect());
             for center in [true, false] {
                 prop_assert_eq!(
                     fit_bits(Ridge::fit_multi(z.clone(), y.clone(), 1e-3, center)),
-                    fit_bits(Ridge::fit_multi_body(z.clone(), y.clone(), 1e-3, center)),
+                    fit_body(center),
                     "fit_multi, center {}", center
                 );
             }

@@ -14,7 +14,7 @@
 //! feature still sums `k = 0..d_in` in order from `-0.0` (as
 //! `Iterator::sum` does), so a value never depends on tiling or on which
 //! rows share a block. The entry points run their bodies through the
-//! crate's `dispatch`, so the kernel also has an AVX2 clone.
+//! crate's `dispatch`, so the kernel also has AVX2 and AVX-512 clones.
 
 use crate::cosine::scaled_cos_in_place;
 use crate::dispatch::dispatch;

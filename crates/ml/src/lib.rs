@@ -9,8 +9,9 @@
 //! * [`RffRidge`] — random-Fourier-feature ridge regression, the
 //!   molecule-property surrogate (closed-form training); fit and scoring
 //!   share one allocation-free kernel ([`features`]) and a libm-free cosine.
-//!   The kernels compile twice, baseline and AVX2, from one source; the
-//!   CPU picks the clone at run time and both return the same bits.
+//!   The kernels compile three times from one source (baseline, AVX2,
+//!   AVX-512); the CPU picks the widest clone it can run, and all three
+//!   return the same bits.
 //! * [`PairPotential`] — a linear pair potential fit jointly on energies
 //!   and forces; its analytic gradient is exact, so MD sampling can run
 //!   on the learned surface (the §III-B sampling tasks).

@@ -6,8 +6,9 @@
 //! dependency-free), so loop shape matters: at d = 384 a factorization
 //! over strided dependent chains costs 2.4× one over contiguous axpys.
 //! The kernels here walk rows and keep each element's operation order,
-//! and are `#[inline(always)]` so that `Ridge::fit_multi`'s AVX2 clone
-//! contains them rather than calls into their baseline copies.
+//! and are `#[inline(always)]` so that `Ridge::fit_multi`'s AVX2 and
+//! AVX-512 clones contain them rather than calls into their baseline
+//! copies.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
