@@ -1,13 +1,15 @@
 //! # hetflow-bench — experiment harnesses
 //!
 //! The paper's figures as [`figures`], which `make_figures` runs in
-//! paper order, and the synthetic no-op pipeline they and hetbench
-//! share. The builders here are deliberately more flexible than
-//! [`hetflow_core::deploy`]: the synthetic experiments of §V-C place the
-//! thinker at different sites and pin single backends, which the
-//! production configurations never do.
+//! paper order, the seed-level statistics of [`stats`], and the
+//! synthetic no-op pipeline they and hetbench share. The builders here
+//! are deliberately more flexible than [`hetflow_core::deploy`]: the
+//! synthetic experiments of §V-C place the thinker at different sites
+//! and pin single backends, which the production configurations never
+//! do.
 
 pub mod figures;
+pub mod stats;
 
 use hetflow_core::platform::{RCC, THETA};
 use hetflow_core::Calibration;

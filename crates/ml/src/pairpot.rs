@@ -11,39 +11,64 @@
 //! energies and forces *jointly* and the fitted surface is physically
 //! consistent (forces integrate to the energy).
 //!
-//! **Featurize once.** Nearly all of a fit is `exp`: every design row
-//! is a sum of Gaussians over a structure's pairs. Those rows depend on
-//! the structure and the basis only — not on the fit weights, not on
-//! which other structures are in the bag — so a [`DesignBlock`] holds
-//! them *unweighted* and [`PairPotential::fit_blocks`] (the one fit
-//! core) only scales, stacks and solves. A campaign that refits on
-//! mostly unchanged data builds each block once and bags references.
-//! `RadialBasis::gaussian` is the one place the basis is evaluated:
-//! `φ_k` and `φ'_k` come from a single `exp`, for blocks and for
-//! [`EnergyModel::energy_forces`] alike. Each accumulator still sees
-//! its terms in pair-then-`k` order, so results are bit-identical to
-//! evaluating rows afresh per fit and values/derivatives in two passes.
+//! **The basis by recurrence.** The centres sit on a uniform grid, so
+//! neighbouring Gaussians at one distance differ by a factor that is
+//! itself geometric: [`RadialBasis`] evaluates all `k` of them from two
+//! `exp` per pair (the nearest centre and its forward ratio) and a
+//! division, then multiplies outward — every ratio ≤ 1, so tails
+//! underflow to zero and never meet `inf`. It is the one place the
+//! basis is evaluated, for training rows and inference alike, and it
+//! writes into caller stack buffers bounded by `MAX_BASIS`.
+//!
+//! **Featurize once.** A fit's rows depend on the structure and the
+//! basis only — not on the fit weights, not on which other structures
+//! are in the bag — so a [`DesignBlock`] holds them *unweighted* and
+//! [`PairPotential::fit_blocks`] (the one fit core) only scales, stacks
+//! and solves. A campaign that refits on mostly unchanged data builds
+//! each block once and bags references. Every accumulator sees its
+//! terms in pair-then-`k` order, so the many-member kernels are
+//! bit-identical to per-member calls.
 
 use crate::linalg::{LinalgError, Matrix};
 use crate::ridge::Ridge;
 use hetflow_chem::{EnergyModel, Structure, Vec3};
 
-/// Gaussian radial basis on pair distances.
+/// Largest basis [`RadialBasis`] accepts: the size of the stack
+/// buffers its callers evaluate into.
+const MAX_BASIS: usize = 32;
+
+/// Gaussian radial basis on pair distances, `φ_k(r) = exp(-a (r -
+/// c_k)²)` with `a = 1/(2w²)` and centres `c_k = r_min + kΔ`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RadialBasis {
     centers: Vec<f64>,
+    inv_step: f64,
+    /// `a = 1/(2w²)`.
     inv_two_w2: f64,
-    width: f64,
+    /// `2aΔ` and `aΔ²`: `φ_{j+1}/φ_j = exp(2aΔ d_j - aΔ²)`.
+    two_a_step: f64,
+    a_step2: f64,
+    /// `exp(-2aΔ²)`, the ratio of successive ratios.
+    q: f64,
 }
 
 impl RadialBasis {
     /// `k` centers uniformly on `[r_min, r_max]`, width `width`.
     pub(crate) fn new(k: usize, r_min: f64, r_max: f64, width: f64) -> Self {
-        assert!(k >= 2 && r_max > r_min && width > 0.0);
+        assert!((2..=MAX_BASIS).contains(&k) && r_max > r_min && width > 0.0);
         let centers = (0..k)
             .map(|i| r_min + (r_max - r_min) * i as f64 / (k - 1) as f64)
             .collect();
-        RadialBasis { centers, inv_two_w2: 1.0 / (2.0 * width * width), width }
+        let step = (r_max - r_min) / (k - 1) as f64;
+        let a = 1.0 / (2.0 * width * width);
+        RadialBasis {
+            centers,
+            inv_step: 1.0 / step,
+            inv_two_w2: a,
+            two_a_step: 2.0 * a * step,
+            a_step2: a * step * step,
+            q: (-2.0 * a * step * step).exp(),
+        }
     }
 
     /// Default basis covering the cluster interaction range.
@@ -56,12 +81,46 @@ impl RadialBasis {
         self.centers.len()
     }
 
-    /// `(φ(r), dφ/dr)` of the Gaussian centred at `c`, from one `exp`.
+    /// `φ_k(r)` for every centre into `phi[..k]`. Starts at the nearest
+    /// centre `s` (`φ_s` by `exp`) and walks outward: forward `φ_{j+1} =
+    /// φ_j·g` with `g ← g·q`, backward `φ_{j-1} = φ_j·h` with `h ← h·q`,
+    /// where `g_s = exp(2aΔ d_s - aΔ²)` and `h_s = q/g_s`. Since `|d_s| ≤
+    /// Δ/2` inside the grid, `g_s, h_s ≤ 1` and only shrink.
     #[inline]
-    fn gaussian(&self, r: f64, c: f64) -> (f64, f64) {
-        let d = r - c;
-        let phi = (-d * d * self.inv_two_w2).exp();
-        (phi, -(d / (self.width * self.width)) * phi)
+    pub(crate) fn values(&self, r: f64, phi: &mut [f64]) {
+        let k = self.dim();
+        // `f64::round` is a libm call on baseline x86-64: truncate
+        // `t + 0.5` after the clamp (NaN truncates to 0).
+        let t = ((r - self.centers[0]) * self.inv_step).clamp(0.0, (k - 1) as f64);
+        let s = (t + 0.5) as usize;
+        let d = r - self.centers[s];
+        let phi_s = (-d * d * self.inv_two_w2).exp();
+        let g_s = (self.two_a_step * d - self.a_step2).exp();
+        let (back, fwd) = phi[..k].split_at_mut(s);
+        let (mut p, mut g) = (phi_s, g_s);
+        fwd[0] = phi_s;
+        for v in &mut fwd[1..] {
+            p *= g;
+            g *= self.q;
+            *v = p;
+        }
+        let (mut p, mut h) = (phi_s, self.q / g_s);
+        for v in back.iter_mut().rev() {
+            p *= h;
+            h *= self.q;
+            *v = p;
+        }
+    }
+
+    /// `φ_k(r)` into `phi[..k]` as `values` does, and
+    /// `φ'_k(r) = -(d_k/w²)·φ_k = -2a·d_k·φ_k` into `dphi[..k]`.
+    #[inline]
+    pub(crate) fn eval(&self, r: f64, phi: &mut [f64], dphi: &mut [f64]) {
+        self.values(r, phi);
+        let two_a = 2.0 * self.inv_two_w2;
+        for ((dp, p), &c) in dphi.iter_mut().zip(&phi[..self.dim()]).zip(&self.centers) {
+            *dp = -((r - c) * two_a) * p;
+        }
     }
 }
 
@@ -111,12 +170,9 @@ impl DesignBlock {
         let n_rows = 1 + 3 * forces.len();
         let mut rows = vec![0.0; n_rows * k];
         let (erow, frows) = rows.split_at_mut(k);
-        let mut phi = vec![0.0; k];
-        let mut dphi = vec![0.0; k];
+        let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
         for (i, j, dvec, r) in ls.structure.pairs() {
-            for ((p, dp), &c) in phi.iter_mut().zip(&mut dphi).zip(&basis.centers) {
-                (*p, *dp) = basis.gaussian(r, c);
-            }
+            basis.eval(r, &mut phi, &mut dphi);
             for (e, p) in erow.iter_mut().zip(&phi) {
                 *e += p;
             }
@@ -125,7 +181,7 @@ impl DesignBlock {
             }
             for alpha in 0..3 {
                 let u = dvec[alpha] / r;
-                for (kk, dp) in dphi.iter().enumerate() {
+                for (kk, dp) in dphi[..k].iter().enumerate() {
                     let contrib = -dp * u;
                     frows[(i * 3 + alpha) * k + kk] += contrib;
                     frows[(j * 3 + alpha) * k + kk] -= contrib;
@@ -242,7 +298,8 @@ impl PairPotential {
             }
             return;
         };
-        let (mut phi, mut dphi) = (vec![0.0; basis.dim()], vec![0.0; basis.dim()]);
+        let k = basis.dim();
+        let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
         let mut energies = vec![0.0; members.len()];
         let mut forces: Vec<Vec3> = Vec::new();
         for s in structures {
@@ -251,12 +308,10 @@ impl PairPotential {
             forces.clear();
             forces.resize(members.len() * n, [0.0; 3]);
             for (i, j, dvec, r) in s.pairs() {
-                for ((p, dp), &c) in phi.iter_mut().zip(&mut dphi).zip(&basis.centers) {
-                    (*p, *dp) = basis.gaussian(r, c);
-                }
+                basis.eval(r, &mut phi, &mut dphi);
                 for (m, model) in members.iter().enumerate() {
                     let (mut energy, mut de) = (energies[m], 0.0);
-                    for ((p, dp), wk) in phi.iter().zip(&dphi).zip(&model.weights) {
+                    for ((p, dp), wk) in phi[..k].iter().zip(&dphi[..k]).zip(&model.weights) {
                         energy += p * wk;
                         de += dp * wk;
                     }
@@ -280,16 +335,15 @@ impl PairPotential {
         let Some(basis) = PairPotential::shared_basis(members) else {
             return members.iter().map(|m| batch.iter().map(|s| m.energy(s)).collect()).collect();
         };
-        let mut phi = vec![0.0; basis.dim()];
+        let k = basis.dim();
+        let mut phi = [0.0; MAX_BASIS];
         let mut out = vec![vec![0.0; batch.len()]; members.len()];
         for (b, s) in batch.iter().enumerate() {
             for (_, _, _, r) in s.pairs() {
-                for (p, &c) in phi.iter_mut().zip(&basis.centers) {
-                    *p = basis.gaussian(r, c).0;
-                }
+                basis.values(r, &mut phi);
                 for (model, energies) in members.iter().zip(&mut out) {
                     let mut energy = energies[b];
-                    for (p, wk) in phi.iter().zip(&model.weights) {
+                    for (p, wk) in phi[..k].iter().zip(&model.weights) {
                         energy += p * wk;
                     }
                     energies[b] = energy;
@@ -302,12 +356,14 @@ impl PairPotential {
 
 impl EnergyModel for PairPotential {
     fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
+        let k = self.basis.dim();
+        let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
         let mut energy = 0.0;
         let mut forces = vec![[0.0; 3]; s.n_atoms()];
         for (i, j, dvec, r) in s.pairs() {
+            self.basis.eval(r, &mut phi, &mut dphi);
             let mut de = 0.0;
-            for (&c, wk) in self.basis.centers.iter().zip(&self.weights) {
-                let (p, dp) = self.basis.gaussian(r, c);
+            for ((p, dp), wk) in phi[..k].iter().zip(&dphi[..k]).zip(&self.weights) {
                 energy += p * wk;
                 de += dp * wk;
             }
@@ -321,10 +377,12 @@ impl EnergyModel for PairPotential {
     }
 
     fn energy(&self, s: &Structure) -> f64 {
+        let mut phi = [0.0; MAX_BASIS];
         let mut energy = 0.0;
         for (_, _, _, r) in s.pairs() {
-            for (&c, wk) in self.basis.centers.iter().zip(&self.weights) {
-                energy += self.basis.gaussian(r, c).0 * wk;
+            self.basis.values(r, &mut phi);
+            for (p, wk) in phi[..self.basis.dim()].iter().zip(&self.weights) {
+                energy += p * wk;
             }
         }
         energy
@@ -340,25 +398,33 @@ mod tests {
     use hetflow_sim::SimRng;
     use proptest::prelude::*;
 
-    /// The design-matrix builder and the two-pass energy/force kernel
-    /// as they stood when every fit and every call evaluated the basis
-    /// for itself (`values` and `derivs` each with their own `exp`):
-    /// what blocks and the one-`exp` kernel must match bit for bit.
+    /// Two references. `exp_values`/`exp_derivs` give each centre its
+    /// own `exp`: the accuracy reference the recurrence must stay
+    /// within 1e-14 of. `design` and `energy_forces` are the row
+    /// builder and the two-pass energy/force kernel as they stood when
+    /// every fit and every call evaluated the basis for itself, values
+    /// and derivatives in separate passes, now over
+    /// `RadialBasis::eval`: what blocks and the kernels must match bit
+    /// for bit.
     mod reference {
         use super::*;
 
-        fn values(b: &RadialBasis, r: f64, out: &mut [f64]) {
+        pub fn exp_values(b: &RadialBasis, r: f64, out: &mut [f64]) {
             for (o, &c) in out.iter_mut().zip(&b.centers) {
                 let d = r - c;
                 *o = (-d * d * b.inv_two_w2).exp();
             }
         }
 
-        fn derivs(b: &RadialBasis, r: f64, out: &mut [f64]) {
+        pub fn exp_derivs(b: &RadialBasis, r: f64, out: &mut [f64]) {
             for (o, &c) in out.iter_mut().zip(&b.centers) {
                 let d = r - c;
-                *o = -(d / (b.width * b.width)) * (-d * d * b.inv_two_w2).exp();
+                *o = -(2.0 * d * b.inv_two_w2) * (-d * d * b.inv_two_w2).exp();
             }
+        }
+
+        fn derivs(b: &RadialBasis, r: f64, out: &mut [f64]) {
+            b.eval(r, &mut [0.0; MAX_BASIS], out);
         }
 
         pub fn design(
@@ -375,7 +441,7 @@ mod tests {
             for ls in data {
                 let mut erow = vec![0.0; k];
                 for (_, _, _, r) in ls.structure.pairs() {
-                    values(basis, r, &mut phi);
+                    basis.values(r, &mut phi);
                     for (e, p) in erow.iter_mut().zip(&phi) {
                         *e += p;
                     }
@@ -413,7 +479,7 @@ mod tests {
             let mut energy = 0.0;
             let mut forces = vec![[0.0; 3]; s.n_atoms()];
             for (i, j, dvec, r) in s.pairs() {
-                values(&m.basis, r, &mut phi);
+                m.basis.values(r, &mut phi);
                 let mut de = 0.0;
                 for (p, wk) in phi.iter().zip(&m.weights) {
                     energy += p * wk;
@@ -483,7 +549,7 @@ mod tests {
         }
 
         #[test]
-        fn one_exp_kernel_bit_identical_to_two_pass_reference(
+        fn eval_kernel_bit_identical_to_two_pass_reference(
             seed in 0u64..500,
             atoms in 2usize..20,
         ) {
@@ -497,6 +563,34 @@ mod tests {
             prop_assert_eq!(e.to_bits(), e_ref.to_bits());
             prop_assert_eq!(bits(f.as_flattened()), bits(f_ref.as_flattened()));
             prop_assert_eq!(model.energy(&s).to_bits(), e.to_bits());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn recurrence_within_1e14_of_per_centre_exp(seed in 0u64..2000) {
+            let mut rng = SimRng::from_seed(seed);
+            // Below r_min, on the grid, past r_max, and out to 12 Å,
+            // where the per-centre `exp` underflows.
+            let r = match rng.below(4) {
+                0 => 0.6 * rng.unit(),
+                1 | 2 => 0.6 + 2.6 * rng.unit(),
+                _ => 3.2 + 8.8 * rng.unit(),
+            };
+            let bases = [RadialBasis::default_for_clusters(), RadialBasis::new(9, 0.5, 3.0, 0.25)];
+            for basis in bases {
+                let k = basis.dim();
+                let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
+                basis.eval(r, &mut phi, &mut dphi);
+                let (mut want, mut dwant) = (vec![0.0; k], vec![0.0; k]);
+                reference::exp_values(&basis, r, &mut want);
+                reference::exp_derivs(&basis, r, &mut dwant);
+                for kk in 0..k {
+                    prop_assert!(phi[kk].is_finite() && dphi[kk].is_finite(), "r {r} k {kk}");
+                    prop_assert!((phi[kk] - want[kk]).abs() <= 1e-14, "φ r {r} k {kk}");
+                    prop_assert!((dphi[kk] - dwant[kk]).abs() <= 1e-13, "φ' r {r} k {kk}");
+                }
+            }
         }
     }
 

@@ -13,7 +13,7 @@ SYMBOL` adds, for that symbol's samples, the innermost frame inside the
 repository (function and `crates/…:line`) from the line tables, with one
 `addr2line -a -f -i -C` call per object over the unique PCs — how the
 kernels inlined into one clone are told apart."""
-import bisect, collections, os, re, subprocess, sys
+import bisect, collections, os, re, signal, subprocess, sys
 
 def symbols(path):
     syms = set()
@@ -135,4 +135,7 @@ def main():
         table(f"{inline} by innermost repository line", lines, total, 40)
 
 if __name__ == "__main__":
+    # Die quietly when the reader goes away (`report.py … | head`), as a
+    # C filter would, instead of raising BrokenPipeError.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()
