@@ -2,17 +2,26 @@
 //! for a change that moves result bits, and the Fig. 7 shape read off
 //! the same runs, so no campaign runs twice.
 //!
-//! Every cell is the default fine-tuning campaign (`FinetuneParams`,
-//! seed 400–409) on one of the three `WorkflowConfig`s. `PARENT` holds
+//! **Fine-tuning.** Every cell is the default fine-tuning campaign
+//! (`FinetuneParams`, seed 400–409) on one of the three
+//! `WorkflowConfig`s. `PARENT` holds
 //! each cell's outcome on the tree before the pair potential's basis
 //! moved from one `exp` per centre to the recurrence. Per cell the
 //! virtual timeline must not move (`new_structures`, `training_rounds`
 //! and `end` exactly), `initial_force_rmsd` must agree within 1e-9 and
 //! `final_force_rmsd` within 1e-6 relative; per config, an exact
 //! permutation test over the ten seeds must not separate the final
-//! RMSDs from the pinned ones. Run with `--nocapture` for the table.
+//! RMSDs from the pinned ones.
+//!
+//! **Molecular design.** Every cell is the active-learning campaign at
+//! hetbench's scale (a 10 000-molecule library, the paper's budget),
+//! seeds 400–409 × the three configs. `MOLDESIGN` holds each cell's
+//! `(found, simulations, end, ML rounds)`, and every cell must equal its
+//! pin exactly.
+//!
+//! Run with `--nocapture --test-threads=1` for both tables.
 
-use hetflow::apps::finetune;
+use hetflow::apps::{finetune, moldesign};
 use hetflow::prelude::*;
 use hetflow_bench::stats::permutation_p;
 use std::sync::OnceLock;
@@ -66,34 +75,88 @@ const PARENT: [[Pin; 10]; 3] = [
     ],
 ];
 
-struct Cell {
+/// `(found, simulations, end ns, ML rounds)` per seed, configs in
+/// `WorkflowConfig::all()` order.
+type MolPin = (usize, usize, u64, usize);
+
+#[rustfmt::skip]
+const MOLDESIGN: [[MolPin; 10]; 3] = [
+    // Parsl
+    [
+        (35, 355, 3_855_103_547_334, 2),
+        (77, 357, 3_907_379_205_144, 2),
+        (57, 360, 3_873_091_211_500, 2),
+        (55, 359, 3_735_950_847_319, 2),
+        (44, 355, 3_830_434_165_616, 2),
+        (63, 353, 3_773_652_829_941, 2),
+        (59, 355, 3_719_299_681_674, 2),
+        (54, 356, 3_891_725_042_266, 2),
+        (66, 358, 3_789_135_211_426, 2),
+        (97, 364, 3_787_043_584_395, 2),
+    ],
+    // ParslRedis
+    [
+        (36, 355, 3_041_799_555_360, 2),
+        (80, 357, 3_177_652_986_763, 2),
+        (57, 360, 3_029_922_967_504, 2),
+        (55, 359, 2_924_628_946_100, 2),
+        (44, 355, 3_103_475_705_905, 2),
+        (66, 353, 3_085_947_904_889, 2),
+        (61, 355, 2_879_465_141_413, 2),
+        (59, 356, 3_069_827_792_829, 2),
+        (71, 358, 2_870_072_982_877, 2),
+        (102, 364, 2_952_293_689_606, 2),
+    ],
+    // FnXGlobus
+    [
+        (37, 355, 3_012_106_189_140, 2),
+        (80, 357, 3_143_421_521_010, 2),
+        (58, 360, 3_012_981_351_206, 2),
+        (57, 359, 2_878_456_230_976, 2),
+        (49, 355, 3_071_072_395_369, 2),
+        (67, 353, 3_046_680_029_293, 2),
+        (62, 355, 2_838_554_779_812, 2),
+        (58, 356, 3_038_395_839_509, 2),
+        (72, 358, 2_832_576_219_046, 2),
+        (105, 364, 2_915_272_399_020, 2),
+    ],
+];
+
+struct Cell<P> {
     config: WorkflowConfig,
     seed: u64,
-    got: Pin,
+    got: P,
 }
 
-/// The 30 campaigns, run once per test binary.
-fn cells() -> &'static [Cell] {
-    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+/// One campaign per `(config, seed)`, configs in `WorkflowConfig::all()`
+/// order, each on a deployment of its own.
+fn run_cells<P>(campaign: impl Fn(&Sim, &Deployment, u64) -> P) -> Vec<Cell<P>> {
+    WorkflowConfig::all()
+        .into_iter()
+        .flat_map(|config| SEEDS.map(move |seed| (config, seed)))
+        .map(|(config, seed)| {
+            let sim = Sim::new();
+            let spec = DeploymentSpec { seed, ..Default::default() };
+            let d = deploy(&sim, config, &spec, Tracer::disabled());
+            Cell { config, seed, got: campaign(&sim, &d, seed) }
+        })
+        .collect()
+}
+
+/// The 30 fine-tuning campaigns, run once per test binary.
+fn cells() -> &'static [Cell<Pin>] {
+    static CELLS: OnceLock<Vec<Cell<Pin>>> = OnceLock::new();
     CELLS.get_or_init(|| {
-        WorkflowConfig::all()
-            .into_iter()
-            .flat_map(|config| SEEDS.map(move |seed| (config, seed)))
-            .map(|(config, seed)| {
-                let sim = Sim::new();
-                let spec = DeploymentSpec { seed, ..Default::default() };
-                let d = deploy(&sim, config, &spec, Tracer::disabled());
-                let o = finetune::run(&sim, &d, FinetuneParams { seed, ..Default::default() });
-                let got = (
-                    o.new_structures,
-                    o.training_rounds,
-                    o.end.as_nanos(),
-                    o.initial_force_rmsd,
-                    o.final_force_rmsd,
-                );
-                Cell { config, seed, got }
-            })
-            .collect()
+        run_cells(|sim, d, seed| {
+            let o = finetune::run(sim, d, FinetuneParams { seed, ..Default::default() });
+            (
+                o.new_structures,
+                o.training_rounds,
+                o.end.as_nanos(),
+                o.initial_force_rmsd,
+                o.final_force_rmsd,
+            )
+        })
     })
 }
 
@@ -163,4 +226,29 @@ fn fig7_rmsd_falls_for_the_median_seed_with_parity_across_configs() {
     assert!(highest_min <= lowest_max, "final RMSD ranges do not overlap: {ranges:?}");
     let worse = cells().iter().filter(|c| c.got.4 >= c.got.3).count();
     show(&format!("{worse} of {} cells end with final RMSD >= initial", cells().len()));
+}
+
+#[test]
+fn moldesign_outcomes_equal_pins() {
+    let cells = run_cells(|sim, d, seed| {
+        let params = MolDesignParams { library_size: 10_000, seed, ..Default::default() };
+        let o = moldesign::run(sim, d, params);
+        (o.found, o.simulations, o.end.as_nanos(), o.ml_makespans.len())
+    });
+    show("config      seed  found  sims  end    rounds");
+    let mut failures = Vec::new();
+    for (c, want) in cells.iter().zip(MOLDESIGN.as_flattened()) {
+        let (found, sims, end, rounds) = c.got;
+        show(&format!(
+            "{:<11} {}  {found:>5}  {sims:>4}  {}  {rounds:>6}",
+            c.config.label(),
+            c.seed,
+            if end == want.2 { "equal" } else { "MOVED" },
+        ));
+        if c.got != *want {
+            let label = c.config.label();
+            failures.push(format!("{label} seed {}: {:?} vs pinned {want:?}", c.seed, c.got));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
