@@ -1,6 +1,7 @@
 //! Statistics over seeds for the gates that compare campaigns: an exact
-//! two-sample permutation test, deterministic because it enumerates
-//! every split instead of sampling them.
+//! two-sample permutation test and an exact paired sign-flip test, both
+//! deterministic because they enumerate every split or sign pattern
+//! instead of sampling them.
 
 /// Two-sided exact permutation p-value for a difference in means: the
 /// share of the `C(|a| + |b|, |a|)` ways to split the pooled values into
@@ -38,6 +39,28 @@ pub fn permutation_p(a: &[f64], b: &[f64]) -> f64 {
     at_least as f64 / splits as f64
 }
 
+/// Two-sided exact sign-flip p-value for paired differences with mean
+/// zero: the share of the `2ⁿ` ways to flip the signs of `diffs` whose
+/// `|Σ ± dᵢ|` is at least the observed `|Σ dᵢ|` (the observed pattern
+/// included, so `p > 0`), with `permutation_p`'s tie tolerance. The
+/// paired form for two policies run on the same seeds; `n ≤ 20` keeps
+/// the enumeration to about a million patterns.
+pub fn sign_flip_p(diffs: &[f64]) -> f64 {
+    let n = diffs.len();
+    assert!((1..=20).contains(&n), "sign_flip_p enumerates 2^n patterns: n = {n}");
+    let signed = |mask: u32| -> f64 {
+        let sum: f64 =
+            diffs.iter().enumerate().map(|(i, &d)| if (mask >> i) & 1 == 1 { -d } else { d }).sum();
+        sum.abs()
+    };
+    let tol = 1e-12 * diffs.iter().fold(0.0, |acc: f64, v| acc.max(v.abs()));
+    // Mask 0 flips nothing: the observed pattern.
+    let observed = signed(0);
+    let patterns = 1u32 << n;
+    let at_least = (0..patterns).filter(|&mask| signed(mask) >= observed - tol).count();
+    at_least as f64 / f64::from(patterns)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,6 +90,18 @@ mod tests {
         let low: Vec<f64> = (0..10).map(f64::from).collect();
         let high: Vec<f64> = (10..20).map(f64::from).collect();
         assert_eq!(permutation_p(&low, &high), 2.0 / 184_756.0);
+    }
+
+    #[test]
+    fn sign_flips_by_hand() {
+        // ±1 ±2 ±3: 6, 4, 2, 0, 0, −2, −4, −6; only ±6 reach |6|.
+        assert_eq!(sign_flip_p(&[1.0, 2.0, 3.0]), 0.25);
+        // −1 ±2 ±3 (first flipped): |4| is reached by ±6 and ±4.
+        assert_eq!(sign_flip_p(&[-1.0, 2.0, 3.0]), 0.5);
+        assert_eq!(sign_flip_p(&[0.0; 10]), 1.0);
+        assert_eq!(sign_flip_p(&[1.0]), 1.0);
+        // Ten positive differences: only all-plus and all-minus.
+        assert_eq!(sign_flip_p(&[1.0; 10]), 2.0 / 1024.0);
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //! hetbench's scale (a 10 000-molecule library, the paper's budget),
 //! seeds 400–409 × the three configs. `MOLDESIGN` holds each cell's
 //! `(found, simulations, end, ML rounds)`, and every cell must equal its
-//! pin exactly.
+//! pin exactly. Per config, an exact paired sign-flip test over the ten
+//! seeds' `found − pinned found` must not reject a zero mean: the gate a
+//! change that moves moldesign bits is held to before it re-pins.
 //!
 //! Run with `--nocapture --test-threads=1` for both tables.
 
 use hetflow::apps::{finetune, moldesign};
 use hetflow::prelude::*;
-use hetflow_bench::stats::permutation_p;
+use hetflow_bench::stats::{permutation_p, sign_flip_p};
 use std::sync::OnceLock;
 
 const SEEDS: std::ops::Range<u64> = 400..410;
@@ -248,6 +250,17 @@ fn moldesign_outcomes_equal_pins() {
         if c.got != *want {
             let label = c.config.label();
             failures.push(format!("{label} seed {}: {:?} vs pinned {want:?}", c.seed, c.got));
+        }
+    }
+    for (config, (got, want)) in WorkflowConfig::all().iter().zip(cells.chunks(10).zip(&MOLDESIGN))
+    {
+        let diffs: Vec<f64> =
+            got.iter().zip(want).map(|(c, w)| c.got.0 as f64 - w.0 as f64).collect();
+        let p = sign_flip_p(&diffs);
+        show(&format!("{}: found vs pins, paired sign-flip p = {p:.3}", config.label()));
+        if p < 0.05 {
+            let label = config.label();
+            failures.push(format!("{label}: found separates from the pins (p = {p:.4})"));
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
