@@ -2,7 +2,8 @@
 //!
 //! Sized for surrogate training: design matrices with up to a few
 //! thousand rows and a few hundred columns, normal-equation solves on
-//! the feature dimension. No external BLAS (the build stays
+//! whichever of the feature and sample dimensions is smaller (`gram` of
+//! the matrix or of its `transpose`). No external BLAS (the build stays
 //! dependency-free), so loop shape matters: at d = 384 a factorization
 //! over strided dependent chains costs 2.4× one over contiguous axpys.
 //! The kernels here walk rows and keep each element's operation order,
@@ -84,6 +85,18 @@ impl Matrix {
     /// Mutable row access.
     pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// `selfᵀ`, as a new row-major matrix.
+    #[inline(always)]
+    pub(crate) fn transpose(&self) -> Matrix {
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        for r in 0..self.rows {
+            for (c, &v) in self.row(r).iter().enumerate() {
+                t[(c, r)] = v;
+            }
+        }
+        t
     }
 
     /// `selfᵀ * self` (the Gram matrix), exploiting symmetry.
@@ -248,48 +261,48 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Solves `A x = b` in place (`x` holds `b` on entry), `A = L Lᵀ`.
+    /// Solves `A X = B` for all of `B`'s columns in `B`'s own buffer,
+    /// `A = L Lᵀ`, one row pass at a time. Per element the operations are
+    /// those of a one-column solve: the forward pass subtracts in `k`
+    /// ascending (like a dot), and the back pass subtracts `j` ascending
+    /// from the entry before it divides.
     #[inline(always)]
-    pub(crate) fn solve_in_place(&self, x: &mut [f64]) {
-        let n = self.u.rows();
-        assert_eq!(x.len(), n);
-        // Forward, L y = b, as axpys (per entry: k ascending, like a dot).
-        for k in 0..n {
-            let (head, tail) = x.split_at_mut(k + 1);
-            let row = self.u.row(k);
-            head[k] /= row[k];
-            for (v, f) in tail.iter_mut().zip(&row[k + 1..]) {
-                *v -= f * head[k];
-            }
-        }
-        // Back, Lᵀ x = y.
-        for i in (0..n).rev() {
-            let row = self.u.row(i);
-            let mut sum = x[i];
-            for (f, xk) in row[i + 1..].iter().zip(&x[i + 1..]) {
-                sum -= f * xk;
-            }
-            x[i] = sum / row[i];
-        }
-    }
-
-    /// Solves `A X = B` column by column through one scratch column.
-    #[inline(always)]
-    pub(crate) fn solve_matrix(&self, b: &Matrix) -> Matrix {
+    pub(crate) fn solve_matrix(&self, mut b: Matrix) -> Matrix {
         let n = self.u.rows();
         assert_eq!(b.rows(), n);
-        let mut out = Matrix::zeros(n, b.cols());
-        let mut col = vec![0.0; n];
-        for c in 0..b.cols() {
-            for r in 0..n {
-                col[r] = b[(r, c)];
+        let m = b.cols();
+        // Forward, L Y = B: row k is final once divided, then each later
+        // row i loses `L[i][k]` times it.
+        for k in 0..n {
+            let u = self.u.row(k);
+            let (head, tail) = b.data.split_at_mut((k + 1) * m);
+            let row_k = &mut head[k * m..];
+            for v in row_k.iter_mut() {
+                *v /= u[k];
             }
-            self.solve_in_place(&mut col);
-            for r in 0..n {
-                out[(r, c)] = col[r];
+            for (i, &f) in (k + 1..n).zip(&u[k + 1..]) {
+                let row_i = &mut tail[(i - k - 1) * m..(i - k) * m];
+                for (v, p) in row_i.iter_mut().zip(&*row_k) {
+                    *v -= f * p;
+                }
             }
         }
-        out
+        // Back, Lᵀ X = Y: row i loses each later, finished row j.
+        for i in (0..n).rev() {
+            let u = self.u.row(i);
+            let (head, done) = b.data.split_at_mut((i + 1) * m);
+            let row_i = &mut head[i * m..];
+            for (j, &f) in (i + 1..n).zip(&u[i + 1..]) {
+                let row_j = &done[(j - i - 1) * m..(j - i) * m];
+                for (v, p) in row_i.iter_mut().zip(row_j) {
+                    *v -= f * p;
+                }
+            }
+            for v in row_i.iter_mut() {
+                *v /= u[i];
+            }
+        }
+        b
     }
 }
 
@@ -350,14 +363,24 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn transpose_swaps_indices() {
+        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, -0.0]]);
+        let t = a.transpose();
+        assert_eq!((t.rows(), t.cols()), (3, 2));
+        for i in 0..2 {
+            for j in 0..3 {
+                assert_eq!(t[(j, i)].to_bits(), a[(i, j)].to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn cholesky_solves_spd_system() {
         // A = [[4,2],[2,3]], b = [2,1] -> x = [0.5, 0]
         let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
-        let ch = a.cholesky().unwrap();
-        let mut x = [2.0, 1.0];
-        ch.solve_in_place(&mut x);
-        assert!((x[0] - 0.5).abs() < 1e-12);
-        assert!(x[1].abs() < 1e-12);
+        let x = a.cholesky().unwrap().solve_matrix(Matrix::from_vec(2, 1, vec![2.0, 1.0]));
+        assert!((x[(0, 0)] - 0.5).abs() < 1e-12);
+        assert!(x[(1, 0)].abs() < 1e-12);
     }
 
     #[test]
@@ -376,7 +399,7 @@ pub(crate) mod tests {
     fn solve_matrix_multi_rhs() {
         let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
         let b = Matrix::from_rows(&[vec![2.0, 4.0], vec![1.0, 2.0]]);
-        let x = a.cholesky().unwrap().solve_matrix(&b);
+        let x = a.cholesky().unwrap().solve_matrix(b);
         // Column 2 is 2x column 1.
         assert!((x[(0, 1)] - 2.0 * x[(0, 0)]).abs() < 1e-12);
         assert!((x[(1, 1)] - 2.0 * x[(1, 0)]).abs() < 1e-12);
@@ -489,7 +512,7 @@ pub(crate) mod tests {
             // Factoring `A`'s own buffer leaves every bit of the copying
             // factor, the zeroed strict lower triangle included.
             prop_assert_eq!(bits(&ch.u.data), bits(&copying_cholesky(&a).unwrap().u.data));
-            let xs = ch.solve_matrix(&b);
+            let xs = ch.solve_matrix(b.clone());
             for c in 0..cols {
                 let col: Vec<f64> = (0..n).map(|r| b[(r, c)]).collect();
                 let (l, x) = reference_cholesky_solve(&a, &col);
@@ -498,9 +521,8 @@ pub(crate) mod tests {
                         prop_assert_eq!(ch.u[(j, i)].to_bits(), l[(i, j)].to_bits());
                     }
                 }
-                let mut single = col.clone();
-                ch.solve_in_place(&mut single);
-                prop_assert_eq!(bits(&single), bits(&x));
+                let single = ch.solve_matrix(Matrix::from_vec(n, 1, col.clone()));
+                prop_assert_eq!(bits(&single.data), bits(&x));
                 let got: Vec<f64> = (0..n).map(|r| xs[(r, c)]).collect();
                 prop_assert_eq!(bits(&got), bits(&x));
             }
@@ -518,8 +540,7 @@ pub(crate) mod tests {
             let mut a = m.gram();
             a.add_diag(1.0);
             let b: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-            let mut x = b.clone();
-            a.clone().cholesky().unwrap().solve_in_place(&mut x);
+            let x = a.clone().cholesky().unwrap().solve_matrix(Matrix::from_vec(n, 1, b.clone())).data;
             let back: Vec<f64> =
                 (0..n).map(|i| a.row(i).iter().zip(&x).map(|(p, q)| p * q).sum()).collect();
             for (bb, ba) in b.iter().zip(&back) {

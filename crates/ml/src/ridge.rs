@@ -1,4 +1,8 @@
-//! Ridge regression (single- and multi-output) via normal equations.
+//! Ridge regression (single- and multi-output), solved in whichever
+//! normal system is smaller: the primal `d × d` one when the data has at
+//! least as many rows as features, the dual `n × n` one when it has
+//! fewer. Both give the same weights; only the cost and the rounding
+//! differ.
 
 use crate::dispatch::dispatch;
 use crate::linalg::{LinalgError, Matrix};
@@ -32,8 +36,8 @@ impl Ridge {
     }
 
     /// [`Ridge::fit_multi`] undispatched. Centres `x` and `y` in their
-    /// own buffers and drops `x` once the normal equations are formed, so
-    /// the factorization runs with no copy of the design matrix alive.
+    /// own buffers, then solves the smaller normal system: [`primal`] when
+    /// `n ≥ d`, [`dual`] when `n < d`. The shape chooses, not a knob.
     #[inline(always)]
     pub(crate) fn fit_multi_body(
         mut x: Matrix,
@@ -69,13 +73,10 @@ impl Ridge {
                 }
             }
         }
-        let mut gram = x.gram();
         // A touch of jitter keeps the factorization stable even at
-        // lambda = 0 with collinear features.
-        gram.add_diag(lambda.max(1e-10));
-        let xty = x.t_matmul(&y);
-        drop((x, y));
-        let weights = gram.cholesky()?.solve_matrix(&xty);
+        // lambda = 0 with collinear features (or duplicate rows).
+        let jitter = lambda.max(1e-10);
+        let weights = if n < d { dual(x, y, jitter)? } else { primal(x, y, jitter)? };
         // intercept_c = ȳ_c − w_c · x̄
         let intercepts: Vec<f64> = (0..k)
             .map(|c| y_means[c] - (0..d).map(|dd| weights[(dd, c)] * x_means[dd]).sum::<f64>())
@@ -112,6 +113,28 @@ impl Ridge {
     }
 }
 
+/// `W = (XᵀX + λI)⁻¹ XᵀY`, factoring the `d × d` Gram matrix. Drops `x`
+/// once the system is formed, so the factorization runs with no copy of
+/// the design matrix alive, and solves into `XᵀY`'s buffer.
+#[inline(always)]
+fn primal(x: Matrix, y: Matrix, lambda: f64) -> Result<Matrix, LinalgError> {
+    let mut gram = x.gram();
+    gram.add_diag(lambda);
+    let xty = x.t_matmul(&y);
+    drop((x, y));
+    Ok(gram.cholesky()?.solve_matrix(xty))
+}
+
+/// `W = Xᵀ (XXᵀ + λI)⁻¹ Y`, factoring the `n × n` kernel matrix `XXᵀ`
+/// (the Gram matrix of `Xᵀ`) and solving into `Y`'s buffer.
+#[inline(always)]
+fn dual(x: Matrix, y: Matrix, lambda: f64) -> Result<Matrix, LinalgError> {
+    let mut kernel = x.transpose().gram();
+    kernel.add_diag(lambda);
+    let alpha = kernel.cholesky()?.solve_matrix(y);
+    Ok(x.t_matmul(&alpha))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +144,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// The fit as it stood when it centred copies of borrowed inputs and
-    /// factored a copy of the Gram matrix: the in-place fit's reference.
+    /// factored a copy of the Gram matrix: the in-place fit's reference,
+    /// in the primal form for `n ≥ d` and the dual form for `n < d`.
     fn copying_fit_multi(
         x: &Matrix,
         y: &Matrix,
@@ -152,10 +176,16 @@ mod tests {
             (xc, yc)
         });
         let (xc, yc) = centered.as_ref().map_or((x, y), |(xc, yc)| (xc, yc));
-        let mut gram = xc.gram();
-        gram.add_diag(lambda.max(1e-10));
-        let xty = xc.t_matmul(yc);
-        let weights = copying_cholesky(&gram)?.solve_matrix(&xty);
+        let weights = if n < d {
+            let mut kernel = xc.transpose().gram();
+            kernel.add_diag(lambda.max(1e-10));
+            let alpha = copying_cholesky(&kernel)?.solve_matrix(yc.clone());
+            xc.t_matmul(&alpha)
+        } else {
+            let mut gram = xc.gram();
+            gram.add_diag(lambda.max(1e-10));
+            copying_cholesky(&gram)?.solve_matrix(xc.t_matmul(yc))
+        };
         let intercepts: Vec<f64> = (0..k)
             .map(|c| y_means[c] - (0..d).map(|dd| weights[(dd, c)] * x_means[dd]).sum::<f64>())
             .collect();
@@ -194,6 +224,39 @@ mod tests {
                     "center {}", center
                 );
             }
+        }
+    }
+
+    /// `max |a − b| / max |b|` over two equally shaped matrices.
+    fn max_rel_diff(a: &Matrix, b: &Matrix) -> f64 {
+        let rows = |m: &Matrix| (0..m.rows()).flat_map(|r| m.row(r).to_vec()).collect::<Vec<_>>();
+        let (a, b) = (rows(a), rows(b));
+        let scale = b.iter().fold(0.0, |acc: f64, v| acc.max(v.abs()));
+        let diff = a.iter().zip(&b).fold(0.0, |acc: f64, (p, q)| acc.max((p - q).abs()));
+        diff / scale.max(f64::MIN_POSITIVE)
+    }
+
+    proptest! {
+        #[test]
+        fn dual_and_primal_agree_when_rows_are_fewer_than_features(
+            seed in 0u64..1000,
+            n in 1usize..=24,
+            extra in 1usize..=40,
+            k in 1usize..=2,
+            li in 0usize..3,
+        ) {
+            let lambda = [1e-3, 1e-2, 1.0][li];
+            let d = n + extra;
+            let mut rng = SimRng::from_seed(seed);
+            let x = signed_zeros(n, d, &mut rng);
+            let y = signed_zeros(n, k, &mut rng);
+            let w_dual = dual(x.clone(), y.clone(), lambda).unwrap();
+            let w_primal = primal(x, y, lambda).unwrap();
+            prop_assert!(max_rel_diff(&w_dual, &w_primal) <= 1e-10, "weights");
+            // Predictions on fresh inputs: `P W` as `(Pᵀ)ᵀ W`.
+            let probe = signed_zeros(6, d, &mut rng).transpose();
+            let rel = max_rel_diff(&probe.t_matmul(&w_dual), &probe.t_matmul(&w_primal));
+            prop_assert!(rel <= 1e-10, "predictions: {}", rel);
         }
     }
 
@@ -270,7 +333,7 @@ mod tests {
         let model = Ridge::fit_multi(x.clone(), y.clone(), 1e-3, false).unwrap();
         let mut gram = x.gram();
         gram.add_diag(1e-3);
-        let want = gram.cholesky().unwrap().solve_matrix(&x.t_matmul(&y));
+        let want = gram.cholesky().unwrap().solve_matrix(x.t_matmul(&y));
         for d in 0..5 {
             for c in 0..2 {
                 assert_eq!(model.weights()[(d, c)].to_bits(), want[(d, c)].to_bits());
