@@ -363,18 +363,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn transpose_swaps_indices() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, -0.0]]);
-        let t = a.transpose();
-        assert_eq!((t.rows(), t.cols()), (3, 2));
-        for i in 0..2 {
-            for j in 0..3 {
-                assert_eq!(t[(j, i)].to_bits(), a[(i, j)].to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn cholesky_solves_spd_system() {
         // A = [[4,2],[2,3]], b = [2,1] -> x = [0.5, 0]
         let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);

@@ -4,9 +4,9 @@
 //!
 //! **Fine-tuning.** Every cell is the default fine-tuning campaign
 //! (`FinetuneParams`, seed 400–409) on one of the three
-//! `WorkflowConfig`s. `PARENT` holds
-//! each cell's outcome on the tree before the pair potential's basis
-//! moved from one `exp` per centre to the recurrence. Per cell the
+//! `WorkflowConfig`s. `PARENT` holds each cell's outcome on the tree
+//! before the pair potential's basis moved from one `exp` per centre to
+//! the recurrence. Per cell the
 //! virtual timeline must not move (`new_structures`, `training_rounds`
 //! and `end` exactly), `initial_force_rmsd` must agree within 1e-9 and
 //! `final_force_rmsd` within 1e-6 relative; per config, an exact
@@ -16,8 +16,9 @@
 //! **Molecular design.** Every cell is the active-learning campaign at
 //! hetbench's scale (a 10 000-molecule library, the paper's budget),
 //! seeds 400–409 × the three configs. `MOLDESIGN` holds each cell's
-//! `(found, simulations, end, ML rounds)`, and every cell must equal its
-//! pin exactly. Per config, an exact paired sign-flip test over the ten
+//! `(found, simulations, end, ML rounds)` on the tree before a ridge fit
+//! on fewer rows than features took the dual form, and every cell must
+//! equal its pin exactly. Per config, an exact paired sign-flip test over the ten
 //! seeds' `found − pinned found` must not reject a zero mean: the gate a
 //! change that moves moldesign bits is held to before it re-pins.
 //!
