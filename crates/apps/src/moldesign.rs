@@ -8,9 +8,12 @@
 //! The science is real: simulation tasks evaluate the library's hidden
 //! IP function, training tasks fit actual RFF-ridge models on the
 //! accumulated data inside the task closure, and inference outputs are
-//! genuine model scores — so the "molecules found vs compute" curves of
-//! Fig. 6a *emerge* from how quickly each workflow configuration moves
-//! data and instructions.
+//! genuine model scores whenever they are read — so the "molecules
+//! found vs compute" curves of Fig. 6a *emerge* from how quickly each
+//! workflow configuration moves data and instructions. An inference
+//! task's scores are computed when the reorder first reads them; a
+//! round whose reorder lands after the budget, which no agent reads,
+//! is never scored.
 
 use hetflow_chem::MoleculeLibrary;
 use hetflow_core::calibration::tasks as cal;
@@ -19,7 +22,7 @@ use hetflow_fabric::{TaskFn, TaskWork};
 use hetflow_ml::{bag_indices, top_k, RffRidge, SurrogateParams, DEFAULT_BAG_FRACTION};
 use hetflow_steer::{Payload, TaskRecord, Thinker};
 use hetflow_sim::{Samples, Sim, SimRng, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -97,6 +100,9 @@ pub struct MolDesignOutcome {
     /// ML-pipeline makespans: retrain requested → queue reordered
     /// (Fig. 6b "ML makespan"), seconds.
     pub ml_makespans: Samples,
+    /// ML rounds whose ranking reached the queue before the budget ran
+    /// out (at most `ml_makespans.len()`).
+    pub steered_rounds: usize,
     /// CPU worker idle gaps between simulation tasks, seconds
     /// (Fig. 6b right panel).
     pub cpu_idle: Samples,
@@ -154,6 +160,8 @@ struct State {
     shed: Cell<usize>,
     found_curve: RefCell<Vec<(f64, usize)>>,
     ml_makespans: RefCell<Samples>,
+    /// Rounds whose ranking reached the queue.
+    steered_rounds: Cell<usize>,
     params: MolDesignParams,
 }
 
@@ -183,6 +191,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         shed: Cell::new(0),
         found_curve: RefCell::new(vec![(0.0, 0)]),
         ml_makespans: RefCell::new(Samples::new()),
+        steered_rounds: Cell::new(0),
         params: params.clone(),
     });
 
@@ -375,8 +384,10 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                     queues.submit("infer", payloads, compute).await;
                     launched += 1;
                 }
-                // Gather the score vectors and reorder the queue by UCB.
-                let mut score_sets: Vec<Rc<Vec<f64>>> = Vec::with_capacity(launched);
+                // Gather the score sets and reorder the queue by UCB,
+                // unless the budget ran out meanwhile: then nothing pops
+                // the queue again, and the scores are never computed.
+                let mut score_sets: Vec<Rc<Scores>> = Vec::with_capacity(launched);
                 for _ in 0..launched {
                     let Some(done) = queues.get_result("infer").await else { return };
                     let resolved = done.resolve().await;
@@ -388,10 +399,11 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
                         state.failed.set(state.failed.get() + 1);
                         continue;
                     }
-                    score_sets.push(resolved.value::<Vec<f64>>());
+                    score_sets.push(resolved.value::<Scores>());
                 }
-                if !score_sets.is_empty() {
+                if !score_sets.is_empty() && !thinker2.is_done() {
                     reorder_queue(&state, &score_sets);
+                    state.steered_rounds.set(state.steered_rounds.get() + 1);
                 }
                 state
                     .ml_makespans
@@ -413,6 +425,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         shed: state.shed.get(),
         found_curve: state.found_curve.borrow().clone(),
         ml_makespans: state.ml_makespans.borrow().clone(),
+        steered_rounds: state.steered_rounds.get(),
         cpu_idle: deployment.cpu_pool.idle_gaps(),
         records,
         end: sim.now(),
@@ -455,11 +468,30 @@ fn train_task(
     })
 }
 
+/// One member's scores over the library: an inference task's output,
+/// computed on the first `get`. A round nobody reorders with is never
+/// scored.
+struct Scores {
+    lib: Rc<MoleculeLibrary>,
+    model: Rc<RffRidge>,
+    values: OnceCell<Vec<f64>>,
+}
+
+impl Scores {
+    fn get(&self) -> &[f64] {
+        self.values.get_or_init(|| {
+            // The library's feature table, scored straight into the vector.
+            let mut scores = vec![0.0; self.lib.len()];
+            self.model.predict_batch(|i| self.lib.features(i), &mut scores);
+            scores
+        })
+    }
+}
+
 fn infer_task(lib: Rc<MoleculeLibrary>, model: Rc<RffRidge>, duration: f64) -> TaskFn {
     Rc::new(move |_ctx| {
-        // The library's feature table, scored straight into the output.
-        let mut scores = vec![0.0; lib.len()];
-        model.predict_batch(|i| lib.features(i), &mut scores);
+        let lib = Rc::clone(&lib);
+        let scores = Scores { lib, model: Rc::clone(&model), values: OnceCell::new() };
         TaskWork::new(scores, cal::MOLDESIGN_INFER_OUT_BYTES, hetflow_sim::time::secs(duration))
     })
 }
@@ -470,7 +502,8 @@ fn train_payload(database: &[(usize, f64)]) -> u64 {
     (database.len() as u64) * 16 + 100_000
 }
 
-fn reorder_queue(state: &State, score_sets: &[Rc<Vec<f64>>]) {
+fn reorder_queue(state: &State, score_sets: &[Rc<Scores>]) {
+    let score_sets: Vec<&[f64]> = score_sets.iter().map(|s| s.get()).collect();
     let n_lib = state.lib.len();
     let n_models = score_sets.len() as f64;
     let dispatched = state.dispatched.borrow();
@@ -480,12 +513,12 @@ fn reorder_queue(state: &State, score_sets: &[Rc<Vec<f64>>]) {
             continue; // already simulated/in flight
         }
         let mut mean = 0.0;
-        for s in score_sets {
+        for s in &score_sets {
             mean += s[i];
         }
         mean /= n_models;
         let mut var = 0.0;
-        for s in score_sets {
+        for s in &score_sets {
             var += (s[i] - mean) * (s[i] - mean);
         }
         var /= n_models;
@@ -527,6 +560,12 @@ mod tests {
         assert!(outcome.simulations > 100, "ran {} sims", outcome.simulations);
         assert!(outcome.found > 0, "found none");
         assert!(!outcome.ml_makespans.is_empty(), "no ML rounds completed");
+        let rounds = outcome.ml_makespans.len();
+        assert!(
+            (1..=rounds).contains(&outcome.steered_rounds),
+            "{} steered of {rounds} rounds",
+            outcome.steered_rounds
+        );
         // Node-time budget respected (allow in-flight overshoot).
         let last = outcome.found_curve.last().unwrap().0;
         assert!(last < 4.0 * 3600.0 + 10.0 * 70.0, "node time {last}");
@@ -577,8 +616,9 @@ mod tests {
     fn infer_round_scores_equal_per_molecule_predict() {
         // One round as the ML agent runs it — a train task, then an
         // infer task on its model — with a library that is not a
-        // multiple of the kernel's row block. The batch entry point
-        // must agree bit for bit with `predict`.
+        // multiple of the kernel's row block. Running the task scores
+        // nothing; the first read does, and the batch entry point must
+        // agree bit for bit with `predict`.
         let lib = Rc::new(MoleculeLibrary::generate(135, 21));
         let database: Vec<(usize, f64)> = (0..40).map(|i| (i * 3, lib.true_ip(i * 3))).collect();
         let mut rng = SimRng::from_seed(4);
@@ -587,7 +627,9 @@ mod tests {
         let train = train_task(Rc::clone(&lib), Rc::new(database), SimRng::from_seed(5), 1.0);
         let model = train(&mut ctx).output.downcast::<RffRidge>().expect("a model");
         let infer = infer_task(Rc::clone(&lib), Rc::clone(&model), 1.0);
-        let scores = infer(&mut ctx).output.downcast::<Vec<f64>>().expect("a score vector");
+        let scores = infer(&mut ctx).output.downcast::<Scores>().expect("a score set");
+        assert!(scores.values.get().is_none(), "running the task scores nothing");
+        let scores = scores.get();
         assert_eq!(scores.len(), lib.len());
         for (i, s) in scores.iter().enumerate() {
             assert_eq!(s.to_bits(), model.predict(lib.features(i)).to_bits(), "molecule {i}");
@@ -603,6 +645,7 @@ mod tests {
             shed: 0,
             found_curve: vec![(0.0, 0), (100.0, 1), (200.0, 3)],
             ml_makespans: Samples::new(),
+            steered_rounds: 0,
             cpu_idle: Samples::new(),
             records: vec![],
             end: SimTime::ZERO,

@@ -128,7 +128,12 @@ fn cmd_moldesign(opts: &Opts) {
     println!("config       : {}", config.label());
     println!("simulations  : {}", o.simulations);
     println!("found (IP>14): {}", o.found);
-    println!("ml makespan  : {:.0} s median over {} rounds", o.ml_makespans.median(), o.ml_makespans.len());
+    println!(
+        "ml makespan  : {:.0} s median over {} rounds ({} steered)",
+        o.ml_makespans.median(),
+        o.ml_makespans.len(),
+        o.steered_rounds
+    );
     println!("cpu idle     : {:.0} ms median", o.cpu_idle.median() * 1e3);
     println!("virtual time : {}", o.end);
 }

@@ -21,6 +21,9 @@
 //! equal its pin exactly. Per config, an exact paired sign-flip test over the ten
 //! seeds' `found − pinned found` must not reject a zero mean: the gate a
 //! change that moves moldesign bits is held to before it re-pins.
+//! Beside the pin, each cell prints its steered rounds (those whose
+//! ranking reached the queue before the budget ran out), which must not
+//! exceed its ML rounds; they are not pinned.
 //!
 //! Run with `--nocapture --test-threads=1` for both tables.
 
@@ -236,27 +239,31 @@ fn moldesign_outcomes_equal_pins() {
     let cells = run_cells(|sim, d, seed| {
         let params = MolDesignParams { library_size: 10_000, seed, ..Default::default() };
         let o = moldesign::run(sim, d, params);
-        (o.found, o.simulations, o.end.as_nanos(), o.ml_makespans.len())
+        ((o.found, o.simulations, o.end.as_nanos(), o.ml_makespans.len()), o.steered_rounds)
     });
-    show("config      seed  found  sims  end    rounds");
+    show("config      seed  found  sims  end    rounds  steered");
     let mut failures = Vec::new();
     for (c, want) in cells.iter().zip(MOLDESIGN.as_flattened()) {
-        let (found, sims, end, rounds) = c.got;
+        let (got, steered) = c.got;
+        let (found, sims, end, rounds) = got;
         show(&format!(
-            "{:<11} {}  {found:>5}  {sims:>4}  {}  {rounds:>6}",
+            "{:<11} {}  {found:>5}  {sims:>4}  {}  {rounds:>6}  {steered:>7}",
             c.config.label(),
             c.seed,
             if end == want.2 { "equal" } else { "MOVED" },
         ));
-        if c.got != *want {
-            let label = c.config.label();
-            failures.push(format!("{label} seed {}: {:?} vs pinned {want:?}", c.seed, c.got));
+        let label = c.config.label();
+        if got != *want {
+            failures.push(format!("{label} seed {}: {got:?} vs pinned {want:?}", c.seed));
+        }
+        if steered > rounds {
+            failures.push(format!("{label} seed {}: {steered} steered of {rounds} rounds", c.seed));
         }
     }
     for (config, (got, want)) in WorkflowConfig::all().iter().zip(cells.chunks(10).zip(&MOLDESIGN))
     {
         let diffs: Vec<f64> =
-            got.iter().zip(want).map(|(c, w)| c.got.0 as f64 - w.0 as f64).collect();
+            got.iter().zip(want).map(|(c, w)| c.got.0.0 as f64 - w.0 as f64).collect();
         let p = sign_flip_p(&diffs);
         show(&format!("{}: found vs pins, paired sign-flip p = {p:.3}", config.label()));
         if p < 0.05 {
