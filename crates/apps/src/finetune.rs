@@ -15,7 +15,8 @@
 //!   plus all reference data after every `retrain_every` new results.
 //!   Training data is held as [`DesignBlock`]s — the pre-training set
 //!   featurized once per campaign, each reference result once on
-//!   arrival — so a refit bags references and only scales and solves.
+//!   arrival — so a refit bags references, sums their normal equations
+//!   and solves.
 //!
 //! A balancing agent shifts CPU workers between simulation and sampling
 //! to hold the audit pool near a target size, as in the paper.

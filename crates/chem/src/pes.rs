@@ -126,6 +126,20 @@ impl EnergyModel for MorsePes {
         }
         (energy, forces)
     }
+
+    /// The energy of [`EnergyModel::energy_forces`], bit for bit, without
+    /// the slopes: each pair sums its terms in the same order.
+    fn energy(&self, s: &Structure) -> f64 {
+        let mut energy = 0.0;
+        for (_, _, _, r) in s.pairs() {
+            if r > self.cutoff {
+                continue;
+            }
+            let e_pair = self.terms.iter().fold(0.0, |acc, t| acc + t.energy(r));
+            energy += e_pair - self.e_cut - (r - self.cutoff) * self.de_cut;
+        }
+        energy
+    }
 }
 
 /// Numerically differentiates any [`EnergyModel`] (central differences);
@@ -214,6 +228,7 @@ mod tests {
                 let (e, f) = pes.energy_forces(&s);
                 let (e_ref, f_ref) = two_exp_energy_forces(&pes, &s);
                 assert_eq!(e.to_bits(), e_ref.to_bits(), "seed {seed}");
+                assert_eq!(pes.energy(&s).to_bits(), e_ref.to_bits(), "energy, seed {seed}");
                 let bits = |f: &[Vec3]| f.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&f), bits(&f_ref), "seed {seed}");
             }

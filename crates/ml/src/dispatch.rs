@@ -174,7 +174,7 @@ pub(crate) mod tests {
             let mut body = vec![f64::NAN; n];
             model.predict_batch_body(|i| &xs[i], &mut body);
             let z = rff.transform_batch_body(&xs);
-            let fit_body = |center| fit_bits(Ridge::fit_multi_body(z.clone(), y.clone(), 1e-3, center));
+            let fit_body = fit_bits(Ridge::fit_multi_body(z.clone(), y.clone(), 1e-3));
 
             for arm in supported_arms() {
                 let mut clone = vec![f64::NAN; n];
@@ -186,11 +186,9 @@ pub(crate) mod tests {
                 }
                 let zc = run_on(arm, #[inline(always)] || rff.transform_batch_body(&xs));
                 prop_assert_eq!(rows(&zc), rows(&z), "transform_batch on {:?}", arm);
-                for center in [true, false] {
-                    let (zc, yc) = (z.clone(), y.clone());
-                    let fit = run_on(arm, #[inline(always)] move || Ridge::fit_multi_body(zc, yc, 1e-3, center));
-                    prop_assert_eq!(fit_bits(fit), fit_body(center), "fit_multi on {:?}, center {}", arm, center);
-                }
+                let (zc, yc) = (z.clone(), y.clone());
+                let fit = run_on(arm, #[inline(always)] move || Ridge::fit_multi_body(zc, yc, 1e-3));
+                prop_assert_eq!(fit_bits(fit), fit_body.clone(), "fit_multi on {:?}", arm);
             }
 
             let mut entry = vec![f64::NAN; n];
@@ -205,13 +203,7 @@ pub(crate) mod tests {
                 prop_assert_eq!(bits(&rff.transform(x)), bits(alone.row(0)), "transform");
                 prop_assert_eq!(bits(alone.row(0)), bits(z.row(i)), "transform row {}", i);
             }
-            for center in [true, false] {
-                prop_assert_eq!(
-                    fit_bits(Ridge::fit_multi(z.clone(), y.clone(), 1e-3, center)),
-                    fit_body(center),
-                    "fit_multi, center {}", center
-                );
-            }
+            prop_assert_eq!(fit_bits(Ridge::fit_multi(z, y, 1e-3)), fit_body, "fit_multi");
         }
     }
 }

@@ -18,20 +18,15 @@ pub struct Ridge {
 impl Ridge {
     /// Fits `X w = y` with L2 penalty `lambda` and a fitted intercept.
     pub(crate) fn fit(x: Matrix, y: Vec<f64>, lambda: f64) -> Result<Ridge, LinalgError> {
-        Ridge::fit_multi(x, Matrix::from_vec(y.len(), 1, y), lambda, true)
+        Ridge::fit_multi(x, Matrix::from_vec(y.len(), 1, y), lambda)
     }
 
-    /// Fits a multi-output model; `y` is `n × k`. When `center` is set,
-    /// per-output intercepts absorb the means.
-    pub(crate) fn fit_multi(
-        x: Matrix,
-        y: Matrix,
-        lambda: f64,
-        center: bool,
-    ) -> Result<Ridge, LinalgError> {
+    /// Fits a multi-output model; `y` is `n × k`, and per-output
+    /// intercepts absorb the means.
+    pub(crate) fn fit_multi(x: Matrix, y: Matrix, lambda: f64) -> Result<Ridge, LinalgError> {
         dispatch(
             #[inline(always)]
-            move || Ridge::fit_multi_body(x, y, lambda, center),
+            move || Ridge::fit_multi_body(x, y, lambda),
         )
     }
 
@@ -43,7 +38,6 @@ impl Ridge {
         mut x: Matrix,
         mut y: Matrix,
         lambda: f64,
-        center: bool,
     ) -> Result<Ridge, LinalgError> {
         assert_eq!(x.rows(), y.rows(), "row count mismatch");
         assert!(lambda >= 0.0);
@@ -52,25 +46,16 @@ impl Ridge {
         let k = y.cols();
         // Center both X and y so the penalty does not shrink the
         // intercept and the weights are unbiased by feature offsets.
-        let (x_means, y_means) = if center {
-            let xm: Vec<f64> =
-                (0..d).map(|c| (0..n).map(|r| x[(r, c)]).sum::<f64>() / n as f64).collect();
-            let ym: Vec<f64> =
-                (0..k).map(|c| (0..n).map(|r| y[(r, c)]).sum::<f64>() / n as f64).collect();
-            (xm, ym)
-        } else {
-            (vec![0.0; d], vec![0.0; k])
-        };
-        // Uncentred, the means are zero and `v - 0.0` is `v` bit for
-        // bit, so that branch skips the pass.
-        if center {
-            for r in 0..n {
-                for (v, m) in x.row_mut(r).iter_mut().zip(&x_means) {
-                    *v -= m;
-                }
-                for (v, m) in y.row_mut(r).iter_mut().zip(&y_means) {
-                    *v -= m;
-                }
+        let x_means: Vec<f64> =
+            (0..d).map(|c| (0..n).map(|r| x[(r, c)]).sum::<f64>() / n as f64).collect();
+        let y_means: Vec<f64> =
+            (0..k).map(|c| (0..n).map(|r| y[(r, c)]).sum::<f64>() / n as f64).collect();
+        for r in 0..n {
+            for (v, m) in x.row_mut(r).iter_mut().zip(&x_means) {
+                *v -= m;
+            }
+            for (v, m) in y.row_mut(r).iter_mut().zip(&y_means) {
+                *v -= m;
             }
         }
         // A touch of jitter keeps the factorization stable even at
@@ -146,45 +131,31 @@ mod tests {
     /// The fit as it stood when it centred copies of borrowed inputs and
     /// factored a copy of the Gram matrix: the in-place fit's reference,
     /// in the primal form for `n ≥ d` and the dual form for `n < d`.
-    fn copying_fit_multi(
-        x: &Matrix,
-        y: &Matrix,
-        lambda: f64,
-        center: bool,
-    ) -> Result<Ridge, LinalgError> {
+    fn copying_fit_multi(x: &Matrix, y: &Matrix, lambda: f64) -> Result<Ridge, LinalgError> {
         let (n, d, k) = (x.rows(), x.cols(), y.cols());
-        let (x_means, y_means) = if center {
-            let xm: Vec<f64> =
-                (0..d).map(|c| (0..n).map(|r| x[(r, c)]).sum::<f64>() / n as f64).collect();
-            let ym: Vec<f64> =
-                (0..k).map(|c| (0..n).map(|r| y[(r, c)]).sum::<f64>() / n as f64).collect();
-            (xm, ym)
-        } else {
-            (vec![0.0; d], vec![0.0; k])
-        };
-        let centered = center.then(|| {
-            let mut xc = x.clone();
-            let mut yc = y.clone();
-            for r in 0..n {
-                for c in 0..d {
-                    xc[(r, c)] -= x_means[c];
-                }
-                for c in 0..k {
-                    yc[(r, c)] -= y_means[c];
-                }
+        let x_means: Vec<f64> =
+            (0..d).map(|c| (0..n).map(|r| x[(r, c)]).sum::<f64>() / n as f64).collect();
+        let y_means: Vec<f64> =
+            (0..k).map(|c| (0..n).map(|r| y[(r, c)]).sum::<f64>() / n as f64).collect();
+        let mut xc = x.clone();
+        let mut yc = y.clone();
+        for r in 0..n {
+            for c in 0..d {
+                xc[(r, c)] -= x_means[c];
             }
-            (xc, yc)
-        });
-        let (xc, yc) = centered.as_ref().map_or((x, y), |(xc, yc)| (xc, yc));
+            for c in 0..k {
+                yc[(r, c)] -= y_means[c];
+            }
+        }
         let weights = if n < d {
             let mut kernel = xc.transpose().gram();
             kernel.add_diag(lambda.max(1e-10));
-            let alpha = copying_cholesky(&kernel)?.solve_matrix(yc.clone());
+            let alpha = copying_cholesky(&kernel)?.solve_matrix(yc);
             xc.t_matmul(&alpha)
         } else {
             let mut gram = xc.gram();
             gram.add_diag(lambda.max(1e-10));
-            copying_cholesky(&gram)?.solve_matrix(xc.t_matmul(yc))
+            copying_cholesky(&gram)?.solve_matrix(xc.t_matmul(&yc))
         };
         let intercepts: Vec<f64> = (0..k)
             .map(|c| y_means[c] - (0..d).map(|dd| weights[(dd, c)] * x_means[dd]).sum::<f64>())
@@ -217,13 +188,10 @@ mod tests {
             let mut rng = SimRng::from_seed(seed);
             let x = signed_zeros(n, d, &mut rng);
             let y = signed_zeros(n, k, &mut rng);
-            for center in [true, false] {
-                prop_assert_eq!(
-                    fit_bits(Ridge::fit_multi(x.clone(), y.clone(), lambda, center)),
-                    fit_bits(copying_fit_multi(&x, &y, lambda, center)),
-                    "center {}", center
-                );
-            }
+            prop_assert_eq!(
+                fit_bits(Ridge::fit_multi(x.clone(), y.clone(), lambda)),
+                fit_bits(copying_fit_multi(&x, &y, lambda))
+            );
         }
     }
 
@@ -300,7 +268,7 @@ mod tests {
         let y_rows: Vec<Vec<f64>> = rows.iter().map(|r| vec![r[0] * 2.0, r[1] * -3.0]).collect();
         let x = Matrix::from_rows(&rows);
         let y = Matrix::from_rows(&y_rows);
-        let model = Ridge::fit_multi(x, y, 1e-8, true).unwrap();
+        let model = Ridge::fit_multi(x, y, 1e-8).unwrap();
         let p = model.predict(&[1.0, 1.0]);
         assert!((p[0] - 2.0).abs() < 1e-3);
         assert!((p[1] + 3.0).abs() < 1e-3);
@@ -313,33 +281,6 @@ mod tests {
         let x = Matrix::from_rows(&rows);
         let model = Ridge::fit(x, y, 1e-6).unwrap();
         assert!((model.predict(&[0.0])[0] - 100.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn uncentred_fit_is_the_normal_equations_on_the_inputs_as_given() {
-        // The uncentred branch leaves `x`/`y` as given; the weights must
-        // equal the bits of solving (XᵀX + λI) W = XᵀY directly — signed
-        // zeros in the data included.
-        let mut rng = SimRng::from_seed(4);
-        let mut rows: Vec<Vec<f64>> = (0..40)
-            .map(|_| (0..5).map(|_| rng.standard_normal()).collect())
-            .collect();
-        rows[3][1] = -0.0;
-        rows[7][4] = 0.0;
-        let y_rows: Vec<Vec<f64>> =
-            rows.iter().map(|r| vec![r[0] - r[2], 0.5 * r[4] + 1.0]).collect();
-        let x = Matrix::from_rows(&rows);
-        let y = Matrix::from_rows(&y_rows);
-        let model = Ridge::fit_multi(x.clone(), y.clone(), 1e-3, false).unwrap();
-        let mut gram = x.gram();
-        gram.add_diag(1e-3);
-        let want = gram.cholesky().unwrap().solve_matrix(x.t_matmul(&y));
-        for d in 0..5 {
-            for c in 0..2 {
-                assert_eq!(model.weights()[(d, c)].to_bits(), want[(d, c)].to_bits());
-            }
-        }
-        assert_eq!(model.intercepts(), [0.0, 0.0]);
     }
 
     #[test]
