@@ -738,13 +738,14 @@ mod tests {
     fn quick_campaign_outcomes_pinned_to_per_fit_featurization() {
         // End times from the commit before design blocks were cached,
         // when every fit re-evaluated the basis for every bagged
-        // structure: caching must not move a bit. RMSD bits are the
-        // basis recurrence's; `tests/campaign_outcomes.rs` holds its
-        // tolerance against one `exp` per centre.
+        // structure: caching must not move a bit. RMSD bits are those
+        // of the basis recurrence and of fits from per-structure normal
+        // equations; `tests/campaign_outcomes.rs` holds their tolerance
+        // against one `exp` per centre and stacked design rows.
         let pins = [
-            (WorkflowConfig::Parsl, 2_108_461_698_753, 0x3FC5_E155_F924_0BCF),
-            (WorkflowConfig::ParslRedis, 2_108_512_551_220, 0x3FC5_E155_F924_0BCF),
-            (WorkflowConfig::FnXGlobus, 2_112_497_755_186, 0x3FC6_75EF_1202_F825),
+            (WorkflowConfig::Parsl, 2_108_461_698_753, 0x3FC5_E155_F918_45DD),
+            (WorkflowConfig::ParslRedis, 2_108_512_551_220, 0x3FC5_E155_F918_45DD),
+            (WorkflowConfig::FnXGlobus, 2_112_497_755_186, 0x3FC6_75EF_1225_4521),
         ];
         for (config, end_ns, rmsd_bits) in pins {
             let sim = Sim::new();
