@@ -32,7 +32,7 @@ use hetflow_ml::{
     bag_indices, DesignBlock, Ensemble, LabelledStructure, PairPotParams, PairPotential,
     RadialBasis, DEFAULT_BAG_FRACTION,
 };
-use hetflow_steer::{Payload, ResourceCounter, TaskRecord, Thinker};
+use hetflow_steer::{Payload, TaskRecord, Thinker};
 use hetflow_sim::{Sim, SimRng, SimTime};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
@@ -98,6 +98,9 @@ pub struct FinetuneOutcome {
     pub sampling_tasks: usize,
     /// Tasks (of any topic) overload protection shed before they ran.
     pub shed: usize,
+    /// Tasks (of any topic) that came back failed — nonzero only under
+    /// failure injection or outages.
+    pub failed: usize,
     /// All finished-task records (Fig. 7b overheads, Fig. 1 traces).
     pub records: Vec<TaskRecord>,
     /// Virtual end time.
@@ -177,8 +180,6 @@ struct State {
     samples_done: Cell<usize>,
     new_count: Cell<usize>,
     alternate: Cell<bool>,
-    /// Shed tasks observed (any topic).
-    shed: Cell<usize>,
     params: FinetuneParams,
 }
 
@@ -239,8 +240,7 @@ fn fit_member(
 /// Runs the fine-tuning campaign on a deployment.
 pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> FinetuneOutcome {
     let rng = SimRng::stream(params.seed, "finetune");
-    let queues = deployment.queues.clone();
-    let thinker = Thinker::new(sim);
+    let thinker = Thinker::new(sim, &deployment.queues);
 
     let pretrain = Rc::new(pretraining_blocks(&params));
     let initial = Rc::new(initial_ensemble_on(&pretrain, &params));
@@ -266,329 +266,196 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         samples_done: Cell::new(0),
         new_count: Cell::new(0),
         alternate: Cell::new(false),
-        shed: Cell::new(0),
         params: params.clone(),
     });
 
     // CPU workers split between simulation and sampling.
-    let counter = ResourceCounter::new();
     let cpu = deployment.cpu_pool.workers();
     let sim_share = (cpu / 2).max(1);
-    counter.register("simulate", sim_share);
-    counter.register("sample", cpu.saturating_sub(sim_share).max(1));
+    thinker.slots().register("simulate", sim_share);
+    thinker.slots().register("sample", cpu.saturating_sub(sim_share).max(1));
 
     let retrain = hetflow_sim::Event::new();
     let score = hetflow_sim::Event::new();
 
     // --- Agent: sampler ---------------------------------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let counter = counter.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let mut rng = rng.substream(1);
-        let sim2 = sim.clone();
-        thinker.agent("sampler", async move {
-            let mut task_no = 0u64;
-            loop {
-                if thinker2.is_done() {
-                    break;
-                }
-                // Maintain — don't overflow — the audit pool (§III-B:
-                // sampling replenishes what simulation consumes).
-                if state.audit.borrow().len() >= 2 * state.params.audit_target {
-                    sim2.sleep(hetflow_sim::time::secs(30.0)).await;
-                    continue;
-                }
-                let permit = counter.acquire("sample").await;
-                permit.forget();
-                // Ramp trajectory length with campaign progress.
-                let progress = (state.new_count.get() as f64
-                    / state.params.target_new as f64)
-                    .min(1.0);
-                let steps = (MD_STEPS_START as f64
-                    + progress * (state.params.md_steps_end - MD_STEPS_START) as f64)
-                    as usize;
-                let start = {
-                    let audit = state.audit.borrow();
-                    let pick = task_no as usize % audit.len().max(1);
-                    audit.get(pick).cloned().unwrap_or_else(|| solvated_methane(task_no))
-                };
-                let ensemble = Rc::clone(&state.ensemble.borrow());
-                let duration = cal::finetune_sample_duration().sample(&mut rng);
-                let md_rng = rng.substream(5000 + task_no);
-                let compute = sample_task(start, ensemble, steps, duration, md_rng);
-                task_no += 1;
-                queues
-                    .submit("sample", vec![Payload::new((), cal::FINETUNE_SAMPLE_BYTES)], compute)
-                    .await;
+    let (t, st, sim2, mut rng1) =
+        (Rc::clone(&thinker), Rc::clone(&state), sim.clone(), rng.substream(1));
+    thinker.agent(async move {
+        let mut task_no = 0u64;
+        while !t.is_done() {
+            // Maintain — don't overflow — the audit pool (§III-B:
+            // sampling replenishes what simulation consumes).
+            if st.audit.borrow().len() >= 2 * st.params.audit_target {
+                sim2.sleep(hetflow_sim::time::secs(30.0)).await;
+                continue;
             }
-        });
-    }
+            t.take_slot("sample").await;
+            // Ramp trajectory length with campaign progress.
+            let progress = (st.new_count.get() as f64 / st.params.target_new as f64).min(1.0);
+            let steps = (MD_STEPS_START as f64
+                + progress * (st.params.md_steps_end - MD_STEPS_START) as f64)
+                as usize;
+            let start = {
+                let audit = st.audit.borrow();
+                let pick = task_no as usize % audit.len().max(1);
+                audit.get(pick).cloned().unwrap_or_else(|| solvated_methane(task_no))
+            };
+            let ensemble = Rc::clone(&st.ensemble.borrow());
+            let duration = cal::finetune_sample_duration().sample(&mut rng1);
+            let md_rng = rng1.substream(5000 + task_no);
+            let compute = sample_task(start, ensemble, steps, duration, md_rng);
+            task_no += 1;
+            let payload = Payload::new((), cal::FINETUNE_SAMPLE_BYTES);
+            t.queues().submit("sample", vec![payload], compute).await;
+        }
+    });
 
-    // --- Agent: sample receiver -------------------------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let counter = counter.clone();
-        let score = score.clone();
-        thinker.agent("sample-receiver", async move {
-            loop {
-                let Some(done) = queues.get_result("sample").await else { break };
-                let resolved = done.resolve().await;
-                counter.release("sample", 1);
-                if resolved.is_shed() {
-                    state.shed.set(state.shed.get() + 1);
-                    continue;
-                }
-                if resolved.is_failed() {
-                    continue; // lost trajectory: free the slot, sample again
-                }
-                let frames = resolved.value::<Vec<Structure>>();
-                state.samples_done.set(state.samples_done.get() + 1);
-                {
-                    let mut audit = state.audit.borrow_mut();
-                    if let Some(last) = frames.last() {
-                        audit.push_back(last.clone());
-                        while audit.len() > 4 * state.params.audit_target {
-                            audit.pop_front();
-                        }
-                    }
-                }
-                state
-                    .fresh_samples
-                    .borrow_mut()
-                    .extend(frames.iter().cloned());
-                if state.fresh_samples.borrow().len() >= state.params.uncertainty_refresh
-                    && !state.inference_active.get()
-                {
-                    state.inference_active.set(true);
-                    score.set();
-                }
+    // --- Agent: sample results --------------------------------------------
+    // A lost trajectory only frees its slot: the sampler samples again.
+    let (st, ev) = (Rc::clone(&state), score.clone());
+    thinker.result_processor::<Vec<Structure>>("sample", move |frames| {
+        st.samples_done.set(st.samples_done.get() + 1);
+        if let Some(last) = frames.last() {
+            let mut audit = st.audit.borrow_mut();
+            audit.push_back(last.clone());
+            while audit.len() > 4 * st.params.audit_target {
+                audit.pop_front();
             }
-        });
-    }
+        }
+        st.fresh_samples.borrow_mut().extend(frames.iter().cloned());
+        if st.fresh_samples.borrow().len() >= st.params.uncertainty_refresh
+            && !st.inference_active.get()
+        {
+            st.inference_active.set(true);
+            ev.set();
+        }
+    });
 
     // --- Agent: uncertainty scorer (inference) -----------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let score2 = score.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let mut rng = rng.substream(2);
-        thinker.agent("uncertainty-scorer", async move {
-            loop {
-                score2.wait().await;
-                score2.clear();
-                if thinker2.is_done() {
-                    break;
-                }
-                let batch: Vec<Structure> =
-                    state.fresh_samples.borrow_mut().drain(..).collect();
-                if batch.is_empty() {
-                    state.inference_active.set(false);
-                    continue;
-                }
-                let batch = Rc::new(batch);
-                let ensemble = Rc::clone(&state.ensemble.borrow());
-                let n = ensemble.len();
-                let round = Rc::new(InferRound {
-                    batch: Rc::clone(&batch),
-                    ensemble,
-                    scores: OnceCell::new(),
-                });
-                for member in 0..n {
-                    let duration = cal::finetune_infer_duration().sample(&mut rng);
-                    let compute = infer_task(Rc::clone(&round), member, duration);
-                    queues
-                        .submit(
-                            "infer",
-                            vec![Payload::new((), cal::FINETUNE_INFER_BYTES)],
-                            compute,
-                        )
-                        .await;
-                }
-                let mut all: Vec<Rc<Vec<f64>>> = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let Some(done) = queues.get_result("infer").await else { return };
-                    let resolved = done.resolve().await;
-                    if resolved.is_shed() {
-                        state.shed.set(state.shed.get() + 1);
-                        continue;
-                    }
-                    if resolved.is_failed() {
-                        continue; // member's scores lost for this round
-                    }
-                    all.push(resolved.value::<Vec<f64>>());
-                }
-                if all.is_empty() {
-                    state.inference_active.set(false);
-                    continue;
-                }
-                // Variance across the surviving members, per structure;
-                // highest first.
-                let k = all.len() as f64;
-                let m = batch.len();
-                let mut vars: Vec<f64> = Vec::with_capacity(m);
-                for i in 0..m {
-                    let mean: f64 = all.iter().map(|v| v[i]).sum::<f64>() / k;
-                    let var: f64 =
-                        all.iter().map(|v| (v[i] - mean).powi(2)).sum::<f64>() / k;
-                    vars.push(var);
-                }
-                let order = hetflow_ml::rank_by_uncertainty(&vars, m);
-                *state.uncertain.borrow_mut() =
-                    order.into_iter().map(|i| batch[i].clone()).collect();
-                state.inference_active.set(false);
+    let (t, st, mut rng2) = (Rc::clone(&thinker), Rc::clone(&state), rng.substream(2));
+    thinker.event_responder(&score, async move || {
+        let batch: Vec<Structure> = st.fresh_samples.borrow_mut().drain(..).collect();
+        if batch.is_empty() {
+            st.inference_active.set(false);
+            return Some(());
+        }
+        let batch = Rc::new(batch);
+        let ensemble = Rc::clone(&st.ensemble.borrow());
+        let n = ensemble.len();
+        let round =
+            Rc::new(InferRound { batch: Rc::clone(&batch), ensemble, scores: OnceCell::new() });
+        for member in 0..n {
+            let duration = cal::finetune_infer_duration().sample(&mut rng2);
+            let compute = infer_task(Rc::clone(&round), member, duration);
+            let payload = Payload::new((), cal::FINETUNE_INFER_BYTES);
+            t.queues().submit("infer", vec![payload], compute).await;
+        }
+        // A lost member's scores drop out of this round.
+        let mut all: Vec<Rc<Vec<f64>>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            all.extend(t.next_value::<Vec<f64>>("infer").await?);
+        }
+        if !all.is_empty() {
+            // Variance across the surviving members, per structure;
+            // highest first.
+            let k = all.len() as f64;
+            let m = batch.len();
+            let mut vars: Vec<f64> = Vec::with_capacity(m);
+            for i in 0..m {
+                let mean: f64 = all.iter().map(|v| v[i]).sum::<f64>() / k;
+                let var: f64 = all.iter().map(|v| (v[i] - mean).powi(2)).sum::<f64>() / k;
+                vars.push(var);
             }
-        });
-    }
+            let order = hetflow_ml::rank_by_uncertainty(&vars, m);
+            *st.uncertain.borrow_mut() = order.into_iter().map(|i| batch[i].clone()).collect();
+        }
+        st.inference_active.set(false);
+        Some(())
+    });
 
     // --- Agent: simulation dispatcher --------------------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let counter = counter.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let mut rng = rng.substream(3);
-        thinker.agent("simulation-dispatcher", async move {
-            loop {
-                if state.new_count.get() >= state.params.target_new {
-                    thinker2.finish();
-                    break;
-                }
-                let permit = counter.acquire("simulate").await;
-                permit.forget();
-                // Alternate between the audit and uncertainty pools.
-                let use_audit = state.alternate.get();
-                state.alternate.set(!use_audit);
-                let structure = if use_audit {
-                    state.audit.borrow_mut().pop_front()
-                } else {
-                    state.uncertain.borrow_mut().pop_front()
-                };
-                let structure = structure
-                    .or_else(|| state.audit.borrow_mut().pop_front())
-                    .unwrap_or_else(|| solvated_methane(rng.below(1000) as u64));
-                let duration = cal::finetune_simulate_duration().sample(&mut rng);
-                let compute = simulate_task(structure, duration);
-                queues
-                    .submit("simulate", vec![Payload::new((), 5_000)], compute)
-                    .await;
-            }
-        });
-    }
+    let (t, st, mut rng3) = (Rc::clone(&thinker), Rc::clone(&state), rng.substream(3));
+    thinker.agent(async move {
+        while st.new_count.get() < st.params.target_new {
+            t.take_slot("simulate").await;
+            // Alternate between the audit and uncertainty pools.
+            let use_audit = st.alternate.get();
+            st.alternate.set(!use_audit);
+            let structure = if use_audit {
+                st.audit.borrow_mut().pop_front()
+            } else {
+                st.uncertain.borrow_mut().pop_front()
+            };
+            let structure = structure
+                .or_else(|| st.audit.borrow_mut().pop_front())
+                .unwrap_or_else(|| solvated_methane(rng3.below(1000) as u64));
+            let duration = cal::finetune_simulate_duration().sample(&mut rng3);
+            let compute = simulate_task(structure, duration);
+            t.queues().submit("simulate", vec![Payload::new((), 5_000)], compute).await;
+        }
+        t.finish();
+    });
 
-    // --- Agent: simulation receiver -----------------------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let counter = counter.clone();
-        let retrain = retrain.clone();
-        thinker.agent("simulation-receiver", async move {
-            loop {
-                let Some(done) = queues.get_result("simulate").await else { break };
-                let resolved = done.resolve().await;
-                counter.release("simulate", 1);
-                if resolved.is_shed() {
-                    state.shed.set(state.shed.get() + 1);
-                    continue;
-                }
-                if resolved.is_failed() {
-                    continue; // no label produced: the structure is lost
-                }
-                let labelled = resolved.value::<LabelledStructure>();
-                state
-                    .reference_data
-                    .borrow_mut()
-                    .push(Rc::new(DesignBlock::new(&labelled, &state.pretrain.basis)));
-                state.new_count.set(state.new_count.get() + 1);
-                state.since_retrain.set(state.since_retrain.get() + 1);
-                if state.since_retrain.get() >= state.params.retrain_every
-                    && !state.training_active.get()
-                {
-                    state.since_retrain.set(0);
-                    state.training_active.set(true);
-                    retrain.set();
-                }
-            }
-        });
-    }
+    // --- Agent: simulation results -------------------------------------------
+    // A lost task produced no label: its structure is lost.
+    let (st, ev) = (Rc::clone(&state), retrain.clone());
+    thinker.result_processor::<LabelledStructure>("simulate", move |labelled| {
+        let block = DesignBlock::new(&labelled, &st.pretrain.basis);
+        st.reference_data.borrow_mut().push(Rc::new(block));
+        st.new_count.set(st.new_count.get() + 1);
+        st.since_retrain.set(st.since_retrain.get() + 1);
+        if st.since_retrain.get() >= st.params.retrain_every && !st.training_active.get() {
+            st.since_retrain.set(0);
+            st.training_active.set(true);
+            ev.set();
+        }
+    });
 
     // --- Agent: trainer -------------------------------------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let retrain2 = retrain.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let mut rng = rng.substream(4);
-        thinker.agent("trainer", async move {
-            loop {
-                retrain2.wait().await;
-                retrain2.clear();
-                if thinker2.is_done() {
-                    break;
-                }
-                let reference = Rc::new(state.reference_data.borrow().clone());
-                let n = state.params.ensemble_size;
-                for member in 0..n {
-                    let duration = cal::finetune_train_duration().sample(&mut rng);
-                    let member_rng = rng.substream(9000 + member as u64);
-                    let compute = train_task(
-                        Rc::clone(&state.pretrain),
-                        Rc::clone(&reference),
-                        member_rng,
-                        duration,
-                    );
-                    queues
-                        .submit("train", vec![Payload::new((), cal::FINETUNE_TRAIN_BYTES)], compute)
-                        .await;
-                }
-                let mut members = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let Some(done) = queues.get_result("train").await else { return };
-                    let resolved = done.resolve().await;
-                    if resolved.is_shed() {
-                        state.shed.set(state.shed.get() + 1);
-                        continue;
-                    }
-                    if resolved.is_failed() {
-                        continue; // train member lost; the round shrinks
-                    }
-                    members.push((*resolved.value::<PairPotential>()).clone());
-                }
-                if !members.is_empty() {
-                    // A fully failed round keeps the previous ensemble.
-                    *state.ensemble.borrow_mut() = Rc::new(Ensemble::from_members(members));
-                    state.rounds.set(state.rounds.get() + 1);
-                }
-                state.training_active.set(false);
-            }
-        });
-    }
+    let (t, st, mut rng4) = (Rc::clone(&thinker), Rc::clone(&state), rng.substream(4));
+    thinker.event_responder(&retrain, async move || {
+        let reference = Rc::new(st.reference_data.borrow().clone());
+        let n = st.params.ensemble_size;
+        for member in 0..n {
+            let duration = cal::finetune_train_duration().sample(&mut rng4);
+            let member_rng = rng4.substream(9000 + member as u64);
+            let compute =
+                train_task(Rc::clone(&st.pretrain), Rc::clone(&reference), member_rng, duration);
+            let payload = Payload::new((), cal::FINETUNE_TRAIN_BYTES);
+            t.queues().submit("train", vec![payload], compute).await;
+        }
+        // A lost member shrinks the round; a fully lost round keeps the
+        // previous ensemble.
+        let mut members = Vec::with_capacity(n);
+        for _ in 0..n {
+            members.extend(t.next_value::<PairPotential>("train").await?.map(|m| (*m).clone()));
+        }
+        if !members.is_empty() {
+            *st.ensemble.borrow_mut() = Rc::new(Ensemble::from_members(members));
+            st.rounds.set(st.rounds.get() + 1);
+        }
+        st.training_active.set(false);
+        Some(())
+    });
 
     // --- Agent: worker balancer (audit pool homeostasis) --------------------
-    {
-        let state = Rc::clone(&state);
-        let counter = counter.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let sim2 = sim.clone();
-        thinker.agent("balancer", async move {
-            loop {
-                sim2.sleep(hetflow_sim::time::secs(120.0)).await;
-                if thinker2.is_done() {
-                    break;
-                }
-                let audit_len = state.audit.borrow().len();
-                let target = state.params.audit_target;
-                if audit_len < target / 2 && counter.available("simulate") > 0 {
-                    counter.reallocate("simulate", "sample", 1).await;
-                } else if audit_len > 2 * target && counter.available("sample") > 0 {
-                    counter.reallocate("sample", "simulate", 1).await;
-                }
+    let (t, st, sim2) = (Rc::clone(&thinker), Rc::clone(&state), sim.clone());
+    thinker.agent(async move {
+        loop {
+            sim2.sleep(hetflow_sim::time::secs(120.0)).await;
+            if t.is_done() {
+                break;
             }
-        });
-    }
+            let (audit_len, target) = (st.audit.borrow().len(), st.params.audit_target);
+            let slots = t.slots();
+            if audit_len < target / 2 && slots.available("simulate") > 0 {
+                slots.reallocate("simulate", "sample").await;
+            } else if audit_len > 2 * target && slots.available("sample") > 0 {
+                slots.reallocate("sample", "simulate").await;
+            }
+        }
+    });
 
     sim.run();
 
@@ -599,8 +466,9 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
         initial_force_rmsd: initial_rmsd,
         training_rounds: state.rounds.get(),
         sampling_tasks: state.samples_done.get(),
-        shed: state.shed.get(),
-        records: queues.records(),
+        shed: thinker.shed(),
+        failed: thinker.failed(),
+        records: deployment.queues.records(),
         end: sim.now(),
     }
 }

@@ -154,10 +154,6 @@ struct State {
     node_time: Cell<f64>,
     /// Molecules found above threshold.
     found: Cell<usize>,
-    /// Failed tasks observed (any topic).
-    failed: Cell<usize>,
-    /// Shed tasks observed (any topic).
-    shed: Cell<usize>,
     found_curve: RefCell<Vec<(f64, usize)>>,
     ml_makespans: RefCell<Samples>,
     /// Rounds whose ranking reached the queue.
@@ -170,8 +166,7 @@ struct State {
 pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDesignOutcome {
     let lib = Rc::new(MoleculeLibrary::generate(params.library_size, params.seed));
     let rng = SimRng::stream(params.seed, "moldesign");
-    let queues = deployment.queues.clone();
-    let thinker = Thinker::new(sim);
+    let thinker = Thinker::new(sim, &deployment.queues);
 
     // Initial queue: random order (no model yet).
     let mut initial: Vec<usize> = (0..params.library_size).collect();
@@ -187,247 +182,153 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         training_active: Cell::new(false),
         node_time: Cell::new(0.0),
         found: Cell::new(0),
-        failed: Cell::new(0),
-        shed: Cell::new(0),
         found_curve: RefCell::new(vec![(0.0, 0)]),
         ml_makespans: RefCell::new(Samples::new()),
         steered_rounds: Cell::new(0),
         params: params.clone(),
     });
 
-    let slots = hetflow_sim::Semaphore::new(deployment.cpu_pool.workers() + params.backlog);
+    thinker.slots().register("simulate", deployment.cpu_pool.workers() + params.backlog);
     let retrain = hetflow_sim::Event::new();
 
     // --- Agent: simulation dispatcher -----------------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let slots = slots.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let mut rng = rng.substream(1);
-        thinker.agent("simulation-dispatcher", async move {
-            loop {
-                if state.node_time.get() >= state.params.budget.as_secs_f64() {
-                    thinker2.finish();
-                    break;
-                }
-                let permit = slots.acquire().await;
-                permit.forget(); // released by the receiver
-                let id = {
-                    let mut queue = state.queue.borrow_mut();
-                    let dispatched = state.dispatched.borrow();
-                    loop {
-                        let Some(id) = queue.pop() else { break None };
-                        if !dispatched.contains(&id) {
-                            break Some(id);
-                        }
+    let (t, st, mut rng1) = (Rc::clone(&thinker), Rc::clone(&state), rng.substream(1));
+    thinker.agent(async move {
+        // The budget test comes before the slot wait, not after it: the
+        // order decides which simulation is the last one launched.
+        while st.node_time.get() < st.params.budget.as_secs_f64() {
+            t.take_slot("simulate").await;
+            let id = {
+                let mut queue = st.queue.borrow_mut();
+                let dispatched = st.dispatched.borrow();
+                loop {
+                    let Some(id) = queue.pop() else { break None };
+                    if !dispatched.contains(&id) {
+                        break Some(id);
                     }
-                };
-                let Some(id) = id else {
-                    // Candidate queue exhausted before the budget: end
-                    // the campaign explicitly rather than going quiet.
-                    thinker2.finish();
-                    break;
-                };
-                state.dispatched.borrow_mut().insert(id);
-                let duration = cal::moldesign_simulate_duration().sample(&mut rng);
-                let compute = simulate_task(Rc::clone(&state.lib), id, duration);
-                queues
-                    .submit(
-                        "simulate",
-                        vec![Payload::new(id, cal::MOLDESIGN_SIM_BYTES / 100)],
-                        compute,
-                    )
-                    .await;
-            }
-        });
-    }
+                }
+            };
+            // An exhausted candidate queue ends the campaign explicitly
+            // rather than going quiet.
+            let Some(id) = id else { break };
+            st.dispatched.borrow_mut().insert(id);
+            let duration = cal::moldesign_simulate_duration().sample(&mut rng1);
+            let compute = simulate_task(Rc::clone(&st.lib), id, duration);
+            let payload = Payload::new(id, cal::MOLDESIGN_SIM_BYTES / 100);
+            t.queues().submit("simulate", vec![payload], compute).await;
+        }
+        t.finish();
+    });
 
-    // --- Agent: simulation receiver --------------------------------------
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let slots = slots.clone();
-        let retrain = retrain.clone();
-        thinker.agent("simulation-receiver", async move {
-            loop {
-                let Some(done) = queues.get_result("simulate").await else { break };
-                let resolved = done.resolve().await;
-                slots.add_permits(1);
-                if resolved.is_shed() {
-                    // Overload protection dropped the task before it
-                    // ran: count it and move on.
-                    state.shed.set(state.shed.get() + 1);
-                    continue;
-                }
-                if resolved.is_failed() {
-                    // The candidate is lost for this campaign: free the
-                    // worker slot and keep steering on what did finish.
-                    state.failed.set(state.failed.get() + 1);
-                    continue;
-                }
-                let (id, ip, node_secs) = *resolved.value::<(usize, f64, f64)>();
-                state.node_time.set(state.node_time.get() + node_secs);
-                state.database.borrow_mut().push((id, ip));
-                if ip > IP_THRESHOLD {
-                    state.found.set(state.found.get() + 1);
-                }
-                state
-                    .found_curve
-                    .borrow_mut()
-                    .push((state.node_time.get(), state.found.get()));
-                state.since_retrain.set(state.since_retrain.get() + 1);
-                if state.params.steering == SteeringMode::ActiveLearning
-                    && state.since_retrain.get() >= state.params.retrain_after
-                    && !state.training_active.get()
-                {
-                    state.since_retrain.set(0);
-                    state.training_active.set(true);
-                    retrain.set();
-                }
-            }
-        });
-    }
+    // --- Agent: simulation results ----------------------------------------
+    let (st, ev) = (Rc::clone(&state), retrain.clone());
+    thinker.result_processor::<(usize, f64, f64)>("simulate", move |result| {
+        let (id, ip, node_secs) = *result;
+        st.node_time.set(st.node_time.get() + node_secs);
+        st.database.borrow_mut().push((id, ip));
+        if ip > IP_THRESHOLD {
+            st.found.set(st.found.get() + 1);
+        }
+        st.found_curve.borrow_mut().push((st.node_time.get(), st.found.get()));
+        st.since_retrain.set(st.since_retrain.get() + 1);
+        if st.params.steering == SteeringMode::ActiveLearning
+            && st.since_retrain.get() >= st.params.retrain_after
+            && !st.training_active.get()
+        {
+            st.since_retrain.set(0);
+            st.training_active.set(true);
+            ev.set();
+        }
+    });
 
     // --- Agent: ML pipeline (train ensemble → infer → reorder queue) ----
-    {
-        let state = Rc::clone(&state);
-        let queues = queues.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let retrain2 = retrain.clone();
-        let sim2 = sim.clone();
-        let mut rng = rng.substream(2);
-        thinker.agent("ml-pipeline", async move {
-            loop {
-                retrain2.wait().await;
-                retrain2.clear();
-                if thinker2.is_done() {
-                    break;
-                }
-                let round_started = sim2.now();
-                // One copy per round, shared by every closure and payload.
-                let database = Rc::new(state.database.borrow().clone());
-                if database.len() < 8 {
-                    state.training_active.set(false);
-                    continue;
-                }
+    let (t, st, sim2, mut rng2) =
+        (Rc::clone(&thinker), Rc::clone(&state), sim.clone(), rng.substream(2));
+    thinker.event_responder(&retrain, async move || {
+        let round_started = sim2.now();
+        // One copy per round, shared by every closure and payload.
+        let database = Rc::new(st.database.borrow().clone());
+        if database.len() < 8 {
+            st.training_active.set(false);
+            return Some(());
+        }
+        let queues = t.queues();
 
-                // Train the ensemble: one GPU task per member; the model
-                // is actually fitted inside the task.
-                let n = state.params.ensemble_size;
-                for member in 0..n {
-                    let duration = cal::moldesign_train_duration().sample(&mut rng);
-                    let compute = train_task(
-                        Rc::clone(&state.lib),
-                        Rc::clone(&database),
-                        rng.substream(1000 + member as u64),
-                        duration,
-                    );
-                    let payload = Payload::shared(database.clone(), train_payload(&database));
-                    queues.submit("train", vec![payload], compute).await;
-                }
-                // The molecule batch is shared by every inference task
-                // of the round: proxy it once so later tasks hit the
-                // already-transferred copy (the ahead-of-time caching
-                // behind §V-D3's sub-100 ms resolves). The per-model
-                // weights payload stays per-task.
-                let shared_batch = match queues.store_for("infer") {
-                    Some(store) => {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "every deployment wires the infer store to the thinker's \
-                                      site, so `Unreachable` here is a wiring bug, not a \
-                                      runtime fault"
-                        )]
-                        let key = store
-                            .put_raw(
-                                Rc::new(()),
-                                cal::MOLDESIGN_INFER_BATCH_BYTES,
-                                queues.thinker_site(),
-                            )
-                            .await
-                            .expect("shared batch put");
-                        Some(hetflow_store::UntypedProxy::new(
-                            store,
-                            key,
-                            cal::MOLDESIGN_INFER_BATCH_BYTES,
-                        ))
-                    }
-                    None => None,
-                };
-                // As each model finishes, immediately launch its
-                // inference task (§V-D3: inference begins after the
-                // *first* model completes training). A failed member
-                // shrinks this round's ensemble instead of aborting it.
-                let mut launched = 0usize;
-                for _ in 0..n {
-                    let Some(done) = queues.get_result("train").await else { return };
-                    let resolved = done.resolve().await;
-                    if resolved.is_shed() {
-                        state.shed.set(state.shed.get() + 1);
-                        continue;
-                    }
-                    if resolved.is_failed() {
-                        state.failed.set(state.failed.get() + 1);
-                        continue;
-                    }
-                    let model: Rc<RffRidge> = resolved.value::<RffRidge>();
-                    let duration = cal::moldesign_infer_duration().sample(&mut rng);
-                    let compute = infer_task(Rc::clone(&state.lib), model, duration);
-                    let mut payloads = vec![Payload::new((), cal::MOLDESIGN_INFER_WEIGHTS_BYTES)];
-                    match &shared_batch {
-                        Some(proxy) => payloads.push(Payload::proxied(proxy.clone())),
-                        None => {
-                            payloads.push(Payload::new((), cal::MOLDESIGN_INFER_BATCH_BYTES))
-                        }
-                    }
-                    queues.submit("infer", payloads, compute).await;
-                    launched += 1;
-                }
-                // Gather the score sets and reorder the queue by UCB,
-                // unless the budget ran out meanwhile: then nothing pops
-                // the queue again, and the scores are never computed.
-                let mut score_sets: Vec<Rc<Scores>> = Vec::with_capacity(launched);
-                for _ in 0..launched {
-                    let Some(done) = queues.get_result("infer").await else { return };
-                    let resolved = done.resolve().await;
-                    if resolved.is_shed() {
-                        state.shed.set(state.shed.get() + 1);
-                        continue;
-                    }
-                    if resolved.is_failed() {
-                        state.failed.set(state.failed.get() + 1);
-                        continue;
-                    }
-                    score_sets.push(resolved.value::<Scores>());
-                }
-                if !score_sets.is_empty() && !thinker2.is_done() {
-                    reorder_queue(&state, &score_sets);
-                    state.steered_rounds.set(state.steered_rounds.get() + 1);
-                }
-                state
-                    .ml_makespans
-                    .borrow_mut()
-                    .record((sim2.now() - round_started).as_secs_f64());
-                state.training_active.set(false);
+        // Train the ensemble: one GPU task per member; the model is
+        // actually fitted inside the task.
+        let n = st.params.ensemble_size;
+        for member in 0..n {
+            let duration = cal::moldesign_train_duration().sample(&mut rng2);
+            let member_rng = rng2.substream(1000 + member as u64);
+            let compute = train_task(Rc::clone(&st.lib), Rc::clone(&database), member_rng, duration);
+            let payload = Payload::shared(database.clone(), train_payload(&database));
+            queues.submit("train", vec![payload], compute).await;
+        }
+        // The molecule batch is shared by every inference task of the
+        // round: proxy it once so later tasks hit the already-transferred
+        // copy (the ahead-of-time caching behind §V-D3's sub-100 ms
+        // resolves). The per-model weights payload stays per-task.
+        let shared_batch = match queues.store_for("infer") {
+            Some(store) => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every deployment wires the infer store to the thinker's site, so \
+                              `Unreachable` here is a wiring bug, not a runtime fault"
+                )]
+                let key = store
+                    .put_raw(Rc::new(()), cal::MOLDESIGN_INFER_BATCH_BYTES, queues.thinker_site())
+                    .await
+                    .expect("shared batch put");
+                Some(hetflow_store::UntypedProxy::new(store, key, cal::MOLDESIGN_INFER_BATCH_BYTES))
             }
-        });
-    }
+            None => None,
+        };
+        // As each model finishes, immediately launch its inference task
+        // (§V-D3: inference begins after the *first* model completes
+        // training). A lost member shrinks this round's ensemble instead
+        // of aborting it.
+        let mut launched = 0usize;
+        for _ in 0..n {
+            let Some(model) = t.next_value::<RffRidge>("train").await? else { continue };
+            let duration = cal::moldesign_infer_duration().sample(&mut rng2);
+            let compute = infer_task(Rc::clone(&st.lib), model, duration);
+            let mut payloads = vec![Payload::new((), cal::MOLDESIGN_INFER_WEIGHTS_BYTES)];
+            payloads.push(match &shared_batch {
+                Some(proxy) => Payload::proxied(proxy.clone()),
+                None => Payload::new((), cal::MOLDESIGN_INFER_BATCH_BYTES),
+            });
+            queues.submit("infer", payloads, compute).await;
+            launched += 1;
+        }
+        // Gather the score sets and reorder the queue by UCB, unless the
+        // budget ran out meanwhile: then nothing pops the queue again,
+        // and the scores are never computed.
+        let mut score_sets: Vec<Rc<Scores>> = Vec::with_capacity(launched);
+        for _ in 0..launched {
+            score_sets.extend(t.next_value::<Scores>("infer").await?);
+        }
+        if !score_sets.is_empty() && !t.is_done() {
+            reorder_queue(&st, &score_sets);
+            st.steered_rounds.set(st.steered_rounds.get() + 1);
+        }
+        st.ml_makespans.borrow_mut().record((sim2.now() - round_started).as_secs_f64());
+        st.training_active.set(false);
+        Some(())
+    });
 
     // Drive the simulation until the campaign quiesces.
     sim.run();
 
-    let records = queues.records();
     let outcome = MolDesignOutcome {
         found: state.found.get(),
         simulations: state.database.borrow().len(),
-        failed: state.failed.get(),
-        shed: state.shed.get(),
+        failed: thinker.failed(),
+        shed: thinker.shed(),
         found_curve: state.found_curve.borrow().clone(),
         ml_makespans: state.ml_makespans.borrow().clone(),
         steered_rounds: state.steered_rounds.get(),
         cpu_idle: deployment.cpu_pool.idle_gaps(),
-        records,
+        records: deployment.queues.records(),
         end: sim.now(),
     };
     outcome

@@ -129,7 +129,6 @@ struct Waiter {
     granted: std::cell::Cell<bool>,
     cancelled: std::cell::Cell<bool>,
     waker: RefCell<Option<Waker>>,
-    count: usize,
 }
 
 struct SemState {
@@ -139,16 +138,15 @@ struct SemState {
 
 impl SemState {
     /// Hands available permits to waiters at the queue head, preserving
-    /// FIFO order (a large request at the head blocks smaller ones behind
-    /// it, preventing starvation).
+    /// FIFO order.
     fn grant(&mut self) {
         while let Some(front) = self.waiters.front() {
             if front.cancelled.get() {
                 self.waiters.pop_front();
                 continue;
             }
-            if self.permits >= front.count {
-                self.permits -= front.count;
+            if self.permits >= 1 {
+                self.permits -= 1;
                 #[expect(
                     clippy::expect_used,
                     reason = "the loop condition just matched `front()`, so the queue cannot be \
@@ -183,12 +181,7 @@ impl Semaphore {
 
     /// Awaits one permit.
     pub fn acquire(&self) -> Acquire {
-        self.acquire_many(1)
-    }
-
-    /// Awaits `count` permits, granted atomically.
-    pub fn acquire_many(&self, count: usize) -> Acquire {
-        Acquire { sem: self.clone(), count, waiter: None, taken: false }
+        Acquire { sem: self.clone(), waiter: None, taken: false }
     }
 
     /// Takes a permit only if one is immediately available.
@@ -214,12 +207,6 @@ impl Semaphore {
     pub fn available(&self) -> usize {
         self.state.borrow().permits
     }
-
-    fn release(&self, count: usize) {
-        let mut s = self.state.borrow_mut();
-        s.permits += count;
-        s.grant();
-    }
 }
 
 /// RAII permit; releases on drop.
@@ -239,15 +226,14 @@ impl Permit {
 impl Drop for Permit {
     fn drop(&mut self) {
         if self.count > 0 {
-            self.sem.release(self.count);
+            self.sem.add_permits(self.count);
         }
     }
 }
 
-/// Future returned by [`Semaphore::acquire_many`].
+/// Future returned by [`Semaphore::acquire`].
 pub struct Acquire {
     sem: Semaphore,
-    count: usize,
     waiter: Option<Rc<Waiter>>,
     taken: bool,
 }
@@ -258,23 +244,22 @@ impl Future for Acquire {
         if let Some(waiter) = &self.waiter {
             if waiter.granted.get() {
                 self.taken = true;
-                return Poll::Ready(Permit { sem: self.sem.clone(), count: self.count });
+                return Poll::Ready(Permit { sem: self.sem.clone(), count: 1 });
             }
             *waiter.waker.borrow_mut() = Some(cx.waker().clone());
             return Poll::Pending;
         }
         let mut s = self.sem.state.borrow_mut();
-        if s.waiters.is_empty() && s.permits >= self.count {
-            s.permits -= self.count;
+        if s.waiters.is_empty() && s.permits >= 1 {
+            s.permits -= 1;
             drop(s);
             self.taken = true;
-            return Poll::Ready(Permit { sem: self.sem.clone(), count: self.count });
+            return Poll::Ready(Permit { sem: self.sem.clone(), count: 1 });
         }
         let waiter = Rc::new(Waiter {
             granted: std::cell::Cell::new(false),
             cancelled: std::cell::Cell::new(false),
             waker: RefCell::new(Some(cx.waker().clone())),
-            count: self.count,
         });
         s.waiters.push_back(Rc::clone(&waiter));
         drop(s);
@@ -289,8 +274,8 @@ impl Drop for Acquire {
             if waiter.granted.get() {
                 if !self.taken {
                     // Granted but never observed (future dropped in a
-                    // race): return the permits.
-                    self.sem.release(self.count);
+                    // race): return the permit.
+                    self.sem.add_permits(1);
                 }
             } else {
                 waiter.cancelled.set(true);
@@ -443,22 +428,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(order.borrow().as_slice(), &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn acquire_many_atomic() {
-        let sim = Sim::new();
-        let sem = Semaphore::new(4);
-        let s = sim.clone();
-        let sem2 = sem.clone();
-        let h = sim.spawn(async move {
-            let p = sem2.acquire_many(3).await;
-            assert_eq!(sem2.available(), 1);
-            s.sleep(secs(1.0)).await;
-            drop(p);
-            sem2.available()
-        });
-        assert_eq!(sim.block_on(h), 4);
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! counter.register("sample", 2);
 //! let c = counter.clone();
 //! let h = sim.spawn(async move {
-//!     // Shift two workers from simulation to sampling, as the
+//!     // Shift a worker from simulation to sampling, as the
 //!     // fine-tuning thinker's balancer does.
-//!     c.reallocate("simulate", "sample", 2).await;
+//!     c.reallocate("simulate", "sample").await;
 //!     (c.available("simulate"), c.available("sample"))
 //! });
-//! assert_eq!(sim.block_on(h), (4, 4));
+//! assert_eq!(sim.block_on(h), (5, 3));
 //! ```
 
 pub mod advisor;

@@ -465,7 +465,7 @@ impl TaskServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hetflow_fabric::{
         EndpointSpec, FnXExecutor, FnXParams, TaskWork, WorkerPoolConfig,
@@ -489,7 +489,8 @@ mod tests {
         )
     }
 
-    fn pipeline(policy: ProxyPolicy) -> (Sim, ClientQueues) {
+    /// A two-worker FnX pipeline serving the `noop` and `echo` topics.
+    pub(crate) fn pipeline(policy: ProxyPolicy) -> (Sim, ClientQueues) {
         let sim = Sim::new();
         let (res_tx, res_rx) = channel();
         let fabric = FnXExecutor::new(

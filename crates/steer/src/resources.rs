@@ -72,24 +72,23 @@ impl ResourceCounter {
         self.pool(pool).registered.get()
     }
 
-    /// Returns `n` slots to `pool` without an RAII permit — used when
+    /// Returns one slot to `pool` without an RAII permit — used when
     /// acquisition and release happen in different agents (dispatcher
-    /// acquires, result receiver releases).
-    pub fn release(&self, pool: &str, n: usize) {
-        self.pool(pool).sem.add_permits(n);
+    /// acquires, result processor releases).
+    pub fn release(&self, pool: &str) {
+        self.pool(pool).sem.add_permits(1);
     }
 
-    /// Moves `n` slots from `from` to `to`, waiting until the source
-    /// slots are free (so busy workers finish their current task before
+    /// Moves one slot from `from` to `to`, waiting until a source slot
+    /// is free (so a busy worker finishes its current task before
     /// switching pools).
-    pub async fn reallocate(&self, from: &str, to: &str, n: usize) {
+    pub async fn reallocate(&self, from: &str, to: &str) {
         let src = self.pool(from);
         let dst = self.pool(to);
-        let permit = src.sem.acquire_many(n).await;
-        permit.forget();
-        src.registered.set(src.registered.get() - n);
-        dst.sem.add_permits(n);
-        dst.registered.set(dst.registered.get() + n);
+        src.sem.acquire().await.forget();
+        src.registered.set(src.registered.get() - 1);
+        dst.sem.add_permits(1);
+        dst.registered.set(dst.registered.get() + 1);
     }
 }
 
@@ -137,7 +136,9 @@ mod tests {
         rc.register("sample", 0);
         let rc2 = rc.clone();
         let h = sim.spawn(async move {
-            rc2.reallocate("simulate", "sample", 3).await;
+            for _ in 0..3 {
+                rc2.reallocate("simulate", "sample").await;
+            }
             (rc2.available("simulate"), rc2.available("sample"))
         });
         assert_eq!(sim.block_on(h), (1, 3));
@@ -164,7 +165,7 @@ mod tests {
         let s = sim.clone();
         let h = sim.spawn(async move {
             s.sleep(secs(0.1)).await;
-            rc2.reallocate("simulate", "sample", 1).await;
+            rc2.reallocate("simulate", "sample").await;
             s.now()
         });
         assert_eq!(sim.block_on(h), SimTime::from_secs(5));

@@ -1,7 +1,6 @@
 //! Building a custom steering policy from the primitives: a Thinker
-//! with three cooperating agents, a ResourceCounter that rebalances
-//! workers at runtime, and the §V-F advisor analyzing the run
-//! afterwards.
+//! with three cooperating agents, its slot pools rebalancing workers
+//! at runtime, and the §V-F advisor analyzing the run afterwards.
 //!
 //! The policy: a producer agent keeps a work queue filled; a consumer
 //! agent runs "screen" tasks on CPU workers; a monitor agent watches
@@ -19,7 +18,7 @@
 )]
 
 use hetflow::prelude::*;
-use hetflow::steer::{Advisor, ResourceCounter};
+use hetflow::steer::Advisor;
 use hetflow_core::platform::THETA;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -35,49 +34,37 @@ fn main() {
         Tracer::disabled(),
     );
     let queues = deployment.queues.clone();
-    let thinker = Thinker::new(&sim);
+    let thinker = Thinker::new(&sim, &queues);
 
-    let counter = ResourceCounter::new();
-    counter.register("screen", 4);
-    counter.register("refine", 2);
+    thinker.slots().register("screen", 4);
+    thinker.slots().register("refine", 2);
     let work: Rc<RefCell<VecDeque<u32>>> = Rc::default();
     let screened = Rc::new(std::cell::Cell::new(0u32));
     let refined = Rc::new(std::cell::Cell::new(0u32));
 
     // Producer: trickle work items in for the first hour.
-    {
-        let work = Rc::clone(&work);
-        let s = sim.clone();
-        thinker.agent("producer", async move {
-            for batch in 0..60u32 {
-                s.sleep(hetflow::sim::time::secs(60.0)).await;
-                for i in 0..4 {
-                    work.borrow_mut().push_back(batch * 4 + i);
-                }
+    let (w, s) = (Rc::clone(&work), sim.clone());
+    thinker.agent(async move {
+        for batch in 0..60u32 {
+            s.sleep(hetflow::sim::time::secs(60.0)).await;
+            for i in 0..4 {
+                w.borrow_mut().push_back(batch * 4 + i);
             }
-        });
-    }
+        }
+    });
 
     // Screener: cheap wide tasks; every 8th hit goes to refinement.
-    {
-        let work = Rc::clone(&work);
-        let q = queues.clone();
-        let counter = counter.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let s = sim.clone();
-        let screened = Rc::clone(&screened);
-        let refined = Rc::clone(&refined);
-        thinker.agent("screener", async move {
-            loop {
-                if thinker2.is_done() {
-                    break;
-                }
-                let Some(item) = work.borrow_mut().pop_front() else {
-                    s.sleep(hetflow::sim::time::secs(10.0)).await;
-                    continue;
-                };
-                let permit = counter.acquire("screen").await;
-                q.submit(
+    let (t, w, s) = (Rc::clone(&thinker), Rc::clone(&work), sim.clone());
+    let (screened2, refined2) = (Rc::clone(&screened), Rc::clone(&refined));
+    thinker.agent(async move {
+        while !t.is_done() {
+            let Some(item) = w.borrow_mut().pop_front() else {
+                s.sleep(hetflow::sim::time::secs(10.0)).await;
+                continue;
+            };
+            let permit = t.slots().acquire("screen").await;
+            t.queues()
+                .submit(
                     "simulate",
                     vec![Payload::new(item, 200_000)],
                     Rc::new(|ctx| {
@@ -86,53 +73,50 @@ fn main() {
                     }),
                 )
                 .await;
-                let done = q.get_result("simulate").await.unwrap().resolve().await;
-                drop(permit);
-                screened.set(screened.get() + 1);
-                if *done.value::<bool>() {
-                    // Promote to an expensive refinement on the GPU.
-                    let rp = counter.acquire("refine").await;
-                    q.submit(
+            // `None` for a shed or failed screen: the item is dropped.
+            let hit = t.next_value::<bool>("simulate").await.unwrap();
+            drop(permit);
+            screened2.set(screened2.get() + 1);
+            if hit.is_some_and(|hit| *hit) {
+                // Promote to an expensive refinement on the GPU.
+                let rp = t.slots().acquire("refine").await;
+                t.queues()
+                    .submit(
                         "train",
                         vec![Payload::new(item, 21_000_000)],
                         Rc::new(|_| TaskWork::new((), 21_000_000, Duration::from_secs(240))),
                     )
                     .await;
-                    q.get_result("train").await.unwrap().resolve().await;
-                    drop(rp);
-                    refined.set(refined.get() + 1);
-                }
-                if screened.get() >= 120 {
-                    thinker2.finish();
-                }
+                t.next_value::<()>("train").await.unwrap();
+                drop(rp);
+                refined2.set(refined2.get() + 1);
             }
-        });
-    }
+            if screened2.get() >= 120 {
+                t.finish();
+            }
+        }
+    });
 
     // Monitor: rebalance worker slots by queue depth.
-    {
-        let work = Rc::clone(&work);
-        let counter = counter.clone();
-        let thinker2 = Rc::clone(&thinker);
-        let s = sim.clone();
-        thinker.agent("monitor", async move {
-            loop {
-                s.sleep(Duration::from_secs(60)).await;
-                if thinker2.is_done() {
-                    break;
-                }
-                let backlog = work.borrow().len();
-                // Never drain the refine pool completely: the screener
-                // still needs one slot to promote hits.
-                if backlog > 12 && counter.available("refine") > 0 && counter.registered("refine") > 1 {
-                    counter.reallocate("refine", "screen", 1).await;
-                    println!("[{}] backlog {backlog}: +1 screen slot", s.now());
-                } else if backlog == 0 && counter.available("screen") > 2 {
-                    counter.reallocate("screen", "refine", 1).await;
-                }
+    let (t, w, s) = (Rc::clone(&thinker), Rc::clone(&work), sim.clone());
+    thinker.agent(async move {
+        loop {
+            s.sleep(Duration::from_secs(60)).await;
+            if t.is_done() {
+                break;
             }
-        });
-    }
+            let backlog = w.borrow().len();
+            let slots = t.slots();
+            // Never drain the refine pool completely: the screener
+            // still needs one slot to promote hits.
+            if backlog > 12 && slots.available("refine") > 0 && slots.registered("refine") > 1 {
+                slots.reallocate("refine", "screen").await;
+                println!("[{}] backlog {backlog}: +1 screen slot", s.now());
+            } else if backlog == 0 && slots.available("screen") > 2 {
+                slots.reallocate("screen", "refine").await;
+            }
+        }
+    });
 
     sim.run();
     println!(

@@ -3,7 +3,7 @@
 //! clients) are unavailable so tasks can be resumed when endpoints
 //! reconnect" — plus worker-level failure injection.
 
-use hetflow::apps::moldesign;
+use hetflow::apps::{finetune, moldesign};
 use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec, Connectivity, FailureModel};
 use hetflow::prelude::*;
 use hetflow::sim::{trace_kinds, Dist};
@@ -247,14 +247,10 @@ fn delivery_timeout_fails_tasks_stuck_behind_long_outage() {
     assert!(end < SimTime::from_secs(200), "timeouts should not wait out the outage: {end}");
 }
 
-#[test]
-fn chaotic_campaign_completes_without_panic() {
-    // The ISSUE acceptance scenario: failure injection (p=0.2, two
-    // attempts), a scheduled endpoint outage overlapping submission,
-    // and a delivery deadline — the full campaign runs to completion
-    // with failed tasks counted, not panicking.
-    let sim = Sim::new();
-    let spec = DeploymentSpec {
+/// Failure injection (p=0.2, two attempts), a scheduled endpoint outage
+/// overlapping submission, and a delivery deadline on `simulate`.
+fn chaotic_spec(sim: &Sim) -> DeploymentSpec {
+    DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
         failure: Some(FailureModel {
@@ -271,12 +267,19 @@ fn chaotic_campaign_completes_without_panic() {
             },
         ),
         cpu_connectivity: Connectivity::scheduled(
-            &sim,
+            sim,
             vec![(SimTime::from_secs(2), Duration::from_secs(600))],
         ),
         ..Default::default()
-    };
-    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
+    }
+}
+
+#[test]
+fn chaotic_campaign_completes_without_panic() {
+    // Under `chaotic_spec` the full campaign runs to completion with
+    // failed tasks counted, not panicking.
+    let sim = Sim::new();
+    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &chaotic_spec(&sim), Tracer::disabled());
     let o = moldesign::run(
         &sim,
         &d,
@@ -298,6 +301,32 @@ fn chaotic_campaign_completes_without_panic() {
         records.iter().all(|r| r.report.attempts >= 1 || r.timing.worker_started.is_none()),
         "every record either ran at least once or never reached a worker"
     );
+}
+
+#[test]
+fn chaotic_finetune_campaign_counts_its_failures() {
+    // The moldesign chaos scenario under the fine-tuning campaign: every
+    // failed task, of any topic, lands in the outcome's count.
+    let sim = Sim::new();
+    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &chaotic_spec(&sim), Tracer::disabled());
+    let o = finetune::run(
+        &sim,
+        &d,
+        FinetuneParams {
+            pretrain_structures: 60,
+            target_new: 16,
+            retrain_every: 4,
+            ensemble_size: 4,
+            audit_target: 4,
+            uncertainty_refresh: 6,
+            md_steps_end: 200,
+            ..Default::default()
+        },
+    );
+    assert!(o.new_structures >= 16, "campaign should still complete its target");
+    assert!(o.failed > 0, "chaos must surface as counted failures");
+    let b = Breakdown::of(&d.queues.records(), None);
+    assert_eq!(b.failed, o.failed, "lifecycle failed bin must match the app's count");
 }
 
 #[test]
