@@ -20,9 +20,15 @@
 //!
 //! A balancing agent shifts CPU workers between simulation and sampling
 //! to hold the audit pool near a target size, as in the paper.
+//!
+//! The campaign scores the ensemble before and after (Fig. 7a's force
+//! RMSD of the mean prediction) against the test set's reference forces,
+//! computed once. The pair potential is linear in its weights, so the
+//! mean prediction is that of one model, the members' mean
+//! ([`PairPotential::mean`]), and a score runs one force kernel.
 
 use hetflow_chem::{
-    pretraining_set, run_md, solvated_methane, EnergyModel, MdParams, MorsePes, Structure,
+    pretraining_set, run_md, solvated_methane, EnergyModel, MdParams, MorsePes, Structure, Vec3,
 };
 use hetflow_core::calibration::tasks as cal;
 use hetflow_core::Deployment;
@@ -131,23 +137,36 @@ pub fn test_set(seed: u64) -> Vec<Structure> {
 /// Mean force RMSD of an ensemble (mean prediction) over a test set,
 /// against the reference surface.
 pub fn ensemble_force_rmsd(ensemble: &Ensemble<PairPotential>, test: &[Structure]) -> f64 {
+    mean_model_rmsd(ensemble, test, &reference_forces(test))
+}
+
+/// The reference surface's forces on every atom of `test`, structure
+/// after structure, in one buffer.
+fn reference_forces(test: &[Structure]) -> Vec<Vec3> {
     let reference = MorsePes::reference();
+    test.iter().flat_map(|s| reference.energy_forces(s).1).collect()
+}
+
+/// [`ensemble_force_rmsd`] against reference forces computed once: the
+/// ensemble's mean prediction is that of its mean model
+/// ([`PairPotential::mean`]), so one force kernel scores it.
+#[expect(
+    clippy::expect_used,
+    reason = "every campaign fit clones the campaign's basis, so an ensemble's members share \
+              one; a mixed ensemble is a construction bug, not a runtime fault"
+)]
+fn mean_model_rmsd(ensemble: &Ensemble<PairPotential>, test: &[Structure], truth: &[Vec3]) -> f64 {
+    let mean = PairPotential::mean(ensemble.members()).expect("ensemble members share one basis");
+    let mut forces = Vec::new();
     let mut acc = 0.0;
-    let mut mean = Vec::new();
-    PairPotential::energy_forces_many(ensemble.members(), test, |s, _energies, forces| {
-        let (_, truth) = reference.energy_forces(s);
-        // Mean force over members, member by member.
-        mean.clear();
-        mean.resize(s.n_atoms(), [0.0f64; 3]);
-        for f in forces.chunks_exact(mean.len()) {
-            for (acc_f, f) in mean.iter_mut().zip(f) {
-                for k in 0..3 {
-                    acc_f[k] += f[k] / ensemble.len() as f64;
-                }
-            }
-        }
-        acc += force_rmsd(&truth, &mean);
-    });
+    let mut at = 0;
+    for s in test {
+        let n = s.n_atoms();
+        forces.resize(n, [0.0; 3]);
+        mean.forces_into(s, &mut forces);
+        acc += force_rmsd(&truth[at..at + n], &forces);
+        at += n;
+    }
     acc / test.len() as f64
 }
 
@@ -245,7 +264,8 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
     let pretrain = Rc::new(pretraining_blocks(&params));
     let initial = Rc::new(initial_ensemble_on(&pretrain, &params));
     let test = test_set(params.seed);
-    let initial_rmsd = ensemble_force_rmsd(&initial, &test);
+    let truth = reference_forces(&test);
+    let initial_rmsd = mean_model_rmsd(&initial, &test, &truth);
 
     // Seed the audit pool with perturbed starting structures.
     let seed_structures: VecDeque<Structure> = (0..params.audit_target)
@@ -459,7 +479,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: FinetuneParams) -> Finetu
 
     sim.run();
 
-    let final_rmsd = ensemble_force_rmsd(&state.ensemble.borrow(), &test);
+    let final_rmsd = mean_model_rmsd(&state.ensemble.borrow(), &test, &truth);
     FinetuneOutcome {
         new_structures: state.new_count.get(),
         final_force_rmsd: final_rmsd,

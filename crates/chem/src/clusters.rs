@@ -32,16 +32,7 @@ impl Structure {
     /// Iterates over all `i < j` pairs with their separation vector and
     /// distance: `(i, j, rij_vec, rij)`.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize, Vec3, f64)> + '_ {
-        let n = self.n_atoms();
-        (0..n).flat_map(move |i| {
-            (i + 1..n).map(move |j| {
-                let a = self.positions[i];
-                let b = self.positions[j];
-                let d = [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
-                let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-                (i, j, d, r)
-            })
-        })
+        Pairs { positions: &self.positions, i: 0, j: 1 }
     }
 
     /// Root-mean-square displacement from another structure with the
@@ -57,6 +48,38 @@ impl Structure {
             })
             .sum();
         (ss / self.n_atoms() as f64).sqrt()
+    }
+}
+
+/// [`Structure::pairs`]: a flat cursor over the `i < j` pairs, so each
+/// step is one branch the pair loops inline rather than a nested
+/// iterator's out-of-line `next`.
+struct Pairs<'a> {
+    positions: &'a [Vec3],
+    i: usize,
+    j: usize,
+}
+
+impl Iterator for Pairs<'_> {
+    type Item = (usize, usize, Vec3, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let n = self.positions.len();
+        if self.j == n {
+            self.i += 1;
+            self.j = self.i + 1;
+        }
+        if self.j >= n {
+            return None;
+        }
+        let (i, j) = (self.i, self.j);
+        self.j += 1;
+        let a = self.positions[i];
+        let b = self.positions[j];
+        let d = [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
+        let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+        Some((i, j, d, r))
     }
 }
 
@@ -144,6 +167,41 @@ mod tests {
             assert!((r - manual).abs() < 1e-12);
             let norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
             assert!((norm - r).abs() < 1e-12);
+        }
+    }
+
+    /// `Structure::pairs` as it stood as a `flat_map`: the order and
+    /// arithmetic the cursor must reproduce.
+    fn flat_map_pairs(s: &Structure) -> Vec<(usize, usize, Vec3, f64)> {
+        let n = s.n_atoms();
+        (0..n)
+            .flat_map(move |i| {
+                (i + 1..n).map(move |j| {
+                    let a = s.positions[i];
+                    let b = s.positions[j];
+                    let d = [a[0] - b[0], a[1] - b[1], a[2] - b[2]];
+                    let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+                    (i, j, d, r)
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pairs_bit_identical_to_flat_map_reference() {
+        let mut rng = SimRng::from_seed(8);
+        let bits = |p: &[(usize, usize, Vec3, f64)]| {
+            p.iter()
+                .map(|&(i, j, d, r)| (i, j, d.map(f64::to_bits), r.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for n in 2..=20 {
+            let s = jittered_cluster(n, 1.12, 0.45, &mut rng);
+            let mut pairs = s.pairs();
+            let got: Vec<_> = pairs.by_ref().collect();
+            assert_eq!(bits(&got), bits(&flat_map_pairs(&s)), "{n} atoms");
+            assert_eq!(got.len(), n * (n - 1) / 2);
+            assert!(pairs.next().is_none() && pairs.next().is_none(), "{n} atoms: stays done");
         }
     }
 

@@ -6,6 +6,11 @@
 //! temperature of a structure ... to 100K, then running molecular
 //! dynamics for a set number of timesteps", ramping 20 → 1000 steps as
 //! the model improves. Unit masses, reduced units, k_B = 1.
+//!
+//! A trajectory keeps the total energy only at its sampled frames, so
+//! only those steps ask the model for its energy; the rest take forces
+//! alone ([`EnergyModel::forces_into`]), bit-identical to the forces of
+//! a full evaluation.
 
 use crate::clusters::{Structure, Vec3};
 use crate::pes::EnergyModel;
@@ -89,6 +94,11 @@ pub(crate) fn kinetic_energy(v: &[Vec3]) -> f64 {
 }
 
 /// Runs velocity-Verlet MD from `start` on `model`.
+///
+/// The potential energy is read only at the frames kept, so only those
+/// steps call [`EnergyModel::energy_forces`]; every other step asks for
+/// [`EnergyModel::forces_into`] the one force buffer, whose bits are the
+/// same.
 pub fn run_md<M: EnergyModel>(
     model: &M,
     start: &Structure,
@@ -99,7 +109,7 @@ pub fn run_md<M: EnergyModel>(
     let n = start.n_atoms();
     let mut s = start.clone();
     let mut v = thermal_velocities(n, params.init_temp, rng);
-    let (mut pe, mut f) = model.energy_forces(&s);
+    let (pe, mut f) = model.energy_forces(&s);
     let mut frames = Vec::new();
     let mut energies = Vec::new();
     frames.push(s.clone());
@@ -114,15 +124,20 @@ pub fn run_md<M: EnergyModel>(
                 s.positions[i][k] += dt * v[i][k];
             }
         }
-        let (pe2, f2) = model.energy_forces(&s);
-        pe = pe2;
-        f = f2;
+        let kept_pe = if step % params.sample_every.max(1) == 0 || step == params.steps {
+            let pe;
+            (pe, f) = model.energy_forces(&s);
+            Some(pe)
+        } else {
+            model.forces_into(&s, &mut f);
+            None
+        };
         for i in 0..n {
             for k in 0..3 {
                 v[i][k] += 0.5 * dt * f[i][k];
             }
         }
-        if step % params.sample_every.max(1) == 0 || step == params.steps {
+        if let Some(pe) = kept_pe {
             frames.push(s.clone());
             energies.push(pe + kinetic_energy(&v));
         }
@@ -239,6 +254,63 @@ mod tests {
         // initial + steps 25, 50, 75, 100
         assert_eq!(traj.frames.len(), 5);
         assert_eq!(traj.total_energy.len(), 5);
+    }
+
+    /// `run_md` as it stood when every step called `energy_forces`.
+    fn run_md_energy_every_step<M: EnergyModel>(
+        model: &M,
+        start: &Structure,
+        params: MdParams,
+        rng: &mut SimRng,
+    ) -> Trajectory {
+        let n = start.n_atoms();
+        let mut s = start.clone();
+        let mut v = thermal_velocities(n, params.init_temp, rng);
+        let (mut pe, mut f) = model.energy_forces(&s);
+        let mut frames = vec![s.clone()];
+        let mut energies = vec![pe + kinetic_energy(&v)];
+        let dt = params.dt;
+        for step in 1..=params.steps {
+            for i in 0..n {
+                for k in 0..3 {
+                    v[i][k] += 0.5 * dt * f[i][k];
+                    s.positions[i][k] += dt * v[i][k];
+                }
+            }
+            (pe, f) = model.energy_forces(&s);
+            for i in 0..n {
+                for k in 0..3 {
+                    v[i][k] += 0.5 * dt * f[i][k];
+                }
+            }
+            if step % params.sample_every.max(1) == 0 || step == params.steps {
+                frames.push(s.clone());
+                energies.push(pe + kinetic_energy(&v));
+            }
+        }
+        Trajectory { frames, total_energy: energies }
+    }
+
+    #[test]
+    fn forces_only_steps_bit_identical_to_energy_every_step() {
+        let bits = |t: &Trajectory| {
+            let frames = t.frames.iter().flat_map(|s| s.positions.as_flattened());
+            let energies = t.total_energy.iter();
+            let frames: Vec<u64> = frames.map(|x| x.to_bits()).collect();
+            (frames, energies.map(|e| e.to_bits()).collect::<Vec<_>>())
+        };
+        for pes in [MorsePes::approx(), MorsePes::reference()] {
+            let cases = [(1, 100, 25), (2, 37, 10), (3, 20, 1), (4, 50, 0), (5, 9, 40)];
+            for (seed, steps, sample_every) in cases {
+                let start = solvated_methane(seed);
+                let params = MdParams { dt: 0.005, steps, init_temp: 0.1, sample_every };
+                let rng = || SimRng::from_seed(seed);
+                let got = run_md(&pes, &start, params, &mut rng());
+                let want = run_md_energy_every_step(&pes, &start, params, &mut rng());
+                let case = format!("seed {seed}, {steps} steps every {sample_every}");
+                assert_eq!(bits(&got), bits(&want), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,13 @@ pub trait EnergyModel {
     fn energy(&self, s: &Structure) -> f64 {
         self.energy_forces(s).0
     }
+
+    /// The forces of [`EnergyModel::energy_forces`] into `forces`, one
+    /// per atom, overwriting it (default: copy them out). A model that
+    /// overrides it returns the same bits without summing the energy.
+    fn forces_into(&self, s: &Structure, forces: &mut [Vec3]) {
+        forces.copy_from_slice(&self.energy_forces(s).1);
+    }
 }
 
 /// One Morse term: `D (1 - exp(-a (r - r0)))^2 - D`.
@@ -99,10 +106,14 @@ impl MorsePes {
     }
 }
 
-impl EnergyModel for MorsePes {
-    fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
+impl MorsePes {
+    /// The one loop body of `energy_forces` and `forces_into`: overwrites
+    /// `forces` and returns the energy, summed only when `ENERGY` is set.
+    /// The forces never read the energy, so both get the same bits.
+    #[inline(always)]
+    fn accumulate<const ENERGY: bool>(&self, s: &Structure, forces: &mut [Vec3]) -> f64 {
         let mut energy = 0.0;
-        let mut forces = vec![[0.0; 3]; s.n_atoms()];
+        forces.fill([0.0; 3]);
         for (i, j, dvec, r) in s.pairs() {
             if r > self.cutoff {
                 continue;
@@ -111,11 +122,15 @@ impl EnergyModel for MorsePes {
             let mut de = 0.0;
             for t in &self.terms {
                 let (e_t, de_t) = t.energy_denergy(r);
-                e_pair += e_t;
+                if ENERGY {
+                    e_pair += e_t;
+                }
                 de += de_t;
             }
             // Shifted-force correction: continuous E and dE/dr at rc.
-            energy += e_pair - self.e_cut - (r - self.cutoff) * self.de_cut;
+            if ENERGY {
+                energy += e_pair - self.e_cut - (r - self.cutoff) * self.de_cut;
+            }
             de -= self.de_cut;
             // F_i = -dE/dr * (r_i - r_j)/r ; F_j = -F_i
             let scale = -de / r;
@@ -124,7 +139,18 @@ impl EnergyModel for MorsePes {
                 forces[j][k] -= scale * dvec[k];
             }
         }
-        (energy, forces)
+        energy
+    }
+}
+
+impl EnergyModel for MorsePes {
+    fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
+        let mut forces = vec![[0.0; 3]; s.n_atoms()];
+        (self.accumulate::<true>(s, &mut forces), forces)
+    }
+
+    fn forces_into(&self, s: &Structure, forces: &mut [Vec3]) {
+        self.accumulate::<false>(s, forces);
     }
 
     /// The energy of [`EnergyModel::energy_forces`], bit for bit, without
@@ -179,7 +205,9 @@ pub fn force_rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clusters::solvated_methane;
+    use crate::clusters::{jittered_cluster, solvated_methane};
+    use hetflow_sim::SimRng;
+    use proptest::prelude::*;
 
     #[test]
     fn morse_minimum_at_r0() {
@@ -231,6 +259,29 @@ mod tests {
                 assert_eq!(pes.energy(&s).to_bits(), e_ref.to_bits(), "energy, seed {seed}");
                 let bits = |f: &[Vec3]| f.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&f), bits(&f_ref), "seed {seed}");
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn forces_into_bit_identical_to_energy_forces(
+            seed in 0u64..2000,
+            atoms in 2usize..=20,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let mut s = jittered_cluster(atoms, 1.12, 0.45, &mut rng);
+            // The last atom moves out past the cutoff from the first.
+            s.positions[atoms - 1][0] += 3.5;
+            prop_assert!(s.pairs().any(|p| p.3 > 3.0));
+            for pes in [MorsePes::approx(), MorsePes::reference()] {
+                let (_, want) = pes.energy_forces(&s);
+                let mut got = vec![[f64::NAN; 3]; atoms];
+                pes.forces_into(&s, &mut got);
+                let bits = |f: &[Vec3]| -> Vec<u64> {
+                    f.as_flattened().iter().map(|x| x.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(&got), bits(&want));
             }
         }
     }

@@ -211,7 +211,7 @@ impl Matrix {
 
 /// `out[j] += a · b[j]`; a zero `a` leaves `out` untouched, bits included.
 #[inline(always)]
-fn add_scaled_row(out: &mut [f64], a: f64, b: &[f64]) {
+pub(crate) fn add_scaled_row(out: &mut [f64], a: f64, b: &[f64]) {
     if a != 0.0 {
         for (o, b) in out.iter_mut().zip(b) {
             *o += a * b;
@@ -224,7 +224,7 @@ fn add_scaled_row(out: &mut [f64], a: f64, b: &[f64]) {
 /// result is that of four single passes. A zero coefficient sends the
 /// quad down those, which keeps its skip exact.
 #[inline(always)]
-fn add_scaled_rows(out: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
+pub(crate) fn add_scaled_rows(out: &mut [f64], a: [f64; 4], b: [&[f64]; 4]) {
     if a.contains(&0.0) {
         for (a, b) in a.into_iter().zip(b) {
             add_scaled_row(out, a, b);

@@ -29,11 +29,21 @@
 //! fit core) sums those over the bag, weighted, and solves the `k × k`
 //! system: no stacked design matrix, and a block that many fits bag is
 //! multiplied out once. A campaign that refits on mostly unchanged data
-//! builds each block once and bags references. Every accumulator in the
-//! inference kernels sees its terms in pair-then-`k` order, so the
-//! many-member kernels are bit-identical to per-member calls.
+//! builds each block once and bags references. Rows go into the sums
+//! four per pass, each element still adding its rows in order, so the
+//! bits are those of one row per pass. Every accumulator in the
+//! inference kernels sees its terms in pair-then-`k` order, so
+//! [`PairPotential::energies_many`] is bit-identical to per-member calls,
+//! and `forces_into` to the forces of `energy_forces`.
+//!
+//! **The ensemble mean is a model.** Energies and forces are linear in
+//! the weights, so the mean of several members' predictions is the
+//! prediction of one model with their mean weights
+//! ([`PairPotential::mean`]) — exact up to the order of the sums, about
+//! 1e-14 relative. Scoring an ensemble's mean force (Fig. 7a's metric)
+//! runs one force kernel, not one per member.
 
-use crate::linalg::{LinalgError, Matrix};
+use crate::linalg::{add_scaled_row, add_scaled_rows, LinalgError, Matrix};
 use hetflow_chem::{EnergyModel, Structure, Vec3};
 
 /// Largest basis [`RadialBasis`] accepts: the size of the stack
@@ -205,18 +215,50 @@ impl DesignBlock {
         let (head, rhs) = values.split_at_mut(k + packed_len(k));
         let (row, upper) = head.split_at_mut(k);
         row.copy_from_slice(&erow[..k]);
-        // Each element sums its rows' products in row order.
-        for (f, &t) in frows.chunks_exact(k).zip(forces.iter().flatten()) {
+        // Each element sums its rows' products in row order: four rows
+        // per pass, then the `3n % 4` left over one at a time.
+        let targets = forces.as_flattened();
+        let quads = targets.len() / 4 * 4;
+        let (f4, f1) = frows.split_at(quads * k);
+        for (f, t) in f4.chunks_exact(4 * k).zip(targets.chunks_exact(4)) {
+            let f: [&[f64]; 4] = std::array::from_fn(|q| &f[q * k..][..k]);
+            let mut at = 0;
+            for i in 0..k {
+                add_scaled_rows(&mut upper[at..at + k - i], f.map(|f| f[i]), f.map(|f| &f[i..]));
+                at += k - i;
+            }
+            add_scaled_rows(rhs, [t[0], t[1], t[2], t[3]], f);
+        }
+        for (f, &t) in f1.chunks_exact(k).zip(&targets[quads..]) {
             let mut at = 0;
             for (i, &a) in f.iter().enumerate() {
-                for (g, &b) in upper[at..at + k - i].iter_mut().zip(&f[i..]) {
-                    *g += a * b;
-                }
+                add_scaled_row(&mut upper[at..at + k - i], a, &f[i..]);
                 at += k - i;
-                rhs[i] += a * t;
             }
+            add_scaled_row(rhs, t, f);
         }
         DesignBlock { dim: k, energy: ls.energy, values }
+    }
+}
+
+/// Adds energy rows' terms, `ew·e eᵀ` to `gram`'s upper triangle and
+/// `ew·t·e` to `rhs`, for each `(e, t)` in `rows`: four rows per pass
+/// when there are four, else one at a time. Each element adds its rows'
+/// products in row order either way.
+fn add_energy_rows(gram: &mut Matrix, rhs: &mut [f64], rows: &[(&[f64], f64)], ew: f64) {
+    if let &[r0, r1, r2, r3] = rows {
+        let e = [r0.0, r1.0, r2.0, r3.0];
+        for i in 0..rhs.len() {
+            add_scaled_rows(&mut gram.row_mut(i)[i..], e.map(|e| ew * e[i]), e.map(|e| &e[i..]));
+        }
+        add_scaled_rows(rhs, [r0.1, r1.1, r2.1, r3.1].map(|t| ew * t), e);
+        return;
+    }
+    for &(e, t) in rows {
+        for (i, &v) in e.iter().enumerate() {
+            add_scaled_row(&mut gram.row_mut(i)[i..], ew * v, &e[i..]);
+        }
+        add_scaled_row(rhs, ew * t, e);
     }
 }
 
@@ -279,17 +321,19 @@ impl PairPotential {
         // Only the upper triangle is summed: the factorization reads no
         // other.
         let mut gram = Matrix::zeros(k, k);
-        let mut rhs = Matrix::zeros(k, 1);
+        let mut rhs = vec![0.0; k];
+        // Energy rows wait here, up to four, and go in ahead of the next
+        // force block's terms, so each element keeps bag order.
+        let mut held: [(&[f64], f64); 4] = [(&[], 0.0); 4];
+        let mut n_held = 0;
         for b in blocks {
             assert_eq!(b.dim, k, "block/basis dimension mismatch");
             let (erow, normal) = b.values.split_at(k);
-            let te = ew * b.energy;
-            for (i, &e) in erow.iter().enumerate() {
-                let a = ew * e;
-                for (g, &e) in gram.row_mut(i)[i..].iter_mut().zip(&erow[i..]) {
-                    *g += a * e;
-                }
-                rhs[(i, 0)] += te * e;
+            held[n_held] = (erow, b.energy);
+            n_held += 1;
+            if n_held == 4 || !normal.is_empty() {
+                add_energy_rows(&mut gram, &mut rhs, &held[..n_held], ew);
+                n_held = 0;
             }
             if normal.is_empty() {
                 continue;
@@ -301,14 +345,15 @@ impl PairPotential {
                     *g += fw * v;
                 }
                 at += k - i;
-                rhs[(i, 0)] += fw * f;
+                rhs[i] += fw * f;
             }
         }
+        add_energy_rows(&mut gram, &mut rhs, &held[..n_held], ew);
         // No intercept: forces fix the gauge; an energy offset would be
         // unidentifiable from forces alone. The jitter keeps the factor
         // defined at lambda = 0, as `Ridge` does.
         gram.add_diag(params.lambda.max(1e-10));
-        let w = gram.cholesky()?.solve_matrix(rhs);
+        let w = gram.cholesky()?.solve_matrix(Matrix::from_vec(k, 1, rhs));
         let weights = (0..k).map(|i| w[(i, 0)]).collect();
         Ok(PairPotential { basis, weights })
     }
@@ -325,59 +370,24 @@ impl PairPotential {
         members.iter().all(|m| m.basis == *basis).then_some(basis)
     }
 
-    /// Every member's energy and forces on each structure, handed to
-    /// `visit(structure, energies, forces)` with `forces[m * n_atoms + i]`
-    /// the force of member `m` on atom `i`. Members sharing a basis (an
-    /// ensemble's do) share one basis evaluation per pair; each then runs
-    /// the loop body of [`EnergyModel::energy_forces`] on it, so every
-    /// value is bit-identical to calling that per member — which is what
-    /// a mixed-basis slice falls back to.
-    pub fn energy_forces_many(
-        members: &[PairPotential],
-        structures: &[Structure],
-        mut visit: impl FnMut(&Structure, &[f64], &[Vec3]),
-    ) {
-        let Some(basis) = PairPotential::shared_basis(members) else {
-            for s in structures {
-                let (energies, forces): (Vec<f64>, Vec<Vec<Vec3>>) =
-                    members.iter().map(|m| m.energy_forces(s)).unzip();
-                visit(s, &energies, &forces.concat());
-            }
-            return;
-        };
-        let k = basis.dim();
-        let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
-        let mut energies = vec![0.0; members.len()];
-        let mut forces: Vec<Vec3> = Vec::new();
-        for s in structures {
-            let n = s.n_atoms();
-            energies.fill(0.0);
-            forces.clear();
-            forces.resize(members.len() * n, [0.0; 3]);
-            for (i, j, dvec, r) in s.pairs() {
-                basis.eval(r, &mut phi, &mut dphi);
-                for (m, model) in members.iter().enumerate() {
-                    let (mut energy, mut de) = (energies[m], 0.0);
-                    for ((p, dp), wk) in phi[..k].iter().zip(&dphi[..k]).zip(&model.weights) {
-                        energy += p * wk;
-                        de += dp * wk;
-                    }
-                    energies[m] = energy;
-                    let scale = -de / r;
-                    let f = &mut forces[m * n..][..n];
-                    for alpha in 0..3 {
-                        f[i][alpha] += scale * dvec[alpha];
-                        f[j][alpha] -= scale * dvec[alpha];
-                    }
-                }
-            }
-            visit(s, &energies, &forces);
-        }
+    /// The model whose weights are the mean of `members`' weights, or
+    /// `None` unless there are members and they share one basis. The
+    /// model is linear in its weights, so its energy and forces are the
+    /// members' mean energy and forces up to the order of the sums: an
+    /// ensemble's mean prediction costs one model's.
+    pub fn mean(members: &[PairPotential]) -> Option<PairPotential> {
+        let basis = PairPotential::shared_basis(members)?;
+        let n = members.len() as f64;
+        let weights = (0..basis.dim())
+            .map(|k| members.iter().fold(0.0, |acc, m| acc + m.weights[k]) / n)
+            .collect();
+        Some(PairPotential { basis: basis.clone(), weights })
     }
 
-    /// `out[m][b]`, member `m`'s energy of `batch[b]`: the energy-only
-    /// sibling of [`PairPotential::energy_forces_many`], bit-identical to
-    /// [`EnergyModel::energy`] per member and structure.
+    /// `out[m][b]`, member `m`'s energy of `batch[b]`, from one basis
+    /// evaluation per pair when the members share a basis (an
+    /// ensemble's do): bit-identical to [`EnergyModel::energy`] per
+    /// member and structure.
     pub fn energies_many(members: &[PairPotential], batch: &[Structure]) -> Vec<Vec<f64>> {
         let Some(basis) = PairPotential::shared_basis(members) else {
             return members.iter().map(|m| batch.iter().map(|s| m.energy(s)).collect()).collect();
@@ -401,17 +411,23 @@ impl PairPotential {
     }
 }
 
-impl EnergyModel for PairPotential {
-    fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
+impl PairPotential {
+    /// The one loop body of `energy_forces` and `forces_into`: overwrites
+    /// `forces` and returns the energy, summed only when `ENERGY` is set.
+    /// The forces never read the energy, so both get the same bits.
+    #[inline(always)]
+    fn accumulate<const ENERGY: bool>(&self, s: &Structure, forces: &mut [Vec3]) -> f64 {
         let k = self.basis.dim();
         let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
         let mut energy = 0.0;
-        let mut forces = vec![[0.0; 3]; s.n_atoms()];
+        forces.fill([0.0; 3]);
         for (i, j, dvec, r) in s.pairs() {
             self.basis.eval(r, &mut phi, &mut dphi);
             let mut de = 0.0;
             for ((p, dp), wk) in phi[..k].iter().zip(&dphi[..k]).zip(&self.weights) {
-                energy += p * wk;
+                if ENERGY {
+                    energy += p * wk;
+                }
                 de += dp * wk;
             }
             let scale = -de / r;
@@ -420,7 +436,18 @@ impl EnergyModel for PairPotential {
                 forces[j][alpha] -= scale * dvec[alpha];
             }
         }
-        (energy, forces)
+        energy
+    }
+}
+
+impl EnergyModel for PairPotential {
+    fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
+        let mut forces = vec![[0.0; 3]; s.n_atoms()];
+        (self.accumulate::<true>(s, &mut forces), forces)
+    }
+
+    fn forces_into(&self, s: &Structure, forces: &mut [Vec3]) {
+        self.accumulate::<false>(s, forces);
     }
 
     fn energy(&self, s: &Structure) -> f64 {
@@ -452,9 +479,87 @@ mod tests {
     /// normal equations a block's fit must agree with. `energy_forces` is
     /// the two-pass energy/force kernel, values and derivatives in
     /// separate passes, now over `RadialBasis::eval`: what the kernels
-    /// must match bit for bit.
+    /// must match bit for bit. `block_values` and `fit_blocks` fold
+    /// one row per pass, as they stood before rows went in four at a
+    /// time: what blocks and fits must match bit for bit.
     mod reference {
         use super::*;
+
+        pub fn block_values(ls: &LabelledStructure, basis: &RadialBasis) -> Vec<f64> {
+            let k = basis.dim();
+            let Some(forces) = &ls.forces else {
+                return DesignBlock::new(ls, basis).values;
+            };
+            let n = ls.structure.n_atoms();
+            let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
+            let mut values = vec![0.0; k + packed_len(k) + k];
+            let mut frows = vec![0.0; 3 * n * k];
+            for (i, j, dvec, r) in ls.structure.pairs() {
+                basis.eval(r, &mut phi, &mut dphi);
+                for (e, p) in values[..k].iter_mut().zip(&phi) {
+                    *e += p;
+                }
+                for alpha in 0..3 {
+                    let u = dvec[alpha] / r;
+                    for (kk, dp) in dphi[..k].iter().enumerate() {
+                        let contrib = -dp * u;
+                        frows[(i * 3 + alpha) * k + kk] += contrib;
+                        frows[(j * 3 + alpha) * k + kk] -= contrib;
+                    }
+                }
+            }
+            let (head, rhs) = values.split_at_mut(k + packed_len(k));
+            let upper = &mut head[k..];
+            for (f, &t) in frows.chunks_exact(k).zip(forces.iter().flatten()) {
+                let mut at = 0;
+                for (i, &a) in f.iter().enumerate() {
+                    for (g, &b) in upper[at..at + k - i].iter_mut().zip(&f[i..]) {
+                        *g += a * b;
+                    }
+                    at += k - i;
+                    rhs[i] += a * t;
+                }
+            }
+            values
+        }
+
+        pub fn fit_blocks(
+            blocks: &[&DesignBlock],
+            basis: RadialBasis,
+            params: PairPotParams,
+        ) -> Result<PairPotential, LinalgError> {
+            let k = basis.dim();
+            let (ew, fw) = (params.energy_weight, params.force_weight);
+            let mut gram = Matrix::zeros(k, k);
+            let mut rhs = Matrix::zeros(k, 1);
+            for b in blocks {
+                let (erow, normal) = b.values.split_at(k);
+                let te = ew * b.energy;
+                for (i, &e) in erow.iter().enumerate() {
+                    let a = ew * e;
+                    for (g, &e) in gram.row_mut(i)[i..].iter_mut().zip(&erow[i..]) {
+                        *g += a * e;
+                    }
+                    rhs[(i, 0)] += te * e;
+                }
+                if normal.is_empty() {
+                    continue;
+                }
+                let (upper, ft) = normal.split_at(packed_len(k));
+                let mut at = 0;
+                for (i, &f) in ft.iter().enumerate() {
+                    for (g, &v) in gram.row_mut(i)[i..].iter_mut().zip(&upper[at..at + k - i]) {
+                        *g += fw * v;
+                    }
+                    at += k - i;
+                    rhs[(i, 0)] += fw * f;
+                }
+            }
+            gram.add_diag(params.lambda.max(1e-10));
+            let w = gram.cholesky()?.solve_matrix(rhs);
+            let weights = (0..k).map(|i| w[(i, 0)]).collect();
+            Ok(PairPotential { basis, weights })
+        }
 
         pub fn exp_values(b: &RadialBasis, r: f64, out: &mut [f64]) {
             for (o, &c) in out.iter_mut().zip(&b.centers) {
@@ -660,6 +765,53 @@ mod tests {
             prop_assert_eq!(e.to_bits(), e_ref.to_bits());
             prop_assert_eq!(bits(f.as_flattened()), bits(f_ref.as_flattened()));
             prop_assert_eq!(model.energy(&s).to_bits(), e.to_bits());
+            let mut f_only = vec![[f64::NAN; 3]; atoms];
+            model.forces_into(&s, &mut f_only);
+            prop_assert_eq!(bits(f_only.as_flattened()), bits(f.as_flattened()));
+        }
+
+        #[test]
+        fn four_row_folds_bit_identical_to_one_row_per_pass(
+            seed in 0u64..500,
+            n_force in 0usize..4,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let basis = RadialBasis::default_for_clusters();
+            let (approx, reference) = (MorsePes::approx(), MorsePes::reference());
+            // 2–20 atoms, so `3n % 4` takes every value.
+            let mut labelled = |pes: &MorsePes, with_forces| {
+                let s = jittered_cluster(2 + rng.below(19), 1.12, 0.45, &mut rng);
+                LabelledStructure::from_model(&s, pes, with_forces)
+            };
+            let energy_only: Vec<DesignBlock> =
+                (0..6).map(|_| DesignBlock::new(&labelled(&approx, false), &basis)).collect();
+            let mut with_forces = Vec::new();
+            for _ in 0..3 {
+                let ls = labelled(&reference, true);
+                let block = DesignBlock::new(&ls, &basis);
+                prop_assert_eq!(bits(&block.values), bits(&reference::block_values(&ls, &basis)));
+                with_forces.push(block);
+            }
+            // A shuffled bag: runs of 0–7 energy-only blocks around
+            // `n_force` force blocks, repeats allowed.
+            let mut bag: Vec<&DesignBlock> = Vec::new();
+            for f in 0..=n_force {
+                bag.extend((0..rng.below(8)).map(|_| &energy_only[rng.below(6)]));
+                if f < n_force {
+                    bag.push(&with_forces[rng.below(3)]);
+                }
+            }
+            if bag.is_empty() {
+                bag.push(&energy_only[0]);
+            }
+            let params = PairPotParams {
+                lambda: [1e-6, 1e-3][rng.below(2)],
+                energy_weight: 0.05 + 10.0 * rng.unit(),
+                force_weight: 0.05 + 10.0 * rng.unit(),
+            };
+            let got = PairPotential::fit_blocks(&bag, basis.clone(), params);
+            let want = reference::fit_blocks(&bag, basis, params);
+            prop_assert_eq!(got.map(|m| bits(&m.weights)), want.map(|m| bits(&m.weights)));
         }
     }
 
@@ -691,23 +843,6 @@ mod tests {
         }
     }
 
-    /// What the many-member kernels must return, from the per-member
-    /// calls they replace.
-    fn per_member(members: &[PairPotential], batch: &[Structure]) -> Vec<(Vec<u64>, Vec<u64>)> {
-        batch
-            .iter()
-            .map(|s| {
-                let ef: Vec<_> = members.iter().map(|m| m.energy_forces(s)).collect();
-                for (m, (e, _)) in members.iter().zip(&ef) {
-                    assert_eq!(m.energy(s).to_bits(), e.to_bits());
-                }
-                let energies: Vec<f64> = ef.iter().map(|(e, _)| *e).collect();
-                let forces: Vec<Vec3> = ef.into_iter().flat_map(|(_, f)| f).collect();
-                (bits(&energies), bits(forces.as_flattened()))
-            })
-            .collect()
-    }
-
     proptest! {
         #[test]
         fn many_member_kernels_bit_identical_to_per_member_calls(
@@ -717,13 +852,7 @@ mod tests {
             mixed in 0usize..4,
         ) {
             let mut rng = SimRng::from_seed(seed);
-            let mut members: Vec<PairPotential> = (0..n_members)
-                .map(|_| {
-                    let basis = RadialBasis::default_for_clusters();
-                    let weights = (0..basis.dim()).map(|_| rng.standard_normal()).collect();
-                    PairPotential { basis, weights }
-                })
-                .collect();
+            let mut members = random_members(n_members, &mut rng);
             if mixed == 0 {
                 // One member on another basis: no table serves them all.
                 let basis = RadialBasis::new(9, 0.5, 3.0, 0.25);
@@ -733,25 +862,68 @@ mod tests {
             }
             let shared = PairPotential::shared_basis(&members).is_some();
             prop_assert_eq!(shared, mixed != 0 || n_members == 1);
-            // Sizes vary within a batch, so the flat buffers get reused
-            // both larger and smaller than they last were.
+            prop_assert_eq!(PairPotential::mean(&members).is_some(), shared);
             let batch: Vec<Structure> = (0..n_structures)
                 .map(|_| jittered_cluster(2 + rng.below(11), 1.12, 0.45, &mut rng))
                 .collect();
-            let want = per_member(&members, &batch);
-            let mut got = Vec::new();
-            PairPotential::energy_forces_many(&members, &batch, |s, energies, forces| {
-                assert_eq!(forces.len(), members.len() * s.n_atoms());
-                got.push((bits(energies), bits(forces.as_flattened())));
-            });
-            prop_assert_eq!(&got, &want);
             let energies = PairPotential::energies_many(&members, &batch);
             prop_assert_eq!(energies.len(), members.len());
-            for (b, (want_e, _)) in want.iter().enumerate() {
-                let got_e: Vec<f64> = energies.iter().map(|of_member| of_member[b]).collect();
-                prop_assert_eq!(&bits(&got_e), want_e);
+            for (m, of_member) in members.iter().zip(&energies) {
+                let want: Vec<f64> = batch.iter().map(|s| m.energy(s)).collect();
+                prop_assert_eq!(bits(of_member), bits(&want));
             }
         }
+
+        #[test]
+        fn mean_model_forces_within_1e12_of_the_member_average(
+            seed in 0u64..2000,
+            n_members in 1usize..=8,
+            atoms in 2usize..=20,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let members = random_members(n_members, &mut rng);
+            let s = jittered_cluster(atoms, 1.12, 0.45, &mut rng);
+            let mean = PairPotential::mean(&members).unwrap();
+            let (_, got) = mean.energy_forces(&s);
+            let want = member_average_forces(&members, &s);
+            let (mut diff, mut scale) = (0.0f64, 0.0f64);
+            for (p, q) in got.as_flattened().iter().zip(want.as_flattened()) {
+                diff = diff.max((p - q).abs());
+                scale = scale.max(q.abs());
+            }
+            prop_assert!(diff <= 1e-12 * scale, "{} of {}", diff, scale);
+        }
+    }
+
+    /// `n` members on the default basis with standard-normal weights.
+    fn random_members(n: usize, rng: &mut SimRng) -> Vec<PairPotential> {
+        (0..n)
+            .map(|_| {
+                let basis = RadialBasis::default_for_clusters();
+                let weights = (0..basis.dim()).map(|_| rng.standard_normal()).collect();
+                PairPotential { basis, weights }
+            })
+            .collect()
+    }
+
+    /// The ensemble's mean force as Fig. 7a's score computed it before
+    /// the mean model: every member's forces, averaged member by member.
+    fn member_average_forces(members: &[PairPotential], s: &Structure) -> Vec<Vec3> {
+        let mut mean = vec![[0.0f64; 3]; s.n_atoms()];
+        for m in members {
+            let (_, f) = m.energy_forces(s);
+            for (acc_f, f) in mean.iter_mut().zip(&f) {
+                for k in 0..3 {
+                    acc_f[k] += f[k] / members.len() as f64;
+                }
+            }
+        }
+        mean
+    }
+
+    #[test]
+    fn no_mean_of_no_members() {
+        assert!(PairPotential::mean(&[]).is_none());
     }
 
     #[test]
