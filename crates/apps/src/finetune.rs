@@ -627,13 +627,14 @@ mod tests {
         // End times from the commit before design blocks were cached,
         // when every fit re-evaluated the basis for every bagged
         // structure: caching must not move a bit. RMSD bits are those
-        // of the basis recurrence and of fits from per-structure normal
-        // equations; `tests/campaign_outcomes.rs` holds their tolerance
-        // against one `exp` per centre and stacked design rows.
+        // of the basis recurrence, of fits from per-structure normal
+        // equations and of scoring the ensemble's mean model;
+        // `tests/campaign_outcomes.rs` holds their tolerance against one
+        // `exp` per centre, stacked design rows and per-member scores.
         let pins = [
-            (WorkflowConfig::Parsl, 2_108_461_698_753, 0x3FC5_E155_F918_45DD),
-            (WorkflowConfig::ParslRedis, 2_108_512_551_220, 0x3FC5_E155_F918_45DD),
-            (WorkflowConfig::FnXGlobus, 2_112_497_755_186, 0x3FC6_75EF_1225_4521),
+            (WorkflowConfig::Parsl, 2_108_461_698_753, 0x3FC5_E155_F918_44DB),
+            (WorkflowConfig::ParslRedis, 2_108_512_551_220, 0x3FC5_E155_F918_44DB),
+            (WorkflowConfig::FnXGlobus, 2_112_497_755_186, 0x3FC6_75EF_1225_452F),
         ];
         for (config, end_ns, rmsd_bits) in pins {
             let sim = Sim::new();
