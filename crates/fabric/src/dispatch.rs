@@ -21,6 +21,8 @@ use hetflow_sim::{
     Sleep, Symbol, SymbolMap, Tracer,
 };
 use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -78,6 +80,11 @@ impl Stub {
 /// when it falls due, the endpoint the task went to, and its stub.
 type Due = (SimTime, usize, Stub);
 
+/// A hedge check `(due, seq, task, topic, delay)` as the hedge actor's
+/// queue orders it: by due, then by `seq`, the order of the pushes, so
+/// checks that fall due together run in the order they were made.
+type Check = (SimTime, u64, TaskId, Symbol, Duration);
+
 struct Inner<T> {
     sim: Sim,
     transport: T,
@@ -91,8 +98,15 @@ struct Inner<T> {
     /// Per-topic round-trip deadline and its deadline actor's queue;
     /// only topics with a deadline are in the map.
     deadlines: SymbolMap<(Duration, Sender<Due>)>,
-    /// The hedge actor's checks `(task, topic, delay)`, if a topic hedges.
-    hedges: Sender<(TaskId, Symbol, Duration)>,
+    /// The hedge actor's checks, earliest due first (empty unless a
+    /// topic hedges), and the next `seq`.
+    checks: RefCell<BinaryHeap<Reverse<Check>>>,
+    check_seq: Cell<u64>,
+    /// When the hedge actor wakes next: the due it sleeps until, or
+    /// `None` while it has no check to sleep on.
+    alarm: Cell<Option<SimTime>>,
+    /// Wakes the hedge actor for a check due before its alarm.
+    hedges: Sender<()>,
     /// Chaos-engine handles: the transport's connections, the pools' dials.
     chaos: ChaosTargets,
     results: Sender<TaskResult>,
@@ -103,6 +117,42 @@ struct Inner<T> {
 }
 
 impl<T> Inner<T> {
+    /// The rule the deadline and hedge actors walk their queues by: an
+    /// entry whose task has settled is dropped without a wake, as long as
+    /// another entry is queued behind it. The last entry is always slept
+    /// on, so the run still ends at the last due.
+    fn passes(&self, id: TaskId, more_queued: bool) -> bool {
+        more_queued && !self.health.unsettled(id)
+    }
+
+    /// Queues a hedge check for `due` and wakes the hedge actor if the
+    /// check falls due before its alarm.
+    fn push_check(&self, due: SimTime, id: TaskId, topic: Symbol, delay: Duration) {
+        let seq = self.check_seq.get();
+        self.check_seq.set(seq + 1);
+        self.checks.borrow_mut().push(Reverse((due, seq, id, topic, delay)));
+        if self.alarm.get().is_none_or(|alarm| due < alarm) {
+            self.alarm.set(Some(due));
+            if self.hedges.send_now(()).is_err() {
+                // Only `Sim::teardown` drops the hedge actor: no check runs.
+                self.checks.borrow_mut().clear();
+            }
+        }
+    }
+
+    /// The due of the earliest hedge check, once every settled check
+    /// ahead of the last has been dropped.
+    fn next_check(&self) -> Option<SimTime> {
+        let mut checks = self.checks.borrow_mut();
+        while let Some(&Reverse((due, _, id, ..))) = checks.peek() {
+            if !self.passes(id, checks.len() > 1) {
+                return Some(due);
+            }
+            checks.pop();
+        }
+        None
+    }
+
     /// Hands a task's one terminal result to the client: every outcome
     /// (delivered, shed, timed out) leaves the fabric through here.
     fn finish(&self, result: TaskResult) {
@@ -249,7 +299,7 @@ impl<T: Transport> Dispatcher<T> {
         let transport = wire(Net { sim: sim.clone(), rng });
         // Deadlines are read off the policies before the layer takes them.
         let hedging = route.iter().any(|(topic, _)| policies.policy_for(topic).hedge.enabled());
-        let (hedges, checks) = channel();
+        let (hedges, notify) = channel();
         let (mut deadlines, mut due_queues) = (SymbolMap::new(), Vec::new());
         for (topic, _) in route.iter() {
             let policy = policies.policy_for(topic);
@@ -279,6 +329,9 @@ impl<T: Transport> Dispatcher<T> {
             retries,
             bounds,
             deadlines,
+            checks: RefCell::new(BinaryHeap::new()),
+            check_seq: Cell::new(0),
+            alarm: Cell::new(None),
             hedges,
             chaos,
             results,
@@ -301,19 +354,38 @@ impl<T: Transport> Dispatcher<T> {
             sim.spawn_detached(Self::expire_overdue(Rc::clone(&inner), dl, dues));
         }
         if hedging {
-            sim.spawn_detached(Self::hedge_stragglers(Rc::clone(&inner), checks));
+            sim.spawn_detached(Self::hedge_stragglers(Rc::clone(&inner), notify));
         }
         Dispatcher { inner }
     }
 
-    /// The hedge actor. A check, its own `send_at`, is due when its task's
-    /// hedge delay runs out; a straggler under budget gets a copy elsewhere
-    /// (first result wins) and is checked again after the same delay.
-    async fn hedge_stragglers(inner: Rc<Inner<T>>, checks: Receiver<(TaskId, Symbol, Duration)>) {
-        while let Some((id, topic, delay)) = checks.recv().await {
+    /// The hedge actor. It sleeps until its earliest check falls due,
+    /// walking past settled checks by [`Inner::passes`]; `push_check`
+    /// wakes it early for a check due before its alarm. A straggler under
+    /// budget gets a copy elsewhere (first result wins) and is checked
+    /// again after the same delay.
+    async fn hedge_stragglers(inner: Rc<Inner<T>>, notify: Receiver<()>) {
+        loop {
+            let Some(due) = inner.next_check() else {
+                inner.alarm.set(None);
+                if notify.recv().await.is_none() {
+                    return;
+                }
+                continue;
+            };
+            inner.alarm.set(Some(due));
+            let wait = due - inner.sim.now();
+            match inner.sim.timeout(wait, notify.recv()).await {
+                Ok(Some(())) => continue,
+                Ok(None) => return,
+                Err(_due) => {}
+            }
+            let Some(Reverse((_, _, id, topic, delay))) = inner.checks.borrow_mut().pop() else {
+                continue;
+            };
             let Some((spec, to)) = inner.health.try_hedge(id, topic) else { continue };
             Self::spawn_delivery(&inner, spec, to);
-            inner.hedges.send_at(&inner.sim, inner.sim.now() + delay, (id, topic, delay));
+            inner.push_check(inner.sim.now() + delay, id, topic, delay);
         }
     }
 
@@ -321,11 +393,15 @@ impl<T: Transport> Dispatcher<T> {
     /// settled `dl` after its dispatch fails here, and copies
     /// still in flight are cancelled as they surface. `dl` is fixed per
     /// topic and `after_cost` runs in clock order, so the dues arrive
-    /// sorted and the channel is the whole schedule. Every entry gets its
-    /// own wake, a finished task's included, so the run's timer fires
-    /// and its end time are those of one watchdog per task.
+    /// sorted and the channel is the whole schedule. The actor walks it
+    /// by [`Inner::passes`]: it sleeps only on an entry whose task is
+    /// still unsettled, or on the last one queued, so the run still ends
+    /// at the last due.
     async fn expire_overdue(inner: Rc<Inner<T>>, dl: Duration, dues: Receiver<Due>) {
         while let Some((due, endpoint, stub)) = dues.recv().await {
+            if inner.passes(stub.id, !dues.is_empty()) {
+                continue;
+            }
             inner.sim.sleep_until(due).await;
             if inner.health.expire(stub.id, stub.topic) {
                 inner.timeout_result(endpoint, stub, dl);
@@ -450,7 +526,7 @@ impl<T: Transport> AfterCost for Dispatcher<T> {
         };
         let topic = task.topic;
         if let Some(delay) = inner.health.hedge_delay(topic) {
-            inner.hedges.send_at(&inner.sim, inner.sim.now() + delay, (task.id, topic, delay));
+            inner.push_check(inner.sim.now() + delay, task.id, topic, delay);
         }
         // The round-trip deadline goes to the topic's deadline actor.
         if let Some((dl, dues)) = inner.deadlines.get(topic) {
@@ -533,8 +609,13 @@ mod tests {
 
     impl Ep {
         fn new(site: u16, stalled: bool) -> Ep {
-            let pool = WorkerPoolConfig::bare(SiteId(site), format!("ep{site}"), 1);
-            Ep { pool, stalled, topics: vec!["unit"] }
+            Ep { stalled, ..Ep::staffed(site, 1) }
+        }
+
+        /// A healthy endpoint with `workers` workers, serving `unit`.
+        fn staffed(site: u16, workers: usize) -> Ep {
+            let pool = WorkerPoolConfig::bare(SiteId(site), format!("ep{site}"), workers);
+            Ep { pool, stalled: false, topics: vec!["unit"] }
         }
 
         /// An endpoint with no worker, serving `topics`: every task gets
@@ -648,11 +729,23 @@ mod tests {
         where
             F: Future<Output = ()> + 'static,
         {
+            let (report, results) = self.run_report(script);
+            (report.end.as_secs_f64(), results)
+        }
+
+        /// [`Rig::run`], returning the executor's whole report.
+        fn run_report<F>(
+            &self,
+            script: impl FnOnce(Sim, Rc<dyn Fabric>) -> F,
+        ) -> (hetflow_sim::RunReport, Vec<TaskResult>)
+        where
+            F: Future<Output = ()> + 'static,
+        {
             self.sim.spawn_detached(script(self.sim.clone(), Rc::clone(&self.fabric)));
-            let end = self.sim.run().end.as_secs_f64();
+            let report = self.sim.run();
             let mut results = self.results.drain_now();
             results.sort_by_key(|r| r.id);
-            (end, results)
+            (report, results)
         }
 
         fn events(&self, kind: TraceKind) -> usize {
@@ -938,6 +1031,131 @@ mod tests {
             assert_eq!(traced.len(), 1, "{kind:?}");
             assert_eq!(traced[0].value, 0.0, "{kind:?}: in-flight read after the sleep");
             assert_eq!((rig.counts)(), (2, 2, 0), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn settled_tasks_cost_the_armed_path_no_wakes_but_the_first_and_last_dues() {
+        // Nine tasks, each handed off 3 s after the last has settled: the
+        // first gives the hedge its round trip, and every one settles
+        // within seconds, long before its hedge check (50x the round
+        // trip, after the last hand-off) and its 600 s deadline. Each
+        // actor sleeps on its first entry, queued alone, and on its last;
+        // every entry between was settled when its turn came. Waking for
+        // every entry would cost 17 fires, and skipping the last would
+        // end the run before the last deadline.
+        let deadline = Duration::from_secs(600);
+        let script = |handed: Rc<Cell<SimTime>>| {
+            move |sim: Sim, f: Rc<dyn Fabric>| async move {
+                for id in 0..9 {
+                    f.submit(work(id, 1_000, 1)).await;
+                    handed.set(sim.now());
+                    sim.sleep(Duration::from_secs(3)).await;
+                }
+            }
+        };
+        for kind in BOTH {
+            let eps = || vec![Ep::staffed(0, 2), Ep::staffed(1, 2)];
+            let bare = Rig::new(kind, eps(), ReliabilityPolicy::default());
+            let (unarmed, _) = bare.run_report(script(Rc::default()));
+
+            let hedge = HedgeConfig { quantile: 0.5, factor: 50.0, min_samples: 1 };
+            let policy = ReliabilityPolicy { hedge, deadline, ..Default::default() };
+            let rig = Rig::new(kind, eps(), policy);
+            let handed = Rc::new(Cell::new(SimTime::ZERO));
+            let (armed, results) = rig.run_report(script(Rc::clone(&handed)));
+            assert_eq!(ids(&results), (0..9).collect::<Vec<_>>(), "{kind:?}");
+            assert!(results.iter().all(|r| r.outcome == TaskOutcome::Success), "{kind:?}");
+            assert_eq!(rig.events(kinds::TASK_HEDGED), 0, "{kind:?}: nothing left to hedge");
+            assert_eq!(armed.end, handed.get() + deadline, "{kind:?}: the last deadline due");
+            assert!(
+                armed.timer_fires <= unarmed.timer_fires + 4,
+                "{kind:?}: {} fires armed, {} unarmed",
+                armed.timer_fires,
+                unarmed.timer_fires
+            );
+        }
+    }
+
+    #[test]
+    fn a_check_due_before_the_hedge_alarm_hedges_at_its_own_due() {
+        // Three 60 s round trips set the hedge delay near 60 s; task 3,
+        // a straggler, is checked at that delay, and the hedge actor
+        // sleeps until then. Seven 1 s round trips then drop the delay to
+        // about a second, so straggler 11's check falls due long before
+        // the actor's alarm: the push must wake the actor, and task 11
+        // is hedged at its own due, not at task 3's.
+        for kind in BOTH {
+            let hedge = HedgeConfig { quantile: 0.5, factor: 1.0, min_samples: 3 };
+            let policy = ReliabilityPolicy { hedge, ..Default::default() };
+            let rig = Rig::new(kind, vec![Ep::staffed(0, 16), Ep::staffed(1, 16)], policy);
+            let health = rig.health.clone();
+            let dues = Rc::new(RefCell::new(Vec::new()));
+            let log = Rc::clone(&dues);
+            let (_, results) = rig.run(|sim, f| async move {
+                for id in 0..3 {
+                    f.submit(work(id, 0, 60)).await;
+                }
+                sim.sleep(Duration::from_secs(80)).await;
+                for id in 3..12 {
+                    let straggler = id == 3 || id == 11;
+                    if id == 11 {
+                        sim.sleep(Duration::from_secs(5)).await;
+                    }
+                    f.submit(work(id, 0, if straggler { 200 } else { 1 })).await;
+                    if straggler {
+                        let delay = health.hedge_delay("unit").expect("three round trips seen");
+                        log.borrow_mut().push(sim.now() + delay);
+                    } else {
+                        sim.sleep(Duration::from_secs(2)).await;
+                    }
+                }
+            });
+            assert_eq!(ids(&results), (0..12).collect::<Vec<_>>(), "{kind:?}");
+            assert!(results.iter().all(|r| r.outcome == TaskOutcome::Success), "{kind:?}");
+            let (first, late) = (dues.borrow()[0], dues.borrow()[1]);
+            assert!(late + Duration::from_secs(20) < first, "{kind:?}: {late:?} vs {first:?}");
+            let hedged: Vec<_> = rig
+                .tracer
+                .events_of_kind(kinds::TASK_HEDGED)
+                .iter()
+                .map(|e| (e.entity, e.t))
+                .collect();
+            assert_eq!(hedged, [(11, late), (3, first)], "{kind:?}: each hedge at its own due");
+        }
+    }
+
+    #[test]
+    fn retained_requests_take_no_more_slots_than_tasks_ever_unsettled() {
+        // A re-issuing topic retains every admitted request until its
+        // task settles. Waves of one to four tasks, 1 000 in all: the
+        // slab must end at the peak unsettled count, reusing the slot of
+        // every settled task.
+        for kind in BOTH {
+            let policy = ReliabilityPolicy { max_reroutes: 1, ..Default::default() };
+            let rig = Rig::new(kind, vec![Ep::staffed(0, 4), Ep::staffed(1, 4)], policy);
+            let health = rig.health.clone();
+            let peak = Rc::new(Cell::new(0));
+            let seen = Rc::clone(&peak);
+            let (_, results) = rig.run(|sim, f| async move {
+                let mut next = 0;
+                for size in [1, 2, 3, 4].into_iter().cycle() {
+                    let end = (next + size).min(1_000);
+                    for id in next..end {
+                        f.submit(work(id, 100, 2)).await;
+                        seen.set(seen.get().max(health.outstanding().0));
+                    }
+                    next = end;
+                    if next == 1_000 {
+                        break;
+                    }
+                    sim.sleep(Duration::from_secs(10)).await;
+                }
+            });
+            assert_eq!(results.len(), 1_000, "{kind:?}");
+            assert_eq!(rig.health.outstanding(), (0, 0), "{kind:?}: everything settled");
+            assert_eq!(peak.get(), 4, "{kind:?}: the waves overlap no further");
+            assert_eq!(rig.health.retained_slots(), peak.get(), "{kind:?}: slots reused");
         }
     }
 

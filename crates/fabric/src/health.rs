@@ -300,12 +300,14 @@ impl RunningQuantile {
 }
 
 /// One admitted task that has not settled yet: how many of its copies
-/// are in flight, and what re-issuing one needs.
+/// are in flight, and where what re-issuing one needs is kept. 32 bytes,
+/// so the B-tree moves small entries on every insert and remove.
 struct Inflight {
-    /// The task's request, retained inline for hedge/reroute re-issue
-    /// (`None` when the topic's policy never re-issues). A copy gets an
-    /// envelope of its own only when it is actually issued.
-    spec: Option<Request>,
+    /// The task's slot in the registry's slab of retained requests, for
+    /// hedge/reroute re-issue (`None` when the topic's policy never
+    /// re-issues). A copy gets an envelope of its own only when it is
+    /// actually issued.
+    spec: Option<u32>,
     /// Copies currently somewhere between dispatch and result.
     live: u32,
     /// Speculative copies issued so far.
@@ -314,6 +316,64 @@ struct Inflight {
     reroutes: u32,
     /// When the task was first dispatched (round-trip baseline).
     dispatched: SimTime,
+}
+
+const _: () = assert!(std::mem::size_of::<Inflight>() <= 32);
+
+/// Admitted tasks that have not settled, and the requests retained for
+/// the ones whose topic may re-issue them.
+#[derive(Default)]
+struct Registry {
+    inflight: BTreeMap<TaskId, Inflight>,
+    retained: Retained,
+}
+
+impl Registry {
+    /// Removes task `id`'s entry and drops its retained request; `false`
+    /// when it had settled.
+    fn settle(&mut self, id: TaskId) -> bool {
+        let Some(entry) = self.inflight.remove(&id) else { return false };
+        if let Some(slot) = entry.spec {
+            self.retained.vacate(slot);
+        }
+        true
+    }
+}
+
+/// The slab of retained requests: a request sits in a slot from `admit`
+/// until its task settles, and the next admission reuses the slot, so
+/// the slab holds as many slots as the most tasks ever unsettled at once.
+#[derive(Default)]
+struct Retained {
+    /// A slot's request, or `None` and the next vacant slot: the vacant
+    /// list lives in the slots, so the slab is one buffer.
+    slots: Vec<(Option<Request>, Option<u32>)>,
+    /// The vacant slot the next request takes.
+    vacant: Option<u32>,
+}
+
+impl Retained {
+    fn put(&mut self, request: Request) -> u32 {
+        let Some(slot) = self.vacant else {
+            self.slots.push((Some(request), None));
+            return (self.slots.len() - 1) as u32;
+        };
+        let (held, next) = &mut self.slots[slot as usize];
+        *held = Some(request);
+        self.vacant = next.take();
+        slot
+    }
+
+    /// A fresh copy of the request in `slot`, in an envelope of its own.
+    fn copy(&self, slot: Option<u32>) -> Option<TaskSpec> {
+        let request = self.slots.get(slot? as usize)?.0.clone()?;
+        Some(TaskSpec::from(request))
+    }
+
+    fn vacate(&mut self, slot: u32) {
+        self.slots[slot as usize] = (None, self.vacant);
+        self.vacant = Some(slot);
+    }
 }
 
 /// What the fabric should do with a result arriving from an endpoint.
@@ -361,9 +421,10 @@ struct LayerInner {
     /// tree walk.
     route: SymbolMap<Vec<usize>>,
     endpoints: Vec<EndpointHealth>,
-    /// Admitted tasks that have not settled; an entry leaves when its
-    /// task settles.
-    inflight: RefCell<BTreeMap<TaskId, Inflight>>,
+    /// Admitted tasks that have not settled, and the requests retained
+    /// for their re-issue; an entry and its request leave when the task
+    /// settles.
+    registry: RefCell<Registry>,
     /// Token-bucket/in-flight admission: `admit` takes a slot, settling
     /// returns it.
     admission: AdmissionController,
@@ -422,7 +483,7 @@ impl ReliabilityLayer {
                 policies,
                 route,
                 endpoints,
-                inflight: RefCell::new(BTreeMap::new()),
+                registry: RefCell::new(Registry::default()),
                 admission,
                 rtt: RefCell::new(SymbolMap::new()),
                 wasted: Cell::new(0.0),
@@ -486,10 +547,11 @@ impl ReliabilityLayer {
             Some(&[primary, ..]) => primary,
             _ => panic!("no endpoint registered for topic {}", task.topic),
         };
-        let spec = if policy.needs_copy() { Some(Request::clone(task)) } else { None };
+        let mut reg = self.inner.registry.borrow_mut();
+        let spec = policy.needs_copy().then(|| reg.retained.put(Request::clone(task)));
         let dispatched = self.inner.sim.now();
         let entry = Inflight { spec, live: 1, hedges: 0, reroutes: 0, dispatched };
-        let unsettled = self.inner.inflight.borrow_mut().insert(task.id, entry);
+        let unsettled = reg.inflight.insert(task.id, entry);
         debug_assert!(unsettled.is_none(), "task {} admitted while its id is unsettled", task.id);
         Ok(endpoint)
     }
@@ -552,16 +614,17 @@ impl ReliabilityLayer {
     /// stuck behind a crash). Emits `task_hedged`.
     pub(crate) fn try_hedge(&self, id: TaskId, topic: impl Into<Symbol>) -> Option<(TaskSpec, usize)> {
         let candidates = self.inner.route.get(topic.into())?;
-        let mut reg = self.inner.inflight.borrow_mut();
-        let entry = reg.get_mut(&id)?;
+        let mut guard = self.inner.registry.borrow_mut();
+        let reg = &mut *guard;
+        let entry = reg.inflight.get_mut(&id)?;
         if entry.hedges >= MAX_HEDGES {
             return None;
         }
-        let spec = TaskSpec::from(entry.spec.clone()?);
+        let spec = reg.retained.copy(entry.spec)?;
         entry.hedges += 1;
         entry.live += 1;
         let copy = entry.hedges;
-        drop(reg);
+        drop(guard);
         let to = self.pick(id, candidates, candidates.first().copied());
         self.inner.hedged.set(self.inner.hedged.get() + 1);
         self.inner.tracer.emit(
@@ -593,8 +656,8 @@ impl ReliabilityLayer {
         let now = self.inner.sim.now();
         let policy = self.policy(topic);
         let cfg = &policy.breaker;
-        let mut reg = self.inner.inflight.borrow_mut();
-        let Some(entry) = reg.get_mut(&id) else {
+        let mut reg = self.inner.registry.borrow_mut();
+        let Some(entry) = reg.inflight.get_mut(&id) else {
             drop(reg);
             self.cancel(id, waste_secs);
             return Verdict::Suppress;
@@ -637,15 +700,15 @@ impl ReliabilityLayer {
         let policy = self.policy(topic);
         let candidates: &[usize] =
             self.inner.route.get(topic).map(Vec::as_slice).unwrap_or(&[]);
-        let mut reg = self.inner.inflight.borrow_mut();
-        let Some(entry) = reg.get_mut(&id) else { return TimeoutVerdict::Suppress };
+        let mut reg = self.inner.registry.borrow_mut();
+        let Some(entry) = reg.inflight.get_mut(&id) else { return TimeoutVerdict::Suppress };
         entry.live -= 1;
         let can_reroute = entry.reroutes < policy.max_reroutes && entry.spec.is_some();
         if can_reroute {
             entry.reroutes += 1;
             entry.live += 1;
-            let n = entry.reroutes;
-            let spec = entry.spec.clone().map(TaskSpec::from);
+            let (n, slot) = (entry.reroutes, entry.spec);
+            let spec = reg.retained.copy(slot);
             drop(reg);
             self.observe(endpoint, &policy.breaker, false, id);
             if let Some(spec) = spec {
@@ -681,11 +744,18 @@ impl ReliabilityLayer {
         self.settle(id, topic.into())
     }
 
+    /// True while task `id` is admitted and has not settled: the only
+    /// tasks a hedge check or a deadline can still act on.
+    pub(crate) fn unsettled(&self, id: TaskId) -> bool {
+        self.inner.registry.borrow().inflight.contains_key(&id)
+    }
+
     /// Settles task `id` of `topic` at its first terminal outcome: its
-    /// entry leaves the registry and its admission slot is returned, so
-    /// every later copy finds no entry. `false` when it had settled.
+    /// entry leaves the registry, its retained request is dropped and
+    /// its admission slot is returned, so every later copy finds no
+    /// entry. `false` when it had settled.
     fn settle(&self, id: TaskId, topic: Symbol) -> bool {
-        let settled = self.inner.inflight.borrow_mut().remove(&id).is_some();
+        let settled = self.inner.registry.borrow_mut().settle(id);
         if settled {
             self.inner.admission.release(topic);
         }
@@ -828,7 +898,14 @@ impl ReliabilityLayer {
     /// held across every topic: both 0 at quiescence.
     #[cfg(test)]
     pub(crate) fn outstanding(&self) -> (usize, usize) {
-        (self.inner.inflight.borrow().len(), self.inner.admission.held())
+        (self.inner.registry.borrow().inflight.len(), self.inner.admission.held())
+    }
+
+    /// Slots of the retained-request slab, occupied or vacant: the most
+    /// re-issuable tasks ever unsettled at once.
+    #[cfg(test)]
+    pub(crate) fn retained_slots(&self) -> usize {
+        self.inner.registry.borrow().retained.slots.len()
     }
 
     /// Seconds burned by cancelled losing copies.

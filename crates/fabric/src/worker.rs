@@ -282,7 +282,7 @@ fn spawn_worker(
 
                     // Result: proxy if the policy says so, else inline.
                     // A put error fails the task, not the process.
-                    output = match config.result_policy.decide(task.topic.as_str(), work.output_size) {
+                    output = match config.result_policy.decide(task.topic, work.output_size) {
                         Some(store) => {
                             match store.put_raw(work.output, work.output_size, config.site).await {
                                 Ok(key) => Arg::Proxied(hetflow_store::UntypedProxy::new(

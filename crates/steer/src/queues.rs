@@ -166,7 +166,7 @@ impl ClientQueues {
             match p.inner {
                 PayloadInner::Proxied(proxy) => args.push(Arg::Proxied(proxy)),
                 PayloadInner::Value { value, bytes } => {
-                    match shared.config.policy.decide(topic.as_str(), bytes) {
+                    match shared.config.policy.decide(topic, bytes) {
                         Some(store) if poisoned.is_none() => {
                             match store.put_raw(value, bytes, shared.config.thinker_site).await {
                                 Ok(key) => args.push(Arg::Proxied(UntypedProxy::new(

@@ -6,7 +6,7 @@
 //! [`ProxyPolicy`] is that mapping from task topic to (store, threshold).
 
 use crate::store::Store;
-use std::collections::BTreeMap;
+use hetflow_sim::{Symbol, SymbolMap};
 
 /// Per-topic proxying rule.
 #[derive(Clone)]
@@ -18,10 +18,12 @@ pub struct TopicRule {
     pub threshold: u64,
 }
 
-/// Maps task topics to proxy rules, with an optional default.
+/// Maps task topics to proxy rules, with an optional default. Keyed by
+/// interned [`Symbol`]: a per-task lookup is an array index, not a
+/// string-compare tree walk.
 #[derive(Clone, Default)]
 pub struct ProxyPolicy {
-    rules: BTreeMap<String, TopicRule>,
+    rules: SymbolMap<TopicRule>,
     default: Option<TopicRule>,
 }
 
@@ -33,23 +35,23 @@ impl ProxyPolicy {
 
     /// A policy applying one rule to every topic.
     pub fn uniform(store: Store, threshold: u64) -> Self {
-        ProxyPolicy { rules: BTreeMap::new(), default: Some(TopicRule { store, threshold }) }
+        ProxyPolicy { rules: SymbolMap::new(), default: Some(TopicRule { store, threshold }) }
     }
 
     /// Adds a topic-specific rule, overriding the default for that topic.
-    pub fn with_topic(mut self, topic: impl Into<String>, store: Store, threshold: u64) -> Self {
+    pub fn with_topic(mut self, topic: impl Into<Symbol>, store: Store, threshold: u64) -> Self {
         self.rules.insert(topic.into(), TopicRule { store, threshold });
         self
     }
 
     /// The rule applying to `topic`, if any.
-    pub fn rule_for(&self, topic: &str) -> Option<&TopicRule> {
-        self.rules.get(topic).or(self.default.as_ref())
+    pub fn rule_for(&self, topic: impl Into<Symbol>) -> Option<&TopicRule> {
+        self.rules.get(topic.into()).or(self.default.as_ref())
     }
 
     /// Decides whether an object of `size` bytes in `topic` should be
     /// proxied, and into which store.
-    pub fn decide(&self, topic: &str, size: u64) -> Option<&Store> {
+    pub fn decide(&self, topic: impl Into<Symbol>, size: u64) -> Option<&Store> {
         self.rule_for(topic)
             .filter(|r| size >= r.threshold)
             .map(|r| &r.store)
@@ -110,6 +112,24 @@ mod tests {
         // Other topics keep the default threshold.
         assert!(p.decide("simulate", 1).is_none());
         assert_eq!(p.decide("simulate", 20_000).unwrap().name(), "default");
+    }
+
+    #[test]
+    fn a_topic_symbol_and_its_string_pick_the_same_rule() {
+        let sim = Sim::new();
+        let p = ProxyPolicy::uniform(make_store(&sim, "default"), 10_000)
+            .with_topic("inference", make_store(&sim, "infer"), 0)
+            .with_topic(Symbol::intern("train"), make_store(&sim, "train"), 5);
+        for topic in ["inference", "train", "simulate"] {
+            let rule = |r: &TopicRule| (r.store.name().to_owned(), r.threshold);
+            let by_symbol = p.rule_for(Symbol::intern(topic)).map(rule);
+            let by_string = p.rule_for(topic).map(rule);
+            assert_eq!(by_symbol, by_string, "{topic}");
+            let (sym, string) = (p.decide(Symbol::intern(topic), 7), p.decide(topic, 7));
+            assert_eq!(sym.map(Store::name), string.map(Store::name), "{topic}");
+        }
+        assert_eq!(p.rule_for("train").map(|r| r.threshold), Some(5));
+        assert_eq!(p.rule_for(Symbol::intern("simulate")).map(|r| r.threshold), Some(10_000));
     }
 
     #[test]
