@@ -80,10 +80,10 @@ impl Stub {
 /// when it falls due, the endpoint the task went to, and its stub.
 type Due = (SimTime, usize, Stub);
 
-/// A hedge check `(due, seq, task, topic, delay)` as the hedge actor's
-/// queue orders it: by due, then by `seq`, the order of the pushes, so
-/// checks that fall due together run in the order they were made.
-type Check = (SimTime, u64, TaskId, Symbol, Duration);
+/// A hedge check `(due, seq, task, topic)` as the hedge actor's queue
+/// orders it: by due, then by `seq`, the order of the pushes, so checks
+/// that fall due together run in the order they were made.
+type Check = (SimTime, u64, TaskId, Symbol);
 
 struct Inner<T> {
     sim: Sim,
@@ -127,10 +127,10 @@ impl<T> Inner<T> {
 
     /// Queues a hedge check for `due` and wakes the hedge actor if the
     /// check falls due before its alarm.
-    fn push_check(&self, due: SimTime, id: TaskId, topic: Symbol, delay: Duration) {
+    fn push_check(&self, due: SimTime, id: TaskId, topic: Symbol) {
         let seq = self.check_seq.get();
         self.check_seq.set(seq + 1);
-        self.checks.borrow_mut().push(Reverse((due, seq, id, topic, delay)));
+        self.checks.borrow_mut().push(Reverse((due, seq, id, topic)));
         if self.alarm.get().is_none_or(|alarm| due < alarm) {
             self.alarm.set(Some(due));
             if self.hedges.send_now(()).is_err() {
@@ -361,9 +361,8 @@ impl<T: Transport> Dispatcher<T> {
 
     /// The hedge actor. It sleeps until its earliest check falls due,
     /// walking past settled checks by [`Inner::passes`]; `push_check`
-    /// wakes it early for a check due before its alarm. A straggler under
-    /// budget gets a copy elsewhere (first result wins) and is checked
-    /// again after the same delay.
+    /// wakes it early for a check due before its alarm. A straggler gets
+    /// one copy elsewhere (first result wins); each task is checked once.
     async fn hedge_stragglers(inner: Rc<Inner<T>>, notify: Receiver<()>) {
         loop {
             let Some(due) = inner.next_check() else {
@@ -380,12 +379,12 @@ impl<T: Transport> Dispatcher<T> {
                 Ok(None) => return,
                 Err(_due) => {}
             }
-            let Some(Reverse((_, _, id, topic, delay))) = inner.checks.borrow_mut().pop() else {
+            let Some(Reverse((_, _, id, topic))) = inner.checks.borrow_mut().pop() else {
                 continue;
             };
-            let Some((spec, to)) = inner.health.try_hedge(id, topic) else { continue };
-            Self::spawn_delivery(&inner, spec, to);
-            inner.push_check(inner.sim.now() + delay, id, topic, delay);
+            if let Some((spec, to)) = inner.health.try_hedge(id, topic) {
+                Self::spawn_delivery(&inner, spec, to);
+            }
         }
     }
 
@@ -526,7 +525,7 @@ impl<T: Transport> AfterCost for Dispatcher<T> {
         };
         let topic = task.topic;
         if let Some(delay) = inner.health.hedge_delay(topic) {
-            inner.push_check(inner.sim.now() + delay, task.id, topic, delay);
+            inner.push_check(inner.sim.now() + delay, task.id, topic);
         }
         // The round-trip deadline goes to the topic's deadline actor.
         if let Some((dl, dues)) = inner.deadlines.get(topic) {
@@ -893,6 +892,40 @@ mod tests {
             assert_eq!(rig.events(kinds::TASK_CANCELLED), 1, "{kind:?}");
             assert_eq!((rig.health.hedged(), rig.health.cancelled()), (1, 1), "{kind:?}");
             assert!(rig.health.wasted_secs() > 0.0, "{kind:?}: the loser's burn is accounted");
+        }
+    }
+
+    #[test]
+    fn a_hedged_task_is_not_checked_again_so_the_run_ends_at_its_last_copy() {
+        // Hedging only (no deadline). Three queued 10 s tasks set the
+        // delay near 40 s; straggler 3 runs 65 s on endpoint 0, so its
+        // copy on endpoint 1 wins well within one delay of the hedge and
+        // the original surfaces, cancelled, about 15 s later. A task gets
+        // one hedge, so nothing is left to wake for: the run ends when
+        // the original surfaces, not one delay after the hedge.
+        for kind in BOTH {
+            let hedge = HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3 };
+            let policy = ReliabilityPolicy { hedge, ..Default::default() };
+            let rig = Rig::new(kind, vec![Ep::new(0, false), Ep::new(1, false)], policy);
+            let (pace, health) = (rig.chaos.pace[0].clone(), rig.health.clone());
+            let delay = Rc::new(Cell::new(Duration::ZERO));
+            let seen = Rc::clone(&delay);
+            let (end, results) = rig.run(|sim, f| async move {
+                for id in 0..3 {
+                    f.submit(work(id, 0, 10)).await;
+                }
+                sim.sleep(Duration::from_secs(60)).await;
+                pace.set(6.5);
+                f.submit(work(3, 0, 10)).await;
+                seen.set(health.hedge_delay("unit").expect("three round trips seen"));
+            });
+            assert_eq!(ids(&results), [0, 1, 2, 3], "{kind:?}");
+            assert_eq!(results[3].site, SiteId(1), "{kind:?}: the copy won");
+            let at = |kind| rig.tracer.events_of_kind(kind).iter().map(|e| e.t).collect::<Vec<_>>();
+            let (hedged, cancelled) = (at(kinds::TASK_HEDGED), at(kinds::TASK_CANCELLED));
+            assert_eq!((hedged.len(), cancelled.len()), (1, 1), "{kind:?}");
+            assert!(cancelled[0] < hedged[0] + delay.get(), "{kind:?}: {cancelled:?} {hedged:?}");
+            assert_eq!(end, cancelled[0].as_secs_f64(), "{kind:?}: the original surfaces last");
         }
     }
 
