@@ -921,7 +921,7 @@ mod tests {
             });
             assert_eq!(ids(&results), [0, 1, 2, 3], "{kind:?}");
             assert_eq!(results[3].site, SiteId(1), "{kind:?}: the copy won");
-            let at = |kind| rig.tracer.events_of_kind(kind).iter().map(|e| e.t).collect::<Vec<_>>();
+            let at = |event| rig.tracer.events_of_kind(event).iter().map(|e| e.t).collect::<Vec<_>>();
             let (hedged, cancelled) = (at(kinds::TASK_HEDGED), at(kinds::TASK_CANCELLED));
             assert_eq!((hedged.len(), cancelled.len()), (1, 1), "{kind:?}");
             assert!(cancelled[0] < hedged[0] + delay.get(), "{kind:?}: {cancelled:?} {hedged:?}");
