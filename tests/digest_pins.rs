@@ -93,6 +93,32 @@ fn admission_that_never_binds_leaves_the_pinned_run_unchanged() {
     }
 }
 
+/// The armed scenarios' moldesign campaign under `chaos`: its deployment,
+/// virtual end time and trace.
+fn armed_campaign(
+    config: WorkflowConfig,
+    spec: &DeploymentSpec,
+    chaos: ChaosSpec,
+) -> (Deployment, SimTime, Tracer) {
+    let sim = Sim::new();
+    let tracer = Tracer::enabled();
+    let d = deploy(&sim, config, spec, tracer.clone());
+    chaos.install(&sim, 99, &d.chaos);
+    let o = moldesign::run(
+        &sim,
+        &d,
+        MolDesignParams {
+            library_size: 400,
+            budget: Duration::from_secs(2400),
+            ensemble_size: 2,
+            retrain_after: 8,
+            seed: 7,
+            ..Default::default()
+        },
+    );
+    (d, o.end, tracer)
+}
+
 /// What an armed-path pin records of a run: the trace digest, the event
 /// count, the virtual end time in nanoseconds (the last pending timer —
 /// often a deadline — sets it), and the tracer for the arm checks.
@@ -105,24 +131,8 @@ struct Armed {
 
 impl Armed {
     fn run(config: WorkflowConfig, spec: DeploymentSpec, chaos: ChaosSpec) -> Armed {
-        let sim = Sim::new();
-        let tracer = Tracer::enabled();
-        let d = deploy(&sim, config, &spec, tracer.clone());
-        chaos.install(&sim, 99, &d.chaos);
-        let o = moldesign::run(
-            &sim,
-            &d,
-            MolDesignParams {
-                library_size: 400,
-                budget: Duration::from_secs(2400),
-                ensemble_size: 2,
-                retrain_after: 8,
-                seed: 7,
-                ..Default::default()
-            },
-        );
-        let end_ns = o.end.as_nanos();
-        Armed { digest: tracer.digest(), events: tracer.len(), end_ns, tracer }
+        let (_, end, tracer) = armed_campaign(config, &spec, chaos);
+        Armed { digest: tracer.digest(), events: tracer.len(), end_ns: end.as_nanos(), tracer }
     }
 
     /// Asserts that `kind` fired at least once, with `value` when given.
@@ -152,12 +162,34 @@ impl Armed {
 }
 
 /// `tests/robustness.rs`'s site-loss scenario: the primary CPU site dies
-/// at 300 s, the offline watcher opens its breaker, deliveries stuck
-/// behind it time out after 120 s and reroute to the standby site, and a
-/// 1 200 s round-trip deadline backstops results stranded on the dead
-/// return path.
+/// 1 ms before the first `simulate` dispatch at or after 300 s (read off
+/// the same campaign run without the kill, which is identical up to it),
+/// the offline watcher opens its breaker 30 s later, that dispatch and
+/// any other stuck behind the dead site time out after 120 s and reroute
+/// to the standby site, and a 1 200 s round-trip deadline backstops
+/// results stranded on the dead return path.
 fn site_loss() -> Armed {
-    let spec = DeploymentSpec {
+    let config = WorkflowConfig::FnXGlobus;
+    let (quiet, _, _) = armed_campaign(config, &site_loss_spec(), ChaosSpec::new(vec![]));
+    let first = quiet
+        .queues
+        .records()
+        .iter()
+        .filter(|r| r.topic == "simulate")
+        .filter_map(|r| r.timing.dispatched)
+        .filter(|&t| t >= SimTime::from_secs(300))
+        .min()
+        .expect("the campaign dispatches simulations after 300 s");
+    let at = SimTime::from_nanos(first.as_nanos() - 1_000_000);
+    let kill = ChaosAction::Kill { endpoint: 0, at };
+    Armed::run(config, site_loss_spec(), ChaosSpec::new(vec![kill]))
+}
+
+/// The site-loss deployment: a standby CPU site, a breaker that opens
+/// 30 s after the primary goes offline and stays open, one reroute,
+/// 120 s delivery timeouts on `simulate` and a 1 200 s deadline.
+fn site_loss_spec() -> DeploymentSpec {
+    DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
         cpu_failover_sites: 1,
@@ -181,9 +213,7 @@ fn site_loss() -> Armed {
             RetryPolicy { timeout: Some(Duration::from_secs(120)), ..RetryPolicy::default() },
         ),
         ..Default::default()
-    };
-    let kill = ChaosAction::Kill { endpoint: 0, at: SimTime::from_secs(300) };
-    Armed::run(WorkflowConfig::FnXGlobus, spec, ChaosSpec::new(vec![kill]))
+    }
 }
 
 /// Hedged dispatch over HTEX links: the primary CPU pool straggles 6×

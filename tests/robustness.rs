@@ -329,18 +329,11 @@ fn chaotic_finetune_campaign_counts_its_failures() {
     assert_eq!(b.failed, o.failed, "lifecycle failed bin must match the app's count");
 }
 
-#[test]
-fn site_loss_mid_campaign_fails_over_and_keeps_working() {
-    // The ISSUE 5 acceptance scenario: a molecular-design campaign loses
-    // its primary CPU site *permanently* mid-run (chaos `Kill`). The
-    // offline watcher trips the endpoint's circuit breaker, in-flight
-    // tasks stuck behind the dead connection reroute to the standby CPU
-    // endpoint, fresh dispatches steer around the open breaker, and the
-    // campaign finishes with degraded-but-nonzero throughput.
-    let sim = Sim::new();
-    let tracer = Tracer::enabled();
-    let kill_at = SimTime::from_secs(300);
-    let spec = DeploymentSpec {
+/// The site-loss scenario's deployment: a standby CPU site, a breaker
+/// that opens `grace` after the primary goes offline and stays open, one
+/// reroute, 120 s delivery timeouts on `simulate` and a 1 200 s deadline.
+fn site_loss_spec(grace: Duration) -> DeploymentSpec {
+    DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
         cpu_failover_sites: 1,
@@ -351,7 +344,7 @@ fn site_loss_mid_campaign_fails_over_and_keeps_working() {
                     // Longer than the campaign: the site never comes back.
                     open_for: Duration::from_secs(3600),
                     close_after: 1,
-                    offline_grace: Duration::from_secs(30),
+                    offline_grace: grace,
                     latency_slo: Duration::ZERO,
                 },
                 max_reroutes: 1,
@@ -367,10 +360,15 @@ fn site_loss_mid_campaign_fails_over_and_keeps_working() {
             RetryPolicy { timeout: Some(Duration::from_secs(120)), ..RetryPolicy::default() },
         ),
         ..Default::default()
-    };
-    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, tracer.clone());
-    ChaosSpec::new(vec![ChaosAction::Kill { endpoint: 0, at: kill_at }])
-        .install(&sim, 99, &d.chaos);
+    }
+}
+
+/// The site-loss campaign under `chaos`: its deployment, outcome and trace.
+fn site_loss_campaign(grace: Duration, chaos: Vec<ChaosAction>) -> (Deployment, usize, Tracer) {
+    let sim = Sim::new();
+    let tracer = Tracer::enabled();
+    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &site_loss_spec(grace), tracer.clone());
+    ChaosSpec::new(chaos).install(&sim, 99, &d.chaos);
     let o = moldesign::run(
         &sim,
         &d,
@@ -383,7 +381,48 @@ fn site_loss_mid_campaign_fails_over_and_keeps_working() {
             ..Default::default()
         },
     );
-    assert!(o.simulations > 0, "campaign must complete work despite the site loss");
+    (d, o.simulations, tracer)
+}
+
+/// When `simulate` tasks were dispatched, in order.
+fn simulate_dispatches(d: &Deployment) -> Vec<SimTime> {
+    let mut at: Vec<SimTime> = d
+        .queues
+        .records()
+        .iter()
+        .filter(|r| r.topic == "simulate")
+        .filter_map(|r| r.timing.dispatched)
+        .collect();
+    at.sort_unstable();
+    at
+}
+
+#[test]
+fn site_loss_mid_campaign_fails_over_and_keeps_working() {
+    // Permanent site loss: a molecular-design campaign loses
+    // its primary CPU site *permanently* mid-run (chaos `Kill`). The
+    // offline watcher trips the endpoint's circuit breaker, in-flight
+    // tasks stuck behind the dead connection reroute to the standby CPU
+    // endpoint, fresh dispatches steer around the open breaker, and the
+    // campaign finishes with degraded-but-nonzero throughput.
+    //
+    // Only a `simulate` task dispatched to endpoint 0 after the kill and
+    // before its breaker opens (`grace` later) is stuck behind the dead
+    // connection and reroutes; one dispatched before the kill is stranded
+    // on the dead return path and fails at the deadline. So the kill is
+    // placed by construction: a run without it is identical up to the
+    // kill, and names the first `simulate` dispatch at or after 300 s;
+    // the kill lands 1 ms before it.
+    let grace = Duration::from_secs(30);
+    let (quiet, _, _) = site_loss_campaign(grace, vec![]);
+    let first = simulate_dispatches(&quiet)
+        .into_iter()
+        .find(|&t| t >= SimTime::from_secs(300))
+        .expect("the campaign dispatches simulations after 300 s");
+    let kill_at = SimTime::from_nanos(first.as_nanos() - 1_000_000);
+    let (d, simulations, tracer) =
+        site_loss_campaign(grace, vec![ChaosAction::Kill { endpoint: 0, at: kill_at }]);
+    assert!(simulations > 0, "campaign must complete work despite the site loss");
 
     let opened = tracer.events_of_kind(trace_kinds::BREAKER_OPENED);
     assert!(
@@ -393,6 +432,15 @@ fn site_loss_mid_campaign_fails_over_and_keeps_working() {
     assert!(
         opened.iter().all(|e| e.t >= kill_at),
         "the breaker only opens after the site is lost"
+    );
+    // The premise: a dispatch inside [kill, kill + grace) while endpoint
+    // 0's breaker is still closed, which routes it to endpoint 0.
+    let open_at = opened.iter().filter(|e| e.entity == 0).map(|e| e.t).min();
+    assert!(
+        simulate_dispatches(&d)
+            .iter()
+            .any(|&t| t >= kill_at && t < kill_at + grace && open_at.is_none_or(|o| t < o)),
+        "a simulate task must be dispatched to the dead endpoint before its breaker opens"
     );
     assert!(
         !tracer.events_of_kind(trace_kinds::TASK_REROUTED).is_empty(),
