@@ -624,17 +624,17 @@ mod tests {
 
     #[test]
     fn quick_campaign_outcomes_pinned_to_per_fit_featurization() {
-        // End times from the commit before design blocks were cached,
-        // when every fit re-evaluated the basis for every bagged
-        // structure: caching must not move a bit. RMSD bits are those
+        // End times as when every fit re-evaluated the basis for every
+        // bagged structure (caching design blocks must not move a bit),
+        // re-recorded with the ziggurat's normals. RMSD bits are those
         // of the basis recurrence, of fits from per-structure normal
         // equations and of scoring the ensemble's mean model;
         // `tests/campaign_outcomes.rs` holds their tolerance against one
         // `exp` per centre, stacked design rows and per-member scores.
         let pins = [
-            (WorkflowConfig::Parsl, 2_108_461_698_753, 0x3FC5_E155_F918_44DB),
-            (WorkflowConfig::ParslRedis, 2_108_512_551_220, 0x3FC5_E155_F918_44DB),
-            (WorkflowConfig::FnXGlobus, 2_112_497_755_186, 0x3FC6_75EF_1225_452F),
+            (WorkflowConfig::Parsl, 2_043_046_556_619, 0x3FC9_90DF_2B24_3CB5),
+            (WorkflowConfig::ParslRedis, 2_039_193_577_170, 0x3FC9_CA64_5E46_4D5F),
+            (WorkflowConfig::FnXGlobus, 2_050_605_115_994, 0x3FC9_54CE_04C3_2BEC),
         ];
         for (config, end_ns, rmsd_bits) in pins {
             let sim = Sim::new();
