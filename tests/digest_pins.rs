@@ -168,8 +168,9 @@ impl Armed {
 /// the offline watcher opens its breaker 30 s later, that dispatch and
 /// any other stuck behind the dead site time out after 120 s and reroute
 /// to the standby site, and a 1 200 s round-trip deadline backstops
-/// results stranded on the dead return path.
-fn site_loss() -> Armed {
+/// results stranded on the dead return path. `None` when the campaign
+/// dispatches no simulation at or after 300 s.
+fn site_loss() -> Option<Armed> {
     let config = WorkflowConfig::FnXGlobus;
     let (quiet, _, _) = armed_campaign(config, &site_loss_spec(), ChaosSpec::new(vec![]));
     let first = quiet
@@ -179,11 +180,10 @@ fn site_loss() -> Armed {
         .filter(|r| r.topic == "simulate")
         .filter_map(|r| r.timing.dispatched)
         .filter(|&t| t >= SimTime::from_secs(300))
-        .min()
-        .expect("the campaign dispatches simulations after 300 s");
+        .min()?;
     let at = SimTime::from_nanos(first.as_nanos() - 1_000_000);
     let kill = ChaosAction::Kill { endpoint: 0, at };
-    Armed::run(config, site_loss_spec(), ChaosSpec::new(vec![kill]))
+    Some(Armed::run(config, site_loss_spec(), ChaosSpec::new(vec![kill])))
 }
 
 /// The site-loss deployment: a standby CPU site, a breaker that opens
@@ -252,7 +252,7 @@ const HEDGED_PIN: (u64, usize, u64) = (0x947fecadb2f5f819, 230, 2_384_305_662_22
 
 #[test]
 fn site_loss_matches_its_armed_path_pin() {
-    let run = site_loss();
+    let run = site_loss().expect("the campaign dispatches simulations after 300 s");
     run.fired("site loss", trace_kinds::TASK_TIMEOUT, Some(1200.0));
     run.fired("site loss", trace_kinds::TASK_REROUTED, None);
     run.assert_pinned("site loss", SITE_LOSS_PIN);
