@@ -2,9 +2,12 @@
 """Symbolise pcsample dumps: report.py [--split SYMBOL | --inline SYMBOL] pcsample.*.out
 
 Prints samples per symbol (top 40) and per object, most first, summed
-over every dump given. Symbols come from `nm -C` (static and dynamic
-tables) plus the dump's own `S` lines; a PC goes to the nearest symbol at
-or below it in its mapping. `--split SYMBOL` adds, for that symbol's
+over every dump given. Symbols come from `nm -C -S` (static and dynamic
+tables, with sizes) plus the dump's own `S` lines; a PC goes to the
+nearest symbol at or below it in its mapping, unless that symbol has a
+size and the PC lies past its end: then it is `[OBJECT unnamed after
+SYMBOL]` (glibc's exp/log kernels have no symbol of their own). Unsized
+symbols and `S` lines reach to the next symbol. `--split SYMBOL` adds, for that symbol's
 samples, a histogram by 64-byte offset — how one path of a hand-written
 memmove is told from another — and the callers, read from the word the
 sampler found at the top of the stack (right for a frameless leaf, which
@@ -15,14 +18,26 @@ repository (function and `crates/…:line`) from the line tables, with one
 kernels inlined into one clone are told apart."""
 import bisect, collections, os, re, signal, subprocess, sys
 
+OPEN = float("inf")  # the end of a symbol nm gives no size for
+
 def symbols(path):
+    """[(address, name, end)] of the code symbols in `path`; `end` is OPEN
+    for an unsized symbol."""
     syms = set()
-    for flags in (["-C", "-n", "--defined-only"], ["-C", "-n", "--defined-only", "-D"]):
+    for flags in (["-C", "-n", "-S", "--defined-only"], ["-C", "-n", "-S", "--defined-only", "-D"]):
         out = subprocess.run(["nm", *flags, path], capture_output=True, text=True).stdout
         for line in out.splitlines():
-            parts = line.split(None, 2)
-            if len(parts) == 3 and parts[1] in "tTwWiI":
-                syms.add((int(parts[0], 16), parts[2]))
+            parts = line.split(None, 3)
+            if len(parts) >= 3 and len(parts[1]) == 1:  # address type name...
+                parts = line.split(None, 2)
+                size, kind, name = None, parts[1], parts[2]
+            elif len(parts) == 4:  # address size type name
+                size, kind, name = int(parts[1], 16), parts[2], parts[3]
+            else:
+                continue
+            if kind in "tTwWiI":
+                addr = int(parts[0], 16)
+                syms.add((addr, name, OPEN if size is None else addr + size))
     return sorted(syms)
 
 class Dump:
@@ -59,12 +74,19 @@ class Dump:
             return obj, f"[{obj}]", 0
         bias = self.bias[path]
         if path not in Dump.tables:
-            inside = [(a - bias, s + " (ifunc)") for a, s in self.extra
+            inside = [(a - bias, s + " (ifunc)", OPEN) for a, s in self.extra
                       if any(lo <= a < hi and p == path for lo, hi, _, p in self.maps)]
             Dump.tables[path] = sorted(symbols(path) + inside)
         table = Dump.tables[path]
         i = bisect.bisect_right(table, (addr, "\xff")) - 1
-        return (obj, table[i][1], addr - table[i][0]) if i >= 0 else (obj, f"[{obj}]", 0)
+        if i < 0:
+            return obj, f"[{obj}]", 0
+        start, name, _ = table[i]
+        # Aliases share an address; the widest of them bounds the symbol.
+        end = max(e for a, _, e in table[bisect.bisect_left(table, (start,)):i + 1])
+        if addr >= end:
+            return obj, f"[{obj} unnamed after {name.split('@')[0]}]", addr - end
+        return obj, name, addr - start
 
 REPO_FILE = re.compile(r"(?:^|/)(crates/[^ ]*:\d+)")
 
