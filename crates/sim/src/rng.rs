@@ -44,6 +44,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// `x_i = √(−2 ln(V/x_{i−1} + φ(x_{i−1})))` up to `ZIG_X[256] = 0`. Each
 /// entry is the 60-digit recurrence rounded once; the tests regenerate it
 /// in `f64` and pin its bits.
+#[rustfmt::skip]
 const ZIG_X: [u64; 257] = [
     0x400F_493B_7816_449C, 0x400D_3BB4_8209_AD33, 0x400B_981F_3878_F995, 0x400A_8FDC_7894_718C,
     0x4009_CBEE_0140_50DF, 0x4009_2EE0_946F_3D1A, 0x4008_AB0F_BFAA_7412, 0x4008_3903_0529_E9C6,
