@@ -6,7 +6,8 @@
 //! wall time; the run loop polls all runnable tasks, then jumps the clock
 //! to the next timer. Execution is deterministic: tasks are polled in FIFO
 //! wake order and timers fire in `(deadline, registration order)` order.
-//! A timer wakes a task by id, a foreign [`Waker`], or — for
+//! A timer wakes a task by id — polling it at once, since timers fire
+//! only when nothing else is runnable — a foreign [`Waker`], or — for
 //! [`crate::channel::Sender::send_at`] — releases a parked value into
 //! its channel, with no task in between.
 //!
@@ -80,9 +81,10 @@ const READY_CAP: usize = 1024;
 ///
 /// Single-producer, single-consumer, one thread: no crate starts a
 /// thread (`std::thread::{spawn, scope}` are `disallowed-methods`) and
-/// `Sim` is `!Send`, so every wake — a [`TaskWaker`], or
-/// `fire_next_timer` pushing the id a [`Sleep`] registered — runs on the
-/// thread that built the `Sim`, the one that pops. Debug builds check
+/// `Sim` is `!Send`, so every wake — a [`TaskWaker`] — runs on the
+/// thread that built the `Sim`, the one that pops. A timer that names a
+/// task id does not push it: `fire_next_timer` runs only on an empty
+/// ring and polls that task at once. Debug builds check
 /// that on every push. `Waker` must still be `Send + Sync` by type, so
 /// the cursors are atomics, but every access is `Relaxed`: with one
 /// thread, program order already puts a push's slot store before its
@@ -162,6 +164,11 @@ impl ReadyQueue {
         while self.pop().is_some() {}
         *self.overflow.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             std::collections::VecDeque::new();
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head.load(Ordering::Relaxed) == self.tail.load(Ordering::Relaxed)
+            && !self.spilled.load(Ordering::Relaxed)
     }
 
     fn pop(&self) -> Option<TaskId> {
@@ -261,10 +268,11 @@ enum Wakeup {
     #[default]
     Nobody,
     /// The task of this executor that polled the [`Sleep`], by id. Firing
-    /// pushes the id onto the ready ring — the position `Waker::wake`
-    /// would have given it — and holds no reference, so a sleeping task
-    /// leaves its waker's strong count alone. An id whose task is gone is
-    /// dropped by `drain_ready`'s generation check like any stale wake.
+    /// polls that task at once — timers fire only on an empty ready
+    /// ring, so the push `Waker::wake` would have made is the next pop —
+    /// and holds no reference, so a sleeping task leaves its waker's
+    /// strong count alone. An id whose task is gone is dropped by
+    /// `poll_task`'s generation check like any stale wake.
     Task(TaskId),
     /// A waker this executor did not hand to the poll (a `Sleep` driven
     /// by hand, or from inside another executor's task).
@@ -710,49 +718,53 @@ impl Sim {
     }
 
     /// Polls every runnable task until none is runnable at the current
-    /// instant. Does not advance the clock. Returns the number of polls.
-    fn drain_ready(&self) -> u64 {
-        let mut polls = 0;
+    /// instant. Does not advance the clock.
+    fn drain_ready(&self) {
         while let Some(id) = self.core.ready.pop() {
-            let (idx, gen) = unpack_task(id);
-            // Move the future and the slot's waker out while polling, so
-            // the slab is free for re-entrant spawns and the poll borrows
-            // the waker instead of cloning it.
-            let (mut fut, waker) = {
-                let mut tasks = self.core.tasks.borrow_mut();
-                let Some(slot) = tasks.slots.get_mut(idx as usize) else {
-                    continue;
-                };
-                if slot.gen != gen {
-                    continue; // completed task woken again: spurious, ignore
-                }
-                let (Some(fut), Some(waker)) = (slot.fut.take(), slot.waker.take()) else {
-                    continue; // woken while already being polled
-                };
-                (fut, waker)
-            };
-            let mut cx = Context::from_waker(&waker);
-            polls += 1;
-            self.core.polls.set(self.core.polls.get() + 1);
-            // Restored, not cleared: a task may drive this `Sim` itself.
-            let outer = self.core.polling.replace(Some((id, waker.data())));
-            let pending = fut.as_mut().poll(&mut cx).is_pending();
-            self.core.polling.set(outer);
-            let mut tasks = self.core.tasks.borrow_mut();
-            let slot = &mut tasks.slots[idx as usize];
-            slot.waker = Some(waker);
-            if pending {
-                slot.fut = Some(fut);
-                continue;
-            }
-            slot.gen = slot.gen.wrapping_add(1);
-            tasks.free.push(idx);
-            drop(tasks);
-            self.core.live_tasks.set(self.core.live_tasks.get() - 1);
-            // `fut` drops here, after the slab borrow is released:
-            // destructors (e.g. `Sleep::drop`) may re-enter the core.
+            self.poll_task(id);
         }
-        polls
+    }
+
+    /// Polls the task `id` once, if it still exists and is not being
+    /// polled already; a stale id (its task finished, its slot maybe
+    /// reused) polls nobody.
+    fn poll_task(&self, id: TaskId) {
+        let (idx, gen) = unpack_task(id);
+        // Move the future and the slot's waker out while polling, so the
+        // slab is free for re-entrant spawns and the poll borrows the
+        // waker instead of cloning it.
+        let (mut fut, waker) = {
+            let mut tasks = self.core.tasks.borrow_mut();
+            let Some(slot) = tasks.slots.get_mut(idx as usize) else {
+                return;
+            };
+            if slot.gen != gen {
+                return; // completed task woken again: spurious, ignore
+            }
+            let (Some(fut), Some(waker)) = (slot.fut.take(), slot.waker.take()) else {
+                return; // woken while already being polled
+            };
+            (fut, waker)
+        };
+        let mut cx = Context::from_waker(&waker);
+        self.core.polls.set(self.core.polls.get() + 1);
+        // Restored, not cleared: a task may drive this `Sim` itself.
+        let outer = self.core.polling.replace(Some((id, waker.data())));
+        let pending = fut.as_mut().poll(&mut cx).is_pending();
+        self.core.polling.set(outer);
+        let mut tasks = self.core.tasks.borrow_mut();
+        let slot = &mut tasks.slots[idx as usize];
+        slot.waker = Some(waker);
+        if pending {
+            slot.fut = Some(fut);
+            return;
+        }
+        slot.gen = slot.gen.wrapping_add(1);
+        tasks.free.push(idx);
+        drop(tasks);
+        self.core.live_tasks.set(self.core.live_tasks.get() - 1);
+        // `fut` drops here, after the slab borrow is released:
+        // destructors (e.g. `Sleep::drop`) may re-enter the core.
     }
 
     /// Fires the earliest pending timer, advancing the clock to it.
@@ -765,7 +777,12 @@ impl Sim {
         self.core.now.set(at);
         self.core.timer_fires.set(self.core.timer_fires.get() + 1);
         match wake {
-            Wakeup::Task(id) => self.core.ready.push(id),
+            // Polled now, not pushed: the ring is empty (this runs only
+            // once it is drained), so the push would be the next pop.
+            Wakeup::Task(id) => {
+                debug_assert!(self.core.ready.is_empty(), "a timer fired with tasks runnable");
+                self.poll_task(id);
+            }
             Wakeup::Foreign(w) => w.wake(),
             Wakeup::Release(chan, slot) => chan.release(slot),
             Wakeup::Nobody => {}
@@ -816,10 +833,13 @@ impl Sim {
         reason = "executor deadlock detection must abort: the sim itself is wedged"
     )]
     pub fn block_on<T: 'static>(&self, handle: JoinHandle<T>) -> T {
+        if let Some(v) = handle.try_take() {
+            return v;
+        }
         loop {
-            if let Some(v) = handle.try_take() {
-                return v;
-            }
+            // Drain before taking: a timer may have polled the awaited
+            // task to completion, and whatever that last poll woke runs
+            // before `block_on` returns.
             self.drain_ready();
             if let Some(v) = handle.try_take() {
                 return v;
