@@ -16,9 +16,10 @@ use crate::reliability::chaos::ChaosTargets;
 use crate::reliability::{Connectivity, RetryPolicies};
 use crate::task::{TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming, WorkerReport};
 use crate::worker::{WorkerPool, WorkerPoolConfig};
+use hetflow_sim::sync::EventWaitNext;
 use hetflow_sim::{
-    channel, trace_kinds as kinds, Offered, OverflowPolicy, Receiver, Sender, Sim, SimRng, SimTime,
-    Sleep, Symbol, SymbolMap, Tracer,
+    channel, trace_kinds as kinds, LegKey, Legs, Offered, OverflowPolicy, Receiver, Sender, Sim,
+    SimRng, SimTime, Sleep, Symbol, SymbolMap, Tracer,
 };
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -29,30 +30,38 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-/// What every transport works with besides its own parameters: the
-/// clock and the fabric's one transit-cost RNG stream. The core makes
-/// it, the transport owns it.
-pub struct Net {
-    pub sim: Sim,
-    pub rng: RefCell<SimRng>,
+/// Which way a transit carries bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Way {
+    /// A task, from the server to an endpoint's pool.
+    Out,
+    /// A result, from an endpoint back to the server.
+    In,
 }
 
 /// How bytes travel between the task server and an endpoint — the only
-/// thing the two fabrics disagree on. Sealed by living in a private
-/// module: nothing outside the crate can name or implement it.
+/// thing the two fabrics disagree on — as a cost model: a transit is a
+/// fixed sequence of legs, each a latency drawn from the fabric's one
+/// transit-cost stream (the core makes it, the transport owns it) at
+/// the instant the leg before it ends. The core sleeps through them as
+/// one chained sleep ([`Sim::sleep_legs`]). Sealed by living in a
+/// private module: nothing outside the crate can name or implement it.
 pub trait Transport: 'static {
     /// Fabric label, also the `"{label}/ep{i}"` trace-actor prefix.
     const LABEL: &'static str;
+    /// Legs of a transit, by [`Way`]: `[out, in]`.
+    const LEGS: [u32; 2];
     /// Rejects (panics on) a submission the transport cannot carry.
     fn admit_payload(&self, _bytes: u64, _topic: Symbol) {}
     /// Client-side cost of submitting a payload of `bytes`. A submission
     /// refused by admission control pays it for an empty payload: the
     /// refusal comes back on the client's call, before any data moves.
     fn submit_cost(&self, bytes: u64) -> Duration;
-    /// Moves a task of `bytes` from the server to `endpoint`'s pool.
-    fn outbound(&self, endpoint: usize, bytes: u64) -> impl Future<Output = ()>;
-    /// Moves a result of `bytes` from `endpoint` back to the server.
-    fn inbound(&self, endpoint: usize, bytes: u64) -> impl Future<Output = ()>;
+    /// Draws leg `leg` (below `LEGS[way]`) of a transit of `bytes` `way`
+    /// between the server and `endpoint`. `None` where an offline
+    /// endpoint holds the bytes: the transit resumes at that leg once
+    /// the endpoint is back online.
+    fn leg(&self, way: Way, endpoint: usize, bytes: u64, leg: u32) -> Option<Duration>;
     /// Per-endpoint connection handles; none when links are direct.
     fn connectivity(&self) -> &[Connectivity] {
         &[]
@@ -114,6 +123,92 @@ struct Inner<T> {
     submitted: Cell<u64>,
     returned: Cell<u64>,
     timed_out: Cell<u64>,
+}
+
+/// The core's side of a chained transit: decodes the key a [`Transit`]
+/// packed and stops the chain after the transport's last leg.
+impl<T: Transport> Legs for Inner<T> {
+    fn leg(&self, (route, bytes): LegKey, leg: u32) -> Option<Duration> {
+        let (way, endpoint) = unpack_route(route);
+        if leg >= T::LEGS[way as usize] {
+            return None;
+        }
+        self.transport.leg(way, endpoint, bytes, leg)
+    }
+}
+
+/// A transit's way and endpoint as one word of its chain's key.
+fn pack_route(way: Way, endpoint: usize) -> u32 {
+    (endpoint as u32) << 1 | way as u32
+}
+
+fn unpack_route(route: u32) -> (Way, usize) {
+    let way = if route & 1 == 0 { Way::Out } else { Way::In };
+    (way, (route >> 1) as usize)
+}
+
+/// Bytes in transit between the server and an endpoint: the transport's
+/// legs as one chained sleep, or, while an offline endpoint holds them,
+/// a wait for its next connectivity change — after which the chain
+/// resumes at the leg it stopped before, once the endpoint is online.
+/// The legs are never drawn as separate sleeps. A named future, like
+/// [`Submit`]: an `async fn` keeps its arguments twice in its frame,
+/// and this one is inside every boxed delivery and result return.
+struct Transit<'a, T> {
+    inner: &'a Rc<Inner<T>>,
+    /// Way and endpoint ([`pack_route`]), the first word of the key.
+    route: u32,
+    /// The leg the chain stopped before, while the endpoint holds it.
+    leg: u32,
+    bytes: u64,
+    state: Hop,
+}
+
+enum Hop {
+    Chain(Sleep),
+    Held(EventWaitNext),
+}
+
+impl<'a, T: Transport> Transit<'a, T> {
+    fn new(inner: &'a Rc<Inner<T>>, way: Way, endpoint: usize, bytes: u64) -> Self {
+        let route = pack_route(way, endpoint);
+        let legs: Rc<dyn Legs> = Rc::<Inner<T>>::clone(inner);
+        let state = Hop::Chain(inner.sim.sleep_legs(legs, (route, bytes), 0));
+        Transit { inner, route, leg: 0, bytes, state }
+    }
+}
+
+impl<T: Transport> Future for Transit<'_, T> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
+        let (way, endpoint) = unpack_route(this.route);
+        loop {
+            match &mut this.state {
+                Hop::Chain(chain) => {
+                    if Pin::new(&mut *chain).poll(cx).is_pending() {
+                        return Poll::Pending;
+                    }
+                    this.leg = chain.leg();
+                    if this.leg == T::LEGS[way as usize] {
+                        return Poll::Ready(());
+                    }
+                }
+                Hop::Held(change) => {
+                    if Pin::new(change).poll(cx).is_pending() {
+                        return Poll::Pending;
+                    }
+                }
+            }
+            let conn = &this.inner.transport.connectivity()[endpoint];
+            this.state = if conn.is_online() {
+                let legs: Rc<dyn Legs> = Rc::<Inner<T>>::clone(this.inner);
+                Hop::Chain(this.inner.sim.sleep_legs(legs, (this.route, this.bytes), this.leg))
+            } else {
+                Hop::Held(conn.wait_change())
+            };
+        }
+    }
 }
 
 impl<T> Inner<T> {
@@ -272,7 +367,7 @@ impl<T: Transport> Dispatcher<T> {
     /// Builds the executor over the transport `wire` makes of its
     /// [`Net`], with one worker pool and return-path actor per `(pool,
     /// topics)` endpoint; a topic's first endpoint is its primary.
-    pub(crate) fn build<W: FnOnce(Net) -> T>(
+    pub(crate) fn build<W: FnOnce(RefCell<SimRng>) -> T>(
         sim: &Sim,
         wire: W,
         endpoints: Vec<(WorkerPoolConfig, Vec<&'static str>)>,
@@ -296,7 +391,7 @@ impl<T: Transport> Dispatcher<T> {
             pool_streams.push(pool_res_rx);
         }
         let rng = RefCell::new(rng.substream(u64::MAX));
-        let transport = wire(Net { sim: sim.clone(), rng });
+        let transport = wire(rng);
         // Deadlines are read off the policies before the layer takes them.
         let hedging = route.iter().any(|(topic, _)| policies.policy_for(topic).hedge.enabled());
         let (hedges, notify) = channel();
@@ -439,7 +534,7 @@ impl<T: Transport> Dispatcher<T> {
     }
 
     async fn deliver_inner(inner: Rc<Inner<T>>, task: TaskSpec, endpoint: usize) {
-        inner.transport.outbound(endpoint, task.wire_bytes()).await;
+        Transit::new(&inner, Way::Out, endpoint, task.wire_bytes()).await;
         let (capacity, overflow) = inner.bounds[endpoint];
         let queue = &inner.pools[endpoint].tasks;
         if let Offered::Displaced(victim) =
@@ -458,7 +553,7 @@ impl<T: Transport> Dispatcher<T> {
     }
 
     async fn return_result(inner: Rc<Inner<T>>, mut result: TaskResult, endpoint: usize) {
-        inner.transport.inbound(endpoint, result.wire_bytes()).await;
+        Transit::new(&inner, Way::In, endpoint, result.wire_bytes()).await;
         // Exactly-once arbitration, *after* the full return path: a
         // winner stuck behind a dead connection never gets here, so a
         // healthy hedge copy takes the race; losers count as waste.

@@ -16,12 +16,13 @@
 //! This file is the cloud *transport*; routing, reliability and overload
 //! handling are the shared [`crate::Dispatcher`] core.
 
-use crate::dispatch::{Dispatcher, Net, Transport};
+use crate::dispatch::{Dispatcher, Transport, Way};
 use crate::health::ReliabilityPolicies;
 use crate::reliability::Connectivity;
 use crate::task::TaskResult;
 use crate::worker::WorkerPoolConfig;
 use hetflow_sim::{Dist, Sender, Sim, SimRng, Symbol, Tracer};
+use std::cell::RefCell;
 use std::time::Duration;
 
 /// Tunables of the cloud FaaS model.
@@ -86,7 +87,7 @@ impl EndpointSpec {
 /// The cloud transport: tiered payload storage and outbound-only
 /// endpoint connections.
 pub struct FnXTransport {
-    net: Net,
+    rng: RefCell<SimRng>,
     params: FnXParams,
     connectivity: Vec<Connectivity>,
 }
@@ -127,7 +128,7 @@ impl FnXExecutor {
     ) -> FnXExecutor {
         let (connectivity, endpoints) =
             endpoints.into_iter().map(|ep| (ep.connectivity, (ep.pool, ep.topics))).unzip();
-        let wire = |net| FnXTransport { net, params, connectivity };
+        let wire = |rng| FnXTransport { rng, params, connectivity };
         Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
     }
 }
@@ -141,12 +142,13 @@ impl FnXTransport {
         } else {
             (&p.large_store_op, p.large_store_bw)
         };
-        hetflow_sim::time::secs(op.sample(&mut self.net.rng.borrow_mut()) + bytes as f64 / bw)
+        hetflow_sim::time::secs(op.sample(&mut self.rng.borrow_mut()) + bytes as f64 / bw)
     }
 }
 
 impl Transport for FnXTransport {
     const LABEL: &'static str = "fnx";
+    const LEGS: [u32; 2] = [3, 3];
 
     fn admit_payload(&self, bytes: u64, topic: Symbol) {
         let cap = self.params.payload_cap;
@@ -160,32 +162,27 @@ impl Transport for FnXTransport {
     /// The client pays the HTTPS round trip whatever the payload (a
     /// refusal comes back on it too); the rest happens in the cloud.
     fn submit_cost(&self, _bytes: u64) -> Duration {
-        self.params.https_latency.sample_secs(&mut self.net.rng.borrow_mut())
+        self.params.https_latency.sample_secs(&mut self.rng.borrow_mut())
     }
 
-    /// Cloud stores the payload, forwards the invocation, endpoint
-    /// fetches the payload. While the endpoint is offline the cloud
-    /// simply holds the task (§IV-A3).
-    async fn outbound(&self, endpoint: usize, bytes: u64) {
-        let put = self.store_op(bytes);
-        self.net.sim.sleep(put).await;
-        self.connectivity[endpoint].wait_online().await;
-        let fwd = self.params.forward_latency.sample_secs(&mut self.net.rng.borrow_mut());
-        self.net.sim.sleep(fwd).await;
-        let get = self.store_op(bytes);
-        self.net.sim.sleep(get).await;
-    }
-
-    /// The endpoint buffers the result while offline, then uploads; the
-    /// cloud notifies the client, which fetches it.
-    async fn inbound(&self, endpoint: usize, bytes: u64) {
-        self.connectivity[endpoint].wait_online().await;
-        let put = self.store_op(bytes);
-        self.net.sim.sleep(put).await;
-        let lat = self.params.result_latency.sample_secs(&mut self.net.rng.borrow_mut());
-        self.net.sim.sleep(lat).await;
-        let get = self.store_op(bytes);
-        self.net.sim.sleep(get).await;
+    /// Out: the cloud stores the payload, forwards the invocation and
+    /// the endpoint fetches the payload; while the endpoint is offline
+    /// the cloud simply holds the task before forwarding it (§IV-A3).
+    /// In: the endpoint buffers the result while offline, then uploads;
+    /// the cloud notifies the client, which fetches it.
+    fn leg(&self, way: Way, endpoint: usize, bytes: u64, leg: u32) -> Option<Duration> {
+        let held = matches!((way, leg), (Way::Out, 1) | (Way::In, 0));
+        if held && !self.connectivity[endpoint].is_online() {
+            return None;
+        }
+        let notice = match way {
+            Way::Out => &self.params.forward_latency,
+            Way::In => &self.params.result_latency,
+        };
+        Some(match leg {
+            1 => notice.sample_secs(&mut self.rng.borrow_mut()),
+            _ => self.store_op(bytes),
+        })
     }
 
     fn connectivity(&self) -> &[Connectivity] {

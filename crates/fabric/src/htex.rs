@@ -17,12 +17,13 @@
 //! This file is the interchange *transport*; routing, reliability and
 //! overload handling are the shared [`crate::Dispatcher`] core.
 
-use crate::dispatch::{Dispatcher, Net, Transport};
+use crate::dispatch::{Dispatcher, Transport, Way};
 use crate::health::ReliabilityPolicies;
 use crate::task::TaskResult;
 use crate::worker::WorkerPoolConfig;
 use hetflow_sim::time::secs;
 use hetflow_sim::{Dist, Sender, Sim, SimRng, Tracer};
+use std::cell::RefCell;
 use std::time::Duration;
 
 /// Link from the interchange to one resource's manager.
@@ -79,7 +80,7 @@ pub struct HtexEndpoint {
 /// The interchange transport: one direct link per manager; no cloud
 /// service, no payload cap and no connection state.
 pub struct HtexTransport {
-    net: Net,
+    rng: RefCell<SimRng>,
     params: HtexParams,
     links: Vec<LinkParams>,
 }
@@ -116,7 +117,7 @@ impl HtexExecutor {
     ) -> HtexExecutor {
         let (links, endpoints) =
             endpoints.into_iter().map(|ep| (ep.link, (ep.pool, ep.topics))).unzip();
-        let wire = |net| HtexTransport { net, params, links };
+        let wire = |rng| HtexTransport { rng, params, links };
         Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
     }
 }
@@ -125,30 +126,30 @@ impl HtexTransport {
     /// One message of `bytes` over the endpoint's link.
     fn link_cost(&self, endpoint: usize, bytes: u64) -> Duration {
         let link = &self.links[endpoint];
-        let lat = link.latency.sample(&mut self.net.rng.borrow_mut());
+        let lat = link.latency.sample(&mut self.rng.borrow_mut());
         secs(lat + bytes as f64 / link.bandwidth)
     }
 }
 
 impl Transport for HtexTransport {
     const LABEL: &'static str = "htex";
+    const LEGS: [u32; 2] = [1, 2];
 
     /// The client pays the hop to the interchange plus the
     /// interchange's serialization pass over the payload (a refused
     /// call has none: the hop alone).
     fn submit_cost(&self, bytes: u64) -> Duration {
-        let hop = self.params.submit_hop.sample(&mut self.net.rng.borrow_mut());
+        let hop = self.params.submit_hop.sample(&mut self.rng.borrow_mut());
         secs(hop + bytes as f64 / self.params.interchange_bw)
     }
 
-    async fn outbound(&self, endpoint: usize, bytes: u64) {
-        self.net.sim.sleep(self.link_cost(endpoint, bytes)).await;
-    }
-
-    async fn inbound(&self, endpoint: usize, bytes: u64) {
-        self.net.sim.sleep(self.link_cost(endpoint, bytes)).await;
-        let hop = self.params.submit_hop.sample_secs(&mut self.net.rng.borrow_mut());
-        self.net.sim.sleep(hop).await;
+    /// Out: the link. In: the link, then the hop from the interchange
+    /// back to the client.
+    fn leg(&self, _way: Way, endpoint: usize, bytes: u64, leg: u32) -> Option<Duration> {
+        Some(match leg {
+            0 => self.link_cost(endpoint, bytes),
+            _ => self.params.submit_hop.sample_secs(&mut self.rng.borrow_mut()),
+        })
     }
 }
 

@@ -9,6 +9,7 @@
 //! is offline. [`FailureModel`] models worker-level task failures with
 //! in-place re-execution.
 
+use hetflow_sim::sync::EventWaitNext;
 use hetflow_sim::{Dist, Event, Sim, SimRng, SimTime, Symbol, SymbolMap};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -136,12 +137,12 @@ impl Connectivity {
         }
     }
 
-    /// Resolves at the *next* state transition (offline→online or
+    /// A future that resolves at the *next* state transition (offline→online or
     /// online→offline). Used by heartbeat watchers, which must be
     /// event-driven: a watcher parked here pends on the event and never
     /// blocks simulation quiescence.
-    pub(crate) async fn wait_change(&self) {
-        self.state.changed.wait_next().await;
+    pub(crate) fn wait_change(&self) -> EventWaitNext {
+        self.state.changed.wait_next()
     }
 
     /// Manually set the state (for tests and interactive scenarios).

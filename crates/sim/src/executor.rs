@@ -23,6 +23,15 @@
 //! `BinaryHeap` reference under random insert/cancel/pop/peek scripts,
 //! and its own invariants after every step.
 //!
+//! A chained sleep ([`Sim::sleep_legs`]) is one slot for a multi-leg
+//! transit: when a leg fires, `fire_next_timer` asks the chain's
+//! [`Legs`] for the next leg and re-inserts the same slot under a fresh
+//! key, and wakes the task only after the last. Like a `send_at` release,
+//! it does at the fire what the task's poll would have done next — timers
+//! fire only on an empty ready ring, so nothing runs in between — with
+//! the same draws, `seq` and tie; a differential test below holds it to
+//! the sequential sleeps it replaces.
+//!
 //! A heap is enough because the store is shallow. Peak pending timers,
 //! one rep of each hetbench workload at seed 7 (`send_at` releases
 //! included: each replaced a relay's sleep one for one, so no column
@@ -283,6 +292,22 @@ enum Wakeup {
     Release(Rc<dyn Parked>, u32),
 }
 
+/// The legs of a chained sleep ([`Sim::sleep_legs`]): a transit the model
+/// prices as consecutive latencies, each drawn at the instant the one
+/// before it ends.
+pub trait Legs {
+    /// Draws the length of leg `leg` of the chain `key`, or returns `None`
+    /// to stop the chain before that leg.
+    fn leg(&self, key: LegKey, leg: u32) -> Option<Duration>;
+}
+
+/// Names a chain to its [`Legs`]: two words its creator chose, which the
+/// kernel only carries.
+pub type LegKey = (u32, u64);
+
+/// A chain's [`Legs`] and key, as its timer slot holds them.
+type Chain = (Rc<dyn Legs>, LegKey);
+
 /// A channel holding values parked by `send_at`, seen by the timer store
 /// without its item type.
 pub(crate) trait Parked {
@@ -297,6 +322,20 @@ struct TimerSlot {
     gen: u32,
     loc: Loc,
     wake: Wakeup,
+    /// A chained sleep's legs, while they run.
+    chain: Option<Chain>,
+    /// A chained sleep's next leg to draw; once the chain has stopped, the
+    /// leg it stopped before.
+    leg: u32,
+}
+
+/// What popping the earliest timer hands `fire_next_timer`.
+enum Fire {
+    /// Whom to wake.
+    Wake(Wakeup),
+    /// A chained sleep's leg ended: its slot (out of the heap, marked
+    /// fired), its chain, and the next leg to draw.
+    Leg(TimerHandle, Chain, u32),
 }
 
 /// Firing-order key `(deadline, tie, registration seq)`. `tie` is zero in
@@ -327,7 +366,8 @@ struct TimerHeap {
 impl TimerHeap {
     fn register(&mut self, at: u64, tie: u64, seq: u64) -> TimerHandle {
         let idx = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(TimerSlot { gen: 0, loc: Loc::Free, wake: Wakeup::Nobody });
+            let wake = Wakeup::Nobody;
+            self.slab.push(TimerSlot { gen: 0, loc: Loc::Free, wake, chain: None, leg: 0 });
             (self.slab.len() - 1) as u32
         });
         let pos = self.heap.len();
@@ -341,6 +381,35 @@ impl TimerHeap {
     fn register_release(&mut self, key: TimerKey, chan: Rc<dyn Parked>, slot: u32) {
         let h = self.register(key.0, key.1, key.2);
         self.slab[h.idx as usize].wake = Wakeup::Release(chan, slot);
+    }
+
+    /// Registers a chained sleep's timer for the leg before `leg`.
+    fn register_chain(&mut self, key: TimerKey, chain: Chain, leg: u32) -> TimerHandle {
+        let h = self.register(key.0, key.1, key.2);
+        let slot = &mut self.slab[h.idx as usize];
+        (slot.chain, slot.leg) = (Some(chain), leg);
+        h
+    }
+
+    /// Puts a chained slot that `pop` handed out back in the heap under
+    /// `key`, for the leg before `leg`: the same slot, so the `Sleep`'s
+    /// handle stays good, and the same wake-up.
+    fn rechain(&mut self, h: TimerHandle, key: TimerKey, chain: Chain, leg: u32) {
+        let slot = &mut self.slab[h.idx as usize];
+        debug_assert!(slot.gen == h.gen && slot.loc == Loc::Fired, "rechained a stranger");
+        (slot.chain, slot.leg) = (Some(chain), leg);
+        let pos = self.heap.len();
+        self.heap.push(HeapEntry { key, idx: h.idx });
+        self.sift_up(pos);
+    }
+
+    /// Ends a chain that `pop` handed out, before `leg`: the slot stays
+    /// fired for its `Sleep`, and its wake-up is handed back.
+    fn end_chain(&mut self, h: TimerHandle, leg: u32) -> Wakeup {
+        let slot = &mut self.slab[h.idx as usize];
+        debug_assert!(slot.gen == h.gen && slot.loc == Loc::Fired, "ended a stranger's chain");
+        slot.leg = leg;
+        std::mem::take(&mut slot.wake)
     }
 
     /// Writes `e` at `heap[pos]` and records the position in its slab
@@ -398,20 +467,25 @@ impl TimerHeap {
         self.heap.first().map(|e| e.key.0)
     }
 
-    /// Fires the globally minimum pending timer: its key and whom to wake.
-    fn pop(&mut self) -> Option<(TimerKey, Wakeup)> {
+    /// Fires the globally minimum pending timer: its key and whom to
+    /// wake, or for a chained sleep its chain, for the next leg.
+    fn pop(&mut self) -> Option<(TimerKey, Fire)> {
         if self.heap.is_empty() {
             return None;
         }
         let HeapEntry { key, idx } = self.remove(0);
         let slot = &mut self.slab[idx as usize];
+        if let Some(chain) = slot.chain.take() {
+            slot.loc = Loc::Fired;
+            return Some((key, Fire::Leg(TimerHandle { idx, gen: slot.gen }, chain, slot.leg)));
+        }
         let wake = std::mem::take(&mut slot.wake);
         if let Wakeup::Release(..) = wake {
             self.free_slot(idx);
         } else {
             slot.loc = Loc::Fired;
         }
-        Some((key, wake))
+        Some((key, Fire::Wake(wake)))
     }
 
     /// Cancels every pending release and hands back what each would
@@ -432,10 +506,17 @@ impl TimerHeap {
         parked
     }
 
-    /// True once the timer has fired (the owning `Sleep` may then resolve).
-    fn is_fired(&self, h: TimerHandle) -> bool {
+    /// Releases the timer if it has fired, returning the leg its chain
+    /// stopped before (0 for a plain sleep); `None` while it is pending.
+    /// The owning `Sleep` resolves on `Some`.
+    fn take_fired(&mut self, h: TimerHandle) -> Option<u32> {
         let slot = &self.slab[h.idx as usize];
-        slot.gen == h.gen && slot.loc == Loc::Fired
+        if slot.gen != h.gen || slot.loc != Loc::Fired {
+            return None;
+        }
+        let leg = slot.leg;
+        self.release(h);
+        Some(leg)
     }
 
     /// Points a pending timer at whoever polls its `Sleep` now: `polled`
@@ -474,6 +555,7 @@ impl TimerHeap {
         slot.gen = slot.gen.wrapping_add(1);
         slot.loc = Loc::Free;
         slot.wake = Wakeup::Nobody;
+        (slot.chain, slot.leg) = (None, 0);
         self.free.push(idx);
     }
 }
@@ -493,6 +575,10 @@ struct Core {
     polls: Cell<u64>,
     timer_fires: Cell<u64>,
     tie_shuffle: RefCell<Option<SimRng>>,
+    /// `(deadline, seq)` of every timer fired, in order: what the
+    /// differential tests of chained sleeps compare.
+    #[cfg(test)]
+    fired: RefCell<Vec<(u64, u64)>>,
 }
 
 /// Summary of a completed [`Sim::run`].
@@ -539,6 +625,8 @@ impl Sim {
                 polls: Cell::new(0),
                 timer_fires: Cell::new(0),
                 tie_shuffle: RefCell::new(None),
+                #[cfg(test)]
+                fired: RefCell::default(),
             }),
         }
     }
@@ -653,17 +741,48 @@ impl Sim {
 
     /// Returns a future that completes after `d` of virtual time.
     pub fn sleep(&self, d: Duration) -> Sleep {
-        Sleep {
-            sim: self.clone(),
-            deadline: self.now() + d,
-            handle: None,
-        }
+        Sleep { sim: self.clone(), deadline: self.now() + d, handle: None, leg: 0 }
     }
 
     /// Returns a future that completes at the absolute instant `at`
     /// (immediately if `at` is in the past).
     pub fn sleep_until(&self, at: SimTime) -> Sleep {
-        Sleep { sim: self.clone(), deadline: at, handle: None }
+        Sleep { sim: self.clone(), deadline: at, handle: None, leg: 0 }
+    }
+
+    /// A sleep through the legs of `legs`'s chain `key`, from leg `from`
+    /// on, as one timer. Each leg is drawn where the task's own poll would
+    /// have drawn it: the first here, every later one by the timer store
+    /// as the leg before it fires, which re-inserts the same slot under a
+    /// fresh `seq` and tie — the key a `sleep` registered by that poll
+    /// would have had. So a chain of n legs fires n times, as n sleeps
+    /// would, and polls its task once instead of n times. A leg of zero
+    /// length passes without a timer, as a zero sleep does. The sleep
+    /// resolves when `legs` stops the chain; [`Sleep::leg`] then says
+    /// before which leg.
+    pub fn sleep_legs(&self, legs: Rc<dyn Legs>, key: LegKey, from: u32) -> Sleep {
+        let mut leg = from;
+        let Some(at) = self.next_leg(&*legs, key, &mut leg) else {
+            return Sleep { sim: self.clone(), deadline: self.now(), handle: None, leg };
+        };
+        let tkey = self.timer_key(at, None);
+        let h = self.core.timers.borrow_mut().register_chain(tkey, (legs, key), leg);
+        Sleep { sim: self.clone(), deadline: at, handle: Some(h), leg }
+    }
+
+    /// Draws the legs of `key` from `*leg` on until one ends after now
+    /// and returns that end, with `*leg` past it; `None` once `legs`
+    /// stops the chain, with `*leg` at the leg it stopped before.
+    fn next_leg(&self, legs: &dyn Legs, key: LegKey, leg: &mut u32) -> Option<SimTime> {
+        let now = self.now();
+        loop {
+            let d = legs.leg(key, *leg)?;
+            *leg += 1;
+            let at = now + d;
+            if at > now {
+                return Some(at);
+            }
+        }
     }
 
     /// Yields once, letting every currently runnable task proceed before
@@ -771,11 +890,27 @@ impl Sim {
     /// Returns false when no live timer remains.
     fn fire_next_timer(&self) -> bool {
         let fired = self.core.timers.borrow_mut().pop();
-        let Some(((at, ..), wake)) = fired else { return false };
+        let Some(((at, _, _seq), fire)) = fired else { return false };
+        #[cfg(test)]
+        self.core.fired.borrow_mut().push((at, _seq));
         let at = SimTime::from_nanos(at);
         debug_assert!(at >= self.core.now.get(), "time went backwards");
         self.core.now.set(at);
         self.core.timer_fires.set(self.core.timer_fires.get() + 1);
+        let wake = match fire {
+            Fire::Wake(wake) => wake,
+            // The next leg, drawn outside the store's borrow (`Legs` may
+            // reach anything), then keyed and re-inserted in the order a
+            // `Sleep` the task registered would have been.
+            Fire::Leg(h, (legs, key), mut leg) => match self.next_leg(&*legs, key, &mut leg) {
+                Some(at) => {
+                    let tkey = self.timer_key(at, None);
+                    self.core.timers.borrow_mut().rechain(h, tkey, (legs, key), leg);
+                    return true;
+                }
+                None => self.core.timers.borrow_mut().end_chain(h, leg),
+            },
+        };
         match wake {
             // Polled now, not pushed: the ring is empty (this runs only
             // once it is drained), so the push would be the next pop.
@@ -951,11 +1086,24 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+/// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`] /
+/// [`Sim::sleep_legs`].
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
     handle: Option<TimerHandle>,
+    /// A chained sleep's leg: see [`Sleep::leg`]. It sits in padding.
+    leg: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Sleep>() == 32);
+
+impl Sleep {
+    /// For a chained sleep that has resolved, the leg its chain stopped
+    /// before: the index its [`Legs`] returned `None` for.
+    pub fn leg(&self) -> u32 {
+        self.leg
+    }
 }
 
 impl Future for Sleep {
@@ -963,17 +1111,19 @@ impl Future for Sleep {
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if let Some(h) = self.handle {
             let mut timers = self.sim.core.timers.borrow_mut();
-            return if timers.is_fired(h) {
-                // Release in the same borrow the fired-check took, so
-                // the common completed-sleep path touches the timer
-                // store once and `Drop` has nothing left to do.
-                timers.release(h);
-                drop(timers);
-                self.handle = None;
-                Poll::Ready(())
-            } else {
-                timers.arm(h, self.sim.polled_task(cx), cx.waker());
-                Poll::Pending
+            // The fired check releases in the same borrow, so the common
+            // completed-sleep path touches the timer store once and
+            // `Drop` has nothing left to do.
+            return match timers.take_fired(h) {
+                Some(leg) => {
+                    drop(timers);
+                    (self.handle, self.leg) = (None, leg);
+                    Poll::Ready(())
+                }
+                None => {
+                    timers.arm(h, self.sim.polled_task(cx), cx.waker());
+                    Poll::Pending
+                }
             };
         }
         if self.deadline <= self.sim.now() {
@@ -1419,6 +1569,8 @@ mod tests {
             let is_free = |i: &u32| self.slab[*i as usize].loc == Loc::Free;
             let marked: Vec<u32> = (0..self.slab.len() as u32).filter(is_free).collect();
             assert_eq!(free, marked, "free list and Loc::Free disagree");
+            let kept = self.free.iter().filter(|&&i| self.slab[i as usize].chain.is_some()).count();
+            assert_eq!(kept, 0, "a free slot kept its chain");
         }
 
         /// The quiescence law: nothing pending and every slab slot free.
@@ -1439,12 +1591,25 @@ mod tests {
         }
     }
 
+    /// Legs the store never draws: in these scripts the test re-inserts a
+    /// chained slot itself, as `fire_next_timer` would.
+    struct NoLegs;
+
+    impl Legs for NoLegs {
+        fn leg(&self, _: LegKey, _: u32) -> Option<Duration> {
+            None
+        }
+    }
+
     /// Drives the store and the reference through one random script.
     /// `percent` = cumulative thresholds out of 100 for insert / cancel /
     /// pop (the rest peek); below `floor` live timers every step inserts;
     /// `deadline` draws an absolute deadline. Each timer is armed, at
-    /// random, with a task id (its own `seq`) or a counting waker, and a
-    /// pop must hand back exactly what was armed. Returns the peak depth.
+    /// random, with a task id (its number) or a counting waker, and a
+    /// pop must hand back exactly what was armed. A third of the timers
+    /// are chained sleeps of 2–4 legs: each leg's pop re-inserts the same
+    /// slot under a fresh key, and only the last one wakes. Returns the
+    /// peak depth.
     fn store_matches_reference_script(
         seed: u64,
         shuffled_ties: bool,
@@ -1458,81 +1623,120 @@ mod tests {
         let mut reference = HeapRef::default();
         let foreign = Arc::new(CountingWake::default());
         let foreign_waker = Waker::from(Arc::clone(&foreign));
-        // Indexed by `seq`: was the timer armed with the foreign waker?
+        let no_legs: Rc<dyn Legs> = Rc::new(NoLegs);
+        // Indexed by id: was the timer armed with the foreign waker?
         let mut armed_foreign: Vec<bool> = Vec::new();
         let mut foreign_fired = 0;
-        // What the store says to wake for the timer `seq` it just fired.
-        let mut check_wake = |wake: Wakeup, seq: u64, armed_foreign: &[bool]| match wake {
-            Wakeup::Task(id) => assert_eq!(id, seq, "woke another timer's task"),
-            Wakeup::Foreign(w) => {
-                assert!(armed_foreign[seq as usize], "timer {seq} was armed with an id");
-                w.wake();
-                foreign_fired += 1;
-            }
-            Wakeup::Nobody | Wakeup::Release(..) => panic!("timer {seq} fired with nobody to wake"),
+        /// A popped chained slot with legs left, which `fire` re-inserts.
+        fn more_legs(fire: &Fire) -> bool {
+            matches!(fire, Fire::Leg(_, (_, (_, legs)), leg) if u64::from(*leg) < *legs)
+        }
+        // Live timers: current `seq` (a re-inserted leg's is fresh), id, handle.
+        let mut live: Vec<(u64, u64, TimerHandle)> = Vec::new();
+        let (mut now, mut seq, mut peak) = (0u64, 0u64, 0);
+        let mut key = |rng: &mut SimRng, now: u64, seq: &mut u64| {
+            let tie = if shuffled_ties { rng.next_u64() } else { 0 };
+            *seq += 1;
+            (deadline(rng, now), tie, *seq - 1)
         };
-        // seq -> handle, for cancels and post-pop release.
-        let mut live: Vec<(u64, TimerHandle)> = Vec::new();
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        let mut peak = 0;
+        // Handles the timer `store.pop()` fired with key `k`: re-inserts a
+        // chained slot with legs left, else checks whom it wakes and, like
+        // its `Sleep`'s next poll, releases it. Returns the fresh key of a
+        // re-inserted leg, for the reference.
+        let mut fire = |store: &mut TimerHeap,
+                        live: &mut Vec<(u64, u64, TimerHandle)>,
+                        armed_foreign: &[bool],
+                        (at, _, s): TimerKey,
+                        fire: Fire,
+                        next: Option<TimerKey>| {
+            let i = live.iter().position(|&(ls, ..)| ls == s).expect("fired a live timer");
+            let wake = match fire {
+                Fire::Leg(h, chain, leg) => {
+                    assert_eq!(live[i].2, h, "a leg fired for a stranger");
+                    if let Some(next) = next {
+                        store.rechain(h, next, chain, leg + 1);
+                        live[i].0 = next.2;
+                        return;
+                    }
+                    store.end_chain(h, leg)
+                }
+                Fire::Wake(wake) => wake,
+            };
+            let (_, id, h) = live.swap_remove(i);
+            match wake {
+                Wakeup::Task(task) => assert_eq!(task, id, "woke another timer's task"),
+                Wakeup::Foreign(w) => {
+                    assert!(armed_foreign[id as usize], "timer {id} was armed with an id");
+                    w.wake();
+                    foreign_fired += 1;
+                }
+                _ => panic!("timer {id} fired at {at} with nobody to wake"),
+            }
+            // The fired Sleep resolves and releases on its next poll;
+            // until then its slot must read as fired.
+            assert!(store.take_fired(h).is_some());
+            assert_eq!(store.take_fired(h), None, "released handle is stale");
+        };
         for _ in 0..steps {
             let roll = rng.next_u64() % 100;
             if roll < percent[0] || live.len() < floor {
-                let at = deadline(&mut rng, now);
-                let tie = if shuffled_ties { rng.next_u64() } else { 0 };
+                let k = key(&mut rng, now, &mut seq);
+                let legs = [0, 0, 0, 2, 3, 4][(rng.next_u64() % 6) as usize];
+                let h = match legs {
+                    0 => store.register(k.0, k.1, k.2),
+                    _ => store.register_chain(k, (Rc::clone(&no_legs), (0, legs)), 1),
+                };
+                let id = armed_foreign.len() as u64;
                 armed_foreign.push(rng.next_u64() & 1 == 1);
-                let h = store.register(at, tie, seq);
-                store.arm(h, (!armed_foreign[seq as usize]).then_some(seq), &foreign_waker);
-                reference.insert(at, tie, seq);
-                live.push((seq, h));
-                seq += 1;
+                store.arm(h, (!armed_foreign[id as usize]).then_some(id), &foreign_waker);
+                reference.insert(k.0, k.1, k.2);
+                live.push((k.2, id, h));
                 peak = peak.max(store.heap.len());
             } else if roll < percent[1] {
                 if !live.is_empty() {
                     let i = (rng.next_u64() % live.len() as u64) as usize;
-                    let (s, h) = live.swap_remove(i);
+                    let (s, _, h) = live.swap_remove(i);
                     store.release(h);
                     reference.cancel(s);
                 }
             } else if roll < percent[2] {
                 let fired = store.pop();
                 let got = fired.as_ref().map(|(key, _)| *key);
-                let want = reference.pop();
-                assert_eq!(got, want, "pop diverged (seed {seed})");
-                if let Some(((at, _, s), wake)) = fired {
-                    check_wake(wake, s, &armed_foreign);
-                    now = at;
-                    // The fired Sleep resolves and releases on its next
-                    // poll; until then its slot must read as fired.
-                    if let Some(i) = live.iter().position(|&(ls, _)| ls == s) {
-                        let (_, h) = live.swap_remove(i);
-                        assert!(store.is_fired(h));
-                        store.release(h);
-                        assert!(!store.is_fired(h), "released handle is stale");
+                assert_eq!(got, reference.pop(), "pop diverged (seed {seed})");
+                if let Some((k, f)) = fired {
+                    now = k.0;
+                    let next = more_legs(&f).then(|| key(&mut rng, now, &mut seq));
+                    if let Some(n) = next {
+                        reference.insert(n.0, n.1, n.2);
                     }
+                    fire(&mut store, &mut live, &armed_foreign, k, f, next);
                 }
             } else {
                 assert_eq!(store.peek(), reference.peek(), "peek diverged (seed {seed})");
             }
             store.check();
         }
-        // Drain what's left: order must match to the end.
+        // Drain what's left, chains to their last leg: order must match
+        // to the end.
         loop {
             let fired = store.pop();
             let got = fired.as_ref().map(|(key, _)| *key);
-            let want = reference.pop();
-            assert_eq!(got, want, "drain diverged (seed {seed})");
+            assert_eq!(got, reference.pop(), "drain diverged (seed {seed})");
             store.check();
-            let Some(((_, _, s), wake)) = fired else { break };
-            check_wake(wake, s, &armed_foreign);
+            let Some((k, f)) = fired else { break };
+            now = k.0;
+            let next = more_legs(&f).then(|| key(&mut rng, now, &mut seq));
+            if let Some(n) = next {
+                reference.insert(n.0, n.1, n.2);
+            }
+            fire(&mut store, &mut live, &armed_foreign, k, f, next);
+            store.check();
         }
-        for (_, h) in live {
-            store.release(h);
-        }
+        assert!(live.is_empty(), "a live timer was never fired");
         store.assert_quiescent();
         assert_eq!(foreign.0.load(Ordering::Relaxed), foreign_fired, "a foreign wake was lost");
         assert_eq!(Arc::strong_count(&foreign), 2, "the store kept a waker past its timer");
+        assert_eq!(Rc::strong_count(&no_legs), 1, "the store kept a chain past its sleep");
         peak
     }
 
@@ -1816,5 +2020,177 @@ mod tests {
         let r = sim.run();
         assert_eq!((r.end, count.0.load(Ordering::Relaxed)), (SimTime::from_secs(2), 1));
         assert!(poll_by_hand(&mut nap, &waker).is_ready());
+    }
+
+    #[test]
+    fn block_on_runs_what_the_final_poll_woke() {
+        // The timer polls the awaited task to completion inside
+        // `fire_next_timer`; the receiver its last poll woke must still
+        // run before `block_on` returns.
+        let sim = Sim::new();
+        let (tx, rx) = crate::channel::channel::<()>();
+        let got = Rc::new(Cell::new(false));
+        let g = Rc::clone(&got);
+        sim.spawn_detached(async move {
+            rx.recv().await;
+            g.set(true);
+        });
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            s.sleep(secs(1.0)).await;
+            assert!(tx.send_now(()).is_ok());
+        });
+        sim.block_on(h);
+        assert!(got.get(), "block_on returned before the woken receiver ran");
+    }
+
+    // -----------------------------------------------------------------
+    // Chained sleeps against the sequential sleeps they replace.
+    // -----------------------------------------------------------------
+
+    /// One actor's part of a script.
+    #[derive(Clone, Copy)]
+    struct Plan {
+        legs: u32,
+        /// Leg `.0` is held, as an offline endpoint holds a transit,
+        /// until the instant `.1`.
+        hold: Option<(u32, SimTime)>,
+        /// Dropped mid-chain, by a timeout, this long after it starts.
+        drop_after: Option<Duration>,
+    }
+
+    /// N actors' "draw, sleep" legs, drawn from one shared stream: 0–3 ms,
+    /// so that zero legs occur and deadlines collide, and `seq` and ties
+    /// decide their order.
+    struct Script {
+        sim: Sim,
+        rng: StdRefCell<SimRng>,
+        plans: Vec<Plan>,
+    }
+
+    impl Script {
+        fn draw(&self) -> Duration {
+            Duration::from_millis(self.rng.borrow_mut().next_u64() % 4)
+        }
+
+        fn held(&self, actor: usize, leg: u32) -> bool {
+            matches!(self.plans[actor].hold, Some((at, until)) if at == leg && self.sim.now() < until)
+        }
+    }
+
+    impl Legs for Script {
+        fn leg(&self, (actor, _): LegKey, leg: u32) -> Option<Duration> {
+            let actor = actor as usize;
+            (leg < self.plans[actor].legs && !self.held(actor, leg)).then(|| self.draw())
+        }
+    }
+
+    /// What one run of a script shows: the fire log, the shared stream's
+    /// next draw, the run report, and the expected poll saving — legs
+    /// that fired, less one for each chain a fired leg ended.
+    struct ScriptRun {
+        fired: Vec<(u64, u64)>,
+        rng_next: u64,
+        report: RunReport,
+        saved_polls: u64,
+    }
+
+    fn run_script(seed: u64, shuffle: Option<u64>, holds: bool, chained: bool) -> ScriptRun {
+        let sim = shuffle.map_or_else(Sim::new, Sim::with_tie_shuffle);
+        let mut plan_rng = SimRng::from_seed(seed);
+        let plans = (0..24)
+            .map(|_| {
+                let legs = 1 + (plan_rng.next_u64() % 6) as u32;
+                let hold_at = (plan_rng.next_u64() % u64::from(legs)) as u32;
+                let until = SimTime::from_millis(1 + plan_rng.next_u64() % 12);
+                let drop_after = Duration::from_millis(1 + plan_rng.next_u64() % 15);
+                let (held, dropped) = (plan_rng.next_u64(), plan_rng.next_u64());
+                Plan {
+                    legs,
+                    hold: (holds && held.is_multiple_of(3)).then_some((hold_at, until)),
+                    drop_after: dropped.is_multiple_of(3).then_some(drop_after),
+                }
+            })
+            .collect();
+        let rng = StdRefCell::new(SimRng::from_seed(seed ^ 0xC4A1));
+        let script = Rc::new(Script { sim: sim.clone(), rng, plans });
+        let saved = Rc::new(Cell::new(0u64));
+        for actor in 0..script.plans.len() {
+            let (sc, saved) = (Rc::clone(&script), Rc::clone(&saved));
+            let plan = sc.plans[actor];
+            let body = async move {
+                let mut fired = 0;
+                if chained {
+                    let mut leg = 0;
+                    loop {
+                        let legs: Rc<dyn Legs> = Rc::<Script>::clone(&sc);
+                        let mut chain = sc.sim.sleep_legs(legs, (actor as u32, 0), leg);
+                        (&mut chain).await;
+                        leg = chain.leg();
+                        if leg == plan.legs {
+                            break;
+                        }
+                        let until = plan.hold.map_or(SimTime::ZERO, |(_, until)| until);
+                        sc.sim.sleep_until(until).await;
+                    }
+                } else {
+                    for leg in 0..plan.legs {
+                        if sc.held(actor, leg) {
+                            let until = plan.hold.map_or(SimTime::ZERO, |(_, until)| until);
+                            sc.sim.sleep_until(until).await;
+                        }
+                        let d = sc.draw();
+                        sc.sim.sleep(d).await;
+                        if !d.is_zero() {
+                            fired += 1;
+                            saved.set(saved.get() + 1);
+                        }
+                    }
+                    if fired > 0 {
+                        saved.set(saved.get() - 1);
+                    }
+                }
+            };
+            let s = sim.clone();
+            match plan.drop_after {
+                Some(after) => sim.spawn_detached(async move {
+                    s.timeout(after, body).await.ok();
+                }),
+                None => sim.spawn_detached(body),
+            }
+        }
+        let report = sim.run();
+        sim.core.timers.borrow().assert_quiescent();
+        let fired = sim.core.fired.borrow().clone();
+        let rng_next = script.rng.borrow_mut().next_u64();
+        ScriptRun { fired, rng_next, report, saved_polls: saved.get() }
+    }
+
+    #[test]
+    fn chained_legs_fire_and_draw_as_sequential_sleeps_do() {
+        let mut saved_total = 0;
+        for seed in 0..16u64 {
+            for shuffle in [None, Some(seed + 100)] {
+                for holds in [false, true] {
+                    let seq = run_script(seed, shuffle, holds, false);
+                    let chain = run_script(seed, shuffle, holds, true);
+                    let case = format!("seed {seed}, shuffle {shuffle:?}, holds {holds}");
+                    assert_eq!(chain.fired, seq.fired, "(fire time, seq) diverged: {case}");
+                    assert_eq!(chain.rng_next, seq.rng_next, "draws diverged: {case}");
+                    assert_eq!(chain.report.end, seq.report.end, "{case}");
+                    assert_eq!(chain.report.timer_fires, seq.report.timer_fires, "{case}");
+                    assert_eq!(chain.report.pending_tasks, 0, "{case}");
+                    if !holds {
+                        // A chain polls its task once where the sleeps
+                        // polled it at every leg's fire; a dropped one
+                        // not at all until its timeout.
+                        let saved = seq.report.polls - chain.report.polls;
+                        assert_eq!(saved, seq.saved_polls, "poll saving: {case}");
+                        saved_total += saved;
+                    }
+                }
+            }
+        }
+        assert!(saved_total > 500, "scripts too short to mean anything: {saved_total} polls saved");
     }
 }

@@ -51,7 +51,7 @@ pub mod trace;
 pub use combinators::Elapsed;
 pub use channel::{bounded, channel, Offered, OverflowPolicy, Receiver, Sender};
 pub use dist::Dist;
-pub use executor::{JoinHandle, RunReport, Sim, Sleep};
+pub use executor::{JoinHandle, LegKey, Legs, RunReport, Sim, Sleep};
 pub use intern::Symbol;
 pub use symmap::SymbolMap;
 pub use metrics::{Gauge, Samples, TimeSeries};
