@@ -31,7 +31,7 @@ use std::task::{Context, Poll};
 use std::time::Duration;
 
 /// Which way a transit carries bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy)]
 pub enum Way {
     /// A task, from the server to an endpoint's pool.
     Out,
@@ -364,9 +364,10 @@ impl<T> Dispatcher<T> {
 }
 
 impl<T: Transport> Dispatcher<T> {
-    /// Builds the executor over the transport `wire` makes of its
-    /// [`Net`], with one worker pool and return-path actor per `(pool,
-    /// topics)` endpoint; a topic's first endpoint is its primary.
+    /// Builds the executor over the transport `wire` makes of the
+    /// fabric's transit-cost stream, with one worker pool and return-path
+    /// actor per `(pool, topics)` endpoint; a topic's first endpoint is
+    /// its primary.
     pub(crate) fn build<W: FnOnce(RefCell<SimRng>) -> T>(
         sim: &Sim,
         wire: W,

@@ -137,10 +137,10 @@ impl Connectivity {
         }
     }
 
-    /// A future that resolves at the *next* state transition (offline→online or
-    /// online→offline). Used by heartbeat watchers, which must be
-    /// event-driven: a watcher parked here pends on the event and never
-    /// blocks simulation quiescence.
+    /// A future that resolves at the *next* state transition
+    /// (offline→online or online→offline). Used by heartbeat watchers,
+    /// which must be event-driven: a watcher parked here pends on the
+    /// event and never blocks simulation quiescence.
     pub(crate) fn wait_change(&self) -> EventWaitNext {
         self.state.changed.wait_next()
     }
