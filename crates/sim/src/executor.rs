@@ -575,10 +575,6 @@ struct Core {
     polls: Cell<u64>,
     timer_fires: Cell<u64>,
     tie_shuffle: RefCell<Option<SimRng>>,
-    /// `(deadline, seq)` of every timer fired, in order: what the
-    /// differential tests of chained sleeps compare.
-    #[cfg(test)]
-    fired: RefCell<Vec<(u64, u64)>>,
 }
 
 /// Summary of a completed [`Sim::run`].
@@ -625,8 +621,6 @@ impl Sim {
                 polls: Cell::new(0),
                 timer_fires: Cell::new(0),
                 tie_shuffle: RefCell::new(None),
-                #[cfg(test)]
-                fired: RefCell::default(),
             }),
         }
     }
@@ -890,9 +884,7 @@ impl Sim {
     /// Returns false when no live timer remains.
     fn fire_next_timer(&self) -> bool {
         let fired = self.core.timers.borrow_mut().pop();
-        let Some(((at, _, _seq), fire)) = fired else { return false };
-        #[cfg(test)]
-        self.core.fired.borrow_mut().push((at, _seq));
+        let Some(((at, ..), fire)) = fired else { return false };
         let at = SimTime::from_nanos(at);
         debug_assert!(at >= self.core.now.get(), "time went backwards");
         self.core.now.set(at);
@@ -2159,9 +2151,16 @@ mod tests {
                 None => sim.spawn_detached(body),
             }
         }
-        let report = sim.run();
+        // `Sim::run`'s loop, logging the key of each timer as it fires.
+        let mut fired = Vec::new();
+        loop {
+            sim.drain_ready();
+            let Some(e) = sim.core.timers.borrow().heap.first().copied() else { break };
+            fired.push((e.key.0, e.key.2));
+            sim.fire_next_timer();
+        }
+        let report = sim.report();
         sim.core.timers.borrow().assert_quiescent();
-        let fired = sim.core.fired.borrow().clone();
         let rng_next = script.rng.borrow_mut().next_u64();
         ScriptRun { fired, rng_next, report, saved_polls: saved.get() }
     }
