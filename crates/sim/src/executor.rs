@@ -25,8 +25,8 @@
 //!
 //! A chained sleep ([`Sim::sleep_legs`]) is one slot for a multi-leg
 //! transit: when a leg fires, `fire_next_timer` asks the chain's
-//! [`Legs`] for the next leg and re-inserts the same slot under a fresh
-//! key, and wakes the task only after the last. Like a `send_at` release,
+//! [`Legs`] for the next leg and re-keys the slot in place at the root
+//! (one sift-down), and wakes the task only after the last. Like a `send_at` release,
 //! it does at the fire what the task's poll would have done next — timers
 //! fire only on an empty ready ring, so nothing runs in between — with
 //! the same draws, `seq` and tie; a differential test below holds it to
@@ -329,12 +329,12 @@ struct TimerSlot {
     leg: u32,
 }
 
-/// What popping the earliest timer hands `fire_next_timer`.
+/// What firing the earliest timer hands `fire_next_timer`.
 enum Fire {
-    /// Whom to wake.
+    /// Whom to wake; the timer has left the heap.
     Wake(Wakeup),
-    /// A chained sleep's leg ended: its slot (out of the heap, marked
-    /// fired), its chain, and the next leg to draw.
+    /// A chained sleep's leg ended: its slot (still at the root, under
+    /// the key that just fired), its chain, and the next leg to draw.
     Leg(TimerHandle, Chain, u32),
 }
 
@@ -391,24 +391,32 @@ impl TimerHeap {
         h
     }
 
-    /// Puts a chained slot that `pop` handed out back in the heap under
-    /// `key`, for the leg before `leg`: the same slot, so the `Sleep`'s
-    /// handle stays good, and the same wake-up.
-    fn rechain(&mut self, h: TimerHandle, key: TimerKey, chain: Chain, leg: u32) {
+    /// Gives a chained slot that `pop` left in the heap its next leg,
+    /// before `leg`, under `key`: the entry's key is rewritten in place
+    /// and sifts down once, as `key` is later than the one that fired. The
+    /// same slot, so the `Sleep`'s handle stays good, and the same wake-up.
+    fn rekey(&mut self, h: TimerHandle, key: TimerKey, chain: Chain, leg: u32) {
         let slot = &mut self.slab[h.idx as usize];
-        debug_assert!(slot.gen == h.gen && slot.loc == Loc::Fired, "rechained a stranger");
+        debug_assert!(slot.gen == h.gen && slot.chain.is_none(), "re-keyed a stranger");
+        let Loc::Heap(pos) = slot.loc else { return };
         (slot.chain, slot.leg) = (Some(chain), leg);
-        let pos = self.heap.len();
-        self.heap.push(HeapEntry { key, idx: h.idx });
-        self.sift_up(pos);
+        let pos = pos as usize;
+        debug_assert!(self.heap[pos].key < key, "a leg's key went backwards");
+        self.heap[pos].key = key;
+        self.sift_down(pos);
     }
 
-    /// Ends a chain that `pop` handed out, before `leg`: the slot stays
-    /// fired for its `Sleep`, and its wake-up is handed back.
+    /// Ends a chain that `pop` left in the heap, before `leg`: its entry
+    /// leaves the heap, the slot stays fired for its `Sleep`, and its
+    /// wake-up is handed back.
     fn end_chain(&mut self, h: TimerHandle, leg: u32) -> Wakeup {
+        let slot = &self.slab[h.idx as usize];
+        debug_assert!(slot.gen == h.gen && slot.chain.is_none(), "ended a stranger's chain");
+        if let Loc::Heap(pos) = slot.loc {
+            self.remove(pos as usize);
+        }
         let slot = &mut self.slab[h.idx as usize];
-        debug_assert!(slot.gen == h.gen && slot.loc == Loc::Fired, "ended a stranger's chain");
-        slot.leg = leg;
+        (slot.loc, slot.leg) = (Loc::Fired, leg);
         std::mem::take(&mut slot.wake)
     }
 
@@ -468,17 +476,17 @@ impl TimerHeap {
     }
 
     /// Fires the globally minimum pending timer: its key and whom to
-    /// wake, or for a chained sleep its chain, for the next leg.
+    /// wake, or for a chained sleep its chain, for the next leg. A chained
+    /// slot stays at the root until [`TimerHeap::rekey`] or
+    /// [`TimerHeap::end_chain`] settles it.
     fn pop(&mut self) -> Option<(TimerKey, Fire)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let HeapEntry { key, idx } = self.remove(0);
+        let &HeapEntry { key, idx } = self.heap.first()?;
         let slot = &mut self.slab[idx as usize];
         if let Some(chain) = slot.chain.take() {
-            slot.loc = Loc::Fired;
             return Some((key, Fire::Leg(TimerHandle { idx, gen: slot.gen }, chain, slot.leg)));
         }
+        self.remove(0);
+        let slot = &mut self.slab[idx as usize];
         let wake = std::mem::take(&mut slot.wake);
         if let Wakeup::Release(..) = wake {
             self.free_slot(idx);
@@ -747,7 +755,7 @@ impl Sim {
     /// A sleep through the legs of `legs`'s chain `key`, from leg `from`
     /// on, as one timer. Each leg is drawn where the task's own poll would
     /// have drawn it: the first here, every later one by the timer store
-    /// as the leg before it fires, which re-inserts the same slot under a
+    /// as the leg before it fires, which re-keys the same slot with a
     /// fresh `seq` and tie — the key a `sleep` registered by that poll
     /// would have had. So a chain of n legs fires n times, as n sleeps
     /// would, and polls its task once instead of n times. A leg of zero
@@ -892,12 +900,12 @@ impl Sim {
         let wake = match fire {
             Fire::Wake(wake) => wake,
             // The next leg, drawn outside the store's borrow (`Legs` may
-            // reach anything), then keyed and re-inserted in the order a
-            // `Sleep` the task registered would have been.
+            // reach anything), then keyed in the order a `Sleep` the task
+            // registered would have been: the root takes the fresh key.
             Fire::Leg(h, (legs, key), mut leg) => match self.next_leg(&*legs, key, &mut leg) {
                 Some(at) => {
                     let tkey = self.timer_key(at, None);
-                    self.core.timers.borrow_mut().rechain(h, tkey, (legs, key), leg);
+                    self.core.timers.borrow_mut().rekey(h, tkey, (legs, key), leg);
                     return true;
                 }
                 None => self.core.timers.borrow_mut().end_chain(h, leg),
@@ -1583,7 +1591,7 @@ mod tests {
         }
     }
 
-    /// Legs the store never draws: in these scripts the test re-inserts a
+    /// Legs the store never draws: in these scripts the test re-keys a
     /// chained slot itself, as `fire_next_timer` would.
     struct NoLegs;
 
@@ -1599,8 +1607,8 @@ mod tests {
     /// `deadline` draws an absolute deadline. Each timer is armed, at
     /// random, with a task id (its number) or a counting waker, and a
     /// pop must hand back exactly what was armed. A third of the timers
-    /// are chained sleeps of 2–4 legs: each leg's pop re-inserts the same
-    /// slot under a fresh key, and only the last one wakes. Returns the
+    /// are chained sleeps of 2–4 legs: each leg's pop leaves the slot at
+    /// the root, which takes a fresh key, and only the last one wakes. Returns the
     /// peak depth.
     fn store_matches_reference_script(
         seed: u64,
@@ -1619,11 +1627,11 @@ mod tests {
         // Indexed by id: was the timer armed with the foreign waker?
         let mut armed_foreign: Vec<bool> = Vec::new();
         let mut foreign_fired = 0;
-        /// A popped chained slot with legs left, which `fire` re-inserts.
+        /// A popped chained slot with legs left, which `fire` re-keys.
         fn more_legs(fire: &Fire) -> bool {
             matches!(fire, Fire::Leg(_, (_, (_, legs)), leg) if u64::from(*leg) < *legs)
         }
-        // Live timers: current `seq` (a re-inserted leg's is fresh), id, handle.
+        // Live timers: current `seq` (a re-keyed leg's is fresh), id, handle.
         let mut live: Vec<(u64, u64, TimerHandle)> = Vec::new();
         let (mut now, mut seq, mut peak) = (0u64, 0u64, 0);
         let mut key = |rng: &mut SimRng, now: u64, seq: &mut u64| {
@@ -1631,10 +1639,9 @@ mod tests {
             *seq += 1;
             (deadline(rng, now), tie, *seq - 1)
         };
-        // Handles the timer `store.pop()` fired with key `k`: re-inserts a
-        // chained slot with legs left, else checks whom it wakes and, like
-        // its `Sleep`'s next poll, releases it. Returns the fresh key of a
-        // re-inserted leg, for the reference.
+        // Handles the timer `store.pop()` fired with key `k`: re-keys a
+        // chained slot with legs left under `next`, else checks whom it
+        // wakes and, like its `Sleep`'s next poll, releases it.
         let mut fire = |store: &mut TimerHeap,
                         live: &mut Vec<(u64, u64, TimerHandle)>,
                         armed_foreign: &[bool],
@@ -1646,7 +1653,7 @@ mod tests {
                 Fire::Leg(h, chain, leg) => {
                     assert_eq!(live[i].2, h, "a leg fired for a stranger");
                     if let Some(next) = next {
-                        store.rechain(h, next, chain, leg + 1);
+                        store.rekey(h, next, chain, leg + 1);
                         live[i].0 = next.2;
                         return;
                     }
