@@ -903,7 +903,6 @@ pub fn overload_point(multiplier: f64, horizon_secs: f64) -> OverloadPoint {
             },
             ..Default::default()
         },
-        ..Default::default()
     };
     let (results_tx, results_rx) = channel::<TaskResult>();
     let fabric = Rc::new(FnXExecutor::with_reliability(

@@ -14,7 +14,8 @@ pub mod stats;
 use hetflow_core::platform::{RCC, THETA};
 use hetflow_core::Calibration;
 use hetflow_fabric::{
-    EndpointSpec, Fabric, FnXExecutor, HtexEndpoint, HtexExecutor, TaskWork, WorkerPoolConfig,
+    EndpointSpec, Fabric, FnXExecutor, HtexEndpoint, HtexExecutor, ReliabilityPolicies, TaskWork,
+    WorkerPoolConfig,
 };
 use hetflow_steer::{Breakdown, ClientQueues, Payload, QueueConfig, TaskServer};
 use hetflow_store::{Backend, GlobusBackend, GlobusService, ProxyPolicy, SiteId, Store};
@@ -154,15 +155,16 @@ impl NoopPipeline {
 
         let (results_tx, results_rx) = channel();
         let fabric: Rc<dyn Fabric> = match self.fabric {
-            FabricKind::FnX => Rc::new(FnXExecutor::new(
+            FabricKind::FnX => Rc::new(FnXExecutor::with_reliability(
                 sim,
                 cal.fnx.clone(),
                 vec![EndpointSpec::reliable(pool, vec!["noop"])],
                 results_tx,
                 rng.substream(3),
                 Tracer::disabled(),
+                ReliabilityPolicies::default(),
             )),
-            FabricKind::Htex => Rc::new(HtexExecutor::new(
+            FabricKind::Htex => Rc::new(HtexExecutor::with_reliability(
                 sim,
                 cal.htex.clone(),
                 vec![HtexEndpoint {
@@ -173,6 +175,7 @@ impl NoopPipeline {
                 results_tx,
                 rng.substream(3),
                 Tracer::disabled(),
+                ReliabilityPolicies::default(),
             )),
         };
 

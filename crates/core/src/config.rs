@@ -78,12 +78,8 @@ pub struct DeploymentSpec {
     /// Per-topic retry/timeout/backoff policies governing how failures
     /// and delivery stalls are handled.
     pub retry: hetflow_fabric::RetryPolicies,
-    /// CPU endpoint connectivity (FnX configuration only; HTEX has no
-    /// store-and-forward tier, so outages there stall the link). The
-    /// GPU and failover endpoints are always connected.
-    pub cpu_connectivity: hetflow_fabric::Connectivity,
-    /// Per-topic circuit-breaker / hedging / failover policies. The
-    /// all-zero default disables every mechanism (PR-2 behavior).
+    /// The fabric's circuit-breaker / hedging / failover policy. The
+    /// all-zero default disables every mechanism.
     pub reliability: hetflow_fabric::ReliabilityPolicies,
     /// Extra CPU endpoints registered as failover targets behind the
     /// primary Theta endpoint (FnX configuration only). Each gets a
@@ -109,7 +105,6 @@ impl Default for DeploymentSpec {
             seed: 42,
             failure: None,
             retry: hetflow_fabric::RetryPolicies::default(),
-            cpu_connectivity: hetflow_fabric::Connectivity::always_on(),
             reliability: hetflow_fabric::ReliabilityPolicies::default(),
             cpu_failover_sites: 0,
             cpu_queue_capacity: 0,
@@ -136,7 +131,10 @@ pub struct Deployment {
     /// counters.
     pub health: ReliabilityLayer,
     /// Chaos-engine dials for every endpoint/pool in this deployment —
-    /// hand these to [`hetflow_fabric::ChaosSpec::install`].
+    /// hand these to [`hetflow_fabric::ChaosSpec::install`]. Every
+    /// outage is scripted here: an FnX endpoint's connection (CPU,
+    /// GPU, then failover sites) starts online and only a chaos script
+    /// takes it down. HTEX links have no connection state.
     pub chaos: ChaosTargets,
     /// Failover CPU pools (`cpu_failover_sites` of them), in order.
     pub failover_pools: Vec<WorkerPool>,
@@ -284,11 +282,7 @@ pub fn deploy(
         }
         WorkflowConfig::FnXGlobus => {
             let mut endpoints = vec![
-                EndpointSpec {
-                    pool: cpu_pool_config.clone(),
-                    topics: CPU_TOPICS.to_vec(),
-                    connectivity: spec.cpu_connectivity.clone(),
-                },
+                EndpointSpec::reliable(cpu_pool_config.clone(), CPU_TOPICS.to_vec()),
                 EndpointSpec::reliable(gpu_pool_config, GPU_TOPICS.to_vec()),
             ];
             // Failover CPU endpoints: registered after the primary, so

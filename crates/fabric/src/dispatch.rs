@@ -104,9 +104,10 @@ struct Inner<T> {
     retries: Vec<RetryPolicies>,
     /// Per-endpoint pool-queue bound and overflow policy (0 = unbounded).
     bounds: Vec<(usize, OverflowPolicy)>,
-    /// Per-topic round-trip deadline and its deadline actor's queue;
-    /// only topics with a deadline are in the map.
-    deadlines: SymbolMap<(Duration, Sender<Due>)>,
+    /// The round-trip deadline (zero: none) and each topic's deadline
+    /// actor's queue, one per topic when there is a deadline.
+    deadline: Duration,
+    deadlines: SymbolMap<Sender<Due>>,
     /// The hedge actor's checks, earliest due first (empty unless a
     /// topic hedges), and the next `seq`.
     checks: RefCell<BinaryHeap<Reverse<Check>>>,
@@ -393,22 +394,21 @@ impl<T: Transport> Dispatcher<T> {
         }
         let rng = RefCell::new(rng.substream(u64::MAX));
         let transport = wire(rng);
-        // Deadlines are read off the policies before the layer takes them.
-        let hedging = route.iter().any(|(topic, _)| policies.policy_for(topic).hedge.enabled());
+        let policy = policies.default;
+        let (hedging, deadline) = (policy.hedge.enabled(), policy.deadline);
         let (hedges, notify) = channel();
         let (mut deadlines, mut due_queues) = (SymbolMap::new(), Vec::new());
-        for (topic, _) in route.iter() {
-            let policy = policies.policy_for(topic);
-            if !policy.deadline.is_zero() {
+        if !deadline.is_zero() {
+            for (topic, _) in route.iter() {
                 let (tx, rx) = channel();
-                deadlines.insert(topic, (policy.deadline, tx));
-                due_queues.push((policy.deadline, rx));
+                deadlines.insert(topic, tx);
+                due_queues.push(rx);
             }
         }
         // Without connectivity (direct links) no heartbeat watchers:
         // breakers are fed by task outcomes and timeouts only.
         let conns = transport.connectivity();
-        let health = ReliabilityLayer::new(sim, tracer.clone(), T::LABEL, policies, route, conns);
+        let health = ReliabilityLayer::new(sim, tracer.clone(), T::LABEL, policy, route, conns);
         let actor = |i| Symbol::intern(&format!("{}/ep{i}", T::LABEL));
         let actors = (0..pools.len()).map(actor).collect();
         let chaos = ChaosTargets {
@@ -424,6 +424,7 @@ impl<T: Transport> Dispatcher<T> {
             pools,
             retries,
             bounds,
+            deadline,
             deadlines,
             checks: RefCell::new(BinaryHeap::new()),
             check_seq: Cell::new(0),
@@ -445,9 +446,9 @@ impl<T: Transport> Dispatcher<T> {
                 }
             });
         }
-        // One deadline actor per topic that has a deadline.
-        for (dl, dues) in due_queues {
-            sim.spawn_detached(Self::expire_overdue(Rc::clone(&inner), dl, dues));
+        // One deadline actor per topic, when there is a deadline.
+        for dues in due_queues {
+            sim.spawn_detached(Self::expire_overdue(Rc::clone(&inner), dues));
         }
         if hedging {
             sim.spawn_detached(Self::hedge_stragglers(Rc::clone(&inner), notify));
@@ -485,21 +486,21 @@ impl<T: Transport> Dispatcher<T> {
     }
 
     /// A topic's deadline actor, the round-trip backstop: a task not
-    /// settled `dl` after its dispatch fails here, and copies
-    /// still in flight are cancelled as they surface. `dl` is fixed per
-    /// topic and `after_cost` runs in clock order, so the dues arrive
+    /// settled a deadline after its dispatch fails here, and copies
+    /// still in flight are cancelled as they surface. The deadline is
+    /// fixed and `after_cost` runs in clock order, so the dues arrive
     /// sorted and the channel is the whole schedule. The actor walks it
     /// by [`Inner::passes`]: it sleeps only on an entry whose task is
     /// still unsettled, or on the last one queued, so the run still ends
     /// at the last due.
-    async fn expire_overdue(inner: Rc<Inner<T>>, dl: Duration, dues: Receiver<Due>) {
+    async fn expire_overdue(inner: Rc<Inner<T>>, dues: Receiver<Due>) {
         while let Some((due, endpoint, stub)) = dues.recv().await {
             if inner.passes(stub.id, !dues.is_empty()) {
                 continue;
             }
             inner.sim.sleep_until(due).await;
             if inner.health.expire(stub.id, stub.topic) {
-                inner.timeout_result(endpoint, stub, dl);
+                inner.timeout_result(endpoint, stub, inner.deadline);
             }
         }
     }
@@ -520,7 +521,7 @@ impl<T: Transport> Dispatcher<T> {
     /// Races the delivery against the topic's `RetryPolicy::timeout`,
     /// `after`. A task stuck in transit past it (e.g. behind an endpoint
     /// outage) goes to the reliability layer, which reroutes it to
-    /// another endpoint (within the topic's `max_reroutes` budget) or
+    /// another endpoint (within the policy's `max_reroutes` budget) or
     /// fails it with `TaskError::Timeout` on the normal result channel.
     async fn deliver_timed(inner: Rc<Inner<T>>, task: TaskSpec, endpoint: usize, after: Duration) {
         let stub = Stub::of(&task);
@@ -624,8 +625,8 @@ impl<T: Transport> AfterCost for Dispatcher<T> {
             inner.push_check(inner.sim.now() + delay, task.id, topic);
         }
         // The round-trip deadline goes to the topic's deadline actor.
-        if let Some((dl, dues)) = inner.deadlines.get(topic) {
-            let due = (inner.sim.now() + *dl, endpoint, Stub::of(&task));
+        if let Some(dues) = inner.deadlines.get(topic) {
+            let due = (inner.sim.now() + inner.deadline, endpoint, Stub::of(&task));
             if dues.send_now(due).is_err() {
                 // Only `Sim::teardown` drops the actor, with the pools and
                 // return paths: nothing is left that could deliver the task.
@@ -743,11 +744,7 @@ mod tests {
 
     impl Rig {
         fn new(kind: Kind, eps: Vec<Ep>, default: ReliabilityPolicy) -> Rig {
-            let policies = ReliabilityPolicies { default, per_topic: SymbolMap::new() };
-            Rig::with_policies(kind, eps, policies)
-        }
-
-        fn with_policies(kind: Kind, eps: Vec<Ep>, policies: ReliabilityPolicies) -> Rig {
+            let policies = ReliabilityPolicies { default };
             let sim = Sim::new();
             let (tx, results) = channel();
             let tracer = Tracer::enabled();
@@ -762,23 +759,21 @@ mod tests {
                         result_latency: Dist::Constant(0.06),
                         ..FnXParams::default()
                     };
-                    let eps = eps
-                        .into_iter()
-                        .map(|ep| {
-                            let connectivity = Connectivity::always_on();
-                            connectivity.set_online(!ep.stalled);
-                            EndpointSpec { pool: ep.pool, topics: ep.topics, connectivity }
-                        })
-                        .collect();
+                    let stalled: Vec<bool> = eps.iter().map(|ep| ep.stalled).collect();
+                    let eps = eps.into_iter().map(|ep| EndpointSpec::reliable(ep.pool, ep.topics));
                     let exec = FnXExecutor::with_reliability(
                         &sim,
                         params,
-                        eps,
+                        eps.collect(),
                         tx,
                         rng,
                         tracer.clone(),
                         policies,
                     );
+                    // Offline from the start: no watcher sees a transition.
+                    for (conn, stalled) in exec.chaos_targets().connectivity.iter().zip(stalled) {
+                        conn.set_online(!stalled);
+                    }
                     Rig::over(sim, exec, results, tracer)
                 }
                 Kind::Htex => {
@@ -908,22 +903,19 @@ mod tests {
 
     #[test]
     fn deadlines_expire_each_stuck_task_once_in_dispatch_order_per_topic() {
-        // `unit` (20 s) and `bulk` (35 s) tasks go interleaved to an
-        // endpoint with no worker; two `quick` tasks (20 s) complete on
-        // the other endpoint, handed off last. Each stuck task fails at
-        // its own hand-off (the end of its submit call) + deadline. The
-        // second quick task has long finished when its entry comes up
-        // behind the first's, yet its deadline still wakes: it, not the
-        // last expiry, ends the run.
-        let (unit, bulk) = (Duration::from_secs(20), Duration::from_secs(35));
+        // `unit` and `bulk` tasks go interleaved to an endpoint with no
+        // worker; two `quick` tasks complete on the other endpoint, handed
+        // off last. Each topic has its own deadline actor. Each stuck task
+        // fails at its own hand-off (the end of its submit call) + the
+        // 20 s deadline. The second quick task has long finished when its
+        // entry comes up behind the first's, yet its deadline still
+        // wakes: it, not the last expiry, ends the run.
+        let dl = Duration::from_secs(20);
         for kind in BOTH {
-            let default = ReliabilityPolicy { deadline: unit, ..Default::default() };
-            let slow = ReliabilityPolicy { deadline: bulk, ..Default::default() };
-            let policies = ReliabilityPolicies { default, per_topic: SymbolMap::new() }
-                .with_topic("bulk", slow);
+            let policy = ReliabilityPolicy { deadline: dl, ..Default::default() };
             let quick = Ep { topics: vec!["quick"], ..Ep::new(1, false) };
             let eps = vec![Ep::unstaffed(0, vec!["unit", "bulk"]), quick];
-            let rig = Rig::with_policies(kind, eps, policies);
+            let rig = Rig::new(kind, eps, policy);
             let handed = Rc::new(RefCell::new(Vec::new()));
             let log = Rc::clone(&handed);
             let (end, results) = rig.run(|sim, f| async move {
@@ -939,14 +931,12 @@ mod tests {
             let handed = handed.borrow();
             assert_eq!(ids(&results), [0, 1, 2, 3, 4, 5], "{kind:?}: one terminal outcome per id");
             let mut want = Vec::new();
-            for (stuck, dl) in [([0, 2], unit), ([1, 3], bulk)] {
-                for id in stuck {
-                    let r = &results[id];
-                    let after = Some(&TaskError::Timeout { after: dl });
-                    assert_eq!(r.outcome.error(), after, "{kind:?}: task {id}");
-                    assert_eq!(r.timing.server_result_received, Some(handed[id] + dl), "{kind:?}");
-                    want.push((handed[id] + dl, r.id, dl.as_secs_f64()));
-                }
+            for id in 0..4 {
+                let r = &results[id];
+                let after = Some(&TaskError::Timeout { after: dl });
+                assert_eq!(r.outcome.error(), after, "{kind:?}: task {id}");
+                assert_eq!(r.timing.server_result_received, Some(handed[id] + dl), "{kind:?}");
+                want.push((handed[id] + dl, r.id, dl.as_secs_f64()));
             }
             let traced: Vec<_> = rig
                 .tracer
@@ -957,7 +947,7 @@ mod tests {
             assert_eq!(traced, want, "{kind:?}: one timeout each, in dispatch order per topic");
             assert!(results[4..].iter().all(|r| !r.is_failed()), "{kind:?}: finished, no timeout");
             assert_eq!((rig.counts)(), (6, 6, 4), "{kind:?}");
-            assert_eq!(end, (handed[5] + unit).as_secs_f64(), "{kind:?}: the last deadline");
+            assert_eq!(end, (handed[5] + dl).as_secs_f64(), "{kind:?}: the last deadline");
         }
     }
 

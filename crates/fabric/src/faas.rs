@@ -71,21 +71,20 @@ pub struct EndpointSpec {
     pub pool: WorkerPoolConfig,
     /// Task topics executed here.
     pub topics: Vec<&'static str>,
-    /// The endpoint's outbound connection to the cloud. While offline,
-    /// the cloud *holds* tasks and the endpoint holds results —
-    /// §IV-A3's robustness property.
-    pub connectivity: Connectivity,
 }
 
 impl EndpointSpec {
-    /// An endpoint with a permanently-connected link.
+    /// An endpoint serving `topics` from `pool`.
     pub fn reliable(pool: WorkerPoolConfig, topics: Vec<&'static str>) -> Self {
-        EndpointSpec { pool, topics, connectivity: Connectivity::always_on() }
+        EndpointSpec { pool, topics }
     }
 }
 
 /// The cloud transport: tiered payload storage and outbound-only
-/// endpoint connections.
+/// endpoint connections. Each endpoint's connection starts online;
+/// outages are scripted over [`Dispatcher::chaos_targets`] by a
+/// [`crate::ChaosSpec`]. While one is offline, the cloud *holds* tasks
+/// and the endpoint holds results — §IV-A3's robustness property.
 pub struct FnXTransport {
     rng: RefCell<SimRng>,
     params: FnXParams,
@@ -96,24 +95,10 @@ pub struct FnXTransport {
 pub type FnXExecutor = Dispatcher<FnXTransport>;
 
 impl FnXExecutor {
-    /// Builds the executor, spawning one worker pool per endpoint.
-    /// Completed results are delivered on `results`. Reliability
-    /// mechanisms (breakers, hedging, rerouting) are disabled — see
-    /// [`FnXExecutor::with_reliability`].
-    pub fn new(
-        sim: &Sim,
-        params: FnXParams,
-        endpoints: Vec<EndpointSpec>,
-        results: Sender<TaskResult>,
-        rng: SimRng,
-        tracer: Tracer,
-    ) -> FnXExecutor {
-        let policies = ReliabilityPolicies::default();
-        Self::with_reliability(sim, params, endpoints, results, rng, tracer, policies)
-    }
-
-    /// Builds the executor with an active [`crate::ReliabilityLayer`]: a
-    /// topic registered on several endpoints fails over (the first
+    /// Builds the executor, spawning one worker pool per endpoint;
+    /// completed results are delivered on `results`. `policies` arm the
+    /// [`crate::ReliabilityLayer`] (the default arms nothing): a topic
+    /// registered on several endpoints fails over (the first
     /// registration is the primary), breakers steer dispatches away from
     /// unhealthy endpoints, and hedged/rerouted copies deliver exactly
     /// once.
@@ -126,8 +111,8 @@ impl FnXExecutor {
         tracer: Tracer,
         policies: ReliabilityPolicies,
     ) -> FnXExecutor {
-        let (connectivity, endpoints) =
-            endpoints.into_iter().map(|ep| (ep.connectivity, (ep.pool, ep.topics))).unzip();
+        let endpoints: Vec<_> = endpoints.into_iter().map(|ep| (ep.pool, ep.topics)).collect();
+        let connectivity = endpoints.iter().map(|_| Connectivity::always_on()).collect();
         let wire = |rng| FnXTransport { rng, params, connectivity };
         Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
     }
@@ -195,7 +180,8 @@ mod tests {
     use super::*;
     use crate::fabric::Fabric;
     use crate::task::TaskSpec;
-    use hetflow_sim::{channel, trace_kinds as kinds, Receiver, SymbolMap};
+    use crate::reliability::chaos::{ChaosAction, ChaosSpec};
+    use hetflow_sim::{channel, trace_kinds as kinds, Receiver, SimTime};
     use hetflow_store::SiteId;
     use std::rc::Rc;
 
@@ -216,7 +202,7 @@ mod tests {
     fn setup(workers: usize) -> (Sim, FnXExecutor, Receiver<TaskResult>) {
         let sim = Sim::new();
         let (res_tx, res_rx) = channel();
-        let exec = FnXExecutor::new(
+        let exec = FnXExecutor::with_reliability(
             &sim,
             fixed_params(),
             vec![EndpointSpec::reliable(
@@ -226,6 +212,7 @@ mod tests {
             res_tx,
             SimRng::from_seed(5),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         );
         (sim, exec, res_rx)
     }
@@ -333,17 +320,12 @@ mod tests {
         // straight to endpoint 1 — no per-task timeout needed.
         let sim = Sim::new();
         let (res_tx, res_rx) = channel();
-        let conn_a = Connectivity::always_on();
         let tracer = Tracer::enabled();
         let exec = FnXExecutor::with_reliability(
             &sim,
             fixed_params(),
             vec![
-                EndpointSpec {
-                    pool: WorkerPoolConfig::bare(SiteId(0), "a", 1),
-                    topics: vec!["noop"],
-                    connectivity: conn_a.clone(),
-                },
+                EndpointSpec::reliable(WorkerPoolConfig::bare(SiteId(0), "a", 1), vec!["noop"]),
                 EndpointSpec::reliable(WorkerPoolConfig::bare(SiteId(1), "b", 1), vec!["noop"]),
             ],
             res_tx,
@@ -359,14 +341,10 @@ mod tests {
                     },
                     ..Default::default()
                 },
-                per_topic: SymbolMap::new(),
             },
         );
-        let s = sim.clone();
-        sim.spawn(async move {
-            s.sleep(Duration::from_secs(1)).await;
-            conn_a.set_online(false);
-        });
+        let kill = ChaosAction::Kill { endpoint: 0, at: SimTime::from_secs(1) };
+        ChaosSpec::new(vec![kill]).install(&sim, 0, &exec.chaos_targets());
         let e = exec.clone();
         let s = sim.clone();
         sim.spawn(async move {
@@ -386,10 +364,43 @@ mod tests {
     }
 
     #[test]
+    fn a_one_window_flap_holds_a_task_until_reconnection_and_leaves_no_timer() {
+        // The endpoint drops at 0.12 s, while the task's payload is still
+        // being stored (leg 0 of `Out`, 0.1 s to at least 0.14 s), and
+        // is back at 10.12 s. The cloud holds the task before forwarding
+        // it (leg 1), and forwards and fetches it at reconnection. The
+        // flap's zero `up` draws nothing and sleeps no timer, so the run
+        // ends when the result lands.
+        let (sim, exec, res_rx) = setup(1);
+        let outage = ChaosAction::Flap {
+            endpoint: 0,
+            start: SimTime::from_nanos(120_000_000),
+            up: Dist::Constant(0.0),
+            down: Dist::Constant(10.0),
+            cycles: 1,
+        };
+        ChaosSpec::new(vec![outage]).install(&sim, 0, &exec.chaos_targets());
+        let task = TaskSpec::noop(0, 1_000);
+        let get = 0.04 + task.wire_bytes() as f64 / 4.0e4;
+        let e = exec.clone();
+        sim.spawn(async move { e.submit(task).await });
+        let report = sim.run();
+        let results = res_rx.drain_now();
+        assert_eq!(results.len(), 1);
+        let timing = results[0].timing;
+        let back = SimTime::from_nanos(10_120_000_000);
+        let (fwd, get) = (hetflow_sim::time::secs(0.05), hetflow_sim::time::secs(get));
+        assert_eq!(timing.worker_started, Some(back + fwd + get), "legs 1 and 2 after reconnect");
+        assert_eq!(timing.server_result_received, Some(report.end), "nothing runs on after it");
+        let conn = &exec.chaos_targets().connectivity[0];
+        assert!(conn.is_online() && conn.outages_seen() == 1);
+    }
+
+    #[test]
     fn topic_routing_to_correct_pool() {
         let sim = Sim::new();
         let (res_tx, res_rx) = channel();
-        let exec = FnXExecutor::new(
+        let exec = FnXExecutor::with_reliability(
             &sim,
             fixed_params(),
             vec![
@@ -402,6 +413,7 @@ mod tests {
             res_tx,
             SimRng::from_seed(5),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         );
         let e = exec.clone();
         sim.spawn(async move {

@@ -44,14 +44,14 @@ const DEFAULT_MIN_SAMPLES: usize = 8;
 /// Speculative copies issued per task at most.
 const MAX_HEDGES: u32 = 1;
 
-/// Per-topic circuit-breaker tuning. Zero values defer, matching
+/// Circuit-breaker tuning. Zero values defer, matching
 /// [`crate::reliability::RetryPolicy`]: the all-zero default disables
 /// the breaker entirely and draws no entropy, leaving existing
 /// same-seed traces bit-identical.
 #[derive(Clone, Debug, Default)]
 pub struct BreakerConfig {
     /// Consecutive failures observed at an endpoint before its breaker
-    /// opens. `0` disables circuit breaking for this topic.
+    /// opens. `0` disables circuit breaking.
     pub failure_threshold: u32,
     /// How long an open breaker rejects dispatches before admitting a
     /// half-open probe. `0` defers to 60 s.
@@ -71,7 +71,7 @@ pub struct BreakerConfig {
 }
 
 impl BreakerConfig {
-    /// True when circuit breaking is enabled for this topic.
+    /// True when circuit breaking is enabled.
     pub(crate) fn enabled(&self) -> bool {
         self.failure_threshold > 0
     }
@@ -104,7 +104,7 @@ pub struct HedgeConfig {
 }
 
 impl HedgeConfig {
-    /// True when hedged dispatch is enabled for this topic.
+    /// True when hedged dispatch is enabled.
     pub(crate) fn enabled(&self) -> bool {
         self.quantile > 0.0
     }
@@ -118,7 +118,9 @@ impl HedgeConfig {
     }
 }
 
-/// The full reliability policy for one topic.
+/// The full reliability policy of a fabric: every topic it serves is
+/// governed by it, each with its own admission bucket, round-trip
+/// estimate and deadline actor.
 #[derive(Clone, Debug, Default)]
 pub struct ReliabilityPolicy {
     /// Circuit-breaker tuning.
@@ -150,33 +152,12 @@ impl ReliabilityPolicy {
     }
 }
 
-/// Per-topic reliability policies with a fallback default, mirroring
-/// [`crate::reliability::RetryPolicies`]. The endpoint-level
-/// connectivity watchers are governed by the `default` policy's
-/// breaker config (an endpoint serves many topics; its heartbeat is
-/// topic-agnostic).
+/// A fabric's reliability policy, as its constructors take it.
 #[derive(Clone, Debug, Default)]
 pub struct ReliabilityPolicies {
-    /// Policy for topics without a dedicated entry.
+    /// The policy governing every topic and every endpoint's heartbeat
+    /// watcher.
     pub default: ReliabilityPolicy,
-    /// Topic-specific overrides. Indexed by interned [`Symbol`] id —
-    /// O(1) per dispatch-path lookup — while iterating in
-    /// resolved-string order, so traces match the old
-    /// `BTreeMap<String, _>` exactly.
-    pub per_topic: SymbolMap<ReliabilityPolicy>,
-}
-
-impl ReliabilityPolicies {
-    /// Builder: sets the policy for one topic.
-    pub fn with_topic(mut self, topic: impl Into<Symbol>, policy: ReliabilityPolicy) -> Self {
-        self.per_topic.insert(topic.into(), policy);
-        self
-    }
-
-    /// The policy governing `topic`.
-    pub(crate) fn policy_for(&self, topic: impl Into<Symbol>) -> &ReliabilityPolicy {
-        self.per_topic.get(topic.into()).unwrap_or(&self.default)
-    }
 }
 
 /// Circuit-breaker state of one endpoint.
@@ -304,7 +285,7 @@ impl RunningQuantile {
 /// so the B-tree moves small entries on every insert and remove.
 struct Inflight {
     /// The task's slot in the registry's slab of retained requests, for
-    /// hedge/reroute re-issue (`None` when the topic's policy never
+    /// hedge/reroute re-issue (`None` when the policy never
     /// re-issues). A copy gets an envelope of its own only when it is
     /// actually issued.
     spec: Option<u32>,
@@ -415,7 +396,7 @@ struct LayerInner {
     tracer: Tracer,
     /// Pre-interned `"<label>/health"` trace actor.
     actor: Symbol,
-    policies: ReliabilityPolicies,
+    policy: ReliabilityPolicy,
     /// Topic → candidate endpoints, primary first. Symbol-indexed:
     /// the per-dispatch lookup is an array index, not a string-compare
     /// tree walk.
@@ -428,9 +409,9 @@ struct LayerInner {
     /// Token-bucket/in-flight admission: `admit` takes a slot, settling
     /// returns it.
     admission: AdmissionController,
-    /// Successful round trips of each topic whose policy hedges,
-    /// tracked at that topic's `hedge.quantile`: the hedge delay's
-    /// only input, so nothing is kept for a topic that never hedges.
+    /// Successful round trips of each topic, tracked at the policy's
+    /// `hedge.quantile` when it hedges: the hedge delay's only input, so
+    /// nothing is kept when the policy never hedges.
     rtt: RefCell<SymbolMap<RunningQuantile>>,
     /// Seconds burned by cancelled losing copies.
     wasted: Cell<f64>,
@@ -449,17 +430,17 @@ pub struct ReliabilityLayer {
 
 impl ReliabilityLayer {
     /// Builds the layer for `n` endpoints with the given topic routing
-    /// (primary endpoint first in each candidate list), and each topic's
-    /// admission control from its policy. For endpoints
+    /// (primary endpoint first in each candidate list), and one admission
+    /// bucket per topic from the policy. For endpoints
     /// with a [`Connectivity`], a heartbeat watcher is spawned when the
-    /// default policy sets `offline_grace`: if the connection stays
+    /// policy sets `offline_grace`: if the connection stays
     /// offline past the grace period, the endpoint's breaker trips
     /// without waiting for task failures.
     pub(crate) fn new(
         sim: &Sim,
         tracer: Tracer,
         label: &'static str,
-        policies: ReliabilityPolicies,
+        policy: ReliabilityPolicy,
         route: SymbolMap<Vec<usize>>,
         connectivity: &[Connectivity],
     ) -> Self {
@@ -471,16 +452,14 @@ impl ReliabilityLayer {
         // attributed to its primary endpoint.
         let admission = AdmissionController::new(
             sim,
-            route.iter().map(|(topic, targets)| {
-                (topic, policies.policy_for(topic).admission.clone(), targets[0])
-            }),
+            route.iter().map(|(topic, targets)| (topic, policy.admission.clone(), targets[0])),
         );
         let layer = ReliabilityLayer {
             inner: Rc::new(LayerInner {
                 sim: sim.clone(),
                 tracer,
                 actor: Symbol::intern(&format!("{label}/health")),
-                policies,
+                policy,
                 route,
                 endpoints,
                 registry: RefCell::new(Registry::default()),
@@ -492,7 +471,7 @@ impl ReliabilityLayer {
                 rerouted: Cell::new(0),
             }),
         };
-        let grace = layer.inner.policies.default.breaker.offline_grace;
+        let grace = layer.inner.policy.breaker.offline_grace;
         if !grace.is_zero() {
             for (ep, conn) in connectivity.iter().enumerate() {
                 layer.spawn_watcher(ep, conn.clone(), grace);
@@ -522,14 +501,10 @@ impl ReliabilityLayer {
         });
     }
 
-    fn policy(&self, topic: Symbol) -> &ReliabilityPolicy {
-        self.inner.policies.policy_for(topic)
-    }
-
     /// Admits a task and picks its endpoint: the first candidate whose
     /// breaker admits the task, falling back to the primary when every
     /// gate is shut (availability over purity). With breaking disabled
-    /// for the topic this is exactly the PR-2 primary-only routing and
+    /// this is exactly the PR-2 primary-only routing and
     /// touches no breaker state. An admitted task holds its registry
     /// entry and admission slot until it settles. `Err` carries the
     /// primary endpoint of a topic whose admission control refuses the
@@ -537,7 +512,7 @@ impl ReliabilityLayer {
     /// endpoint serves.
     pub(crate) fn admit(&self, task: &TaskSpec) -> Result<usize, usize> {
         self.inner.admission.try_admit(task.topic)?;
-        let policy = self.policy(task.topic);
+        let policy = &self.inner.policy;
         #[expect(
             clippy::panic,
             reason = "unrouted topic is a deployment wiring bug, not a runtime fault"
@@ -591,7 +566,7 @@ impl ReliabilityLayer {
     /// not yet trustworthy.
     pub(crate) fn hedge_delay(&self, topic: impl Into<Symbol>) -> Option<Duration> {
         let topic = topic.into();
-        let hedge = &self.policy(topic).hedge;
+        let hedge = &self.inner.policy.hedge;
         if !hedge.enabled() {
             return None;
         }
@@ -654,7 +629,7 @@ impl ReliabilityLayer {
     ) -> Verdict {
         let topic = topic.into();
         let now = self.inner.sim.now();
-        let policy = self.policy(topic);
+        let policy = &self.inner.policy;
         let cfg = &policy.breaker;
         let mut reg = self.inner.registry.borrow_mut();
         let Some(entry) = reg.inflight.get_mut(&id) else {
@@ -690,14 +665,14 @@ impl ReliabilityLayer {
     }
 
     /// Arbitrates a delivery timeout at `endpoint`: reroute to another
-    /// endpoint while the topic's budget allows (tracing
+    /// endpoint while the policy's budget allows (tracing
     /// `task_rerouted`), suppress when a sibling copy is still live or
     /// the task has settled, and otherwise settle the task and fail it.
     /// The timeout of an unsettled task counts as a failure signal for
     /// the endpoint's breaker.
     pub(crate) fn on_timeout(&self, endpoint: usize, id: TaskId, topic: impl Into<Symbol>) -> TimeoutVerdict {
         let topic = topic.into();
-        let policy = self.policy(topic);
+        let policy = &self.inner.policy;
         let candidates: &[usize] =
             self.inner.route.get(topic).map(Vec::as_slice).unwrap_or(&[]);
         let mut reg = self.inner.registry.borrow_mut();
@@ -840,10 +815,10 @@ impl ReliabilityLayer {
     }
 
     /// Force-opens an endpoint's breaker (heartbeat watchers; tests).
-    /// Uses the default policy's cool-down.
+    /// Uses the policy's cool-down.
     pub(crate) fn trip(&self, endpoint: usize) {
         let Some(health) = self.inner.endpoints.get(endpoint) else { return };
-        let open_for = self.inner.policies.default.breaker.open_for();
+        let open_for = self.inner.policy.breaker.open_for();
         let was_open = {
             let mut gate = health.gate.borrow_mut();
             let was = matches!(&*gate, Gate::Open { .. });
@@ -933,11 +908,12 @@ impl ReliabilityLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reliability::chaos::{ChaosAction, ChaosSpec, ChaosTargets};
     use crate::task::TaskSpec;
-    use hetflow_sim::{Samples, Sim, SimRng, SimTime};
+    use hetflow_sim::{Dist, Samples, Sim, SimRng, SimTime};
     use proptest::prelude::*;
 
-    fn layer_with(policies: ReliabilityPolicies, n_endpoints: usize) -> (Sim, ReliabilityLayer) {
+    fn layer_with(policy: ReliabilityPolicy, n_endpoints: usize) -> (Sim, ReliabilityLayer) {
         let sim = Sim::new();
         let mut route = SymbolMap::new();
         for topic in ["noop", "simulate", "train"] {
@@ -947,30 +923,27 @@ mod tests {
             &sim,
             Tracer::enabled(),
             "fnx",
-            policies,
+            policy,
             route,
             &[],
         );
         (sim, layer)
     }
 
-    fn breaker_policy(threshold: u32) -> ReliabilityPolicies {
-        ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                breaker: BreakerConfig {
-                    failure_threshold: threshold,
-                    open_for: Duration::from_secs(30),
-                    ..Default::default()
-                },
+    fn breaker_policy(threshold: u32) -> ReliabilityPolicy {
+        ReliabilityPolicy {
+            breaker: BreakerConfig {
+                failure_threshold: threshold,
+                open_for: Duration::from_secs(30),
                 ..Default::default()
             },
-            per_topic: SymbolMap::new(),
+            ..Default::default()
         }
     }
 
     #[test]
     fn disabled_policy_routes_to_primary_and_passes_results() {
-        let (_sim, layer) = layer_with(ReliabilityPolicies::default(), 2);
+        let (_sim, layer) = layer_with(ReliabilityPolicy::default(), 2);
         let t = TaskSpec::noop(1, 100);
         assert_eq!(layer.admit(&t), Ok(0));
         assert_eq!(
@@ -1081,14 +1054,11 @@ mod tests {
 
     #[test]
     fn duplicate_results_suppressed_exactly_once_semantics() {
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                hedge: HedgeConfig { quantile: 0.9, min_samples: 1, ..Default::default() },
-                ..Default::default()
-            },
-            per_topic: SymbolMap::new(),
+        let policy = ReliabilityPolicy {
+            hedge: HedgeConfig { quantile: 0.9, min_samples: 1, ..Default::default() },
+            ..Default::default()
         };
-        let (_sim, layer) = layer_with(policies, 2);
+        let (_sim, layer) = layer_with(policy, 2);
         let t = TaskSpec::noop(7, 100);
         assert_eq!(layer.admit(&t), Ok(0));
         let hedge = layer.try_hedge(7, "noop");
@@ -1115,14 +1085,11 @@ mod tests {
 
     #[test]
     fn failure_with_live_sibling_is_suppressed() {
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                hedge: HedgeConfig { quantile: 0.9, min_samples: 1, ..Default::default() },
-                ..Default::default()
-            },
-            per_topic: SymbolMap::new(),
+        let policy = ReliabilityPolicy {
+            hedge: HedgeConfig { quantile: 0.9, min_samples: 1, ..Default::default() },
+            ..Default::default()
         };
-        let (_sim, layer) = layer_with(policies, 2);
+        let (_sim, layer) = layer_with(policy, 2);
         assert_eq!(layer.admit(&TaskSpec::noop(1, 100)), Ok(0));
         layer.try_hedge(1, "noop");
         assert_eq!(
@@ -1138,14 +1105,11 @@ mod tests {
 
     #[test]
     fn hedge_delay_needs_samples_then_tracks_quantile() {
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                hedge: HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3 },
-                ..Default::default()
-            },
-            per_topic: SymbolMap::new(),
+        let policy = ReliabilityPolicy {
+            hedge: HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3 },
+            ..Default::default()
         };
-        let (sim, layer) = layer_with(policies, 1);
+        let (sim, layer) = layer_with(policy, 1);
         assert!(layer.hedge_delay("noop").is_none(), "no samples yet");
         let l = layer.clone();
         let s = sim.clone();
@@ -1164,15 +1128,12 @@ mod tests {
 
     #[test]
     fn reissue_choice_falls_back_to_first_other_then_primary() {
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                hedge: HedgeConfig { quantile: 0.9, ..Default::default() },
-                max_reroutes: 2,
-                ..breaker_policy(1).default
-            },
-            per_topic: SymbolMap::new(),
+        let policy = ReliabilityPolicy {
+            hedge: HedgeConfig { quantile: 0.9, ..Default::default() },
+            max_reroutes: 2,
+            ..breaker_policy(1)
         };
-        let (_sim, layer) = layer_with(policies.clone(), 3);
+        let (_sim, layer) = layer_with(policy.clone(), 3);
         assert_eq!(layer.admit(&TaskSpec::noop(1, 100)), Ok(0));
         layer.trip(2);
         assert_eq!(layer.try_hedge(1, "noop").map(|(_, to)| to), Some(1), "first open gate");
@@ -1182,7 +1143,7 @@ mod tests {
         assert_eq!(reroute_target(layer.on_timeout(1, 1, "noop")), Some(0));
         assert_eq!(reroute_target(layer.on_timeout(0, 1, "noop")), Some(1));
         // No other endpoint registered: the copy re-queues at the primary.
-        let (_sim, solo) = layer_with(policies, 1);
+        let (_sim, solo) = layer_with(policy, 1);
         assert_eq!(solo.admit(&TaskSpec::noop(2, 100)), Ok(0));
         assert_eq!(solo.try_hedge(2, "noop").map(|(_, to)| to), Some(0));
         assert_eq!(reroute_target(solo.on_timeout(0, 2, "noop")), Some(0));
@@ -1295,28 +1256,26 @@ mod tests {
     }
 
     #[test]
-    fn each_hedging_topic_tracks_its_own_quantile_and_others_track_nothing() {
-        let policies = ReliabilityPolicies::default()
-            .with_topic("simulate", hedging(0.95, 1.5))
-            .with_topic("noop", hedging(0.5, 0.0));
-        let (sim, layer) = layer_with(policies, 1);
+    fn each_topic_tracks_its_own_quantile_and_a_policy_that_never_hedges_tracks_nothing() {
+        let (sim, layer) = layer_with(hedging(0.5, 0.0), 1);
         let reference = Rc::new(RefCell::new((Samples::new(), Samples::new())));
         let (l, r) = (layer.clone(), Rc::clone(&reference));
-        drive(&sim, &layer, &["simulate", "noop", "train"], 600, move |topic, rtt| {
+        drive(&sim, &layer, &["simulate", "noop"], 600, move |topic, rtt| {
             let mut r = r.borrow_mut();
             match topic {
                 "simulate" => r.0.record(rtt),
-                "noop" => r.1.record(rtt),
-                _ => {}
+                _ => r.1.record(rtt),
             }
-            assert_eq!(l.hedge_delay("simulate"), reference_delay(&r.0, 0.95, 1.5));
+            // A zero factor defers to 1.
+            assert_eq!(l.hedge_delay("simulate"), reference_delay(&r.0, 0.5, 1.0));
             assert_eq!(l.hedge_delay("noop"), reference_delay(&r.1, 0.5, 1.0));
-            assert_eq!(l.hedge_delay("train"), None);
         });
-        assert_eq!(reference.borrow().0.len(), 200);
-        let rtt = layer.inner.rtt.borrow();
-        assert_eq!(rtt.len(), 2, "no tracker for the topic that never hedges");
-        assert!(!rtt.contains_key(Symbol::intern("train")));
+        assert_eq!(reference.borrow().0.len(), 300);
+        assert_eq!(layer.inner.rtt.borrow().len(), 2);
+        let (sim, idle) = layer_with(ReliabilityPolicy::default(), 1);
+        drive(&sim, &idle, &["simulate", "noop"], 60, |_, _| {});
+        assert_eq!(idle.hedge_delay("noop"), None);
+        assert!(idle.inner.rtt.borrow().is_empty(), "no tracker when the policy never hedges");
     }
 
     /// 200 000 armed round trips, each reading the hedge delay: a read
@@ -1324,8 +1283,7 @@ mod tests {
     /// tens of minutes with a sort per read — and cannot pass tier-1.
     #[test]
     fn hedge_delay_stays_cheap_over_200k_round_trips() {
-        let policies = ReliabilityPolicies::default().with_topic("noop", hedging(0.95, 1.5));
-        let (sim, layer) = layer_with(policies, 1);
+        let (sim, layer) = layer_with(hedging(0.95, 1.5), 1);
         let reference = Rc::new(RefCell::new(Samples::new()));
         let (l, r) = (layer.clone(), Rc::clone(&reference));
         drive(&sim, &layer, &["noop"], 200_000, move |_, rtt| {
@@ -1339,11 +1297,8 @@ mod tests {
 
     #[test]
     fn timeout_reroutes_within_budget_then_fails() {
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy { max_reroutes: 1, ..Default::default() },
-            per_topic: SymbolMap::new(),
-        };
-        let (_sim, layer) = layer_with(policies, 2);
+        let policy = ReliabilityPolicy { max_reroutes: 1, ..Default::default() };
+        let (_sim, layer) = layer_with(policy, 2);
         assert_eq!(layer.admit(&TaskSpec::noop(3, 100)), Ok(0));
         match layer.on_timeout(0, 3, "noop") {
             TimeoutVerdict::Reroute { spec, to } => {
@@ -1363,15 +1318,12 @@ mod tests {
 
     #[test]
     fn expire_fires_once_and_cancels_stragglers() {
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                deadline: Duration::from_secs(100),
-                max_reroutes: 1,
-                ..Default::default()
-            },
-            per_topic: SymbolMap::new(),
+        let policy = ReliabilityPolicy {
+            deadline: Duration::from_secs(100),
+            max_reroutes: 1,
+            ..Default::default()
         };
-        let (_sim, layer) = layer_with(policies, 1);
+        let (_sim, layer) = layer_with(policy, 1);
         assert_eq!(layer.admit(&TaskSpec::noop(9, 100)), Ok(0));
         assert!(layer.expire(9, "noop"), "an unsettled task expires");
         assert!(!layer.expire(9, "noop"), "second expiry is a no-op");
@@ -1388,8 +1340,7 @@ mod tests {
         // The registry retains the request as it stood at `admit`; every
         // copy it issues is that request in an envelope of its own.
         let policy = ReliabilityPolicy { max_reroutes: 1, ..hedging(0.5, 1.0) };
-        let policies = ReliabilityPolicies { default: policy, per_topic: SymbolMap::new() };
-        let (_sim, layer) = layer_with(policies, 2);
+        let (_sim, layer) = layer_with(policy, 2);
         let args = vec![crate::task::Arg::inline((), 1_200), crate::task::Arg::inline((), 34)];
         let compute: crate::task::TaskFn = Rc::new(|_| crate::task::TaskWork::noop());
         let mut original = TaskSpec::new(7, "simulate", args, compute).with_priority(42);
@@ -1429,18 +1380,15 @@ mod tests {
 
     #[test]
     fn latency_slo_violations_count_as_failures() {
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                breaker: BreakerConfig {
-                    failure_threshold: 2,
-                    latency_slo: Duration::from_secs(5),
-                    ..Default::default()
-                },
+        let policy = ReliabilityPolicy {
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                latency_slo: Duration::from_secs(5),
                 ..Default::default()
             },
-            per_topic: SymbolMap::new(),
+            ..Default::default()
         };
-        let (sim, layer) = layer_with(policies, 2);
+        let (sim, layer) = layer_with(policy, 2);
         let l = layer.clone();
         let s = sim.clone();
         let h = sim.spawn(async move {
@@ -1460,22 +1408,19 @@ mod tests {
         let conn = Connectivity::always_on();
         let mut route = SymbolMap::new();
         route.insert(Symbol::intern("noop"), vec![0]);
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                breaker: BreakerConfig {
-                    failure_threshold: 1,
-                    offline_grace: Duration::from_secs(10),
-                    ..Default::default()
-                },
+        let policy = ReliabilityPolicy {
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                offline_grace: Duration::from_secs(10),
                 ..Default::default()
             },
-            per_topic: SymbolMap::new(),
+            ..Default::default()
         };
         let layer = ReliabilityLayer::new(
             &sim,
             Tracer::enabled(),
             "fnx",
-            policies,
+            policy,
             route,
             std::slice::from_ref(&conn),
         );
@@ -1495,31 +1440,34 @@ mod tests {
     #[test]
     fn short_blip_within_grace_does_not_trip() {
         let sim = Sim::new();
-        let conn = Connectivity::scheduled(
-            &sim,
-            vec![(SimTime::from_secs(5), Duration::from_secs(3))],
-        );
+        let conn = Connectivity::always_on();
         let mut route = SymbolMap::new();
         route.insert(Symbol::intern("noop"), vec![0]);
-        let policies = ReliabilityPolicies {
-            default: ReliabilityPolicy {
-                breaker: BreakerConfig {
-                    failure_threshold: 1,
-                    offline_grace: Duration::from_secs(10),
-                    ..Default::default()
-                },
+        let policy = ReliabilityPolicy {
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                offline_grace: Duration::from_secs(10),
                 ..Default::default()
             },
-            per_topic: SymbolMap::new(),
+            ..Default::default()
         };
         let layer = ReliabilityLayer::new(
             &sim,
             Tracer::enabled(),
             "fnx",
-            policies,
+            policy,
             route,
             std::slice::from_ref(&conn),
         );
+        let blip = ChaosAction::Flap {
+            endpoint: 0,
+            start: SimTime::from_secs(5),
+            up: Dist::Constant(0.0),
+            down: Dist::Constant(3.0),
+            cycles: 1,
+        };
+        let targets = ChaosTargets { connectivity: vec![conn], ..Default::default() };
+        ChaosSpec::new(vec![blip]).install(&sim, 0, &targets);
         sim.run();
         assert!(!layer.breaker_open(0), "a 3 s blip inside a 10 s grace is forgiven");
     }

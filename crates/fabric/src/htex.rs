@@ -89,22 +89,9 @@ pub struct HtexTransport {
 pub type HtexExecutor = Dispatcher<HtexTransport>;
 
 impl HtexExecutor {
-    /// Builds the executor, spawning one pool per endpoint. Reliability
-    /// mechanisms are disabled — see [`HtexExecutor::with_reliability`].
-    pub fn new(
-        sim: &Sim,
-        params: HtexParams,
-        endpoints: Vec<HtexEndpoint>,
-        results: Sender<TaskResult>,
-        rng: SimRng,
-        tracer: Tracer,
-    ) -> HtexExecutor {
-        let policies = ReliabilityPolicies::default();
-        Self::with_reliability(sim, params, endpoints, results, rng, tracer, policies)
-    }
-
-    /// Builds the executor with an active [`crate::ReliabilityLayer`];
-    /// failover, breakers, hedges and reroutes behave exactly as under
+    /// Builds the executor, spawning one pool per endpoint, under
+    /// `policies` (the default arms nothing); failover, breakers, hedges
+    /// and reroutes behave exactly as under
     /// [`crate::FnXExecutor::with_reliability`] — it is the same code.
     pub fn with_reliability(
         sim: &Sim,
@@ -169,7 +156,7 @@ mod tests {
     fn setup(workers: usize, bw: f64) -> (Sim, HtexExecutor, Receiver<TaskResult>) {
         let sim = Sim::new();
         let (res_tx, res_rx) = channel();
-        let exec = HtexExecutor::new(
+        let exec = HtexExecutor::with_reliability(
             &sim,
             HtexParams { submit_hop: Dist::Constant(0.002), interchange_bw: 1.0e8 },
             vec![HtexEndpoint {
@@ -180,6 +167,7 @@ mod tests {
             res_tx,
             SimRng::from_seed(5),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         );
         (sim, exec, res_rx)
     }
@@ -258,7 +246,7 @@ mod tests {
     fn multiple_endpoints_route_by_topic() {
         let sim = Sim::new();
         let (res_tx, res_rx) = channel();
-        let exec = HtexExecutor::new(
+        let exec = HtexExecutor::with_reliability(
             &sim,
             HtexParams::default(),
             vec![
@@ -276,6 +264,7 @@ mod tests {
             res_tx,
             SimRng::from_seed(5),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         );
         let e = exec.clone();
         sim.spawn(async move {

@@ -14,7 +14,8 @@
 //!   FuncX model): submissions travel through a cloud service with
 //!   tiered payload storage (fast KV ≤ 20 kB, object store above, hard
 //!   10 MB cap) and outbound-only endpoint connections that hold tasks
-//!   and results while offline. No open ports at the resources.
+//!   and results while offline (a [`ChaosSpec`] scripts the outages). No
+//!   open ports at the resources.
 //! * [`HtexExecutor`] = the core over the interchange transport
 //!   ([`htex`], the Parsl HTEX model): tasks cross direct TCP links,
 //!   which requires ports/tunnels but moves payloads at link bandwidth.
@@ -31,14 +32,14 @@
 //!
 //! ```
 //! use hetflow_fabric::{EndpointSpec, Fabric, FnXExecutor, FnXParams,
-//!                      TaskSpec, WorkerPoolConfig};
+//!                      ReliabilityPolicies, TaskSpec, WorkerPoolConfig};
 //! use hetflow_store::SiteId;
 //! use hetflow_sim::{channel, Sim, SimRng, Tracer};
 //! use std::rc::Rc;
 //!
 //! let sim = Sim::new();
 //! let (results_tx, results_rx) = channel();
-//! let fabric = FnXExecutor::new(
+//! let fabric = FnXExecutor::with_reliability(
 //!     &sim,
 //!     FnXParams::default(),
 //!     vec![EndpointSpec::reliable(
@@ -48,6 +49,7 @@
 //!     results_tx,
 //!     SimRng::from_seed(1),
 //!     Tracer::disabled(),
+//!     ReliabilityPolicies::default(),
 //! );
 //! let f = Rc::new(fabric);
 //! let f2 = Rc::clone(&f);

@@ -5,12 +5,12 @@
 //! (and results) even while remote endpoints (or clients) are
 //! unavailable so tasks can be resumed when endpoints reconnect."
 //! [`Connectivity`] models an endpoint's outbound connection going up
-//! and down; the FnX fabric holds tasks in the cloud while the endpoint
-//! is offline. [`FailureModel`] models worker-level task failures with
+//! and down, as a [`chaos::ChaosSpec`] scripts it; the FnX fabric holds
+//! tasks in the cloud while the endpoint is offline. [`FailureModel`] models worker-level task failures with
 //! in-place re-execution.
 
 use hetflow_sim::sync::EventWaitNext;
-use hetflow_sim::{Dist, Event, Sim, SimRng, SimTime, Symbol, SymbolMap};
+use hetflow_sim::{Dist, Event, SimRng, Symbol, SymbolMap};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -92,34 +92,6 @@ impl Connectivity {
         }
     }
 
-    /// A connection that goes offline at each `(start, duration)`
-    /// window. Windows must be sorted and non-overlapping.
-    pub fn scheduled(sim: &Sim, outages: Vec<(SimTime, Duration)>) -> Self {
-        for pair in outages.windows(2) {
-            assert!(
-                pair[0].0 + pair[0].1 <= pair[1].0,
-                "outage windows must be sorted and disjoint"
-            );
-        }
-        let conn = Connectivity::always_on();
-        let state = Rc::clone(&conn.state);
-        let sim2 = sim.clone();
-        sim.spawn(async move {
-            for (start, duration) in outages {
-                sim2.sleep_until(start).await;
-                state.online.set(false);
-                state.outages_seen.set(state.outages_seen.get() + 1);
-                state.changed.set();
-                state.changed.clear();
-                sim2.sleep(duration).await;
-                state.online.set(true);
-                state.changed.set();
-                state.changed.clear();
-            }
-        });
-        conn
-    }
-
     /// Current state.
     pub(crate) fn is_online(&self) -> bool {
         self.state.online.get()
@@ -145,7 +117,7 @@ impl Connectivity {
         self.state.changed.wait_next()
     }
 
-    /// Manually set the state (for tests and interactive scenarios).
+    /// Sets the state: the chaos engine's flaps and kills.
     pub(crate) fn set_online(&self, online: bool) {
         if self.state.online.get() != online {
             if !online {
@@ -251,6 +223,7 @@ impl RetryPolicies {
 mod tests {
     use super::*;
     use hetflow_sim::time::secs;
+    use hetflow_sim::{Sim, SimTime};
 
     #[test]
     fn always_on_never_blocks() {
@@ -267,13 +240,28 @@ mod tests {
         assert_eq!(conn.outages_seen(), 0);
     }
 
+    /// One outage from `start` for `down` seconds, scripted as a chaos
+    /// flap of one window on a fresh connection.
+    fn one_outage(sim: &Sim, start: u64, down: f64) -> Connectivity {
+        let targets = chaos::ChaosTargets {
+            connectivity: vec![Connectivity::always_on()],
+            ..Default::default()
+        };
+        chaos::ChaosSpec::new(vec![chaos::ChaosAction::Flap {
+            endpoint: 0,
+            start: SimTime::from_secs(start),
+            up: Dist::Constant(0.0),
+            down: Dist::Constant(down),
+            cycles: 1,
+        }])
+        .install(sim, 0, &targets);
+        targets.connectivity[0].clone()
+    }
+
     #[test]
-    fn scheduled_outage_blocks_until_reconnect() {
+    fn outage_blocks_until_reconnect() {
         let sim = Sim::new();
-        let conn = Connectivity::scheduled(
-            &sim,
-            vec![(SimTime::from_secs(10), Duration::from_secs(30))],
-        );
+        let conn = one_outage(&sim, 10, 30.0);
         let c = conn.clone();
         let s = sim.clone();
         let h = sim.spawn(async move {
@@ -284,34 +272,6 @@ mod tests {
         });
         assert_eq!(sim.block_on(h), SimTime::from_secs(40));
         assert_eq!(conn.outages_seen(), 1);
-    }
-
-    #[test]
-    fn multiple_outages_in_order() {
-        let sim = Sim::new();
-        let conn = Connectivity::scheduled(
-            &sim,
-            vec![
-                (SimTime::from_secs(10), Duration::from_secs(5)),
-                (SimTime::from_secs(30), Duration::from_secs(5)),
-            ],
-        );
-        sim.run();
-        assert_eq!(conn.outages_seen(), 2);
-        assert!(conn.is_online());
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and disjoint")]
-    fn overlapping_outages_rejected() {
-        let sim = Sim::new();
-        let _ = Connectivity::scheduled(
-            &sim,
-            vec![
-                (SimTime::from_secs(10), Duration::from_secs(20)),
-                (SimTime::from_secs(15), Duration::from_secs(5)),
-            ],
-        );
     }
 
     #[test]
@@ -363,10 +323,7 @@ mod tests {
     #[test]
     fn wait_change_observes_both_transitions() {
         let sim = Sim::new();
-        let conn = Connectivity::scheduled(
-            &sim,
-            vec![(SimTime::from_secs(5), Duration::from_secs(5))],
-        );
+        let conn = one_outage(&sim, 5, 5.0);
         let c = conn.clone();
         let s = sim.clone();
         let h = sim.spawn(async move {

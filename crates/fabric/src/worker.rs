@@ -47,8 +47,8 @@ pub struct WorkerPoolConfig {
     /// the queue unbounded (the zero-value defer).
     pub queue_capacity: usize,
     /// What happens to a delivery that finds the queue full: refuse the
-    /// arrival, evict the oldest queued task, or evict the
-    /// lowest-priority one. Irrelevant while `queue_capacity == 0`.
+    /// arrival or evict the lowest-priority task. Irrelevant while
+    /// `queue_capacity == 0`.
     pub overflow: hetflow_sim::OverflowPolicy,
 }
 

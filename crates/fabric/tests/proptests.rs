@@ -38,22 +38,24 @@ fn run_fabric(
     let (res_tx, res_rx): (_, Receiver<hetflow_fabric::TaskResult>) = channel();
     let pool = WorkerPoolConfig::bare(SITE, "w", workers);
     let fabric: Rc<dyn Fabric> = if fnx {
-        Rc::new(FnXExecutor::new(
+        Rc::new(FnXExecutor::with_reliability(
             &sim,
             FnXParams::default(),
             vec![EndpointSpec::reliable(pool, vec!["noop"])],
             res_tx,
             SimRng::from_seed(7),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         ))
     } else {
-        Rc::new(HtexExecutor::new(
+        Rc::new(HtexExecutor::with_reliability(
             &sim,
             HtexParams::default(),
             vec![HtexEndpoint { pool, topics: vec!["noop"], link: LinkParams::local() }],
             res_tx,
             SimRng::from_seed(7),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         ))
     };
     let tasks = tasks.to_vec();
@@ -157,11 +159,44 @@ proptest! {
 /// `(id, outcome kind, site, hedges, reroutes)` of one terminal result.
 type Outcome = (u64, &'static str, SiteId, u32, u32);
 
-/// Runs the scripted mix below through one executor whose transport
-/// costs nothing — every latency `Constant(0)`, every bandwidth infinite
-/// — and returns the sorted outcomes. What is left is the dispatch core,
-/// which must not care which transport it was built over.
-fn run_free_transport(fnx: bool) -> Vec<Outcome> {
+/// The arms the free-transport script enters, each under a policy of
+/// its own: one fabric has one policy.
+#[derive(Clone, Copy, Debug)]
+enum Arm {
+    /// Tasks that take no arm.
+    Plain,
+    /// Arrivals at a full pool queue that sheds its lowest priority.
+    Bounded,
+    /// Submissions under an in-flight cap.
+    Capped,
+    /// A straggler rescued by a hedged copy.
+    Hedged,
+}
+
+impl Arm {
+    const ALL: [Arm; 4] = [Arm::Plain, Arm::Bounded, Arm::Capped, Arm::Hedged];
+
+    fn policy(self) -> ReliabilityPolicy {
+        match self {
+            Arm::Plain | Arm::Bounded => ReliabilityPolicy::default(),
+            Arm::Capped => ReliabilityPolicy {
+                admission: AdmissionConfig { max_in_flight: 2, ..Default::default() },
+                ..Default::default()
+            },
+            Arm::Hedged => ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3 },
+                ..Default::default()
+            },
+        }
+    }
+}
+
+/// Runs `arm`'s part of the scripted mix below through one executor
+/// whose transport costs nothing — every latency `Constant(0)`, every
+/// bandwidth infinite — and returns the sorted outcomes. What is left is
+/// the dispatch core, which must not care which transport it was built
+/// over.
+fn run_free_transport(fnx: bool, arm: Arm) -> Vec<Outcome> {
     const ZERO: Dist = Dist::Constant(0.0);
     let sim = Sim::new();
     let (res_tx, res_rx): (_, Receiver<hetflow_fabric::TaskResult>) = channel();
@@ -176,21 +211,7 @@ fn run_free_transport(fnx: bool) -> Vec<Outcome> {
         (WorkerPoolConfig::bare(SiteId(1), "b", 1), vec!["hedged"]),
         (bounded, vec!["bounded"]),
     ];
-    let policies = ReliabilityPolicies::default()
-        .with_topic(
-            "capped",
-            ReliabilityPolicy {
-                admission: AdmissionConfig { max_in_flight: 2, ..Default::default() },
-                ..Default::default()
-            },
-        )
-        .with_topic(
-            "hedged",
-            ReliabilityPolicy {
-                hedge: HedgeConfig { quantile: 0.5, factor: 2.0, min_samples: 3 },
-                ..Default::default()
-            },
-        );
+    let policies = ReliabilityPolicies { default: arm.policy() };
     let (rng, tracer) = (SimRng::from_seed(11), Tracer::disabled());
     let (fabric, chaos): (Rc<dyn Fabric>, ChaosTargets) = if fnx {
         let params = FnXParams {
@@ -230,35 +251,44 @@ fn run_free_transport(fnx: bool) -> Vec<Outcome> {
         // task makes, and same-instant order is not part of the contract.
         let tick = Duration::from_millis(1);
         let (normal, low) = (TaskSpec::PRIORITY_NORMAL, TaskSpec::PRIORITY_LOW);
-        // Plain tasks.
-        for id in 0..4 {
-            fabric.submit(task(id, "plain", 1 + id, normal)).await;
-            sim2.sleep(tick).await;
+        match arm {
+            Arm::Plain => {
+                for id in 0..4 {
+                    fabric.submit(task(id, "plain", 1 + id, normal)).await;
+                    sim2.sleep(tick).await;
+                }
+            }
+            // Six arrivals at a busy one-worker pool with a two-slot
+            // queue: three are displaced, low priority first.
+            Arm::Bounded => {
+                for id in 10..16 {
+                    let priority = if id % 2 == 0 { low } else { normal };
+                    fabric.submit(task(id, "bounded", 5, priority)).await;
+                    sim2.sleep(tick).await;
+                }
+            }
+            // Five submissions under an in-flight cap of two: three
+            // refused; once the two are done, one more is admitted.
+            Arm::Capped => {
+                for id in 20..25 {
+                    fabric.submit(task(id, "capped", 5, normal)).await;
+                    sim2.sleep(tick).await;
+                }
+                sim2.sleep(Duration::from_secs(30)).await;
+                fabric.submit(task(25, "capped", 5, normal)).await;
+            }
+            // Warm the hedge estimate, straggle pool 0, submit the task
+            // the hedge rescues on endpoint 1.
+            Arm::Hedged => {
+                for id in 30..33 {
+                    fabric.submit(task(id, "hedged", 10, normal)).await;
+                    sim2.sleep(tick).await;
+                }
+                sim2.sleep(Duration::from_secs(60)).await;
+                chaos.pace[0].set(50.0);
+                fabric.submit(task(33, "hedged", 10, normal)).await;
+            }
         }
-        // Six arrivals at a busy one-worker pool with a two-slot queue:
-        // three are displaced, low priority first.
-        for id in 10..16 {
-            let priority = if id % 2 == 0 { low } else { normal };
-            fabric.submit(task(id, "bounded", 5, priority)).await;
-            sim2.sleep(tick).await;
-        }
-        // Five submissions under an in-flight cap of two: three refused;
-        // once the two are done, one more is admitted.
-        for id in 20..25 {
-            fabric.submit(task(id, "capped", 5, normal)).await;
-            sim2.sleep(tick).await;
-        }
-        sim2.sleep(Duration::from_secs(30)).await;
-        fabric.submit(task(25, "capped", 5, normal)).await;
-        // Warm the hedge estimate, straggle pool 0, submit the task the
-        // hedge rescues on endpoint 1.
-        for id in 30..33 {
-            fabric.submit(task(id, "hedged", 10, normal)).await;
-            sim2.sleep(tick).await;
-        }
-        sim2.sleep(Duration::from_secs(60)).await;
-        chaos.pace[0].set(50.0);
-        fabric.submit(task(33, "hedged", 10, normal)).await;
     });
     sim.run();
     let mut outcomes: Vec<Outcome> = res_rx
@@ -280,12 +310,16 @@ fn run_free_transport(fnx: bool) -> Vec<Outcome> {
 }
 
 /// Two fabrics that differ only in transit cost are the same fabric
-/// when transit is free: the same script yields the same multiset of
+/// when transit is free: each arm's script yields the same multiset of
 /// outcomes from both executors.
 #[test]
 fn free_transports_yield_identical_outcomes() {
-    let (fnx, htex) = (run_free_transport(true), run_free_transport(false));
-    assert_eq!(fnx, htex, "FnX (left) and HTEX (right) disagree");
+    let mut fnx = Vec::new();
+    for arm in Arm::ALL {
+        let (f, h) = (run_free_transport(true, arm), run_free_transport(false, arm));
+        assert_eq!(f, h, "{arm:?}: FnX (left) and HTEX (right) disagree");
+        fnx.extend(f);
+    }
     // The script really entered the arms it is meant to compare.
     let count = |kind: &str| fnx.iter().filter(|o| o.1 == kind).count();
     assert_eq!(fnx.len(), 20, "one terminal outcome per submitted id: {fnx:?}");
@@ -338,7 +372,6 @@ fn run_chaos(actions: &[ChaosAction], seed: u64, n_tasks: u64) -> (Vec<hetflow_f
             deadline: Duration::from_secs(300),
             ..Default::default()
         },
-        per_topic: Default::default(),
     };
     let exec = FnXExecutor::with_reliability(
         &sim,

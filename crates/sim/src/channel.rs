@@ -6,8 +6,8 @@
 //! [`Sender::send`] awaits room on a [`bounded`] channel,
 //! [`Sender::send_now`] never waits, and [`Sender::offer`] enforces a
 //! caller-side capacity with a deterministic [`OverflowPolicy`] (reject
-//! the arrival, shed the oldest queued item, or shed the lowest-priority
-//! one) — the primitive behind the fabric's overload protection.
+//! the arrival or shed the lowest-priority item) — the primitive behind
+//! the fabric's overload protection.
 //!
 //! Channels transport values instantaneously in virtual time; latency is
 //! modelled explicitly by the sender, which keeps cost models visible at
@@ -49,7 +49,7 @@ pub struct SendError<T>(pub T);
 #[derive(Debug, PartialEq, Eq)]
 pub struct ClosedError;
 
-/// What to do when an [`Sender::offer`] arrives at a full queue. All three
+/// What to do when an [`Sender::offer`] arrives at a full queue. Both
 /// policies are deterministic functions of queue contents — no RNG — so
 /// same-seed runs shed the same tasks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,8 +57,6 @@ pub enum OverflowPolicy {
     /// Refuse the arrival; the queue is untouched.
     #[default]
     Reject,
-    /// Evict the longest-queued item to make room for the arrival.
-    ShedOldest,
     /// Evict the lowest-priority item (oldest among ties). When the
     /// arrival itself has the strictly lowest priority, it is the one
     /// refused.
@@ -413,25 +411,20 @@ impl<T> Sender<T> {
             s.push(value);
             return Offered::Accepted;
         }
-        let victim = match policy {
-            OverflowPolicy::Reject => return Offered::Displaced(value),
-            OverflowPolicy::ShedOldest => s.queue.pop_front(),
-            OverflowPolicy::ShedLowestPriority => {
-                let mut min: Option<(usize, u64)> = None;
-                for (i, item) in s.queue.iter().enumerate() {
-                    let p = priority(item);
-                    if min.is_none_or(|(_, lowest)| p < lowest) {
-                        min = Some((i, p));
-                    }
-                }
-                match min {
-                    Some((_, lowest)) if priority(&value) < lowest => {
-                        return Offered::Displaced(value)
-                    }
-                    Some((idx, _)) => s.queue.remove(idx),
-                    None => None,
-                }
+        if policy == OverflowPolicy::Reject {
+            return Offered::Displaced(value);
+        }
+        let mut min: Option<(usize, u64)> = None;
+        for (i, item) in s.queue.iter().enumerate() {
+            let p = priority(item);
+            if min.is_none_or(|(_, lowest)| p < lowest) {
+                min = Some((i, p));
             }
+        }
+        let victim = match min {
+            Some((_, lowest)) if priority(&value) < lowest => return Offered::Displaced(value),
+            Some((idx, _)) => s.queue.remove(idx),
+            None => None,
         };
         match victim {
             Some(victim) => {
@@ -882,15 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn offer_shed_oldest_evicts_front() {
-        let (tx, rx) = channel::<u32>();
-        tx.offer(1, 2, OverflowPolicy::ShedOldest, |_| 0);
-        tx.offer(2, 2, OverflowPolicy::ShedOldest, |_| 0);
-        assert_eq!(tx.offer(3, 2, OverflowPolicy::ShedOldest, |_| 0), Offered::Displaced(1));
-        assert_eq!(rx.drain_now(), vec![2, 3], "FIFO order with the newest at the back");
-    }
-
-    #[test]
     fn offer_shed_lowest_priority_picks_victim() {
         // Priority = the value itself; higher keeps its place.
         let pri = |v: &u32| u64::from(*v);
@@ -911,7 +895,7 @@ mod tests {
     fn offer_closed_returns_value() {
         let (tx, rx) = channel::<u32>();
         drop(rx);
-        assert_eq!(tx.offer(9, 1, OverflowPolicy::ShedOldest, |_| 0), Offered::Closed(9));
+        assert_eq!(tx.offer(9, 1, OverflowPolicy::ShedLowestPriority, |_| 0), Offered::Closed(9));
     }
 
     #[test]
@@ -1060,7 +1044,7 @@ mod tests {
         let s = sim.clone();
         sim.spawn(async move {
             s.sleep(secs(1.0)).await;
-            assert_eq!(tx.offer(11, 4, OverflowPolicy::ShedOldest, |_| 0), Offered::Accepted);
+            assert_eq!(tx.offer(11, 4, OverflowPolicy::ShedLowestPriority, |_| 0), Offered::Accepted);
         });
         assert_eq!(sim.block_on(waiter), Some(11));
     }

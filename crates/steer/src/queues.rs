@@ -468,7 +468,7 @@ impl TaskServer {
 pub(crate) mod tests {
     use super::*;
     use hetflow_fabric::{
-        EndpointSpec, FnXExecutor, FnXParams, TaskWork, WorkerPoolConfig,
+        EndpointSpec, FnXExecutor, FnXParams, ReliabilityPolicies, TaskWork, WorkerPoolConfig,
     };
     use hetflow_store::bytes::{KB, MB};
     use hetflow_store::{Backend, FsParams, SiteSet, Store};
@@ -493,7 +493,7 @@ pub(crate) mod tests {
     pub(crate) fn pipeline(policy: ProxyPolicy) -> (Sim, ClientQueues) {
         let sim = Sim::new();
         let (res_tx, res_rx) = channel();
-        let fabric = FnXExecutor::new(
+        let fabric = FnXExecutor::with_reliability(
             &sim,
             FnXParams::default(),
             vec![EndpointSpec::reliable(
@@ -507,6 +507,7 @@ pub(crate) mod tests {
             res_tx,
             SimRng::from_seed(1),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         );
         let queues = TaskServer::start(
             &sim,
@@ -581,7 +582,7 @@ pub(crate) mod tests {
         let store = fs_store(&sim);
         let policy = ProxyPolicy::uniform(store.clone(), 10 * KB);
         let (res_tx, res_rx) = channel();
-        let fabric = FnXExecutor::new(
+        let fabric = FnXExecutor::with_reliability(
             &sim,
             FnXParams::default(),
             vec![EndpointSpec::reliable(
@@ -595,6 +596,7 @@ pub(crate) mod tests {
             res_tx,
             SimRng::from_seed(1),
             Tracer::disabled(),
+            ReliabilityPolicies::default(),
         );
         let queues = TaskServer::start(
             &sim,
@@ -641,7 +643,7 @@ pub(crate) mod tests {
                 ProxyPolicy::disabled()
             };
             let (res_tx, res_rx) = channel();
-            let fabric = FnXExecutor::new(
+            let fabric = FnXExecutor::with_reliability(
                 &sim,
                 FnXParams::default(),
                 vec![EndpointSpec::reliable(
@@ -656,6 +658,7 @@ pub(crate) mod tests {
                 res_tx,
                 SimRng::from_seed(1),
                 Tracer::disabled(),
+                ReliabilityPolicies::default(),
             );
             let queues = TaskServer::start(
                 &sim,

@@ -1,8 +1,9 @@
 //! Chaos recovery, in two acts.
 //!
 //! **Act 1** — worker failure injection, per-topic retry policies with
-//! backoff, a delivery timeout, and a scheduled endpoint outage — all
-//! surfaced to the thinker as *failed records* instead of panics.
+//! backoff, a delivery timeout, and an endpoint outage scripted by the
+//! chaos engine — all surfaced to the thinker as *failed records*
+//! instead of panics.
 //!
 //! **Act 2** — the active reliability layer: the chaos engine drops the
 //! primary CPU endpoint, the offline watcher trips its circuit breaker,
@@ -30,7 +31,7 @@
 
 use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
 use hetflow_fabric::{
-    BreakerConfig, ChaosAction, ChaosSpec, Connectivity, FailureModel, ReliabilityPolicies,
+    BreakerConfig, ChaosAction, ChaosSpec, FailureModel, ReliabilityPolicies,
     ReliabilityPolicy, RetryPolicies, RetryPolicy, TaskError, TaskWork,
 };
 use hetflow_steer::{Breakdown, Payload};
@@ -77,10 +78,18 @@ fn passive_recovery() {
                 backoff: Dist::Constant(2.0),
             },
         ),
-        cpu_connectivity: Connectivity::scheduled(&sim, vec![(outage_start, outage)]),
         ..Default::default()
     };
     let deployment = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, tracer.clone());
+    // One window down, then back for good: a flap of one cycle.
+    ChaosSpec::new(vec![ChaosAction::Flap {
+        endpoint: 0,
+        start: outage_start,
+        up: Dist::Constant(0.0),
+        down: Dist::Constant(outage.as_secs_f64()),
+        cycles: 1,
+    }])
+    .install(&sim, 7, &deployment.chaos);
 
     let queues = deployment.queues.clone();
     let driver = sim.spawn(async move {
@@ -118,7 +127,7 @@ fn passive_recovery() {
     }
     println!(
         "outages seen         : {}",
-        spec.cpu_connectivity.outages_seen()
+        deployment.chaos.connectivity[0].outages_seen()
     );
     println!("virtual time elapsed : {}", sim.now());
 
@@ -174,7 +183,6 @@ fn breaker_failover_recovery() {
                 deadline: Duration::from_secs(900),
                 ..Default::default()
             },
-            per_topic: Default::default(),
         },
         retry: RetryPolicies::default().with_topic(
             "simulate",

@@ -41,7 +41,7 @@ pub mod prelude {
     pub use hetflow_apps::moldesign::MolDesignParams;
     pub use hetflow_core::{deploy, Calibration, Deployment, DeploymentSpec, WorkflowConfig};
     pub use hetflow_fabric::{
-        BreakerConfig, ChaosAction, ChaosSpec, Connectivity, HedgeConfig, ReliabilityPolicies,
+        BreakerConfig, ChaosAction, ChaosSpec, HedgeConfig, ReliabilityPolicies,
         ReliabilityPolicy, RetryPolicies, RetryPolicy, TaskError, TaskFn, TaskOutcome, TaskWork,
     };
     pub use hetflow_steer::{Breakdown, ClientQueues, Payload, Thinker};

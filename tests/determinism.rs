@@ -150,7 +150,7 @@ fn trace_digest_reproducible_parsl_redis() {
 /// per-topic retry policy with backoff and a delivery deadline. The
 /// failure paths must be exactly as deterministic as the happy path.
 fn chaos_traced_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize) {
-    use hetflow::fabric::{Connectivity, FailureModel};
+    use hetflow::fabric::{ChaosAction, ChaosSpec, FailureModel};
     use hetflow::sim::Dist;
 
     let sim = Sim::new();
@@ -171,13 +171,18 @@ fn chaos_traced_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize) {
                 backoff: Dist::Constant(1.0),
             },
         ),
-        cpu_connectivity: Connectivity::scheduled(
-            &sim,
-            vec![(SimTime::from_secs(2), Duration::from_secs(600))],
-        ),
         ..Default::default()
     };
     let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, tracer.clone());
+    // The CPU endpoint is offline from t=2 s to t=602 s.
+    let outage = ChaosAction::Flap {
+        endpoint: 0,
+        start: SimTime::from_secs(2),
+        up: Dist::Constant(0.0),
+        down: Dist::Constant(600.0),
+        cycles: 1,
+    };
+    ChaosSpec::new(vec![outage]).install(&sim, seed, &d.chaos);
     let o = moldesign::run(
         &sim,
         &d,
@@ -235,7 +240,6 @@ fn chaos_engine_digest(seed: u64, tracer: &Tracer) -> (u64, usize) {
                 deadline: Duration::from_secs(900),
                 ..Default::default()
             },
-            per_topic: Default::default(),
         },
         retry: RetryPolicies::default().with_topic(
             "simulate",
@@ -288,27 +292,26 @@ fn trace_digest_reproducible_under_chaos_engine() {
 }
 
 /// A moldesign campaign with the whole overload-protection stack on —
-/// bounded CPU queue and admission control on the storm topic — under a
+/// bounded CPU queue and admission control on every topic — under a
 /// scripted task storm. Sheds fold into the digest, so the overload
 /// machinery must replay bit-identically.
 fn storm_digest(seed: u64, tracer: &Tracer) -> (u64, usize, usize) {
     use hetflow::fabric::{AdmissionConfig, ChaosAction, ChaosSpec};
-    use hetflow::sim::{Dist, OverflowPolicy};
+    use hetflow::sim::Dist;
 
     let sim = Sim::new();
     let spec = DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
         seed,
+        // Overflow rejects the arrival (the default policy).
         cpu_queue_capacity: 8,
-        overflow: OverflowPolicy::ShedOldest,
-        reliability: ReliabilityPolicies::default().with_topic(
-            "noop",
-            ReliabilityPolicy {
+        reliability: ReliabilityPolicies {
+            default: ReliabilityPolicy {
                 admission: AdmissionConfig { rate: 10.0, burst: 10.0, max_in_flight: 0 },
                 ..Default::default()
             },
-        ),
+        },
         ..Default::default()
     };
     let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, tracer.clone());
@@ -390,7 +393,7 @@ fn armed_run(policy: ReliabilityPolicy, fault: hetflow::fabric::ChaosAction, tra
         cpu_workers: 4,
         gpu_workers: 2,
         cpu_failover_sites: 1,
-        reliability: ReliabilityPolicies { default: policy, per_topic: Default::default() },
+        reliability: ReliabilityPolicies { default: policy },
         retry: RetryPolicies::default().with_topic(
             "simulate",
             RetryPolicy { timeout: Some(Duration::from_secs(120)), ..RetryPolicy::default() },

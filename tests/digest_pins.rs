@@ -85,7 +85,7 @@ fn admission_that_never_binds_leaves_the_pinned_run_unchanged() {
     let admission = AdmissionConfig { rate: 1e9, burst: 1e9, max_in_flight: 1 << 30 };
     let default = ReliabilityPolicy { admission, ..Default::default() };
     for config in [WorkflowConfig::FnXGlobus, WorkflowConfig::ParslRedis] {
-        let idle = ReliabilityPolicies { default: default.clone(), per_topic: Default::default() };
+        let idle = ReliabilityPolicies { default: default.clone() };
         assert_eq!(
             pinned_digest_under(config, 7, idle),
             pinned_digest(config, 7),
@@ -207,7 +207,6 @@ fn site_loss_spec() -> DeploymentSpec {
                 deadline: Duration::from_secs(1200),
                 ..Default::default()
             },
-            per_topic: Default::default(),
         },
         retry: RetryPolicies::default().with_topic(
             "simulate",
@@ -231,7 +230,6 @@ fn hedged() -> Armed {
                 deadline: Duration::from_secs(900),
                 ..Default::default()
             },
-            per_topic: Default::default(),
         },
         ..Default::default()
     };

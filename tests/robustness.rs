@@ -4,27 +4,32 @@
 //! reconnect" — plus worker-level failure injection.
 
 use hetflow::apps::{finetune, moldesign};
-use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec, Connectivity, FailureModel};
+use hetflow::fabric::{BreakerConfig, ChaosAction, ChaosSpec, FailureModel};
 use hetflow::prelude::*;
 use hetflow::sim::{trace_kinds, Dist};
 use std::rc::Rc;
 use std::time::Duration;
 
+/// One outage of the CPU endpoint (endpoint 0), offline from `start` for
+/// `down` seconds: a chaos flap of one window, which draws nothing and
+/// leaves no timer behind once the endpoint is back.
+fn cpu_outage(start: u64, down: u64) -> ChaosSpec {
+    ChaosSpec::new(vec![ChaosAction::Flap {
+        endpoint: 0,
+        start: SimTime::from_secs(start),
+        up: Dist::Constant(0.0),
+        down: Dist::Constant(down as f64),
+        cycles: 1,
+    }])
+}
+
 #[test]
 fn cloud_buffers_tasks_through_endpoint_outage() {
     let sim = Sim::new();
-    let cpu_conn = Connectivity::scheduled(
-        &sim,
-        // Offline from t=10 s to t=310 s.
-        vec![(SimTime::from_secs(10), Duration::from_secs(300))],
-    );
-    let spec = DeploymentSpec {
-        cpu_workers: 2,
-        gpu_workers: 2,
-        cpu_connectivity: cpu_conn.clone(),
-        ..Default::default()
-    };
+    let spec = DeploymentSpec { cpu_workers: 2, gpu_workers: 2, ..Default::default() };
     let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
+    // Offline from t=10 s to t=310 s.
+    cpu_outage(10, 300).install(&sim, 0, &d.chaos);
     let q = d.queues.clone();
     let s = sim.clone();
     let h = sim.spawn(async move {
@@ -50,7 +55,7 @@ fn cloud_buffers_tasks_through_endpoint_outage() {
         done
     });
     assert_eq!(sim.block_on(h), 4, "all tasks survive the outage");
-    assert_eq!(cpu_conn.outages_seen(), 1);
+    assert_eq!(d.chaos.connectivity[0].outages_seen(), 1);
 }
 
 #[test]
@@ -59,18 +64,10 @@ fn results_buffer_while_endpoint_offline() {
     // delivered before it began); results reach the thinker only after
     // reconnect.
     let sim = Sim::new();
-    let conn = Connectivity::scheduled(
-        &sim,
-        // Outage starts after delivery (~2 s), ends at 200 s.
-        vec![(SimTime::from_secs(3), Duration::from_secs(197))],
-    );
-    let spec = DeploymentSpec {
-        cpu_workers: 2,
-        gpu_workers: 1,
-        cpu_connectivity: conn,
-        ..Default::default()
-    };
+    let spec = DeploymentSpec { cpu_workers: 2, gpu_workers: 1, ..Default::default() };
     let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
+    // Outage starts after delivery (~2 s), ends at 200 s.
+    cpu_outage(3, 197).install(&sim, 0, &d.chaos);
     let q = d.queues.clone();
     let h = sim.spawn(async move {
         q.submit(
@@ -193,11 +190,6 @@ fn delivery_timeout_fails_tasks_stuck_behind_long_outage() {
     // delivery deadline bounds how long the thinker waits before the
     // fabric declares them timed out.
     let sim = Sim::new();
-    let conn = Connectivity::scheduled(
-        &sim,
-        // Offline from t=1 s to t=601 s.
-        vec![(SimTime::from_secs(1), Duration::from_secs(600))],
-    );
     let spec = DeploymentSpec {
         cpu_workers: 2,
         gpu_workers: 1,
@@ -208,10 +200,11 @@ fn delivery_timeout_fails_tasks_stuck_behind_long_outage() {
                 ..RetryPolicy::default()
             },
         ),
-        cpu_connectivity: conn,
         ..Default::default()
     };
     let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
+    // Offline from t=1 s to t=601 s.
+    cpu_outage(1, 600).install(&sim, 0, &d.chaos);
     let q = d.queues.clone();
     let s = sim.clone();
     let h = sim.spawn(async move {
@@ -247,9 +240,10 @@ fn delivery_timeout_fails_tasks_stuck_behind_long_outage() {
     assert!(end < SimTime::from_secs(200), "timeouts should not wait out the outage: {end}");
 }
 
-/// Failure injection (p=0.2, two attempts), a scheduled endpoint outage
-/// overlapping submission, and a delivery deadline on `simulate`.
-fn chaotic_spec(sim: &Sim) -> DeploymentSpec {
+/// Failure injection (p=0.2, two attempts) and a delivery deadline on
+/// `simulate`; `chaotic_deploy` adds an endpoint outage overlapping
+/// submission.
+fn chaotic_spec() -> DeploymentSpec {
     DeploymentSpec {
         cpu_workers: 4,
         gpu_workers: 2,
@@ -266,12 +260,16 @@ fn chaotic_spec(sim: &Sim) -> DeploymentSpec {
                 backoff: Dist::Constant(1.0),
             },
         ),
-        cpu_connectivity: Connectivity::scheduled(
-            sim,
-            vec![(SimTime::from_secs(2), Duration::from_secs(600))],
-        ),
         ..Default::default()
     }
+}
+
+/// `chaotic_spec` deployed, with the CPU endpoint offline from t=2 s to
+/// t=602 s.
+fn chaotic_deploy(sim: &Sim) -> Deployment {
+    let d = deploy(sim, WorkflowConfig::FnXGlobus, &chaotic_spec(), Tracer::disabled());
+    cpu_outage(2, 600).install(sim, 0, &d.chaos);
+    d
 }
 
 #[test]
@@ -279,7 +277,7 @@ fn chaotic_campaign_completes_without_panic() {
     // Under `chaotic_spec` the full campaign runs to completion with
     // failed tasks counted, not panicking.
     let sim = Sim::new();
-    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &chaotic_spec(&sim), Tracer::disabled());
+    let d = chaotic_deploy(&sim);
     let o = moldesign::run(
         &sim,
         &d,
@@ -308,7 +306,7 @@ fn chaotic_finetune_campaign_counts_its_failures() {
     // The moldesign chaos scenario under the fine-tuning campaign: every
     // failed task, of any topic, lands in the outcome's count.
     let sim = Sim::new();
-    let d = deploy(&sim, WorkflowConfig::FnXGlobus, &chaotic_spec(&sim), Tracer::disabled());
+    let d = chaotic_deploy(&sim);
     let o = finetune::run(
         &sim,
         &d,
@@ -352,7 +350,6 @@ fn site_loss_spec(grace: Duration) -> DeploymentSpec {
                 deadline: Duration::from_secs(1200),
                 ..Default::default()
             },
-            per_topic: Default::default(),
         },
         // Transit stuck behind the dead endpoint reroutes after 120 s.
         retry: RetryPolicies::default().with_topic(
@@ -474,8 +471,7 @@ fn task_storms_conserve_every_submission() {
     use std::collections::BTreeSet;
 
     const CAMPAIGN_TASKS: u64 = 30;
-    let policies =
-        [OverflowPolicy::Reject, OverflowPolicy::ShedOldest, OverflowPolicy::ShedLowestPriority];
+    let policies = [OverflowPolicy::Reject, OverflowPolicy::ShedLowestPriority];
     for (run, seed) in [11u64, 13, 21].into_iter().enumerate() {
         // A randomized storm script, derived deterministically from the
         // run seed: 1–3 overlapping storms with random start, rate, and
@@ -510,16 +506,15 @@ fn task_storms_conserve_every_submission() {
             // Tight bound: 30 campaign submissions of 15 s tasks on 2
             // workers guarantee overflow shedding on every policy.
             cpu_queue_capacity: 4,
-            overflow: policies[run],
-            // Admission control on the storm topic exercises the
+            overflow: policies[run % policies.len()],
+            // Admission control (one bucket per topic) exercises the
             // submission-time shed path alongside queue overflow.
-            reliability: ReliabilityPolicies::default().with_topic(
-                "noop",
-                ReliabilityPolicy {
+            reliability: ReliabilityPolicies {
+                default: ReliabilityPolicy {
                     admission: AdmissionConfig { rate: 8.0, burst: 8.0, max_in_flight: 16 },
                     ..Default::default()
                 },
-            ),
+            },
             ..Default::default()
         };
         let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
@@ -622,7 +617,7 @@ fn record_log_returns_every_resolved_record_in_order() {
         gpu_workers: 1,
         cpu_failover_sites: 1,
         cpu_queue_capacity: 6,
-        overflow: OverflowPolicy::ShedOldest,
+        overflow: OverflowPolicy::ShedLowestPriority,
         failure: Some(FailureModel {
             prob: 0.5,
             waste_fraction: 0.5,
@@ -635,7 +630,6 @@ fn record_log_returns_every_resolved_record_in_order() {
                 deadline: Duration::from_secs(900),
                 ..Default::default()
             },
-            per_topic: Default::default(),
         },
         ..Default::default()
     };
@@ -688,7 +682,6 @@ fn each_pool_owns_its_pace_dial() {
         cpu_failover_sites: 1,
         reliability: ReliabilityPolicies {
             default: ReliabilityPolicy { hedge, ..Default::default() },
-            per_topic: Default::default(),
         },
         ..Default::default()
     };
