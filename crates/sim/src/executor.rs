@@ -26,11 +26,11 @@
 //! A chained sleep ([`Sim::sleep_legs`]) is one slot for a multi-leg
 //! transit: when a leg fires, `fire_next_timer` asks the chain's
 //! [`Legs`] for the next leg and re-keys the slot in place at the root
-//! (one sift-down), and wakes the task only after the last. Like a `send_at` release,
-//! it does at the fire what the task's poll would have done next — timers
-//! fire only on an empty ready ring, so nothing runs in between — with
-//! the same draws, `seq` and tie; a differential test below holds it to
-//! the sequential sleeps it replaces.
+//! (one sift-down), and wakes the task only after the last. Like a
+//! `send_at` release, it does at the fire what the task's poll would have
+//! done next — timers fire only on an empty ready ring, so nothing runs
+//! in between — with the same draws, `seq` and tie; a differential test
+//! below holds it to the sequential sleeps it replaces.
 //!
 //! A heap is enough because the store is shallow. Peak pending timers,
 //! one rep of each hetbench workload at seed 7 (`send_at` releases
@@ -391,31 +391,28 @@ impl TimerHeap {
         h
     }
 
-    /// Gives a chained slot that `pop` left in the heap its next leg,
-    /// before `leg`, under `key`: the entry's key is rewritten in place
-    /// and sifts down once, as `key` is later than the one that fired. The
-    /// same slot, so the `Sleep`'s handle stays good, and the same wake-up.
+    /// Gives a chained slot that `pop` left in the heap `key`, later than
+    /// the one that fired, for the leg before `leg`: rewritten in place and
+    /// sifted down once. The same slot and wake-up, so the `Sleep`'s
+    /// handle stays good.
     fn rekey(&mut self, h: TimerHandle, key: TimerKey, chain: Chain, leg: u32) {
         let slot = &mut self.slab[h.idx as usize];
         debug_assert!(slot.gen == h.gen && slot.chain.is_none(), "re-keyed a stranger");
         let Loc::Heap(pos) = slot.loc else { return };
         (slot.chain, slot.leg) = (Some(chain), leg);
-        let pos = pos as usize;
-        debug_assert!(self.heap[pos].key < key, "a leg's key went backwards");
-        self.heap[pos].key = key;
-        self.sift_down(pos);
+        self.heap[pos as usize].key = key;
+        self.sift_down(pos as usize);
     }
 
     /// Ends a chain that `pop` left in the heap, before `leg`: its entry
-    /// leaves the heap, the slot stays fired for its `Sleep`, and its
-    /// wake-up is handed back.
+    /// leaves, the slot stays fired for its `Sleep`, and its wake-up is
+    /// handed back.
     fn end_chain(&mut self, h: TimerHandle, leg: u32) -> Wakeup {
-        let slot = &self.slab[h.idx as usize];
-        debug_assert!(slot.gen == h.gen && slot.chain.is_none(), "ended a stranger's chain");
-        if let Loc::Heap(pos) = slot.loc {
+        if let Loc::Heap(pos) = self.slab[h.idx as usize].loc {
             self.remove(pos as usize);
         }
         let slot = &mut self.slab[h.idx as usize];
+        debug_assert!(slot.gen == h.gen && slot.chain.is_none(), "ended a stranger's chain");
         (slot.loc, slot.leg) = (Loc::Fired, leg);
         std::mem::take(&mut slot.wake)
     }
@@ -476,9 +473,8 @@ impl TimerHeap {
     }
 
     /// Fires the globally minimum pending timer: its key and whom to
-    /// wake, or for a chained sleep its chain, for the next leg. A chained
-    /// slot stays at the root until [`TimerHeap::rekey`] or
-    /// [`TimerHeap::end_chain`] settles it.
+    /// wake, or for a chained sleep its chain, for the next leg; that
+    /// slot stays at the root for `rekey` or `end_chain`.
     fn pop(&mut self) -> Option<(TimerKey, Fire)> {
         let &HeapEntry { key, idx } = self.heap.first()?;
         let slot = &mut self.slab[idx as usize];
@@ -1608,8 +1604,8 @@ mod tests {
     /// random, with a task id (its number) or a counting waker, and a
     /// pop must hand back exactly what was armed. A third of the timers
     /// are chained sleeps of 2–4 legs: each leg's pop leaves the slot at
-    /// the root, which takes a fresh key, and only the last one wakes. Returns the
-    /// peak depth.
+    /// the root to take a fresh key, and only the last one wakes. Returns
+    /// the peak depth.
     fn store_matches_reference_script(
         seed: u64,
         shuffled_ties: bool,
