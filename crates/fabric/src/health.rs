@@ -450,10 +450,8 @@ impl ReliabilityLayer {
             .collect();
         // All-zero configs register nothing. A topic's refusals are
         // attributed to its primary endpoint.
-        let admission = AdmissionController::new(
-            sim,
-            route.iter().map(|(topic, targets)| (topic, policy.admission.clone(), targets[0])),
-        );
+        let primaries = route.iter().map(|(topic, targets)| (topic, targets[0]));
+        let admission = AdmissionController::new(sim, policy.admission.clone(), primaries);
         let layer = ReliabilityLayer {
             inner: Rc::new(LayerInner {
                 sim: sim.clone(),

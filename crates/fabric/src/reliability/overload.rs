@@ -12,11 +12,11 @@
 use hetflow_sim::{Sim, SimTime, Symbol, SymbolMap};
 use std::cell::Cell;
 
-/// Token-bucket admission control for one topic.
+/// Token-bucket admission control, applied to each topic on its own.
 ///
 /// The zero values are "defer": `rate == 0` means no rate limit,
 /// `max_in_flight == 0` means no concurrency cap, and the all-zero
-/// default disables the controller entirely for the topic.
+/// default disables the controller entirely.
 #[derive(Clone, Debug, Default)]
 pub struct AdmissionConfig {
     /// Sustained admissions per (virtual) second. `0` disables rate
@@ -45,10 +45,9 @@ impl AdmissionConfig {
     }
 }
 
-/// One admission-controlled topic: its config, the primary endpoint its
-/// refusals are attributed to, its token bucket and its in-flight count.
+/// One admission-controlled topic: the primary endpoint its refusals are
+/// attributed to, its token bucket and its in-flight count.
 struct TopicAdmission {
-    cfg: AdmissionConfig,
     primary: usize,
     tokens: Cell<f64>,
     refilled_at: Cell<SimTime>,
@@ -63,35 +62,36 @@ struct TopicAdmission {
 /// exactly as deterministic as the clock.
 pub(crate) struct AdmissionController {
     sim: Sim,
-    /// Only topics with an enabled config have a row.
+    cfg: AdmissionConfig,
+    /// A row per topic, none when `cfg` is disabled.
     topics: SymbolMap<TopicAdmission>,
     rejected: Cell<u64>,
 }
 
 impl AdmissionController {
-    /// A controller over `(topic, config, primary endpoint)` triples. A
-    /// disabled config gets no row: its topic is admitted without
+    /// A controller applying `cfg` to each `(topic, primary endpoint)`.
+    /// A disabled config makes no row: every topic is admitted without
     /// touching any state.
     pub(crate) fn new(
         sim: &Sim,
-        topics: impl IntoIterator<Item = (Symbol, AdmissionConfig, usize)>,
+        cfg: AdmissionConfig,
+        topics: impl IntoIterator<Item = (Symbol, usize)>,
     ) -> Self {
         let now = sim.now();
         let topics = topics
             .into_iter()
-            .filter(|(_, cfg, _)| cfg.enabled())
-            .map(|(topic, cfg, primary)| {
+            .filter(|_| cfg.enabled())
+            .map(|(topic, primary)| {
                 let row = TopicAdmission {
                     tokens: Cell::new(cfg.bucket_cap()),
                     refilled_at: Cell::new(now),
                     in_flight: Cell::new(0),
-                    cfg,
                     primary,
                 };
                 (topic, row)
             })
             .collect();
-        AdmissionController { sim: sim.clone(), topics, rejected: Cell::new(0) }
+        AdmissionController { sim: sim.clone(), cfg, topics, rejected: Cell::new(0) }
     }
 
     /// Decides whether a task of `topic` may enter the fabric. `Ok`
@@ -101,7 +101,7 @@ impl AdmissionController {
     /// attributed to.
     pub(crate) fn try_admit(&self, topic: Symbol) -> Result<(), usize> {
         let Some(st) = self.topics.get(topic) else { return Ok(()) };
-        let cfg = &st.cfg;
+        let cfg = &self.cfg;
         if cfg.max_in_flight > 0 && st.in_flight.get() >= cfg.max_in_flight {
             self.rejected.set(self.rejected.get() + 1);
             return Err(st.primary);
@@ -127,7 +127,7 @@ impl AdmissionController {
     /// Releases the in-flight slot taken by an admitted task of `topic`.
     /// No-op for topics without a cap, which take no slot.
     pub(crate) fn release(&self, topic: Symbol) {
-        let Some(st) = self.topics.get(topic).filter(|st| st.cfg.max_in_flight > 0) else { return };
+        let Some(st) = self.topics.get(topic).filter(|_| self.cfg.max_in_flight > 0) else { return };
         let held = st.in_flight.get();
         debug_assert!(held > 0, "released an admission slot of {topic} that no task holds");
         st.in_flight.set(held - 1);
@@ -162,7 +162,7 @@ mod tests {
     }
 
     fn controller(sim: &Sim, cfg: AdmissionConfig) -> AdmissionController {
-        AdmissionController::new(sim, [(topic(), cfg, 0)])
+        AdmissionController::new(sim, cfg, [(topic(), 0)])
     }
 
     #[test]
