@@ -369,31 +369,37 @@ mod tests {
         // being stored (leg 0 of `Out`, 0.1 s to at least 0.14 s), and
         // is back at 10.12 s. The cloud holds the task before forwarding
         // it (leg 1), and forwards and fetches it at reconnection. The
-        // flap's zero `up` draws nothing and sleeps no timer, so the run
-        // ends when the result lands.
-        let (sim, exec, res_rx) = setup(1);
-        let outage = ChaosAction::Flap {
-            endpoint: 0,
-            start: SimTime::from_nanos(120_000_000),
-            up: Dist::Constant(0.0),
-            down: Dist::Constant(10.0),
-            cycles: 1,
+        // flap's zero `up` draws nothing and sleeps no timer: against the
+        // same task with no outage, it adds the timers of its start and
+        // of its reconnection, and nothing runs after the result lands.
+        let run = |flap: bool| {
+            let (sim, exec, res_rx) = setup(1);
+            let outage = ChaosAction::Flap {
+                endpoint: 0,
+                start: SimTime::from_nanos(120_000_000),
+                up: Dist::Constant(0.0),
+                down: Dist::Constant(10.0),
+                cycles: 1,
+            };
+            let chaos = exec.chaos_targets();
+            ChaosSpec::new(if flap { vec![outage] } else { vec![] }).install(&sim, 0, &chaos);
+            let e = exec.clone();
+            sim.spawn(async move { e.submit(TaskSpec::noop(0, 1_000)).await });
+            let report = sim.run();
+            let results = res_rx.drain_now();
+            assert_eq!(results.len(), 1);
+            assert!(chaos.connectivity[0].is_online());
+            (report, results[0].timing, chaos.connectivity[0].outages_seen())
         };
-        ChaosSpec::new(vec![outage]).install(&sim, 0, &exec.chaos_targets());
-        let task = TaskSpec::noop(0, 1_000);
-        let get = 0.04 + task.wire_bytes() as f64 / 4.0e4;
-        let e = exec.clone();
-        sim.spawn(async move { e.submit(task).await });
-        let report = sim.run();
-        let results = res_rx.drain_now();
-        assert_eq!(results.len(), 1);
-        let timing = results[0].timing;
+        let (clean, _, _) = run(false);
+        let (report, timing, outages) = run(true);
+        let get = 0.04 + TaskSpec::noop(0, 1_000).wire_bytes() as f64 / 4.0e4;
         let back = SimTime::from_nanos(10_120_000_000);
         let (fwd, get) = (hetflow_sim::time::secs(0.05), hetflow_sim::time::secs(get));
         assert_eq!(timing.worker_started, Some(back + fwd + get), "legs 1 and 2 after reconnect");
         assert_eq!(timing.server_result_received, Some(report.end), "nothing runs on after it");
-        let conn = &exec.chaos_targets().connectivity[0];
-        assert!(conn.is_online() && conn.outages_seen() == 1);
+        assert_eq!(report.timer_fires, clean.timer_fires + 2, "start and reconnection only");
+        assert_eq!(outages, 1);
     }
 
     #[test]
