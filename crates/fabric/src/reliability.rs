@@ -6,8 +6,8 @@
 //! unavailable so tasks can be resumed when endpoints reconnect."
 //! [`Connectivity`] models an endpoint's outbound connection going up
 //! and down, as a [`chaos::ChaosSpec`] scripts it; the FnX fabric holds
-//! tasks in the cloud while the endpoint is offline. [`FailureModel`] models worker-level task failures with
-//! in-place re-execution.
+//! tasks in the cloud while the endpoint is offline. [`FailureModel`]
+//! models worker-level task failures with in-place re-execution.
 
 use hetflow_sim::sync::EventWaitNext;
 use hetflow_sim::{Dist, Event, SimRng, Symbol, SymbolMap};

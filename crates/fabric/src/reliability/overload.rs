@@ -127,7 +127,9 @@ impl AdmissionController {
     /// Releases the in-flight slot taken by an admitted task of `topic`.
     /// No-op for topics without a cap, which take no slot.
     pub(crate) fn release(&self, topic: Symbol) {
-        let Some(st) = self.topics.get(topic).filter(|_| self.cfg.max_in_flight > 0) else { return };
+        let Some(st) = self.topics.get(topic).filter(|_| self.cfg.max_in_flight > 0) else {
+            return;
+        };
         let held = st.in_flight.get();
         debug_assert!(held > 0, "released an admission slot of {topic} that no task holds");
         st.in_flight.set(held - 1);

@@ -1044,7 +1044,7 @@ mod tests {
         let s = sim.clone();
         sim.spawn(async move {
             s.sleep(secs(1.0)).await;
-            assert_eq!(tx.offer(11, 4, OverflowPolicy::ShedLowestPriority, |_| 0), Offered::Accepted);
+            assert_eq!(tx.offer(11, 4, OverflowPolicy::Reject, |_| 0), Offered::Accepted);
         });
         assert_eq!(sim.block_on(waiter), Some(11));
     }
