@@ -50,7 +50,7 @@ const MD_STEPS_START: usize = 20;
 /// Campaign parameters (defaults scale the paper's 1720-pretrain /
 /// 500-new-structure run down ~8× so a full campaign simulates in
 /// seconds of wall time).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FinetuneParams {
     /// Cheap (approximate-level, energy-only) pre-training structures
     /// (paper: 1720).

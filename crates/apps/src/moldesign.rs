@@ -46,7 +46,7 @@ pub enum SteeringMode {
 
 /// Campaign parameters (defaults are the paper setup scaled ~50×
 /// down in library size; durations and data sizes are unscaled).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MolDesignParams {
     /// Candidate library size (paper: 1 115 321; default scaled).
     pub library_size: usize,

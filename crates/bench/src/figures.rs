@@ -2,21 +2,27 @@
 //! the ablations and the overload knee, one function per transcript
 //! section, in the order `make_figures` runs them.
 //!
-//! Each function appends its section's text to `out` and returns its
-//! shape verdict: `Err` names the paper-shape claim the run broke.
-//! Every size is the paper-scale one, fixed by the constants below.
+//! Each function reads its campaigns from one [`Runs`] table, appends
+//! its section's text to `out` and returns its shape verdict: `Err`
+//! names the paper-shape claim the run broke. The sizes, fixed by the
+//! constants below and the campaigns' defaults, are scaled down from
+//! the paper's: Fig. 6 ranks 10 000 of its 1 115 321 candidates, and
+//! Fig. 7 pre-trains on 220 structures and adds 64, against its 1 720
+//! and 500. ROADMAP items 20 and 27 add the paper-size runs.
 
-use crate::{NoopPipeline, StoreKind};
+use crate::{stats, NoopPipeline, StoreKind};
 use hetflow_apps::finetune::{self, FinetuneOutcome, FinetuneParams};
 use hetflow_apps::moldesign::{self, MolDesignOutcome, MolDesignParams, SteeringMode};
 use hetflow_core::platform::{THETA, VENTI};
-use hetflow_core::{deploy, Calibration, DeploymentSpec, UtilizationReport, WorkflowConfig};
+use hetflow_core::{
+    deploy, Calibration, Deployment, DeploymentSpec, UtilizationReport, WorkflowConfig,
+};
 use hetflow_fabric::{
     AdmissionConfig, EndpointSpec, Fabric, FnXExecutor, ReliabilityPolicies, ReliabilityPolicy,
     TaskResult, TaskSpec, TaskWork, WorkerPoolConfig,
 };
-use hetflow_sim::{channel, time, OverflowPolicy, Samples, Sim, SimRng, Tracer};
-use hetflow_steer::{Advisor, Breakdown, BreakdownRow, PathChoice};
+use hetflow_sim::{channel, time, OverflowPolicy, Samples, Sim, SimRng, SimTime, Tracer};
+use hetflow_steer::{Advisor, Breakdown, BreakdownRow, PathChoice, TaskRecord};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -24,9 +30,9 @@ use std::time::Duration;
 /// A figure's shape verdict: `Err` carries the claim that failed.
 pub type Verdict = Result<(), String>;
 
-/// A figure: appends its transcript section to the text and returns its
-/// verdict.
-pub type Figure = fn(&mut String) -> Verdict;
+/// A figure: reads its campaigns from the table, appends its transcript
+/// section to the text and returns its verdict.
+pub type Figure = fn(&Runs, &mut String) -> Verdict;
 
 /// Every figure in paper order, under its transcript section name.
 pub const ALL: [(&str, Figure); 12] = [
@@ -79,40 +85,67 @@ const ABLATION_BUDGET: Duration = Duration::from_secs(4 * 3600);
 const FIG3_TASKS: usize = 50;
 const FIG4_TASKS: usize = 30;
 const FIG4_SIZES: [u64; 5] = [10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+/// The deployment seed of the one-seed sections, `DeploymentSpec::default()`'s.
+const DEPLOYMENT_SEED: u64 = 42;
+/// The molecular-design campaign's task topics, in transcript order.
+const MOLDESIGN_TOPICS: [&str; 3] = ["simulate", "train", "infer"];
 
-/// One molecular-design campaign on a fresh `Sim` and deployment.
-fn run_moldesign(
-    config: WorkflowConfig,
-    spec: &DeploymentSpec,
-    params: MolDesignParams,
-) -> MolDesignOutcome {
-    let sim = Sim::new();
-    let deployment = deploy(&sim, config, spec, Tracer::disabled());
-    moldesign::run(&sim, &deployment, params)
+/// A campaign's key in [`Runs`]: the configuration, the deployment seed,
+/// the deployment's proxy-threshold override and the campaign's params.
+pub type Key<P> = (WorkflowConfig, u64, Option<u64>, P);
+
+/// One campaign kind's outcomes, scanned: a `BTreeMap` would need a
+/// derived `PartialOrd`, whose `partial_cmp` the contract bans (R6).
+type Table<P, O> = RefCell<Vec<(Key<P>, Rc<O>)>>;
+
+/// Every campaign the sections read: each runs on a fresh `Sim` the
+/// first time a section reads its key, and later reads share it.
+#[derive(Default)]
+pub struct Runs {
+    moldesign: Table<MolDesignParams, MolDesignOutcome>,
+    finetune: Table<FinetuneParams, FinetuneOutcome>,
 }
 
-/// One fine-tuning campaign on a fresh `Sim` and deployment.
-fn run_finetune(
-    config: WorkflowConfig,
-    spec: &DeploymentSpec,
-    params: FinetuneParams,
-) -> FinetuneOutcome {
-    let sim = Sim::new();
-    let deployment = deploy(&sim, config, spec, Tracer::disabled());
-    finetune::run(&sim, &deployment, params)
+impl Runs {
+    /// The molecular-design campaign under `key`.
+    pub fn moldesign(&self, key: Key<MolDesignParams>) -> Rc<MolDesignOutcome> {
+        read(&self.moldesign, key, moldesign::run)
+    }
+
+    /// The fine-tuning campaign under `key`.
+    pub fn finetune(&self, key: Key<FinetuneParams>) -> Rc<FinetuneOutcome> {
+        read(&self.finetune, key, finetune::run)
+    }
 }
 
-/// The molecular-design campaign of Figs. 1 and 5 and §V-D.
-fn campaign(config: WorkflowConfig) -> MolDesignOutcome {
-    run_moldesign(
-        config,
-        &DeploymentSpec::default(),
-        MolDesignParams {
-            library_size: CAMPAIGN_LIBRARY,
-            budget: CAMPAIGN_BUDGET,
-            ..Default::default()
-        },
-    )
+/// `key`'s outcome in `table`, run on a fresh `Sim` and deployment if
+/// no section has read it yet.
+fn read<P: Clone + PartialEq, O>(
+    table: &Table<P, O>,
+    key: Key<P>,
+    run: fn(&Sim, &Deployment, P) -> O,
+) -> Rc<O> {
+    let mut table = table.borrow_mut();
+    if let Some((_, outcome)) = table.iter().find(|(k, _)| *k == key) {
+        return Rc::clone(outcome);
+    }
+    let (config, seed, proxy_threshold, params) = key.clone();
+    let sim = Sim::new();
+    let spec = DeploymentSpec { seed, proxy_threshold, ..Default::default() };
+    let deployment = deploy(&sim, config, &spec, Tracer::disabled());
+    let outcome = Rc::new(run(&sim, &deployment, params));
+    table.push((key, Rc::clone(&outcome)));
+    outcome
+}
+
+/// The key of the molecular-design campaign of Figs. 1 and 5 and §V-D.
+fn campaign_key(config: WorkflowConfig) -> Key<MolDesignParams> {
+    let params = MolDesignParams {
+        library_size: CAMPAIGN_LIBRARY,
+        budget: CAMPAIGN_BUDGET,
+        ..Default::default()
+    };
+    (config, DEPLOYMENT_SEED, None, params)
 }
 
 fn check(holds: bool, claim: &str) -> Verdict {
@@ -131,25 +164,26 @@ fn check(holds: bool, claim: &str) -> Verdict {
 /// Shape: molecular design keeps the GPUs busy in long waves and moves
 /// an order of magnitude more data to the GPU resource than surrogate
 /// fine-tuning, whose GPU activity is sporadic.
-pub fn fig1_utilization(out: &mut String) -> Verdict {
+pub fn fig1_utilization(runs: &Runs, out: &mut String) -> Verdict {
     outln!(out, "=== Fig. 1: resource utilization, Parsl without pass-by-reference ===");
 
-    let report = campaign(WorkflowConfig::Parsl).utilization();
-    outln!(out, "\n--- molecular design ---");
-    out.push_str(&report.series_text(13));
-    let md_gpu_bytes = report.total_bytes(VENTI);
-    utilization_summary(out, &report);
-
-    let ft = run_finetune(
-        WorkflowConfig::Parsl,
-        &DeploymentSpec::default(),
-        FinetuneParams::default(),
-    );
-    let report = UtilizationReport::from_records(&ft.records);
-    outln!(out, "\n--- surrogate fine-tuning ---");
-    out.push_str(&report.series_text(13));
-    let ft_gpu_bytes = report.total_bytes(VENTI);
-    utilization_summary(out, &report);
+    let md = runs.moldesign(campaign_key(WorkflowConfig::Parsl)).utilization();
+    let ft = runs.finetune((WorkflowConfig::Parsl, DEPLOYMENT_SEED, None, Default::default()));
+    let ft = UtilizationReport::from_records(&ft.records);
+    let [md_gpu_bytes, ft_gpu_bytes] =
+        [("molecular design", md), ("surrogate fine-tuning", ft)].map(|(app, report)| {
+            outln!(out, "\n--- {app} ---");
+            out.push_str(&report.series_text(13));
+            outln!(
+                out,
+                "mean tasks running: theta {:.1}, venti {:.1}; bytes to venti {:.2} GB, to theta {:.2} GB",
+                report.mean_running(THETA),
+                report.mean_running(VENTI),
+                report.total_bytes(VENTI) as f64 / 1e9,
+                report.total_bytes(THETA) as f64 / 1e9,
+            );
+            report.total_bytes(VENTI)
+        });
 
     outln!(out, "\n--- shape checks vs paper ---");
     outln!(
@@ -162,17 +196,6 @@ pub fn fig1_utilization(out: &mut String) -> Verdict {
     check(md_gpu_bytes > 5 * ft_gpu_bytes, "molecular design must move much more data")
 }
 
-fn utilization_summary(out: &mut String, report: &UtilizationReport) {
-    outln!(
-        out,
-        "mean tasks running: theta {:.1}, venti {:.1}; bytes to venti {:.2} GB, to theta {:.2} GB",
-        report.mean_running(THETA),
-        report.mean_running(VENTI),
-        report.total_bytes(VENTI) as f64 / 1e9,
-        report.total_bytes(THETA) as f64 / 1e9,
-    );
-}
-
 /// Figure 3: median component times of a no-op task through Colmena +
 /// FnX with inputs passed inline, via a file-system ProxyStore and via a
 /// Redis ProxyStore; 10 kB and 1 MB inputs, thinker and task server on
@@ -180,7 +203,7 @@ fn utilization_summary(out: &mut String, report: &UtilizationReport) {
 ///
 /// Shape: server→worker communication dominates the lifetime; proxying
 /// cuts it 2–3× at 10 kB and up to 10× at 1 MB.
-pub fn fig3_noop_overheads(out: &mut String) -> Verdict {
+pub fn fig3_noop_overheads(_: &Runs, out: &mut String) -> Verdict {
     outln!(out, "=== Fig. 3: no-op task overheads, FnX fabric, {FIG3_TASKS} tasks/cell ===\n");
     outln!(out, "{BREAKDOWN_HEADER}");
     let cells = [(10_000u64, "2-3x"), (1_000_000, "~10x")].map(|(size, paper)| {
@@ -213,7 +236,7 @@ pub fn fig3_noop_overheads(out: &mut String) -> Verdict {
 ///
 /// Shape: Redis fastest for small objects, the file system comparable
 /// at large sizes, Globus worker time seconds and near size-independent.
-pub fn fig4_backend_sweep(out: &mut String) -> Verdict {
+pub fn fig4_backend_sweep(_: &Runs, out: &mut String) -> Verdict {
     outln!(out, "=== Fig. 4: ProxyStore backend sweep, mean times, {FIG4_TASKS} tasks/cell ===\n");
     outln!(out, "{BREAKDOWN_HEADER}");
     let [redis, fs, globus] = [StoreKind::Redis, StoreKind::Fs, StoreKind::Globus].map(|store| {
@@ -301,8 +324,9 @@ fn size_label(bytes: u64) -> String {
 /// Shape: simulation notification fastest (no transfer to start);
 /// training/inference limited by the HTTPS call that starts a Globus
 /// transfer; data waits above 1 s only for cross-resource results.
-pub fn fig5_notification(out: &mut String) -> Verdict {
-    let outcome = campaign(WorkflowConfig::FnXGlobus);
+pub fn fig5_notification(runs: &Runs, out: &mut String) -> Verdict {
+    let outcome = runs.moldesign(campaign_key(WorkflowConfig::FnXGlobus));
+    let breakdowns = MOLDESIGN_TOPICS.map(|topic| Breakdown::of(&outcome.records, Some(topic)));
     outln!(
         out,
         "=== Fig. 5: notification timings, molecular design on fnx+globus ===\n\
@@ -312,8 +336,7 @@ pub fn fig5_notification(out: &mut String) -> Verdict {
     );
 
     outln!(out, "task            n    notify p50 (ms)    notify p90 (ms) data-wait p50 (ms)");
-    for topic in ["simulate", "train", "infer"] {
-        let b = Breakdown::of(&outcome.records, Some(topic));
+    for (topic, b) in MOLDESIGN_TOPICS.iter().zip(&breakdowns) {
         let notify = b.notification.quantiles(&[0.5, 0.9]);
         outln!(
             out,
@@ -327,9 +350,7 @@ pub fn fig5_notification(out: &mut String) -> Verdict {
     }
 
     outln!(out, "\n--- shape checks vs paper ---");
-    let sim_b = Breakdown::of(&outcome.records, Some("simulate"));
-    let train_b = Breakdown::of(&outcome.records, Some("train"));
-    let infer_b = Breakdown::of(&outcome.records, Some("infer"));
+    let [sim_b, train_b, infer_b] = &breakdowns;
     outln!(
         out,
         "simulate notify {:.0} ms < train notify {:.0} ms (paper: sim fastest, no transfer init)",
@@ -360,13 +381,13 @@ pub fn fig5_notification(out: &mut String) -> Verdict {
 ///   simulations; 2.5 s / 3.8 s for training / inference, 67 % / 95 %
 ///   of it proxy resolution; 12 % of inference proxies resolve in
 ///   < 100 ms thanks to ahead-of-time transfers).
-pub fn latency_report(out: &mut String) -> Verdict {
-    let outcome = campaign(WorkflowConfig::FnXGlobus);
+pub fn latency_report(runs: &Runs, out: &mut String) -> Verdict {
+    let outcome = runs.moldesign(campaign_key(WorkflowConfig::FnXGlobus));
+    let breakdowns = MOLDESIGN_TOPICS.map(|topic| Breakdown::of(&outcome.records, Some(topic)));
     outln!(out, "=== §V-D latency report: fnx+globus molecular design ===\n");
 
     outln!(out, "-- reaction time --");
-    for topic in ["simulate", "train", "infer"] {
-        let b = Breakdown::of(&outcome.records, Some(topic));
+    for (topic, b) in MOLDESIGN_TOPICS.iter().zip(&breakdowns) {
         outln!(
             out,
             "{topic:<10} notify p50 {:>6.0} ms | data wait p50 {:>6.0} ms",
@@ -378,20 +399,14 @@ pub fn latency_report(out: &mut String) -> Verdict {
     // Decision time: the first simulation submitted at or after each
     // simulation result's notification.
     let mut decision = Samples::new();
-    let mut notifications: Vec<_> = outcome
-        .records
-        .iter()
-        .filter(|r| r.topic == "simulate")
-        .filter_map(|r| r.timing.thinker_notified)
-        .collect();
-    notifications.sort();
-    let mut creations: Vec<_> = outcome
-        .records
-        .iter()
-        .filter(|r| r.topic == "simulate")
-        .filter_map(|r| r.timing.created)
-        .collect();
-    creations.sort();
+    let simulations = |at: fn(&TaskRecord) -> Option<SimTime>| {
+        let mut times: Vec<_> =
+            outcome.records.iter().filter(|r| r.topic == "simulate").filter_map(at).collect();
+        times.sort();
+        times
+    };
+    let notifications = simulations(|r| r.timing.thinker_notified);
+    let creations = simulations(|r| r.timing.created);
     for n in &notifications {
         if let Some(c) = creations.iter().find(|c| *c >= n) {
             decision.record((*c - *n).as_secs_f64());
@@ -405,8 +420,7 @@ pub fn latency_report(out: &mut String) -> Verdict {
     );
 
     outln!(out, "\n-- dispatch time --");
-    for topic in ["simulate", "train", "infer"] {
-        let b = Breakdown::of(&outcome.records, Some(topic));
+    for (topic, b) in MOLDESIGN_TOPICS.iter().zip(&breakdowns) {
         let resolve_share = if b.time_on_worker.median() > 0.0 {
             100.0 * b.resolve_wait.median()
                 / (b.server_to_worker.median() + b.resolve_wait.median()).max(1e-9)
@@ -433,8 +447,7 @@ pub fn latency_report(out: &mut String) -> Verdict {
         100.0 * f64::from(local) / f64::from(local + remote).max(1.0),
         local + remote,
     );
-    let train_b = Breakdown::of(&outcome.records, Some("train"));
-    let infer_b = Breakdown::of(&outcome.records, Some("infer"));
+    let [_, train_b, infer_b] = &breakdowns;
     outln!(
         out,
         "train / infer overhead medians: {:.1} s / {:.1} s vs task times 340 s / 900 s \
@@ -453,7 +466,7 @@ pub fn latency_report(out: &mut String) -> Verdict {
 /// 1676 s < Parsl 1828 s) and median CPU idle time between simulations
 /// (paper: ~500 ms FnX, ~100 ms Parsl+Redis). In-text: FnX+Globus and
 /// Parsl+Redis find statistically indistinguishable molecule counts.
-pub fn fig6_moldesign(out: &mut String) -> Verdict {
+pub fn fig6_moldesign(runs: &Runs, out: &mut String) -> Verdict {
     let base = MolDesignParams {
         library_size: FIG6_LIBRARY,
         budget: Duration::from_secs(FIG6_HOURS * 3600),
@@ -472,11 +485,8 @@ pub fn fig6_moldesign(out: &mut String) -> Verdict {
         let mut makespans = Samples::new();
         let mut idles = Samples::new();
         let outcomes = MOLDESIGN_SEEDS.map(|seed| {
-            let outcome = run_moldesign(
-                config,
-                &DeploymentSpec { seed, ..Default::default() },
-                MolDesignParams { seed, ..base.clone() },
-            );
+            let outcome =
+                runs.moldesign((config, seed, None, MolDesignParams { seed, ..base.clone() }));
             found.record(outcome.found as f64);
             makespans.extend_from(&outcome.ml_makespans);
             idles.extend_from(&outcome.cpu_idle);
@@ -556,7 +566,7 @@ pub fn fig6_moldesign(out: &mut String) -> Verdict {
 /// data. Shape: fine-tuning improves on the pre-trained RMSD in every
 /// configuration; GPU-task overhead largest for FnX+Globus; plain-Parsl
 /// overhead grows with payload, proxied overheads do not.
-pub fn fig7_finetune(out: &mut String) -> Verdict {
+pub fn fig7_finetune(runs: &Runs, out: &mut String) -> Verdict {
     struct Row {
         config: WorkflowConfig,
         rmsd: Samples,
@@ -577,21 +587,16 @@ pub fn fig7_finetune(out: &mut String) -> Verdict {
 
     // `WorkflowConfig::all()` is in paper order: Parsl, Parsl+Redis, FnX+Globus.
     let rows = WorkflowConfig::all().map(|config| {
+        let outcomes = FIG7_SEEDS.map(|seed| {
+            runs.finetune((config, seed, None, FinetuneParams { seed, ..base.clone() }))
+        });
         let mut rmsd = Samples::new();
-        let mut initial = 0.0;
-        let mut records = Vec::new();
-        for seed in FIG7_SEEDS {
-            let outcome = run_finetune(
-                config,
-                &DeploymentSpec { seed, ..Default::default() },
-                FinetuneParams { seed, ..base.clone() },
-            );
-            rmsd.record(outcome.final_force_rmsd);
-            initial = outcome.initial_force_rmsd;
-            records.extend(outcome.records);
+        for o in &outcomes {
+            rmsd.record(o.final_force_rmsd);
         }
+        let initial = outcomes[FIG7_SEEDS.len() - 1].initial_force_rmsd;
         let overheads = TOPICS.map(|topic| {
-            let b = Breakdown::of(&records, Some(topic));
+            let b = Breakdown::of(outcomes.iter().flat_map(|o| &o.records), Some(topic));
             (b.overhead.median() * 1e3, b.data_wait.median() * 1e3)
         });
         Row { config, rmsd, initial, overheads }
@@ -665,12 +670,9 @@ pub fn fig7_finetune(out: &mut String) -> Verdict {
 /// §V-F recommendations derived from a real campaign's records: the
 /// advisor proposes a data path per task type of the fine-tuning
 /// campaign on FnX+Globus.
-pub fn advisor_report(out: &mut String) -> Verdict {
-    let outcome = run_finetune(
-        WorkflowConfig::FnXGlobus,
-        &DeploymentSpec::default(),
-        FinetuneParams::default(),
-    );
+pub fn advisor_report(runs: &Runs, out: &mut String) -> Verdict {
+    let outcome =
+        runs.finetune((WorkflowConfig::FnXGlobus, DEPLOYMENT_SEED, None, Default::default()));
     outln!(out, "=== §V-F advisor: surrogate fine-tuning on fnx+globus ===\n");
     outln!(
         out,
@@ -717,20 +719,17 @@ fn format_bytes(b: u64) -> String {
 ///
 /// Shape: a backlog of 3 cuts the median idle gap below a quarter of
 /// the no-backlog gap.
-pub fn ablation_backlog(out: &mut String) -> Verdict {
+pub fn ablation_backlog(runs: &Runs, out: &mut String) -> Verdict {
     outln!(out, "=== ablation: simulation backlog depth (fnx+globus) ===\n");
     outln!(out, " backlog  idle p50 (ms)  idle p90 (ms)   utilization");
     let idles = [0usize, 1, 2, 3].map(|backlog| {
-        let outcome = run_moldesign(
-            WorkflowConfig::FnXGlobus,
-            &DeploymentSpec::default(),
-            MolDesignParams {
-                library_size: ABLATION_LIBRARY,
-                budget: ABLATION_BUDGET,
-                backlog,
-                ..Default::default()
-            },
-        );
+        let params = MolDesignParams {
+            library_size: ABLATION_LIBRARY,
+            budget: ABLATION_BUDGET,
+            backlog,
+            ..Default::default()
+        };
+        let outcome = runs.moldesign((WorkflowConfig::FnXGlobus, DEPLOYMENT_SEED, None, params));
         let idle_q = outcome.cpu_idle.quantiles(&[0.5, 0.9]);
         let idle = idle_q[0];
         let util = 60.0 / (60.0 + idle);
@@ -761,7 +760,7 @@ pub fn ablation_backlog(out: &mut String) -> Verdict {
 ///
 /// Shape: the paper's 10 kB threshold sits at or near the optimum of
 /// the overall median overhead.
-pub fn ablation_threshold(out: &mut String) -> Verdict {
+pub fn ablation_threshold(runs: &Runs, out: &mut String) -> Verdict {
     outln!(out, "=== ablation: auto-proxy threshold (parsl+redis, fine-tuning) ===\n");
     outln!(
         out,
@@ -770,11 +769,12 @@ pub fn ablation_threshold(out: &mut String) -> Verdict {
     let thresholds: [(u64, &str); 5] =
         [(0, "0"), (1_000, "1kB"), (10_000, "10kB"), (1_000_000, "1MB"), (u64::MAX, "inf")];
     let [always, _, ten_kb, _, never] = thresholds.map(|(threshold, label)| {
-        let o = run_finetune(
+        let o = runs.finetune((
             WorkflowConfig::ParslRedis,
-            &DeploymentSpec { proxy_threshold: Some(threshold), ..Default::default() },
-            FinetuneParams::default(),
-        );
+            DEPLOYMENT_SEED,
+            Some(threshold),
+            Default::default(),
+        ));
         let med = |topic| Breakdown::of(&o.records, Some(topic)).overhead.median() * 1e3;
         let overall = Breakdown::of(&o.records, None).overhead.median() * 1e3;
         outln!(
@@ -865,10 +865,6 @@ impl Tally {
                 self.queue_waits.push(w.duration_since(d).as_secs_f64());
             }
         }
-    }
-
-    fn total(&self) -> u64 {
-        self.completed + self.shed + self.failed
     }
 }
 
@@ -971,7 +967,7 @@ pub fn overload_point(multiplier: f64, horizon_secs: f64) -> OverloadPoint {
         shed: t.shed,
         failed: t.failed,
         goodput_per_sec: t.completed as f64 / end_secs.max(1e-9),
-        shed_fraction: t.shed as f64 / (t.total().max(1)) as f64,
+        shed_fraction: t.shed as f64 / (t.completed + t.shed + t.failed).max(1) as f64,
         p99_queue_wait_secs: p99,
         end_secs,
     }
@@ -1027,7 +1023,7 @@ fn knee_verdict(points: &[OverloadPoint]) -> Verdict {
 /// on — 8 workers × 1 s service, 0.25–3× saturation, a queue of 16 and
 /// admission at 1.1× saturation. The knee is the smallest multiplier
 /// whose goodput reaches 95 % of the peak.
-pub fn overload_knee(out: &mut String) -> Verdict {
+pub fn overload_knee(_: &Runs, out: &mut String) -> Verdict {
     let saturation = OVERLOAD_WORKERS as f64 / OVERLOAD_SERVICE_SECS;
     outln!(
         out,
@@ -1076,39 +1072,35 @@ pub fn overload_knee(out: &mut String) -> Verdict {
 /// the same budget at the base rate.
 ///
 /// Shape: the active-learning hit rate beats random by more than 3×.
-pub fn ablation_steering(out: &mut String) -> Verdict {
+pub fn ablation_steering(runs: &Runs, out: &mut String) -> Verdict {
     outln!(out, "=== ablation: steering policy (fnx+globus, 3 seeds) ===\n");
     outln!(out, "policy             sims    found   hit-rate");
-    let [active, random] = [SteeringMode::ActiveLearning, SteeringMode::Random].map(|steering| {
-        let mut sims = 0usize;
-        let mut found = 0usize;
-        for seed in MOLDESIGN_SEEDS {
-            let o = run_moldesign(
-                WorkflowConfig::FnXGlobus,
-                &DeploymentSpec { seed, ..Default::default() },
-                MolDesignParams {
-                    library_size: ABLATION_LIBRARY,
-                    budget: ABLATION_BUDGET,
-                    steering,
-                    seed,
-                    ..Default::default()
-                },
-            );
-            sims += o.simulations;
-            found += o.found;
-        }
+    let cells = [SteeringMode::ActiveLearning, SteeringMode::Random].map(|steering| {
+        let cells = MOLDESIGN_SEEDS.map(|seed| {
+            let params = MolDesignParams {
+                library_size: ABLATION_LIBRARY,
+                budget: ABLATION_BUDGET,
+                steering,
+                seed,
+                ..Default::default()
+            };
+            let o = runs.moldesign((WorkflowConfig::FnXGlobus, seed, None, params));
+            (o.found, o.simulations)
+        });
+        let (found, sims) = cells.iter().fold((0, 0), |(f, s), c| (f + c.0, s + c.1));
         let rate = found as f64 / sims as f64;
         let policy = format!("{steering:?}");
         outln!(out, "{policy:<16} {sims:>6} {found:>8} {:>9.2}%", 100.0 * rate);
-        rate
+        (cells, rate)
     });
+    let [(al_cells, active), (random_cells, random)] = cells;
     outln!(out, "\n--- shape check ---");
     outln!(
         out,
         "active-learning hit rate {:.2}% vs random {:.2}% ({:.1}x)",
         100.0 * active,
         100.0 * random,
-        active / random.max(1e-9)
+        stats::pooled_ratio(&al_cells, &random_cells)
     );
     check(active > 3.0 * random, "steering must beat random decisively")
 }
@@ -1122,6 +1114,19 @@ mod tests {
         assert_eq!(size_label(10_000), "10kB");
         assert_eq!(size_label(1_000_000), "1MB");
         assert_eq!(size_label(2_000_000_000), "2GB");
+    }
+
+    #[test]
+    fn fig5_and_the_latency_report_share_one_campaign() {
+        let runs = Runs::default();
+        let mut text = String::new();
+        fig5_notification(&runs, &mut text).unwrap();
+        latency_report(&runs, &mut text).unwrap();
+        assert_eq!(runs.moldesign.borrow().len(), 1);
+        assert!(runs.finetune.borrow().is_empty());
+        let key = campaign_key(WorkflowConfig::FnXGlobus);
+        assert!(Rc::ptr_eq(&runs.moldesign(key.clone()), &runs.moldesign(key)));
+        assert_eq!(runs.moldesign.borrow().len(), 1);
     }
 
     #[test]

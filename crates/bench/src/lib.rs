@@ -103,39 +103,21 @@ impl NoopPipeline {
         let cal = &self.calibration;
         let rng = SimRng::stream(self.seed, "noop-pipeline");
 
-        let policy = match self.store {
-            StoreKind::None => ProxyPolicy::disabled(),
-            StoreKind::Redis => {
-                let store = Store::new(
-                    sim.clone(),
-                    "redis",
-                    Backend::Redis(cal.redis.clone()),
-                    rng.substream(1),
-                );
-                ProxyPolicy::uniform(store, self.threshold)
-            }
-            StoreKind::Fs => {
-                let store = Store::new(
-                    sim.clone(),
-                    "fs",
-                    Backend::Fs(cal.fs_theta.clone()),
-                    rng.substream(1),
-                );
-                ProxyPolicy::uniform(store, self.threshold)
-            }
-            StoreKind::Globus => {
-                let service = GlobusService::new(sim.clone(), cal.globus.clone(), rng.substream(2));
-                let store = Store::new(
-                    sim.clone(),
-                    "globus",
-                    Backend::Globus(Box::new(GlobusBackend {
-                        service,
-                        src_fs: cal.fs_for(self.thinker_site),
-                        dst_fs: cal.fs_theta.clone(),
-                        push_to: vec![self.thinker_site, THETA],
-                    })),
-                    rng.substream(1),
-                );
+        let backend = match self.store {
+            StoreKind::None => None,
+            StoreKind::Redis => Some(Backend::Redis(cal.redis.clone())),
+            StoreKind::Fs => Some(Backend::Fs(cal.fs_theta.clone())),
+            StoreKind::Globus => Some(Backend::Globus(Box::new(GlobusBackend {
+                service: GlobusService::new(sim.clone(), cal.globus.clone(), rng.substream(2)),
+                src_fs: cal.fs_for(self.thinker_site),
+                dst_fs: cal.fs_theta.clone(),
+                push_to: vec![self.thinker_site, THETA],
+            }))),
+        };
+        let policy = match backend {
+            None => ProxyPolicy::disabled(),
+            Some(backend) => {
+                let store = Store::new(sim.clone(), self.store.label(), backend, rng.substream(1));
                 ProxyPolicy::uniform(store, self.threshold)
             }
         };

@@ -1,7 +1,7 @@
 //! Statistics over seeds for the gates that compare campaigns: an exact
 //! two-sample permutation test and an exact paired sign-flip test, both
 //! deterministic because they enumerate every split or sign pattern
-//! instead of sampling them.
+//! instead of sampling them, and the pooled ratio of two hit rates.
 
 /// Two-sided exact permutation p-value for a difference in means: the
 /// share of the `C(|a| + |b|, |a|)` ways to split the pooled values into
@@ -61,6 +61,18 @@ pub fn sign_flip_p(diffs: &[f64]) -> f64 {
     at_least as f64 / f64::from(patterns)
 }
 
+/// The ratio of two pooled hit rates over `(hits, trials)` cells, each
+/// `Σ hits ÷ Σ trials` so that a cell weighs by its trials. `b`'s rate
+/// is floored at `1e-9`: no hits in `b` reads as a large ratio, not an
+/// infinite one.
+pub fn pooled_ratio(a: &[(usize, usize)], b: &[(usize, usize)]) -> f64 {
+    let rate = |cells: &[(usize, usize)]| {
+        let (hits, trials) = cells.iter().fold((0, 0), |(h, t), c| (h + c.0, t + c.1));
+        hits as f64 / trials as f64
+    };
+    rate(a) / rate(b).max(1e-9)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +114,13 @@ mod tests {
         assert_eq!(sign_flip_p(&[1.0]), 1.0);
         // Ten positive differences: only all-plus and all-minus.
         assert_eq!(sign_flip_p(&[1.0; 10]), 2.0 / 1024.0);
+    }
+
+    #[test]
+    fn pooled_ratio_weighs_cells_by_trials() {
+        // 4 hits in 20 trials against 1 in 20: 0.2 ÷ 0.05.
+        assert_eq!(pooled_ratio(&[(1, 10), (3, 10)], &[(1, 5), (0, 15)]), 4.0);
+        assert_eq!(pooled_ratio(&[(1, 10)], &[(0, 10)]), 0.1 / 1e-9);
     }
 
     #[test]
