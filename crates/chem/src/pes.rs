@@ -8,6 +8,7 @@
 //! paper's application.
 
 use crate::clusters::{Structure, Vec3};
+use hetflow_sim::num::exp;
 
 /// A force/energy provider over structures.
 ///
@@ -44,20 +45,20 @@ pub struct MorseTerm {
 impl MorseTerm {
     /// Energy at separation `r`.
     pub(crate) fn energy(&self, r: f64) -> f64 {
-        let e = 1.0 - (-self.a * (r - self.r0)).exp();
+        let e = 1.0 - exp(-self.a * (r - self.r0));
         self.d * e * e - self.d
     }
 
     /// dE/dr at separation `r`.
     pub(crate) fn denergy(&self, r: f64) -> f64 {
-        let x = (-self.a * (r - self.r0)).exp();
+        let x = exp(-self.a * (r - self.r0));
         2.0 * self.d * (1.0 - x) * self.a * x
     }
 
     /// `(energy(r), denergy(r))`, bit for bit, from one `exp`.
     #[inline]
     fn energy_denergy(&self, r: f64) -> (f64, f64) {
-        let x = (-self.a * (r - self.r0)).exp();
+        let x = exp(-self.a * (r - self.r0));
         let e = 1.0 - x;
         (self.d * e * e - self.d, 2.0 * self.d * e * self.a * x)
     }

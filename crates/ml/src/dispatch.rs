@@ -27,7 +27,7 @@
 
 /// A clone of the kernels, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Arm {
+pub(crate) enum Arm {
     /// The target's baseline (SSE2 on x86-64).
     Baseline,
     /// Compiled with `avx2` enabled.
@@ -57,7 +57,7 @@ impl Arm {
 }
 
 /// The widest arm the CPU supports.
-fn widest() -> Arm {
+pub(crate) fn widest() -> Arm {
     Arm::ALL.into_iter().rfind(|arm| arm.supported()).unwrap_or(Arm::Baseline)
 }
 
@@ -69,7 +69,7 @@ pub(crate) fn dispatch<R>(body: impl FnOnce() -> R) -> R {
 
 /// Runs `body` in `arm`'s clone. Panics if the CPU lacks `arm`'s features.
 #[inline(always)]
-fn run_on<R>(arm: Arm, body: impl FnOnce() -> R) -> R {
+pub(crate) fn run_on<R>(arm: Arm, body: impl FnOnce() -> R) -> R {
     assert!(arm.supported(), "this CPU cannot run the {arm:?} clone");
     #[cfg(target_arch = "x86_64")]
     if arm != Arm::Baseline {
@@ -132,7 +132,7 @@ pub(crate) mod tests {
     }
 
     /// Every arm this host can run, narrowest first.
-    fn supported_arms() -> impl Iterator<Item = Arm> {
+    pub(crate) fn supported_arms() -> impl Iterator<Item = Arm> {
         Arm::ALL.into_iter().filter(|arm| arm.supported())
     }
 

@@ -203,6 +203,7 @@ pub(crate) mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "libm's exp is the kernel's independent oracle")]
     fn kernel_approximation_quality() {
         // z(x)·z(y) ≈ exp(-|x-y|²/(2ℓ²)) for large D.
         let mut rng = SimRng::from_seed(3);

@@ -16,9 +16,14 @@
 //! itself geometric: [`RadialBasis`] evaluates all `k` of them from two
 //! `exp` per pair (the nearest centre and its forward ratio) and a
 //! division, then multiplies outward — every ratio ≤ 1, so tails
-//! underflow to zero and never meet `inf`. It is the one place the
-//! basis is evaluated, for training rows and inference alike, and it
-//! writes into caller stack buffers bounded by `MAX_BASIS`.
+//! underflow to zero and never meet `inf`. The `exp` is
+//! [`hetflow_sim::num::exp`], taken a chunk of up to 64 pairs at a time:
+//! `RadialBasis::for_each_pair` buffers the pairs on the stack, runs both
+//! `exp` passes in the widest vector clone (`crate::dispatch`), then walks
+//! each pair's recurrence and calls its caller in pair order, so the
+//! bits are those of one pair at a time. It is the one place the basis
+//! is evaluated, for training rows and inference alike, and it
+//! allocates nothing.
 //!
 //! **Normal equations per structure.** A fit's rows depend on the
 //! structure and the basis only — not on the fit weights, not on which
@@ -43,12 +48,17 @@
 //! 1e-14 relative. Scoring an ensemble's mean force (Fig. 7a's metric)
 //! runs one force kernel, not one per member.
 
+use crate::dispatch::{self, Arm};
 use crate::linalg::{add_scaled_row, add_scaled_rows, LinalgError, Matrix};
 use hetflow_chem::{EnergyModel, Structure, Vec3};
+use hetflow_sim::num::{self, exp};
 
 /// Largest basis [`RadialBasis`] accepts: the size of the stack
 /// buffers its callers evaluate into.
 const MAX_BASIS: usize = 32;
+
+/// Pairs [`RadialBasis::for_each_pair`] buffers per pass of `exp`.
+const CHUNK: usize = 64;
 
 /// Gaussian radial basis on pair distances, `φ_k(r) = exp(-a (r -
 /// c_k)²)` with `a = 1/(2w²)` and centres `c_k = r_min + kΔ`.
@@ -80,7 +90,7 @@ impl RadialBasis {
             inv_two_w2: a,
             two_a_step: 2.0 * a * step,
             a_step2: a * step * step,
-            q: (-2.0 * a * step * step).exp(),
+            q: exp(-2.0 * a * step * step),
         }
     }
 
@@ -94,22 +104,25 @@ impl RadialBasis {
         self.centers.len()
     }
 
-    /// `φ_k(r)` for every centre into `phi[..k]`. Starts at the nearest
-    /// centre `s` (`φ_s` by `exp`) and walks outward: forward `φ_{j+1} =
-    /// φ_j·g` with `g ← g·q`, backward `φ_{j-1} = φ_j·h` with `h ← h·q`,
-    /// where `g_s = exp(2aΔ d_s - aΔ²)` and `h_s = q/g_s`. Since `|d_s| ≤
-    /// Δ/2` inside the grid, `g_s, h_s ≤ 1` and only shrink.
-    #[inline]
-    pub(crate) fn values(&self, r: f64, phi: &mut [f64]) {
-        let k = self.dim();
+    /// The nearest centre `s` to `r` and `d_s = r − c_s`, `s` clamped to
+    /// the grid.
+    #[inline(always)]
+    fn nearest(&self, r: f64) -> (usize, f64) {
         // `f64::round` is a libm call on baseline x86-64: truncate
         // `t + 0.5` after the clamp (NaN truncates to 0).
-        let t = ((r - self.centers[0]) * self.inv_step).clamp(0.0, (k - 1) as f64);
+        let t = ((r - self.centers[0]) * self.inv_step).clamp(0.0, (self.dim() - 1) as f64);
         let s = (t + 0.5) as usize;
-        let d = r - self.centers[s];
-        let phi_s = (-d * d * self.inv_two_w2).exp();
-        let g_s = (self.two_a_step * d - self.a_step2).exp();
-        let (back, fwd) = phi[..k].split_at_mut(s);
+        (s, r - self.centers[s])
+    }
+
+    /// `φ_k(r)` for every centre into `phi[..k]`, from `φ_s` and `g_s` at
+    /// the nearest centre `s`: forward `φ_{j+1} = φ_j·g` with `g ← g·q`,
+    /// backward `φ_{j-1} = φ_j·h` with `h ← h·q`, where `φ_s = exp(-a
+    /// d_s²)`, `g_s = exp(2aΔ d_s - aΔ²)` and `h_s = q/g_s`. Since `|d_s|
+    /// ≤ Δ/2` inside the grid, `g_s, h_s ≤ 1` and only shrink.
+    #[inline(always)]
+    fn walk(&self, s: usize, phi_s: f64, g_s: f64, phi: &mut [f64]) {
+        let (back, fwd) = phi[..self.dim()].split_at_mut(s);
         let (mut p, mut g) = (phi_s, g_s);
         fwd[0] = phi_s;
         for v in &mut fwd[1..] {
@@ -125,15 +138,81 @@ impl RadialBasis {
         }
     }
 
-    /// `φ_k(r)` into `phi[..k]` as `values` does, and
-    /// `φ'_k(r) = -(d_k/w²)·φ_k = -2a·d_k·φ_k` into `dphi[..k]`.
-    #[inline]
-    pub(crate) fn eval(&self, r: f64, phi: &mut [f64], dphi: &mut [f64]) {
-        self.values(r, phi);
+    /// `φ'_k(r) = -(d_k/w²)·φ_k = -2a·d_k·φ_k` into `dphi[..k]`, from
+    /// `phi = φ_k(r)`.
+    #[inline(always)]
+    fn derivs(&self, r: f64, phi: &[f64], dphi: &mut [f64]) {
         let two_a = 2.0 * self.inv_two_w2;
-        for ((dp, p), &c) in dphi.iter_mut().zip(&phi[..self.dim()]).zip(&self.centers) {
+        for ((dp, p), &c) in dphi.iter_mut().zip(phi).zip(&self.centers) {
             *dp = -((r - c) * two_a) * p;
         }
+    }
+
+    /// Calls `f(i, j, r_ij_vec, r, φ)` for each pair of `s` in
+    /// [`Structure::pairs`] order, `φ` holding `φ_k(r)` for every centre.
+    /// Pairs go through a stack buffer `CHUNK` at a time: their nearest
+    /// centres and both `exp` arguments first, then the two `exp` passes
+    /// in the widest clone (`crate::dispatch`), where they vectorize, then
+    /// each pair's recurrence and `f`.
+    #[inline]
+    fn for_each_pair(&self, s: &Structure, f: impl FnMut(usize, usize, Vec3, f64, &[f64])) {
+        self.for_each_pair_on(dispatch::widest(), s.pairs(), f);
+    }
+
+    /// [`RadialBasis::for_each_pair`] over any `pairs`, with its `exp`
+    /// passes in `arm`'s clone.
+    #[inline(always)]
+    fn for_each_pair_on(
+        &self,
+        arm: Arm,
+        mut pairs: impl Iterator<Item = (usize, usize, Vec3, f64)>,
+        mut f: impl FnMut(usize, usize, Vec3, f64, &[f64]),
+    ) {
+        let mut buf = [(0, 0, [0.0; 3], 0.0); CHUNK];
+        let (mut near, mut phi_s, mut g_s) = ([0; CHUNK], [0.0; CHUNK], [0.0; CHUNK]);
+        let mut phi = [0.0; MAX_BASIS];
+        loop {
+            let mut n = 0;
+            for (slot, pair) in buf.iter_mut().zip(&mut pairs) {
+                let (s, d) = self.nearest(pair.3);
+                (*slot, near[n]) = (pair, s);
+                phi_s[n] = -d * d * self.inv_two_w2;
+                g_s[n] = self.two_a_step * d - self.a_step2;
+                n += 1;
+            }
+            let (phi_s, g_s) = (&mut phi_s[..n], &mut g_s[..n]);
+            dispatch::run_on(
+                arm,
+                #[inline(always)]
+                || {
+                    num::exp_in_place(phi_s);
+                    num::exp_in_place(g_s);
+                },
+            );
+            for (c, &(i, j, dvec, r)) in buf[..n].iter().enumerate() {
+                self.walk(near[c], phi_s[c], g_s[c], &mut phi);
+                f(i, j, dvec, r, &phi[..self.dim()]);
+            }
+            if n < CHUNK {
+                return;
+            }
+        }
+    }
+
+    /// One pair's `φ_k(r)` into `phi[..k]`, its two `exp` on their own:
+    /// the reference [`RadialBasis::for_each_pair`] must match bit for bit.
+    #[cfg(test)]
+    fn values(&self, r: f64, phi: &mut [f64]) {
+        let (s, d) = self.nearest(r);
+        let (phi_s, g_s) = (exp(-d * d * self.inv_two_w2), exp(self.two_a_step * d - self.a_step2));
+        self.walk(s, phi_s, g_s, phi);
+    }
+
+    /// `values` and `derivs` for one pair.
+    #[cfg(test)]
+    fn eval(&self, r: f64, phi: &mut [f64], dphi: &mut [f64]) {
+        self.values(r, phi);
+        self.derivs(r, &phi[..self.dim()], dphi);
     }
 }
 
@@ -185,23 +264,21 @@ impl DesignBlock {
         let forces = ls.forces.as_deref().unwrap_or_default();
         assert!(forces.is_empty() || forces.len() == n, "one force label per atom");
         let mut erow = [0.0; MAX_BASIS];
-        let mut phi = [0.0; MAX_BASIS];
         if forces.is_empty() {
-            for (_, _, _, r) in ls.structure.pairs() {
-                basis.values(r, &mut phi);
-                for (e, p) in erow[..k].iter_mut().zip(&phi) {
+            basis.for_each_pair(&ls.structure, |_, _, _, _, phi| {
+                for (e, p) in erow.iter_mut().zip(phi) {
                     *e += p;
                 }
-            }
+            });
             return DesignBlock { dim: k, energy: ls.energy, values: erow[..k].to_vec() };
         }
         let mut frows = vec![0.0; 3 * n * k];
         let mut dphi = [0.0; MAX_BASIS];
-        for (i, j, dvec, r) in ls.structure.pairs() {
-            basis.eval(r, &mut phi, &mut dphi);
-            for (e, p) in erow[..k].iter_mut().zip(&phi) {
+        basis.for_each_pair(&ls.structure, |i, j, dvec, r, phi| {
+            for (e, p) in erow.iter_mut().zip(phi) {
                 *e += p;
             }
+            basis.derivs(r, phi, &mut dphi);
             for alpha in 0..3 {
                 let u = dvec[alpha] / r;
                 for (kk, dp) in dphi[..k].iter().enumerate() {
@@ -210,7 +287,7 @@ impl DesignBlock {
                     frows[(j * 3 + alpha) * k + kk] -= contrib;
                 }
             }
-        }
+        });
         let mut values = vec![0.0; k + packed_len(k) + k];
         let (head, rhs) = values.split_at_mut(k + packed_len(k));
         let (row, upper) = head.split_at_mut(k);
@@ -392,20 +469,17 @@ impl PairPotential {
         let Some(basis) = PairPotential::shared_basis(members) else {
             return members.iter().map(|m| batch.iter().map(|s| m.energy(s)).collect()).collect();
         };
-        let k = basis.dim();
-        let mut phi = [0.0; MAX_BASIS];
         let mut out = vec![vec![0.0; batch.len()]; members.len()];
         for (b, s) in batch.iter().enumerate() {
-            for (_, _, _, r) in s.pairs() {
-                basis.values(r, &mut phi);
+            basis.for_each_pair(s, |_, _, _, _, phi| {
                 for (model, energies) in members.iter().zip(&mut out) {
                     let mut energy = energies[b];
-                    for (p, wk) in phi[..k].iter().zip(&model.weights) {
+                    for (p, wk) in phi.iter().zip(&model.weights) {
                         energy += p * wk;
                     }
                     energies[b] = energy;
                 }
-            }
+            });
         }
         out
     }
@@ -417,14 +491,13 @@ impl PairPotential {
     /// The forces never read the energy, so both get the same bits.
     #[inline(always)]
     fn accumulate<const ENERGY: bool>(&self, s: &Structure, forces: &mut [Vec3]) -> f64 {
-        let k = self.basis.dim();
-        let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
+        let mut dphi = [0.0; MAX_BASIS];
         let mut energy = 0.0;
         forces.fill([0.0; 3]);
-        for (i, j, dvec, r) in s.pairs() {
-            self.basis.eval(r, &mut phi, &mut dphi);
+        self.basis.for_each_pair(s, |i, j, dvec, r, phi| {
+            self.basis.derivs(r, phi, &mut dphi);
             let mut de = 0.0;
-            for ((p, dp), wk) in phi[..k].iter().zip(&dphi[..k]).zip(&self.weights) {
+            for ((p, dp), wk) in phi.iter().zip(&dphi).zip(&self.weights) {
                 if ENERGY {
                     energy += p * wk;
                 }
@@ -435,7 +508,7 @@ impl PairPotential {
                 forces[i][alpha] += scale * dvec[alpha];
                 forces[j][alpha] -= scale * dvec[alpha];
             }
-        }
+        });
         energy
     }
 }
@@ -451,14 +524,12 @@ impl EnergyModel for PairPotential {
     }
 
     fn energy(&self, s: &Structure) -> f64 {
-        let mut phi = [0.0; MAX_BASIS];
         let mut energy = 0.0;
-        for (_, _, _, r) in s.pairs() {
-            self.basis.values(r, &mut phi);
-            for (p, wk) in phi[..self.basis.dim()].iter().zip(&self.weights) {
+        self.basis.for_each_pair(s, |_, _, _, _, phi| {
+            for (p, wk) in phi.iter().zip(&self.weights) {
                 energy += p * wk;
             }
-        }
+        });
         energy
     }
 }
@@ -561,6 +632,7 @@ mod tests {
             Ok(PairPotential { basis, weights })
         }
 
+        #[expect(clippy::disallowed_methods, reason = "libm is the accuracy oracle")]
         pub fn exp_values(b: &RadialBasis, r: f64, out: &mut [f64]) {
             for (o, &c) in out.iter_mut().zip(&b.centers) {
                 let d = r - c;
@@ -568,6 +640,7 @@ mod tests {
             }
         }
 
+        #[expect(clippy::disallowed_methods, reason = "libm is the accuracy oracle")]
         pub fn exp_derivs(b: &RadialBasis, r: f64, out: &mut [f64]) {
             for (o, &c) in out.iter_mut().zip(&b.centers) {
                 let d = r - c;
@@ -768,6 +841,61 @@ mod tests {
             let mut f_only = vec![[f64::NAN; 3]; atoms];
             model.forces_into(&s, &mut f_only);
             prop_assert_eq!(bits(f_only.as_flattened()), bits(f.as_flattened()));
+        }
+
+        #[test]
+        fn chunked_basis_bit_identical_to_per_pair_values_on_every_arm(
+            seed in 0u64..500,
+            atoms in 2usize..=20,
+            stretch in 0usize..3,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let bases = [RadialBasis::default_for_clusters(), RadialBasis::new(9, 0.5, 3.0, 0.25)];
+            let basis = &bases[rng.below(2)];
+            // Stretched clusters reach pairs beyond 20 Å, whose `φ_s`
+            // argument is past −512: their chunks take `exp`'s cold path.
+            let big_atoms = 17 + rng.below(4);
+            let mut cluster = |n| {
+                let mut s = jittered_cluster(n, 1.12, 0.45, &mut rng);
+                let scale = [1.0, 2.0, 8.0][stretch];
+                s.positions.iter_mut().flatten().for_each(|x| *x *= scale);
+                s
+            };
+            let (s, big) = (cluster(atoms), cluster(big_atoms));
+            type Seen = Vec<(usize, usize, Vec<u64>, u64, Vec<u64>)>;
+            let per_pair = |pairs: &mut dyn Iterator<Item = (usize, usize, Vec3, f64)>| -> Seen {
+                let mut phi = [0.0; MAX_BASIS];
+                pairs
+                    .map(|(i, j, dvec, r)| {
+                        basis.values(r, &mut phi);
+                        (i, j, bits(&dvec), r.to_bits(), bits(&phi[..basis.dim()]))
+                    })
+                    .collect()
+            };
+            let chunked = |arm, pairs: &mut dyn Iterator<Item = (usize, usize, Vec3, f64)>| {
+                let mut seen = Seen::new();
+                basis.for_each_pair_on(arm, pairs, |i, j, dvec, r, phi| {
+                    seen.push((i, j, bits(&dvec), r.to_bits(), bits(phi)));
+                });
+                seen
+            };
+            // The whole cluster, then 0, 1, 63, 64, 65 and 130 pairs:
+            // either side of each chunk edge.
+            let want = per_pair(&mut s.pairs());
+            prop_assert_eq!(want.len(), atoms * (atoms - 1) / 2);
+            for arm in dispatch::tests::supported_arms() {
+                prop_assert_eq!(&chunked(arm, &mut s.pairs()), &want, "{:?}", arm);
+                for m in [0, 1, 63, 64, 65, 130] {
+                    let want = per_pair(&mut big.pairs().take(m));
+                    prop_assert_eq!(want.len(), m);
+                    prop_assert_eq!(chunked(arm, &mut big.pairs().take(m)), want, "{:?} {}", arm, m);
+                }
+            }
+            let mut seen = Seen::new();
+            basis.for_each_pair(&s, |i, j, dvec, r, phi| {
+                seen.push((i, j, bits(&dvec), r.to_bits(), bits(phi)));
+            });
+            prop_assert_eq!(seen, want);
         }
 
         #[test]

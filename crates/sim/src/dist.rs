@@ -5,6 +5,7 @@
 //! model with a one-line change, and property tests can reason about
 //! support bounds.
 
+use crate::num;
 use crate::rng::SimRng;
 use std::time::Duration;
 
@@ -49,7 +50,7 @@ impl Dist {
         let x = match self {
             Dist::Constant(v) => *v,
             Dist::Uniform { lo, hi } => rng.uniform(*lo, *hi),
-            Dist::LogNormal { sigma, mu, .. } => (mu + sigma * rng.standard_normal()).exp(),
+            Dist::LogNormal { sigma, mu, .. } => num::exp(mu + sigma * rng.standard_normal()),
         };
         x.max(0.0)
     }
@@ -111,7 +112,7 @@ mod tests {
             let mut rng = SimRng::from_seed(seed);
             let mut twin = SimRng::from_seed(seed);
             for _ in 0..1000 {
-                let want = (median.ln() + sigma * twin.standard_normal()).exp().max(0.0);
+                let want = num::exp(median.ln() + sigma * twin.standard_normal()).max(0.0);
                 assert_eq!(d.sample(&mut rng).to_bits(), want.to_bits(), "({median}, {sigma})");
             }
         }

@@ -42,6 +42,7 @@ pub mod dist;
 pub mod executor;
 pub mod intern;
 pub mod metrics;
+pub mod num;
 pub mod rng;
 pub mod symmap;
 pub mod sync;

@@ -9,9 +9,9 @@
 //! and integer draws on every build and host, which is the property the
 //! whole determinism contract rests on. Normals come from a ziggurat whose
 //! fast path (~98.5 % of draws) is integer operations and one multiply,
-//! so those bits hold everywhere too; the wedge and tail draws call libm
-//! `exp` and `ln`, as does `Dist::LogNormal`'s `exp`, so their last bits
-//! follow the platform libm (ROADMAP item 10). This module is the single
+//! so those bits hold everywhere too, and the wedge's `exp` is
+//! [`crate::num::exp`]; only the tail's `ln` (2.6e-4 of draws) follows the
+//! platform libm (ROADMAP item 10). This module is the single
 //! sanctioned source of randomness in the workspace.
 
 /// Mixes a 64-bit value with the SplitMix64 finalizer.
@@ -130,7 +130,7 @@ enum Branch {
 /// The unnormalized normal density.
 #[inline]
 fn phi(x: f64) -> f64 {
-    (-0.5 * x * x).exp()
+    crate::num::exp(-0.5 * x * x)
 }
 
 /// A deterministic random stream.
@@ -421,6 +421,7 @@ mod tests {
     const ZIG_PINNED: u64 = 0xB549_143C_ACCA_F080;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "libm derives the table independently of num::exp")]
     fn zig_table_follows_its_recurrence() {
         // Each entry from its committed predecessor, in `f64`. `p²` is kept
         // as a double-double (Veltkamp split, no FMA) so `φ`'s argument is

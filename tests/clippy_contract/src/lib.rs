@@ -1,6 +1,7 @@
 //! Every case of the retired analyzer's fixtures that clippy decides
-//! (R1–R6, R10, R11, R14, R15, reason-less allows), as code clippy checks
-//! against the repository's clippy.toml. A bad case carries
+//! (R1–R6, R10, R11, R14, R15, reason-less allows), and the `f64::exp`
+//! ban that came later, as code clippy checks against the repository's
+//! clippy.toml. A bad case carries
 //! `#[expect(<lint>, reason = "bad case")]`; a good case carries nothing.
 //! Comments and strings that name banned items (`Instant::now`,
 //! `route.iter()`) are the old false-positive guards: clippy resolves
@@ -243,6 +244,30 @@ impl PartialOrd for Rank {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+// ---- portable transcendentals (no retired id; ROADMAP item 10) ----------
+
+#[expect(clippy::disallowed_methods, reason = "bad case")]
+pub fn libm_exp(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
+
+#[expect(clippy::disallowed_methods, reason = "bad case")]
+pub fn libm_exp_by_path(xs: &[f64]) -> Vec<f64> {
+    xs.iter().copied().map(f64::exp).collect()
+}
+
+/// A stand-in for `hetflow_sim::num`: a function named `exp` is not
+/// `f64::exp`, and `exp_m1` is another method.
+pub mod num {
+    pub fn exp(x: f64) -> f64 {
+        1.0 + x
+    }
+}
+
+pub fn portable_exp(x: f64) -> (f64, f64) {
+    (num::exp(x), x.exp_m1())
 }
 
 // ---- R10 ambient I/O (r10_bad, r10_good) ---------------------------------
