@@ -632,9 +632,9 @@ mod tests {
         // `tests/campaign_outcomes.rs` holds their tolerance against one
         // `exp` per centre, stacked design rows and per-member scores.
         let pins = [
-            (WorkflowConfig::Parsl, 2_043_046_556_619, 0x3FC9_90DF_2B24_3CB5),
-            (WorkflowConfig::ParslRedis, 2_039_193_577_170, 0x3FC9_CA64_5E46_4D5F),
-            (WorkflowConfig::FnXGlobus, 2_050_605_115_994, 0x3FC9_54CE_04C3_2BEC),
+            (WorkflowConfig::Parsl, 2_043_046_556_619, 0x3FC9_90DF_2B2C_3500),
+            (WorkflowConfig::ParslRedis, 2_039_193_577_170, 0x3FC9_CA64_5E49_9A7D),
+            (WorkflowConfig::FnXGlobus, 2_050_605_115_994, 0x3FC9_54CE_04C4_1053),
         ];
         for (config, end_ns, rmsd_bits) in pins {
             let sim = Sim::new();
