@@ -374,7 +374,8 @@ pub fn fig5_notification(runs: &Runs, out: &mut String) -> Verdict {
 /// §V-D in-text statistics: the three latencies a steering system must
 /// minimize, on the FnX+Globus molecular-design campaign.
 ///
-/// * Reaction time — result completing → available to the thinker.
+/// * Reaction time — result completing → available to the thinker:
+///   Fig. 5's table ([`fig5_notification`]), from the same campaign.
 /// * Decision time — result received → next decision (paper: 5 ms to
 ///   launch the next simulation).
 /// * Dispatch time — decision → task running (paper: ~100 ms for
@@ -385,16 +386,6 @@ pub fn latency_report(runs: &Runs, out: &mut String) -> Verdict {
     let outcome = runs.moldesign(campaign_key(WorkflowConfig::FnXGlobus));
     let breakdowns = MOLDESIGN_TOPICS.map(|topic| Breakdown::of(&outcome.records, Some(topic)));
     outln!(out, "=== §V-D latency report: fnx+globus molecular design ===\n");
-
-    outln!(out, "-- reaction time --");
-    for (topic, b) in MOLDESIGN_TOPICS.iter().zip(&breakdowns) {
-        outln!(
-            out,
-            "{topic:<10} notify p50 {:>6.0} ms | data wait p50 {:>6.0} ms",
-            b.notification.median() * 1e3,
-            b.data_wait.median() * 1e3
-        );
-    }
 
     // Decision time: the first simulation submitted at or after each
     // simulation result's notification.
@@ -412,7 +403,7 @@ pub fn latency_report(runs: &Runs, out: &mut String) -> Verdict {
             decision.record((*c - *n).as_secs_f64());
         }
     }
-    outln!(out, "\n-- decision time --");
+    outln!(out, "-- decision time --");
     outln!(
         out,
         "notification -> next simulation submitted: p50 {:.0} ms (paper: 5 ms, negligible vs reaction)",
@@ -597,8 +588,8 @@ pub fn fig7_finetune(runs: &Runs, out: &mut String) -> Verdict {
             initial.record(o.initial_force_rmsd);
         }
         let overheads = TOPICS.map(|topic| {
-            let b = Breakdown::of(outcomes.iter().flat_map(|o| &o.records), Some(topic));
-            (b.overhead.median() * 1e3, b.data_wait.median() * 1e3)
+            let (overhead, wait) = pooled_overheads(&outcomes, topic);
+            (overhead.median() * 1e3, wait.median() * 1e3)
         });
         Row { config, outcomes, rmsd, initial, overheads }
     });
@@ -671,6 +662,20 @@ pub fn fig7_finetune(runs: &Runs, out: &mut String) -> Verdict {
         }
     }
     Ok(())
+}
+
+/// `topic`'s overhead and data-wait samples, pooled over `outcomes` from
+/// one [`Breakdown`] each: every campaign numbers its tasks from 0, so
+/// one `Breakdown` over all their records would drop the later seeds'
+/// records as duplicates of the first's.
+fn pooled_overheads(outcomes: &[Rc<FinetuneOutcome>], topic: &str) -> (Samples, Samples) {
+    let (mut overhead, mut wait) = (Samples::new(), Samples::new());
+    for o in outcomes {
+        let b = Breakdown::of(&o.records, Some(topic));
+        overhead.extend_from(&b.overhead);
+        wait.extend_from(&b.data_wait);
+    }
+    (overhead, wait)
 }
 
 /// §V-F recommendations derived from a real campaign's records: the
@@ -1133,6 +1138,25 @@ mod tests {
         let key = campaign_key(WorkflowConfig::FnXGlobus);
         assert!(Rc::ptr_eq(&runs.moldesign(key.clone()), &runs.moldesign(key)));
         assert_eq!(runs.moldesign.borrow().len(), 1);
+    }
+
+    #[test]
+    fn fig7b_pools_every_seed_s_records() {
+        let (runs, base) = (Runs::default(), FinetuneParams::default());
+        let outcomes = FIG7_SEEDS.map(|seed| {
+            let params = FinetuneParams { seed, ..base.clone() };
+            runs.finetune((WorkflowConfig::ParslRedis, seed, None, params))
+        });
+        for topic in ["sample", "simulate", "train", "infer"] {
+            let (overhead, wait) = pooled_overheads(&outcomes, topic);
+            let per_seed = outcomes.iter().map(|o| Breakdown::of(&o.records, Some(topic)));
+            let (n_overhead, n_wait) = per_seed
+                .fold((0, 0), |(o, w), b| (o + b.overhead.len(), w + b.data_wait.len()));
+            assert_eq!((overhead.len(), wait.len()), (n_overhead, n_wait), "{topic}");
+            // One `Breakdown` over every seed's records counts fewer.
+            let flat = Breakdown::of(outcomes.iter().flat_map(|o| &o.records), Some(topic));
+            assert!(flat.overhead.len() < overhead.len(), "{topic}");
+        }
     }
 
     #[test]
