@@ -198,22 +198,6 @@ impl RadialBasis {
             }
         }
     }
-
-    /// One pair's `φ_k(r)` into `phi[..k]`, its two `exp` on their own:
-    /// the reference [`RadialBasis::for_each_pair`] must match bit for bit.
-    #[cfg(test)]
-    fn values(&self, r: f64, phi: &mut [f64]) {
-        let (s, d) = self.nearest(r);
-        let (phi_s, g_s) = (exp(-d * d * self.inv_two_w2), exp(self.two_a_step * d - self.a_step2));
-        self.walk(s, phi_s, g_s, phi);
-    }
-
-    /// `values` and `derivs` for one pair.
-    #[cfg(test)]
-    fn eval(&self, r: f64, phi: &mut [f64], dphi: &mut [f64]) {
-        self.values(r, phi);
-        self.derivs(r, &phi[..self.dim()], dphi);
-    }
 }
 
 /// One labelled training structure.
@@ -543,18 +527,31 @@ mod tests {
     use hetflow_sim::SimRng;
     use proptest::prelude::*;
 
-    /// Two references. `exp_values`/`exp_derivs` give each centre its
+    /// The references. `values`/`eval` evaluate one pair's basis, its two
+    /// `exp` on their own: what `RadialBasis::for_each_pair` must match
+    /// bit for bit. `exp_values`/`exp_derivs` give each centre its
     /// own `exp`: the accuracy reference the recurrence must stay
     /// within 1e-14 of. `design` is the stacked-row builder as it stood
     /// when every fit evaluated the basis for itself: the rows whose
     /// normal equations a block's fit must agree with. `energy_forces` is
     /// the two-pass energy/force kernel, values and derivatives in
-    /// separate passes, now over `RadialBasis::eval`: what the kernels
+    /// separate passes, now over `eval`: what the kernels
     /// must match bit for bit. `block_values` and `fit_blocks` fold
     /// one row per pass, as they stood before rows went in four at a
     /// time: what blocks and fits must match bit for bit.
     mod reference {
         use super::*;
+
+        pub fn values(b: &RadialBasis, r: f64, phi: &mut [f64]) {
+            let (s, d) = b.nearest(r);
+            let (phi_s, g_s) = (exp(-d * d * b.inv_two_w2), exp(b.two_a_step * d - b.a_step2));
+            b.walk(s, phi_s, g_s, phi);
+        }
+
+        pub fn eval(b: &RadialBasis, r: f64, phi: &mut [f64], dphi: &mut [f64]) {
+            values(b, r, phi);
+            b.derivs(r, &phi[..b.dim()], dphi);
+        }
 
         pub fn block_values(ls: &LabelledStructure, basis: &RadialBasis) -> Vec<f64> {
             let k = basis.dim();
@@ -566,7 +563,7 @@ mod tests {
             let mut values = vec![0.0; k + packed_len(k) + k];
             let mut frows = vec![0.0; 3 * n * k];
             for (i, j, dvec, r) in ls.structure.pairs() {
-                basis.eval(r, &mut phi, &mut dphi);
+                eval(basis, r, &mut phi, &mut dphi);
                 for (e, p) in values[..k].iter_mut().zip(&phi) {
                     *e += p;
                 }
@@ -649,7 +646,7 @@ mod tests {
         }
 
         fn derivs(b: &RadialBasis, r: f64, out: &mut [f64]) {
-            b.eval(r, &mut [0.0; MAX_BASIS], out);
+            eval(b, r, &mut [0.0; MAX_BASIS], out);
         }
 
         pub fn design(
@@ -666,7 +663,7 @@ mod tests {
             for ls in data {
                 let mut erow = vec![0.0; k];
                 for (_, _, _, r) in ls.structure.pairs() {
-                    basis.values(r, &mut phi);
+                    values(basis, r, &mut phi);
                     for (e, p) in erow.iter_mut().zip(&phi) {
                         *e += p;
                     }
@@ -704,7 +701,7 @@ mod tests {
             let mut energy = 0.0;
             let mut forces = vec![[0.0; 3]; s.n_atoms()];
             for (i, j, dvec, r) in s.pairs() {
-                m.basis.values(r, &mut phi);
+                values(&m.basis, r, &mut phi);
                 let mut de = 0.0;
                 for (p, wk) in phi.iter().zip(&m.weights) {
                     energy += p * wk;
@@ -867,7 +864,7 @@ mod tests {
                 let mut phi = [0.0; MAX_BASIS];
                 pairs
                     .map(|(i, j, dvec, r)| {
-                        basis.values(r, &mut phi);
+                        reference::values(basis, r, &mut phi);
                         (i, j, bits(&dvec), r.to_bits(), bits(&phi[..basis.dim()]))
                     })
                     .collect()
@@ -958,7 +955,7 @@ mod tests {
             for basis in bases {
                 let k = basis.dim();
                 let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
-                basis.eval(r, &mut phi, &mut dphi);
+                reference::eval(&basis, r, &mut phi, &mut dphi);
                 let (mut want, mut dwant) = (vec![0.0; k], vec![0.0; k]);
                 reference::exp_values(&basis, r, &mut want);
                 reference::exp_derivs(&basis, r, &mut dwant);
