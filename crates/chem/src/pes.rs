@@ -6,9 +6,22 @@
 //! the *difference* between levels is smooth and learnable — exactly the
 //! property that makes fine-tuning on a few DFT calculations work in the
 //! paper's application.
+//!
+//! **A chunk of pairs per `exp` pass.** [`MorsePes`] evaluates its
+//! in-cutoff pairs (`r > cutoff` is skipped) 64 at a time: each term's
+//! `exp` over the chunk in one [`hetflow_sim::num::exp_in_place`] pass,
+//! which vectorizes at the baseline width (this crate has no dispatch to
+//! wider clones), then each pair's terms combined in term order, then the
+//! energy sum and the force scatter pair by pair. Every sum sees its terms
+//! in the order one pair at a time gives them, so the bits are those of
+//! the scalar loop; `energy`, `forces_into` and `energy_forces` share the
+//! one loop body and agree bit for bit.
 
 use crate::clusters::{Structure, Vec3};
-use hetflow_sim::num::exp;
+use hetflow_sim::num::{exp, exp_in_place};
+
+/// In-cutoff pairs [`MorsePes`] takes per pass of `exp`.
+const CHUNK: usize = 64;
 
 /// A force/energy provider over structures.
 ///
@@ -55,10 +68,15 @@ impl MorseTerm {
         2.0 * self.d * (1.0 - x) * self.a * x
     }
 
-    /// `(energy(r), denergy(r))`, bit for bit, from one `exp`.
-    #[inline]
-    fn energy_denergy(&self, r: f64) -> (f64, f64) {
-        let x = exp(-self.a * (r - self.r0));
+    /// The argument of the term's `exp` at separation `r`.
+    #[inline(always)]
+    fn exp_arg(&self, r: f64) -> f64 {
+        -self.a * (r - self.r0)
+    }
+
+    /// `(energy(r), denergy(r))`, bit for bit, from `x = exp(exp_arg(r))`.
+    #[inline(always)]
+    fn energy_denergy(&self, x: f64) -> (f64, f64) {
         let e = 1.0 - x;
         (self.d * e * e - self.d, 2.0 * self.d * e * self.a * x)
     }
@@ -108,64 +126,85 @@ impl MorsePes {
 }
 
 impl MorsePes {
-    /// The one loop body of `energy_forces` and `forces_into`: overwrites
-    /// `forces` and returns the energy, summed only when `ENERGY` is set.
-    /// The forces never read the energy, so both get the same bits.
+    /// The one loop body of `energy_forces`, `forces_into` and `energy`:
+    /// overwrites `forces` with the forces when `FORCES` is set and
+    /// returns the energy, summed only when `ENERGY` is. Neither reads
+    /// the other, so each gets the same bits alone as together. In-cutoff
+    /// pairs go through stack buffers `CHUNK` at a time (the module doc).
     #[inline(always)]
-    fn accumulate<const ENERGY: bool>(&self, s: &Structure, forces: &mut [Vec3]) -> f64 {
+    fn accumulate<const ENERGY: bool, const FORCES: bool>(
+        &self,
+        s: &Structure,
+        forces: &mut [Vec3],
+    ) -> f64 {
         let mut energy = 0.0;
         forces.fill([0.0; 3]);
-        for (i, j, dvec, r) in s.pairs() {
-            if r > self.cutoff {
-                continue;
-            }
-            let mut e_pair = 0.0;
-            let mut de = 0.0;
-            for t in &self.terms {
-                let (e_t, de_t) = t.energy_denergy(r);
-                if ENERGY {
-                    e_pair += e_t;
+        let mut pairs = s.pairs();
+        let (mut ij, mut dvec, mut r) = ([(0, 0); CHUNK], [[0.0; 3]; CHUNK], [0.0; CHUNK]);
+        loop {
+            let mut n = 0;
+            for (i, j, d, rij) in pairs.by_ref() {
+                if rij > self.cutoff {
+                    continue;
                 }
-                de += de_t;
+                (ij[n], dvec[n], r[n]) = ((i, j), d, rij);
+                n += 1;
+                if n == CHUNK {
+                    break;
+                }
             }
-            // Shifted-force correction: continuous E and dE/dr at rc.
-            if ENERGY {
-                energy += e_pair - self.e_cut - (r - self.cutoff) * self.de_cut;
+            let (mut x, mut e_pair, mut de) = ([0.0; CHUNK], [0.0; CHUNK], [0.0; CHUNK]);
+            for t in &self.terms {
+                for (x, &r) in x[..n].iter_mut().zip(&r) {
+                    *x = t.exp_arg(r);
+                }
+                exp_in_place(&mut x[..n]);
+                for ((&x, e_pair), de) in x[..n].iter().zip(&mut e_pair).zip(&mut de) {
+                    let (e_t, de_t) = t.energy_denergy(x);
+                    if ENERGY {
+                        *e_pair += e_t;
+                    }
+                    if FORCES {
+                        *de += de_t;
+                    }
+                }
             }
-            de -= self.de_cut;
-            // F_i = -dE/dr * (r_i - r_j)/r ; F_j = -F_i
-            let scale = -de / r;
-            for k in 0..3 {
-                forces[i][k] += scale * dvec[k];
-                forces[j][k] -= scale * dvec[k];
+            for c in 0..n {
+                // Shifted-force correction: continuous E and dE/dr at rc.
+                if ENERGY {
+                    energy += e_pair[c] - self.e_cut - (r[c] - self.cutoff) * self.de_cut;
+                }
+                if FORCES {
+                    // F_i = -dE/dr * (r_i - r_j)/r ; F_j = -F_i
+                    let scale = -(de[c] - self.de_cut) / r[c];
+                    let (i, j) = ij[c];
+                    for k in 0..3 {
+                        forces[i][k] += scale * dvec[c][k];
+                        forces[j][k] -= scale * dvec[c][k];
+                    }
+                }
+            }
+            if n < CHUNK {
+                return energy;
             }
         }
-        energy
     }
 }
 
 impl EnergyModel for MorsePes {
     fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
         let mut forces = vec![[0.0; 3]; s.n_atoms()];
-        (self.accumulate::<true>(s, &mut forces), forces)
+        (self.accumulate::<true, true>(s, &mut forces), forces)
     }
 
     fn forces_into(&self, s: &Structure, forces: &mut [Vec3]) {
-        self.accumulate::<false>(s, forces);
+        self.accumulate::<false, true>(s, forces);
     }
 
     /// The energy of [`EnergyModel::energy_forces`], bit for bit, without
-    /// the slopes: each pair sums its terms in the same order.
+    /// the slopes.
     fn energy(&self, s: &Structure) -> f64 {
-        let mut energy = 0.0;
-        for (_, _, _, r) in s.pairs() {
-            if r > self.cutoff {
-                continue;
-            }
-            let e_pair = self.terms.iter().fold(0.0, |acc, t| acc + t.energy(r));
-            energy += e_pair - self.e_cut - (r - self.cutoff) * self.de_cut;
-        }
-        energy
+        self.accumulate::<true, false>(s, &mut [])
     }
 }
 
@@ -224,7 +263,7 @@ mod tests {
         for t in MorsePes::reference().terms {
             for step in 0..=4000 {
                 let r = 0.3 + 0.001 * step as f64;
-                let (e, de) = t.energy_denergy(r);
+                let (e, de) = t.energy_denergy(exp(t.exp_arg(r)));
                 assert_eq!(e.to_bits(), t.energy(r).to_bits(), "energy at r = {r}");
                 assert_eq!(de.to_bits(), t.denergy(r).to_bits(), "denergy at r = {r}");
             }
@@ -260,6 +299,48 @@ mod tests {
                 assert_eq!(pes.energy(&s).to_bits(), e_ref.to_bits(), "energy, seed {seed}");
                 let bits = |f: &[Vec3]| f.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&f), bits(&f_ref), "seed {seed}");
+            }
+        }
+    }
+
+    /// A chain of `m + 1` atoms 2 Å apart along x, each up to 0.2 Å off
+    /// the axis in y and z, so its `m` neighbour pairs are in the 3 Å
+    /// cutoff and every other pair of it is beyond; then an atom far off the axis,
+    /// whose pairs are all beyond, and, `at_cutoff`, an atom exactly 3 Å
+    /// past the chain's last along x.
+    fn chain(m: usize, at_cutoff: bool, rng: &mut SimRng) -> Structure {
+        let mut positions: Vec<Vec3> = (0..=m)
+            .map(|i| [2.0 * i as f64, 0.4 * rng.unit() - 0.2, 0.4 * rng.unit() - 0.2])
+            .collect();
+        positions.insert(positions.len() / 2, [1.0, 50.0, 0.0]);
+        if at_cutoff {
+            let [x, y, z] = positions[positions.len() - 1];
+            positions.push([x + 3.0, y, z]);
+        }
+        Structure::new(positions)
+    }
+
+    #[test]
+    fn chunked_kernels_bit_identical_to_two_exp_terms_at_chunk_edges() {
+        let mut rng = SimRng::from_seed(54);
+        let bits = |f: &[Vec3]| f.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for pes in [MorsePes::approx(), MorsePes::reference()] {
+            for m in [0, 1, 63, 64, 65] {
+                for at_cutoff in [false, true] {
+                    let s = chain(m, at_cutoff, &mut rng);
+                    let inside = s.pairs().filter(|p| p.3 <= pes.cutoff).count();
+                    assert_eq!(inside, m + usize::from(at_cutoff));
+                    assert_eq!(s.pairs().any(|p| p.3 == pes.cutoff), at_cutoff);
+                    let (e_ref, f_ref) = two_exp_energy_forces(&pes, &s);
+                    let (e, f) = pes.energy_forces(&s);
+                    let mut f_only = vec![[f64::NAN; 3]; s.n_atoms()];
+                    pes.forces_into(&s, &mut f_only);
+                    let case = format!("{} in cutoff, one at it: {at_cutoff}", m);
+                    assert_eq!(e.to_bits(), e_ref.to_bits(), "energy_forces, {case}");
+                    assert_eq!(pes.energy(&s).to_bits(), e_ref.to_bits(), "energy, {case}");
+                    assert_eq!(bits(&f), bits(&f_ref), "energy_forces, {case}");
+                    assert_eq!(bits(&f_only), bits(&f_ref), "forces_into, {case}");
+                }
             }
         }
     }

@@ -17,13 +17,17 @@
 //! `exp` per pair (the nearest centre and its forward ratio) and a
 //! division, then multiplies outward — every ratio ≤ 1, so tails
 //! underflow to zero and never meet `inf`. The `exp` is
-//! [`hetflow_sim::num::exp`], taken a chunk of up to 64 pairs at a time:
-//! `RadialBasis::for_each_pair` buffers the pairs on the stack, runs both
-//! `exp` passes in the widest vector clone (`crate::dispatch`), then walks
-//! each pair's recurrence and calls its caller in pair order, so the
-//! bits are those of one pair at a time. It is the one place the basis
-//! is evaluated, for training rows and inference alike, and it
-//! allocates nothing.
+//! [`hetflow_sim::num::exp`]. Pairs are evaluated a chunk of up to 64 at
+//! a time, one pair per vector lane, in the widest clone
+//! (`crate::dispatch`): a `Tile` holds the chunk's basis as a `[k][pair]`
+//! array. Both `exp` passes, the backward and forward recurrences (each
+//! lane masked to the steps its own nearest centre takes), the
+//! derivatives and each pair's `Σ_k φ'_k w_k` run lane-wise, every lane
+//! in its own pair's order, so the bits are those of one pair at a time.
+//! Only the force scatter and the energy sums, whose bits depend on pair
+//! order, go pair by pair. The tile is the one place the basis is
+//! evaluated, for training rows and inference alike, and it allocates
+//! nothing.
 //!
 //! **Normal equations per structure.** A fit's rows depend on the
 //! structure and the basis only — not on the fit weights, not on which
@@ -52,13 +56,22 @@ use crate::dispatch::{self, Arm};
 use crate::linalg::{add_scaled_row, add_scaled_rows, LinalgError, Matrix};
 use hetflow_chem::{EnergyModel, Structure, Vec3};
 use hetflow_sim::num::{self, exp};
+use std::array::from_fn;
 
-/// Largest basis [`RadialBasis`] accepts: the size of the stack
-/// buffers its callers evaluate into.
+/// Largest basis [`RadialBasis`] accepts: the rows of a [`Tile`].
 const MAX_BASIS: usize = 32;
 
-/// Pairs [`RadialBasis::for_each_pair`] buffers per pass of `exp`.
+/// Pairs per [`Tile`], one per lane.
 const CHUNK: usize = 64;
+
+/// Lanes evaluated together (one AVX-512 register): a tile's live pairs
+/// are covered by whole groups, and the lanes of the last group past
+/// them are dead.
+const LANES: usize = 8;
+const GROUPS: usize = CHUNK / LANES;
+
+/// One group's lanes.
+type Lanes = [f64; LANES];
 
 /// Gaussian radial basis on pair distances, `φ_k(r) = exp(-a (r -
 /// c_k)²)` with `a = 1/(2w²)` and centres `c_k = r_min + kΔ`.
@@ -104,99 +117,233 @@ impl RadialBasis {
         self.centers.len()
     }
 
-    /// The nearest centre `s` to `r` and `d_s = r − c_s`, `s` clamped to
-    /// the grid.
+    /// The centres, then zeros to `MAX_BASIS`: indexing it by a lane's
+    /// nearest centre needs no bounds check, so the lookup vectorizes.
     #[inline(always)]
-    fn nearest(&self, r: f64) -> (usize, f64) {
+    fn grid(&self) -> [f64; MAX_BASIS] {
+        let mut grid = [0.0; MAX_BASIS];
+        grid[..self.dim()].copy_from_slice(&self.centers);
+        grid
+    }
+
+    /// The nearest centre `s` to `r` and `d_s = r − c_s`, `s` clamped to
+    /// the grid; `grid` is [`RadialBasis::grid`].
+    #[inline(always)]
+    fn nearest(&self, grid: &[f64; MAX_BASIS], r: f64) -> (usize, f64) {
         // `f64::round` is a libm call on baseline x86-64: truncate
         // `t + 0.5` after the clamp (NaN truncates to 0).
-        let t = ((r - self.centers[0]) * self.inv_step).clamp(0.0, (self.dim() - 1) as f64);
-        let s = (t + 0.5) as usize;
-        (s, r - self.centers[s])
+        let t = ((r - grid[0]) * self.inv_step).clamp(0.0, (self.dim() - 1) as f64);
+        let s = (t + 0.5) as i32 as usize % MAX_BASIS;
+        (s, r - grid[s])
     }
 
-    /// `φ_k(r)` for every centre into `phi[..k]`, from `φ_s` and `g_s` at
-    /// the nearest centre `s`: forward `φ_{j+1} = φ_j·g` with `g ← g·q`,
-    /// backward `φ_{j-1} = φ_j·h` with `h ← h·q`, where `φ_s = exp(-a
-    /// d_s²)`, `g_s = exp(2aΔ d_s - aΔ²)` and `h_s = q/g_s`. Since `|d_s|
-    /// ≤ Δ/2` inside the grid, `g_s, h_s ≤ 1` and only shrink.
-    #[inline(always)]
-    fn walk(&self, s: usize, phi_s: f64, g_s: f64, phi: &mut [f64]) {
-        let (back, fwd) = phi[..self.dim()].split_at_mut(s);
-        let (mut p, mut g) = (phi_s, g_s);
-        fwd[0] = phi_s;
-        for v in &mut fwd[1..] {
-            p *= g;
-            g *= self.q;
-            *v = p;
-        }
-        let (mut p, mut h) = (phi_s, self.q / g_s);
-        for v in back.iter_mut().rev() {
-            p *= h;
-            h *= self.q;
-            *v = p;
-        }
-    }
-
-    /// `φ'_k(r) = -(d_k/w²)·φ_k = -2a·d_k·φ_k` into `dphi[..k]`, from
-    /// `phi = φ_k(r)`.
-    #[inline(always)]
-    fn derivs(&self, r: f64, phi: &[f64], dphi: &mut [f64]) {
-        let two_a = 2.0 * self.inv_two_w2;
-        for ((dp, p), &c) in dphi.iter_mut().zip(phi).zip(&self.centers) {
-            *dp = -((r - c) * two_a) * p;
-        }
-    }
-
-    /// Calls `f(i, j, r_ij_vec, r, φ)` for each pair of `s` in
-    /// [`Structure::pairs`] order, `φ` holding `φ_k(r)` for every centre.
-    /// Pairs go through a stack buffer `CHUNK` at a time: their nearest
-    /// centres and both `exp` arguments first, then the two `exp` passes
-    /// in the widest clone (`crate::dispatch`), where they vectorize, then
-    /// each pair's recurrence and `f`.
+    /// Calls `f(tile, g)` for each group of lanes of each chunk of `s`'s
+    /// pairs, in [`Structure::pairs`] order, once the group's basis is in
+    /// `tile`; all of it, `f` included, runs in the widest clone
+    /// (`crate::dispatch`), where `f`'s lane-wise loops vectorize too.
     #[inline]
-    fn for_each_pair(&self, s: &Structure, f: impl FnMut(usize, usize, Vec3, f64, &[f64])) {
-        self.for_each_pair_on(dispatch::widest(), s.pairs(), f);
+    fn for_each_tile(&self, s: &Structure, f: impl FnMut(&Tile, usize)) {
+        self.for_each_tile_on(dispatch::widest(), s.pairs(), &mut Tile::new(), f);
     }
 
-    /// [`RadialBasis::for_each_pair`] over any `pairs`, with its `exp`
-    /// passes in `arm`'s clone.
+    /// [`RadialBasis::for_each_tile`] over any `pairs`, through `tile`,
+    /// in `arm`'s clone.
     #[inline(always)]
-    fn for_each_pair_on(
+    fn for_each_tile_on(
         &self,
         arm: Arm,
         mut pairs: impl Iterator<Item = (usize, usize, Vec3, f64)>,
-        mut f: impl FnMut(usize, usize, Vec3, f64, &[f64]),
+        tile: &mut Tile,
+        mut f: impl FnMut(&Tile, usize),
     ) {
-        let mut buf = [(0, 0, [0.0; 3], 0.0); CHUNK];
-        let (mut near, mut phi_s, mut g_s) = ([0; CHUNK], [0.0; CHUNK], [0.0; CHUNK]);
-        let mut phi = [0.0; MAX_BASIS];
-        loop {
-            let mut n = 0;
-            for (slot, pair) in buf.iter_mut().zip(&mut pairs) {
-                let (s, d) = self.nearest(pair.3);
-                (*slot, near[n]) = (pair, s);
-                phi_s[n] = -d * d * self.inv_two_w2;
-                g_s[n] = self.two_a_step * d - self.a_step2;
-                n += 1;
-            }
-            let (phi_s, g_s) = (&mut phi_s[..n], &mut g_s[..n]);
-            dispatch::run_on(
-                arm,
-                #[inline(always)]
-                || {
-                    num::exp_in_place(phi_s);
-                    num::exp_in_place(g_s);
-                },
-            );
-            for (c, &(i, j, dvec, r)) in buf[..n].iter().enumerate() {
-                self.walk(near[c], phi_s[c], g_s[c], &mut phi);
-                f(i, j, dvec, r, &phi[..self.dim()]);
-            }
-            if n < CHUNK {
-                return;
+        dispatch::run_on(
+            arm,
+            #[inline(always)]
+            || {
+                while tile.fill(&mut pairs) > 0 {
+                    let seeds = self.seeds(tile);
+                    for g in 0..tile.groups() {
+                        self.walk_lanes(tile, &seeds, g);
+                        f(tile, g);
+                    }
+                    if tile.n < CHUNK {
+                        return;
+                    }
+                }
+            },
+        );
+    }
+
+    /// Each live pair's nearest centre `s`, `φ_s = exp(-a d_s²)` and `g_s
+    /// = exp(2aΔ d_s - aΔ²)`, the `exp`s in two passes over the chunk.
+    #[inline(always)]
+    fn seeds(&self, tile: &Tile) -> Seeds {
+        let grid = self.grid();
+        let mut seeds = Seeds {
+            near: [[0; LANES]; GROUPS],
+            phi_s: [[0.0; LANES]; GROUPS],
+            g_s: [[0.0; LANES]; GROUPS],
+        };
+        for g in 0..tile.groups() {
+            for l in 0..LANES {
+                let (s, d) = self.nearest(&grid, tile.r[g][l]);
+                seeds.near[g][l] = s as i32;
+                seeds.phi_s[g][l] = -d * d * self.inv_two_w2;
+                seeds.g_s[g][l] = self.two_a_step * d - self.a_step2;
             }
         }
+        num::exp_in_place(&mut seeds.phi_s.as_flattened_mut()[..tile.n]);
+        num::exp_in_place(&mut seeds.g_s.as_flattened_mut()[..tile.n]);
+        seeds
+    }
+
+    /// Group `g`'s rows of `tile.phi`, one pair per lane, each lane
+    /// walking out from its own `s`: forward `φ_{j+1} = φ_j·g` with `g ←
+    /// g·q`, backward `φ_{j-1} = φ_j·h` with `h ← h·q` from `h_s = q/g_s`.
+    /// Since `|d_s| ≤ Δ/2` inside the grid, `g_s, h_s ≤ 1` and only
+    /// shrink. Both passes step every lane through every `kk`, and a
+    /// lane's state moves only where `kk > s` (forward) or `kk < s`
+    /// (backward): the same operations in the same order as one pair at a
+    /// time. The masks select by integer bits; an `if` on `f64` lanes
+    /// scalarizes.
+    #[inline(always)]
+    fn walk_lanes(&self, tile: &mut Tile, seeds: &Seeds, g: usize) {
+        let s = seeds.near[g];
+        let (mut p, mut h) = (seeds.phi_s[g], seeds.g_s[g].map(|g_s| self.q / g_s));
+        for kk in (0..self.dim()).rev() {
+            let row = &mut tile.phi[kk][g];
+            for l in 0..LANES {
+                let on = mask((kk as i32) < s[l]);
+                p[l] = select(on, p[l] * h[l], p[l]);
+                h[l] = select(on, h[l] * self.q, h[l]);
+                row[l] = p[l];
+            }
+        }
+        let (mut p, mut gr) = (seeds.phi_s[g], seeds.g_s[g]);
+        for kk in 0..self.dim() {
+            let row = &mut tile.phi[kk][g];
+            for l in 0..LANES {
+                let on = mask((kk as i32) > s[l]);
+                p[l] = select(on, p[l] * gr[l], p[l]);
+                gr[l] = select(on, gr[l] * self.q, gr[l]);
+                row[l] = select(mask((kk as i32) >= s[l]), p[l], row[l]);
+            }
+        }
+    }
+}
+
+/// Where each lane of a chunk starts its recurrence: its nearest centre,
+/// `φ` there and the first forward ratio.
+struct Seeds {
+    near: [[i32; LANES]; GROUPS],
+    phi_s: [Lanes; GROUPS],
+    g_s: [Lanes; GROUPS],
+}
+
+/// All ones where `on`, zero elsewhere: a lane mask for [`select`].
+#[inline(always)]
+fn mask(on: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(on))
+}
+
+/// `a`'s bits where `m` is set, `b`'s elsewhere.
+#[inline(always)]
+fn select(m: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & m) | (b.to_bits() & !m))
+}
+
+/// Up to `CHUNK` pairs and their basis, one pair per lane: pair `c` sits
+/// in lane `c % LANES` of group `c / LANES`. Lanes from `n` on are dead:
+/// they hold what an earlier chunk left, and no output reads them.
+struct Tile {
+    n: usize,
+    /// Each pair's atoms `(i, j)`, `i < j`.
+    ij: [(usize, usize); CHUNK],
+    /// The separation vector by component, and its length `r`.
+    dvec: [[Lanes; GROUPS]; 3],
+    r: [Lanes; GROUPS],
+    /// `phi[kk][g][l] = φ_kk(r)`.
+    phi: [[Lanes; GROUPS]; MAX_BASIS],
+}
+
+impl Tile {
+    #[inline(always)]
+    fn new() -> Self {
+        Tile {
+            n: 0,
+            ij: [(0, 0); CHUNK],
+            dvec: [[[0.0; LANES]; GROUPS]; 3],
+            r: [[0.0; LANES]; GROUPS],
+            phi: [[[0.0; LANES]; GROUPS]; MAX_BASIS],
+        }
+    }
+
+    /// Takes the next `CHUNK` pairs (fewer at the end) and returns how
+    /// many.
+    #[inline(always)]
+    fn fill(&mut self, pairs: &mut impl Iterator<Item = (usize, usize, Vec3, f64)>) -> usize {
+        self.n = 0;
+        for (c, (i, j, dvec, r)) in pairs.take(CHUNK).enumerate() {
+            let (g, l) = (c / LANES, c % LANES);
+            self.ij[c] = (i, j);
+            for (comp, x) in self.dvec.iter_mut().zip(dvec) {
+                comp[g][l] = x;
+            }
+            self.r[g][l] = r;
+            self.n = c + 1;
+        }
+        self.n
+    }
+
+    /// Groups holding live pairs.
+    #[inline(always)]
+    fn groups(&self) -> usize {
+        self.n.div_ceil(LANES)
+    }
+
+    /// Live pairs in group `g`.
+    #[inline(always)]
+    fn live(&self, g: usize) -> usize {
+        (self.n - g * LANES).min(LANES)
+    }
+
+    /// `φ'_kk` of group `g`'s lanes, `-(r − c_kk)·2a·φ_kk`.
+    #[inline(always)]
+    fn dphi(&self, basis: &RadialBasis, kk: usize, g: usize) -> Lanes {
+        let (c, two_a) = (basis.centers[kk], 2.0 * basis.inv_two_w2);
+        from_fn(|l| -((self.r[g][l] - c) * two_a) * self.phi[kk][g][l])
+    }
+
+    /// `Σ_k φ'_k w_k` of group `g`'s lanes, each lane summing in `k` order.
+    #[inline(always)]
+    fn de(&self, basis: &RadialBasis, weights: &[f64], g: usize) -> Lanes {
+        let mut de = [0.0; LANES];
+        for (kk, &wk) in weights.iter().enumerate() {
+            let dp = self.dphi(basis, kk, g);
+            for l in 0..LANES {
+                de[l] += dp[l] * wk;
+            }
+        }
+        de
+    }
+
+    /// `erow[k] += φ_k` for each live pair of group `g`, in pair order.
+    #[inline(always)]
+    fn add_energy_row(&self, g: usize, erow: &mut [f64]) {
+        for (e, row) in erow.iter_mut().zip(&self.phi) {
+            for &p in &row[g][..self.live(g)] {
+                *e += p;
+            }
+        }
+    }
+
+    /// `e + Σ_k φ_k w_k` for pair `c`, added in `k` order.
+    #[inline(always)]
+    fn add_energy(&self, c: usize, weights: &[f64], mut e: f64) -> f64 {
+        for (row, wk) in self.phi.iter().zip(weights) {
+            e += row.as_flattened()[c] * wk;
+        }
+        e
     }
 }
 
@@ -249,29 +396,51 @@ impl DesignBlock {
         assert!(forces.is_empty() || forces.len() == n, "one force label per atom");
         let mut erow = [0.0; MAX_BASIS];
         if forces.is_empty() {
-            basis.for_each_pair(&ls.structure, |_, _, _, _, phi| {
-                for (e, p) in erow.iter_mut().zip(phi) {
-                    *e += p;
-                }
-            });
+            basis.for_each_tile(
+                &ls.structure,
+                #[inline(always)]
+                |tile, g| tile.add_energy_row(g, &mut erow[..k]),
+            );
             return DesignBlock { dim: k, energy: ls.energy, values: erow[..k].to_vec() };
         }
-        let mut frows = vec![0.0; 3 * n * k];
-        let mut dphi = [0.0; MAX_BASIS];
-        basis.for_each_pair(&ls.structure, |i, j, dvec, r, phi| {
-            for (e, p) in erow.iter_mut().zip(phi) {
-                *e += p;
-            }
-            basis.derivs(r, phi, &mut dphi);
-            for alpha in 0..3 {
-                let u = dvec[alpha] / r;
-                for (kk, dp) in dphi[..k].iter().enumerate() {
-                    let contrib = -dp * u;
-                    frows[(i * 3 + alpha) * k + kk] += contrib;
-                    frows[(j * 3 + alpha) * k + kk] -= contrib;
+        // Force rows `kp` apart, padded to whole lane groups; each element
+        // takes its pairs' terms in pair order.
+        let kp = k.next_multiple_of(LANES);
+        let mut frows = vec![0.0; 3 * n * kp];
+        basis.for_each_tile(
+            &ls.structure,
+            #[inline(always)]
+            |tile, g| {
+                tile.add_energy_row(g, &mut erow[..k]);
+                // The group's `φ'_k`, lane-wise, then one row per pair.
+                let mut dphi = [[0.0; MAX_BASIS]; LANES];
+                for kk in 0..k {
+                    let dp = tile.dphi(basis, kk, g);
+                    for (row, dp) in dphi.iter_mut().zip(dp) {
+                        row[kk] = dp;
+                    }
                 }
-            }
-        });
+                let pairs = tile.ij[g * LANES..][..tile.live(g)].iter().zip(&dphi);
+                for (l, (&(i, j), dphi)) in pairs.enumerate() {
+                    for alpha in 0..3 {
+                        let u = tile.dvec[alpha][g][l] / tile.r[g][l];
+                        let (below, fj) = frows.split_at_mut((j * 3 + alpha) * kp);
+                        let fi = &mut below[(i * 3 + alpha) * kp..][..kp];
+                        let rows = fi.chunks_exact_mut(LANES).zip(fj.chunks_exact_mut(LANES));
+                        for ((fi, fj), dp) in rows.zip(dphi.chunks_exact(LANES)) {
+                            // Both rows are read before either is written:
+                            // the loads and stores vectorize without an
+                            // alias check.
+                            let contrib: Lanes = from_fn(|l| -dp[l] * u);
+                            let to_i: Lanes = from_fn(|l| fi[l] + contrib[l]);
+                            let to_j: Lanes = from_fn(|l| fj[l] - contrib[l]);
+                            fi.copy_from_slice(&to_i);
+                            fj.copy_from_slice(&to_j);
+                        }
+                    }
+                }
+            },
+        );
         let mut values = vec![0.0; k + packed_len(k) + k];
         let (head, rhs) = values.split_at_mut(k + packed_len(k));
         let (row, upper) = head.split_at_mut(k);
@@ -280,9 +449,9 @@ impl DesignBlock {
         // per pass, then the `3n % 4` left over one at a time.
         let targets = forces.as_flattened();
         let quads = targets.len() / 4 * 4;
-        let (f4, f1) = frows.split_at(quads * k);
-        for (f, t) in f4.chunks_exact(4 * k).zip(targets.chunks_exact(4)) {
-            let f: [&[f64]; 4] = std::array::from_fn(|q| &f[q * k..][..k]);
+        let (f4, f1) = frows.split_at(quads * kp);
+        for (f, t) in f4.chunks_exact(4 * kp).zip(targets.chunks_exact(4)) {
+            let f: [&[f64]; 4] = from_fn(|q| &f[q * kp..][..k]);
             let mut at = 0;
             for i in 0..k {
                 add_scaled_rows(&mut upper[at..at + k - i], f.map(|f| f[i]), f.map(|f| &f[i..]));
@@ -290,7 +459,8 @@ impl DesignBlock {
             }
             add_scaled_rows(rhs, [t[0], t[1], t[2], t[3]], f);
         }
-        for (f, &t) in f1.chunks_exact(k).zip(&targets[quads..]) {
+        for (f, &t) in f1.chunks_exact(kp).zip(&targets[quads..]) {
+            let f = &f[..k];
             let mut at = 0;
             for (i, &a) in f.iter().enumerate() {
                 add_scaled_row(&mut upper[at..at + k - i], a, &f[i..]);
@@ -455,15 +625,17 @@ impl PairPotential {
         };
         let mut out = vec![vec![0.0; batch.len()]; members.len()];
         for (b, s) in batch.iter().enumerate() {
-            basis.for_each_pair(s, |_, _, _, _, phi| {
-                for (model, energies) in members.iter().zip(&mut out) {
-                    let mut energy = energies[b];
-                    for (p, wk) in phi.iter().zip(&model.weights) {
-                        energy += p * wk;
+            basis.for_each_tile(
+                s,
+                #[inline(always)]
+                |tile, g| {
+                    for c in g * LANES..g * LANES + tile.live(g) {
+                        for (model, energies) in members.iter().zip(&mut out) {
+                            energies[b] = tile.add_energy(c, &model.weights, energies[b]);
+                        }
                     }
-                    energies[b] = energy;
-                }
-            });
+                },
+            );
         }
         out
     }
@@ -475,24 +647,26 @@ impl PairPotential {
     /// The forces never read the energy, so both get the same bits.
     #[inline(always)]
     fn accumulate<const ENERGY: bool>(&self, s: &Structure, forces: &mut [Vec3]) -> f64 {
-        let mut dphi = [0.0; MAX_BASIS];
         let mut energy = 0.0;
         forces.fill([0.0; 3]);
-        self.basis.for_each_pair(s, |i, j, dvec, r, phi| {
-            self.basis.derivs(r, phi, &mut dphi);
-            let mut de = 0.0;
-            for ((p, dp), wk) in phi.iter().zip(&dphi).zip(&self.weights) {
-                if ENERGY {
-                    energy += p * wk;
+        self.basis.for_each_tile(
+            s,
+            #[inline(always)]
+            |tile, g| {
+                let de = tile.de(&self.basis, &self.weights, g);
+                let scale: Lanes = from_fn(|l| -de[l] / tile.r[g][l]);
+                let f: [Lanes; 3] = from_fn(|a| from_fn(|l| scale[l] * tile.dvec[a][g][l]));
+                for (l, &(i, j)) in tile.ij[g * LANES..][..tile.live(g)].iter().enumerate() {
+                    if ENERGY {
+                        energy = tile.add_energy(g * LANES + l, &self.weights, energy);
+                    }
+                    for alpha in 0..3 {
+                        forces[i][alpha] += f[alpha][l];
+                        forces[j][alpha] -= f[alpha][l];
+                    }
                 }
-                de += dp * wk;
-            }
-            let scale = -de / r;
-            for alpha in 0..3 {
-                forces[i][alpha] += scale * dvec[alpha];
-                forces[j][alpha] -= scale * dvec[alpha];
-            }
-        });
+            },
+        );
         energy
     }
 }
@@ -509,11 +683,15 @@ impl EnergyModel for PairPotential {
 
     fn energy(&self, s: &Structure) -> f64 {
         let mut energy = 0.0;
-        self.basis.for_each_pair(s, |_, _, _, _, phi| {
-            for (p, wk) in phi.iter().zip(&self.weights) {
-                energy += p * wk;
-            }
-        });
+        self.basis.for_each_tile(
+            s,
+            #[inline(always)]
+            |tile, g| {
+                for c in g * LANES..g * LANES + tile.live(g) {
+                    energy = tile.add_energy(c, &self.weights, energy);
+                }
+            },
+        );
         energy
     }
 }
@@ -528,7 +706,8 @@ mod tests {
     use proptest::prelude::*;
 
     /// The references. `values`/`eval` evaluate one pair's basis, its two
-    /// `exp` on their own: what `RadialBasis::for_each_pair` must match
+    /// `exp` on their own and its recurrence (`walk`) and derivatives
+    /// (`derivs`) one pair at a time: what a [`Tile`]'s lanes must match
     /// bit for bit. `exp_values`/`exp_derivs` give each centre its
     /// own `exp`: the accuracy reference the recurrence must stay
     /// within 1e-14 of. `design` is the stacked-row builder as it stood
@@ -543,14 +722,44 @@ mod tests {
         use super::*;
 
         pub fn values(b: &RadialBasis, r: f64, phi: &mut [f64]) {
-            let (s, d) = b.nearest(r);
+            let (s, d) = b.nearest(&b.grid(), r);
             let (phi_s, g_s) = (exp(-d * d * b.inv_two_w2), exp(b.two_a_step * d - b.a_step2));
-            b.walk(s, phi_s, g_s, phi);
+            walk(b, s, phi_s, g_s, phi);
+        }
+
+        /// `φ_k(r)` for every centre into `phi[..k]`, from `φ_s` and `g_s`
+        /// at the nearest centre `s`: forward `φ_{j+1} = φ_j·g` with `g ←
+        /// g·q`, backward `φ_{j-1} = φ_j·h` with `h ← h·q` from `h_s =
+        /// q/g_s`.
+        fn walk(b: &RadialBasis, s: usize, phi_s: f64, g_s: f64, phi: &mut [f64]) {
+            let (back, fwd) = phi[..b.dim()].split_at_mut(s);
+            let (mut p, mut g) = (phi_s, g_s);
+            fwd[0] = phi_s;
+            for v in &mut fwd[1..] {
+                p *= g;
+                g *= b.q;
+                *v = p;
+            }
+            let (mut p, mut h) = (phi_s, b.q / g_s);
+            for v in back.iter_mut().rev() {
+                p *= h;
+                h *= b.q;
+                *v = p;
+            }
+        }
+
+        /// `φ'_k(r) = -(d_k/w²)·φ_k = -2a·d_k·φ_k` into `dphi[..k]`, from
+        /// `phi = φ_k(r)`.
+        fn derivs(b: &RadialBasis, r: f64, phi: &[f64], dphi: &mut [f64]) {
+            let two_a = 2.0 * b.inv_two_w2;
+            for ((dp, p), &c) in dphi.iter_mut().zip(phi).zip(&b.centers) {
+                *dp = -((r - c) * two_a) * p;
+            }
         }
 
         pub fn eval(b: &RadialBasis, r: f64, phi: &mut [f64], dphi: &mut [f64]) {
             values(b, r, phi);
-            b.derivs(r, &phi[..b.dim()], dphi);
+            derivs(b, r, &phi[..b.dim()], dphi);
         }
 
         pub fn block_values(ls: &LabelledStructure, basis: &RadialBasis) -> Vec<f64> {
@@ -645,7 +854,7 @@ mod tests {
             }
         }
 
-        fn derivs(b: &RadialBasis, r: f64, out: &mut [f64]) {
+        fn dphi(b: &RadialBasis, r: f64, out: &mut [f64]) {
             eval(b, r, &mut [0.0; MAX_BASIS], out);
         }
 
@@ -674,7 +883,7 @@ mod tests {
                     let n = ls.structure.n_atoms();
                     let mut frows = vec![vec![0.0; k]; n * 3];
                     for (i, j, dvec, r) in ls.structure.pairs() {
-                        derivs(basis, r, &mut phi);
+                        dphi(basis, r, &mut phi);
                         for alpha in 0..3 {
                             let u = dvec[alpha] / r;
                             for (kk, dp) in phi.iter().enumerate() {
@@ -706,7 +915,7 @@ mod tests {
                 for (p, wk) in phi.iter().zip(&m.weights) {
                     energy += p * wk;
                 }
-                derivs(&m.basis, r, &mut phi);
+                dphi(&m.basis, r, &mut phi);
                 for (dp, wk) in phi.iter().zip(&m.weights) {
                     de += dp * wk;
                 }
@@ -841,58 +1050,88 @@ mod tests {
         }
 
         #[test]
-        fn chunked_basis_bit_identical_to_per_pair_values_on_every_arm(
+        fn lane_tile_bit_identical_to_per_pair_reference_on_every_arm(
             seed in 0u64..500,
-            atoms in 2usize..=20,
-            stretch in 0usize..3,
+            which in 0usize..4,
         ) {
             let mut rng = SimRng::from_seed(seed);
-            let bases = [RadialBasis::default_for_clusters(), RadialBasis::new(9, 0.5, 3.0, 0.25)];
-            let basis = &bases[rng.below(2)];
-            // Stretched clusters reach pairs beyond 20 Å, whose `φ_s`
-            // argument is past −512: their chunks take `exp`'s cold path.
-            let big_atoms = 17 + rng.below(4);
-            let mut cluster = |n| {
-                let mut s = jittered_cluster(n, 1.12, 0.45, &mut rng);
-                let scale = [1.0, 2.0, 8.0][stretch];
-                s.positions.iter_mut().flatten().for_each(|x| *x *= scale);
-                s
+            let basis = match which {
+                0 => RadialBasis::new(2, 0.6, 3.2, 0.9),
+                1 => RadialBasis::new(9, 0.5, 3.0, 0.25),
+                2 => RadialBasis::default_for_clusters(),
+                _ => RadialBasis::new(MAX_BASIS, 0.6, 3.2, 0.12),
             };
-            let (s, big) = (cluster(atoms), cluster(big_atoms));
-            type Seen = Vec<(usize, usize, Vec<u64>, u64, Vec<u64>)>;
-            let per_pair = |pairs: &mut dyn Iterator<Item = (usize, usize, Vec3, f64)>| -> Seen {
-                let mut phi = [0.0; MAX_BASIS];
-                pairs
-                    .map(|(i, j, dvec, r)| {
-                        reference::values(basis, r, &mut phi);
-                        (i, j, bits(&dvec), r.to_bits(), bits(&phi[..basis.dim()]))
+            let k = basis.dim();
+            let weights: Vec<f64> = (0..k).map(|_| rng.standard_normal()).collect();
+            let (first, last) = (basis.centers[0], basis.centers[k - 1]);
+            // Below the first centre (`s` clamps to 0), on the grid, beyond
+            // the last (`s` clamps to k − 1), and stretched past 40 Å,
+            // where `φ_s`'s argument is below −512: a chunk holding one
+            // takes `exp`'s cold path.
+            let pairs: Vec<(usize, usize, Vec3, f64)> = (0..130)
+                .map(|c| {
+                    let r = match rng.below(8) {
+                        0 => first * rng.unit(),
+                        1 => last + 2.0 * rng.unit(),
+                        2 => 40.0 + 10.0 * rng.unit(),
+                        _ => first + (last - first) * rng.unit(),
+                    };
+                    let dvec = [0.6 * r, -0.8 * r * rng.unit(), r * rng.standard_normal()];
+                    (c % 9, 9 + c % 4, dvec, r)
+                })
+                .collect();
+            type Pair = (usize, usize, Vec<u64>, u64, Vec<u64>, Vec<u64>, u64);
+            // What a tile yields: each live pair with its basis,
+            // derivatives and `Σ φ'_k w_k`, then the energy row and the
+            // energy, summed pair by pair over the chunks.
+            let want = |m: usize| -> (Vec<Pair>, Vec<u64>, u64) {
+                let (mut phi, mut dphi) = ([0.0; MAX_BASIS], [0.0; MAX_BASIS]);
+                let (mut erow, mut energy) = (vec![0.0; k], 0.0);
+                let seen = pairs[..m]
+                    .iter()
+                    .map(|&(i, j, dvec, r)| {
+                        reference::eval(&basis, r, &mut phi, &mut dphi);
+                        let de = dphi.iter().zip(&weights).fold(0.0, |de, (dp, wk)| de + dp * wk);
+                        for ((e, p), wk) in erow.iter_mut().zip(&phi).zip(&weights) {
+                            *e += p;
+                            energy += p * wk;
+                        }
+                        let (phi, dphi) = (bits(&phi[..k]), bits(&dphi[..k]));
+                        (i, j, bits(&dvec), r.to_bits(), phi, dphi, de.to_bits())
                     })
-                    .collect()
+                    .collect();
+                (seen, bits(&erow), energy.to_bits())
             };
-            let chunked = |arm, pairs: &mut dyn Iterator<Item = (usize, usize, Vec3, f64)>| {
-                let mut seen = Seen::new();
-                basis.for_each_pair_on(arm, pairs, |i, j, dvec, r, phi| {
-                    seen.push((i, j, bits(&dvec), r.to_bits(), bits(phi)));
+            let got = |arm, m: usize| -> (Vec<Pair>, Vec<u64>, u64) {
+                let (mut seen, mut erow, mut energy) = (Vec::new(), vec![0.0; k], 0.0);
+                // Every output starts as NaN, dead lanes included.
+                let mut tile = Tile::new();
+                (tile.dvec, tile.r) = ([[[f64::NAN; LANES]; GROUPS]; 3], [[f64::NAN; LANES]; GROUPS]);
+                tile.phi = [[[f64::NAN; LANES]; GROUPS]; MAX_BASIS];
+                let pairs = pairs[..m].iter().copied();
+                basis.for_each_tile_on(arm, pairs, &mut tile, #[inline(always)] |tile, g| {
+                    tile.add_energy_row(g, &mut erow);
+                    let de = tile.de(&basis, &weights, g);
+                    for l in 0..tile.live(g) {
+                        let (i, j) = tile.ij[g * LANES + l];
+                        let dvec = tile.dvec.map(|comp| comp[g][l]);
+                        let phi: Vec<f64> = tile.phi[..k].iter().map(|row| row[g][l]).collect();
+                        let dphi: Vec<f64> = (0..k).map(|kk| tile.dphi(&basis, kk, g)[l]).collect();
+                        let r = tile.r[g][l].to_bits();
+                        seen.push((i, j, bits(&dvec), r, bits(&phi), bits(&dphi), de[l].to_bits()));
+                        energy = tile.add_energy(g * LANES + l, &weights, energy);
+                    }
                 });
-                seen
+                (seen, bits(&erow), energy.to_bits())
             };
-            // The whole cluster, then 0, 1, 63, 64, 65 and 130 pairs:
-            // either side of each chunk edge.
-            let want = per_pair(&mut s.pairs());
-            prop_assert_eq!(want.len(), atoms * (atoms - 1) / 2);
-            for arm in dispatch::tests::supported_arms() {
-                prop_assert_eq!(&chunked(arm, &mut s.pairs()), &want, "{:?}", arm);
-                for m in [0, 1, 63, 64, 65, 130] {
-                    let want = per_pair(&mut big.pairs().take(m));
-                    prop_assert_eq!(want.len(), m);
-                    prop_assert_eq!(chunked(arm, &mut big.pairs().take(m)), want, "{:?} {}", arm, m);
+            // Either side of each lane-group and chunk edge.
+            for m in [0, 1, 7, 8, 9, 63, 64, 65, 130] {
+                let want = want(m);
+                prop_assert_eq!(want.0.len(), m);
+                for arm in dispatch::tests::supported_arms() {
+                    prop_assert_eq!(&got(arm, m), &want, "{:?}, {} pairs", arm, m);
                 }
             }
-            let mut seen = Seen::new();
-            basis.for_each_pair(&s, |i, j, dvec, r, phi| {
-                seen.push((i, j, bits(&dvec), r.to_bits(), bits(phi)));
-            });
-            prop_assert_eq!(seen, want);
         }
 
         #[test]
