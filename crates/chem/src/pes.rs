@@ -10,15 +10,15 @@
 //! **A chunk of pairs per `exp` pass.** [`MorsePes`] evaluates its
 //! in-cutoff pairs (`r > cutoff` is skipped) 64 at a time: each term's
 //! `exp` over the chunk in one [`hetflow_sim::num::exp_in_place`] pass,
-//! which vectorizes at the baseline width (this crate has no dispatch to
-//! wider clones), then each pair's terms combined in term order, then the
-//! energy sum and the force scatter pair by pair. Every sum sees its terms
-//! in the order one pair at a time gives them, so the bits are those of
-//! the scalar loop; `energy`, `forces_into` and `energy_forces` share the
-//! one loop body and agree bit for bit.
+//! then each pair's terms combined in term order, both lane-wise in the
+//! widest clone ([`hetflow_sim::num::dispatch`]), then the energy sum and
+//! the force scatter pair by pair. Every sum sees its terms in the order
+//! one pair at a time gives them, so the bits are those of the scalar
+//! loop on every clone; `energy`, `forces_into` and `energy_forces` share
+//! the one loop body and agree bit for bit.
 
 use crate::clusters::{Structure, Vec3};
-use hetflow_sim::num::{exp, exp_in_place};
+use hetflow_sim::num::{dispatch, exp, exp_in_place};
 
 /// In-cutoff pairs [`MorsePes`] takes per pass of `exp`.
 const CHUNK: usize = 64;
@@ -194,17 +194,27 @@ impl MorsePes {
 impl EnergyModel for MorsePes {
     fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
         let mut forces = vec![[0.0; 3]; s.n_atoms()];
-        (self.accumulate::<true, true>(s, &mut forces), forces)
+        let energy = dispatch(
+            #[inline(always)]
+            || self.accumulate::<true, true>(s, &mut forces),
+        );
+        (energy, forces)
     }
 
     fn forces_into(&self, s: &Structure, forces: &mut [Vec3]) {
-        self.accumulate::<false, true>(s, forces);
+        dispatch(
+            #[inline(always)]
+            || self.accumulate::<false, true>(s, forces),
+        );
     }
 
     /// The energy of [`EnergyModel::energy_forces`], bit for bit, without
     /// the slopes.
     fn energy(&self, s: &Structure) -> f64 {
-        self.accumulate::<true, false>(s, &mut [])
+        dispatch(
+            #[inline(always)]
+            || self.accumulate::<true, false>(s, &mut []),
+        )
     }
 }
 
@@ -246,8 +256,13 @@ pub fn force_rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
 mod tests {
     use super::*;
     use crate::clusters::{jittered_cluster, solvated_methane};
+    use hetflow_sim::num::{run_on, supported_arms, Arm};
     use hetflow_sim::SimRng;
     use proptest::prelude::*;
+
+    fn bits(f: &[Vec3]) -> Vec<u64> {
+        f.iter().flatten().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn morse_minimum_at_r0() {
@@ -288,17 +303,48 @@ mod tests {
         (energy, forces)
     }
 
+    /// What `energy_forces`, `energy` and `forces_into` (into a NaN-filled
+    /// buffer) return when their body runs in `arm`'s clone.
+    fn kernels_on(arm: Arm, pes: &MorsePes, s: &Structure) -> (f64, Vec<Vec3>, f64, Vec<Vec3>) {
+        run_on(
+            arm,
+            #[inline(always)]
+            || {
+                let mut f = vec![[0.0; 3]; s.n_atoms()];
+                let e = pes.accumulate::<true, true>(s, &mut f);
+                let mut f_only = vec![[f64::NAN; 3]; s.n_atoms()];
+                pes.accumulate::<false, true>(s, &mut f_only);
+                (e, f, pes.accumulate::<true, false>(s, &mut []), f_only)
+            },
+        )
+    }
+
+    /// The three kernels on every arm the host supports, and through the
+    /// dispatcher, against [`two_exp_energy_forces`].
+    fn assert_kernels_match_two_exp_terms(pes: &MorsePes, s: &Structure, case: &str) {
+        let (e_ref, f_ref) = two_exp_energy_forces(pes, s);
+        for arm in supported_arms() {
+            let (e, f, e_only, f_only) = kernels_on(arm, pes, s);
+            assert_eq!(e.to_bits(), e_ref.to_bits(), "energy_forces on {arm:?}, {case}");
+            assert_eq!(e_only.to_bits(), e_ref.to_bits(), "energy on {arm:?}, {case}");
+            assert_eq!(bits(&f), bits(&f_ref), "energy_forces on {arm:?}, {case}");
+            assert_eq!(bits(&f_only), bits(&f_ref), "forces_into on {arm:?}, {case}");
+        }
+        let (e, f) = pes.energy_forces(s);
+        let mut f_only = vec![[f64::NAN; 3]; s.n_atoms()];
+        pes.forces_into(s, &mut f_only);
+        assert_eq!(e.to_bits(), e_ref.to_bits(), "energy_forces, {case}");
+        assert_eq!(pes.energy(s).to_bits(), e_ref.to_bits(), "energy, {case}");
+        assert_eq!(bits(&f), bits(&f_ref), "energy_forces, {case}");
+        assert_eq!(bits(&f_only), bits(&f_ref), "forces_into, {case}");
+    }
+
     #[test]
     fn energy_forces_bit_identical_to_two_exp_terms() {
         for pes in [MorsePes::approx(), MorsePes::reference()] {
             for seed in 0..20 {
                 let s = solvated_methane(seed);
-                let (e, f) = pes.energy_forces(&s);
-                let (e_ref, f_ref) = two_exp_energy_forces(&pes, &s);
-                assert_eq!(e.to_bits(), e_ref.to_bits(), "seed {seed}");
-                assert_eq!(pes.energy(&s).to_bits(), e_ref.to_bits(), "energy, seed {seed}");
-                let bits = |f: &[Vec3]| f.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&f), bits(&f_ref), "seed {seed}");
+                assert_kernels_match_two_exp_terms(&pes, &s, &format!("seed {seed}"));
             }
         }
     }
@@ -321,9 +367,8 @@ mod tests {
     }
 
     #[test]
-    fn chunked_kernels_bit_identical_to_two_exp_terms_at_chunk_edges() {
+    fn chunked_kernels_bit_identical_to_two_exp_terms_at_chunk_edges_on_every_arm() {
         let mut rng = SimRng::from_seed(54);
-        let bits = |f: &[Vec3]| f.iter().flatten().map(|x| x.to_bits()).collect::<Vec<_>>();
         for pes in [MorsePes::approx(), MorsePes::reference()] {
             for m in [0, 1, 63, 64, 65] {
                 for at_cutoff in [false, true] {
@@ -331,15 +376,8 @@ mod tests {
                     let inside = s.pairs().filter(|p| p.3 <= pes.cutoff).count();
                     assert_eq!(inside, m + usize::from(at_cutoff));
                     assert_eq!(s.pairs().any(|p| p.3 == pes.cutoff), at_cutoff);
-                    let (e_ref, f_ref) = two_exp_energy_forces(&pes, &s);
-                    let (e, f) = pes.energy_forces(&s);
-                    let mut f_only = vec![[f64::NAN; 3]; s.n_atoms()];
-                    pes.forces_into(&s, &mut f_only);
-                    let case = format!("{} in cutoff, one at it: {at_cutoff}", m);
-                    assert_eq!(e.to_bits(), e_ref.to_bits(), "energy_forces, {case}");
-                    assert_eq!(pes.energy(&s).to_bits(), e_ref.to_bits(), "energy, {case}");
-                    assert_eq!(bits(&f), bits(&f_ref), "energy_forces, {case}");
-                    assert_eq!(bits(&f_only), bits(&f_ref), "forces_into, {case}");
+                    let case = format!("{m} in cutoff, one at it: {at_cutoff}");
+                    assert_kernels_match_two_exp_terms(&pes, &s, &case);
                 }
             }
         }
@@ -360,9 +398,6 @@ mod tests {
                 let (_, want) = pes.energy_forces(&s);
                 let mut got = vec![[f64::NAN; 3]; atoms];
                 pes.forces_into(&s, &mut got);
-                let bits = |f: &[Vec3]| -> Vec<u64> {
-                    f.as_flattened().iter().map(|x| x.to_bits()).collect()
-                };
                 prop_assert_eq!(bits(&got), bits(&want));
             }
         }

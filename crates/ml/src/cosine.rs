@@ -6,10 +6,10 @@
 //! same bits on every IEEE-754 target, within 2 ulp of 1.0 of libm — and
 //! branch-free in range, so a loop over it vectorizes: two lanes in the
 //! baseline SSE2 clone, four in the AVX2 clone and eight in the AVX-512
-//! clone, whichever `crate::dispatch` picks for the CPU. The clones
-//! return the same bits: Rust emits no contracted multiply-add, the
-//! crate has no `mul_add`, and every lane evaluates its own argument's
-//! sequence of operations.
+//! clone, whichever `hetflow_sim::num::dispatch` picks for the CPU. The
+//! clones return the same bits: Rust emits no contracted multiply-add,
+//! the crate has no `mul_add`, and every lane evaluates its own
+//! argument's sequence of operations.
 
 /// Below this magnitude the reduction is exact: `PIO2_1`/`PIO2_2` carry
 /// 33 significant bits, so `n * PIO2_x` is exact while `|n| < 2^20`, and

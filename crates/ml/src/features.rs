@@ -13,12 +13,13 @@
 //! and cosine and scale are one vectorized pass over a stack tile. Each
 //! feature still sums `k = 0..d_in` in order from `-0.0` (as
 //! `Iterator::sum` does), so a value never depends on tiling or on which
-//! rows share a block. The entry points run their bodies through the
-//! crate's `dispatch`, so the kernel also has AVX2 and AVX-512 clones.
+//! rows share a block. The entry points run their bodies through
+//! `hetflow_sim::num::dispatch`, so the kernel also has AVX2 and AVX-512
+//! clones.
 
 use crate::cosine::scaled_cos_in_place;
-use crate::dispatch::dispatch;
 use crate::linalg::Matrix;
+use hetflow_sim::num::dispatch;
 use hetflow_sim::SimRng;
 
 /// Features per kernel tile.

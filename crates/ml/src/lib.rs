@@ -48,7 +48,6 @@
 #![allow(clippy::needless_range_loop, reason = "index loops are clearest for numeric kernels")]
 
 mod cosine;
-mod dispatch;
 pub mod ensemble;
 pub mod features;
 pub mod linalg;

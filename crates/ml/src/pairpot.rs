@@ -18,8 +18,8 @@
 //! division, then multiplies outward — every ratio ≤ 1, so tails
 //! underflow to zero and never meet `inf`. The `exp` is
 //! [`hetflow_sim::num::exp`]. Pairs are evaluated a chunk of up to 64 at
-//! a time, one pair per vector lane, in the widest clone
-//! (`crate::dispatch`): a `Tile` holds the chunk's basis as a `[k][pair]`
+//! a time, one pair per vector lane: a `Tile` holds the chunk's pairs and
+//! the basis of the group of eight lanes being walked as a `[k][lane]`
 //! array. Both `exp` passes, the backward and forward recurrences (each
 //! lane masked to the steps its own nearest centre takes), the
 //! derivatives and each pair's `Σ_k φ'_k w_k` run lane-wise, every lane
@@ -27,7 +27,8 @@
 //! Only the force scatter and the energy sums, whose bits depend on pair
 //! order, go pair by pair. The tile is the one place the basis is
 //! evaluated, for training rows and inference alike, and it allocates
-//! nothing.
+//! nothing. Every public kernel here runs its body in the widest clone
+//! ([`hetflow_sim::num::dispatch`]).
 //!
 //! **Normal equations per structure.** A fit's rows depend on the
 //! structure and the basis only — not on the fit weights, not on which
@@ -39,10 +40,12 @@
 //! system: no stacked design matrix, and a block that many fits bag is
 //! multiplied out once. A campaign that refits on mostly unchanged data
 //! builds each block once and bags references. Rows go into the sums
-//! four per pass, each element still adding its rows in order, so the
-//! bits are those of one row per pass. Every accumulator in the
-//! inference kernels sees its terms in pair-then-`k` order, so
-//! [`PairPotential::energies_many`] is bit-identical to per-member calls,
+//! four per pass and over whole `k`-wide rows of a square accumulator,
+//! each upper element still adding its rows in order, so the bits are
+//! those of one row per pass over the triangle; the factorization reads
+//! nothing below the diagonal. Every accumulator in the inference kernels
+//! sees its terms in pair-then-`k` order: [`PairPotential::energies_many`]
+//! carries one member per lane and is bit-identical to per-member calls,
 //! and `forces_into` to the forces of `energy_forces`.
 //!
 //! **The ensemble mean is a model.** Energies and forces are linear in
@@ -52,10 +55,9 @@
 //! 1e-14 relative. Scoring an ensemble's mean force (Fig. 7a's metric)
 //! runs one force kernel, not one per member.
 
-use crate::dispatch::{self, Arm};
 use crate::linalg::{add_scaled_row, add_scaled_rows, LinalgError, Matrix};
 use hetflow_chem::{EnergyModel, Structure, Vec3};
-use hetflow_sim::num::{self, exp};
+use hetflow_sim::num::{self, dispatch, exp};
 use std::array::from_fn;
 
 /// Largest basis [`RadialBasis`] accepts: the rows of a [`Tile`].
@@ -139,39 +141,31 @@ impl RadialBasis {
 
     /// Calls `f(tile, g)` for each group of lanes of each chunk of `s`'s
     /// pairs, in [`Structure::pairs`] order, once the group's basis is in
-    /// `tile`; all of it, `f` included, runs in the widest clone
-    /// (`crate::dispatch`), where `f`'s lane-wise loops vectorize too.
-    #[inline]
+    /// `tile`. Its callers run it in their kernel's clone, where `f`'s
+    /// lane-wise loops vectorize too.
+    #[inline(always)]
     fn for_each_tile(&self, s: &Structure, f: impl FnMut(&Tile, usize)) {
-        self.for_each_tile_on(dispatch::widest(), s.pairs(), &mut Tile::new(), f);
+        self.for_each_tile_of(s.pairs(), &mut Tile::new(), f);
     }
 
-    /// [`RadialBasis::for_each_tile`] over any `pairs`, through `tile`,
-    /// in `arm`'s clone.
+    /// [`RadialBasis::for_each_tile`] over any `pairs`, through `tile`.
     #[inline(always)]
-    fn for_each_tile_on(
+    fn for_each_tile_of(
         &self,
-        arm: Arm,
         mut pairs: impl Iterator<Item = (usize, usize, Vec3, f64)>,
         tile: &mut Tile,
         mut f: impl FnMut(&Tile, usize),
     ) {
-        dispatch::run_on(
-            arm,
-            #[inline(always)]
-            || {
-                while tile.fill(&mut pairs) > 0 {
-                    let seeds = self.seeds(tile);
-                    for g in 0..tile.groups() {
-                        self.walk_lanes(tile, &seeds, g);
-                        f(tile, g);
-                    }
-                    if tile.n < CHUNK {
-                        return;
-                    }
-                }
-            },
-        );
+        while tile.fill(&mut pairs) > 0 {
+            let seeds = self.seeds(tile);
+            for g in 0..tile.groups() {
+                self.walk_lanes(tile, &seeds, g);
+                f(tile, g);
+            }
+            if tile.n < CHUNK {
+                return;
+            }
+        }
     }
 
     /// Each live pair's nearest centre `s`, `φ_s = exp(-a d_s²)` and `g_s
@@ -197,7 +191,7 @@ impl RadialBasis {
         seeds
     }
 
-    /// Group `g`'s rows of `tile.phi`, one pair per lane, each lane
+    /// Group `g`'s basis into `tile.phi`, one pair per lane, each lane
     /// walking out from its own `s`: forward `φ_{j+1} = φ_j·g` with `g ←
     /// g·q`, backward `φ_{j-1} = φ_j·h` with `h ← h·q` from `h_s = q/g_s`.
     /// Since `|d_s| ≤ Δ/2` inside the grid, `g_s, h_s ≤ 1` and only
@@ -211,7 +205,7 @@ impl RadialBasis {
         let s = seeds.near[g];
         let (mut p, mut h) = (seeds.phi_s[g], seeds.g_s[g].map(|g_s| self.q / g_s));
         for kk in (0..self.dim()).rev() {
-            let row = &mut tile.phi[kk][g];
+            let row = &mut tile.phi[kk];
             for l in 0..LANES {
                 let on = mask((kk as i32) < s[l]);
                 p[l] = select(on, p[l] * h[l], p[l]);
@@ -221,7 +215,7 @@ impl RadialBasis {
         }
         let (mut p, mut gr) = (seeds.phi_s[g], seeds.g_s[g]);
         for kk in 0..self.dim() {
-            let row = &mut tile.phi[kk][g];
+            let row = &mut tile.phi[kk];
             for l in 0..LANES {
                 let on = mask((kk as i32) > s[l]);
                 p[l] = select(on, p[l] * gr[l], p[l]);
@@ -252,9 +246,10 @@ fn select(m: u64, a: f64, b: f64) -> f64 {
     f64::from_bits((a.to_bits() & m) | (b.to_bits() & !m))
 }
 
-/// Up to `CHUNK` pairs and their basis, one pair per lane: pair `c` sits
-/// in lane `c % LANES` of group `c / LANES`. Lanes from `n` on are dead:
-/// they hold what an earlier chunk left, and no output reads them.
+/// Up to `CHUNK` pairs, one pair per lane, and the basis of one group of
+/// them: pair `c` sits in lane `c % LANES` of group `c / LANES`. Lanes
+/// from `n` on are dead: they hold what an earlier chunk left, and no
+/// output reads them.
 struct Tile {
     n: usize,
     /// Each pair's atoms `(i, j)`, `i < j`.
@@ -262,8 +257,8 @@ struct Tile {
     /// The separation vector by component, and its length `r`.
     dvec: [[Lanes; GROUPS]; 3],
     r: [Lanes; GROUPS],
-    /// `phi[kk][g][l] = φ_kk(r)`.
-    phi: [[Lanes; GROUPS]; MAX_BASIS],
+    /// `phi[kk][l] = φ_kk(r)` for lane `l` of the group last walked.
+    phi: [Lanes; MAX_BASIS],
 }
 
 impl Tile {
@@ -274,7 +269,7 @@ impl Tile {
             ij: [(0, 0); CHUNK],
             dvec: [[[0.0; LANES]; GROUPS]; 3],
             r: [[0.0; LANES]; GROUPS],
-            phi: [[[0.0; LANES]; GROUPS]; MAX_BASIS],
+            phi: [[0.0; LANES]; MAX_BASIS],
         }
     }
 
@@ -311,7 +306,7 @@ impl Tile {
     #[inline(always)]
     fn dphi(&self, basis: &RadialBasis, kk: usize, g: usize) -> Lanes {
         let (c, two_a) = (basis.centers[kk], 2.0 * basis.inv_two_w2);
-        from_fn(|l| -((self.r[g][l] - c) * two_a) * self.phi[kk][g][l])
+        from_fn(|l| -((self.r[g][l] - c) * two_a) * self.phi[kk][l])
     }
 
     /// `Σ_k φ'_k w_k` of group `g`'s lanes, each lane summing in `k` order.
@@ -331,17 +326,18 @@ impl Tile {
     #[inline(always)]
     fn add_energy_row(&self, g: usize, erow: &mut [f64]) {
         for (e, row) in erow.iter_mut().zip(&self.phi) {
-            for &p in &row[g][..self.live(g)] {
+            for &p in &row[..self.live(g)] {
                 *e += p;
             }
         }
     }
 
-    /// `e + Σ_k φ_k w_k` for pair `c`, added in `k` order.
+    /// `e + Σ_k φ_k w_k` for pair `c` of the group last walked, added in
+    /// `k` order.
     #[inline(always)]
     fn add_energy(&self, c: usize, weights: &[f64], mut e: f64) -> f64 {
         for (row, wk) in self.phi.iter().zip(weights) {
-            e += row.as_flattened()[c] * wk;
+            e += row[c % LANES] * wk;
         }
         e
     }
@@ -390,6 +386,15 @@ pub struct DesignBlock {
 impl DesignBlock {
     /// Evaluates `basis` over the pairs of `ls.structure`.
     pub fn new(ls: &LabelledStructure, basis: &RadialBasis) -> Self {
+        dispatch(
+            #[inline(always)]
+            || DesignBlock::new_body(ls, basis),
+        )
+    }
+
+    /// [`DesignBlock::new`] undispatched.
+    #[inline(always)]
+    fn new_body(ls: &LabelledStructure, basis: &RadialBasis) -> Self {
         let k = basis.dim();
         let n = ls.structure.n_atoms();
         let forces = ls.forces.as_deref().unwrap_or_default();
@@ -441,55 +446,55 @@ impl DesignBlock {
                 }
             },
         );
-        let mut values = vec![0.0; k + packed_len(k) + k];
-        let (head, rhs) = values.split_at_mut(k + packed_len(k));
-        let (row, upper) = head.split_at_mut(k);
-        row.copy_from_slice(&erow[..k]);
-        // Each element sums its rows' products in row order: four rows
-        // per pass, then the `3n % 4` left over one at a time.
+        // `FᵀF` in whole rows `kp` apart, of which the upper triangle is
+        // kept.
+        let (mut ftf, mut rhs) = ([0.0; MAX_BASIS * MAX_BASIS], [0.0; MAX_BASIS]);
         let targets = forces.as_flattened();
-        let quads = targets.len() / 4 * 4;
-        let (f4, f1) = frows.split_at(quads * kp);
-        for (f, t) in f4.chunks_exact(4 * kp).zip(targets.chunks_exact(4)) {
-            let f: [&[f64]; 4] = from_fn(|q| &f[q * kp..][..k]);
-            let mut at = 0;
-            for i in 0..k {
-                add_scaled_rows(&mut upper[at..at + k - i], f.map(|f| f[i]), f.map(|f| &f[i..]));
-                at += k - i;
-            }
-            add_scaled_rows(rhs, [t[0], t[1], t[2], t[3]], f);
+        let row = |r: usize| (&frows[r * kp..][..kp], targets[r]);
+        fold_rows(&mut ftf, kp, &mut rhs[..k], targets.len(), row, 1.0);
+        let mut values = Vec::with_capacity(k + packed_len(k) + k);
+        values.extend_from_slice(&erow[..k]);
+        for (i, row) in ftf.chunks_exact(kp).take(k).enumerate() {
+            values.extend_from_slice(&row[i..k]);
         }
-        for (f, &t) in f1.chunks_exact(kp).zip(&targets[quads..]) {
-            let f = &f[..k];
-            let mut at = 0;
-            for (i, &a) in f.iter().enumerate() {
-                add_scaled_row(&mut upper[at..at + k - i], a, &f[i..]);
-                at += k - i;
-            }
-            add_scaled_row(rhs, t, f);
-        }
+        values.extend_from_slice(&rhs[..k]);
         DesignBlock { dim: k, energy: ls.energy, values }
     }
 }
 
-/// Adds energy rows' terms, `ew·e eᵀ` to `gram`'s upper triangle and
-/// `ew·t·e` to `rhs`, for each `(e, t)` in `rows`: four rows per pass
-/// when there are four, else one at a time. Each element adds its rows'
-/// products in row order either way.
-fn add_energy_rows(gram: &mut Matrix, rhs: &mut [f64], rows: &[(&[f64], f64)], ew: f64) {
-    if let &[r0, r1, r2, r3] = rows {
-        let e = [r0.0, r1.0, r2.0, r3.0];
-        for i in 0..rhs.len() {
-            add_scaled_rows(&mut gram.row_mut(i)[i..], e.map(|e| ew * e[i]), e.map(|e| &e[i..]));
+/// Adds `w·x xᵀ` to `acc`, whose rows sit `stride` apart, and `w·t·x` to
+/// `rhs`, for each of the `n` rows `(x, t) = row(r)`, `x` at least
+/// `stride` long: four rows per pass, then the `n % 4` left over one at a
+/// time, each over the whole of `acc`'s first `rhs.len()` rows. Every
+/// element adds its rows' products in row order, a zero coefficient
+/// skipped ([`add_scaled_rows`]), so each upper element gets the bits of
+/// one row per pass over the triangle. The strict lower triangle takes
+/// the mirror products, which no reader reads.
+#[inline(always)]
+fn fold_rows<'a>(
+    acc: &mut [f64],
+    stride: usize,
+    rhs: &mut [f64],
+    n: usize,
+    row: impl Fn(usize) -> (&'a [f64], f64),
+    w: f64,
+) {
+    let k = rhs.len();
+    let quads = n / 4 * 4;
+    for r in (0..quads).step_by(4) {
+        let quad: [(&[f64], f64); 4] = from_fn(|q| row(r + q));
+        let (x, t) = (quad.map(|(x, _)| x), quad.map(|(_, t)| t));
+        for (i, out) in acc.chunks_exact_mut(stride).take(k).enumerate() {
+            add_scaled_rows(out, x.map(|x| w * x[i]), x);
         }
-        add_scaled_rows(rhs, [r0.1, r1.1, r2.1, r3.1].map(|t| ew * t), e);
-        return;
+        add_scaled_rows(rhs, t.map(|t| w * t), x);
     }
-    for &(e, t) in rows {
-        for (i, &v) in e.iter().enumerate() {
-            add_scaled_row(&mut gram.row_mut(i)[i..], ew * v, &e[i..]);
+    for r in quads..n {
+        let (x, t) = row(r);
+        for (i, out) in acc.chunks_exact_mut(stride).take(k).enumerate() {
+            add_scaled_row(out, w * x[i], x);
         }
-        add_scaled_row(rhs, ew * t, e);
+        add_scaled_row(rhs, w * t, x);
     }
 }
 
@@ -547,11 +552,24 @@ impl PairPotential {
         params: PairPotParams,
     ) -> Result<PairPotential, LinalgError> {
         assert!(!blocks.is_empty(), "cannot fit on empty data");
+        dispatch(
+            #[inline(always)]
+            move || PairPotential::fit_blocks_body(blocks, basis, params),
+        )
+    }
+
+    /// [`PairPotential::fit_blocks`] undispatched.
+    #[inline(always)]
+    fn fit_blocks_body(
+        blocks: &[&DesignBlock],
+        basis: RadialBasis,
+        params: PairPotParams,
+    ) -> Result<PairPotential, LinalgError> {
         let k = basis.dim();
         let (ew, fw) = (params.energy_weight, params.force_weight);
-        // Only the upper triangle is summed: the factorization reads no
-        // other.
-        let mut gram = Matrix::zeros(k, k);
+        // Whole rows are summed, but only the upper triangle counts: the
+        // factorization reads no other.
+        let mut gram = vec![0.0; k * k];
         let mut rhs = vec![0.0; k];
         // Energy rows wait here, up to four, and go in ahead of the next
         // force block's terms, so each element keeps bag order.
@@ -563,7 +581,7 @@ impl PairPotential {
             held[n_held] = (erow, b.energy);
             n_held += 1;
             if n_held == 4 || !normal.is_empty() {
-                add_energy_rows(&mut gram, &mut rhs, &held[..n_held], ew);
+                fold_rows(&mut gram, k, &mut rhs, n_held, |r| held[r], ew);
                 n_held = 0;
             }
             if normal.is_empty() {
@@ -572,17 +590,18 @@ impl PairPotential {
             let (upper, ft) = normal.split_at(packed_len(k));
             let mut at = 0;
             for (i, &f) in ft.iter().enumerate() {
-                for (g, &v) in gram.row_mut(i)[i..].iter_mut().zip(&upper[at..at + k - i]) {
+                for (g, &v) in gram[i * k + i..][..k - i].iter_mut().zip(&upper[at..at + k - i]) {
                     *g += fw * v;
                 }
                 at += k - i;
                 rhs[i] += fw * f;
             }
         }
-        add_energy_rows(&mut gram, &mut rhs, &held[..n_held], ew);
+        fold_rows(&mut gram, k, &mut rhs, n_held, |r| held[r], ew);
         // No intercept: forces fix the gauge; an energy offset would be
         // unidentifiable from forces alone. The jitter keeps the factor
         // defined at lambda = 0, as `Ridge` does.
+        let mut gram = Matrix::from_vec(k, k, gram);
         gram.add_diag(params.lambda.max(1e-10));
         let w = gram.cholesky()?.solve_matrix(Matrix::from_vec(k, 1, rhs));
         let weights = (0..k).map(|i| w[(i, 0)]).collect();
@@ -616,26 +635,57 @@ impl PairPotential {
     }
 
     /// `out[m][b]`, member `m`'s energy of `batch[b]`, from one basis
-    /// evaluation per pair when the members share a basis (an
-    /// ensemble's do): bit-identical to [`EnergyModel::energy`] per
-    /// member and structure.
+    /// evaluation per pair and `LANES` members when the members share a
+    /// basis (an ensemble's do): bit-identical to [`EnergyModel::energy`]
+    /// per member and structure.
     pub fn energies_many(members: &[PairPotential], batch: &[Structure]) -> Vec<Vec<f64>> {
         let Some(basis) = PairPotential::shared_basis(members) else {
             return members.iter().map(|m| batch.iter().map(|s| m.energy(s)).collect()).collect();
         };
+        dispatch(
+            #[inline(always)]
+            || PairPotential::shared_energies(basis, members, batch),
+        )
+    }
+
+    /// [`PairPotential::energies_many`] undispatched, for members that
+    /// share `basis`: one member per lane, up to `LANES` at a time, their
+    /// weights transposed to `[k][lane]`. Each lane adds its own member's
+    /// `φ_k w_k` in pair-then-`k` order, as [`Tile::add_energy`] does.
+    #[inline(always)]
+    fn shared_energies(
+        basis: &RadialBasis,
+        members: &[PairPotential],
+        batch: &[Structure],
+    ) -> Vec<Vec<f64>> {
+        let k = basis.dim();
         let mut out = vec![vec![0.0; batch.len()]; members.len()];
-        for (b, s) in batch.iter().enumerate() {
-            basis.for_each_tile(
-                s,
-                #[inline(always)]
-                |tile, g| {
-                    for c in g * LANES..g * LANES + tile.live(g) {
-                        for (model, energies) in members.iter().zip(&mut out) {
-                            energies[b] = tile.add_energy(c, &model.weights, energies[b]);
+        for (group, out) in members.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let mut w = [[0.0; LANES]; MAX_BASIS];
+            for (l, member) in group.iter().enumerate() {
+                for (row, &wk) in w.iter_mut().zip(&member.weights) {
+                    row[l] = wk;
+                }
+            }
+            for (b, s) in batch.iter().enumerate() {
+                let mut e = [0.0; LANES];
+                basis.for_each_tile(
+                    s,
+                    #[inline(always)]
+                    |tile, g| {
+                        for l in 0..tile.live(g) {
+                            for (row, w) in tile.phi[..k].iter().zip(&w) {
+                                for m in 0..LANES {
+                                    e[m] += row[l] * w[m];
+                                }
+                            }
                         }
-                    }
-                },
-            );
+                    },
+                );
+                for (energies, e) in out.iter_mut().zip(e) {
+                    energies[b] = e;
+                }
+            }
         }
         out
     }
@@ -674,25 +724,37 @@ impl PairPotential {
 impl EnergyModel for PairPotential {
     fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
         let mut forces = vec![[0.0; 3]; s.n_atoms()];
-        (self.accumulate::<true>(s, &mut forces), forces)
+        let energy = dispatch(
+            #[inline(always)]
+            || self.accumulate::<true>(s, &mut forces),
+        );
+        (energy, forces)
     }
 
     fn forces_into(&self, s: &Structure, forces: &mut [Vec3]) {
-        self.accumulate::<false>(s, forces);
+        dispatch(
+            #[inline(always)]
+            || self.accumulate::<false>(s, forces),
+        );
     }
 
     fn energy(&self, s: &Structure) -> f64 {
-        let mut energy = 0.0;
-        self.basis.for_each_tile(
-            s,
+        dispatch(
             #[inline(always)]
-            |tile, g| {
-                for c in g * LANES..g * LANES + tile.live(g) {
-                    energy = tile.add_energy(c, &self.weights, energy);
-                }
+            || {
+                let mut energy = 0.0;
+                self.basis.for_each_tile(
+                    s,
+                    #[inline(always)]
+                    |tile, g| {
+                        for c in g * LANES..g * LANES + tile.live(g) {
+                            energy = tile.add_energy(c, &self.weights, energy);
+                        }
+                    },
+                );
+                energy
             },
-        );
-        energy
+        )
     }
 }
 
@@ -702,6 +764,7 @@ mod tests {
     use hetflow_chem::{
         force_rmsd, jittered_cluster, numerical_forces, pretraining_set, MorsePes,
     };
+    use hetflow_sim::num::{run_on, supported_arms};
     use hetflow_sim::SimRng;
     use proptest::prelude::*;
 
@@ -933,6 +996,16 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Bases of 2, 9, 24 and 32 centres.
+    fn test_basis(which: usize) -> RadialBasis {
+        match which {
+            0 => RadialBasis::new(2, 0.6, 3.2, 0.9),
+            1 => RadialBasis::new(9, 0.5, 3.0, 0.25),
+            2 => RadialBasis::default_for_clusters(),
+            _ => RadialBasis::new(MAX_BASIS, 0.6, 3.2, 0.12),
+        }
+    }
+
     /// `n` clusters of 2–8 atoms, each with force labels or without.
     fn mixed_data(n: usize, rng: &mut SimRng) -> Vec<LabelledStructure> {
         let pes = MorsePes::approx();
@@ -1055,12 +1128,7 @@ mod tests {
             which in 0usize..4,
         ) {
             let mut rng = SimRng::from_seed(seed);
-            let basis = match which {
-                0 => RadialBasis::new(2, 0.6, 3.2, 0.9),
-                1 => RadialBasis::new(9, 0.5, 3.0, 0.25),
-                2 => RadialBasis::default_for_clusters(),
-                _ => RadialBasis::new(MAX_BASIS, 0.6, 3.2, 0.12),
-            };
+            let basis = test_basis(which);
             let k = basis.dim();
             let weights: Vec<f64> = (0..k).map(|_| rng.standard_normal()).collect();
             let (first, last) = (basis.centers[0], basis.centers[k - 1]);
@@ -1107,20 +1175,24 @@ mod tests {
                 // Every output starts as NaN, dead lanes included.
                 let mut tile = Tile::new();
                 (tile.dvec, tile.r) = ([[[f64::NAN; LANES]; GROUPS]; 3], [[f64::NAN; LANES]; GROUPS]);
-                tile.phi = [[[f64::NAN; LANES]; GROUPS]; MAX_BASIS];
+                tile.phi = [[f64::NAN; LANES]; MAX_BASIS];
                 let pairs = pairs[..m].iter().copied();
-                basis.for_each_tile_on(arm, pairs, &mut tile, #[inline(always)] |tile, g| {
-                    tile.add_energy_row(g, &mut erow);
-                    let de = tile.de(&basis, &weights, g);
-                    for l in 0..tile.live(g) {
-                        let (i, j) = tile.ij[g * LANES + l];
-                        let dvec = tile.dvec.map(|comp| comp[g][l]);
-                        let phi: Vec<f64> = tile.phi[..k].iter().map(|row| row[g][l]).collect();
-                        let dphi: Vec<f64> = (0..k).map(|kk| tile.dphi(&basis, kk, g)[l]).collect();
-                        let r = tile.r[g][l].to_bits();
-                        seen.push((i, j, bits(&dvec), r, bits(&phi), bits(&dphi), de[l].to_bits()));
-                        energy = tile.add_energy(g * LANES + l, &weights, energy);
-                    }
+                run_on(arm, #[inline(always)] || {
+                    basis.for_each_tile_of(pairs, &mut tile, #[inline(always)] |tile, g| {
+                        tile.add_energy_row(g, &mut erow);
+                        let de = tile.de(&basis, &weights, g);
+                        for l in 0..tile.live(g) {
+                            let (i, j) = tile.ij[g * LANES + l];
+                            let dvec = tile.dvec.map(|comp| comp[g][l]);
+                            let phi: Vec<f64> = tile.phi[..k].iter().map(|row| row[l]).collect();
+                            let dphi: Vec<f64> =
+                                (0..k).map(|kk| tile.dphi(&basis, kk, g)[l]).collect();
+                            let r = tile.r[g][l].to_bits();
+                            let de = de[l].to_bits();
+                            seen.push((i, j, bits(&dvec), r, bits(&phi), bits(&dphi), de));
+                            energy = tile.add_energy(g * LANES + l, &weights, energy);
+                        }
+                    });
                 });
                 (seen, bits(&erow), energy.to_bits())
             };
@@ -1128,32 +1200,59 @@ mod tests {
             for m in [0, 1, 7, 8, 9, 63, 64, 65, 130] {
                 let want = want(m);
                 prop_assert_eq!(want.0.len(), m);
-                for arm in dispatch::tests::supported_arms() {
+                for arm in supported_arms() {
                     prop_assert_eq!(&got(arm, m), &want, "{:?}, {} pairs", arm, m);
                 }
             }
         }
 
         #[test]
-        fn four_row_folds_bit_identical_to_one_row_per_pass(
+        fn full_row_folds_bit_identical_to_one_row_per_pass_on_every_arm(
             seed in 0u64..500,
+            which in 0usize..4,
             n_force in 0usize..4,
         ) {
             let mut rng = SimRng::from_seed(seed);
-            let basis = RadialBasis::default_for_clusters();
+            let basis = test_basis(which);
+            let k = basis.dim();
             let (approx, reference) = (MorsePes::approx(), MorsePes::reference());
-            // 2–20 atoms, so `3n % 4` takes every value.
-            let mut labelled = |pes: &MorsePes, with_forces| {
-                let s = jittered_cluster(2 + rng.below(19), 1.12, 0.45, &mut rng);
-                LabelledStructure::from_model(&s, pes, with_forces)
+            // Exact zeros, either sign, in up to two entries of a block's
+            // energy row: their coefficients send a quad down the per-row
+            // path.
+            let zero_some = |block: &mut DesignBlock, rng: &mut SimRng| {
+                for _ in 0..rng.below(3) {
+                    block.values[rng.below(k)] = [0.0, -0.0][rng.below(2)];
+                }
             };
-            let energy_only: Vec<DesignBlock> =
-                (0..6).map(|_| DesignBlock::new(&labelled(&approx, false), &basis)).collect();
+            let energy_only: Vec<DesignBlock> = (0..6)
+                .map(|_| {
+                    let s = jittered_cluster(2 + rng.below(19), 1.12, 0.45, &mut rng);
+                    let ls = LabelledStructure::from_model(&s, &approx, false);
+                    let mut block = DesignBlock::new(&ls, &basis);
+                    zero_some(&mut block, &mut rng);
+                    block
+                })
+                .collect();
             let mut with_forces = Vec::new();
             for _ in 0..3 {
-                let ls = labelled(&reference, true);
-                let block = DesignBlock::new(&ls, &basis);
-                prop_assert_eq!(bits(&block.values), bits(&reference::block_values(&ls, &basis)));
+                // 2–20 atoms, so `3n % 4` takes every value. In half the
+                // clusters one atom sits 60 Å off: its `φ'` underflow, so
+                // its three force rows and their labels are exact zeros.
+                let mut s = jittered_cluster(2 + rng.below(19), 1.12, 0.45, &mut rng);
+                if rng.below(2) == 0 {
+                    let a = rng.below(s.n_atoms());
+                    s.positions[a][0] += 60.0;
+                }
+                let ls = LabelledStructure::from_model(&s, &reference, true);
+                let want = bits(&reference::block_values(&ls, &basis));
+                for arm in supported_arms() {
+                    let new = DesignBlock::new_body;
+                    let block = run_on(arm, #[inline(always)] || new(&ls, &basis));
+                    prop_assert_eq!(&bits(&block.values), &want, "block on {:?}", arm);
+                }
+                let mut block = DesignBlock::new(&ls, &basis);
+                prop_assert_eq!(&bits(&block.values), &want, "block");
+                zero_some(&mut block, &mut rng);
                 with_forces.push(block);
             }
             // A shuffled bag: runs of 0–7 energy-only blocks around
@@ -1173,9 +1272,76 @@ mod tests {
                 energy_weight: 0.05 + 10.0 * rng.unit(),
                 force_weight: 0.05 + 10.0 * rng.unit(),
             };
-            let got = PairPotential::fit_blocks(&bag, basis.clone(), params);
-            let want = reference::fit_blocks(&bag, basis, params);
-            prop_assert_eq!(got.map(|m| bits(&m.weights)), want.map(|m| bits(&m.weights)));
+            let want = reference::fit_blocks(&bag, basis.clone(), params).map(|m| bits(&m.weights));
+            for arm in supported_arms() {
+                let (fit, bag, basis) = (PairPotential::fit_blocks_body, &bag, basis.clone());
+                let got = run_on(arm, #[inline(always)] move || fit(bag, basis, params));
+                let got = got.map(|m| bits(&m.weights));
+                prop_assert_eq!(got, want.clone(), "fit on {:?}", arm);
+            }
+            let got = PairPotential::fit_blocks(&bag, basis, params);
+            prop_assert_eq!(got.map(|m| bits(&m.weights)), want, "fit");
+        }
+
+        #[test]
+        fn fold_rows_keep_the_per_row_zero_skip_on_every_arm(
+            seed in 0u64..1000,
+            k in 1usize..=MAX_BASIS,
+            n in 0usize..10,
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            // Rows, accumulators and the weight mix normals with ±0, ±∞
+            // and NaN: where a coefficient is zero, the skip alone decides
+            // whether `0·∞` lands and whether a `-0` accumulator stays `-0`.
+            let draw = |rng: &mut SimRng| match rng.below(16) {
+                0 | 1 => 0.0,
+                2 | 3 => -0.0,
+                4 => [f64::INFINITY, f64::NEG_INFINITY][rng.below(2)],
+                5 => f64::NAN,
+                _ => rng.standard_normal(),
+            };
+            let stride = [k, k.next_multiple_of(LANES)][rng.below(2)];
+            let rows: Vec<(Vec<f64>, f64)> = (0..n)
+                .map(|_| ((0..stride).map(|_| draw(&mut rng)).collect(), draw(&mut rng)))
+                .collect();
+            let acc0: Vec<f64> = (0..k * stride).map(|_| draw(&mut rng)).collect();
+            let rhs0: Vec<f64> = (0..k).map(|_| draw(&mut rng)).collect();
+            let w = [1.0, 0.05 + 10.0 * rng.unit(), draw(&mut rng)][rng.below(3)];
+            // One row per pass over the upper triangle, a zero coefficient
+            // skipped, as `add_scaled_row` skips it.
+            let (mut acc, mut rhs) = (acc0.clone(), rhs0.clone());
+            for (x, t) in &rows {
+                for i in 0..k {
+                    let a = w * x[i];
+                    if a != 0.0 {
+                        for j in i..k {
+                            acc[i * stride + j] += a * x[j];
+                        }
+                    }
+                }
+                let a = w * t;
+                if a != 0.0 {
+                    for j in 0..k {
+                        rhs[j] += a * x[j];
+                    }
+                }
+            }
+            // Bits, every NaN as one: a NaN's payload follows operand
+            // order, which codegen may commute.
+            let key = |v: &[f64]| -> Vec<u64> {
+                v.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
+            };
+            let upper = |acc: &[f64]| -> Vec<u64> {
+                (0..k).flat_map(|i| key(&acc[i * stride + i..i * stride + k])).collect()
+            };
+            for arm in supported_arms() {
+                let (mut got, mut got_rhs) = (acc0.clone(), rhs0.clone());
+                let row = |r: usize| (&rows[r].0[..], rows[r].1);
+                let out = (&mut got, &mut got_rhs);
+                run_on(arm, #[inline(always)] || fold_rows(out.0, stride, out.1, n, row, w));
+                prop_assert_eq!(upper(&got), upper(&acc), "upper triangle on {:?}", arm);
+                prop_assert_eq!(key(&got_rhs), key(&rhs), "rhs on {:?}", arm);
+            }
         }
     }
 
@@ -1209,12 +1375,15 @@ mod tests {
 
     proptest! {
         #[test]
-        fn many_member_kernels_bit_identical_to_per_member_calls(
+        fn many_member_kernels_bit_identical_to_per_member_calls_on_every_arm(
             seed in 0u64..2000,
-            n_members in 1usize..=8,
+            mi in 0usize..5,
             n_structures in 1usize..4,
             mixed in 0usize..4,
         ) {
+            // One member, a lane group short of, at and one past eight, and
+            // a third group of one.
+            let n_members = [1, 7, 8, 9, 17][mi];
             let mut rng = SimRng::from_seed(seed);
             let mut members = random_members(n_members, &mut rng);
             if mixed == 0 {
@@ -1230,11 +1399,21 @@ mod tests {
             let batch: Vec<Structure> = (0..n_structures)
                 .map(|_| jittered_cluster(2 + rng.below(11), 1.12, 0.45, &mut rng))
                 .collect();
+            let all_bits = |out: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                out.iter().map(|e| bits(e)).collect()
+            };
+            let want: Vec<Vec<u64>> = members
+                .iter()
+                .map(|m| bits(&batch.iter().map(|s| m.energy(s)).collect::<Vec<_>>()))
+                .collect();
             let energies = PairPotential::energies_many(&members, &batch);
-            prop_assert_eq!(energies.len(), members.len());
-            for (m, of_member) in members.iter().zip(&energies) {
-                let want: Vec<f64> = batch.iter().map(|s| m.energy(s)).collect();
-                prop_assert_eq!(bits(of_member), bits(&want));
+            prop_assert_eq!(all_bits(&energies), want.clone());
+            if let Some(basis) = PairPotential::shared_basis(&members) {
+                let lanes = PairPotential::shared_energies;
+                for arm in supported_arms() {
+                    let got = run_on(arm, #[inline(always)] || lanes(basis, &members, &batch));
+                    prop_assert_eq!(all_bits(&got), want.clone(), "{:?}", arm);
+                }
             }
         }
 

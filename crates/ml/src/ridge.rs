@@ -4,8 +4,8 @@
 //! fewer. Both give the same weights; only the cost and the rounding
 //! differ.
 
-use crate::dispatch::dispatch;
 use crate::linalg::{LinalgError, Matrix};
+use hetflow_sim::num::dispatch;
 
 /// A fitted linear model `y = W x (+ intercept)`.
 #[derive(Clone, Debug)]
@@ -121,12 +121,27 @@ fn dual(x: Matrix, y: Matrix, lambda: f64) -> Result<Matrix, LinalgError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::dispatch::tests::fit_bits;
     use crate::linalg::tests::copying_cholesky;
     use hetflow_sim::SimRng;
     use proptest::prelude::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A matrix's rows as bits.
+    pub(crate) fn rows(m: &Matrix) -> Vec<Vec<u64>> {
+        (0..m.rows()).map(|i| bits(m.row(i))).collect()
+    }
+
+    type FitBits = Result<(Vec<Vec<u64>>, Vec<u64>), LinalgError>;
+
+    /// A fit's weight rows and intercepts as bits, or its error.
+    pub(crate) fn fit_bits(fit: Result<Ridge, LinalgError>) -> FitBits {
+        fit.map(|m| (rows(m.weights()), bits(m.intercepts())))
+    }
 
     /// The fit as it stood when it centred copies of borrowed inputs and
     /// factored a copy of the Gram matrix: the in-place fit's reference,

@@ -6,10 +6,10 @@
 //! active-learning campaign with repeated retraining is cheap to
 //! simulate while the *learning dynamics* stay real.
 
-use crate::dispatch::dispatch;
 use crate::features::{RandomFourierFeatures, BLOCK, TILE};
 use crate::linalg::LinalgError;
 use crate::ridge::Ridge;
+use hetflow_sim::num::dispatch;
 use hetflow_sim::SimRng;
 
 /// Hyperparameters of the RFF-ridge surrogate.
@@ -117,7 +117,10 @@ impl RffRidge {
 mod tests {
     use super::*;
     use crate::features::tests::naive_transform;
+    use crate::linalg::Matrix;
+    use crate::ridge::tests::{fit_bits, rows};
     use hetflow_chem::MoleculeLibrary;
+    use hetflow_sim::num::{run_on, supported_arms};
     use proptest::prelude::*;
 
     /// The reference prediction: naive features, then `Ridge::predict`'s
@@ -160,6 +163,73 @@ mod tests {
                 prop_assert_eq!(bits(z_batch.row(i)), bits(&z), "transform_batch row {}", i);
                 prop_assert_eq!(bits(&model.rff.transform(x)), bits(&z), "transform row {}", i);
             }
+        }
+    }
+
+    /// Batch sizes: empty, single, partial blocks, one block plus a tail.
+    const N: [usize; 6] = [0, 1, 2, 3, 5, 9];
+    /// Feature counts around the lane group (8) and the tile (64).
+    const D: [usize; 7] = [1, 7, 8, 63, 64, 65, 384];
+
+    proptest! {
+        // Each entry point's body run in every clone the host supports,
+        // and each entry point through the dispatcher (the widest clone),
+        // against the body called from here, which is compiled at the
+        // baseline level.
+        #[test]
+        fn dispatched_and_baseline_bodies_are_bit_identical(
+            seed in 0u64..1000,
+            ni in 0usize..N.len(),
+            d_in in 1usize..=16,
+            di in 0usize..D.len(),
+        ) {
+            let (n, d_out) = (N[ni], D[di]);
+            let mut rng = SimRng::from_seed(seed);
+            let draw = |rng: &mut SimRng| -> Vec<f64> {
+                (0..d_in).map(|_| 2.0 * rng.standard_normal()).collect()
+            };
+            let train: Vec<Vec<f64>> = (0..12).map(|_| draw(&mut rng)).collect();
+            let targets: Vec<f64> = train.iter().map(|x| x[0].sin() + x.len() as f64).collect();
+            let params = SurrogateParams { n_features: d_out, lengthscale: 1.5, lambda: 1e-3 };
+            let model = RffRidge::fit(&train, &targets, params, &mut rng).unwrap();
+            let xs: Vec<Vec<f64>> = (0..n).map(|_| draw(&mut rng)).collect();
+            let rff = RandomFourierFeatures::sample(d_in, d_out, 1.5, &mut rng);
+            let k = 1 + rng.below(3);
+            let y = Matrix::from_vec(n, k, (0..n * k).map(|_| rng.standard_normal()).collect());
+
+            let mut body = vec![f64::NAN; n];
+            model.predict_batch_body(|i| &xs[i], &mut body);
+            let z = rff.transform_batch_body(&xs);
+            let fit_body = fit_bits(Ridge::fit_multi_body(z.clone(), y.clone(), 1e-3));
+
+            for arm in supported_arms() {
+                let mut clone = vec![f64::NAN; n];
+                run_on(arm, #[inline(always)] || model.predict_batch_body(|i| &xs[i], &mut clone));
+                prop_assert_eq!(bits(&clone), bits(&body), "predict_batch on {:?}", arm);
+                for x in &xs {
+                    let one = run_on(arm, #[inline(always)] || model.score([x])[0]);
+                    prop_assert_eq!(one.to_bits(), model.score([x])[0].to_bits(), "predict on {:?}", arm);
+                }
+                let zc = run_on(arm, #[inline(always)] || rff.transform_batch_body(&xs));
+                prop_assert_eq!(rows(&zc), rows(&z), "transform_batch on {:?}", arm);
+                let (zc, yc) = (z.clone(), y.clone());
+                let fit = run_on(arm, #[inline(always)] move || Ridge::fit_multi_body(zc, yc, 1e-3));
+                prop_assert_eq!(fit_bits(fit), fit_body.clone(), "fit_multi on {:?}", arm);
+            }
+
+            let mut entry = vec![f64::NAN; n];
+            model.predict_batch(|i| &xs[i], &mut entry);
+            prop_assert_eq!(bits(&entry), bits(&body), "predict_batch");
+            for x in &xs {
+                prop_assert_eq!(model.predict(x).to_bits(), model.score([x])[0].to_bits(), "predict");
+            }
+            prop_assert_eq!(rows(&rff.transform_batch(&xs)), rows(&z), "transform_batch");
+            for (i, x) in xs.iter().enumerate() {
+                let alone = rff.transform_batch_body(&[x]);
+                prop_assert_eq!(bits(&rff.transform(x)), bits(alone.row(0)), "transform");
+                prop_assert_eq!(bits(alone.row(0)), bits(z.row(i)), "transform row {}", i);
+            }
+            prop_assert_eq!(fit_bits(Ridge::fit_multi(z, y, 1e-3)), fit_body, "fit_multi");
         }
     }
 

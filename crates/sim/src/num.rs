@@ -19,6 +19,21 @@
 //! beyond it, and for NaN and ±∞, [`exp`] takes glibc's special-case
 //! path: overflow to `+∞`, results in the subnormal range rounded once,
 //! underflow to `+0`.
+//!
+//! **One source, three clones.** [`dispatch`] runs a kernel body inside
+//! a `#[target_feature(enable = "avx512f")]` function when the CPU
+//! reports AVX-512F, inside an `avx2` one when it reports AVX2, and
+//! plainly otherwise (and off x86-64), so LLVM compiles each kernel three
+//! times from the same source (baseline SSE2, AVX2, AVX-512) and the CPU
+//! chooses at run time; no option or build flag is involved. Each clone
+//! is the same sequence of IEEE-754 operations in wider registers:
+//! `avx512f` implies `fma`, but Rust never contracts `a * b + c`, the
+//! workspace has no `mul_add`, and no reduction is split across lanes,
+//! so every clone returns the same bits (CI's disassembly guard checks
+//! that none holds an FMA). A `#[target_feature]` function changes only
+//! the code inlined into it, so each body closure and every kernel
+//! function it reaches is `#[inline(always)]`; a callee left out of line
+//! runs its baseline copy.
 
 /// `N/ln 2`, `−ln 2/N` in two parts (the high one ends in 17 zero bits,
 /// so `k·NEG_LN2_HI_N` is exact for `|k| < 2¹⁷`), and the rounding shift
@@ -200,10 +215,101 @@ fn exp_special(x: f64, abstop: u32) -> f64 {
     f64::MIN_POSITIVE * y
 }
 
+/// A clone of the kernels, narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arm {
+    /// The target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// Compiled with `avx2` enabled.
+    Avx2,
+    /// Compiled with `avx512f` enabled.
+    Avx512,
+}
+
+impl Arm {
+    const ALL: [Arm; 3] = [Arm::Baseline, Arm::Avx2, Arm::Avx512];
+
+    /// Whether the CPU reports every feature this arm's clone is compiled
+    /// with: rustc's `avx512f` also enables `avx2`, `fma` and `f16c`.
+    fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        use std::arch::is_x86_feature_detected as has;
+        match self {
+            Arm::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => has!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => has!("avx512f") && has!("avx2") && has!("fma") && has!("f16c"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Arm::Avx2 | Arm::Avx512 => false,
+        }
+    }
+}
+
+/// Every arm this CPU can run, narrowest first: what a bit-for-bit test
+/// runs a body on through [`run_on`].
+pub fn supported_arms() -> impl Iterator<Item = Arm> {
+    Arm::ALL.into_iter().filter(|arm| arm.supported())
+}
+
+/// The widest arm the CPU supports.
+fn widest() -> Arm {
+    Arm::ALL.into_iter().rfind(|arm| arm.supported()).unwrap_or(Arm::Baseline)
+}
+
+/// Runs `body` in the widest clone the CPU supports.
+#[inline(always)]
+pub fn dispatch<R>(body: impl FnOnce() -> R) -> R {
+    run_on(widest(), body)
+}
+
+/// Runs `body` in `arm`'s clone. Panics if the CPU lacks `arm`'s features.
+#[inline(always)]
+pub fn run_on<R>(arm: Arm, body: impl FnOnce() -> R) -> R {
+    assert!(arm.supported(), "this CPU cannot run the {arm:?} clone");
+    #[cfg(target_arch = "x86_64")]
+    if arm != Arm::Baseline {
+        // SAFETY: a clone needs nothing but the features it is compiled
+        // with, which `Arm::supported` just found the CPU reports
+        // (`is_x86_feature_detected!`).
+        #[allow(unsafe_code, reason = "the workspace's one unsafe block; see SAFETY above")]
+        return unsafe {
+            match arm {
+                Arm::Avx512 => avx512(body),
+                _ => avx2(body),
+            }
+        };
+    }
+    body()
+}
+
+/// `body`, with everything inlined into it compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
+/// `body`, with everything inlined into it compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512<R>(body: impl FnOnce() -> R) -> R {
+    body()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::fnv1a;
+
+    #[test]
+    #[expect(clippy::print_stdout, reason = "the test log names the arms this host exercised")]
+    fn dispatch_runs_the_widest_supported_arm() {
+        let arms: Vec<Arm> = supported_arms().collect();
+        assert_eq!(arms.first(), Some(&Arm::Baseline));
+        assert_eq!(arms.last(), Some(&widest()));
+        println!("num::dispatch: arms exercised {arms:?}, entry points run {:?}", widest());
+    }
 
     /// FNV-1a over the bits of `xs`' images under [`exp`].
     fn pin(xs: impl Iterator<Item = f64>) -> u64 {
@@ -345,6 +451,11 @@ mod tests {
             exp_in_place(chunk);
         }
         assert_eq!(xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+        for arm in supported_arms() {
+            let mut ys: Vec<f64> = (-2000..2000).map(|i| f64::from(i) * 0.3).collect();
+            run_on(arm, #[inline(always)] || ys.chunks_mut(1000).for_each(exp_in_place));
+            assert_eq!(ys.iter().map(|y| y.to_bits()).collect::<Vec<_>>(), want, "{arm:?}");
+        }
         let mut tile = [0.5, f64::NAN, -800.0, 1e-20, 600.0];
         let want = tile.map(|x| exp(x).to_bits());
         exp_in_place(&mut tile);
