@@ -7,13 +7,14 @@
 //!
 //! The science is real: simulation tasks evaluate the library's hidden
 //! IP function, training tasks fit actual RFF-ridge models on the
-//! accumulated data inside the task closure, and inference outputs are
-//! genuine model scores whenever they are read — so the "molecules
-//! found vs compute" curves of Fig. 6a *emerge* from how quickly each
-//! workflow configuration moves data and instructions. An inference
-//! task's scores are computed when the reorder first reads them; a
-//! round whose reorder lands after the budget, which no agent reads,
-//! is never scored.
+//! accumulated data, and inference outputs are genuine model scores —
+//! so the "molecules found vs compute" curves of Fig. 6a *emerge* from
+//! how quickly each workflow configuration moves data and instructions.
+//! Each is computed when a reorder first reads it: a training task draws
+//! its member's bag and feature map, whose transform and solve wait for
+//! the first read, and an inference task's scores wait likewise. A round
+//! whose reorder lands after the budget, which no agent reads, is never
+//! fitted or scored.
 
 use hetflow_chem::MoleculeLibrary;
 use hetflow_core::calibration::tasks as cal;
@@ -22,7 +23,7 @@ use hetflow_fabric::{TaskFn, TaskWork};
 use hetflow_ml::{bag_indices, top_k, RffRidge, SurrogateParams, DEFAULT_BAG_FRACTION};
 use hetflow_steer::{Payload, TaskRecord, Thinker};
 use hetflow_sim::{Samples, Sim, SimRng, SimTime};
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, LazyCell, OnceCell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -103,6 +104,8 @@ pub struct MolDesignOutcome {
     /// ML rounds whose ranking reached the queue before the budget ran
     /// out (at most `ml_makespans.len()`).
     pub steered_rounds: usize,
+    /// Ensemble members fitted: those whose scores a reorder read.
+    pub models_fitted: usize,
     /// CPU worker idle gaps between simulation tasks, seconds
     /// (Fig. 6b right panel).
     pub cpu_idle: Samples,
@@ -158,6 +161,8 @@ struct State {
     ml_makespans: RefCell<Samples>,
     /// Rounds whose ranking reached the queue.
     steered_rounds: Cell<usize>,
+    /// Members fitted, counted by the fits themselves.
+    models_fitted: Rc<Cell<usize>>,
     params: MolDesignParams,
 }
 
@@ -185,6 +190,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         found_curve: RefCell::new(vec![(0.0, 0)]),
         ml_makespans: RefCell::new(Samples::new()),
         steered_rounds: Cell::new(0),
+        models_fitted: Rc::new(Cell::new(0)),
         params: params.clone(),
     });
 
@@ -254,13 +260,18 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         }
         let queues = t.queues();
 
-        // Train the ensemble: one GPU task per member; the model is
-        // actually fitted inside the task.
+        // Train the ensemble: one GPU task per member; the task draws
+        // the model, which is fitted when its scores are first read.
         let n = st.params.ensemble_size;
         for member in 0..n {
             let duration = cal::moldesign_train_duration().sample(&mut rng2);
             let member_rng = rng2.substream(1000 + member as u64);
-            let compute = train_task(Rc::clone(&st.lib), Rc::clone(&database), member_rng, duration);
+            let member = Member {
+                lib: Rc::clone(&st.lib),
+                database: Rc::clone(&database),
+                fits: Rc::clone(&st.models_fitted),
+            };
+            let compute = train_task(member, member_rng, duration);
             let payload = Payload::shared(database.clone(), train_payload(&database));
             queues.submit("train", vec![payload], compute).await;
         }
@@ -289,7 +300,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         // of aborting it.
         let mut launched = 0usize;
         for _ in 0..n {
-            let Some(model) = t.next_value::<RffRidge>("train").await? else { continue };
+            let Some(model) = t.next_value::<Model>("train").await? else { continue };
             let duration = cal::moldesign_infer_duration().sample(&mut rng2);
             let compute = infer_task(Rc::clone(&st.lib), model, duration);
             let mut payloads = vec![Payload::new((), cal::MOLDESIGN_INFER_WEIGHTS_BYTES)];
@@ -302,7 +313,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         }
         // Gather the score sets and reorder the queue by UCB, unless the
         // budget ran out meanwhile: then nothing pops the queue again,
-        // and the scores are never computed.
+        // and the models are never fitted nor the scores computed.
         let mut score_sets: Vec<Rc<Scores>> = Vec::with_capacity(launched);
         for _ in 0..launched {
             score_sets.extend(t.next_value::<Scores>("infer").await?);
@@ -327,6 +338,7 @@ pub fn run(sim: &Sim, deployment: &Deployment, params: MolDesignParams) -> MolDe
         found_curve: state.found_curve.borrow().clone(),
         ml_makespans: state.ml_makespans.borrow().clone(),
         steered_rounds: state.steered_rounds.get(),
+        models_fitted: state.models_fitted.get(),
         cpu_idle: deployment.cpu_pool.idle_gaps(),
         records: deployment.queues.records(),
         end: sim.now(),
@@ -345,26 +357,47 @@ fn simulate_task(lib: Rc<MoleculeLibrary>, id: usize, duration: f64) -> TaskFn {
     })
 }
 
-fn train_task(
+/// What one member's model is drawn and fitted from.
+#[derive(Clone)]
+struct Member {
     lib: Rc<MoleculeLibrary>,
+    /// The round's training database.
     database: Rc<Vec<(usize, f64)>>,
-    member_rng: SimRng,
-    duration: f64,
-) -> TaskFn {
+    /// The campaign's count of fitted members.
+    fits: Rc<Cell<usize>>,
+}
+
+impl Member {
+    /// What a `train` task draws from its member stream, in
+    /// `RffRidge::fit`'s order: the bag, then the feature map. The
+    /// transform and the solve draw nothing; they wait for the first read.
+    fn draw(self, rng: &mut SimRng) -> Model {
+        let bag = bag_indices(self.database.len(), DEFAULT_BAG_FRACTION, rng);
+        let map = RffRidge::draw(hetflow_chem::N_FEATURES, SurrogateParams::default(), rng);
+        LazyCell::new(Box::new(move || {
+            let inputs: Vec<&[f64]> =
+                bag.iter().map(|&i| self.lib.features(self.database[i].0)).collect();
+            let targets: Vec<f64> = bag.iter().map(|&i| self.database[i].1).collect();
+            self.fits.set(self.fits.get() + 1);
+            #[expect(
+                clippy::expect_used,
+                reason = "the ridge term keeps the normal matrix positive definite, so the fit \
+                          fails only on non-finite training data: an invariant violation, not a \
+                          runtime fault"
+            )]
+            map.solve(&inputs, &targets).expect("surrogate fit failed")
+        }))
+    }
+}
+
+/// One ensemble member: a `train` task's output, fitted when first
+/// forced. A round nobody reorders with is never fitted.
+type Model = LazyCell<RffRidge, Box<dyn FnOnce() -> RffRidge>>;
+
+fn train_task(member: Member, member_rng: SimRng, duration: f64) -> TaskFn {
     let member_rng = RefCell::new(member_rng);
     Rc::new(move |_ctx| {
-        let mut member_rng = member_rng.borrow_mut();
-        let bag = bag_indices(database.len(), DEFAULT_BAG_FRACTION, &mut member_rng);
-        let inputs: Vec<&[f64]> = bag.iter().map(|&i| lib.features(database[i].0)).collect();
-        let targets: Vec<f64> = bag.iter().map(|&i| database[i].1).collect();
-        #[expect(
-            clippy::expect_used,
-            reason = "the ridge term keeps the normal matrix positive definite, so the fit \
-                      fails only on non-finite training data: an invariant violation, not a \
-                      runtime fault"
-        )]
-        let model = RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut member_rng)
-            .expect("surrogate fit failed");
+        let model = member.clone().draw(&mut member_rng.borrow_mut());
         TaskWork::new(model, cal::MOLDESIGN_TRAIN_BYTES, hetflow_sim::time::secs(duration))
     })
 }
@@ -374,7 +407,7 @@ fn train_task(
 /// scored.
 struct Scores {
     lib: Rc<MoleculeLibrary>,
-    model: Rc<RffRidge>,
+    model: Rc<Model>,
     values: OnceCell<Vec<f64>>,
 }
 
@@ -383,13 +416,13 @@ impl Scores {
         self.values.get_or_init(|| {
             // The library's feature table, scored straight into the vector.
             let mut scores = vec![0.0; self.lib.len()];
-            self.model.predict_batch(|i| self.lib.features(i), &mut scores);
+            LazyCell::force(&self.model).predict_batch(|i| self.lib.features(i), &mut scores);
             scores
         })
     }
 }
 
-fn infer_task(lib: Rc<MoleculeLibrary>, model: Rc<RffRidge>, duration: f64) -> TaskFn {
+fn infer_task(lib: Rc<MoleculeLibrary>, model: Rc<Model>, duration: f64) -> TaskFn {
     Rc::new(move |_ctx| {
         let lib = Rc::clone(&lib);
         let scores = Scores { lib, model: Rc::clone(&model), values: OnceCell::new() };
@@ -517,24 +550,73 @@ mod tests {
     fn infer_round_scores_equal_per_molecule_predict() {
         // One round as the ML agent runs it — a train task, then an
         // infer task on its model — with a library that is not a
-        // multiple of the kernel's row block. Running the task scores
-        // nothing; the first read does, and the batch entry point must
-        // agree bit for bit with `predict`.
+        // multiple of the kernel's lane group. Running the tasks fits
+        // and scores nothing; the first read does both, and the batch
+        // entry point must agree bit for bit with `predict`.
         let lib = Rc::new(MoleculeLibrary::generate(135, 21));
         let database: Vec<(usize, f64)> = (0..40).map(|i| (i * 3, lib.true_ip(i * 3))).collect();
+        let fits = Rc::new(Cell::new(0));
         let mut rng = SimRng::from_seed(4);
         let mut ctx =
             hetflow_fabric::TaskCtx { inputs: &[], rng: &mut rng, site: hetflow_store::SiteId(0) };
-        let train = train_task(Rc::clone(&lib), Rc::new(database), SimRng::from_seed(5), 1.0);
-        let model = train(&mut ctx).output.downcast::<RffRidge>().expect("a model");
+        let member =
+            Member { lib: Rc::clone(&lib), database: Rc::new(database), fits: Rc::clone(&fits) };
+        let train = train_task(member, SimRng::from_seed(5), 1.0);
+        let model = train(&mut ctx).output.downcast::<Model>().expect("a model");
         let infer = infer_task(Rc::clone(&lib), Rc::clone(&model), 1.0);
         let scores = infer(&mut ctx).output.downcast::<Scores>().expect("a score set");
-        assert!(scores.values.get().is_none(), "running the task scores nothing");
+        assert!(LazyCell::get(&model).is_none(), "running the train task fits nothing");
+        assert!(scores.values.get().is_none(), "running the infer task scores nothing");
         let scores = scores.get();
+        assert_eq!(fits.get(), 1);
         assert_eq!(scores.len(), lib.len());
         for (i, s) in scores.iter().enumerate() {
             assert_eq!(s.to_bits(), model.predict(lib.features(i)).to_bits(), "molecule {i}");
         }
+    }
+
+    #[test]
+    fn a_forced_model_is_the_eager_fit_on_the_same_member_stream() {
+        let lib = Rc::new(MoleculeLibrary::generate(300, 8));
+        let database: Vec<(usize, f64)> = (0..60).map(|i| (i * 5, lib.true_ip(i * 5))).collect();
+        let fits = Rc::new(Cell::new(0));
+        let member = Member {
+            lib: Rc::clone(&lib),
+            database: Rc::new(database.clone()),
+            fits: Rc::clone(&fits),
+        };
+        let mut rng = SimRng::from_seed(11);
+        let model = member.draw(&mut rng);
+        // The eager path the task used to run: bag, then fit.
+        let mut eager_rng = SimRng::from_seed(11);
+        let bag = bag_indices(database.len(), DEFAULT_BAG_FRACTION, &mut eager_rng);
+        let inputs: Vec<&[f64]> = bag.iter().map(|&i| lib.features(database[i].0)).collect();
+        let targets: Vec<f64> = bag.iter().map(|&i| database[i].1).collect();
+        let eager = RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut eager_rng)
+            .expect("a fit");
+        assert_eq!(format!("{rng:?}"), format!("{eager_rng:?}"), "the member stream's state");
+        assert_eq!(fits.get(), 0, "drawing fits nothing");
+        // Debug prints every field's shortest round-trip digits: equal
+        // strings are equal bits.
+        assert_eq!(format!("{:?}", LazyCell::force(&model)), format!("{eager:?}"));
+        assert_eq!(format!("{:?}", LazyCell::force(&model)), format!("{eager:?}"));
+        assert_eq!(fits.get(), 1, "a model is fitted once");
+    }
+
+    #[test]
+    fn a_round_that_ends_after_the_budget_is_never_fitted() {
+        let sim = Sim::new();
+        let d = deploy(&sim, WorkflowConfig::FnXGlobus, &quick_spec(), Tracer::disabled());
+        let params = quick_params();
+        let outcome = run(&sim, &d, params.clone());
+        let rounds = outcome.ml_makespans.len();
+        assert!(
+            (1..rounds).contains(&outcome.steered_rounds),
+            "the last round must end after the budget: {} of {rounds} steered",
+            outcome.steered_rounds
+        );
+        assert_eq!(outcome.failed + outcome.shed, 0, "no member is lost");
+        assert_eq!(outcome.models_fitted, outcome.steered_rounds * params.ensemble_size);
     }
 
     #[test]
@@ -547,6 +629,7 @@ mod tests {
             found_curve: vec![(0.0, 0), (100.0, 1), (200.0, 3)],
             ml_makespans: Samples::new(),
             steered_rounds: 0,
+            models_fitted: 0,
             cpu_idle: Samples::new(),
             records: vec![],
             end: SimTime::ZERO,

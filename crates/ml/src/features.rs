@@ -6,16 +6,19 @@
 //! our stand-in for the paper's MPNN/SchNet models, chosen because it
 //! learns the synthetic targets well and trains deterministically.
 //!
-//! Everything runs through one kernel, `RandomFourierFeatures::tile`:
-//! `W` is stored transposed (`d_in × D`, `D` zero-padded to a multiple of
-//! `TILE`) so the projection runs lane-wise across features, a block of
-//! up to `BLOCK` inputs at once with all their accumulators in registers,
-//! and cosine and scale are one vectorized pass over a stack tile. Each
-//! feature still sums `k = 0..d_in` in order from `-0.0` (as
-//! `Iterator::sum` does), so a value never depends on tiling or on which
-//! rows share a block. The entry points run their bodies through
-//! `hetflow_sim::num::dispatch`, so the kernel also has AVX2 and AVX-512
-//! clones.
+//! Everything runs through one kernel, `RandomFourierFeatures::tile`,
+//! which holds one input per vector lane: the inputs come transposed,
+//! `[k][lane]`, and `W` is stored transposed (`d_in × D`, `D` zero-padded
+//! to a multiple of `TILE`), so each weight is broadcast into the lanes.
+//! A pass projects `PASS` features of all `L` inputs, with the
+//! accumulators in registers; the `[feature][lane]` stack tile then takes
+//! phase, cosine and scale in one vectorized pass. Each feature still
+//! sums `k = 0..d_in` in order from `-0.0` (as `Iterator::sum` does), so
+//! a value never depends on tiling or on which inputs share the lanes.
+//! Batches run `LANES` inputs at a time, dead lanes padding the last
+//! group; a single input runs the same kernel one lane wide. The entry
+//! points run their bodies through `hetflow_sim::num::dispatch`, so the
+//! kernel also has AVX2 and AVX-512 clones.
 
 use crate::cosine::scaled_cos_in_place;
 use crate::linalg::Matrix;
@@ -24,12 +27,11 @@ use hetflow_sim::SimRng;
 
 /// Features per kernel tile.
 pub(crate) const TILE: usize = 64;
-/// Features per projection lane group: one load of `Wᵀ` per `k` feeds
-/// this many accumulators of every input in the block.
-const LANES: usize = 8;
-/// Inputs featurized (and scored) together: a block's `BLOCK × LANES`
-/// independent in-order chains hide each chain's add latency.
-pub(crate) const BLOCK: usize = 4;
+/// Inputs per vector in a batch: one per lane, eight `f64` to a `zmm`.
+pub(crate) const LANES: usize = 8;
+/// Features per projection pass over `LANES` inputs: each load of an
+/// input column feeds `PASS` accumulators. Eight spill in the AVX2 clone.
+pub(crate) const PASS: usize = 4;
 
 /// A fixed random feature map.
 #[derive(Clone, Debug)]
@@ -61,39 +63,64 @@ impl RandomFourierFeatures {
         RandomFourierFeatures { d_in, d_out, wt, b, scale }
     }
 
-    /// Panics unless `x` has the map's input dimension. The kernel's
-    /// callers check each row once, not once per tile.
+    /// The kernel's input buffer: `d_in` columns of `L` lanes.
+    pub(crate) fn lanes<const L: usize>(&self) -> Vec<[f64; L]> {
+        vec![[0.0; L]; self.d_in]
+    }
+
+    /// Panics unless `x` has the map's input dimension.
     #[inline(always)]
     pub(crate) fn check_input(&self, x: &[f64]) {
         assert_eq!(x.len(), self.d_in, "feature dim mismatch");
     }
 
-    /// The kernel: features `j..j + TILE` of `M` checked inputs into `z`
-    /// (lanes at or past `d_out` are padding; callers skip them). For each
-    /// lane group the whole block accumulates over `k` together, so one
-    /// load of `Wᵀ` serves all `M` inputs and the `M × LANES` chains
-    /// overlap; each chain is still its own feature's `k`-ascending sum.
+    /// Puts checked inputs `row(0..live)` into the first `live` lanes of
+    /// `xt` and zeroes the rest: a short last group's dead lanes.
     #[inline(always)]
-    pub(crate) fn tile<const M: usize>(&self, xs: [&[f64]; M], j: usize, z: &mut [[f64; TILE]; M]) {
+    pub(crate) fn load<const L: usize, R: AsRef<[f64]>>(
+        &self,
+        xt: &mut [[f64; L]],
+        live: usize,
+        row: impl Fn(usize) -> R,
+    ) {
+        for lane in 0..live {
+            let x = row(lane);
+            self.check_input(x.as_ref());
+            xt.iter_mut().zip(x.as_ref()).for_each(|(column, &v)| column[lane] = v);
+        }
+        xt.iter_mut().for_each(|column| column[live..].fill(0.0));
+    }
+
+    /// The kernel: features `j..j + TILE` of the `L` inputs in `xt`
+    /// (`[k][lane]`) into `z` (`[feature][lane]`; features at or past
+    /// `d_out` are padding, which callers skip). Per pass of `P`
+    /// features, each `k` loads one input column and broadcasts `P`
+    /// weights of `Wᵀ` against it, so every lane's accumulator is its own
+    /// feature's `k`-ascending sum.
+    #[inline(always)]
+    pub(crate) fn tile<const L: usize, const P: usize>(
+        &self,
+        xt: &[[f64; L]],
+        j: usize,
+        z: &mut [[f64; L]; TILE],
+    ) {
         let padded = self.b.len();
-        // Every `xs[m]` is `d_in` long as far as LLVM knows: no bounds
-        // check per `k`.
-        let xs = xs.map(|x| &x[..self.d_in]);
-        for jc in (j..j + TILE).step_by(LANES) {
-            let mut acc = [[-0.0; LANES]; M];
-            for k in 0..self.d_in {
-                let w = &self.wt[k * padded + jc..][..LANES];
-                for m in 0..M {
-                    let xk = xs[m][k];
-                    for l in 0..LANES {
-                        acc[m][l] += w[l] * xk;
+        // `xt` is `d_in` long as far as LLVM knows: no bounds check per `k`.
+        let xt = &xt[..self.d_in];
+        for jp in (j..j + TILE).step_by(P) {
+            let mut acc = [[-0.0; L]; P];
+            for (k, x) in xt.iter().enumerate() {
+                let w = &self.wt[k * padded + jp..][..P];
+                for f in 0..P {
+                    for l in 0..L {
+                        acc[f][l] += w[f] * x[l];
                     }
                 }
             }
-            let b = &self.b[jc..][..LANES];
-            for m in 0..M {
-                for l in 0..LANES {
-                    z[m][jc - j + l] = acc[m][l] + b[l];
+            let b = &self.b[jp..][..P];
+            for f in 0..P {
+                for l in 0..L {
+                    z[jp - j + f][l] = acc[f][l] + b[f];
                 }
             }
         }
@@ -114,35 +141,26 @@ impl RandomFourierFeatures {
         )
     }
 
-    /// [`RandomFourierFeatures::transform_batch`] undispatched: rows in
-    /// blocks of `BLOCK`, the `n % BLOCK` left over one at a time.
+    /// [`RandomFourierFeatures::transform_batch`] undispatched: inputs
+    /// `LANES` at a time, each tile written back into their rows.
     #[inline(always)]
     pub(crate) fn transform_batch_body(&self, xs: &[impl AsRef<[f64]>]) -> Matrix {
         let mut out = Matrix::zeros(xs.len(), self.d_out);
-        let mut blocks = xs.chunks_exact(BLOCK);
-        for (b, block) in (&mut blocks).enumerate() {
-            let rows: [&[f64]; BLOCK] = std::array::from_fn(|m| block[m].as_ref());
-            self.featurize(rows, &mut out, b * BLOCK);
-        }
-        let first = xs.len() - blocks.remainder().len();
-        for (m, x) in blocks.remainder().iter().enumerate() {
-            self.featurize([x.as_ref()], &mut out, first + m);
-        }
-        out
-    }
-
-    /// Features of `xs` into rows `first..first + M` of `out`.
-    #[inline(always)]
-    fn featurize<const M: usize>(&self, xs: [&[f64]; M], out: &mut Matrix, first: usize) {
-        xs.iter().for_each(|x| self.check_input(x));
-        let mut tile = [[0.0; TILE]; M];
-        for j in (0..self.d_out).step_by(TILE) {
-            self.tile(xs, j, &mut tile);
-            let len = TILE.min(self.d_out - j);
-            for (m, z) in tile.iter().enumerate() {
-                out.row_mut(first + m)[j..][..len].copy_from_slice(&z[..len]);
+        let mut xt = self.lanes::<LANES>();
+        let mut tile = [[0.0; LANES]; TILE];
+        for (g, group) in xs.chunks(LANES).enumerate() {
+            self.load(&mut xt, group.len(), |l| &group[l]);
+            for j in (0..self.d_out).step_by(TILE) {
+                self.tile::<LANES, PASS>(&xt, j, &mut tile);
+                let len = TILE.min(self.d_out - j);
+                // `l < LANES` as far as LLVM knows: no bounds check per `z[l]`.
+                for l in 0..group.len().min(LANES) {
+                    let row = &mut out.row_mut(g * LANES + l)[j..][..len];
+                    row.iter_mut().zip(&tile).for_each(|(v, z)| *v = z[l]);
+                }
             }
         }
+        out
     }
 }
 

@@ -62,4 +62,4 @@ pub use linalg::{Cholesky, LinalgError, Matrix};
 pub use pairpot::{DesignBlock, LabelledStructure, PairPotParams, PairPotential, RadialBasis};
 pub use rank::{rank_by_uncertainty, top_k};
 pub use ridge::Ridge;
-pub use surrogate::{RffRidge, SurrogateParams};
+pub use surrogate::{RffDraw, RffRidge, SurrogateParams};

@@ -129,10 +129,11 @@ fn cmd_moldesign(opts: &Opts) {
     println!("simulations  : {}", o.simulations);
     println!("found (IP>14): {}", o.found);
     println!(
-        "ml makespan  : {:.0} s median over {} rounds ({} steered)",
+        "ml makespan  : {:.0} s median over {} rounds ({} steered, {} models fitted)",
         o.ml_makespans.median(),
         o.ml_makespans.len(),
-        o.steered_rounds
+        o.steered_rounds,
+        o.models_fitted
     );
     println!("cpu idle     : {:.0} ms median", o.cpu_idle.median() * 1e3);
     println!("virtual time : {}", o.end);
