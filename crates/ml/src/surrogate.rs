@@ -38,8 +38,9 @@ impl Default for SurrogateParams {
     }
 }
 
-/// Features per projection pass for one input alone.
-const SOLO: usize = 8;
+/// Features per projection pass for one input alone: with a single
+/// lane, a pass's features fill the vectors (two `zmm`, four `ymm`).
+const SOLO: usize = 16;
 
 /// A fitted scalar surrogate.
 #[derive(Clone, Debug)]
@@ -87,7 +88,8 @@ impl RffRidge {
         )
     }
 
-    /// [`RffRidge::predict`] undispatched: the kernel one lane wide.
+    /// [`RffRidge::predict`] undispatched: the kernel one lane wide,
+    /// `SOLO` features a pass.
     #[inline(always)]
     pub(crate) fn predict_body(&self, input: &[f64]) -> f64 {
         self.rff.check_input(input);
