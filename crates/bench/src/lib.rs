@@ -165,8 +165,7 @@ impl NoopPipeline {
             sim,
             QueueConfig {
                 thinker_site: self.thinker_site,
-                queue_latency: cal.queue_latency.clone(),
-                queue_bandwidth: cal.queue_bandwidth,
+                queue: cal.queue.clone(),
                 ser: cal.ser.clone(),
                 policy,
             },

@@ -8,8 +8,8 @@
 //! being hard-coded.
 
 use crate::platform::{THETA, VENTI};
-use hetflow_fabric::{FnXParams, HtexParams, LinkParams, SerModel};
-use hetflow_sim::Dist;
+use hetflow_fabric::{FnXParams, HtexParams};
+use hetflow_sim::{Dist, Link};
 use hetflow_store::{FsParams, GlobusParams, RedisParams, SiteId, SiteSet};
 use std::time::Duration;
 
@@ -22,9 +22,9 @@ pub struct Calibration {
     /// Direct-connection executor model.
     pub htex: HtexParams,
     /// Interchange→Theta link (same facility).
-    pub link_theta: LinkParams,
+    pub link_theta: Link,
     /// Interchange→Venti link (tunnel across networks).
-    pub link_venti: LinkParams,
+    pub link_venti: Link,
     /// Globus Transfer service (§V-D1: ~500 ms to start, 1–5 s to
     /// complete, per-user concurrency limit).
     pub globus: GlobusParams,
@@ -36,11 +36,9 @@ pub struct Calibration {
     /// Venti in the Parsl+Redis configuration.
     pub redis: RedisParams,
     /// Thinker↔server Redis queue hop.
-    pub queue_latency: Dist,
-    /// Thinker↔server queue payload throughput, bytes/s.
-    pub queue_bandwidth: f64,
-    /// CPython pickle model used at thinker, server, and workers.
-    pub ser: SerModel,
+    pub queue: Link,
+    /// One CPython pickle pass, at thinker, server, and workers.
+    pub ser: Link,
     /// Manager→worker hop inside a node.
     pub worker_hop: Dist,
 }
@@ -50,12 +48,12 @@ impl Default for Calibration {
         Calibration {
             fnx: FnXParams::default(),
             htex: HtexParams::default(),
-            link_theta: LinkParams {
+            link_theta: Link {
                 // Login node to KNL aggregation switch.
                 latency: Dist::log_normal(0.004, 0.3),
                 bandwidth: 4.0e7,
             },
-            link_venti: LinkParams {
+            link_venti: Link {
                 // Cross-network tunnel; the effective throughput folds
                 // in the pickle passes at interchange and manager. Sized
                 // so a 3 MB sampling payload costs ~hundreds of ms
@@ -68,9 +66,9 @@ impl Default for Calibration {
             fs_theta: FsParams::shared(&[THETA]),
             fs_venti: FsParams::shared(&[VENTI]),
             redis: RedisParams::with_tunnel(THETA, &[VENTI]),
-            queue_latency: Dist::log_normal(0.0005, 0.3),
-            queue_bandwidth: 5.0e7,
-            ser: SerModel::python_pickle(),
+            queue: Link { latency: Dist::log_normal(0.0005, 0.3), bandwidth: 5.0e7 },
+            // ~0.3 ms fixed interpreter overhead + ~120 MB/s streaming.
+            ser: Link { latency: Dist::log_normal(0.0003, 0.3), bandwidth: 1.2e8 },
             worker_hop: Dist::log_normal(0.002, 0.3),
         }
     }
@@ -194,12 +192,19 @@ mod tests {
         let mut rng = hetflow_sim::SimRng::from_seed(2);
         let mut in_window = 0;
         for _ in 0..1000 {
-            let s = c.globus.service_time.sample(&mut rng);
+            let s = c.globus.transfer.latency.sample(&mut rng);
             if (1.0..=5.0).contains(&s) {
                 in_window += 1;
             }
         }
         assert!(in_window > 850, "only {in_window}/1000 in 1–5 s");
+    }
+
+    #[test]
+    fn pickle_pass_over_10_mb_is_tens_of_ms() {
+        let mut rng = hetflow_sim::SimRng::from_seed(1);
+        let c = Calibration::default().ser.cost(&mut rng, 10_000_000);
+        assert!(c > Duration::from_millis(50) && c < Duration::from_millis(300), "{c:?}");
     }
 
     #[test]

@@ -125,8 +125,6 @@ pub struct Deployment {
     pub local_store: Option<Store>,
     /// The cross-site store (Redis or Globus), when enabled.
     pub remote_store: Option<Store>,
-    /// The Globus transfer service, in the FnX+Globus configuration.
-    pub globus: Option<GlobusService>,
     /// The fabric's reliability layer: breaker state and hedge/reroute
     /// counters.
     pub health: ReliabilityLayer,
@@ -184,7 +182,6 @@ pub fn deploy(
     // --- Stores and the auto-proxy policy -------------------------------
     let mut local_store = None;
     let mut remote_store = None;
-    let mut globus_service = None;
     let policy = match config {
         WorkflowConfig::Parsl => ProxyPolicy::disabled(),
         WorkflowConfig::ParslRedis | WorkflowConfig::FnXGlobus => {
@@ -204,7 +201,6 @@ pub fn deploy(
                 WorkflowConfig::FnXGlobus => {
                     let service =
                         GlobusService::new(sim.clone(), cal.globus.clone(), rng.substream(3));
-                    globus_service = Some(service.clone());
                     Store::new(
                         sim.clone(),
                         "globus",
@@ -316,8 +312,7 @@ pub fn deploy(
         sim,
         QueueConfig {
             thinker_site: THETA,
-            queue_latency: cal.queue_latency.clone(),
-            queue_bandwidth: cal.queue_bandwidth,
+            queue: cal.queue.clone(),
             ser: cal.ser.clone(),
             policy,
         },
@@ -334,7 +329,6 @@ pub fn deploy(
         gpu_pool,
         local_store,
         remote_store,
-        globus: globus_service,
         health,
         chaos,
         failover_pools,
@@ -398,7 +392,7 @@ mod tests {
         sim.run();
         let remote = d.remote_store.as_ref().unwrap();
         assert!(remote.stats().puts >= 1, "training payload must go through Globus store");
-        assert!(d.globus.as_ref().unwrap().transfers_started() >= 1);
+        assert!(remote.stats().remote_waits >= 1, "Venti waits on the Globus push");
     }
 
     #[test]

@@ -666,11 +666,11 @@ mod tests {
     use super::*;
     use crate::faas::{EndpointSpec, FnXExecutor, FnXParams};
     use crate::health::{HedgeConfig, ReliabilityPolicy};
-    use crate::htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
+    use crate::htex::{HtexEndpoint, HtexExecutor, HtexParams};
     use crate::reliability::overload::AdmissionConfig;
     use crate::reliability::RetryPolicy;
     use crate::task::{Arg, TaskWork};
-    use hetflow_sim::{Dist, Receiver, SimTime, TraceKind};
+    use hetflow_sim::{Dist, Link, Receiver, SimTime, TraceKind};
     use hetflow_store::SiteId;
     use proptest::prelude::*;
 
@@ -753,8 +753,8 @@ mod tests {
                 Kind::FnX => {
                     let params = FnXParams {
                         https_latency: Dist::Constant(0.1),
-                        small_store_op: Dist::Constant(0.04),
-                        large_store_op: Dist::Constant(0.2),
+                        small_store: Link { latency: Dist::Constant(0.04), bandwidth: 4.0e4 },
+                        large_store: Link { latency: Dist::Constant(0.2), bandwidth: 8.0e5 },
                         forward_latency: Dist::Constant(0.05),
                         result_latency: Dist::Constant(0.06),
                         ..FnXParams::default()
@@ -777,13 +777,13 @@ mod tests {
                     Rig::over(sim, exec, results, tracer)
                 }
                 Kind::Htex => {
-                    let params =
-                        HtexParams { submit_hop: Dist::Constant(0.002), interchange_bw: 1.0e8 };
+                    let submit = Link { latency: Dist::Constant(0.002), bandwidth: 1.0e8 };
+                    let params = HtexParams { submit };
                     let eps = eps
                         .into_iter()
                         .map(|ep| {
                             let latency = Dist::Constant(if ep.stalled { 1.0e9 } else { 0.005 });
-                            let link = LinkParams { latency, bandwidth: 4.0e7 };
+                            let link = Link { latency, bandwidth: 4.0e7 };
                             HtexEndpoint { pool: ep.pool, topics: ep.topics, link }
                         })
                         .collect();
@@ -977,7 +977,8 @@ mod tests {
             assert_eq!(rig.events(kinds::TASK_HEDGED), 1, "{kind:?}");
             assert_eq!(rig.events(kinds::TASK_CANCELLED), 1, "{kind:?}");
             assert_eq!((rig.health.hedged(), rig.health.cancelled()), (1, 1), "{kind:?}");
-            assert!(rig.health.wasted_secs() > 0.0, "{kind:?}: the loser's burn is accounted");
+            let cancelled = rig.tracer.events_of_kind(kinds::TASK_CANCELLED);
+            assert!(cancelled[0].value > 0.0, "{kind:?}: the loser's burn is accounted");
         }
     }
 

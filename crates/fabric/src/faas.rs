@@ -21,7 +21,7 @@ use crate::health::ReliabilityPolicies;
 use crate::reliability::Connectivity;
 use crate::task::TaskResult;
 use crate::worker::WorkerPoolConfig;
-use hetflow_sim::{Dist, Sender, Sim, SimRng, Symbol, Tracer};
+use hetflow_sim::{Dist, Link, Sender, Sim, SimRng, Symbol, Tracer};
 use std::cell::RefCell;
 use std::time::Duration;
 
@@ -31,14 +31,12 @@ pub struct FnXParams {
     /// Client→cloud HTTPS request latency (the dispatch cost the paper
     /// reports as "a median of 100 ms", §V-D3).
     pub https_latency: Dist,
-    /// Fast-KV tier (ElastiCache) per-operation latency.
-    pub small_store_op: Dist,
-    /// Fast-KV tier effective payload throughput, bytes/s.
-    pub small_store_bw: f64,
-    /// Object-store tier (S3) per-operation latency.
-    pub large_store_op: Dist,
-    /// Object-store tier effective payload throughput, bytes/s.
-    pub large_store_bw: f64,
+    /// Fast-KV tier (ElastiCache): per-operation latency and effective
+    /// payload throughput.
+    pub small_store: Link,
+    /// Object-store tier (S3): per-operation latency and effective
+    /// payload throughput.
+    pub large_store: Link,
     /// Payloads at or below this use the fast-KV tier (20 kB in FuncX).
     pub small_threshold: u64,
     /// Hard payload cap (10 MB in FuncX); larger submissions panic.
@@ -53,10 +51,8 @@ impl Default for FnXParams {
     fn default() -> Self {
         FnXParams {
             https_latency: Dist::log_normal(0.09, 0.35),
-            small_store_op: Dist::log_normal(0.04, 0.3),
-            small_store_bw: 4.0e4,
-            large_store_op: Dist::log_normal(0.2, 0.3),
-            large_store_bw: 8.0e5,
+            small_store: Link { latency: Dist::log_normal(0.04, 0.3), bandwidth: 4.0e4 },
+            large_store: Link { latency: Dist::log_normal(0.2, 0.3), bandwidth: 8.0e5 },
             small_threshold: 20_000,
             payload_cap: 10_000_000,
             forward_latency: Dist::log_normal(0.05, 0.3),
@@ -122,12 +118,8 @@ impl FnXTransport {
     /// Cost of one cloud-store put or get for a payload of `bytes`.
     fn store_op(&self, bytes: u64) -> Duration {
         let p = &self.params;
-        let (op, bw) = if bytes <= p.small_threshold {
-            (&p.small_store_op, p.small_store_bw)
-        } else {
-            (&p.large_store_op, p.large_store_bw)
-        };
-        hetflow_sim::time::secs(op.sample(&mut self.rng.borrow_mut()) + bytes as f64 / bw)
+        let tier = if bytes <= p.small_threshold { &p.small_store } else { &p.large_store };
+        tier.cost(&mut self.rng.borrow_mut(), bytes)
     }
 }
 
@@ -188,10 +180,8 @@ mod tests {
     fn fixed_params() -> FnXParams {
         FnXParams {
             https_latency: Dist::Constant(0.1),
-            small_store_op: Dist::Constant(0.04),
-            small_store_bw: 4.0e4,
-            large_store_op: Dist::Constant(0.2),
-            large_store_bw: 8.0e5,
+            small_store: Link { latency: Dist::Constant(0.04), bandwidth: 4.0e4 },
+            large_store: Link { latency: Dist::Constant(0.2), bandwidth: 8.0e5 },
             small_threshold: 20_000,
             payload_cap: 10_000_000,
             forward_latency: Dist::Constant(0.05),

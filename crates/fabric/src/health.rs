@@ -413,8 +413,6 @@ struct LayerInner {
     /// `hedge.quantile` when it hedges: the hedge delay's only input, so
     /// nothing is kept when the policy never hedges.
     rtt: RefCell<SymbolMap<RunningQuantile>>,
-    /// Seconds burned by cancelled losing copies.
-    wasted: Cell<f64>,
     cancelled: Cell<u64>,
     hedged: Cell<u64>,
     rerouted: Cell<u64>,
@@ -463,7 +461,6 @@ impl ReliabilityLayer {
                 registry: RefCell::new(Registry::default()),
                 admission,
                 rtt: RefCell::new(SymbolMap::new()),
-                wasted: Cell::new(0.0),
                 cancelled: Cell::new(0),
                 hedged: Cell::new(0),
                 rerouted: Cell::new(0),
@@ -744,7 +741,6 @@ impl ReliabilityLayer {
     /// Records a cancelled losing copy.
     fn cancel(&self, id: TaskId, waste_secs: f64) {
         self.inner.cancelled.set(self.inner.cancelled.get() + 1);
-        self.inner.wasted.set(self.inner.wasted.get() + waste_secs.max(0.0));
         self.inner.tracer.emit(
             self.inner.sim.now(),
             self.inner.actor,
@@ -879,12 +875,6 @@ impl ReliabilityLayer {
     #[cfg(test)]
     pub(crate) fn retained_slots(&self) -> usize {
         self.inner.registry.borrow().retained.slots.len()
-    }
-
-    /// Seconds burned by cancelled losing copies.
-    #[cfg(test)]
-    pub fn wasted_secs(&self) -> f64 {
-        self.inner.wasted.get()
     }
 
     /// Losing copies cancelled so far.
@@ -1074,11 +1064,10 @@ mod tests {
             "the loser is cancelled"
         );
         assert_eq!(layer.cancelled(), 1);
-        assert!((layer.wasted_secs() - 3.5).abs() < 1e-12);
         assert!(layer.try_hedge(7, "noop").is_none(), "resolved tasks never hedge");
         let cancelled = layer.inner.tracer.events_of_kind(kinds::TASK_CANCELLED);
         assert_eq!(cancelled.len(), 1);
-        assert_eq!(cancelled[0].entity, 7);
+        assert_eq!((cancelled[0].entity, cancelled[0].value), (7, 3.5), "the loser's burn");
     }
 
     #[test]

@@ -21,49 +21,21 @@ use crate::dispatch::{Dispatcher, Transport, Way};
 use crate::health::ReliabilityPolicies;
 use crate::task::TaskResult;
 use crate::worker::WorkerPoolConfig;
-use hetflow_sim::time::secs;
-use hetflow_sim::{Dist, Sender, Sim, SimRng, Tracer};
+use hetflow_sim::{Dist, Link, Sender, Sim, SimRng, Tracer};
 use std::cell::RefCell;
 use std::time::Duration;
-
-/// Link from the interchange to one resource's manager.
-#[derive(Clone, Debug)]
-pub struct LinkParams {
-    /// Per-message latency (TCP + framing).
-    pub latency: Dist,
-    /// Effective payload throughput, bytes/s, including the pickle
-    /// passes at interchange and manager.
-    pub bandwidth: f64,
-}
-
-impl LinkParams {
-    /// A fast intra-facility link.
-    pub fn local() -> Self {
-        LinkParams { latency: Dist::log_normal(0.004, 0.3), bandwidth: 4.0e7 }
-    }
-
-    /// A cross-site tunnel (still a direct connection, higher latency).
-    #[cfg(test)]
-    pub fn tunnel() -> Self {
-        LinkParams { latency: Dist::log_normal(0.012, 0.3), bandwidth: 2.5e7 }
-    }
-}
 
 /// Tunables of the interchange.
 #[derive(Clone, Debug)]
 pub struct HtexParams {
-    /// Client→interchange hop (same login node).
-    pub submit_hop: Dist,
-    /// Interchange-side serialization throughput, bytes/s.
-    pub interchange_bw: f64,
+    /// Client→interchange hop (same login node), at the interchange's
+    /// serialization throughput.
+    pub submit: Link,
 }
 
 impl Default for HtexParams {
     fn default() -> Self {
-        HtexParams {
-            submit_hop: Dist::log_normal(0.002, 0.3),
-            interchange_bw: 1.0e8,
-        }
+        HtexParams { submit: Link { latency: Dist::log_normal(0.002, 0.3), bandwidth: 1.0e8 } }
     }
 }
 
@@ -73,8 +45,10 @@ pub struct HtexEndpoint {
     pub pool: WorkerPoolConfig,
     /// Task topics executed here.
     pub topics: Vec<&'static str>,
-    /// The link from the interchange to this manager.
-    pub link: LinkParams,
+    /// The link from the interchange to this manager: per-message
+    /// latency (TCP + framing) and effective throughput, including the
+    /// pickle passes at interchange and manager.
+    pub link: Link,
 }
 
 /// The interchange transport: one direct link per manager; no cloud
@@ -82,7 +56,7 @@ pub struct HtexEndpoint {
 pub struct HtexTransport {
     rng: RefCell<SimRng>,
     params: HtexParams,
-    links: Vec<LinkParams>,
+    links: Vec<Link>,
 }
 
 /// The HTEX executor.
@@ -109,15 +83,6 @@ impl HtexExecutor {
     }
 }
 
-impl HtexTransport {
-    /// One message of `bytes` over the endpoint's link.
-    fn link_cost(&self, endpoint: usize, bytes: u64) -> Duration {
-        let link = &self.links[endpoint];
-        let lat = link.latency.sample(&mut self.rng.borrow_mut());
-        secs(lat + bytes as f64 / link.bandwidth)
-    }
-}
-
 impl Transport for HtexTransport {
     const LABEL: &'static str = "htex";
     const LEGS: [u32; 2] = [1, 2];
@@ -126,16 +91,16 @@ impl Transport for HtexTransport {
     /// interchange's serialization pass over the payload (a refused
     /// call has none: the hop alone).
     fn submit_cost(&self, bytes: u64) -> Duration {
-        let hop = self.params.submit_hop.sample(&mut self.rng.borrow_mut());
-        secs(hop + bytes as f64 / self.params.interchange_bw)
+        self.params.submit.cost(&mut self.rng.borrow_mut(), bytes)
     }
 
-    /// Out: the link. In: the link, then the hop from the interchange
-    /// back to the client.
+    /// Out: the link. In: the link, then the submit hop's latency
+    /// alone back to the client.
     fn leg(&self, _way: Way, endpoint: usize, bytes: u64, leg: u32) -> Option<Duration> {
+        let rng = &mut self.rng.borrow_mut();
         Some(match leg {
-            0 => self.link_cost(endpoint, bytes),
-            _ => self.params.submit_hop.sample_secs(&mut self.rng.borrow_mut()),
+            0 => self.links[endpoint].cost(rng, bytes),
+            _ => self.params.submit.latency.sample_secs(rng),
         })
     }
 }
@@ -149,8 +114,8 @@ mod tests {
     use hetflow_store::SiteId;
     use std::rc::Rc;
 
-    fn fixed_link(bw: f64) -> LinkParams {
-        LinkParams { latency: Dist::Constant(0.005), bandwidth: bw }
+    fn fixed_link(bw: f64) -> Link {
+        Link { latency: Dist::Constant(0.005), bandwidth: bw }
     }
 
     fn setup(workers: usize, bw: f64) -> (Sim, HtexExecutor, Receiver<TaskResult>) {
@@ -158,7 +123,7 @@ mod tests {
         let (res_tx, res_rx) = channel();
         let exec = HtexExecutor::with_reliability(
             &sim,
-            HtexParams { submit_hop: Dist::Constant(0.002), interchange_bw: 1.0e8 },
+            HtexParams { submit: Link { latency: Dist::Constant(0.002), bandwidth: 1.0e8 } },
             vec![HtexEndpoint {
                 pool: WorkerPoolConfig::bare(SiteId(0), "theta", workers),
                 topics: vec!["noop"],
@@ -253,12 +218,12 @@ mod tests {
                 HtexEndpoint {
                     pool: WorkerPoolConfig::bare(SiteId(0), "cpu", 2),
                     topics: vec!["simulate"],
-                    link: LinkParams::local(),
+                    link: fixed_link(4.0e7),
                 },
                 HtexEndpoint {
                     pool: WorkerPoolConfig::bare(SiteId(1), "gpu", 2),
                     topics: vec!["train", "infer"],
-                    link: LinkParams::tunnel(),
+                    link: Link { latency: Dist::Constant(0.012), bandwidth: 2.5e7 },
                 },
             ],
             res_tx,

@@ -64,7 +64,6 @@ pub mod faas;
 pub mod health;
 pub mod htex;
 pub mod reliability;
-pub mod ser;
 pub mod task;
 pub mod worker;
 
@@ -74,11 +73,10 @@ pub use faas::{EndpointSpec, FnXExecutor, FnXParams};
 pub use health::{
     BreakerConfig, HedgeConfig, ReliabilityLayer, ReliabilityPolicies, ReliabilityPolicy,
 };
-pub use htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
+pub use htex::{HtexEndpoint, HtexExecutor, HtexParams};
 pub use reliability::chaos::{ChaosAction, ChaosSpec, ChaosTargets, STORM_ID_BASE};
 pub use reliability::overload::AdmissionConfig;
 pub use reliability::{Connectivity, FailureModel, Knob, RetryPolicies, RetryPolicy};
-pub use ser::SerModel;
 pub use task::{
     Arg, Args, TaskCtx, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming,
     TaskWork, WorkerReport,

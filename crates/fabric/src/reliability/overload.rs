@@ -65,7 +65,6 @@ pub(crate) struct AdmissionController {
     cfg: AdmissionConfig,
     /// A row per topic, none when `cfg` is disabled.
     topics: SymbolMap<TopicAdmission>,
-    rejected: Cell<u64>,
 }
 
 impl AdmissionController {
@@ -91,7 +90,7 @@ impl AdmissionController {
                 (topic, row)
             })
             .collect();
-        AdmissionController { sim: sim.clone(), cfg, topics, rejected: Cell::new(0) }
+        AdmissionController { sim: sim.clone(), cfg, topics }
     }
 
     /// Decides whether a task of `topic` may enter the fabric. `Ok`
@@ -103,7 +102,6 @@ impl AdmissionController {
         let Some(st) = self.topics.get(topic) else { return Ok(()) };
         let cfg = &self.cfg;
         if cfg.max_in_flight > 0 && st.in_flight.get() >= cfg.max_in_flight {
-            self.rejected.set(self.rejected.get() + 1);
             return Err(st.primary);
         }
         if cfg.rate > 0.0 {
@@ -113,7 +111,6 @@ impl AdmissionController {
             st.refilled_at.set(now);
             if tokens < 1.0 {
                 st.tokens.set(tokens);
-                self.rejected.set(self.rejected.get() + 1);
                 return Err(st.primary);
             }
             st.tokens.set(tokens - 1.0);
@@ -145,12 +142,6 @@ impl AdmissionController {
     pub(crate) fn held(&self) -> usize {
         self.topics.values().map(|st| st.in_flight.get()).sum()
     }
-
-    /// Total submissions refused so far.
-    #[cfg(test)]
-    pub(crate) fn rejected(&self) -> u64 {
-        self.rejected.get()
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +165,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(ctl.try_admit(topic()).is_ok());
         }
-        assert_eq!(ctl.rejected(), 0);
         assert_eq!(ctl.in_flight(topic()), 0, "disabled config creates no state");
     }
 
@@ -183,9 +173,8 @@ mod tests {
         let sim = Sim::new();
         let cfg = AdmissionConfig { rate: 2.0, burst: 3.0, max_in_flight: 0 };
         let ctl = controller(&sim, cfg);
-        let admitted = (0..10).filter(|_| ctl.try_admit(topic()).is_ok()).count();
-        assert_eq!(admitted, 3, "burst admits the bucket depth");
-        assert_eq!(ctl.rejected(), 7);
+        let refused = (0..10).filter(|_| ctl.try_admit(topic()).is_err()).count();
+        assert_eq!(refused, 7, "burst admits the bucket depth");
         ctl.release(topic());
         assert_eq!(ctl.held(), 0, "an uncapped topic takes and returns no slot");
         let s = sim.clone();
@@ -208,6 +197,5 @@ mod tests {
         assert_eq!(ctl.in_flight(topic()), 2);
         ctl.release(topic());
         assert!(ctl.try_admit(topic()).is_ok());
-        assert_eq!(ctl.rejected(), 1);
     }
 }

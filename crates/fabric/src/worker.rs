@@ -11,12 +11,11 @@
 //! the "CPU idle time between simulation tasks" metric of Fig. 6b.
 
 use crate::reliability::{FailureModel, Knob, RetryPolicies};
-use crate::ser::SerModel;
 use crate::task::{Arg, TaskCtx, TaskError, TaskOutcome, TaskResult, TaskSpec, WorkerReport};
 use hetflow_store::{ProxyPolicy, SiteId};
 use hetflow_sim::{
-    channel, trace_kinds as kinds, Dist, Gauge, Receiver, Samples, Sender, Sim, SimRng, Symbol,
-    Tracer,
+    channel, trace_kinds as kinds, Dist, Gauge, Link, Receiver, Samples, Sender, Sim, SimRng,
+    Symbol, Tracer,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -34,7 +33,7 @@ pub struct WorkerPoolConfig {
     /// Result proxying rules (usually mirrors the submit-side policy).
     pub result_policy: ProxyPolicy,
     /// Worker-side (de)serialization model.
-    pub ser: SerModel,
+    pub ser: Link,
     /// Manager→worker hop latency within the node.
     pub local_hop: Dist,
     /// Optional failure injection (`None` = reliable workers).
@@ -60,7 +59,7 @@ impl WorkerPoolConfig {
             label: label.into(),
             workers,
             result_policy: ProxyPolicy::disabled(),
-            ser: SerModel::free(),
+            ser: Link::FREE,
             local_hop: Dist::Constant(0.0),
             failure: None,
             retry: RetryPolicies::default(),
@@ -77,8 +76,6 @@ struct PoolShared {
     pace: Knob,
     idle: RefCell<Samples>,
     busy: RefCell<Gauge>,
-    completed: std::cell::Cell<u64>,
-    failed: std::cell::Cell<u64>,
 }
 
 /// Handle to a running worker pool.
@@ -106,8 +103,6 @@ impl WorkerPool {
             pace: Knob::new(1.0),
             idle: RefCell::new(Samples::new()),
             busy: RefCell::new(Gauge::new()),
-            completed: std::cell::Cell::new(0),
-            failed: std::cell::Cell::new(0),
         });
         for i in 0..config.workers {
             let worker_rng = rng.substream(i as u64);
@@ -133,19 +128,6 @@ impl WorkerPool {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Tasks completed so far.
-    #[cfg(test)]
-    pub fn completed(&self) -> u64 {
-        self.shared.completed.get()
-    }
-
-    /// Tasks that ended in a terminal failure (still delivered as
-    /// results, not counted in `completed`).
-    #[cfg(test)]
-    pub fn failed(&self) -> u64 {
-        self.shared.failed.get()
     }
 
     /// Idle-gap samples (seconds between finishing one task and starting
@@ -318,10 +300,8 @@ fn spawn_worker(
                     task.id,
                     config.site.index() as f64,
                 );
-                shared.completed.set(shared.completed.get() + 1);
             } else {
                 tracer.emit(finished, name, kinds::TASK_FAILED, task.id, attempts as f64);
-                shared.failed.set(shared.failed.get() + 1);
             }
             shared.busy.borrow_mut().dec(finished);
             last_finish = Some(finished);
@@ -387,10 +367,11 @@ mod tests {
 
     #[test]
     fn executes_all_tasks_with_pool_parallelism() {
-        let (sim, pool, res_rx) = run_pool(4, 8, 10.0);
+        let (sim, _pool, res_rx) = run_pool(4, 8, 10.0);
         let r = sim.run();
-        assert_eq!(pool.completed(), 8);
-        assert_eq!(res_rx.drain_now().len(), 8);
+        let results = res_rx.drain_now();
+        assert_eq!(results.len(), 8);
+        assert!(results.iter().all(|r| !r.is_failed()));
         // 8 tasks / 4 workers / 10s each => 20s.
         assert_eq!(r.end, SimTime::from_secs(20));
     }
@@ -549,8 +530,6 @@ mod tests {
         assert_eq!(res.report.compute_time, Duration::ZERO);
         assert!(res.timing.compute_finished.is_none());
         assert_eq!(r.end, SimTime::from_secs(7));
-        assert_eq!(pool.failed(), 1);
-        assert_eq!(pool.completed(), 0);
         assert_eq!(tracer.events_of_kind(kinds::TASK_FAILED).len(), 1);
         assert_eq!(tracer.events_of_kind(kinds::TASK_RETRY).len(), 2);
         assert!(tracer.events_of_kind(kinds::TASK_FINISHED).is_empty());

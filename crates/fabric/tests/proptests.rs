@@ -5,10 +5,10 @@
 use hetflow_fabric::{
     AdmissionConfig, Arg, BreakerConfig, ChaosAction, ChaosSpec, ChaosTargets, EndpointSpec,
     Fabric, FnXExecutor, FnXParams, HedgeConfig, HtexEndpoint, HtexExecutor, HtexParams,
-    LinkParams, ReliabilityPolicies, ReliabilityPolicy, TaskSpec, TaskWork, WorkerPoolConfig,
+    ReliabilityPolicies, ReliabilityPolicy, TaskSpec, TaskWork, WorkerPoolConfig,
 };
 use hetflow_store::SiteId;
-use hetflow_sim::{channel, Dist, OverflowPolicy, Receiver, Sim, SimRng, SimTime, Tracer};
+use hetflow_sim::{channel, Dist, Link, OverflowPolicy, Receiver, Sim, SimRng, SimTime, Tracer};
 use proptest::prelude::*;
 use std::rc::Rc;
 use std::time::Duration;
@@ -51,7 +51,11 @@ fn run_fabric(
         Rc::new(HtexExecutor::with_reliability(
             &sim,
             HtexParams::default(),
-            vec![HtexEndpoint { pool, topics: vec!["noop"], link: LinkParams::local() }],
+            vec![HtexEndpoint {
+                pool,
+                topics: vec!["noop"],
+                link: Link { latency: Dist::log_normal(0.004, 0.3), bandwidth: 4.0e7 },
+            }],
             res_tx,
             SimRng::from_seed(7),
             Tracer::disabled(),
@@ -216,10 +220,8 @@ fn run_free_transport(fnx: bool, arm: Arm) -> Vec<Outcome> {
     let (fabric, chaos): (Rc<dyn Fabric>, ChaosTargets) = if fnx {
         let params = FnXParams {
             https_latency: ZERO,
-            small_store_op: ZERO,
-            small_store_bw: f64::INFINITY,
-            large_store_op: ZERO,
-            large_store_bw: f64::INFINITY,
+            small_store: Link::FREE,
+            large_store: Link::FREE,
             forward_latency: ZERO,
             result_latency: ZERO,
             ..FnXParams::default()
@@ -229,11 +231,10 @@ fn run_free_transport(fnx: bool, arm: Arm) -> Vec<Outcome> {
         let chaos = exec.chaos_targets();
         (Rc::new(exec), chaos)
     } else {
-        let params = HtexParams { submit_hop: ZERO, interchange_bw: f64::INFINITY };
-        let link = LinkParams { latency: ZERO, bandwidth: f64::INFINITY };
+        let params = HtexParams { submit: Link::FREE };
         let eps = endpoints
             .into_iter()
-            .map(|(pool, topics)| HtexEndpoint { pool, topics, link: link.clone() })
+            .map(|(pool, topics)| HtexEndpoint { pool, topics, link: Link::FREE })
             .collect();
         let exec = HtexExecutor::with_reliability(&sim, params, eps, res_tx, rng, tracer, policies);
         let chaos = exec.chaos_targets();

@@ -3,7 +3,7 @@
 //! Calibration tables in `hetflow-core` describe every stochastic cost as a
 //! [`Dist`] value, so experiments can swap a constant for a long-tailed
 //! model with a one-line change, and property tests can reason about
-//! support bounds.
+//! support bounds. A cost that also carries a payload is a [`Link`].
 
 use crate::num;
 use crate::rng::SimRng;
@@ -59,6 +59,34 @@ impl Dist {
     /// [`Duration`].
     pub fn sample_secs(&self, rng: &mut SimRng) -> Duration {
         crate::time::secs(self.sample(rng))
+    }
+
+    /// One payload hop: a draw, plus `bytes` at `bandwidth` bytes/s, as
+    /// a [`Duration`]. Every latency-plus-payload cost is this one
+    /// expression.
+    pub fn sample_hop(&self, rng: &mut SimRng, bytes: u64, bandwidth: f64) -> Duration {
+        crate::time::secs(self.sample(rng) + bytes as f64 / bandwidth)
+    }
+}
+
+/// A payload hop: a per-message latency and a throughput. A cloud store
+/// tier, an interchange link, the thinker's queue, a Redis path, a
+/// Globus transfer and a (de)serialization pass are each one `Link`.
+#[derive(Clone, Debug)]
+pub struct Link {
+    /// Per-message latency, seconds.
+    pub latency: Dist,
+    /// Payload throughput, bytes/s.
+    pub bandwidth: f64,
+}
+
+impl Link {
+    /// The hop that costs nothing (kernel tests).
+    pub const FREE: Link = Link { latency: Dist::Constant(0.0), bandwidth: f64::INFINITY };
+
+    /// Cost of moving `bytes` over the hop: one latency draw.
+    pub fn cost(&self, rng: &mut SimRng, bytes: u64) -> Duration {
+        self.latency.sample_hop(rng, bytes, self.bandwidth)
     }
 }
 
@@ -123,5 +151,45 @@ mod tests {
         let d = Dist::Constant(0.25);
         let mut rng = SimRng::from_seed(11);
         assert_eq!(d.sample_secs(&mut rng), Duration::from_millis(250));
+    }
+
+    #[test]
+    fn link_cost_scales_with_size() {
+        let m = Link { latency: Dist::Constant(0.001), bandwidth: 1e8 };
+        let mut rng = SimRng::from_seed(1);
+        let small = m.cost(&mut rng, 1_000);
+        let large = m.cost(&mut rng, 100_000_000);
+        assert!(small < Duration::from_millis(2));
+        assert!((large.as_secs_f64() - 1.001).abs() < 1e-9);
+    }
+
+    #[test]
+    fn free_link_costs_exactly_its_zero_latency_draw() {
+        let mut rng = SimRng::from_seed(1);
+        assert_eq!(Link::FREE.cost(&mut rng, u64::MAX), Duration::ZERO);
+    }
+
+    #[test]
+    fn link_cost_is_one_latency_draw_plus_payload_over_bandwidth() {
+        let links = [
+            Link { latency: Dist::log_normal(0.0003, 0.3), bandwidth: 1.2e8 },
+            Link { latency: Dist::Uniform { lo: 0.001, hi: 0.01 }, bandwidth: 4.0e4 },
+            Link { latency: Dist::Constant(0.005), bandwidth: 2.5e7 },
+            Link::FREE,
+        ];
+        for (seed, link) in (70..).zip(&links) {
+            let mut rng = SimRng::from_seed(seed);
+            let mut twin = SimRng::from_seed(seed);
+            for bytes in [0, 1, 20_000, 3_000_000, 1 << 40] {
+                let draw = link.latency.sample(&mut twin);
+                let want = crate::time::secs(draw + bytes as f64 / link.bandwidth);
+                assert_eq!(link.cost(&mut rng, bytes), want, "{link:?} at {bytes} B");
+                // One draw per cost: the two streams are still in step.
+                assert_eq!(rng.unit().to_bits(), twin.unit().to_bits(), "{link:?}");
+            }
+            // No payload costs exactly the latency draw.
+            let draw = crate::time::secs(link.latency.sample(&mut twin));
+            assert_eq!(link.cost(&mut rng, 0), draw, "{link:?}");
+        }
     }
 }

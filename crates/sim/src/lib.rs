@@ -12,8 +12,8 @@
 //!   (task queues, result queues, worker pools).
 //! * [`Event`] and [`Semaphore`] — the coordination primitives the
 //!   steering agents and resource models are built from.
-//! * [`SimRng`] and [`Dist`] — named deterministic random streams and the
-//!   latency distributions used by all cost models.
+//! * [`SimRng`], [`Dist`], [`Link`] — named deterministic random streams,
+//!   and the latency distributions and payload hops of all cost models.
 //! * [`Samples`], [`TimeSeries`], [`Gauge`], [`Tracer`] — measurement
 //!   containers for regenerating the paper's figures.
 //!
@@ -51,7 +51,7 @@ pub mod trace;
 
 pub use combinators::Elapsed;
 pub use channel::{bounded, channel, Offered, OverflowPolicy, Receiver, Sender};
-pub use dist::Dist;
+pub use dist::{Dist, Link};
 pub use executor::{JoinHandle, LegKey, Legs, RunReport, Sim, Sleep};
 pub use intern::Symbol;
 pub use symmap::SymbolMap;

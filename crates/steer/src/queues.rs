@@ -12,12 +12,10 @@
 //! improvements.
 
 use crate::lifecycle::{RecordLog, TaskRecord};
-use hetflow_fabric::{
-    Arg, Fabric, SerModel, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult, TaskSpec,
-};
+use hetflow_fabric::{Arg, Fabric, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult, TaskSpec};
 use hetflow_store::{ProxyPolicy, SiteId, UntypedProxy};
 use hetflow_sim::{
-    channel, trace_kinds as kinds, Dist, Receiver, Sender, Sim, SimRng, SimTime, Symbol, SymbolMap,
+    channel, trace_kinds as kinds, Link, Receiver, Sender, Sim, SimRng, SimTime, Symbol, SymbolMap,
     Tracer,
 };
 use std::any::Any;
@@ -71,29 +69,12 @@ pub struct QueueConfig {
     /// Site the thinker and task server run on (a Theta login node in
     /// the paper's deployment).
     pub thinker_site: SiteId,
-    /// Per-message queue hop latency (local Redis).
-    pub queue_latency: Dist,
-    /// Queue payload throughput, bytes/s.
-    pub queue_bandwidth: f64,
-    /// Serialization model for thinker and server passes.
-    pub ser: SerModel,
+    /// The queue hop, each way (local Redis).
+    pub queue: Link,
+    /// One (de)serialization pass at the thinker or the server.
+    pub ser: Link,
     /// Auto-proxy policy applied at submission time.
     pub policy: ProxyPolicy,
-}
-
-impl QueueConfig {
-    /// Paper-deployment defaults: sub-millisecond local Redis queue,
-    /// CPython pickle serialization.
-    #[cfg(test)]
-    pub fn login_node(thinker_site: SiteId, policy: ProxyPolicy) -> Self {
-        QueueConfig {
-            thinker_site,
-            queue_latency: Dist::log_normal(0.0005, 0.3),
-            queue_bandwidth: 5.0e7,
-            ser: SerModel::python_pickle(),
-            policy,
-        }
-    }
 }
 
 struct Shared {
@@ -202,7 +183,7 @@ impl ClientQueues {
         shared.outstanding.set(shared.outstanding.get() + 1);
 
         // Queue transit happens off the agent's back.
-        let transit = self.queue_transit(task.wire_bytes());
+        let transit = shared.config.queue.cost(&mut shared.rng.borrow_mut(), task.wire_bytes());
         shared.submit_tx.send_at(sim, sim.now() + transit, task);
         id
     }
@@ -245,12 +226,6 @@ impl ClientQueues {
     /// once per run (or per report), not per task.
     pub fn records(&self) -> Vec<TaskRecord> {
         self.shared.records.borrow().to_vec()
-    }
-
-    fn queue_transit(&self, bytes: u64) -> Duration {
-        let c = &self.shared.config;
-        let lat = c.queue_latency.sample(&mut self.shared.rng.borrow_mut());
-        hetflow_sim::time::secs(lat + bytes as f64 / c.queue_bandwidth)
     }
 
     fn push_record(&self, record: &TaskRecord) {
@@ -449,9 +424,7 @@ impl TaskServer {
                         panic!("result for unregistered topic {}", result.topic);
                     };
                     // Queue transit back to the thinker, in topic order.
-                    let lat = config.queue_latency.sample(&mut rng);
-                    let transit =
-                        hetflow_sim::time::secs(lat + wire as f64 / config.queue_bandwidth);
+                    let transit = config.queue.cost(&mut rng, wire);
                     let at = (sim2.now() + transit).max(last.get());
                     last.set(at);
                     result.timing.thinker_notified = Some(at);
@@ -470,10 +443,23 @@ pub(crate) mod tests {
     use hetflow_fabric::{
         EndpointSpec, FnXExecutor, FnXParams, ReliabilityPolicies, TaskWork, WorkerPoolConfig,
     };
+    use hetflow_sim::Dist;
     use hetflow_store::bytes::{KB, MB};
     use hetflow_store::{Backend, FsParams, SiteSet, Store};
 
     const LOGIN: SiteId = SiteId(0);
+
+    /// A CPython pickle pass on a login-node core: ~0.3 ms + ~120 MB/s.
+    fn pickle() -> Link {
+        Link { latency: Dist::log_normal(0.0003, 0.3), bandwidth: 1.2e8 }
+    }
+
+    /// A login node's queues: a sub-millisecond local Redis hop and
+    /// pickle passes.
+    fn login_node(policy: ProxyPolicy) -> QueueConfig {
+        let queue = Link { latency: Dist::log_normal(0.0005, 0.3), bandwidth: 5.0e7 };
+        QueueConfig { thinker_site: LOGIN, queue, ser: pickle(), policy }
+    }
 
     fn fs_store(sim: &Sim) -> Store {
         Store::new(
@@ -512,11 +498,8 @@ pub(crate) mod tests {
         let queues = TaskServer::start(
             &sim,
             QueueConfig {
-                thinker_site: LOGIN,
-                queue_latency: Dist::Constant(0.0005),
-                queue_bandwidth: 5.0e7,
-                ser: SerModel::python_pickle(),
-                policy,
+                queue: Link { latency: Dist::Constant(0.0005), bandwidth: 5.0e7 },
+                ..login_node(policy)
             },
             Rc::new(fabric),
             res_rx,
@@ -600,7 +583,7 @@ pub(crate) mod tests {
         );
         let queues = TaskServer::start(
             &sim,
-            QueueConfig::login_node(LOGIN, policy),
+            login_node(policy),
             Rc::new(fabric),
             res_rx,
             &["echo"],
@@ -650,7 +633,7 @@ pub(crate) mod tests {
                     {
                         let mut p = WorkerPoolConfig::bare(LOGIN, "theta", 1);
                         p.result_policy = policy.clone();
-                        p.ser = SerModel::python_pickle();
+                        p.ser = pickle();
                         p
                     },
                     vec!["noop"],
@@ -662,7 +645,7 @@ pub(crate) mod tests {
             );
             let queues = TaskServer::start(
                 &sim,
-                QueueConfig::login_node(LOGIN, policy),
+                login_node(policy),
                 Rc::new(fabric),
                 res_rx,
                 &["noop"],

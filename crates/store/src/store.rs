@@ -8,7 +8,7 @@
 
 use crate::globus::{GlobusService, TransferTicket};
 use crate::location::{SiteId, SiteSet};
-use hetflow_sim::{Dist, Samples, Sim, SimRng};
+use hetflow_sim::{Dist, Link, Samples, Sim, SimRng};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -67,14 +67,11 @@ pub struct RedisParams {
     pub host: SiteId,
     /// Sites with connectivity to the server (including `host`).
     pub connected: SiteSet,
-    /// Per-operation round-trip latency within the host site.
-    pub local_latency: Dist,
-    /// Per-operation latency from other connected sites (tunnel).
-    pub remote_latency: Dist,
-    /// Payload bandwidth within the host site, bytes/s.
-    pub local_bandwidth: f64,
-    /// Payload bandwidth across the tunnel, bytes/s.
-    pub remote_bandwidth: f64,
+    /// Per-operation round trip and payload throughput within the host
+    /// site.
+    pub local: Link,
+    /// The same from other connected sites (tunnel).
+    pub remote: Link,
 }
 
 impl RedisParams {
@@ -83,13 +80,11 @@ impl RedisParams {
         RedisParams {
             host,
             connected: SiteSet::of(&[host]),
-            local_latency: Dist::log_normal(0.0004, 0.3),
-            remote_latency: Dist::log_normal(0.002, 0.3),
             // Effective client throughputs (Python redis client chunking),
             // calibrated so Fig. 4's large-object behaviour holds: Redis
             // and the file system become comparable near 100 MB.
-            local_bandwidth: 1.0e8,
-            remote_bandwidth: 5.0e7,
+            local: Link { latency: Dist::log_normal(0.0004, 0.3), bandwidth: 1.0e8 },
+            remote: Link { latency: Dist::log_normal(0.002, 0.3), bandwidth: 5.0e7 },
         }
     }
 
@@ -378,9 +373,7 @@ impl Store {
                 if !p.members.contains(from) {
                     return Err(StoreError::Unreachable { site: from, store: "fs" });
                 }
-                let lat = p.op_latency.sample(&mut inner.rng.borrow_mut());
-                let d = hetflow_sim::time::secs(lat + size as f64 / p.write_bandwidth);
-                inner.sim.sleep(d).await;
+                inner.sim.sleep(self.fs_op_cost(p, size, p.write_bandwidth)).await;
                 resident = p.members;
             }
             Backend::Globus(g) => {
@@ -396,15 +389,14 @@ impl Store {
                 // Write locally first ("objects are still written to the
                 // shared file system prior to starting a Globus
                 // transfer", §V-C2), then initiate the push.
-                let lat = local_fs.op_latency.sample(&mut inner.rng.borrow_mut());
-                let d = hetflow_sim::time::secs(lat + size as f64 / local_fs.write_bandwidth);
+                let d = self.fs_op_cost(local_fs, size, local_fs.write_bandwidth);
                 inner.sim.sleep(d).await;
                 resident = local_fs.members;
                 for &dst in &g.push_to {
                     if resident.contains(dst) {
                         continue;
                     }
-                    let ticket = g.service.initiate(size, from, dst).await;
+                    let ticket = g.service.initiate(size).await;
                     transfers.push((dst, ticket));
                 }
             }
@@ -446,9 +438,7 @@ impl Store {
                 if !p.members.contains(at) {
                     return Err(StoreError::Unreachable { site: at, store: "fs" });
                 }
-                let lat = p.op_latency.sample(&mut inner.rng.borrow_mut());
-                let d = hetflow_sim::time::secs(lat + size as f64 / p.read_bandwidth);
-                inner.sim.sleep(d).await;
+                inner.sim.sleep(self.fs_op_cost(p, size, p.read_bandwidth)).await;
             }
             Backend::Globus(g) => {
                 if !resident.contains(at) {
@@ -464,9 +454,7 @@ impl Store {
                     }
                 }
                 let fs = if g.dst_fs.members.contains(at) { &g.dst_fs } else { &g.src_fs };
-                let lat = fs.op_latency.sample(&mut inner.rng.borrow_mut());
-                let d = hetflow_sim::time::secs(lat + size as f64 / fs.read_bandwidth);
-                inner.sim.sleep(d).await;
+                inner.sim.sleep(self.fs_op_cost(fs, size, fs.read_bandwidth)).await;
             }
         }
 
@@ -501,13 +489,14 @@ impl Store {
     }
 
     fn redis_op_cost(&self, p: &RedisParams, site: SiteId, size: u64) -> std::time::Duration {
-        let mut rng = self.inner.rng.borrow_mut();
-        let (lat, bw) = if site == p.host {
-            (p.local_latency.sample(&mut rng), p.local_bandwidth)
-        } else {
-            (p.remote_latency.sample(&mut rng), p.remote_bandwidth)
-        };
-        hetflow_sim::time::secs(lat + size as f64 / bw)
+        let path = if site == p.host { &p.local } else { &p.remote };
+        path.cost(&mut self.inner.rng.borrow_mut(), size)
+    }
+
+    /// One file-system write or read of `size` bytes at `bandwidth`: the
+    /// one `op_latency` serves both directions.
+    fn fs_op_cost(&self, p: &FsParams, size: u64, bandwidth: f64) -> std::time::Duration {
+        p.op_latency.sample_hop(&mut self.inner.rng.borrow_mut(), size, bandwidth)
     }
 
     /// Removes an object, freeing its (simulated) memory. Every removal
@@ -579,10 +568,8 @@ mod tests {
         RedisParams {
             host,
             connected: SiteSet::of(&[host]),
-            local_latency: Dist::Constant(0.001),
-            remote_latency: Dist::Constant(0.005),
-            local_bandwidth: 1e9,
-            remote_bandwidth: 1e8,
+            local: Link { latency: Dist::Constant(0.001), bandwidth: 1e9 },
+            remote: Link { latency: Dist::Constant(0.005), bandwidth: 1e8 },
         }
     }
 
@@ -693,10 +680,8 @@ mod tests {
             sim.clone(),
             GlobusParams {
                 request_latency: Dist::Constant(0.5),
-                service_time: Dist::Constant(2.0),
-                bandwidth: 1e9,
+                transfer: Link { latency: Dist::Constant(2.0), bandwidth: 1e9 },
                 concurrent_per_user: 3,
-                batch_window: None,
             },
             SimRng::from_seed(3),
         );

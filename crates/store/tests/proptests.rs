@@ -7,7 +7,7 @@ use hetflow_store::{
     bytes::KB, Backend, FsParams, GlobusBackend, GlobusParams, GlobusService, Proxy, RedisParams,
     SiteId, SiteSet, Store,
 };
-use hetflow_sim::{time::secs, Dist, Sim, SimRng};
+use hetflow_sim::{time::secs, Dist, Link, Sim, SimRng};
 use proptest::prelude::*;
 
 const A: SiteId = SiteId(0);
@@ -34,10 +34,8 @@ fn redis_store(sim: &Sim) -> Store {
         Backend::Redis(RedisParams {
             host: A,
             connected: SiteSet::of(&[A, B]),
-            local_latency: Dist::Constant(0.0005),
-            remote_latency: Dist::Constant(0.002),
-            local_bandwidth: 1e8,
-            remote_bandwidth: 5e7,
+            local: Link { latency: Dist::Constant(0.0005), bandwidth: 1e8 },
+            remote: Link { latency: Dist::Constant(0.002), bandwidth: 5e7 },
         }),
         SimRng::from_seed(2),
     )
@@ -48,10 +46,8 @@ fn globus_store(sim: &Sim) -> Store {
         sim.clone(),
         GlobusParams {
             request_latency: Dist::Constant(0.4),
-            service_time: Dist::Constant(1.5),
-            bandwidth: 1e9,
+            transfer: Link { latency: Dist::Constant(1.5), bandwidth: 1e9 },
             concurrent_per_user: 3,
-            batch_window: None,
         },
         SimRng::from_seed(3),
     );

@@ -81,7 +81,7 @@ fn a_deployment_dropped_mid_run_frees_its_sends_in_flight() {
     for cut_ms in [3_500, 5_000, 7_250] {
         let sim = Sim::new();
         let mut spec = DeploymentSpec { seed: 3, ..Default::default() };
-        spec.calibration.queue_latency = hetflow::sim::Dist::Constant(2.0);
+        spec.calibration.queue.latency = hetflow::sim::Dist::Constant(2.0);
         let d = deploy(&sim, WorkflowConfig::FnXGlobus, &spec, Tracer::disabled());
         let (q, value) = (d.queues.clone(), Rc::clone(&marker));
         sim.spawn_detached(async move {
