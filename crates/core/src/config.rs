@@ -158,12 +158,9 @@ impl Drop for Deployment {
 /// The handles a deployment keeps of either executor: the type-erased
 /// fabric, its pools in endpoint order, the reliability layer and the
 /// chaos targets.
-fn handles<T: 'static>(
-    exec: Dispatcher<T>,
-) -> (Rc<dyn Fabric>, Vec<WorkerPool>, ReliabilityLayer, ChaosTargets)
-where
-    Dispatcher<T>: Fabric,
-{
+fn handles<F: 'static>(
+    exec: Dispatcher<F>,
+) -> (Rc<dyn Fabric>, Vec<WorkerPool>, ReliabilityLayer, ChaosTargets) {
     let (pools, health, chaos) = (exec.pools().to_vec(), exec.health(), exec.chaos_targets());
     (Rc::new(exec), pools, health, chaos)
 }

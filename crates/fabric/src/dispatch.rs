@@ -6,9 +6,9 @@
 //! the [`ReliabilityLayer`] wiring (admission, breakers, hedges,
 //! reroutes, settling), the hedge actor, the per-topic deadline actors, the
 //! delivery-timeout arm, the return-path actors and the counters.
-//! What does is a [`Transport`]: FnX's cloud ([`crate::faas`]) and
-//! HTEX's interchange links ([`crate::htex`]) each implement it once,
-//! and the core never asks which one it is serving.
+//! What does is a [`Wire`], plain data: FnX's cloud ([`crate::faas`])
+//! and HTEX's interchange links ([`crate::htex`]) each build one, and
+//! the core reads its hop tables without asking which one it serves.
 
 use crate::fabric::Fabric;
 use crate::health::{ReliabilityLayer, ReliabilityPolicies, TimeoutVerdict, Verdict};
@@ -18,13 +18,14 @@ use crate::task::{TaskError, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTimi
 use crate::worker::{WorkerPool, WorkerPoolConfig};
 use hetflow_sim::sync::EventWaitNext;
 use hetflow_sim::{
-    channel, trace_kinds as kinds, LegKey, Legs, Offered, OverflowPolicy, Receiver, Sender, Sim,
-    SimRng, SimTime, Sleep, Symbol, SymbolMap, Tracer,
+    channel, trace_kinds as kinds, LegKey, Legs, Link, Offered, OverflowPolicy, Receiver, Sender,
+    Sim, SimRng, SimTime, Sleep, Symbol, SymbolMap, Tracer,
 };
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
@@ -32,40 +33,57 @@ use std::time::Duration;
 
 /// Which way a transit carries bytes.
 #[derive(Clone, Copy)]
-pub enum Way {
+pub(crate) enum Way {
     /// A task, from the server to an endpoint's pool.
     Out,
     /// A result, from an endpoint back to the server.
     In,
 }
 
-/// How bytes travel between the task server and an endpoint — the only
-/// thing the two fabrics disagree on — as a cost model: a transit is a
-/// fixed sequence of legs, each a latency drawn from the fabric's one
-/// transit-cost stream (the core makes it, the transport owns it) at
-/// the instant the leg before it ends. The core sleeps through them as
-/// one chained sleep ([`Sim::sleep_legs`]). Sealed by living in a
-/// private module: nothing outside the crate can name or implement it.
-pub trait Transport: 'static {
-    /// Fabric label, also the `"{label}/ep{i}"` trace-actor prefix.
-    const LABEL: &'static str;
-    /// Legs of a transit, by [`Way`]: `[out, in]`.
-    const LEGS: [u32; 2];
-    /// Rejects (panics on) a submission the transport cannot carry.
-    fn admit_payload(&self, _bytes: u64, _topic: Symbol) {}
-    /// Client-side cost of submitting a payload of `bytes`. A submission
-    /// refused by admission control pays it for an empty payload: the
-    /// refusal comes back on the client's call, before any data moves.
-    fn submit_cost(&self, bytes: u64) -> Duration;
-    /// Draws leg `leg` (below `LEGS[way]`) of a transit of `bytes` `way`
-    /// between the server and `endpoint`. `None` where an offline
-    /// endpoint holds the bytes: the transit resumes at that leg once
-    /// the endpoint is back online.
-    fn leg(&self, way: Way, endpoint: usize, bytes: u64, leg: u32) -> Option<Duration>;
-    /// Per-endpoint connection handles; none when links are direct.
-    fn connectivity(&self) -> &[Connectivity] {
-        &[]
+/// One leg of a transit: the link its bytes cross, and whether an
+/// offline endpoint holds them before it (the transit resumes at this
+/// leg once the endpoint is back online).
+#[derive(Clone)]
+pub(crate) struct Hop {
+    pub link: Link,
+    /// A byte threshold and the link a larger payload crosses instead.
+    pub above: Option<(u64, Link)>,
+    pub held: bool,
+}
+
+impl Hop {
+    /// A leg over `link` alone, never held.
+    pub fn on(link: Link) -> Hop {
+        Hop { link, above: None, held: false }
     }
+
+    fn cost(&self, rng: &mut SimRng, bytes: u64) -> Duration {
+        let link = match &self.above {
+            Some((threshold, large)) if bytes > *threshold => large,
+            _ => &self.link,
+        };
+        link.cost(rng, bytes)
+    }
+}
+
+/// How bytes travel between the task server and an endpoint — the only
+/// thing the two fabrics disagree on — as data. A transit is its hop
+/// table, each leg drawn from the fabric's one transit-cost stream at
+/// the instant the leg before it ends; the core sleeps through them as
+/// one chained sleep ([`Sim::sleep_legs`]).
+pub(crate) struct Wire {
+    /// Fabric label, also the `"{label}/ep{i}"` trace-actor prefix.
+    pub label: &'static str,
+    /// Largest payload a submission may carry; a larger one panics.
+    pub payload_cap: u64,
+    /// What the client pays to submit a payload. A submission refused
+    /// by admission control pays it for an empty payload: the refusal
+    /// comes back on the client's call, before any data moves.
+    pub submit: Link,
+    /// Each endpoint's hop tables, by [`Way`]: `[out, in]`.
+    pub hops: Vec<[Vec<Hop>; 2]>,
+    /// Per-endpoint connection handles; none when links are direct.
+    pub connectivity: Vec<Connectivity>,
 }
 
 /// What the fabric keeps of a task it handed off: enough to mint a
@@ -94,9 +112,12 @@ type Due = (SimTime, usize, Stub);
 /// that fall due together run in the order they were made.
 type Check = (SimTime, u64, TaskId, Symbol);
 
-struct Inner<T> {
+struct Inner {
     sim: Sim,
-    transport: T,
+    wire: Wire,
+    /// The fabric's one transit-cost stream: every submit and leg draws
+    /// from it.
+    rng: RefCell<SimRng>,
     /// Pre-interned `"{label}/ep{i}"` trace actors, one per endpoint.
     actors: Vec<Symbol>,
     health: ReliabilityLayer,
@@ -117,7 +138,7 @@ struct Inner<T> {
     alarm: Cell<Option<SimTime>>,
     /// Wakes the hedge actor for a check due before its alarm.
     hedges: Sender<()>,
-    /// Chaos-engine handles: the transport's connections, the pools' dials.
+    /// Chaos-engine handles: the wire's connections, the pools' dials.
     chaos: ChaosTargets,
     results: Sender<TaskResult>,
     tracer: Tracer,
@@ -126,15 +147,16 @@ struct Inner<T> {
     timed_out: Cell<u64>,
 }
 
-/// The core's side of a chained transit: decodes the key a [`Transit`]
-/// packed and stops the chain after the transport's last leg.
-impl<T: Transport> Legs for Inner<T> {
+/// The one interpreter of the hop tables: draws leg `leg` of the transit
+/// a [`Transit`] packed into the key, `None` past its table's last leg
+/// or before a held leg while the endpoint is offline.
+impl Legs for Inner {
     fn leg(&self, (route, bytes): LegKey, leg: u32) -> Option<Duration> {
-        let (way, endpoint) = unpack_route(route);
-        if leg >= T::LEGS[way as usize] {
+        let hop = self.hops(route).get(leg as usize)?;
+        if hop.held && !self.wire.connectivity[unpack_route(route).1].is_online() {
             return None;
         }
-        self.transport.leg(way, endpoint, bytes, leg)
+        Some(hop.cost(&mut self.rng.borrow_mut(), bytes))
     }
 }
 
@@ -148,71 +170,76 @@ fn unpack_route(route: u32) -> (Way, usize) {
     (way, (route >> 1) as usize)
 }
 
-/// Bytes in transit between the server and an endpoint: the transport's
+/// Bytes in transit between the server and an endpoint: the hop table's
 /// legs as one chained sleep, or, while an offline endpoint holds them,
 /// a wait for its next connectivity change — after which the chain
 /// resumes at the leg it stopped before, once the endpoint is online.
 /// The legs are never drawn as separate sleeps. A named future, like
 /// [`Submit`]: an `async fn` keeps its arguments twice in its frame,
 /// and this one is inside every boxed delivery and result return.
-struct Transit<'a, T> {
-    inner: &'a Rc<Inner<T>>,
+struct Transit<'a> {
+    inner: &'a Rc<Inner>,
     /// Way and endpoint ([`pack_route`]), the first word of the key.
     route: u32,
     /// The leg the chain stopped before, while the endpoint holds it.
     leg: u32,
     bytes: u64,
-    state: Hop,
+    state: Phase,
 }
 
-enum Hop {
+enum Phase {
     Chain(Sleep),
     Held(EventWaitNext),
 }
 
-impl<'a, T: Transport> Transit<'a, T> {
-    fn new(inner: &'a Rc<Inner<T>>, way: Way, endpoint: usize, bytes: u64) -> Self {
+impl<'a> Transit<'a> {
+    fn new(inner: &'a Rc<Inner>, way: Way, endpoint: usize, bytes: u64) -> Self {
         let route = pack_route(way, endpoint);
-        let legs: Rc<dyn Legs> = Rc::<Inner<T>>::clone(inner);
-        let state = Hop::Chain(inner.sim.sleep_legs(legs, (route, bytes), 0));
+        let legs: Rc<dyn Legs> = Rc::<Inner>::clone(inner);
+        let state = Phase::Chain(inner.sim.sleep_legs(legs, (route, bytes), 0));
         Transit { inner, route, leg: 0, bytes, state }
     }
 }
 
-impl<T: Transport> Future for Transit<'_, T> {
+impl Future for Transit<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
-        let (way, endpoint) = unpack_route(this.route);
         loop {
             match &mut this.state {
-                Hop::Chain(chain) => {
+                Phase::Chain(chain) => {
                     if Pin::new(&mut *chain).poll(cx).is_pending() {
                         return Poll::Pending;
                     }
                     this.leg = chain.leg();
-                    if this.leg == T::LEGS[way as usize] {
+                    if this.leg as usize == this.inner.hops(this.route).len() {
                         return Poll::Ready(());
                     }
                 }
-                Hop::Held(change) => {
+                Phase::Held(change) => {
                     if Pin::new(change).poll(cx).is_pending() {
                         return Poll::Pending;
                     }
                 }
             }
-            let conn = &this.inner.transport.connectivity()[endpoint];
+            let conn = &this.inner.wire.connectivity[unpack_route(this.route).1];
             this.state = if conn.is_online() {
-                let legs: Rc<dyn Legs> = Rc::<Inner<T>>::clone(this.inner);
-                Hop::Chain(this.inner.sim.sleep_legs(legs, (this.route, this.bytes), this.leg))
+                let legs: Rc<dyn Legs> = Rc::<Inner>::clone(this.inner);
+                Phase::Chain(this.inner.sim.sleep_legs(legs, (this.route, this.bytes), this.leg))
             } else {
-                Hop::Held(conn.wait_change())
+                Phase::Held(conn.wait_change())
             };
         }
     }
 }
 
-impl<T> Inner<T> {
+impl Inner {
+    /// The hop table of the transit `route` names.
+    fn hops(&self, route: u32) -> &[Hop] {
+        let (way, endpoint) = unpack_route(route);
+        &self.wire.hops[endpoint][way as usize]
+    }
+
     /// The rule the deadline and hedge actors walk their queues by: an
     /// entry whose task has settled is dropped without a wake, as long as
     /// another entry is queued behind it. The last entry is always slept
@@ -315,19 +342,21 @@ impl<T> Inner<T> {
     }
 }
 
-/// A fabric executor: the shared dispatch core over one `Transport`,
-/// used as [`crate::FnXExecutor`] or [`crate::HtexExecutor`].
-pub struct Dispatcher<T> {
-    inner: Rc<Inner<T>>,
+/// A fabric executor: the shared dispatch core over one `Wire`, used
+/// as [`crate::FnXExecutor`] or [`crate::HtexExecutor`]. `F` only names
+/// the fabric, so that each has its own `with_reliability`.
+pub struct Dispatcher<F> {
+    inner: Rc<Inner>,
+    fabric: PhantomData<F>,
 }
 
-impl<T> Clone for Dispatcher<T> {
+impl<F> Clone for Dispatcher<F> {
     fn clone(&self) -> Self {
-        Dispatcher { inner: Rc::clone(&self.inner) }
+        Dispatcher { inner: Rc::clone(&self.inner), fabric: PhantomData }
     }
 }
 
-impl<T> Dispatcher<T> {
+impl<F> Dispatcher<F> {
     /// Endpoint worker pools (for utilization metrics).
     pub fn pools(&self) -> &[WorkerPool] {
         &self.inner.pools
@@ -339,7 +368,7 @@ impl<T> Dispatcher<T> {
     }
 
     /// The chaos-engine handles: the pools' pace dials and the
-    /// transport's connectivity, if any. The storm target stays `None`:
+    /// wire's connectivity, if any. The storm target stays `None`:
     /// the deployment owns the `Rc<dyn Fabric>`.
     pub fn chaos_targets(&self) -> ChaosTargets {
         self.inner.chaos.clone()
@@ -362,16 +391,13 @@ impl<T> Dispatcher<T> {
     pub fn timed_out(&self) -> u64 {
         self.inner.timed_out.get()
     }
-}
 
-impl<T: Transport> Dispatcher<T> {
-    /// Builds the executor over the transport `wire` makes of the
-    /// fabric's transit-cost stream, with one worker pool and return-path
-    /// actor per `(pool, topics)` endpoint; a topic's first endpoint is
-    /// its primary.
-    pub(crate) fn build<W: FnOnce(RefCell<SimRng>) -> T>(
+    /// Builds the executor over `wire`, with one worker pool and
+    /// return-path actor per `(pool, topics)` endpoint; a topic's first
+    /// endpoint is its primary.
+    pub(crate) fn build(
         sim: &Sim,
-        wire: W,
+        wire: Wire,
         endpoints: Vec<(WorkerPoolConfig, Vec<&'static str>)>,
         results: Sender<TaskResult>,
         rng: SimRng,
@@ -393,7 +419,6 @@ impl<T: Transport> Dispatcher<T> {
             pool_streams.push(pool_res_rx);
         }
         let rng = RefCell::new(rng.substream(u64::MAX));
-        let transport = wire(rng);
         let policy = policies.default;
         let (hedging, deadline) = (policy.hedge.enabled(), policy.deadline);
         let (hedges, notify) = channel();
@@ -407,9 +432,9 @@ impl<T: Transport> Dispatcher<T> {
         }
         // Without connectivity (direct links) no heartbeat watchers:
         // breakers are fed by task outcomes and timeouts only.
-        let conns = transport.connectivity();
-        let health = ReliabilityLayer::new(sim, tracer.clone(), T::LABEL, policy, route, conns);
-        let actor = |i| Symbol::intern(&format!("{}/ep{i}", T::LABEL));
+        let (label, conns) = (wire.label, &wire.connectivity);
+        let health = ReliabilityLayer::new(sim, tracer.clone(), label, policy, route, conns);
+        let actor = |i| Symbol::intern(&format!("{label}/ep{i}"));
         let actors = (0..pools.len()).map(actor).collect();
         let chaos = ChaosTargets {
             connectivity: conns.to_vec(),
@@ -418,7 +443,8 @@ impl<T: Transport> Dispatcher<T> {
         };
         let inner = Rc::new(Inner {
             sim: sim.clone(),
-            transport,
+            wire,
+            rng,
             actors,
             health,
             pools,
@@ -442,25 +468,27 @@ impl<T: Transport> Dispatcher<T> {
             let inner2 = Rc::clone(&inner);
             sim.spawn_detached(async move {
                 while let Some(result) = rx.recv().await {
-                    inner2.sim.spawn_detached(Self::return_result(Rc::clone(&inner2), result, i));
+                    inner2.sim.spawn_detached(Inner::return_result(Rc::clone(&inner2), result, i));
                 }
             });
         }
         // One deadline actor per topic, when there is a deadline.
         for dues in due_queues {
-            sim.spawn_detached(Self::expire_overdue(Rc::clone(&inner), dues));
+            sim.spawn_detached(Inner::expire_overdue(Rc::clone(&inner), dues));
         }
         if hedging {
-            sim.spawn_detached(Self::hedge_stragglers(Rc::clone(&inner), notify));
+            sim.spawn_detached(Inner::hedge_stragglers(Rc::clone(&inner), notify));
         }
-        Dispatcher { inner }
+        Dispatcher { inner, fabric: PhantomData }
     }
+}
 
+impl Inner {
     /// The hedge actor. It sleeps until its earliest check falls due,
     /// walking past settled checks by [`Inner::passes`]; `push_check`
     /// wakes it early for a check due before its alarm. A straggler gets
     /// one copy elsewhere (first result wins); each task is checked once.
-    async fn hedge_stragglers(inner: Rc<Inner<T>>, notify: Receiver<()>) {
+    async fn hedge_stragglers(inner: Rc<Inner>, notify: Receiver<()>) {
         loop {
             let Some(due) = inner.next_check() else {
                 inner.alarm.set(None);
@@ -493,7 +521,7 @@ impl<T: Transport> Dispatcher<T> {
     /// by [`Inner::passes`]: it sleeps only on an entry whose task is
     /// still unsettled, or on the last one queued, so the run still ends
     /// at the last due.
-    async fn expire_overdue(inner: Rc<Inner<T>>, dues: Receiver<Due>) {
+    async fn expire_overdue(inner: Rc<Inner>, dues: Receiver<Due>) {
         while let Some((due, endpoint, stub)) = dues.recv().await {
             if inner.passes(stub.id, !dues.is_empty()) {
                 continue;
@@ -508,7 +536,7 @@ impl<T: Transport> Dispatcher<T> {
     /// Spawns a task's delivery to `endpoint`: the bare leg, or the leg
     /// raced against the topic's delivery timeout there. A plain `fn`,
     /// so a reroute can spawn a delivery from inside one.
-    fn spawn_delivery(inner: &Rc<Inner<T>>, task: TaskSpec, endpoint: usize) {
+    fn spawn_delivery(inner: &Rc<Inner>, task: TaskSpec, endpoint: usize) {
         let leg = Rc::clone(inner);
         match inner.retries[endpoint].policy_for(task.topic).timeout {
             None => inner.sim.spawn_detached(Self::deliver_inner(leg, task, endpoint)),
@@ -523,7 +551,7 @@ impl<T: Transport> Dispatcher<T> {
     /// outage) goes to the reliability layer, which reroutes it to
     /// another endpoint (within the policy's `max_reroutes` budget) or
     /// fails it with `TaskError::Timeout` on the normal result channel.
-    async fn deliver_timed(inner: Rc<Inner<T>>, task: TaskSpec, endpoint: usize, after: Duration) {
+    async fn deliver_timed(inner: Rc<Inner>, task: TaskSpec, endpoint: usize, after: Duration) {
         let stub = Stub::of(&task);
         let attempt = Self::deliver_inner(Rc::clone(&inner), task, endpoint);
         if inner.sim.timeout(after, attempt).await.is_err() {
@@ -535,7 +563,7 @@ impl<T: Transport> Dispatcher<T> {
         }
     }
 
-    async fn deliver_inner(inner: Rc<Inner<T>>, task: TaskSpec, endpoint: usize) {
+    async fn deliver_inner(inner: Rc<Inner>, task: TaskSpec, endpoint: usize) {
         Transit::new(&inner, Way::Out, endpoint, task.wire_bytes()).await;
         let (capacity, overflow) = inner.bounds[endpoint];
         let queue = &inner.pools[endpoint].tasks;
@@ -554,7 +582,7 @@ impl<T: Transport> Dispatcher<T> {
         }
     }
 
-    async fn return_result(inner: Rc<Inner<T>>, mut result: TaskResult, endpoint: usize) {
+    async fn return_result(inner: Rc<Inner>, mut result: TaskResult, endpoint: usize) {
         Transit::new(&inner, Way::In, endpoint, result.wire_bytes()).await;
         // Exactly-once arbitration, *after* the full return path: a
         // winner stuck behind a dead connection never gets here, so a
@@ -570,47 +598,34 @@ impl<T: Transport> Dispatcher<T> {
             inner.finish(result);
         }
     }
-}
 
-/// What a [`Submit`] runs once the client's call is paid for, given
-/// what `admit` decided: `Ok(endpoint)` the task is bound for, or the
-/// `Err(primary)` endpoint its refusal's `Shed` goes to. A trait object
-/// because [`Fabric`] is one (`Rc<dyn Fabric>`), so `Submit` cannot
-/// name the transport.
-trait AfterCost {
-    fn after_cost(&self, task: TaskSpec, admitted: Result<usize, usize>);
-}
-
-/// The future [`Fabric::submit`] returns: the client-side submit cost as
-/// one [`Sleep`], then the hand-off to the detached delivery. Named and
-/// unboxed — everything a submission decides (payload check, `dispatched`
-/// stamp, admission, routing, the cost draw) has already run inside
-/// `submit`, so what is left to await needs no allocation. That is the
-/// allocation the task's envelope took.
-#[must_use = "a submission is only paid for, and handed off, by awaiting it"]
-pub struct Submit<'a> {
-    sleep: Sleep,
-    then: Option<(&'a dyn AfterCost, TaskSpec, Result<usize, usize>)>,
-}
-
-const _: () = assert!(std::mem::size_of::<Submit<'_>>() <= 96);
-
-impl Future for Submit<'_> {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if Pin::new(&mut self.sleep).poll(cx).is_pending() {
-            return Poll::Pending;
-        }
-        if let Some((core, task, admitted)) = self.then.take() {
-            core.after_cost(task, admitted);
-        }
-        Poll::Ready(())
+    /// Everything [`Fabric::submit`] decides, in the call: the payload
+    /// check, the `dispatched` stamp, admission and routing, and the
+    /// draw of the client's cost.
+    fn submit(self: &Rc<Inner>, mut task: TaskSpec) -> Submit<'_> {
+        let bytes = task.wire_bytes();
+        let (label, cap) = (self.wire.label, self.wire.payload_cap);
+        assert!(
+            bytes <= cap,
+            "{label} payload {bytes} bytes exceeds the {cap} byte cap (topic {}): large data \
+             must be passed by reference",
+            task.topic,
+        );
+        task.timing.dispatched = Some(self.sim.now());
+        // The reliability layer admits the task and picks its endpoint.
+        // A refused submission still pays the client's call (for an
+        // empty payload) and resolves to Shed.
+        let admitted = self.health.admit(&task);
+        let bytes = if admitted.is_ok() { bytes } else { 0 };
+        let cost = self.wire.submit.cost(&mut self.rng.borrow_mut(), bytes);
+        // The client pays the submit cost; the rest runs detached.
+        Submit { sleep: self.sim.sleep(cost), then: Some((self, task, admitted)) }
     }
-}
 
-impl<T: Transport> AfterCost for Dispatcher<T> {
-    fn after_cost(&self, task: TaskSpec, admitted: Result<usize, usize>) {
-        let inner = &self.inner;
+    /// What a [`Submit`] runs once the client's call is paid for, given
+    /// what `admit` decided: `Ok(endpoint)` the task is bound for, or the
+    /// `Err(primary)` endpoint its refusal's `Shed` goes to.
+    fn after_cost(inner: &Rc<Inner>, task: TaskSpec, admitted: Result<usize, usize>) {
         inner.submitted.set(inner.submitted.get() + 1);
         let endpoint = match admitted {
             Err(primary) => {
@@ -637,24 +652,40 @@ impl<T: Transport> AfterCost for Dispatcher<T> {
     }
 }
 
-impl<T: Transport> Fabric for Dispatcher<T> {
-    fn submit(&self, mut task: TaskSpec) -> Submit<'_> {
-        let inner = &self.inner;
-        let bytes = task.wire_bytes();
-        inner.transport.admit_payload(bytes, task.topic);
-        task.timing.dispatched = Some(inner.sim.now());
-        // The reliability layer admits the task and picks its endpoint.
-        // A refused submission still pays the client's call (for an
-        // empty payload) and resolves to Shed.
-        let admitted = inner.health.admit(&task);
-        let cost = inner.transport.submit_cost(if admitted.is_ok() { bytes } else { 0 });
-        // The client pays the submit cost; the rest runs detached.
-        let core: &dyn AfterCost = self;
-        Submit { sleep: inner.sim.sleep(cost), then: Some((core, task, admitted)) }
+/// The future [`Fabric::submit`] returns: the client-side submit cost as
+/// one [`Sleep`], then the hand-off to the detached delivery. Named and
+/// unboxed — everything a submission decides (payload check, `dispatched`
+/// stamp, admission, routing, the cost draw) has already run inside
+/// `submit`, so what is left to await needs no allocation. That is the
+/// allocation the task's envelope took.
+#[must_use = "a submission is only paid for, and handed off, by awaiting it"]
+pub struct Submit<'a> {
+    sleep: Sleep,
+    then: Option<(&'a Rc<Inner>, TaskSpec, Result<usize, usize>)>,
+}
+
+const _: () = assert!(std::mem::size_of::<Submit<'_>>() <= 96);
+
+impl Future for Submit<'_> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if Pin::new(&mut self.sleep).poll(cx).is_pending() {
+            return Poll::Pending;
+        }
+        if let Some((inner, task, admitted)) = self.then.take() {
+            Inner::after_cost(inner, task, admitted);
+        }
+        Poll::Ready(())
+    }
+}
+
+impl<F> Fabric for Dispatcher<F> {
+    fn submit(&self, task: TaskSpec) -> Submit<'_> {
+        self.inner.submit(task)
     }
 
     fn label(&self) -> &'static str {
-        T::LABEL
+        self.inner.wire.label
     }
 }
 
@@ -801,9 +832,9 @@ mod tests {
             }
         }
 
-        fn over<T: Transport>(
+        fn over<F: 'static>(
             sim: Sim,
-            exec: Dispatcher<T>,
+            exec: Dispatcher<F>,
             results: Receiver<TaskResult>,
             tracer: Tracer,
         ) -> Rig {

@@ -13,17 +13,15 @@
 //! server→worker communication reductions of Fig. 3 (~2–3× at 10 kB,
 //! ~10× at 1 MB when proxied) are reproduced.
 //!
-//! This file is the cloud *transport*; routing, reliability and overload
-//! handling are the shared [`crate::Dispatcher`] core.
+//! This file declares the cloud's hop tables; routing, reliability and
+//! overload handling are the shared [`crate::Dispatcher`] core.
 
-use crate::dispatch::{Dispatcher, Transport, Way};
+use crate::dispatch::{Dispatcher, Hop, Wire};
 use crate::health::ReliabilityPolicies;
 use crate::reliability::Connectivity;
 use crate::task::TaskResult;
 use crate::worker::WorkerPoolConfig;
-use hetflow_sim::{Dist, Link, Sender, Sim, SimRng, Symbol, Tracer};
-use std::cell::RefCell;
-use std::time::Duration;
+use hetflow_sim::{Dist, Link, Sender, Sim, SimRng, Tracer};
 
 /// Tunables of the cloud FaaS model.
 #[derive(Clone, Debug)]
@@ -76,19 +74,15 @@ impl EndpointSpec {
     }
 }
 
-/// The cloud transport: tiered payload storage and outbound-only
-/// endpoint connections. Each endpoint's connection starts online;
-/// outages are scripted over [`Dispatcher::chaos_targets`] by a
+/// Names the cloud fabric. Its wire is tiered payload storage and
+/// outbound-only endpoint connections. Each endpoint's connection starts
+/// online; outages are scripted over [`Dispatcher::chaos_targets`] by a
 /// [`crate::ChaosSpec`]. While one is offline, the cloud *holds* tasks
 /// and the endpoint holds results — §IV-A3's robustness property.
-pub struct FnXTransport {
-    rng: RefCell<SimRng>,
-    params: FnXParams,
-    connectivity: Vec<Connectivity>,
-}
+pub enum FnX {}
 
 /// The FnX executor: routes tasks through the cloud to endpoints.
-pub type FnXExecutor = Dispatcher<FnXTransport>;
+pub type FnXExecutor = Dispatcher<FnX>;
 
 impl FnXExecutor {
     /// Builds the executor, spawning one worker pool per endpoint;
@@ -107,63 +101,32 @@ impl FnXExecutor {
         tracer: Tracer,
         policies: ReliabilityPolicies,
     ) -> FnXExecutor {
+        let p = params;
+        // A cloud-store put or get: the fast-KV tier up to the threshold,
+        // the object store above it. A notice carries no payload.
+        let tiers = Some((p.small_threshold, p.large_store));
+        let store = Hop { above: tiers, ..Hop::on(p.small_store) };
+        let notice =
+            |latency, held| Hop { held, ..Hop::on(Link { latency, bandwidth: f64::INFINITY }) };
+        // Out: the cloud stores the payload, then — holding the task while
+        // the endpoint is offline (§IV-A3) — forwards the invocation, and
+        // the endpoint fetches the payload. In: the endpoint buffers the
+        // result while offline, then uploads; the cloud notifies the
+        // client, which fetches it.
+        let out = vec![store.clone(), notice(p.forward_latency, true), store.clone()];
+        let put = Hop { held: true, ..store.clone() };
+        let back = vec![put, notice(p.result_latency, false), store];
         let endpoints: Vec<_> = endpoints.into_iter().map(|ep| (ep.pool, ep.topics)).collect();
-        let connectivity = endpoints.iter().map(|_| Connectivity::always_on()).collect();
-        let wire = |rng| FnXTransport { rng, params, connectivity };
-        Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
-    }
-}
-
-impl FnXTransport {
-    /// Cost of one cloud-store put or get for a payload of `bytes`.
-    fn store_op(&self, bytes: u64) -> Duration {
-        let p = &self.params;
-        let tier = if bytes <= p.small_threshold { &p.small_store } else { &p.large_store };
-        tier.cost(&mut self.rng.borrow_mut(), bytes)
-    }
-}
-
-impl Transport for FnXTransport {
-    const LABEL: &'static str = "fnx";
-    const LEGS: [u32; 2] = [3, 3];
-
-    fn admit_payload(&self, bytes: u64, topic: Symbol) {
-        let cap = self.params.payload_cap;
-        assert!(
-            bytes <= cap,
-            "FnX payload {bytes} bytes exceeds the {cap} byte cap (topic {topic}): large data \
-             must be passed by reference",
-        );
-    }
-
-    /// The client pays the HTTPS round trip whatever the payload (a
-    /// refusal comes back on it too); the rest happens in the cloud.
-    fn submit_cost(&self, _bytes: u64) -> Duration {
-        self.params.https_latency.sample_secs(&mut self.rng.borrow_mut())
-    }
-
-    /// Out: the cloud stores the payload, forwards the invocation and
-    /// the endpoint fetches the payload; while the endpoint is offline
-    /// the cloud simply holds the task before forwarding it (§IV-A3).
-    /// In: the endpoint buffers the result while offline, then uploads;
-    /// the cloud notifies the client, which fetches it.
-    fn leg(&self, way: Way, endpoint: usize, bytes: u64, leg: u32) -> Option<Duration> {
-        let held = matches!((way, leg), (Way::Out, 1) | (Way::In, 0));
-        if held && !self.connectivity[endpoint].is_online() {
-            return None;
-        }
-        let notice = match way {
-            Way::Out => &self.params.forward_latency,
-            Way::In => &self.params.result_latency,
+        let wire = Wire {
+            label: "fnx",
+            payload_cap: p.payload_cap,
+            // The HTTPS round trip, whatever the payload (a refusal comes
+            // back on it too); the rest happens in the cloud.
+            submit: Link { latency: p.https_latency, bandwidth: f64::INFINITY },
+            hops: endpoints.iter().map(|_| [out.clone(), back.clone()]).collect(),
+            connectivity: endpoints.iter().map(|_| Connectivity::always_on()).collect(),
         };
-        Some(match leg {
-            1 => notice.sample_secs(&mut self.rng.borrow_mut()),
-            _ => self.store_op(bytes),
-        })
-    }
-
-    fn connectivity(&self) -> &[Connectivity] {
-        &self.connectivity
+        Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
     }
 }
 
@@ -176,6 +139,7 @@ mod tests {
     use hetflow_sim::{channel, trace_kinds as kinds, Receiver, SimTime};
     use hetflow_store::SiteId;
     use std::rc::Rc;
+    use std::time::Duration;
 
     fn fixed_params() -> FnXParams {
         FnXParams {
@@ -390,6 +354,41 @@ mod tests {
         assert_eq!(timing.server_result_received, Some(report.end), "nothing runs on after it");
         assert_eq!(report.timer_fires, clean.timer_fires + 2, "start and reconnection only");
         assert_eq!(outages, 1);
+    }
+
+    #[test]
+    fn a_one_window_flap_holds_a_result_before_its_upload() {
+        // The task computes from about 0.3 s to 1.3 s; the endpoint drops
+        // at 1 s and is back at 11 s. The endpoint holds the result before
+        // uploading it (leg 0 of `In`), then uploads it, the cloud notifies
+        // the client and the client fetches it: nothing of the return path
+        // runs during the outage.
+        let (sim, exec, res_rx) = setup(1);
+        let outage = ChaosAction::Flap {
+            endpoint: 0,
+            start: SimTime::from_secs(1),
+            up: Dist::Constant(0.0),
+            down: Dist::Constant(10.0),
+            cycles: 1,
+        };
+        ChaosSpec::new(vec![outage]).install(&sim, 0, &exec.chaos_targets());
+        let compute: crate::task::TaskFn =
+            Rc::new(|_| crate::task::TaskWork::new((), 0, Duration::from_secs(1)));
+        let task = TaskSpec::new(0, "unit", vec![], compute);
+        let e = exec.clone();
+        sim.spawn(async move { e.submit(task).await });
+        sim.run();
+        let results = res_rx.drain_now();
+        assert_eq!(results.len(), 1);
+        let timing = results[0].timing;
+        let start = SimTime::from_secs(1);
+        assert!(timing.worker_started.is_some_and(|t| t < start), "computing at the drop");
+        assert!(timing.compute_finished.is_some_and(|t| t > start), "computing at the drop");
+        let store = 0.04 + results[0].wire_bytes() as f64 / 4.0e4;
+        let (store, notice) = (hetflow_sim::time::secs(store), hetflow_sim::time::secs(0.06));
+        let back = SimTime::from_secs(11);
+        let landed = back + store + notice + store;
+        assert_eq!(timing.server_result_received, Some(landed), "put, notice, get after reconnect");
     }
 
     #[test]

@@ -128,8 +128,8 @@ pub struct ReliabilityPolicy {
     /// Hedged-dispatch tuning.
     pub hedge: HedgeConfig,
     /// Delivery timeouts re-dispatch to another endpoint up to this
-    /// many times before failing the task. `0` keeps the PR-2
-    /// behavior: a delivery timeout fails the task immediately.
+    /// many times before failing the task. At `0` a delivery timeout
+    /// fails the task immediately.
     pub max_reroutes: u32,
     /// Hard round-trip deadline measured from dispatch: a task with no
     /// terminal outcome after this long is failed by the fabric, even
@@ -384,7 +384,7 @@ pub(crate) enum TimeoutVerdict {
         to: usize,
     },
     /// No copies left and no reroutes allowed: fail the task with
-    /// `TaskError::Timeout` (the PR-2 behavior).
+    /// `TaskError::Timeout`.
     Fail,
     /// Another copy is still in flight (or the task already finished):
     /// swallow this timeout silently.
@@ -499,8 +499,8 @@ impl ReliabilityLayer {
     /// Admits a task and picks its endpoint: the first candidate whose
     /// breaker admits the task, falling back to the primary when every
     /// gate is shut (availability over purity). With breaking disabled
-    /// this is exactly the PR-2 primary-only routing and
-    /// touches no breaker state. An admitted task holds its registry
+    /// every task goes to its topic's primary and no breaker state is
+    /// touched. An admitted task holds its registry
     /// entry and admission slot until it settles. `Err` carries the
     /// primary endpoint of a topic whose admission control refuses the
     /// task; a refused task is never registered. Panics on a topic no

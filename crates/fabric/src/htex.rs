@@ -14,16 +14,14 @@
 //! costs ~hundreds of ms end-to-end (Fig. 7b) while multi-GB inference
 //! payloads remain feasible, merely slow (Fig. 6).
 //!
-//! This file is the interchange *transport*; routing, reliability and
-//! overload handling are the shared [`crate::Dispatcher`] core.
+//! This file declares the interchange's hop tables; routing, reliability
+//! and overload handling are the shared [`crate::Dispatcher`] core.
 
-use crate::dispatch::{Dispatcher, Transport, Way};
+use crate::dispatch::{Dispatcher, Hop, Wire};
 use crate::health::ReliabilityPolicies;
 use crate::task::TaskResult;
 use crate::worker::WorkerPoolConfig;
 use hetflow_sim::{Dist, Link, Sender, Sim, SimRng, Tracer};
-use std::cell::RefCell;
-use std::time::Duration;
 
 /// Tunables of the interchange.
 #[derive(Clone, Debug)]
@@ -51,16 +49,12 @@ pub struct HtexEndpoint {
     pub link: Link,
 }
 
-/// The interchange transport: one direct link per manager; no cloud
-/// service, no payload cap and no connection state.
-pub struct HtexTransport {
-    rng: RefCell<SimRng>,
-    params: HtexParams,
-    links: Vec<Link>,
-}
+/// Names the interchange fabric. Its wire is one direct link per
+/// manager: no cloud service, no payload cap and no connection state.
+pub enum Htex {}
 
 /// The HTEX executor.
-pub type HtexExecutor = Dispatcher<HtexTransport>;
+pub type HtexExecutor = Dispatcher<Htex>;
 
 impl HtexExecutor {
     /// Builds the executor, spawning one pool per endpoint, under
@@ -76,32 +70,23 @@ impl HtexExecutor {
         tracer: Tracer,
         policies: ReliabilityPolicies,
     ) -> HtexExecutor {
-        let (links, endpoints) =
-            endpoints.into_iter().map(|ep| (ep.link, (ep.pool, ep.topics))).unzip();
-        let wire = |rng| HtexTransport { rng, params, links };
+        // Out: the link. In: the link, then the submit hop's latency
+        // alone back to the client.
+        let latency = params.submit.latency.clone();
+        let reply = Hop::on(Link { latency, bandwidth: f64::INFINITY });
+        let (hops, endpoints) = endpoints
+            .into_iter()
+            .map(|ep| {
+                let legs = [vec![Hop::on(ep.link.clone())], vec![Hop::on(ep.link), reply.clone()]];
+                (legs, (ep.pool, ep.topics))
+            })
+            .unzip();
+        // The client pays the hop to the interchange plus the
+        // interchange's serialization pass over the payload (a refused
+        // call has none: the hop alone).
+        let (submit, connectivity) = (params.submit, vec![]);
+        let wire = Wire { label: "htex", payload_cap: u64::MAX, submit, hops, connectivity };
         Dispatcher::build(sim, wire, endpoints, results, rng, tracer, policies)
-    }
-}
-
-impl Transport for HtexTransport {
-    const LABEL: &'static str = "htex";
-    const LEGS: [u32; 2] = [1, 2];
-
-    /// The client pays the hop to the interchange plus the
-    /// interchange's serialization pass over the payload (a refused
-    /// call has none: the hop alone).
-    fn submit_cost(&self, bytes: u64) -> Duration {
-        self.params.submit.cost(&mut self.rng.borrow_mut(), bytes)
-    }
-
-    /// Out: the link. In: the link, then the submit hop's latency
-    /// alone back to the client.
-    fn leg(&self, _way: Way, endpoint: usize, bytes: u64, leg: u32) -> Option<Duration> {
-        let rng = &mut self.rng.borrow_mut();
-        Some(match leg {
-            0 => self.links[endpoint].cost(rng, bytes),
-            _ => self.params.submit.latency.sample_secs(rng),
-        })
     }
 }
 

@@ -8,8 +8,8 @@
 //!   [`worker::WorkerPool`]s, and owns every reliability and overload
 //!   arm: breakers, failover, hedges, reroutes, deadlines
 //!   ([`ReliabilityLayer`]), bounded pool queues with shedding,
-//!   admission control, and the exactly-one terminal result per task. It is generic over a crate-private `Transport`
-//!   and never asks which one it has.
+//!   admission control, and the exactly-one terminal result per task. It
+//!   reads its transport as data and never asks which one it has.
 //! * [`FnXExecutor`] = the core over the cloud transport ([`faas`], the
 //!   FuncX model): submissions travel through a cloud service with
 //!   tiered payload storage (fast KV ≤ 20 kB, object store above, hard
@@ -20,10 +20,10 @@
 //!   ([`htex`], the Parsl HTEX model): tasks cross direct TCP links,
 //!   which requires ports/tunnels but moves payloads at link bandwidth.
 //!
-//! A transport decides the fabric's label, whether a payload is
-//! admissible, what the client pays to submit, how a task travels out
-//! and a result back, and which connections exist —
-//! nothing else (DESIGN.md §9 has the table).
+//! A transport is five fields: the fabric's label, its payload cap, the
+//! `Link` the client pays to submit, one hop table per endpoint and way,
+//! and the endpoints' connections — nothing else (DESIGN.md §9 has the
+//! tables).
 //!
 //! Worker pools resolve proxied inputs, run the (real) compute closure
 //! for its declared virtual duration, apply the result proxy policy,

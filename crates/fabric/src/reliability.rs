@@ -193,8 +193,8 @@ impl Default for RetryPolicy {
 }
 
 /// Per-topic retry policies with a fallback default, configurable on
-/// `WorkerPoolConfig` (worker-side attempts/backoff) and consulted by
-/// the fabrics (delivery timeouts).
+/// `WorkerPoolConfig`: workers read each topic's backoff, the dispatcher
+/// its delivery timeout.
 #[derive(Clone, Debug, Default)]
 pub struct RetryPolicies {
     /// Policy for topics without a dedicated entry.

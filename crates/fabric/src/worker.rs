@@ -38,8 +38,9 @@ pub struct WorkerPoolConfig {
     pub local_hop: Dist,
     /// Optional failure injection (`None` = reliable workers).
     pub failure: Option<FailureModel>,
-    /// Per-topic retry/backoff policies (attempt caps override the
-    /// failure model's; backoff delays re-execution).
+    /// Per-topic retry policies: the backoff a worker sleeps before each
+    /// re-execution, and the dispatcher's delivery timeout. The attempt
+    /// cap is the failure model's `max_attempts`.
     pub retry: RetryPolicies,
     /// Bound on the pool's pending-task queue, enforced by the fabrics
     /// at delivery time via [`hetflow_sim::Sender::offer`]. `0` keeps
